@@ -31,8 +31,8 @@ use crate::table::Table;
 use campuslab::datastore::{PersistError, WalConfig, WalStore};
 use campuslab::netsim::SimDuration;
 use campuslab::testbed::{
-    decode_checkpoint, encode_checkpoint, CrashCart, DriftRunConfig, DriftSession, PhoenixError,
-    Scenario, PHOENIX_VERSION,
+    decode_checkpoint, encode_checkpoint, shard_by_second, CrashCart, DriftRunConfig,
+    DriftSession, PhoenixError, Scenario, PHOENIX_VERSION,
 };
 use campuslab::Platform;
 
@@ -154,15 +154,7 @@ fn wal_leg(packets: &[campuslab::capture::PacketRecord]) -> (String, bool) {
     let run = || -> Result<(String, bool), PersistError> {
         // Per-second batches: the same sharding unit the store's parallel
         // ingest uses.
-        let mut batches: Vec<Vec<campuslab::capture::PacketRecord>> = Vec::new();
-        for p in packets {
-            let sec = (p.ts_ns / 1_000_000_000) as usize;
-            if batches.len() <= sec {
-                batches.resize_with(sec + 1, Vec::new);
-            }
-            batches[sec].push(p.clone());
-        }
-        batches.retain(|b| !b.is_empty());
+        let mut batches = shard_by_second(packets);
         let last_batch = batches.pop().expect("capture is never empty");
         let last_len = last_batch.len();
 

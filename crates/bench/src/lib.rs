@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one module per figure/experiment in
 //! `EXPERIMENTS.md`, each exposing `run() -> String` (the printed table)
-//! so the thin binaries in `src/bin/` and the `all_experiments` driver
-//! share one implementation. Criterion performance benches live in
+//! so the `exp <id>` binary and the `all_experiments` driver share one
+//! implementation. Criterion performance benches live in
 //! `benches/`.
 
 pub mod table;

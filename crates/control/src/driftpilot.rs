@@ -143,7 +143,7 @@ pub struct DriftEpisode {
 }
 
 /// The always-on pipeline supervisor. Implements [`SimHooks`]; compose it
-/// with a guard + controller (the testbed's `DriftHooks` does this,
+/// with a guard + controller (the testbed's `Stack` does this,
 /// draining [`DriftPilot::take_candidates`] into
 /// [`crate::rollout::RolloutGuard::submit_candidate`] and feeding guard
 /// events back through [`DriftPilot::on_guard_event`]).

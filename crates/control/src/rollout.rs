@@ -339,7 +339,7 @@ struct Candidate {
 
 /// The deployment supervisor. Implements [`SimHooks`]; compose it with a
 /// [`crate::controller::MitigationController`] so both see the tap (the
-/// testbed's `GuardedHooks` does this and forwards the controller's
+/// testbed's `Stack` does this and forwards the controller's
 /// latency samples and give-ups here).
 pub struct RolloutGuard {
     cfg: RolloutConfig,

@@ -37,5 +37,5 @@ pub mod tenant;
 
 pub use service::{Plaza, PlazaConfig, PlazaReport, TenantRecord};
 pub use tenant::{
-    FrozenJob, FrozenSlice, SliceFreezeError, TenantJob, TenantOutcome, TenantSlice, TenantSpec,
+    FrozenSlice, SliceFreezeError, TenantJob, TenantOutcome, TenantSlice, TenantSpec,
 };

@@ -2,7 +2,7 @@
 //! describes it, the slice that runs it, and the outcome that comes back.
 //!
 //! Isolation is by construction: every tenant slice owns a private campus
-//! simulation (its own [`Network`], traffic schedule, filter bank, hooks
+//! simulation (its own [`campuslab_netsim::Network`], traffic schedule, filter bank, hooks
 //! and telemetry), built entirely from the tenant's [`TenantSpec`]. The
 //! only resource tenants genuinely share is the dataplane budget, which
 //! the plaza arbitrates up front through
@@ -20,26 +20,20 @@
 //! spec alone, so they may appear in outcomes without breaking the
 //! solo-vs-co-scheduled differential.
 
-use campuslab_capture::{BorderTapHooks, PacketRecord};
 use campuslab_control::{
-    BankFilter, BankHandle, FastLoopStatsSnapshot, FrozenBank, FrozenController,
-    MitigationController, MitigationControllerConfig, PlazaObs, RolloutConfig, RolloutEvent,
-    RolloutGuard, RolloutStage, SloPolicy,
+    FastLoopStatsSnapshot, Placement, PlazaObs, RolloutEvent, RolloutStage, SloPolicy,
 };
 use campuslab_dataplane::{
-    Action, FieldExtractor, PipelineProgram, SwitchModel, TableEntry, TenantDemand, TernaryMatch,
-    FIELD_ORDER,
+    Action, PipelineProgram, SwitchModel, TableEntry, TenantDemand, TernaryMatch, FIELD_ORDER,
 };
 use campuslab_datastore::DataStore;
-use campuslab_ml::DecisionTree;
-use campuslab_netsim::{
-    Campus, ChaosPlan, Commands, Dir, DropReason, FrozenNetwork, LinkId, NetStats, Network, NodeId,
-    Packet, SimDuration, SimHooks, SimTime,
-};
-use campuslab_obs::Tracer;
+use campuslab_ml::{Classifier, DecisionTree};
+use campuslab_netsim::{ChaosPlan, NetStats, SimDuration, SimTime};
 use campuslab_testbed::{
-    build_schedule, canary_hosts, FrozenGuardedHooks, GuardedHooks, RunObs, Scenario,
+    shard_by_second, timeline, GuardSpec, Members, PhoenixCheckpoint, RoadTestConfig, RunObs,
+    Scenario, Session,
 };
+pub use campuslab_testbed::SliceFreezeError;
 use std::net::Ipv4Addr;
 
 /// What the tenant wants to run on its slice of the campus.
@@ -53,7 +47,8 @@ pub enum TenantJob {
     Defend,
     /// A guarded rollout: candidates submitted at scheduled sim times
     /// climb shadow → canary → full under the tenant's own
-    /// [`RolloutGuard`] ladder (telemetry prefixed with the tenant name).
+    /// [`campuslab_control::RolloutGuard`] ladder (telemetry prefixed with
+    /// the tenant name).
     Guarded { submissions: Vec<(SimTime, PipelineProgram)> },
 }
 
@@ -140,83 +135,11 @@ fn discard_sentinel(name: &str) -> PipelineProgram {
     )
 }
 
-/// The job half of a slice's hook stack.
-enum JobHooks {
-    /// Nothing reacts online (SLO probe: the program is already in the
-    /// bank).
-    Idle,
-    Defend(Box<MitigationController>),
-    Guarded(Box<GuardedHooks>),
-}
-
-/// The slice's composed hooks: optional border monitor first (capture
-/// must observe traffic before any reaction lands this event), then the
-/// job.
-struct SliceHooks {
-    monitor: Option<BorderTapHooks>,
-    job: JobHooks,
-}
-
-impl SimHooks for SliceHooks {
-    fn on_tap(&mut self, now: SimTime, link: LinkId, dir: Dir, packet: &Packet, cmds: &mut Commands) {
-        if let Some(m) = &mut self.monitor {
-            m.on_tap(now, link, dir, packet, cmds);
-        }
-        match &mut self.job {
-            JobHooks::Idle => {}
-            JobHooks::Defend(c) => c.on_tap(now, link, dir, packet, cmds),
-            JobHooks::Guarded(g) => g.on_tap(now, link, dir, packet, cmds),
-        }
-    }
-
-    fn on_deliver(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        packet: &Packet,
-        latency: SimDuration,
-        cmds: &mut Commands,
-    ) {
-        if let Some(m) = &mut self.monitor {
-            m.on_deliver(now, node, packet, latency, cmds);
-        }
-        match &mut self.job {
-            JobHooks::Idle => {}
-            JobHooks::Defend(c) => c.on_deliver(now, node, packet, latency, cmds),
-            JobHooks::Guarded(g) => g.on_deliver(now, node, packet, latency, cmds),
-        }
-    }
-
-    fn on_drop(&mut self, now: SimTime, reason: DropReason, packet: &Packet, cmds: &mut Commands) {
-        if let Some(m) = &mut self.monitor {
-            m.on_drop(now, reason, packet, cmds);
-        }
-        match &mut self.job {
-            JobHooks::Idle => {}
-            JobHooks::Defend(c) => c.on_drop(now, reason, packet, cmds),
-            JobHooks::Guarded(g) => g.on_drop(now, reason, packet, cmds),
-        }
-    }
-
-    fn on_timer(&mut self, now: SimTime, token: u64, cmds: &mut Commands) {
-        if let Some(m) = &mut self.monitor {
-            m.on_timer(now, token, cmds);
-        }
-        match &mut self.job {
-            JobHooks::Idle => {}
-            JobHooks::Defend(c) => c.on_timer(now, token, cmds),
-            JobHooks::Guarded(g) => g.on_timer(now, token, cmds),
-        }
-    }
-}
-
-/// One tenant's running experiment: a private campus simulation advanced
+/// One tenant's running experiment: a private campus [`Session`] advanced
 /// window by window until its own deadline.
 pub struct TenantSlice {
     name: String,
-    net: Network,
-    hooks: SliceHooks,
-    handle: BankHandle,
+    session: Session,
     grant: TenantDemand,
     /// Hard stop: workload end + settle.
     deadline: SimTime,
@@ -227,13 +150,12 @@ pub struct TenantSlice {
     window: SimDuration,
     rounds: u64,
     done: bool,
-    victim: Option<Ipv4Addr>,
-    attack_start: Option<SimTime>,
 }
 
 impl TenantSlice {
-    /// Build the tenant's private campus, schedule, chaos, filter bank
-    /// and job hooks. Nothing has run yet.
+    /// Build the tenant's private session: campus, schedule, chaos,
+    /// filter bank and the stack members its job needs. Nothing has run
+    /// yet.
     pub fn build(
         spec: TenantSpec,
         switch: &SwitchModel,
@@ -242,84 +164,42 @@ impl TenantSlice {
     ) -> Self {
         let grant = spec.demand(switch);
         let prefix = spec.obs_prefix();
-        let campus = Campus::build(spec.scenario.campus.clone());
-        let (mut schedule, victim, attack_start) = build_schedule(&campus, &spec.scenario);
-        let cohort = canary_hosts(&campus, 0.25);
-        let mut net = campus.net;
-        schedule.apply_to(&mut net);
-        if let Some(plan) = &spec.chaos {
-            plan.apply_to(&mut net);
-        }
         let deadline = SimTime::ZERO + spec.scenario.workload.duration + settle;
-
-        let extractor = FieldExtractor::new(spec.scenario.campus.campus_prefix());
-        let (bank, handle) = BankFilter::new(extractor.clone());
-        net.install_filter(campus.border, bank);
-
-        let monitor = spec
-            .capture
-            .then(|| BorderTapHooks::new(campus.border_link, spec.scenario.monitor.clone()));
-
-        let controller = |program: PipelineProgram, model: DecisionTree| {
-            MitigationController::new(
-                MitigationControllerConfig {
-                    tap: campus.border_link,
-                    placement: campuslab_control::Placement::Controller,
-                    gate: 0.9,
-                    window_ns: 1_000_000_000,
-                    min_packets: 5,
-                    program,
-                    install: campuslab_control::InstallPolicy::default(),
-                    tap_blackouts: Vec::new(),
-                },
-                Box::new(model),
-                handle.clone(),
-            )
+        // An SLO probe has its program in the switch up front; the other
+        // jobs defend from the controller tier with default knobs.
+        let (placement, guard) = match spec.job {
+            TenantJob::SloProbe => (Placement::Switch, None),
+            TenantJob::Defend => (Placement::Controller, None),
+            TenantJob::Guarded { submissions } => (
+                Placement::Controller,
+                Some(GuardSpec { slo: SloPolicy::default(), canary_fraction: 0.25, submissions }),
+            ),
         };
-        let job = match &spec.job {
-            TenantJob::SloProbe => {
-                handle.add_program(None, spec.program.clone());
-                JobHooks::Idle
-            }
-            TenantJob::Defend => {
-                let model = spec.window_model.clone().expect("Defend job needs a window model");
-                JobHooks::Defend(Box::new(controller(spec.program.clone(), model)))
-            }
-            TenantJob::Guarded { submissions } => {
-                let mut guard = RolloutGuard::new(
-                    RolloutConfig {
-                        tap: campus.border_link,
-                        extractor,
-                        slo: SloPolicy::default(),
-                        canary_hosts: cohort,
-                        tap_blackouts: Vec::new(),
-                        submissions: submissions.clone(),
-                    },
-                    spec.program.clone(),
-                    handle.clone(),
-                );
-                guard.set_obs_prefix(prefix);
-                let model = spec.window_model.clone().expect("Guarded job needs a window model");
-                JobHooks::Guarded(Box::new(GuardedHooks::new(
-                    guard,
-                    controller(spec.program.clone(), model),
-                )))
-            }
-        };
+        let window_model = (placement != Placement::Switch).then(|| {
+            let model = spec.window_model.expect("Defend and Guarded jobs need a window model");
+            Box::new(model) as Box<dyn Classifier + Send>
+        });
+        let mut session = Session::new(
+            format!("tenant[{}]", spec.name),
+            &spec.scenario,
+            spec.program,
+            &RoadTestConfig { placement, chaos: spec.chaos, ..RoadTestConfig::default() },
+            Members { monitor: spec.capture, guard, window_model, ..Members::default() },
+            Some(deadline),
+        );
+        if let Some(guard) = &mut session.stack.guard {
+            guard.set_obs_prefix(prefix);
+        }
 
         TenantSlice {
             name: spec.name,
-            net,
-            hooks: SliceHooks { monitor, job },
-            handle,
+            session,
             grant,
             deadline,
             horizon: SimTime::ZERO,
             window,
             rounds: 0,
             done: false,
-            victim,
-            attack_start,
         }
     }
 
@@ -340,41 +220,27 @@ impl TenantSlice {
     /// never of how long its neighbors keep the plaza's round loop
     /// spinning.
     pub fn advance(&mut self, until: SimTime) {
-        let cap = if until < self.deadline { until } else { self.deadline };
+        let cap = until.min(self.deadline);
         if self.done || cap <= self.horizon {
             return;
         }
         self.rounds += 1;
         self.horizon = cap;
-        self.net.run(&mut self.hooks, Some(cap));
-        self.done = match self.net.next_event_time() {
-            None => true,
-            Some(t) => t > self.deadline,
-        };
+        self.session.run_until(cap);
+        self.done = self.session.is_done();
     }
 
     /// Freeze this slice's dynamic state at a window barrier — the
     /// per-tenant leg of the PhoenixRun checkpoint (DESIGN.md §15). The
     /// frozen image captures only what evolved since [`TenantSlice::build`]
-    /// (simulator, filter bank, job state machines, grid bookkeeping);
-    /// restoring it onto a fresh slice built from the *same spec* resumes
-    /// byte-identically. Capture slices are refused with a typed error:
-    /// the border monitor's mid-run state (flow table, DNS extractor, RTT
-    /// estimator, pcap writer) is deliberately outside the checkpoint
-    /// contract.
+    /// (the session checkpoint plus grid bookkeeping); restoring it onto a
+    /// fresh slice built from the *same spec* resumes byte-identically.
+    /// Capture slices are refused with a typed error: the border
+    /// monitor's mid-run state (flow table, DNS extractor, RTT estimator,
+    /// pcap writer) is deliberately outside the checkpoint contract.
     pub fn freeze(&mut self) -> Result<FrozenSlice, SliceFreezeError> {
-        if self.hooks.monitor.is_some() {
-            return Err(SliceFreezeError::CaptureMonitor);
-        }
-        let job = match &self.hooks.job {
-            JobHooks::Idle => FrozenJob::Idle,
-            JobHooks::Defend(c) => FrozenJob::Defend(Box::new(c.freeze())),
-            JobHooks::Guarded(g) => FrozenJob::Guarded(Box::new(g.freeze())),
-        };
         Ok(FrozenSlice {
-            net: self.net.checkpoint(),
-            bank: self.handle.freeze(),
-            job,
+            session: self.session.checkpoint()?,
             horizon: self.horizon,
             rounds: self.rounds,
             done: self.done,
@@ -386,14 +252,7 @@ impl TenantSlice {
     /// image; a job-shape mismatch (the image froze a different job kind)
     /// is refused with a typed error rather than silently misapplied.
     pub fn thaw_state(&mut self, frozen: FrozenSlice) -> Result<(), SliceFreezeError> {
-        match (&mut self.hooks.job, frozen.job) {
-            (JobHooks::Idle, FrozenJob::Idle) => {}
-            (JobHooks::Defend(c), FrozenJob::Defend(f)) => c.thaw_state(*f),
-            (JobHooks::Guarded(g), FrozenJob::Guarded(f)) => g.thaw_state(*f),
-            _ => return Err(SliceFreezeError::JobMismatch),
-        }
-        self.net.restore(frozen.net);
-        self.handle.thaw(frozen.bank);
+        self.session.restore(frozen.session)?;
         self.horizon = frozen.horizon;
         self.rounds = frozen.rounds;
         self.done = frozen.done;
@@ -413,66 +272,29 @@ impl TenantSlice {
     /// Tear the finished slice down into its outcome: job results, the
     /// per-tenant Observatory bundle (plaza section included), and the
     /// per-tenant datastore view when capture was on.
-    pub fn finish(mut self) -> TenantOutcome {
-        let end_ns = self.net.now().as_nanos();
-        let mut tracer = Tracer::new();
-        tracer.record(format!("tenant[{}]", self.name), 0, end_ns);
-
-        let mut capture_obs = None;
-        let mut store = None;
-        if let Some(mut m) = self.hooks.monitor.take() {
-            m.monitor.finish();
-            let packets = m.monitor.take_packet_records();
-            let flows = m.monitor.take_flow_records();
-            let dns = m.monitor.take_dns_records();
+    pub fn finish(self) -> TenantOutcome {
+        let mut fin = self.session.finish();
+        let store = fin.stack.monitor.as_mut().map(|m| {
             let mut ds = DataStore::new();
-            ds.ingest_packet_batches(shard_by_second(&packets));
-            ds.ingest_flows(flows);
-            ds.ingest_dns(dns);
-            capture_obs = Some(m.monitor.obs);
-            store = Some(ds);
-        }
-
-        let mut events = Vec::new();
-        let mut final_stage = None;
-        let mut registry_len = 0;
-        let mut mitigations = 0;
-        let mut giveups = 0;
-        let mut detector_obs = None;
-        let mut controller_obs = None;
-        let mut rollout_obs = None;
-        match self.hooks.job {
-            JobHooks::Idle => {}
-            JobHooks::Defend(mut c) => {
-                let (cobs, dobs) = c.take_obs();
-                tracer.merge_from(&cobs.tracer);
-                mitigations = c.events.len();
-                giveups = c.giveups.len();
-                controller_obs = Some(cobs);
-                detector_obs = Some(dobs);
-            }
-            JobHooks::Guarded(mut g) => {
-                let (cobs, dobs) = g.controller.take_obs();
-                tracer.merge_from(&cobs.tracer);
-                let robs = g.guard.take_obs();
-                tracer.merge_from(&robs.tracer);
-                mitigations = g.controller.events.len();
-                giveups = g.controller.giveups.len();
-                events = std::mem::take(&mut g.guard.events);
-                final_stage = Some(g.guard.stage());
-                registry_len = g.guard.registry().len();
-                controller_obs = Some(cobs);
-                detector_obs = Some(dobs);
-                rollout_obs = Some(robs);
-            }
-        }
-
-        let filter = self.handle.stats();
-        let stats = self.net.stats;
+            ds.ingest_packet_batches(shard_by_second(&m.monitor.take_packet_records()));
+            ds.ingest_flows(m.monitor.take_flow_records());
+            ds.ingest_dns(m.monitor.take_dns_records());
+            ds
+        });
+        let (mitigations, giveups) = fin
+            .stack
+            .controller
+            .as_ref()
+            .map_or((0, 0), |c| (c.events.len(), c.giveups.len()));
+        let (final_stage, registry_len, events) = match fin.stack.guard {
+            Some(g) => (Some(g.stage()), g.registry().len(), g.events),
+            None => (None, 0, Vec::new()),
+        };
 
         // The tenant-scoped plaza section carries only spec-derived
         // values: its own grant, its own slice, its own rounds — nothing
         // that depends on who else was in the plaza.
+        let stats = fin.net;
         let mut plaza = PlazaObs::new();
         plaza.on_admitted();
         plaza.set_budget(self.grant.stage_slots, self.grant.tcam_entries, 1);
@@ -480,10 +302,11 @@ impl TenantSlice {
             plaza.on_round();
         }
         plaza.on_slice(stats.injected + stats.delivered + stats.dropped_total());
+        fin.obs.plaza = Some(plaza);
 
         TenantOutcome {
             name: self.name,
-            filter,
+            filter: fin.filter,
             net: stats,
             rounds: self.rounds,
             events,
@@ -491,59 +314,12 @@ impl TenantSlice {
             registry_len,
             mitigations,
             giveups,
-            victim: self.victim,
-            attack_start: self.attack_start,
+            victim: fin.victim,
+            attack_start: fin.attack_start,
             store,
-            obs: RunObs {
-                net: self.net.obs,
-                capture: capture_obs,
-                detector: detector_obs,
-                controller: controller_obs,
-                filter: Some(filter),
-                tracer,
-                rollout: rollout_obs,
-                resolver: None,
-                drift: None,
-                plaza: Some(plaza),
-            },
+            obs: fin.obs,
         }
     }
-}
-
-/// Why a slice could not be frozen or thawed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SliceFreezeError {
-    /// The slice captures at the border: the monitor's mid-run state is
-    /// deliberately not checkpointable (DESIGN.md §15), so capture
-    /// tenants restart their run instead of resuming it.
-    CaptureMonitor,
-    /// The frozen image's job shape disagrees with the slice it is being
-    /// applied to — the spec that built the slice is not the spec that
-    /// produced the image.
-    JobMismatch,
-}
-
-impl std::fmt::Display for SliceFreezeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SliceFreezeError::CaptureMonitor => {
-                write!(f, "capture slices are not checkpointable (border monitor state)")
-            }
-            SliceFreezeError::JobMismatch => {
-                write!(f, "frozen job shape does not match the slice's spec")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SliceFreezeError {}
-
-/// The frozen job half of a [`FrozenSlice`].
-#[derive(Clone, serde::Serialize, serde::Deserialize)]
-pub enum FrozenJob {
-    Idle,
-    Defend(Box<FrozenController>),
-    Guarded(Box<FrozenGuardedHooks>),
 }
 
 /// One tenant slice's dynamic state, frozen at a window barrier. Only
@@ -552,27 +328,10 @@ pub enum FrozenJob {
 /// tenant's [`TenantSpec`] on the restore side.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenSlice {
-    pub net: FrozenNetwork,
-    pub bank: FrozenBank,
-    pub job: FrozenJob,
+    pub session: PhoenixCheckpoint,
     pub horizon: SimTime,
     pub rounds: u64,
     pub done: bool,
-}
-
-/// Split a capture into per-second batches, the unit the datastore's
-/// parallel ingest shards over (capture order preserved within batches).
-fn shard_by_second(packets: &[PacketRecord]) -> Vec<Vec<PacketRecord>> {
-    let mut batches: Vec<Vec<PacketRecord>> = Vec::new();
-    for p in packets {
-        let sec = (p.ts_ns / 1_000_000_000) as usize;
-        if batches.len() <= sec {
-            batches.resize_with(sec + 1, Vec::new);
-        }
-        batches[sec].push(p.clone());
-    }
-    batches.retain(|b| !b.is_empty());
-    batches
 }
 
 /// What one tenant's experiment measured, fully private to the tenant.
@@ -606,11 +365,7 @@ pub struct TenantOutcome {
 impl TenantOutcome {
     /// The guard decision log as one line per event.
     pub fn timeline(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&format!("{} {} {:?}\n", e.at, e.program, e.kind));
-        }
-        out
+        timeline(&self.events, &[], &[])
     }
 
     /// Every observable byte of this tenant's run, canonically rendered:
@@ -649,6 +404,7 @@ impl TenantOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use campuslab_netsim::Campus;
 
     #[test]
     fn probe_slice_runs_to_completion_and_fingerprints_deterministically() {
@@ -704,6 +460,45 @@ mod tests {
             outer.advance(SimTime(step * round));
         }
         assert_eq!(inner.finish().fingerprint(), outer.finish().fingerprint());
+    }
+
+    /// The Defend job through the shared `Session` lifecycle: the window
+    /// grid only decides when the simulator pauses, so every byte but the
+    /// round count equals a single advance straight to the deadline.
+    #[test]
+    fn windowed_defend_slice_equals_one_shot() {
+        let (program, model) =
+            campuslab_testbed::fixtures::train(&Scenario::tenant_probe());
+        let build = || {
+            let mut spec = TenantSpec::probe("defend");
+            spec.job = TenantJob::Defend;
+            spec.program = program.clone();
+            spec.window_model = Some(model.clone());
+            TenantSlice::build(
+                spec,
+                &SwitchModel::default(),
+                SimDuration::from_millis(500),
+                SimDuration::from_secs(4),
+            )
+        };
+        let print = |mut o: TenantOutcome| {
+            o.obs.plaza = None; // carries the round count
+            (o.net, format!("{:?}", o.filter), o.mitigations, o.giveups, o.obs.prom(), o.obs.trace_json())
+        };
+        let mut windowed = build();
+        windowed.run_to_completion();
+        let mut one_shot = build();
+        one_shot.advance(SimTime(u64::MAX));
+        assert!(one_shot.is_done());
+        let windowed = windowed.finish();
+        let detector = windowed.obs.detector.as_ref().expect("Defend runs a detector");
+        assert!(
+            windowed.rounds > 1 && detector.windows_closed() > 0,
+            "rounds {} windows {}",
+            windowed.rounds,
+            detector.windows_closed()
+        );
+        assert_eq!(print(windowed), print(one_shot.finish()));
     }
 
     #[test]

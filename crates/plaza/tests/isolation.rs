@@ -12,13 +12,11 @@
 //! own campus suffers a border flap) and budget-hungry tenants that force
 //! admission queueing: neither may move a single byte of anyone else.
 
-use campuslab_control::{run_development_loop, DevLoopConfig};
-use campuslab_features::{window_dataset, LabelMode, WindowConfig};
 use campuslab_dataplane::PipelineProgram;
-use campuslab_ml::{DecisionTree, TreeConfig};
+use campuslab_ml::DecisionTree;
 use campuslab_netsim::{Campus, ChaosPlan, SimTime};
 use campuslab_plaza::{Plaza, PlazaConfig, TenantJob, TenantSpec};
-use campuslab_testbed::{collect, Scenario};
+use campuslab_testbed::{fixtures, Scenario};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
@@ -30,16 +28,7 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 /// Defend/Guarded tenant in the suite clones from here.
 fn trained() -> &'static (PipelineProgram, DecisionTree) {
     static TRAINED: OnceLock<(PipelineProgram, DecisionTree)> = OnceLock::new();
-    TRAINED.get_or_init(|| {
-        let data = collect(&Scenario::tenant_probe());
-        let dev = run_development_loop(&data.packets, &DevLoopConfig::default());
-        let wd = window_dataset(
-            &data.packets,
-            WindowConfig { window_ns: 1_000_000_000, min_packets: 5 },
-            LabelMode::BinaryAttack,
-        );
-        (dev.program, DecisionTree::fit(&wd, TreeConfig::shallow(4)))
-    })
+    TRAINED.get_or_init(|| fixtures::train(&Scenario::tenant_probe()))
 }
 
 /// A probe tenant whose own campus takes a border-link flap mid-run —

@@ -202,20 +202,10 @@ pub fn chaos_sweep_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::collect;
-    use campuslab_control::{run_development_loop, DevLoopConfig};
-    use campuslab_features::{window_dataset, LabelMode, WindowConfig};
-    use campuslab_ml::{DecisionTree, TreeConfig};
+    use campuslab_ml::DecisionTree;
 
     fn trained() -> (PipelineProgram, DecisionTree) {
-        let data = collect(&Scenario::small());
-        let dev = run_development_loop(&data.packets, &DevLoopConfig::default());
-        let wd = window_dataset(
-            &data.packets,
-            WindowConfig { window_ns: 1_000_000_000, min_packets: 5 },
-            LabelMode::BinaryAttack,
-        );
-        (dev.program, DecisionTree::fit(&wd, TreeConfig::shallow(4)))
+        crate::fixtures::trained().clone()
     }
 
     #[test]

@@ -1,26 +1,26 @@
 //! Drift road tests (experiment E17): the always-on learn → distill →
-//! compile → deploy loop under traffic drift. A [`DriftPilot`] streams
+//! compile → deploy loop under traffic drift. A [`campuslab_control::DriftPilot`] streams
 //! features off the border tap, retrains on fresh windows when its drift
 //! score fires (or on the periodic schedule), and hands candidate
-//! programs to the [`RolloutGuard`]'s shadow → canary → full machinery —
-//! while the [`MitigationController`] keeps defending the campus with
+//! programs to the [`campuslab_control::RolloutGuard`]'s shadow → canary →
+//! full machinery — while the
+//! [`campuslab_control::MitigationController`] keeps defending the campus with
 //! whatever program is currently deployed. All three hooks share one
 //! simulation; every coupling between them happens inside hook callbacks
 //! on sim-time state only, so the whole pipeline replays byte-identically
 //! under sequential, parallel and sharded executors.
 
 use crate::observe::RunObs;
+use crate::phoenix::PhoenixCheckpoint;
 use crate::roadtest::RoadTestConfig;
 use crate::scenario::Scenario;
+use crate::session::{timeline, GuardSpec, Members, Session};
 use campuslab_control::{
-    DriftEpisode, DriftPilot, DriftPilotConfig, FrozenController, FrozenDriftPilot, FrozenGuard,
-    MitigationController, RetrainRecord, RolloutEvent, RolloutGuard, SloPolicy, TeacherKind,
+    DriftEpisode, DriftPilotConfig, RetrainRecord, RolloutEvent, SloPolicy, TeacherKind,
 };
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::{Classifier, ForestConfig};
-use campuslab_netsim::{
-    Commands, Dir, DropReason, LinkId, NodeId, Packet, SimDuration, SimHooks, SimTime,
-};
+use campuslab_netsim::{LinkId, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
 /// Parameters of a drift road test.
@@ -63,154 +63,6 @@ impl Default for DriftRunConfig {
     }
 }
 
-/// Guard + controller + pilot composed over one simulation. Per event the
-/// order is: guard first (mirroring must observe traffic the way the bank
-/// does), controller second (defense reaction), pilot third (feature
-/// ingest), then [`DriftHooks::sync`] moves evidence between them.
-pub struct DriftHooks {
-    pub guard: RolloutGuard,
-    pub controller: MitigationController,
-    pub pilot: DriftPilot,
-    seen_ctl_events: usize,
-    seen_ctl_giveups: usize,
-    seen_guard_events: usize,
-}
-
-impl DriftHooks {
-    /// Compose the three layers.
-    pub fn new(guard: RolloutGuard, controller: MitigationController, pilot: DriftPilot) -> Self {
-        DriftHooks {
-            guard,
-            controller,
-            pilot,
-            seen_ctl_events: 0,
-            seen_ctl_giveups: 0,
-            seen_guard_events: 0,
-        }
-    }
-
-    /// Forward freshly produced guard events to the pilot (so verdicts on
-    /// its candidates land before it decides what to queue next).
-    fn forward_guard_events(&mut self) {
-        while self.seen_guard_events < self.guard.events.len() {
-            let e = self.guard.events[self.seen_guard_events].clone();
-            self.seen_guard_events += 1;
-            self.pilot.on_guard_event(&e);
-        }
-    }
-
-    /// One evidence pass after each hook: controller episodes become guard
-    /// SLO samples and guard verdicts reach the pilot.
-    fn sync(&mut self) {
-        for e in &self.controller.events[self.seen_ctl_events..] {
-            let ttm_ms = (e.installed_at - e.detected_at).as_nanos() / 1_000_000;
-            self.guard.record_ttm_sample(ttm_ms);
-        }
-        self.seen_ctl_events = self.controller.events.len();
-        for g in &self.controller.giveups[self.seen_ctl_giveups..] {
-            self.guard.record_giveup(g.reason);
-        }
-        self.seen_ctl_giveups = self.controller.giveups.len();
-        self.forward_guard_events();
-    }
-
-    /// Submit the pilot's queued candidates — on timer events only, so a
-    /// candidate refused while the guard is busy retries at timer cadence
-    /// (a handful per sim second) instead of on every packet, which would
-    /// flood the decision log with rejections. Candidates are produced by
-    /// the pilot's own window timer, so submission latency is zero; the
-    /// drain runs once, never to quiescence, because a refused candidate
-    /// re-queues itself and a loop would spin.
-    fn drain_candidates(&mut self, now: SimTime, cmds: &mut Commands) {
-        for program in self.pilot.take_candidates() {
-            match self.guard.submit_candidate(now, program.clone(), cmds) {
-                Ok(version) => self.pilot.on_guard_accepted(&version),
-                Err(_) => self.pilot.on_guard_refused(program),
-            }
-        }
-        // The submissions themselves appended Submitted/Rejected events.
-        self.forward_guard_events();
-    }
-
-    /// Snapshot the three layers' dynamic state plus the evidence-sync
-    /// cursors between them, for a [`crate::phoenix`] checkpoint. The
-    /// cursors matter: a restored stack must neither replay controller
-    /// episodes the guard already counted as TTM samples nor re-deliver
-    /// guard verdicts the pilot already acted on.
-    pub fn freeze(&self) -> FrozenDriftHooks {
-        FrozenDriftHooks {
-            guard: self.guard.freeze(),
-            controller: self.controller.freeze(),
-            pilot: self.pilot.freeze(),
-            seen_ctl_events: self.seen_ctl_events,
-            seen_ctl_giveups: self.seen_ctl_giveups,
-            seen_guard_events: self.seen_guard_events,
-        }
-    }
-
-    /// Apply a frozen snapshot onto a freshly built stack (same scenario,
-    /// same configs, same bank handle). Counterpart of
-    /// [`DriftHooks::freeze`].
-    pub fn thaw_state(&mut self, frozen: FrozenDriftHooks) {
-        self.guard.thaw_state(frozen.guard);
-        self.controller.thaw_state(frozen.controller);
-        self.pilot.thaw_state(frozen.pilot);
-        self.seen_ctl_events = frozen.seen_ctl_events;
-        self.seen_ctl_giveups = frozen.seen_ctl_giveups;
-        self.seen_guard_events = frozen.seen_guard_events;
-    }
-}
-
-/// Checkpoint mirror of [`DriftHooks`]: guard, controller and pilot frozen
-/// state plus the three evidence-sync cursors.
-#[derive(Clone, serde::Serialize, serde::Deserialize)]
-pub struct FrozenDriftHooks {
-    pub guard: FrozenGuard,
-    pub controller: FrozenController,
-    pub pilot: FrozenDriftPilot,
-    pub seen_ctl_events: usize,
-    pub seen_ctl_giveups: usize,
-    pub seen_guard_events: usize,
-}
-
-impl SimHooks for DriftHooks {
-    fn on_tap(&mut self, now: SimTime, link: LinkId, dir: Dir, packet: &Packet, cmds: &mut Commands) {
-        self.guard.on_tap(now, link, dir, packet, cmds);
-        self.controller.on_tap(now, link, dir, packet, cmds);
-        self.pilot.on_tap(now, link, dir, packet, cmds);
-        self.sync();
-    }
-
-    fn on_deliver(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        packet: &Packet,
-        latency: SimDuration,
-        cmds: &mut Commands,
-    ) {
-        self.guard.on_deliver(now, node, packet, latency, cmds);
-        self.controller.on_deliver(now, node, packet, latency, cmds);
-        self.pilot.on_deliver(now, node, packet, latency, cmds);
-        self.sync();
-    }
-
-    fn on_drop(&mut self, now: SimTime, reason: DropReason, packet: &Packet, cmds: &mut Commands) {
-        self.guard.on_drop(now, reason, packet, cmds);
-        self.controller.on_drop(now, reason, packet, cmds);
-        self.pilot.on_drop(now, reason, packet, cmds);
-        self.sync();
-    }
-
-    fn on_timer(&mut self, now: SimTime, token: u64, cmds: &mut Commands) {
-        self.guard.on_timer(now, token, cmds);
-        self.controller.on_timer(now, token, cmds);
-        self.pilot.on_timer(now, token, cmds);
-        self.sync();
-        self.drain_candidates(now, cmds);
-    }
-}
-
 /// What a drift road test measured.
 pub struct DriftRunOutcome {
     /// Drift episodes the pilot opened, in onset order.
@@ -243,27 +95,7 @@ impl DriftRunOutcome {
     /// Retrains and guard decisions merged into one sim-ordered log — the
     /// always-on pipeline's story an operator reads after an incident.
     pub fn timeline(&self) -> String {
-        let mut lines: Vec<(SimTime, String)> = Vec::new();
-        for r in &self.retrains {
-            lines.push((
-                r.at,
-                format!(
-                    "{} retrain[{:?}] records={} fp={:016x} -> {:?}\n",
-                    r.at, r.trigger, r.records, r.program_fingerprint, r.outcome
-                ),
-            ));
-        }
-        for e in &self.events {
-            lines.push((e.at, format!("{} {} {:?}\n", e.at, e.program, e.kind)));
-        }
-        for ep in &self.episodes {
-            lines.push((ep.onset, format!("{} drift[#{}] onset\n", ep.onset, ep.ordinal)));
-            if let Some(m) = ep.mitigated {
-                lines.push((m, format!("{} drift[#{}] mitigated\n", m, ep.ordinal)));
-            }
-        }
-        lines.sort_by_key(|(at, _)| *at);
-        lines.into_iter().map(|(_, l)| l).collect()
+        timeline(&self.events, &self.retrains, &self.episodes)
     }
 }
 
@@ -281,26 +113,109 @@ pub fn drift_road_test(
     // capped run straight to the deadline inside `finish`. E19's CrashCart
     // pins the other cases (stop at any barrier, checkpoint, resume) to
     // this one's fingerprint.
-    crate::phoenix::DriftSession::new(scenario, known_good, window_model, cfg).finish()
+    DriftSession::new(scenario, known_good, window_model, cfg).finish()
+}
+
+/// A drift road test that can stop, checkpoint, and resume: the
+/// guard + controller + pilot [`Session`], advanced window by window so a
+/// [`PhoenixCheckpoint`] can be taken at any quiescent barrier. Building
+/// one runs nothing; drive it with [`DriftSession::run_until`] and tear it
+/// down with [`DriftSession::finish`].
+pub struct DriftSession(Session);
+
+impl From<DriftSession> for Session {
+    fn from(drift: DriftSession) -> Session {
+        drift.0
+    }
+}
+
+impl DriftSession {
+    /// Build the drift composition. [`drift_road_test`] is this
+    /// constructor plus [`DriftSession::finish`].
+    pub fn new(
+        scenario: &Scenario,
+        known_good: PipelineProgram,
+        window_model: Box<dyn Classifier + Send>,
+        cfg: DriftRunConfig,
+    ) -> Self {
+        // An always-on pipeline has no natural drain point: a candidate
+        // submitted just before traffic ends would leave the guard
+        // evaluating inconclusive empty windows forever. Cap the run at
+        // the workload span plus the configured settling margin — a
+        // deterministic sim-time bound, identical under every executor.
+        let deadline = SimTime::ZERO + scenario.workload.duration + cfg.settle;
+        DriftSession(Session::new(
+            "drift-roadtest",
+            scenario,
+            known_good,
+            &cfg.road,
+            Members {
+                guard: Some(GuardSpec {
+                    slo: cfg.slo,
+                    canary_fraction: cfg.canary_fraction,
+                    submissions: Vec::new(),
+                }),
+                window_model: Some(window_model),
+                pilot: Some(cfg.pilot),
+                ..Members::default()
+            },
+            Some(deadline),
+        ))
+    }
+
+    /// The session's hard stop (workload end + settle).
+    pub fn deadline(&self) -> SimTime {
+        self.0.deadline().expect("drift sessions are deadline-bounded")
+    }
+
+    /// Process every event up to `min(until, deadline)`; see
+    /// [`Session::run_until`].
+    pub fn run_until(&mut self, until: SimTime) {
+        self.0.run_until(until);
+    }
+
+    /// Snapshot the full dynamic state at a quiescent barrier.
+    pub fn checkpoint(&mut self) -> PhoenixCheckpoint {
+        self.0.checkpoint().expect("the drift stack has no monitor or resolver")
+    }
+
+    /// Load a checkpoint into this (freshly built, not yet run) session;
+    /// see [`Session::restore`]. Panics when the checkpoint was not taken
+    /// from a drift session.
+    pub fn restore(&mut self, cp: PhoenixCheckpoint) {
+        self.0.restore(cp).expect("checkpoint was taken from a drift session");
+    }
+
+    /// Run any remaining events to the deadline, then tear the session
+    /// down into the [`DriftRunOutcome`] a drift road test produces.
+    pub fn finish(mut self) -> DriftRunOutcome {
+        self.0.run_to_end();
+        let done = self.0.finish();
+        let guard = done.stack.guard.expect("drift stack has a guard");
+        let pilot = done.stack.pilot.expect("drift stack has a pilot");
+        DriftRunOutcome {
+            final_deployed: pilot.deployed_fingerprint(),
+            episodes: pilot.episodes,
+            retrains: pilot.retrains,
+            registry_len: guard.registry().len(),
+            events: guard.events,
+            filter: done.filter,
+            net: done.net,
+            victim: done.victim,
+            attack_start: done.attack_start,
+            obs: done.obs,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::collect;
-    use campuslab_control::{run_development_loop, DevLoopConfig, RetrainOutcome, RolloutEventKind};
-    use campuslab_features::{window_dataset, LabelMode, WindowConfig};
-    use campuslab_ml::{DecisionTree, TreeConfig};
+    use campuslab_control::{RetrainOutcome, RolloutEventKind};
+    use campuslab_ml::DecisionTree;
 
     fn trained() -> (PipelineProgram, DecisionTree) {
-        let data = collect(&Scenario::small());
-        let dev = run_development_loop(&data.packets, &DevLoopConfig::default());
-        let wd = window_dataset(
-            &data.packets,
-            WindowConfig { window_ns: 1_000_000_000, min_packets: 5 },
-            LabelMode::BinaryAttack,
-        );
-        (dev.program, DecisionTree::fit(&wd, TreeConfig::shallow(4)))
+        crate::fixtures::trained().clone()
     }
 
     #[test]

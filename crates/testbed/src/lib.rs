@@ -23,9 +23,14 @@
 //! * [`resolverlab`] — the caching recursive resolver as a live campus
 //!   service under a water-torture flood, its give-ups surfaced to the
 //!   rollout guard as rollback evidence (experiment E16).
-//! * [`hooks`] — hook composition for running monitor + controller
-//!   together.
-
+//! * [`driftpilot`] — the always-on learn → distill → compile → deploy
+//!   loop under traffic drift, as a resumable [`DriftSession`]
+//!   (experiment E17).
+//! * [`phoenix`] — crash-fault tolerance: the checkpoint envelope and the
+//!   kill-point harness over any [`Session`] (experiment E19).
+//! * [`session`] — the one way to compose a run: a [`Stack`] of optional
+//!   hook members and the [`Session`] lifecycle every driver above goes
+//!   through.
 //!
 //! ```no_run
 //! use campuslab_testbed::{collect, Scenario};
@@ -35,9 +40,9 @@
 //! assert!(data.packets.len() > 0);
 //! ```
 
-pub mod hooks;
 pub mod observe;
 pub mod scenario;
+pub mod session;
 pub mod roadtest;
 pub mod resolverlab;
 pub mod rollout;
@@ -46,30 +51,29 @@ pub mod trust;
 pub mod chaos_sweep;
 pub mod driftpilot;
 pub mod phoenix;
+#[doc(hidden)]
+pub mod fixtures;
 
 pub use chaos_sweep::{
     chaos_road_test_config, chaos_sweep, chaos_sweep_observed, ChaosPoint, ChaosSweepConfig,
 };
 pub use crosscampus::{cross_campus, cross_campus_observed, CampusSite, CrossCampusResult};
-pub use driftpilot::{
-    drift_road_test, DriftHooks, DriftRunConfig, DriftRunOutcome, FrozenDriftHooks,
-};
-pub use hooks::Duo;
+pub use driftpilot::{drift_road_test, DriftRunConfig, DriftRunOutcome, DriftSession};
 pub use phoenix::{
-    decode_checkpoint, encode_checkpoint, fingerprint, CrashCart, DriftSession, Fingerprint,
-    PhoenixCheckpoint, PhoenixError, PHOENIX_MAGIC, PHOENIX_VERSION,
+    decode_checkpoint, encode_checkpoint, fingerprint, CrashCart, Fingerprint, PhoenixCheckpoint,
+    PhoenixError, PHOENIX_MAGIC, PHOENIX_VERSION,
 };
 pub use observe::RunObs;
 pub use roadtest::{
     deployment_decision, road_test, DeploymentDecision, GateCriteria, RoadTestConfig,
     RoadTestOutcome,
 };
-pub use resolverlab::{
-    resolver_actor, resolver_run, GuardedResolver, ResolverRunConfig, ResolverRunOutcome,
+pub use resolverlab::{resolver_run, ResolverRunConfig, ResolverRunOutcome};
+pub use rollout::{canary_hosts, guarded_road_test, GuardedRunConfig, GuardedRunOutcome};
+pub use scenario::{
+    build_schedule, build_store, collect, shard_by_second, AttackScenario, CollectedData, Scenario,
 };
-pub use rollout::{
-    canary_hosts, guarded_road_test, FrozenGuardedHooks, GuardedHooks, GuardedRunConfig,
-    GuardedRunOutcome,
+pub use session::{
+    timeline, Finished, FrozenStack, GuardSpec, Members, Session, SliceFreezeError, Stack,
 };
-pub use scenario::{build_schedule, build_store, collect, AttackScenario, CollectedData, Scenario};
 pub use trust::{expected_features, trust_report, AuditedDecision, TrustReport};

@@ -1,10 +1,9 @@
-//! PhoenixRun (experiment E19): crash-fault tolerance for the always-on
-//! drift pipeline. A [`DriftSession`] is a resumable drift road test —
-//! the same guard + controller + pilot stack as
-//! [`crate::driftpilot::drift_road_test`], but advanced window by window
-//! so a [`PhoenixCheckpoint`] can be taken at any quiescent barrier
-//! (between two `run_until` calls no event is mid-dispatch and no shard
-//! splice is live).
+//! PhoenixRun (experiment E19): crash-fault tolerance for every
+//! [`Session`]. A session advances window by window, and a
+//! [`PhoenixCheckpoint`] can be taken at any quiescent barrier (what it
+//! captures and what it deliberately leaves to the rebuild is DESIGN.md
+//! §16); this module owns the checkpoint's durable envelope and the
+//! kill-point harness.
 //!
 //! The recovery contract, pinned by the CrashCart harness below and by
 //! `tests/phoenix_diff.rs`: kill the process at *any* checkpoint
@@ -12,32 +11,12 @@
 //! over the remaining window grid — and the outcome fingerprint
 //! (timeline, Prometheus dump, trace JSON) is byte-for-byte the
 //! uninterrupted run's.
-//!
-//! What a checkpoint captures: the simulator's frozen mirror (event
-//! queue, per-link RNG and Gilbert-Elliott fault streams, node/link
-//! state, pending chaos), the three control hooks' frozen mirrors
-//! (detector window, rollout ladder + cooldowns + shadow mirror, pilot
-//! windows/sketches/outbox, circuit breaker, open trace spans, obs
-//! sinks), the shared filter bank, and the evidence-sync cursors between
-//! the hooks. What it deliberately does **not** capture: anything
-//! rebuilt deterministically by [`DriftSession::new`] from the same
-//! arguments — topology, schedules, configs, the trained window model,
-//! metric registries (schema), and the packet clone-counter (a
-//! process-global debugging statistic with no behavioral effect).
 
-use crate::driftpilot::{DriftHooks, DriftRunConfig, DriftRunOutcome, FrozenDriftHooks};
-use crate::observe::RunObs;
-use crate::rollout::canary_hosts;
-use crate::scenario::{build_schedule, Scenario};
-use campuslab_control::{
-    BankFilter, BankHandle, DriftPilot, DriftPilotConfig, FrozenBank, MitigationController,
-    MitigationControllerConfig, RolloutConfig, RolloutGuard,
-};
-use campuslab_dataplane::{FieldExtractor, PipelineProgram};
-use campuslab_ml::Classifier;
-use campuslab_netsim::{FrozenNetwork, Network, SimDuration, SimTime};
-use campuslab_obs::{crc32, Tracer};
-use std::net::Ipv4Addr;
+use crate::driftpilot::DriftRunOutcome;
+use crate::session::{FrozenStack, Session};
+use campuslab_control::FrozenBank;
+use campuslab_netsim::{FrozenNetwork, SimDuration, SimTime};
+use campuslab_obs::crc32;
 
 /// Checkpoint format version. Bumped on any change to the frozen-state
 /// layout; a decoder seeing an unknown version reports
@@ -59,13 +38,13 @@ pub fn fingerprint(outcome: &DriftRunOutcome) -> Fingerprint {
     (outcome.timeline(), outcome.obs.prom(), outcome.obs.trace_json())
 }
 
-/// Everything a fresh process needs to resume a drift session, given the
-/// same [`DriftSession::new`] arguments: the frozen simulator, the frozen
-/// hook stack, and the shared filter bank.
+/// Everything a fresh process needs to resume a session, given the same
+/// [`Session::new`] arguments: the frozen simulator, the frozen hook
+/// stack, and the shared filter bank.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct PhoenixCheckpoint {
     pub net: FrozenNetwork,
-    pub hooks: FrozenDriftHooks,
+    pub hooks: FrozenStack,
     pub bank: FrozenBank,
 }
 
@@ -155,190 +134,35 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<PhoenixCheckpoint, PhoenixError
     serde_json::from_str(text).map_err(|e| PhoenixError::Payload { detail: format!("{e:?}") })
 }
 
-/// A drift road test that can stop, checkpoint, and resume. Building one
-/// runs nothing; drive it with [`DriftSession::run_until`] and tear it
-/// down with [`DriftSession::finish`]. Two sessions built from equal
-/// arguments are interchangeable restore targets: everything not in the
-/// checkpoint is a deterministic function of the arguments.
-pub struct DriftSession {
-    net: Network,
-    hooks: DriftHooks,
-    handle: BankHandle,
-    victim: Option<Ipv4Addr>,
-    attack_start: Option<SimTime>,
-    deadline: SimTime,
-}
-
-impl DriftSession {
-    /// Build the campus, schedule, chaos plan, filter bank and the
-    /// guard + controller + pilot stack — exactly the setup of
-    /// [`crate::driftpilot::drift_road_test`], which is this constructor
-    /// plus a single `run_until(deadline)`.
-    pub fn new(
-        scenario: &Scenario,
-        known_good: PipelineProgram,
-        window_model: Box<dyn Classifier + Send>,
-        cfg: DriftRunConfig,
-    ) -> Self {
-        let campus = campuslab_netsim::Campus::build(scenario.campus.clone());
-        let (mut schedule, victim, attack_start) = build_schedule(&campus, scenario);
-        let cohort = canary_hosts(&campus, cfg.canary_fraction);
-        let mut net = campus.net;
-        schedule.apply_to(&mut net);
-        if let Some(plan) = &cfg.road.chaos {
-            plan.apply_to(&mut net);
-        }
-
-        let extractor = FieldExtractor::new(scenario.campus.campus_prefix());
-        let (bank, handle) = BankFilter::new(extractor.clone());
-        net.install_filter(campus.border, bank);
-
-        let guard = RolloutGuard::new(
-            RolloutConfig {
-                tap: campus.border_link,
-                extractor,
-                slo: cfg.slo.clone(),
-                canary_hosts: cohort,
-                tap_blackouts: cfg.road.tap_blackouts.clone(),
-                submissions: Vec::new(),
-            },
-            known_good.clone(),
-            handle.clone(),
-        );
-        let controller = MitigationController::new(
-            MitigationControllerConfig {
-                tap: campus.border_link,
-                placement: cfg.road.placement,
-                gate: cfg.road.gate,
-                window_ns: cfg.road.window_ns,
-                min_packets: cfg.road.min_packets,
-                program: known_good.clone(),
-                install: cfg.road.install.clone(),
-                tap_blackouts: cfg.road.tap_blackouts.clone(),
-            },
-            window_model,
-            handle.clone(),
-        );
-        let pilot = DriftPilot::new(DriftPilotConfig {
-            tap: campus.border_link,
-            deployed_fingerprint: known_good.fingerprint(),
-            ..cfg.pilot
-        });
-
-        // An always-on pipeline has no natural drain point: a candidate
-        // submitted just before traffic ends would leave the guard
-        // evaluating inconclusive empty windows forever. Cap the run at
-        // the workload span plus the configured settling margin — a
-        // deterministic sim-time bound, identical under every executor.
-        let deadline = SimTime::ZERO + scenario.workload.duration + cfg.settle;
-
-        DriftSession {
-            net,
-            hooks: DriftHooks::new(guard, controller, pilot),
-            handle,
-            victim,
-            attack_start,
-            deadline,
-        }
-    }
-
-    /// The session's hard stop (workload end + settle).
-    pub fn deadline(&self) -> SimTime {
-        self.deadline
-    }
-
-    /// Current simulation clock.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
-    /// Process every event up to `min(until, deadline)`. Returning from
-    /// this call is a quiescent barrier: no event is mid-dispatch, so a
-    /// checkpoint taken here is consistent.
-    pub fn run_until(&mut self, until: SimTime) {
-        let cap = if until < self.deadline { until } else { self.deadline };
-        self.net.run(&mut self.hooks, Some(cap));
-    }
-
-    /// Snapshot the full dynamic state at a quiescent barrier.
-    pub fn checkpoint(&mut self) -> PhoenixCheckpoint {
-        PhoenixCheckpoint {
-            net: self.net.checkpoint(),
-            hooks: self.hooks.freeze(),
-            bank: self.handle.freeze(),
-        }
-    }
-
-    /// Load a checkpoint into this (freshly built, not yet run) session.
-    /// The session must have been built from the same arguments as the
-    /// one that took the checkpoint — the simulator asserts topology and
-    /// seed agreement; hook configs are the caller's contract.
-    pub fn restore(&mut self, cp: PhoenixCheckpoint) {
-        self.net.restore(cp.net);
-        self.hooks.thaw_state(cp.hooks);
-        self.handle.thaw(cp.bank);
-    }
-
-    /// Run any remaining events to the deadline, then tear the session
-    /// down into the same [`DriftRunOutcome`] a drift road test produces.
-    pub fn finish(mut self) -> DriftRunOutcome {
-        self.run_until(self.deadline);
-
-        let mut tracer = Tracer::new();
-        let end_ns = self.net.now().as_nanos();
-        tracer.record("drift-roadtest".to_string(), 0, end_ns);
-        let (controller_obs, detector_obs) = self.hooks.controller.take_obs();
-        tracer.merge_from(&controller_obs.tracer);
-        let rollout_obs = self.hooks.guard.take_obs();
-        tracer.merge_from(&rollout_obs.tracer);
-        let drift_obs = self.hooks.pilot.take_obs();
-        tracer.merge_from(&drift_obs.tracer);
-
-        let filter = self.handle.stats();
-        DriftRunOutcome {
-            episodes: std::mem::take(&mut self.hooks.pilot.episodes),
-            retrains: std::mem::take(&mut self.hooks.pilot.retrains),
-            events: std::mem::take(&mut self.hooks.guard.events),
-            final_deployed: self.hooks.pilot.deployed_fingerprint(),
-            registry_len: self.hooks.guard.registry().len(),
-            filter,
-            net: self.net.stats,
-            victim: self.victim,
-            attack_start: self.attack_start,
-            obs: RunObs {
-                net: self.net.obs,
-                capture: None,
-                detector: Some(detector_obs),
-                controller: Some(controller_obs),
-                filter: Some(filter),
-                tracer,
-                rollout: Some(rollout_obs),
-                resolver: None,
-                drift: Some(drift_obs),
-                plaza: None,
-            },
-        }
-    }
-}
-
-/// The kill-point harness: a factory for identical sessions plus a
-/// checkpoint grid, with one method per leg of the recovery contract.
-pub struct CrashCart<F: Fn() -> DriftSession> {
+/// The kill-point harness: a factory for identical deadline-bounded
+/// sessions plus a checkpoint grid, with one method per leg of the
+/// recovery contract. The factory may return a [`Session`] or any
+/// composition wrapper that converts into one.
+pub struct CrashCart<F> {
     make: F,
-    step: SimDuration,
+    grid: Vec<SimTime>,
 }
 
-impl<F: Fn() -> DriftSession> CrashCart<F> {
+impl<S: Into<Session>, F: Fn() -> S> CrashCart<F> {
     /// Harness sessions from `make` (which must build from identical
     /// arguments every call), checkpointing every `step` of sim time.
+    /// Builds one session up front to read the deadline the grid covers.
     pub fn new(make: F, step: SimDuration) -> Self {
         assert!(step > SimDuration::ZERO, "checkpoint grid step must be positive");
-        CrashCart { make, step }
+        let probe: Session = make().into();
+        let deadline = probe.deadline().expect("CrashCart needs a deadline-bounded session");
+        // Every multiple of `step` whose predecessor is still short of the
+        // deadline: the last barrier is the first at or past it.
+        let grid = (1u64..)
+            .map(|k| SimTime(step.as_nanos().saturating_mul(k)))
+            .take_while(|t| *t < deadline + step)
+            .collect();
+        CrashCart { make, grid }
     }
 
     /// Build one fresh session from the harness's factory — for probes
     /// (e.g. sizing a checkpoint) that want the exact sweep arguments.
-    pub fn make_session(&self) -> DriftSession {
+    pub fn make_session(&self) -> S {
         (self.make)()
     }
 
@@ -347,31 +171,29 @@ impl<F: Fn() -> DriftSession> CrashCart<F> {
     /// Killing at the last barrier is legal (restore, resume zero events,
     /// finish) — crash-during-teardown is a real failure mode too.
     pub fn boundaries(&self) -> Vec<SimTime> {
-        let deadline = (self.make)().deadline();
-        let step = self.step.as_nanos().max(1);
-        let mut out = Vec::new();
-        let mut k = 1u64;
-        loop {
-            let t = SimTime(step.saturating_mul(k));
-            out.push(t);
-            if t >= deadline {
-                return out;
-            }
-            k += 1;
+        self.grid.clone()
+    }
+
+    fn session(&self) -> Session {
+        (self.make)().into()
+    }
+
+    /// Drive `session` over `grid`, then to its deadline, and fingerprint
+    /// the teardown.
+    fn complete(mut session: Session, grid: &[SimTime]) -> Fingerprint {
+        for &t in grid {
+            session.run_until(t);
         }
+        session.run_to_end();
+        session.finish().fingerprint()
     }
 
     /// The baseline leg: one session driven over the full grid with no
     /// kill. Window-by-window driving equals a single uncapped run — the
     /// event queue carries over between caps — so this fingerprint also
-    /// equals `drift_road_test`'s.
+    /// equals the one-shot driver's.
     pub fn uninterrupted(&self) -> Fingerprint {
-        let grid = self.boundaries();
-        let mut session = (self.make)();
-        for &t in &grid {
-            session.run_until(t);
-        }
-        fingerprint(&session.finish())
+        Self::complete(self.session(), &self.grid)
     }
 
     /// The crash leg: run to boundary `kill` (an index into
@@ -380,21 +202,18 @@ impl<F: Fn() -> DriftSession> CrashCart<F> {
     /// process leaves behind), drop the session, restore into a freshly
     /// built one, and resume over the remaining grid.
     pub fn killed_at(&self, kill: usize) -> Result<Fingerprint, PhoenixError> {
-        let grid = self.boundaries();
+        let grid = &self.grid;
         assert!(kill < grid.len(), "kill index {kill} outside grid of {}", grid.len());
-        let mut session = (self.make)();
+        let mut session = self.session();
         for &t in &grid[..=kill] {
             session.run_until(t);
         }
-        let bytes = encode_checkpoint(&session.checkpoint());
+        let bytes = encode_checkpoint(&session.checkpoint().expect("session is checkpointable"));
         drop(session); // the crash: nothing survives but the bytes
         let cp = decode_checkpoint(&bytes)?;
-        let mut revived = (self.make)();
-        revived.restore(cp);
-        for &t in &grid[kill + 1..] {
-            revived.run_until(t);
-        }
-        Ok(fingerprint(&revived.finish()))
+        let mut revived = self.session();
+        revived.restore(cp).expect("identical factory builds an identical stack shape");
+        Ok(Self::complete(revived, &grid[kill + 1..]))
     }
 
     /// Kill at every boundary and diff each resumed fingerprint against
@@ -403,7 +222,7 @@ impl<F: Fn() -> DriftSession> CrashCart<F> {
     pub fn sweep(&self) -> Vec<usize> {
         let baseline = self.uninterrupted();
         let mut mismatches = Vec::new();
-        for k in 0..self.boundaries().len() {
+        for k in 0..self.grid.len() {
             match self.killed_at(k) {
                 Ok(fp) if fp == baseline => {}
                 _ => mismatches.push(k),
@@ -416,29 +235,10 @@ impl<F: Fn() -> DriftSession> CrashCart<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driftpilot::drift_road_test;
-    use crate::scenario::collect;
-    use campuslab_control::{run_development_loop, DevLoopConfig, RolloutStage};
-    use campuslab_features::{window_dataset, LabelMode, WindowConfig};
-    use campuslab_ml::{DecisionTree, TreeConfig};
-
-    /// Train once per process: the dev loop is the expensive part of
-    /// every test here, and each test only needs its (deterministic)
-    /// output.
-    fn trained() -> &'static (PipelineProgram, DecisionTree) {
-        static TRAINED: std::sync::OnceLock<(PipelineProgram, DecisionTree)> =
-            std::sync::OnceLock::new();
-        TRAINED.get_or_init(|| {
-            let data = collect(&Scenario::small());
-            let dev = run_development_loop(&data.packets, &DevLoopConfig::default());
-            let wd = window_dataset(
-                &data.packets,
-                WindowConfig { window_ns: 1_000_000_000, min_packets: 5 },
-                LabelMode::BinaryAttack,
-            );
-            (dev.program, DecisionTree::fit(&wd, TreeConfig::shallow(4)))
-        })
-    }
+    use crate::driftpilot::{drift_road_test, DriftRunConfig, DriftSession};
+    use crate::fixtures::trained;
+    use crate::scenario::Scenario;
+    use campuslab_control::RolloutStage;
 
     /// A deliberately small crash-test scenario: the amplification campus
     /// cut to a 5 s workload. Checkpoints stay small (the event queue
@@ -461,7 +261,9 @@ mod tests {
         )
     }
 
-    fn rotation_session() -> DriftSession {
+    /// The full-size rotation drift run, as the bare [`Session`] so the
+    /// restore-shape tests can look at its stack members.
+    fn rotation_session() -> Session {
         let (known_good, model) = trained();
         DriftSession::new(
             &Scenario::drift_rotation(),
@@ -469,6 +271,7 @@ mod tests {
             Box::new(model.clone()),
             DriftRunConfig::default(),
         )
+        .into()
     }
 
     #[test]
@@ -514,28 +317,28 @@ mod tests {
         // baselines accumulating — the ladder's most state-laden stages).
         let grid_step = SimDuration::from_secs(1);
         let mut live = rotation_session();
-        let deadline = live.deadline();
+        let deadline = live.deadline().expect("drift sessions are deadline-bounded");
         let mut found = false;
         let mut t = SimTime::ZERO;
         while t < deadline {
             t += grid_step;
             live.run_until(t);
-            if matches!(live.hooks.guard.stage(), RolloutStage::Canary | RolloutStage::Shadow) {
+            if matches!(live.stack.guard.as_ref().unwrap().stage(), RolloutStage::Canary | RolloutStage::Shadow) {
                 found = true;
                 break;
             }
         }
         assert!(found, "rotation drift must put the guard mid-ladder at some 1s boundary");
-        let mid_stage = live.hooks.guard.stage();
-        let cp = live.checkpoint();
+        let mid_stage = live.stack.guard.as_ref().unwrap().stage();
+        let cp = live.checkpoint().unwrap();
 
         let mut revived = rotation_session();
-        revived.restore(decode_checkpoint(&encode_checkpoint(&cp)).expect("decodes"));
-        assert_eq!(revived.hooks.guard.stage(), mid_stage, "ladder stage survives restore");
+        revived.restore(decode_checkpoint(&encode_checkpoint(&cp)).expect("decodes")).unwrap();
+        assert_eq!(revived.stack.guard.as_ref().unwrap().stage(), mid_stage, "ladder stage survives restore");
 
         live.run_until(deadline);
         revived.run_until(deadline);
-        assert_eq!(fingerprint(&revived.finish()), fingerprint(&live.finish()));
+        assert_eq!(revived.finish().fingerprint(), live.finish().fingerprint());
     }
 
     /// Satellite: a checkpoint taken inside an open drift episode (onset
@@ -545,30 +348,30 @@ mod tests {
     fn restore_mid_drift_episode_closes_on_schedule() {
         let grid_step = SimDuration::from_secs(1);
         let mut live = rotation_session();
-        let deadline = live.deadline();
+        let deadline = live.deadline().expect("drift sessions are deadline-bounded");
         let mut found = false;
         let mut t = SimTime::ZERO;
         while t < deadline {
             t += grid_step;
             live.run_until(t);
-            if live.hooks.pilot.episodes.iter().any(|e| e.mitigated.is_none()) {
+            if live.stack.pilot.as_ref().unwrap().episodes.iter().any(|e| e.mitigated.is_none()) {
                 found = true;
                 break;
             }
         }
         assert!(found, "rotation drift must leave an episode open at some 1s boundary");
-        let cp = live.checkpoint();
+        let cp = live.checkpoint().unwrap();
 
         let mut revived = rotation_session();
-        revived.restore(cp);
+        revived.restore(cp).unwrap();
         assert!(
-            revived.hooks.pilot.episodes.iter().any(|e| e.mitigated.is_none()),
+            revived.stack.pilot.as_ref().unwrap().episodes.iter().any(|e| e.mitigated.is_none()),
             "open episode survives restore"
         );
 
         live.run_until(deadline);
         revived.run_until(deadline);
-        assert_eq!(fingerprint(&revived.finish()), fingerprint(&live.finish()));
+        assert_eq!(revived.finish().fingerprint(), live.finish().fingerprint());
     }
 
     #[test]

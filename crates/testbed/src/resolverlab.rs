@@ -1,100 +1,24 @@
 //! ResolverLab (experiment E16): the caching recursive resolver deployed
 //! as a live campus service actor, composed with the rollout-guard and
-//! mitigation-controller hook stack over one simulation.
+//! mitigation-controller members of one [`Session`] stack.
 //!
-//! The load-bearing wiring is [`GuardedResolver::sync`]: every client the
+//! The load-bearing wiring is the stack's evidence pass: every client the
 //! resolver abandons (a ServFail with no stale fallback) is forwarded to
-//! the [`RolloutGuard`] as [`GiveUpReason::ServiceFailure`] — the same
-//! rollback-evidence channel [`crate::guarded_road_test`] feeds with
-//! controller install give-ups. A rollout that starves the resolver is
-//! rollback-eligible evidence, not an invisible outage.
+//! the rollout guard as [`campuslab_control::GiveUpReason::ServiceFailure`]
+//! — the same rollback-evidence channel [`crate::guarded_road_test`] feeds
+//! with controller install give-ups. A rollout that starves the resolver
+//! is rollback-eligible evidence, not an invisible outage.
 
-use crate::hooks::Duo;
 use crate::observe::RunObs;
 use crate::roadtest::RoadTestConfig;
-use crate::scenario::{build_schedule, Scenario};
-use campuslab_control::{
-    BankFilter, GiveUpReason, MitigationController, MitigationControllerConfig, MitigationEvent,
-    RolloutConfig, RolloutGuard, SloPolicy,
-};
-use campuslab_dataplane::{FieldExtractor, PipelineProgram};
+use crate::scenario::Scenario;
+use crate::session::{Finished, GuardSpec, Members, Session};
+use campuslab_control::{MitigationEvent, SloPolicy};
+use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
-use campuslab_netsim::{
-    Campus, Commands, Dir, DropReason, LinkId, NetStats, NodeId, Packet, SimDuration, SimHooks,
-    SimTime,
-};
-use campuslab_obs::Tracer;
-use campuslab_resolver::{ResolverActor, ResolverService, WindowStat};
+use campuslab_netsim::{NetStats, SimTime};
+use campuslab_resolver::WindowStat;
 use std::net::Ipv4Addr;
-
-/// Build the campus resolver actor at the DNS server node with the
-/// default service tuning ([`ResolverService::campus_default`]).
-pub fn resolver_actor(campus: &Campus) -> ResolverActor {
-    let node = campus.servers.dns;
-    ResolverActor::new(node, campus.addr_of(node), ResolverService::campus_default())
-}
-
-/// Resolver + rollout guard driven by one simulation. After every hook,
-/// freshly abandoned resolver clients are drained and recorded against
-/// the guard as service-failure give-ups.
-pub struct GuardedResolver {
-    pub resolver: ResolverActor,
-    pub guard: RolloutGuard,
-    surfaced: u64,
-}
-
-impl GuardedResolver {
-    /// Compose a resolver actor and a rollout guard.
-    pub fn new(resolver: ResolverActor, guard: RolloutGuard) -> Self {
-        GuardedResolver { resolver, guard, surfaced: 0 }
-    }
-
-    /// Resolver give-ups forwarded to the guard so far.
-    pub fn surfaced_giveups(&self) -> u64 {
-        self.surfaced
-    }
-
-    /// Drain the resolver's give-up log into the guard's evidence window.
-    fn sync(&mut self) {
-        for _giveup in self.resolver.service_mut().take_giveups() {
-            self.surfaced += 1;
-            self.guard.record_giveup(GiveUpReason::ServiceFailure);
-        }
-    }
-}
-
-impl SimHooks for GuardedResolver {
-    fn on_tap(&mut self, now: SimTime, link: LinkId, dir: Dir, packet: &Packet, cmds: &mut Commands) {
-        self.guard.on_tap(now, link, dir, packet, cmds);
-        self.resolver.on_tap(now, link, dir, packet, cmds);
-        self.sync();
-    }
-
-    fn on_deliver(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        packet: &Packet,
-        latency: SimDuration,
-        cmds: &mut Commands,
-    ) {
-        self.guard.on_deliver(now, node, packet, latency, cmds);
-        self.resolver.on_deliver(now, node, packet, latency, cmds);
-        self.sync();
-    }
-
-    fn on_drop(&mut self, now: SimTime, reason: DropReason, packet: &Packet, cmds: &mut Commands) {
-        self.guard.on_drop(now, reason, packet, cmds);
-        self.resolver.on_drop(now, reason, packet, cmds);
-        self.sync();
-    }
-
-    fn on_timer(&mut self, now: SimTime, token: u64, cmds: &mut Commands) {
-        self.guard.on_timer(now, token, cmds);
-        self.resolver.on_timer(now, token, cmds);
-        self.sync();
-    }
-}
 
 /// Parameters of a resolver scenario run.
 #[derive(Default)]
@@ -142,103 +66,60 @@ impl ResolverRunOutcome {
 /// when a defense is supplied, the mitigation controller watches the
 /// border tap and installs rules against the flood.
 pub fn resolver_run(scenario: &Scenario, cfg: ResolverRunConfig) -> ResolverRunOutcome {
-    let campus = Campus::build(scenario.campus.clone());
-    let (mut schedule, victim, attack_start) = build_schedule(&campus, scenario);
-    let actor = resolver_actor(&campus);
-    let mut net = campus.net;
-    schedule.apply_to(&mut net);
+    let mut session = session(scenario, cfg);
+    session.run_to_end();
+    outcome(session.finish())
+}
 
-    let extractor = FieldExtractor::new(scenario.campus.campus_prefix());
-    let (bank, handle) = BankFilter::new(extractor.clone());
-    net.install_filter(campus.border, bank);
-
-    let (known_good, model) = match cfg.defense {
+/// The guard + resolver (+ controller when defended) [`Session`] a
+/// resolver run drives.
+fn session(scenario: &Scenario, cfg: ResolverRunConfig) -> Session {
+    let (known_good, window_model) = match cfg.defense {
         Some((program, model)) => (program, Some(model)),
         None => (PipelineProgram::new("resolver-undefended", vec![]), None),
     };
-    let guard = RolloutGuard::new(
-        RolloutConfig {
-            tap: campus.border_link,
-            extractor,
-            slo: SloPolicy::default(),
-            canary_hosts: Vec::new(),
-            tap_blackouts: Vec::new(),
-            submissions: Vec::new(),
+    Session::new(
+        "resolverlab",
+        scenario,
+        known_good,
+        &cfg.road,
+        Members {
+            guard: Some(GuardSpec {
+                slo: SloPolicy::default(),
+                canary_fraction: 0.0,
+                submissions: Vec::new(),
+            }),
+            resolver: true,
+            window_model,
+            ..Members::default()
         },
-        known_good.clone(),
-        handle.clone(),
-    );
-    let mut guarded = GuardedResolver::new(actor, guard);
+        None,
+    )
+}
 
-    let mut mitigations = Vec::new();
-    let mut controller_obs = None;
-    let mut detector_obs = None;
-    match model {
-        Some(model) => {
-            let controller = MitigationController::new(
-                MitigationControllerConfig {
-                    tap: campus.border_link,
-                    placement: cfg.road.placement,
-                    gate: cfg.road.gate,
-                    window_ns: cfg.road.window_ns,
-                    min_packets: cfg.road.min_packets,
-                    program: known_good,
-                    install: cfg.road.install.clone(),
-                    tap_blackouts: cfg.road.tap_blackouts.clone(),
-                },
-                model,
-                handle.clone(),
-            );
-            let mut hooks = Duo::new(guarded, controller);
-            net.run(&mut hooks, None);
-            let (cobs, dobs) = hooks.second.take_obs();
-            controller_obs = Some(cobs);
-            detector_obs = Some(dobs);
-            mitigations = std::mem::take(&mut hooks.second.events);
-            guarded = hooks.first;
-        }
-        None => net.run(&mut guarded, None),
-    }
-
-    let mut tracer = Tracer::new();
-    let end_ns = net.now().as_nanos();
-    tracer.record("resolverlab".to_string(), 0, end_ns);
-    if let Some(cobs) = &controller_obs {
-        tracer.merge_from(&cobs.tracer);
-    }
-    let rollout_obs = guarded.guard.take_obs();
-    tracer.merge_from(&rollout_obs.tracer);
-
-    let service = guarded.resolver.service();
-    let windows = service.windows().iter().map(|(sec, w)| (*sec, *w)).collect();
-    let filter = handle.stats();
+fn outcome(done: Finished) -> ResolverRunOutcome {
+    let resolver = done.stack.resolver.as_ref().expect("resolver stack has a resolver");
     ResolverRunOutcome {
-        net: net.stats,
-        mitigations,
-        giveups_surfaced: guarded.surfaced,
-        windows,
-        victim,
-        attack_start,
-        obs: RunObs {
-            net: net.obs,
-            capture: None,
-            detector: detector_obs,
-            controller: controller_obs,
-            filter: Some(filter),
-            tracer,
-            rollout: Some(rollout_obs),
-            resolver: Some(service.obs().clone()),
-            drift: None,
-            plaza: None,
-        },
+        net: done.net,
+        giveups_surfaced: done.stack.surfaced_giveups(),
+        windows: resolver.service().windows().iter().map(|(sec, w)| (*sec, *w)).collect(),
+        mitigations: done.stack.controller.map(|c| c.events).unwrap_or_default(),
+        victim: done.victim,
+        attack_start: done.attack_start,
+        obs: done.obs,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use campuslab_netsim::{CampusConfig, GroundTruth, PacketBuilder, Payload};
-    use campuslab_resolver::{ResolverConfig, ResponseKind, ZoneDb};
+    use crate::session::Stack;
+    use campuslab_control::{BankFilter, RolloutConfig, RolloutGuard};
+    use campuslab_dataplane::FieldExtractor;
+    use campuslab_netsim::{Campus, CampusConfig, GroundTruth, PacketBuilder, Payload};
+    use campuslab_resolver::{
+        ResolverActor, ResolverConfig, ResolverService, ResponseKind, ZoneDb,
+    };
     use campuslab_wire::{DnsMessage, DnsType};
 
     /// The satellite interaction contract: a resolver that abandons
@@ -299,16 +180,19 @@ mod tests {
             ResolverConfig { upstream_concurrency: 0, ..ResolverConfig::default() },
             ZoneDb::campus_default(),
         );
-        let actor = ResolverActor::new(campus.servers.dns, resolver_ip, starved);
-        let mut guarded = GuardedResolver::new(actor, guard);
+        let mut guarded = Stack {
+            guard: Some(guard),
+            resolver: Some(ResolverActor::new(campus.servers.dns, resolver_ip, starved)),
+            ..Stack::default()
+        };
         net.run(&mut guarded, None);
 
         assert_eq!(guarded.surfaced_giveups(), 5);
-        let rsv = guarded.resolver.service().obs();
+        let rsv = guarded.resolver.as_ref().unwrap().service().obs();
         assert_eq!(rsv.giveups(), 5);
         assert_eq!(rsv.responses(ResponseKind::ServFail), 5);
         // Same channel, same metric family guarded_road_test exercises.
-        let robs = guarded.guard.take_obs();
+        let robs = guarded.guard.as_mut().unwrap().take_obs();
         assert_eq!(robs.giveups_observed(), 5);
         assert!(robs.render().contains("rollout_giveups_observed_total 5"));
     }
@@ -346,6 +230,30 @@ mod tests {
         assert!(last > during, "hit rate never recovered: {last} vs {during}");
         // And the dump carries the resolver section.
         assert!(outcome.obs.prom().contains("rsv_queries_total"));
+    }
+
+    /// Window-by-window driving equals the one-shot run for the resolver
+    /// composition too — and its stack, hosting the resolver actor, is
+    /// refused a checkpoint with a typed error instead of a lossy one.
+    #[test]
+    fn windowed_resolver_session_equals_the_one_shot_run() {
+        use campuslab_netsim::SimDuration;
+        let print = |o: &ResolverRunOutcome| {
+            (o.obs.prom(), o.obs.trace_json(), o.giveups_surfaced, o.hit_rate_series())
+        };
+        let scenario = Scenario::resolver_lab();
+        let one_shot = resolver_run(&scenario, ResolverRunConfig::default());
+        let mut windowed = session(&scenario, ResolverRunConfig::default());
+        let mut t = SimTime::ZERO;
+        while !windowed.is_done() {
+            t += SimDuration::from_secs(1);
+            windowed.run_until(t);
+        }
+        assert_eq!(
+            windowed.checkpoint().err(),
+            Some(crate::session::SliceFreezeError::ResolverActor)
+        );
+        assert_eq!(print(&outcome(windowed.finish())), print(&one_shot));
     }
 
     #[test]

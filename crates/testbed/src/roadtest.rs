@@ -4,17 +4,14 @@
 //! collateral damage to benign traffic.
 
 use crate::observe::RunObs;
-use crate::scenario::{build_schedule, Scenario};
+use crate::scenario::Scenario;
+use crate::session::{Members, Session};
 use campuslab_control::{
-    BankFilter, FastLoopStatsSnapshot, InstallGiveUp, InstallPolicy, MitigationController,
-    MitigationControllerConfig, MitigationEvent, Placement,
+    FastLoopStatsSnapshot, InstallGiveUp, InstallPolicy, MitigationEvent, Placement,
 };
-use campuslab_dataplane::{FieldExtractor, PipelineProgram};
+use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
-use campuslab_netsim::{
-    Campus, ChaosPlan, NetStats, NullHooks, Outage, SimDuration, SimTime,
-};
-use campuslab_obs::Tracer;
+use campuslab_netsim::{ChaosPlan, NetStats, Outage, SimDuration, SimTime};
 use serde::Serialize;
 use std::net::Ipv4Addr;
 
@@ -103,98 +100,42 @@ pub fn road_test(
     window_model: Option<Box<dyn Classifier + Send>>,
     cfg: RoadTestConfig,
 ) -> RoadTestOutcome {
-    let campus = Campus::build(scenario.campus.clone());
-    let (mut schedule, victim, attack_start) = build_schedule(&campus, scenario);
-    let mut net = campus.net;
-    schedule.apply_to(&mut net);
-    if let Some((from_frac, until_frac)) = cfg.border_outage {
-        let span = scenario.workload.duration.as_secs_f64();
-        net.link_mut(campus.border_link).fault.outages.push(campuslab_netsim::Outage {
-            from: SimTime::ZERO + SimDuration::from_secs_f64(span * from_frac),
-            until: SimTime::ZERO + SimDuration::from_secs_f64(span * until_frac),
-        });
-    }
-    if let Some(plan) = &cfg.chaos {
-        plan.apply_to(&mut net);
-    }
-
-    let extractor = FieldExtractor::new(scenario.campus.campus_prefix());
-    let (bank, handle) = BankFilter::new(extractor);
-    net.install_filter(campus.border, bank);
-
-    let mut mitigations = Vec::new();
-    let mut giveups = Vec::new();
-    let mut controller_obs = None;
-    let mut detector_obs = None;
-    match cfg.placement {
-        Placement::Switch => {
-            // Compiled rules are in the switch before the attack exists.
-            handle.add_program(None, program);
-            net.run(&mut NullHooks, None);
-        }
-        placement => {
-            let model = window_model.expect("controller/cloud placement needs a window model");
-            let controller_cfg = MitigationControllerConfig {
-                tap: campus.border_link,
-                placement,
-                gate: cfg.gate,
-                window_ns: cfg.window_ns,
-                min_packets: cfg.min_packets,
-                program,
-                install: cfg.install.clone(),
-                tap_blackouts: cfg.tap_blackouts.clone(),
-            };
-            let mut controller = MitigationController::new(controller_cfg, model, handle.clone());
-            net.run(&mut controller, None);
-            let (cobs, dobs) = controller.take_obs();
-            controller_obs = Some(cobs);
-            detector_obs = Some(dobs);
-            mitigations = controller.events;
-            giveups = controller.giveups;
-        }
-    }
-
-    // The run-level span covers the whole simulation in sim-time; episode
-    // spans (opened/closed by the controller) are merged in after it, so
-    // span sequence numbers depend only on simulated history.
-    let mut tracer = Tracer::new();
-    let end_ns = net.now().as_nanos();
-    tracer.record(format!("roadtest[{:?}]", cfg.placement), 0, end_ns);
-    if let Some(cobs) = &controller_obs {
-        tracer.merge_from(&cobs.tracer);
-    }
-
-    let filter = handle.stats();
-    let time_to_mitigation = match cfg.placement {
+    let placement = cfg.placement;
+    let window_model = match placement {
+        Placement::Switch => None,
+        _ => Some(window_model.expect("controller/cloud placement needs a window model")),
+    };
+    let mut session = Session::new(
+        format!("roadtest[{placement:?}]"),
+        scenario,
+        program,
+        &cfg,
+        Members { window_model, ..Members::default() },
+        None,
+    );
+    session.run_to_end();
+    let done = session.finish();
+    let (mitigations, giveups) =
+        done.stack.controller.map(|c| (c.events, c.giveups)).unwrap_or_default();
+    let time_to_mitigation = match placement {
         Placement::Switch => Some(SimDuration::ZERO),
-        _ => match (attack_start, mitigations.first()) {
+        _ => match (done.attack_start, mitigations.first()) {
             (Some(start), Some(event)) => Some(event.installed_at - start),
             _ => None,
         },
     };
     RoadTestOutcome {
-        placement: cfg.placement,
-        filter,
-        net: net.stats,
+        placement,
+        filter: done.filter,
+        net: done.net,
         mitigations,
         giveups,
-        victim,
-        attack_start,
+        victim: done.victim,
+        attack_start: done.attack_start,
         time_to_mitigation,
-        attack_packets_passed: filter.passed_attack,
-        benign_packets_dropped: filter.dropped_benign,
-        obs: RunObs {
-            net: net.obs,
-            capture: None,
-            detector: detector_obs,
-            controller: controller_obs,
-            filter: Some(filter),
-            tracer,
-            rollout: None,
-            resolver: None,
-            drift: None,
-            plaza: None,
-        },
+        attack_packets_passed: done.filter.passed_attack,
+        benign_packets_dropped: done.filter.dropped_benign,
+        obs: done.obs,
     }
 }
 
@@ -265,22 +206,11 @@ pub fn deployment_decision(outcome: &RoadTestOutcome, criteria: GateCriteria) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::collect;
-    use campuslab_control::{run_development_loop, DevLoopConfig};
-    use campuslab_features::{window_dataset, LabelMode, WindowConfig};
-    use campuslab_ml::{DecisionTree, TreeConfig};
+    use campuslab_ml::DecisionTree;
 
-    /// Train models on one collection pass, then road-test on a fresh run.
+    /// Models trained on one collection pass, road-tested on fresh runs.
     fn trained() -> (PipelineProgram, DecisionTree) {
-        let data = collect(&Scenario::small());
-        let dev = run_development_loop(&data.packets, &DevLoopConfig::default());
-        let wd = window_dataset(
-            &data.packets,
-            WindowConfig { window_ns: 1_000_000_000, min_packets: 5 },
-            LabelMode::BinaryAttack,
-        );
-        let window_model = DecisionTree::fit(&wd, TreeConfig::shallow(4));
-        (dev.program, window_model)
+        crate::fixtures::trained().clone()
     }
 
     #[test]

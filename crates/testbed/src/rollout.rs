@@ -7,17 +7,12 @@
 
 use crate::observe::RunObs;
 use crate::roadtest::RoadTestConfig;
-use crate::scenario::{build_schedule, Scenario};
-use campuslab_control::{
-    BankFilter, FrozenController, FrozenGuard, MitigationController, MitigationControllerConfig,
-    RolloutConfig, RolloutEvent, RolloutGuard, RolloutStage, SloPolicy,
-};
-use campuslab_dataplane::{FieldExtractor, PipelineProgram};
+use crate::scenario::Scenario;
+use crate::session::{timeline, GuardSpec, Members, Session};
+use campuslab_control::{RolloutEvent, RolloutEventKind, RolloutStage, SloPolicy};
+use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
-use campuslab_netsim::{
-    Campus, Commands, Dir, DropReason, LinkId, NodeId, Packet, SimDuration, SimHooks, SimTime,
-};
-use campuslab_obs::Tracer;
+use campuslab_netsim::{Campus, SimDuration, SimTime};
 use std::net::IpAddr;
 
 /// Parameters of a guarded road test, over and above the road-test ones.
@@ -65,105 +60,6 @@ pub fn canary_hosts(campus: &Campus, fraction: f64) -> Vec<IpAddr> {
         .collect()
 }
 
-/// Guard + controller composed over one simulation. Order matters: the
-/// guard sees each tap packet first (mirroring must observe traffic the
-/// way the bank does, before any controller reaction lands this event),
-/// and after every hook the controller's freshly resolved episodes are
-/// forwarded to the guard as SLO evidence.
-pub struct GuardedHooks {
-    pub guard: RolloutGuard,
-    pub controller: MitigationController,
-    seen_events: usize,
-    seen_giveups: usize,
-}
-
-impl GuardedHooks {
-    /// Compose a guard and a controller.
-    pub fn new(guard: RolloutGuard, controller: MitigationController) -> Self {
-        GuardedHooks { guard, controller, seen_events: 0, seen_giveups: 0 }
-    }
-
-    /// Forward newly resolved controller episodes to the guard: landed
-    /// installs become latency samples against the TTM budget, give-ups
-    /// become rollback-eligible failures (never silently dropped).
-    fn sync(&mut self) {
-        for e in &self.controller.events[self.seen_events..] {
-            let ttm_ms = (e.installed_at - e.detected_at).as_nanos() / 1_000_000;
-            self.guard.record_ttm_sample(ttm_ms);
-        }
-        self.seen_events = self.controller.events.len();
-        for g in &self.controller.giveups[self.seen_giveups..] {
-            self.guard.record_giveup(g.reason);
-        }
-        self.seen_giveups = self.controller.giveups.len();
-    }
-
-    /// Snapshot the composed pair's dynamic state for a checkpoint: both
-    /// layers' frozen mirrors plus the sync cursors, so a restored pair
-    /// neither re-forwards evidence the guard already saw nor skips
-    /// evidence produced after the snapshot.
-    pub fn freeze(&self) -> FrozenGuardedHooks {
-        FrozenGuardedHooks {
-            guard: self.guard.freeze(),
-            controller: self.controller.freeze(),
-            seen_events: self.seen_events,
-            seen_giveups: self.seen_giveups,
-        }
-    }
-
-    /// Apply a frozen snapshot onto a freshly built pair (same configs,
-    /// same bank handle). Counterpart of [`GuardedHooks::freeze`].
-    pub fn thaw_state(&mut self, frozen: FrozenGuardedHooks) {
-        self.guard.thaw_state(frozen.guard);
-        self.controller.thaw_state(frozen.controller);
-        self.seen_events = frozen.seen_events;
-        self.seen_giveups = frozen.seen_giveups;
-    }
-}
-
-/// Checkpoint mirror of [`GuardedHooks`]: the guard's and controller's
-/// frozen state plus the evidence-sync cursors between them.
-#[derive(Clone, serde::Serialize, serde::Deserialize)]
-pub struct FrozenGuardedHooks {
-    pub guard: FrozenGuard,
-    pub controller: FrozenController,
-    pub seen_events: usize,
-    pub seen_giveups: usize,
-}
-
-impl SimHooks for GuardedHooks {
-    fn on_tap(&mut self, now: SimTime, link: LinkId, dir: Dir, packet: &Packet, cmds: &mut Commands) {
-        self.guard.on_tap(now, link, dir, packet, cmds);
-        self.controller.on_tap(now, link, dir, packet, cmds);
-        self.sync();
-    }
-
-    fn on_deliver(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        packet: &Packet,
-        latency: SimDuration,
-        cmds: &mut Commands,
-    ) {
-        self.guard.on_deliver(now, node, packet, latency, cmds);
-        self.controller.on_deliver(now, node, packet, latency, cmds);
-        self.sync();
-    }
-
-    fn on_drop(&mut self, now: SimTime, reason: DropReason, packet: &Packet, cmds: &mut Commands) {
-        self.guard.on_drop(now, reason, packet, cmds);
-        self.controller.on_drop(now, reason, packet, cmds);
-        self.sync();
-    }
-
-    fn on_timer(&mut self, now: SimTime, token: u64, cmds: &mut Commands) {
-        self.guard.on_timer(now, token, cmds);
-        self.controller.on_timer(now, token, cmds);
-        self.sync();
-    }
-}
-
 /// What a guarded road test measured.
 pub struct GuardedRunOutcome {
     /// The guard's decision log, in sim order.
@@ -184,11 +80,7 @@ impl GuardedRunOutcome {
     /// The decision log as one line per event (sim-time stamped) — the
     /// deployment timeline an operator reads after an incident.
     pub fn timeline(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&format!("{} {} {:?}\n", e.at, e.program, e.kind));
-        }
-        out
+        timeline(&self.events, &[], &[])
     }
 }
 
@@ -202,113 +94,67 @@ pub fn guarded_road_test(
     window_model: Box<dyn Classifier + Send>,
     cfg: GuardedRunConfig,
 ) -> GuardedRunOutcome {
-    let campus = Campus::build(scenario.campus.clone());
-    let (mut schedule, _victim, _attack_start) = build_schedule(&campus, scenario);
-    let cohort = canary_hosts(&campus, cfg.canary_fraction);
-    let mut net = campus.net;
-    schedule.apply_to(&mut net);
-    if let Some(plan) = &cfg.road.chaos {
-        plan.apply_to(&mut net);
-    }
+    let mut session = session(scenario, known_good, window_model, cfg);
+    session.run_to_end();
+    let done = session.finish();
+    let guard = done.stack.guard.expect("guarded stack has a guard");
 
-    let extractor = FieldExtractor::new(scenario.campus.campus_prefix());
-    let (bank, handle) = BankFilter::new(extractor.clone());
-    net.install_filter(campus.border, bank);
-
-    let guard = RolloutGuard::new(
-        RolloutConfig {
-            tap: campus.border_link,
-            extractor,
-            slo: cfg.slo.clone(),
-            canary_hosts: cohort,
-            tap_blackouts: cfg.road.tap_blackouts.clone(),
-            submissions: cfg.submissions,
-        },
-        known_good.clone(),
-        handle.clone(),
-    );
-    let controller = MitigationController::new(
-        MitigationControllerConfig {
-            tap: campus.border_link,
-            placement: cfg.road.placement,
-            gate: cfg.road.gate,
-            window_ns: cfg.road.window_ns,
-            min_packets: cfg.road.min_packets,
-            program: known_good,
-            install: cfg.road.install.clone(),
-            tap_blackouts: cfg.road.tap_blackouts.clone(),
-        },
-        window_model,
-        handle.clone(),
-    );
-
-    let mut hooks = GuardedHooks::new(guard, controller);
-    net.run(&mut hooks, cfg.deadline);
-
-    let mut tracer = Tracer::new();
-    let end_ns = net.now().as_nanos();
-    tracer.record("guarded-roadtest".to_string(), 0, end_ns);
-    let (controller_obs, detector_obs) = hooks.controller.take_obs();
-    tracer.merge_from(&controller_obs.tracer);
-    let rollout_obs = hooks.guard.take_obs();
-    tracer.merge_from(&rollout_obs.tracer);
-
-    let events = std::mem::take(&mut hooks.guard.events);
-    let rolled_back_at = events.iter().find_map(|e| {
-        matches!(e.kind, campuslab_control::RolloutEventKind::RolledBack(_)).then_some(e.at)
+    let rolled_back_at = guard.events.iter().find_map(|e| {
+        matches!(e.kind, RolloutEventKind::RolledBack(_)).then_some(e.at)
     });
-    let recovered_at = events.iter().find_map(|e| {
-        matches!(e.kind, campuslab_control::RolloutEventKind::Recovered).then_some(e.at)
+    let recovered_at = guard.events.iter().find_map(|e| {
+        matches!(e.kind, RolloutEventKind::Recovered).then_some(e.at)
     });
     let recovery_time = match (rolled_back_at, recovered_at) {
         (Some(r), Some(h)) if h >= r => Some(h - r),
         _ => None,
     };
 
-    let filter = handle.stats();
     GuardedRunOutcome {
-        events,
-        final_stage: hooks.guard.stage(),
-        registry_len: hooks.guard.registry().len(),
+        final_stage: guard.stage(),
+        registry_len: guard.registry().len(),
+        events: guard.events,
         recovery_time,
-        filter,
-        net: net.stats,
-        obs: RunObs {
-            net: net.obs,
-            capture: None,
-            detector: Some(detector_obs),
-            controller: Some(controller_obs),
-            filter: Some(filter),
-            tracer,
-            rollout: Some(rollout_obs),
-            resolver: None,
-            drift: None,
-            plaza: None,
-        },
+        filter: done.filter,
+        net: done.net,
+        obs: done.obs,
     }
+}
+
+/// The guard + controller [`Session`] a guarded road test runs.
+fn session(
+    scenario: &Scenario,
+    known_good: PipelineProgram,
+    window_model: Box<dyn Classifier + Send>,
+    cfg: GuardedRunConfig,
+) -> Session {
+    Session::new(
+        "guarded-roadtest",
+        scenario,
+        known_good,
+        &cfg.road,
+        Members {
+            guard: Some(GuardSpec {
+                slo: cfg.slo,
+                canary_fraction: cfg.canary_fraction,
+                submissions: cfg.submissions,
+            }),
+            window_model: Some(window_model),
+            ..Members::default()
+        },
+        cfg.deadline,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::collect;
-    use campuslab_control::{
-        run_development_loop, CircuitBreakerPolicy, DevLoopConfig, InstallPolicy,
-        RolloutEventKind, SloViolation,
-    };
+    use campuslab_control::{CircuitBreakerPolicy, InstallPolicy, SloViolation};
     use campuslab_dataplane::{Action, TableEntry, TernaryMatch, FIELD_ORDER};
-    use campuslab_features::{window_dataset, LabelMode, WindowConfig};
-    use campuslab_ml::{DecisionTree, TreeConfig};
+    use campuslab_ml::DecisionTree;
 
     fn trained() -> (PipelineProgram, DecisionTree) {
-        let data = collect(&Scenario::small());
-        let dev = run_development_loop(&data.packets, &DevLoopConfig::default());
-        let wd = window_dataset(
-            &data.packets,
-            WindowConfig { window_ns: 1_000_000_000, min_packets: 5 },
-            LabelMode::BinaryAttack,
-        );
-        (dev.program, DecisionTree::fit(&wd, TreeConfig::shallow(4)))
+        crate::fixtures::trained().clone()
     }
 
     /// Grossly over-broad: a wildcard drop rule — every packet, benign or
@@ -430,6 +276,42 @@ mod tests {
         let robs = capped.obs.rollout.as_ref().expect("rollout obs");
         assert_eq!(robs.stage(), 2, "stage gauge frozen at canary");
         assert!(capped.obs.prom().contains("rollout_stage 2"));
+    }
+
+    /// PhoenixRun over the guarded composition: kill at every boundary of
+    /// a run whose clean candidate climbs the whole ladder — including the
+    /// boundaries that catch the guard mid-canary — and every resumed
+    /// fingerprint equals the uninterrupted run's.
+    #[test]
+    fn guarded_session_resumes_byte_identically_from_every_boundary() {
+        use crate::phoenix::CrashCart;
+        let (known_good, model) = trained();
+        // Five seconds is enough for the ladder and keeps the sweep cheap.
+        let mut scenario = Scenario::small();
+        scenario.workload.duration = SimDuration::from_secs(5);
+        let deadline = SimTime::ZERO + scenario.workload.duration;
+        let cart = CrashCart::new(
+            || {
+                session(
+                    &scenario,
+                    known_good.clone(),
+                    Box::new(model.clone()),
+                    GuardedRunConfig {
+                        submissions: vec![(SimTime::from_secs(1), drop_discard_port())],
+                        deadline: Some(deadline),
+                        ..GuardedRunConfig::default()
+                    },
+                )
+            },
+            SimDuration::from_secs(1),
+        );
+        let mut probe = cart.make_session();
+        let mid_canary = cart.boundaries().into_iter().any(|t| {
+            probe.run_until(t);
+            probe.stack.guard.as_ref().unwrap().stage() == RolloutStage::Canary
+        });
+        assert!(mid_canary, "no boundary caught the guard mid-canary");
+        assert_eq!(cart.sweep(), Vec::<usize>::new());
     }
 
     #[test]

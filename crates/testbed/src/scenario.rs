@@ -399,7 +399,7 @@ pub fn build_store(data: &CollectedData) -> DataStore {
 
 /// Split a capture into per-second batches (capture order preserved
 /// within each batch), the unit the parallel ingest path shards over.
-fn shard_by_second(packets: &[PacketRecord]) -> Vec<Vec<PacketRecord>> {
+pub fn shard_by_second(packets: &[PacketRecord]) -> Vec<Vec<PacketRecord>> {
     let mut batches: Vec<Vec<PacketRecord>> = Vec::new();
     for p in packets {
         let sec = (p.ts_ns / 1_000_000_000) as usize;

@@ -11,31 +11,11 @@
 //! simulation runs; the vendored proptest shim keeps every index
 //! deterministic, so a failure here reproduces exactly.
 
-use campuslab_control::{run_development_loop, DevLoopConfig};
-use campuslab_dataplane::PipelineProgram;
-use campuslab_features::{window_dataset, LabelMode, WindowConfig};
-use campuslab_ml::{DecisionTree, TreeConfig};
 use campuslab_netsim::SimDuration;
-use campuslab_testbed::{collect, CrashCart, DriftRunConfig, DriftSession, Scenario};
+use campuslab_testbed::fixtures::trained;
+use campuslab_testbed::{CrashCart, DriftRunConfig, DriftSession, Scenario};
 use proptest::prelude::*;
 use proptest::{proptest, ProptestConfig};
-
-/// Train once per process: the dev loop is the expensive part, and every
-/// case only needs its (deterministic) output.
-fn trained() -> &'static (PipelineProgram, DecisionTree) {
-    static TRAINED: std::sync::OnceLock<(PipelineProgram, DecisionTree)> =
-        std::sync::OnceLock::new();
-    TRAINED.get_or_init(|| {
-        let data = collect(&Scenario::small());
-        let dev = run_development_loop(&data.packets, &DevLoopConfig::default());
-        let wd = window_dataset(
-            &data.packets,
-            WindowConfig { window_ns: 1_000_000_000, min_packets: 5 },
-            LabelMode::BinaryAttack,
-        );
-        (dev.program, DecisionTree::fit(&wd, TreeConfig::shallow(4)))
-    })
-}
 
 /// A drift session over the amplification scenario cut to `dur_s`
 /// seconds of workload, no settle margin — the cheapest full stack that

@@ -6,6 +6,17 @@ cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Run one named test (`gate <cargo test flags> -- <full test path>`) and
+# fail when the path matches nothing: a test that moved or was renamed
+# must break its gate, not turn it into a silent no-op.
+gate() {
+    gate_out=$(cargo test -q "$@" --exact 2>&1) || { echo "$gate_out" >&2; exit 1; }
+    echo "$gate_out" | grep -Eq "test result: ok\. [1-9][0-9]* passed" || {
+        echo "error: gate matched no test: cargo test $*" >&2
+        exit 1
+    }
+}
+
 # A property failure writes its case index into a proptest-regressions/
 # file; that reproducer must be committed alongside the fix. An untracked
 # or modified regression file here means a failure was observed but its
@@ -48,7 +59,7 @@ cargo test -q -p campuslab-datastore --test differential --test par_ingest
 
 # E14 smoke run: the chaos sweep must complete, stay deterministic under
 # the parallel runner, and keep the calm run as an upper bound.
-out=$(cargo run -q --release -p campuslab-bench --bin e14_chaos)
+out=$(cargo run -q --release -p campuslab-bench --bin exp -- E14)
 echo "$out"
 echo "$out" | grep -q "parallel runner byte-identical to sequential: yes"
 echo "$out" | grep -q "calm bounds mayhem (suppression and delivery): yes"
@@ -59,8 +70,8 @@ echo "$out" | grep -q "calm bounds mayhem (suppression and delivery): yes"
 # run must show the full story: shadow veto, canary rollback on
 # circuit-broken give-ups, and bounded SLO recovery on known-good.
 cargo test -q -p campuslab-bench --test golden_replay e15_rollout_guard_replays_byte_for_byte
-cargo test -q -p campuslab-testbed --lib rollout::tests::guarded_run_is_deterministic
-out=$(cargo run -q --release -p campuslab-bench --bin e15_rollout_guard)
+gate -p campuslab-testbed --lib -- rollout::tests::guarded_run_is_deterministic
+out=$(cargo run -q --release -p campuslab-bench --bin exp -- E15)
 echo "$out"
 echo "$out" | grep -q "shadow vetoed the wildcard before any enforcement: yes"
 echo "$out" | grep -q "canary rolled back on circuit-broken install give-ups: yes"
@@ -74,8 +85,8 @@ echo "$out" | grep -q "known-good restored SLOs within 2s of sim-time: yes"
 # collapse and recovery, abandoned clients surfacing as rollout-guard
 # rollback evidence, and the border defense mitigating the resolver.
 cargo test -q -p campuslab-bench --test golden_replay e16_resolver_replays_byte_for_byte
-cargo test -q -p campuslab-testbed --lib resolverlab::tests::resolver_run_is_deterministic
-out=$(cargo run -q --release -p campuslab-bench --bin e16_resolver)
+gate -p campuslab-testbed --lib -- resolverlab::tests::resolver_run_is_deterministic
+out=$(cargo run -q --release -p campuslab-bench --bin exp -- E16)
 echo "$out"
 echo "$out" | grep -q "per-client rate limiting shed the flood bulk: yes"
 echo "$out" | grep -q "starved resolver degraded (stale/ServFail), never died: yes"
@@ -93,8 +104,8 @@ echo "$out" | grep -q "controller detected the flood and mitigated the resolver:
 # undefended (censored-at-run-end) one.
 cargo test -q -p campuslab-bench --test golden_replay e17_driftpilot_replays_byte_for_byte
 CAMPUSLAB_SHARDS=8 cargo test -q -p campuslab-bench --test golden_replay e17_driftpilot_replays_byte_for_byte
-cargo test -q -p campuslab-testbed --lib driftpilot::tests::drift_run_is_deterministic
-out=$(cargo run -q --release -p campuslab-bench --bin e17_driftpilot)
+gate -p campuslab-testbed --lib -- driftpilot::tests::drift_run_is_deterministic
+out=$(cargo run -q --release -p campuslab-bench --bin exp -- E17)
 echo "$out"
 echo "$out" | grep -q "pilot opened a drift episode after the port rotation: yes"
 echo "$out" | grep -q "a retrained candidate was committed and the deployed lineage moved: yes"
@@ -116,7 +127,7 @@ cargo test -q --release -p campuslab-plaza --test isolation
 CAMPUSLAB_SHARDS=4 cargo test -q --release -p campuslab-plaza --test isolation
 CAMPUSLAB_SHARDS=8 cargo test -q --release -p campuslab-plaza --test isolation
 cargo test -q -p campuslab-dataplane --test admission
-out=$(cargo run -q --release -p campuslab-bench --bin e18_tenant_plaza)
+out=$(cargo run -q --release -p campuslab-bench --bin exp -- E18)
 echo "$out"
 echo "$out" | grep -q "warden's private guard vetoed the wildcard candidate in shadow: yes"
 echo "$out" | grep -q "warden's bytes are identical solo vs co-scheduled: yes"
@@ -128,19 +139,21 @@ echo "$out" | grep -q "monster got a typed rejection and never touched the campu
 # committed golden (the ShardSim gates below replay it again under 1 and
 # 4 shards; the extra line here covers 8), the kill-anywhere contract
 # must hold in-crate (every checkpoint boundary resumes byte-identically
-# and the windowed session equals the one-shot road test), the random
-# scenario x random kill point differential must pass, the WAL must
+# for the drift and the guarded composition, and the windowed session
+# equals the one-shot road test), the random scenario x random kill
+# point differential must pass, the WAL must
 # recover a torn tail to the last good prefix with typed errors, and a
 # smoke run must show the full story: a clean kill-point sweep, typed
 # decoder verdicts on every crash-shaped corruption, and lossless
 # sealed-segment recovery.
 cargo test -q -p campuslab-bench --test golden_replay e19_phoenix_replays_byte_for_byte
 CAMPUSLAB_SHARDS=8 cargo test -q -p campuslab-bench --test golden_replay e19_phoenix_replays_byte_for_byte
-cargo test -q --release -p campuslab-testbed --lib phoenix::tests::kill_at_every_boundary_resumes_byte_identically
-cargo test -q --release -p campuslab-testbed --lib phoenix::tests::windowed_session_equals_drift_road_test
+gate --release -p campuslab-testbed --lib -- phoenix::tests::kill_at_every_boundary_resumes_byte_identically
+gate --release -p campuslab-testbed --lib -- phoenix::tests::windowed_session_equals_drift_road_test
+gate --release -p campuslab-testbed --lib -- rollout::tests::guarded_session_resumes_byte_identically_from_every_boundary
 cargo test -q --release -p campuslab-testbed --test phoenix_diff
 cargo test -q --release -p campuslab-datastore --lib wal::
-out=$(cargo run -q --release -p campuslab-bench --bin e19_phoenix)
+out=$(cargo run -q --release -p campuslab-bench --bin exp -- E19)
 echo "$out"
 echo "$out" | grep -q "every kill point resumed byte-identically: yes"
 echo "$out" | grep -q "corrupt checkpoints all map to typed errors: yes"
@@ -150,7 +163,7 @@ echo "$out" | grep -q "torn WAL tail recovered to the last good prefix, sealed f
 # the checkpoint envelope (truncation, bit flips, version skew, byte
 # soup) and the WAL tail scanner (every cut point, deterministic
 # single-bit flips) must reject corruption with typed errors only.
-CAMPUSLAB_FUZZ_CASES=2000 cargo test -q --release -p campuslab-testbed --lib phoenix::tests::envelope_decoder_never_panics_on_corrupt_input
+(export CAMPUSLAB_FUZZ_CASES=2000; gate --release -p campuslab-testbed --lib -- phoenix::tests::envelope_decoder_never_panics_on_corrupt_input)
 CAMPUSLAB_FUZZ_CASES=10000 cargo test -q --release -p campuslab-datastore --lib wal::tests::tail_scanner_never_panics_on_corrupt_images
 
 # Phoenix overhead gate: the committed bench snapshot must exist, and a
