@@ -4,12 +4,11 @@
 //! — ci.sh reads `BENCH_phoenix.json` and gates the freeze-at-a-barrier
 //! run within 5% of the checkpoint-free baseline, so durability never
 //! quietly becomes the dominant cost of an always-on pipeline. The
-//! envelope encode (pure serialization of an already-frozen image,
-//! proportional to image size, off the simulation path) is priced
-//! separately by `checkpoint_encode_9s`.
+//! envelope encode (pure serialization of an already-frozen image, off
+//! the simulation path) is priced by the PerfLedger's `testbed.encode_s`.
 
 use campuslab::netsim::SimTime;
-use campuslab::testbed::{encode_checkpoint, DriftRunConfig, DriftSession, Scenario};
+use campuslab::testbed::{DriftRunConfig, DriftSession, Scenario};
 use campuslab::Platform;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -46,7 +45,7 @@ fn bench(c: &mut Criterion) {
     // frozen at a quiescent barrier (the non-destructive event-queue
     // drain + re-schedule plus every layer's freeze). This is the cost
     // the *simulation* pays; encoding the frozen image to bytes happens
-    // off the hot path and is measured below.
+    // off the hot path.
     c.bench_function("phoenix/drift_run_checkpointed", |b| {
         b.iter(|| {
             let mut session = make();
@@ -55,14 +54,6 @@ fn bench(c: &mut Criterion) {
             let outcome = session.finish();
             black_box(outcome.net.delivered)
         })
-    });
-
-    // The isolated checkpoint cost, for the perf history: freeze + encode
-    // at the 9 s barrier, no simulation in the measured region.
-    let mut parked = make();
-    parked.run_until(SimTime::from_secs(9));
-    c.bench_function("phoenix/checkpoint_encode_9s", |b| {
-        b.iter(|| black_box(encode_checkpoint(&parked.checkpoint()).len()))
     });
 }
 

@@ -52,6 +52,23 @@ fn main() {
         let t = Instant::now();
         let bytes = encode_checkpoint(&cp);
         eprintln!("  encode: {:.2?} ({} bytes)", t.elapsed(), bytes.len());
+        // What the image is made of: how far it shrinks when each part is
+        // emptied (exact up to the emptied part's own count/tag bytes).
+        let without = |empty: &dyn Fn(&mut campuslab::testbed::PhoenixCheckpoint)| {
+            let mut part = cp.clone();
+            empty(&mut part);
+            bytes.len() - encode_checkpoint(&part).len()
+        };
+        let events = without(&|c| c.net.events.clear());
+        let hooks = without(&|c| (c.hooks.guard, c.hooks.controller, c.hooks.pilot) = (None, None, None));
+        let bank = without(&|c| c.bank.entries.clear());
+        eprintln!(
+            "    image: {} pending events {events} B ({:.1} B/event), hook stack {hooks} B, \
+             bank {bank} B, rest (nodes, links, obs, envelope) {} B",
+            cp.net.events.len(),
+            events as f64 / cp.net.events.len().max(1) as f64,
+            bytes.len() - events - hooks - bank,
+        );
         let t = Instant::now();
         let back = decode_checkpoint(&bytes).expect("clean envelope decodes");
         eprintln!("  decode: {:.2?}", t.elapsed());

@@ -36,6 +36,10 @@ use campuslab::testbed::{
 };
 use campuslab::Platform;
 
+/// The same mid-campaign image under PHNX v1 (a JSON payload). The binary
+/// payload must stay within a fifth of it.
+const V1_IMAGE_BYTES: usize = 70_891_814;
+
 /// Run the experiment and render its report.
 pub fn run() -> String {
     run_observed().table
@@ -84,6 +88,11 @@ pub fn run_observed() -> ObsBundle {
     probe.run_until(boundaries[1]);
     let bytes = encode_checkpoint(&probe.checkpoint());
     drop(probe);
+    assert!(
+        bytes.len() <= V1_IMAGE_BYTES / 5,
+        "checkpoint image is {} B, more than a fifth of the v1 JSON image ({V1_IMAGE_BYTES} B)",
+        bytes.len()
+    );
 
     let mut t = Table::new(&["leg", "boundaries", "kills", "mismatches", "checkpoint bytes"]);
     t.row(vec![

@@ -13,7 +13,9 @@
 //! ```
 //!
 //! Each segment is a run of frames `[len u32 LE][crc32 u32 LE][payload]`,
-//! where the payload is one JSON-encoded [`WalRecord`] batch. Appends go
+//! where the payload is one [`WalRecord`] batch in the positional binary
+//! encoding (`serde::bin`; DESIGN.md §15). The manifest is written when the
+//! directory is created, so segments without one predate it. Appends go
 //! to the tail segment only; when the tail outgrows the seal threshold it
 //! is sealed — whole-file checksum recorded in the manifest, new empty
 //! tail opened — so durability metadata grows per *segment*, not per
@@ -38,17 +40,19 @@
 use crate::persist::PersistError;
 use crate::store::DataStore;
 use campuslab_capture::{DnsMetaRecord, FlowRecord, PacketRecord, SensorRecord};
-use campuslab_obs::crc32;
+use campuslab_obs::{crc32, Crc32};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Current WAL format version (frames and manifest).
-const WAL_VERSION: u32 = 1;
+/// Current WAL format version (frames and manifest). Frame payloads are
+/// positional, so any change to a record type's fields bumps it; v1 frames
+/// carried JSON.
+const WAL_VERSION: u32 = 2;
 
 /// Frame header size: payload length + payload crc32.
-const FRAME_HEADER: u64 = 8;
+const FRAME_HEADER: usize = 8;
 
 /// One durable append: a batch for exactly one table. Batch granularity
 /// matches the ingest API — a capture flush or a sensor feed lands as one
@@ -125,6 +129,9 @@ pub struct WalStore {
     tail_file: File,
     tail_bytes: u64,
     tail_frames: u64,
+    /// Checksum of the tail's `tail_bytes`, kept current by every append
+    /// so sealing never re-reads the file.
+    tail_crc: Crc32,
     store: DataStore,
 }
 
@@ -140,51 +147,81 @@ fn corrupt(what: impl Into<String>, segment: u64, offset: u64) -> PersistError {
     PersistError::Corrupt { what: what.into(), segment: Some(segment), offset: Some(offset) }
 }
 
+/// The frame that durably carries `rec`: the payload is encoded in place
+/// after a reserved header, which is then patched with length and checksum.
+fn encode_frame(rec: &WalRecord) -> Result<Vec<u8>, PersistError> {
+    let mut frame = vec![0u8; FRAME_HEADER];
+    rec.serialize_bin(&mut frame);
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER);
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "batch exceeds the 4 GiB frame limit")
+    })?;
+    header[0..4].copy_from_slice(&len.to_le_bytes());
+    header[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(frame)
+}
+
+/// Decode the frame at the head of `rest`: its record and its length in
+/// bytes, or why it is not a whole, honest frame.
+fn decode_frame(rest: &[u8]) -> Result<(WalRecord, usize), String> {
+    let Some((header, body)) = rest.split_first_chunk::<FRAME_HEADER>() else {
+        return Err(format!("torn frame header ({} bytes)", rest.len()));
+    };
+    let len = u32::from_le_bytes(header[0..4].try_into().expect("fixed slice")) as usize;
+    let crc = u32::from_le_bytes(header[4..8].try_into().expect("fixed slice"));
+    let Some(payload) = body.get(..len) else {
+        return Err(format!("torn frame body (header promises {len} bytes, {} present)", body.len()));
+    };
+    let actual = crc32(payload);
+    if actual != crc {
+        return Err(format!("frame checksum mismatch (header {crc:08x}, payload {actual:08x})"));
+    }
+    let rec = serde::bin::from_slice(payload).map_err(|e| format!("frame payload undecodable: {e}"))?;
+    Ok((rec, FRAME_HEADER + len))
+}
+
 /// Split one segment's bytes into decoded records. Returns the records
 /// decoded from the longest valid prefix, the byte length of that prefix,
 /// and the reason the first bad frame was rejected (`None` when the whole
 /// buffer parsed). Total: arbitrary bytes in, never a panic out.
 fn scan_frames(bytes: &[u8]) -> (Vec<WalRecord>, u64, Option<String>) {
     let mut records = Vec::new();
-    let mut off = 0u64;
-    loop {
-        let rest = &bytes[off as usize..];
-        if rest.is_empty() {
-            return (records, off, None);
+    let mut off = 0;
+    while off < bytes.len() {
+        match decode_frame(&bytes[off..]) {
+            Ok((rec, len)) => {
+                records.push(rec);
+                off += len;
+            }
+            Err(why) => return (records, off as u64, Some(why)),
         }
-        if (rest.len() as u64) < FRAME_HEADER {
-            return (records, off, Some(format!("torn frame header ({} bytes)", rest.len())));
+    }
+    (records, off as u64, None)
+}
+
+/// Write the manifest to `MANIFEST.tmp`, sync, atomically rename over
+/// `MANIFEST`. A crash on either side of the rename leaves a complete
+/// manifest — old or new, never a hybrid.
+fn commit_manifest(dir: &Path, manifest: &Manifest) -> Result<(), PersistError> {
+    let tmp = dir.join("MANIFEST.tmp");
+    let text = serde_json::to_string(manifest)?;
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(text.as_bytes())?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, manifest_path(dir))?;
+    Ok(())
+}
+
+impl WalRecord {
+    fn is_empty(&self) -> bool {
+        match self {
+            WalRecord::Packets(b) => b.is_empty(),
+            WalRecord::Flows(b) => b.is_empty(),
+            WalRecord::Dns(b) => b.is_empty(),
+            WalRecord::Sensors(b) => b.is_empty(),
         }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("fixed slice")) as u64;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("fixed slice"));
-        if (rest.len() as u64) < FRAME_HEADER + len {
-            return (
-                records,
-                off,
-                Some(format!(
-                    "torn frame body (header promises {len} bytes, {} present)",
-                    rest.len() as u64 - FRAME_HEADER
-                )),
-            );
-        }
-        let payload = &rest[FRAME_HEADER as usize..(FRAME_HEADER + len) as usize];
-        let actual = crc32(payload);
-        if actual != crc {
-            return (
-                records,
-                off,
-                Some(format!("frame checksum mismatch (header {crc:08x}, payload {actual:08x})")),
-            );
-        }
-        let text = match std::str::from_utf8(payload) {
-            Ok(t) => t,
-            Err(e) => return (records, off, Some(format!("frame payload not utf-8: {e}"))),
-        };
-        match serde_json::from_str::<WalRecord>(text) {
-            Ok(rec) => records.push(rec),
-            Err(e) => return (records, off, Some(format!("frame payload undecodable: {e}"))),
-        }
-        off += FRAME_HEADER + len;
     }
 }
 
@@ -213,32 +250,32 @@ impl WalStore {
             std::fs::remove_file(&tmp)?;
         }
 
+        let bad_manifest = |what: String| PersistError::Corrupt { what, segment: None, offset: None };
         let manifest = match std::fs::read(manifest_path(&dir)) {
             Ok(bytes) => {
-                let text = std::str::from_utf8(&bytes).map_err(|e| PersistError::Corrupt {
-                    what: format!("manifest not utf-8: {e}"),
-                    segment: None,
-                    offset: None,
-                })?;
-                let m: Manifest = serde_json::from_str(text).map_err(|e| PersistError::Corrupt {
-                    what: format!("manifest undecodable: {e}"),
-                    segment: None,
-                    offset: None,
-                })?;
-                if m.version > WAL_VERSION {
-                    return Err(PersistError::Version { found: m.version, supported: WAL_VERSION });
-                }
+                let text = std::str::from_utf8(&bytes)
+                    .map_err(|e| bad_manifest(format!("manifest not utf-8: {e}")))?;
+                let m: Manifest = serde_json::from_str(text)
+                    .map_err(|e| bad_manifest(format!("manifest undecodable: {e}")))?;
                 if m.version == 0 {
-                    return Err(PersistError::Corrupt {
-                        what: "manifest version 0 is never written".into(),
-                        segment: None,
-                        offset: None,
-                    });
+                    return Err(bad_manifest("manifest version 0 is never written".into()));
+                }
+                // Older frames would scan as garbage: sealed segments as
+                // corruption, the tail as a torn write to truncate away.
+                if m.version != WAL_VERSION {
+                    return Err(PersistError::Version { found: m.version, supported: WAL_VERSION });
                 }
                 m
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Manifest { version: WAL_VERSION, sealed: Vec::new(), tail: 0 }
+                // This build commits a manifest before the first append;
+                // v1 wrote none until its first seal.
+                if std::fs::metadata(segment_path(&dir, 0)).is_ok_and(|m| m.len() > 0) {
+                    return Err(PersistError::Version { found: 1, supported: WAL_VERSION });
+                }
+                let m = Manifest { version: WAL_VERSION, sealed: Vec::new(), tail: 0 };
+                commit_manifest(&dir, &m)?;
+                m
             }
             Err(e) => return Err(e.into()),
         };
@@ -309,6 +346,8 @@ impl WalStore {
             store.obs.on_persist_corrupt(1);
         }
         tail_file.seek(SeekFrom::Start(good))?;
+        let mut tail_crc = Crc32::new();
+        tail_crc.update(&tail_bytes_on_disk[..good as usize]);
 
         let wal = WalStore {
             dir,
@@ -317,6 +356,7 @@ impl WalStore {
             tail_file,
             tail_bytes: good,
             tail_frames,
+            tail_crc,
             store,
         };
         Ok((wal, report))
@@ -345,17 +385,18 @@ impl WalStore {
         self.manifest.tail
     }
 
-    /// Durably append one batch, then ingest it. The frame is flushed to
-    /// the OS before memory changes: a crash after `append_*` returns
-    /// replays the batch, a crash during it tears at most this frame.
+    /// Durably append one batch, then ingest it (an empty batch is a
+    /// no-op, mirroring ingest). The frame is flushed to the OS before
+    /// memory changes: a crash after `append_*` returns replays the batch,
+    /// a crash during it tears at most this frame.
     fn append(&mut self, rec: WalRecord) -> Result<(), PersistError> {
-        let payload = serde_json::to_string(&rec)?.into_bytes();
-        let mut frame = Vec::with_capacity(FRAME_HEADER as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        if rec.is_empty() {
+            return Ok(());
+        }
+        let frame = encode_frame(&rec)?;
         self.tail_file.write_all(&frame)?;
         self.tail_file.flush()?;
+        self.tail_crc.update(&frame);
         self.tail_bytes += frame.len() as u64;
         self.tail_frames += 1;
         replay(&mut self.store, rec);
@@ -365,35 +406,23 @@ impl WalStore {
         Ok(())
     }
 
-    /// Append a packet batch (no-op for an empty batch, mirroring ingest).
+    /// Append a packet batch.
     pub fn append_packets(&mut self, batch: Vec<PacketRecord>) -> Result<(), PersistError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
         self.append(WalRecord::Packets(batch))
     }
 
     /// Append a flow batch.
     pub fn append_flows(&mut self, batch: Vec<FlowRecord>) -> Result<(), PersistError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
         self.append(WalRecord::Flows(batch))
     }
 
     /// Append a DNS metadata batch.
     pub fn append_dns(&mut self, batch: Vec<DnsMetaRecord>) -> Result<(), PersistError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
         self.append(WalRecord::Dns(batch))
     }
 
     /// Append a sensor batch.
     pub fn append_sensors(&mut self, batch: Vec<SensorRecord>) -> Result<(), PersistError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
         self.append(WalRecord::Sensors(batch))
     }
 
@@ -406,12 +435,11 @@ impl WalStore {
         }
         self.tail_file.sync_all()?;
         let id = self.manifest.tail;
-        let bytes = std::fs::read(segment_path(&self.dir, id))?;
         self.manifest.sealed.push(SealedSegment {
             id,
             frames: self.tail_frames,
-            bytes: bytes.len() as u64,
-            crc: crc32(&bytes),
+            bytes: self.tail_bytes,
+            crc: self.tail_crc.finish(),
         });
         self.manifest.tail = id + 1;
         // Truncate deliberately: a crash between creating the next tail
@@ -420,25 +448,11 @@ impl WalStore {
         let next = segment_path(&self.dir, self.manifest.tail);
         let tail_file =
             OpenOptions::new().create(true).truncate(true).read(true).write(true).open(&next)?;
-        self.commit_manifest()?;
+        commit_manifest(&self.dir, &self.manifest)?;
         self.tail_file = tail_file;
         self.tail_bytes = 0;
         self.tail_frames = 0;
-        Ok(())
-    }
-
-    /// Write the manifest to `MANIFEST.tmp`, sync, atomically rename over
-    /// `MANIFEST`. A crash on either side of the rename leaves a complete
-    /// manifest — old or new, never a hybrid.
-    fn commit_manifest(&mut self) -> Result<(), PersistError> {
-        let tmp = self.dir.join("MANIFEST.tmp");
-        let text = serde_json::to_string(&self.manifest)?;
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, manifest_path(&self.dir))?;
+        self.tail_crc = Crc32::new();
         Ok(())
     }
 
@@ -450,10 +464,10 @@ impl WalStore {
     }
 }
 
-/// Byte length of the frame that would encode `rec` — the kill-point
+/// Byte length of the frame `append` writes for `rec` — the kill-point
 /// grid for mid-append crash tests.
 pub fn frame_len(rec: &WalRecord) -> Result<u64, PersistError> {
-    Ok(FRAME_HEADER + serde_json::to_string(rec)?.len() as u64)
+    Ok(encode_frame(rec)?.len() as u64)
 }
 
 #[cfg(test)]
@@ -649,15 +663,86 @@ mod tests {
         std::fs::write(manifest_path(&dir), b"{\"version\":99,\"sealed\":[],\"tail\":0}").unwrap();
         assert!(matches!(
             WalStore::open(&dir, WalConfig::default()),
-            Err(PersistError::Version { found: 99, supported: 1 })
+            Err(PersistError::Version { found: 99, supported: WAL_VERSION })
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A v1 directory (JSON frames) must be refused whole, sealed or not:
+    /// scanned as v2 its sealed segments would read as corruption and its
+    /// unsealed tail would be "repaired" by truncation to zero.
+    #[test]
+    fn v1_directories_are_a_typed_version_error_and_left_untouched() {
+        let json = br#"{"Packets":[]}"#;
+        let mut v1_frame = (json.len() as u32).to_le_bytes().to_vec();
+        v1_frame.extend_from_slice(&crc32(json).to_le_bytes());
+        v1_frame.extend_from_slice(json);
+        let refused = |dir: &Path| {
+            assert!(matches!(
+                WalStore::open(dir, WalConfig::default()),
+                Err(PersistError::Version { found: 1, supported: WAL_VERSION })
+            ));
+            assert_eq!(std::fs::read(segment_path(dir, 0)).unwrap(), v1_frame, "segment untouched");
+        };
+
+        // Sealed at least once: the manifest says version 1.
+        let dir = scratch("v1sealed");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(segment_path(&dir, 0), &v1_frame).unwrap();
+        let manifest = format!(
+            r#"{{"version":1,"sealed":[{{"id":0,"frames":1,"bytes":{},"crc":{}}}],"tail":1}}"#,
+            v1_frame.len(),
+            crc32(&v1_frame)
+        );
+        std::fs::write(manifest_path(&dir), manifest).unwrap();
+        refused(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Never sealed: v1 wrote no manifest before its first seal.
+        let dir = scratch("v1tail");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(segment_path(&dir, 0), &v1_frame).unwrap();
+        refused(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `seal` pins the running checksum, not a re-read of the file: it must
+    /// equal the bytes on disk, also when the tail was recovered (torn and
+    /// clean) before more appends.
+    #[test]
+    fn sealed_checksum_matches_the_file_across_recovery() {
+        let dir = scratch("runningcrc");
+        let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).unwrap();
+        wal.append_packets(batch(0, 5)).unwrap();
+        assert_eq!(
+            frame_len(&WalRecord::Packets(batch(0, 5))).unwrap(),
+            wal.tail_bytes,
+            "frame_len is what append wrote"
+        );
+        wal.append_packets(batch(1_000_000, 5)).unwrap();
+        drop(wal);
+        let tail = segment_path(&dir, 0);
+        let image = std::fs::read(&tail).unwrap();
+        std::fs::write(&tail, &image[..image.len() - 3]).unwrap();
+        let (mut wal, report) = WalStore::open(&dir, WalConfig::default()).unwrap();
+        assert!(report.was_lossy());
+        wal.append_packets(batch(2_000_000, 4)).unwrap();
+        wal.seal().unwrap();
+        let sealed = wal.sealed_segments()[0].clone();
+        let on_disk = std::fs::read(&tail).unwrap();
+        assert_eq!((sealed.bytes, sealed.crc), (on_disk.len() as u64, crc32(&on_disk)));
+        drop(wal);
+        let (wal, report) = WalStore::open(&dir, WalConfig::default()).unwrap();
+        assert_eq!((report.sealed_segments, wal.store().packet_count()), (1, 9));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Never-panic fuzz over the tail scanner, `CAMPUSLAB_FUZZ_CASES`
     /// scaled: random cuts and single-bit flips over a real multi-frame
     /// tail image must recover a prefix (possibly empty), never panic,
-    /// and never accept a frame whose checksum lies.
+    /// and never accept a frame whose checksum lies. The re-stamped arm
+    /// damages a payload and recomputes its header checksum, so the binary
+    /// decoder itself — not the CRC — has to survive the damage.
     #[test]
     fn tail_scanner_never_panics_on_corrupt_images() {
         let dir = scratch("fuzz");
@@ -701,6 +786,41 @@ mod tests {
                 assert!(records.len() <= 6);
             }
         }
+
+        // Re-stamped CRC: mutate or cut the first frame's payload, fix the
+        // header up to match, and scan. The first frame then decodes to
+        // some value or cuts the scan at 0; the later frames are intact.
+        let first_len = u32::from_le_bytes(image[0..4].try_into().unwrap()) as usize;
+        let restamp = |payload: &[u8]| {
+            let mut img = (payload.len() as u32).to_le_bytes().to_vec();
+            img.extend_from_slice(&crc32(payload).to_le_bytes());
+            img.extend_from_slice(payload);
+            img.extend_from_slice(&image[FRAME_HEADER + first_len..]);
+            img
+        };
+        let payload = &image[FRAME_HEADER..FRAME_HEADER + first_len];
+        for _ in 0..cases {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            let r = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            let mut damaged = payload.to_vec();
+            let pos = (r as usize) % damaged.len();
+            if r >> 63 == 0 {
+                damaged[pos] = (r >> 40) as u8;
+            } else {
+                damaged.truncate(pos);
+            }
+            let (records, good, bad) = scan_frames(&restamp(&damaged));
+            assert!(bad.is_none() && records.len() == 6 || good == 0 && records.is_empty());
+        }
+        // A forged 2^60 element count behind a valid checksum is refused
+        // from the length alone, before anything is allocated for it.
+        let mut forged = vec![0u8]; // WalRecord::Packets
+        serde::bin::write_varint(&mut forged, 1 << 60);
+        let (records, good, bad) = scan_frames(&restamp(&forged));
+        assert!(records.is_empty() && good == 0);
+        assert!(bad.unwrap().contains("LengthOverrun"));
     }
 
     #[test]

@@ -261,9 +261,11 @@ mod tests {
         net.run(&mut crate::network::NullHooks, Some(SimTime::from_millis(2)));
         let frozen = net.checkpoint();
 
-        // Round-trip the frozen state through its serialized form.
+        // Round-trip the frozen state through both serialized forms; the
+        // run resumes from the binary one, which is what a crash leaves.
         let json = serde_json::to_string(&frozen).unwrap();
-        let thawed: FrozenNetwork = serde_json::from_str(&json).unwrap();
+        assert_eq!(frozen, serde_json::from_str(&json).unwrap());
+        let thawed: FrozenNetwork = serde::bin::from_slice(&serde::bin::to_vec(&frozen)).unwrap();
         assert_eq!(frozen, thawed);
 
         let (mut fresh, _) = lossy_net();
@@ -275,6 +277,43 @@ mod tests {
         assert_eq!(net.stats, fresh.stats);
         assert_eq!(net.obs.render(), fresh.obs.render());
         assert!(net.stats.injected == 500 && net.stats.delivered > 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 48, ..proptest::ProptestConfig::default() })]
+
+        /// Wherever the barrier falls — queues full, RED and burst-loss
+        /// state mid-stream, chaos pending, real payload bytes in flight —
+        /// the binary form decodes to an equal value that re-serializes to
+        /// the same bytes and the same JSON.
+        #[test]
+        fn frozen_network_round_trips_in_both_forms(
+            barrier_us in 0u64..6_000,
+            n in 1u64..300,
+            payload in proptest::collection::vec(proptest::any::<u8>(), 0..40),
+        ) {
+            let (mut net, h1) = lossy_net();
+            blast(&mut net, h1, 0, n);
+            blast(&mut net, h1, 3_000, n / 3);
+            let pkt = PacketBuilder::new().udp_v4(
+                Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2),
+                53, 4000, Payload::from(payload), 9, GroundTruth { flow_id: u64::MAX, app_class: 7, attack: Some(2) },
+            );
+            net.inject(SimTime::from_micros(barrier_us + 1), h1, pkt);
+            net.schedule_chaos(SimTime::from_micros(barrier_us / 2), ChaosAction::NodeDown(NodeId(1)));
+            net.schedule_chaos(SimTime::from_micros(barrier_us + 900), ChaosAction::NodeUp(NodeId(1)));
+            net.run(&mut crate::network::NullHooks, Some(SimTime::from_micros(barrier_us)));
+            let frozen = net.checkpoint();
+
+            let bytes = serde::bin::to_vec(&frozen);
+            let back: FrozenNetwork = serde::bin::from_slice(&bytes).expect("own encoding decodes");
+            proptest::prop_assert_eq!(&back, &frozen);
+            proptest::prop_assert_eq!(serde::bin::to_vec(&back), bytes);
+            proptest::prop_assert_eq!(
+                serde_json::to_string(&back).unwrap(),
+                serde_json::to_string(&frozen).unwrap()
+            );
+        }
     }
 
     /// Restoring with pending chaos transitions and node/link fault state.

@@ -166,7 +166,8 @@ impl From<Vec<u8>> for Payload {
 }
 
 // Hand-rolled (the derive cannot thaw `Arc<[u8]>`), shaped exactly like the
-// enum derive output so checkpoint payloads stay format-uniform.
+// enum derive output in both forms so checkpoint payloads stay
+// format-uniform.
 impl serde::Serialize for Payload {
     fn serialize_json(&self, out: &mut String) {
         match self {
@@ -179,6 +180,22 @@ impl serde::Serialize for Payload {
                 out.push_str("{\"Synthetic\":");
                 n.serialize_json(out);
                 out.push('}');
+            }
+        }
+    }
+
+    fn serialize_bin(&self, out: &mut Vec<u8>) {
+        match self {
+            Payload::Bytes(b) => {
+                // Same bytes as the slice impl (count, then raw `u8`s), in
+                // one copy.
+                out.push(0);
+                serde::bin::write_varint(out, b.len() as u64);
+                out.extend_from_slice(b);
+            }
+            Payload::Synthetic(n) => {
+                out.push(1);
+                n.serialize_bin(out);
             }
         }
     }
@@ -197,6 +214,17 @@ impl serde::Deserialize for Payload {
             }
             "Synthetic" => Ok(Payload::Synthetic(serde::Deserialize::deserialize_json(&pairs[0].1)?)),
             _ => Err(serde::json::Error::new("unknown payload variant")),
+        }
+    }
+
+    fn deserialize_bin(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::Error> {
+        match r.tag("Payload", 2)? {
+            0 => {
+                // `u8` elements are raw bytes: one borrowed run, one copy.
+                let len = r.seq_len()?;
+                Ok(Payload::Bytes(r.take(len)?.into()))
+            }
+            _ => Ok(Payload::Synthetic(serde::Deserialize::deserialize_bin(r)?)),
         }
     }
 }

@@ -59,27 +59,110 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`.
-///
-/// Hand-rolled and table-free so every durability layer (checkpoint
-/// envelopes, WAL record frames, segment manifests) shares one checksum
-/// with zero dependencies. Throughput is irrelevant at the sizes involved;
-/// bit-exactness across platforms is what matters.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slice-by-8 lookup tables for the reflected IEEE polynomial, built at
+/// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
     }
-    !crc
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// A running CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320): feed it
+/// bytes as they are written, read the sum with [`Crc32::finish`]. Splitting
+/// the input across `update` calls never changes the result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
+impl Crc32 {
+    pub const fn new() -> Self {
+        Crc32 { state: 0xFFFF_FFFF }
+    }
+
+    /// Fold `bytes` into the sum, eight at a time.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][(lo >> 8 & 0xFF) as usize]
+                ^ t[5][(lo >> 16 & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][c[4] as usize]
+                ^ t[2][c[5] as usize]
+                ^ t[1][c[6] as usize]
+                ^ t[0][c[7] as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The checksum of everything fed so far.
+    pub const fn finish(&self) -> u32 {
+        !self.state
+    }
+}
+
+/// CRC-32 of `bytes` in one call: the checksum every durability layer
+/// (checkpoint envelopes, WAL record frames, segment manifests) shares,
+/// with zero dependencies. The crash path makes several passes over tens
+/// of megabytes, so this is table-driven (see [`Crc32`]); bit-exactness
+/// across platforms is pinned by the known-answer vector and by the
+/// bitwise reference loop in the tests.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{crc32, json_escape};
+    use super::{crc32, json_escape, Crc32};
+
+    /// The bit-at-a-time loop the tables replaced, kept as the reference.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -87,6 +170,32 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"abc"), crc32(b"abd"), "single-byte change must move the sum");
+    }
+
+    #[test]
+    fn crc32_tables_equal_the_bitwise_loop_whole_and_split() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for case in 0..400 {
+            // Lengths around the 8-byte stride and a few long buffers.
+            let len = if case < 64 { case } else { (next() % 5_000) as usize };
+            let buf: Vec<u8> = (0..len).map(|_| (next() >> 32) as u8).collect();
+            let want = crc32_bitwise(&buf);
+            assert_eq!(crc32(&buf), want, "len {len}");
+            let mut split = Crc32::new();
+            let mut rest = &buf[..];
+            while !rest.is_empty() {
+                let (head, tail) = rest.split_at(1 + next() as usize % rest.len());
+                split.update(head);
+                rest = tail;
+            }
+            assert_eq!(split.finish(), want, "len {len}, split updates");
+        }
     }
 
     #[test]

@@ -63,7 +63,8 @@ pub struct Histogram {
 }
 
 // Hand-rolled (the derive cannot thaw `Box<[u64]>`), shaped exactly like
-// the named-struct derive output so checkpoints stay format-uniform.
+// the named-struct derive output in both forms so checkpoints stay
+// format-uniform.
 impl serde::Serialize for Histogram {
     fn serialize_json(&self, out: &mut String) {
         out.push_str("{\"bounds\":");
@@ -76,28 +77,55 @@ impl serde::Serialize for Histogram {
         self.sum.serialize_json(out);
         out.push('}');
     }
+
+    fn serialize_bin(&self, out: &mut Vec<u8>) {
+        self.bounds[..].serialize_bin(out);
+        self.counts[..].serialize_bin(out);
+        self.count.serialize_bin(out);
+        self.sum.serialize_bin(out);
+    }
 }
 
 impl serde::Deserialize for Histogram {
     fn deserialize_json(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
         let pairs = v.as_object()?;
-        let bounds: Vec<u64> = serde::Deserialize::deserialize_json(serde::json::field(pairs, "bounds")?)?;
-        let counts: Vec<u64> = serde::Deserialize::deserialize_json(serde::json::field(pairs, "counts")?)?;
-        let count: u64 = serde::Deserialize::deserialize_json(serde::json::field(pairs, "count")?)?;
-        let sum: u128 = serde::Deserialize::deserialize_json(serde::json::field(pairs, "sum")?)?;
-        if counts.len() != bounds.len() + 1 || !bounds.windows(2).all(|w| w[0] < w[1]) {
-            return Err(serde::json::Error::new("histogram shape invariant violated"));
-        }
-        Ok(Histogram {
-            bounds: bounds.into_boxed_slice(),
-            counts: counts.into_boxed_slice(),
-            count,
-            sum,
-        })
+        let field = |name| serde::json::field(pairs, name);
+        Histogram::thawed(
+            serde::Deserialize::deserialize_json(field("bounds")?)?,
+            serde::Deserialize::deserialize_json(field("counts")?)?,
+            serde::Deserialize::deserialize_json(field("count")?)?,
+            serde::Deserialize::deserialize_json(field("sum")?)?,
+        )
+        .ok_or_else(|| serde::json::Error::new(Histogram::BAD_SHAPE))
+    }
+
+    fn deserialize_bin(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::Error> {
+        let at = r.error(serde::bin::ErrorKind::Invalid(Histogram::BAD_SHAPE));
+        Histogram::thawed(
+            serde::Deserialize::deserialize_bin(r)?,
+            serde::Deserialize::deserialize_bin(r)?,
+            serde::Deserialize::deserialize_bin(r)?,
+            serde::Deserialize::deserialize_bin(r)?,
+        )
+        .ok_or(at)
     }
 }
 
 impl Histogram {
+    const BAD_SHAPE: &'static str = "histogram shape invariant violated";
+
+    /// Rebuild from stored parts, refusing a shape `new` could not produce.
+    fn thawed(bounds: Vec<u64>, counts: Vec<u64>, count: u64, sum: u128) -> Option<Self> {
+        (counts.len() == bounds.len() + 1 && bounds.windows(2).all(|w| w[0] < w[1])).then(|| {
+            Histogram {
+                bounds: bounds.into_boxed_slice(),
+                counts: counts.into_boxed_slice(),
+                count,
+                sum,
+            }
+        })
+    }
+
     /// Build an empty histogram. `bounds` must be strictly increasing;
     /// the `+Inf` bucket is implicit.
     pub fn new(bounds: &[u64]) -> Self {

@@ -18,10 +18,12 @@ use campuslab_control::FrozenBank;
 use campuslab_netsim::{FrozenNetwork, SimDuration, SimTime};
 use campuslab_obs::crc32;
 
-/// Checkpoint format version. Bumped on any change to the frozen-state
-/// layout; a decoder seeing an unknown version reports
+/// Checkpoint format version. The payload is positional binary
+/// (`serde::bin`), so *any* change to the frozen-state layout — a field or
+/// variant added, removed or reordered — bumps it; a decoder seeing
+/// another version (v1 was a JSON payload) reports
 /// [`PhoenixError::VersionSkew`] instead of guessing.
-pub const PHOENIX_VERSION: u32 = 1;
+pub const PHOENIX_VERSION: u32 = 2;
 
 /// Envelope magic: the first four bytes of every encoded checkpoint.
 pub const PHOENIX_MAGIC: [u8; 4] = *b"PHNX";
@@ -54,6 +56,8 @@ pub struct PhoenixCheckpoint {
 pub enum PhoenixError {
     /// Fewer bytes than the fixed header, or than the header promised.
     Truncated { expected: u64, got: u64 },
+    /// More bytes than the header's payload length accounts for.
+    TrailingBytes { expected: u64, got: u64 },
     /// The first four bytes are not `PHNX`.
     BadMagic { found: [u8; 4] },
     /// A version this decoder does not speak.
@@ -72,6 +76,9 @@ impl std::fmt::Display for PhoenixError {
             PhoenixError::Truncated { expected, got } => {
                 write!(f, "checkpoint truncated: expected {expected} bytes, got {got}")
             }
+            PhoenixError::TrailingBytes { expected, got } => {
+                write!(f, "checkpoint has trailing bytes: envelope is {expected} bytes, got {got}")
+            }
             PhoenixError::BadMagic { found } => write!(f, "bad checkpoint magic {found:02x?}"),
             PhoenixError::VersionSkew { found, supported } => {
                 write!(f, "checkpoint version {found} (this build supports {supported})")
@@ -88,14 +95,16 @@ impl std::error::Error for PhoenixError {}
 
 /// Serialize a checkpoint into its durable envelope:
 /// `PHNX | version u32 LE | payload_len u64 LE | crc32 u32 LE | payload`.
+/// The payload is written in place after a reserved header, which is then
+/// back-patched with its length and checksum.
 pub fn encode_checkpoint(cp: &PhoenixCheckpoint) -> Vec<u8> {
-    let payload = serde_json::to_string(cp).expect("in-memory serialization").into_bytes();
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&PHOENIX_MAGIC);
-    out.extend_from_slice(&PHOENIX_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = vec![0u8; HEADER_LEN];
+    serde::Serialize::serialize_bin(cp, &mut out);
+    let (header, payload) = out.split_at_mut(HEADER_LEN);
+    header[0..4].copy_from_slice(&PHOENIX_MAGIC);
+    header[4..8].copy_from_slice(&PHOENIX_VERSION.to_le_bytes());
+    header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    header[16..20].copy_from_slice(&crc32(payload).to_le_bytes());
     out
 }
 
@@ -104,34 +113,32 @@ pub fn encode_checkpoint(cp: &PhoenixCheckpoint) -> Vec<u8> {
 /// panic — truncation, bit flips and version skew are all routine inputs
 /// after a crash.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<PhoenixCheckpoint, PhoenixError> {
+    let got = bytes.len() as u64;
     if bytes.len() < HEADER_LEN {
-        return Err(PhoenixError::Truncated {
-            expected: HEADER_LEN as u64,
-            got: bytes.len() as u64,
-        });
+        return Err(PhoenixError::Truncated { expected: HEADER_LEN as u64, got });
     }
-    let magic: [u8; 4] = bytes[0..4].try_into().expect("fixed slice");
+    let (header, payload) = bytes.split_at(HEADER_LEN);
+    let magic: [u8; 4] = header[0..4].try_into().expect("fixed slice");
     if magic != PHOENIX_MAGIC {
         return Err(PhoenixError::BadMagic { found: magic });
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("fixed slice"));
+    let version = u32::from_le_bytes(header[4..8].try_into().expect("fixed slice"));
     if version != PHOENIX_VERSION {
         return Err(PhoenixError::VersionSkew { found: version, supported: PHOENIX_VERSION });
     }
-    let payload_len = u64::from_le_bytes(bytes[8..16].try_into().expect("fixed slice"));
-    let expected_total = (HEADER_LEN as u64).saturating_add(payload_len);
-    if (bytes.len() as u64) < expected_total {
-        return Err(PhoenixError::Truncated { expected: expected_total, got: bytes.len() as u64 });
+    let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("fixed slice"));
+    let expected = (HEADER_LEN as u64).saturating_add(payload_len);
+    match got.cmp(&expected) {
+        std::cmp::Ordering::Less => return Err(PhoenixError::Truncated { expected, got }),
+        std::cmp::Ordering::Greater => return Err(PhoenixError::TrailingBytes { expected, got }),
+        std::cmp::Ordering::Equal => {}
     }
-    let stored_crc = u32::from_le_bytes(bytes[16..20].try_into().expect("fixed slice"));
-    let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len as usize];
+    let stored_crc = u32::from_le_bytes(header[16..20].try_into().expect("fixed slice"));
     let actual_crc = crc32(payload);
     if stored_crc != actual_crc {
         return Err(PhoenixError::Checksum { expected: stored_crc, found: actual_crc });
     }
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| PhoenixError::Payload { detail: e.to_string() })?;
-    serde_json::from_str(text).map_err(|e| PhoenixError::Payload { detail: format!("{e:?}") })
+    serde::bin::from_slice(payload).map_err(|e| PhoenixError::Payload { detail: e.to_string() })
 }
 
 /// The kill-point harness: a factory for identical deadline-bounded
@@ -295,6 +302,11 @@ mod tests {
         let bytes = encode_checkpoint(&cp);
         let back = decode_checkpoint(&bytes).expect("clean envelope decodes");
         assert_eq!(encode_checkpoint(&back), bytes, "re-encode is byte-identical");
+        assert_eq!(
+            serde_json::to_string(&back).unwrap(),
+            serde_json::to_string(&cp).unwrap(),
+            "the binary payload loses nothing the JSON form can see"
+        );
     }
 
     /// The tentpole smoke: kill at every grid boundary (attack onset,
@@ -402,6 +414,29 @@ mod tests {
                 supported: PHOENIX_VERSION
             })
         );
+
+        // A v1 image (JSON payload) is version skew, not a payload to try.
+        let json = serde_json::to_string(&session.checkpoint()).unwrap().into_bytes();
+        let mut v1 = PHOENIX_MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&(json.len() as u64).to_le_bytes());
+        v1.extend_from_slice(&crc32(&json).to_le_bytes());
+        v1.extend_from_slice(&json);
+        assert_eq!(
+            decode_checkpoint(&v1).err(),
+            Some(PhoenixError::VersionSkew { found: 1, supported: PHOENIX_VERSION })
+        );
+
+        // Bytes past the header's payload length are refused, not ignored.
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert_eq!(
+            decode_checkpoint(&padded).err(),
+            Some(PhoenixError::TrailingBytes {
+                expected: bytes.len() as u64,
+                got: bytes.len() as u64 + 1
+            })
+        );
     }
 
     /// Never-panic fuzz over the envelope decoder, in the house style of
@@ -409,7 +444,9 @@ mod tests {
     /// Truncations at every prefix length (torn write), single-bit flips
     /// across header and payload (storage corruption), and random byte
     /// soup must all return a typed error or a valid checkpoint — never
-    /// panic, never a wrong-checksum accept.
+    /// panic, never a wrong-checksum accept. The re-stamped arm damages
+    /// the *payload* and recomputes the header, so the binary decoder
+    /// behind the checksum has to survive the damage on its own.
     #[test]
     fn envelope_decoder_never_panics_on_corrupt_input() {
         let mut session = cheap_session();
@@ -461,6 +498,47 @@ mod tests {
                 .map(|j| (x.rotate_left(j as u32 % 63) >> 13) as u8)
                 .collect();
             let _ = decode_checkpoint(&soup); // must not panic
+        }
+
+        // Re-stamped CRC: overwrite or cut the payload, patch length and
+        // checksum to match, decode. `Err` or a value, never a panic.
+        let restamp = |payload: &[u8]| {
+            let mut image = bytes[..8].to_vec();
+            image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            image.extend_from_slice(&crc32(payload).to_le_bytes());
+            image.extend_from_slice(payload);
+            image
+        };
+        let payload = &bytes[HEADER_LEN..];
+        for _ in 0..cases {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            let r = x.wrapping_mul(0x2545F4914F6CDD1D);
+            let pos = (r as usize) % payload.len();
+            let mut damaged = payload.to_vec();
+            if r >> 63 == 0 {
+                damaged[pos] = (r >> 40) as u8;
+            } else {
+                damaged.truncate(pos);
+                assert!(matches!(
+                    decode_checkpoint(&restamp(&damaged)),
+                    Err(PhoenixError::Payload { .. })
+                ));
+            }
+            let _ = decode_checkpoint(&restamp(&damaged));
+        }
+        // A forged 2^60 count where the pending-event vector starts (the
+        // fields before it are positional, so their encodings concatenate)
+        // fails from the length alone, nothing allocated.
+        let net = session.checkpoint().net;
+        let mut forged = Vec::new();
+        serde::Serialize::serialize_bin(&(net.now, net.seed, net.root_seq, &net.stats), &mut forged);
+        serde::Serialize::serialize_bin(&net.obs, &mut forged);
+        serde::bin::write_varint(&mut forged, 1 << 60);
+        match decode_checkpoint(&restamp(&forged)) {
+            Err(PhoenixError::Payload { detail }) => assert!(detail.contains("LengthOverrun"), "{detail}"),
+            other => panic!("forged length accepted: {:?}", other.err()),
         }
     }
 }

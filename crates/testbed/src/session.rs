@@ -89,9 +89,8 @@ pub struct Stack {
 /// Checkpoint mirror of a [`Stack`]: each control layer's frozen state
 /// plus the evidence-sync cursors between them. A restored stack must
 /// neither replay controller episodes the guard already counted nor
-/// re-deliver guard verdicts the pilot already acted on. Absent members
-/// serialize as `null`; present ones serialize as themselves, so a
-/// guard + controller + pilot image is byte-for-byte PHNX v1.
+/// re-deliver guard verdicts the pilot already acted on. Field order is
+/// the checkpoint's wire order (PHNX payloads are positional).
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenStack {
     pub guard: Option<FrozenGuard>,
@@ -691,9 +690,18 @@ mod tests {
             let mut stack = match stack.freeze() {
                 Ok(frozen) => {
                     assert!(!monitor && !resolver, "{name}: froze an unfreezable member");
-                    let json = serde_json::to_string(&frozen).unwrap();
+                    // Through the checkpoint's binary form, which must lose
+                    // nothing the JSON form can see.
+                    let bytes = serde::bin::to_vec(&frozen);
+                    let back: FrozenStack = serde::bin::from_slice(&bytes).unwrap();
+                    assert_eq!(serde::bin::to_vec(&back), bytes, "{name}: binary fixed point");
+                    assert_eq!(
+                        serde_json::to_string(&back).unwrap(),
+                        serde_json::to_string(&frozen).unwrap(),
+                        "{name}: binary round trip changed the JSON"
+                    );
                     let mut fresh = stack_of(members);
-                    fresh.thaw_state(serde_json::from_str(&json).unwrap()).unwrap();
+                    fresh.thaw_state(back).unwrap();
                     fresh
                 }
                 Err(e) => {

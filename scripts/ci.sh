@@ -162,15 +162,22 @@ echo "$out" | grep -q "torn WAL tail recovered to the last good prefix, sealed f
 # The never-panic fuzz discipline extends to the crash-recovery decoders:
 # the checkpoint envelope (truncation, bit flips, version skew, byte
 # soup) and the WAL tail scanner (every cut point, deterministic
-# single-bit flips) must reject corruption with typed errors only.
-(export CAMPUSLAB_FUZZ_CASES=2000; gate --release -p campuslab-testbed --lib -- phoenix::tests::envelope_decoder_never_panics_on_corrupt_input)
+# single-bit flips) must reject corruption with typed errors only. Both
+# carry a re-stamped-CRC arm (payload damaged, header checksum recomputed)
+# so the binary decoder behind the checksum is fuzzed too, and the codec
+# property suite round-trips generated record batches through both forms.
+# The vendored serde is not a workspace member: its codec edge-case suite
+# (vendor/serde/tests/bin.rs) is run by name.
+cargo test -q -p serde
+(export CAMPUSLAB_FUZZ_CASES=10000; gate --release -p campuslab-testbed --lib -- phoenix::tests::envelope_decoder_never_panics_on_corrupt_input)
 CAMPUSLAB_FUZZ_CASES=10000 cargo test -q --release -p campuslab-datastore --lib wal::tests::tail_scanner_never_panics_on_corrupt_images
+CAMPUSLAB_FUZZ_CASES=10000 cargo test -q --release -p campuslab-datastore --test codec
 
 # Phoenix overhead gate: the committed bench snapshot must exist, and a
 # fresh CRITERION_FAST run must keep the drift run with one mid-campaign
 # checkpoint *freeze* within 5% of the checkpoint-free baseline — the
 # freeze is what the running simulation pays; the envelope encode is off
-# the hot path and tracked separately as checkpoint_encode_9s.
+# the hot path and priced by the PerfLedger (testbed.encode_s).
 # Seconds-scale runs on shared boxes drift a few percent, so like the
 # simulator gate this retries up to three times: a clean box passes
 # first try, a real regression fails all attempts.
