@@ -1,10 +1,14 @@
-//! Regenerate the committed golden-replay files under `crates/bench/golden/`.
+//! Regenerate the committed golden-replay files under `crates/bench/golden/`
+//! and the metric catalogue, `METRICS.md` at the repo root.
 //!
 //! Each file is the canonical Observatory bundle of one instrumented
 //! experiment: table, Prometheus dump, sim-time trace. The golden-replay
 //! integration test asserts current runs — sequential *and* parallel —
 //! reproduce these bytes exactly, so run this only when an intentional
-//! change moves an experiment's output, and commit the diff with it.
+//! change moves an experiment's output, and commit the diff with it. The
+//! catalogue is rendered from the `schema!` tables
+//! (`campuslab::testbed::metric_catalogue`); `tests/metrics_catalogue.rs`
+//! fails when the committed copy is stale.
 //!
 //! ```sh
 //! cargo run --release -p campuslab-bench --bin gen_golden
@@ -22,4 +26,6 @@ fn main() {
         std::fs::write(&path, &canonical).expect("write golden file");
         eprintln!("{path}: {} bytes", canonical.len());
     }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../METRICS.md");
+    std::fs::write(path, campuslab::testbed::metric_catalogue()).expect("write METRICS.md");
 }

@@ -7,58 +7,27 @@
 //! `observed == captured + ring_dropped + blackout_dropped + sampled_out`,
 //! which [`CaptureObs::conserved`] checks straight off the sink.
 
-use campuslab_obs::{CounterId, ObsSink, Registry};
-
-/// Metrics registry + sink for one capture monitor.
-#[derive(Debug, Clone)]
-pub struct CaptureObs {
-    registry: Registry,
-    /// Value store; bumped by the monitor, read back through typed ids.
-    pub sink: ObsSink,
-    observed: CounterId,
-    captured: CounterId,
-    ring_dropped: CounterId,
-    blackout_dropped: CounterId,
-    sampled_out: CounterId,
-    bytes_captured: CounterId,
-}
-
-impl Default for CaptureObs {
-    fn default() -> Self {
-        CaptureObs::new()
+campuslab_obs::schema! {
+    /// Metrics registry + sink for one capture monitor.
+    pub struct CaptureObs {
+        /// Packets that crossed the tapped wire.
+        counter observed: "cap_observed_packets_total", "packets that crossed the tapped wire";
+        /// Packets admitted into the rings.
+        counter captured: "cap_captured_packets_total", "packets admitted into capture rings";
+        /// Packets the rings could not keep up with.
+        counter ring_dropped: "cap_lost_packets_total" {cause = "ring"}, LOST_HELP;
+        /// Packets that passed during a tap blackout.
+        counter blackout_dropped: "cap_lost_packets_total" {cause = "blackout"}, LOST_HELP;
+        /// Packets discarded by the sampling stage.
+        counter sampled_out: "cap_lost_packets_total" {cause = "sampled"}, LOST_HELP;
+        /// Wire bytes of captured packets.
+        counter bytes_captured: "cap_captured_bytes_total", "wire bytes of captured packets";
     }
 }
+
+const LOST_HELP: &str = "packets lost to monitoring, by cause";
 
 impl CaptureObs {
-    /// Build the capture schema and a zeroed sink.
-    pub fn new() -> Self {
-        let mut reg = Registry::new();
-        let observed =
-            reg.counter("cap_observed_packets_total", "packets that crossed the tapped wire");
-        let captured =
-            reg.counter("cap_captured_packets_total", "packets admitted into capture rings");
-        let lost = "packets lost to monitoring, by cause";
-        let ring_dropped =
-            reg.counter_with_label("cap_lost_packets_total", Some("cause=\"ring\""), lost);
-        let blackout_dropped =
-            reg.counter_with_label("cap_lost_packets_total", Some("cause=\"blackout\""), lost);
-        let sampled_out =
-            reg.counter_with_label("cap_lost_packets_total", Some("cause=\"sampled\""), lost);
-        let bytes_captured =
-            reg.counter("cap_captured_bytes_total", "wire bytes of captured packets");
-        let sink = reg.sink();
-        CaptureObs {
-            registry: reg,
-            sink,
-            observed,
-            captured,
-            ring_dropped,
-            blackout_dropped,
-            sampled_out,
-            bytes_captured,
-        }
-    }
-
     #[inline]
     pub(crate) fn on_observed(&mut self) {
         self.sink.inc(self.observed);
@@ -85,50 +54,10 @@ impl CaptureObs {
         self.sink.inc(self.sampled_out);
     }
 
-    /// Packets that crossed the tapped wire.
-    pub fn observed(&self) -> u64 {
-        self.sink.counter(self.observed)
-    }
-
-    /// Packets admitted into the rings.
-    pub fn captured(&self) -> u64 {
-        self.sink.counter(self.captured)
-    }
-
-    /// Packets the rings could not keep up with.
-    pub fn ring_dropped(&self) -> u64 {
-        self.sink.counter(self.ring_dropped)
-    }
-
-    /// Packets that passed during a tap blackout.
-    pub fn blackout_dropped(&self) -> u64 {
-        self.sink.counter(self.blackout_dropped)
-    }
-
-    /// Packets discarded by the sampling stage.
-    pub fn sampled_out(&self) -> u64 {
-        self.sink.counter(self.sampled_out)
-    }
-
-    /// Wire bytes of captured packets.
-    pub fn bytes_captured(&self) -> u64 {
-        self.sink.counter(self.bytes_captured)
-    }
-
     /// The tap conservation law, checked straight off the sink.
     pub fn conserved(&self) -> bool {
         self.observed()
             == self.captured() + self.ring_dropped() + self.blackout_dropped() + self.sampled_out()
-    }
-
-    /// Render this monitor's metrics as Prometheus text.
-    pub fn render(&self) -> String {
-        self.registry.render(&self.sink)
-    }
-
-    /// The schema, for rendering merged sinks.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 }
 

@@ -9,7 +9,7 @@ use crate::detector::{Detection, FrozenDetector, StreamingWindowDetector};
 use crate::fastloop::FastLoopStats;
 use crate::observe::{ControllerObs, DetectorObs};
 use crate::rollout::{CircuitBreaker, CircuitBreakerPolicy};
-use campuslab_obs::{ObsSink, OpenSpan, Tracer};
+use campuslab_obs::{ObsSink, OpenSpan, SinkMisfit, Tracer};
 use campuslab_capture::{Direction, PacketRecord};
 use campuslab_dataplane::{Action, FieldExtractor, PipelineProgram, PipelineRuntime};
 use campuslab_netsim::{
@@ -519,11 +519,22 @@ impl MitigationController {
         }
     }
 
+    /// Whether both metric sinks in `frozen` (the controller's and the
+    /// detector's) fit the schemas they would be thawed into.
+    pub fn accepts(&self, frozen: &FrozenController) -> bool {
+        self.obs.fits(&frozen.sink) && self.detector.obs.fits(&frozen.detector.sink)
+    }
+
     /// Apply a frozen image onto a freshly constructed controller (same
     /// config, model, and bank handle). The bank itself is thawed
-    /// separately via [`BankHandle::thaw`].
-    pub fn thaw_state(&mut self, frozen: FrozenController) {
-        self.detector.thaw_state(frozen.detector);
+    /// separately via [`BankHandle::thaw`]. An image that
+    /// [`MitigationController::accepts`] turns down is refused untouched.
+    pub fn thaw_state(&mut self, frozen: FrozenController) -> Result<(), SinkMisfit> {
+        if !self.accepts(&frozen) {
+            return Err(SinkMisfit);
+        }
+        self.obs.thaw(frozen.sink, frozen.tracer)?;
+        self.detector.thaw_state(frozen.detector)?;
         self.pending = frozen
             .pending
             .into_iter()
@@ -544,9 +555,7 @@ impl MitigationController {
         self.breaker = frozen.breaker;
         self.events = frozen.events;
         self.giveups = frozen.giveups;
-        self.obs = ControllerObs::new();
-        self.obs.sink = frozen.sink;
-        self.obs.tracer = frozen.tracer;
+        Ok(())
     }
 
     fn handle_detections(&mut self, now: SimTime, detections: Vec<Detection>, cmds: &mut Commands) {

@@ -6,7 +6,7 @@ use crate::observe::DetectorObs;
 use campuslab_capture::PacketRecord;
 use campuslab_features::{aggregate, LabelMode, WindowConfig};
 use campuslab_ml::Classifier;
-use campuslab_obs::ObsSink;
+use campuslab_obs::{ObsSink, SinkMisfit};
 use std::net::IpAddr;
 
 /// One detection: a destination flagged in a closed window.
@@ -184,8 +184,10 @@ impl StreamingWindowDetector {
     }
 
     /// Apply a frozen image onto a freshly constructed detector (same
-    /// model, same construction path). Overwrites every dynamic field.
-    pub fn thaw_state(&mut self, frozen: FrozenDetector) {
+    /// model, same construction path). Overwrites every dynamic field; an
+    /// image whose metric sink does not fit is refused untouched.
+    pub fn thaw_state(&mut self, frozen: FrozenDetector) -> Result<(), SinkMisfit> {
+        self.obs.thaw(frozen.sink)?;
         self.cfg = frozen.cfg;
         self.gate = frozen.gate;
         self.current_window = frozen.current_window;
@@ -194,8 +196,7 @@ impl StreamingWindowDetector {
         self.min_coverage = frozen.min_coverage;
         self.observed = frozen.observed;
         self.gap_windows_skipped = frozen.gap_windows_skipped;
-        self.obs = DetectorObs::new();
-        self.obs.sink = frozen.sink;
+        Ok(())
     }
 }
 

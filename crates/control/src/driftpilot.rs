@@ -35,7 +35,7 @@ use campuslab_dataplane::{PipelineProgram, ProgramVersion, SwitchModel};
 use campuslab_features::{FrozenWindowStream, WindowCell, WindowConfig, WindowStream};
 use campuslab_netsim::fxhash::FxHasher;
 use campuslab_netsim::{Commands, Dir, LinkId, Packet, SimDuration, SimHooks, SimTime};
-use campuslab_obs::{ObsSink, OpenSpan, Tracer};
+use campuslab_obs::{ObsSink, OpenSpan, SinkMisfit, Tracer};
 use std::collections::{BTreeSet, VecDeque};
 use std::hash::Hasher;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -361,8 +361,10 @@ impl DriftPilot {
 
     /// Apply a frozen image onto a freshly constructed pilot (same
     /// config). Every dynamic field is overwritten; the metric prefix is
-    /// preserved so plaza tenants thaw under their own names.
-    pub fn thaw_state(&mut self, frozen: FrozenDriftPilot) {
+    /// preserved so plaza tenants thaw under their own names. An image
+    /// whose metric sink does not fit is refused untouched.
+    pub fn thaw_state(&mut self, frozen: FrozenDriftPilot) -> Result<(), SinkMisfit> {
+        self.obs.thaw(frozen.sink, frozen.tracer)?;
         self.stream = WindowStream::thaw(frozen.stream);
         self.cells = frozen.cells;
         self.buffer = frozen.buffer.into();
@@ -385,10 +387,7 @@ impl DriftPilot {
         self.outbox = frozen.outbox;
         self.episodes = frozen.episodes;
         self.retrains = frozen.retrains;
-        let prefix = self.obs.prefix().to_string();
-        self.obs = DriftObs::with_prefix(prefix);
-        self.obs.sink = frozen.sink;
-        self.obs.tracer = frozen.tracer;
+        Ok(())
     }
 
     fn close_episode(&mut self, at: SimTime) {

@@ -1,11 +1,12 @@
-//! Observatory schemas for the control plane: window-detector telemetry
-//! ([`DetectorObs`]), mitigation-controller telemetry ([`ControllerObs`],
-//! including per-episode spans traced in sim-time), and rollout-guard
-//! telemetry ([`RolloutObs`], including per-stage spans).
+//! Observatory schemas for the control plane, each one
+//! [`campuslab_obs::schema!`] table with its logic-carrying bump methods
+//! beside it: window-detector telemetry ([`DetectorObs`]),
+//! mitigation-controller telemetry ([`ControllerObs`], including
+//! per-episode spans traced in sim-time), rollout-guard telemetry
+//! ([`RolloutObs`], including per-stage spans), drift-pilot telemetry
+//! ([`DriftObs`]) and plaza admission telemetry ([`PlazaObs`]).
 
-use campuslab_obs::{
-    CounterId, GaugeId, Histogram, HistogramId, ObsSink, OpenSpan, Registry, Tracer,
-};
+use campuslab_obs::{OpenSpan, Tracer};
 
 /// Window-coverage histogram bounds, percent observed (≤10% .. ≤99%, +Inf
 /// catches fully covered windows).
@@ -14,54 +15,26 @@ pub const COVERAGE_BOUNDS: [u64; 6] = [10, 25, 50, 75, 90, 99];
 /// Time-to-mitigation histogram bounds, milliseconds.
 pub const TTM_BOUNDS: [u64; 7] = [1, 5, 10, 50, 150, 500, 1_000];
 
-/// Metrics for one [`crate::detector::StreamingWindowDetector`].
-#[derive(Debug, Clone)]
-pub struct DetectorObs {
-    registry: Registry,
-    /// Value store; bumped by the detector, read back through typed ids.
-    pub sink: ObsSink,
-    observed: CounterId,
-    windows_closed: CounterId,
-    windows_skipped: CounterId,
-    detections: CounterId,
-    coverage_pct: HistogramId,
-}
-
-impl Default for DetectorObs {
-    fn default() -> Self {
-        DetectorObs::new()
+campuslab_obs::schema! {
+    /// Metrics for one [`crate::detector::StreamingWindowDetector`].
+    pub struct DetectorObs {
+        /// Records fed in.
+        counter observed: "det_observed_records_total", "tap records fed to the detector";
+        /// Windows closed (skipped ones included).
+        counter windows_closed: "det_windows_closed_total",
+            "tumbling windows closed and considered";
+        /// Windows skipped under the coverage policy.
+        counter windows_skipped: "det_windows_skipped_total",
+            "windows skipped because telemetry coverage fell below policy";
+        /// Detections emitted.
+        counter detections: "det_detections_total", "detections emitted past the gate";
+        /// The per-window coverage histogram (percent).
+        histogram coverage_histogram: "det_window_coverage_pct",
+            "per-closed-window telemetry coverage, percent", &COVERAGE_BOUNDS;
     }
 }
 
 impl DetectorObs {
-    /// Build the detector schema and a zeroed sink.
-    pub fn new() -> Self {
-        let mut reg = Registry::new();
-        let observed = reg.counter("det_observed_records_total", "tap records fed to the detector");
-        let windows_closed =
-            reg.counter("det_windows_closed_total", "tumbling windows closed and considered");
-        let windows_skipped = reg.counter(
-            "det_windows_skipped_total",
-            "windows skipped because telemetry coverage fell below policy",
-        );
-        let detections = reg.counter("det_detections_total", "detections emitted past the gate");
-        let coverage_pct = reg.histogram(
-            "det_window_coverage_pct",
-            "per-closed-window telemetry coverage, percent",
-            &COVERAGE_BOUNDS,
-        );
-        let sink = reg.sink();
-        DetectorObs {
-            registry: reg,
-            sink,
-            observed,
-            windows_closed,
-            windows_skipped,
-            detections,
-            coverage_pct,
-        }
-    }
-
     #[inline]
     pub(crate) fn on_observed(&mut self) {
         self.sink.inc(self.observed);
@@ -70,105 +43,39 @@ impl DetectorObs {
     #[inline]
     pub(crate) fn on_window_closed(&mut self, coverage: f64, skipped: bool, detections: u64) {
         self.sink.inc(self.windows_closed);
-        self.sink.observe(self.coverage_pct, (coverage.clamp(0.0, 1.0) * 100.0) as u64);
+        self.sink.observe(self.coverage_histogram, (coverage.clamp(0.0, 1.0) * 100.0) as u64);
         if skipped {
             self.sink.inc(self.windows_skipped);
         } else {
             self.sink.add(self.detections, detections);
         }
     }
-
-    /// Records fed in.
-    pub fn observed(&self) -> u64 {
-        self.sink.counter(self.observed)
-    }
-
-    /// Windows closed (skipped ones included).
-    pub fn windows_closed(&self) -> u64 {
-        self.sink.counter(self.windows_closed)
-    }
-
-    /// Windows skipped under the coverage policy.
-    pub fn windows_skipped(&self) -> u64 {
-        self.sink.counter(self.windows_skipped)
-    }
-
-    /// Detections emitted.
-    pub fn detections(&self) -> u64 {
-        self.sink.counter(self.detections)
-    }
-
-    /// The per-window coverage histogram (percent).
-    pub fn coverage_histogram(&self) -> &Histogram {
-        self.sink.histogram(self.coverage_pct)
-    }
-
-    /// Render as Prometheus text.
-    pub fn render(&self) -> String {
-        self.registry.render(&self.sink)
-    }
-
-    /// The schema, for rendering merged sinks.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
 }
 
-/// Metrics + per-episode spans for one
-/// [`crate::controller::MitigationController`].
-#[derive(Debug, Clone)]
-pub struct ControllerObs {
-    registry: Registry,
-    /// Value store; bumped by the controller, read back through typed ids.
-    pub sink: ObsSink,
-    /// Per-episode spans (`mitigate[victim]`), sim-time stamped: opened
-    /// when a detection is accepted, closed at install or give-up.
-    pub tracer: Tracer,
-    episodes: CounterId,
-    attempts: CounterId,
-    flakes: CounterId,
-    installs: CounterId,
-    giveups: CounterId,
-    ttm_ms: HistogramId,
-}
-
-impl Default for ControllerObs {
-    fn default() -> Self {
-        ControllerObs::new()
+campuslab_obs::schema! {
+    /// Metrics + per-episode spans for one
+    /// [`crate::controller::MitigationController`]. The tracer holds one
+    /// `mitigate[victim]` span per episode: opened when a detection is
+    /// accepted, closed at install or give-up.
+    pub struct ControllerObs [tracer: Tracer] {
+        /// Episodes started.
+        counter episodes: "ctl_episodes_total", "detection-to-mitigation episodes started";
+        /// Install attempts sent.
+        counter attempts: "ctl_install_attempts_total",
+            "rule-install attempts sent to the switch";
+        /// Attempts that flaked.
+        counter flakes: "ctl_install_flakes_total", "install attempts that flaked";
+        /// Rules that landed.
+        counter installs: "ctl_installs_total", "rules that landed in the filter bank";
+        /// Episodes abandoned.
+        counter giveups: "ctl_giveups_total", "episodes abandoned after retry budget/timeout";
+        /// The time-to-mitigation histogram (milliseconds).
+        histogram ttm_histogram: "ctl_time_to_mitigation_ms",
+            "detection window end to rule active, milliseconds", &TTM_BOUNDS;
     }
 }
 
 impl ControllerObs {
-    /// Build the controller schema and a zeroed sink.
-    pub fn new() -> Self {
-        let mut reg = Registry::new();
-        let episodes =
-            reg.counter("ctl_episodes_total", "detection-to-mitigation episodes started");
-        let attempts =
-            reg.counter("ctl_install_attempts_total", "rule-install attempts sent to the switch");
-        let flakes = reg.counter("ctl_install_flakes_total", "install attempts that flaked");
-        let installs = reg.counter("ctl_installs_total", "rules that landed in the filter bank");
-        let giveups =
-            reg.counter("ctl_giveups_total", "episodes abandoned after retry budget/timeout");
-        let ttm_ms = reg.histogram(
-            "ctl_time_to_mitigation_ms",
-            "detection window end to rule active, milliseconds",
-            &TTM_BOUNDS,
-        );
-        let sink = reg.sink();
-        ControllerObs {
-            registry: reg,
-            sink,
-            tracer: Tracer::new(),
-            episodes,
-            attempts,
-            flakes,
-            installs,
-            giveups,
-            ttm_ms,
-        }
-    }
-
     /// A detection was accepted; opens the episode span.
     #[inline]
     pub(crate) fn on_episode_start(&mut self, victim: &str, now_ns: u64) -> OpenSpan {
@@ -188,8 +95,7 @@ impl ControllerObs {
     #[inline]
     pub(crate) fn on_installed(&mut self, span: OpenSpan, detected_ns: u64, installed_ns: u64) {
         self.sink.inc(self.installs);
-        self.sink
-            .observe(self.ttm_ms, installed_ns.saturating_sub(detected_ns) / 1_000_000);
+        self.sink.observe(self.ttm_histogram, installed_ns.saturating_sub(detected_ns) / 1_000_000);
         self.tracer.close(span, installed_ns);
     }
 
@@ -199,188 +105,76 @@ impl ControllerObs {
         self.sink.inc(self.giveups);
         self.tracer.close(span, gave_up_ns);
     }
-
-    /// Episodes started.
-    pub fn episodes(&self) -> u64 {
-        self.sink.counter(self.episodes)
-    }
-
-    /// Install attempts sent.
-    pub fn attempts(&self) -> u64 {
-        self.sink.counter(self.attempts)
-    }
-
-    /// Attempts that flaked.
-    pub fn flakes(&self) -> u64 {
-        self.sink.counter(self.flakes)
-    }
-
-    /// Rules that landed.
-    pub fn installs(&self) -> u64 {
-        self.sink.counter(self.installs)
-    }
-
-    /// Episodes abandoned.
-    pub fn giveups(&self) -> u64 {
-        self.sink.counter(self.giveups)
-    }
-
-    /// The time-to-mitigation histogram (milliseconds).
-    pub fn ttm_histogram(&self) -> &Histogram {
-        self.sink.histogram(self.ttm_ms)
-    }
-
-    /// Render as Prometheus text.
-    pub fn render(&self) -> String {
-        self.registry.render(&self.sink)
-    }
-
-    /// The schema, for rendering merged sinks.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
 }
 
 /// Time-in-stage histogram bounds, milliseconds of sim time.
 pub const STAGE_MS_BOUNDS: [u64; 6] = [500, 1_000, 2_000, 5_000, 10_000, 30_000];
 
-/// Metrics + per-stage spans for one [`crate::rollout::RolloutGuard`].
-#[derive(Debug, Clone)]
-pub struct RolloutObs {
-    registry: Registry,
-    /// Instance prefix prepended to every rendered family name and span
-    /// label. Empty for a single-operator run; per-tenant guards get
-    /// `"<tenant>_"` so two live instances never collide in one dump.
-    prefix: String,
-    /// Value store; bumped by the guard, read back through typed ids.
-    pub sink: ObsSink,
-    /// Per-stage spans (`rollout[stage name@fp]`), sim-time stamped.
-    pub tracer: Tracer,
-    submissions: CounterId,
-    rejected: CounterId,
-    windows: CounterId,
-    windows_healthy: CounterId,
-    windows_violated: CounterId,
-    windows_inconclusive: CounterId,
-    promotions: CounterId,
-    vetoes: CounterId,
-    rollbacks: CounterId,
-    commits: CounterId,
-    recoveries: CounterId,
-    giveups_observed: CounterId,
-    viol_fp: CounterId,
-    viol_benign_drop: CounterId,
-    viol_capture_loss: CounterId,
-    viol_latency: CounterId,
-    viol_giveup: CounterId,
-    stage: GaugeId,
-    registry_versions: GaugeId,
-    stage_ms: HistogramId,
-}
-
-impl Default for RolloutObs {
-    fn default() -> Self {
-        RolloutObs::new()
+campuslab_obs::schema! {
+    /// Metrics + per-stage spans for one [`crate::rollout::RolloutGuard`].
+    /// The prefix is empty for a single-operator run; per-tenant guards get
+    /// `"<tenant>_"` so two live instances never collide in one dump. The
+    /// tracer holds one `rollout[stage name@fp]` span per stage.
+    pub struct RolloutObs [prefix: String] [tracer: Tracer] {
+        /// Candidates submitted.
+        counter submissions: "rollout_submissions_total",
+            "candidate programs submitted to the guard";
+        /// Submissions refused.
+        counter rejected: "rollout_submissions_rejected_total",
+            "submissions refused (guard busy or cooling down)";
+        /// SLO windows evaluated.
+        counter windows: "rollout_windows_total", "SLO windows evaluated";
+        /// Windows with every gate green.
+        counter windows_healthy: "rollout_windows_healthy_total",
+            "SLO windows with every gate green";
+        /// Windows with at least one gate red.
+        counter windows_violated: "rollout_windows_violated_total",
+            "SLO windows with at least one gate red";
+        /// Windows with too little evidence to judge.
+        counter windows_inconclusive: "rollout_windows_inconclusive_total",
+            "SLO windows with too little evidence; streaks frozen";
+        /// Stage promotions.
+        counter promotions: "rollout_promotions_total",
+            "stage promotions (shadow→canary, canary→full)";
+        /// Shadow vetoes.
+        counter vetoes: "rollout_vetoes_total", "candidates vetoed in shadow";
+        /// Rollbacks of enforced candidates.
+        counter rollbacks: "rollout_rollbacks_total",
+            "enforced candidates rolled back to known-good";
+        /// Candidates committed as known-good.
+        counter commits: "rollout_commits_total", "candidates committed as the new known-good";
+        /// Post-rollback recoveries confirmed.
+        counter recoveries: "rollout_recoveries_total",
+            "post-rollback windows confirming SLOs back at baseline";
+        /// Controller give-ups the guard observed.
+        counter giveups_observed: "rollout_giveups_observed_total",
+            "controller install give-ups observed by the guard";
+        /// Windows violating the false-positive-rate gate.
+        counter viol_fp: "rollout_viol_fp_total", "windows violating the false-positive-rate gate";
+        /// Windows violating the benign-drop-delta gate.
+        counter viol_benign_drop: "rollout_viol_benign_drop_total",
+            "windows violating the benign-drop-delta gate";
+        /// Windows violating the capture-loss-delta gate.
+        counter viol_capture_loss: "rollout_viol_capture_loss_total",
+            "windows violating the capture-loss-delta gate";
+        /// Windows violating the mitigation-latency budget.
+        counter viol_latency: "rollout_viol_latency_total",
+            "windows violating the mitigation-latency budget";
+        /// Windows violated by an install give-up.
+        counter viol_giveup: "rollout_viol_giveup_total",
+            "windows violated by an install give-up (rollback-eligible failure)";
+        /// Current stage gauge (0 idle, 1 shadow, 2 canary, 3 full).
+        gauge stage: "rollout_stage", "current stage: 0 idle, 1 shadow, 2 canary, 3 full";
+        /// Known-good registry depth.
+        gauge registry_versions: "rollout_registry_versions",
+            "programs in the known-good registry";
+        /// The time-in-stage histogram (milliseconds).
+        histogram stage_histogram: "rollout_stage_ms",
+            "sim time spent in a stage before leaving it, milliseconds", &STAGE_MS_BOUNDS;
     }
 }
 
 impl RolloutObs {
-    /// Build the rollout schema and a zeroed sink with no instance prefix.
-    pub fn new() -> Self {
-        RolloutObs::with_prefix("")
-    }
-
-    /// Build the rollout schema with an instance prefix (e.g. a sanitized
-    /// tenant name plus `_`). The prefix lands on every rendered family
-    /// name and on span labels; `""` is byte-identical to [`RolloutObs::new`].
-    pub fn with_prefix(prefix: impl Into<String>) -> Self {
-        let prefix = prefix.into();
-        let mut reg = Registry::new();
-        let submissions =
-            reg.counter("rollout_submissions_total", "candidate programs submitted to the guard");
-        let rejected = reg.counter(
-            "rollout_submissions_rejected_total",
-            "submissions refused (guard busy or cooling down)",
-        );
-        let windows = reg.counter("rollout_windows_total", "SLO windows evaluated");
-        let windows_healthy =
-            reg.counter("rollout_windows_healthy_total", "SLO windows with every gate green");
-        let windows_violated =
-            reg.counter("rollout_windows_violated_total", "SLO windows with at least one gate red");
-        let windows_inconclusive = reg.counter(
-            "rollout_windows_inconclusive_total",
-            "SLO windows with too little evidence; streaks frozen",
-        );
-        let promotions =
-            reg.counter("rollout_promotions_total", "stage promotions (shadow→canary, canary→full)");
-        let vetoes = reg.counter("rollout_vetoes_total", "candidates vetoed in shadow");
-        let rollbacks =
-            reg.counter("rollout_rollbacks_total", "enforced candidates rolled back to known-good");
-        let commits =
-            reg.counter("rollout_commits_total", "candidates committed as the new known-good");
-        let recoveries = reg.counter(
-            "rollout_recoveries_total",
-            "post-rollback windows confirming SLOs back at baseline",
-        );
-        let giveups_observed = reg.counter(
-            "rollout_giveups_observed_total",
-            "controller install give-ups observed by the guard",
-        );
-        let viol_fp =
-            reg.counter("rollout_viol_fp_total", "windows violating the false-positive-rate gate");
-        let viol_benign_drop = reg.counter(
-            "rollout_viol_benign_drop_total",
-            "windows violating the benign-drop-delta gate",
-        );
-        let viol_capture_loss = reg.counter(
-            "rollout_viol_capture_loss_total",
-            "windows violating the capture-loss-delta gate",
-        );
-        let viol_latency = reg.counter(
-            "rollout_viol_latency_total",
-            "windows violating the mitigation-latency budget",
-        );
-        let viol_giveup = reg.counter(
-            "rollout_viol_giveup_total",
-            "windows violated by an install give-up (rollback-eligible failure)",
-        );
-        let stage = reg.gauge("rollout_stage", "current stage: 0 idle, 1 shadow, 2 canary, 3 full");
-        let registry_versions =
-            reg.gauge("rollout_registry_versions", "programs in the known-good registry");
-        let stage_ms = reg.histogram(
-            "rollout_stage_ms",
-            "sim time spent in a stage before leaving it, milliseconds",
-            &STAGE_MS_BOUNDS,
-        );
-        let sink = reg.sink();
-        RolloutObs {
-            registry: reg,
-            prefix,
-            sink,
-            tracer: Tracer::new(),
-            submissions,
-            rejected,
-            windows,
-            windows_healthy,
-            windows_violated,
-            windows_inconclusive,
-            promotions,
-            vetoes,
-            rollbacks,
-            commits,
-            recoveries,
-            giveups_observed,
-            viol_fp,
-            viol_benign_drop,
-            viol_capture_loss,
-            viol_latency,
-            viol_giveup,
-            stage,
-            registry_versions,
-            stage_ms,
-        }
-    }
-
     #[inline]
     pub(crate) fn on_submission(&mut self, accepted: bool) {
         self.sink.inc(self.submissions);
@@ -400,8 +194,7 @@ impl RolloutObs {
     /// A stage was left; closes its span and records time-in-stage.
     #[inline]
     pub(crate) fn on_stage_exit(&mut self, span: OpenSpan, entered_ns: u64, now_ns: u64) {
-        self.sink
-            .observe(self.stage_ms, now_ns.saturating_sub(entered_ns) / 1_000_000);
+        self.sink.observe(self.stage_histogram, now_ns.saturating_sub(entered_ns) / 1_000_000);
         self.tracer.close(span, now_ns);
     }
 
@@ -468,96 +261,6 @@ impl RolloutObs {
     pub(crate) fn set_registry_versions(&mut self, n: usize) {
         self.sink.set(self.registry_versions, n as i64);
     }
-
-    /// Candidates submitted.
-    pub fn submissions(&self) -> u64 {
-        self.sink.counter(self.submissions)
-    }
-
-    /// Submissions refused.
-    pub fn rejected(&self) -> u64 {
-        self.sink.counter(self.rejected)
-    }
-
-    /// SLO windows evaluated.
-    pub fn windows(&self) -> u64 {
-        self.sink.counter(self.windows)
-    }
-
-    /// Windows with every gate green.
-    pub fn windows_healthy(&self) -> u64 {
-        self.sink.counter(self.windows_healthy)
-    }
-
-    /// Windows with at least one gate red.
-    pub fn windows_violated(&self) -> u64 {
-        self.sink.counter(self.windows_violated)
-    }
-
-    /// Windows with too little evidence to judge.
-    pub fn windows_inconclusive(&self) -> u64 {
-        self.sink.counter(self.windows_inconclusive)
-    }
-
-    /// Stage promotions.
-    pub fn promotions(&self) -> u64 {
-        self.sink.counter(self.promotions)
-    }
-
-    /// Shadow vetoes.
-    pub fn vetoes(&self) -> u64 {
-        self.sink.counter(self.vetoes)
-    }
-
-    /// Rollbacks of enforced candidates.
-    pub fn rollbacks(&self) -> u64 {
-        self.sink.counter(self.rollbacks)
-    }
-
-    /// Candidates committed as known-good.
-    pub fn commits(&self) -> u64 {
-        self.sink.counter(self.commits)
-    }
-
-    /// Post-rollback recoveries confirmed.
-    pub fn recoveries(&self) -> u64 {
-        self.sink.counter(self.recoveries)
-    }
-
-    /// Controller give-ups the guard observed.
-    pub fn giveups_observed(&self) -> u64 {
-        self.sink.counter(self.giveups_observed)
-    }
-
-    /// Current stage gauge (0 idle, 1 shadow, 2 canary, 3 full).
-    pub fn stage(&self) -> i64 {
-        self.sink.gauge(self.stage)
-    }
-
-    /// Known-good registry depth.
-    pub fn registry_versions(&self) -> i64 {
-        self.sink.gauge(self.registry_versions)
-    }
-
-    /// The time-in-stage histogram (milliseconds).
-    pub fn stage_histogram(&self) -> &Histogram {
-        self.sink.histogram(self.stage_ms)
-    }
-
-    /// The instance prefix ("" for single-operator runs).
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
-    /// Render as Prometheus text (family names carry the instance prefix).
-    pub fn render(&self) -> String {
-        self.registry.render_prefixed(&self.sink, &self.prefix)
-    }
-
-    /// The schema, for rendering merged sinks.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
 }
 
 /// Drift-onset → SLOs-green histogram bounds, milliseconds of sim time.
@@ -565,121 +268,61 @@ impl RolloutObs {
 /// the interesting range sits well above the controller's TTM bounds.
 pub const DRIFT_TTM_BOUNDS: [u64; 7] = [250, 500, 1_000, 2_000, 5_000, 10_000, 30_000];
 
-/// Metrics + per-campaign spans for one [`crate::driftpilot::DriftPilot`].
-#[derive(Debug, Clone)]
-pub struct DriftObs {
-    registry: Registry,
-    /// Instance prefix prepended to every rendered family name and span
-    /// label; `"<tenant>_"` keeps per-tenant pilots disjoint in one dump.
-    prefix: String,
-    /// Value store; bumped by the pilot, read back through typed ids.
-    pub sink: ObsSink,
-    /// Per-drift spans (`drift[#k]`, onset to SLOs green) and per-retrain
-    /// spans (`retrain[#k]`), sim-time stamped.
-    pub tracer: Tracer,
-    windows: CounterId,
-    records: CounterId,
-    retrains: CounterId,
-    retrains_periodic: CounterId,
-    retrains_drift: CounterId,
-    budget_rejected: CounterId,
-    unchanged: CounterId,
-    submitted: CounterId,
-    guard_refused: CounterId,
-    committed: CounterId,
-    vetoed: CounterId,
-    rolled_back: CounterId,
-    drift_onsets: CounterId,
-    drift_mitigated: CounterId,
-    drift_score_milli: GaugeId,
-    pending: GaugeId,
-    drift_ttm_ms: HistogramId,
-}
-
-impl Default for DriftObs {
-    fn default() -> Self {
-        DriftObs::new()
+campuslab_obs::schema! {
+    /// Metrics + per-campaign spans for one [`crate::driftpilot::DriftPilot`].
+    /// The prefix (`"<tenant>_"`) keeps per-tenant pilots disjoint in one
+    /// dump. The tracer holds per-drift spans (`drift[#k]`, onset to SLOs
+    /// green) and per-retrain spans (`retrain[#k]`).
+    pub struct DriftObs [prefix: String] [tracer: Tracer] {
+        /// Feature windows sealed and scored.
+        counter windows: "dp_windows_total", "feature windows sealed and scored";
+        /// Records streamed in.
+        counter records: "dp_records_total", "tap records streamed into the training buffer";
+        /// Retraining runs.
+        counter retrains: "dp_retrains_total", "retraining runs over fresh windows";
+        /// Retrains fired by the periodic schedule.
+        counter retrains_periodic: "dp_retrains_periodic_total",
+            "retrains fired by the periodic schedule";
+        /// Retrains fired by the drift-score threshold.
+        counter retrains_drift: "dp_retrains_drift_total",
+            "retrains fired by the drift-score threshold";
+        /// Candidates discarded by the resource-budget check.
+        counter budget_rejected: "dp_budget_rejected_total",
+            "candidates discarded because they blow the switch resource budget";
+        /// Retrains that reproduced the deployed fingerprint.
+        counter unchanged: "dp_unchanged_total",
+            "retrains reproducing a deployed or already-judged fingerprint; not submitted";
+        /// Candidates handed to the guard.
+        counter submitted: "dp_candidates_submitted_total",
+            "candidates handed to the rollout guard";
+        /// Candidates the guard refused.
+        counter guard_refused: "dp_candidates_refused_total",
+            "candidates the guard refused (busy or cooling down); pilot resubmits later";
+        /// Pilot candidates committed as known-good.
+        counter committed: "dp_candidates_committed_total",
+            "pilot candidates committed as known-good";
+        /// Pilot candidates vetoed in shadow.
+        counter vetoed: "dp_candidates_vetoed_total", "pilot candidates vetoed in shadow";
+        /// Pilot candidates rolled back.
+        counter rolled_back: "dp_candidates_rolled_back_total", "pilot candidates rolled back";
+        /// Drift episodes opened.
+        counter drift_onsets: "dp_drift_onsets_total",
+            "drift episodes opened by the score threshold";
+        /// Drift episodes closed green.
+        counter drift_mitigated: "dp_drift_mitigated_total",
+            "drift episodes closed with a committed candidate and SLOs green";
+        /// Last window drift score, thousandths.
+        gauge drift_score_milli: "dp_drift_score_milli", "last window drift score, thousandths";
+        /// Records buffered toward the next retrain.
+        gauge pending: "dp_pending_records", "records buffered toward the next retrain";
+        /// The drift-onset → SLOs-green histogram (milliseconds).
+        histogram drift_ttm_histogram: "dp_drift_ttm_ms",
+            "drift onset to mitigated-with-SLOs-green, milliseconds of sim time",
+            &DRIFT_TTM_BOUNDS;
     }
 }
 
 impl DriftObs {
-    /// Build the drift-pilot schema and a zeroed sink with no prefix.
-    pub fn new() -> Self {
-        DriftObs::with_prefix("")
-    }
-
-    /// Build the drift-pilot schema with an instance prefix; `""` is
-    /// byte-identical to [`DriftObs::new`].
-    pub fn with_prefix(prefix: impl Into<String>) -> Self {
-        let prefix = prefix.into();
-        let mut reg = Registry::new();
-        let windows = reg.counter("dp_windows_total", "feature windows sealed and scored");
-        let records =
-            reg.counter("dp_records_total", "tap records streamed into the training buffer");
-        let retrains = reg.counter("dp_retrains_total", "retraining runs over fresh windows");
-        let retrains_periodic =
-            reg.counter("dp_retrains_periodic_total", "retrains fired by the periodic schedule");
-        let retrains_drift =
-            reg.counter("dp_retrains_drift_total", "retrains fired by the drift-score threshold");
-        let budget_rejected = reg.counter(
-            "dp_budget_rejected_total",
-            "candidates discarded because they blow the switch resource budget",
-        );
-        let unchanged = reg.counter(
-            "dp_unchanged_total",
-            "retrains reproducing a deployed or already-judged fingerprint; not submitted",
-        );
-        let submitted =
-            reg.counter("dp_candidates_submitted_total", "candidates handed to the rollout guard");
-        let guard_refused = reg.counter(
-            "dp_candidates_refused_total",
-            "candidates the guard refused (busy or cooling down); pilot resubmits later",
-        );
-        let committed =
-            reg.counter("dp_candidates_committed_total", "pilot candidates committed as known-good");
-        let vetoed = reg.counter("dp_candidates_vetoed_total", "pilot candidates vetoed in shadow");
-        let rolled_back =
-            reg.counter("dp_candidates_rolled_back_total", "pilot candidates rolled back");
-        let drift_onsets =
-            reg.counter("dp_drift_onsets_total", "drift episodes opened by the score threshold");
-        let drift_mitigated = reg.counter(
-            "dp_drift_mitigated_total",
-            "drift episodes closed with a committed candidate and SLOs green",
-        );
-        let drift_score_milli =
-            reg.gauge("dp_drift_score_milli", "last window drift score, thousandths");
-        let pending = reg.gauge("dp_pending_records", "records buffered toward the next retrain");
-        let drift_ttm_ms = reg.histogram(
-            "dp_drift_ttm_ms",
-            "drift onset to mitigated-with-SLOs-green, milliseconds of sim time",
-            &DRIFT_TTM_BOUNDS,
-        );
-        let sink = reg.sink();
-        DriftObs {
-            registry: reg,
-            prefix,
-            sink,
-            tracer: Tracer::new(),
-            windows,
-            records,
-            retrains,
-            retrains_periodic,
-            retrains_drift,
-            budget_rejected,
-            unchanged,
-            submitted,
-            guard_refused,
-            committed,
-            vetoed,
-            rolled_back,
-            drift_onsets,
-            drift_mitigated,
-            drift_score_milli,
-            pending,
-            drift_ttm_ms,
-        }
-    }
-
     #[inline]
     pub(crate) fn on_record(&mut self) {
         self.sink.inc(self.records);
@@ -754,181 +397,48 @@ impl DriftObs {
     #[inline]
     pub(crate) fn on_drift_mitigated(&mut self, span: OpenSpan, onset_ns: u64, green_ns: u64) {
         self.sink.inc(self.drift_mitigated);
-        self.sink
-            .observe(self.drift_ttm_ms, green_ns.saturating_sub(onset_ns) / 1_000_000);
+        self.sink.observe(self.drift_ttm_histogram, green_ns.saturating_sub(onset_ns) / 1_000_000);
         self.tracer.close(span, green_ns);
-    }
-
-    /// Records streamed in.
-    pub fn records(&self) -> u64 {
-        self.sink.counter(self.records)
-    }
-
-    /// Feature windows sealed and scored.
-    pub fn windows(&self) -> u64 {
-        self.sink.counter(self.windows)
-    }
-
-    /// Retraining runs.
-    pub fn retrains(&self) -> u64 {
-        self.sink.counter(self.retrains)
-    }
-
-    /// Retrains fired by the periodic schedule.
-    pub fn retrains_periodic(&self) -> u64 {
-        self.sink.counter(self.retrains_periodic)
-    }
-
-    /// Retrains fired by the drift-score threshold.
-    pub fn retrains_drift(&self) -> u64 {
-        self.sink.counter(self.retrains_drift)
-    }
-
-    /// Candidates discarded by the resource-budget check.
-    pub fn budget_rejected(&self) -> u64 {
-        self.sink.counter(self.budget_rejected)
-    }
-
-    /// Retrains that reproduced the deployed fingerprint.
-    pub fn unchanged(&self) -> u64 {
-        self.sink.counter(self.unchanged)
-    }
-
-    /// Candidates handed to the guard.
-    pub fn submitted(&self) -> u64 {
-        self.sink.counter(self.submitted)
-    }
-
-    /// Candidates the guard refused.
-    pub fn guard_refused(&self) -> u64 {
-        self.sink.counter(self.guard_refused)
-    }
-
-    /// Pilot candidates committed as known-good.
-    pub fn committed(&self) -> u64 {
-        self.sink.counter(self.committed)
-    }
-
-    /// Pilot candidates vetoed in shadow.
-    pub fn vetoed(&self) -> u64 {
-        self.sink.counter(self.vetoed)
-    }
-
-    /// Pilot candidates rolled back.
-    pub fn rolled_back(&self) -> u64 {
-        self.sink.counter(self.rolled_back)
-    }
-
-    /// Drift episodes opened.
-    pub fn drift_onsets(&self) -> u64 {
-        self.sink.counter(self.drift_onsets)
-    }
-
-    /// Drift episodes closed green.
-    pub fn drift_mitigated(&self) -> u64 {
-        self.sink.counter(self.drift_mitigated)
-    }
-
-    /// Last window drift score, thousandths.
-    pub fn drift_score_milli(&self) -> i64 {
-        self.sink.gauge(self.drift_score_milli)
-    }
-
-    /// The drift-onset → SLOs-green histogram (milliseconds).
-    pub fn drift_ttm_histogram(&self) -> &Histogram {
-        self.sink.histogram(self.drift_ttm_ms)
-    }
-
-    /// The instance prefix ("" for single-operator runs).
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
-    /// Render as Prometheus text (family names carry the instance prefix).
-    pub fn render(&self) -> String {
-        self.registry.render_prefixed(&self.sink, &self.prefix)
-    }
-
-    /// The schema, for rendering merged sinks.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 }
 
 /// Per-completed-slice sim-event-count histogram bounds.
 pub const SLICE_EVENT_BOUNDS: [u64; 6] = [1_000, 5_000, 20_000, 100_000, 500_000, 2_000_000];
 
-/// Metrics for one plaza (multi-tenant experimentation service): tenant
-/// admission accounting plus slice-execution telemetry. Instantiated once
-/// per service and once per tenant (scoped to that tenant's own grant),
-/// the same way `RolloutObs` is instantiated per guard.
-#[derive(Debug, Clone)]
-pub struct PlazaObs {
-    registry: Registry,
-    /// Value store; bumped by the plaza, read back through typed ids.
-    pub sink: ObsSink,
-    admitted: CounterId,
-    queued: CounterId,
-    rejected: CounterId,
-    released: CounterId,
-    rounds: CounterId,
-    slices: CounterId,
-    slots_used: GaugeId,
-    tcam_used: GaugeId,
-    tenants_active: GaugeId,
-    slice_events: HistogramId,
-}
-
-impl Default for PlazaObs {
-    fn default() -> Self {
-        PlazaObs::new()
+campuslab_obs::schema! {
+    /// Metrics for one plaza (multi-tenant experimentation service): tenant
+    /// admission accounting plus slice-execution telemetry. Instantiated once
+    /// per service and once per tenant (scoped to that tenant's own grant),
+    /// the same way `RolloutObs` is instantiated per guard.
+    pub struct PlazaObs {
+        /// Tenants granted budget.
+        counter admitted: "plz_tenants_admitted_total", "tenants granted dataplane budget";
+        /// Tenants parked in the queue on arrival.
+        counter queued: "plz_tenants_queued_total",
+            "tenants parked in the FIFO admission queue on arrival";
+        /// Tenants refused outright.
+        counter rejected: "plz_tenants_rejected_total",
+            "tenants refused outright (demand can never fit the switch)";
+        /// Completed tenants whose budget was freed.
+        counter released: "plz_tenants_released_total",
+            "completed tenants whose budget was freed";
+        /// Admission rounds executed.
+        counter rounds: "plz_rounds_total", "admission rounds the scheduler executed";
+        /// Tenant slices run to completion.
+        counter slices: "plz_slices_total", "tenant slices run to completion";
+        /// Stage slots currently granted.
+        gauge slots_used: "plz_stage_slots_used", "dataplane stage slots currently granted";
+        /// TCAM entries currently granted.
+        gauge tcam_used: "plz_tcam_entries_used", "TCAM entries currently granted";
+        /// Tenants currently holding a grant.
+        gauge tenants_active: "plz_tenants_active", "tenants currently holding a grant";
+        /// The per-slice event-count histogram.
+        histogram slice_events_histogram: "plz_slice_events",
+            "simulator events processed per completed tenant slice", &SLICE_EVENT_BOUNDS;
     }
 }
 
 impl PlazaObs {
-    /// Build the plaza schema and a zeroed sink.
-    pub fn new() -> Self {
-        let mut reg = Registry::new();
-        let admitted =
-            reg.counter("plz_tenants_admitted_total", "tenants granted dataplane budget");
-        let queued = reg.counter(
-            "plz_tenants_queued_total",
-            "tenants parked in the FIFO admission queue on arrival",
-        );
-        let rejected = reg.counter(
-            "plz_tenants_rejected_total",
-            "tenants refused outright (demand can never fit the switch)",
-        );
-        let released =
-            reg.counter("plz_tenants_released_total", "completed tenants whose budget was freed");
-        let rounds = reg.counter("plz_rounds_total", "admission rounds the scheduler executed");
-        let slices = reg.counter("plz_slices_total", "tenant slices run to completion");
-        let slots_used =
-            reg.gauge("plz_stage_slots_used", "dataplane stage slots currently granted");
-        let tcam_used = reg.gauge("plz_tcam_entries_used", "TCAM entries currently granted");
-        let tenants_active = reg.gauge("plz_tenants_active", "tenants currently holding a grant");
-        let slice_events = reg.histogram(
-            "plz_slice_events",
-            "simulator events processed per completed tenant slice",
-            &SLICE_EVENT_BOUNDS,
-        );
-        let sink = reg.sink();
-        PlazaObs {
-            registry: reg,
-            sink,
-            admitted,
-            queued,
-            rejected,
-            released,
-            rounds,
-            slices,
-            slots_used,
-            tcam_used,
-            tenants_active,
-            slice_events,
-        }
-    }
-
     /// A tenant was granted budget.
     #[inline]
     pub fn on_admitted(&mut self) {
@@ -964,7 +474,7 @@ impl PlazaObs {
     #[inline]
     pub fn on_slice(&mut self, events: u64) {
         self.sink.inc(self.slices);
-        self.sink.observe(self.slice_events, events);
+        self.sink.observe(self.slice_events_histogram, events);
     }
 
     /// Snapshot the budget gauges.
@@ -973,66 +483,6 @@ impl PlazaObs {
         self.sink.set(self.slots_used, slots_used as i64);
         self.sink.set(self.tcam_used, tcam_used as i64);
         self.sink.set(self.tenants_active, tenants_active as i64);
-    }
-
-    /// Tenants granted budget.
-    pub fn admitted(&self) -> u64 {
-        self.sink.counter(self.admitted)
-    }
-
-    /// Tenants parked in the queue on arrival.
-    pub fn queued(&self) -> u64 {
-        self.sink.counter(self.queued)
-    }
-
-    /// Tenants refused outright.
-    pub fn rejected(&self) -> u64 {
-        self.sink.counter(self.rejected)
-    }
-
-    /// Completed tenants whose budget was freed.
-    pub fn released(&self) -> u64 {
-        self.sink.counter(self.released)
-    }
-
-    /// Admission rounds executed.
-    pub fn rounds(&self) -> u64 {
-        self.sink.counter(self.rounds)
-    }
-
-    /// Tenant slices run to completion.
-    pub fn slices(&self) -> u64 {
-        self.sink.counter(self.slices)
-    }
-
-    /// Stage slots currently granted.
-    pub fn slots_used(&self) -> i64 {
-        self.sink.gauge(self.slots_used)
-    }
-
-    /// TCAM entries currently granted.
-    pub fn tcam_used(&self) -> i64 {
-        self.sink.gauge(self.tcam_used)
-    }
-
-    /// Tenants currently holding a grant.
-    pub fn tenants_active(&self) -> i64 {
-        self.sink.gauge(self.tenants_active)
-    }
-
-    /// The per-slice event-count histogram.
-    pub fn slice_events_histogram(&self) -> &Histogram {
-        self.sink.histogram(self.slice_events)
-    }
-
-    /// Render as Prometheus text.
-    pub fn render(&self) -> String {
-        self.registry.render(&self.sink)
-    }
-
-    /// The schema, for rendering merged sinks.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 }
 
@@ -1167,9 +617,6 @@ mod tests {
         assert!(pa.render().contains("alpha_dp_retrains_total 1"));
         assert!(pb.render().contains("bravo_dp_retrains_total 1"));
         assert_eq!(pa.tracer.spans()[0].name, "alpha_drift[#1]");
-        // The empty prefix is byte-identical to the historical schema.
-        assert_eq!(RolloutObs::new().render(), RolloutObs::with_prefix("").render());
-        assert_eq!(DriftObs::new().render(), DriftObs::with_prefix("").render());
     }
 
     #[test]

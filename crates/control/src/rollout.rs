@@ -33,7 +33,7 @@ use campuslab_dataplane::{FieldExtractor, PipelineProgram, ProgramVersion};
 use campuslab_netsim::{
     Commands, Dir, LinkId, Outage, Packet, SimDuration, SimHooks, SimTime,
 };
-use campuslab_obs::{ObsSink, OpenSpan, Tracer};
+use campuslab_obs::{ObsSink, OpenSpan, SinkMisfit, Tracer};
 use std::net::IpAddr;
 
 /// Where a candidate currently sits.
@@ -534,8 +534,10 @@ impl RolloutGuard {
     /// Apply a frozen image onto a freshly constructed guard (same config,
     /// same known-good program, fresh bank handle). Every dynamic field is
     /// overwritten; the metric prefix is preserved so plaza tenants thaw
-    /// under their own names.
-    pub fn thaw_state(&mut self, frozen: FrozenGuard) {
+    /// under their own names. An image whose metric sink does not fit is
+    /// refused untouched.
+    pub fn thaw_state(&mut self, frozen: FrozenGuard) -> Result<(), SinkMisfit> {
+        self.obs.thaw(frozen.sink, frozen.tracer)?;
         self.registry = frozen.registry;
         self.known_good = frozen.known_good;
         self.stage = frozen.stage;
@@ -560,10 +562,7 @@ impl RolloutGuard {
         self.ticking = frozen.ticking;
         self.next_submission = frozen.next_submission;
         self.events = frozen.events;
-        let prefix = self.obs.prefix().to_string();
-        self.obs = RolloutObs::with_prefix(prefix);
-        self.obs.sink = frozen.sink;
-        self.obs.tracer = frozen.tracer;
+        Ok(())
     }
 
     fn enter_stage(&mut self, now: SimTime, stage: RolloutStage) {

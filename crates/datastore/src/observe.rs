@@ -8,97 +8,54 @@
 //! faithful, reproducible proxy for query cost in the simulated world.
 
 use crate::query::QueryStats;
-use campuslab_obs::{CounterId, GaugeId, HistogramId, ObsSink, Registry};
 
-/// Metrics registry + sink for one data store.
-#[derive(Debug, Clone)]
-pub struct StoreObs {
-    registry: Registry,
-    /// Value store; bumped by the store, read back through typed ids.
-    pub sink: ObsSink,
-    ingested_packets: CounterId,
-    ingested_flows: CounterId,
-    ingested_dns: CounterId,
-    ingested_sensors: CounterId,
-    ingest_batches: CounterId,
-    queries_indexed: CounterId,
-    queries_scan: CounterId,
-    segments_pruned: CounterId,
-    segments_scanned: CounterId,
-    retired_records: CounterId,
-    packet_segments: GaugeId,
-    flow_segments: GaugeId,
-    query_cost: HistogramId,
-    persist_corrupt: CounterId,
-}
-
-impl Default for StoreObs {
-    fn default() -> Self {
-        StoreObs::new()
+campuslab_obs::schema! {
+    /// Metrics registry + sink for one data store.
+    pub struct StoreObs {
+        /// Records ingested into the packet table.
+        counter ingested_packets: "ds_ingested_records_total" {table = "packets"}, INGESTED_HELP;
+        /// Records ingested into the flow table.
+        counter ingested_flows: "ds_ingested_records_total" {table = "flows"}, INGESTED_HELP;
+        /// Records ingested into the DNS table.
+        counter ingested_dns: "ds_ingested_records_total" {table = "dns"}, INGESTED_HELP;
+        /// Records ingested into the sensor table.
+        counter ingested_sensors: "ds_ingested_records_total" {table = "sensors"}, INGESTED_HELP;
+        /// Non-empty ingest batches across all tables.
+        counter ingest_batches: "ds_ingest_batches_total",
+            "ingest calls that landed at least one record";
+        /// Queries served by the indexed planner.
+        counter queries_indexed: "ds_queries_total" {path = "indexed"}, QUERIES_HELP;
+        /// Queries served by the full-scan baseline.
+        counter queries_scan: "ds_queries_total" {path = "scan"}, QUERIES_HELP;
+        /// Segments skipped wholesale by query planning.
+        counter segments_pruned: "ds_query_segments_total" {outcome = "pruned"}, SEGMENTS_HELP;
+        /// Segments a query actually examined records in.
+        counter segments_scanned: "ds_query_segments_total" {outcome = "scanned"}, SEGMENTS_HELP;
+        /// Records dropped by retention.
+        counter retired_records: "ds_retired_records_total",
+            "records dropped by retention enforcement";
+        /// Live packet-chain segments (last published value).
+        gauge packet_segments: "ds_packet_segments", "live segments in the packet chain";
+        /// Live flow-chain segments (last published value).
+        gauge flow_segments: "ds_flow_segments", "live segments in the flow chain";
+        /// Records examined per query.
+        histogram query_cost: "ds_query_cost_records",
+            "records examined per query (deterministic sim-time cost proxy)",
+            &[1, 8, 64, 512, 4096, 32768, 262144];
+        // Last row: ids are positional, and appending keeps every
+        // previously committed golden bundle's counter layout intact.
+        /// Corruption events detected while recovering persisted state.
+        counter persist_corrupt: "ds_persist_corrupt_total",
+            "corruption events detected while recovering persisted state \
+             (WAL frames, sealed segments, snapshots)";
     }
 }
+
+const INGESTED_HELP: &str = "records ingested, by table";
+const QUERIES_HELP: &str = "packet/flow queries served, by plan";
+const SEGMENTS_HELP: &str = "segments a query planner visited, by outcome";
 
 impl StoreObs {
-    /// Build the datastore schema and a zeroed sink.
-    pub fn new() -> Self {
-        let mut reg = Registry::new();
-        let ingested = "records ingested, by table";
-        let ingested_packets =
-            reg.counter_with_label("ds_ingested_records_total", Some("table=\"packets\""), ingested);
-        let ingested_flows =
-            reg.counter_with_label("ds_ingested_records_total", Some("table=\"flows\""), ingested);
-        let ingested_dns =
-            reg.counter_with_label("ds_ingested_records_total", Some("table=\"dns\""), ingested);
-        let ingested_sensors =
-            reg.counter_with_label("ds_ingested_records_total", Some("table=\"sensors\""), ingested);
-        let ingest_batches =
-            reg.counter("ds_ingest_batches_total", "ingest calls that landed at least one record");
-        let queries = "packet/flow queries served, by plan";
-        let queries_indexed =
-            reg.counter_with_label("ds_queries_total", Some("path=\"indexed\""), queries);
-        let queries_scan =
-            reg.counter_with_label("ds_queries_total", Some("path=\"scan\""), queries);
-        let segs = "segments a query planner visited, by outcome";
-        let segments_pruned =
-            reg.counter_with_label("ds_query_segments_total", Some("outcome=\"pruned\""), segs);
-        let segments_scanned =
-            reg.counter_with_label("ds_query_segments_total", Some("outcome=\"scanned\""), segs);
-        let retired_records =
-            reg.counter("ds_retired_records_total", "records dropped by retention enforcement");
-        let packet_segments = reg.gauge("ds_packet_segments", "live segments in the packet chain");
-        let flow_segments = reg.gauge("ds_flow_segments", "live segments in the flow chain");
-        let query_cost = reg.histogram(
-            "ds_query_cost_records",
-            "records examined per query (deterministic sim-time cost proxy)",
-            &[1, 8, 64, 512, 4096, 32768, 262144],
-        );
-        // Registered last: ids are positional, and appending keeps every
-        // previously committed golden bundle's counter layout intact.
-        let persist_corrupt = reg.counter(
-            "ds_persist_corrupt_total",
-            "corruption events detected while recovering persisted state (WAL frames, sealed segments, snapshots)",
-        );
-        let sink = reg.sink();
-        StoreObs {
-            registry: reg,
-            sink,
-            ingested_packets,
-            ingested_flows,
-            ingested_dns,
-            ingested_sensors,
-            ingest_batches,
-            queries_indexed,
-            queries_scan,
-            segments_pruned,
-            segments_scanned,
-            retired_records,
-            packet_segments,
-            flow_segments,
-            query_cost,
-            persist_corrupt,
-        }
-    }
-
     #[inline]
     pub(crate) fn on_ingest_packets(&mut self, n: u64) {
         self.sink.add(self.ingested_packets, n);
@@ -154,69 +111,9 @@ impl StoreObs {
         self.sink.set(self.flow_segments, flows as i64);
     }
 
-    /// Records ingested into the packet table.
-    pub fn ingested_packets(&self) -> u64 {
-        self.sink.counter(self.ingested_packets)
-    }
-
-    /// Records ingested into the flow table.
-    pub fn ingested_flows(&self) -> u64 {
-        self.sink.counter(self.ingested_flows)
-    }
-
-    /// Non-empty ingest batches across all tables.
-    pub fn ingest_batches(&self) -> u64 {
-        self.sink.counter(self.ingest_batches)
-    }
-
-    /// Queries served by the indexed planner.
-    pub fn queries_indexed(&self) -> u64 {
-        self.sink.counter(self.queries_indexed)
-    }
-
-    /// Queries served by the full-scan baseline.
-    pub fn queries_scan(&self) -> u64 {
-        self.sink.counter(self.queries_scan)
-    }
-
-    /// Segments skipped wholesale by query planning.
-    pub fn segments_pruned(&self) -> u64 {
-        self.sink.counter(self.segments_pruned)
-    }
-
-    /// Segments a query actually examined records in.
-    pub fn segments_scanned(&self) -> u64 {
-        self.sink.counter(self.segments_scanned)
-    }
-
-    /// Records dropped by retention.
-    pub fn retired_records(&self) -> u64 {
-        self.sink.counter(self.retired_records)
-    }
-
-    /// Corruption events detected while recovering persisted state.
-    pub fn persist_corrupt(&self) -> u64 {
-        self.sink.counter(self.persist_corrupt)
-    }
-
-    /// Live packet-chain segments (last published value).
-    pub fn packet_segments(&self) -> i64 {
-        self.sink.gauge(self.packet_segments)
-    }
-
     /// Total records examined across all queries (histogram sum).
     pub fn query_cost_total(&self) -> u128 {
-        self.sink.histogram(self.query_cost).sum()
-    }
-
-    /// Render this store's metrics as Prometheus text.
-    pub fn render(&self) -> String {
-        self.registry.render(&self.sink)
-    }
-
-    /// The schema, for rendering merged sinks.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
+        self.query_cost().sum()
     }
 }
 

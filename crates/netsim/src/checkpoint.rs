@@ -124,9 +124,9 @@ impl Network {
         assert_eq!(self.nodes.len(), frozen.nodes.len(), "restore onto a different topology");
         assert_eq!(self.links.len(), frozen.links.len(), "restore onto a different topology");
         assert_eq!(self.seed, frozen.seed, "restore onto a network built with a different seed");
+        self.obs.thaw(frozen.obs).expect("restore onto a different metric schema");
         self.root_seq = frozen.root_seq;
         self.stats = frozen.stats;
-        self.obs.sink = frozen.obs;
         self.tapped = frozen.tapped;
         for (node, f) in self.nodes.iter_mut().zip(frozen.nodes) {
             node.stats = f.stats;

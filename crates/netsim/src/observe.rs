@@ -1,6 +1,7 @@
-//! The simulator's Observatory schema: a [`NetObs`] bundles a
-//! [`Registry`] describing every netsim metric with the [`ObsSink`] the
-//! event loop bumps. One `NetObs` per [`crate::network::Network`] — no
+//! The simulator's Observatory schema: a [`NetObs`] is one
+//! [`campuslab_obs::schema!`] table — the registry describing every netsim
+//! metric plus the sink the event loop bumps. One `NetObs` per
+//! [`crate::network::Network`] — no
 //! globals, no locks, and parallel runs each own their sink, so the fast
 //! path stays a plain `u64` add.
 //!
@@ -11,7 +12,6 @@
 
 use crate::chaos::ChaosAction;
 use crate::network::DropReason;
-use campuslab_obs::{CounterId, HistogramId, ObsSink, Registry};
 
 /// Queue-depth histogram bounds, bytes (≤1 KB .. ≤10 MB, then +Inf).
 pub const QUEUE_DEPTH_BOUNDS: [u64; 5] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000];
@@ -19,24 +19,36 @@ pub const QUEUE_DEPTH_BOUNDS: [u64; 5] = [1_000, 10_000, 100_000, 1_000_000, 10_
 /// Delivery-latency histogram bounds, microseconds (≤10 us .. ≤1 s, then +Inf).
 pub const LATENCY_BOUNDS: [u64; 6] = [10, 100, 1_000, 10_000, 100_000, 1_000_000];
 
-/// Metrics registry + sink for one simulated network.
-#[derive(Debug, Clone)]
-pub struct NetObs {
-    registry: Registry,
-    /// The value store the event loop bumps. Public so the loop can write
-    /// without an extra indirection; read it back through the typed ids.
-    pub sink: ObsSink,
-    events: CounterId,
-    injected: CounterId,
-    delivered: CounterId,
-    delivered_bytes: CounterId,
-    /// Indexed by [`drop_index`]: queue, fault, filter, ttl, no_route, node_down.
-    drops: [CounterId; 6],
-    /// Indexed by [`chaos_index`]: link_down, link_up, node_down, node_up,
-    /// brownout_start, brownout_end.
-    chaos: [CounterId; 6],
-    queue_depth: HistogramId,
-    latency_us: HistogramId,
+campuslab_obs::schema! {
+    /// Metrics registry + sink for one simulated network. The sink is
+    /// public so the event loop writes without an extra indirection.
+    pub struct NetObs {
+        /// Events dispatched so far — the simulator's event sequence number.
+        counter event_seq: "sim_events_total",
+            "events dispatched by the simulator loop (doubles as the event sequence number)";
+        /// Injected-packet counter.
+        counter injected: "sim_injected_packets_total", "packets scheduled into the network";
+        /// Delivered-packet counter.
+        counter delivered: "sim_delivered_packets_total",
+            "packets that reached their destination host";
+        /// Delivered wire bytes.
+        counter delivered_bytes: "sim_delivered_bytes_total", "wire bytes of delivered packets";
+        /// Indexed by [`drop_index`].
+        counter drops: "sim_dropped_packets_total"
+            {reason = ["queue", "fault", "filter", "ttl", "no_route", "node_down"]},
+            "packets dropped, by cause";
+        /// Indexed by [`chaos_index`].
+        counter chaos: "sim_chaos_transitions_total"
+            {kind =
+                ["link_down", "link_up", "node_down", "node_up", "brownout_start", "brownout_end"]},
+            "chaos-plan fault transitions applied, by kind";
+        /// The queue-depth histogram.
+        histogram queue_depth_histogram: "sim_link_queue_depth_bytes",
+            "egress queue depth sampled at each enqueue", &QUEUE_DEPTH_BOUNDS;
+        /// The delivery-latency histogram (microseconds).
+        histogram latency_histogram: "sim_delivery_latency_us",
+            "end-to-end delivery latency in microseconds", &LATENCY_BOUNDS;
+    }
 }
 
 /// Stable index of a [`DropReason`] into [`NetObs::drops`].
@@ -63,84 +75,11 @@ pub fn chaos_index(action: &ChaosAction) -> usize {
     }
 }
 
-impl Default for NetObs {
-    fn default() -> Self {
-        NetObs::new()
-    }
-}
-
 impl NetObs {
-    /// Build the netsim schema and a zeroed sink.
-    pub fn new() -> Self {
-        let mut reg = Registry::new();
-        let events = reg.counter(
-            "sim_events_total",
-            "events dispatched by the simulator loop (doubles as the event sequence number)",
-        );
-        let injected = reg.counter("sim_injected_packets_total", "packets scheduled into the network");
-        let delivered =
-            reg.counter("sim_delivered_packets_total", "packets that reached their destination host");
-        let delivered_bytes =
-            reg.counter("sim_delivered_bytes_total", "wire bytes of delivered packets");
-        let drop_help = "packets dropped, by cause";
-        let drops = [
-            reg.counter_with_label("sim_dropped_packets_total", Some("reason=\"queue\""), drop_help),
-            reg.counter_with_label("sim_dropped_packets_total", Some("reason=\"fault\""), drop_help),
-            reg.counter_with_label("sim_dropped_packets_total", Some("reason=\"filter\""), drop_help),
-            reg.counter_with_label("sim_dropped_packets_total", Some("reason=\"ttl\""), drop_help),
-            reg.counter_with_label("sim_dropped_packets_total", Some("reason=\"no_route\""), drop_help),
-            reg.counter_with_label(
-                "sim_dropped_packets_total",
-                Some("reason=\"node_down\""),
-                drop_help,
-            ),
-        ];
-        let chaos_help = "chaos-plan fault transitions applied, by kind";
-        let chaos = [
-            reg.counter_with_label("sim_chaos_transitions_total", Some("kind=\"link_down\""), chaos_help),
-            reg.counter_with_label("sim_chaos_transitions_total", Some("kind=\"link_up\""), chaos_help),
-            reg.counter_with_label("sim_chaos_transitions_total", Some("kind=\"node_down\""), chaos_help),
-            reg.counter_with_label("sim_chaos_transitions_total", Some("kind=\"node_up\""), chaos_help),
-            reg.counter_with_label(
-                "sim_chaos_transitions_total",
-                Some("kind=\"brownout_start\""),
-                chaos_help,
-            ),
-            reg.counter_with_label(
-                "sim_chaos_transitions_total",
-                Some("kind=\"brownout_end\""),
-                chaos_help,
-            ),
-        ];
-        let queue_depth = reg.histogram(
-            "sim_link_queue_depth_bytes",
-            "egress queue depth sampled at each enqueue",
-            &QUEUE_DEPTH_BOUNDS,
-        );
-        let latency_us = reg.histogram(
-            "sim_delivery_latency_us",
-            "end-to-end delivery latency in microseconds",
-            &LATENCY_BOUNDS,
-        );
-        let sink = reg.sink();
-        NetObs {
-            registry: reg,
-            sink,
-            events,
-            injected,
-            delivered,
-            delivered_bytes,
-            drops,
-            chaos,
-            queue_depth,
-            latency_us,
-        }
-    }
-
     /// One event popped off the simulator queue.
     #[inline]
     pub(crate) fn on_event(&mut self) {
-        self.sink.inc(self.events);
+        self.sink.inc(self.event_seq);
     }
 
     #[inline]
@@ -152,7 +91,7 @@ impl NetObs {
     pub(crate) fn on_deliver(&mut self, wire_bytes: u64, latency_ns: u64) {
         self.sink.inc(self.delivered);
         self.sink.add(self.delivered_bytes, wire_bytes);
-        self.sink.observe(self.latency_us, latency_ns / 1_000);
+        self.sink.observe(self.latency_histogram, latency_ns / 1_000);
     }
 
     #[inline]
@@ -167,27 +106,7 @@ impl NetObs {
 
     #[inline]
     pub(crate) fn on_enqueue_depth(&mut self, bytes: u64) {
-        self.sink.observe(self.queue_depth, bytes);
-    }
-
-    /// Events dispatched so far — the simulator's event sequence number.
-    pub fn event_seq(&self) -> u64 {
-        self.sink.counter(self.events)
-    }
-
-    /// Injected-packet counter.
-    pub fn injected(&self) -> u64 {
-        self.sink.counter(self.injected)
-    }
-
-    /// Delivered-packet counter.
-    pub fn delivered(&self) -> u64 {
-        self.sink.counter(self.delivered)
-    }
-
-    /// Delivered wire bytes.
-    pub fn delivered_bytes(&self) -> u64 {
-        self.sink.counter(self.delivered_bytes)
+        self.sink.observe(self.queue_depth_histogram, bytes);
     }
 
     /// Drop counter for one cause.
@@ -198,16 +117,6 @@ impl NetObs {
     /// Drops summed over every cause.
     pub fn dropped_total(&self) -> u64 {
         self.drops.iter().map(|&c| self.sink.counter(c)).sum()
-    }
-
-    /// The queue-depth histogram.
-    pub fn queue_depth_histogram(&self) -> &campuslab_obs::Histogram {
-        self.sink.histogram(self.queue_depth)
-    }
-
-    /// The delivery-latency histogram (microseconds).
-    pub fn latency_histogram(&self) -> &campuslab_obs::Histogram {
-        self.sink.histogram(self.latency_us)
     }
 
     /// Chaos transitions applied, summed over every kind.
@@ -224,16 +133,6 @@ impl NetObs {
         self.delivered() as f64 / inj as f64
     }
 
-    /// Render this network's metrics as Prometheus text.
-    pub fn render(&self) -> String {
-        self.registry.render(&self.sink)
-    }
-
-    /// The schema, for rendering merged sinks.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Fold another network's sink (same schema by construction) into this
     /// one — used when a sweep aggregates per-point runs.
     pub fn merge_from(&mut self, other: &NetObs) {
@@ -245,24 +144,6 @@ impl NetObs {
 mod tests {
     use super::*;
     use crate::link::LinkId;
-
-    #[test]
-    fn schema_renders_all_families_zeroed() {
-        let obs = NetObs::new();
-        let text = obs.render();
-        for family in [
-            "sim_events_total",
-            "sim_injected_packets_total",
-            "sim_delivered_packets_total",
-            "sim_delivered_bytes_total",
-            "sim_dropped_packets_total{reason=\"queue\"} 0",
-            "sim_chaos_transitions_total{kind=\"brownout_end\"} 0",
-            "sim_link_queue_depth_bytes_bucket{le=\"+Inf\"} 0",
-            "sim_delivery_latency_us_count 0",
-        ] {
-            assert!(text.contains(family), "missing {family} in:\n{text}");
-        }
-    }
 
     #[test]
     fn drop_and_chaos_indices_are_dense_and_distinct() {

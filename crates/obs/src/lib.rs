@@ -16,6 +16,10 @@
 //!   and an add. No globals, no locks, no atomics — parallel runners give
 //!   each worker its own sink and [`ObsSink::merge_from`] folds them.
 //!
+//! Layers do not call the registry by hand: each `*Obs` struct is one
+//! [`schema!`] table (see [`mod@schema`]), which generates the struct, its
+//! registration, getters, render and checked thaw. The registry itself:
+//!
 //! ```
 //! use campuslab_obs::Registry;
 //!
@@ -34,9 +38,12 @@
 #![deny(unreachable_pub)]
 
 pub mod metrics;
+pub mod schema;
 pub mod trace;
 
-pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, ObsSink, Registry};
+pub use metrics::{
+    CounterId, GaugeId, Histogram, HistogramId, Kind, Metric, ObsSink, Registry, SinkMisfit,
+};
 pub use trace::{OpenSpan, Span, Tracer};
 
 /// Escape a string for inclusion in a JSON string literal (hand-rolled so

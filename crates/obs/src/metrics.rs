@@ -27,12 +27,52 @@ pub struct GaugeId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramId(u32);
 
+/// What a registered metric is, as Prometheus `# TYPE` spells it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
+pub enum Kind {
     Counter,
     Gauge,
     Histogram,
 }
+
+impl Kind {
+    /// The `# TYPE` word.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// One registered metric as [`Registry::metrics`] yields it: what the
+/// generated catalogue (`METRICS.md`) and the schema law test read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Metric<'a> {
+    /// Family name, e.g. `sim_dropped_packets_total`.
+    pub family: &'static str,
+    /// Rendered label pair, e.g. `reason="queue"`.
+    pub label: Option<&'static str>,
+    pub help: &'static str,
+    pub kind: Kind,
+    /// Histogram bucket upper bounds; empty for counters and gauges.
+    pub bounds: &'a [u64],
+}
+
+/// A frozen sink does not have the shape of the schema it was offered to
+/// (see [`Registry::fits`]): it was minted from another table, or from
+/// another version of this one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SinkMisfit;
+
+impl std::fmt::Display for SinkMisfit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("frozen metric sink does not fit this schema")
+    }
+}
+
+impl std::error::Error for SinkMisfit {}
 
 #[derive(Debug, Clone)]
 struct Desc {
@@ -286,6 +326,32 @@ impl Registry {
         self.descs.is_empty()
     }
 
+    /// Every registered metric, in registration order.
+    pub fn metrics(&self) -> impl Iterator<Item = Metric<'_>> + '_ {
+        self.descs.iter().map(|d| Metric {
+            family: d.name,
+            label: d.label,
+            help: d.help,
+            kind: d.kind,
+            bounds: match d.kind {
+                Kind::Histogram => &self.hist_bounds[d.slot as usize],
+                Kind::Counter | Kind::Gauge => &[],
+            },
+        })
+    }
+
+    /// Whether `sink` could have been minted by [`Registry::sink`]: same
+    /// counter and gauge counts, same histograms with the same bounds. A
+    /// sink thawed from a checkpoint must pass this before any typed id
+    /// indexes it — ids are positional, so a misfit reads the wrong slot
+    /// or panics out of bounds.
+    pub fn fits(&self, sink: &ObsSink) -> bool {
+        sink.counters.len() == self.counters as usize
+            && sink.gauges.len() == self.gauges as usize
+            && sink.hists.len() == self.hist_bounds.len()
+            && sink.hists.iter().zip(&self.hist_bounds).all(|(h, b)| h.bounds == *b)
+    }
+
     /// Render a sink as Prometheus text exposition format. Walks metrics
     /// in registration order: byte-deterministic for a given schema and
     /// value set.
@@ -304,13 +370,8 @@ impl Registry {
         let mut last_family: Option<&str> = None;
         for d in &self.descs {
             if last_family != Some(d.name) {
-                let ty = match d.kind {
-                    Kind::Counter => "counter",
-                    Kind::Gauge => "gauge",
-                    Kind::Histogram => "histogram",
-                };
                 let _ = writeln!(out, "# HELP {prefix}{} {}", d.name, d.help);
-                let _ = writeln!(out, "# TYPE {prefix}{} {}", d.name, ty);
+                let _ = writeln!(out, "# TYPE {prefix}{} {}", d.name, d.kind.as_str());
                 last_family = Some(d.name);
             }
             match d.kind {

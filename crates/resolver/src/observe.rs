@@ -1,15 +1,13 @@
-//! ResolverLab's Observatory schema: an [`RsvObs`] bundles a [`Registry`]
-//! describing every `rsv_*` metric with the [`ObsSink`] the service bumps.
-//! One `RsvObs` per [`crate::service::ResolverService`] — no globals, no
-//! locks; parallel runs each own their sink and merge at the end, same as
-//! the simulator's `NetObs`.
+//! ResolverLab's Observatory schema: an [`RsvObs`] is one
+//! [`campuslab_obs::schema!`] table — the registry describing every `rsv_*`
+//! metric plus the sink the service bumps. One `RsvObs` per
+//! [`crate::service::ResolverService`] — no globals, no locks; parallel
+//! runs each own their sink, same as the simulator's `NetObs`.
 //!
 //! The schema is the experiment's measurement surface: E16 reads
 //! cache-hit collapse and recovery, rate-limit drops and serve-stale
 //! events out of these families, so names and registration order are part
 //! of the golden-replay contract — append new metrics, never reorder.
-
-use campuslab_obs::{CounterId, GaugeId, HistogramId, ObsSink, Registry};
 
 /// Response-size histogram bounds, bytes (≤64 .. ≤4 KB, then +Inf).
 pub const RESPONSE_BYTES_BOUNDS: [u64; 6] = [64, 128, 256, 512, 1024, 4096];
@@ -30,106 +28,50 @@ pub fn response_index(kind: crate::service::ResponseKind) -> usize {
     }
 }
 
-/// Metrics registry + sink for one resolver instance.
-#[derive(Debug, Clone)]
-pub struct RsvObs {
-    registry: Registry,
-    /// The value store the service bumps. Public so the service can write
-    /// without an extra indirection; read it back through the typed ids.
-    pub sink: ObsSink,
-    queries: CounterId,
-    /// Indexed by [`response_index`]: answer, negative, stale, servfail, formerr.
-    responses: [CounterId; 5],
-    cache_hits: CounterId,
-    cache_negative_hits: CounterId,
-    cache_misses: CounterId,
-    rrl_dropped: CounterId,
-    ignored: CounterId,
-    upstream_queries: CounterId,
-    upstream_timeouts: CounterId,
-    giveups: CounterId,
-    cache_entries: GaugeId,
-    upstream_latency_us: HistogramId,
-    response_bytes: HistogramId,
-}
-
-impl Default for RsvObs {
-    fn default() -> Self {
-        RsvObs::new()
+campuslab_obs::schema! {
+    /// Metrics registry + sink for one resolver instance. The sink is
+    /// public so the service writes without an extra indirection.
+    pub struct RsvObs {
+        /// Queries arrived.
+        counter queries: "rsv_queries_total", "DNS queries arriving at the resolver";
+        /// Indexed by [`response_index`].
+        counter responses: "rsv_responses_total"
+            {outcome = ["answer", "negative", "stale", "servfail", "formerr"]},
+            "responses sent, by outcome";
+        /// Fresh positive cache hits.
+        counter cache_hits: "rsv_cache_hits_total", "queries answered from a fresh positive entry";
+        /// Fresh negative cache hits.
+        counter cache_negative_hits: "rsv_cache_negative_hits_total",
+            "queries answered from a fresh RFC 2308 negative entry";
+        /// Cache misses (upstream consulted).
+        counter cache_misses: "rsv_cache_misses_total",
+            "queries that had to consult the upstream";
+        /// Queries dropped by rate limiting.
+        counter rrl_dropped: "rsv_rrl_dropped_total",
+            "queries dropped by per-client response rate limiting";
+        /// Datagrams ignored without a response.
+        counter ignored: "rsv_ignored_total",
+            "datagrams ignored without response (too short, or already a response)";
+        /// Upstream lookups issued.
+        counter upstream_queries: "rsv_upstream_queries_total", "recursive lookups sent upstream";
+        /// Upstream lookups that timed out.
+        counter upstream_timeouts: "rsv_upstream_timeouts_total",
+            "recursive lookups abandoned after the upstream deadline";
+        /// Give-ups (timeouts with no stale fallback).
+        counter giveups: "rsv_giveups_total",
+            "queries the resolver gave up on (timed out with no stale fallback)";
+        /// Positive cache entries at the last update.
+        gauge cache_entries: "rsv_cache_entries", "positive cache entries currently held";
+        /// Upstream round-trip latency (microseconds).
+        histogram upstream_latency_us: "rsv_upstream_latency_us",
+            "upstream round-trip latency in microseconds", &UPSTREAM_LATENCY_BOUNDS;
+        /// Wire size of emitted responses.
+        histogram response_bytes: "rsv_response_bytes", "wire size of emitted responses",
+            &RESPONSE_BYTES_BOUNDS;
     }
 }
 
 impl RsvObs {
-    /// Build the resolver schema and a zeroed sink.
-    pub fn new() -> Self {
-        let mut reg = Registry::new();
-        let queries = reg.counter("rsv_queries_total", "DNS queries arriving at the resolver");
-        let resp_help = "responses sent, by outcome";
-        let responses = [
-            reg.counter_with_label("rsv_responses_total", Some("outcome=\"answer\""), resp_help),
-            reg.counter_with_label("rsv_responses_total", Some("outcome=\"negative\""), resp_help),
-            reg.counter_with_label("rsv_responses_total", Some("outcome=\"stale\""), resp_help),
-            reg.counter_with_label("rsv_responses_total", Some("outcome=\"servfail\""), resp_help),
-            reg.counter_with_label("rsv_responses_total", Some("outcome=\"formerr\""), resp_help),
-        ];
-        let cache_hits =
-            reg.counter("rsv_cache_hits_total", "queries answered from a fresh positive entry");
-        let cache_negative_hits = reg.counter(
-            "rsv_cache_negative_hits_total",
-            "queries answered from a fresh RFC 2308 negative entry",
-        );
-        let cache_misses =
-            reg.counter("rsv_cache_misses_total", "queries that had to consult the upstream");
-        let rrl_dropped = reg.counter(
-            "rsv_rrl_dropped_total",
-            "queries dropped by per-client response rate limiting",
-        );
-        let ignored = reg.counter(
-            "rsv_ignored_total",
-            "datagrams ignored without response (too short, or already a response)",
-        );
-        let upstream_queries =
-            reg.counter("rsv_upstream_queries_total", "recursive lookups sent upstream");
-        let upstream_timeouts = reg.counter(
-            "rsv_upstream_timeouts_total",
-            "recursive lookups abandoned after the upstream deadline",
-        );
-        let giveups = reg.counter(
-            "rsv_giveups_total",
-            "queries the resolver gave up on (timed out with no stale fallback)",
-        );
-        let cache_entries =
-            reg.gauge("rsv_cache_entries", "positive cache entries currently held");
-        let upstream_latency_us = reg.histogram(
-            "rsv_upstream_latency_us",
-            "upstream round-trip latency in microseconds",
-            &UPSTREAM_LATENCY_BOUNDS,
-        );
-        let response_bytes = reg.histogram(
-            "rsv_response_bytes",
-            "wire size of emitted responses",
-            &RESPONSE_BYTES_BOUNDS,
-        );
-        let sink = reg.sink();
-        RsvObs {
-            registry: reg,
-            sink,
-            queries,
-            responses,
-            cache_hits,
-            cache_negative_hits,
-            cache_misses,
-            rrl_dropped,
-            ignored,
-            upstream_queries,
-            upstream_timeouts,
-            giveups,
-            cache_entries,
-            upstream_latency_us,
-            response_bytes,
-        }
-    }
-
     #[inline]
     pub(crate) fn on_query(&mut self) {
         self.sink.inc(self.queries);
@@ -191,11 +133,6 @@ impl RsvObs {
         self.sink.set(self.cache_entries, entries);
     }
 
-    /// Queries arrived.
-    pub fn queries(&self) -> u64 {
-        self.sink.counter(self.queries)
-    }
-
     /// Responses sent with one outcome.
     pub fn responses(&self, kind: crate::service::ResponseKind) -> u64 {
         self.sink.counter(self.responses[response_index(kind)])
@@ -204,51 +141,6 @@ impl RsvObs {
     /// Responses summed over every outcome.
     pub fn responses_total(&self) -> u64 {
         self.responses.iter().map(|&c| self.sink.counter(c)).sum()
-    }
-
-    /// Fresh positive cache hits.
-    pub fn cache_hits(&self) -> u64 {
-        self.sink.counter(self.cache_hits)
-    }
-
-    /// Fresh negative cache hits.
-    pub fn cache_negative_hits(&self) -> u64 {
-        self.sink.counter(self.cache_negative_hits)
-    }
-
-    /// Cache misses (upstream consulted).
-    pub fn cache_misses(&self) -> u64 {
-        self.sink.counter(self.cache_misses)
-    }
-
-    /// Queries dropped by rate limiting.
-    pub fn rrl_dropped(&self) -> u64 {
-        self.sink.counter(self.rrl_dropped)
-    }
-
-    /// Datagrams ignored without a response.
-    pub fn ignored(&self) -> u64 {
-        self.sink.counter(self.ignored)
-    }
-
-    /// Upstream lookups issued.
-    pub fn upstream_queries(&self) -> u64 {
-        self.sink.counter(self.upstream_queries)
-    }
-
-    /// Upstream lookups that timed out.
-    pub fn upstream_timeouts(&self) -> u64 {
-        self.sink.counter(self.upstream_timeouts)
-    }
-
-    /// Give-ups (timeouts with no stale fallback).
-    pub fn giveups(&self) -> u64 {
-        self.sink.counter(self.giveups)
-    }
-
-    /// Positive cache entries at the last update.
-    pub fn cache_entries(&self) -> i64 {
-        self.sink.gauge(self.cache_entries)
     }
 
     /// Cache-hit rate over queries that reached the cache (hits + negative
@@ -261,52 +153,12 @@ impl RsvObs {
         }
         hits as f64 / total as f64
     }
-
-    /// Render this resolver's metrics as Prometheus text.
-    pub fn render(&self) -> String {
-        self.registry.render(&self.sink)
-    }
-
-    /// The schema, for rendering merged sinks.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Fold another resolver's sink (same schema by construction) into
-    /// this one.
-    pub fn merge_from(&mut self, other: &RsvObs) {
-        self.sink.merge_from(&other.sink);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::ResponseKind;
-
-    #[test]
-    fn schema_renders_all_families_zeroed() {
-        let obs = RsvObs::new();
-        let text = obs.render();
-        for family in [
-            "rsv_queries_total",
-            "rsv_responses_total{outcome=\"answer\"} 0",
-            "rsv_responses_total{outcome=\"formerr\"} 0",
-            "rsv_cache_hits_total",
-            "rsv_cache_negative_hits_total",
-            "rsv_cache_misses_total",
-            "rsv_rrl_dropped_total",
-            "rsv_ignored_total",
-            "rsv_upstream_queries_total",
-            "rsv_upstream_timeouts_total",
-            "rsv_giveups_total",
-            "rsv_cache_entries 0",
-            "rsv_upstream_latency_us_count 0",
-            "rsv_response_bytes_bucket{le=\"+Inf\"} 0",
-        ] {
-            assert!(text.contains(family), "missing {family} in:\n{text}");
-        }
-    }
 
     #[test]
     fn response_indices_are_dense_and_distinct() {

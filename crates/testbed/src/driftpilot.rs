@@ -181,7 +181,8 @@ impl DriftSession {
 
     /// Load a checkpoint into this (freshly built, not yet run) session;
     /// see [`Session::restore`]. Panics when the checkpoint was not taken
-    /// from a drift session.
+    /// from a drift session of this build (member shape or metric schema
+    /// disagree).
     pub fn restore(&mut self, cp: PhoenixCheckpoint) {
         self.0.restore(cp).expect("checkpoint was taken from a drift session");
     }

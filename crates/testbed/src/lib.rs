@@ -63,7 +63,7 @@ pub use phoenix::{
     decode_checkpoint, encode_checkpoint, fingerprint, CrashCart, Fingerprint, PhoenixCheckpoint,
     PhoenixError, PHOENIX_MAGIC, PHOENIX_VERSION,
 };
-pub use observe::RunObs;
+pub use observe::{metric_catalogue, FilterObs, RunObs};
 pub use roadtest::{
     deployment_decision, road_test, DeploymentDecision, GateCriteria, RoadTestConfig,
     RoadTestOutcome,

@@ -6,8 +6,9 @@ use campuslab_capture::CaptureObs;
 use campuslab_control::{
     ControllerObs, DetectorObs, DriftObs, FastLoopStatsSnapshot, PlazaObs, RolloutObs,
 };
+use campuslab_datastore::StoreObs;
 use campuslab_netsim::NetObs;
-use campuslab_obs::{Registry, Tracer};
+use campuslab_obs::{Kind, Metric, Tracer};
 use campuslab_resolver::RsvObs;
 
 /// Telemetry moved out of one testbed run (a [`crate::collect`] pass or a
@@ -73,7 +74,7 @@ impl RunObs {
             out.push_str(&c.render());
         }
         if let Some(f) = &self.filter {
-            out.push_str(&render_filter(f));
+            out.push_str(&FilterObs::of(f).render());
         }
         if let Some(d) = &self.detector {
             out.push_str(&d.render());
@@ -102,27 +103,95 @@ impl RunObs {
     }
 }
 
-/// Mirror a [`FastLoopStatsSnapshot`] into Prometheus text through a
-/// throwaway registry, so filter truth accounting appears in the same dump
-/// format as everything else.
-fn render_filter(snap: &FastLoopStatsSnapshot) -> String {
-    let mut reg = Registry::new();
-    let packets = reg.counter("flt_packets_total", "packets crossing the deployed filter");
-    let dropped_attack = reg.counter_with_label(
-        "flt_dropped_packets_total",
-        Some("truth=\"attack\""),
-        "filter drops by ground-truth class",
+campuslab_obs::schema! {
+    /// Deployed-filter truth accounting ([`FastLoopStatsSnapshot`]) in
+    /// metric form, so it appears in the same dump format as every other
+    /// layer. Built per render from the snapshot, never bumped live.
+    pub struct FilterObs {
+        /// Packets crossing the deployed filter.
+        counter packets: "flt_packets_total", "packets crossing the deployed filter";
+        /// Attack packets the filter dropped.
+        counter dropped_attack: "flt_dropped_packets_total" {truth = "attack"}, DROPPED_HELP;
+        /// Benign packets the filter dropped.
+        counter dropped_benign: "flt_dropped_packets_total" {truth = "benign"}, DROPPED_HELP;
+        /// Attack packets that slipped past the filter.
+        counter passed_attack: "flt_passed_attack_total",
+            "attack packets that slipped past the filter";
+    }
+}
+
+const DROPPED_HELP: &str = "filter drops by ground-truth class";
+
+impl FilterObs {
+    /// The snapshot's counts as a filled sink.
+    pub fn of(snap: &FastLoopStatsSnapshot) -> Self {
+        let mut obs = FilterObs::new();
+        obs.sink.add(obs.packets, snap.packets);
+        obs.sink.add(obs.dropped_attack, snap.dropped_attack);
+        obs.sink.add(obs.dropped_benign, snap.dropped_benign);
+        obs.sink.add(obs.passed_attack, snap.passed_attack);
+        obs
+    }
+}
+
+/// Evaluate `$body` once per Observatory table in the tree —
+/// [`RunObs::prom`] section order, then the datastore's — with `$owner`
+/// the struct's name, `$layer` the prefix its families carry and `$obs` a
+/// fresh instance. The catalogue and the schema law test share this list,
+/// so a table missing from one is missing from both.
+macro_rules! for_each_table {
+    (|$owner:ident, $layer:ident, $obs:ident| $body:expr) => {
+        for_each_table!(@each $owner $layer $obs $body;
+            NetObs "sim_", CaptureObs "cap_", FilterObs "flt_", DetectorObs "det_",
+            ControllerObs "ctl_", RolloutObs "rollout_", RsvObs "rsv_", DriftObs "dp_",
+            PlazaObs "plz_", StoreObs "ds_")
+    };
+    (@each $owner:ident $layer:ident $obs:ident $body:expr; $($ty:ident $prefix:literal),+) => {
+        $({
+            let ($owner, $layer, $obs) = (stringify!($ty), $prefix, <$ty>::new());
+            $body;
+        })+
+    };
+}
+
+/// The metric catalogue (`METRICS.md` at the repo root), generated from
+/// the schema tables: every registered metric with its owning struct,
+/// kind, label, help and histogram bounds, in registration order.
+/// `gen_golden` writes it; a bench test fails when the committed copy is
+/// stale.
+pub fn metric_catalogue() -> String {
+    let mut out = String::from(
+        "# Metrics\n\n\
+         Every metric the Observatory registers, in registration (= render) order. Generated\n\
+         from the `campuslab_obs::schema!` tables by `cargo run --release -p campuslab-bench\n\
+         --bin gen_golden`; do not edit by hand. DESIGN.md §8 has the naming scheme and the\n\
+         append-only rule.\n",
     );
-    let dropped_benign =
-        reg.counter_with_label("flt_dropped_packets_total", Some("truth=\"benign\""), "");
-    let passed_attack =
-        reg.counter("flt_passed_attack_total", "attack packets that slipped past the filter");
-    let mut sink = reg.sink();
-    sink.add(packets, snap.packets);
-    sink.add(dropped_attack, snap.dropped_attack);
-    sink.add(dropped_benign, snap.dropped_benign);
-    sink.add(passed_attack, snap.passed_attack);
-    reg.render(&sink)
+    for_each_table!(|owner, layer, obs| catalogue_section(&mut out, owner, layer, obs.metrics()));
+    out
+}
+
+fn catalogue_section<'a>(
+    out: &mut String,
+    owner: &str,
+    layer: &str,
+    rows: impl Iterator<Item = Metric<'a>>,
+) {
+    use std::fmt::Write as _;
+    let _ = write!(
+        out,
+        "\n## `{owner}` (`{layer}*`)\n\n\
+         | family | kind | label | help | bounds |\n|---|---|---|---|---|\n"
+    );
+    for m in rows {
+        let label = m.label.map(|l| format!("`{l}`")).unwrap_or_default();
+        let bounds = match m.kind {
+            Kind::Histogram => format!("{:?}", m.bounds),
+            Kind::Counter | Kind::Gauge => String::new(),
+        };
+        let (family, kind, help) = (m.family, m.kind.as_str(), m.help);
+        let _ = writeln!(out, "| `{family}` | {kind} | {label} | {help} | {bounds} |");
+    }
 }
 
 #[cfg(test)]
@@ -139,11 +208,64 @@ mod tests {
             passed_attack: 3,
             first_drop: None,
         };
-        let text = render_filter(&snap);
+        let text = FilterObs::of(&snap).render();
         assert!(text.contains("flt_packets_total 100"));
         assert!(text.contains("flt_dropped_packets_total{truth=\"attack\"} 40"));
         assert!(text.contains("flt_dropped_packets_total{truth=\"benign\"} 1"));
         assert!(text.contains("flt_passed_attack_total 3"));
+    }
+
+    /// The laws every `schema!` table obeys, checked over all ten at once:
+    /// what `Registry::render` and the checked thaw rely on, and what keeps
+    /// a combined dump unambiguous.
+    #[test]
+    fn schema_laws_hold_for_every_table() {
+        struct Table {
+            owner: &'static str,
+            families: Vec<&'static str>,
+            fresh: campuslab_obs::ObsSink,
+            fits: Box<dyn Fn(&campuslab_obs::ObsSink) -> bool>,
+        }
+        let mut tables = Vec::new();
+        for_each_table!(|owner, layer, obs| {
+            let text = obs.render();
+            let mut families: Vec<&'static str> = Vec::new();
+            for m in obs.metrics() {
+                assert!(
+                    m.family.starts_with(layer),
+                    "{owner}: {} lacks the {layer} prefix",
+                    m.family
+                );
+                // A family is one contiguous run of rows (one HELP/TYPE header).
+                if families.last() != Some(&m.family) {
+                    assert!(!families.contains(&m.family), "{owner}: {} is split", m.family);
+                    families.push(m.family);
+                }
+                // A fresh table renders every row, at zero.
+                let zero = match (m.kind, m.label) {
+                    (Kind::Histogram, _) => format!("{}_count 0\n", m.family),
+                    (_, Some(label)) => format!("{}{{{label}}} 0\n", m.family),
+                    (_, None) => format!("{} 0\n", m.family),
+                };
+                assert!(text.contains(&zero), "{owner}: fresh render lacks {zero:?}");
+            }
+            let fresh = obs.sink.clone();
+            tables.push(Table { owner, families, fresh, fits: Box::new(move |s| obs.fits(s)) });
+        });
+        assert_eq!(tables.len(), 10);
+        for (i, a) in tables.iter().enumerate() {
+            for (j, b) in tables.iter().enumerate() {
+                // A sink fits the table that minted it and no other.
+                assert_eq!((a.fits)(&b.fresh), i == j, "{} sink into {}", b.owner, a.owner);
+                if i != j {
+                    let shared = a.families.iter().find(|f| b.families.contains(f));
+                    assert_eq!(shared, None, "{} and {} share a family", a.owner, b.owner);
+                }
+            }
+        }
+        // The empty instance prefix is byte-identical to no prefix.
+        assert_eq!(RolloutObs::new().render(), RolloutObs::with_prefix("").render());
+        assert_eq!(DriftObs::new().render(), DriftObs::with_prefix("").render());
     }
 
     #[test]

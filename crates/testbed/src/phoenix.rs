@@ -386,6 +386,55 @@ mod tests {
         assert_eq!(revived.finish().fingerprint(), live.finish().fingerprint());
     }
 
+    /// A sink as a build with one counter fewer would have frozen it.
+    fn one_counter_short(sink: &campuslab_obs::ObsSink) -> campuslab_obs::ObsSink {
+        let json = serde_json::to_string(sink).unwrap();
+        let counters = json.find("\"counters\":[").expect("sink has counters");
+        let end = counters + json[counters..].find(']').unwrap();
+        let last = json[..end].rfind(',').expect("more than one counter");
+        serde_json::from_str(&format!("{}{}", &json[..last], &json[end..])).unwrap()
+    }
+
+    /// The envelope's CRC vouches for the bytes, not for the build that
+    /// wrote them: an image whose metric sink has another shape (here one
+    /// counter short, in each layer in turn) decodes cleanly and must then
+    /// be refused by `restore` with the session untouched — ids are
+    /// positional, so thawing it would index out of bounds mid-run.
+    #[test]
+    fn restore_refuses_a_sink_that_does_not_fit() {
+        use crate::session::SliceFreezeError;
+        let cart = CrashCart::new(cheap_session, SimDuration::from_secs(1));
+        let mut session = cheap_session();
+        session.run_until(SimTime::from_millis(1_500));
+        let good = encode_checkpoint(&session.checkpoint());
+        type SinkOf = fn(&mut PhoenixCheckpoint) -> &mut campuslab_obs::ObsSink;
+        let layers: [(&str, SinkOf); 5] = [
+            ("net", |cp| &mut cp.net.obs),
+            ("guard", |cp| &mut cp.hooks.guard.as_mut().unwrap().sink),
+            ("controller", |cp| &mut cp.hooks.controller.as_mut().unwrap().sink),
+            ("detector", |cp| &mut cp.hooks.controller.as_mut().unwrap().detector.sink),
+            ("pilot", |cp| &mut cp.hooks.pilot.as_mut().unwrap().sink),
+        ];
+        let mut revived: Session = cheap_session().into();
+        for (layer, sink_of) in layers {
+            let mut cp = decode_checkpoint(&good).unwrap();
+            let sink = sink_of(&mut cp);
+            *sink = one_counter_short(sink);
+            // Re-encoding stamps a fresh CRC over the doctored payload.
+            let doctored = decode_checkpoint(&encode_checkpoint(&cp)).expect("well-formed image");
+            assert_eq!(
+                revived.restore(doctored).err(),
+                Some(SliceFreezeError::JobMismatch),
+                "{layer}"
+            );
+        }
+        // Five refusals later the session still restores and finishes as
+        // if nothing had been offered to it.
+        revived.restore(decode_checkpoint(&good).unwrap()).expect("the good image fits");
+        revived.run_to_end();
+        assert_eq!(revived.finish().fingerprint(), cart.uninterrupted());
+    }
+
     #[test]
     fn decoder_rejects_bad_magic_version_skew_and_short_input() {
         let mut session = cheap_session();

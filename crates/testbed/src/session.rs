@@ -44,8 +44,9 @@ pub enum SliceFreezeError {
     /// them.
     ResolverActor,
     /// The frozen image's member shape disagrees with the stack it is
-    /// being applied to — the arguments that built the stack are not the
-    /// ones that produced the image.
+    /// being applied to, or one of its metric sinks does not fit the
+    /// schema it would be thawed into — the arguments (or the build) that
+    /// made the stack are not the ones that produced the image.
     JobMismatch,
 }
 
@@ -213,25 +214,43 @@ impl Stack {
         })
     }
 
+    /// Whether `frozen` has this stack's member shape and every metric
+    /// sink in it fits the schema it would be thawed into.
+    fn accepts(&self, frozen: &FrozenStack) -> bool {
+        fn both<M, F>(
+            member: &Option<M>,
+            image: &Option<F>,
+            fits: impl Fn(&M, &F) -> bool,
+        ) -> bool {
+            match (member, image) {
+                (Some(m), Some(f)) => fits(m, f),
+                (None, None) => true,
+                _ => false,
+            }
+        }
+        both(&self.guard, &frozen.guard, |g, f| g.obs.fits(&f.sink))
+            && both(&self.controller, &frozen.controller, MitigationController::accepts)
+            && both(&self.pilot, &frozen.pilot, |p, f| p.obs.fits(&f.sink))
+    }
+
     /// Apply a frozen snapshot onto a freshly built stack (same configs,
     /// same bank handle). An image whose member shape disagrees with this
-    /// stack is refused before anything is applied.
+    /// stack, or that carries a metric sink of the wrong shape, is refused
+    /// before anything is applied.
     pub fn thaw_state(&mut self, frozen: FrozenStack) -> Result<(), SliceFreezeError> {
         self.checkpointable()?;
-        if frozen.guard.is_some() != self.guard.is_some()
-            || frozen.controller.is_some() != self.controller.is_some()
-            || frozen.pilot.is_some() != self.pilot.is_some()
-        {
+        if !self.accepts(&frozen) {
             return Err(SliceFreezeError::JobMismatch);
         }
+        let misfit = |_| SliceFreezeError::JobMismatch;
         if let (Some(guard), Some(f)) = (&mut self.guard, frozen.guard) {
-            guard.thaw_state(f);
+            guard.thaw_state(f).map_err(misfit)?;
         }
         if let (Some(controller), Some(f)) = (&mut self.controller, frozen.controller) {
-            controller.thaw_state(f);
+            controller.thaw_state(f).map_err(misfit)?;
         }
         if let (Some(pilot), Some(f)) = (&mut self.pilot, frozen.pilot) {
-            pilot.thaw_state(f);
+            pilot.thaw_state(f).map_err(misfit)?;
         }
         self.seen_ctl_events = frozen.seen_ctl_events;
         self.seen_ctl_giveups = frozen.seen_ctl_giveups;
@@ -450,10 +469,14 @@ impl Session {
 
     /// Load a checkpoint into this (freshly built, not yet run) session.
     /// The session must have been built from the same arguments as the
-    /// one that took the checkpoint — the stack refuses a member-shape
-    /// mismatch, the simulator asserts topology and seed agreement; hook
+    /// one that took the checkpoint — a member-shape mismatch or a metric
+    /// sink that does not fit its schema is refused with the session left
+    /// as it was, the simulator asserts topology and seed agreement; hook
     /// configs are the caller's contract.
     pub fn restore(&mut self, cp: PhoenixCheckpoint) -> Result<(), SliceFreezeError> {
+        if !self.net.obs.fits(&cp.net.obs) {
+            return Err(SliceFreezeError::JobMismatch);
+        }
         self.stack.thaw_state(cp.hooks)?;
         self.net.restore(cp.net);
         self.handle.thaw(cp.bank);

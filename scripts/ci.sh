@@ -39,6 +39,13 @@ else
     echo "notice: cargo-llvm-cov not installed; skipping coverage floor" >&2
 fi
 
+# The Observatory's schema tables: the law test over all ten (layer
+# prefix, contiguous families, no family in two tables, every row
+# rendered at zero, a sink fits its own table only) and the freshness of
+# the generated METRICS.md.
+gate -p campuslab-testbed --lib -- observe::tests::schema_laws_hold_for_every_table
+gate -p campuslab-bench --test metrics_catalogue -- committed_metrics_md_is_fresh
+
 # Never-panic fuzz smoke: every untrusted-input parser (wire dns/ipv4/
 # ipv6/tcp/udp/icmp/arp/ethernet and capture pcap) takes 10k
 # deterministic cases per target — structured corpora plus corruption
@@ -151,6 +158,7 @@ CAMPUSLAB_SHARDS=8 cargo test -q -p campuslab-bench --test golden_replay e19_pho
 gate --release -p campuslab-testbed --lib -- phoenix::tests::kill_at_every_boundary_resumes_byte_identically
 gate --release -p campuslab-testbed --lib -- phoenix::tests::windowed_session_equals_drift_road_test
 gate --release -p campuslab-testbed --lib -- rollout::tests::guarded_session_resumes_byte_identically_from_every_boundary
+gate --release -p campuslab-testbed --lib -- phoenix::tests::restore_refuses_a_sink_that_does_not_fit
 cargo test -q --release -p campuslab-testbed --test phoenix_diff
 cargo test -q --release -p campuslab-datastore --lib wal::
 out=$(cargo run -q --release -p campuslab-bench --bin exp -- E19)
