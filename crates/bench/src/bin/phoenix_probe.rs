@@ -1,8 +1,8 @@
 //! Operator probe for PhoenixRun: stage-by-stage wall-clock and sizes
 //! for the checkpoint path (run-to-barrier, freeze, envelope encode,
 //! decode, restore, run-to-completion) on the small and drift-rotation
-//! scenarios. Companion to `shard_probe`/`ingest_probe`: run it when a
-//! kill-point sweep feels slow to see which stage is paying.
+//! scenarios. Run it when a kill-point sweep feels slow to see which
+//! stage is paying.
 
 use campuslab::netsim::{SimDuration, SimTime};
 use campuslab::testbed::{

@@ -14,8 +14,8 @@
 //! measuring admission, scheduler rounds, and aggregate slice events,
 //! with one tenant's bytes pinned identical at every fleet size. The
 //! whole bundle is golden-pinned byte-for-byte under the sequential,
-//! parallel, and sharded executors; wall-clock per-tenant overhead is
-//! the `plaza` criterion bench's job (`BENCH_plaza.json`).
+//! parallel, and sharded executors; per-tenant cost is pinned by the
+//! sweep's exact round and slice-event counts, not by a wall-clock gate.
 
 use crate::obs_export::ObsBundle;
 use crate::table::Table;
@@ -271,8 +271,8 @@ pub fn run_observed() -> ObsBundle {
          function of each tenant's own spec, and every tenant's telemetry is\n\
          namespaced — so a 64-tenant fleet admits cleanly and no tenant's\n\
          bytes ever depend on who else is on the campus. Per-tenant\n\
-         wall-clock overhead for the same sweep is pinned by the `plaza`\n\
-         criterion bench into BENCH_plaza.json and gated in ci.sh.\n",
+         cost is pinned by the sweep table above: one scheduler round and\n\
+         the same slice events per tenant at every fleet size.\n",
     );
 
     // Prom + trace: the crowded plaza's service-level obs, then each

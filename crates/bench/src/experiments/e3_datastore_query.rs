@@ -3,8 +3,8 @@
 //! against the *real* store built from a collected scenario and against a
 //! campus-scale synthetic store, reporting deterministic work metrics —
 //! records examined, segments pruned — instead of wall time, so the whole
-//! bundle golden-replays byte-for-byte (wall-clock speedups live in the
-//! `datastore` criterion bench, `BENCH_datastore.json`).
+//! bundle golden-replays byte-for-byte (wall-clock query and ingest times
+//! are the PerfLedger's `datastore.*` and `query_p50_us` metrics).
 //!
 //! Trace spans use the work metric as their extent: span `e3[<shape>]`
 //! runs from 0 to `records_examined` "ns" — a sim-cost ruler, not a

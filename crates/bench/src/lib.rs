@@ -2,9 +2,8 @@
 //!
 //! The experiment harness: one module per figure/experiment in
 //! `EXPERIMENTS.md`, each exposing `run() -> String` (the printed table)
-//! so the `exp <id>` binary and the `all_experiments` driver share one
-//! implementation. Criterion performance benches live in
-//! `benches/`.
+//! so `exp <id>` and `exp all` share one implementation. Wall-clock
+//! performance is the PerfLedger's job (`benchmark/`, `BENCHMARK.json`).
 
 pub mod table;
 pub mod experiments;
@@ -23,22 +22,30 @@ pub use obs_export::ObsBundle;
 /// One registry entry: `(id, title, runner)`.
 pub type Experiment = (&'static str, &'static str, fn() -> String);
 
-/// The Observatory-instrumented runner for an experiment id, when it has
-/// one. These run the *same* code as the plain `run()` (which delegates to
-/// them), returning the table plus the metrics dump and sim-time trace.
+/// One [`PINNED`] entry: `(id, Observatory-instrumented runner)`.
+pub type Pinned = (&'static str, fn() -> ObsBundle);
+
+/// The golden-pinned experiments: each id's Observatory-instrumented
+/// runner. These run the *same* code as the plain `run()` (which
+/// delegates to them), returning the table plus the metrics dump and
+/// sim-time trace. [`observed`], `gen_golden` and the replay test in
+/// `tests/golden_replay.rs` all iterate this one table, so a golden
+/// cannot be regenerated without being replayed, or the reverse.
+pub const PINNED: [Pinned; 9] = [
+    ("E1", e1_ddos_gate::run_observed),
+    ("E3", e3_datastore_query::run_observed),
+    ("E7", e7_cross_campus::run_observed),
+    ("E14", e14_chaos::run_observed),
+    ("E15", e15_rollout_guard::run_observed),
+    ("E16", e16_resolver::run_observed),
+    ("E17", e17_driftpilot::run_observed),
+    ("E18", e18_tenant_plaza::run_observed),
+    ("E19", e19_phoenix::run_observed),
+];
+
+/// The instrumented runner for an experiment id, when it is [`PINNED`].
 pub fn observed(id: &str) -> Option<fn() -> ObsBundle> {
-    match id {
-        "E1" => Some(e1_ddos_gate::run_observed),
-        "E3" => Some(e3_datastore_query::run_observed),
-        "E7" => Some(e7_cross_campus::run_observed),
-        "E14" => Some(e14_chaos::run_observed),
-        "E15" => Some(e15_rollout_guard::run_observed),
-        "E16" => Some(e16_resolver::run_observed),
-        "E17" => Some(e17_driftpilot::run_observed),
-        "E18" => Some(e18_tenant_plaza::run_observed),
-        "E19" => Some(e19_phoenix::run_observed),
-        _ => None,
-    }
+    PINNED.iter().find(|(pinned, _)| *pinned == id).map(|&(_, run)| run)
 }
 
 /// Every experiment, in report order.

@@ -1,7 +1,7 @@
 //! Observatory export for the experiment harness: a per-experiment bundle
 //! of (table, Prometheus dump, sim-time trace), a canonical text form the
 //! golden-replay suite pins byte-for-byte, and the `BENCH_obs.json`
-//! writer used by `all_experiments`.
+//! writer used by `exp all`.
 
 use campuslab::obs::json_escape;
 use std::io::Write;

@@ -1,7 +1,7 @@
 //! Golden-replay suite: the canonical Observatory bundle (table +
-//! Prometheus dump + sim-time trace) of each instrumented experiment is
-//! pinned byte-for-byte against a committed golden file, under both the
-//! sequential and the parallel runner.
+//! Prometheus dump + sim-time trace) of each `campuslab_bench::PINNED`
+//! experiment is pinned byte-for-byte against a committed golden file,
+//! under both the sequential and the parallel runner.
 //!
 //! This is the determinism contract's enforcement point: metrics are
 //! stamped in sim-time and event sequence, never wall clock, so thread
@@ -9,66 +9,54 @@
 //! change shifts an experiment's output, regenerate with
 //! `cargo run -p campuslab-bench --bin gen_golden` and commit the diff.
 
-use std::sync::Mutex;
+use campuslab_bench::PINNED;
+use std::collections::BTreeSet;
 
-/// `CAMPUSLAB_JOBS` is process-global, so replays take turns.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden");
 
-fn replay(id: &str, golden: &str) {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let run = campuslab_bench::observed(id).expect("id not in observed registry");
-    std::env::set_var("CAMPUSLAB_JOBS", "1");
-    let sequential = run().canonical();
-    std::env::set_var("CAMPUSLAB_JOBS", "4");
-    let parallel = run().canonical();
-    std::env::remove_var("CAMPUSLAB_JOBS");
+#[test]
+fn pinned_experiments_replay_byte_for_byte() {
+    let on_disk: BTreeSet<String> = std::fs::read_dir(GOLDEN_DIR)
+        .expect("golden dir")
+        .map(|entry| {
+            entry
+                .expect("golden dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    let pinned: BTreeSet<String> = PINNED
+        .iter()
+        .map(|(id, _)| format!("{id}.golden"))
+        .collect();
     assert_eq!(
-        sequential, parallel,
-        "{id}: sequential and parallel runners produced different bytes"
+        on_disk, pinned,
+        "golden/ and campuslab_bench::PINNED name different experiments"
     );
-    assert_eq!(
-        sequential, golden,
-        "{id}: output drifted from the committed golden file \
-         (if intentional: cargo run -p campuslab-bench --bin gen_golden)"
-    );
-}
 
-#[test]
-fn e1_confidence_gate_replays_byte_for_byte() {
-    replay("E1", include_str!("../golden/E1.golden"));
-}
-
-#[test]
-fn e7_cross_campus_replays_byte_for_byte() {
-    replay("E7", include_str!("../golden/E7.golden"));
-}
-
-#[test]
-fn e14_chaos_sweep_replays_byte_for_byte() {
-    replay("E14", include_str!("../golden/E14.golden"));
-}
-
-#[test]
-fn e15_rollout_guard_replays_byte_for_byte() {
-    replay("E15", include_str!("../golden/E15.golden"));
-}
-
-#[test]
-fn e16_resolver_replays_byte_for_byte() {
-    replay("E16", include_str!("../golden/E16.golden"));
-}
-
-#[test]
-fn e17_driftpilot_replays_byte_for_byte() {
-    replay("E17", include_str!("../golden/E17.golden"));
-}
-
-#[test]
-fn e18_tenant_plaza_replays_byte_for_byte() {
-    replay("E18", include_str!("../golden/E18.golden"));
-}
-
-#[test]
-fn e19_phoenix_replays_byte_for_byte() {
-    replay("E19", include_str!("../golden/E19.golden"));
+    for (id, run) in PINNED {
+        let golden =
+            std::fs::read_to_string(format!("{GOLDEN_DIR}/{id}.golden")).expect("read golden");
+        // Every story line an experiment prints ends `yes` or `NO (bug)`:
+        // a regenerated golden with a failed story must not be committable.
+        assert!(
+            !golden.contains("NO (bug)"),
+            "{id}: committed golden records a failed story line"
+        );
+        std::env::set_var("CAMPUSLAB_JOBS", "1");
+        let sequential = run().canonical();
+        std::env::set_var("CAMPUSLAB_JOBS", "4");
+        let parallel = run().canonical();
+        std::env::remove_var("CAMPUSLAB_JOBS");
+        assert_eq!(
+            sequential, parallel,
+            "{id}: sequential and parallel runners produced different bytes"
+        );
+        assert_eq!(
+            sequential, golden,
+            "{id}: output drifted from the committed golden file \
+             (if intentional: cargo run -p campuslab-bench --bin gen_golden)"
+        );
+    }
 }
