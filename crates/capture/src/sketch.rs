@@ -123,6 +123,27 @@ impl HeavyHitters {
     }
 }
 
+// Hand-rolled through the freeze/thaw pair (the image lists candidates
+// heaviest first, which is no map's order), so a layer holding live
+// trackers can derive its own state.
+impl serde::Serialize for HeavyHitters {
+    fn serialize_json(&self, out: &mut String) {
+        self.freeze().serialize_json(out);
+    }
+    fn serialize_bin(&self, out: &mut Vec<u8>) {
+        self.freeze().serialize_bin(out);
+    }
+}
+
+impl serde::Deserialize for HeavyHitters {
+    fn deserialize_json(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
+        FrozenHeavyHitters::deserialize_json(v).map(HeavyHitters::thaw)
+    }
+    fn deserialize_bin(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::Error> {
+        FrozenHeavyHitters::deserialize_bin(r).map(HeavyHitters::thaw)
+    }
+}
+
 /// A [`HeavyHitters`]'s checkpointable image.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct FrozenHeavyHitters {

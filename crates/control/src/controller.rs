@@ -13,10 +13,10 @@ use campuslab_obs::{ObsSink, OpenSpan, SinkMisfit, Tracer};
 use campuslab_capture::{Direction, PacketRecord};
 use campuslab_dataplane::{Action, FieldExtractor, PipelineProgram, PipelineRuntime};
 use campuslab_netsim::{
-    Commands, Dir, FilterAction, LinkId, Packet, PacketFilter, SimDuration, SimTime,
+    Commands, Dir, FilterAction, LinkId, Packet, PacketFilter, SimDuration, SimTime, StreamRng,
 };
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -64,7 +64,10 @@ impl ProgramScope {
     }
 }
 
-struct BankEntry {
+/// One installed program: the live entry is also its [`FrozenBank`] image
+/// (the compiled runtime carries its token-bucket levels).
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct BankEntry {
     scope: ProgramScope,
     /// Content identity of the installed program, so a rollback can
     /// remove exactly the candidate's entries.
@@ -144,29 +147,14 @@ impl BankHandle {
     /// rebuilt by whoever re-creates the bank.
     pub fn freeze(&self) -> FrozenBank {
         let state = self.shared.lock();
-        FrozenBank {
-            entries: state
-                .entries
-                .iter()
-                .map(|e| FrozenBankEntry {
-                    scope: e.scope.clone(),
-                    fingerprint: e.fingerprint,
-                    runtime: e.runtime.clone(),
-                })
-                .collect(),
-            stats: state.stats.clone(),
-        }
+        FrozenBank { entries: state.entries.clone(), stats: state.stats.clone() }
     }
 
     /// Apply a frozen image onto this (freshly created) bank: replaces the
     /// installed entries and stats, keeps the extractor.
     pub fn thaw(&self, frozen: FrozenBank) {
         let mut state = self.shared.lock();
-        state.entries = frozen
-            .entries
-            .into_iter()
-            .map(|e| BankEntry { scope: e.scope, fingerprint: e.fingerprint, runtime: e.runtime })
-            .collect();
+        state.entries = frozen.entries;
         state.stats = frozen.stats;
     }
 
@@ -184,20 +172,12 @@ impl BankHandle {
     }
 }
 
-/// One installed program in a [`FrozenBank`].
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct FrozenBankEntry {
-    pub scope: ProgramScope,
-    pub fingerprint: u64,
-    pub runtime: PipelineRuntime,
-}
-
 /// A [`BankHandle`]'s checkpointable image: installed programs (scope +
 /// fingerprint + compiled runtime, including live token-bucket levels)
 /// and the aggregate filter statistics.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenBank {
-    pub entries: Vec<FrozenBankEntry>,
+    pub entries: Vec<BankEntry>,
     pub stats: FastLoopStats,
 }
 
@@ -400,7 +380,8 @@ pub struct MitigationControllerConfig {
 }
 
 /// A detection whose install is in flight (possibly mid-retry).
-struct PendingInstall {
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct PendingInstall {
     det: Detection,
     attempts: u32,
     first_attempt: SimTime,
@@ -414,11 +395,7 @@ pub struct MitigationController {
     cfg: MitigationControllerConfig,
     detector: StreamingWindowDetector,
     bank: BankHandle,
-    pending: HashMap<u64, PendingInstall>,
-    next_token: u64,
-    install_rng: rand::rngs::StdRng,
-    /// Circuit breaker over the install channel, when policy asks for one.
-    breaker: Option<CircuitBreaker>,
+    state: ControllerState,
     /// Completed episodes.
     pub events: Vec<MitigationEvent>,
     /// Detections abandoned after the retry budget/timeout ran out.
@@ -426,6 +403,21 @@ pub struct MitigationController {
     /// Observatory sink + episode spans (attempts, flakes, installs,
     /// give-ups, time-to-mitigation).
     pub obs: ControllerObs,
+}
+
+/// Everything a [`MitigationController`] keeps privately besides its
+/// config, detector and bank handle: the one declaration of those fields,
+/// and (in this order) their place in the checkpoint image.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct ControllerState {
+    /// In-flight installs by timer token; ordered, so images are
+    /// deterministic.
+    pending: BTreeMap<u64, PendingInstall>,
+    next_token: u64,
+    /// The install-flake stream, at its exact position.
+    install_rng: StreamRng,
+    /// Circuit breaker over the install channel, when policy asks for one.
+    breaker: Option<CircuitBreaker>,
 }
 
 impl MitigationController {
@@ -452,16 +444,17 @@ impl MitigationController {
         for w in &cfg.tap_blackouts {
             detector.announce_gap(w.from.as_nanos(), w.until.as_nanos());
         }
-        let install_rng = rand::SeedableRng::seed_from_u64(cfg.install.seed);
-        let breaker = cfg.install.breaker.map(CircuitBreaker::new);
+        let state = ControllerState {
+            pending: BTreeMap::new(),
+            next_token: 0,
+            install_rng: StreamRng(rand::SeedableRng::seed_from_u64(cfg.install.seed)),
+            breaker: cfg.install.breaker.map(CircuitBreaker::new),
+        };
         MitigationController {
             cfg,
             detector,
             bank,
-            pending: HashMap::new(),
-            next_token: 0,
-            install_rng,
-            breaker,
+            state,
             events: Vec::new(),
             giveups: Vec::new(),
             obs: ControllerObs::new(),
@@ -475,7 +468,7 @@ impl MitigationController {
 
     /// The install-channel circuit breaker, when the policy carries one.
     pub fn breaker(&self) -> Option<&CircuitBreaker> {
-        self.breaker.as_ref()
+        self.state.breaker.as_ref()
     }
 
     /// Move both Observatory bundles (controller + wrapped detector) out of
@@ -486,32 +479,13 @@ impl MitigationController {
     }
 
     /// Freeze the controller's dynamic state for a checkpoint: detector
-    /// image, in-flight installs (sorted by timer token for determinism),
-    /// install-RNG state, breaker, episode history, and telemetry values.
-    /// Config, model, and bank handle are reconstructed by the driver.
+    /// image, in-flight installs, install-RNG position, breaker, episode
+    /// history, and telemetry values. Config, model, and bank handle are
+    /// reconstructed by the driver.
     pub fn freeze(&self) -> FrozenController {
-        let mut pending: Vec<(u64, FrozenPending)> = self
-            .pending
-            .iter()
-            .map(|(&token, p)| {
-                (
-                    token,
-                    FrozenPending {
-                        det: p.det.clone(),
-                        attempts: p.attempts,
-                        first_attempt: p.first_attempt,
-                        span: p.span.index(),
-                    },
-                )
-            })
-            .collect();
-        pending.sort_by_key(|&(token, _)| token);
         FrozenController {
             detector: self.detector.freeze(),
-            pending,
-            next_token: self.next_token,
-            install_rng: self.install_rng.state(),
-            breaker: self.breaker.clone(),
+            state: self.state.clone(),
             events: self.events.clone(),
             giveups: self.giveups.clone(),
             sink: self.obs.sink.clone(),
@@ -535,24 +509,7 @@ impl MitigationController {
         }
         self.obs.thaw(frozen.sink, frozen.tracer)?;
         self.detector.thaw_state(frozen.detector)?;
-        self.pending = frozen
-            .pending
-            .into_iter()
-            .map(|(token, p)| {
-                (
-                    token,
-                    PendingInstall {
-                        det: p.det,
-                        attempts: p.attempts,
-                        first_attempt: p.first_attempt,
-                        span: OpenSpan::from_index(p.span),
-                    },
-                )
-            })
-            .collect();
-        self.next_token = frozen.next_token;
-        self.install_rng = rand::rngs::StdRng::from_state(frozen.install_rng);
-        self.breaker = frozen.breaker;
+        self.state = frozen.state;
         self.events = frozen.events;
         self.giveups = frozen.giveups;
         Ok(())
@@ -562,29 +519,19 @@ impl MitigationController {
         for det in detections {
             // One active mitigation per victim.
             if self.events.iter().any(|e| e.victim == det.dst)
-                || self.pending.values().any(|p| p.det.dst == det.dst)
+                || self.state.pending.values().any(|p| p.det.dst == det.dst)
             {
                 continue;
             }
-            let token = Self::TOKEN_BASE + self.next_token;
-            self.next_token += 1;
+            let token = Self::TOKEN_BASE + self.state.next_token;
+            self.state.next_token += 1;
             let at = now + self.cfg.placement.install_delay();
             let span = self.obs.on_episode_start(&det.dst.to_string(), now.as_nanos());
-            self.pending
+            self.state.pending
                 .insert(token, PendingInstall { det, attempts: 0, first_attempt: at, span });
             cmds.set_timer(at, token);
         }
     }
-}
-
-/// An in-flight install in a [`FrozenController`]; the open episode span
-/// is carried as its tracer index.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct FrozenPending {
-    pub det: Detection,
-    pub attempts: u32,
-    pub first_attempt: SimTime,
-    pub span: usize,
 }
 
 /// A [`MitigationController`]'s checkpointable image. Deliberately NOT
@@ -593,12 +540,7 @@ pub struct FrozenPending {
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenController {
     pub detector: FrozenDetector,
-    /// In-flight installs keyed by timer token, sorted ascending.
-    pub pending: Vec<(u64, FrozenPending)>,
-    pub next_token: u64,
-    /// xoshiro256++ word state of the install-flake RNG.
-    pub install_rng: [u64; 4],
-    pub breaker: Option<CircuitBreaker>,
+    pub state: ControllerState,
     pub events: Vec<MitigationEvent>,
     pub giveups: Vec<InstallGiveUp>,
     pub sink: ObsSink,
@@ -623,10 +565,10 @@ impl campuslab_netsim::SimHooks for MitigationController {
     }
 
     fn on_timer(&mut self, now: SimTime, token: u64, cmds: &mut Commands) {
-        let Some(mut p) = self.pending.remove(&token) else { return };
+        let Some(mut p) = self.state.pending.remove(&token) else { return };
         // An open circuit breaker sheds the episode before any attempt is
         // sent (or any RNG is drawn): a typed give-up, never a silent drop.
-        if let Some(b) = self.breaker.as_mut() {
+        if let Some(b) = self.state.breaker.as_mut() {
             if !b.allows(now) {
                 self.obs.on_giveup(p.span, now.as_nanos());
                 self.giveups.push(InstallGiveUp {
@@ -642,10 +584,10 @@ impl campuslab_netsim::SimHooks for MitigationController {
         p.attempts += 1;
         let policy = &self.cfg.install;
         let flaked = policy.failure_probability > 0.0
-            && rand::Rng::gen::<f64>(&mut self.install_rng) < policy.failure_probability;
+            && rand::Rng::gen::<f64>(&mut self.state.install_rng.0) < policy.failure_probability;
         self.obs.on_attempt(flaked);
         if !flaked {
-            if let Some(b) = self.breaker.as_mut() {
+            if let Some(b) = self.state.breaker.as_mut() {
                 b.on_success();
             }
             self.bank.add_program(Some(p.det.dst), self.cfg.program.clone());
@@ -659,7 +601,7 @@ impl campuslab_netsim::SimHooks for MitigationController {
             });
             return;
         }
-        if let Some(b) = self.breaker.as_mut() {
+        if let Some(b) = self.state.breaker.as_mut() {
             b.on_failure(now);
         }
         // The attempt flaked. Retry with bounded exponential backoff while
@@ -685,10 +627,10 @@ impl campuslab_netsim::SimHooks for MitigationController {
             });
             return;
         }
-        let token = Self::TOKEN_BASE + self.next_token;
-        self.next_token += 1;
+        let token = Self::TOKEN_BASE + self.state.next_token;
+        self.state.next_token += 1;
         cmds.set_timer(now + backoff, token);
-        self.pending.insert(token, p);
+        self.state.pending.insert(token, p);
     }
 }
 

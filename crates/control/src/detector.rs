@@ -30,6 +30,21 @@ pub struct Detection {
 /// feeding the model rates computed over a window it only half saw.
 pub struct StreamingWindowDetector {
     model: Box<dyn Classifier + Send>,
+    state: DetectorState,
+    /// Total records observed.
+    pub observed: u64,
+    /// Windows skipped because telemetry coverage fell below the policy.
+    pub gap_windows_skipped: u64,
+    /// Observatory sink: window/coverage/detection telemetry.
+    pub obs: DetectorObs,
+}
+
+/// Everything a [`StreamingWindowDetector`] keeps privately besides its
+/// model: the one declaration of those fields, and (in this order) the
+/// head of its checkpoint image. The windowing parameters and gate ride
+/// along so an image says what it was detecting with.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct DetectorState {
     cfg: WindowConfig,
     /// Minimum confidence to emit a detection.
     gate: f64,
@@ -40,12 +55,6 @@ pub struct StreamingWindowDetector {
     /// Below this observed fraction a window is skipped outright rather
     /// than extrapolated from too little signal.
     min_coverage: f64,
-    /// Total records observed.
-    pub observed: u64,
-    /// Windows skipped because telemetry coverage fell below the policy.
-    pub gap_windows_skipped: u64,
-    /// Observatory sink: window/coverage/detection telemetry.
-    pub obs: DetectorObs,
 }
 
 /// Positions of the count-rate features in the window feature vector
@@ -60,12 +69,14 @@ impl StreamingWindowDetector {
     pub fn new(model: Box<dyn Classifier + Send>, cfg: WindowConfig, gate: f64) -> Self {
         StreamingWindowDetector {
             model,
-            cfg,
-            gate,
-            current_window: None,
-            buffer: Vec::new(),
-            gaps: Vec::new(),
-            min_coverage: 0.5,
+            state: DetectorState {
+                cfg,
+                gate,
+                current_window: None,
+                buffer: Vec::new(),
+                gaps: Vec::new(),
+                min_coverage: 0.5,
+            },
             observed: 0,
             gap_windows_skipped: 0,
             obs: DetectorObs::new(),
@@ -77,28 +88,29 @@ impl StreamingWindowDetector {
     /// are judged on what was actually observable.
     pub fn announce_gap(&mut self, from_ns: u64, until_ns: u64) {
         if until_ns > from_ns {
-            self.gaps.push((from_ns, until_ns));
+            self.state.gaps.push((from_ns, until_ns));
         }
     }
 
     /// Change the minimum-coverage policy (clamped to `[0, 1]`).
     pub fn set_min_coverage(&mut self, min_coverage: f64) {
-        self.min_coverage = min_coverage.clamp(0.0, 1.0);
+        self.state.min_coverage = min_coverage.clamp(0.0, 1.0);
     }
 
     /// Fraction of `window` the tap could actually see.
     fn window_coverage(&self, window: u64) -> f64 {
-        if self.gaps.is_empty() {
+        if self.state.gaps.is_empty() {
             return 1.0;
         }
-        let start = window * self.cfg.window_ns;
-        let end = start + self.cfg.window_ns;
+        let start = window * self.state.cfg.window_ns;
+        let end = start + self.state.cfg.window_ns;
         let blind: u64 = self
+            .state
             .gaps
             .iter()
             .map(|&(f, u)| u.min(end).saturating_sub(f.max(start)))
             .sum();
-        1.0 - blind.min(self.cfg.window_ns) as f64 / self.cfg.window_ns as f64
+        1.0 - blind.min(self.state.cfg.window_ns) as f64 / self.state.cfg.window_ns as f64
     }
 
     /// Feed one record (records must arrive in time order, as a tap
@@ -106,32 +118,32 @@ impl StreamingWindowDetector {
     pub fn observe(&mut self, rec: &PacketRecord) -> Vec<Detection> {
         self.observed += 1;
         self.obs.on_observed();
-        let w = rec.ts_ns / self.cfg.window_ns;
+        let w = rec.ts_ns / self.state.cfg.window_ns;
         let mut out = Vec::new();
-        match self.current_window {
+        match self.state.current_window {
             Some(cur) if w != cur => {
                 out = self.close_window(cur);
-                self.current_window = Some(w);
+                self.state.current_window = Some(w);
             }
-            None => self.current_window = Some(w),
+            None => self.state.current_window = Some(w),
             _ => {}
         }
-        self.buffer.push(rec.clone());
+        self.state.buffer.push(rec.clone());
         out
     }
 
     /// Force-close the open window (end of run).
     pub fn flush(&mut self) -> Vec<Detection> {
-        match self.current_window.take() {
+        match self.state.current_window.take() {
             Some(cur) => self.close_window(cur),
             None => Vec::new(),
         }
     }
 
     fn close_window(&mut self, window: u64) -> Vec<Detection> {
-        let records = std::mem::take(&mut self.buffer);
+        let records = std::mem::take(&mut self.state.buffer);
         let coverage = self.window_coverage(window);
-        if coverage < self.min_coverage {
+        if coverage < self.state.min_coverage {
             // Mostly blind: extrapolating a rate from a sliver of signal
             // produces confident nonsense, so the window is explicitly
             // skipped and counted, not classified.
@@ -139,8 +151,8 @@ impl StreamingWindowDetector {
             self.obs.on_window_closed(coverage, true, 0);
             return Vec::new();
         }
-        let cells = aggregate(&records, self.cfg, LabelMode::BinaryAttack);
-        let window_end_ns = (window + 1) * self.cfg.window_ns;
+        let cells = aggregate(&records, self.state.cfg, LabelMode::BinaryAttack);
+        let window_end_ns = (window + 1) * self.state.cfg.window_ns;
         let out: Vec<Detection> = cells
             .into_iter()
             .filter_map(|cell| {
@@ -152,7 +164,7 @@ impl StreamingWindowDetector {
                     features[BYTE_COUNT_FEATURE] /= coverage;
                 }
                 let (class, confidence) = self.model.predict_with_confidence(&features);
-                (class != 0 && confidence >= self.gate).then_some(Detection {
+                (class != 0 && confidence >= self.state.gate).then_some(Detection {
                     dst: cell.dst,
                     window_end_ns,
                     class,
@@ -171,12 +183,7 @@ impl StreamingWindowDetector {
     /// which keeps trait objects out of the checkpoint format.
     pub fn freeze(&self) -> FrozenDetector {
         FrozenDetector {
-            cfg: self.cfg,
-            gate: self.gate,
-            current_window: self.current_window,
-            buffer: self.buffer.clone(),
-            gaps: self.gaps.clone(),
-            min_coverage: self.min_coverage,
+            state: self.state.clone(),
             observed: self.observed,
             gap_windows_skipped: self.gap_windows_skipped,
             sink: self.obs.sink.clone(),
@@ -188,12 +195,7 @@ impl StreamingWindowDetector {
     /// image whose metric sink does not fit is refused untouched.
     pub fn thaw_state(&mut self, frozen: FrozenDetector) -> Result<(), SinkMisfit> {
         self.obs.thaw(frozen.sink)?;
-        self.cfg = frozen.cfg;
-        self.gate = frozen.gate;
-        self.current_window = frozen.current_window;
-        self.buffer = frozen.buffer;
-        self.gaps = frozen.gaps;
-        self.min_coverage = frozen.min_coverage;
+        self.state = frozen.state;
         self.observed = frozen.observed;
         self.gap_windows_skipped = frozen.gap_windows_skipped;
         Ok(())
@@ -205,12 +207,7 @@ impl StreamingWindowDetector {
 /// by [`DetectorObs::new`]).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenDetector {
-    pub cfg: WindowConfig,
-    pub gate: f64,
-    pub current_window: Option<u64>,
-    pub buffer: Vec<PacketRecord>,
-    pub gaps: Vec<(u64, u64)>,
-    pub min_coverage: f64,
+    pub state: DetectorState,
     pub observed: u64,
     pub gap_windows_skipped: u64,
     pub sink: ObsSink,

@@ -29,10 +29,10 @@
 use crate::devloop::{run_development_loop, DevLoopConfig};
 use crate::observe::DriftObs;
 use crate::rollout::{RolloutEvent, RolloutEventKind};
-use campuslab_capture::sketch::{FrozenHeavyHitters, HeavyHitters};
+use campuslab_capture::sketch::HeavyHitters;
 use campuslab_capture::{Direction, PacketRecord};
 use campuslab_dataplane::{PipelineProgram, ProgramVersion, SwitchModel};
-use campuslab_features::{FrozenWindowStream, WindowCell, WindowConfig, WindowStream};
+use campuslab_features::{WindowCell, WindowConfig, WindowStream};
 use campuslab_netsim::fxhash::FxHasher;
 use campuslab_netsim::{Commands, Dir, LinkId, Packet, SimDuration, SimHooks, SimTime};
 use campuslab_obs::{ObsSink, OpenSpan, SinkMisfit, Tracer};
@@ -149,6 +149,22 @@ pub struct DriftEpisode {
 /// events back through [`DriftPilot::on_guard_event`]).
 pub struct DriftPilot {
     cfg: DriftPilotConfig,
+    state: PilotState,
+    /// Drift episodes, in onset order.
+    pub episodes: Vec<DriftEpisode>,
+    /// Every retrain, in sim order.
+    pub retrains: Vec<RetrainRecord>,
+    /// Observatory sink + drift spans.
+    pub obs: DriftObs,
+}
+
+/// Everything a [`DriftPilot`] keeps privately besides its config — stream
+/// accumulators, sealed cells, training buffer, drift sketches and
+/// references, episode machinery, submission bookkeeping: the one
+/// declaration of those fields, and (in this order) the head of its
+/// checkpoint image.
+#[derive(Clone, serde::Serialize, serde::Deserialize)]
+pub struct PilotState {
     stream: WindowStream,
     /// Sealed feature cells, in (window, dst) order — the incremental
     /// equivalent of `features::aggregate` over the tapped range.
@@ -175,12 +191,6 @@ pub struct DriftPilot {
     /// Every fingerprint this pilot ever submitted.
     mine: BTreeSet<u64>,
     outbox: Vec<PipelineProgram>,
-    /// Drift episodes, in onset order.
-    pub episodes: Vec<DriftEpisode>,
-    /// Every retrain, in sim order.
-    pub retrains: Vec<RetrainRecord>,
-    /// Observatory sink + drift spans.
-    pub obs: DriftObs,
 }
 
 impl DriftPilot {
@@ -196,12 +206,12 @@ impl DriftPilot {
             cfg.devloop.label_mode,
         );
         let hh = || HeavyHitters::new(cfg.heavy_k, cfg.sketch_width, cfg.sketch_depth);
-        DriftPilot {
+        let state = PilotState {
             stream,
-            hh_ports: hh(),
-            hh_prefixes: hh(),
             cells: Vec::new(),
             buffer: VecDeque::new(),
+            hh_ports: hh(),
+            hh_prefixes: hh(),
             ref_ports: Vec::new(),
             ref_prefixes: Vec::new(),
             last_retrain: SimTime::ZERO,
@@ -217,16 +227,19 @@ impl DriftPilot {
             barred: BTreeSet::new(),
             mine: BTreeSet::new(),
             outbox: Vec::new(),
+        };
+        DriftPilot {
+            cfg,
+            state,
             episodes: Vec::new(),
             retrains: Vec::new(),
             obs: DriftObs::new(),
-            cfg,
         }
     }
 
     /// Sealed incremental feature cells so far.
     pub fn features(&self) -> &[WindowCell] {
-        &self.cells
+        &self.state.cells
     }
 
     /// Seal every open window and return all feature cells produced over
@@ -237,46 +250,46 @@ impl DriftPilot {
             window_ns: self.cfg.window.as_nanos(),
             ..WindowConfig::default()
         };
-        let stream =
-            std::mem::replace(&mut self.stream, WindowStream::new(cfg, self.cfg.devloop.label_mode));
-        stream.finish(&mut self.cells);
-        std::mem::take(&mut self.cells)
+        let fresh = WindowStream::new(cfg, self.cfg.devloop.label_mode);
+        let stream = std::mem::replace(&mut self.state.stream, fresh);
+        stream.finish(&mut self.state.cells);
+        std::mem::take(&mut self.state.cells)
     }
 
     /// Feed one already-parsed record. The tap path calls this; the
     /// streaming==batch differential test feeds records directly.
     pub fn ingest_record(&mut self, rec: PacketRecord) {
         self.obs.on_record();
-        self.stream.push(&rec, &mut self.cells);
+        self.state.stream.push(&rec, &mut self.state.cells);
         let sport_key =
             IpAddr::V4(Ipv4Addr::new(rec.protocol, (rec.src_port >> 8) as u8, rec.src_port as u8, 0));
-        self.hh_ports.add(sport_key, u64::from(rec.wire_len));
-        self.hh_prefixes.add(prefix_key(rec.src), u64::from(rec.wire_len));
-        self.buffer.push_back(rec);
-        while self.buffer.len() > self.cfg.buffer_cap {
-            self.buffer.pop_front();
+        self.state.hh_ports.add(sport_key, u64::from(rec.wire_len));
+        self.state.hh_prefixes.add(prefix_key(rec.src), u64::from(rec.wire_len));
+        self.state.buffer.push_back(rec);
+        while self.state.buffer.len() > self.cfg.buffer_cap {
+            self.state.buffer.pop_front();
         }
     }
 
     /// Drain candidates awaiting guard submission (testbed wiring calls
     /// this after the pilot's timer tick).
     pub fn take_candidates(&mut self) -> Vec<PipelineProgram> {
-        std::mem::take(&mut self.outbox)
+        std::mem::take(&mut self.state.outbox)
     }
 
     /// The guard accepted this candidate into Shadow.
     pub fn on_guard_accepted(&mut self, version: &ProgramVersion) {
         self.obs.on_submitted();
-        self.mine.insert(version.fingerprint);
-        self.inflight = Some(version.fingerprint);
+        self.state.mine.insert(version.fingerprint);
+        self.state.inflight = Some(version.fingerprint);
     }
 
     /// The guard refused the candidate (busy/cooldown): keep it for the
     /// next window tick unless a newer retrain has replaced it.
     pub fn on_guard_refused(&mut self, program: PipelineProgram) {
         self.obs.on_guard_refused();
-        if self.outbox.is_empty() {
-            self.outbox.push(program);
+        if self.state.outbox.is_empty() {
+            self.state.outbox.push(program);
         }
     }
 
@@ -285,30 +298,30 @@ impl DriftPilot {
     /// are ignored.
     pub fn on_guard_event(&mut self, event: &RolloutEvent) {
         let fp = event.program.fingerprint;
-        if !self.mine.contains(&fp) {
+        if !self.state.mine.contains(&fp) {
             return;
         }
         match event.kind {
             RolloutEventKind::Committed => {
                 self.obs.on_committed();
-                self.deployed_fp = fp;
-                if self.inflight == Some(fp) {
-                    self.inflight = None;
+                self.state.deployed_fp = fp;
+                if self.state.inflight == Some(fp) {
+                    self.state.inflight = None;
                 }
                 self.close_episode(event.at);
             }
             RolloutEventKind::Vetoed(_) => {
                 self.obs.on_vetoed();
-                self.barred.insert(fp);
-                if self.inflight == Some(fp) {
-                    self.inflight = None;
+                self.state.barred.insert(fp);
+                if self.state.inflight == Some(fp) {
+                    self.state.inflight = None;
                 }
             }
             RolloutEventKind::RolledBack(_) => {
                 self.obs.on_rolled_back();
-                self.barred.insert(fp);
-                if self.inflight == Some(fp) {
-                    self.inflight = None;
+                self.state.barred.insert(fp);
+                if self.state.inflight == Some(fp) {
+                    self.state.inflight = None;
                 }
             }
             _ => {}
@@ -317,7 +330,7 @@ impl DriftPilot {
 
     /// Fingerprint of the program the pilot believes is in force.
     pub fn deployed_fingerprint(&self) -> u64 {
-        self.deployed_fp
+        self.state.deployed_fp
     }
 
     /// Move the Observatory bundle out of a finished pilot.
@@ -332,26 +345,7 @@ impl DriftPilot {
     /// scenario-derived and reconstructed by the driver.
     pub fn freeze(&self) -> FrozenDriftPilot {
         FrozenDriftPilot {
-            stream: self.stream.freeze(),
-            cells: self.cells.clone(),
-            buffer: self.buffer.iter().cloned().collect(),
-            hh_ports: self.hh_ports.freeze(),
-            hh_prefixes: self.hh_prefixes.freeze(),
-            ref_ports: self.ref_ports.clone(),
-            ref_prefixes: self.ref_prefixes.clone(),
-            last_retrain: self.last_retrain,
-            bootstrapped: self.bootstrapped,
-            records_at_tick: self.records_at_tick,
-            in_drift: self.in_drift,
-            drift_span: self.drift_span.as_ref().map(|s| s.index()),
-            drift_onset: self.drift_onset,
-            ordinal: self.ordinal,
-            retrained_since_onset: self.retrained_since_onset,
-            deployed_fp: self.deployed_fp,
-            inflight: self.inflight,
-            barred: self.barred.iter().copied().collect(),
-            mine: self.mine.iter().copied().collect(),
-            outbox: self.outbox.clone(),
+            state: self.state.clone(),
             episodes: self.episodes.clone(),
             retrains: self.retrains.clone(),
             sink: self.obs.sink.clone(),
@@ -365,38 +359,19 @@ impl DriftPilot {
     /// whose metric sink does not fit is refused untouched.
     pub fn thaw_state(&mut self, frozen: FrozenDriftPilot) -> Result<(), SinkMisfit> {
         self.obs.thaw(frozen.sink, frozen.tracer)?;
-        self.stream = WindowStream::thaw(frozen.stream);
-        self.cells = frozen.cells;
-        self.buffer = frozen.buffer.into();
-        self.hh_ports = HeavyHitters::thaw(frozen.hh_ports);
-        self.hh_prefixes = HeavyHitters::thaw(frozen.hh_prefixes);
-        self.ref_ports = frozen.ref_ports;
-        self.ref_prefixes = frozen.ref_prefixes;
-        self.last_retrain = frozen.last_retrain;
-        self.bootstrapped = frozen.bootstrapped;
-        self.records_at_tick = frozen.records_at_tick;
-        self.in_drift = frozen.in_drift;
-        self.drift_span = frozen.drift_span.map(OpenSpan::from_index);
-        self.drift_onset = frozen.drift_onset;
-        self.ordinal = frozen.ordinal;
-        self.retrained_since_onset = frozen.retrained_since_onset;
-        self.deployed_fp = frozen.deployed_fp;
-        self.inflight = frozen.inflight;
-        self.barred = frozen.barred.into_iter().collect();
-        self.mine = frozen.mine.into_iter().collect();
-        self.outbox = frozen.outbox;
+        self.state = frozen.state;
         self.episodes = frozen.episodes;
         self.retrains = frozen.retrains;
         Ok(())
     }
 
     fn close_episode(&mut self, at: SimTime) {
-        if let Some(span) = self.drift_span.take() {
-            self.obs.on_drift_mitigated(span, self.drift_onset.as_nanos(), at.as_nanos());
+        if let Some(span) = self.state.drift_span.take() {
+            self.obs.on_drift_mitigated(span, self.state.drift_onset.as_nanos(), at.as_nanos());
             if let Some(ep) = self.episodes.last_mut() {
                 ep.mitigated = Some(at);
             }
-            self.in_drift = false;
+            self.state.in_drift = false;
         }
     }
 
@@ -413,39 +388,40 @@ impl DriftPilot {
         let hh = || {
             HeavyHitters::new(self.cfg.heavy_k, self.cfg.sketch_width, self.cfg.sketch_depth)
         };
-        let ports = std::mem::replace(&mut self.hh_ports, hh()).top();
-        let prefixes = std::mem::replace(&mut self.hh_prefixes, hh()).top();
-        let score =
-            drift_score(&self.ref_ports, &ports).max(drift_score(&self.ref_prefixes, &prefixes));
+        let ports = std::mem::replace(&mut self.state.hh_ports, hh()).top();
+        let prefixes = std::mem::replace(&mut self.state.hh_prefixes, hh()).top();
+        let score = drift_score(&self.state.ref_ports, &ports)
+            .max(drift_score(&self.state.ref_prefixes, &prefixes));
         if !ports.is_empty() {
-            self.ref_ports = ports;
+            self.state.ref_ports = ports;
         }
         if !prefixes.is_empty() {
-            self.ref_prefixes = prefixes;
+            self.state.ref_prefixes = prefixes;
         }
         self.obs.on_window((score * 1_000.0) as i64);
 
         // Fresh-window retention.
         let horizon_floor = now.as_nanos().saturating_sub(self.cfg.training_horizon.as_nanos());
-        while self.buffer.front().is_some_and(|r| r.ts_ns < horizon_floor) {
-            self.buffer.pop_front();
+        while self.state.buffer.front().is_some_and(|r| r.ts_ns < horizon_floor) {
+            self.state.buffer.pop_front();
         }
-        self.obs.set_pending(self.buffer.len());
+        self.obs.set_pending(self.state.buffer.len());
 
-        let rising = score >= self.cfg.drift_threshold && !self.in_drift;
+        let rising = score >= self.cfg.drift_threshold && !self.state.in_drift;
         if rising {
-            self.in_drift = true;
-            self.ordinal += 1;
-            self.retrained_since_onset = false;
-            self.drift_onset = now;
-            let span = self.obs.on_drift_onset(self.ordinal, now.as_nanos());
-            self.drift_span = Some(span);
-            self.episodes.push(DriftEpisode { ordinal: self.ordinal, onset: now, mitigated: None });
-        } else if self.in_drift
+            self.state.in_drift = true;
+            self.state.ordinal += 1;
+            self.state.retrained_since_onset = false;
+            self.state.drift_onset = now;
+            let span = self.obs.on_drift_onset(self.state.ordinal, now.as_nanos());
+            self.state.drift_span = Some(span);
+            let ordinal = self.state.ordinal;
+            self.episodes.push(DriftEpisode { ordinal, onset: now, mitigated: None });
+        } else if self.state.in_drift
             && score < self.cfg.drift_threshold
-            && self.retrained_since_onset
-            && self.inflight.is_none()
-            && self.outbox.is_empty()
+            && self.state.retrained_since_onset
+            && self.state.inflight.is_none()
+            && self.state.outbox.is_empty()
         {
             // The score calmed, the pipeline retrained, and nothing is
             // left to deploy: benign drift the current program absorbs.
@@ -454,7 +430,7 @@ impl DriftPilot {
 
         if rising {
             self.retrain(now, RetrainTrigger::Drift);
-        } else if now.since(self.last_retrain) >= self.cfg.retrain_every {
+        } else if now.since(self.state.last_retrain) >= self.cfg.retrain_every {
             self.retrain(now, RetrainTrigger::Periodic);
         }
 
@@ -462,40 +438,41 @@ impl DriftPilot {
         // ticking only while there is work — fresh records this window, a
         // non-empty training buffer, or a candidate awaiting a verdict.
         // Once quiet, disarm; the next tap packet re-bootstraps the timer.
-        let fresh = self.obs.records() != self.records_at_tick;
-        self.records_at_tick = self.obs.records();
-        if fresh || !self.buffer.is_empty() || self.inflight.is_some() || !self.outbox.is_empty() {
+        let fresh = self.obs.records() != self.state.records_at_tick;
+        self.state.records_at_tick = self.obs.records();
+        let st = &self.state;
+        if fresh || !st.buffer.is_empty() || st.inflight.is_some() || !st.outbox.is_empty() {
             self.arm_window(now, cmds);
         } else {
-            self.bootstrapped = false;
+            self.state.bootstrapped = false;
         }
     }
 
     fn retrain(&mut self, now: SimTime, trigger: RetrainTrigger) {
-        if self.buffer.len() < self.cfg.min_records {
+        if self.state.buffer.len() < self.cfg.min_records {
             // Not enough fresh data; leave last_retrain untouched so the
             // periodic trigger retries next window.
             return;
         }
-        self.last_retrain = now;
-        self.retrained_since_onset = true;
-        let records: Vec<PacketRecord> = self.buffer.iter().cloned().collect();
+        self.state.last_retrain = now;
+        self.state.retrained_since_onset = true;
+        let records: Vec<PacketRecord> = self.state.buffer.iter().cloned().collect();
         self.obs.on_retrain(trigger == RetrainTrigger::Drift);
         let (model_fp, program) = retrain_window(&records, &self.cfg.devloop);
         let prog_fp = program.fingerprint();
         let outcome = if self.cfg.switch.max_concurrent(&program) == 0 {
             self.obs.on_budget_rejected();
             RetrainOutcome::BudgetRejected
-        } else if prog_fp == self.deployed_fp || self.inflight == Some(prog_fp) {
+        } else if prog_fp == self.state.deployed_fp || self.state.inflight == Some(prog_fp) {
             self.obs.on_unchanged();
             RetrainOutcome::Unchanged
-        } else if self.barred.contains(&prog_fp) {
+        } else if self.state.barred.contains(&prog_fp) {
             self.obs.on_unchanged();
             RetrainOutcome::Barred
         } else {
             // Newest candidate wins: an undelivered older one is stale.
-            self.outbox.clear();
-            self.outbox.push(program);
+            self.state.outbox.clear();
+            self.state.outbox.push(program);
             RetrainOutcome::Queued
         };
         self.retrains.push(RetrainRecord {
@@ -514,29 +491,7 @@ impl DriftPilot {
 /// pure functions of the buffered records, so models need no transport).
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenDriftPilot {
-    pub stream: FrozenWindowStream,
-    pub cells: Vec<WindowCell>,
-    pub buffer: Vec<PacketRecord>,
-    pub hh_ports: FrozenHeavyHitters,
-    pub hh_prefixes: FrozenHeavyHitters,
-    pub ref_ports: Vec<(IpAddr, u64)>,
-    pub ref_prefixes: Vec<(IpAddr, u64)>,
-    pub last_retrain: SimTime,
-    pub bootstrapped: bool,
-    pub records_at_tick: u64,
-    pub in_drift: bool,
-    /// The open drift span's tracer index.
-    pub drift_span: Option<usize>,
-    pub drift_onset: SimTime,
-    pub ordinal: u64,
-    pub retrained_since_onset: bool,
-    pub deployed_fp: u64,
-    pub inflight: Option<u64>,
-    /// Barred fingerprints, ascending.
-    pub barred: Vec<u64>,
-    /// Every fingerprint this pilot ever submitted, ascending.
-    pub mine: Vec<u64>,
-    pub outbox: Vec<PipelineProgram>,
+    pub state: PilotState,
     pub episodes: Vec<DriftEpisode>,
     pub retrains: Vec<RetrainRecord>,
     pub sink: ObsSink,
@@ -548,8 +503,8 @@ impl SimHooks for DriftPilot {
         if link != self.cfg.tap {
             return;
         }
-        if !self.bootstrapped {
-            self.bootstrapped = true;
+        if !self.state.bootstrapped {
+            self.state.bootstrapped = true;
             self.arm_window(now, cmds);
         }
         let rec = PacketRecord::from_packet(now, Direction::from_border_dir(dir), packet);

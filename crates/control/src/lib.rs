@@ -33,20 +33,20 @@ pub mod driftpilot;
 pub mod observe;
 
 pub use controller::{
-    BankFilter, BankHandle, FastLoopStatsSnapshot, FrozenBank, FrozenBankEntry, FrozenController,
-    FrozenPending, GiveUpReason, InstallGiveUp, InstallPolicy, MitigationController,
-    MitigationControllerConfig, MitigationEvent, Placement, ProgramScope,
+    BankEntry, BankFilter, BankHandle, ControllerState, FastLoopStatsSnapshot, FrozenBank,
+    FrozenController, GiveUpReason, InstallGiveUp, InstallPolicy, MitigationController,
+    MitigationControllerConfig, MitigationEvent, PendingInstall, Placement, ProgramScope,
 };
-pub use detector::{Detection, FrozenDetector, StreamingWindowDetector};
+pub use detector::{Detection, DetectorState, FrozenDetector, StreamingWindowDetector};
 pub use devloop::{run_development_loop, DevLoopConfig, DevLoopResult, ModelEval, TeacherKind};
 pub use driftpilot::{
     records_hash, retrain_window, DriftEpisode, DriftPilot, DriftPilotConfig, FrozenDriftPilot,
-    RetrainOutcome, RetrainRecord, RetrainTrigger,
+    PilotState, RetrainOutcome, RetrainRecord, RetrainTrigger,
 };
 pub use fastloop::{DeployedFilter, FastLoopStats, ShadowMirror, ShadowWindow};
 pub use observe::{ControllerObs, DetectorObs, DriftObs, PlazaObs, RolloutObs};
 pub use rollout::{
-    BreakerState, CircuitBreaker, CircuitBreakerPolicy, FrozenCandidate, FrozenGuard,
+    BreakerState, Candidate, CircuitBreaker, CircuitBreakerPolicy, FrozenGuard, GuardState,
     ProgramRegistry, RejectReason, RolloutConfig, RolloutEvent, RolloutEventKind, RolloutGuard,
     RolloutStage, SloPolicy, SloViolation,
 };

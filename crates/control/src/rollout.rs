@@ -330,8 +330,10 @@ pub struct RolloutConfig {
     pub submissions: Vec<(SimTime, PipelineProgram)>,
 }
 
-/// A candidate under supervision.
-struct Candidate {
+/// A candidate under supervision: program, version, and the live shadow
+/// mirror (whose runtime carries token-bucket levels mid-window).
+#[derive(Clone, serde::Serialize, serde::Deserialize)]
+pub struct Candidate {
     program: PipelineProgram,
     version: ProgramVersion,
     mirror: ShadowMirror,
@@ -344,39 +346,49 @@ struct Candidate {
 pub struct RolloutGuard {
     cfg: RolloutConfig,
     bank: BankHandle,
-    registry: ProgramRegistry,
-    known_good: ProgramVersion,
-    stage: RolloutStage,
-    candidate: Option<Candidate>,
-    stage_span: Option<OpenSpan>,
-    stage_entered: SimTime,
-    cooldown_until: SimTime,
-    healthy_streak: u32,
-    violation_streak: u32,
-    /// Bank stats at the last window boundary, for per-window deltas.
-    last_bank: crate::controller::FastLoopStatsSnapshot,
-    /// Baseline means accumulated over shadow windows (candidate not yet
-    /// enforced): benign-drop rate and capture loss.
-    baseline_benign_drop: Mean,
-    baseline_capture_loss: Mean,
-    /// Mitigation latency samples (ms) and give-ups fed in this window.
-    window_ttm_ms: Vec<u64>,
-    window_giveups: u32,
-    /// After a rollback: keep evaluating windows until one confirms the
-    /// SLOs are back at baseline.
-    awaiting_recovery: bool,
-    rolled_back_version: Option<ProgramVersion>,
-    bootstrapped: bool,
-    ticking: bool,
-    next_submission: usize,
+    state: GuardState,
     /// Guard decisions, in sim order.
     pub events: Vec<RolloutEvent>,
     /// Observatory sink + per-stage spans.
     pub obs: RolloutObs,
 }
 
+/// Everything a [`RolloutGuard`] keeps privately besides its config and
+/// bank handle — lineage, stage machine, candidate, baselines, streaks,
+/// cooldowns: the one declaration of those fields, and (in this order) the
+/// head of its checkpoint image. Readable so tests and probes can look
+/// inside an image; the live copy is the guard's own.
+#[derive(Clone, serde::Serialize, serde::Deserialize)]
+pub struct GuardState {
+    pub registry: ProgramRegistry,
+    pub known_good: ProgramVersion,
+    pub stage: RolloutStage,
+    pub candidate: Option<Candidate>,
+    pub stage_span: Option<OpenSpan>,
+    pub stage_entered: SimTime,
+    pub cooldown_until: SimTime,
+    pub healthy_streak: u32,
+    pub violation_streak: u32,
+    /// Bank stats at the last window boundary, for per-window deltas.
+    pub last_bank: crate::controller::FastLoopStatsSnapshot,
+    /// Baseline means accumulated over shadow windows (candidate not yet
+    /// enforced): benign-drop rate and capture loss.
+    pub baseline_benign_drop: Mean,
+    pub baseline_capture_loss: Mean,
+    /// Mitigation latency samples (ms) and give-ups fed in this window.
+    pub window_ttm_ms: Vec<u64>,
+    pub window_giveups: u32,
+    /// After a rollback: keep evaluating windows until one confirms the
+    /// SLOs are back at baseline.
+    pub awaiting_recovery: bool,
+    pub rolled_back_version: Option<ProgramVersion>,
+    pub bootstrapped: bool,
+    pub ticking: bool,
+    pub next_submission: usize,
+}
+
 /// Deterministic running mean (same accumulation order every run).
-/// Public only so checkpoints ([`FrozenGuard`]) can carry the baselines.
+/// Public only so checkpoints ([`GuardState`]) can carry the baselines.
 #[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
 pub struct Mean {
     sum: f64,
@@ -425,9 +437,7 @@ impl RolloutGuard {
         bank.install(ProgramScope::Global, known_good);
         let mut obs = RolloutObs::new();
         obs.set_registry_versions(registry.len());
-        RolloutGuard {
-            cfg,
-            bank: bank.clone(),
+        let state = GuardState {
             registry,
             known_good: known_good_version,
             stage: RolloutStage::Idle,
@@ -447,35 +457,34 @@ impl RolloutGuard {
             bootstrapped: false,
             ticking: false,
             next_submission: 0,
-            events: Vec::new(),
-            obs,
-        }
+        };
+        RolloutGuard { cfg, bank, state, events: Vec::new(), obs }
     }
 
     /// Current stage.
     pub fn stage(&self) -> RolloutStage {
-        self.stage
+        self.state.stage
     }
 
     /// The known-good lineage.
     pub fn registry(&self) -> &ProgramRegistry {
-        &self.registry
+        &self.state.registry
     }
 
     /// The version a rollback leaves in force.
     pub fn known_good(&self) -> &ProgramVersion {
-        &self.known_good
+        &self.state.known_good
     }
 
     /// Feed one mitigation-latency sample (ms) from the controller.
     pub fn record_ttm_sample(&mut self, ttm_ms: u64) {
-        self.window_ttm_ms.push(ttm_ms);
+        self.state.window_ttm_ms.push(ttm_ms);
     }
 
     /// Feed a controller install give-up: a rollback-eligible failure,
     /// never a silent drop.
     pub fn record_giveup(&mut self, _reason: GiveUpReason) {
-        self.window_giveups += 1;
+        self.state.window_giveups += 1;
         self.obs.on_giveup_observed();
     }
 
@@ -491,7 +500,7 @@ impl RolloutGuard {
     /// so any samples already recorded would be lost.
     pub fn set_obs_prefix(&mut self, prefix: impl Into<String>) {
         let mut obs = RolloutObs::with_prefix(prefix);
-        obs.set_registry_versions(self.registry.len());
+        obs.set_registry_versions(self.state.registry.len());
         self.obs = obs;
     }
 
@@ -502,29 +511,7 @@ impl RolloutGuard {
     /// separately as [`crate::controller::FrozenBank`].
     pub fn freeze(&self) -> FrozenGuard {
         FrozenGuard {
-            registry: self.registry.clone(),
-            known_good: self.known_good.clone(),
-            stage: self.stage,
-            candidate: self.candidate.as_ref().map(|c| FrozenCandidate {
-                program: c.program.clone(),
-                version: c.version.clone(),
-                mirror: c.mirror.clone(),
-            }),
-            stage_span: self.stage_span.as_ref().map(|s| s.index()),
-            stage_entered: self.stage_entered,
-            cooldown_until: self.cooldown_until,
-            healthy_streak: self.healthy_streak,
-            violation_streak: self.violation_streak,
-            last_bank: self.last_bank,
-            baseline_benign_drop: self.baseline_benign_drop,
-            baseline_capture_loss: self.baseline_capture_loss,
-            window_ttm_ms: self.window_ttm_ms.clone(),
-            window_giveups: self.window_giveups,
-            awaiting_recovery: self.awaiting_recovery,
-            rolled_back_version: self.rolled_back_version.clone(),
-            bootstrapped: self.bootstrapped,
-            ticking: self.ticking,
-            next_submission: self.next_submission,
+            state: self.state.clone(),
             events: self.events.clone(),
             sink: self.obs.sink.clone(),
             tracer: self.obs.tracer.clone(),
@@ -538,49 +525,27 @@ impl RolloutGuard {
     /// refused untouched.
     pub fn thaw_state(&mut self, frozen: FrozenGuard) -> Result<(), SinkMisfit> {
         self.obs.thaw(frozen.sink, frozen.tracer)?;
-        self.registry = frozen.registry;
-        self.known_good = frozen.known_good;
-        self.stage = frozen.stage;
-        self.candidate = frozen.candidate.map(|c| Candidate {
-            program: c.program,
-            version: c.version,
-            mirror: c.mirror,
-        });
-        self.stage_span = frozen.stage_span.map(OpenSpan::from_index);
-        self.stage_entered = frozen.stage_entered;
-        self.cooldown_until = frozen.cooldown_until;
-        self.healthy_streak = frozen.healthy_streak;
-        self.violation_streak = frozen.violation_streak;
-        self.last_bank = frozen.last_bank;
-        self.baseline_benign_drop = frozen.baseline_benign_drop;
-        self.baseline_capture_loss = frozen.baseline_capture_loss;
-        self.window_ttm_ms = frozen.window_ttm_ms;
-        self.window_giveups = frozen.window_giveups;
-        self.awaiting_recovery = frozen.awaiting_recovery;
-        self.rolled_back_version = frozen.rolled_back_version;
-        self.bootstrapped = frozen.bootstrapped;
-        self.ticking = frozen.ticking;
-        self.next_submission = frozen.next_submission;
+        self.state = frozen.state;
         self.events = frozen.events;
         Ok(())
     }
 
     fn enter_stage(&mut self, now: SimTime, stage: RolloutStage) {
-        if let Some(span) = self.stage_span.take() {
-            self.obs.on_stage_exit(span, self.stage_entered.as_nanos(), now.as_nanos());
+        if let Some(span) = self.state.stage_span.take() {
+            self.obs.on_stage_exit(span, self.state.stage_entered.as_nanos(), now.as_nanos());
         }
-        self.stage = stage;
-        self.stage_entered = now;
-        self.healthy_streak = 0;
-        self.violation_streak = 0;
+        self.state.stage = stage;
+        self.state.stage_entered = now;
+        self.state.healthy_streak = 0;
+        self.state.violation_streak = 0;
         match stage {
             RolloutStage::Idle => self.obs.set_stage(stage.code()),
             _ => {
-                let label = match &self.candidate {
+                let label = match &self.state.candidate {
                     Some(c) => format!("{} {}", stage.label(), c.version),
                     None => stage.label().to_string(),
                 };
-                self.stage_span =
+                self.state.stage_span =
                     Some(self.obs.on_stage_enter(&label, stage.code(), now.as_nanos()));
             }
         }
@@ -616,9 +581,9 @@ impl RolloutGuard {
         cmds: &mut Commands,
     ) -> Option<RejectReason> {
         let version = program.version();
-        let reject = if self.stage != RolloutStage::Idle {
+        let reject = if self.state.stage != RolloutStage::Idle {
             Some(RejectReason::Busy)
-        } else if now < self.cooldown_until {
+        } else if now < self.state.cooldown_until {
             Some(RejectReason::Cooldown)
         } else {
             None
@@ -630,43 +595,41 @@ impl RolloutGuard {
         }
         self.obs.on_submission(true);
         let mirror = ShadowMirror::new(program.clone(), self.cfg.extractor.clone());
-        self.candidate = Some(Candidate { program, version: version.clone(), mirror });
+        self.state.candidate = Some(Candidate { program, version: version.clone(), mirror });
         // Recovery watching (if any) yields to the new candidate.
-        self.awaiting_recovery = false;
-        self.rolled_back_version = None;
+        self.state.awaiting_recovery = false;
+        self.state.rolled_back_version = None;
         self.push_event(now, version, RolloutEventKind::Submitted);
         self.enter_stage(now, RolloutStage::Shadow);
-        self.last_bank = self.bank.stats();
+        self.state.last_bank = self.bank.stats();
         self.arm_window(now, cmds);
         None
     }
 
     fn arm_window(&mut self, now: SimTime, cmds: &mut Commands) {
-        if self.ticking {
+        if self.state.ticking {
             return;
         }
         let w = self.cfg.slo.window.as_nanos();
         let next = SimTime(((now.as_nanos() / w) + 1) * w);
         cmds.set_timer(next, Self::WINDOW_TOKEN);
-        self.ticking = true;
+        self.state.ticking = true;
     }
 
     fn gather_evidence(&mut self) -> WindowEvidence {
         let bank_now = self.bank.stats();
-        let d_packets = bank_now.packets.saturating_sub(self.last_bank.packets);
-        let d_dropped_attack =
-            bank_now.dropped_attack.saturating_sub(self.last_bank.dropped_attack);
-        let d_dropped_benign =
-            bank_now.dropped_benign.saturating_sub(self.last_bank.dropped_benign);
-        let d_passed_attack = bank_now.passed_attack.saturating_sub(self.last_bank.passed_attack);
-        self.last_bank = bank_now;
+        let last = std::mem::replace(&mut self.state.last_bank, bank_now);
+        let d_packets = bank_now.packets.saturating_sub(last.packets);
+        let d_dropped_attack = bank_now.dropped_attack.saturating_sub(last.dropped_attack);
+        let d_dropped_benign = bank_now.dropped_benign.saturating_sub(last.dropped_benign);
+        let d_passed_attack = bank_now.passed_attack.saturating_sub(last.passed_attack);
         let benign_seen = d_packets.saturating_sub(d_dropped_attack + d_passed_attack);
         let benign_drop_rate = if benign_seen == 0 {
             0.0
         } else {
             d_dropped_benign as f64 / benign_seen as f64
         };
-        let shadow = match &mut self.candidate {
+        let shadow = match &mut self.state.candidate {
             Some(c) => c.mirror.take_window(),
             None => Default::default(),
         };
@@ -681,8 +644,8 @@ impl RolloutGuard {
             fp_rate: shadow.fp_rate(),
             benign_drop_rate,
             capture_loss,
-            worst_ttm_ms: self.window_ttm_ms.drain(..).max(),
-            giveups: std::mem::take(&mut self.window_giveups),
+            worst_ttm_ms: self.state.window_ttm_ms.drain(..).max(),
+            giveups: std::mem::take(&mut self.state.window_giveups),
         }
     }
 
@@ -690,7 +653,7 @@ impl RolloutGuard {
     fn violations(&self, ev: &WindowEvidence) -> Vec<SloViolation> {
         let slo = &self.cfg.slo;
         let mut out = Vec::new();
-        match self.stage {
+        match self.state.stage {
             RolloutStage::Shadow => {
                 if ev.fp_rate > slo.max_fp_rate {
                     out.push(SloViolation::FalsePositiveRate);
@@ -701,11 +664,12 @@ impl RolloutGuard {
                     out.push(SloViolation::FalsePositiveRate);
                 }
                 if ev.benign_drop_rate
-                    > self.baseline_benign_drop.get() + slo.max_benign_drop_delta
+                    > self.state.baseline_benign_drop.get() + slo.max_benign_drop_delta
                 {
                     out.push(SloViolation::BenignDropDelta);
                 }
-                if ev.capture_loss > self.baseline_capture_loss.get() + slo.max_capture_loss_delta
+                if ev.capture_loss
+                    > self.state.baseline_capture_loss.get() + slo.max_capture_loss_delta
                 {
                     out.push(SloViolation::CaptureLossDelta);
                 }
@@ -720,7 +684,7 @@ impl RolloutGuard {
                 // Recovery watching: no mirror is running, so only the
                 // enforced-path benign-drop gate applies.
                 if ev.benign_drop_rate
-                    > self.baseline_benign_drop.get() + slo.max_benign_drop_delta
+                    > self.state.baseline_benign_drop.get() + slo.max_benign_drop_delta
                 {
                     out.push(SloViolation::BenignDropDelta);
                 }
@@ -730,18 +694,18 @@ impl RolloutGuard {
     }
 
     fn evaluate_window(&mut self, now: SimTime, cmds: &mut Commands) {
-        self.ticking = false;
+        self.state.ticking = false;
         let ev = self.gather_evidence();
         // The capture-loss gate stays live even when mirroring itself is
         // starved — a full blackout must read as a coverage violation,
         // not as "no evidence".
-        let capture_violated = matches!(self.stage, RolloutStage::Canary | RolloutStage::Full)
+        let capture_violated = matches!(self.state.stage, RolloutStage::Canary | RolloutStage::Full)
             && ev.capture_loss
-                > self.baseline_capture_loss.get() + self.cfg.slo.max_capture_loss_delta;
+                > self.state.baseline_capture_loss.get() + self.cfg.slo.max_capture_loss_delta;
         // Conclusiveness keys off the traffic the verdict actually rests
         // on: mirrored packets while a candidate is evaluated, enforced
         // bank traffic during post-rollback recovery watching.
-        let sample = if self.candidate.is_some() { ev.mirrored } else { ev.bank_packets };
+        let sample = if self.state.candidate.is_some() { ev.mirrored } else { ev.bank_packets };
         if sample < self.cfg.slo.min_packets && !capture_violated {
             self.obs.on_window(None);
             self.keep_ticking(now, cmds);
@@ -753,47 +717,49 @@ impl RolloutGuard {
         }
         let healthy = violations.is_empty();
         self.obs.on_window(Some(healthy));
-        if matches!(self.stage, RolloutStage::Shadow) {
+        if matches!(self.state.stage, RolloutStage::Shadow) {
             // The candidate is not enforced yet, so these windows define
             // the production baseline the canary is judged against.
-            self.baseline_benign_drop.push(ev.benign_drop_rate);
-            self.baseline_capture_loss.push(ev.capture_loss);
+            self.state.baseline_benign_drop.push(ev.benign_drop_rate);
+            self.state.baseline_capture_loss.push(ev.capture_loss);
         }
         if healthy {
-            self.healthy_streak += 1;
-            self.violation_streak = 0;
+            self.state.healthy_streak += 1;
+            self.state.violation_streak = 0;
             self.on_healthy_streak(now);
         } else {
-            self.violation_streak += 1;
-            self.healthy_streak = 0;
+            self.state.violation_streak += 1;
+            self.state.healthy_streak = 0;
             self.on_violation_streak(now, violations[0]);
         }
         self.keep_ticking(now, cmds);
     }
 
     fn keep_ticking(&mut self, now: SimTime, cmds: &mut Commands) {
-        let more_submissions = self.next_submission < self.cfg.submissions.len();
-        if self.stage != RolloutStage::Idle || self.awaiting_recovery || more_submissions {
+        let more_submissions = self.state.next_submission < self.cfg.submissions.len();
+        let st = &self.state;
+        if st.stage != RolloutStage::Idle || st.awaiting_recovery || more_submissions {
             self.arm_window(now, cmds);
         }
     }
 
     fn on_healthy_streak(&mut self, now: SimTime) {
-        if self.awaiting_recovery {
+        if self.state.awaiting_recovery {
             // Any single healthy window confirms the known-good program
             // restored the SLOs.
-            self.awaiting_recovery = false;
-            let version = self.rolled_back_version.take().unwrap_or_else(|| self.known_good.clone());
+            self.state.awaiting_recovery = false;
+            let st = &mut self.state;
+            let version = st.rolled_back_version.take().unwrap_or_else(|| st.known_good.clone());
             self.obs.on_recovery();
             self.push_event(now, version, RolloutEventKind::Recovered);
             return;
         }
-        if self.healthy_streak < self.cfg.slo.promote_after {
+        if self.state.healthy_streak < self.cfg.slo.promote_after {
             return;
         }
-        match self.stage {
+        match self.state.stage {
             RolloutStage::Shadow => {
-                let Some(c) = &self.candidate else { return };
+                let Some(c) = &self.state.candidate else { return };
                 let version = c.version.clone();
                 self.bank
                     .install(ProgramScope::AnyOf(self.cfg.canary_hosts.clone()), c.program.clone());
@@ -802,7 +768,7 @@ impl RolloutGuard {
                 self.enter_stage(now, RolloutStage::Canary);
             }
             RolloutStage::Canary => {
-                let Some(c) = &self.candidate else { return };
+                let Some(c) = &self.state.candidate else { return };
                 let version = c.version.clone();
                 // Re-scope: the canary entry leaves, a global one lands.
                 self.bank.remove_fingerprint(version.fingerprint);
@@ -812,13 +778,13 @@ impl RolloutGuard {
                 self.enter_stage(now, RolloutStage::Full);
             }
             RolloutStage::Full => {
-                let Some(c) = self.candidate.take() else { return };
+                let Some(c) = self.state.candidate.take() else { return };
                 let version = c.version.clone();
                 // The candidate becomes the known-good head; the old
                 // known-good entry retires from the bank.
-                self.bank.remove_fingerprint(self.known_good.fingerprint);
-                self.known_good = self.registry.commit(c.program);
-                self.obs.on_commit(self.registry.len());
+                self.bank.remove_fingerprint(self.state.known_good.fingerprint);
+                self.state.known_good = self.state.registry.commit(c.program);
+                self.obs.on_commit(self.state.registry.len());
                 self.push_event(now, version, RolloutEventKind::Committed);
                 self.enter_stage(now, RolloutStage::Idle);
             }
@@ -827,27 +793,27 @@ impl RolloutGuard {
     }
 
     fn on_violation_streak(&mut self, now: SimTime, worst: SloViolation) {
-        if self.violation_streak < self.cfg.slo.rollback_after {
+        if self.state.violation_streak < self.cfg.slo.rollback_after {
             return;
         }
-        match self.stage {
+        match self.state.stage {
             RolloutStage::Shadow => {
-                let Some(c) = self.candidate.take() else { return };
+                let Some(c) = self.state.candidate.take() else { return };
                 self.obs.on_veto();
                 self.push_event(now, c.version, RolloutEventKind::Vetoed(worst));
-                self.cooldown_until = now + self.cfg.slo.cooldown;
+                self.state.cooldown_until = now + self.cfg.slo.cooldown;
                 self.enter_stage(now, RolloutStage::Idle);
             }
             RolloutStage::Canary | RolloutStage::Full => {
-                let Some(c) = self.candidate.take() else { return };
+                let Some(c) = self.state.candidate.take() else { return };
                 // Remove every candidate entry; the known-good program
                 // never left the bank, so it is back in sole force now.
                 self.bank.remove_fingerprint(c.version.fingerprint);
                 self.obs.on_rollback();
                 self.push_event(now, c.version.clone(), RolloutEventKind::RolledBack(worst));
-                self.cooldown_until = now + self.cfg.slo.cooldown;
-                self.awaiting_recovery = true;
-                self.rolled_back_version = Some(c.version);
+                self.state.cooldown_until = now + self.cfg.slo.cooldown;
+                self.state.awaiting_recovery = true;
+                self.state.rolled_back_version = Some(c.version);
                 self.enter_stage(now, RolloutStage::Idle);
             }
             RolloutStage::Idle => {
@@ -857,39 +823,11 @@ impl RolloutGuard {
     }
 }
 
-/// A [`FrozenGuard`]'s candidate: program, version, and the live shadow
-/// mirror (whose runtime carries token-bucket levels mid-window).
-#[derive(Clone, serde::Serialize, serde::Deserialize)]
-pub struct FrozenCandidate {
-    pub program: PipelineProgram,
-    pub version: ProgramVersion,
-    pub mirror: ShadowMirror,
-}
-
 /// A [`RolloutGuard`]'s checkpointable image. Deliberately NOT captured:
 /// the config (scenario-derived) and the bank handle (frozen separately).
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenGuard {
-    pub registry: ProgramRegistry,
-    pub known_good: ProgramVersion,
-    pub stage: RolloutStage,
-    pub candidate: Option<FrozenCandidate>,
-    /// The open stage span's tracer index.
-    pub stage_span: Option<usize>,
-    pub stage_entered: SimTime,
-    pub cooldown_until: SimTime,
-    pub healthy_streak: u32,
-    pub violation_streak: u32,
-    pub last_bank: crate::controller::FastLoopStatsSnapshot,
-    pub baseline_benign_drop: Mean,
-    pub baseline_capture_loss: Mean,
-    pub window_ttm_ms: Vec<u64>,
-    pub window_giveups: u32,
-    pub awaiting_recovery: bool,
-    pub rolled_back_version: Option<ProgramVersion>,
-    pub bootstrapped: bool,
-    pub ticking: bool,
-    pub next_submission: usize,
+    pub state: GuardState,
     pub events: Vec<RolloutEvent>,
     pub sink: ObsSink,
     pub tracer: Tracer,
@@ -900,8 +838,8 @@ impl SimHooks for RolloutGuard {
         if link != self.cfg.tap {
             return;
         }
-        if !self.bootstrapped {
-            self.bootstrapped = true;
+        if !self.state.bootstrapped {
+            self.state.bootstrapped = true;
             for (i, (at, _)) in self.cfg.submissions.iter().enumerate() {
                 let fire = if *at > now { *at } else { now + SimDuration::from_nanos(1) };
                 cmds.set_timer(fire, Self::TOKEN_BASE + 1 + i as u64);
@@ -914,7 +852,7 @@ impl SimHooks for RolloutGuard {
         {
             return;
         }
-        if let Some(c) = &mut self.candidate {
+        if let Some(c) = &mut self.state.candidate {
             c.mirror.observe(now, packet);
         }
     }
@@ -926,10 +864,10 @@ impl SimHooks for RolloutGuard {
         }
         let Some(idx) = token.checked_sub(Self::TOKEN_BASE + 1) else { return };
         let idx = idx as usize;
-        if idx >= self.cfg.submissions.len() || idx != self.next_submission {
+        if idx >= self.cfg.submissions.len() || idx != self.state.next_submission {
             return;
         }
-        self.next_submission += 1;
+        self.state.next_submission += 1;
         let program = self.cfg.submissions[idx].1.clone();
         self.submit(now, program, cmds);
     }

@@ -34,6 +34,6 @@ pub use flowfeat::{flow_dataset, flow_feature_index, flow_features, FLOW_FEATURE
 pub use label::LabelMode;
 pub use packet::{packet_dataset, packet_feature_index, packet_features, PACKET_FEATURES};
 pub use window::{
-    aggregate, window_dataset, FrozenWindowStream, WindowCell, WindowConfig, WindowStream,
+    aggregate, window_dataset, WindowCell, WindowConfig, WindowStream,
     WINDOW_FEATURES,
 };

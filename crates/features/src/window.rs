@@ -55,8 +55,9 @@ pub struct WindowCell {
 /// Per-cell accumulator shared by the batch [`aggregate`] and the
 /// incremental [`WindowStream`]: both absorb records and finish cells
 /// through this one implementation, so streaming == batch holds by
-/// construction, not by parallel maintenance of two formulas.
-#[derive(Debug, Clone, Default)]
+/// construction, not by parallel maintenance of two formulas. Declaration
+/// order is the accumulator's checkpoint wire order.
+#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 struct Acc {
     pkts: u64,
     bytes: u64,
@@ -167,7 +168,12 @@ pub fn aggregate(records: &[PacketRecord], cfg: WindowConfig, mode: LabelMode) -
 /// output is byte-identical to a one-shot [`aggregate`] over the same
 /// range — the differential test in `tests/streaming_differential.rs` pins
 /// that law; DriftPilot relies on it to learn from live taps.
-#[derive(Debug, Clone)]
+///
+/// The stream is its own checkpoint image: a clone (open accumulators
+/// included) serializes byte-deterministically — the maps are ordered —
+/// and a deserialized stream continues byte-identically to one that
+/// never stopped.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct WindowStream {
     cfg: WindowConfig,
     mode: LabelMode,
@@ -210,69 +216,6 @@ impl WindowStream {
         self.open.values().map(|a| a.pkts as usize).sum()
     }
 
-    /// Freeze the stream's in-flight state (open accumulators included)
-    /// for a checkpoint. Maps flatten to sorted pairs so the frozen image
-    /// is byte-deterministic.
-    pub fn freeze(&self) -> FrozenWindowStream {
-        FrozenWindowStream {
-            cfg: self.cfg,
-            mode: self.mode,
-            open: self
-                .open
-                .iter()
-                .map(|(&(w, dst), acc)| {
-                    (
-                        (w, dst),
-                        FrozenAcc {
-                            pkts: acc.pkts,
-                            bytes: acc.bytes,
-                            srcs: acc.srcs.iter().map(|(&a, &c)| (a, c)).collect(),
-                            udp: acc.udp,
-                            dns_src: acc.dns_src,
-                            syn: acc.syn,
-                            inbound: acc.inbound,
-                            rst: acc.rst,
-                            max_len: acc.max_len,
-                            labels: acc.labels.iter().map(|(&l, &c)| (l, c)).collect(),
-                        },
-                    )
-                })
-                .collect(),
-            floor: self.floor,
-        }
-    }
-
-    /// Rebuild a stream from a frozen image. The thawed stream continues
-    /// byte-identically to one that never stopped.
-    pub fn thaw(frozen: FrozenWindowStream) -> Self {
-        WindowStream {
-            cfg: frozen.cfg,
-            mode: frozen.mode,
-            open: frozen
-                .open
-                .into_iter()
-                .map(|((w, dst), acc)| {
-                    (
-                        (w, dst),
-                        Acc {
-                            pkts: acc.pkts,
-                            bytes: acc.bytes,
-                            srcs: acc.srcs.into_iter().collect(),
-                            udp: acc.udp,
-                            dns_src: acc.dns_src,
-                            syn: acc.syn,
-                            inbound: acc.inbound,
-                            rst: acc.rst,
-                            max_len: acc.max_len,
-                            labels: acc.labels.into_iter().collect(),
-                        },
-                    )
-                })
-                .collect(),
-            floor: frozen.floor,
-        }
-    }
-
     fn seal_below(&mut self, w: u64, out: &mut Vec<WindowCell>) {
         // BTreeMap iteration is (window_index, dst)-ordered — the same
         // order `aggregate` sorts into.
@@ -289,31 +232,6 @@ impl WindowStream {
 /// The smallest `IpAddr` under its `Ord` (v4 sorts before v6).
 fn ip_min() -> IpAddr {
     IpAddr::from([0u8, 0, 0, 0])
-}
-
-/// A [`WindowStream`]'s checkpointable image: one not-yet-sealed
-/// accumulator per `(window, dst)` cell, flattened to sorted pairs.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct FrozenWindowStream {
-    pub cfg: WindowConfig,
-    pub mode: LabelMode,
-    pub open: Vec<((u64, IpAddr), FrozenAcc)>,
-    pub floor: u64,
-}
-
-/// One frozen per-cell accumulator (maps flattened to sorted pairs).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct FrozenAcc {
-    pub pkts: u64,
-    pub bytes: u64,
-    pub srcs: Vec<(IpAddr, u64)>,
-    pub udp: u64,
-    pub dns_src: u64,
-    pub syn: u64,
-    pub inbound: u64,
-    pub rst: u64,
-    pub max_len: u32,
-    pub labels: Vec<(usize, u64)>,
 }
 
 /// Build a window-level dataset.
@@ -483,8 +401,8 @@ mod tests {
 
     #[test]
     fn frozen_stream_resumes_byte_identically() {
-        // Freeze mid-window, round-trip through JSON, thaw, and finish:
-        // the cells must match a stream that never stopped.
+        // Stop mid-window, round-trip through JSON, and finish: the cells
+        // must match a stream that never stopped.
         let cfg = WindowConfig::default();
         let mut records = Vec::new();
         for i in 0..30u64 {
@@ -510,9 +428,8 @@ mod tests {
         for r in &records[..cut] {
             s2.push(r, &mut resumed);
         }
-        let json = serde_json::to_string(&s2.freeze()).unwrap();
-        let frozen: FrozenWindowStream = serde_json::from_str(&json).unwrap();
-        let mut s3 = WindowStream::thaw(frozen);
+        let json = serde_json::to_string(&s2).unwrap();
+        let mut s3: WindowStream = serde_json::from_str(&json).unwrap();
         assert_eq!(s3.pending(), s2.pending());
         for r in &records[cut..] {
             s3.push(r, &mut resumed);

@@ -25,21 +25,42 @@
 
 use crate::chaos::ChaosAction;
 use crate::event::{EventKey, EventQueue};
-use crate::link::{Dir, FrozenLink, LinkId};
+use crate::link::{FrozenLink, LinkId};
 use crate::network::{Event, Network, NetStats};
 use crate::node::{NodeId, NodeStats};
-use crate::packet::Packet;
 use crate::time::SimTime;
 use campuslab_obs::ObsSink;
+use rand::rngs::StdRng;
 
-/// Serializable mirror of a pending engine event. Packets ride by value.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum FrozenEvent {
-    Inject { node: NodeId, packet: Packet },
-    TxDone { link: LinkId, dir: Dir },
-    Arrive { link: LinkId, dir: Dir, packet: Packet },
-    Timer { token: u64 },
-    Chaos { action: ChaosAction },
+/// A private random stream that checkpoints as its four xoshiro256++
+/// state words, i.e. its exact position. The one carrier for every
+/// `StdRng` a checkpoint reaches: the vendored `rand` knows nothing of
+/// `serde`, so the generator itself cannot derive.
+#[derive(Debug, Clone)]
+pub struct StreamRng(pub StdRng);
+
+impl PartialEq for StreamRng {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.state() == other.0.state()
+    }
+}
+
+impl serde::Serialize for StreamRng {
+    fn serialize_json(&self, out: &mut String) {
+        self.0.state().serialize_json(out);
+    }
+    fn serialize_bin(&self, out: &mut Vec<u8>) {
+        self.0.state().serialize_bin(out);
+    }
+}
+
+impl serde::Deserialize for StreamRng {
+    fn deserialize_json(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
+        serde::Deserialize::deserialize_json(v).map(|s| StreamRng(StdRng::from_state(s)))
+    }
+    fn deserialize_bin(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::Error> {
+        serde::Deserialize::deserialize_bin(r).map(|s| StreamRng(StdRng::from_state(s)))
+    }
 }
 
 /// A node's dynamic (non-topology) state.
@@ -55,20 +76,34 @@ pub struct FrozenNode {
 pub struct FrozenNetwork {
     /// Simulation clock at the freeze barrier.
     pub now: SimTime,
-    /// Seed the per-direction RNG streams derive from (sanity-checked on
-    /// restore; the live stream positions ride in each frozen link).
+    /// Seed the per-direction RNG streams derive from (checked on restore;
+    /// the live stream positions ride in each frozen link).
     pub seed: u64,
     /// Root-event counter (injections / timers / chaos numbered so far).
     pub root_seq: u64,
     pub stats: NetStats,
     /// The Observatory value sink (schema is rebuilt by `NetObs::new`).
     pub obs: ObsSink,
-    /// Pending events in canonical key order.
-    pub events: Vec<(EventKey, FrozenEvent)>,
+    /// Pending events in canonical key order. Packets ride by value.
+    pub events: Vec<(EventKey, Event)>,
     pub nodes: Vec<FrozenNode>,
     pub links: Vec<FrozenLink>,
     pub tapped: Vec<bool>,
 }
+
+/// A frozen engine was offered to a network it was not taken from: node
+/// count, link count, seed, tap set or metric schema disagree, or a
+/// pending event names a node or link this topology does not have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TopologyMismatch;
+
+impl std::fmt::Display for TopologyMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("frozen network does not fit this topology")
+    }
+}
+
+impl std::error::Error for TopologyMismatch {}
 
 impl Network {
     /// Freeze the engine's dynamic state. Non-destructive: the pending
@@ -84,15 +119,11 @@ impl Network {
             "checkpoint must be taken at a quiescent barrier, not mid-shard-window"
         );
         let now = self.queue.now();
-        let drained = self.queue.drain_sorted();
-        let mut events = Vec::with_capacity(drained.len());
-        for (key, event) in &drained {
-            events.push((*key, freeze_event(event)));
-        }
+        let events = self.queue.drain_sorted();
         // Put the queue back exactly as it was: the drained run is sorted,
         // so every re-schedule hits the staged-lane fast path.
-        for (key, event) in drained {
-            self.queue.schedule(key, event);
+        for (key, event) in &events {
+            self.queue.schedule(*key, event.clone());
         }
         FrozenNetwork {
             now,
@@ -115,16 +146,44 @@ impl Network {
         }
     }
 
+    /// Whether `frozen` was taken from an engine of this one's shape: same
+    /// node, link and tap counts, same seed, a metric sink that fits, and
+    /// no pending event naming a node or link out of range. A CRC-valid
+    /// image from another scenario fails here instead of indexing out of
+    /// bounds mid-run.
+    pub fn accepts(&self, frozen: &FrozenNetwork) -> bool {
+        let node = |n: NodeId| n.0 < self.nodes.len();
+        let link = |l: LinkId| l.0 < self.links.len();
+        self.nodes.len() == frozen.nodes.len()
+            && self.links.len() == frozen.links.len()
+            && self.tapped.len() == frozen.tapped.len()
+            && self.seed == frozen.seed
+            && self.obs.fits(&frozen.obs)
+            && frozen.events.iter().all(|(_, event)| match *event {
+                Event::Inject { node: n, .. } => node(n),
+                Event::TxDone { link: l, .. } | Event::Arrive { link: l, .. } => link(l),
+                Event::Timer { .. } => true,
+                Event::Chaos { action } => match action {
+                    ChaosAction::NodeDown(n) | ChaosAction::NodeUp(n) => node(n),
+                    ChaosAction::LinkDown(l)
+                    | ChaosAction::LinkUp(l)
+                    | ChaosAction::BrownoutStart { link: l, .. }
+                    | ChaosAction::BrownoutEnd(l) => link(l),
+                },
+            })
+    }
+
     /// Apply a frozen state onto this engine, which must have been rebuilt
-    /// with the same static topology (same node/link counts, same seed).
-    /// Ingress filters are NOT restored here; the owner of each filter
-    /// re-installs it from its own thawed state.
-    pub fn restore(&mut self, frozen: FrozenNetwork) {
+    /// with the same static topology; an image [`Network::accepts`] turns
+    /// down is refused with the engine untouched. Ingress filters are NOT
+    /// restored here; the owner of each filter re-installs it from its own
+    /// thawed state.
+    pub fn restore(&mut self, frozen: FrozenNetwork) -> Result<(), TopologyMismatch> {
         assert!(self.splice.is_none(), "cannot restore into a live shard splice");
-        assert_eq!(self.nodes.len(), frozen.nodes.len(), "restore onto a different topology");
-        assert_eq!(self.links.len(), frozen.links.len(), "restore onto a different topology");
-        assert_eq!(self.seed, frozen.seed, "restore onto a network built with a different seed");
-        self.obs.thaw(frozen.obs).expect("restore onto a different metric schema");
+        if !self.accepts(&frozen) {
+            return Err(TopologyMismatch);
+        }
+        self.obs.thaw(frozen.obs).map_err(|_| TopologyMismatch)?;
         self.root_seq = frozen.root_seq;
         self.stats = frozen.stats;
         self.tapped = frozen.tapped;
@@ -141,40 +200,13 @@ impl Network {
         // the clock is advanced only after everything is in.
         let mut queue = EventQueue::new();
         for (key, event) in frozen.events {
-            queue.schedule(key, thaw_event(event));
+            queue.schedule(key, event);
         }
         queue.set_now(frozen.now);
         self.queue = queue;
         self.pool.clear();
         self.shard_report = None;
-    }
-}
-
-fn freeze_event(event: &Event) -> FrozenEvent {
-    match event {
-        Event::Inject { node, packet } => {
-            FrozenEvent::Inject { node: *node, packet: (**packet).clone() }
-        }
-        Event::TxDone { link, dir } => FrozenEvent::TxDone { link: *link, dir: *dir },
-        Event::Arrive { link, dir, packet } => {
-            FrozenEvent::Arrive { link: *link, dir: *dir, packet: (**packet).clone() }
-        }
-        Event::Timer { token } => FrozenEvent::Timer { token: *token },
-        Event::Chaos { action } => FrozenEvent::Chaos { action: *action },
-    }
-}
-
-fn thaw_event(event: FrozenEvent) -> Event {
-    match event {
-        FrozenEvent::Inject { node, packet } => {
-            Event::Inject { node, packet: Box::new(packet) }
-        }
-        FrozenEvent::TxDone { link, dir } => Event::TxDone { link, dir },
-        FrozenEvent::Arrive { link, dir, packet } => {
-            Event::Arrive { link, dir, packet: Box::new(packet) }
-        }
-        FrozenEvent::Timer { token } => Event::Timer { token },
-        FrozenEvent::Chaos { action } => Event::Chaos { action },
+        Ok(())
     }
 }
 
@@ -269,7 +301,7 @@ mod tests {
         assert_eq!(frozen, thawed);
 
         let (mut fresh, _) = lossy_net();
-        fresh.restore(thawed);
+        fresh.restore(thawed).unwrap();
         assert_eq!(fresh.now(), net.now());
 
         net.run(&mut crate::network::NullHooks, None);
@@ -316,6 +348,36 @@ mod tests {
         }
     }
 
+    /// A well-formed image from another topology — or one whose pending
+    /// events name a node or link this one lacks — is refused, and every
+    /// refusal leaves the engine as it was.
+    #[test]
+    fn restore_refuses_an_image_that_does_not_fit() {
+        let (mut net, h1) = lossy_net();
+        blast(&mut net, h1, 0, 50);
+        net.run(&mut crate::network::NullHooks, Some(SimTime::from_millis(1)));
+        let good = net.checkpoint();
+        let late = EventKey::root(SimTime::from_secs(9), u64::MAX);
+        let doctors: [fn(&mut FrozenNetwork, EventKey); 7] = [
+            |f, _| drop(f.nodes.pop()),
+            |f, _| drop(f.links.pop()),
+            |f, _| f.tapped.push(false),
+            |f, _| f.seed += 1,
+            |f, _| f.obs = campuslab_obs::Registry::new().sink(),
+            |f, k| f.events.push((k, Event::TxDone { link: LinkId(2), dir: crate::link::Dir::AtoB })),
+            |f, k| f.events.push((k, Event::Chaos { action: ChaosAction::NodeUp(NodeId(3)) })),
+        ];
+        let (mut fresh, _) = lossy_net();
+        let untouched = fresh.checkpoint();
+        for (i, doctor) in doctors.iter().enumerate() {
+            let mut image = good.clone();
+            doctor(&mut image, late);
+            assert_eq!(fresh.restore(image), Err(TopologyMismatch), "doctor {i}");
+        }
+        assert_eq!(fresh.checkpoint(), untouched);
+        assert_eq!(fresh.restore(good), Ok(()));
+    }
+
     /// Restoring with pending chaos transitions and node/link fault state.
     #[test]
     fn restore_carries_fault_state() {
@@ -335,7 +397,7 @@ mod tests {
         let (mut fresh, _) = build();
         // Fresh copy has different pending events (chaos from build());
         // restore overwrites the whole pending set.
-        fresh.restore(frozen);
+        fresh.restore(frozen).unwrap();
         net.run(&mut crate::network::NullHooks, None);
         fresh.run(&mut crate::network::NullHooks, None);
         assert_eq!(net.stats, fresh.stats);

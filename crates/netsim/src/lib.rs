@@ -61,7 +61,7 @@ pub mod checkpoint;
 /// The types most users need, in one import.
 pub mod prelude {
     pub use crate::chaos::{ChaosAction, ChaosConfig, ChaosPlan};
-    pub use crate::checkpoint::{FrozenNetwork, FrozenNode};
+    pub use crate::checkpoint::{FrozenNetwork, FrozenNode, StreamRng, TopologyMismatch};
     pub use crate::link::{
         Dir, FaultModel, GilbertElliott, LinkId, Outage, QueueDiscipline, RateWindow,
     };

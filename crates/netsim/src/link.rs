@@ -1,6 +1,7 @@
 //! Links: rate, propagation delay, a queue discipline per direction, and a
 //! fault-injection model (random loss, scheduled outages).
 
+use crate::checkpoint::StreamRng;
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -70,8 +71,14 @@ const RED_WEIGHT: f64 = 0.05;
 /// unrelated links interleave. That independence is what lets the sharded
 /// engine hand each direction to its owning shard and still reproduce the
 /// sequential run bit-for-bit.
-#[derive(Debug)]
-struct DirQueue {
+///
+/// Every field is dynamic state and the declaration is its checkpoint
+/// image ([`FrozenLink::dirs`]): queued packets with their enqueue stamps,
+/// the RED average, the transmitter horizon, the exact RNG stream
+/// position, the live burst channel and the transmission counter, in this
+/// order on the wire.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct DirQueue {
     discipline: QueueDiscipline,
     packets: std::collections::VecDeque<(Box<Packet>, SimTime)>,
     bytes: usize,
@@ -79,7 +86,7 @@ struct DirQueue {
     /// Transmitter busy until this instant.
     busy_until: SimTime,
     /// This direction's private random stream (loss, RED).
-    rng: StdRng,
+    rng: StreamRng,
     /// Live Gilbert–Elliott channel state, synced from the installed
     /// `FaultModel::burst` template on first use / parameter change.
     burst: Option<GilbertElliott>,
@@ -96,7 +103,7 @@ impl DirQueue {
             bytes: 0,
             avg_bytes: 0.0,
             busy_until: SimTime::ZERO,
-            rng: rand::SeedableRng::seed_from_u64(0),
+            rng: StreamRng(rand::SeedableRng::seed_from_u64(0)),
             burst: None,
             tx_seq: 0,
         }
@@ -126,7 +133,7 @@ impl DirQueue {
                 } else {
                     let frac = (self.avg_bytes - min_thresh_bytes as f64)
                         / (max_thresh_bytes - min_thresh_bytes).max(1) as f64;
-                    self.rng.gen::<f64>() >= frac * max_p
+                    self.rng.0.gen::<f64>() >= frac * max_p
                 }
             }
         };
@@ -298,11 +305,11 @@ impl FaultModel {
             (Some(t), live) => *live = Some(t.clone()),
         }
         if let Some(burst) = q.burst.as_mut() {
-            if burst.should_drop(&mut q.rng) {
+            if burst.should_drop(&mut q.rng.0) {
                 return true;
             }
         }
-        self.drop_probability > 0.0 && q.rng.gen::<f64>() < self.drop_probability
+        self.drop_probability > 0.0 && q.rng.0.gen::<f64>() < self.drop_probability
     }
 
     /// Effective rate multiplier at `now`: the chaos factor combined with
@@ -502,7 +509,7 @@ impl Link {
         for dir in [Dir::AtoB, Dir::BtoA] {
             let lane = (self.id.0 as u64) * 2 + dir.index() as u64;
             let seed = network_seed ^ (lane + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            self.queues[dir.index()].rng = rand::SeedableRng::seed_from_u64(seed);
+            self.queues[dir.index()].rng = StreamRng(rand::SeedableRng::seed_from_u64(seed));
         }
     }
 
@@ -513,20 +520,10 @@ impl Link {
     }
 
     /// A structural copy for a shard: same configuration, fault model,
-    /// per-direction RNG/burst/tx state and stats, but empty packet
-    /// queues. Only valid on a quiescent link (asserted).
+    /// per-direction RNG/burst/tx state and stats. Only valid on a
+    /// quiescent link (asserted), whose packet queues are empty.
     pub(crate) fn shard_clone(&self) -> Link {
         assert!(self.is_quiescent(), "cannot split a link with packets in flight");
-        let clone_dir = |q: &DirQueue| DirQueue {
-            discipline: q.discipline,
-            packets: std::collections::VecDeque::new(),
-            bytes: 0,
-            avg_bytes: q.avg_bytes,
-            busy_until: q.busy_until,
-            rng: q.rng.clone(),
-            burst: q.burst.clone(),
-            tx_seq: q.tx_seq,
-        };
         Link {
             id: self.id,
             a: self.a,
@@ -534,7 +531,7 @@ impl Link {
             rate_bps: self.rate_bps,
             propagation: self.propagation,
             fault: self.fault.clone(),
-            queues: [clone_dir(&self.queues[0]), clone_dir(&self.queues[1])],
+            queues: self.queues.clone(),
             stats: self.stats,
         }
     }
@@ -555,7 +552,7 @@ impl Link {
         FrozenLink {
             fault: self.fault.clone(),
             stats: self.stats,
-            dirs: [self.queues[0].freeze(), self.queues[1].freeze()],
+            dirs: self.queues.clone(),
         }
     }
 
@@ -564,26 +561,8 @@ impl Link {
     pub fn thaw(&mut self, frozen: FrozenLink) {
         self.fault = frozen.fault;
         self.stats = frozen.stats;
-        let [d0, d1] = frozen.dirs;
-        self.queues[0].thaw(d0);
-        self.queues[1].thaw(d1);
+        self.queues = frozen.dirs;
     }
-}
-
-/// Serializable snapshot of one direction's queue: discipline, queued
-/// packets with their enqueue stamps, RED average, transmitter horizon,
-/// the exact RNG stream position, live burst-channel state, and the
-/// transmission sequence counter.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct FrozenDirQueue {
-    pub discipline: QueueDiscipline,
-    pub packets: Vec<(Packet, SimTime)>,
-    pub bytes: usize,
-    pub avg_bytes: f64,
-    pub busy_until: SimTime,
-    pub rng: [u64; 4],
-    pub burst: Option<GilbertElliott>,
-    pub tx_seq: u64,
 }
 
 /// Serializable snapshot of a link's full dynamic state.
@@ -591,33 +570,7 @@ pub struct FrozenDirQueue {
 pub struct FrozenLink {
     pub fault: FaultModel,
     pub stats: [DirStats; 2],
-    pub dirs: [FrozenDirQueue; 2],
-}
-
-impl DirQueue {
-    fn freeze(&self) -> FrozenDirQueue {
-        FrozenDirQueue {
-            discipline: self.discipline,
-            packets: self.packets.iter().map(|(p, t)| ((**p).clone(), *t)).collect(),
-            bytes: self.bytes,
-            avg_bytes: self.avg_bytes,
-            busy_until: self.busy_until,
-            rng: self.rng.state(),
-            burst: self.burst.clone(),
-            tx_seq: self.tx_seq,
-        }
-    }
-
-    fn thaw(&mut self, f: FrozenDirQueue) {
-        self.discipline = f.discipline;
-        self.packets = f.packets.into_iter().map(|(p, t)| (Box::new(p), t)).collect();
-        self.bytes = f.bytes;
-        self.avg_bytes = f.avg_bytes;
-        self.busy_until = f.busy_until;
-        self.rng = StdRng::from_state(f.rng);
-        self.burst = f.burst;
-        self.tx_seq = f.tx_seq;
-    }
+    pub dirs: [DirQueue; 2],
 }
 
 #[cfg(test)]

@@ -161,8 +161,10 @@ impl SimHooks for NullHooks {
 }
 
 /// Events keep packets boxed so a heap entry is pointer-sized: sifting
-/// the binary heap moves words, not whole packets.
-pub(crate) enum Event {
+/// the binary heap moves words, not whole packets. A checkpoint stores
+/// pending events as they are (`Box<Packet>` encodes as the packet).
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub enum Event {
     Inject { node: NodeId, packet: Box<Packet> },
     TxDone { link: LinkId, dir: Dir },
     Arrive { link: LinkId, dir: Dir, packet: Box<Packet> },

@@ -102,20 +102,22 @@ where
         .collect()
 }
 
+/// An explicit worker count from the `CAMPUSLAB_JOBS` environment
+/// variable, when it is set to a positive integer.
+pub(crate) fn jobs_from_env() -> Option<usize> {
+    std::env::var("CAMPUSLAB_JOBS").ok().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 0)
+}
+
+/// The machine's available parallelism (1 when it cannot be read).
+pub(crate) fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// How many workers a fan-out over `items` should use: the
 /// `CAMPUSLAB_JOBS` environment variable when set, otherwise the
 /// machine's available parallelism, both capped at the item count.
 pub fn worker_count(items: usize) -> usize {
-    let jobs = std::env::var("CAMPUSLAB_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    jobs.min(items.max(1))
+    jobs_from_env().unwrap_or_else(cores).min(items.max(1))
 }
 
 #[cfg(test)]

@@ -369,9 +369,21 @@ struct CtrlState {
     quit: bool,
 }
 
+/// How many threads drive a window's shards, from the machine's `cores`,
+/// an explicit `CAMPUSLAB_JOBS` and the shard count. An explicit job count
+/// is honoured as given. Otherwise a box with fewer than four cores runs
+/// the shards inline on the coordinating thread: on two cores, two pool
+/// workers measured 1.83–1.90× the sequential engine's wall-clock against
+/// 0.99× inline — the window barrier costs more than the second core
+/// returns. Wider boxes get one thread per core. Never more threads than
+/// shards, so every worker's range is non-empty.
+fn window_workers(cores: usize, jobs: Option<usize>, shards: usize) -> usize {
+    jobs.unwrap_or(if cores < 4 { 1 } else { cores }).clamp(1, shards.max(1))
+}
+
 /// The contiguous shard range worker `w` of `workers` drives. Balanced
 /// splitting (`⌊w·n/workers⌋ .. ⌊(w+1)·n/workers⌋`) keeps every range
-/// non-empty whenever `workers <= n` — which [`crate::par::worker_count`]
+/// non-empty whenever `workers <= n` — which [`window_workers`]
 /// guarantees — so exactly `workers` threads are spawned. `run_windows`
 /// waits for `workers` completions per window; a skipped (empty-range)
 /// worker would deadlock the first parallel window.
@@ -692,7 +704,7 @@ impl Network {
         }
 
         let mut report = ShardReport { shards: n, lookahead_ns: lookahead, ..Default::default() };
-        let workers = crate::par::worker_count(n);
+        let workers = window_workers(crate::par::cores(), crate::par::jobs_from_env(), n);
         let ctrl = Ctrl::default();
         std::thread::scope(|scope| {
             if workers > 1 {
@@ -858,7 +870,26 @@ impl Network {
 
 #[cfg(test)]
 mod tests {
-    use super::worker_range;
+    use super::{window_workers, worker_range};
+
+    /// The executor rule: an explicit job count wins on any box (the
+    /// golden replays' `CAMPUSLAB_JOBS=4` rows must keep reaching the
+    /// pool on two cores), an unset one means inline below four cores and
+    /// one thread per core from there, and the shard count caps both.
+    #[test]
+    fn window_executor_is_inline_below_four_cores_unless_told() {
+        for cores in 1..=3 {
+            assert_eq!(window_workers(cores, None, 8), 1, "{cores} cores");
+            assert_eq!(window_workers(cores, Some(4), 8), 4, "{cores} cores, JOBS=4");
+            assert_eq!(window_workers(cores, Some(1), 8), 1);
+        }
+        assert_eq!(window_workers(4, None, 8), 4);
+        assert_eq!(window_workers(16, None, 8), 8, "capped at the shard count");
+        assert_eq!(window_workers(16, Some(1), 8), 1, "JOBS=1 stays inline on a wide box");
+        assert_eq!(window_workers(2, Some(64), 8), 8);
+        assert_eq!(window_workers(8, None, 1), 1);
+        assert_eq!(window_workers(8, None, 0), 1, "no shards still means one thread");
+    }
 
     /// Every `(n, workers)` combination with `workers <= n` must yield
     /// exactly `workers` non-empty ranges tiling `0..n`: `run_windows`

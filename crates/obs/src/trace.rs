@@ -37,23 +37,11 @@ impl Span {
 }
 
 /// Handle returned by [`Tracer::open`], consumed by [`Tracer::close`].
-#[derive(Debug)]
+/// A handle still open at a freeze barrier checkpoints as its span's
+/// index, and is only meaningful against the tracer it was frozen beside.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 #[must_use = "open spans should be closed"]
 pub struct OpenSpan(usize);
-
-impl OpenSpan {
-    /// Index of the underlying span, for checkpointing a handle that is
-    /// still open at a freeze barrier.
-    pub fn index(&self) -> usize {
-        self.0
-    }
-
-    /// Rebuild a handle from an index captured by [`OpenSpan::index`].
-    /// Only meaningful against the same tracer state it was frozen from.
-    pub fn from_index(i: usize) -> OpenSpan {
-        OpenSpan(i)
-    }
-}
 
 /// An append-only span log with a deterministic sequence counter.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]

@@ -25,6 +25,12 @@ use campuslab_obs::crc32;
 /// [`PhoenixError::VersionSkew`] instead of guessing.
 pub const PHOENIX_VERSION: u32 = 2;
 
+/// What [`PHOENIX_VERSION`] currently means, as bytes: `(crc32, length)` of
+/// the envelope the crash-test drift session (`tests::cheap_session`)
+/// leaves at 1.5 s. `image_layout_is_pinned_to_its_version` fails when a
+/// layout change moves either without a version bump and a re-pin.
+pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0xb6a8_2816, 9_034_532);
+
 /// Envelope magic: the first four bytes of every encoded checkpoint.
 pub const PHOENIX_MAGIC: [u8; 4] = *b"PHNX";
 
@@ -259,9 +265,13 @@ mod tests {
     }
 
     fn cheap_session() -> DriftSession {
+        session_on(&cheap_scenario())
+    }
+
+    fn session_on(scenario: &Scenario) -> DriftSession {
         let (known_good, model) = trained();
         DriftSession::new(
-            &cheap_scenario(),
+            scenario,
             known_good.clone(),
             Box::new(model.clone()),
             DriftRunConfig { settle: SimDuration::ZERO, ..DriftRunConfig::default() },
@@ -306,6 +316,24 @@ mod tests {
             serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&cp).unwrap(),
             "the binary payload loses nothing the JSON form can see"
+        );
+    }
+
+    /// The payload is positional, so any field added, removed, reordered
+    /// or re-typed anywhere a checkpoint reaches moves these bytes — long
+    /// before E19's release-mode replay would notice.
+    #[test]
+    fn image_layout_is_pinned_to_its_version() {
+        let mut session = cheap_session();
+        session.run_until(SimTime::from_millis(1_500));
+        let bytes = encode_checkpoint(&session.checkpoint());
+        assert_eq!(
+            (crc32(&bytes), bytes.len()),
+            PHOENIX_LAYOUT_PIN,
+            "image layout changed: bump PHOENIX_VERSION and re-pin PHOENIX_LAYOUT_PIN \
+             (now {:#010x}, {} bytes)",
+            crc32(&bytes),
+            bytes.len()
         );
     }
 
@@ -431,6 +459,36 @@ mod tests {
         // Five refusals later the session still restores and finishes as
         // if nothing had been offered to it.
         revived.restore(decode_checkpoint(&good).unwrap()).expect("the good image fits");
+        revived.run_to_end();
+        assert_eq!(revived.finish().fingerprint(), cart.uninterrupted());
+    }
+
+    /// Nor does the CRC vouch for the scenario: an image taken on one
+    /// campus decodes cleanly anywhere, and a session built on another
+    /// shape must refuse it before anything — stack included — is touched.
+    #[test]
+    fn restore_refuses_an_image_from_another_campus() {
+        use crate::session::SliceFreezeError;
+        let mut elsewhere = cheap_session();
+        elsewhere.run_until(SimTime::from_millis(1_500));
+        let foreign = encode_checkpoint(&elsewhere.checkpoint());
+
+        let smaller_campus = || {
+            let mut scenario = cheap_scenario();
+            scenario.campus.hosts_per_access -= 1;
+            session_on(&scenario)
+        };
+        let cart = CrashCart::new(smaller_campus, SimDuration::from_secs(1));
+        let mut revived: Session = smaller_campus().into();
+        assert_eq!(
+            revived.restore(decode_checkpoint(&foreign).unwrap()).err(),
+            Some(SliceFreezeError::JobMismatch)
+        );
+        // The refusal cost nothing: the session's own image still fits and
+        // finishes where the uninterrupted run does.
+        let mut own = smaller_campus();
+        own.run_until(SimTime::from_millis(1_500));
+        revived.restore(own.checkpoint()).expect("its own image fits");
         revived.run_to_end();
         assert_eq!(revived.finish().fingerprint(), cart.uninterrupted());
     }

@@ -44,9 +44,10 @@ pub enum SliceFreezeError {
     /// them.
     ResolverActor,
     /// The frozen image's member shape disagrees with the stack it is
-    /// being applied to, or one of its metric sinks does not fit the
-    /// schema it would be thawed into — the arguments (or the build) that
-    /// made the stack are not the ones that produced the image.
+    /// being applied to, one of its metric sinks does not fit the schema
+    /// it would be thawed into, or its simulator image is of another
+    /// topology or seed — the arguments (or the build) that made the
+    /// session are not the ones that produced the image.
     JobMismatch,
 }
 
@@ -79,27 +80,33 @@ pub struct Stack {
     pub resolver: Option<ResolverActor>,
     pub controller: Option<MitigationController>,
     pub pilot: Option<DriftPilot>,
-    // Evidence-sync cursors; crate-visible so in-crate callers can build
-    // a stack with `..Stack::default()`.
-    pub(crate) seen_ctl_events: usize,
-    pub(crate) seen_ctl_giveups: usize,
-    pub(crate) seen_guard_events: usize,
+    // Crate-visible so in-crate callers can build a stack with
+    // `..Stack::default()`.
+    pub(crate) seen: SyncCursors,
     pub(crate) surfaced_giveups: u64,
 }
 
-/// Checkpoint mirror of a [`Stack`]: each control layer's frozen state
-/// plus the evidence-sync cursors between them. A restored stack must
-/// neither replay controller episodes the guard already counted nor
-/// re-deliver guard verdicts the pilot already acted on. Field order is
-/// the checkpoint's wire order (PHNX payloads are positional).
+/// The evidence-sync cursors: how much of the controller's episode and
+/// give-up logs the guard has been fed, and how much of the guard's
+/// decision log the pilot has. They ride in the checkpoint so a restored
+/// stack neither replays controller episodes the guard already counted
+/// nor re-delivers guard verdicts the pilot already acted on.
+#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+pub struct SyncCursors {
+    pub ctl_events: usize,
+    pub ctl_giveups: usize,
+    pub guard_events: usize,
+}
+
+/// Checkpoint image of a [`Stack`]: each control layer's frozen state plus
+/// the evidence-sync cursors between them. Field order is the
+/// checkpoint's wire order (PHNX payloads are positional).
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenStack {
     pub guard: Option<FrozenGuard>,
     pub controller: Option<FrozenController>,
     pub pilot: Option<FrozenDriftPilot>,
-    pub seen_ctl_events: usize,
-    pub seen_ctl_giveups: usize,
-    pub seen_guard_events: usize,
+    pub seen: SyncCursors,
 }
 
 /// Fire one hook on every present member in stack order, then sync.
@@ -140,15 +147,15 @@ impl Stack {
     fn sync(&mut self) {
         if let Some(guard) = &mut self.guard {
             if let Some(ctl) = &self.controller {
-                for e in &ctl.events[self.seen_ctl_events..] {
+                for e in &ctl.events[self.seen.ctl_events..] {
                     let ttm_ms = (e.installed_at - e.detected_at).as_nanos() / 1_000_000;
                     guard.record_ttm_sample(ttm_ms);
                 }
-                self.seen_ctl_events = ctl.events.len();
-                for g in &ctl.giveups[self.seen_ctl_giveups..] {
+                self.seen.ctl_events = ctl.events.len();
+                for g in &ctl.giveups[self.seen.ctl_giveups..] {
                     guard.record_giveup(g.reason);
                 }
-                self.seen_ctl_giveups = ctl.giveups.len();
+                self.seen.ctl_giveups = ctl.giveups.len();
             }
             if let Some(resolver) = &mut self.resolver {
                 for _giveup in resolver.service_mut().take_giveups() {
@@ -162,10 +169,10 @@ impl Stack {
 
     fn forward_guard_events(&mut self) {
         if let (Some(guard), Some(pilot)) = (&self.guard, &mut self.pilot) {
-            for e in &guard.events[self.seen_guard_events..] {
+            for e in &guard.events[self.seen.guard_events..] {
                 pilot.on_guard_event(e);
             }
-            self.seen_guard_events = guard.events.len();
+            self.seen.guard_events = guard.events.len();
         }
     }
 
@@ -208,9 +215,7 @@ impl Stack {
             guard: self.guard.as_ref().map(RolloutGuard::freeze),
             controller: self.controller.as_ref().map(MitigationController::freeze),
             pilot: self.pilot.as_ref().map(DriftPilot::freeze),
-            seen_ctl_events: self.seen_ctl_events,
-            seen_ctl_giveups: self.seen_ctl_giveups,
-            seen_guard_events: self.seen_guard_events,
+            seen: self.seen,
         })
     }
 
@@ -252,9 +257,7 @@ impl Stack {
         if let (Some(pilot), Some(f)) = (&mut self.pilot, frozen.pilot) {
             pilot.thaw_state(f).map_err(misfit)?;
         }
-        self.seen_ctl_events = frozen.seen_ctl_events;
-        self.seen_ctl_giveups = frozen.seen_ctl_giveups;
-        self.seen_guard_events = frozen.seen_guard_events;
+        self.seen = frozen.seen;
         Ok(())
     }
 }
@@ -469,16 +472,16 @@ impl Session {
 
     /// Load a checkpoint into this (freshly built, not yet run) session.
     /// The session must have been built from the same arguments as the
-    /// one that took the checkpoint — a member-shape mismatch or a metric
-    /// sink that does not fit its schema is refused with the session left
-    /// as it was, the simulator asserts topology and seed agreement; hook
-    /// configs are the caller's contract.
+    /// one that took the checkpoint — a member-shape mismatch, a metric
+    /// sink that does not fit its schema, or a simulator image from
+    /// another topology or seed ([`Network::accepts`]) is refused with the
+    /// session left as it was; hook configs are the caller's contract.
     pub fn restore(&mut self, cp: PhoenixCheckpoint) -> Result<(), SliceFreezeError> {
-        if !self.net.obs.fits(&cp.net.obs) {
+        if !self.net.accepts(&cp.net) {
             return Err(SliceFreezeError::JobMismatch);
         }
         self.stack.thaw_state(cp.hooks)?;
-        self.net.restore(cp.net);
+        self.net.restore(cp.net).map_err(|_| SliceFreezeError::JobMismatch)?;
         self.handle.thaw(cp.bank);
         Ok(())
     }
@@ -742,7 +745,7 @@ mod tests {
 
             if let Some(g) = &stack.guard {
                 let (samples, giveups) = if controller { (3, 3) } else { (0, 0) };
-                assert_eq!(g.freeze().window_ttm_ms, vec![40; samples], "{name}: ttm samples");
+                assert_eq!(g.freeze().state.window_ttm_ms, vec![40; samples], "{name}: ttm samples");
                 assert_eq!(g.obs.giveups_observed(), giveups, "{name}: give-ups");
             }
             if let Some(p) = &stack.pilot {
