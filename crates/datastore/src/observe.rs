@@ -96,8 +96,8 @@ impl StoreObs {
     }
 
     /// Record `n` corruption events found while recovering persisted
-    /// state (a torn WAL tail, a bad sealed-segment checksum, a rejected
-    /// snapshot). Bumped by [`crate::wal::WalStore::open`] after a lossy
+    /// state (a torn WAL tail, a frame refused behind a valid checksum).
+    /// Bumped by [`crate::wal::WalStore::open`] after a lossy
     /// recovery so the damage is visible on the metrics surface, not just
     /// in a return value somebody may have dropped.
     #[inline]

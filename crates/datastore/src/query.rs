@@ -110,8 +110,8 @@ impl PacketQuery {
 pub struct QueryStats {
     /// Segments in the chain when the query ran.
     pub segments_total: usize,
-    /// Segments planning skipped wholesale (time bounds, Bloom summary,
-    /// or empty postings).
+    /// Segments planning skipped wholesale (time bounds, no postings for
+    /// the queried key, or none inside the window).
     pub segments_pruned: usize,
     /// Records the plan actually looked at.
     pub records_examined: usize,

@@ -1,447 +1,51 @@
 //! Time-partitioned storage segments: the store's physical layout.
 //!
-//! Ingest lands records in per-record-type chains of **segments**. Each
-//! segment is internally sorted by `(ts_ns, seq)` — `seq` being the global
-//! ingest sequence number, so records captured at the same nanosecond keep
-//! their capture order deterministically — and carries its time bounds.
-//! Packet segments additionally carry per-host and per-port Bloom-style
-//! membership summaries plus exact in-segment postings, so a query plans
-//! as *prune segments → binary-search the window → filter*, and retention
-//! truncates whole segments instead of compacting one flat table.
+//! Every table is one `Chain` of **segments**. A segment is internally
+//! sorted by `(start_ns, seq)` — `seq` being the table's ingest sequence
+//! number, so records captured at the same nanosecond keep their capture
+//! order deterministically — caches the bounds of its records' end
+//! timestamps, and carries an index sidecar `I`. Flows, DNS metadata and
+//! sensor events have none (`()`); the packet table's is a
+//! `PacketIndex` of exact host/port/attack postings. A query plans as
+//! *prune segments by span → let the sidecar narrow or prune → filter*,
+//! and retention drops whole segments instead of compacting one flat
+//! table.
 //!
 //! Batch ingest shards segment construction across worker threads with
 //! [`campuslab_netsim::par::parallel_map_vec`]: each worker *owns* its
 //! batch, sorts it in place and moves the records into segments, so the
 //! parallel path allocates no more than the sequential one. Construction
-//! of one segment depends only on its own chunk and the pre-assigned
+//! of one batch's segments depends only on the batch and its pre-assigned
 //! sequence range, so the resulting store is byte-identical at any worker
 //! count (the same contract the experiment runner keeps, pinned by
 //! `tests/par_ingest.rs`).
 
 use crate::query::{PacketQuery, QueryStats};
 use campuslab_capture::{DnsMetaRecord, FlowRecord, FxHashMap, PacketRecord, SensorRecord};
-use campuslab_netsim::fxhash::FxHasher;
 use campuslab_netsim::par;
-use std::hash::{Hash, Hasher as _};
 use std::net::IpAddr;
 use std::ops::Range;
 
-/// Records per sealed packet segment. Small enough that a boundary
-/// truncation or a single-segment scan stays cheap, large enough that
-/// segment metadata (bounds, blooms, postings) amortizes.
+/// Records per sealed segment. Small enough that a boundary truncation or
+/// a single-segment scan stays cheap, large enough that segment metadata
+/// (bounds, postings) amortizes.
 pub const SEGMENT_CAPACITY: usize = 4096;
 
-/// Global ordering key: capture timestamp, then ingest sequence.
+/// Global ordering key: start timestamp, then ingest sequence.
 type Key = (u64, u64);
 
-/// Deterministic Fx hash of any hashable key (addresses, ports). The
-/// store must never use SipHash's per-process randomness: segment
-/// summaries have to come out identical across runs and machines.
-fn fx_key<T: Hash>(v: &T) -> u64 {
-    let mut h = FxHasher::default();
-    v.hash(&mut h);
-    h.finish()
-}
-
-// ---------------------------------------------------------------------------
-// Bloom-style membership summary
-// ---------------------------------------------------------------------------
-
-const BLOOM_BITS: u64 = 4096;
-const BLOOM_WORDS: usize = (BLOOM_BITS / 64) as usize;
-
-/// A fixed-size, two-probe Bloom membership summary. False positives only
-/// cost a postings lookup; false negatives are impossible, so pruning on
-/// `may_contain == false` is always sound.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Bloom {
-    words: [u64; BLOOM_WORDS],
-}
-
-impl Bloom {
-    fn new() -> Self {
-        Bloom { words: [0; BLOOM_WORDS] }
-    }
-
-    /// Two probe bit positions from independent halves of the 64-bit key.
-    fn probes(key: u64) -> (u64, u64) {
-        (key % BLOOM_BITS, (key >> 32) % BLOOM_BITS)
-    }
-
-    fn insert(&mut self, key: u64) {
-        let (a, b) = Self::probes(key);
-        self.words[(a / 64) as usize] |= 1 << (a % 64);
-        self.words[(b / 64) as usize] |= 1 << (b % 64);
-    }
-
-    fn may_contain(&self, key: u64) -> bool {
-        let (a, b) = Self::probes(key);
-        self.words[(a / 64) as usize] & (1 << (a % 64)) != 0
-            && self.words[(b / 64) as usize] & (1 << (b % 64)) != 0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Packet segments
-// ---------------------------------------------------------------------------
-
-/// Read-only shape of one packet segment, for tests and reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentStats {
-    pub records: usize,
-    pub min_ts_ns: u64,
-    pub max_ts_ns: u64,
-}
-
-/// One sealed (or still-filling) run of packet records, sorted by
-/// `(ts_ns, seq)`, with membership summaries and exact postings.
-#[derive(Debug, Clone)]
-pub(crate) struct PacketSegment {
-    recs: Vec<PacketRecord>,
-    seqs: Vec<u64>,
-    hosts: Bloom,
-    ports: Bloom,
-    by_host: FxHashMap<IpAddr, Vec<u32>>,
-    by_port: FxHashMap<u16, Vec<u32>>,
-    attack: Vec<u32>,
-}
-
-/// What a segment offers a query after pruning: exact postings positions
-/// (already window-sliced) or a contiguous record range.
-enum Candidates<'a> {
-    Positions(&'a [u32]),
-    Range(Range<usize>),
-}
-
-impl PacketSegment {
-    fn empty() -> Self {
-        PacketSegment {
-            recs: Vec::new(),
-            seqs: Vec::new(),
-            hosts: Bloom::new(),
-            ports: Bloom::new(),
-            by_host: FxHashMap::default(),
-            by_port: FxHashMap::default(),
-            attack: Vec::new(),
-        }
-    }
-
-    /// Build a segment from owned `(record, seq)` pairs already sorted by
-    /// `(ts_ns, seq)`; records move straight into the segment.
-    fn build_from_pairs(pairs: Vec<(PacketRecord, u64)>) -> Self {
-        let mut seg = PacketSegment::empty();
-        seg.recs.reserve(pairs.len());
-        seg.seqs.reserve(pairs.len());
-        for (rec, seq) in pairs {
-            seg.push(rec, seq);
-        }
-        seg
-    }
-
-    /// Append one record; the caller guarantees `(rec.ts_ns, seq)` is
-    /// greater than every key already present.
-    fn push(&mut self, rec: PacketRecord, seq: u64) {
-        debug_assert!(
-            self.recs.last().map(|l| (l.ts_ns, *self.seqs.last().unwrap()) < (rec.ts_ns, seq)).unwrap_or(true),
-            "segment append out of (ts, seq) order"
-        );
-        let pos = self.recs.len() as u32;
-        self.hosts.insert(fx_key(&rec.src));
-        self.by_host.entry(rec.src).or_default().push(pos);
-        if rec.dst != rec.src {
-            self.hosts.insert(fx_key(&rec.dst));
-            self.by_host.entry(rec.dst).or_default().push(pos);
-        }
-        self.ports.insert(fx_key(&rec.dst_port));
-        self.by_port.entry(rec.dst_port).or_default().push(pos);
-        if rec.is_malicious() {
-            self.attack.push(pos);
-        }
-        self.recs.push(rec);
-        self.seqs.push(seq);
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.recs.len()
-    }
-
-    fn min_ts(&self) -> u64 {
-        self.recs.first().map(|r| r.ts_ns).unwrap_or(0)
-    }
-
-    fn max_ts(&self) -> u64 {
-        self.recs.last().map(|r| r.ts_ns).unwrap_or(0)
-    }
-
-    pub(crate) fn stats(&self) -> SegmentStats {
-        SegmentStats { records: self.len(), min_ts_ns: self.min_ts(), max_ts_ns: self.max_ts() }
-    }
-
-    /// Slice sorted postings positions down to the query window (postings
-    /// follow record order, so their timestamps are non-decreasing).
-    fn window_positions<'a>(&self, pos: &'a [u32], time: Option<&Range<u64>>) -> &'a [u32] {
-        match time {
-            None => pos,
-            Some(r) => {
-                let lo = pos.partition_point(|&i| self.recs[i as usize].ts_ns < r.start);
-                let hi = pos.partition_point(|&i| self.recs[i as usize].ts_ns < r.end);
-                &pos[lo..hi]
-            }
-        }
-    }
-
-    /// Plan this segment's contribution to `q`: `None` means the whole
-    /// segment is pruned (time bounds, Bloom summary, or empty postings).
-    /// The caller guarantees a non-inverted time window.
-    fn candidates(&self, q: &PacketQuery) -> Option<Candidates<'_>> {
-        let time = q.time_ns.as_ref();
-        if let Some(r) = time {
-            if self.max_ts() < r.start || self.min_ts() >= r.end {
-                return None;
-            }
-        }
-        if let Some(h) = q.host.or(q.src).or(q.dst) {
-            if !self.hosts.may_contain(fx_key(&h)) {
-                return None;
-            }
-            let pos = self.window_positions(self.by_host.get(&h)?.as_slice(), time);
-            return (!pos.is_empty()).then_some(Candidates::Positions(pos));
-        }
-        if let Some(p) = q.dst_port {
-            if !self.ports.may_contain(fx_key(&p)) {
-                return None;
-            }
-            let pos = self.window_positions(self.by_port.get(&p)?.as_slice(), time);
-            return (!pos.is_empty()).then_some(Candidates::Positions(pos));
-        }
-        if q.malicious_only {
-            let pos = self.window_positions(&self.attack, time);
-            return (!pos.is_empty()).then_some(Candidates::Positions(pos));
-        }
-        let range = match time {
-            Some(r) => {
-                let lo = self.recs.partition_point(|rec| rec.ts_ns < r.start);
-                let hi = self.recs.partition_point(|rec| rec.ts_ns < r.end);
-                lo..hi
-            }
-            None => 0..self.recs.len(),
-        };
-        (!range.is_empty()).then_some(Candidates::Range(range))
-    }
-
-    /// Drop every record with `ts_ns < cutoff`; rebuilds the segment's
-    /// postings and summaries. Returns how many records went.
-    fn truncate_before(&mut self, cutoff_ns: u64) -> usize {
-        let cut = self.recs.partition_point(|r| r.ts_ns < cutoff_ns);
-        if cut == 0 {
-            return 0;
-        }
-        let recs = self.recs.split_off(cut);
-        let seqs = self.seqs.split_off(cut);
-        *self = PacketSegment::empty();
-        for (rec, seq) in recs.into_iter().zip(seqs) {
-            self.push(rec, seq);
-        }
-        cut
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The packet chain
-// ---------------------------------------------------------------------------
-
-/// The packet table: a chain of segments plus the global sequence counter.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PacketChain {
-    segs: Vec<PacketSegment>,
-    next_seq: u64,
-}
-
-/// Pair a batch with fresh sequence numbers (capture order), then sort by
-/// `(ts_ns, seq)`. The sort is stable in effect: equal timestamps keep
-/// ingest-arrival order because their seqs are already ascending.
-fn sort_pairs(batch: Vec<PacketRecord>, start_seq: u64) -> Vec<(PacketRecord, u64)> {
-    let mut pairs: Vec<(PacketRecord, u64)> =
-        batch.into_iter().zip(start_seq..).collect();
-    pairs.sort_by_key(|(r, s)| (r.ts_ns, *s));
-    pairs
-}
-
-/// Build the sealed segments for one sorted batch, chunked at capacity.
-/// The batch is consumed: chunks are split off and moved into segments.
-fn build_segments(mut pairs: Vec<(PacketRecord, u64)>, workers: usize) -> Vec<PacketSegment> {
-    let mut chunks: Vec<Vec<(PacketRecord, u64)>> = Vec::new();
-    while pairs.len() > SEGMENT_CAPACITY {
-        let tail = pairs.split_off(SEGMENT_CAPACITY);
-        chunks.push(std::mem::replace(&mut pairs, tail));
-    }
-    chunks.push(pairs);
-    let workers = workers.min(chunks.len());
-    par::parallel_map_vec(chunks, workers, |_, c| PacketSegment::build_from_pairs(c))
-}
-
-impl PacketChain {
-    /// Ingest one batch. Batches may arrive unsorted; the batch is sorted
-    /// by `(ts_ns, seq)` and either appended to the trailing segment (when
-    /// it fits and does not travel back in time) or landed as fresh
-    /// segments — never by re-sorting the whole table.
-    pub fn ingest(&mut self, batch: Vec<PacketRecord>) {
-        if batch.is_empty() {
-            return;
-        }
-        let start = self.next_seq;
-        self.next_seq += batch.len() as u64;
-        let pairs = sort_pairs(batch, start);
-        if let Some(last) = self.segs.last_mut() {
-            if last.len() + pairs.len() <= SEGMENT_CAPACITY && pairs[0].0.ts_ns >= last.max_ts() {
-                for (rec, seq) in pairs {
-                    last.push(rec, seq);
-                }
-                return;
-            }
-        }
-        let workers = par::worker_count(pairs.len() / SEGMENT_CAPACITY + 1);
-        self.segs.extend(build_segments(pairs, workers));
-    }
-
-    /// Ingest many batches, sharding segment construction across `workers`
-    /// threads. Each batch owns a pre-assigned sequence range and builds
-    /// its segments independently, so the chain is byte-identical at any
-    /// worker count and appends in batch order.
-    pub fn ingest_batches(&mut self, batches: Vec<Vec<PacketRecord>>, workers: usize) {
-        let mut items: Vec<(Vec<PacketRecord>, u64)> = Vec::with_capacity(batches.len());
-        for batch in batches {
-            if batch.is_empty() {
-                continue;
-            }
-            let start = self.next_seq;
-            self.next_seq += batch.len() as u64;
-            items.push((batch, start));
-        }
-        let built: Vec<Vec<PacketSegment>> =
-            par::parallel_map_vec(items, workers, |_, (batch, start)| {
-                build_segments(sort_pairs(batch, start), 1)
-            });
-        for segs in built {
-            self.segs.extend(segs);
-        }
-    }
-
-    pub fn count(&self) -> usize {
-        self.segs.iter().map(|s| s.len()).sum()
-    }
-
-    pub fn segment_count(&self) -> usize {
-        self.segs.len()
-    }
-
-    pub fn segment_stats(&self) -> Vec<SegmentStats> {
-        self.segs.iter().map(|s| s.stats()).collect()
-    }
-
-    /// All records in global `(ts_ns, seq)` order.
-    pub fn iter_seq(&self) -> OrderedIter<'_, PacketRecord> {
-        ordered_iter(self.segs.iter().map(|s| (s.recs.as_slice(), s.seqs.as_slice())).collect())
-    }
-
-    /// Indexed query: prune segments, binary-search windows, filter.
-    pub fn query(&self, q: &PacketQuery) -> (Vec<&PacketRecord>, QueryStats) {
-        let mut stats = QueryStats { segments_total: self.segs.len(), ..QueryStats::default() };
-        // An inverted or empty window matches nothing; prune everything
-        // before the binary-search slicing below would slice lo > hi.
-        // Queries are untrusted input.
-        if q.time_ns.as_ref().is_some_and(|r| r.start >= r.end) {
-            stats.segments_pruned = stats.segments_total;
-            return (Vec::new(), stats);
-        }
-        let limit = q.limit.unwrap_or(usize::MAX);
-        let mut lists: Vec<Vec<(Key, &PacketRecord)>> = Vec::new();
-        for seg in &self.segs {
-            let Some(cand) = seg.candidates(q) else {
-                stats.segments_pruned += 1;
-                continue;
-            };
-            let mut hits: Vec<(Key, &PacketRecord)> = Vec::new();
-            // Positions and ranges walk the same examine-filter loop; the
-            // iterator erases which plan fed it.
-            let positions: Box<dyn Iterator<Item = usize>> = match cand {
-                Candidates::Positions(ps) => Box::new(ps.iter().map(|&p| p as usize)),
-                Candidates::Range(range) => Box::new(range),
-            };
-            for i in positions {
-                if hits.len() >= limit {
-                    break;
-                }
-                stats.records_examined += 1;
-                let r = &seg.recs[i];
-                if q.matches(r) {
-                    hits.push(((r.ts_ns, seg.seqs[i]), r));
-                }
-            }
-            if !hits.is_empty() {
-                lists.push(hits);
-            }
-        }
-        let merged = merge_lists(lists, limit);
-        stats.hits = merged.len();
-        (merged, stats)
-    }
-
-    /// Full linear scan in global order — the honest baseline every
-    /// indexed query is differential-tested (and benchmarked) against.
-    pub fn scan(&self, q: &PacketQuery) -> (Vec<&PacketRecord>, QueryStats) {
-        let mut stats = QueryStats { segments_total: self.segs.len(), ..QueryStats::default() };
-        let limit = q.limit.unwrap_or(usize::MAX);
-        let mut out = Vec::new();
-        for (_, r) in self.iter_seq() {
-            if out.len() >= limit {
-                break;
-            }
-            stats.records_examined += 1;
-            if q.matches(r) {
-                out.push(r);
-            }
-        }
-        stats.hits = out.len();
-        (out, stats)
-    }
-
-    /// Retention: whole segments older than the cutoff drop in O(1) each;
-    /// at most the boundary segments pay a rebuild. Returns records dropped.
-    pub fn retain_since(&mut self, cutoff_ns: u64) -> u64 {
-        let mut dropped = 0u64;
-        self.segs.retain_mut(|seg| {
-            if seg.max_ts() < cutoff_ns {
-                dropped += seg.len() as u64;
-                false
-            } else if seg.min_ts() >= cutoff_ns {
-                true
-            } else {
-                dropped += seg.truncate_before(cutoff_ns) as u64;
-                seg.len() > 0
-            }
-        });
-        dropped
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Generic time chains (flows, DNS metadata, sensor events)
-// ---------------------------------------------------------------------------
-
-/// Record types the chains can order and prune by: a start timestamp
-/// (the sort key) and an end timestamp (the retention key). Point records
-/// report the same value for both.
+/// Record types the chain can order and prune by: a start timestamp (the
+/// sort key) and an end timestamp (the retention key). Point records
+/// have one timestamp for both, which is the default.
 pub trait TimeSpan {
     fn start_ns(&self) -> u64;
-    fn end_ns(&self) -> u64;
+    fn end_ns(&self) -> u64 {
+        self.start_ns()
+    }
 }
 
 impl TimeSpan for PacketRecord {
     fn start_ns(&self) -> u64 {
-        self.ts_ns
-    }
-    fn end_ns(&self) -> u64 {
         self.ts_ns
     }
 }
@@ -459,46 +63,70 @@ impl TimeSpan for DnsMetaRecord {
     fn start_ns(&self) -> u64 {
         self.ts_ns
     }
-    fn end_ns(&self) -> u64 {
-        self.ts_ns
-    }
 }
 
 impl TimeSpan for SensorRecord {
     fn start_ns(&self) -> u64 {
         self.ts_ns()
     }
-    fn end_ns(&self) -> u64 {
-        self.ts_ns()
-    }
 }
 
-/// One run of records sorted by `(start_ns, seq)` with cached span bounds.
+// ---------------------------------------------------------------------------
+// Segments and their index sidecar
+// ---------------------------------------------------------------------------
+
+/// What a segment keeps beside its records to answer queries faster than
+/// a walk. It is told about every record as it lands and is rebuilt from
+/// scratch, the same way, when retention truncates the segment.
+pub(crate) trait Sidecar<T>: Default {
+    /// `rec` is about to land at position `pos` of the segment.
+    fn note(&mut self, pos: u32, rec: &T);
+}
+
+impl<T> Sidecar<T> for () {
+    fn note(&mut self, _: u32, _: &T) {}
+}
+
+/// Read-only shape of one segment, for tests and reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentStats {
+    pub records: usize,
+    pub min_ts_ns: u64,
+    pub max_ts_ns: u64,
+}
+
+/// One sealed (or still-filling) run of records sorted by
+/// `(start_ns, seq)`, with cached end bounds and an index sidecar.
 #[derive(Debug, Clone)]
-struct ChainSegment<T> {
+pub(crate) struct Segment<T, I> {
     recs: Vec<T>,
     seqs: Vec<u64>,
     /// Smallest `end_ns` in the segment (retention fast path).
     min_end_ns: u64,
     /// Largest `end_ns` in the segment (retention / overlap pruning).
     max_end_ns: u64,
+    index: I,
 }
 
-impl<T: TimeSpan> ChainSegment<T> {
-    fn from_pairs(pairs: Vec<(T, u64)>) -> Self {
-        let mut seg = ChainSegment {
-            recs: Vec::with_capacity(pairs.len()),
-            seqs: Vec::with_capacity(pairs.len()),
+impl<T: TimeSpan, I: Sidecar<T>> Segment<T, I> {
+    fn with_capacity(n: usize) -> Self {
+        Segment {
+            recs: Vec::with_capacity(n),
+            seqs: Vec::with_capacity(n),
             min_end_ns: u64::MAX,
             max_end_ns: 0,
-        };
-        for (rec, seq) in pairs {
-            seg.push(rec, seq);
+            index: I::default(),
         }
-        seg
     }
 
+    /// Append one record; the caller guarantees `(rec.start_ns(), seq)`
+    /// is greater than every key already present.
     fn push(&mut self, rec: T, seq: u64) {
+        debug_assert!(
+            self.seqs.last().is_none_or(|&s| (self.max_start(), s) < (rec.start_ns(), seq)),
+            "segment append out of (start, seq) order"
+        );
+        self.index.note(self.recs.len() as u32, &rec);
         self.min_end_ns = self.min_end_ns.min(rec.end_ns());
         self.max_end_ns = self.max_end_ns.max(rec.end_ns());
         self.recs.push(rec);
@@ -506,53 +134,176 @@ impl<T: TimeSpan> ChainSegment<T> {
     }
 
     fn min_start(&self) -> u64 {
-        self.recs.first().map(|r| r.start_ns()).unwrap_or(0)
+        self.recs.first().map_or(0, |r| r.start_ns())
     }
 
     fn max_start(&self) -> u64 {
-        self.recs.last().map(|r| r.start_ns()).unwrap_or(0)
+        self.recs.last().map_or(0, |r| r.start_ns())
     }
 }
 
-/// A chain of time-ordered segments for one record type.
+/// How many of the start-sorted `recs` start before `ns`.
+fn starting_before<T: TimeSpan>(recs: &[T], ns: u64) -> usize {
+    recs.partition_point(|rec| rec.start_ns() < ns)
+}
+
+/// What a segment offers a query after pruning: exact postings positions
+/// (already window-sliced) or a contiguous record range.
+pub(crate) enum Candidates<'a> {
+    Positions(&'a [u32]),
+    Range(Range<usize>),
+}
+
+/// The packet table's sidecar: exact in-segment postings by endpoint
+/// address, by destination port, and for attack-labelled records. There
+/// is no membership summary in front of them: a missing key in an
+/// in-memory map *is* the prune (DESIGN.md §9).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PacketIndex {
+    by_host: FxHashMap<IpAddr, Vec<u32>>,
+    by_port: FxHashMap<u16, Vec<u32>>,
+    attack: Vec<u32>,
+}
+
+impl Sidecar<PacketRecord> for PacketIndex {
+    fn note(&mut self, pos: u32, rec: &PacketRecord) {
+        self.by_host.entry(rec.src).or_default().push(pos);
+        if rec.dst != rec.src {
+            self.by_host.entry(rec.dst).or_default().push(pos);
+        }
+        self.by_port.entry(rec.dst_port).or_default().push(pos);
+        if rec.is_malicious() {
+            self.attack.push(pos);
+        }
+    }
+}
+
+impl PacketIndex {
+    /// Plan the contribution of the segment holding `recs` to `q`: the
+    /// narrowest access path the query constrains, sliced to its window.
+    /// `None` prunes the segment (absent key, or nothing in the window).
+    /// The caller guarantees a non-inverted time window.
+    fn candidates<'a>(&'a self, q: &PacketQuery, recs: &[PacketRecord]) -> Option<Candidates<'a>> {
+        let time = q.time_ns.as_ref();
+        let postings: &[u32] = if let Some(h) = q.host.or(q.src).or(q.dst) {
+            self.by_host.get(&h)?
+        } else if let Some(p) = q.dst_port {
+            self.by_port.get(&p)?
+        } else if q.malicious_only {
+            &self.attack
+        } else {
+            let range = time.map_or(0..recs.len(), |r| {
+                starting_before(recs, r.start)..starting_before(recs, r.end)
+            });
+            return (!range.is_empty()).then_some(Candidates::Range(range));
+        };
+        // Postings follow record order, so their timestamps are
+        // non-decreasing and the window is a binary-searched slice.
+        let pos = match time {
+            None => postings,
+            Some(r) => {
+                let lo = postings.partition_point(|&i| recs[i as usize].ts_ns < r.start);
+                let hi = postings.partition_point(|&i| recs[i as usize].ts_ns < r.end);
+                &postings[lo..hi]
+            }
+        };
+        (!pos.is_empty()).then_some(Candidates::Positions(pos))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The chain
+// ---------------------------------------------------------------------------
+
+/// One table: a chain of segments plus the table's sequence counter.
 #[derive(Debug, Clone)]
-pub(crate) struct TimeChain<T> {
-    segs: Vec<ChainSegment<T>>,
+pub(crate) struct Chain<T, I = ()> {
+    segs: Vec<Segment<T, I>>,
     next_seq: u64,
-    capacity: usize,
 }
 
-impl<T: TimeSpan> Default for TimeChain<T> {
+impl<T, I> Default for Chain<T, I> {
     fn default() -> Self {
-        TimeChain { segs: Vec::new(), next_seq: 0, capacity: SEGMENT_CAPACITY }
+        Chain { segs: Vec::new(), next_seq: 0 }
     }
 }
 
-impl<T: TimeSpan> TimeChain<T> {
+/// Pair a batch with its sequence numbers (capture order), then sort by
+/// `(start_ns, seq)`. The sort is stable in effect: equal timestamps keep
+/// ingest-arrival order because their seqs are already ascending.
+fn sort_pairs<T: TimeSpan>(batch: Vec<T>, start_seq: u64) -> Vec<(T, u64)> {
+    let mut pairs: Vec<(T, u64)> = batch.into_iter().zip(start_seq..).collect();
+    pairs.sort_by_key(|(r, s)| (r.start_ns(), *s));
+    pairs
+}
+
+/// Move one sorted batch into fresh segments, chunked at capacity.
+fn seal<T: TimeSpan, I: Sidecar<T>>(pairs: Vec<(T, u64)>) -> Vec<Segment<T, I>> {
+    let mut left = pairs.len();
+    let mut pairs = pairs.into_iter();
+    let mut segs = Vec::with_capacity(left.div_ceil(SEGMENT_CAPACITY));
+    while left > 0 {
+        let n = left.min(SEGMENT_CAPACITY);
+        let mut seg = Segment::with_capacity(n);
+        for (rec, seq) in pairs.by_ref().take(n) {
+            seg.push(rec, seq);
+        }
+        segs.push(seg);
+        left -= n;
+    }
+    segs
+}
+
+impl<T: TimeSpan, I: Sidecar<T>> Chain<T, I> {
+    fn claim_seqs(&mut self, n: usize) -> u64 {
+        let start = self.next_seq;
+        self.next_seq += n as u64;
+        start
+    }
+
+    /// Ingest one batch. Batches may arrive unsorted; the batch is sorted
+    /// by `(start_ns, seq)` and either appended to the trailing segment
+    /// (when it fits and does not travel back in time) or landed as fresh
+    /// segments — never by re-sorting the whole table.
     pub fn ingest(&mut self, batch: Vec<T>) {
         if batch.is_empty() {
             return;
         }
-        let start = self.next_seq;
-        self.next_seq += batch.len() as u64;
-        let mut pairs: Vec<(T, u64)> = batch.into_iter().zip(start..).collect();
-        pairs.sort_by_key(|(r, s)| (r.start_ns(), *s));
-        if let Some(last) = self.segs.last_mut() {
-            if last.recs.len() + pairs.len() <= self.capacity
-                && pairs[0].0.start_ns() >= last.max_start()
+        let start = self.claim_seqs(batch.len());
+        let pairs = sort_pairs(batch, start);
+        match self.segs.last_mut() {
+            Some(last)
+                if last.recs.len() + pairs.len() <= SEGMENT_CAPACITY
+                    && pairs[0].0.start_ns() >= last.max_start() =>
             {
                 for (rec, seq) in pairs {
                     last.push(rec, seq);
                 }
-                return;
             }
+            _ => self.segs.extend(seal(pairs)),
         }
-        let mut pairs = pairs;
-        while !pairs.is_empty() {
-            let rest = pairs.split_off(pairs.len().min(self.capacity));
-            self.segs.push(ChainSegment::from_pairs(pairs));
-            pairs = rest;
-        }
+    }
+
+    /// Ingest many batches, each as its own fresh segments, sharding the
+    /// sort-and-index work across `workers` threads. Each batch owns a
+    /// pre-assigned sequence range and builds its segments independently,
+    /// so the chain is byte-identical at any worker count and appends in
+    /// batch order.
+    pub fn ingest_batches(&mut self, batches: Vec<Vec<T>>, workers: usize)
+    where
+        T: Send,
+        I: Send,
+    {
+        let items: Vec<(Vec<T>, u64)> = batches
+            .into_iter()
+            .filter(|b| !b.is_empty())
+            .map(|b| {
+                let start = self.claim_seqs(b.len());
+                (b, start)
+            })
+            .collect();
+        let built = par::parallel_map_vec(items, workers, |_, (b, start)| seal(sort_pairs(b, start)));
+        self.segs.extend(built.into_iter().flatten());
     }
 
     pub fn count(&self) -> usize {
@@ -563,45 +314,54 @@ impl<T: TimeSpan> TimeChain<T> {
         self.segs.len()
     }
 
+    pub fn segment_stats(&self) -> Vec<SegmentStats> {
+        self.segs
+            .iter()
+            .map(|s| SegmentStats {
+                records: s.recs.len(),
+                min_ts_ns: s.min_start(),
+                max_ts_ns: s.max_start(),
+            })
+            .collect()
+    }
+
     /// All records in global `(start_ns, seq)` order.
     pub fn iter_seq(&self) -> OrderedIter<'_, T> {
         ordered_iter(self.segs.iter().map(|s| (s.recs.as_slice(), s.seqs.as_slice())).collect())
     }
 
-    /// Run `matches` over the chain in global order. With `prune` set,
-    /// segments outside the overlap window are skipped wholesale and each
-    /// candidate segment stops at the first record starting past the
-    /// window's end (records are start-sorted); without it, this is the
-    /// full-scan baseline.
-    pub fn query_overlap<F>(
-        &self,
+    /// Indexed query: skip every segment whose span misses `time`, let
+    /// `plan` narrow (or prune) each survivor, run `matches` over the
+    /// candidates, and merge the hits into global order.
+    ///
+    /// No inverted-window special case here: overlap matching is
+    /// `end >= start && start < end`, which a long-lived span can satisfy
+    /// even when `time.start > time.end`, and the span prune stays sound
+    /// for such ranges (pinned by the flow differential test).
+    fn query<'a>(
+        &'a self,
         time: Option<&Range<u64>>,
-        matches: F,
         limit: usize,
-        prune: bool,
-    ) -> (Vec<&T>, QueryStats)
-    where
-        F: Fn(&T) -> bool,
-    {
-        // No inverted-window special case here: overlap matching is
-        // `last >= start && first < end`, which a long-lived span can
-        // satisfy even when start > end, and both prune checks below stay
-        // sound for such ranges (pinned by the flow differential test).
+        plan: impl Fn(&'a Segment<T, I>) -> Option<Candidates<'a>>,
+        matches: impl Fn(&T) -> bool,
+    ) -> (Vec<&'a T>, QueryStats) {
         let mut stats = QueryStats { segments_total: self.segs.len(), ..QueryStats::default() };
         let mut lists: Vec<Vec<(Key, &T)>> = Vec::new();
         for seg in &self.segs {
-            let hi = match (prune, time) {
-                (true, Some(r)) => {
-                    if seg.max_end_ns < r.start || seg.min_start() >= r.end {
-                        stats.segments_pruned += 1;
-                        continue;
-                    }
-                    seg.recs.partition_point(|rec| rec.start_ns() < r.end)
-                }
-                _ => seg.recs.len(),
+            let outside =
+                time.is_some_and(|r| seg.max_end_ns < r.start || seg.min_start() >= r.end);
+            let Some(candidates) = (if outside { None } else { plan(seg) }) else {
+                stats.segments_pruned += 1;
+                continue;
             };
             let mut hits: Vec<(Key, &T)> = Vec::new();
-            for i in 0..hi {
+            // Positions and ranges walk the same examine-filter loop; the
+            // iterator erases which plan fed it.
+            let positions: Box<dyn Iterator<Item = usize>> = match candidates {
+                Candidates::Positions(ps) => Box::new(ps.iter().map(|&p| p as usize)),
+                Candidates::Range(range) => Box::new(range),
+            };
+            for i in positions {
                 if hits.len() >= limit {
                     break;
                 }
@@ -611,48 +371,89 @@ impl<T: TimeSpan> TimeChain<T> {
                     hits.push(((r.start_ns(), seg.seqs[i]), r));
                 }
             }
-            if !hits.is_empty() {
-                lists.push(hits);
-            }
+            lists.push(hits);
         }
         let merged = merge_lists(lists, limit);
         stats.hits = merged.len();
         (merged, stats)
     }
 
-    /// Retention by end timestamp: whole segments drop in O(1) each;
-    /// straddling segments filter in place. Returns records dropped.
-    pub fn retain_end_since(&mut self, cutoff_ns: u64) -> u64 {
-        let mut dropped = 0u64;
+    /// Full linear scan in global order — the honest baseline every
+    /// indexed query is differential-tested (and benchmarked) against.
+    pub fn scan(&self, limit: usize, matches: impl Fn(&T) -> bool) -> (Vec<&T>, QueryStats) {
+        let mut stats = QueryStats { segments_total: self.segs.len(), ..QueryStats::default() };
+        let mut out = Vec::new();
+        for (_, r) in self.iter_seq() {
+            if out.len() >= limit {
+                break;
+            }
+            stats.records_examined += 1;
+            if matches(r) {
+                out.push(r);
+            }
+        }
+        stats.hits = out.len();
+        (out, stats)
+    }
+
+    /// Retention by end timestamp: whole segments older than the cutoff
+    /// drop in O(1) each; only segments straddling it are rebuilt from
+    /// their survivors, sidecar included. Returns records dropped.
+    pub fn retain_since(&mut self, cutoff_ns: u64) -> u64 {
+        let mut dropped = 0;
         self.segs.retain_mut(|seg| {
+            if seg.min_end_ns >= cutoff_ns {
+                return true;
+            }
+            let before = seg.recs.len();
             if seg.max_end_ns < cutoff_ns {
-                dropped += seg.recs.len() as u64;
-                false
-            } else if seg.min_end_ns >= cutoff_ns {
-                true
+                seg.recs.clear();
             } else {
-                let before = seg.recs.len();
-                let mut kept_recs = Vec::with_capacity(before);
-                let mut kept_seqs = Vec::with_capacity(before);
-                let mut min_end = u64::MAX;
-                let mut max_end = 0u64;
-                for (rec, seq) in seg.recs.drain(..).zip(seg.seqs.drain(..)) {
+                let old = std::mem::replace(seg, Segment::with_capacity(before));
+                for (rec, seq) in old.recs.into_iter().zip(old.seqs) {
                     if rec.end_ns() >= cutoff_ns {
-                        min_end = min_end.min(rec.end_ns());
-                        max_end = max_end.max(rec.end_ns());
-                        kept_recs.push(rec);
-                        kept_seqs.push(seq);
+                        seg.push(rec, seq);
                     }
                 }
-                dropped += (before - kept_recs.len()) as u64;
-                seg.recs = kept_recs;
-                seg.seqs = kept_seqs;
-                seg.min_end_ns = min_end;
-                seg.max_end_ns = max_end;
-                !seg.recs.is_empty()
             }
+            dropped += (before - seg.recs.len()) as u64;
+            !seg.recs.is_empty()
         });
         dropped
+    }
+}
+
+impl<T: TimeSpan> Chain<T> {
+    /// Overlap query over an unindexed table. Records are start-sorted,
+    /// so each surviving segment stops at the first record starting past
+    /// the window's end; it cannot skip the early starters, which may
+    /// still end inside the window.
+    pub fn query_overlap(
+        &self,
+        time: Option<&Range<u64>>,
+        limit: usize,
+        matches: impl Fn(&T) -> bool,
+    ) -> (Vec<&T>, QueryStats) {
+        let until = |recs: &[T]| time.map_or(recs.len(), |r| starting_before(recs, r.end));
+        self.query(time, limit, |seg| Some(Candidates::Range(0..until(&seg.recs))), matches)
+    }
+}
+
+impl Chain<PacketRecord, PacketIndex> {
+    /// The packet planner: prune by time bounds, then by postings.
+    pub fn query_packets(&self, q: &PacketQuery) -> (Vec<&PacketRecord>, QueryStats) {
+        let time = q.time_ns.as_ref();
+        // An inverted or empty window matches no point record; prune
+        // everything before the binary-search slicing would slice
+        // lo > hi. Queries are untrusted input.
+        if time.is_some_and(|r| r.start >= r.end) {
+            let all = self.segs.len();
+            let stats =
+                QueryStats { segments_total: all, segments_pruned: all, ..QueryStats::default() };
+            return (Vec::new(), stats);
+        }
+        let limit = q.limit.unwrap_or(usize::MAX);
+        self.query(time, limit, |seg| seg.index.candidates(q, &seg.recs), |r| q.matches(r))
     }
 }
 
@@ -697,7 +498,7 @@ fn merge_lists<'a, T>(mut lists: Vec<Vec<(Key, &'a T)>>, limit: usize) -> Vec<&'
 /// Iterator over many sorted `(records, seqs)` parts in global
 /// `(start_ns, seq)` order. Disjoint parts stream with two cursors; the
 /// overlapping case falls back to a per-item minimum scan.
-pub struct OrderedIter<'a, T> {
+pub(crate) struct OrderedIter<'a, T> {
     parts: Vec<(&'a [T], &'a [u64])>,
     disjoint: bool,
     part: usize,
@@ -758,6 +559,8 @@ mod tests {
     use super::*;
     use campuslab_capture::{Direction, TcpFlags};
 
+    type PacketTable = Chain<PacketRecord, PacketIndex>;
+
     fn rec(ts: u64, host: u8, dport: u16, attack: u16) -> PacketRecord {
         PacketRecord {
             ts_ns: ts,
@@ -777,19 +580,8 @@ mod tests {
     }
 
     #[test]
-    fn bloom_never_false_negative() {
-        let mut b = Bloom::new();
-        for k in 0..500u64 {
-            b.insert(fx_key(&k));
-        }
-        for k in 0..500u64 {
-            assert!(b.may_contain(fx_key(&k)));
-        }
-    }
-
-    #[test]
     fn batches_chunk_at_capacity() {
-        let mut chain = PacketChain::default();
+        let mut chain = PacketTable::default();
         let n = SEGMENT_CAPACITY * 2 + 100;
         chain.ingest((0..n as u64).map(|i| rec(i, 1, 80, 0)).collect());
         assert_eq!(chain.segment_count(), 3);
@@ -803,7 +595,7 @@ mod tests {
 
     #[test]
     fn small_in_order_batches_share_the_open_segment() {
-        let mut chain = PacketChain::default();
+        let mut chain = PacketTable::default();
         for i in 0..10u64 {
             chain.ingest(vec![rec(i * 100, 1, 80, 0)]);
         }
@@ -813,7 +605,7 @@ mod tests {
 
     #[test]
     fn out_of_order_batch_opens_its_own_segment_and_merges_on_read() {
-        let mut chain = PacketChain::default();
+        let mut chain = PacketTable::default();
         chain.ingest(vec![rec(5_000, 1, 80, 0), rec(6_000, 2, 80, 0)]);
         chain.ingest(vec![rec(1_000, 3, 80, 0)]);
         assert_eq!(chain.segment_count(), 2);
@@ -823,7 +615,7 @@ mod tests {
 
     #[test]
     fn equal_timestamps_keep_capture_order() {
-        let mut chain = PacketChain::default();
+        let mut chain = PacketTable::default();
         // Two batches, all at ts=7: arrival (seq) order must survive.
         chain.ingest(vec![rec(7, 1, 80, 0), rec(7, 2, 80, 0)]);
         chain.ingest(vec![rec(7, 3, 80, 0)]);
@@ -841,7 +633,7 @@ mod tests {
 
     #[test]
     fn retention_drops_whole_segments_cheaply() {
-        let mut chain = PacketChain::default();
+        let mut chain = PacketTable::default();
         let n = SEGMENT_CAPACITY as u64 * 3;
         chain.ingest((0..n).map(|i| rec(i, 1, 80, 0)).collect());
         // Cut in the middle of segment 1: segment 0 drops whole, segment 1
@@ -856,13 +648,13 @@ mod tests {
 
     #[test]
     fn chain_query_prunes_and_agrees_with_scan() {
-        let mut chain = PacketChain::default();
+        let mut chain = PacketTable::default();
         let n = SEGMENT_CAPACITY as u64 * 4;
         chain.ingest((0..n).map(|i| rec(i, (i % 50) as u8, (i % 7) as u16 + 440, u16::from(i % 90 == 0))).collect());
         let q = PacketQuery::for_host("10.0.0.13".parse().unwrap())
             .window(100, SEGMENT_CAPACITY as u64 + 200);
-        let (hits, stats) = chain.query(&q);
-        let (scan, scan_stats) = chain.scan(&q);
+        let (hits, stats) = chain.query_packets(&q);
+        let (scan, scan_stats) = chain.scan(usize::MAX, |r| q.matches(r));
         let a: Vec<u64> = hits.iter().map(|r| r.ts_ns).collect();
         let b: Vec<u64> = scan.iter().map(|r| r.ts_ns).collect();
         assert_eq!(a, b);
@@ -871,8 +663,8 @@ mod tests {
     }
 
     #[test]
-    fn time_chain_prunes_by_overlap() {
-        let mut chain: TimeChain<FlowRecord> = TimeChain::default();
+    fn unindexed_chain_prunes_by_overlap() {
+        let mut chain: Chain<FlowRecord> = Chain::default();
         let mk = |first: u64, last: u64| FlowRecord {
             key: campuslab_capture::FlowKey {
                 src: "10.1.1.1".parse().unwrap(),
@@ -898,8 +690,9 @@ mod tests {
         };
         chain.ingest((0..100).map(|i| mk(i * 1_000, i * 1_000 + 500)).collect());
         let window = 10_000..20_000;
-        let (hits, _) = chain.query_overlap(Some(&window), |f| f.last_ts_ns >= window.start && f.first_ts_ns < window.end, usize::MAX, true);
-        let (scan, _) = chain.query_overlap(Some(&window), |f| f.last_ts_ns >= window.start && f.first_ts_ns < window.end, usize::MAX, false);
+        let overlaps = |f: &FlowRecord| f.last_ts_ns >= window.start && f.first_ts_ns < window.end;
+        let (hits, _) = chain.query_overlap(Some(&window), usize::MAX, overlaps);
+        let (scan, _) = chain.scan(usize::MAX, overlaps);
         assert_eq!(hits.len(), scan.len());
         assert!(!hits.is_empty());
     }

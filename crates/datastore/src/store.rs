@@ -19,7 +19,7 @@
 
 use crate::observe::StoreObs;
 use crate::query::{FlowQuery, PacketQuery, QueryStats};
-use crate::segment::{OrderedIter, PacketChain, SegmentStats, TimeChain};
+use crate::segment::{Chain, PacketIndex, SegmentStats};
 use campuslab_capture::{DnsMetaRecord, FlowRecord, PacketRecord, SensorRecord};
 use campuslab_netsim::par;
 
@@ -42,16 +42,16 @@ pub struct StorageReport {
 /// The campus data store.
 ///
 /// Each table is a chain of time-partitioned segments. Packet segments
-/// carry per-host and per-port Bloom membership summaries plus exact
-/// postings, so an indexed query plans as *prune segments → binary-search
-/// window → filter* and reports its work in [`QueryStats`]. Retention
-/// truncates whole segments instead of compacting flat tables.
+/// carry exact per-host, per-port and attack postings, so an indexed query
+/// plans as *prune segments → binary-search window → filter* and reports
+/// its work in [`QueryStats`]. Retention truncates whole segments instead
+/// of compacting flat tables.
 #[derive(Debug, Default)]
 pub struct DataStore {
-    packets: PacketChain,
-    flows: TimeChain<FlowRecord>,
-    dns: TimeChain<DnsMetaRecord>,
-    sensors: TimeChain<SensorRecord>,
+    packets: Chain<PacketRecord, PacketIndex>,
+    flows: Chain<FlowRecord>,
+    dns: Chain<DnsMetaRecord>,
+    sensors: Chain<SensorRecord>,
     /// Observatory surface; public so runs can merge or render it.
     pub obs: StoreObs,
 }
@@ -79,16 +79,20 @@ impl DataStore {
         self.publish_segment_gauges();
     }
 
-    /// Ingest many packet batches, sharding segment construction across
-    /// worker threads (see [`par::worker_count`]). The resulting store —
-    /// reports, query results, segment layout — is byte-identical at any
-    /// worker count.
+    /// Ingest many packet batches, each as its own fresh segments, sharding
+    /// segment construction across worker threads. `CAMPUSLAB_JOBS` sets
+    /// the worker count; unset, boxes under four cores build inline — the
+    /// shard executor's rule (DESIGN.md §9 has the measurement) — and wider
+    /// ones use a thread per core. The resulting store — reports, query
+    /// results, segment layout — is byte-identical at any worker count.
     pub fn ingest_packet_batches(&mut self, batches: Vec<Vec<PacketRecord>>) {
-        let workers = par::worker_count(batches.len());
+        let cores = par::cores();
+        let workers = par::jobs_from_env().unwrap_or(if cores < 4 { 1 } else { cores });
         self.ingest_packet_batches_with(batches, workers);
     }
 
-    /// [`DataStore::ingest_packet_batches`] with an explicit worker count.
+    /// [`DataStore::ingest_packet_batches`] with an explicit worker count,
+    /// always honoured.
     pub fn ingest_packet_batches_with(&mut self, batches: Vec<Vec<PacketRecord>>, workers: usize) {
         for b in &batches {
             if !b.is_empty() {
@@ -162,12 +166,6 @@ impl DataStore {
         self.packets.iter_seq().map(|(_, r)| r)
     }
 
-    /// Like [`DataStore::iter_packets`] but yielding `(seq, record)`, for
-    /// callers that need the tie-breaking sequence number.
-    pub fn iter_packets_seq(&self) -> OrderedIter<'_, PacketRecord> {
-        self.packets.iter_seq()
-    }
-
     /// All flow records in `(first_ts_ns, seq)` order.
     pub fn iter_flows(&self) -> impl Iterator<Item = &FlowRecord> {
         self.flows.iter_seq().map(|(_, r)| r)
@@ -185,20 +183,18 @@ impl DataStore {
 
     /// Index-accelerated packet query.
     pub fn query_packets(&self, q: &PacketQuery) -> Vec<&PacketRecord> {
-        self.packets.query(q).0
+        self.packets.query_packets(q).0
     }
 
     /// [`DataStore::query_packets`] plus its [`QueryStats`].
     pub fn query_packets_with_stats(&self, q: &PacketQuery) -> (Vec<&PacketRecord>, QueryStats) {
-        self.packets.query(q)
+        self.packets.query_packets(q)
     }
 
     /// Indexed query that also records itself in the store's Observatory.
     pub fn query_packets_observed(&mut self, q: &PacketQuery) -> (Vec<&PacketRecord>, QueryStats) {
-        // Split-borrow: run the query on the chain field, book-keep on the
-        // obs field, then hand out the borrows.
-        let (hits, stats) = self.packets.query(q);
         // `hits` borrows `self.packets`; `self.obs` is a disjoint field.
+        let (hits, stats) = self.packets.query_packets(q);
         self.obs.on_query(true, &stats);
         (hits, stats)
     }
@@ -206,37 +202,26 @@ impl DataStore {
     /// Full-scan packet query — the baseline experiment E3 and the
     /// differential test suite compare the indexes against.
     pub fn scan_packets(&self, q: &PacketQuery) -> Vec<&PacketRecord> {
-        self.packets.scan(q).0
-    }
-
-    /// [`DataStore::scan_packets`] plus its [`QueryStats`].
-    pub fn scan_packets_with_stats(&self, q: &PacketQuery) -> (Vec<&PacketRecord>, QueryStats) {
-        self.packets.scan(q)
+        self.packets.scan(q.limit.unwrap_or(usize::MAX), |r| q.matches(r)).0
     }
 
     /// Full-scan query that also records itself in the store's Observatory.
     pub fn scan_packets_observed(&mut self, q: &PacketQuery) -> (Vec<&PacketRecord>, QueryStats) {
-        let (hits, stats) = self.packets.scan(q);
+        let (hits, stats) = self.packets.scan(q.limit.unwrap_or(usize::MAX), |r| q.matches(r));
         self.obs.on_query(false, &stats);
         (hits, stats)
     }
 
     /// Flow query with segment-level overlap pruning.
     pub fn query_flows(&self, q: &FlowQuery) -> Vec<&FlowRecord> {
-        self.query_flows_with_stats(q).0
-    }
-
-    /// [`DataStore::query_flows`] plus its [`QueryStats`].
-    pub fn query_flows_with_stats(&self, q: &FlowQuery) -> (Vec<&FlowRecord>, QueryStats) {
         let limit = q.limit.unwrap_or(usize::MAX);
-        self.flows.query_overlap(q.time_ns.as_ref(), |f| q.matches(f), limit, true)
+        self.flows.query_overlap(q.time_ns.as_ref(), limit, |f| q.matches(f)).0
     }
 
     /// Full-scan flow query — the differential baseline for
     /// [`DataStore::query_flows`].
     pub fn scan_flows(&self, q: &FlowQuery) -> Vec<&FlowRecord> {
-        let limit = q.limit.unwrap_or(usize::MAX);
-        self.flows.query_overlap(q.time_ns.as_ref(), |f| q.matches(f), limit, false).0
+        self.flows.scan(q.limit.unwrap_or(usize::MAX), |f| q.matches(f)).0
     }
 
     /// Drop all records older than `cutoff_ns` (retention enforcement).
@@ -244,9 +229,9 @@ impl DataStore {
     /// straddling the cutoff pay a rebuild — O(segments), not O(records).
     pub fn retain_since(&mut self, cutoff_ns: u64) {
         let mut dropped = self.packets.retain_since(cutoff_ns);
-        dropped += self.flows.retain_end_since(cutoff_ns);
-        dropped += self.dns.retain_end_since(cutoff_ns);
-        dropped += self.sensors.retain_end_since(cutoff_ns);
+        dropped += self.flows.retain_since(cutoff_ns);
+        dropped += self.dns.retain_since(cutoff_ns);
+        dropped += self.sensors.retain_since(cutoff_ns);
         self.obs.on_retired(dropped);
         self.publish_segment_gauges();
     }

@@ -1,7 +1,8 @@
 //! Segment-granular durability: an append-only write-ahead log under the
-//! in-memory [`DataStore`], superseding the all-or-nothing snapshot of
-//! [`crate::persist`] (which stays as an export format — see
-//! [`WalStore::export_snapshot`]).
+//! in-memory [`DataStore`]. [`WalStore::open`] is the one way a store
+//! comes back from disk; the single-document JSON form survives only as
+//! an export for people to read ([`WalStore::export_snapshot`]), with no
+//! reader on any recovery path.
 //!
 //! On-disk layout, one directory per store:
 //!
@@ -33,11 +34,14 @@
 //!   file back to the last good prefix, and reports what it cut in the
 //!   [`RecoveryReport`] and on the store's `ds_persist_corrupt_total`
 //!   counter.
+//! * A whole, checksum-valid frame carrying a flow record that breaks a
+//!   store invariant was *written* that way — it is no tear. Sealed or
+//!   tail, it is the same located [`PersistError::Corrupt`], and nothing
+//!   is truncated.
 //! * An interrupted manifest commit leaves a stray `MANIFEST.tmp` next to
 //!   a valid old `MANIFEST`; the stray is removed and the old manifest
 //!   wins — the rename either happened or it didn't.
 
-use crate::persist::PersistError;
 use crate::store::DataStore;
 use campuslab_capture::{DnsMetaRecord, FlowRecord, PacketRecord, SensorRecord};
 use campuslab_obs::{crc32, Crc32};
@@ -53,6 +57,51 @@ const WAL_VERSION: u32 = 2;
 
 /// Frame header size: payload length + payload crc32.
 const FRAME_HEADER: usize = 8;
+
+/// Errors while persisting or recovering a store.
+#[derive(Debug)]
+pub enum PersistError {
+    Io(std::io::Error),
+    Format(serde_json::Error),
+    /// The directory was written by another (older or future) format.
+    Version { found: u32, supported: u32 },
+    /// The bytes violate the format or the records violate store
+    /// invariants. Corruption must come back as `Err`, never abort the
+    /// process. `segment`/`offset` locate the damage — the segment file id
+    /// and the byte offset of the first bad frame — and are `None` when
+    /// it is the manifest itself that is damaged.
+    Corrupt { what: String, segment: Option<u64>, offset: Option<u64> },
+}
+
+impl std::fmt::Display for PersistError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PersistError::Io(e) => write!(f, "io error: {e}"),
+            PersistError::Format(e) => write!(f, "format error: {e}"),
+            PersistError::Version { found, supported } => {
+                write!(f, "unsupported store version {found} (supported {supported})")
+            }
+            PersistError::Corrupt { what, segment: Some(seg), offset: Some(off) } => {
+                write!(f, "corrupt segment {seg} at byte {off}: {what}")
+            }
+            PersistError::Corrupt { what, .. } => write!(f, "corrupt manifest: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for PersistError {}
+
+impl From<std::io::Error> for PersistError {
+    fn from(e: std::io::Error) -> Self {
+        PersistError::Io(e)
+    }
+}
+
+impl From<serde_json::Error> for PersistError {
+    fn from(e: serde_json::Error) -> Self {
+        PersistError::Format(e)
+    }
+}
 
 /// One durable append: a batch for exactly one table. Batch granularity
 /// matches the ingest API — a capture flush or a sensor feed lands as one
@@ -150,12 +199,14 @@ fn corrupt(what: impl Into<String>, segment: u64, offset: u64) -> PersistError {
 /// The frame that durably carries `rec`: the payload is encoded in place
 /// after a reserved header, which is then patched with length and checksum.
 fn encode_frame(rec: &WalRecord) -> Result<Vec<u8>, PersistError> {
+    let refuse = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, why);
+    // Never write what `open` would refuse to replay.
+    rec.check().map_err(refuse)?;
     let mut frame = vec![0u8; FRAME_HEADER];
     rec.serialize_bin(&mut frame);
     let (header, payload) = frame.split_at_mut(FRAME_HEADER);
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "batch exceeds the 4 GiB frame limit")
-    })?;
+    let len = u32::try_from(payload.len())
+        .map_err(|_| refuse("batch exceeds the 4 GiB frame limit".into()))?;
     header[0..4].copy_from_slice(&len.to_le_bytes());
     header[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
     Ok(frame)
@@ -181,16 +232,17 @@ fn decode_frame(rest: &[u8]) -> Result<(WalRecord, usize), String> {
 }
 
 /// Split one segment's bytes into decoded records. Returns the records
-/// decoded from the longest valid prefix, the byte length of that prefix,
-/// and the reason the first bad frame was rejected (`None` when the whole
-/// buffer parsed). Total: arbitrary bytes in, never a panic out.
-fn scan_frames(bytes: &[u8]) -> (Vec<WalRecord>, u64, Option<String>) {
+/// decoded from the longest valid prefix (each with its frame's byte
+/// offset), the byte length of that prefix, and the reason the first bad
+/// frame was rejected (`None` when the whole buffer parsed). Total:
+/// arbitrary bytes in, never a panic out.
+fn scan_frames(bytes: &[u8]) -> (Vec<(u64, WalRecord)>, u64, Option<String>) {
     let mut records = Vec::new();
     let mut off = 0;
     while off < bytes.len() {
         match decode_frame(&bytes[off..]) {
             Ok((rec, len)) => {
-                records.push(rec);
+                records.push((off as u64, rec));
                 off += len;
             }
             Err(why) => return (records, off as u64, Some(why)),
@@ -223,6 +275,29 @@ impl WalRecord {
             WalRecord::Sensors(b) => b.is_empty(),
         }
     }
+
+    /// Reject records that violate invariants the store (and every
+    /// consumer downstream of it) relies on. Frames are untrusted bytes
+    /// off a disk: a broken flow behind a valid checksum must surface as a
+    /// typed error here, not as a panic three crates later.
+    fn check(&self) -> Result<(), String> {
+        let WalRecord::Flows(flows) = self else { return Ok(()) };
+        for (i, f) in flows.iter().enumerate() {
+            if f.last_ts_ns < f.first_ts_ns {
+                return Err(format!(
+                    "flow {i} ends before it starts ({} < {})",
+                    f.last_ts_ns, f.first_ts_ns
+                ));
+            }
+            if f.total_packets() == 0 {
+                return Err(format!("flow {i} carries no packets"));
+            }
+            if f.min_len > f.max_len {
+                return Err(format!("flow {i} min_len {} > max_len {}", f.min_len, f.max_len));
+            }
+        }
+        Ok(())
+    }
 }
 
 fn replay(store: &mut DataStore, rec: WalRecord) {
@@ -232,6 +307,20 @@ fn replay(store: &mut DataStore, rec: WalRecord) {
         WalRecord::Dns(b) => store.ingest_dns(b),
         WalRecord::Sensors(b) => store.ingest_sensors(b),
     }
+}
+
+/// Replay the frames scanned out of `segment`, refusing — located, with
+/// no repair — the first one whose records break a store invariant.
+fn replay_scanned(
+    store: &mut DataStore,
+    segment: u64,
+    records: Vec<(u64, WalRecord)>,
+) -> Result<(), PersistError> {
+    for (offset, rec) in records {
+        rec.check().map_err(|why| corrupt(why, segment, offset))?;
+        replay(store, rec);
+    }
+    Ok(())
 }
 
 impl WalStore {
@@ -312,9 +401,7 @@ impl WalStore {
             }
             report.sealed_segments += 1;
             report.frames_replayed += records.len() as u64;
-            for rec in records {
-                replay(&mut store, rec);
-            }
+            replay_scanned(&mut store, seg.id, records)?;
         }
 
         // The tail: torn frames are routine after a crash. Keep the good
@@ -328,9 +415,7 @@ impl WalStore {
         let (records, good, bad) = scan_frames(&tail_bytes_on_disk);
         let tail_frames = records.len() as u64;
         report.frames_replayed += tail_frames;
-        for rec in records {
-            replay(&mut store, rec);
-        }
+        replay_scanned(&mut store, manifest.tail, records)?;
         if let Some(reason) = bad {
             report.torn_tail = Some((manifest.tail, good, reason));
         }
@@ -434,21 +519,27 @@ impl WalStore {
             return Ok(());
         }
         self.tail_file.sync_all()?;
-        let id = self.manifest.tail;
-        self.manifest.sealed.push(SealedSegment {
-            id,
+        // The next manifest is a local until its commit succeeds: a failed
+        // commit must leave memory describing the tail still being written.
+        let mut next = self.manifest.clone();
+        next.sealed.push(SealedSegment {
+            id: next.tail,
             frames: self.tail_frames,
             bytes: self.tail_bytes,
             crc: self.tail_crc.finish(),
         });
-        self.manifest.tail = id + 1;
-        // Truncate deliberately: a crash between creating the next tail
-        // and committing the manifest leaves a stray file here, and a
-        // fresh tail must start empty.
-        let next = segment_path(&self.dir, self.manifest.tail);
-        let tail_file =
-            OpenOptions::new().create(true).truncate(true).read(true).write(true).open(&next)?;
-        commit_manifest(&self.dir, &self.manifest)?;
+        next.tail += 1;
+        // Truncate deliberately: a crash (or a failed commit) between
+        // creating the next tail and committing the manifest leaves a
+        // stray file here, and a fresh tail must start empty.
+        let tail_file = OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .read(true)
+            .write(true)
+            .open(segment_path(&self.dir, next.tail))?;
+        commit_manifest(&self.dir, &next)?;
+        self.manifest = next;
         self.tail_file = tail_file;
         self.tail_bytes = 0;
         self.tail_frames = 0;
@@ -456,18 +547,29 @@ impl WalStore {
         Ok(())
     }
 
-    /// Export the current contents as a single-document snapshot — the
-    /// legacy all-or-nothing format of [`crate::persist`], kept as an
-    /// interchange/export artifact now that the WAL owns durability.
-    pub fn export_snapshot<W: Write>(&self, out: W) -> Result<(), PersistError> {
-        crate::persist::save(&self.store, out)
+    /// Export the current contents as one JSON document, every table in
+    /// global order — an interchange artifact for people and other tools.
+    /// Nothing in this crate reads it back: durability is the log's job.
+    pub fn export_snapshot<W: Write>(&self, mut out: W) -> Result<(), PersistError> {
+        #[derive(Serialize)]
+        struct Snapshot {
+            version: u32,
+            packets: Vec<PacketRecord>,
+            flows: Vec<FlowRecord>,
+            dns: Vec<DnsMetaRecord>,
+            sensors: Vec<SensorRecord>,
+        }
+        let snapshot = Snapshot {
+            version: 1,
+            packets: self.store.iter_packets().cloned().collect(),
+            flows: self.store.iter_flows().cloned().collect(),
+            dns: self.store.iter_dns().cloned().collect(),
+            sensors: self.store.iter_sensors().cloned().collect(),
+        };
+        serde_json::to_writer(&mut out, &snapshot)?;
+        out.flush()?;
+        Ok(())
     }
-}
-
-/// Byte length of the frame `append` writes for `rec` — the kill-point
-/// grid for mid-append crash tests.
-pub fn frame_len(rec: &WalRecord) -> Result<u64, PersistError> {
-    Ok(encode_frame(rec)?.len() as u64)
 }
 
 #[cfg(test)]
@@ -714,11 +816,6 @@ mod tests {
         let dir = scratch("runningcrc");
         let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).unwrap();
         wal.append_packets(batch(0, 5)).unwrap();
-        assert_eq!(
-            frame_len(&WalRecord::Packets(batch(0, 5))).unwrap(),
-            wal.tail_bytes,
-            "frame_len is what append wrote"
-        );
         wal.append_packets(batch(1_000_000, 5)).unwrap();
         drop(wal);
         let tail = segment_path(&dir, 0);
@@ -823,15 +920,124 @@ mod tests {
         assert!(bad.unwrap().contains("LengthOverrun"));
     }
 
+    /// A failed manifest commit (ENOSPC, a transient I/O error) must leave
+    /// memory describing the tail still being written, so a retried seal
+    /// pins the right file at the right length.
     #[test]
-    fn export_snapshot_matches_the_legacy_format() {
+    fn failed_manifest_commit_does_not_poison_the_log() {
+        let dir = scratch("sealretry");
+        let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).unwrap();
+        wal.append_packets(batch(0, 10)).unwrap();
+        // A directory where the tmp file goes makes `File::create` fail.
+        std::fs::create_dir(dir.join("MANIFEST.tmp")).unwrap();
+        assert!(matches!(wal.seal(), Err(PersistError::Io(_))));
+        assert_eq!((wal.sealed_segments().len(), wal.tail_segment()), (0, 0));
+        std::fs::remove_dir(dir.join("MANIFEST.tmp")).unwrap();
+        wal.append_packets(batch(1_000_000, 10)).unwrap();
+        wal.seal().unwrap();
+        drop(wal);
+        let (wal, report) = WalStore::open(&dir, WalConfig::default()).unwrap();
+        assert!(!report.was_lossy());
+        assert_eq!((report.sealed_segments, wal.store().packet_count()), (1, 20));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The store's flow invariants are checked where frames are replayed
+    /// (and, symmetrically, encoded): a checksum-valid frame carrying a
+    /// flow that ends before it starts is located corruption, in a sealed
+    /// segment and in the tail alike — never a record in the store for a
+    /// consumer to trip over, and never a reason to cut checksum-valid
+    /// bytes off the log.
+    #[test]
+    fn crc_valid_frame_with_a_broken_flow_is_refused() {
+        let flow = |first: u64, last: u64| FlowRecord {
+            key: campuslab_capture::FlowKey {
+                src: "10.1.1.1".parse().unwrap(),
+                dst: "203.0.113.1".parse().unwrap(),
+                protocol: 17,
+                src_port: 53,
+                dst_port: 40_000,
+            },
+            first_ts_ns: first,
+            last_ts_ns: last,
+            fwd_packets: 3,
+            fwd_bytes: 300,
+            rev_packets: 0,
+            rev_bytes: 0,
+            syn_count: 0,
+            fin_count: 0,
+            rst_count: 0,
+            mean_iat_ns: 10,
+            min_len: 60,
+            max_len: 100,
+            label_app: 1,
+            label_attack: 0,
+        };
+        let good = encode_frame(&WalRecord::Flows(vec![flow(9_000, 9_500)])).unwrap();
+        // `encode_frame` refuses the record, so stamp the frame by hand.
+        let payload = serde::bin::to_vec(&WalRecord::Flows(vec![flow(9_999_999, 9_500)]));
+        let mut bad = (payload.len() as u32).to_le_bytes().to_vec();
+        bad.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bad.extend_from_slice(&payload);
+
+        let dir = scratch("badflow-sealed");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(segment_path(&dir, 0), &bad).unwrap();
+        let manifest = format!(
+            r#"{{"version":{WAL_VERSION},"sealed":[{{"id":0,"frames":1,"bytes":{},"crc":{}}}],"tail":1}}"#,
+            bad.len(),
+            crc32(&bad)
+        );
+        std::fs::write(manifest_path(&dir), manifest).unwrap();
+        match WalStore::open(&dir, WalConfig::default()).map(|_| ()) {
+            Err(PersistError::Corrupt { segment: Some(0), offset: Some(0), what }) => {
+                assert!(what.contains("ends before it starts"), "{what}");
+            }
+            other => panic!("expected located corruption, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let dir = scratch("badflow-tail");
+        let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).unwrap();
+        assert!(matches!(
+            wal.append_flows(vec![flow(9_999_999, 9_500)]),
+            Err(PersistError::Io(_))
+        ));
+        assert_eq!((wal.tail_bytes, wal.store().flow_count()), (0, 0), "nothing was written");
+        drop(wal);
+        let image = [good.as_slice(), &bad, &good].concat();
+        std::fs::write(segment_path(&dir, 0), &image).unwrap();
+        match WalStore::open(&dir, WalConfig::default()).map(|_| ()) {
+            Err(PersistError::Corrupt { segment: Some(0), offset: Some(off), what }) => {
+                assert_eq!(off, good.len() as u64);
+                assert!(what.contains("ends before it starts"), "{what}");
+            }
+            other => panic!("expected located corruption, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(segment_path(&dir, 0)).unwrap(), image, "nothing was cut");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn export_snapshot_is_one_json_document_of_every_table() {
+        #[derive(Deserialize)]
+        struct Document {
+            version: u32,
+            packets: Vec<PacketRecord>,
+            flows: Vec<FlowRecord>,
+            dns: Vec<DnsMetaRecord>,
+            sensors: Vec<SensorRecord>,
+        }
         let dir = scratch("export");
         let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).unwrap();
-        wal.append_packets(batch(0, 9)).unwrap();
-        let mut via_wal = Vec::new();
-        wal.export_snapshot(&mut via_wal).unwrap();
-        let loaded = crate::persist::load(&via_wal[..]).unwrap();
-        assert_eq!(loaded.packet_count(), 9);
+        wal.append_packets(batch(1_000_000, 4)).unwrap();
+        wal.append_packets(batch(0, 5)).unwrap();
+        let mut json = Vec::new();
+        wal.export_snapshot(&mut json).unwrap();
+        let doc: Document = serde_json::from_str(std::str::from_utf8(&json).unwrap()).unwrap();
+        assert_eq!(doc.version, 1);
+        assert!(doc.packets.iter().eq(wal.store().iter_packets()), "global order, not arrival");
+        assert!(doc.flows.is_empty() && doc.dns.is_empty() && doc.sensors.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

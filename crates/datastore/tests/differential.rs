@@ -6,7 +6,7 @@
 use campuslab_capture::{Direction, FlowKey, FlowRecord, PacketRecord, TcpFlags};
 use campuslab_datastore::{DataStore, FlowQuery, PacketQuery};
 use proptest::prelude::*;
-use proptest::{collection, proptest, ProptestConfig};
+use proptest::{collection, option, proptest, ProptestConfig};
 use std::net::IpAddr;
 
 /// Record spec: (ts, src-octet, dst-octet, port-index, attack).
@@ -79,14 +79,19 @@ proptest! {
         wstart in 0u64..40_000,
         wlen in 0u64..25_000,
         limit in 0usize..30,
+        cutoff in option::of(0u64..40_000),
     ) {
-        let ds = store_from(&specs, splits);
+        let mut ds = store_from(&specs, splits);
+        // Retention rebuilds the postings of every segment it truncates:
+        // the queries below must still agree with the scan afterwards.
+        if let Some(cutoff) = cutoff {
+            ds.retain_since(cutoff);
+        }
         for q in queries(qhost, qport, wstart, wlen, limit) {
-            let indexed = ds.query_packets(&q);
-            let scanned = ds.scan_packets(&q);
-            prop_assert_eq!(keys(&indexed), keys(&scanned), "mismatch for {:?}", q);
-            let (_, istats) = ds.query_packets_with_stats(&q);
-            let (_, sstats) = ds.scan_packets_with_stats(&q);
+            let (indexed, istats) = ds.query_packets_with_stats(&q);
+            let indexed = keys(&indexed);
+            let (scanned, sstats) = ds.scan_packets_observed(&q);
+            prop_assert_eq!(&indexed, &keys(&scanned), "mismatch for {:?}", q);
             prop_assert_eq!(istats.hits, indexed.len());
             prop_assert_eq!(sstats.hits, scanned.len());
             // The planner never does more work than the scan it replaces
@@ -107,6 +112,7 @@ proptest! {
         wstart in 0u64..30_000,
         wlen in 0u64..20_000,
         limit in 0usize..20,
+        cutoff in option::of(0u64..35_000),
     ) {
         let mut ds = DataStore::new();
         let flows: Vec<FlowRecord> = specs
@@ -139,6 +145,9 @@ proptest! {
         let mid = flows.len() / 2;
         ds.ingest_flows(flows[mid..].to_vec());
         ds.ingest_flows(flows[..mid].to_vec());
+        if let Some(cutoff) = cutoff {
+            ds.retain_since(cutoff);
+        }
         let window = wstart..wstart.saturating_add(wlen);
         let shapes = vec![
             FlowQuery { host: Some(IpAddr::from([10, 0, 0, qhost])), ..Default::default() },

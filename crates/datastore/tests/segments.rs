@@ -70,10 +70,11 @@ proptest! {
             }
             prop_assert_eq!(n, total);
         }
-        // Global iteration order is non-decreasing in (ts, seq).
-        let mut prev: Option<(u64, u64)> = None;
-        for (seq, r) in ds.iter_packets_seq() {
-            let key = (r.ts_ns, seq);
+        // Global iteration order is strictly increasing in (ts, seq): tags
+        // count up from 1 in ingest order, so `src_port` is `seq + 1`.
+        let mut prev: Option<(u64, u16)> = None;
+        for r in ds.iter_packets() {
+            let key = (r.ts_ns, r.src_port);
             if let Some(p) = prev {
                 prop_assert!(p < key, "order violated: {:?} then {:?}", p, key);
             }

@@ -14,8 +14,8 @@
 //! * `staged` — a sorted FIFO that absorbs monotone schedules in O(1).
 //!   The entire pre-run injection schedule (tens of thousands of events,
 //!   arriving sorted by time) lands here and never touches a heap.
-//! * a timing wheel — fixed slots of [`GRAN`] ns covering the next
-//!   [`SLOTS`] × [`GRAN`] ns. Mid-run schedules are overwhelmingly
+//! * a timing wheel — fixed slots of 2^`GRAN_SHIFT` ns covering the
+//!   next `SLOTS` × 2^`GRAN_SHIFT` ns. Mid-run schedules are overwhelmingly
 //!   `now + (transmission + propagation)` with sub-millisecond deltas, so
 //!   they insert in O(1) here; a slot is sorted only when the clock
 //!   reaches it. A hierarchical occupancy bitmap finds the next busy slot

@@ -15,8 +15,8 @@
 //!   `campuslab-wire` header structs and serialize to exact wire images on
 //!   demand, so the capture plane and pcap dumps see real bytes while the
 //!   simulator core stays allocation-light.
-//! * **Hooks + commands**: observers implement [`SimHooks`](network::SimHooks)
-//!   and steer the simulation by pushing [`Command`](network::Command)s —
+//! * **Hooks + commands**: observers implement [`SimHooks`]
+//!   and steer the simulation by pushing [`Command`]s —
 //!   the pattern that lets a control loop watch a tap and install packet
 //!   filters mid-run without borrow gymnastics.
 //! * **Ground truth rides along**: the traffic generator annotates each

@@ -51,7 +51,7 @@ campuslab_obs::schema! {
     }
 }
 
-/// Stable index of a [`DropReason`] into [`NetObs::drops`].
+/// Stable index of a [`DropReason`] into `NetObs::drops`.
 pub fn drop_index(reason: DropReason) -> usize {
     match reason {
         DropReason::Queue => 0,
@@ -63,7 +63,7 @@ pub fn drop_index(reason: DropReason) -> usize {
     }
 }
 
-/// Stable index of a [`ChaosAction`] kind into [`NetObs::chaos`].
+/// Stable index of a [`ChaosAction`] kind into `NetObs::chaos`.
 pub fn chaos_index(action: &ChaosAction) -> usize {
     match action {
         ChaosAction::LinkDown(_) => 0,

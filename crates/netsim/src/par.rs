@@ -104,12 +104,12 @@ where
 
 /// An explicit worker count from the `CAMPUSLAB_JOBS` environment
 /// variable, when it is set to a positive integer.
-pub(crate) fn jobs_from_env() -> Option<usize> {
+pub fn jobs_from_env() -> Option<usize> {
     std::env::var("CAMPUSLAB_JOBS").ok().and_then(|v| v.parse::<usize>().ok()).filter(|&n| n > 0)
 }
 
 /// The machine's available parallelism (1 when it cannot be read).
-pub(crate) fn cores() -> usize {
+pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 

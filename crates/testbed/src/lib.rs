@@ -14,7 +14,7 @@
 //!   evaluate every model everywhere (experiment E7).
 //! * [`trust`] — evidence audits: does the model cite the features an
 //!   analyst expects? (experiment E9)
-//! * [`chaos_sweep`] — robustness under chaos: sweep a fault-intensity
+//! * [`mod@chaos_sweep`] — robustness under chaos: sweep a fault-intensity
 //!   knob and measure how detection recall, mitigation latency and
 //!   delivery degrade (experiment E14).
 //! * [`rollout`] — SLO-guarded deployment: shadow → canary → full

@@ -72,7 +72,7 @@ impl std::error::Error for SliceFreezeError {}
 /// reaction lands this event), rollout guard (mirroring must see traffic
 /// the way the bank does), resolver actor (service), mitigation
 /// controller (defense reaction), drift pilot (feature ingest). After the
-/// members, [`Stack::sync`] moves evidence between them.
+/// members, `Stack::sync` moves evidence between them.
 #[derive(Default)]
 pub struct Stack {
     pub monitor: Option<BorderTapHooks>,

@@ -2,15 +2,15 @@
 //!
 //! Explainable-AI tooling for the paper's road to deployment (§5):
 //!
-//! * [`distill`] — model extraction: a DAgger loop that queries a
+//! * [`mod@distill`] — model extraction: a DAgger loop that queries a
 //!   heavyweight black box (forest, MLP) and fits a shallow decision tree
 //!   "that is explainable or interpretable, lightweight and closely
 //!   approximates the original model" (step (ii)), with fidelity reports.
-//! * [`explain`] — per-decision evidence lists (step (iv)): the exact
+//! * [`mod@explain`] — per-decision evidence lists (step (iv)): the exact
 //!   comparisons the deployed model made, rendered for an operator, plus
 //!   the does-the-evidence-match-the-known-cause trust check of
 //!   experiment E9.
-//! * [`counterfactual`] — minimal what-would-flip-it explanations, the
+//! * [`mod@counterfactual`] — minimal what-would-flip-it explanations, the
 //!   complementary query operators ask after "why?": "what if?".
 
 //!

@@ -8,12 +8,12 @@
 //! ```
 
 use campuslab::capture::HeavyHitters;
-use campuslab::datastore::{self, summarize, top_talkers, PacketQuery};
+use campuslab::datastore::{summarize, top_talkers, PacketQuery, WalConfig, WalStore};
 use campuslab::features::packet_features;
 use campuslab::privacy::{
     BudgetLedger, DataClass, LaplaceMechanism, PolicyEngine, Purpose, Role,
 };
-use campuslab::testbed::Scenario;
+use campuslab::testbed::{shard_by_second, Scenario};
 use campuslab::xai::counterfactual;
 use campuslab::Platform;
 
@@ -51,18 +51,30 @@ fn main() {
     println!("         (the flood victim surfaces without per-host state)");
 
     // --- 3. Persistence ------------------------------------------------------
-    let mut buf = Vec::new();
-    datastore::save(&store, &mut buf).expect("serialize store");
-    let reloaded = datastore::load(&buf[..]).expect("reload store");
+    // A write-ahead-log directory is how a store outlives its process:
+    // every batch is appended and flushed before it lands in memory, and
+    // reopening the directory replays the log.
+    let dir = std::env::temp_dir().join(format!("campuslab-tour-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).expect("create the log");
+        for batch in shard_by_second(&data.packets) {
+            wal.append_packets(batch).expect("append a batch");
+        }
+    } // the process "dies" here, tail unsealed
+    let (reopened, report) = WalStore::open(&dir, WalConfig::default()).expect("recover the log");
     println!(
-        "\n[persist] store serialized to {} bytes and reloaded: {} records, indexes rebuilt",
-        buf.len(),
-        reloaded.packet_count()
+        "\n[persist] reopened the log: {} frames replayed, {} records back, indexes rebuilt",
+        report.frames_replayed,
+        reopened.store().packet_count()
     );
+    assert!(!report.was_lossy());
     assert_eq!(
-        reloaded.query_packets(&PacketQuery::for_host(victim)).len(),
+        reopened.store().query_packets(&PacketQuery::for_host(victim)).len(),
         store.query_packets(&PacketQuery::for_host(victim)).len()
     );
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).expect("remove the log directory");
 
     // --- 4. Governance + DP release ----------------------------------------
     let mut engine = PolicyEngine::new();

@@ -7,6 +7,10 @@ set -eu
 cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+# `cargo test` compiles the examples but never runs them; this one's
+# asserts (a store reopened from its log answers the same query) do.
+cargo run --release -q --example data_store_tour
 
 # A property failure writes its case index into a proptest-regressions/
 # file; that reproducer must be committed alongside the fix. An untracked

@@ -79,3 +79,31 @@ proptest! {
         prop_assert_eq!(bytes_a, bytes_b);
     }
 }
+
+/// The training schema and the switch's match key are two hand-kept
+/// 13-entry lists: a tree trained on `packet_features` columns compiles
+/// field-for-field onto `fields_from_record` values, so the names must
+/// agree index by index and every captured record must read the same
+/// through both extractors (the switch side alone clamps `wire_len` to 16
+/// bits — this is where it would show).
+#[test]
+fn feature_schema_matches_the_switch_schema() {
+    use campuslab::dataplane::{fields_from_record, FIELD_ORDER};
+    use campuslab::features::{packet_features, PACKET_FEATURES};
+
+    let switch_names: Vec<&str> = FIELD_ORDER.iter().map(|f| f.name()).collect();
+    assert_eq!(switch_names, PACKET_FEATURES);
+    for (i, f) in FIELD_ORDER.iter().enumerate() {
+        assert_eq!(f.index(), i, "{} is out of canonical order", f.name());
+    }
+    let data = collect(&Scenario::small());
+    assert!(!data.packets.is_empty());
+    for r in &data.packets {
+        let row = packet_features(r);
+        let key = fields_from_record(r);
+        assert_eq!(row.len(), key.len());
+        for (i, name) in PACKET_FEATURES.iter().enumerate() {
+            assert_eq!(row[i], f64::from(key[i]), "{name} disagrees for {r:?}");
+        }
+    }
+}
