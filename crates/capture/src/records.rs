@@ -304,8 +304,7 @@ mod tests {
     fn records_serialize_round_trip() {
         let pkt = sample_packet();
         let r = PacketRecord::from_packet(SimTime::ZERO, Direction::Outbound, &pkt);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: PacketRecord = serde_json::from_str(&json).unwrap();
+        let back: PacketRecord = serde::bin::from_slice(&serde::bin::to_vec(&r)).unwrap();
         assert_eq!(back, r);
     }
 

@@ -136,9 +136,6 @@ impl serde::Serialize for HeavyHitters {
 }
 
 impl serde::Deserialize for HeavyHitters {
-    fn deserialize_json(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        FrozenHeavyHitters::deserialize_json(v).map(HeavyHitters::thaw)
-    }
     fn deserialize_bin(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::Error> {
         FrozenHeavyHitters::deserialize_bin(r).map(HeavyHitters::thaw)
     }

@@ -6,7 +6,6 @@
 //! rule lands.
 
 use crate::detector::{Detection, FrozenDetector, StreamingWindowDetector};
-use crate::fastloop::FastLoopStats;
 use crate::observe::{ControllerObs, DetectorObs};
 use crate::rollout::{CircuitBreaker, CircuitBreakerPolicy};
 use campuslab_obs::{ObsSink, OpenSpan, SinkMisfit, Tracer};
@@ -78,7 +77,7 @@ pub struct BankEntry {
 struct BankState {
     extractor: FieldExtractor,
     entries: Vec<BankEntry>,
-    stats: FastLoopStats,
+    stats: FastLoopStatsSnapshot,
 }
 
 /// A handle for inserting rules into (and reading stats from) a running
@@ -147,7 +146,7 @@ impl BankHandle {
     /// rebuilt by whoever re-creates the bank.
     pub fn freeze(&self) -> FrozenBank {
         let state = self.shared.lock();
-        FrozenBank { entries: state.entries.clone(), stats: state.stats.clone() }
+        FrozenBank { entries: state.entries.clone(), stats: state.stats }
     }
 
     /// Apply a frozen image onto this (freshly created) bank: replaces the
@@ -160,15 +159,7 @@ impl BankHandle {
 
     /// Snapshot of the aggregate filter statistics.
     pub fn stats(&self) -> FastLoopStatsSnapshot {
-        let s = &self.shared.lock().stats;
-        FastLoopStatsSnapshot {
-            packets: s.packets,
-            dropped: s.dropped,
-            dropped_attack: s.dropped_attack,
-            dropped_benign: s.dropped_benign,
-            passed_attack: s.passed_attack,
-            first_drop: s.first_drop,
-        }
+        self.shared.lock().stats
     }
 }
 
@@ -178,17 +169,21 @@ impl BankHandle {
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenBank {
     pub entries: Vec<BankEntry>,
-    pub stats: FastLoopStats,
+    pub stats: FastLoopStatsSnapshot,
 }
 
-/// A copyable snapshot of [`FastLoopStats`].
+/// The filter bank's aggregate counters, scored against packet ground
+/// truth: what the bank keeps live, freezes, and hands the harness by copy.
 #[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
 pub struct FastLoopStatsSnapshot {
     pub packets: u64,
     pub dropped: u64,
+    /// Ground-truth accounting: what the filter dropped.
     pub dropped_attack: u64,
     pub dropped_benign: u64,
+    /// Ground-truth accounting: attack packets it let through.
     pub passed_attack: u64,
+    /// First time the filter dropped anything.
     pub first_drop: Option<SimTime>,
 }
 
@@ -223,7 +218,7 @@ impl BankFilter {
         let shared = Arc::new(Mutex::new(BankState {
             extractor,
             entries: Vec::new(),
-            stats: FastLoopStats::default(),
+            stats: FastLoopStatsSnapshot::default(),
         }));
         (
             Box::new(BankFilter { shared: Arc::clone(&shared) }),
@@ -712,6 +707,70 @@ mod tests {
             filter.decide(SimTime::from_millis(3), &amp_packet(&mut b, victim)),
             FilterAction::Forward
         );
+    }
+
+    fn tcp_syn() -> campuslab_wire::TcpRepr {
+        campuslab_wire::TcpRepr {
+            src_port: 0,
+            dst_port: 0,
+            seq: 1,
+            ack: 0,
+            control: campuslab_wire::TcpControl::SYN,
+            window: 65535,
+            mss: None,
+            window_scale: None,
+        }
+    }
+
+    #[test]
+    fn global_program_drops_matching_packets() {
+        let (mut filter, handle) = BankFilter::new(extractor());
+        handle.add_program(None, drop_udp53_program());
+        let mut b = PacketBuilder::new();
+        let victim = Ipv4Addr::new(10, 1, 1, 10);
+        assert_eq!(
+            filter.decide(SimTime::from_millis(1), &amp_packet(&mut b, victim)),
+            FilterAction::Drop
+        );
+        let benign_web = b.tcp_v4(
+            Ipv4Addr::new(10, 1, 1, 11),
+            Ipv4Addr::new(203, 0, 113, 2),
+            50_000,
+            443,
+            tcp_syn(),
+            Payload::Synthetic(100),
+            GroundTruth::default(),
+        );
+        assert_eq!(filter.decide(SimTime::from_millis(2), &benign_web), FilterAction::Forward);
+        let s = handle.stats();
+        assert_eq!(s.packets, 2);
+        assert_eq!(s.dropped, 1);
+        assert_eq!(s.dropped_attack, 1);
+        assert_eq!(s.first_drop, Some(SimTime::from_millis(1)));
+        assert_eq!(s.drop_precision(), 1.0);
+        assert_eq!(s.attack_recall(), 1.0);
+    }
+
+    #[test]
+    fn ground_truth_accounting_tracks_misses() {
+        let (mut filter, handle) = BankFilter::new(extractor());
+        handle.add_program(None, drop_udp53_program());
+        let mut b = PacketBuilder::new();
+        // An attack packet the signature misses (TCP SYN flood).
+        let syn = b.tcp_v4(
+            Ipv4Addr::new(77, 1, 1, 1),
+            Ipv4Addr::new(10, 1, 255, 80),
+            1234,
+            443,
+            tcp_syn(),
+            Payload::Synthetic(0),
+            GroundTruth { flow_id: 0, app_class: 0, attack: Some(2) },
+        );
+        assert_eq!(filter.decide(SimTime::ZERO, &syn), FilterAction::Forward);
+        let s = handle.stats();
+        assert_eq!(s.passed_attack, 1);
+        assert_eq!(s.attack_recall(), 0.0);
+        assert_eq!(s.drop_precision(), 1.0); // nothing dropped yet
     }
 
     /// A model that never fires — controller tests drive detections by hand.

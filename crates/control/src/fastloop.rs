@@ -1,121 +1,9 @@
-//! The fast (online) control loop of Figure 2: a compiled model deployed
-//! at a switch ingress, sensing and reacting per packet in "real time".
+//! The fast (online) control loop of Figure 2, shadow side: a compiled
+//! model evaluated per packet on mirrored traffic, enforcing nothing. The
+//! enforcing side is the switch's filter bank ([`crate::BankFilter`]).
 
 use campuslab_dataplane::{Action, FieldExtractor, PipelineProgram, PipelineRuntime};
-use campuslab_netsim::{FilterAction, Packet, PacketFilter, SimTime};
-use parking_lot::Mutex;
-use std::net::IpAddr;
-use std::sync::Arc;
-
-/// Counters shared between the deployed filter (owned by the simulator)
-/// and the experiment harness.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
-pub struct FastLoopStats {
-    pub packets: u64,
-    pub dropped: u64,
-    /// Ground-truth accounting: what the filter dropped.
-    pub dropped_attack: u64,
-    pub dropped_benign: u64,
-    /// Ground-truth accounting: attack packets it let through.
-    pub passed_attack: u64,
-    /// First time the filter dropped anything.
-    pub first_drop: Option<SimTime>,
-}
-
-impl FastLoopStats {
-    /// Of everything dropped, the fraction that was truly attack traffic.
-    pub fn drop_precision(&self) -> f64 {
-        if self.dropped == 0 {
-            return 1.0;
-        }
-        self.dropped_attack as f64 / self.dropped as f64
-    }
-
-    /// Of all attack packets seen, the fraction dropped.
-    pub fn attack_recall(&self) -> f64 {
-        let attacks = self.dropped_attack + self.passed_attack;
-        if attacks == 0 {
-            return 1.0;
-        }
-        self.dropped_attack as f64 / attacks as f64
-    }
-}
-
-/// A compiled pipeline program deployed as a switch ingress filter,
-/// optionally scoped to a single destination (the mitigation case: drop
-/// matching traffic *to the victim*, touch nothing else).
-pub struct DeployedFilter {
-    extractor: FieldExtractor,
-    runtime: PipelineRuntime,
-    scope_dst: Option<IpAddr>,
-    stats: Arc<Mutex<FastLoopStats>>,
-    name: String,
-}
-
-impl DeployedFilter {
-    /// Deploy `program` with the given field extractor. Returns the filter
-    /// (to install into the simulator) and a shared stats handle.
-    pub fn deploy(
-        program: PipelineProgram,
-        extractor: FieldExtractor,
-        scope_dst: Option<IpAddr>,
-    ) -> (Box<Self>, Arc<Mutex<FastLoopStats>>) {
-        let stats = Arc::new(Mutex::new(FastLoopStats::default()));
-        let name = program.name.clone();
-        let filter = Box::new(DeployedFilter {
-            extractor,
-            runtime: program.into_runtime(),
-            scope_dst,
-            stats: Arc::clone(&stats),
-            name,
-        });
-        let handle = Arc::clone(&filter.stats);
-        let _ = stats;
-        (filter, handle)
-    }
-}
-
-impl PacketFilter for DeployedFilter {
-    fn decide(&mut self, now: SimTime, packet: &Packet) -> FilterAction {
-        let mut stats = self.stats.lock();
-        stats.packets += 1;
-        let is_attack = packet.truth.is_malicious();
-        if let Some(scope) = self.scope_dst {
-            if packet.network.dst() != scope {
-                if is_attack {
-                    stats.passed_attack += 1;
-                }
-                return FilterAction::Forward;
-            }
-        }
-        let fields = self.extractor.from_packet(packet);
-        match self
-            .runtime
-            .process_at(now.as_nanos(), &fields, packet.wire_len() as u32)
-        {
-            Action::Drop => {
-                stats.dropped += 1;
-                if is_attack {
-                    stats.dropped_attack += 1;
-                } else {
-                    stats.dropped_benign += 1;
-                }
-                stats.first_drop.get_or_insert(now);
-                FilterAction::Drop
-            }
-            _ => {
-                if is_attack {
-                    stats.passed_attack += 1;
-                }
-                FilterAction::Forward
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
+use campuslab_netsim::{Packet, SimTime};
 
 /// Shadow-verdict accounting for one SLO window (or the run total).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -197,122 +85,5 @@ impl ShadowMirror {
     /// Whole-run accounting (never reset).
     pub fn totals(&self) -> ShadowWindow {
         self.totals
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use campuslab_dataplane::{TableEntry, TernaryMatch, FIELD_ORDER};
-    use campuslab_netsim::{GroundTruth, PacketBuilder, Payload, Prefix};
-    use std::net::Ipv4Addr;
-
-    /// A program that drops UDP-from-port-53 (amplification signature).
-    fn drop_dns_responses() -> PipelineProgram {
-        let mut matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-        matches[1] = TernaryMatch::exact(53, 16); // src_port
-        matches[10] = TernaryMatch::exact(1, 1); // is_udp
-        PipelineProgram::new(
-            "drop-dns-amp",
-            vec![TableEntry { matches, action: Action::Drop, priority: 1, confidence: 0.97 }],
-        )
-    }
-
-    fn extractor() -> FieldExtractor {
-        FieldExtractor::new(Prefix::v4(Ipv4Addr::new(10, 1, 0, 0), 16))
-    }
-
-    fn amp_packet(b: &mut PacketBuilder, dst: Ipv4Addr, attack: bool) -> Packet {
-        b.udp_v4(
-            Ipv4Addr::new(203, 0, 113, 1),
-            dst,
-            53,
-            40_000,
-            Payload::Synthetic(1_200),
-            64,
-            GroundTruth { flow_id: 0, app_class: 1, attack: attack.then_some(1) },
-        )
-    }
-
-    #[test]
-    fn deployed_filter_drops_matching_packets() {
-        let (mut filter, stats) = DeployedFilter::deploy(drop_dns_responses(), extractor(), None);
-        let mut b = PacketBuilder::new();
-        let victim = Ipv4Addr::new(10, 1, 1, 10);
-        assert_eq!(
-            filter.decide(SimTime::from_millis(1), &amp_packet(&mut b, victim, true)),
-            FilterAction::Drop
-        );
-        let benign_web = b.tcp_v4(
-            Ipv4Addr::new(10, 1, 1, 11),
-            Ipv4Addr::new(203, 0, 113, 2),
-            50_000,
-            443,
-            campuslab_wire_tcp(),
-            Payload::Synthetic(100),
-            GroundTruth::default(),
-        );
-        assert_eq!(filter.decide(SimTime::from_millis(2), &benign_web), FilterAction::Forward);
-        let s = stats.lock();
-        assert_eq!(s.packets, 2);
-        assert_eq!(s.dropped, 1);
-        assert_eq!(s.dropped_attack, 1);
-        assert_eq!(s.first_drop, Some(SimTime::from_millis(1)));
-        assert_eq!(s.drop_precision(), 1.0);
-        assert_eq!(s.attack_recall(), 1.0);
-    }
-
-    fn campuslab_wire_tcp() -> campuslab_wire::TcpRepr {
-        campuslab_wire::TcpRepr {
-            src_port: 0,
-            dst_port: 0,
-            seq: 1,
-            ack: 0,
-            control: campuslab_wire::TcpControl::SYN,
-            window: 65535,
-            mss: None,
-            window_scale: None,
-        }
-    }
-
-    #[test]
-    fn scoped_filter_only_touches_the_victim() {
-        let victim = Ipv4Addr::new(10, 1, 1, 10);
-        let (mut filter, stats) = DeployedFilter::deploy(
-            drop_dns_responses(),
-            extractor(),
-            Some(IpAddr::V4(victim)),
-        );
-        let mut b = PacketBuilder::new();
-        // Matching signature, but to a different host: forwarded.
-        let other = amp_packet(&mut b, Ipv4Addr::new(10, 1, 2, 20), false);
-        assert_eq!(filter.decide(SimTime::ZERO, &other), FilterAction::Forward);
-        // To the victim: dropped.
-        assert_eq!(
-            filter.decide(SimTime::ZERO, &amp_packet(&mut b, victim, true)),
-            FilterAction::Drop
-        );
-        assert_eq!(stats.lock().dropped, 1);
-    }
-
-    #[test]
-    fn ground_truth_accounting_tracks_misses() {
-        let (mut filter, stats) = DeployedFilter::deploy(drop_dns_responses(), extractor(), None);
-        let mut b = PacketBuilder::new();
-        // An attack packet the signature misses (TCP SYN flood).
-        let syn = b.tcp_v4(
-            Ipv4Addr::new(77, 1, 1, 1),
-            Ipv4Addr::new(10, 1, 255, 80),
-            1234,
-            443,
-            campuslab_wire_tcp(),
-            Payload::Synthetic(0),
-            GroundTruth { flow_id: 0, app_class: 0, attack: Some(2) },
-        );
-        assert_eq!(filter.decide(SimTime::ZERO, &syn), FilterAction::Forward);
-        let s = stats.lock();
-        assert_eq!(s.passed_attack, 1);
-        assert_eq!(s.attack_recall(), 0.0);
-        assert_eq!(s.drop_precision(), 1.0); // nothing dropped yet
     }
 }

@@ -8,9 +8,10 @@
 //!   accuracy reports.
 //! * **Control loop (fast, online)** — [`fastloop`], [`detector`],
 //!   [`controller`]: the deployed program sensing/inferring/reacting per
-//!   packet at the switch, the window detector at the controller or cloud
-//!   tier, and the mitigation controller that closes detection into
-//!   victim-scoped rule installation with placement-dependent latency
+//!   packet at the switch (the controller's filter bank; [`fastloop`] is
+//!   its shadow on mirrored traffic), the window detector at the controller
+//!   or cloud tier, and the mitigation controller that closes detection
+//!   into victim-scoped rule installation with placement-dependent latency
 //!   (experiment E8).
 
 //!
@@ -43,7 +44,7 @@ pub use driftpilot::{
     records_hash, retrain_window, DriftEpisode, DriftPilot, DriftPilotConfig, FrozenDriftPilot,
     PilotState, RetrainOutcome, RetrainRecord, RetrainTrigger,
 };
-pub use fastloop::{DeployedFilter, FastLoopStats, ShadowMirror, ShadowWindow};
+pub use fastloop::{ShadowMirror, ShadowWindow};
 pub use observe::{ControllerObs, DetectorObs, DriftObs, PlazaObs, RolloutObs};
 pub use rollout::{
     BreakerState, Candidate, CircuitBreaker, CircuitBreakerPolicy, FrozenGuard, GuardState,

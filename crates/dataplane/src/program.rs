@@ -494,8 +494,7 @@ mod tests {
             "p",
             vec![TableEntry::default_entry(Action::Drop)],
         );
-        let json = serde_json::to_string(&program).unwrap();
-        let back: PipelineProgram = serde_json::from_str(&json).unwrap();
+        let back: PipelineProgram = serde::bin::from_slice(&serde::bin::to_vec(&program)).unwrap();
         assert_eq!(back.entries, program.entries);
     }
 }

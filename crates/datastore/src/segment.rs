@@ -23,6 +23,7 @@
 use crate::query::{PacketQuery, QueryStats};
 use campuslab_capture::{DnsMetaRecord, FlowRecord, FxHashMap, PacketRecord, SensorRecord};
 use campuslab_netsim::par;
+use std::iter::Peekable;
 use std::net::IpAddr;
 use std::ops::Range;
 
@@ -325,9 +326,13 @@ impl<T: TimeSpan, I: Sidecar<T>> Chain<T, I> {
             .collect()
     }
 
-    /// All records in global `(start_ns, seq)` order.
-    pub fn iter_seq(&self) -> OrderedIter<'_, T> {
-        ordered_iter(self.segs.iter().map(|s| (s.recs.as_slice(), s.seqs.as_slice())).collect())
+    /// All records in global `(start_ns, seq)` order, each with the
+    /// sequence number that breaks timestamp ties.
+    pub fn iter_seq(&self) -> impl Iterator<Item = (u64, &T)> {
+        let runs = self.segs.iter().map(|seg| {
+            seg.recs.iter().zip(&seg.seqs).map(|(r, &seq)| ((r.start_ns(), seq), r))
+        });
+        ordered_iter(runs).map(|((_, seq), r)| (seq, r))
     }
 
     /// Indexed query: skip every segment whose span misses `time`, let
@@ -373,7 +378,8 @@ impl<T: TimeSpan, I: Sidecar<T>> Chain<T, I> {
             }
             lists.push(hits);
         }
-        let merged = merge_lists(lists, limit);
+        let runs = lists.iter().map(|hits| hits.iter().copied());
+        let merged: Vec<&T> = ordered_iter(runs).take(limit).map(|(_, r)| r).collect();
         stats.hits = merged.len();
         (merged, stats)
     }
@@ -461,95 +467,46 @@ impl Chain<PacketRecord, PacketIndex> {
 // Ordered merge machinery
 // ---------------------------------------------------------------------------
 
-/// Merge per-segment hit lists (each sorted by key) into one key-ordered
-/// result. Disjoint lists — the overwhelmingly common case, since the
-/// chain seals segments in time order — concatenate; overlapping lists
-/// (out-of-order ingest) take a k-way merge.
-fn merge_lists<'a, T>(mut lists: Vec<Vec<(Key, &'a T)>>, limit: usize) -> Vec<&'a T> {
-    lists.retain(|l| !l.is_empty());
-    lists.sort_by_key(|l| l[0].0);
-    let disjoint = lists.windows(2).all(|w| w[0].last().unwrap().0 < w[1][0].0);
-    let mut out: Vec<&'a T> = if disjoint {
-        lists.into_iter().flatten().map(|(_, r)| r).collect()
-    } else {
-        let mut cursors = vec![0usize; lists.len()];
-        let total: usize = lists.iter().map(|l| l.len()).sum();
-        let mut merged = Vec::with_capacity(total.min(limit));
-        while merged.len() < limit {
-            let mut best: Option<(Key, usize)> = None;
-            for (i, l) in lists.iter().enumerate() {
-                if cursors[i] < l.len() {
-                    let k = l[cursors[i]].0;
-                    if best.is_none_or(|(bk, _)| k < bk) {
-                        best = Some((k, i));
-                    }
-                }
-            }
-            let Some((_, i)) = best else { break };
-            merged.push(lists[i][cursors[i]].1);
-            cursors[i] += 1;
-        }
-        merged
-    };
-    out.truncate(limit);
-    out
-}
-
-/// Iterator over many sorted `(records, seqs)` parts in global
-/// `(start_ns, seq)` order. Disjoint parts stream with two cursors; the
-/// overlapping case falls back to a per-item minimum scan.
-pub(crate) struct OrderedIter<'a, T> {
-    parts: Vec<(&'a [T], &'a [u64])>,
+/// Key-sorted runs merged into one key-ordered stream. Disjoint runs — the
+/// overwhelmingly common case, since the chain seals segments in time
+/// order — stream one after another; overlapping runs (out-of-order
+/// ingest) fall back to a per-item minimum scan over the run heads.
+pub(crate) struct OrderedIter<R: Iterator> {
+    /// Non-empty runs, ascending by first key.
+    runs: Vec<Peekable<R>>,
     disjoint: bool,
-    part: usize,
-    pos: usize,
-    cursors: Vec<usize>,
+    /// The run being drained (disjoint case).
+    run: usize,
 }
 
-fn ordered_iter<'a, T: TimeSpan>(parts: Vec<(&'a [T], &'a [u64])>) -> OrderedIter<'a, T> {
-    let mut parts: Vec<(&[T], &[u64])> =
-        parts.into_iter().filter(|(r, _)| !r.is_empty()).collect();
-    parts.sort_by_key(|(r, s)| (r[0].start_ns(), s[0]));
-    let disjoint = parts.windows(2).all(|w| {
-        let (ar, aseq) = w[0];
-        let (br, bseq) = w[1];
-        (ar.last().unwrap().start_ns(), *aseq.last().unwrap()) < (br[0].start_ns(), bseq[0])
-    });
-    OrderedIter { cursors: vec![0; parts.len()], parts, disjoint, part: 0, pos: 0 }
+fn ordered_iter<'a, T: 'a, R>(runs: impl Iterator<Item = R>) -> OrderedIter<R>
+where
+    R: DoubleEndedIterator<Item = (Key, &'a T)> + Clone,
+{
+    let mut runs: Vec<(Key, Key, R)> = runs
+        .filter_map(|run| Some((run.clone().next()?.0, run.clone().next_back()?.0, run)))
+        .collect();
+    runs.sort_by_key(|(first, ..)| *first);
+    let disjoint = runs.windows(2).all(|w| w[0].1 < w[1].0);
+    OrderedIter { runs: runs.into_iter().map(|(.., run)| run.peekable()).collect(), disjoint, run: 0 }
 }
 
-impl<'a, T: TimeSpan> Iterator for OrderedIter<'a, T> {
-    /// `(seq, record)` — the sequence number that breaks timestamp ties.
-    type Item = (u64, &'a T);
+impl<'a, T: 'a, R: Iterator<Item = (Key, &'a T)>> Iterator for OrderedIter<R> {
+    type Item = (Key, &'a T);
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.disjoint {
-            while self.part < self.parts.len() {
-                let (recs, seqs) = self.parts[self.part];
-                if self.pos < recs.len() {
-                    let i = self.pos;
-                    self.pos += 1;
-                    return Some((seqs[i], &recs[i]));
+            while let Some(run) = self.runs.get_mut(self.run) {
+                if let Some(item) = run.next() {
+                    return Some(item);
                 }
-                self.part += 1;
-                self.pos = 0;
+                self.run += 1;
             }
             None
         } else {
-            let mut best: Option<(Key, usize)> = None;
-            for (i, (recs, seqs)) in self.parts.iter().enumerate() {
-                let c = self.cursors[i];
-                if c < recs.len() {
-                    let k = (recs[c].start_ns(), seqs[c]);
-                    if best.is_none_or(|(bk, _)| k < bk) {
-                        best = Some((k, i));
-                    }
-                }
-            }
-            let (_, i) = best?;
-            let c = self.cursors[i];
-            self.cursors[i] += 1;
-            Some((self.parts[i].1[c], &self.parts[i].0[c]))
+            let heads = self.runs.iter_mut().enumerate();
+            let (_, i) = heads.filter_map(|(i, run)| Some((run.peek()?.0, i))).min()?;
+            self.runs[i].next()
         }
     }
 }

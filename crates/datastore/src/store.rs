@@ -80,14 +80,13 @@ impl DataStore {
     }
 
     /// Ingest many packet batches, each as its own fresh segments, sharding
-    /// segment construction across worker threads. `CAMPUSLAB_JOBS` sets
-    /// the worker count; unset, boxes under four cores build inline — the
-    /// shard executor's rule (DESIGN.md §9 has the measurement) — and wider
-    /// ones use a thread per core. The resulting store — reports, query
-    /// results, segment layout — is byte-identical at any worker count.
+    /// segment construction across worker threads. The worker count is the
+    /// executor rule's ([`par::executor_workers`]: `CAMPUSLAB_JOBS`, else
+    /// inline under four cores, else a thread per core). The resulting
+    /// store — reports, query results, segment layout — is byte-identical
+    /// at any worker count.
     pub fn ingest_packet_batches(&mut self, batches: Vec<Vec<PacketRecord>>) {
-        let cores = par::cores();
-        let workers = par::jobs_from_env().unwrap_or(if cores < 4 { 1 } else { cores });
+        let workers = par::executor_workers(par::cores(), par::jobs_from_env());
         self.ingest_packet_batches_with(batches, workers);
     }
 

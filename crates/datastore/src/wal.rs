@@ -10,17 +10,18 @@
 //! wal-000000.seg   sealed: immutable, length + crc32 pinned by MANIFEST
 //! wal-000001.seg   sealed
 //! wal-000002.seg   tail: append-only, recovered frame by frame
-//! MANIFEST         JSON, committed via MANIFEST.tmp + atomic rename
+//! MANIFEST         "CLWM", version u32 LE, one frame; via MANIFEST.tmp + rename
 //! ```
 //!
-//! Each segment is a run of frames `[len u32 LE][crc32 u32 LE][payload]`,
-//! where the payload is one [`WalRecord`] batch in the positional binary
-//! encoding (`serde::bin`; DESIGN.md §15). The manifest is written when the
-//! directory is created, so segments without one predate it. Appends go
-//! to the tail segment only; when the tail outgrows the seal threshold it
-//! is sealed — whole-file checksum recorded in the manifest, new empty
-//! tail opened — so durability metadata grows per *segment*, not per
-//! append.
+//! A frame is `[len u32 LE][crc32 u32 LE][payload]`, the payload in the
+//! positional binary encoding (`serde::bin`; DESIGN.md §15). Each segment
+//! is a run of frames carrying one [`WalRecord`] batch apiece; the
+//! manifest's single frame carries the sealed-segment table and the tail's
+//! id. The manifest is written when the directory is created, so segments
+//! without one predate it. Appends go to the tail segment only; when the
+//! tail outgrows the seal threshold it is sealed — whole-file checksum
+//! recorded in the manifest, new empty tail opened — so durability
+//! metadata grows per *segment*, not per append.
 //!
 //! Recovery contract (the crash-fault half of experiment E19):
 //!
@@ -38,6 +39,12 @@
 //!   store invariant was *written* that way — it is no tear. Sealed or
 //!   tail, it is the same located [`PersistError::Corrupt`], and nothing
 //!   is truncated.
+//! * The manifest is verified whole — magic, version, frame length,
+//!   checksum, nothing trailing — before any segment is read. Damage to it
+//!   is [`PersistError::Corrupt`] with no segment ([`PersistError::Version`]
+//!   when it lands in the version word), so it can neither name the wrong
+//!   tail nor blame a healthy segment. Older directories (v2: a JSON
+//!   manifest; v1: segments and none) are refused by version, untouched.
 //! * An interrupted manifest commit leaves a stray `MANIFEST.tmp` next to
 //!   a valid old `MANIFEST`; the stray is removed and the old manifest
 //!   wins — the rename either happened or it didn't.
@@ -52,8 +59,11 @@ use std::path::{Path, PathBuf};
 
 /// Current WAL format version (frames and manifest). Frame payloads are
 /// positional, so any change to a record type's fields bumps it; v1 frames
-/// carried JSON.
-const WAL_VERSION: u32 = 2;
+/// and the v2 manifest carried JSON.
+const WAL_VERSION: u32 = 3;
+
+/// `MANIFEST` opens with this, then [`WAL_VERSION`] (u32 LE), then its frame.
+const MANIFEST_MAGIC: [u8; 4] = *b"CLWM";
 
 /// Frame header size: payload length + payload crc32.
 const FRAME_HEADER: usize = 8;
@@ -62,7 +72,6 @@ const FRAME_HEADER: usize = 8;
 #[derive(Debug)]
 pub enum PersistError {
     Io(std::io::Error),
-    Format(serde_json::Error),
     /// The directory was written by another (older or future) format.
     Version { found: u32, supported: u32 },
     /// The bytes violate the format or the records violate store
@@ -77,7 +86,6 @@ impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PersistError::Io(e) => write!(f, "io error: {e}"),
-            PersistError::Format(e) => write!(f, "format error: {e}"),
             PersistError::Version { found, supported } => {
                 write!(f, "unsupported store version {found} (supported {supported})")
             }
@@ -94,12 +102,6 @@ impl std::error::Error for PersistError {}
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         PersistError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for PersistError {
-    fn from(e: serde_json::Error) -> Self {
-        PersistError::Format(e)
     }
 }
 
@@ -128,7 +130,6 @@ pub struct SealedSegment {
 /// current tail. Only ever replaced whole, via tmp + atomic rename.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Manifest {
-    version: u32,
     sealed: Vec<SealedSegment>,
     tail: u64,
 }
@@ -196,25 +197,23 @@ fn corrupt(what: impl Into<String>, segment: u64, offset: u64) -> PersistError {
     PersistError::Corrupt { what: what.into(), segment: Some(segment), offset: Some(offset) }
 }
 
-/// The frame that durably carries `rec`: the payload is encoded in place
+/// The frame that durably carries `value`: the payload is encoded in place
 /// after a reserved header, which is then patched with length and checksum.
-fn encode_frame(rec: &WalRecord) -> Result<Vec<u8>, PersistError> {
-    let refuse = |why: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, why);
-    // Never write what `open` would refuse to replay.
-    rec.check().map_err(refuse)?;
+fn encode_frame<T: Serialize>(value: &T) -> Result<Vec<u8>, PersistError> {
     let mut frame = vec![0u8; FRAME_HEADER];
-    rec.serialize_bin(&mut frame);
+    value.serialize_bin(&mut frame);
     let (header, payload) = frame.split_at_mut(FRAME_HEADER);
-    let len = u32::try_from(payload.len())
-        .map_err(|_| refuse("batch exceeds the 4 GiB frame limit".into()))?;
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, "payload exceeds the 4 GiB frame limit")
+    })?;
     header[0..4].copy_from_slice(&len.to_le_bytes());
     header[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
     Ok(frame)
 }
 
-/// Decode the frame at the head of `rest`: its record and its length in
+/// Decode the frame at the head of `rest`: its payload and its length in
 /// bytes, or why it is not a whole, honest frame.
-fn decode_frame(rest: &[u8]) -> Result<(WalRecord, usize), String> {
+fn decode_frame<T: Deserialize>(rest: &[u8]) -> Result<(T, usize), String> {
     let Some((header, body)) = rest.split_first_chunk::<FRAME_HEADER>() else {
         return Err(format!("torn frame header ({} bytes)", rest.len()));
     };
@@ -227,8 +226,8 @@ fn decode_frame(rest: &[u8]) -> Result<(WalRecord, usize), String> {
     if actual != crc {
         return Err(format!("frame checksum mismatch (header {crc:08x}, payload {actual:08x})"));
     }
-    let rec = serde::bin::from_slice(payload).map_err(|e| format!("frame payload undecodable: {e}"))?;
-    Ok((rec, FRAME_HEADER + len))
+    let value = serde::bin::from_slice(payload).map_err(|e| format!("frame payload undecodable: {e}"))?;
+    Ok((value, FRAME_HEADER + len))
 }
 
 /// Split one segment's bytes into decoded records. Returns the records
@@ -256,10 +255,10 @@ fn scan_frames(bytes: &[u8]) -> (Vec<(u64, WalRecord)>, u64, Option<String>) {
 /// manifest — old or new, never a hybrid.
 fn commit_manifest(dir: &Path, manifest: &Manifest) -> Result<(), PersistError> {
     let tmp = dir.join("MANIFEST.tmp");
-    let text = serde_json::to_string(manifest)?;
+    let bytes = [&MANIFEST_MAGIC[..], &WAL_VERSION.to_le_bytes(), &encode_frame(manifest)?].concat();
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
+        f.write_all(&bytes)?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, manifest_path(dir))?;
@@ -341,18 +340,25 @@ impl WalStore {
 
         let bad_manifest = |what: String| PersistError::Corrupt { what, segment: None, offset: None };
         let manifest = match std::fs::read(manifest_path(&dir)) {
+            // Other versions are refused before a segment is read: their
+            // frames could scan as garbage — sealed segments as corruption,
+            // the tail as a torn write to truncate away. Up to v2 the
+            // manifest was a JSON object, which nothing here parses.
+            Ok(bytes) if bytes.first() == Some(&b'{') => {
+                return Err(PersistError::Version { found: 2, supported: WAL_VERSION });
+            }
             Ok(bytes) => {
-                let text = std::str::from_utf8(&bytes)
-                    .map_err(|e| bad_manifest(format!("manifest not utf-8: {e}")))?;
-                let m: Manifest = serde_json::from_str(text)
-                    .map_err(|e| bad_manifest(format!("manifest undecodable: {e}")))?;
-                if m.version == 0 {
-                    return Err(bad_manifest("manifest version 0 is never written".into()));
+                let rest = bytes.strip_prefix(&MANIFEST_MAGIC);
+                let Some((version, frame)) = rest.and_then(|rest| rest.split_first_chunk::<4>()) else {
+                    return Err(bad_manifest("manifest does not open with its magic and version".into()));
+                };
+                let found = u32::from_le_bytes(*version);
+                if found != WAL_VERSION {
+                    return Err(PersistError::Version { found, supported: WAL_VERSION });
                 }
-                // Older frames would scan as garbage: sealed segments as
-                // corruption, the tail as a torn write to truncate away.
-                if m.version != WAL_VERSION {
-                    return Err(PersistError::Version { found: m.version, supported: WAL_VERSION });
+                let (m, used) = decode_frame::<Manifest>(frame).map_err(bad_manifest)?;
+                if used != frame.len() {
+                    return Err(bad_manifest(format!("{} bytes trail the manifest frame", frame.len() - used)));
                 }
                 m
             }
@@ -362,7 +368,7 @@ impl WalStore {
                 if std::fs::metadata(segment_path(&dir, 0)).is_ok_and(|m| m.len() > 0) {
                     return Err(PersistError::Version { found: 1, supported: WAL_VERSION });
                 }
-                let m = Manifest { version: WAL_VERSION, sealed: Vec::new(), tail: 0 };
+                let m = Manifest { sealed: Vec::new(), tail: 0 };
                 commit_manifest(&dir, &m)?;
                 m
             }
@@ -478,6 +484,8 @@ impl WalStore {
         if rec.is_empty() {
             return Ok(());
         }
+        // Never write what `open` would refuse to replay.
+        rec.check().map_err(|why| std::io::Error::new(std::io::ErrorKind::InvalidInput, why))?;
         let frame = encode_frame(&rec)?;
         self.tail_file.write_all(&frame)?;
         self.tail_file.flush()?;
@@ -566,7 +574,8 @@ impl WalStore {
             dns: self.store.iter_dns().cloned().collect(),
             sensors: self.store.iter_sensors().cloned().collect(),
         };
-        serde_json::to_writer(&mut out, &snapshot)?;
+        let text = serde_json::to_string(&snapshot).map_err(std::io::Error::other)?;
+        out.write_all(text.as_bytes())?;
         out.flush()?;
         Ok(())
     }
@@ -762,49 +771,116 @@ mod tests {
             WalStore::open(&dir, WalConfig::default()),
             Err(PersistError::Corrupt { segment: None, .. })
         ));
-        std::fs::write(manifest_path(&dir), b"{\"version\":99,\"sealed\":[],\"tail\":0}").unwrap();
+        std::fs::write(manifest_path(&dir), [&MANIFEST_MAGIC[..], &99u32.to_le_bytes()].concat()).unwrap();
         assert!(matches!(
             WalStore::open(&dir, WalConfig::default()),
             Err(PersistError::Version { found: 99, supported: WAL_VERSION })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+
+        // One sealed segment and a non-empty tail: a manifest that lied
+        // here could drop the tail, replay the sealed segment twice, or
+        // pin a healthy segment to the wrong checksum. Every single-bit
+        // flip and every strict prefix is refused as the manifest's own
+        // damage, before any segment is read or repaired.
+        let dir = scratch("manifestsweep");
+        {
+            let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).unwrap();
+            wal.append_packets(batch(0, 3)).unwrap();
+            wal.seal().unwrap();
+            wal.append_packets(batch(1_000_000, 5)).unwrap();
+        }
+        let good = std::fs::read(manifest_path(&dir)).unwrap();
+        let segments = || [0, 1].map(|id| std::fs::read(segment_path(&dir, id)).unwrap());
+        let before = segments();
+        assert!(before.iter().all(|bytes| !bytes.is_empty()));
+        let cuts = (0..good.len()).map(|cut| good[..cut].to_vec());
+        let flips = (0..good.len() * 8).map(|bit| {
+            let mut flipped = good.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        });
+        for damaged in cuts.chain(flips) {
+            std::fs::write(manifest_path(&dir), &damaged).unwrap();
+            match WalStore::open(&dir, WalConfig::default()).map(|_| ()) {
+                Err(PersistError::Corrupt { segment: None, offset: None, .. })
+                | Err(PersistError::Version { .. }) => {}
+                other => panic!("manifest {damaged:02x?} reopened as {other:?}"),
+            }
+            assert!(segments() == before, "segments untouched under manifest {damaged:02x?}");
+        }
+        std::fs::write(manifest_path(&dir), &good).unwrap();
+        let (wal, report) = WalStore::open(&dir, WalConfig::default()).unwrap();
+        assert_eq!((report.sealed_segments, wal.store().packet_count()), (1, 8));
+        assert!(!report.was_lossy());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A v1 directory (JSON frames) must be refused whole, sealed or not:
-    /// scanned as v2 its sealed segments would read as corruption and its
-    /// unsealed tail would be "repaired" by truncation to zero.
+    /// scanned as the current format its sealed segments would read as
+    /// corruption and its unsealed tail would be "repaired" by truncation to
+    /// zero. A v2 directory (these frames under a JSON manifest) is refused
+    /// the same way; nothing in this build reads a JSON manifest, so any one
+    /// is reported as version 2, the last to write it.
     #[test]
     fn v1_directories_are_a_typed_version_error_and_left_untouched() {
+        let files = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
+            let mut files: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .map(|path| (path.clone(), std::fs::read(path).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
+        let refused = |dir: &Path, version: u32| {
+            let before = files(dir);
+            match WalStore::open(dir, WalConfig::default()).map(|_| ()) {
+                Err(PersistError::Version { found, supported: WAL_VERSION }) => assert_eq!(found, version),
+                other => panic!("expected a version error, got {other:?}"),
+            }
+            assert!(files(dir) == before, "directory untouched");
+        };
+        let json_manifest = |version: u32, segment: &[u8]| {
+            format!(
+                r#"{{"version":{version},"sealed":[{{"id":0,"frames":1,"bytes":{},"crc":{}}}],"tail":1}}"#,
+                segment.len(),
+                crc32(segment)
+            )
+        };
+
         let json = br#"{"Packets":[]}"#;
         let mut v1_frame = (json.len() as u32).to_le_bytes().to_vec();
         v1_frame.extend_from_slice(&crc32(json).to_le_bytes());
         v1_frame.extend_from_slice(json);
-        let refused = |dir: &Path| {
-            assert!(matches!(
-                WalStore::open(dir, WalConfig::default()),
-                Err(PersistError::Version { found: 1, supported: WAL_VERSION })
-            ));
-            assert_eq!(std::fs::read(segment_path(dir, 0)).unwrap(), v1_frame, "segment untouched");
-        };
 
-        // Sealed at least once: the manifest says version 1.
+        // v1, sealed at least once: a JSON manifest.
         let dir = scratch("v1sealed");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(segment_path(&dir, 0), &v1_frame).unwrap();
-        let manifest = format!(
-            r#"{{"version":1,"sealed":[{{"id":0,"frames":1,"bytes":{},"crc":{}}}],"tail":1}}"#,
-            v1_frame.len(),
-            crc32(&v1_frame)
-        );
-        std::fs::write(manifest_path(&dir), manifest).unwrap();
-        refused(&dir);
+        std::fs::write(manifest_path(&dir), json_manifest(1, &v1_frame)).unwrap();
+        refused(&dir, 2);
         std::fs::remove_dir_all(&dir).unwrap();
 
-        // Never sealed: v1 wrote no manifest before its first seal.
+        // v1, never sealed: it wrote no manifest before its first seal.
         let dir = scratch("v1tail");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(segment_path(&dir, 0), &v1_frame).unwrap();
-        refused(&dir);
+        refused(&dir, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // v2: segments this build could replay frame for frame, a sealed
+        // one and a tail, under the JSON manifest v2 committed.
+        let dir = scratch("v2");
+        {
+            let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).unwrap();
+            wal.append_packets(batch(0, 3)).unwrap();
+            wal.seal().unwrap();
+            wal.append_packets(batch(1_000_000, 5)).unwrap();
+        }
+        let sealed = std::fs::read(segment_path(&dir, 0)).unwrap();
+        std::fs::write(manifest_path(&dir), json_manifest(2, &sealed)).unwrap();
+        refused(&dir, 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -974,21 +1050,14 @@ mod tests {
             label_attack: 0,
         };
         let good = encode_frame(&WalRecord::Flows(vec![flow(9_000, 9_500)])).unwrap();
-        // `encode_frame` refuses the record, so stamp the frame by hand.
-        let payload = serde::bin::to_vec(&WalRecord::Flows(vec![flow(9_999_999, 9_500)]));
-        let mut bad = (payload.len() as u32).to_le_bytes().to_vec();
-        bad.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bad.extend_from_slice(&payload);
+        // `append` refuses the record (below); the frame codec does not care.
+        let bad = encode_frame(&WalRecord::Flows(vec![flow(9_999_999, 9_500)])).unwrap();
 
         let dir = scratch("badflow-sealed");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(segment_path(&dir, 0), &bad).unwrap();
-        let manifest = format!(
-            r#"{{"version":{WAL_VERSION},"sealed":[{{"id":0,"frames":1,"bytes":{},"crc":{}}}],"tail":1}}"#,
-            bad.len(),
-            crc32(&bad)
-        );
-        std::fs::write(manifest_path(&dir), manifest).unwrap();
+        let sealed = SealedSegment { id: 0, frames: 1, bytes: bad.len() as u64, crc: crc32(&bad) };
+        commit_manifest(&dir, &Manifest { sealed: vec![sealed], tail: 1 }).unwrap();
         match WalStore::open(&dir, WalConfig::default()).map(|_| ()) {
             Err(PersistError::Corrupt { segment: Some(0), offset: Some(0), what }) => {
                 assert!(what.contains("ends before it starts"), "{what}");
@@ -1020,24 +1089,26 @@ mod tests {
 
     #[test]
     fn export_snapshot_is_one_json_document_of_every_table() {
-        #[derive(Deserialize)]
-        struct Document {
-            version: u32,
-            packets: Vec<PacketRecord>,
-            flows: Vec<FlowRecord>,
-            dns: Vec<DnsMetaRecord>,
-            sensors: Vec<SensorRecord>,
-        }
         let dir = scratch("export");
         let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).unwrap();
         wal.append_packets(batch(1_000_000, 4)).unwrap();
         wal.append_packets(batch(0, 5)).unwrap();
         let mut json = Vec::new();
         wal.export_snapshot(&mut json).unwrap();
-        let doc: Document = serde_json::from_str(std::str::from_utf8(&json).unwrap()).unwrap();
-        assert_eq!(doc.version, 1);
-        assert!(doc.packets.iter().eq(wal.store().iter_packets()), "global order, not arrival");
-        assert!(doc.flows.is_empty() && doc.dns.is_empty() && doc.sensors.is_empty());
+        let doc = serde::json::parse(std::str::from_utf8(&json).unwrap()).unwrap();
+        let keys: Vec<&str> = doc.as_object().unwrap().iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, ["version", "packets", "flows", "dns", "sensors"]);
+        assert_eq!(doc.get("version").unwrap().as_num().unwrap(), "1");
+        // Global order, not arrival: each element is its record's own JSON.
+        let packets = doc.get("packets").unwrap().as_array().unwrap();
+        assert_eq!(packets.len(), 9);
+        for (exported, stored) in packets.iter().zip(wal.store().iter_packets()) {
+            let expected = serde_json::to_string(stored).unwrap();
+            assert_eq!(exported, &serde::json::parse(&expected).unwrap());
+        }
+        for table in ["flows", "dns", "sensors"] {
+            assert!(doc.get(table).unwrap().as_array().unwrap().is_empty(), "{table}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -428,8 +428,7 @@ mod tests {
         for r in &records[..cut] {
             s2.push(r, &mut resumed);
         }
-        let json = serde_json::to_string(&s2).unwrap();
-        let mut s3: WindowStream = serde_json::from_str(&json).unwrap();
+        let mut s3: WindowStream = serde::bin::from_slice(&serde::bin::to_vec(&s2)).unwrap();
         assert_eq!(s3.pending(), s2.pending());
         for r in &records[cut..] {
             s3.push(r, &mut resumed);

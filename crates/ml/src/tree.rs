@@ -437,8 +437,7 @@ mod tests {
     fn serializes_round_trip() {
         let d = separable();
         let t = DecisionTree::fit(&d, TreeConfig::default());
-        let json = serde_json::to_string(&t).unwrap();
-        let back: DecisionTree = serde_json::from_str(&json).unwrap();
+        let back: DecisionTree = serde::bin::from_slice(&serde::bin::to_vec(&t)).unwrap();
         for row in &d.x {
             assert_eq!(t.predict(row), back.predict(row));
         }

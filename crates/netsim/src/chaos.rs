@@ -12,7 +12,7 @@
 //! plan and the same injection schedule, produce identical statistics and
 //! identical per-packet observable sequences, sequential or parallel.
 
-use crate::link::{GilbertElliott, LinkId, Outage, RateWindow};
+use crate::link::{GilbertElliott, LinkId, Outage};
 use crate::network::Network;
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
@@ -45,8 +45,6 @@ pub struct ChaosPlan {
     pub events: Vec<(SimTime, ChaosAction)>,
     /// Gilbert–Elliott channels installed on links at apply time.
     pub burst: Vec<(LinkId, GilbertElliott)>,
-    /// Scheduled degraded-rate windows installed on links at apply time.
-    pub slowdowns: Vec<(LinkId, RateWindow)>,
 }
 
 impl ChaosPlan {
@@ -57,7 +55,7 @@ impl ChaosPlan {
 
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.burst.is_empty() && self.slowdowns.is_empty()
+        self.events.is_empty() && self.burst.is_empty()
     }
 
     /// Flap `link` down over `[from, until)`.
@@ -100,9 +98,6 @@ impl ChaosPlan {
     pub fn apply_to(&self, net: &mut Network) {
         for (link, model) in &self.burst {
             net.link_mut(*link).fault.burst = Some(model.clone());
-        }
-        for (link, window) in &self.slowdowns {
-            net.link_mut(*link).fault.slowdowns.push(*window);
         }
         let mut events = self.events.clone();
         events.sort_by_key(|(t, _)| *t);

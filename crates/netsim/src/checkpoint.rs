@@ -55,9 +55,6 @@ impl serde::Serialize for StreamRng {
 }
 
 impl serde::Deserialize for StreamRng {
-    fn deserialize_json(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        serde::Deserialize::deserialize_json(v).map(|s| StreamRng(StdRng::from_state(s)))
-    }
     fn deserialize_bin(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::Error> {
         serde::Deserialize::deserialize_bin(r).map(|s| StreamRng(StdRng::from_state(s)))
     }
@@ -293,10 +290,7 @@ mod tests {
         net.run(&mut crate::network::NullHooks, Some(SimTime::from_millis(2)));
         let frozen = net.checkpoint();
 
-        // Round-trip the frozen state through both serialized forms; the
-        // run resumes from the binary one, which is what a crash leaves.
-        let json = serde_json::to_string(&frozen).unwrap();
-        assert_eq!(frozen, serde_json::from_str(&json).unwrap());
+        // The run resumes from the binary form, which is what a crash leaves.
         let thawed: FrozenNetwork = serde::bin::from_slice(&serde::bin::to_vec(&frozen)).unwrap();
         assert_eq!(frozen, thawed);
 

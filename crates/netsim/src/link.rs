@@ -230,11 +230,6 @@ impl GilbertElliott {
         p > 0.0 && rng.gen::<f64>() < p
     }
 
-    /// Whether the channel is currently in its bad state.
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
-
     /// True when `other` has identical transition/loss parameters (state
     /// excluded) — the check a live per-direction channel uses to decide
     /// whether its installed template changed underneath it.

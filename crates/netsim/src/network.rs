@@ -254,11 +254,6 @@ impl Network {
         &self.nodes[id.0]
     }
 
-    /// Mutable node accessor.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0]
-    }
-
     /// Link accessor.
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.0]

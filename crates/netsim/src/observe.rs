@@ -119,11 +119,6 @@ impl NetObs {
         self.drops.iter().map(|&c| self.sink.counter(c)).sum()
     }
 
-    /// Chaos transitions applied, summed over every kind.
-    pub fn chaos_transitions_total(&self) -> u64 {
-        self.chaos.iter().map(|&c| self.sink.counter(c)).sum()
-    }
-
     /// Injected → delivered ratio, straight from the registry counters.
     pub fn delivery_ratio(&self) -> f64 {
         let inj = self.injected();

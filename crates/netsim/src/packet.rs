@@ -202,21 +202,6 @@ impl serde::Serialize for Payload {
 }
 
 impl serde::Deserialize for Payload {
-    fn deserialize_json(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        let pairs = v.as_object()?;
-        if pairs.len() != 1 {
-            return Err(serde::json::Error::new("expected single-variant payload object"));
-        }
-        match pairs[0].0.as_str() {
-            "Bytes" => {
-                let bytes: Vec<u8> = serde::Deserialize::deserialize_json(&pairs[0].1)?;
-                Ok(Payload::Bytes(bytes.into()))
-            }
-            "Synthetic" => Ok(Payload::Synthetic(serde::Deserialize::deserialize_json(&pairs[0].1)?)),
-            _ => Err(serde::json::Error::new("unknown payload variant")),
-        }
-    }
-
     fn deserialize_bin(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::Error> {
         match r.tag("Payload", 2)? {
             0 => {

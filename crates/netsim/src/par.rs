@@ -7,14 +7,13 @@
 //! statistics byte-identical to a sequential run — determinism is a
 //! property of the work items, parallelism only changes wall-clock time.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Map `f` over `items` on a pool of scoped worker threads, preserving
 /// input order in the output.
 ///
-/// `f` receives `(index, &item)`. Workers pull the next unclaimed index
-/// from a shared counter, so long and short items balance automatically.
+/// `f` receives `(index, &item)`. Workers pull the next unclaimed item
+/// from a shared queue, so long and short items balance automatically.
 /// With one worker (or one item) this degrades to a plain sequential map
 /// with no thread spawned.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -35,30 +34,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = workers.min(items.len()).max(1);
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let r = f(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker filled every slot")
-        })
-        .collect()
+    parallel_map_vec(items.iter().collect(), workers, f)
 }
 
 /// [`parallel_map_with`] over *owned* items: each worker takes its item
@@ -75,19 +51,13 @@ where
     if workers <= 1 {
         return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let next = AtomicUsize::new(0);
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<R>>> = work.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let work = Mutex::new(items.into_iter().enumerate());
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = work.get(i) else { break };
-                let item = cell
-                    .lock()
-                    .expect("work slot poisoned")
-                    .take()
-                    .expect("each index claimed once");
+                // The queue is locked for the claim only, not for `f`.
+                let Some((i, item)) = work.lock().expect("work queue poisoned").next() else { break };
                 *slots[i].lock().expect("result slot poisoned") = Some(f(i, item));
             });
         }
@@ -118,6 +88,14 @@ pub fn cores() -> usize {
 /// machine's available parallelism, both capped at the item count.
 pub fn worker_count(items: usize) -> usize {
     jobs_from_env().unwrap_or_else(cores).min(items.max(1))
+}
+
+/// The executor rule for fine-grained fan-outs (a sync window's shards, an
+/// ingest's segment builds): explicit `jobs` are honoured as given; unset,
+/// fewer than four `cores` means inline (one worker) and a wider box gets a
+/// thread per core. DESIGN.md §9 has the measurement behind the four.
+pub fn executor_workers(cores: usize, jobs: Option<usize>) -> usize {
+    jobs.unwrap_or(if cores < 4 { 1 } else { cores })
 }
 
 #[cfg(test)]

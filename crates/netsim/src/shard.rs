@@ -369,16 +369,14 @@ struct CtrlState {
     quit: bool,
 }
 
-/// How many threads drive a window's shards, from the machine's `cores`,
-/// an explicit `CAMPUSLAB_JOBS` and the shard count. An explicit job count
-/// is honoured as given. Otherwise a box with fewer than four cores runs
-/// the shards inline on the coordinating thread: on two cores, two pool
-/// workers measured 1.83–1.90× the sequential engine's wall-clock against
-/// 0.99× inline — the window barrier costs more than the second core
-/// returns. Wider boxes get one thread per core. Never more threads than
-/// shards, so every worker's range is non-empty.
+/// How many threads drive a window's shards: [`crate::par::executor_workers`]
+/// over the machine's `cores` and an explicit `CAMPUSLAB_JOBS`, and never
+/// more threads than shards, so every worker's range is non-empty. Inline
+/// (one) means on the coordinating thread: on two cores, two pool workers
+/// measured 1.83–1.90× the sequential engine's wall-clock against 0.99×
+/// inline — the window barrier costs more than the second core returns.
 fn window_workers(cores: usize, jobs: Option<usize>, shards: usize) -> usize {
-    jobs.unwrap_or(if cores < 4 { 1 } else { cores }).clamp(1, shards.max(1))
+    crate::par::executor_workers(cores, jobs).clamp(1, shards.max(1))
 }
 
 /// The contiguous shard range worker `w` of `workers` drives. Balanced

@@ -127,18 +127,6 @@ impl serde::Serialize for Histogram {
 }
 
 impl serde::Deserialize for Histogram {
-    fn deserialize_json(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
-        let pairs = v.as_object()?;
-        let field = |name| serde::json::field(pairs, name);
-        Histogram::thawed(
-            serde::Deserialize::deserialize_json(field("bounds")?)?,
-            serde::Deserialize::deserialize_json(field("counts")?)?,
-            serde::Deserialize::deserialize_json(field("count")?)?,
-            serde::Deserialize::deserialize_json(field("sum")?)?,
-        )
-        .ok_or_else(|| serde::json::Error::new(Histogram::BAD_SHAPE))
-    }
-
     fn deserialize_bin(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::Error> {
         let at = r.error(serde::bin::ErrorKind::Invalid(Histogram::BAD_SHAPE));
         Histogram::thawed(

@@ -116,23 +116,6 @@ impl Tracer {
         out.push_str("]\n");
         out
     }
-
-    /// Render as aligned text, one span per line: `seq  [start..end]  name`.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        for s in &self.spans {
-            if s.end_ns == OPEN_END {
-                let _ = writeln!(out, "{:>6}  [{} ns .. open]  {}", s.seq, s.start_ns, s.name);
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{:>6}  [{} ns .. {} ns]  {}",
-                    s.seq, s.start_ns, s.end_ns, s.name
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -575,10 +575,10 @@ mod tests {
         for r in 1..=3 {
             victim.advance(SimTime(step * r));
         }
-        let image = serde_json::to_string(&victim.freeze().unwrap()).unwrap();
+        let image = serde::bin::to_vec(&victim.freeze().unwrap());
         drop(victim); // the "crash"
 
-        let frozen: FrozenSlice = serde_json::from_str(&image).unwrap();
+        let frozen: FrozenSlice = serde::bin::from_slice(&image).unwrap();
         let mut restored = build();
         restored.thaw_state(frozen).unwrap();
         let mut neighbor = chaos_neighbor_slice();

@@ -86,12 +86,6 @@ pub struct DriftRunOutcome {
 }
 
 impl DriftRunOutcome {
-    /// Sim time from the first drift onset to its mitigated-with-SLOs-green
-    /// close, when the run got that far.
-    pub fn first_mitigated_ttm(&self) -> Option<SimDuration> {
-        self.episodes.iter().find_map(|e| e.mitigated.map(|m| m - e.onset))
-    }
-
     /// Retrains and guard decisions merged into one sim-ordered log — the
     /// always-on pipeline's story an operator reads after an incident.
     pub fn timeline(&self) -> String {

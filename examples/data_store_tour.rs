@@ -57,7 +57,9 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("campuslab-tour-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
-        let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).expect("create the log");
+        // Seal every MiB (the default is 4) so this small capture leaves
+        // sealed segments as well as a tail.
+        let (mut wal, _) = WalStore::open(&dir, WalConfig { seal_bytes: 1 << 20 }).expect("create the log");
         for batch in shard_by_second(&data.packets) {
             wal.append_packets(batch).expect("append a batch");
         }
@@ -69,6 +71,16 @@ fn main() {
         reopened.store().packet_count()
     );
     assert!(!report.was_lossy());
+    // MANIFEST is one checksummed binary frame; this is how to read it.
+    let sealed = reopened.sealed_segments();
+    println!(
+        "[persist] manifest: {} sealed segments ({} frames, {} bytes, each pinned by length + \
+         crc32), tail wal-{:06}.seg",
+        sealed.len(),
+        sealed.iter().map(|s| s.frames).sum::<u64>(),
+        sealed.iter().map(|s| s.bytes).sum::<u64>(),
+        reopened.tail_segment()
+    );
     assert_eq!(
         reopened.store().query_packets(&PacketQuery::for_host(victim)).len(),
         store.query_packets(&PacketQuery::for_host(victim)).len()

@@ -62,9 +62,11 @@ CAMPUSLAB_SHARDS=8 cargo test -q --release -p campuslab-plaza --test isolation
 
 # The one benchmark harness: its tests assert every workload's output
 # checks through the executable; the run after them puts this box's
-# ledger, layer by layer, into the log.
-cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+# ledger, layer by layer, into the log. --locked: a changed dependency
+# list in any crate would otherwise rewrite benchmark/Cargo.lock silently,
+# and that file is the benchmark's, not the change's.
+cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 # Wall-clock ratio gates (obs sink, checkpoint freeze, 8 shards): release
 # only (ignored in debug: timing unoptimised code gates nothing), env
