@@ -1,69 +1,52 @@
-//! Regenerates one experiment table by registry id (see EXPERIMENTS.md),
-//! or with `all` every table in report order — fanned out across cores
-//! (each experiment is internally seeded, so the tables are identical to a
-//! sequential run; `CAMPUSLAB_JOBS=1` forces one) — plus, when a path
-//! follows, the combined report written there.
+//! Regenerates one experiment table by id (see EXPERIMENTS.md), or with
+//! `all` every table in report order — fanned out across cores (each
+//! experiment is internally seeded, so the bytes are identical to a
+//! sequential run; `CAMPUSLAB_JOBS=1` forces one). Two optional paths
+//! follow `all`: the combined text report, then the Observatory export
+//! (`{id, prom, spans}` per experiment with telemetry). No path, no file.
+//! Nothing is timed here: `time exp all` is the shell's job.
 //!
 //! ```sh
 //! cargo run --release -p campuslab-bench --bin exp -- E14
-//! cargo run --release -p campuslab-bench --bin exp -- all target/report.txt
+//! cargo run --release -p campuslab-bench --bin exp -- all target/report.txt target/obs.json
 //! ```
+
+use campuslab_bench::{obs_export::render_obs_json, runner, EXPERIMENTS};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let wanted = args.next();
     if wanted.as_deref() == Some("all") {
-        return all(args.next());
+        return all(args.next(), args.next());
     }
-    let registry = campuslab_bench::all();
-    let Some((_, _, run)) = registry
-        .iter()
-        .find(|(id, _, _)| Some(*id) == wanted.as_deref())
+    let Some((_, _, run)) = EXPERIMENTS.iter().find(|(id, _, _)| Some(*id) == wanted.as_deref())
     else {
-        eprintln!("usage: exp <id> | exp all [report-path]");
-        for (id, title, _) in &registry {
+        eprintln!("usage: exp <id> | exp all [report-path] [obs-json-path]");
+        for (id, title, _) in &EXPERIMENTS {
             eprintln!("  {id:<4} {title}");
         }
         std::process::exit(2);
     };
-    println!("{}", run());
+    println!("{}", run().table);
 }
 
-fn all(out_path: Option<String>) {
-    let started = std::time::Instant::now();
-    let reports = campuslab_bench::runner::run_all();
-    let wall = started.elapsed();
+fn all(report_path: Option<String>, obs_path: Option<String>) {
+    let reports = runner::run_all();
     let mut combined = String::new();
-    let mut cpu = std::time::Duration::ZERO;
     for report in &reports {
-        let header = format!(
-            "\n================ {}: {} ================\n\n",
-            report.id, report.title
-        );
-        print!("{header}");
-        println!("{}", report.body);
-        println!("[{} regenerated in {:?}]", report.id, report.elapsed);
-        combined.push_str(&header);
-        combined.push_str(&report.body);
-        combined.push('\n');
-        cpu += report.elapsed;
+        combined.push_str(&format!(
+            "\n================ {}: {} ================\n\n{}\n",
+            report.id, report.title, report.obs.table
+        ));
     }
-    eprintln!(
-        "regenerated {} experiments in {wall:?} wall ({cpu:?} of experiment time)",
-        reports.len()
-    );
-    if let Some(path) = out_path {
+    print!("{combined}");
+    if let Some(path) = report_path {
         std::fs::write(&path, combined).expect("write report file");
         eprintln!("combined report written to {path}");
     }
-    // Observatory export: every instrumented experiment's metrics dump and
-    // sim-time trace, as one JSON file (path via CAMPUSLAB_OBS_JSON).
-    let bundles: Vec<_> = reports.iter().filter_map(|r| r.obs.as_ref()).collect();
-    match campuslab_bench::obs_export::write_obs_json(&bundles) {
-        Ok(path) => eprintln!(
-            "observatory export ({} experiments) written to {path}",
-            bundles.len()
-        ),
-        Err(e) => eprintln!("observatory export failed: {e}"),
+    if let Some(path) = obs_path {
+        let json = render_obs_json(reports.iter().map(|r| (r.id, &r.obs)));
+        std::fs::write(&path, json).expect("write observatory export");
+        eprintln!("observatory export written to {path}");
     }
 }

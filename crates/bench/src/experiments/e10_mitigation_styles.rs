@@ -3,13 +3,14 @@
 //! often prefer policing (bounded blast radius if the model is wrong).
 //! Same model, same attack, three enforcement styles.
 
+use crate::obs_export::ObsBundle;
 use crate::table::{pct, Table};
 use campuslab::control::Placement;
 use campuslab::control::{run_development_loop, DevLoopConfig};
 use campuslab::testbed::{road_test, RoadTestConfig, Scenario};
 
 /// Run the experiment and render its report.
-pub fn run() -> String {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E10: enforcement style - hard drop vs policing\n\n");
     let scenario = Scenario::small();
     let data = campuslab::testbed::collect(&scenario);
@@ -48,5 +49,5 @@ pub fn run() -> String {
     out.push_str(
         "\nshape check: the policer admits a bounded trickle (its token rate) and\ndrops the flood's excess; tightening the rate approaches the hard drop.\nThe knob buys insurance: a mistaken rule rate-limits a victim instead of\nblack-holing them.\n",
     );
-    out
+    ObsBundle::table_only(out)
 }

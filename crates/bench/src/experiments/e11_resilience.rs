@@ -4,13 +4,14 @@
 //! through one. Injects a border outage during the attack and checks the
 //! platform's conservation laws and mitigation behaviour.
 
+use crate::obs_export::ObsBundle;
 use crate::table::{pct, Table};
 use campuslab::control::Placement;
 use campuslab::control::{run_development_loop, DevLoopConfig};
 use campuslab::testbed::{road_test, RoadTestConfig, Scenario};
 
 /// Run the experiment and render its report.
-pub fn run() -> String {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E11: road-testing through a border outage\n\n");
     let scenario = Scenario::small();
     let data = campuslab::testbed::collect(&scenario);
@@ -55,5 +56,5 @@ pub fn run() -> String {
     out.push_str(
         "\nshape check: the outage removes traffic (fault drops rise, deliveries\nfall) without perturbing the mitigation's judgment on what does arrive -\nsuppression stays at its no-outage level and packet conservation holds in\nevery condition.\n",
     );
-    out
+    ObsBundle::table_only(out)
 }

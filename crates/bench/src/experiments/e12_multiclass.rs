@@ -5,6 +5,7 @@
 //! quality, then compiles one drop program per attack kind and asks the
 //! switch model whether all five fit together.
 
+use crate::obs_export::ObsBundle;
 use crate::table::{f, pct, Table};
 use campuslab::dataplane::{compile_tree, CompileConfig, PipelineProgram, SwitchModel};
 use campuslab::features::{packet_dataset, LabelMode};
@@ -14,7 +15,7 @@ use campuslab::xai::{distill, DistillConfig};
 use rand::SeedableRng;
 
 /// Run the experiment and render its report.
-pub fn run() -> String {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E12: multi-class attack identification + five concurrent tasks\n\n");
     let mut scenario = Scenario::small();
     scenario.attack = AttackScenario::Mixed;
@@ -89,5 +90,5 @@ pub fn run() -> String {
     out.push_str(
         "\nshape check: volumetric floods (amplification, SYN flood) detect near-\nperfectly; low-and-slow classes (brute force, exfiltration) are harder at\npacket granularity - which is the argument for the flow/window feature\ntiers. Five tasks fit one switch comfortably; the §2 wall is about\nhundreds, not handfuls.\n",
     );
-    out
+    ObsBundle::table_only(out)
 }

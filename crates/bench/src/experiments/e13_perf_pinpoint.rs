@@ -6,6 +6,7 @@
 //! the measured handshake RTT distribution shifts exactly where queueing
 //! theory says it must.
 
+use crate::obs_export::ObsBundle;
 use crate::table::{f, pct, Table};
 use campuslab::testbed::{collect, AttackScenario, Scenario};
 
@@ -18,7 +19,7 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
 }
 
 /// Run the experiment and render its report.
-pub fn run() -> String {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E13: pinpointing upstream congestion from handshake RTTs\n\n");
     let mut t = Table::new(&[
         "uplink",
@@ -59,5 +60,5 @@ pub fn run() -> String {
     out.push_str(
         "\nshape check: at healthy provisioning the handshake RTT sits at the path\nlatency. As the uplink approaches the offered load, loss appears first\n(queue drops, shrinking delivery) with a mild RTT drift - the surviving\nhandshakes are the ones that dodged the bursts (survivorship). Once the\nlink saturates outright, the bufferbloated queue stays full and even the\nsurvivors carry tens of milliseconds of standing delay. Either signature,\nread passively at the tap, is the evidence an operator needs to 'notify\nthe provider' without sending a single active probe.\n",
     );
-    out
+    ObsBundle::table_only(out)
 }

@@ -15,16 +15,11 @@ use campuslab::obs::Tracer;
 use campuslab::testbed::{chaos_sweep, chaos_sweep_observed, ChaosPoint, ChaosSweepConfig, Scenario};
 use campuslab::Platform;
 
-/// Run the experiment and render its report.
-pub fn run() -> String {
-    run_observed().table
-}
-
 /// Run the experiment and return the full Observatory bundle: the
 /// degradation table plus every intensity point's metrics dump and trace.
 /// The table is derived from the same registries the dump renders (that is
 /// the point of the Observatory routing), so they cannot disagree.
-pub fn run_observed() -> ObsBundle {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E14: robustness under chaos (graceful degradation)\n\n");
     let platform = Platform::new(Scenario::small());
     let data = platform.collect();
@@ -97,5 +92,5 @@ pub fn run_observed() -> ObsBundle {
         prom.push_str(&format!("# intensity: {:.2}\n{}", p.intensity, o.prom()));
         tracer.merge_from(&o.tracer);
     }
-    ObsBundle { id: "E14", table: out, prom, trace: tracer.render_json() }
+    ObsBundle { table: out, prom, trace: tracer.render_json() }
 }

@@ -52,16 +52,11 @@ fn subtly_degraded() -> PipelineProgram {
 /// The fault-intensity knob for the canary-rollback run's chaos campaign.
 const CHAOS_INTENSITY: f64 = 0.6;
 
-/// Run the experiment and render its report.
-pub fn run() -> String {
-    run_observed().table
-}
-
 /// Run the experiment and return the full Observatory bundle: the
 /// deployment timelines and verdict table plus each run's metrics dump
 /// and trace. Both guarded runs are independent, self-seeded simulations,
 /// so they fan out over [`parallel_map`] with byte-identical results.
-pub fn run_observed() -> ObsBundle {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E15: guarded deployment under chaos (shadow -> canary -> full)\n\n");
     let platform = Platform::new(Scenario::small());
     let data = platform.collect();
@@ -199,5 +194,5 @@ pub fn run_observed() -> ObsBundle {
         prom.push_str(&format!("# run: {name}\n{}", o.obs.prom()));
         tracer.merge_from(&o.obs.tracer);
     }
-    ObsBundle { id: "E15", table: out, prom, trace: tracer.render_json() }
+    ObsBundle { table: out, prom, trace: tracer.render_json() }
 }

@@ -42,13 +42,8 @@ fn hit_rate_over(outcome: &ResolverRunOutcome, secs: std::ops::Range<u64>) -> f6
     picked.iter().sum::<f64>() / picked.len() as f64
 }
 
-/// Run the experiment and render its report.
-pub fn run() -> String {
-    run_observed().table
-}
-
 /// Run the experiment and return the full Observatory bundle.
-pub fn run_observed() -> ObsBundle {
+pub fn run() -> ObsBundle {
     let mut out =
         String::from("E16: resolver under water torture (NXDOMAIN flood + amplification burst)\n\n");
     let scenario = Scenario::resolver_lab();
@@ -168,5 +163,5 @@ pub fn run_observed() -> ObsBundle {
         prom.push_str(&format!("# run: {name}\n{}", o.obs.prom()));
         tracer.merge_from(&o.obs.tracer);
     }
-    ObsBundle { id: "E16", table: out, prom, trace: tracer.render_json() }
+    ObsBundle { table: out, prom, trace: tracer.render_json() }
 }

@@ -26,13 +26,8 @@ use campuslab::testbed::{
 };
 use campuslab::Platform;
 
-/// Run the experiment and render its report.
-pub fn run() -> String {
-    run_observed().table
-}
-
 /// Run the experiment and return the full Observatory bundle.
-pub fn run_observed() -> ObsBundle {
+pub fn run() -> ObsBundle {
     let mut out =
         String::from("E17: always-on learn->distill->compile->deploy under drift (DriftPilot)\n\n");
     let scenario = Scenario::drift_rotation();
@@ -148,5 +143,5 @@ pub fn run_observed() -> ObsBundle {
         prom.push_str(&format!("# run: {name}\n{}", obs.prom()));
         tracer.merge_from(&obs.tracer);
     }
-    ObsBundle { id: "E17", table: out, prom, trace: tracer.render_json() }
+    ObsBundle { table: out, prom, trace: tracer.render_json() }
 }

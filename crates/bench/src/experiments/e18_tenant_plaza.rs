@@ -119,13 +119,8 @@ fn events_of(o: &TenantOutcome) -> u64 {
     o.net.injected + o.net.delivered + o.net.dropped_total()
 }
 
-/// Run the experiment and render its report.
-pub fn run() -> String {
-    run_observed().table
-}
-
 /// Run the experiment and return the full Observatory bundle.
-pub fn run_observed() -> ObsBundle {
+pub fn run() -> ObsBundle {
     let mut out =
         String::from("E18: multi-tenant experimentation-as-a-service (TenantPlaza)\n\n");
 
@@ -283,5 +278,5 @@ pub fn run_observed() -> ObsBundle {
         prom.push_str(&format!("# tenant: {}\n{}", o.name, o.obs.prom()));
         tracer.merge_from(&o.obs.tracer);
     }
-    ObsBundle { id: "E18", table: out, prom, trace: tracer.render_json() }
+    ObsBundle { table: out, prom, trace: tracer.render_json() }
 }

@@ -32,7 +32,7 @@ use campuslab::datastore::{PersistError, WalConfig, WalStore};
 use campuslab::netsim::SimDuration;
 use campuslab::testbed::{
     decode_checkpoint, encode_checkpoint, shard_by_second, CrashCart, DriftRunConfig,
-    DriftSession, PhoenixError, Scenario, PHOENIX_VERSION,
+    DriftSession, PhoenixCheckpoint, PhoenixError, Scenario, PHOENIX_VERSION,
 };
 use campuslab::Platform;
 
@@ -40,13 +40,8 @@ use campuslab::Platform;
 /// payload must stay within a fifth of it.
 const V1_IMAGE_BYTES: usize = 70_891_814;
 
-/// Run the experiment and render its report.
-pub fn run() -> String {
-    run_observed().table
-}
-
 /// Run the experiment and return the full Observatory bundle.
-pub fn run_observed() -> ObsBundle {
+pub fn run() -> ObsBundle {
     let mut out =
         String::from("E19: PhoenixRun crash-fault tolerance (checkpoint/restore + WAL)\n\n");
 
@@ -86,7 +81,8 @@ pub fn run_observed() -> ObsBundle {
     // taken mid-campaign, at the second boundary.
     let mut probe = cart.make_session();
     probe.run_until(boundaries[1]);
-    let bytes = encode_checkpoint(&probe.checkpoint());
+    let image = probe.checkpoint();
+    let bytes = encode_checkpoint(&image);
     drop(probe);
     assert!(
         bytes.len() <= V1_IMAGE_BYTES / 5,
@@ -103,6 +99,28 @@ pub fn run_observed() -> ObsBundle {
         bytes.len().to_string(),
     ]);
     out.push_str(&t.render());
+
+    // What that image is made of: how far it shrinks when each part is
+    // emptied (exact up to the emptied part's own count/tag bytes).
+    let without = |empty: &dyn Fn(&mut PhoenixCheckpoint)| {
+        let mut part = image.clone();
+        empty(&mut part);
+        bytes.len() - encode_checkpoint(&part).len()
+    };
+    let events = without(&|c| c.net.events.clear());
+    let hooks = without(&|c| (c.hooks.guard, c.hooks.controller, c.hooks.pilot) = (None, None, None));
+    let bank = without(&|c| c.bank.entries.clear());
+    out.push_str(&format!(
+        "\nwhat the image is made of:\n\
+         \x20 pending events: {} B ({} events, {:.1} B/event)\n\
+         \x20 hook stack (guard, controller, pilot): {hooks} B\n\
+         \x20 bank: {bank} B\n\
+         \x20 rest (nodes, links, obs, envelope): {} B\n",
+        events,
+        image.net.events.len(),
+        events as f64 / image.net.events.len().max(1) as f64,
+        bytes.len() - events - hooks - bank,
+    ));
 
     // Leg 2: the decoder on the three crash-shaped corruptions.
     let truncated = decode_checkpoint(&bytes[..bytes.len() / 2]).err();
@@ -150,7 +168,7 @@ pub fn run_observed() -> ObsBundle {
     // The bundle's prom + trace are the uninterrupted run's — the
     // baseline every kill must reproduce.
     let (_, prom, trace) = baseline;
-    ObsBundle { id: "E19", table: out, prom, trace }
+    ObsBundle { table: out, prom, trace }
 }
 
 /// The WAL leg: append the capture in per-second batches, seal everything

@@ -134,14 +134,9 @@ fn sweep(
     out.push_str(&t.render());
 }
 
-/// Run the experiment and render its report.
-pub fn run() -> String {
-    run_observed().table
-}
-
 /// Run the experiment and return the full Observatory bundle: the table
 /// plus the metrics dumps and sim-time traces of both collection runs.
-pub fn run_observed() -> ObsBundle {
+pub fn run() -> ObsBundle {
     let mut out = String::from(
         "E1: the confidence gate on ingress drops (DNS amplification)\n",
     );
@@ -178,5 +173,5 @@ pub fn run_observed() -> ObsBundle {
     let mut tracer = Tracer::new();
     tracer.merge_from(&data.obs.tracer);
     tracer.merge_from(&stealth_data.obs.tracer);
-    ObsBundle { id: "E1", table: out, prom, trace: tracer.render_json() }
+    ObsBundle { table: out, prom, trace: tracer.render_json() }
 }

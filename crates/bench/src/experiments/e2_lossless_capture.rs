@@ -4,6 +4,7 @@
 //! loss, locating the lossless envelope relative to the campus range
 //! (10–20 Gbps).
 
+use crate::obs_export::ObsBundle;
 use crate::table::{pct, Table};
 use campuslab::capture::{CaptureArray, FlowKey, RingConfig};
 use campuslab::netsim::SimTime;
@@ -30,7 +31,7 @@ fn loss_at(gbps: f64, rings: usize, cfg: RingConfig) -> f64 {
 }
 
 /// Run the experiment and render its report.
-pub fn run() -> String {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E2: the lossless capture envelope\n\n");
     out.push_str(&format!(
         "offered load converted at {MEAN_PACKET_BYTES:.0} B mean packet size; 300k packets per cell\n\n",
@@ -64,5 +65,5 @@ pub fn run() -> String {
         "\nshape check: every reasonably-sized appliance is lossless through the\ncampus range (10-20 Gbps; {lossless_at_campus} of {} campus-range cells lossless), and\nloss appears an order of magnitude higher - the paper's argument that a\ncampus is the right scale to capture *everything*.\n",
         2 * configs.len()
     ));
-    out
+    ObsBundle::table_only(out)
 }

@@ -86,13 +86,8 @@ fn sweep(
     }
 }
 
-/// Run the experiment and render its report.
-pub fn run() -> String {
-    run_observed().table
-}
-
 /// Run the experiment and return the full Observatory bundle.
-pub fn run_observed() -> ObsBundle {
+pub fn run() -> ObsBundle {
     let mut out = String::from(
         "E3: segment-indexed search vs full scan (deterministic work metrics)\n\n",
     );
@@ -167,5 +162,5 @@ pub fn run_observed() -> ObsBundle {
         real.obs.render(),
         synth.obs.render()
     );
-    ObsBundle { id: "E3", table: out, prom, trace: tracer.render_json() }
+    ObsBundle { table: out, prom, trace: tracer.render_json() }
 }

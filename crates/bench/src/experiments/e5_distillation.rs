@@ -1,9 +1,12 @@
 //! **E5 — model extraction (§5 steps (i)–(ii))**: replace the black box
 //! with a model that is "explainable or interpretable, lightweight and
 //! closely approximates the original model". Sweeps student depth against
-//! two teachers and reports fidelity, accuracy, size and speed.
+//! two teachers and reports fidelity, accuracy, size and operations per
+//! decision (threshold comparisons down a tree path, summed over a
+//! forest's trees; multiply-accumulates through the MLP).
 
-use crate::table::{f, pct, Table};
+use crate::obs_export::ObsBundle;
+use crate::table::{f, mean_cost, pct, Table};
 use campuslab::features::{packet_dataset, LabelMode};
 use campuslab::ml::{
     fidelity, Classifier, ConfusionMatrix, ForestConfig, Mlp, MlpConfig, Normalizer, RandomForest,
@@ -11,18 +14,9 @@ use campuslab::ml::{
 };
 use campuslab::testbed::{collect, Scenario};
 use campuslab::xai::{distill, DistillConfig};
-use std::time::Instant;
-
-fn ns_per_predict(model: &dyn Classifier, rows: &[Vec<f64>]) -> f64 {
-    let start = Instant::now();
-    for row in rows {
-        std::hint::black_box(model.predict(row));
-    }
-    start.elapsed().as_nanos() as f64 / rows.len() as f64
-}
 
 /// Run the experiment and render its report.
-pub fn run() -> String {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E5: distilling the black box into a deployable tree\n\n");
     let data = collect(&Scenario::small());
     let dataset = packet_dataset(&data.packets, LabelMode::BinaryAttack);
@@ -46,9 +40,12 @@ pub fn run() -> String {
     let mlp = NormedMlp { norm, mlp };
 
     let sample: Vec<Vec<f64>> = test.x.iter().take(10_000).cloned().collect();
-    let teachers: Vec<(&str, &dyn Classifier, usize)> = vec![
-        ("forest", &forest, forest.total_nodes()),
-        ("mlp", &mlp, mlp.mlp.n_parameters()),
+    let forest_ops =
+        mean_cost(&sample, |row| forest.trees().iter().map(|t| t.decision_path(row).len()).sum());
+    // (name, model, size, operations per decision)
+    let teachers: Vec<(&str, &dyn Classifier, usize, f64)> = vec![
+        ("forest", &forest, forest.total_nodes(), forest_ops),
+        ("mlp", &mlp, mlp.mlp.n_parameters(), mlp.mlp.n_parameters() as f64),
     ];
 
     let mut t = Table::new(&[
@@ -59,12 +56,11 @@ pub fn run() -> String {
         "student F1",
         "teacher size",
         "student nodes",
-        "teacher ns/pkt",
-        "student ns/pkt",
+        "teacher ops/decision",
+        "student ops/decision",
     ]);
-    for (name, teacher, size) in &teachers {
+    for (name, teacher, size, teacher_ops) in &teachers {
         let teacher_cm = ConfusionMatrix::evaluate(*teacher, &test);
-        let teacher_ns = ns_per_predict(*teacher, &sample);
         for depth in [1usize, 2, 3, 4, 6, 8] {
             let (student, _report) = distill(
                 *teacher,
@@ -81,14 +77,14 @@ pub fn run() -> String {
                 f(student_cm.f1(1), 3),
                 size.to_string(),
                 student.n_nodes().to_string(),
-                f(teacher_ns, 0),
-                f(ns_per_predict(&student, &sample), 0),
+                f(*teacher_ops, 1),
+                f(mean_cost(&sample, |row| student.decision_path(row).len()), 1),
             ]);
         }
     }
     out.push_str(&t.render());
     out.push_str(
-        "\nshape check: fidelity climbs with depth and saturates within a few levels;\nthe student is orders of magnitude smaller and faster than either teacher\nwhile matching its decisions - the premise of road-map step (ii).\n",
+        "\nshape check: fidelity climbs with depth and saturates within a few levels;\nthe student is orders of magnitude smaller than either teacher and decides\nin a handful of comparisons while matching its decisions - the premise of\nroad-map step (ii).\n",
     );
-    out
+    ObsBundle::table_only(out)
 }

@@ -3,6 +3,7 @@
 //! model until the "hundreds or thousands of concurrent tasks" the paper
 //! says the data plane cannot host actually fail to fit.
 
+use crate::obs_export::ObsBundle;
 use crate::table::{f, Table};
 use campuslab::control::{run_development_loop, DevLoopConfig};
 use campuslab::dataplane::{compile_tree, CompileConfig, PipelineProgram, SwitchModel};
@@ -42,7 +43,7 @@ fn synthetic_task(bands: u32, rows: usize) -> PipelineProgram {
 }
 
 /// Run the experiment and render its report.
-pub fn run() -> String {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E6: compiling to the switch, and the concurrent-task ceiling\n\n");
     let switch = SwitchModel::default();
     out.push_str(&format!(
@@ -116,5 +117,5 @@ pub fn run() -> String {
     out.push_str(&format!(
         "\nshape check: the realistic detector fits tens of concurrent instances and\ncomplex tasks fit {last_fit} - tens to hundreds at best, never thousands, exactly\nthe paper's argument for moving the heavyweight learning off the switch.\n",
     ));
-    out
+    ObsBundle::table_only(out)
 }

@@ -8,14 +8,9 @@ use campuslab::control::DevLoopConfig;
 use campuslab::obs::Tracer;
 use campuslab::testbed::{cross_campus_observed, CampusSite};
 
-/// Run the experiment and render its report.
-pub fn run() -> String {
-    run_observed().table
-}
-
 /// Run the experiment and return the full Observatory bundle: the matrix
 /// table plus each campus's private collection-run metrics dump and trace.
-pub fn run_observed() -> ObsBundle {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E7: cross-campus reproducibility (train row, evaluate column)\n\n");
     let sites = CampusSite::default_trio();
     for site in &sites {
@@ -55,5 +50,5 @@ pub fn run_observed() -> ObsBundle {
         prom.push_str(&format!("# site: {}\n{}", site.name, site_obs.prom()));
         tracer.merge_from(&site_obs.tracer);
     }
-    ObsBundle { id: "E7", table: out, prom, trace: tracer.render_json() }
+    ObsBundle { table: out, prom, trace: tracer.render_json() }
 }

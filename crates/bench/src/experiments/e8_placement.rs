@@ -3,13 +3,14 @@
 //! accuracy that task has to be performed". The same detector defends the
 //! same campus from each tier.
 
+use crate::obs_export::ObsBundle;
 use crate::table::{pct, Table};
 use campuslab::control::Placement;
 use campuslab::testbed::Scenario;
 use campuslab::Platform;
 
 /// Run the experiment and render its report.
-pub fn run() -> String {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E8: inference placement vs reaction latency\n\n");
     let platform = Platform::new(Scenario::small());
     let data = platform.collect();
@@ -53,5 +54,5 @@ pub fn run() -> String {
     out.push_str(
         "\nshape check: the switch tier reacts from packet one; the controller pays\none detection window; the cloud pays the window plus WAN latency - and the\nsuppression gap is exactly the packets that land during the blind period.\nThe trade the paper assigns to resource placement is visible end to end.\n",
     );
-    out
+    ObsBundle::table_only(out)
 }

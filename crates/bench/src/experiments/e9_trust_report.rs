@@ -3,12 +3,13 @@
 //! decisions". Audits every flagged decision against analyst expectations
 //! and prints sample evidence chains.
 
+use crate::obs_export::ObsBundle;
 use crate::table::{pct, Table};
 use campuslab::testbed::{trust_report, Scenario};
 use campuslab::Platform;
 
 /// Run the experiment and render its report.
-pub fn run() -> String {
+pub fn run() -> ObsBundle {
     let mut out = String::from("E9: operator trust via evidence audits\n\n");
     let platform = Platform::new(Scenario::small());
     let data = platform.collect();
@@ -39,5 +40,5 @@ pub fn run() -> String {
     out.push_str(
         "shape check: (near) every true detection justifies itself with the features\nan analyst would check by hand - the paper's mechanism for converting\noperator distrust into de-facto knowledge transfer.\n",
     );
-    out
+    ObsBundle::table_only(out)
 }

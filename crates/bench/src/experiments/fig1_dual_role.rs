@@ -2,6 +2,7 @@
 //! Left half: privacy-preserving collection into the data store. Right
 //! half: a deployable model road-tested on the same campus.
 
+use crate::obs_export::ObsBundle;
 use crate::table::{pct, Table};
 use campuslab::datastore::summarize;
 use campuslab::privacy::{ScrubPolicy, Scrubber};
@@ -9,7 +10,7 @@ use campuslab::testbed::{deployment_decision, GateCriteria, Scenario};
 use campuslab::Platform;
 
 /// Run the experiment and render its report.
-pub fn run() -> String {
+pub fn run() -> ObsBundle {
     let mut out = String::from("F1: the campus network's dual role\n\n");
     let platform = Platform::new(Scenario::small());
 
@@ -55,5 +56,5 @@ pub fn run() -> String {
     out.push('\n');
     out.push_str(&t.render());
     out.push_str("\nshape check: collection is lossless at campus scale; the distilled model\nkeeps the black box's accuracy, compiles to the switch, and passes the gate.\n");
-    out
+    ObsBundle::table_only(out)
 }

@@ -1,5 +1,6 @@
 //! One module per figure/experiment. Every module exposes
-//! `pub fn run() -> String` returning the rendered report section.
+//! `pub fn run() -> ObsBundle` — the rendered report section plus the run's
+//! telemetry — and is listed once in [`crate::EXPERIMENTS`].
 
 pub mod fig1_dual_role;
 pub mod fig2_loops;

@@ -1,25 +1,28 @@
-//! Observatory export for the experiment harness: a per-experiment bundle
-//! of (table, Prometheus dump, sim-time trace), a canonical text form the
-//! golden-replay suite pins byte-for-byte, and the `BENCH_obs.json`
-//! writer used by `exp all`.
+//! What one experiment produces: a bundle of (table, Prometheus dump,
+//! sim-time trace), the canonical text form the golden-replay suite pins
+//! byte-for-byte, and the JSON rendering `exp all` writes when given an
+//! export path.
 
 use campuslab::obs::json_escape;
-use std::io::Write;
 
-/// Everything one observed experiment produced.
+/// Everything one experiment produced.
 pub struct ObsBundle {
-    /// Registry id, e.g. `"E14"`.
-    pub id: &'static str,
-    /// The rendered report table — exactly what `run()` returns.
+    /// The rendered report table — what `exp <id>` prints.
     pub table: String,
     /// Prometheus text dump of every registry the run touched, with
-    /// `# run:`-style comment headers between sections.
+    /// `# run:`-style comment headers between sections; empty for an
+    /// experiment that drives no instrumented layer.
     pub prom: String,
-    /// Sim-time span trace as JSON (one span per line).
+    /// Sim-time span trace as JSON (one span per line); empty likewise.
     pub trace: String,
 }
 
 impl ObsBundle {
+    /// The bundle of an experiment with no telemetry: its table alone.
+    pub fn table_only(table: String) -> Self {
+        ObsBundle { table, prom: String::new(), trace: String::new() }
+    }
+
     /// The canonical replay form: table, dump and trace concatenated with
     /// fixed section markers. Golden files store exactly this string, so a
     /// byte anywhere — a stat, a metric sample, a span stamp — that drifts
@@ -32,37 +35,27 @@ impl ObsBundle {
         )
     }
 
-    /// One JSON object for `BENCH_obs.json`. The trace is already JSON and
+    /// One JSON object of the export. The trace is already JSON and
     /// embeds raw; the table is omitted (it lives in the text report).
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self, id: &str) -> String {
         format!(
             "{{\"id\":\"{}\",\"prom\":\"{}\",\"spans\":{}}}",
-            json_escape(self.id),
+            json_escape(id),
             json_escape(&self.prom),
             self.trace.trim_end()
         )
     }
 }
 
-/// Render the whole export file: a JSON array of bundle objects in
-/// registry order.
-pub fn render_obs_json(bundles: &[&ObsBundle]) -> String {
-    let mut out = String::from("[\n");
-    for (i, b) in bundles.iter().enumerate() {
-        out.push_str(&b.to_json());
-        out.push_str(if i + 1 < bundles.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Write `BENCH_obs.json` (path overridable via `CAMPUSLAB_OBS_JSON`).
-/// Returns the path written to.
-pub fn write_obs_json(bundles: &[&ObsBundle]) -> std::io::Result<String> {
-    let path = std::env::var("CAMPUSLAB_OBS_JSON").unwrap_or_else(|_| "BENCH_obs.json".into());
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(render_obs_json(bundles).as_bytes())?;
-    Ok(path)
+/// Render the export file: a JSON array with one `{id, prom, spans}`
+/// object per experiment that produced telemetry, in report order.
+pub fn render_obs_json<'a>(bundles: impl IntoIterator<Item = (&'a str, &'a ObsBundle)>) -> String {
+    let objects: Vec<String> = bundles
+        .into_iter()
+        .filter(|(_, b)| !b.trace.is_empty())
+        .map(|(id, b)| b.to_json(id))
+        .collect();
+    format!("[\n{}\n]\n", objects.join(",\n"))
 }
 
 #[cfg(test)]
@@ -71,7 +64,6 @@ mod tests {
 
     fn bundle() -> ObsBundle {
         ObsBundle {
-            id: "EX",
             table: "t\n".into(),
             prom: "# run: demo\nm_total 1\n".into(),
             trace: "[\n  {\"seq\":0,\"name\":\"run\",\"start_ns\":0,\"end_ns\":5}\n]\n".into(),
@@ -91,8 +83,10 @@ mod tests {
     #[test]
     fn obs_json_is_a_well_formed_array() {
         let b = bundle();
-        let json = render_obs_json(&[&b, &b]);
+        let bare = ObsBundle::table_only("t\n".into());
+        let json = render_obs_json([("EX", &b), ("EY", &bare), ("EZ", &b)]);
         assert!(json.starts_with("[\n{\"id\":\"EX\""));
+        assert!(!json.contains("EY"), "an experiment without telemetry is not exported");
         assert_eq!(json.matches("\"spans\":[").count(), 2);
         assert!(json.trim_end().ends_with(']'));
         // The escaped prom round-trips through the vendored parser.

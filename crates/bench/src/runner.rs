@@ -1,81 +1,30 @@
-//! Parallel experiment runner: fans the registry in [`crate::all`] out
-//! across cores and returns the reports in registry order.
+//! Parallel experiment runner: fans [`crate::EXPERIMENTS`] out across
+//! cores and returns the reports in table order.
 //!
-//! Every experiment is a pure `fn() -> String` with its own internal
-//! seeds, so running them concurrently cannot change any table; only the
+//! Every experiment is a pure `fn() -> ObsBundle` with its own internal
+//! seeds, so running them concurrently cannot change any byte; only the
 //! wall-clock time of a full regeneration drops. Worker count follows
 //! `CAMPUSLAB_JOBS` / available parallelism (see
 //! [`campuslab::netsim::par::worker_count`]).
 
 use crate::obs_export::ObsBundle;
 use campuslab::netsim::par::parallel_map;
-use std::time::Duration;
 
 /// One regenerated experiment.
 pub struct ExperimentReport {
-    /// Registry id, e.g. `"E7"`.
+    /// Table id, e.g. `"E7"`.
     pub id: &'static str,
-    /// Human-readable title from the registry.
+    /// Human-readable title from the table.
     pub title: &'static str,
-    /// The rendered table.
-    pub body: String,
-    /// The Observatory bundle, for experiments with an instrumented
-    /// runner (see [`crate::observed`]). The body always equals
-    /// `obs.table` when present — the experiment runs once.
-    pub obs: Option<ObsBundle>,
-    /// How long this experiment took on its worker.
-    pub elapsed: Duration,
+    /// What the run produced: table, metrics dump, trace.
+    pub obs: ObsBundle,
 }
 
-/// Regenerate every experiment in parallel, preserving registry order.
-/// Experiments with an Observatory runner execute through it (once), so
-/// the report also carries their metrics dump and trace.
+/// Regenerate every experiment in parallel, preserving table order.
 pub fn run_all() -> Vec<ExperimentReport> {
-    let registry = crate::all();
-    parallel_map(&registry, |_, &(id, title, runner)| {
-        let started = std::time::Instant::now();
-        let (body, obs) = match crate::observed(id) {
-            Some(observed_runner) => {
-                let bundle = observed_runner();
-                (bundle.table.clone(), Some(bundle))
-            }
-            None => (runner(), None),
-        };
-        ExperimentReport { id, title, body, obs, elapsed: started.elapsed() }
+    parallel_map(&crate::EXPERIMENTS, |_, &(id, title, run)| ExperimentReport {
+        id,
+        title,
+        obs: run(),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parallel_reports_match_sequential_runs() {
-        // The full registry is slow; spot-check the two cheapest entries
-        // plus ordering of the whole id list.
-        let reports = run_all();
-        let registry = crate::all();
-        assert_eq!(reports.len(), registry.len());
-        for (report, (id, title, _)) in reports.iter().zip(&registry) {
-            assert_eq!(report.id, *id);
-            assert_eq!(report.title, *title);
-            assert!(!report.body.is_empty(), "{id} produced an empty report");
-        }
-        let (id0, _, run0) = registry[0];
-        let sequential = run0();
-        assert_eq!(reports[0].body, sequential, "{id0} differs under parallel run");
-        // Observed experiments carry their bundle, and the body is the
-        // bundle's own table (one execution, one source).
-        for report in &reports {
-            match &report.obs {
-                Some(bundle) => {
-                    assert_eq!(bundle.id, report.id);
-                    assert_eq!(bundle.table, report.body);
-                    assert!(!bundle.prom.is_empty(), "{} dump empty", report.id);
-                    assert!(bundle.trace.starts_with('['), "{} trace not JSON", report.id);
-                }
-                None => assert!(crate::observed(report.id).is_none()),
-            }
-        }
-    }
 }

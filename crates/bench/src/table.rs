@@ -55,6 +55,12 @@ impl Table {
     }
 }
 
+/// Mean of an integer `cost` over the inputs — the operations-per-decision
+/// columns (comparisons down a tree path, TCAM entries walked).
+pub fn mean_cost<T>(inputs: &[T], cost: impl Fn(&T) -> usize) -> f64 {
+    inputs.iter().map(cost).sum::<usize>() as f64 / inputs.len() as f64
+}
+
 /// Format a float with the given precision.
 pub fn f(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")

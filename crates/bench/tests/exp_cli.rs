@@ -1,5 +1,5 @@
 //! The `exp` binary's contract with scripts: an id it does not know is a
-//! usage error (exit 2, registry on stderr, nothing on stdout), a known id
+//! usage error (exit 2, every id on stderr, nothing on stdout), a known id
 //! prints its table and exits 0.
 
 use std::process::Command;
@@ -18,7 +18,7 @@ fn unknown_id_prints_usage_and_exits_2() {
     assert!(out.stdout.is_empty());
     let stderr = String::from_utf8(out.stderr).expect("utf-8 usage");
     assert!(stderr.starts_with("usage: exp"), "{stderr}");
-    for (id, _, _) in campuslab_bench::all() {
+    for (id, _, _) in campuslab_bench::EXPERIMENTS {
         assert!(
             stderr.contains(&format!("\n  {id:<4} ")),
             "usage omits {id}"

@@ -1,7 +1,7 @@
-//! Golden-replay suite: the canonical Observatory bundle (table +
-//! Prometheus dump + sim-time trace) of each `campuslab_bench::PINNED`
-//! experiment is pinned byte-for-byte against a committed golden file,
-//! under both the sequential and the parallel runner.
+//! Golden-replay suite: the canonical bundle (table + Prometheus dump +
+//! sim-time trace) of every `campuslab_bench::EXPERIMENTS` entry is pinned
+//! byte-for-byte against a committed golden file, under both the
+//! sequential and the parallel runner.
 //!
 //! This is the determinism contract's enforcement point: metrics are
 //! stamped in sim-time and event sequence, never wall clock, so thread
@@ -9,13 +9,13 @@
 //! change shifts an experiment's output, regenerate with
 //! `cargo run -p campuslab-bench --bin gen_golden` and commit the diff.
 
-use campuslab_bench::PINNED;
+use campuslab_bench::EXPERIMENTS;
 use std::collections::BTreeSet;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden");
 
 #[test]
-fn pinned_experiments_replay_byte_for_byte() {
+fn every_experiment_replays_byte_for_byte() {
     let on_disk: BTreeSet<String> = std::fs::read_dir(GOLDEN_DIR)
         .expect("golden dir")
         .map(|entry| {
@@ -26,16 +26,16 @@ fn pinned_experiments_replay_byte_for_byte() {
                 .into_owned()
         })
         .collect();
-    let pinned: BTreeSet<String> = PINNED
+    let listed: BTreeSet<String> = EXPERIMENTS
         .iter()
-        .map(|(id, _)| format!("{id}.golden"))
+        .map(|(id, _, _)| format!("{id}.golden"))
         .collect();
     assert_eq!(
-        on_disk, pinned,
-        "golden/ and campuslab_bench::PINNED name different experiments"
+        on_disk, listed,
+        "golden/ and campuslab_bench::EXPERIMENTS name different experiments"
     );
 
-    for (id, run) in PINNED {
+    for (id, _, run) in EXPERIMENTS {
         let golden =
             std::fs::read_to_string(format!("{GOLDEN_DIR}/{id}.golden")).expect("read golden");
         // Every story line an experiment prints ends `yes` or `NO (bug)`:

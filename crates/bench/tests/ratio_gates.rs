@@ -4,6 +4,11 @@
 //! process see the same drift of a shared box's speed, so a ratio needs no
 //! retry; absolute times are the PerfLedger's job (`benchmark/`).
 
+// The workspace bans `Instant` (clippy.toml) so that nothing an experiment
+// prints can depend on a clock. This file prints nothing that is pinned: it
+// is a gate, and a wall-clock ratio is the one thing it exists to measure.
+#![allow(clippy::disallowed_types)]
+
 use campuslab::netsim::prelude::*;
 use campuslab::testbed::{DriftRunConfig, DriftSession, Scenario};
 use campuslab::traffic::{Injection, TrafficGenerator, WorkloadConfig};

@@ -103,7 +103,10 @@ pub struct DevLoopResult {
     pub feature_names: Vec<String>,
     pub train_rows: usize,
     pub test_rows: usize,
-    /// Wall-clock time of the whole loop (the "slow" in slow loop).
+    /// Wall-clock time of the whole loop. The workspace's one clock read
+    /// outside a timing gate, kept for the PerfLedger alone: its
+    /// `control.devloop_replay_share` divides a step-by-step replay by this
+    /// (`benchmark/src/workloads/learn.rs`). No experiment prints it.
     pub wall: std::time::Duration,
     /// The held-out test split, for downstream experiments.
     pub test: Dataset,
@@ -114,6 +117,7 @@ pub struct DevLoopResult {
 /// Run the development loop over captured (time-ordered) packet records.
 pub fn run_development_loop(records: &[PacketRecord], cfg: &DevLoopConfig) -> DevLoopResult {
     assert!(records.len() >= 20, "development loop needs data");
+    #[allow(clippy::disallowed_types)] // read by benchmark/ only; see `DevLoopResult::wall`
     let started = std::time::Instant::now();
     let data = packet_dataset(records, cfg.label_mode);
     let mut rng = StdRng::seed_from_u64(cfg.seed);

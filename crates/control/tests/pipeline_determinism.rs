@@ -8,14 +8,21 @@
 //! * **Streaming == batch**: DriftPilot's incremental feature windows
 //!   equal a one-shot `features::aggregate` extraction over the same
 //!   record range — same cells, same order, same float bits.
+//! * **Schema agreement**: the feature row a tree is trained on, the
+//!   switch key a compiled tree matches on, and the key the live extractor
+//!   reads off a packet agree name by name and value by value. Control is
+//!   the one crate that sees both `features` and `dataplane`, so the
+//!   contract is checked here against the real thing on both sides.
 
 use campuslab_capture::{Direction, PacketRecord, TcpFlags};
 use campuslab_control::{records_hash, retrain_window, DevLoopConfig, DriftPilot, DriftPilotConfig};
-use campuslab_features::{aggregate, WindowConfig};
-use campuslab_netsim::LinkId;
+use campuslab_dataplane::{fields_from_record, FieldExtractor, FIELD_ORDER};
+use campuslab_features::{aggregate, packet_features, WindowConfig, PACKET_FEATURES};
+use campuslab_netsim::{GroundTruth, LinkId, Packet, PacketBuilder, Payload, Prefix, SimTime};
+use campuslab_wire::{IcmpRepr, TcpControl, TcpRepr};
 use proptest::prelude::*;
 use proptest::{collection, proptest, ProptestConfig};
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 
 fn rec(ts: u64, proto: u8, sport: u16, len: u32, attack: u16, dst_octet: u8) -> PacketRecord {
     PacketRecord {
@@ -133,5 +140,65 @@ proptest! {
         let streamed = pilot.flush_features();
         let batch = aggregate(&recs, window, mode);
         prop_assert_eq!(streamed, batch);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Schema agreement: a distilled tree splits on `PACKET_FEATURES`
+    /// columns and compiles field-for-field onto `FIELD_ORDER` matches, and
+    /// the switch evaluates those matches on what `FieldExtractor` reads
+    /// off the live packet. A disagreement anywhere in that triangle
+    /// mis-compiles every tree silently, so for every transport (UDP, ICMP,
+    /// TCP under all 64 control-bit combinations), both directions and
+    /// payloads up to the MTU: feature row == switch key == live key.
+    #[test]
+    fn feature_row_switch_key_and_live_key_agree(
+        host in 1u8..250,
+        from_dns in any::<bool>(),
+        sport in 1024u16..=65_535,
+        dport in any::<u16>(),
+        payload in 0usize..=1_460,
+    ) {
+        let names: Vec<&str> = FIELD_ORDER.iter().map(|f| f.name()).collect();
+        prop_assert_eq!(&names[..], &PACKET_FEATURES[..]);
+
+        let inside = Ipv4Addr::new(10, 1, 1, host);
+        let outside = Ipv4Addr::new(203, 0, 113, host);
+        let live = FieldExtractor::new(Prefix::v4(Ipv4Addr::new(10, 1, 0, 0), 16));
+        let sport = if from_dns { 53 } else { sport };
+        let mut b = PacketBuilder::new();
+        for (direction, src, dst) in
+            [(Direction::Inbound, outside, inside), (Direction::Outbound, inside, outside)]
+        {
+            let body = Payload::Synthetic(payload);
+            let truth = GroundTruth::default();
+            let mut packets: Vec<Packet> = vec![
+                b.udp_v4(src, dst, sport, dport, body.clone(), 64, truth),
+                b.icmp_v4(src, dst, IcmpRepr::echo_request(7, 1, &vec![0; payload]), truth),
+            ];
+            for bits in 0u8..64 {
+                let bit = |k: u8| bits >> k & 1 == 1;
+                let control = TcpControl {
+                    syn: bit(0), ack: bit(1), fin: bit(2), rst: bit(3), psh: bit(4), urg: bit(5),
+                };
+                let tcp = TcpRepr {
+                    src_port: 0, dst_port: 0, seq: 1, ack: 0, control,
+                    window: 1_024, mss: None, window_scale: None,
+                };
+                packets.push(b.tcp_v4(src, dst, sport, dport, tcp, body.clone(), truth));
+            }
+            for pkt in &packets {
+                let rec = PacketRecord::from_packet(SimTime::ZERO, direction, pkt);
+                let key = fields_from_record(&rec);
+                prop_assert_eq!(live.from_packet(pkt), key, "live vs stored key for {:?}", rec);
+                let row = packet_features(&rec);
+                prop_assert_eq!(row.len(), key.len());
+                for (i, name) in PACKET_FEATURES.iter().enumerate() {
+                    prop_assert_eq!(row[i], f64::from(key[i]), "{} disagrees for {:?}", name, rec);
+                }
+            }
+        }
     }
 }

@@ -98,6 +98,13 @@ impl RandomForest {
         self.trees.len()
     }
 
+    /// The fitted trees, read-only: per-tree cost accounting (the
+    /// comparisons a forest spends on one decision) needs each tree's
+    /// decision path, not just the vote.
+    pub fn trees(&self) -> &[DecisionTree] {
+        &self.trees
+    }
+
     /// Total node count across trees — the "model size" a data plane
     /// cannot hold.
     pub fn total_nodes(&self) -> usize {

@@ -34,6 +34,12 @@ pub enum DropReason {
     NodeDown,
 }
 
+impl DropReason {
+    /// Every reason, once.
+    pub(crate) const ALL: [DropReason; 6] =
+        [Self::Queue, Self::Fault, Self::Filter, Self::Ttl, Self::NoRoute, Self::NodeDown];
+}
+
 /// Aggregate simulation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct NetStats {
@@ -51,14 +57,22 @@ pub struct NetStats {
 }
 
 impl NetStats {
+    /// The drop counter for one cause.
+    pub(crate) fn dropped_mut(&mut self, reason: DropReason) -> &mut u64 {
+        match reason {
+            DropReason::Queue => &mut self.dropped_queue,
+            DropReason::Fault => &mut self.dropped_fault,
+            DropReason::Filter => &mut self.dropped_filter,
+            DropReason::Ttl => &mut self.dropped_ttl,
+            DropReason::NoRoute => &mut self.dropped_no_route,
+            DropReason::NodeDown => &mut self.dropped_node_down,
+        }
+    }
+
     /// Total drops across all causes.
     pub fn dropped_total(&self) -> u64 {
-        self.dropped_queue
-            + self.dropped_fault
-            + self.dropped_filter
-            + self.dropped_ttl
-            + self.dropped_no_route
-            + self.dropped_node_down
+        let mut copy = *self;
+        DropReason::ALL.iter().map(|&reason| *copy.dropped_mut(reason)).sum()
     }
 
     /// Mean end-to-end latency of delivered packets.
@@ -428,8 +442,7 @@ impl Network {
                 // needs no side lookup table keyed by packet id.
                 packet.injected_at = now;
                 if self.nodes[node.0].is_down(now) {
-                    self.drop_node_down(now, node, packet, hooks, cmds);
-                    return;
+                    return self.drop_packet(now, node, DropReason::NodeDown, packet, hooks, cmds);
                 }
                 self.forward(now, node, packet, hooks, cmds);
             }
@@ -450,19 +463,27 @@ impl Network {
         }
     }
 
-    /// Count and report a packet swallowed by a down node.
-    fn drop_node_down(
+    /// The one way a packet leaves the network undelivered: booked on the
+    /// node `at` which it was judged (unless the verdict was its egress
+    /// link's — queue, fault — which no node books), on [`NetStats`] and
+    /// the Observatory, reported to the hooks, and its box retired.
+    /// Conservation (*injected = delivered + Σ drops-by-reason + in flight*)
+    /// holds because nothing else drops.
+    fn drop_packet(
         &mut self,
         now: SimTime,
-        node: NodeId,
+        at: NodeId,
+        reason: DropReason,
         packet: Box<Packet>,
         hooks: &mut dyn SimHooks,
         cmds: &mut Commands,
     ) {
-        self.nodes[node.0].stats.dropped_node_down += 1;
-        self.stats.dropped_node_down += 1;
-        self.obs.on_drop(DropReason::NodeDown);
-        hooks.on_drop(now, DropReason::NodeDown, &packet, cmds);
+        if let Some(booked) = self.nodes[at.0].stats.dropped_mut(reason) {
+            *booked += 1;
+        }
+        *self.stats.dropped_mut(reason) += 1;
+        self.obs.on_drop(reason);
+        hooks.on_drop(now, reason, &packet, cmds);
         self.retire(packet);
     }
 
@@ -477,50 +498,35 @@ impl Network {
     ) {
         // A down node swallows everything before its pipeline runs.
         if self.nodes[node.0].is_down(now) {
-            self.drop_node_down(now, node, packet, hooks, cmds);
-            return;
+            return self.drop_packet(now, node, DropReason::NodeDown, packet, hooks, cmds);
         }
         // Ingress program first, exactly like a programmable ASIC.
         if let Some(filter) = self.nodes[node.0].filter.as_mut() {
             if filter.decide(now, &packet) == FilterAction::Drop {
-                self.nodes[node.0].stats.dropped_filter += 1;
-                self.stats.dropped_filter += 1;
-                self.obs.on_drop(DropReason::Filter);
-                hooks.on_drop(now, DropReason::Filter, &packet, cmds);
-                self.retire(packet);
-                return;
+                return self.drop_packet(now, node, DropReason::Filter, packet, hooks, cmds);
             }
         }
         match &self.nodes[node.0].kind {
             NodeKind::Host { .. } => {
                 // Hosts sink everything addressed to them; anything else is
                 // a routing error.
-                if self.nodes[node.0].owns_address(packet.network.dst()) {
-                    let n = &mut self.nodes[node.0];
-                    n.stats.received += 1;
-                    n.stats.received_bytes += packet.wire_len() as u64;
-                    self.stats.delivered += 1;
-                    self.stats.delivered_bytes += packet.wire_len() as u64;
-                    let latency = now - packet.injected_at;
-                    self.stats.latency_sum += latency;
-                    self.obs.on_deliver(packet.wire_len() as u64, latency.as_nanos());
-                    hooks.on_deliver(now, node, &packet, latency, cmds);
-                } else {
-                    self.nodes[node.0].stats.dropped_no_route += 1;
-                    self.stats.dropped_no_route += 1;
-                    self.obs.on_drop(DropReason::NoRoute);
-                    hooks.on_drop(now, DropReason::NoRoute, &packet, cmds);
+                if !self.nodes[node.0].owns_address(packet.network.dst()) {
+                    return self.drop_packet(now, node, DropReason::NoRoute, packet, hooks, cmds);
                 }
+                let n = &mut self.nodes[node.0];
+                n.stats.received += 1;
+                n.stats.received_bytes += packet.wire_len() as u64;
+                self.stats.delivered += 1;
+                self.stats.delivered_bytes += packet.wire_len() as u64;
+                let latency = now - packet.injected_at;
+                self.stats.latency_sum += latency;
+                self.obs.on_deliver(packet.wire_len() as u64, latency.as_nanos());
+                hooks.on_deliver(now, node, &packet, latency, cmds);
                 self.retire(packet);
             }
             NodeKind::Switch { .. } => {
                 if !packet.network.decrement_ttl() {
-                    self.nodes[node.0].stats.dropped_ttl += 1;
-                    self.stats.dropped_ttl += 1;
-                    self.obs.on_drop(DropReason::Ttl);
-                    hooks.on_drop(now, DropReason::Ttl, &packet, cmds);
-                    self.retire(packet);
-                    return;
+                    return self.drop_packet(now, node, DropReason::Ttl, packet, hooks, cmds);
                 }
                 self.nodes[node.0].stats.forwarded += 1;
                 self.forward(now, node, packet, hooks, cmds);
@@ -538,12 +544,7 @@ impl Network {
         cmds: &mut Commands,
     ) {
         let Some(link_id) = self.nodes[node.0].route_cached(packet.network.dst()) else {
-            self.nodes[node.0].stats.dropped_no_route += 1;
-            self.stats.dropped_no_route += 1;
-            self.obs.on_drop(DropReason::NoRoute);
-            hooks.on_drop(now, DropReason::NoRoute, &packet, cmds);
-            self.retire(packet);
-            return;
+            return self.drop_packet(now, node, DropReason::NoRoute, packet, hooks, cmds);
         };
         let link = &mut self.links[link_id.0];
         let dir = link.dir_from(node);
@@ -557,18 +558,8 @@ impl Network {
             Offer::Queued => {
                 self.obs.on_enqueue_depth(self.links[link_id.0].queued_bytes(dir) as u64);
             }
-            Offer::DroppedQueue(packet) => {
-                self.stats.dropped_queue += 1;
-                self.obs.on_drop(DropReason::Queue);
-                hooks.on_drop(now, DropReason::Queue, &packet, cmds);
-                self.retire(packet);
-            }
-            Offer::DroppedFault(packet) => {
-                self.stats.dropped_fault += 1;
-                self.obs.on_drop(DropReason::Fault);
-                hooks.on_drop(now, DropReason::Fault, &packet, cmds);
-                self.retire(packet);
-            }
+            Offer::DroppedQueue(p) => self.drop_packet(now, node, DropReason::Queue, p, hooks, cmds),
+            Offer::DroppedFault(p) => self.drop_packet(now, node, DropReason::Fault, p, hooks, cmds),
         }
     }
 

@@ -3,6 +3,7 @@
 use crate::link::{LinkId, Outage};
 use crate::fxhash::FxHashMap;
 use crate::lpm::LpmTable;
+use crate::network::DropReason;
 use crate::packet::Packet;
 use crate::time::SimTime;
 use std::net::IpAddr;
@@ -62,6 +63,20 @@ pub struct NodeStats {
     pub dropped_filter: u64,
     /// Packets swallowed because this node was down.
     pub dropped_node_down: u64,
+}
+
+impl NodeStats {
+    /// This node's drop counter for one cause; `None` for a link's verdict
+    /// (queue, fault), which no node books.
+    pub(crate) fn dropped_mut(&mut self, reason: DropReason) -> Option<&mut u64> {
+        match reason {
+            DropReason::Filter => Some(&mut self.dropped_filter),
+            DropReason::Ttl => Some(&mut self.dropped_ttl),
+            DropReason::NoRoute => Some(&mut self.dropped_no_route),
+            DropReason::NodeDown => Some(&mut self.dropped_node_down),
+            DropReason::Queue | DropReason::Fault => None,
+        }
+    }
 }
 
 /// A node in the simulated network.

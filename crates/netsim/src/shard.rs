@@ -565,16 +565,13 @@ fn stub_link(link: &Link) -> Link {
     )
 }
 
-fn add_net_stats(into: &mut NetStats, from: &NetStats) {
+fn add_net_stats(into: &mut NetStats, mut from: NetStats) {
     into.injected += from.injected;
     into.delivered += from.delivered;
     into.delivered_bytes += from.delivered_bytes;
-    into.dropped_queue += from.dropped_queue;
-    into.dropped_fault += from.dropped_fault;
-    into.dropped_filter += from.dropped_filter;
-    into.dropped_ttl += from.dropped_ttl;
-    into.dropped_no_route += from.dropped_no_route;
-    into.dropped_node_down += from.dropped_node_down;
+    for reason in DropReason::ALL {
+        *into.dropped_mut(reason) += *from.dropped_mut(reason);
+    }
     into.latency_sum += from.latency_sum;
 }
 
@@ -728,7 +725,7 @@ impl Network {
             let Network { nodes, links, mut queue, stats, obs, mut pool, .. } = st.net;
             final_now = final_now.max(queue.now());
             leftovers.extend(queue.drain_sorted());
-            add_net_stats(&mut self.stats, &stats);
+            add_net_stats(&mut self.stats, stats);
             self.obs.merge_from(&obs);
             self.pool.append(&mut pool);
             for (i, node) in nodes.into_iter().enumerate() {

@@ -113,6 +113,24 @@ impl<'c> TrafficGenerator<'c> {
         self.endpoint(self.campus.external[idx])
     }
 
+    /// The node every scripted campaign attacks from (or exfiltrates to):
+    /// the last external host, which reflector pools leave alone.
+    fn attacker(&self) -> Endpoint {
+        self.endpoint(*self.campus.external.last().expect("external hosts"))
+    }
+
+    /// The one way into `apps::*` / `attacks::*`: lend the generator's
+    /// packet builder, RNG stream and flow counter to `script`, which
+    /// writes its packets into `schedule`.
+    fn campaign(&mut self, schedule: &mut Schedule, script: impl FnOnce(&mut SessionEnv<'_>)) {
+        script(&mut SessionEnv {
+            builder: &mut self.builder,
+            rng: &mut self.rng,
+            schedule,
+            next_flow: &mut self.next_flow,
+        });
+    }
+
     fn pick_class(&mut self) -> AppClass {
         let total: f64 = self.cfg.mix.iter().map(|(_, w)| w).sum();
         let mut u = self.rng.gen::<f64>() * total;
@@ -153,10 +171,7 @@ impl<'c> TrafficGenerator<'c> {
         let mail = self.endpoint(self.campus.servers.mail);
         let ext_rtt = self.cfg.external_rtt;
         let int_rtt = self.cfg.internal_rtt;
-        let domain_idx = {
-            
-            self.host_pop.sample(&mut self.rng) % self.domains.len()
-        };
+        let domain_idx = self.host_pop.sample(&mut self.rng) % self.domains.len();
         let server = self.random_external();
         let upstream = self.random_external();
         let domain = self.domains[domain_idx].clone();
@@ -167,16 +182,10 @@ impl<'c> TrafficGenerator<'c> {
         // fat (DNSSEC/TXT), overlapping amplification sizes.
         let cache_miss: bool = self.rng.gen::<f64>() < 0.4;
         let fat_answer: bool = self.rng.gen::<f64>() < 0.25;
-        let mut env = SessionEnv {
-            builder: &mut self.builder,
-            rng: &mut self.rng,
-            schedule,
-            next_flow: &mut self.next_flow,
-        };
-        match class {
+        self.campaign(schedule, |env| match class {
             AppClass::Dns => {
                 apps::dns_lookup(
-                    &mut env,
+                    env,
                     t,
                     client,
                     resolver,
@@ -187,46 +196,46 @@ impl<'c> TrafficGenerator<'c> {
                 );
                 if cache_miss {
                     apps::dns_upstream_lookup(
-                        &mut env, t, resolver, upstream, &domain, server.addr, ext_rtt, fat_answer,
+                        env, t, resolver, upstream, &domain, server.addr, ext_rtt, fat_answer,
                     );
                 }
             }
             AppClass::Web => {
                 if cache_miss {
                     apps::dns_upstream_lookup(
-                        &mut env, t, resolver, upstream, &domain, server.addr, ext_rtt, fat_answer,
+                        env, t, resolver, upstream, &domain, server.addr, ext_rtt, fat_answer,
                     );
                 }
-                apps::web_session(&mut env, t, client, resolver, server, &domain, ext_rtt, 16_000.0);
+                apps::web_session(env, t, client, resolver, server, &domain, ext_rtt, 16_000.0);
             }
             AppClass::Video => {
-                apps::video_session(&mut env, t, client, server, ext_rtt);
+                apps::video_session(env, t, client, server, ext_rtt);
             }
             AppClass::Ssh => {
                 // Half the sessions stay on campus, half go out.
                 let peer = if coin < 0.5 { peer_host } else { server };
                 let rtt = if coin < 0.5 { int_rtt } else { ext_rtt };
-                apps::ssh_session(&mut env, t, client, peer, rtt);
+                apps::ssh_session(env, t, client, peer, rtt);
             }
             AppClass::Mail => {
                 // Inbound mail (external -> campus MX) or outbound relay.
                 if coin < 0.5 {
-                    apps::mail_session(&mut env, t, server, mail, ext_rtt);
+                    apps::mail_session(env, t, server, mail, ext_rtt);
                 } else {
-                    apps::mail_session(&mut env, t, client, mail, int_rtt);
+                    apps::mail_session(env, t, client, mail, int_rtt);
                 }
             }
             AppClass::Backup => {
-                apps::backup_session(&mut env, t, client, server, ext_rtt);
+                apps::backup_session(env, t, client, server, ext_rtt);
             }
             AppClass::Ntp => {
-                apps::ntp_session(&mut env, t, client, server, ext_rtt);
+                apps::ntp_session(env, t, client, server, ext_rtt);
             }
             AppClass::Icmp => {
                 let count = env.rng.gen_range(3..8);
-                apps::ping_session(&mut env, t, client, server, ext_rtt, count);
+                apps::ping_session(env, t, client, server, ext_rtt, count);
             }
-        }
+        });
     }
 
     /// Layer a DNS amplification campaign onto `schedule` (paper §2).
@@ -238,7 +247,6 @@ impl<'c> TrafficGenerator<'c> {
         start: SimTime,
         duration: SimDuration,
     ) {
-        let attacker = self.endpoint(*self.campus.external.last().expect("external hosts"));
         let reflectors: Vec<Endpoint> = self
             .campus
             .external
@@ -247,20 +255,14 @@ impl<'c> TrafficGenerator<'c> {
             .map(|&n| self.endpoint(n))
             .collect();
         let campaign = attacks::DnsAmplification {
-            attacker,
+            attacker: self.attacker(),
             victim: self.endpoint(victim),
             reflectors,
             qps,
             start,
             duration,
         };
-        let mut env = SessionEnv {
-            builder: &mut self.builder,
-            rng: &mut self.rng,
-            schedule,
-            next_flow: &mut self.next_flow,
-        };
-        attacks::dns_amplification(&mut env, &campaign);
+        self.campaign(schedule, |env| attacks::dns_amplification(env, &campaign));
     }
 
     /// Layer a signature-rotating reflection campaign onto `schedule`:
@@ -275,7 +277,6 @@ impl<'c> TrafficGenerator<'c> {
         qps: f64,
         phases: &[(u16, SimTime, SimDuration)],
     ) {
-        let attacker = self.endpoint(*self.campus.external.last().expect("external hosts"));
         // The attacker node is reserved; reflector pools tile the rest.
         let ext = &self.campus.external[..self.campus.external.len().saturating_sub(1)];
         assert!(!ext.is_empty(), "rotating reflection needs non-attacker externals");
@@ -293,18 +294,12 @@ impl<'c> TrafficGenerator<'c> {
             })
             .collect();
         let campaign = attacks::RotatingReflection {
-            attacker,
+            attacker: self.attacker(),
             victim: self.endpoint(victim),
             phases,
             qps,
         };
-        let mut env = SessionEnv {
-            builder: &mut self.builder,
-            rng: &mut self.rng,
-            schedule,
-            next_flow: &mut self.next_flow,
-        };
-        attacks::rotating_reflection(&mut env, &campaign);
+        self.campaign(schedule, |env| attacks::rotating_reflection(env, &campaign));
     }
 
     /// Layer a new-application rollout onto `schedule`: from `start`,
@@ -342,20 +337,14 @@ impl<'c> TrafficGenerator<'c> {
         duration: SimDuration,
     ) {
         let campaign = attacks::SynFlood {
-            attacker: self.endpoint(*self.campus.external.last().expect("external hosts")),
+            attacker: self.attacker(),
             victim: self.endpoint(victim),
             dport,
             pps,
             start,
             duration,
         };
-        let mut env = SessionEnv {
-            builder: &mut self.builder,
-            rng: &mut self.rng,
-            schedule,
-            next_flow: &mut self.next_flow,
-        };
-        attacks::syn_flood(&mut env, &campaign);
+        self.campaign(schedule, |env| attacks::syn_flood(env, &campaign));
     }
 
     /// Layer a port scan of the first `n_targets` campus hosts.
@@ -375,19 +364,13 @@ impl<'c> TrafficGenerator<'c> {
             .map(|&n| self.endpoint(n))
             .collect();
         let campaign = attacks::PortScan {
-            attacker: self.endpoint(*self.campus.external.last().expect("external hosts")),
+            attacker: self.attacker(),
             targets,
             ports,
             pps,
             start,
         };
-        let mut env = SessionEnv {
-            builder: &mut self.builder,
-            rng: &mut self.rng,
-            schedule,
-            next_flow: &mut self.next_flow,
-        };
-        attacks::port_scan(&mut env, &campaign);
+        self.campaign(schedule, |env| attacks::port_scan(env, &campaign));
     }
 
     /// Layer an SSH brute-force campaign against a campus host.
@@ -400,19 +383,13 @@ impl<'c> TrafficGenerator<'c> {
         start: SimTime,
     ) {
         let campaign = attacks::SshBruteForce {
-            attacker: self.endpoint(*self.campus.external.last().expect("external hosts")),
+            attacker: self.attacker(),
             victim: self.endpoint(victim),
             attempts,
             rate,
             start,
         };
-        let mut env = SessionEnv {
-            builder: &mut self.builder,
-            rng: &mut self.rng,
-            schedule,
-            next_flow: &mut self.next_flow,
-        };
-        attacks::ssh_brute_force(&mut env, &campaign);
+        self.campaign(schedule, |env| attacks::ssh_brute_force(env, &campaign));
     }
 
     /// Layer a slow exfiltration from a compromised campus host.
@@ -426,18 +403,12 @@ impl<'c> TrafficGenerator<'c> {
     ) {
         let campaign = attacks::Exfiltration {
             compromised: self.endpoint(compromised),
-            sink: self.endpoint(*self.campus.external.last().expect("external hosts")),
+            sink: self.attacker(),
             bytes,
             pace_bps,
             start,
         };
-        let mut env = SessionEnv {
-            builder: &mut self.builder,
-            rng: &mut self.rng,
-            schedule,
-            next_flow: &mut self.next_flow,
-        };
-        attacks::exfiltration(&mut env, &campaign);
+        self.campaign(schedule, |env| attacks::exfiltration(env, &campaign));
     }
 
     /// Layer one campaign of each [`AttackKind`] spread over the workload
@@ -558,13 +529,7 @@ impl<'c> TrafficGenerator<'c> {
             start,
             duration,
         };
-        let mut env = SessionEnv {
-            builder: &mut self.builder,
-            rng: &mut self.rng,
-            schedule,
-            next_flow: &mut self.next_flow,
-        };
-        attacks::nxdomain_flood(&mut env, &campaign);
+        self.campaign(schedule, |env| attacks::nxdomain_flood(env, &campaign));
     }
 
     /// Layer an ANY/TXT amplification burst abusing the campus resolver.
@@ -577,7 +542,7 @@ impl<'c> TrafficGenerator<'c> {
         duration: SimDuration,
     ) {
         let campaign = attacks::ResolverAmpBurst {
-            attacker: self.endpoint(*self.campus.external.last().expect("external hosts")),
+            attacker: self.attacker(),
             victim: self.endpoint(victim),
             resolver: self.endpoint(self.campus.servers.dns),
             zone: "amp.example.org".into(),
@@ -585,13 +550,7 @@ impl<'c> TrafficGenerator<'c> {
             start,
             duration,
         };
-        let mut env = SessionEnv {
-            builder: &mut self.builder,
-            rng: &mut self.rng,
-            schedule,
-            next_flow: &mut self.next_flow,
-        };
-        attacks::resolver_amp_burst(&mut env, &campaign);
+        self.campaign(schedule, |env| attacks::resolver_amp_burst(env, &campaign));
     }
 }
 

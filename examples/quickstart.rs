@@ -72,7 +72,7 @@ fn main() {
         dev.compile.leaves_gated_out,
         90.0
     );
-    println!("      loop wall time: {:?}", dev.wall);
+    println!("      trained on {} rows, held out {}", dev.train_rows, dev.test_rows);
 
     // --- Part 2: the campus as testbed ------------------------------------
     println!("[4/4] road test: compiled rules live in the border switch...");
