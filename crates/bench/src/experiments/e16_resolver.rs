@@ -13,7 +13,7 @@
 //! flood at the border tap and install rules that shed it before the
 //! upstream path saturates. Cache-hit collapse and recovery are read from
 //! the resolver's per-second Observatory windows, and the whole bundle is
-//! golden-pinned byte-for-byte under the sequential, parallel, and sharded
+//! golden-pinned byte-for-byte under the sequential and parallel
 //! executors.
 
 use crate::obs_export::ObsBundle;

@@ -13,8 +13,8 @@
 //! through the rollout guard's shadow → canary → full ladder. The
 //! headline number is sim-time from drift onset to
 //! mitigated-with-SLOs-green (`dp_drift_ttm_ms`), and the whole bundle
-//! is golden-pinned byte-for-byte under sequential, parallel, and
-//! sharded executors.
+//! is golden-pinned byte-for-byte under the sequential and parallel
+//! executors.
 
 use crate::obs_export::ObsBundle;
 use crate::table::Table;

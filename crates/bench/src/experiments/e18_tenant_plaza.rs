@@ -13,8 +13,8 @@
 //! co-scheduled. Second a **fleet sweep** (1 → 64 probe tenants)
 //! measuring admission, scheduler rounds, and aggregate slice events,
 //! with one tenant's bytes pinned identical at every fleet size. The
-//! whole bundle is golden-pinned byte-for-byte under the sequential,
-//! parallel, and sharded executors; per-tenant cost is pinned by the
+//! whole bundle is golden-pinned byte-for-byte under the sequential and
+//! parallel executors; per-tenant cost is pinned by the
 //! sweep's exact round and slice-event counts, not by a wall-clock gate.
 
 use crate::obs_export::ObsBundle;

@@ -21,9 +21,9 @@
 //!    `ds_persist_corrupt_total` — and lose nothing that was durably
 //!    appended before the torn frame.
 //!
-//! The whole bundle is golden-pinned byte-for-byte under sequential,
-//! parallel, and sharded executors (ci.sh runs the sweep under
-//! `CAMPUSLAB_SHARDS=1/4/8`), so the checkpoint images themselves are
+//! The whole bundle is golden-pinned byte-for-byte under the sequential
+//! and parallel executors (`golden_replay` runs the sweep at
+//! `CAMPUSLAB_JOBS` 1 and 4), so the checkpoint images themselves are
 //! pinned executor-independent.
 
 use crate::obs_export::ObsBundle;

@@ -19,8 +19,7 @@ pub use obs_export::ObsBundle;
 
 /// Every experiment in report order: `(id, title, runner)`. Each runner
 /// is a pure function of its internal seeds — it reads no clock, and
-/// `CAMPUSLAB_JOBS` / `CAMPUSLAB_SHARDS` pick an executor without moving a
-/// byte — returning the table plus whatever telemetry the run produced
+/// `CAMPUSLAB_JOBS` picks an executor without moving a byte — returning the table plus whatever telemetry the run produced
 /// (empty `prom`/`trace` when it produced none). `exp`, `runner::run_all`,
 /// `gen_golden` and the replay test in `tests/golden_replay.rs` all
 /// iterate this one table, so an experiment cannot be listed without

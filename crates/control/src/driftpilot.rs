@@ -40,6 +40,27 @@ use std::collections::{BTreeSet, VecDeque};
 use std::hash::Hasher;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
+/// Periodic retrain interval (sim time since the last retrain).
+const RETRAIN_EVERY: SimDuration = SimDuration::from_secs(2);
+/// Window drift score (0..1) at or above which a drift episode opens and
+/// an immediate retrain fires.
+const DRIFT_THRESHOLD: f64 = 0.5;
+/// Only records younger than this feed a retrain (the "fresh datastore
+/// window").
+const TRAINING_HORIZON: SimDuration = SimDuration::from_secs(4);
+/// Hard cap on the training buffer (oldest records leave first).
+const BUFFER_CAP: usize = 20_000;
+/// Heavy-hitter slots per drift sketch.
+const HEAVY_K: usize = 8;
+/// Count-min width and depth behind each sketch.
+const SKETCH_WIDTH: usize = 512;
+const SKETCH_DEPTH: usize = 4;
+
+/// A fresh, empty drift sketch.
+fn drift_sketch() -> HeavyHitters {
+    HeavyHitters::new(HEAVY_K, SKETCH_WIDTH, SKETCH_DEPTH)
+}
+
 /// DriftPilot configuration.
 #[derive(Debug, Clone)]
 pub struct DriftPilotConfig {
@@ -47,24 +68,9 @@ pub struct DriftPilotConfig {
     pub tap: LinkId,
     /// Sketch/feature window length.
     pub window: SimDuration,
-    /// Periodic retrain interval (sim time since the last retrain).
-    pub retrain_every: SimDuration,
-    /// Window drift score (0..1) at or above which a drift episode opens
-    /// and an immediate retrain fires.
-    pub drift_threshold: f64,
     /// Retrains are skipped (and retried next window) below this many
     /// buffered records — the devloop needs data.
     pub min_records: usize,
-    /// Only records younger than this feed a retrain (the "fresh
-    /// datastore window").
-    pub training_horizon: SimDuration,
-    /// Hard cap on the training buffer (oldest records leave first).
-    pub buffer_cap: usize,
-    /// Heavy-hitter slots per drift sketch.
-    pub heavy_k: usize,
-    /// Count-min width/depth behind each sketch.
-    pub sketch_width: usize,
-    pub sketch_depth: usize,
     /// Pipeline configuration for each retrain. Its `seed` is ignored:
     /// the pilot derives the seed from the record window's content hash.
     pub devloop: DevLoopConfig,
@@ -81,14 +87,7 @@ impl DriftPilotConfig {
         DriftPilotConfig {
             tap,
             window: SimDuration::from_secs(1),
-            retrain_every: SimDuration::from_secs(2),
-            drift_threshold: 0.5,
             min_records: 60,
-            training_horizon: SimDuration::from_secs(4),
-            buffer_cap: 20_000,
-            heavy_k: 8,
-            sketch_width: 512,
-            sketch_depth: 4,
             devloop: DevLoopConfig::default(),
             switch: SwitchModel::default(),
             deployed_fingerprint,
@@ -110,7 +109,9 @@ pub enum RetrainTrigger {
 pub enum RetrainOutcome {
     /// Queued for the rollout guard.
     Queued,
-    /// Fingerprint already deployed or in flight; nothing to submit.
+    /// Nothing to submit: the fingerprint is already deployed or in
+    /// flight, or the window held no attack and what is deployed is still
+    /// the known-good the pilot was started with.
     Unchanged,
     /// Fingerprint was previously vetoed or rolled back; not resubmitted.
     Barred,
@@ -205,13 +206,12 @@ impl DriftPilot {
             WindowConfig { window_ns: cfg.window.as_nanos(), ..WindowConfig::default() },
             cfg.devloop.label_mode,
         );
-        let hh = || HeavyHitters::new(cfg.heavy_k, cfg.sketch_width, cfg.sketch_depth);
         let state = PilotState {
             stream,
             cells: Vec::new(),
             buffer: VecDeque::new(),
-            hh_ports: hh(),
-            hh_prefixes: hh(),
+            hh_ports: drift_sketch(),
+            hh_prefixes: drift_sketch(),
             ref_ports: Vec::new(),
             ref_prefixes: Vec::new(),
             last_retrain: SimTime::ZERO,
@@ -266,7 +266,7 @@ impl DriftPilot {
         self.state.hh_ports.add(sport_key, u64::from(rec.wire_len));
         self.state.hh_prefixes.add(prefix_key(rec.src), u64::from(rec.wire_len));
         self.state.buffer.push_back(rec);
-        while self.state.buffer.len() > self.cfg.buffer_cap {
+        while self.state.buffer.len() > BUFFER_CAP {
             self.state.buffer.pop_front();
         }
     }
@@ -385,11 +385,8 @@ impl DriftPilot {
         // Seal the window's sketches and score drift window-over-window:
         // 1 − histogram intersection of the heavy-hitter mass, the worse
         // of the port view and the source-prefix view.
-        let hh = || {
-            HeavyHitters::new(self.cfg.heavy_k, self.cfg.sketch_width, self.cfg.sketch_depth)
-        };
-        let ports = std::mem::replace(&mut self.state.hh_ports, hh()).top();
-        let prefixes = std::mem::replace(&mut self.state.hh_prefixes, hh()).top();
+        let ports = std::mem::replace(&mut self.state.hh_ports, drift_sketch()).top();
+        let prefixes = std::mem::replace(&mut self.state.hh_prefixes, drift_sketch()).top();
         let score = drift_score(&self.state.ref_ports, &ports)
             .max(drift_score(&self.state.ref_prefixes, &prefixes));
         if !ports.is_empty() {
@@ -401,13 +398,13 @@ impl DriftPilot {
         self.obs.on_window((score * 1_000.0) as i64);
 
         // Fresh-window retention.
-        let horizon_floor = now.as_nanos().saturating_sub(self.cfg.training_horizon.as_nanos());
+        let horizon_floor = now.as_nanos().saturating_sub(TRAINING_HORIZON.as_nanos());
         while self.state.buffer.front().is_some_and(|r| r.ts_ns < horizon_floor) {
             self.state.buffer.pop_front();
         }
         self.obs.set_pending(self.state.buffer.len());
 
-        let rising = score >= self.cfg.drift_threshold && !self.state.in_drift;
+        let rising = score >= DRIFT_THRESHOLD && !self.state.in_drift;
         if rising {
             self.state.in_drift = true;
             self.state.ordinal += 1;
@@ -418,7 +415,7 @@ impl DriftPilot {
             let ordinal = self.state.ordinal;
             self.episodes.push(DriftEpisode { ordinal, onset: now, mitigated: None });
         } else if self.state.in_drift
-            && score < self.cfg.drift_threshold
+            && score < DRIFT_THRESHOLD
             && self.state.retrained_since_onset
             && self.state.inflight.is_none()
             && self.state.outbox.is_empty()
@@ -430,7 +427,7 @@ impl DriftPilot {
 
         if rising {
             self.retrain(now, RetrainTrigger::Drift);
-        } else if now.since(self.state.last_retrain) >= self.cfg.retrain_every {
+        } else if now.since(self.state.last_retrain) >= RETRAIN_EVERY {
             self.retrain(now, RetrainTrigger::Periodic);
         }
 
@@ -463,7 +460,18 @@ impl DriftPilot {
         let outcome = if self.cfg.switch.max_concurrent(&program) == 0 {
             self.obs.on_budget_rejected();
             RetrainOutcome::BudgetRejected
-        } else if prog_fp == self.state.deployed_fp || self.state.inflight == Some(prog_fp) {
+        } else if prog_fp == self.state.deployed_fp
+            || self.state.inflight == Some(prog_fp)
+            || (self.state.deployed_fp == self.cfg.deployed_fingerprint
+                && records.iter().all(|r| r.label_attack == 0))
+        {
+            // Already in force or on its way there — or a window with no
+            // attack in it while the known-good the pilot was started
+            // with is still in force. Such a window trains a single leaf
+            // and compiles to a program with no rule; it is evidence that
+            // rules the pilot learned have gone stale, never that the
+            // operator's defences, trained on attacks outside this
+            // horizon, can be stripped because the day happened to be calm.
             self.obs.on_unchanged();
             RetrainOutcome::Unchanged
         } else if self.state.barred.contains(&prog_fp) {
@@ -686,9 +694,8 @@ mod tests {
         }
         pilot.window_tick(SimTime(1_000_000_000), &mut cmds);
         assert!(pilot.episodes.is_empty(), "first window has no reference");
-        // Window 1: same signature — no drift, but the periodic schedule
-        // has not come due either (retrain_every = 2s, last at t=1s... so
-        // the first periodic retrain lands here at 2s since ZERO).
+        // Window 1: same signature — no drift, and the first periodic
+        // retrain lands here (`RETRAIN_EVERY` = 2 s since ZERO).
         for r in window(1_000_000_000, 80, 53) {
             pilot.ingest_record(r);
         }

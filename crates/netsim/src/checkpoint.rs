@@ -17,7 +17,6 @@
 //! observable output byte-for-byte.
 //!
 //! What is deliberately not captured:
-//! * the packet-box reuse pool (allocation caching, content-irrelevant),
 //! * memoized route caches (rebuilt lazily, behavior-identical),
 //! * trait-object ingress filters (the control plane re-installs its own
 //!   filters from its own frozen state),
@@ -201,7 +200,6 @@ impl Network {
         }
         queue.set_now(frozen.now);
         self.queue = queue;
-        self.pool.clear();
         self.shard_report = None;
         Ok(())
     }

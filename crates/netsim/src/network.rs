@@ -13,10 +13,6 @@ use crate::observe::NetObs;
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 
-/// Retired `Box<Packet>` allocations kept for reuse; bounds the arena so
-/// a burst does not pin memory forever.
-pub(crate) const PACKET_POOL_CAP: usize = 8192;
-
 /// Why a packet failed to reach its destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DropReason {
@@ -158,8 +154,8 @@ pub trait SimHooks {
     /// A timer requested via [`Commands::set_timer`] fired.
     fn on_timer(&mut self, now: SimTime, token: u64, cmds: &mut Commands) {}
 
-    /// True when every callback is a no-op ([`NullHooks`]). The sharded
-    /// engine skips hook logging entirely for such runs.
+    /// True when every callback is a no-op ([`NullHooks`]): the only runs
+    /// the sharded engine partitions.
     fn is_null(&self) -> bool {
         false
     }
@@ -202,14 +198,9 @@ pub struct Network {
     /// numbered in program order, which is the canonical tie-break for
     /// simultaneous stimuli.
     pub(crate) root_seq: u64,
-    /// Retired packet boxes reused by [`Network::inject`]-style paths.
-    /// Deliberately `Box<Packet>`: the pool exists to recycle the heap
-    /// allocation itself, which events carry by pointer.
-    #[allow(clippy::vec_box)]
-    pub(crate) pool: Vec<Box<Packet>>,
     /// Present only while this network runs as one shard of a sharded
-    /// execution: cross-shard routing tables, the outbox, and the hook log
-    /// (see `crate::shard`).
+    /// execution: cross-shard routing tables and the outbox (see
+    /// `crate::shard`).
     pub(crate) splice: Option<Box<crate::shard::Splice>>,
     /// Counters from the most recent sharded run (see `crate::shard`).
     pub(crate) shard_report: Option<crate::shard::ShardReport>,
@@ -230,7 +221,6 @@ impl Network {
             tapped: Vec::new(),
             seed,
             root_seq: 0,
-            pool: Vec::new(),
             splice: None,
             shard_report: None,
             stats: NetStats::default(),
@@ -300,28 +290,10 @@ impl Network {
     }
 
     /// The canonical key of the next root event at `time`.
-    pub(crate) fn next_root_key(&mut self, time: SimTime) -> EventKey {
+    fn next_root_key(&mut self, time: SimTime) -> EventKey {
         let key = EventKey::root(time, self.root_seq);
         self.root_seq += 1;
         key
-    }
-
-    /// Box a packet, reusing a retired allocation when one is pooled.
-    pub(crate) fn box_packet(&mut self, packet: Packet) -> Box<Packet> {
-        match self.pool.pop() {
-            Some(mut b) => {
-                *b = packet;
-                b
-            }
-            None => Box::new(packet),
-        }
-    }
-
-    /// Retire a packet box into the reuse pool.
-    fn retire(&mut self, packet: Box<Packet>) {
-        if self.pool.len() < PACKET_POOL_CAP {
-            self.pool.push(packet);
-        }
     }
 
     /// Schedule a packet injection: the packet departs `node` at `at`.
@@ -330,8 +302,7 @@ impl Network {
     /// queues, events and hooks as a pointer and is never copied.
     pub fn inject(&mut self, at: SimTime, node: NodeId, packet: Packet) {
         let key = self.next_root_key(at);
-        let packet = self.box_packet(packet);
-        self.queue.schedule(key, Event::Inject { node, packet });
+        self.queue.schedule(key, Event::Inject { node, packet: Box::new(packet) });
     }
 
     /// Schedule an `on_timer` callback.
@@ -380,20 +351,12 @@ impl Network {
     }
 
     /// Run until the event queue drains or the clock passes `until`.
-    ///
-    /// When the `CAMPUSLAB_SHARDS` environment variable is set to `n ≥ 1`,
-    /// the run is transparently routed through the sharded engine with `n`
-    /// shards; the determinism contract guarantees identical results.
     pub fn run(&mut self, hooks: &mut dyn SimHooks, until: Option<SimTime>) {
-        if let Some(n) = crate::shard::shards_from_env() {
-            self.run_sharded(hooks, until, n);
-            return;
-        }
         self.run_sequential(hooks, until);
     }
 
-    /// The single-queue event loop (also the fallback engine for
-    /// topologies the partitioner cannot split).
+    /// The single-queue event loop: what [`Network::run`] is, under the
+    /// name differentials against [`Network::run_sharded`] call it by.
     pub fn run_sequential(&mut self, hooks: &mut dyn SimHooks, until: Option<SimTime>) {
         let mut cmds = Commands::default();
         while let Some(t) = self.queue.peek_time() {
@@ -421,7 +384,7 @@ impl Network {
         self.stats
     }
 
-    pub(crate) fn apply(&mut self, items: Vec<Command>) {
+    fn apply(&mut self, items: Vec<Command>) {
         for cmd in items {
             match cmd {
                 Command::InstallFilter(node, filter) => self.install_filter(node, filter),
@@ -466,7 +429,7 @@ impl Network {
     /// The one way a packet leaves the network undelivered: booked on the
     /// node `at` which it was judged (unless the verdict was its egress
     /// link's — queue, fault — which no node books), on [`NetStats`] and
-    /// the Observatory, reported to the hooks, and its box retired.
+    /// the Observatory, reported to the hooks, and its box freed.
     /// Conservation (*injected = delivered + Σ drops-by-reason + in flight*)
     /// holds because nothing else drops.
     fn drop_packet(
@@ -484,7 +447,6 @@ impl Network {
         *self.stats.dropped_mut(reason) += 1;
         self.obs.on_drop(reason);
         hooks.on_drop(now, reason, &packet, cmds);
-        self.retire(packet);
     }
 
     /// A packet arrives at `node` from the wire.
@@ -522,7 +484,6 @@ impl Network {
                 self.stats.latency_sum += latency;
                 self.obs.on_deliver(packet.wire_len() as u64, latency.as_nanos());
                 hooks.on_deliver(now, node, &packet, latency, cmds);
-                self.retire(packet);
             }
             NodeKind::Switch { .. } => {
                 if !packet.network.decrement_ttl() {
@@ -568,8 +529,7 @@ impl Network {
             let lane = (link.0 * 2 + dir.index()) as u32;
             self.queue
                 .schedule(EventKey::tx_done(now + tx, lane, seq), Event::TxDone { link, dir });
-            let at = now + total;
-            let key = EventKey::arrive(at, lane, seq);
+            let key = EventKey::arrive(now + total, lane, seq);
             if let Some(sp) = self.splice.as_mut() {
                 // Cross-shard wire: the arrival belongs to the receiving
                 // shard and is exchanged at the window barrier. The
@@ -584,9 +544,6 @@ impl Network {
                         packet,
                     });
                     return;
-                }
-                if self.tapped[link.0] {
-                    sp.note_tapped_arrival(at);
                 }
             }
             self.queue.schedule(key, Event::Arrive { link, dir, packet });

@@ -90,10 +90,10 @@ pub fn worker_count(items: usize) -> usize {
     jobs_from_env().unwrap_or_else(cores).min(items.max(1))
 }
 
-/// The executor rule for fine-grained fan-outs (a sync window's shards, an
-/// ingest's segment builds): explicit `jobs` are honoured as given; unset,
-/// fewer than four `cores` means inline (one worker) and a wider box gets a
-/// thread per core. DESIGN.md §9 has the measurement behind the four.
+/// The executor rule for fine-grained fan-outs (an ingest's segment
+/// builds): explicit `jobs` are honoured as given; unset, fewer than four
+/// `cores` means inline (one worker) and a wider box gets a thread per
+/// core. DESIGN.md §9 has the measurement behind the four.
 pub fn executor_workers(cores: usize, jobs: Option<usize>) -> usize {
     jobs.unwrap_or(if cores < 4 { 1 } else { cores })
 }

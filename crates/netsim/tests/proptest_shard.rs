@@ -1,9 +1,9 @@
 //! The sharded engine's determinism contract, property-tested: on random
-//! tree topologies with mixed link latencies, random traffic, random
-//! chaos campaigns, a tapped link and a command-issuing hook, the sharded
-//! engine at 1, 2, 4 and 8 shards reproduces the sequential engine
-//! event-for-event — same hook callback sequence, same statistics, same
-//! Observatory render, same final clock.
+//! tree topologies with mixed link latencies, random traffic and random
+//! chaos campaigns, the hook-free engine at 1, 2, 4 and 8 shards
+//! reproduces the sequential engine — same statistics, same Observatory
+//! render, same final clock — and a run with observers attached takes the
+//! sequential loop itself and says so.
 
 use campuslab_netsim::prelude::*;
 use proptest::prelude::*;
@@ -129,16 +129,21 @@ fn build(sc: &Scenario) -> Network {
     net
 }
 
-/// Records every callback in order, and exercises the command paths the
-/// real experiments use: the first tap arms a timer, and the timer
-/// injects one extra packet — so tap exactness, timer routing and
-/// replayed injection keying are all under test.
-#[derive(Default)]
+/// Records every callback in order and issues commands the way the real
+/// experiments do: the first tap arms a timer, and the timer injects one
+/// extra packet.
 struct Recorder {
     log: Vec<String>,
     armed: bool,
-    builder: Option<PacketBuilder>,
-    reinject_at: Option<(NodeId, Ipv4Addr, Ipv4Addr)>,
+    builder: PacketBuilder,
+    inject_at: NodeId,
+}
+
+impl Recorder {
+    fn on(net: &Network) -> Self {
+        let inject_at = NodeId(net.node_count() - 1);
+        Recorder { log: Vec::new(), armed: false, builder: PacketBuilder::new(), inject_at }
+    }
 }
 
 impl SimHooks for Recorder {
@@ -173,58 +178,50 @@ impl SimHooks for Recorder {
 
     fn on_timer(&mut self, now: SimTime, token: u64, cmds: &mut Commands) {
         self.log.push(format!("timer {} {}", now.as_nanos(), token));
-        if let (Some((node, src, dst)), Some(b)) = (self.reinject_at, self.builder.as_mut()) {
-            let pkt = b.udp_v4(src, dst, 40_000, 2000, Payload::Synthetic(64), 64, GroundTruth::default());
-            cmds.inject(now + SimDuration::from_micros(5), node, pkt);
-        }
+        let (src, dst) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let pkt = self.builder.udp_v4(src, dst, 40_000, 2000, Payload::Synthetic(64), 64, GroundTruth::default());
+        cmds.inject(now + SimDuration::from_micros(5), self.inject_at, pkt);
     }
 }
 
-fn run_with_recorder(mut net: Network, shards: Option<usize>) -> (Vec<String>, NetStats, String, u64) {
-    let mut rec = Recorder {
-        builder: Some(PacketBuilder::new()),
-        reinject_at: Some((
-            NodeId(net.node_count() - 1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(10, 0, 0, 2),
-        )),
-        ..Recorder::default()
-    };
-    match shards {
-        None => net.run_sequential(&mut rec, None),
-        Some(k) => net.run_sharded(&mut rec, None, k),
-    }
-    (rec.log, net.stats, net.obs.render(), net.now().as_nanos())
+/// What a run leaves behind that the contract pins.
+fn outcome(net: &Network) -> (NetStats, String, u64) {
+    (net.stats, net.obs.render(), net.now().as_nanos())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
 
-    /// Sharded == sequential, event for event, at every shard count.
+    /// Sharded == sequential at every shard count, and the work/span
+    /// census accounts for every event exactly once.
     #[test]
     fn sharded_matches_sequential(sc in scenario()) {
-        let (seq_log, seq_stats, seq_obs, seq_now) = run_with_recorder(build(&sc), None);
+        let mut seq = build(&sc);
+        seq.run_sequential(&mut NullHooks, None);
         for shards in [1usize, 2, 4, 8] {
-            let (log, stats, obs, now) = run_with_recorder(build(&sc), Some(shards));
-            prop_assert_eq!(&stats, &seq_stats, "stats diverged at {} shards", shards);
-            prop_assert_eq!(now, seq_now, "final clock diverged at {} shards", shards);
-            prop_assert_eq!(&log, &seq_log, "hook sequence diverged at {} shards", shards);
-            prop_assert_eq!(&obs, &seq_obs, "observatory render diverged at {} shards", shards);
+            let mut net = build(&sc);
+            net.run_sharded(&mut NullHooks, None, shards);
+            prop_assert_eq!(outcome(&net), outcome(&seq), "diverged at {} shards", shards);
+            let report = net.shard_report().expect("a sharded run leaves a report");
+            prop_assert!(!report.fell_back, "did not shard at {} shards: {:?}", shards, report);
+            prop_assert_eq!(report.work_events, net.obs.event_seq());
+            prop_assert!(report.span_events <= report.work_events);
         }
     }
 
-    /// The worker pool must not change results either: single-threaded and
-    /// multi-threaded executors over the same shard plan are identical.
-    /// (Determinism is enforced at barriers, not by scheduling luck.)
+    /// The engine is hook-free: with observers attached it runs the
+    /// sequential loop — same callback sequence, same outcome — and
+    /// reports `fell_back` instead of sharding.
     #[test]
-    fn executor_width_is_invisible(sc in scenario()) {
-        // This test pins CAMPUSLAB_JOBS only through the public worker
-        // count already resolved by the engine; running the same sharded
-        // sim twice must agree with itself and with sequential.
-        let (a_log, a_stats, a_obs, _) = run_with_recorder(build(&sc), Some(4));
-        let (b_log, b_stats, b_obs, _) = run_with_recorder(build(&sc), Some(4));
-        prop_assert_eq!(a_stats, b_stats);
-        prop_assert_eq!(a_log, b_log);
-        prop_assert_eq!(a_obs, b_obs);
+    fn observed_run_falls_back_to_sequential(sc in scenario()) {
+        let mut seq = build(&sc);
+        let (mut seq_rec, mut rec) = (Recorder::on(&seq), Recorder::on(&seq));
+        seq.run_sequential(&mut seq_rec, None);
+        let mut net = build(&sc);
+        net.run_sharded(&mut rec, None, 4);
+        let report = net.shard_report().expect("a sharded run leaves a report");
+        prop_assert!(report.fell_back && report.windows == 0, "{:?}", report);
+        prop_assert_eq!(rec.log, seq_rec.log);
+        prop_assert_eq!(outcome(&net), outcome(&seq));
     }
 }

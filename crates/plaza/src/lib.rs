@@ -9,9 +9,9 @@
 //!   controller accounting every tenant's dataplane demand (stage slots +
 //!   TCAM) against the shared Tofino-like budget, admitting, queueing
 //!   (strict FIFO) or rejecting with typed decisions; plus the scheduler
-//!   that multiplexes admitted slices — interleaved on one worker,
-//!   parallel across workers, sharded under `CAMPUSLAB_SHARDS` — with
-//!   byte-identical tenant outcomes on every executor.
+//!   that multiplexes admitted slices — interleaved on one worker or
+//!   parallel across workers — with byte-identical tenant outcomes on
+//!   either executor.
 //! * [`tenant`] — per-tenant namespacing through the existing layers:
 //!   each [`TenantSpec`] builds a private campus slice (own simulator,
 //!   traffic, chaos, filter bank), its guard telemetry prefixed with the

@@ -1,7 +1,7 @@
 //! The plaza service: admit tenants against the shared switch budget,
 //! schedule admitted slices, drain the FIFO queue as grants free up.
 //!
-//! The scheduler has three executors and one contract: a tenant's bytes
+//! The scheduler has two executors and one contract: a tenant's bytes
 //! never depend on which executor ran it.
 //!
 //! * **Interleaved** (one worker): all slices of an admission round
@@ -10,8 +10,6 @@
 //! * **Parallel** (N workers): whole slices run on
 //!   [`campuslab_netsim::par`] worker threads, each reproducing the same
 //!   window grid privately.
-//! * **Sharded**: either of the above with `CAMPUSLAB_SHARDS` set, which
-//!   routes each window through the simulator's sharded engine.
 //!
 //! The contract holds because a slice's advance schedule is a pure
 //! function of its own spec (see [`TenantSlice`]), and it is pinned by

@@ -14,9 +14,8 @@
 //!
 //! Determinism across executors is a scheduling-grid argument: a slice is
 //! always advanced along the same window grid (`window`, `2*window`, ...)
-//! whether the plaza interleaves it with neighbors on one worker, runs it
-//! on its own thread, or the simulator routes each window through the
-//! sharded engine. Window/round counts are a per-slice function of the
+//! whether the plaza interleaves it with neighbors on one worker or runs
+//! it on its own thread. Window/round counts are a per-slice function of the
 //! spec alone, so they may appear in outcomes without breaking the
 //! solo-vs-co-scheduled differential.
 

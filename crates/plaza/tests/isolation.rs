@@ -4,9 +4,7 @@
 //! — metrics bundle, guard decision log, trace, datastore view — into
 //! [`TenantOutcome::fingerprint`] and diffs it byte-for-byte between a
 //! solo plaza and a crowded one, across the interleaved (one worker) and
-//! parallel (`CAMPUSLAB_JOBS=4`) executors. `scripts/ci.sh` re-runs the
-//! suite under `CAMPUSLAB_SHARDS=4` and `=8`, covering the sharded
-//! engine with the same assertions.
+//! parallel (`CAMPUSLAB_JOBS=4`) executors.
 //!
 //! The neighbor cast deliberately includes a chaos-running tenant (its
 //! own campus suffers a border flap) and budget-hungry tenants that force

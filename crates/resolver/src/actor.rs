@@ -8,17 +8,13 @@
 //! from their own `SimHooks` implementation, while standalone runs can use
 //! the actor directly as hooks.
 //!
-//! ## Shard determinism
+//! ## Determinism
 //!
-//! `handle_deliver` runs inside the engine's delivery hook, which the
-//! sharded executor replays against a conservative lookahead window. Every
-//! command the actor emits from that path is stamped at least
-//! `proc_delay` (6 ms) into the future — above the engine's maximum
-//! lookahead, which the always-tapped 5 ms border link bounds at
-//! 5 ms + 1 ns — so no command can ever be clamped and sequential,
-//! parallel and sharded executors stay byte-identical. Timer callbacks run
-//! in the executor's serial micro-phases where immediate (`at = now`)
-//! injection is already exact (DESIGN.md §12).
+//! `handle_deliver` runs inside the engine's delivery hook. Every command
+//! the actor emits from that path is stamped at least `proc_delay` (6 ms)
+//! into the future, and timer callbacks may inject at `at = now`; both
+//! are pure functions of sim-time and service state, so the sequential
+//! and parallel executors stay byte-identical (DESIGN.md §12).
 
 use crate::service::{Action, Respond, ResolverService};
 use campuslab_netsim::{

@@ -32,9 +32,7 @@
 //! Determinism contract: the service derives every decision from sim-time
 //! and its own state — no wall clock, no ambient randomness — and the
 //! actor schedules every reaction from a delivery hook at least
-//! [`service::ResolverConfig::proc_delay`] in the future, which is kept
-//! above the sharded engine's largest possible lookahead window so
-//! ShardSim replays stay byte-identical to the sequential engine (see
+//! [`service::ResolverConfig::proc_delay`] in the future (see
 //! DESIGN.md §12).
 
 #![deny(rust_2018_idioms)]

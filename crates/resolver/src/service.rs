@@ -22,10 +22,9 @@
 //!
 //! ## Determinism
 //!
-//! Every decision derives from sim-time and prior state. The delays the
+//! Every decision derives from sim-time and prior state, the delays the
 //! service stamps on its actions ([`ResolverConfig::proc_delay`] and up)
-//! are all kept above the sharded engine's maximum lookahead window so
-//! that delivery-hook-scheduled work is never clamped (DESIGN.md §12).
+//! included (DESIGN.md §12).
 
 use crate::cache::{CacheLookup, DnsCache};
 use crate::observe::RsvObs;
@@ -38,11 +37,11 @@ use std::net::Ipv4Addr;
 
 /// Tunables for one resolver instance.
 ///
-/// The timing defaults are not arbitrary: `proc_delay` must exceed the
-/// sharded engine's largest possible lookahead (bounded by the tapped
-/// border link at 5 ms + 1 ns) so that responses scheduled from a delivery
-/// hook land identically under every executor. `upstream_rtt` and
-/// `upstream_timeout` sit above it for the same reason.
+/// The timing defaults are pinned by E16's golden: `proc_delay` was sized
+/// above the border link's 5 ms propagation when a sharded executor
+/// replayed delivery hooks a window late, and `upstream_rtt` and
+/// `upstream_timeout` sit above it. No executor defers a hook now; the
+/// values stay because moving them moves every E16 byte.
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
     /// Local processing delay stamped on cache-served responses.

@@ -8,7 +8,7 @@
 //! whatever program is currently deployed. All three hooks share one
 //! simulation; every coupling between them happens inside hook callbacks
 //! on sim-time state only, so the whole pipeline replays byte-identically
-//! under sequential, parallel and sharded executors.
+//! under the sequential and parallel executors.
 
 use crate::observe::RunObs;
 use crate::phoenix::PhoenixCheckpoint;
@@ -49,7 +49,7 @@ impl Default for DriftRunConfig {
         // The always-on pilot retrains every couple of sim seconds, so its
         // teacher is a deliberately small forest: the distilled student is
         // what deploys anyway, and an 8-tree teacher keeps a full drift
-        // road test fast enough to replay in CI at several shard counts.
+        // road test fast enough to replay in CI on every executor row.
         let mut pilot = DriftPilotConfig::new(LinkId(0), 0);
         pilot.devloop.teacher =
             TeacherKind::Forest(ForestConfig { n_trees: 8, ..ForestConfig::default() });
@@ -269,6 +269,33 @@ mod tests {
             outcome.filter.dropped_benign,
             total
         );
+    }
+
+    /// An attack-free day has nothing to mitigate, so the pilot has
+    /// nothing to deploy: a retrain on all-benign windows compiles a
+    /// program with no drop rule, and committing that over the known-good
+    /// would leave the campus undefended. The guard never hears of it, and
+    /// a drift episode the load swing opens closes when the score calms,
+    /// not through a commit.
+    #[test]
+    fn attack_free_day_deploys_nothing_over_the_known_good() {
+        let (known_good, model) = trained();
+        let outcome = drift_road_test(
+            &Scenario::drift_diurnal(),
+            known_good.clone(),
+            Box::new(model),
+            DriftRunConfig::default(),
+        );
+        let story = outcome.timeline();
+        assert!(!outcome.retrains.is_empty(), "the pilot never retrained:\n{story}");
+        assert!(outcome.events.is_empty(), "no Submitted, so no Committed either:\n{story}");
+        assert_eq!(outcome.registry_len, 1, "timeline:\n{story}");
+        assert_eq!(outcome.final_deployed, known_good.fingerprint());
+        // The known-good stays in force all day, so what it drops is its
+        // own false-positive rate (2 of 69,116 packets), not the pilot's.
+        assert_eq!(outcome.filter.dropped_attack, 0);
+        assert!(outcome.filter.dropped_benign * 1_000 < outcome.filter.packets, "{:?}", outcome.filter);
+        assert!(outcome.episodes.iter().all(|ep| ep.mitigated.is_some()), "timeline:\n{story}");
     }
 
     #[test]

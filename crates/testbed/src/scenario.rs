@@ -187,6 +187,31 @@ impl Scenario {
         }
     }
 
+    /// Benign diurnal drift: the whole day/night load curve compressed
+    /// into one short run (`day_length == duration`), no attack at all.
+    /// The pilot must ride out the load swing without deploying anything
+    /// over the known-good program.
+    pub fn drift_diurnal() -> Self {
+        Scenario {
+            campus: CampusConfig {
+                dist_count: 2,
+                access_per_dist: 2,
+                hosts_per_access: 4,
+                external_hosts: 12,
+                ..CampusConfig::default()
+            },
+            workload: WorkloadConfig {
+                duration: SimDuration::from_secs(10),
+                sessions_per_sec: 14.0,
+                diurnal: true,
+                day_length: SimDuration::from_secs(10),
+                ..WorkloadConfig::default()
+            },
+            attack: AttackScenario::None,
+            monitor: MonitorConfig::default(),
+        }
+    }
+
     /// Benign new-app rollout drift: a video-class application launches
     /// campus-wide mid-run, shifting the traffic mix with zero attack
     /// labels. Retraining on these windows must stay safe (single-class

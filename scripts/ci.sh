@@ -43,22 +43,11 @@ CAMPUSLAB_FUZZ_CASES=10000 cargo test -q --release \
     -p campuslab-wire -p campuslab-capture -p campuslab-datastore -p campuslab-testbed
 
 # Executor matrix, release. The workspace run above was the unset row in
-# debug; this is it optimised.
+# debug; this is it optimised. golden_replay itself sets CAMPUSLAB_JOBS
+# to 1 and then 4 for every id, and isolation pins its own widths.
 cargo test -q --release -p campuslab-bench --test golden_replay --test e3_search
 cargo test -q --release -p campuslab-plaza --test isolation
-cargo test -q --release -p campuslab-netsim --test proptest_shard --test shard_workers
-
-# Sharded == sequential, byte for byte: every golden and the tenant
-# isolation differential under the sharded engine. 1 shard is the engine
-# with no partition, 4 splits the campus, 8 asks for more shards than
-# some scenarios have subtrees. golden_replay itself sets CAMPUSLAB_JOBS
-# to 1 and then 4 for every id, so each row covers the inline executor
-# and the worker pool.
-CAMPUSLAB_SHARDS=1 cargo test -q --release -p campuslab-bench --test golden_replay --test e3_search
-CAMPUSLAB_SHARDS=4 cargo test -q --release -p campuslab-bench --test golden_replay --test e3_search
-CAMPUSLAB_SHARDS=8 cargo test -q --release -p campuslab-bench --test golden_replay --test e3_search
-CAMPUSLAB_SHARDS=4 cargo test -q --release -p campuslab-plaza --test isolation
-CAMPUSLAB_SHARDS=8 cargo test -q --release -p campuslab-plaza --test isolation
+cargo test -q --release -p campuslab-netsim --test proptest_shard
 
 # The one benchmark harness: its tests assert every workload's output
 # checks through the executable; the run after them puts this box's
@@ -69,7 +58,7 @@ cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 # Wall-clock ratio gates (obs sink, checkpoint freeze, 8 shards): release
-# only (ignored in debug: timing unoptimised code gates nothing), env
-# unset because the file names its engines itself, and last because a
-# tripped timing gate should not hide a determinism row above.
+# only (ignored in debug: timing unoptimised code gates nothing; the exact
+# work/span count beside them ran in the workspace row too), and last
+# because a tripped timing gate should not hide a determinism row above.
 cargo test -q --release -p campuslab-bench --test ratio_gates
