@@ -15,7 +15,7 @@
 
 use crate::obs_export::ObsBundle;
 use crate::table::Table;
-use campuslab::control::{CircuitBreakerPolicy, InstallPolicy, Placement, RolloutEventKind};
+use campuslab::control::{CircuitBreakerPolicy, InstallPolicy, RolloutEventKind};
 use campuslab::dataplane::{Action, PipelineProgram, TableEntry, TernaryMatch, FIELD_ORDER};
 use campuslab::netsim::par::parallel_map;
 use campuslab::netsim::{SimDuration, SimTime};
@@ -71,12 +71,7 @@ pub fn run() -> ObsBundle {
     let results: Vec<(&str, GuardedRunOutcome)> = parallel_map(&specs, |_, &(name, intensity)| {
         let mut cfg = GuardedRunConfig::default();
         if intensity > 0.0 {
-            let mut road = chaos_road_test_config(
-                &platform.scenario,
-                intensity,
-                0xE15,
-                Placement::Controller,
-            );
+            let mut road = chaos_road_test_config(&platform.scenario, intensity, 0xE15);
             road.install = InstallPolicy {
                 failure_probability: 1.0,
                 breaker: Some(CircuitBreakerPolicy::default()),

@@ -25,7 +25,7 @@ use campuslab::dataplane::{
 };
 use campuslab::netsim::{Campus, ChaosPlan, SimTime};
 use campuslab::obs::Tracer;
-use campuslab::plaza::{Plaza, PlazaConfig, TenantJob, TenantOutcome, TenantSpec};
+use campuslab::plaza::{Plaza, TenantJob, TenantOutcome, TenantSpec};
 use campuslab::testbed::Scenario;
 use campuslab::Platform;
 
@@ -54,7 +54,10 @@ fn chaos_neighbor(name: &str) -> TenantSpec {
 
 /// The story cast, rebuilt fresh for every plaza run (solo or crowded)
 /// so each run starts from an identical spec sheet.
-fn story_cast(program: &PipelineProgram, model: &campuslab::ml::DecisionTree) -> Vec<TenantSpec> {
+pub fn story_cast(
+    program: &PipelineProgram,
+    model: &campuslab::ml::DecisionTree,
+) -> Vec<TenantSpec> {
     let mut beacon = TenantSpec::probe("beacon");
     beacon.capture = true;
     let mut cascade = TenantSpec::probe("cascade");
@@ -70,9 +73,9 @@ fn story_cast(program: &PipelineProgram, model: &campuslab::ml::DecisionTree) ->
             name: "warden".into(),
             scenario: Scenario::tenant_probe(),
             program: program.clone(),
-            window_model: Some(model.clone()),
             job: TenantJob::Guarded {
                 submissions: vec![(SimTime::from_secs(1), wildcard_drop())],
+                window_model: model.clone(),
             },
             chaos: None,
             capture: false,
@@ -82,8 +85,7 @@ fn story_cast(program: &PipelineProgram, model: &campuslab::ml::DecisionTree) ->
             name: "ranger".into(),
             scenario: Scenario::tenant_probe(),
             program: program.clone(),
-            window_model: Some(model.clone()),
-            job: TenantJob::Defend,
+            job: TenantJob::Defend { window_model: model.clone() },
             chaos: None,
             capture: false,
             reserved_tcam: 0,
@@ -97,7 +99,7 @@ fn story_cast(program: &PipelineProgram, model: &campuslab::ml::DecisionTree) ->
 
 /// Run a plaza over `specs` and hand back the report.
 fn run_plaza(specs: Vec<TenantSpec>) -> campuslab::plaza::PlazaReport {
-    let mut plaza = Plaza::new(PlazaConfig::default());
+    let mut plaza = Plaza::new();
     for spec in specs {
         plaza.submit(spec);
     }
@@ -115,7 +117,8 @@ fn solo_fingerprint(spec: TenantSpec) -> String {
         .fingerprint()
 }
 
-fn events_of(o: &TenantOutcome) -> u64 {
+/// The table's events column: everything one slice's network did.
+pub fn events_of(o: &TenantOutcome) -> u64 {
     o.net.injected + o.net.delivered + o.net.dropped_total()
 }
 

@@ -48,7 +48,7 @@ fn sweep_direct_tree(
     // naive rebalancing tends to throw exactly those away.
     let tree = DecisionTree::fit(
         &dataset,
-        TreeConfig { max_depth: 3, min_samples_leaf: 40, ..TreeConfig::default() },
+        TreeConfig { max_depth: 3, min_samples_leaf: 40 },
     );
     let confidences: Vec<String> = tree
         .leaf_rules()

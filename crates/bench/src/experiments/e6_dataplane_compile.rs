@@ -32,7 +32,7 @@ fn synthetic_task(bands: u32, rows: usize) -> PipelineProgram {
     }
     let tree = DecisionTree::fit(
         &Dataset::new(x, y, names),
-        TreeConfig { max_depth: 16, min_samples_leaf: 1, ..Default::default() },
+        TreeConfig { max_depth: 16, min_samples_leaf: 1 },
     );
     compile_tree(
         &tree,

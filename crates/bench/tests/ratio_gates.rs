@@ -1,19 +1,25 @@
-//! The three wall-clock ratios nothing exact can stand in for: what the
-//! Observatory sink, a mid-campaign checkpoint freeze and the 8-shard engine
-//! each cost relative to the run without them. Two runs back-to-back in one
-//! process see the same drift of a shared box's speed, so a ratio needs no
-//! retry; absolute times are the PerfLedger's job (`benchmark/`). Beside
-//! them, the one exact count a decision rests on: the 8-shard work/span.
+//! The two wall-clock ratios nothing exact can stand in for: what the
+//! Observatory sink and the 8-shard engine each cost relative to the run
+//! without them. Two runs back-to-back in one process see the same drift of
+//! a shared box's speed, so a ratio needs no retry; absolute times are the
+//! PerfLedger's job (`benchmark/`). Beside them, the four exact counts
+//! decisions rest on: the 8-shard, par-ingest and plaza work/span, and the
+//! share of a drift run a mid-run checkpoint copies.
 
 // The workspace bans `Instant` (clippy.toml) so that nothing an experiment
 // prints can depend on a clock. This file prints nothing that is pinned: it
 // is a gate, and a wall-clock ratio is the one thing it exists to measure.
 #![allow(clippy::disallowed_types)]
 
+use campuslab::dataplane::AdmissionDecision;
 use campuslab::netsim::prelude::*;
-use campuslab::testbed::{DriftRunConfig, DriftSession, Scenario};
+use campuslab::plaza::{Plaza, TenantOutcome, TenantSpec};
+use campuslab::testbed::{
+    collect, encode_checkpoint, fixtures, shard_by_second, AttackScenario, DriftRunConfig,
+    DriftSession, Scenario,
+};
 use campuslab::traffic::{Injection, TrafficGenerator, WorkloadConfig};
-use campuslab::Platform;
+use campuslab_bench::experiments::e18_tenant_plaza::{events_of, story_cast};
 use std::{hint::black_box, sync::Mutex, time::Instant};
 
 /// Tests in one binary run on parallel threads; timed runs take turns.
@@ -99,39 +105,6 @@ fn obs_sink_costs_at_most_5_percent() {
     assert!(ratio <= 1.05, "obs sink on / off = {ratio:.3}");
 }
 
-/// Durability must never become the dominant cost of an always-on pipeline:
-/// the E17 drift run (session build included) with one checkpoint frozen at a
-/// mid-campaign barrier within 5% of the plain run. (Encoding the image is
-/// off the simulation path; the ledger prices it as `testbed.encode_s`.)
-#[test]
-#[cfg_attr(debug_assertions, ignore = "times optimised code only")]
-fn mid_run_checkpoint_costs_at_most_5_percent() {
-    let platform = Platform::new(Scenario::small());
-    let data = platform.collect();
-    let program = platform.develop(&data).program;
-    let model = platform.train_window_model(&data);
-    let scenario = Scenario::drift_rotation();
-    let session = || {
-        DriftSession::new(
-            &scenario,
-            program.clone(),
-            Box::new(model.clone()),
-            DriftRunConfig::default(),
-        )
-    };
-    let ratio = median_pair_ratio(
-        || (),
-        |()| {
-            let mut session = session();
-            session.run_until(SimTime::from_secs(9));
-            black_box(session.checkpoint().net.events.len());
-            drop(black_box(session.finish()));
-        },
-        |()| drop(black_box(session().finish())),
-    );
-    assert!(ratio <= 1.05, "checkpointed / plain drift run = {ratio:.3}");
-}
-
 /// The 8-shard engine drives its windows on the calling thread, so there
 /// is no parallelism to harvest: partitioning, barriers and reassembly on
 /// the campus second may cost at most 30% over the sequential loop.
@@ -163,4 +136,112 @@ fn eight_shard_work_over_span_is_below_two() {
     assert!(!report.fell_back && report.shards > 1, "did not shard: {report:?}");
     assert_eq!(work, net.obs.event_seq(), "work is every dispatched event, once");
     assert!(work < 2 * span, "work {work} >= 2 x span {span}: re-open the pool question");
+}
+
+/// Durability must never become the dominant cost of an always-on
+/// pipeline. A freeze copies every pending event, so pending over the
+/// events the whole run dispatches is the checkpoint's share of the
+/// simulation's work: at 9 s into the E17 drift day it may be at most 5 %.
+/// E19's barrier (6 s) is printed beside it. Exact and box-independent.
+#[test]
+fn mid_run_checkpoint_copies_at_most_5_percent_of_the_run() {
+    let (program, model) = fixtures::trained().clone();
+    let mut session = DriftSession::new(
+        &Scenario::drift_rotation(),
+        program,
+        Box::new(model),
+        DriftRunConfig::default(),
+    );
+    let mut pending = 0;
+    for barrier in [6, 9] {
+        session.run_until(SimTime::from_secs(barrier));
+        let image = session.checkpoint();
+        pending = image.net.events.len() as u64;
+        let bytes = encode_checkpoint(&image).len();
+        println!("{barrier} s barrier: {pending} pending events, {bytes} B image");
+    }
+    let dispatched = session.finish().obs.net.event_seq();
+    let share = pending as f64 / dispatched as f64;
+    println!("9 s: {pending} of {dispatched} dispatched events = {:.2} %", 100.0 * share);
+    assert!(share <= 0.05, "a 9 s checkpoint copies {:.2} % of the run", 100.0 * share);
+}
+
+/// The PerfLedger's campus day (`campus_day` in `benchmark/src/scenarios.rs`,
+/// seed 7): `Scenario::small()`'s campaign on the default campus, 15 s at
+/// 30 sessions/s.
+fn ledger_day() -> Scenario {
+    Scenario {
+        campus: CampusConfig::default(),
+        workload: WorkloadConfig {
+            duration: SimDuration::from_secs(15),
+            sessions_per_sec: 30.0,
+            ..WorkloadConfig::default()
+        },
+        attack: AttackScenario::DnsAmplification {
+            victim_index: 7,
+            qps: 600.0,
+            start_frac: 0.15,
+            duration_frac: 0.8,
+        },
+        ..Scenario::small()
+    }
+}
+
+/// Parallel ingest builds each per-second batch of a capture on its own
+/// worker (`DataStore::ingest_packet_batches`), so work is every record and
+/// span the largest batch. On `Scenario::small` that bound must stay at 2x
+/// or more, or the pool and `tests/par_ingest.rs` should go (DESIGN.md
+/// section 9). The ledger day, the drift day and the plaza's capture
+/// tenant are printed for context.
+#[test]
+fn par_ingest_work_over_span_is_at_least_two() {
+    let figure = |name: &str, scenario: &Scenario| {
+        let batches = shard_by_second(&collect(scenario).packets);
+        let work: usize = batches.iter().map(Vec::len).sum();
+        let span = batches.iter().map(Vec::len).max().unwrap_or(0);
+        let ratio = work as f64 / span as f64;
+        let n = batches.len();
+        println!("{name}: {n} batches, work {work}, span {span}, work/span {ratio:.2}");
+        (work, span)
+    };
+    figure("ledger day", &ledger_day());
+    figure("drift_rotation", &Scenario::drift_rotation());
+    figure("tenant_probe", &Scenario::tenant_probe());
+    let (work, span) = figure("small", &Scenario::small());
+    assert!(work >= 2 * span, "work {work} < 2 x span {span}: delete the par-ingest pool");
+}
+
+/// Plaza runs each admission round's slices as one worker batch, so work is
+/// every slice's events and span the sum over rounds of each round's
+/// largest slice. On E18's story cast that bound must stay at 2x or more,
+/// or the fan-out should go. The 64-probe fleet is one round of identical
+/// slices: its bound is the tenant count.
+#[test]
+fn plaza_work_over_span_is_at_least_two() {
+    let (program, model) = fixtures::trained();
+    let mut plaza = Plaza::new();
+    let mut first_round = 0;
+    for spec in story_cast(program, model) {
+        let decision = plaza.submit(spec);
+        first_round += usize::from(matches!(decision, AdmissionDecision::Admitted { .. }));
+    }
+    let report = plaza.run();
+    assert_eq!(report.rounds, 2, "queued tenants all drain into the second round");
+    let (one, two) = report.outcomes.split_at(first_round);
+    let largest = |round: &[TenantOutcome]| round.iter().map(events_of).max().unwrap_or(0);
+    let work: u64 = report.outcomes.iter().map(events_of).sum();
+    let span = largest(one) + largest(two);
+    println!(
+        "story cast: {} + {} tenants, work {work}, span {span}, work/span {:.2}",
+        one.len(),
+        two.len(),
+        work as f64 / span as f64
+    );
+    let mut fleet = Plaza::new();
+    let admitted = (0..64)
+        .map(|i| fleet.submit(TenantSpec::probe(format!("p{i}"))))
+        .filter(|d| matches!(d, AdmissionDecision::Admitted { .. }))
+        .count();
+    println!("64-probe fleet: {admitted} identical slices in one round, work/span {admitted}");
+    assert!(work >= 2 * span, "work {work} < 2 x span {span}: delete the plaza fan-out");
 }

@@ -10,17 +10,18 @@ use crate::records::{Direction, DnsMetaRecord, FlowRecord, PacketRecord, TcpRttR
 use crate::ring::{CaptureArray, RingConfig, RingStats};
 use campuslab_netsim::{Commands, Dir, LinkId, Outage, Packet, SimHooks, SimTime};
 
-/// Monitor sizing and feature switches.
+/// How often the monitor polls flow timeouts.
+const POLL_INTERVAL_NS: u64 = 1_000_000_000;
+
+/// Monitor sizing and feature switches. The flow table is sized by
+/// `FlowTableConfig::default()`.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
     pub ring: RingConfig,
     pub rings: usize,
-    pub flow: FlowTableConfig,
     /// Serialize full frames into an in-memory pcap (costly; for debugging
     /// and the quickstart example).
     pub write_pcap: bool,
-    /// How often the monitor polls flow timeouts.
-    pub poll_interval_ns: u64,
     /// Tap blackout windows: the appliance is blind (reboot, optic pulled,
     /// span port reconfigured) and packets pass unobserved. Counted in
     /// `blackout_dropped` so the telemetry gap is explicit, not silent.
@@ -35,9 +36,7 @@ impl Default for MonitorConfig {
         MonitorConfig {
             ring: RingConfig::default(),
             rings: 8,
-            flow: FlowTableConfig::default(),
             write_pcap: false,
-            poll_interval_ns: 1_000_000_000,
             blackouts: Vec::new(),
             sample_keep_1_in: 0,
         }
@@ -93,7 +92,7 @@ impl Monitor {
         };
         Monitor {
             rings: CaptureArray::new(cfg.rings, cfg.ring),
-            flows: FlowTable::new(cfg.flow),
+            flows: FlowTable::new(FlowTableConfig::default()),
             dns: DnsExtractor::new(),
             rtt: TcpRttEstimator::new(),
             packets: Vec::new(),
@@ -156,7 +155,7 @@ impl Monitor {
         self.packets.push(record);
         // Periodic flow-timeout polling, driven by traffic arrival.
         let now_ns = now.as_nanos();
-        if now_ns.saturating_sub(self.last_poll_ns) >= self.cfg.poll_interval_ns {
+        if now_ns.saturating_sub(self.last_poll_ns) >= POLL_INTERVAL_NS {
             self.flows.poll(now_ns);
             self.last_poll_ns = now_ns;
         }

@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn gbt_teacher_also_works() {
         let cfg = DevLoopConfig {
-            teacher: TeacherKind::Gbt(GbtConfig { n_rounds: 30, ..Default::default() }),
+            teacher: TeacherKind::Gbt(GbtConfig { n_rounds: 30 }),
             ..Default::default()
         };
         let result = run_development_loop(&records(250), &cfg);

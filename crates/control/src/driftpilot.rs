@@ -26,13 +26,14 @@
 //! derive only from sim time and sim-observed scores; nothing reads the
 //! wall clock. The pipeline-determinism property suite pins this law.
 
-use crate::devloop::{run_development_loop, DevLoopConfig};
+use crate::devloop::{run_development_loop, DevLoopConfig, TeacherKind};
 use crate::observe::DriftObs;
 use crate::rollout::{RolloutEvent, RolloutEventKind};
 use campuslab_capture::sketch::HeavyHitters;
 use campuslab_capture::{Direction, PacketRecord};
 use campuslab_dataplane::{PipelineProgram, ProgramVersion, SwitchModel};
 use campuslab_features::{WindowCell, WindowConfig, WindowStream};
+use campuslab_ml::ForestConfig;
 use campuslab_netsim::fxhash::FxHasher;
 use campuslab_netsim::{Commands, Dir, LinkId, Packet, SimDuration, SimHooks, SimTime};
 use campuslab_obs::{ObsSink, OpenSpan, SinkMisfit, Tracer};
@@ -55,41 +56,51 @@ const HEAVY_K: usize = 8;
 /// Count-min width and depth behind each sketch.
 const SKETCH_WIDTH: usize = 512;
 const SKETCH_DEPTH: usize = 4;
+/// Sketch and feature window length. It is the features crate's default
+/// window, which the streaming == batch tests aggregate under.
+const WINDOW: SimDuration = SimDuration::from_secs(1);
 
 /// A fresh, empty drift sketch.
 fn drift_sketch() -> HeavyHitters {
     HeavyHitters::new(HEAVY_K, SKETCH_WIDTH, SKETCH_DEPTH)
 }
 
-/// DriftPilot configuration.
+/// The feature stream's windowing: [`WINDOW`]-long windows.
+fn window_config() -> WindowConfig {
+    WindowConfig { window_ns: WINDOW.as_nanos(), ..WindowConfig::default() }
+}
+
+/// DriftPilot configuration. Every candidate must fit
+/// `SwitchModel::default()` before submission.
 #[derive(Debug, Clone)]
 pub struct DriftPilotConfig {
     /// The tapped border link the pilot learns from.
     pub tap: LinkId,
-    /// Sketch/feature window length.
-    pub window: SimDuration,
     /// Retrains are skipped (and retried next window) below this many
     /// buffered records — the devloop needs data.
     pub min_records: usize,
     /// Pipeline configuration for each retrain. Its `seed` is ignored:
     /// the pilot derives the seed from the record window's content hash.
     pub devloop: DevLoopConfig,
-    /// Resource budget every candidate must fit before submission.
-    pub switch: SwitchModel,
     /// Fingerprint of the program in force at start (the guard's initial
     /// known-good): retrains reproducing it are not resubmitted.
     pub deployed_fingerprint: u64,
 }
 
 impl DriftPilotConfig {
-    /// Defaults tuned for the testbed's compressed campus runs.
+    /// Defaults tuned for the testbed's compressed campus runs. The
+    /// always-on pilot retrains every couple of sim seconds, so its
+    /// teacher is a deliberately small forest: the distilled student is
+    /// what deploys anyway, and an 8-tree teacher keeps a full drift road
+    /// test fast enough to replay in CI on every executor row.
     pub fn new(tap: LinkId, deployed_fingerprint: u64) -> Self {
         DriftPilotConfig {
             tap,
-            window: SimDuration::from_secs(1),
             min_records: 60,
-            devloop: DevLoopConfig::default(),
-            switch: SwitchModel::default(),
+            devloop: DevLoopConfig {
+                teacher: TeacherKind::Forest(ForestConfig { n_trees: 8, max_features: 0 }),
+                ..DevLoopConfig::default()
+            },
             deployed_fingerprint,
         }
     }
@@ -202,10 +213,7 @@ impl DriftPilot {
 
     /// Build a pilot.
     pub fn new(cfg: DriftPilotConfig) -> Self {
-        let stream = WindowStream::new(
-            WindowConfig { window_ns: cfg.window.as_nanos(), ..WindowConfig::default() },
-            cfg.devloop.label_mode,
-        );
+        let stream = WindowStream::new(window_config(), cfg.devloop.label_mode);
         let state = PilotState {
             stream,
             cells: Vec::new(),
@@ -246,11 +254,7 @@ impl DriftPilot {
     /// the run — byte-identical to a one-shot `features::aggregate` over
     /// the same record range.
     pub fn flush_features(&mut self) -> Vec<WindowCell> {
-        let cfg = WindowConfig {
-            window_ns: self.cfg.window.as_nanos(),
-            ..WindowConfig::default()
-        };
-        let fresh = WindowStream::new(cfg, self.cfg.devloop.label_mode);
+        let fresh = WindowStream::new(window_config(), self.cfg.devloop.label_mode);
         let stream = std::mem::replace(&mut self.state.stream, fresh);
         stream.finish(&mut self.state.cells);
         std::mem::take(&mut self.state.cells)
@@ -376,7 +380,7 @@ impl DriftPilot {
     }
 
     fn arm_window(&mut self, now: SimTime, cmds: &mut Commands) {
-        let w = self.cfg.window.as_nanos();
+        let w = WINDOW.as_nanos();
         let next = SimTime(((now.as_nanos() / w) + 1) * w);
         cmds.set_timer(next, Self::WINDOW_TOKEN);
     }
@@ -457,7 +461,7 @@ impl DriftPilot {
         self.obs.on_retrain(trigger == RetrainTrigger::Drift);
         let (model_fp, program) = retrain_window(&records, &self.cfg.devloop);
         let prog_fp = program.fingerprint();
-        let outcome = if self.cfg.switch.max_concurrent(&program) == 0 {
+        let outcome = if SwitchModel::default().max_concurrent(&program) == 0 {
             self.obs.on_budget_rejected();
             RetrainOutcome::BudgetRejected
         } else if prog_fp == self.state.deployed_fp

@@ -94,7 +94,20 @@ pub enum RejectReason {
     Cooldown,
 }
 
-/// The SLO windows and hysteresis a candidate must clear.
+/// Shadow gate: max fraction of benign mirrored traffic the candidate may
+/// flag for dropping.
+const MAX_FP_RATE: f64 = 0.10;
+/// Canary/full gate: max rise of the enforced benign-drop rate over the
+/// shadow-measured baseline.
+const MAX_BENIGN_DROP_DELTA: f64 = 0.005;
+/// Canary/full gate: max rise of tap capture loss over baseline.
+const MAX_CAPTURE_LOSS_DELTA: f64 = 0.25;
+/// Canary/full gate: mitigation latency budget in milliseconds
+/// (controller install samples above it violate the window).
+const TTM_BUDGET_MS: u64 = 500;
+
+/// The SLO windows and hysteresis a candidate must clear. The gates
+/// themselves are fixed: [`SloViolation`] lists them.
 #[derive(Debug, Clone)]
 pub struct SloPolicy {
     /// SLO evaluation window (sim time).
@@ -102,17 +115,6 @@ pub struct SloPolicy {
     /// Windows with fewer mirrored packets are inconclusive: they freeze
     /// the promotion and rollback streaks instead of moving them.
     pub min_packets: u64,
-    /// Shadow gate: max fraction of benign mirrored traffic the
-    /// candidate may flag for dropping.
-    pub max_fp_rate: f64,
-    /// Canary/full gate: max rise of the enforced benign-drop rate over
-    /// the shadow-measured baseline.
-    pub max_benign_drop_delta: f64,
-    /// Canary/full gate: max rise of tap capture loss over baseline.
-    pub max_capture_loss_delta: f64,
-    /// Canary/full gate: mitigation latency budget (controller install
-    /// samples above it violate the window).
-    pub ttm_budget: SimDuration,
     /// Consecutive healthy windows required to promote (and, after
     /// reaching Full, to commit the candidate as known-good).
     pub promote_after: u32,
@@ -127,10 +129,6 @@ impl Default for SloPolicy {
         SloPolicy {
             window: SimDuration::from_secs(1),
             min_packets: 20,
-            max_fp_rate: 0.10,
-            max_benign_drop_delta: 0.005,
-            max_capture_loss_delta: 0.25,
-            ttm_budget: SimDuration::from_millis(500),
             promote_after: 2,
             rollback_after: 2,
             cooldown: SimDuration::from_secs(2),
@@ -651,29 +649,26 @@ impl RolloutGuard {
 
     /// The violated gates for this window, in fixed severity order.
     fn violations(&self, ev: &WindowEvidence) -> Vec<SloViolation> {
-        let slo = &self.cfg.slo;
         let mut out = Vec::new();
         match self.state.stage {
             RolloutStage::Shadow => {
-                if ev.fp_rate > slo.max_fp_rate {
+                if ev.fp_rate > MAX_FP_RATE {
                     out.push(SloViolation::FalsePositiveRate);
                 }
             }
             RolloutStage::Canary | RolloutStage::Full => {
-                if ev.fp_rate > slo.max_fp_rate {
+                if ev.fp_rate > MAX_FP_RATE {
                     out.push(SloViolation::FalsePositiveRate);
                 }
-                if ev.benign_drop_rate
-                    > self.state.baseline_benign_drop.get() + slo.max_benign_drop_delta
-                {
+                let drop_limit = self.state.baseline_benign_drop.get() + MAX_BENIGN_DROP_DELTA;
+                if ev.benign_drop_rate > drop_limit {
                     out.push(SloViolation::BenignDropDelta);
                 }
-                if ev.capture_loss
-                    > self.state.baseline_capture_loss.get() + slo.max_capture_loss_delta
-                {
+                let loss_limit = self.state.baseline_capture_loss.get() + MAX_CAPTURE_LOSS_DELTA;
+                if ev.capture_loss > loss_limit {
                     out.push(SloViolation::CaptureLossDelta);
                 }
-                if ev.worst_ttm_ms.is_some_and(|w| w > slo.ttm_budget.as_nanos() / 1_000_000) {
+                if ev.worst_ttm_ms.is_some_and(|w| w > TTM_BUDGET_MS) {
                     out.push(SloViolation::LatencyBudget);
                 }
                 if ev.giveups > 0 {
@@ -683,9 +678,8 @@ impl RolloutGuard {
             RolloutStage::Idle => {
                 // Recovery watching: no mirror is running, so only the
                 // enforced-path benign-drop gate applies.
-                if ev.benign_drop_rate
-                    > self.state.baseline_benign_drop.get() + slo.max_benign_drop_delta
-                {
+                let drop_limit = self.state.baseline_benign_drop.get() + MAX_BENIGN_DROP_DELTA;
+                if ev.benign_drop_rate > drop_limit {
                     out.push(SloViolation::BenignDropDelta);
                 }
             }
@@ -700,8 +694,7 @@ impl RolloutGuard {
         // starved — a full blackout must read as a coverage violation,
         // not as "no evidence".
         let capture_violated = matches!(self.state.stage, RolloutStage::Canary | RolloutStage::Full)
-            && ev.capture_loss
-                > self.state.baseline_capture_loss.get() + self.cfg.slo.max_capture_loss_delta;
+            && ev.capture_loss > self.state.baseline_capture_loss.get() + MAX_CAPTURE_LOSS_DELTA;
         // Conclusiveness keys off the traffic the verdict actually rests
         // on: mirrored packets while a candidate is evaluated, enforced
         // bank traffic during post-rollback recovery watching.
@@ -952,14 +945,7 @@ mod tests {
     }
 
     fn slo() -> SloPolicy {
-        SloPolicy {
-            window: SimDuration::from_secs(1),
-            min_packets: 5,
-            promote_after: 2,
-            rollback_after: 2,
-            cooldown: SimDuration::from_secs(2),
-            ..SloPolicy::default()
-        }
+        SloPolicy { min_packets: 5, ..SloPolicy::default() }
     }
 
     fn guard_with(

@@ -131,14 +131,13 @@ proptest! {
         recs.sort_by_key(|r| r.ts_ns);
 
         let cfg = DriftPilotConfig::new(LinkId(0), 0);
-        let window = WindowConfig { window_ns: cfg.window.as_nanos(), ..WindowConfig::default() };
         let mode = cfg.devloop.label_mode;
         let mut pilot = DriftPilot::new(cfg);
         for r in &recs {
             pilot.ingest_record(r.clone());
         }
         let streamed = pilot.flush_features();
-        let batch = aggregate(&recs, window, mode);
+        let batch = aggregate(&recs, WindowConfig::default(), mode);
         prop_assert_eq!(streamed, batch);
     }
 }

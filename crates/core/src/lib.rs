@@ -19,7 +19,7 @@
 //! | [`datastore`] | the indexed campus data store |
 //! | [`privacy`] | prefix-preserving anonymization + governance policy |
 //! | [`features`] | packet/flow/window feature engineering |
-//! | [`ml`] | from-scratch models: tree, forest, logistic, MLP |
+//! | [`ml`] | from-scratch models: tree, forest, gradient boosting, MLP |
 //! | [`xai`] | model extraction (distillation) + evidence lists |
 //! | [`dataplane`] | P4-style pipeline, tree→TCAM compiler, Tofino-like resources |
 //! | [`control`] | Figure 2's fast control loop and slow development loop |

@@ -275,7 +275,7 @@ mod tests {
         let names: Vec<String> = FIELD_ORDER.iter().map(|f| f.name().to_string()).collect();
         let tree = DecisionTree::fit(
             &Dataset::new(x, y, names),
-            TreeConfig { max_depth: 3, min_samples_leaf: 50, ..Default::default() },
+            TreeConfig { max_depth: 3, min_samples_leaf: 50 },
         );
         let (strict, strict_report) =
             compile_tree(&tree, CompileConfig { confidence_gate: 0.999, ..Default::default() }, "s");

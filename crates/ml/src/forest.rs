@@ -9,29 +9,25 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Forest hyperparameters.
+/// Fraction of rows bootstrapped per tree.
+const SAMPLE_FRAC: f64 = 0.8;
+/// Bootstrap and feature-bagging seed: a forest is a pure function of its
+/// data and config.
+const SEED: u64 = 0xF0_4E57;
+
+/// Forest hyperparameters. Every tree grows under `TreeConfig::default()`.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ForestConfig {
     pub n_trees: usize,
-    pub tree: TreeConfig,
-    /// Fraction of rows bootstrapped per tree.
-    pub sample_frac: f64,
     /// Number of features considered per tree (0 = all). Feature bagging
     /// happens per tree by masking columns, which keeps the tree code
     /// simple.
     pub max_features: usize,
-    pub seed: u64,
 }
 
 impl Default for ForestConfig {
     fn default() -> Self {
-        ForestConfig {
-            n_trees: 40,
-            tree: TreeConfig::default(),
-            sample_frac: 0.8,
-            max_features: 0,
-            seed: 0xF0_4E57,
-        }
+        ForestConfig { n_trees: 40, max_features: 0 }
     }
 }
 
@@ -50,9 +46,9 @@ impl RandomForest {
     pub fn fit(data: &Dataset, cfg: ForestConfig) -> Self {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
         assert!(cfg.n_trees > 0);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let n = data.len();
-        let sample = ((n as f64) * cfg.sample_frac).max(1.0) as usize;
+        let sample = ((n as f64) * SAMPLE_FRAC).max(1.0) as usize;
         let mut trees = Vec::with_capacity(cfg.n_trees);
         let mut masks = Vec::with_capacity(cfg.n_trees);
         for _ in 0..cfg.n_trees {
@@ -82,7 +78,7 @@ impl RandomForest {
                     }
                 }
             }
-            trees.push(DecisionTree::fit(&boot, cfg.tree));
+            trees.push(DecisionTree::fit(&boot, TreeConfig::default()));
             masks.push(mask);
         }
         RandomForest {
@@ -204,7 +200,7 @@ mod tests {
         let d = noisy_data(4);
         let f = RandomForest::fit(
             &d,
-            ForestConfig { n_trees: 5, max_features: 1, ..Default::default() },
+            ForestConfig { n_trees: 5, max_features: 1 },
         );
         assert_eq!(f.n_trees(), 5);
         for mask in &f.masks {

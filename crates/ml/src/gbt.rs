@@ -6,27 +6,24 @@ use crate::data::Dataset;
 use crate::model::Classifier;
 use serde::{Deserialize, Serialize};
 
+/// Shrinkage applied to every stage's contribution.
+const LEARNING_RATE: f64 = 0.2;
+/// Depth of each weak regression tree.
+const DEPTH: usize = 3;
+/// Smallest child a weak-tree split may leave.
+const MIN_SAMPLES_LEAF: usize = 4;
+/// Candidate thresholds per feature per node (quantile subsampling).
+const MAX_THRESHOLDS: usize = 32;
+
 /// Boosting hyperparameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct GbtConfig {
     pub n_rounds: usize,
-    pub learning_rate: f64,
-    /// Depth of each weak regression tree.
-    pub depth: usize,
-    pub min_samples_leaf: usize,
-    /// Candidate thresholds per feature per node (quantile subsampling).
-    pub max_thresholds: usize,
 }
 
 impl Default for GbtConfig {
     fn default() -> Self {
-        GbtConfig {
-            n_rounds: 60,
-            learning_rate: 0.2,
-            depth: 3,
-            min_samples_leaf: 4,
-            max_thresholds: 32,
-        }
+        GbtConfig { n_rounds: 60 }
     }
 }
 
@@ -71,7 +68,6 @@ struct RegFit<'a> {
     grad: &'a [f64],
     /// Hessians (`p (1 - p)`).
     hess: &'a [f64],
-    cfg: GbtConfig,
 }
 
 impl RegFit<'_> {
@@ -89,7 +85,7 @@ impl RegFit<'_> {
     }
 
     fn grow(&self, nodes: &mut Vec<RegNode>, idx: &[usize], depth: usize) -> usize {
-        if depth >= self.cfg.depth || idx.len() < 2 * self.cfg.min_samples_leaf {
+        if depth >= DEPTH || idx.len() < 2 * MIN_SAMPLES_LEAF {
             nodes.push(RegNode::Leaf(self.leaf_value(idx)));
             return nodes.len() - 1;
         }
@@ -112,7 +108,7 @@ impl RegFit<'_> {
             if candidates.is_empty() {
                 continue;
             }
-            let stride = (candidates.len() / self.cfg.max_thresholds).max(1);
+            let stride = (candidates.len() / MAX_THRESHOLDS).max(1);
             let mut left_g = 0.0;
             let mut consumed = 0usize;
             for (ci, &(pos, thr)) in candidates.iter().enumerate() {
@@ -125,9 +121,7 @@ impl RegFit<'_> {
                 }
                 let nl = pos as f64;
                 let nr = total_n - nl;
-                if (nl as usize) < self.cfg.min_samples_leaf
-                    || (nr as usize) < self.cfg.min_samples_leaf
-                {
+                if (nl as usize) < MIN_SAMPLES_LEAF || (nr as usize) < MIN_SAMPLES_LEAF {
                     continue;
                 }
                 let right_g = total_g - left_g;
@@ -159,7 +153,6 @@ fn sigmoid(z: f64) -> f64 {
 pub struct GradientBoostedTrees {
     stages: Vec<RegTree>,
     base_score: f64,
-    learning_rate: f64,
 }
 
 impl GradientBoostedTrees {
@@ -185,20 +178,18 @@ impl GradientBoostedTrees {
                 .map(|(&y, &p)| f64::from(y as u8) - p)
                 .collect();
             let hess: Vec<f64> = probs.iter().map(|&p| (p * (1.0 - p)).max(1e-9)).collect();
-            let tree = RegFit { x: &data.x, grad: &grad, hess: &hess, cfg }.fit();
+            let tree = RegFit { x: &data.x, grad: &grad, hess: &hess }.fit();
             for (i, row) in data.x.iter().enumerate() {
-                scores[i] += cfg.learning_rate * tree.value(row);
+                scores[i] += LEARNING_RATE * tree.value(row);
             }
             stages.push(tree);
         }
-        GradientBoostedTrees { stages, base_score, learning_rate: cfg.learning_rate }
+        GradientBoostedTrees { stages, base_score }
     }
 
     /// The raw additive score (log-odds).
     pub fn decision_function(&self, row: &[f64]) -> f64 {
-        self.base_score
-            + self.learning_rate
-                * self.stages.iter().map(|t| t.value(row)).sum::<f64>()
+        self.base_score + LEARNING_RATE * self.stages.iter().map(|t| t.value(row)).sum::<f64>()
     }
 
     /// Number of boosting stages.
@@ -265,7 +256,7 @@ mod tests {
         let d = ring_data(2, 800);
         let (train, test) = d.split_by_order(0.75);
         let weak =
-            GradientBoostedTrees::fit(&train, GbtConfig { n_rounds: 1, ..Default::default() });
+            GradientBoostedTrees::fit(&train, GbtConfig { n_rounds: 1 });
         let strong = GradientBoostedTrees::fit(&train, GbtConfig::default());
         let acc = |m: &GradientBoostedTrees| {
             test.x
@@ -283,8 +274,8 @@ mod tests {
     #[test]
     fn probabilities_are_valid_and_deterministic() {
         let d = ring_data(3, 400);
-        let m1 = GradientBoostedTrees::fit(&d, GbtConfig { n_rounds: 10, ..Default::default() });
-        let m2 = GradientBoostedTrees::fit(&d, GbtConfig { n_rounds: 10, ..Default::default() });
+        let m1 = GradientBoostedTrees::fit(&d, GbtConfig { n_rounds: 10 });
+        let m2 = GradientBoostedTrees::fit(&d, GbtConfig { n_rounds: 10 });
         for row in d.x.iter().take(50) {
             let p = m1.predict_proba(row);
             assert!((p[0] + p[1] - 1.0).abs() < 1e-9);
@@ -302,7 +293,7 @@ mod tests {
             y.push(usize::from(i < 10)); // 10% positive
         }
         let d = Dataset::new(x, y, vec!["v".into()]);
-        let m = GradientBoostedTrees::fit(&d, GbtConfig { n_rounds: 0, ..Default::default() });
+        let m = GradientBoostedTrees::fit(&d, GbtConfig { n_rounds: 0 });
         // With zero rounds the probability equals the prior.
         let p = m.predict_proba(&[50.0])[1];
         assert!((p - 0.1).abs() < 1e-9, "prior {p}");
@@ -313,8 +304,8 @@ mod tests {
         // Sanity on train accuracy monotonicity: more rounds fit train at
         // least as well.
         let d = ring_data(5, 600);
-        let few = GradientBoostedTrees::fit(&d, GbtConfig { n_rounds: 3, ..Default::default() });
-        let many = GradientBoostedTrees::fit(&d, GbtConfig { n_rounds: 80, ..Default::default() });
+        let few = GradientBoostedTrees::fit(&d, GbtConfig { n_rounds: 3 });
+        let many = GradientBoostedTrees::fit(&d, GbtConfig { n_rounds: 80 });
         let train_acc = |m: &GradientBoostedTrees| {
             d.x.iter().zip(&d.y).filter(|(r, &l)| m.predict(r) == l).count() as f64 / d.len() as f64
         };

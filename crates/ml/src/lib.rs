@@ -2,8 +2,8 @@
 //!
 //! From-scratch supervised learning for the paper's development loop:
 //! heavyweight "black-box" models (random forest, MLP), a lightweight
-//! interpretable model (shallow CART tree — the distillation target), a
-//! linear baseline, and the metrics every experiment reports.
+//! interpretable model (shallow CART tree — the distillation target), and
+//! the metrics every experiment reports.
 //!
 //! Everything is seeded and deterministic: the same dataset and config
 //! always produce the same model, which is what makes CampusLab's
@@ -27,14 +27,12 @@ pub mod model;
 pub mod tree;
 pub mod forest;
 pub mod gbt;
-pub mod linear;
 pub mod mlp;
 pub mod metrics;
 
 pub use data::{Dataset, Normalizer};
 pub use forest::{ForestConfig, RandomForest};
 pub use gbt::{GbtConfig, GradientBoostedTrees};
-pub use linear::{LogisticConfig, LogisticRegression};
 pub use metrics::{calibration, fidelity, roc_auc, CalibrationBin, ConfusionMatrix};
 pub use mlp::{Mlp, MlpConfig};
 pub use model::Classifier;

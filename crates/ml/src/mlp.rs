@@ -9,25 +9,24 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// SGD step size (divided by the batch length).
+const LEARNING_RATE: f64 = 0.05;
+/// Rows per mini-batch.
+const BATCH_SIZE: usize = 32;
+/// Weight-init and shuffle seed: a model is a pure function of its data
+/// and config.
+const SEED: u64 = 0x3147;
+
 /// MLP hyperparameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct MlpConfig {
     pub hidden: usize,
     pub epochs: usize,
-    pub learning_rate: f64,
-    pub batch_size: usize,
-    pub seed: u64,
 }
 
 impl Default for MlpConfig {
     fn default() -> Self {
-        MlpConfig {
-            hidden: 32,
-            epochs: 80,
-            learning_rate: 0.05,
-            batch_size: 32,
-            seed: 0x3147,
-        }
+        MlpConfig { hidden: 32, epochs: 80 }
     }
 }
 
@@ -57,7 +56,7 @@ impl Mlp {
         let d = data.n_features();
         let h = cfg.hidden;
         let c = data.n_classes.max(2);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let scale1 = (2.0 / d.max(1) as f64).sqrt();
         let scale2 = (2.0 / h as f64).sqrt();
         let mut model = Mlp {
@@ -74,7 +73,7 @@ impl Mlp {
         let mut order: Vec<usize> = (0..data.len()).collect();
         for _ in 0..cfg.epochs {
             order.shuffle(&mut rng);
-            for batch in order.chunks(cfg.batch_size) {
+            for batch in order.chunks(BATCH_SIZE) {
                 let mut gw1 = vec![vec![0.0; d]; h];
                 let mut gb1 = vec![0.0; h];
                 let mut gw2 = vec![vec![0.0; h]; c];
@@ -118,7 +117,7 @@ impl Mlp {
                         }
                     }
                 }
-                let lr = cfg.learning_rate / batch.len() as f64;
+                let lr = LEARNING_RATE / batch.len() as f64;
                 for j in 0..h {
                     for (w, &g) in model.w1[j].iter_mut().zip(&gw1[j]) {
                         *w -= lr * g;
@@ -195,7 +194,7 @@ mod tests {
         let norm = Normalizer::fit(&d);
         let dn = norm.transform(&d);
         let (train, test) = dn.split_by_order(0.75);
-        let m = Mlp::fit(&train, MlpConfig { hidden: 16, epochs: 200, ..Default::default() });
+        let m = Mlp::fit(&train, MlpConfig { hidden: 16, epochs: 200 });
         let acc = test
             .x
             .iter()
@@ -221,7 +220,7 @@ mod tests {
     #[test]
     fn parameter_count() {
         let d = xor_data();
-        let m = Mlp::fit(&d, MlpConfig { hidden: 8, epochs: 1, ..Default::default() });
+        let m = Mlp::fit(&d, MlpConfig { hidden: 8, epochs: 1 });
         // 2*8 + 8 + 8*2 + 2 = 42.
         assert_eq!(m.n_parameters(), 42);
     }

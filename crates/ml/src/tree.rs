@@ -6,24 +6,21 @@ use crate::data::Dataset;
 use crate::model::Classifier;
 use serde::{Deserialize, Serialize};
 
+/// Nodes with fewer rows than this become leaves.
+const MIN_SAMPLES_SPLIT: usize = 4;
+/// Cap on candidate thresholds per feature (quantile subsampling).
+const MAX_THRESHOLDS: usize = 64;
+
 /// Tree growth limits.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TreeConfig {
     pub max_depth: usize,
     pub min_samples_leaf: usize,
-    pub min_samples_split: usize,
-    /// Cap on candidate thresholds per feature (quantile subsampling).
-    pub max_thresholds: usize,
 }
 
 impl Default for TreeConfig {
     fn default() -> Self {
-        TreeConfig {
-            max_depth: 12,
-            min_samples_leaf: 2,
-            min_samples_split: 4,
-            max_thresholds: 64,
-        }
+        TreeConfig { max_depth: 12, min_samples_leaf: 2 }
     }
 }
 
@@ -113,7 +110,7 @@ impl DecisionTree {
         }
         let total = idx.len() as f64;
         let pure = counts.contains(&total);
-        if depth >= cfg.max_depth || idx.len() < cfg.min_samples_split || pure {
+        if depth >= cfg.max_depth || idx.len() < MIN_SAMPLES_SPLIT || pure {
             return self.leaf(data, idx);
         }
         let parent_gini = gini(&counts, total);
@@ -126,7 +123,7 @@ impl DecisionTree {
             let mut values: Vec<(f64, usize)> = idx.iter().map(|&i| (data.x[i][f], data.y[i])).collect();
             values.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
             // Candidate thresholds: midpoints between distinct consecutive
-            // values, subsampled to the config cap.
+            // values, subsampled to the cap.
             let mut candidates: Vec<(usize, f64)> = Vec::new();
             for w in 1..values.len() {
                 if values[w].0 > values[w - 1].0 {
@@ -136,7 +133,7 @@ impl DecisionTree {
             if candidates.is_empty() {
                 continue;
             }
-            let stride = (candidates.len() / cfg.max_thresholds).max(1);
+            let stride = (candidates.len() / MAX_THRESHOLDS).max(1);
             let mut left = vec![0.0; self.n_classes];
             let mut consumed = 0usize;
             for (ci, &(pos, thr)) in candidates.iter().enumerate() {

@@ -98,7 +98,7 @@ proptest! {
         binary.n_classes = 2;
         let gbt = GradientBoostedTrees::fit(
             &binary,
-            GbtConfig { n_rounds: 8, ..Default::default() },
+            GbtConfig { n_rounds: 8 },
         );
         for row in binary.x.iter().take(20) {
             let score = gbt.decision_function(row);

@@ -9,9 +9,8 @@
 //!   controller accounting every tenant's dataplane demand (stage slots +
 //!   TCAM) against the shared Tofino-like budget, admitting, queueing
 //!   (strict FIFO) or rejecting with typed decisions; plus the scheduler
-//!   that multiplexes admitted slices — interleaved on one worker or
-//!   parallel across workers — with byte-identical tenant outcomes on
-//!   either executor.
+//!   that runs each admission round's slices across `CAMPUSLAB_JOBS`
+//!   workers, with byte-identical tenant outcomes at any worker count.
 //! * [`tenant`] — per-tenant namespacing through the existing layers:
 //!   each [`TenantSpec`] builds a private campus slice (own simulator,
 //!   traffic, chaos, filter bank), its guard telemetry prefixed with the
@@ -20,9 +19,9 @@
 //!   isolation suite can diff solo vs co-scheduled.
 //!
 //! ```
-//! use campuslab_plaza::{Plaza, PlazaConfig, TenantSpec};
+//! use campuslab_plaza::{Plaza, TenantSpec};
 //!
-//! let mut plaza = Plaza::new(PlazaConfig::default());
+//! let mut plaza = Plaza::new();
 //! plaza.submit(TenantSpec::probe("alice"));
 //! plaza.submit(TenantSpec::probe("bob"));
 //! let report = plaza.run();
@@ -35,7 +34,7 @@
 pub mod service;
 pub mod tenant;
 
-pub use service::{Plaza, PlazaConfig, PlazaReport, TenantRecord};
+pub use service::{Plaza, PlazaReport, TenantRecord};
 pub use tenant::{
     FrozenSlice, SliceFreezeError, TenantJob, TenantOutcome, TenantSlice, TenantSpec,
 };

@@ -1,50 +1,18 @@
 //! The plaza service: admit tenants against the shared switch budget,
 //! schedule admitted slices, drain the FIFO queue as grants free up.
 //!
-//! The scheduler has two executors and one contract: a tenant's bytes
-//! never depend on which executor ran it.
-//!
-//! * **Interleaved** (one worker): all slices of an admission round
-//!   advance in lockstep over a shared window grid — cooperative
-//!   multiplexing of N experiments on one OS thread.
-//! * **Parallel** (N workers): whole slices run on
-//!   [`campuslab_netsim::par`] worker threads, each reproducing the same
-//!   window grid privately.
-//!
-//! The contract holds because a slice's advance schedule is a pure
-//! function of its own spec (see [`TenantSlice`]), and it is pinned by
-//! the differential suite in `tests/isolation.rs` plus experiment E18's
-//! golden replay.
+//! The scheduler has one executor: each admission round's slices run to
+//! completion through [`campuslab_netsim::par::parallel_map_vec`] under
+//! `CAMPUSLAB_JOBS` — on worker threads, or inline in batch order with one
+//! worker. A tenant's bytes never depend on the worker count, because a
+//! slice's advance schedule is a pure function of its own spec (see
+//! [`TenantSlice`]); the differential suite in `tests/isolation.rs` and
+//! experiment E18's golden replay pin that at 1 and 4 workers.
 
 use crate::tenant::{TenantOutcome, TenantSlice, TenantSpec};
 use campuslab_control::PlazaObs;
 use campuslab_dataplane::{AdmissionController, AdmissionDecision, SwitchModel};
 use campuslab_netsim::par::{parallel_map_vec, worker_count};
-use campuslab_netsim::{SimDuration, SimTime};
-
-/// Plaza-wide knobs.
-#[derive(Debug, Clone)]
-pub struct PlazaConfig {
-    /// The shared dataplane budget every tenant's demand is accounted
-    /// against.
-    pub switch: SwitchModel,
-    /// The scheduling window: the interleaved executor advances every
-    /// live slice to each successive multiple of this.
-    pub window: SimDuration,
-    /// Per-tenant settle time past its workload end (the slice deadline
-    /// is `workload.duration + settle`).
-    pub settle: SimDuration,
-}
-
-impl Default for PlazaConfig {
-    fn default() -> Self {
-        PlazaConfig {
-            switch: SwitchModel::default(),
-            window: SimDuration::from_millis(500),
-            settle: SimDuration::from_secs(4),
-        }
-    }
-}
 
 /// One submission's audit-trail entry: who asked, what the arbiter said.
 #[derive(Debug, Clone)]
@@ -92,9 +60,9 @@ impl PlazaReport {
 
 /// Experimentation-as-a-Service over one shared campus testbed: submit
 /// tenants, then [`Plaza::run`] every admitted experiment to completion,
-/// draining the queue in strict FIFO order as budgets free up.
+/// draining the queue in strict FIFO order as budgets free up. Every
+/// tenant's demand is accounted against `SwitchModel::default()`.
 pub struct Plaza {
-    cfg: PlazaConfig,
     admission: AdmissionController,
     obs: PlazaObs,
     records: Vec<TenantRecord>,
@@ -104,13 +72,17 @@ pub struct Plaza {
     waiting: Vec<TenantSpec>,
 }
 
+impl Default for Plaza {
+    fn default() -> Self {
+        Plaza::new()
+    }
+}
+
 impl Plaza {
-    /// An empty plaza over `cfg.switch`'s budget.
-    pub fn new(cfg: PlazaConfig) -> Self {
-        let admission = AdmissionController::new(cfg.switch);
+    /// An empty plaza over the default switch's budget.
+    pub fn new() -> Self {
         Plaza {
-            cfg,
-            admission,
+            admission: AdmissionController::new(SwitchModel::default()),
             obs: PlazaObs::new(),
             records: Vec::new(),
             ready: Vec::new(),
@@ -123,7 +95,7 @@ impl Plaza {
     /// rejected ones are recorded and dropped. Tenant names must be
     /// unique — the name is the admission controller's release handle.
     pub fn submit(&mut self, spec: TenantSpec) -> AdmissionDecision {
-        let demand = spec.demand(&self.cfg.switch);
+        let demand = spec.demand(self.admission.switch());
         let decision = self.admission.submit(demand);
         self.records.push(TenantRecord { tenant: spec.name.clone(), decision: decision.clone() });
         match &decision {
@@ -156,7 +128,7 @@ impl Plaza {
             rounds += 1;
             self.obs.on_round();
             let batch = std::mem::take(&mut self.ready);
-            for outcome in run_batch(&self.cfg, batch) {
+            for outcome in run_batch(self.admission.switch(), batch) {
                 self.obs.on_slice(
                     outcome.net.injected + outcome.net.delivered + outcome.net.dropped_total(),
                 );
@@ -188,35 +160,15 @@ impl Plaza {
     }
 }
 
-/// Run one admission round's slices to completion. One worker (or one
-/// slice) interleaves on the shared window grid; more workers run whole
-/// slices in parallel over the identical grid. Outcomes come back in
-/// batch order either way.
-fn run_batch(cfg: &PlazaConfig, specs: Vec<TenantSpec>) -> Vec<TenantOutcome> {
+/// Run one admission round's slices to completion, whole slices per
+/// worker. Outcomes come back in batch order.
+fn run_batch(switch: &SwitchModel, specs: Vec<TenantSpec>) -> Vec<TenantOutcome> {
     let workers = worker_count(specs.len());
-    if workers <= 1 {
-        let mut slices: Vec<TenantSlice> = specs
-            .into_iter()
-            .map(|s| TenantSlice::build(s, &cfg.switch, cfg.window, cfg.settle))
-            .collect();
-        let step = cfg.window.as_nanos().max(1);
-        let mut round = 0u64;
-        while slices.iter().any(|s| !s.is_done()) {
-            round += 1;
-            let cap = SimTime(step.saturating_mul(round));
-            for s in slices.iter_mut() {
-                s.advance(cap);
-            }
-        }
-        slices.into_iter().map(TenantSlice::finish).collect()
-    } else {
-        let (switch, window, settle) = (cfg.switch, cfg.window, cfg.settle);
-        parallel_map_vec(specs, workers, move |_, spec| {
-            let mut slice = TenantSlice::build(spec, &switch, window, settle);
-            slice.run_to_completion();
-            slice.finish()
-        })
-    }
+    parallel_map_vec(specs, workers, |_, spec| {
+        let mut slice = TenantSlice::build(spec, switch);
+        slice.run_to_completion();
+        slice.finish()
+    })
 }
 
 #[cfg(test)]
@@ -233,7 +185,7 @@ mod tests {
 
     #[test]
     fn overflow_queues_then_drains_fifo_and_everyone_runs() {
-        let mut plaza = Plaza::new(PlazaConfig::default());
+        let mut plaza = Plaza::new();
         assert!(matches!(
             plaza.submit(heavy("alpha")),
             AdmissionDecision::Admitted { .. }
@@ -263,7 +215,7 @@ mod tests {
 
     #[test]
     fn infeasible_tenant_is_rejected_and_never_runs() {
-        let mut plaza = Plaza::new(PlazaConfig::default());
+        let mut plaza = Plaza::new();
         let mut monster = TenantSpec::probe("monster");
         monster.reserved_tcam = 1_000_000;
         assert!(matches!(plaza.submit(monster), AdmissionDecision::Rejected(_)));
@@ -281,12 +233,12 @@ mod tests {
         // and "alpha" next to two neighbors produce identical bytes.
         // (The full differential suite lives in tests/isolation.rs.)
         let solo = {
-            let mut plaza = Plaza::new(PlazaConfig::default());
+            let mut plaza = Plaza::new();
             plaza.submit(TenantSpec::probe("alpha"));
             plaza.run()
         };
         let crowded = {
-            let mut plaza = Plaza::new(PlazaConfig::default());
+            let mut plaza = Plaza::new();
             plaza.submit(TenantSpec::probe("alpha"));
             plaza.submit(TenantSpec::probe("bravo"));
             plaza.submit(TenantSpec::probe("charlie"));

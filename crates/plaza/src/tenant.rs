@@ -12,12 +12,12 @@
 //! exactly that: solo and co-scheduled runs of the same spec are
 //! byte-identical.
 //!
-//! Determinism across executors is a scheduling-grid argument: a slice is
-//! always advanced along the same window grid (`window`, `2*window`, ...)
-//! whether the plaza interleaves it with neighbors on one worker or runs
-//! it on its own thread. Window/round counts are a per-slice function of the
-//! spec alone, so they may appear in outcomes without breaking the
-//! solo-vs-co-scheduled differential.
+//! Determinism across worker counts is a scheduling-grid argument: a slice
+//! always advances along the same window grid (`WINDOW`, `2*WINDOW`, ...)
+//! to its own deadline, whichever worker runs it and whoever its neighbors
+//! are. Window/round counts are a per-slice function of the spec alone, so
+//! they may appear in outcomes without breaking the solo-vs-co-scheduled
+//! differential.
 
 use campuslab_control::{
     FastLoopStatsSnapshot, Placement, PlazaObs, RolloutEvent, RolloutStage, SloPolicy,
@@ -30,10 +30,16 @@ use campuslab_ml::{Classifier, DecisionTree};
 use campuslab_netsim::{ChaosPlan, NetStats, SimDuration, SimTime};
 use campuslab_testbed::{
     shard_by_second, timeline, GuardSpec, Members, PhoenixCheckpoint, RoadTestConfig, RunObs,
-    Scenario, Session,
+    Scenario, Session, CANARY_FRACTION,
 };
 pub use campuslab_testbed::SliceFreezeError;
 use std::net::Ipv4Addr;
+
+/// The scheduling grid: a slice pauses at every multiple of this.
+const WINDOW: SimDuration = SimDuration::from_millis(500);
+/// Settle time past a tenant's workload end: its slice deadline is
+/// `workload.duration + SETTLE`.
+const SETTLE: SimDuration = SimDuration::from_secs(4);
 
 /// What the tenant wants to run on its slice of the campus.
 #[derive(Clone)]
@@ -43,12 +49,12 @@ pub enum TenantJob {
     SloProbe,
     /// A controller-placement road test: the window model watches the
     /// border tap and installs victim-scoped mitigations.
-    Defend,
+    Defend { window_model: DecisionTree },
     /// A guarded rollout: candidates submitted at scheduled sim times
     /// climb shadow → canary → full under the tenant's own
     /// [`campuslab_control::RolloutGuard`] ladder (telemetry prefixed with
-    /// the tenant name).
-    Guarded { submissions: Vec<(SimTime, PipelineProgram)> },
+    /// the tenant name), while the window model defends as in `Defend`.
+    Guarded { submissions: Vec<(SimTime, PipelineProgram)>, window_model: DecisionTree },
 }
 
 /// Everything the plaza needs to admit and run one tenant.
@@ -62,8 +68,6 @@ pub struct TenantSpec {
     /// The tenant's base program (preinstalled for [`TenantJob::SloProbe`],
     /// the known-good / mitigation program otherwise).
     pub program: PipelineProgram,
-    /// Window model for the Defend and Guarded jobs.
-    pub window_model: Option<DecisionTree>,
     pub job: TenantJob,
     /// Optional chaos campaign applied to the tenant's own campus.
     pub chaos: Option<ChaosPlan>,
@@ -88,7 +92,6 @@ impl TenantSpec {
             name,
             scenario: Scenario::tenant_probe(),
             program,
-            window_model: None,
             job: TenantJob::SloProbe,
             chaos: None,
             capture: false,
@@ -101,7 +104,7 @@ impl TenantSpec {
     /// headroom, footprinted against `switch`.
     pub fn demand(&self, switch: &SwitchModel) -> TenantDemand {
         let mut programs: Vec<&PipelineProgram> = vec![&self.program];
-        if let TenantJob::Guarded { submissions } = &self.job {
+        if let TenantJob::Guarded { submissions, .. } = &self.job {
             programs.extend(submissions.iter().map(|(_, p)| p));
         }
         TenantDemand::for_programs(self.name.clone(), &programs, self.reserved_tcam, switch)
@@ -144,40 +147,34 @@ pub struct TenantSlice {
     deadline: SimTime,
     /// The furthest cap this slice has been advanced to.
     horizon: SimTime,
-    /// The scheduling grid; `advance` is driven externally on multiples
-    /// of this, `run_to_completion` reproduces the identical grid.
-    window: SimDuration,
     rounds: u64,
     done: bool,
 }
 
 impl TenantSlice {
     /// Build the tenant's private session: campus, schedule, chaos,
-    /// filter bank and the stack members its job needs. Nothing has run
-    /// yet.
-    pub fn build(
-        spec: TenantSpec,
-        switch: &SwitchModel,
-        window: SimDuration,
-        settle: SimDuration,
-    ) -> Self {
+    /// filter bank and the stack members its job needs, its demand priced
+    /// against `switch`. Nothing has run yet.
+    pub fn build(spec: TenantSpec, switch: &SwitchModel) -> Self {
         let grant = spec.demand(switch);
         let prefix = spec.obs_prefix();
-        let deadline = SimTime::ZERO + spec.scenario.workload.duration + settle;
+        let deadline = SimTime::ZERO + spec.scenario.workload.duration + SETTLE;
         // An SLO probe has its program in the switch up front; the other
         // jobs defend from the controller tier with default knobs.
-        let (placement, guard) = match spec.job {
-            TenantJob::SloProbe => (Placement::Switch, None),
-            TenantJob::Defend => (Placement::Controller, None),
-            TenantJob::Guarded { submissions } => (
+        let (placement, guard, window_model) = match spec.job {
+            TenantJob::SloProbe => (Placement::Switch, None, None),
+            TenantJob::Defend { window_model } => (Placement::Controller, None, Some(window_model)),
+            TenantJob::Guarded { submissions, window_model } => (
                 Placement::Controller,
-                Some(GuardSpec { slo: SloPolicy::default(), canary_fraction: 0.25, submissions }),
+                Some(GuardSpec {
+                    slo: SloPolicy::default(),
+                    canary_fraction: CANARY_FRACTION,
+                    submissions,
+                }),
+                Some(window_model),
             ),
         };
-        let window_model = (placement != Placement::Switch).then(|| {
-            let model = spec.window_model.expect("Defend and Guarded jobs need a window model");
-            Box::new(model) as Box<dyn Classifier + Send>
-        });
+        let window_model = window_model.map(|m| Box::new(m) as Box<dyn Classifier + Send>);
         let mut session = Session::new(
             format!("tenant[{}]", spec.name),
             &spec.scenario,
@@ -196,7 +193,6 @@ impl TenantSlice {
             grant,
             deadline,
             horizon: SimTime::ZERO,
-            window,
             rounds: 0,
             done: false,
         }
@@ -207,18 +203,10 @@ impl TenantSlice {
         &self.name
     }
 
-    /// No event at or before the deadline remains.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Process every event up to `min(until, deadline)` and re-check for
     /// completion. Calls that do not extend the slice's horizon — on a
-    /// finished slice, or with a cap at/behind the last one — are no-ops,
-    /// so a tenant's advance sequence is a function of its own spec —
-    /// never of how long its neighbors keep the plaza's round loop
-    /// spinning.
-    pub fn advance(&mut self, until: SimTime) {
+    /// finished slice, or with a cap at/behind the last one — are no-ops.
+    fn advance(&mut self, until: SimTime) {
         let cap = until.min(self.deadline);
         if self.done || cap <= self.horizon {
             return;
@@ -258,10 +246,9 @@ impl TenantSlice {
         Ok(())
     }
 
-    /// Drive the slice over its own window grid until done — byte-for-byte
-    /// the schedule an interleaving plaza produces, minus the neighbors.
+    /// Drive the slice over its own window grid until done.
     pub fn run_to_completion(&mut self) {
-        let step = self.window.as_nanos().max(1);
+        let step = WINDOW.as_nanos();
         while !self.done {
             let next = SimTime(step.saturating_mul(self.rounds + 1));
             self.advance(next);
@@ -403,20 +390,23 @@ impl TenantOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use campuslab_ml::{Dataset, TreeConfig};
     use campuslab_netsim::Campus;
+
+    /// A one-split window model, for jobs whose model never decides
+    /// anything the test looks at.
+    fn stump() -> DecisionTree {
+        let data = Dataset::new(vec![vec![0.0], vec![1.0]], vec![0, 1], vec!["f".into()]);
+        DecisionTree::fit(&data, TreeConfig::shallow(1))
+    }
 
     #[test]
     fn probe_slice_runs_to_completion_and_fingerprints_deterministically() {
         let run = || {
             let spec = TenantSpec::probe("alpha");
-            let mut slice = TenantSlice::build(
-                spec,
-                &SwitchModel::default(),
-                SimDuration::from_millis(500),
-                SimDuration::from_secs(4),
-            );
+            let mut slice = TenantSlice::build(spec, &SwitchModel::default());
             slice.run_to_completion();
-            assert!(slice.is_done());
+            assert!(slice.done);
             slice.finish()
         };
         let a = run();
@@ -434,33 +424,6 @@ mod tests {
         assert_eq!(p.rounds(), a.rounds);
     }
 
-    #[test]
-    fn windowed_advance_matches_run_to_completion_grid() {
-        // Drive one slice externally on the same grid run_to_completion
-        // uses; both must land on identical bytes.
-        let build = || {
-            TenantSlice::build(
-                TenantSpec::probe("grid"),
-                &SwitchModel::default(),
-                SimDuration::from_millis(500),
-                SimDuration::from_secs(4),
-            )
-        };
-        let mut inner = build();
-        inner.run_to_completion();
-        let mut outer = build();
-        let step = 500_000_000u64;
-        let mut round = 0u64;
-        while !outer.is_done() {
-            round += 1;
-            outer.advance(SimTime(step * round));
-            // Extra advances on a done slice are no-ops, like a plaza
-            // round loop kept spinning by slower neighbors.
-            outer.advance(SimTime(step * round));
-        }
-        assert_eq!(inner.finish().fingerprint(), outer.finish().fingerprint());
-    }
-
     /// The Defend job through the shared `Session` lifecycle: the window
     /// grid only decides when the simulator pauses, so every byte but the
     /// round count equals a single advance straight to the deadline.
@@ -470,15 +433,9 @@ mod tests {
             campuslab_testbed::fixtures::train(&Scenario::tenant_probe());
         let build = || {
             let mut spec = TenantSpec::probe("defend");
-            spec.job = TenantJob::Defend;
+            spec.job = TenantJob::Defend { window_model: model.clone() };
             spec.program = program.clone();
-            spec.window_model = Some(model.clone());
-            TenantSlice::build(
-                spec,
-                &SwitchModel::default(),
-                SimDuration::from_millis(500),
-                SimDuration::from_secs(4),
-            )
+            TenantSlice::build(spec, &SwitchModel::default())
         };
         let print = |mut o: TenantOutcome| {
             o.obs.plaza = None; // carries the round count
@@ -488,7 +445,7 @@ mod tests {
         windowed.run_to_completion();
         let mut one_shot = build();
         one_shot.advance(SimTime(u64::MAX));
-        assert!(one_shot.is_done());
+        assert!(one_shot.done);
         let windowed = windowed.finish();
         let detector = windowed.obs.detector.as_ref().expect("Defend runs a detector");
         assert!(
@@ -504,12 +461,7 @@ mod tests {
     fn capture_tenant_lands_a_private_store_view() {
         let mut spec = TenantSpec::probe("cap");
         spec.capture = true;
-        let mut slice = TenantSlice::build(
-            spec,
-            &SwitchModel::default(),
-            SimDuration::from_millis(500),
-            SimDuration::from_secs(4),
-        );
+        let mut slice = TenantSlice::build(spec, &SwitchModel::default());
         slice.run_to_completion();
         let outcome = slice.finish();
         let ds = outcome.store.as_ref().expect("capture tenant has a store view");
@@ -529,6 +481,7 @@ mod tests {
         assert_eq!(d.stage_slots, 2);
         spec.job = TenantJob::Guarded {
             submissions: vec![(SimTime::from_secs(1), discard_sentinel("extra"))],
+            window_model: stump(),
         };
         assert_eq!(spec.demand(&sw).tcam_entries, 4_097);
     }
@@ -541,12 +494,7 @@ mod tests {
         let mut plan = ChaosPlan::new();
         plan.link_flap(campus.border_link, SimTime::from_millis(600), SimTime::from_millis(1400));
         spec.chaos = Some(plan);
-        TenantSlice::build(
-            spec,
-            &SwitchModel::default(),
-            SimDuration::from_millis(500),
-            SimDuration::from_secs(4),
-        )
+        TenantSlice::build(spec, &SwitchModel::default())
     }
 
     /// The plaza leg of the PhoenixRun contract: crash a tenant three
@@ -558,12 +506,7 @@ mod tests {
     #[test]
     fn frozen_slice_resumes_byte_identically_next_to_a_chaos_neighbor() {
         let build = || {
-            TenantSlice::build(
-                TenantSpec::probe("phx"),
-                &SwitchModel::default(),
-                SimDuration::from_millis(500),
-                SimDuration::from_secs(4),
-            )
+            TenantSlice::build(TenantSpec::probe("phx"), &SwitchModel::default())
         };
         let mut solo = build();
         solo.run_to_completion();
@@ -582,7 +525,7 @@ mod tests {
         restored.thaw_state(frozen).unwrap();
         let mut neighbor = chaos_neighbor_slice();
         let mut r = 3u64;
-        while !restored.is_done() || !neighbor.is_done() {
+        while !restored.done || !neighbor.done {
             r += 1;
             neighbor.advance(SimTime(step * r));
             restored.advance(SimTime(step * r));
@@ -597,37 +540,17 @@ mod tests {
     fn capture_slices_refuse_to_freeze_with_a_typed_error() {
         let mut spec = TenantSpec::probe("cap-freeze");
         spec.capture = true;
-        let mut slice = TenantSlice::build(
-            spec,
-            &SwitchModel::default(),
-            SimDuration::from_millis(500),
-            SimDuration::from_secs(4),
-        );
+        let mut slice = TenantSlice::build(spec, &SwitchModel::default());
         assert_eq!(slice.freeze().err(), Some(SliceFreezeError::CaptureMonitor));
     }
 
     #[test]
     fn job_shape_mismatch_is_refused_on_thaw() {
-        use campuslab_ml::{Dataset, TreeConfig};
-        let mut idle = TenantSlice::build(
-            TenantSpec::probe("idle"),
-            &SwitchModel::default(),
-            SimDuration::from_millis(500),
-            SimDuration::from_secs(4),
-        );
+        let mut idle = TenantSlice::build(TenantSpec::probe("idle"), &SwitchModel::default());
         let image = idle.freeze().unwrap();
         let mut spec = TenantSpec::probe("defend");
-        spec.job = TenantJob::Defend;
-        spec.window_model = Some(DecisionTree::fit(
-            &Dataset::new(vec![vec![0.0], vec![1.0]], vec![0, 1], vec!["f".into()]),
-            TreeConfig::shallow(1),
-        ));
-        let mut defend = TenantSlice::build(
-            spec,
-            &SwitchModel::default(),
-            SimDuration::from_millis(500),
-            SimDuration::from_secs(4),
-        );
+        spec.job = TenantJob::Defend { window_model: stump() };
+        let mut defend = TenantSlice::build(spec, &SwitchModel::default());
         assert_eq!(defend.thaw_state(image).err(), Some(SliceFreezeError::JobMismatch));
     }
 

@@ -3,8 +3,8 @@
 //! it measures. Every test here renders a tenant's entire observable run
 //! — metrics bundle, guard decision log, trace, datastore view — into
 //! [`TenantOutcome::fingerprint`] and diffs it byte-for-byte between a
-//! solo plaza and a crowded one, across the interleaved (one worker) and
-//! parallel (`CAMPUSLAB_JOBS=4`) executors.
+//! solo plaza and a crowded one, with the slices run inline
+//! (`CAMPUSLAB_JOBS=1`) and on worker threads (`CAMPUSLAB_JOBS=4`).
 //!
 //! The neighbor cast deliberately includes a chaos-running tenant (its
 //! own campus suffers a border flap) and budget-hungry tenants that force
@@ -13,7 +13,7 @@
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::DecisionTree;
 use campuslab_netsim::{Campus, ChaosPlan, SimTime};
-use campuslab_plaza::{Plaza, PlazaConfig, TenantJob, TenantSpec};
+use campuslab_plaza::{Plaza, TenantJob, TenantSpec};
 use campuslab_testbed::{fixtures, Scenario};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -61,8 +61,7 @@ fn tenant(kind: u8, name: &str) -> TenantSpec {
             name: name.into(),
             scenario: Scenario::tenant_probe(),
             program: program.clone(),
-            window_model: Some(model.clone()),
-            job: TenantJob::Defend,
+            job: TenantJob::Defend { window_model: model.clone() },
             chaos: None,
             capture: false,
             reserved_tcam: 0,
@@ -71,9 +70,9 @@ fn tenant(kind: u8, name: &str) -> TenantSpec {
             name: name.into(),
             scenario: Scenario::tenant_probe(),
             program: program.clone(),
-            window_model: Some(model.clone()),
             job: TenantJob::Guarded {
                 submissions: vec![(SimTime::from_secs(1), program.clone())],
+                window_model: model.clone(),
             },
             chaos: None,
             capture: false,
@@ -89,7 +88,7 @@ fn set_jobs(n: usize) {
 /// Run a plaza over `specs` and return every finished tenant's
 /// fingerprint, keyed by name.
 fn fingerprints(specs: Vec<TenantSpec>) -> BTreeMap<String, String> {
-    let mut plaza = Plaza::new(PlazaConfig::default());
+    let mut plaza = Plaza::new();
     for spec in specs {
         plaza.submit(spec);
     }
@@ -105,8 +104,8 @@ fn fingerprints(specs: Vec<TenantSpec>) -> BTreeMap<String, String> {
 }
 
 /// The deterministic anchor case: a guarded tenant and a capture tenant
-/// next to a chaos-running neighbor, solo vs crowded, interleaved vs
-/// parallel — four executions, one set of bytes per tenant.
+/// next to a chaos-running neighbor, solo vs crowded, one worker vs
+/// four — four executions, one set of bytes per tenant.
 #[test]
 fn guarded_and_capture_tenants_ignore_a_chaos_neighbor() {
     let _guard = ENV_LOCK.lock().unwrap();
@@ -132,7 +131,7 @@ fn guarded_and_capture_tenants_ignore_a_chaos_neighbor() {
         assert_eq!(
             fp,
             co_seq.get(name).expect("tenant finished co-scheduled"),
-            "{name}: solo vs interleaved co-schedule diverged"
+            "{name}: solo vs one-worker co-schedule diverged"
         );
         assert_eq!(
             fp,
@@ -185,7 +184,7 @@ proptest! {
             prop_assert_eq!(
                 fp,
                 co_seq.get(name).expect("tenant finished co-scheduled"),
-                "{}: solo vs interleaved co-schedule diverged",
+                "{}: solo vs one-worker co-schedule diverged",
                 name
             );
             prop_assert_eq!(

@@ -11,7 +11,7 @@
 //! ## Determinism
 //!
 //! `handle_deliver` runs inside the engine's delivery hook. Every command
-//! the actor emits from that path is stamped at least `proc_delay` (6 ms)
+//! the actor emits from that path is stamped at least `PROC_DELAY` (6 ms)
 //! into the future, and timer callbacks may inject at `at = now`; both
 //! are pure functions of sim-time and service state, so the sequential
 //! and parallel executors stay byte-identical (DESIGN.md §12).

@@ -32,7 +32,7 @@
 //! Determinism contract: the service derives every decision from sim-time
 //! and its own state — no wall clock, no ambient randomness — and the
 //! actor schedules every reaction from a delivery hook at least
-//! [`service::ResolverConfig::proc_delay`] in the future (see
+//! [`service::PROC_DELAY`] in the future (see
 //! DESIGN.md §12).
 
 #![deny(rust_2018_idioms)]

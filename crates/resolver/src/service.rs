@@ -23,8 +23,8 @@
 //! ## Determinism
 //!
 //! Every decision derives from sim-time and prior state, the delays the
-//! service stamps on its actions ([`ResolverConfig::proc_delay`] and up)
-//! included (DESIGN.md §12).
+//! service stamps on its actions ([`PROC_DELAY`] and up) included
+//! (DESIGN.md §12).
 
 use crate::cache::{CacheLookup, DnsCache};
 use crate::observe::RsvObs;
@@ -35,52 +35,42 @@ use campuslab_wire::{DnsFlags, DnsMessage, DnsRcode, DnsRecord, DnsType};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+// The three delays are pinned by E16's golden: `PROC_DELAY` was sized
+// above the border link's 5 ms propagation when a sharded executor
+// replayed delivery hooks a window late, and `UPSTREAM_RTT` and
+// `UPSTREAM_TIMEOUT` sit above it. No executor defers a hook now; the
+// values stay because moving them moves every E16 byte.
+
+/// Local processing delay stamped on cache-served responses.
+pub const PROC_DELAY: SimDuration = SimDuration::from_millis(6);
+/// Modelled round trip for one upstream recursive lookup.
+pub const UPSTREAM_RTT: SimDuration = SimDuration::from_millis(20);
+/// Deadline after which a lookup that never got an upstream slot is
+/// abandoned (serve-stale or ServFail).
+const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_millis(60);
+/// How long an expired positive entry stays eligible for serve-stale.
+const STALE_WINDOW: SimDuration = SimDuration::from_secs(30);
+/// Positive-cache capacity, entries.
+const CACHE_CAPACITY: usize = 512;
+/// Negative-cache capacity, entries.
+const NEG_CAPACITY: usize = 256;
+/// RRL refill rate, responses per client per second.
+const RRL_RATE: u64 = 20;
+/// RRL bucket size, responses.
+const RRL_BURST: u64 = 40;
+/// Distinct client buckets tracked before idle pruning kicks in.
+const RRL_MAX_CLIENTS: usize = 1024;
+
 /// Tunables for one resolver instance.
-///
-/// The timing defaults are pinned by E16's golden: `proc_delay` was sized
-/// above the border link's 5 ms propagation when a sharded executor
-/// replayed delivery hooks a window late, and `upstream_rtt` and
-/// `upstream_timeout` sit above it. No executor defers a hook now; the
-/// values stay because moving them moves every E16 byte.
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
-    /// Local processing delay stamped on cache-served responses.
-    pub proc_delay: SimDuration,
-    /// Modelled round trip for one upstream recursive lookup.
-    pub upstream_rtt: SimDuration,
-    /// Deadline after which a lookup that never got an upstream slot is
-    /// abandoned (serve-stale or ServFail).
-    pub upstream_timeout: SimDuration,
-    /// How long an expired positive entry stays eligible for serve-stale.
-    pub stale_window: SimDuration,
-    /// Positive-cache capacity, entries.
-    pub cache_capacity: usize,
-    /// Negative-cache capacity, entries.
-    pub neg_capacity: usize,
-    /// RRL refill rate, responses per client per second.
-    pub rrl_rate: u64,
-    /// RRL bucket size, responses.
-    pub rrl_burst: u64,
-    /// Distinct client buckets tracked before idle pruning kicks in.
-    pub rrl_max_clients: usize,
     /// Concurrent upstream lookups the resolver can have in flight.
     pub upstream_concurrency: usize,
 }
 
 impl Default for ResolverConfig {
     fn default() -> Self {
-        ResolverConfig {
-            proc_delay: SimDuration::from_millis(6),
-            upstream_rtt: SimDuration::from_millis(20),
-            upstream_timeout: SimDuration::from_millis(60),
-            stale_window: SimDuration::from_secs(30),
-            cache_capacity: 512,
-            neg_capacity: 256,
-            rrl_rate: 20,
-            rrl_burst: 40,
-            rrl_max_clients: 1024,
-            upstream_concurrency: 8,
-        }
+        ResolverConfig { upstream_concurrency: 8 }
     }
 }
 
@@ -191,8 +181,8 @@ pub struct ResolverService {
 impl ResolverService {
     /// A resolver over `zone` with the given tunables.
     pub fn new(cfg: ResolverConfig, zone: ZoneDb) -> Self {
-        let cache = DnsCache::new(cfg.cache_capacity, cfg.neg_capacity, cfg.stale_window);
-        let rrl = RateLimiter::new(cfg.rrl_rate, cfg.rrl_burst, cfg.rrl_max_clients);
+        let cache = DnsCache::new(CACHE_CAPACITY, NEG_CAPACITY, STALE_WINDOW);
+        let rrl = RateLimiter::new(RRL_RATE, RRL_BURST, RRL_MAX_CLIENTS);
         ResolverService {
             cfg,
             cache,
@@ -238,7 +228,7 @@ impl ResolverService {
             self.obs.on_rrl_drop();
             return Vec::new();
         }
-        let reply_at = now + self.cfg.proc_delay;
+        let reply_at = now + PROC_DELAY;
         let msg = match DnsMessage::parse(data) {
             Ok(msg) => msg,
             Err(_) => {
@@ -295,7 +285,7 @@ impl ResolverService {
         match p.kind {
             PendingKind::Resolving => {
                 self.inflight = self.inflight.saturating_sub(1);
-                self.obs.on_upstream_latency(self.cfg.upstream_rtt.as_nanos());
+                self.obs.on_upstream_latency(UPSTREAM_RTT.as_nanos());
                 match self.zone.lookup(&p.name, p.qtype) {
                     ZoneAnswer::Records(records) => {
                         if !records.is_empty() {
@@ -355,10 +345,10 @@ impl ResolverService {
         let (kind, at) = if self.inflight < self.cfg.upstream_concurrency {
             self.inflight += 1;
             self.obs.on_upstream_query();
-            (PendingKind::Resolving, now + self.cfg.upstream_rtt)
+            (PendingKind::Resolving, now + UPSTREAM_RTT)
         } else {
             // No slot: hold the query until the deadline, then fall back.
-            (PendingKind::Starved { stale }, now + self.cfg.upstream_timeout)
+            (PendingKind::Starved { stale }, now + UPSTREAM_TIMEOUT)
         };
         self.pending.insert(seq, Pending { client, dport, query, name, qtype, truth, kind });
         vec![Action::Arm { at, seq }]
@@ -472,7 +462,7 @@ mod tests {
         match &acts[0] {
             Action::Respond(r) => {
                 assert_eq!(r.kind, ResponseKind::Answer);
-                assert_eq!(r.at, at_ms(100) + svc.config().proc_delay);
+                assert_eq!(r.at, at_ms(100) + PROC_DELAY);
             }
             Action::Arm { .. } => panic!("expected a cache hit"),
         }
@@ -533,9 +523,8 @@ mod tests {
     #[test]
     fn rrl_drops_over_budget_clients_silently() {
         let mut svc = ResolverService::campus_default();
-        let burst = svc.config().rrl_burst;
         let mut dropped = 0;
-        for i in 0..(burst + 10) {
+        for i in 0..(RRL_BURST + 10) {
             let acts = svc.handle_packet(
                 at_ms(0),
                 client(),
@@ -554,7 +543,7 @@ mod tests {
     #[test]
     fn saturated_upstream_serves_stale_when_available() {
         // Zero concurrency models a permanently saturated upstream.
-        let cfg = ResolverConfig { upstream_concurrency: 0, ..ResolverConfig::default() };
+        let cfg = ResolverConfig { upstream_concurrency: 0 };
         let mut svc = ResolverService::new(cfg, ZoneDb::campus_default());
         // Seed a cache entry by hand, already expired but within the
         // stale window at query time.
@@ -569,7 +558,7 @@ mod tests {
             svc.handle_packet(t, client(), 5353, &query_bytes(1, "svc0.example0.com", DnsType::A), truth());
         let r = match &acts[0] {
             Action::Arm { at, seq } => {
-                assert_eq!(*at, t + svc.config().upstream_timeout);
+                assert_eq!(*at, t + UPSTREAM_TIMEOUT);
                 svc.on_timer(*at, *seq).expect("starved lookup resolves")
             }
             Action::Respond(_) => panic!("saturated upstream cannot answer immediately"),
@@ -582,7 +571,7 @@ mod tests {
 
     #[test]
     fn saturated_upstream_without_stale_gives_up_with_servfail() {
-        let cfg = ResolverConfig { upstream_concurrency: 0, ..ResolverConfig::default() };
+        let cfg = ResolverConfig { upstream_concurrency: 0 };
         let mut svc = ResolverService::new(cfg, ZoneDb::campus_default());
         let acts =
             svc.handle_packet(at_ms(0), client(), 5353, &query_bytes(1, "x9z.torture.net", DnsType::A), truth());
@@ -612,7 +601,7 @@ mod tests {
                 svc.handle_packet(at_ms(0), c, 5353, &query_bytes(i as u16, &format!("j{i}.nowhere.org"), DnsType::A), truth());
             match &acts[0] {
                 Action::Arm { at, .. } => {
-                    if *at == at_ms(0) + svc.config().upstream_timeout {
+                    if *at == at_ms(0) + UPSTREAM_TIMEOUT {
                         starved += 1;
                     }
                 }

@@ -11,7 +11,7 @@
 
 use crate::roadtest::{road_test, RoadTestConfig, RoadTestOutcome};
 use crate::scenario::Scenario;
-use campuslab_control::{InstallPolicy, Placement};
+use campuslab_control::InstallPolicy;
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
 use campuslab_netsim::par::parallel_map_with;
@@ -28,7 +28,6 @@ pub struct ChaosSweepConfig {
     pub intensities: Vec<f64>,
     /// Base seed; each point derives its campaign from `seed ^ point`.
     pub seed: u64,
-    pub placement: Placement,
     /// Worker threads for the sweep (capped at the point count).
     pub workers: usize,
 }
@@ -38,7 +37,6 @@ impl Default for ChaosSweepConfig {
         ChaosSweepConfig {
             intensities: vec![0.0, 0.25, 0.5, 0.75, 1.0],
             seed: 0xE14C4A05,
-            placement: Placement::Controller,
             workers: 4,
         }
     }
@@ -66,18 +64,14 @@ pub struct ChaosPoint {
     pub dropped_node_down: u64,
 }
 
-/// Map one intensity in `[0, 1]` onto a full [`RoadTestConfig`]: a chaos
-/// campaign over the scenario's internal links and hosts, a tap blackout
-/// covering part of the attack's opening, and an increasingly flaky
-/// install channel. Intensity 0 is exactly the fault-free configuration.
-pub fn chaos_road_test_config(
-    scenario: &Scenario,
-    intensity: f64,
-    seed: u64,
-    placement: Placement,
-) -> RoadTestConfig {
+/// Map one intensity in `[0, 1]` onto a full [`RoadTestConfig`] at the
+/// default (controller) placement: a chaos campaign over the scenario's
+/// internal links and hosts, a tap blackout covering part of the attack's
+/// opening, and an increasingly flaky install channel. Intensity 0 is
+/// exactly the fault-free configuration.
+pub fn chaos_road_test_config(scenario: &Scenario, intensity: f64, seed: u64) -> RoadTestConfig {
     let t = intensity.clamp(0.0, 1.0);
-    let mut cfg = RoadTestConfig { placement, ..RoadTestConfig::default() };
+    let mut cfg = RoadTestConfig::default();
     if t <= 0.0 {
         return cfg;
     }
@@ -185,12 +179,7 @@ pub fn chaos_sweep_observed(
     sweep: &ChaosSweepConfig,
 ) -> (Vec<ChaosPoint>, Vec<crate::observe::RunObs>) {
     parallel_map_with(&sweep.intensities, sweep.workers, |i, &intensity| {
-        let cfg = chaos_road_test_config(
-            scenario,
-            intensity,
-            sweep.seed ^ i as u64,
-            sweep.placement,
-        );
+        let cfg = chaos_road_test_config(scenario, intensity, sweep.seed ^ i as u64);
         let outcome = road_test(scenario, program.clone(), Some(mk_model()), cfg);
         let point = point_from(intensity, &outcome);
         (point, outcome.obs)
@@ -210,7 +199,7 @@ mod tests {
 
     #[test]
     fn zero_intensity_is_the_fault_free_config() {
-        let cfg = chaos_road_test_config(&Scenario::small(), 0.0, 7, Placement::Controller);
+        let cfg = chaos_road_test_config(&Scenario::small(), 0.0, 7);
         assert!(cfg.chaos.is_none());
         assert!(cfg.tap_blackouts.is_empty());
         assert_eq!(cfg.install.failure_probability, 0.0);
@@ -219,8 +208,8 @@ mod tests {
     #[test]
     fn campaigns_scale_with_intensity_and_spare_the_border() {
         let s = Scenario::small();
-        let lo = chaos_road_test_config(&s, 0.3, 7, Placement::Controller);
-        let hi = chaos_road_test_config(&s, 1.0, 7, Placement::Controller);
+        let lo = chaos_road_test_config(&s, 0.3, 7);
+        let hi = chaos_road_test_config(&s, 1.0, 7);
         let lo_plan = lo.chaos.unwrap();
         let hi_plan = hi.chaos.unwrap();
         assert!(hi_plan.events.len() > lo_plan.events.len());
@@ -274,7 +263,7 @@ mod tests {
     fn curve_points_agree_with_legacy_stats() {
         let (program, model) = trained();
         let s = Scenario::small();
-        let cfg = chaos_road_test_config(&s, 0.6, 0xC0FFEE, Placement::Controller);
+        let cfg = chaos_road_test_config(&s, 0.6, 0xC0FFEE);
         let outcome = road_test(&s, program, Some(Box::new(model)), cfg);
         let point = point_from(0.6, &outcome);
         assert_eq!(point.dropped_fault, outcome.net.dropped_fault);

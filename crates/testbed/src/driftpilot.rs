@@ -13,30 +13,18 @@
 use crate::observe::RunObs;
 use crate::phoenix::PhoenixCheckpoint;
 use crate::roadtest::RoadTestConfig;
+use crate::rollout::CANARY_FRACTION;
 use crate::scenario::Scenario;
 use crate::session::{timeline, GuardSpec, Members, Session};
-use campuslab_control::{
-    DriftEpisode, DriftPilotConfig, RetrainRecord, RolloutEvent, SloPolicy, TeacherKind,
-};
+use campuslab_control::{DriftEpisode, RetrainRecord, RolloutEvent, SloPolicy};
 use campuslab_dataplane::PipelineProgram;
-use campuslab_ml::{Classifier, ForestConfig};
-use campuslab_netsim::{LinkId, SimDuration, SimTime};
+use campuslab_ml::Classifier;
+use campuslab_netsim::{SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
-/// Parameters of a drift road test.
+/// Parameters of a drift road test. The run takes the default road-test
+/// knobs, and its pilot is `DriftPilotConfig::new`'s.
 pub struct DriftRunConfig {
-    /// Base road-test knobs (placement, chaos, blackouts, install channel).
-    pub road: RoadTestConfig,
-    /// SLO windows, gates and hysteresis for the guard. The default uses
-    /// `promote_after: 1` so a healthy candidate climbs the full ladder in
-    /// three SLO windows — drift mitigation is racing live damage, and the
-    /// shadow/canary gates still veto a bad program before it spreads.
-    pub slo: SloPolicy,
-    /// Fraction of access switches whose hosts form the canary cohort.
-    pub canary_fraction: f64,
-    /// Pilot knobs. `tap` and `deployed_fingerprint` are overwritten by
-    /// the runner (border link, known-good program's fingerprint).
-    pub pilot: DriftPilotConfig,
     /// Settling margin past the workload's end before the run's hard
     /// deadline. The default (4 s) gives in-flight candidates time to
     /// finish the ladder; `SimDuration::ZERO` cuts the run at the last
@@ -46,20 +34,7 @@ pub struct DriftRunConfig {
 
 impl Default for DriftRunConfig {
     fn default() -> Self {
-        // The always-on pilot retrains every couple of sim seconds, so its
-        // teacher is a deliberately small forest: the distilled student is
-        // what deploys anyway, and an 8-tree teacher keeps a full drift
-        // road test fast enough to replay in CI on every executor row.
-        let mut pilot = DriftPilotConfig::new(LinkId(0), 0);
-        pilot.devloop.teacher =
-            TeacherKind::Forest(ForestConfig { n_trees: 8, ..ForestConfig::default() });
-        DriftRunConfig {
-            road: RoadTestConfig::default(),
-            slo: SloPolicy { promote_after: 1, ..SloPolicy::default() },
-            canary_fraction: 0.25,
-            pilot,
-            settle: SimDuration::from_secs(4),
-        }
+        DriftRunConfig { settle: SimDuration::from_secs(4) }
     }
 }
 
@@ -142,15 +117,19 @@ impl DriftSession {
             "drift-roadtest",
             scenario,
             known_good,
-            &cfg.road,
+            &RoadTestConfig::default(),
             Members {
                 guard: Some(GuardSpec {
-                    slo: cfg.slo,
-                    canary_fraction: cfg.canary_fraction,
+                    // `promote_after: 1`: a healthy candidate climbs the
+                    // full ladder in three SLO windows — drift mitigation
+                    // is racing live damage, and the shadow/canary gates
+                    // still veto a bad program before it spreads.
+                    slo: SloPolicy { promote_after: 1, ..SloPolicy::default() },
+                    canary_fraction: CANARY_FRACTION,
                     submissions: Vec::new(),
                 }),
                 window_model: Some(window_model),
-                pilot: Some(cfg.pilot),
+                pilot: true,
                 ..Members::default()
             },
             Some(deadline),
@@ -306,7 +285,7 @@ mod tests {
             &scenario,
             known_good,
             Box::new(model),
-            DriftRunConfig { settle: SimDuration::ZERO, ..DriftRunConfig::default() },
+            DriftRunConfig { settle: SimDuration::ZERO },
         );
         // The hard deadline with no settling margin: nothing — retrains,
         // guard decisions, episode onsets — may be stamped after it.

@@ -69,7 +69,9 @@ pub use roadtest::{
     RoadTestOutcome,
 };
 pub use resolverlab::{resolver_run, ResolverRunConfig, ResolverRunOutcome};
-pub use rollout::{canary_hosts, guarded_road_test, GuardedRunConfig, GuardedRunOutcome};
+pub use rollout::{
+    canary_hosts, guarded_road_test, GuardedRunConfig, GuardedRunOutcome, CANARY_FRACTION,
+};
 pub use scenario::{
     build_schedule, build_store, collect, shard_by_second, AttackScenario, CollectedData, Scenario,
 };

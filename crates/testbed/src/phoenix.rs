@@ -274,7 +274,7 @@ mod tests {
             scenario,
             known_good.clone(),
             Box::new(model.clone()),
-            DriftRunConfig { settle: SimDuration::ZERO, ..DriftRunConfig::default() },
+            DriftRunConfig { settle: SimDuration::ZERO },
         )
     }
 
@@ -298,7 +298,7 @@ mod tests {
             &cheap_scenario(),
             known_good.clone(),
             Box::new(model.clone()),
-            DriftRunConfig { settle: SimDuration::ZERO, ..DriftRunConfig::default() },
+            DriftRunConfig { settle: SimDuration::ZERO },
         );
         let cart = CrashCart::new(cheap_session, SimDuration::from_secs(1));
         assert_eq!(cart.uninterrupted(), fingerprint(&road));

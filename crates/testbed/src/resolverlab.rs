@@ -177,7 +177,7 @@ mod tests {
             handle,
         );
         let starved = ResolverService::new(
-            ResolverConfig { upstream_concurrency: 0, ..ResolverConfig::default() },
+            ResolverConfig { upstream_concurrency: 0 },
             ZoneDb::campus_default(),
         );
         let mut guarded = Stack {

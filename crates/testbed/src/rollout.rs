@@ -15,14 +15,16 @@ use campuslab_ml::Classifier;
 use campuslab_netsim::{Campus, SimDuration, SimTime};
 use std::net::IpAddr;
 
+/// Fraction of access switches whose hosts form a guard's canary cohort:
+/// one of the small campus's four.
+pub const CANARY_FRACTION: f64 = 0.25;
+
 /// Parameters of a guarded road test, over and above the road-test ones.
+/// The guard runs `SloPolicy::default()` over a [`CANARY_FRACTION`] cohort.
+#[derive(Default)]
 pub struct GuardedRunConfig {
     /// Base road-test knobs (placement, chaos, blackouts, install channel).
     pub road: RoadTestConfig,
-    /// SLO windows, gates and hysteresis for the guard.
-    pub slo: SloPolicy,
-    /// Fraction of access switches whose hosts form the canary cohort.
-    pub canary_fraction: f64,
     /// Candidates submitted to the guard at scheduled sim times.
     pub submissions: Vec<(SimTime, PipelineProgram)>,
     /// Hard stop for the simulation. `None` (the default) runs until the
@@ -30,18 +32,6 @@ pub struct GuardedRunConfig {
     /// caps the run, possibly mid-ladder — the guard simply freezes in
     /// whatever stage the deadline caught it.
     pub deadline: Option<SimTime>,
-}
-
-impl Default for GuardedRunConfig {
-    fn default() -> Self {
-        GuardedRunConfig {
-            road: RoadTestConfig::default(),
-            slo: SloPolicy::default(),
-            canary_fraction: 0.25,
-            submissions: Vec::new(),
-            deadline: None,
-        }
-    }
 }
 
 /// The hosts behind the first `ceil(fraction * n_access)` access switches,
@@ -135,8 +125,8 @@ fn session(
         &cfg.road,
         Members {
             guard: Some(GuardSpec {
-                slo: cfg.slo,
-                canary_fraction: cfg.canary_fraction,
+                slo: SloPolicy::default(),
+                canary_fraction: CANARY_FRACTION,
                 submissions: cfg.submissions,
             }),
             window_model: Some(window_model),

@@ -94,9 +94,10 @@ impl Scenario {
     /// because the resolver actor answers port-53 traffic itself.
     ///
     /// Sizing: 24 sources x 60 qps is ~480 qps after per-client rate
-    /// limiting (20 qps each), above the upstream capacity of the default
-    /// [`campuslab_resolver::ResolverConfig`] (8 concurrent lookups at a
-    /// 20 ms RTT = 400 qps), so the flood starves the upstream path and
+    /// limiting (20 qps each), above the default resolver's upstream
+    /// capacity (8 concurrent lookups, [`campuslab_resolver::ResolverConfig`],
+    /// at a [`campuslab_resolver::service::UPSTREAM_RTT`] of 20 ms = 400
+    /// qps), so the flood starves the upstream path and
     /// benign misses degrade to stale answers or ServFail give-ups.
     pub fn resolver_lab() -> Self {
         let mut workload = WorkloadConfig {

@@ -321,9 +321,10 @@ pub struct Members {
     /// Without one nothing reacts online; under [`Placement::Switch`] the
     /// session's program is then in the switch before the run starts.
     pub window_model: Option<Box<dyn Classifier + Send>>,
-    /// Retrain on fresh tap windows. `tap` and `deployed_fingerprint` are
-    /// overwritten (border link, the session program's fingerprint).
-    pub pilot: Option<DriftPilotConfig>,
+    /// Retrain on fresh tap windows: a pilot built by
+    /// [`DriftPilotConfig::new`] on the border link, started from the
+    /// session program's fingerprint.
+    pub pilot: bool,
 }
 
 /// A run that can stop at any barrier, checkpoint, resume and tear down.
@@ -411,13 +412,9 @@ impl Session {
                 handle.clone(),
             )
         });
-        let pilot = members.pilot.map(|cfg| {
-            DriftPilot::new(DriftPilotConfig {
-                tap,
-                deployed_fingerprint: program.fingerprint(),
-                ..cfg
-            })
-        });
+        let pilot = members
+            .pilot
+            .then(|| DriftPilot::new(DriftPilotConfig::new(tap, program.fingerprint())));
         if controller.is_none() && road.placement == Placement::Switch {
             // Compiled rules are in the switch before the attack exists.
             handle.add_program(None, program);
@@ -440,8 +437,8 @@ impl Session {
     }
 
     /// Process every event up to `min(until, deadline)`. Returning from
-    /// this call is a quiescent barrier: no event is mid-dispatch and no
-    /// shard splice is live, so a checkpoint taken here is consistent.
+    /// this call is a quiescent barrier: no event is mid-dispatch, so a
+    /// checkpoint taken here is consistent.
     pub fn run_until(&mut self, until: SimTime) {
         let cap = self.deadline.map_or(until, |d| d.min(until));
         self.net.run(&mut self.stack, Some(cap));

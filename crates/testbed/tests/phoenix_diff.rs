@@ -28,7 +28,7 @@ fn session(dur_s: u64) -> DriftSession {
         &scenario,
         program.clone(),
         Box::new(model.clone()),
-        DriftRunConfig { settle: SimDuration::ZERO, ..DriftRunConfig::default() },
+        DriftRunConfig { settle: SimDuration::ZERO },
     )
 }
 

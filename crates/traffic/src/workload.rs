@@ -24,10 +24,6 @@ pub struct WorkloadConfig {
     pub diurnal: bool,
     /// Length of a simulated "day" (compressible for short runs).
     pub day_length: SimDuration,
-    /// RTT to external services.
-    pub external_rtt: SimDuration,
-    /// RTT inside the campus.
-    pub internal_rtt: SimDuration,
     pub seed: u64,
 }
 
@@ -39,12 +35,16 @@ impl Default for WorkloadConfig {
             mix: default_mix(),
             diurnal: false,
             day_length: SimDuration::from_secs(86_400),
-            external_rtt: SimDuration::from_millis(15),
-            internal_rtt: SimDuration::from_millis(1),
             seed: 42,
         }
     }
 }
+
+/// Modelled RTT to external services: the gap the scripted sessions leave
+/// between a request and its response.
+const EXTERNAL_RTT: SimDuration = SimDuration::from_millis(15);
+/// Modelled RTT between two campus hosts.
+const INTERNAL_RTT: SimDuration = SimDuration::from_millis(1);
 
 /// The default campus application mix, loosely shaped like published campus
 /// traffic studies: web-dominated, with DNS chatter, some video elephants,
@@ -169,8 +169,7 @@ impl<'c> TrafficGenerator<'c> {
         let client = self.random_host();
         let resolver = self.endpoint(self.campus.servers.dns);
         let mail = self.endpoint(self.campus.servers.mail);
-        let ext_rtt = self.cfg.external_rtt;
-        let int_rtt = self.cfg.internal_rtt;
+        let (ext_rtt, int_rtt) = (EXTERNAL_RTT, INTERNAL_RTT);
         let domain_idx = self.host_pop.sample(&mut self.rng) % self.domains.len();
         let server = self.random_external();
         let upstream = self.random_external();

@@ -8,6 +8,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
+/// Synthetic teacher queries per DAgger round.
+const SAMPLES_PER_ROUND: usize = 2_000;
+/// Synthesis seed: a student is a pure function of teacher, data and
+/// config.
+const SEED: u64 = 0x00D1_5711;
+
 /// Extraction hyperparameters.
 #[derive(Debug, Clone, Copy)]
 pub struct DistillConfig {
@@ -16,19 +22,11 @@ pub struct DistillConfig {
     /// DAgger rounds: each round queries the teacher on fresh synthetic
     /// inputs near the data manifold and refits the student.
     pub rounds: usize,
-    /// Synthetic teacher queries per round.
-    pub samples_per_round: usize,
-    pub seed: u64,
 }
 
 impl Default for DistillConfig {
     fn default() -> Self {
-        DistillConfig {
-            tree: TreeConfig::shallow(6),
-            rounds: 4,
-            samples_per_round: 2_000,
-            seed: 0x00D1_5711,
-        }
+        DistillConfig { tree: TreeConfig::shallow(6), rounds: 4 }
     }
 }
 
@@ -53,7 +51,7 @@ pub fn distill(
     cfg: DistillConfig,
 ) -> (DecisionTree, DistillationReport) {
     assert!(!data.is_empty(), "need data to define the input manifold");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
     let mut queries = 0usize;
 
     // Round 0: relabel the real data with the teacher (pure distillation).
@@ -72,7 +70,7 @@ pub fn distill(
     // DAgger rounds: sample where the student is exercised, ask the
     // teacher, aggregate, refit.
     for _ in 0..cfg.rounds {
-        for _ in 0..cfg.samples_per_round {
+        for _ in 0..SAMPLES_PER_ROUND {
             let row = synthesize(&mut rng, data);
             queries += 1;
             agg_y.push(teacher.predict(&row));

@@ -57,8 +57,9 @@ cargo test -q --release -p campuslab-netsim --test proptest_shard
 cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
-# Wall-clock ratio gates (obs sink, checkpoint freeze, 8 shards): release
-# only (ignored in debug: timing unoptimised code gates nothing; the exact
-# work/span count beside them ran in the workspace row too), and last
-# because a tripped timing gate should not hide a determinism row above.
+# Wall-clock ratio gates (obs sink, 8 shards): release only (ignored in
+# debug: timing unoptimised code gates nothing; the four exact counts
+# beside them, 8-shard, par-ingest and plaza work/span and the share of a
+# run a checkpoint copies, ran in the workspace row too), and last because
+# a tripped timing gate should not hide a determinism row above.
 cargo test -q --release -p campuslab-bench --test ratio_gates

@@ -27,7 +27,7 @@ fn a_drift_session_killed_mid_run_resumes_byte_identically() {
                 &scenario,
                 program.clone(),
                 Box::new(model.clone()),
-                DriftRunConfig { settle: SimDuration::ZERO, ..DriftRunConfig::default() },
+                DriftRunConfig { settle: SimDuration::ZERO },
             )
         },
         SimDuration::from_secs(1),
