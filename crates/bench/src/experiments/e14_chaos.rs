@@ -12,7 +12,7 @@
 use crate::obs_export::ObsBundle;
 use crate::table::{pct, Table};
 use campuslab::obs::Tracer;
-use campuslab::testbed::{chaos_sweep, chaos_sweep_observed, ChaosPoint, ChaosSweepConfig, Scenario};
+use campuslab::testbed::{chaos_sweep, chaos_sweep_observed, ChaosSweepConfig, Scenario};
 use campuslab::Platform;
 
 /// Run the experiment and return the full Observatory bundle: the
@@ -33,16 +33,15 @@ pub fn run() -> ObsBundle {
         || Box::new(model.clone()),
         &sweep,
     );
-    // Determinism: the same sweep on one worker must serialize to the
-    // same bytes as the fanned-out run above.
+    // Determinism: the same sweep on one worker must print the same
+    // points as the fanned-out run above.
     let sequential = chaos_sweep(
         &platform.scenario,
         &dev.program,
         || Box::new(model.clone()),
         &ChaosSweepConfig { workers: 1, ..sweep },
     );
-    let render = |pts: &[ChaosPoint]| serde_json::to_string(pts).unwrap_or_default();
-    let deterministic = render(&points) == render(&sequential);
+    let deterministic = format!("{points:?}") == format!("{sequential:?}");
 
     let mut t = Table::new(&[
         "intensity",

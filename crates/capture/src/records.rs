@@ -218,7 +218,7 @@ pub struct DnsMetaRecord {
 /// the SYN and the SYN-ACK crossing the same point includes the real
 /// queueing delay on the far side — the signal the paper's §3 wants for
 /// "pinpointing performance problems".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TcpRttRecord {
     /// When the SYN-ACK crossed the tap.
     pub ts_ns: u64,

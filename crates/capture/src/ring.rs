@@ -18,7 +18,7 @@ use campuslab_netsim::SimTime;
 use std::hash::{Hash, Hasher};
 
 /// Sizing of one capture ring.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RingConfig {
     /// Ring capacity in packets.
     pub capacity: usize,
@@ -35,7 +35,7 @@ impl Default for RingConfig {
 }
 
 /// Counters for one ring.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RingStats {
     pub offered: u64,
     pub captured: u64,
@@ -54,7 +54,7 @@ impl RingStats {
 }
 
 /// One receive ring with deterministic fluid drain.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CaptureRing {
     cfg: RingConfig,
     /// Current occupancy, in packets (fractional due to fluid drain).
@@ -99,7 +99,7 @@ impl CaptureRing {
 }
 
 /// A multi-queue capture front end with flow-hash steering.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CaptureArray {
     rings: Vec<CaptureRing>,
 }

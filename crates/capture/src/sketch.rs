@@ -127,9 +127,6 @@ impl HeavyHitters {
 // heaviest first, which is no map's order), so a layer holding live
 // trackers can derive its own state.
 impl serde::Serialize for HeavyHitters {
-    fn serialize_json(&self, out: &mut String) {
-        self.freeze().serialize_json(out);
-    }
     fn serialize_bin(&self, out: &mut Vec<u8>) {
         self.freeze().serialize_bin(out);
     }

@@ -13,7 +13,6 @@ use campuslab_ml::{
 use campuslab_xai::{distill, DistillConfig, DistillationReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 
 /// Which black box anchors the loop.
 #[derive(Debug, Clone, Copy)]
@@ -65,7 +64,7 @@ impl Default for DevLoopConfig {
 }
 
 /// Metrics for one model on the held-out test split.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ModelEval {
     pub accuracy: f64,
     pub precision_attack: f64,

@@ -20,11 +20,10 @@
 
 use crate::program::PipelineProgram;
 use crate::resources::{ResourceError, SwitchModel};
-use serde::Serialize;
 use std::collections::VecDeque;
 
 /// One tenant's declared dataplane demand.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantDemand {
     /// Tenant name; the controller's handle for release.
     pub tenant: String,
@@ -63,7 +62,7 @@ impl TenantDemand {
 }
 
 /// The controller's typed verdict on one submission.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdmissionDecision {
     /// Budget granted; the pool totals after the grant ride along.
     Admitted { slots_used: usize, tcam_used: usize },

@@ -14,7 +14,6 @@ use crate::fields::{HeaderField, FIELD_ORDER};
 use crate::program::{Action, PipelineProgram, TableEntry};
 use crate::ternary::{range_to_ternary, TernaryMatch};
 use campuslab_ml::{DecisionTree, LeafRule};
-use serde::Serialize;
 
 /// Compilation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -36,7 +35,7 @@ impl Default for CompileConfig {
 }
 
 /// What compilation produced.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CompileReport {
     pub leaves_total: usize,
     pub leaves_drop: usize,

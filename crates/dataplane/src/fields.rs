@@ -10,11 +10,10 @@
 
 use campuslab_capture::{Direction, PacketRecord};
 use campuslab_netsim::{Packet, Prefix, TransportHeader};
-use serde::{Deserialize, Serialize};
 
 /// A matchable header field. Discriminants index the canonical feature
 /// order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HeaderField {
     Protocol,
     SrcPort,

@@ -9,10 +9,9 @@
 //! stage/table slots.
 
 use crate::program::PipelineProgram;
-use serde::Serialize;
 
 /// The switch's resource envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwitchModel {
     /// Match-action stages in the ingress pipeline.
     pub stages: usize,
@@ -31,7 +30,7 @@ impl Default for SwitchModel {
 }
 
 /// Why a program set does not fit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResourceError {
     /// One program alone exceeds the whole pipeline's TCAM.
     ProgramTooLarge { name: String, entries: usize, capacity: usize },
@@ -60,7 +59,7 @@ impl std::fmt::Display for ResourceError {
 impl std::error::Error for ResourceError {}
 
 /// Footprint of one program after allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramFootprint {
     pub name: String,
     pub tcam_entries: usize,
@@ -69,7 +68,7 @@ pub struct ProgramFootprint {
 }
 
 /// A successful allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     pub programs: Vec<ProgramFootprint>,
     pub slots_used: usize,

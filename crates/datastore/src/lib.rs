@@ -18,8 +18,7 @@
 //! * [`WalStore`] — the store made durable: a segment-granular
 //!   write-ahead log, and [`WalStore::open`] the one way a store comes
 //!   back from disk, with typed [`PersistError`]s for every kind of damage
-//!   (DESIGN.md §15). [`WalStore::export_snapshot`] writes one JSON
-//!   document for people to read; nothing reads it back.
+//!   (DESIGN.md §15).
 //! * [`StoreObs`] — the store's Observatory surface: ingest/query
 //!   counters, segment gauges, a deterministic query-cost histogram.
 //! * [`stats`] — the mining layer: summaries, top talkers, volume series.

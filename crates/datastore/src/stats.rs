@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::net::IpAddr;
 
 /// Aggregate traffic summary.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreSummary {
     pub packets: u64,
     pub bytes: u64,

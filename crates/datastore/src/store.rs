@@ -30,7 +30,7 @@ const DNS_RECORD_BYTES: u64 = 120;
 const SENSOR_RECORD_BYTES: u64 = 96;
 
 /// Storage accounting per table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageReport {
     pub packet_records: u64,
     pub flow_records: u64,

@@ -1,8 +1,7 @@
 //! Segment-granular durability: an append-only write-ahead log under the
 //! in-memory [`DataStore`]. [`WalStore::open`] is the one way a store
-//! comes back from disk; the single-document JSON form survives only as
-//! an export for people to read ([`WalStore::export_snapshot`]), with no
-//! reader on any recovery path.
+//! comes back from disk, and the log is the one form a store is written
+//! in.
 //!
 //! On-disk layout, one directory per store:
 //!
@@ -58,8 +57,9 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Current WAL format version (frames and manifest). Frame payloads are
-/// positional, so any change to a record type's fields bumps it; v1 frames
-/// and the v2 manifest carried JSON.
+/// positional, so any change to a record type's fields bumps it (the
+/// tests' `WAL_LAYOUT_PIN` is what it means as bytes); v1 frames and the
+/// v2 manifest carried JSON.
 const WAL_VERSION: u32 = 3;
 
 /// `MANIFEST` opens with this, then [`WAL_VERSION`] (u32 LE), then its frame.
@@ -554,31 +554,6 @@ impl WalStore {
         self.tail_crc = Crc32::new();
         Ok(())
     }
-
-    /// Export the current contents as one JSON document, every table in
-    /// global order — an interchange artifact for people and other tools.
-    /// Nothing in this crate reads it back: durability is the log's job.
-    pub fn export_snapshot<W: Write>(&self, mut out: W) -> Result<(), PersistError> {
-        #[derive(Serialize)]
-        struct Snapshot {
-            version: u32,
-            packets: Vec<PacketRecord>,
-            flows: Vec<FlowRecord>,
-            dns: Vec<DnsMetaRecord>,
-            sensors: Vec<SensorRecord>,
-        }
-        let snapshot = Snapshot {
-            version: 1,
-            packets: self.store.iter_packets().cloned().collect(),
-            flows: self.store.iter_flows().cloned().collect(),
-            dns: self.store.iter_dns().cloned().collect(),
-            sensors: self.store.iter_sensors().cloned().collect(),
-        };
-        let text = serde_json::to_string(&snapshot).map_err(std::io::Error::other)?;
-        out.write_all(text.as_bytes())?;
-        out.flush()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -614,6 +589,102 @@ mod tests {
 
     fn batch(base: u64, n: u16) -> Vec<PacketRecord> {
         (0..n).map(|i| packet(base + u64::from(i) * 1_000, i)).collect()
+    }
+
+    fn flow(first: u64, last: u64) -> FlowRecord {
+        FlowRecord {
+            key: campuslab_capture::FlowKey {
+                src: "10.1.1.1".parse().unwrap(),
+                dst: "203.0.113.1".parse().unwrap(),
+                protocol: 17,
+                src_port: 53,
+                dst_port: 40_000,
+            },
+            first_ts_ns: first,
+            last_ts_ns: last,
+            fwd_packets: 3,
+            fwd_bytes: 300,
+            rev_packets: 0,
+            rev_bytes: 0,
+            syn_count: 0,
+            fin_count: 0,
+            rst_count: 0,
+            mean_iat_ns: 10,
+            min_len: 60,
+            max_len: 100,
+            label_app: 1,
+            label_attack: 0,
+        }
+    }
+
+    /// What [`WAL_VERSION`] currently means, as bytes: `(crc32, length)` of
+    /// every file name and file body `wal_layout_is_pinned_to_its_version`
+    /// leaves in its directory, in name order.
+    const WAL_LAYOUT_PIN: (u32, usize) = (0x0220_d3f0, 503);
+
+    /// Frames and manifest are positional, so any field added, removed,
+    /// reordered or re-typed in a record kind, the segment table or the
+    /// framing moves these bytes. The directory holds all four record
+    /// kinds, every sensor variant, a sealed segment, a tail and the
+    /// MANIFEST.
+    #[test]
+    fn wal_layout_is_pinned_to_its_version() {
+        let dir = scratch("layout");
+        {
+            let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).unwrap();
+            wal.append_packets(batch(0, 6)).unwrap();
+            wal.append_flows(vec![flow(9_000, 9_500)]).unwrap();
+            wal.append_dns(vec![DnsMetaRecord {
+                ts_ns: 7_000,
+                direction: Direction::Outbound,
+                client: IpAddr::from([10, 1, 1, 10]),
+                server: "2001:db8::53".parse().unwrap(),
+                qname: "example.edu".into(),
+                qtype: 255,
+                is_response: true,
+                answer_count: 3,
+                wire_len: 1_400,
+                amplification_prone: true,
+                label_attack: 1,
+            }])
+            .unwrap();
+            wal.seal().unwrap();
+            wal.append_sensors(vec![
+                SensorRecord::Syslog {
+                    ts_ns: 11_000,
+                    host: IpAddr::from([10, 1, 2, 3]),
+                    severity: 4,
+                    message: "disk 91% full".into(),
+                },
+                SensorRecord::Firewall {
+                    ts_ns: 12_000,
+                    src: IpAddr::from([198, 51, 100, 7]),
+                    dst: IpAddr::from([10, 1, 1, 10]),
+                    dst_port: 22,
+                    allowed: false,
+                },
+                SensorRecord::ConfigChange { ts_ns: 13_000, device: "border".into(), summary: "acl change".into() },
+            ])
+            .unwrap();
+            wal.append_packets(batch(1_000_000, 3)).unwrap();
+            assert_eq!((wal.sealed_segments().len(), wal.tail_segment()), (1, 1));
+        }
+        let mut files: Vec<PathBuf> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        files.sort();
+        let mut bytes = Vec::new();
+        for path in &files {
+            bytes.extend_from_slice(path.file_name().unwrap().as_encoded_bytes());
+            bytes.extend(std::fs::read(path).unwrap());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(files.len(), 3, "MANIFEST, one sealed segment, the tail");
+        assert_eq!(
+            (crc32(&bytes), bytes.len()),
+            WAL_LAYOUT_PIN,
+            "WAL layout changed: bump WAL_VERSION and re-pin WAL_LAYOUT_PIN (now {:#010x}, {} bytes)",
+            crc32(&bytes),
+            bytes.len()
+        );
     }
 
     #[test]
@@ -1026,29 +1097,6 @@ mod tests {
     /// bytes off the log.
     #[test]
     fn crc_valid_frame_with_a_broken_flow_is_refused() {
-        let flow = |first: u64, last: u64| FlowRecord {
-            key: campuslab_capture::FlowKey {
-                src: "10.1.1.1".parse().unwrap(),
-                dst: "203.0.113.1".parse().unwrap(),
-                protocol: 17,
-                src_port: 53,
-                dst_port: 40_000,
-            },
-            first_ts_ns: first,
-            last_ts_ns: last,
-            fwd_packets: 3,
-            fwd_bytes: 300,
-            rev_packets: 0,
-            rev_bytes: 0,
-            syn_count: 0,
-            fin_count: 0,
-            rst_count: 0,
-            mean_iat_ns: 10,
-            min_len: 60,
-            max_len: 100,
-            label_app: 1,
-            label_attack: 0,
-        };
         let good = encode_frame(&WalRecord::Flows(vec![flow(9_000, 9_500)])).unwrap();
         // `append` refuses the record (below); the frame codec does not care.
         let bad = encode_frame(&WalRecord::Flows(vec![flow(9_999_999, 9_500)])).unwrap();
@@ -1084,31 +1132,6 @@ mod tests {
             other => panic!("expected located corruption, got {other:?}"),
         }
         assert_eq!(std::fs::read(segment_path(&dir, 0)).unwrap(), image, "nothing was cut");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn export_snapshot_is_one_json_document_of_every_table() {
-        let dir = scratch("export");
-        let (mut wal, _) = WalStore::open(&dir, WalConfig::default()).unwrap();
-        wal.append_packets(batch(1_000_000, 4)).unwrap();
-        wal.append_packets(batch(0, 5)).unwrap();
-        let mut json = Vec::new();
-        wal.export_snapshot(&mut json).unwrap();
-        let doc = serde::json::parse(std::str::from_utf8(&json).unwrap()).unwrap();
-        let keys: Vec<&str> = doc.as_object().unwrap().iter().map(|(key, _)| key.as_str()).collect();
-        assert_eq!(keys, ["version", "packets", "flows", "dns", "sensors"]);
-        assert_eq!(doc.get("version").unwrap().as_num().unwrap(), "1");
-        // Global order, not arrival: each element is its record's own JSON.
-        let packets = doc.get("packets").unwrap().as_array().unwrap();
-        assert_eq!(packets.len(), 9);
-        for (exported, stored) in packets.iter().zip(wal.store().iter_packets()) {
-            let expected = serde_json::to_string(stored).unwrap();
-            assert_eq!(exported, &serde::json::parse(&expected).unwrap());
-        }
-        for table in ["flows", "dns", "sensors"] {
-            assert!(doc.get(table).unwrap().as_array().unwrap().is_empty(), "{table}");
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

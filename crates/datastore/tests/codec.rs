@@ -1,8 +1,9 @@
 //! The WAL's frame payload is the derive's binary form of [`WalRecord`].
 //! Property: for batches of every record type, drawn over the whole value
 //! range of every field, `from_slice(to_vec(x))` re-serializes to the same
-//! bytes *and* the same JSON as `x` — the binary form loses nothing the
-//! JSON export can see. A second property damages the bytes: the decoder
+//! bytes and prints the same `Debug` text as `x` (record batches hold no
+//! hash map, so that text is order-stable). A second property damages the
+//! bytes: the decoder
 //! answers with a value or a typed error, never a panic.
 //!
 //! Iteration count defaults to a quick smoke and is raised by CI through
@@ -169,15 +170,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: fuzz_cases(), ..ProptestConfig::default() })]
 
     #[test]
-    fn record_batches_round_trip_in_both_forms(seed in any::<u64>(), len in 0usize..24) {
+    fn record_batches_round_trip(seed in any::<u64>(), len in 0usize..24) {
         for rec in Words(seed | 1).batches(len) {
             let bytes = to_vec(&rec);
             let back: WalRecord = from_slice(&bytes).expect("own encoding decodes");
             prop_assert_eq!(to_vec(&back), bytes);
-            prop_assert_eq!(
-                serde_json::to_string(&back).expect("in-memory"),
-                serde_json::to_string(&rec).expect("in-memory")
-            );
+            prop_assert_eq!(format!("{back:?}"), format!("{rec:?}"));
         }
     }
 

@@ -139,7 +139,7 @@ impl Dataset {
 
 /// Feature standardization fit on training data, applied everywhere —
 /// required by the linear and neural models.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Normalizer {
     pub means: Vec<f64>,
     pub stds: Vec<f64>,

@@ -7,7 +7,6 @@ use crate::model::Classifier;
 use crate::tree::{DecisionTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Fraction of rows bootstrapped per tree.
 const SAMPLE_FRAC: f64 = 0.8;
@@ -16,7 +15,7 @@ const SAMPLE_FRAC: f64 = 0.8;
 const SEED: u64 = 0xF0_4E57;
 
 /// Forest hyperparameters. Every tree grows under `TreeConfig::default()`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ForestConfig {
     pub n_trees: usize,
     /// Number of features considered per tree (0 = all). Feature bagging
@@ -32,13 +31,12 @@ impl Default for ForestConfig {
 }
 
 /// A bagged ensemble of CART trees.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     /// Per-tree active-feature masks (empty = all features).
     masks: Vec<Vec<usize>>,
     n_classes: usize,
-    n_features: usize,
 }
 
 impl RandomForest {
@@ -81,12 +79,7 @@ impl RandomForest {
             trees.push(DecisionTree::fit(&boot, TreeConfig::default()));
             masks.push(mask);
         }
-        RandomForest {
-            trees,
-            masks,
-            n_classes: data.n_classes.max(1),
-            n_features: data.n_features(),
-        }
+        RandomForest { trees, masks, n_classes: data.n_classes.max(1) }
     }
 
     /// Number of trees.

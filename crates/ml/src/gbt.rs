@@ -4,7 +4,6 @@
 
 use crate::data::Dataset;
 use crate::model::Classifier;
-use serde::{Deserialize, Serialize};
 
 /// Shrinkage applied to every stage's contribution.
 const LEARNING_RATE: f64 = 0.2;
@@ -16,7 +15,7 @@ const MIN_SAMPLES_LEAF: usize = 4;
 const MAX_THRESHOLDS: usize = 32;
 
 /// Boosting hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GbtConfig {
     pub n_rounds: usize,
 }
@@ -28,7 +27,7 @@ impl Default for GbtConfig {
 }
 
 /// A node of the weak regression tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum RegNode {
     /// Newton-step leaf value.
     Leaf(f64),
@@ -37,7 +36,7 @@ enum RegNode {
 
 /// A variance-reduction regression tree whose leaves hold Newton-step
 /// values for the logistic loss.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct RegTree {
     nodes: Vec<RegNode>,
     root: usize,
@@ -149,7 +148,7 @@ fn sigmoid(z: f64) -> f64 {
 }
 
 /// Gradient-boosted trees for binary classification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GradientBoostedTrees {
     stages: Vec<RegTree>,
     base_score: f64,

@@ -4,10 +4,9 @@
 
 use crate::data::Dataset;
 use crate::model::Classifier;
-use serde::Serialize;
 
 /// A confusion matrix: `m[actual][predicted]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     pub m: Vec<Vec<u64>>,
 }
@@ -123,7 +122,7 @@ pub fn roc_auc(pairs: &[(f64, bool)]) -> f64 {
 }
 
 /// One calibration bin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationBin {
     /// Mean predicted confidence in the bin.
     pub mean_confidence: f64,

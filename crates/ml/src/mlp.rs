@@ -7,7 +7,6 @@ use crate::model::Classifier;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// SGD step size (divided by the batch length).
 const LEARNING_RATE: f64 = 0.05;
@@ -18,7 +17,7 @@ const BATCH_SIZE: usize = 32;
 const SEED: u64 = 0x3147;
 
 /// MLP hyperparameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MlpConfig {
     pub hidden: usize,
     pub epochs: usize,
@@ -31,7 +30,7 @@ impl Default for MlpConfig {
 }
 
 /// One-hidden-layer MLP. Expects standardized features.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mlp {
     /// `w1[h][f]`: input -> hidden.
     w1: Vec<Vec<f64>>,

@@ -12,7 +12,7 @@ const MIN_SAMPLES_SPLIT: usize = 4;
 const MAX_THRESHOLDS: usize = 64;
 
 /// Tree growth limits.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TreeConfig {
     pub max_depth: usize,
     pub min_samples_leaf: usize,

@@ -45,9 +45,6 @@ impl PartialEq for StreamRng {
 }
 
 impl serde::Serialize for StreamRng {
-    fn serialize_json(&self, out: &mut String) {
-        self.0.state().serialize_json(out);
-    }
     fn serialize_bin(&self, out: &mut Vec<u8>) {
         self.0.state().serialize_bin(out);
     }
@@ -309,9 +306,9 @@ mod tests {
         /// Wherever the barrier falls — queues full, RED and burst-loss
         /// state mid-stream, chaos pending, real payload bytes in flight —
         /// the binary form decodes to an equal value that re-serializes to
-        /// the same bytes and the same JSON.
+        /// the same bytes.
         #[test]
-        fn frozen_network_round_trips_in_both_forms(
+        fn frozen_network_round_trips(
             barrier_us in 0u64..6_000,
             n in 1u64..300,
             payload in proptest::collection::vec(proptest::any::<u8>(), 0..40),
@@ -333,10 +330,6 @@ mod tests {
             let back: FrozenNetwork = serde::bin::from_slice(&bytes).expect("own encoding decodes");
             proptest::prop_assert_eq!(&back, &frozen);
             proptest::prop_assert_eq!(serde::bin::to_vec(&back), bytes);
-            proptest::prop_assert_eq!(
-                serde_json::to_string(&back).unwrap(),
-                serde_json::to_string(&frozen).unwrap()
-            );
         }
     }
 

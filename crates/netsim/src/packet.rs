@@ -166,24 +166,8 @@ impl From<Vec<u8>> for Payload {
 }
 
 // Hand-rolled (the derive cannot thaw `Arc<[u8]>`), shaped exactly like the
-// enum derive output in both forms so checkpoint payloads stay
-// format-uniform.
+// enum derive output so checkpoint payloads stay format-uniform.
 impl serde::Serialize for Payload {
-    fn serialize_json(&self, out: &mut String) {
-        match self {
-            Payload::Bytes(b) => {
-                out.push_str("{\"Bytes\":");
-                b[..].serialize_json(out);
-                out.push('}');
-            }
-            Payload::Synthetic(n) => {
-                out.push_str("{\"Synthetic\":");
-                n.serialize_json(out);
-                out.push('}');
-            }
-        }
-    }
-
     fn serialize_bin(&self, out: &mut Vec<u8>) {
         match self {
             Payload::Bytes(b) => {

@@ -103,21 +103,8 @@ pub struct Histogram {
 }
 
 // Hand-rolled (the derive cannot thaw `Box<[u64]>`), shaped exactly like
-// the named-struct derive output in both forms so checkpoints stay
-// format-uniform.
+// the named-struct derive output so checkpoints stay format-uniform.
 impl serde::Serialize for Histogram {
-    fn serialize_json(&self, out: &mut String) {
-        out.push_str("{\"bounds\":");
-        self.bounds[..].serialize_json(out);
-        out.push_str(",\"counts\":");
-        self.counts[..].serialize_json(out);
-        out.push_str(",\"count\":");
-        self.count.serialize_json(out);
-        out.push_str(",\"sum\":");
-        self.sum.serialize_json(out);
-        out.push('}');
-    }
-
     fn serialize_bin(&self, out: &mut Vec<u8>) {
         self.bounds[..].serialize_bin(out);
         self.counts[..].serialize_bin(out);

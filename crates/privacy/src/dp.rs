@@ -5,7 +5,6 @@
 //! budget ledger the IT organization can audit.
 
 use crate::speck::Speck64;
-use serde::Serialize;
 
 /// A seeded Laplace sampler over the SPECK PRF (no floating-point RNG state
 /// to carry around; releases are reproducible given the key and a nonce).
@@ -16,7 +15,7 @@ pub struct LaplaceMechanism {
 }
 
 /// One released, noised statistic.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NoisedValue {
     pub name: String,
     pub value: f64,
@@ -78,7 +77,7 @@ pub struct BudgetLedger {
 }
 
 /// Why a release was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetExhausted {
     pub requested: f64,
     pub remaining: f64,

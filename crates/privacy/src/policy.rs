@@ -2,10 +2,9 @@
 //! be made available to which of the university's many different
 //! constituents" (paper §5), with an audit log.
 
-use serde::Serialize;
 
 /// Who is asking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     /// The IT organization: owns the store, sees everything.
     ItOperator,
@@ -18,7 +17,7 @@ pub enum Role {
 }
 
 /// Why they are asking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Purpose {
     /// Operating and defending the network.
     SecurityOperations,
@@ -29,7 +28,7 @@ pub enum Purpose {
 }
 
 /// What they are asking for, ordered from most to least sensitive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DataClass {
     /// Raw packets with payloads — full identifying power.
     RawPackets,
@@ -42,14 +41,14 @@ pub enum DataClass {
 }
 
 /// The engine's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     Allow,
     Deny,
 }
 
 /// One entry in the access audit log.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditEntry {
     pub ts_ns: u64,
     pub role: Role,

@@ -18,7 +18,6 @@ use campuslab_netsim::par::parallel_map_with;
 use campuslab_netsim::{
     Campus, ChaosConfig, DropReason, GilbertElliott, LinkId, NodeId, Outage, SimDuration, SimTime,
 };
-use serde::Serialize;
 
 /// A chaos sweep: which intensities to visit and how to seed the
 /// campaigns derived from them.
@@ -43,7 +42,7 @@ impl Default for ChaosSweepConfig {
 }
 
 /// One point on the degradation curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosPoint {
     pub intensity: f64,
     /// Attack suppression (detection recall at the filter).
@@ -297,7 +296,6 @@ mod tests {
             || Box::new(model.clone()),
             &ChaosSweepConfig { workers: 3, ..base },
         );
-        let render = |pts: &[ChaosPoint]| serde_json::to_string(pts).unwrap();
-        assert_eq!(render(&seq), render(&par), "parallel sweep diverged");
+        assert_eq!(format!("{seq:?}"), format!("{par:?}"), "parallel sweep diverged");
     }
 }

@@ -9,7 +9,6 @@ use campuslab_ml::{Classifier, ConfusionMatrix};
 use campuslab_netsim::par::parallel_map;
 use campuslab_netsim::CampusConfig;
 use campuslab_traffic::{AppClass, WorkloadConfig};
-use serde::Serialize;
 
 /// One participating campus: a name plus its private environment.
 pub struct CampusSite {
@@ -106,7 +105,7 @@ impl CampusSite {
 
 /// The reproducibility matrix: F1 of a model trained at row-campus,
 /// evaluated at column-campus.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CrossCampusResult {
     pub names: Vec<String>,
     /// `f1[train][eval]` for the attack class.

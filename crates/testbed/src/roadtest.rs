@@ -12,7 +12,6 @@ use campuslab_control::{
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
 use campuslab_netsim::{ChaosPlan, NetStats, Outage, SimDuration, SimTime};
-use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// Road-test parameters.
@@ -93,7 +92,10 @@ impl RoadTestOutcome {
 }
 
 /// Run a road test: the scenario plays out on a fresh campus while the
-/// deployed model (placement-dependent) defends it.
+/// deployed model (placement-dependent) defends it. A switch placement
+/// installs `program` up front; a controller or cloud placement defends
+/// through `window_model`, and without one runs undefended (no
+/// mitigation, `time_to_mitigation` is `None`).
 pub fn road_test(
     scenario: &Scenario,
     program: PipelineProgram,
@@ -101,10 +103,6 @@ pub fn road_test(
     cfg: RoadTestConfig,
 ) -> RoadTestOutcome {
     let placement = cfg.placement;
-    let window_model = match placement {
-        Placement::Switch => None,
-        _ => Some(window_model.expect("controller/cloud placement needs a window model")),
-    };
     let mut session = Session::new(
         format!("roadtest[{placement:?}]"),
         scenario,
@@ -141,7 +139,7 @@ pub fn road_test(
 
 /// Go/no-go criteria for promoting a model from road test to production —
 /// the "support contract" checklist between researcher and IT (paper §4).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GateCriteria {
     pub min_suppression: f64,
     /// Benign drops per benign packet crossing the filter.
@@ -160,7 +158,7 @@ impl Default for GateCriteria {
 }
 
 /// The gate's verdict with its reasoning.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DeploymentDecision {
     pub approved: bool,
     pub reasons: Vec<String>,
@@ -357,6 +355,21 @@ mod tests {
             assert!(prom.contains(family), "dump missing {family}");
         }
         assert!(!prom.contains("cap_observed_packets_total"), "no monitor in a road test");
+    }
+
+    /// The default config is a controller placement; with no window model
+    /// it is a legal, undefended run, not a panic.
+    #[test]
+    fn controller_placement_without_a_model_runs_undefended() {
+        let (program, _) = trained();
+        let outcome = road_test(&Scenario::small(), program, None, RoadTestConfig::default());
+        assert_eq!(outcome.placement, Placement::Controller);
+        assert!(outcome.mitigations.is_empty() && outcome.giveups.is_empty());
+        assert_eq!(outcome.time_to_mitigation, None);
+        assert_eq!(outcome.filter.dropped_attack, 0, "nothing was installed");
+        assert!(outcome.obs.controller.is_none());
+        let decision = deployment_decision(&outcome, GateCriteria::default());
+        assert!(decision.reasons.iter().any(|r| r.contains("never mitigated")));
     }
 
     #[test]

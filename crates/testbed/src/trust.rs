@@ -8,7 +8,6 @@ use campuslab_capture::PacketRecord;
 use campuslab_features::{packet_feature_index, packet_features};
 use campuslab_ml::DecisionTree;
 use campuslab_xai::{evidence_matches_expectation, explain, Explanation};
-use serde::Serialize;
 
 /// The packet features an analyst expects to see cited for each attack
 /// kind (by attack id).
@@ -30,7 +29,7 @@ pub fn expected_features(attack_id: u16) -> Vec<usize> {
 }
 
 /// One audited decision.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AuditedDecision {
     pub predicted_attack: bool,
     pub truly_attack: bool,
@@ -40,7 +39,7 @@ pub struct AuditedDecision {
 }
 
 /// Aggregate trust metrics for a model over labeled traffic.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TrustReport {
     pub decisions_audited: usize,
     pub true_positives: usize,

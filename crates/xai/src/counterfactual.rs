@@ -5,10 +5,9 @@
 //! counterfactual is computable exactly by searching leaf regions.
 
 use campuslab_ml::{Classifier, DecisionTree};
-use serde::Serialize;
 
 /// One feature change needed to flip the decision.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureChange {
     pub feature: String,
     pub feature_index: usize,
@@ -17,7 +16,7 @@ pub struct FeatureChange {
 }
 
 /// A minimal counterfactual for one decision.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Counterfactual {
     /// The class the changed input would receive.
     pub target_class: usize,

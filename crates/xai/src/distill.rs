@@ -6,7 +6,6 @@
 use campuslab_ml::{Classifier, Dataset, DecisionTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// Synthetic teacher queries per DAgger round.
 const SAMPLES_PER_ROUND: usize = 2_000;
@@ -31,7 +30,7 @@ impl Default for DistillConfig {
 }
 
 /// What extraction produced and how faithful it is.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DistillationReport {
     /// Student/teacher agreement on the provided data.
     pub fidelity: f64,

@@ -3,11 +3,10 @@
 //! decisions" (paper §5, step (iv)).
 
 use campuslab_ml::{Classifier, DecisionTree};
-use serde::Serialize;
 use std::collections::HashSet;
 
 /// One piece of evidence: a satisfied comparison on a named feature.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evidence {
     pub feature: String,
     pub feature_index: usize,
@@ -18,7 +17,7 @@ pub struct Evidence {
 }
 
 /// A queryable explanation of one decision.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Explanation {
     pub predicted_class: usize,
     pub confidence: f64,

@@ -29,10 +29,6 @@ else
     echo "notice: cargo-llvm-cov not installed; skipping coverage floor" >&2
 fi
 
-# The vendored serde is not a workspace member, so `--workspace` above
-# never reaches its codec edge-case suite.
-cargo test -q -p serde
-
 # Never-panic fuzz soak: every untrusted-input decoder (wire, pcap, WAL
 # tail scanner, PHNX envelope, datastore codec) reads CAMPUSLAB_FUZZ_CASES
 # and takes 10k seeded cases. By whole package, not by test name: a name
