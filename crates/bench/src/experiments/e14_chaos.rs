@@ -12,7 +12,7 @@
 use crate::obs_export::ObsBundle;
 use crate::table::{pct, Table};
 use campuslab::obs::Tracer;
-use campuslab::testbed::{chaos_sweep, chaos_sweep_observed, ChaosSweepConfig, Scenario};
+use campuslab::testbed::{chaos_sweep, ChaosSweepConfig, Scenario};
 use campuslab::Platform;
 
 /// Run the experiment and return the full Observatory bundle: the
@@ -27,7 +27,7 @@ pub fn run() -> ObsBundle {
     let model = platform.train_window_model(&data);
 
     let sweep = ChaosSweepConfig::default();
-    let (points, point_obs) = chaos_sweep_observed(
+    let (points, point_obs) = chaos_sweep(
         &platform.scenario,
         &dev.program,
         || Box::new(model.clone()),
@@ -35,7 +35,7 @@ pub fn run() -> ObsBundle {
     );
     // Determinism: the same sweep on one worker must print the same
     // points as the fanned-out run above.
-    let sequential = chaos_sweep(
+    let (sequential, _) = chaos_sweep(
         &platform.scenario,
         &dev.program,
         || Box::new(model.clone()),

@@ -15,13 +15,13 @@
 
 use crate::obs_export::ObsBundle;
 use crate::table::Table;
-use campuslab::control::{CircuitBreakerPolicy, InstallPolicy, RolloutEventKind};
+use campuslab::control::{CircuitBreakerPolicy, InstallPolicy, RolloutEventKind, RolloutGuard};
 use campuslab::dataplane::{Action, PipelineProgram, TableEntry, TernaryMatch, FIELD_ORDER};
 use campuslab::netsim::par::parallel_map;
 use campuslab::netsim::{SimDuration, SimTime};
 use campuslab::obs::Tracer;
 use campuslab::testbed::{
-    chaos_road_test_config, guarded_road_test, GuardedRunConfig, GuardedRunOutcome, Scenario,
+    chaos_road_test_config, guarded_road_test, Finished, GuardedRunConfig, Scenario,
 };
 use campuslab::Platform;
 
@@ -49,6 +49,11 @@ fn subtly_degraded() -> PipelineProgram {
     )
 }
 
+/// A guarded run's guard: decision log, registry, recovery time.
+fn guard(o: &Finished) -> &RolloutGuard {
+    o.stack.guard.as_ref().expect("guarded runs carry a guard")
+}
+
 /// The fault-intensity knob for the canary-rollback run's chaos campaign.
 const CHAOS_INTENSITY: f64 = 0.6;
 
@@ -68,7 +73,7 @@ pub fn run() -> ObsBundle {
     // blackout, and a rule-install channel that is fully down behind its
     // circuit breaker) facing the subtly degraded one.
     let specs: [(&str, f64); 2] = [("shadow-veto", 0.0), ("canary-rollback", CHAOS_INTENSITY)];
-    let results: Vec<(&str, GuardedRunOutcome)> = parallel_map(&specs, |_, &(name, intensity)| {
+    let results: Vec<(&str, Finished)> = parallel_map(&specs, |_, &(name, intensity)| {
         let mut cfg = GuardedRunConfig::default();
         if intensity > 0.0 {
             let mut road = chaos_road_test_config(&platform.scenario, intensity, 0xE15);
@@ -91,8 +96,9 @@ pub fn run() -> ObsBundle {
         (name, outcome)
     });
 
-    let verdict = |o: &GuardedRunOutcome| {
-        o.events
+    let verdict = |o: &Finished| {
+        guard(o)
+            .events
             .iter()
             .rev()
             .find_map(|e| match &e.kind {
@@ -115,9 +121,10 @@ pub fn run() -> ObsBundle {
     ]);
     for (name, o) in &results {
         let robs = o.obs.rollout.as_ref().expect("guarded runs carry rollout obs");
+        let g = guard(o);
         t.row(vec![
             name.to_string(),
-            o.events.first().map(|e| e.program.to_string()).unwrap_or_default(),
+            g.events.first().map(|e| e.program.to_string()).unwrap_or_default(),
             verdict(o),
             format!(
                 "{}/{}/{}",
@@ -127,10 +134,10 @@ pub fn run() -> ObsBundle {
             ),
             robs.giveups_observed().to_string(),
             o.filter.dropped_benign.to_string(),
-            o.recovery_time
+            g.recovery_time()
                 .map(|d| format!("{:.1}s", d.as_secs_f64()))
                 .unwrap_or_else(|| "-".into()),
-            o.registry_len.to_string(),
+            g.registry().len().to_string(),
         ]);
     }
     out.push_str(&t.render());
@@ -140,8 +147,7 @@ pub fn run() -> ObsBundle {
         out.push_str(&format!("\n[{name}]\n{}", o.timeline()));
     }
 
-    let veto = &results[0].1;
-    let rollback = &results[1].1;
+    let (veto, rollback) = (guard(&results[0].1), guard(&results[1].1));
     let vetoed_in_shadow = veto
         .events
         .iter()
@@ -163,9 +169,9 @@ pub fn run() -> ObsBundle {
             .iter()
             .any(|e| matches!(e.kind, RolloutEventKind::EnteredFull));
     let recovery_bounded = rollback
-        .recovery_time
+        .recovery_time()
         .is_some_and(|d| d <= SimDuration::from_secs(2));
-    let known_good_retained = veto.registry_len == 1 && rollback.registry_len == 1;
+    let known_good_retained = veto.registry().len() == 1 && rollback.registry().len() == 1;
     out.push_str(&format!(
         "\nshadow vetoed the wildcard before any enforcement: {}\n\
          canary rolled back on circuit-broken install give-ups: {}\n\

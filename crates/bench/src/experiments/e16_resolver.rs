@@ -18,10 +18,11 @@
 
 use crate::obs_export::ObsBundle;
 use crate::table::Table;
+use campuslab::control::MitigationEvent;
 use campuslab::netsim::par::parallel_map;
 use campuslab::obs::Tracer;
 use campuslab::resolver::ResponseKind;
-use campuslab::testbed::{resolver_run, ResolverRunConfig, ResolverRunOutcome, Scenario};
+use campuslab::testbed::{resolver_run, Finished, ResolverRunConfig, Scenario};
 use campuslab::Platform;
 
 /// The flood window of [`Scenario::resolver_lab`] in whole sim-seconds:
@@ -29,8 +30,10 @@ use campuslab::Platform;
 const FLOOD_SECS: std::ops::Range<u64> = 3..9;
 
 /// Mean cache-hit rate over the windows inside `secs`.
-fn hit_rate_over(outcome: &ResolverRunOutcome, secs: std::ops::Range<u64>) -> f64 {
-    let picked: Vec<f64> = outcome
+fn hit_rate_over(outcome: &Finished, secs: std::ops::Range<u64>) -> f64 {
+    let resolver = outcome.stack.resolver.as_ref().expect("resolver runs carry a resolver");
+    let picked: Vec<f64> = resolver
+        .service()
         .hit_rate_series()
         .into_iter()
         .filter(|(sec, _)| secs.contains(sec))
@@ -40,6 +43,11 @@ fn hit_rate_over(outcome: &ResolverRunOutcome, secs: std::ops::Range<u64>) -> f6
         return 0.0;
     }
     picked.iter().sum::<f64>() / picked.len() as f64
+}
+
+/// Controller episodes that landed (empty when the run was undefended).
+fn mitigations(outcome: &Finished) -> &[MitigationEvent] {
+    outcome.stack.controller.as_ref().map_or(&[], |c| &c.events)
 }
 
 /// Run the experiment and return the full Observatory bundle.
@@ -55,7 +63,7 @@ pub fn run() -> ObsBundle {
     // Undefended and defended runs are independent simulations, so they
     // fan out over the parallel runner with byte-identical results.
     let specs: [&str; 2] = ["undefended", "defended"];
-    let results: Vec<(&str, ResolverRunOutcome)> = parallel_map(&specs, |_, &name| {
+    let results: Vec<(&str, Finished)> = parallel_map(&specs, |_, &name| {
         let cfg = if name == "defended" {
             ResolverRunConfig {
                 defense: Some((dev.program.clone(), Box::new(model.clone()))),
@@ -89,14 +97,14 @@ pub fn run() -> ObsBundle {
             rsv.upstream_timeouts().to_string(),
             rsv.responses(ResponseKind::Stale).to_string(),
             rsv.responses(ResponseKind::ServFail).to_string(),
-            o.giveups_surfaced.to_string(),
+            o.stack.surfaced_giveups().to_string(),
             format!(
                 "{:.2}/{:.2}/{:.2}",
                 hit_rate_over(o, 0..FLOOD_SECS.start),
                 hit_rate_over(o, FLOOD_SECS),
                 hit_rate_over(o, FLOOD_SECS.end..u64::MAX)
             ),
-            o.mitigations.len().to_string(),
+            mitigations(o).len().to_string(),
         ]);
     }
     out.push_str(&t.render());
@@ -114,20 +122,21 @@ pub fn run() -> ObsBundle {
     let undef_flood = hit_rate_over(undef, FLOOD_SECS);
     let undef_post = hit_rate_over(undef, FLOOD_SECS.end..u64::MAX);
     let collapsed_and_recovered = undef_flood < undef_pre && undef_post > undef_flood;
-    let giveups_are_evidence = undef.giveups_surfaced == undef_rsv.giveups()
+    let surfaced = undef.stack.surfaced_giveups();
+    let giveups_are_evidence = surfaced == undef_rsv.giveups()
         && undef
             .obs
             .rollout
             .as_ref()
-            .is_some_and(|r| r.giveups_observed() == undef.giveups_surfaced);
-    let flood_mitigated = !def.mitigations.is_empty()
-        && def.mitigations[0].victim == std::net::IpAddr::V4(def.victim.expect("victim"));
+            .is_some_and(|r| r.giveups_observed() == surfaced);
+    let def_mitigations = mitigations(def);
+    let flood_mitigated = !def_mitigations.is_empty()
+        && def_mitigations[0].victim == std::net::IpAddr::V4(def.victim.expect("victim"));
     let defense_helped = def_rsv.upstream_timeouts() < undef_rsv.upstream_timeouts()
         && def_rsv.giveups() <= undef_rsv.giveups()
         && hit_rate_over(def, FLOOD_SECS) > undef_flood;
 
-    let ttm = def
-        .mitigations
+    let ttm = def_mitigations
         .first()
         .zip(def.attack_start)
         .map(|(m, start)| format!("{:.1}s", (m.installed_at - start).as_secs_f64()))

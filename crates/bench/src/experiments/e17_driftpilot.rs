@@ -65,10 +65,11 @@ pub fn run() -> ObsBundle {
     );
 
     let dobs = defended.obs.drift.as_ref().expect("drift runs carry drift obs");
+    let pilot = defended.stack.pilot.as_ref().expect("drift runs carry a pilot");
+    let guard = defended.stack.guard.as_ref().expect("drift runs carry a guard");
     // The rotation episode: the drift episode that opened once the
     // attacker moved to the port-123 pool.
-    let rotation_episode =
-        defended.episodes.iter().find(|e| e.onset >= rotation_onset);
+    let rotation_episode = pilot.episodes.iter().find(|e| e.onset >= rotation_onset);
     let defended_ttm = rotation_episode.and_then(|e| e.mitigated.map(|m| m - e.onset));
     // Undefended there is no pilot: the drift is never mitigated, so its
     // TTM is censored at the end of the run.
@@ -97,7 +98,7 @@ pub fn run() -> ObsBundle {
         "defended".into(),
         format!("{}/{}", dobs.retrains_periodic(), dobs.retrains_drift()),
         format!("{}/{}/{}", dobs.submitted(), dobs.committed(), dobs.vetoed()),
-        defended.episodes.len().to_string(),
+        pilot.episodes.len().to_string(),
         defended_ttm
             .map(|d| format!("{:.1}s", d.as_secs_f64()))
             .unwrap_or_else(|| "-".into()),
@@ -110,11 +111,11 @@ pub fn run() -> ObsBundle {
     out.push_str(&defended.timeline());
 
     let episode_after_rotation = rotation_episode.is_some();
-    let candidate_committed = defended
+    let candidate_committed = guard
         .events
         .iter()
         .any(|e| matches!(e.kind, RolloutEventKind::Committed))
-        && defended.final_deployed != dev.program.fingerprint();
+        && pilot.deployed_fingerprint() != dev.program.fingerprint();
     let mitigated_green = defended_ttm.is_some();
     let beats_censored = defended_ttm.is_some_and(|d| d < censored_ttm);
     let leak_contained = defended.filter.passed_attack < undefended.attack_packets_passed;

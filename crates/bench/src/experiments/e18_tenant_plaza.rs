@@ -119,7 +119,8 @@ fn solo_fingerprint(spec: TenantSpec) -> String {
 
 /// The table's events column: everything one slice's network did.
 pub fn events_of(o: &TenantOutcome) -> u64 {
-    o.net.injected + o.net.delivered + o.net.dropped_total()
+    let net = &o.run.net;
+    net.injected + net.delivered + net.dropped_total()
 }
 
 /// Run the experiment and return the full Observatory bundle.
@@ -168,9 +169,11 @@ pub fn run() -> ObsBundle {
             continue;
         };
         let verdict = o
-            .events
+            .run
+            .stack
+            .guard
             .iter()
-            .rev()
+            .flat_map(|g| g.events.iter().rev())
             .find_map(|e| match &e.kind {
                 RolloutEventKind::Vetoed(v) => Some(format!("vetoed ({v:?})")),
                 RolloutEventKind::RolledBack(v) => Some(format!("rolled back ({v:?})")),
@@ -178,12 +181,14 @@ pub fn run() -> ObsBundle {
                 _ => None,
             })
             .unwrap_or_else(|| "-".into());
+        let (mitigations, giveups) =
+            o.run.stack.controller.as_ref().map_or((0, 0), |c| (c.events.len(), c.giveups.len()));
         t.row(vec![
             o.name.clone(),
             decision,
             o.rounds.to_string(),
             events_of(o).to_string(),
-            format!("{}/{}", o.mitigations, o.giveups),
+            format!("{mitigations}/{giveups}"),
             verdict,
             o.store.as_ref().map(|s| s.packet_count().to_string()).unwrap_or_else(|| "-".into()),
         ]);
@@ -205,7 +210,8 @@ pub fn run() -> ObsBundle {
     let drumlin_identical = drumlin_solo == co_fp("drumlin");
     let warden_vetoed = report
         .outcome("warden")
-        .is_some_and(|o| o.events.iter().any(|e| matches!(e.kind, RolloutEventKind::Vetoed(_))));
+        .and_then(|o| o.run.stack.guard.as_ref())
+        .is_some_and(|g| g.events.iter().any(|e| matches!(e.kind, RolloutEventKind::Vetoed(_))));
     let drumlin_queued_then_ran = report
         .records
         .iter()
@@ -278,8 +284,8 @@ pub fn run() -> ObsBundle {
     let mut prom = format!("# service\n{}", report.obs.render());
     let mut tracer = Tracer::new();
     for o in &report.outcomes {
-        prom.push_str(&format!("# tenant: {}\n{}", o.name, o.obs.prom()));
-        tracer.merge_from(&o.obs.tracer);
+        prom.push_str(&format!("# tenant: {}\n{}", o.name, o.run.obs.prom()));
+        tracer.merge_from(&o.run.obs.tracer);
     }
     ObsBundle { table: out, prom, trace: tracer.render_json() }
 }

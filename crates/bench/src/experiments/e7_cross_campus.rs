@@ -6,7 +6,7 @@ use crate::obs_export::ObsBundle;
 use crate::table::{f, Table};
 use campuslab::control::DevLoopConfig;
 use campuslab::obs::Tracer;
-use campuslab::testbed::{cross_campus_observed, CampusSite};
+use campuslab::testbed::{cross_campus, CampusSite};
 
 /// Run the experiment and return the full Observatory bundle: the matrix
 /// table plus each campus's private collection-run metrics dump and trace.
@@ -22,7 +22,7 @@ pub fn run() -> ObsBundle {
         ));
     }
     out.push('\n');
-    let (result, obs) = cross_campus_observed(&sites, &DevLoopConfig::default());
+    let (result, obs) = cross_campus(&sites, &DevLoopConfig::default());
     let mut headers: Vec<&str> = vec!["trained at \\ evaluated at"];
     headers.extend(result.names.iter().map(String::as_str));
     headers.push("records");

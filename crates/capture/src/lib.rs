@@ -35,7 +35,6 @@
 //! ```
 
 
-#![deny(rust_2018_idioms)]
 #![deny(unreachable_pub)]
 
 pub mod records;

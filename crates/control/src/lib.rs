@@ -23,8 +23,6 @@
 //! assert!(Placement::Controller.install_delay() < Placement::Cloud.install_delay());
 //! ```
 
-#![deny(rust_2018_idioms)]
-
 pub mod fastloop;
 pub mod detector;
 pub mod devloop;

@@ -474,6 +474,17 @@ impl RolloutGuard {
         &self.state.known_good
     }
 
+    /// First rollback → first recovery after it, when both are on the
+    /// decision log.
+    pub fn recovery_time(&self) -> Option<SimDuration> {
+        let first = |want: fn(&RolloutEventKind) -> bool| {
+            self.events.iter().find(|e| want(&e.kind)).map(|e| e.at)
+        };
+        let rolled_back = first(|k| matches!(k, RolloutEventKind::RolledBack(_)))?;
+        let recovered = first(|k| matches!(k, RolloutEventKind::Recovered))?;
+        (recovered >= rolled_back).then(|| recovered - rolled_back)
+    }
+
     /// Feed one mitigation-latency sample (ms) from the controller.
     pub fn record_ttm_sample(&mut self, ttm_ms: u64) {
         self.state.window_ttm_ms.push(ttm_ms);
@@ -1122,6 +1133,8 @@ mod tests {
         // Two stages were exited with recorded durations by commit time
         // (shadow and canary), plus full on the final transition.
         assert_eq!(guard.obs.stage_histogram().count(), 3);
+        // Nothing was rolled back, so there is no recovery to time.
+        assert_eq!(guard.recovery_time(), None);
     }
 
     #[test]
@@ -1187,6 +1200,7 @@ mod tests {
         assert_eq!(last.kind, RolloutEventKind::Recovered);
         assert!(last.at > rollback_at);
         assert_eq!(guard.obs.recoveries(), 1);
+        assert_eq!(guard.recovery_time(), Some(last.at - rollback_at));
 
         // And the cooldown refuses an immediate resubmission.
         guard.submit(rollback_at + SimDuration::from_millis(1), drop_https("v4"), &mut cmds);

@@ -62,15 +62,6 @@ impl HeaderField {
         (1u32 << self.bits()) - 1
     }
 
-    /// The field for a canonical feature index.
-    ///
-    /// Panics on out-of-range indexes; compilation paths that consume
-    /// untrusted feature indexes (a malformed or stale tree) must use
-    /// [`HeaderField::try_from_feature_index`] instead.
-    pub fn from_feature_index(idx: usize) -> HeaderField {
-        FIELD_ORDER[idx]
-    }
-
     /// The field for a canonical feature index, or `None` when the index
     /// falls outside the schema (a malformed program must surface as a
     /// typed condition, never a panic in the compiler path).

@@ -31,8 +31,6 @@
 //! assert!(hits.is_empty()); // nothing ingested yet
 //! ```
 
-#![deny(rust_2018_idioms)]
-
 pub mod observe;
 pub mod query;
 pub mod segment;

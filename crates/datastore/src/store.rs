@@ -165,21 +165,6 @@ impl DataStore {
         self.packets.iter_seq().map(|(_, r)| r)
     }
 
-    /// All flow records in `(first_ts_ns, seq)` order.
-    pub fn iter_flows(&self) -> impl Iterator<Item = &FlowRecord> {
-        self.flows.iter_seq().map(|(_, r)| r)
-    }
-
-    /// All DNS metadata records in `(ts_ns, seq)` order.
-    pub fn iter_dns(&self) -> impl Iterator<Item = &DnsMetaRecord> {
-        self.dns.iter_seq().map(|(_, r)| r)
-    }
-
-    /// All sensor events in `(ts_ns, seq)` order.
-    pub fn iter_sensors(&self) -> impl Iterator<Item = &SensorRecord> {
-        self.sensors.iter_seq().map(|(_, r)| r)
-    }
-
     /// Index-accelerated packet query.
     pub fn query_packets(&self, q: &PacketQuery) -> Vec<&PacketRecord> {
         self.packets.query_packets(q).0

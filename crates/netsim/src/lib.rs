@@ -40,7 +40,6 @@
 //! assert_eq!(stats.delivered, 1);
 //! ```
 
-#![deny(rust_2018_idioms)]
 #![deny(unreachable_pub)]
 
 pub mod time;

@@ -34,7 +34,6 @@
 //! assert!(dump.contains("queue_depth_bytes_bucket{le=\"1000\"} 1"));
 //! ```
 
-#![deny(rust_2018_idioms)]
 #![deny(unreachable_pub)]
 
 pub mod metrics;

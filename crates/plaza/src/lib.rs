@@ -29,8 +29,6 @@
 //! assert_eq!(report.obs.admitted(), 2);
 //! ```
 
-#![deny(rust_2018_idioms)]
-
 pub mod service;
 pub mod tenant;
 

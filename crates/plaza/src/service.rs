@@ -129,9 +129,8 @@ impl Plaza {
             self.obs.on_round();
             let batch = std::mem::take(&mut self.ready);
             for outcome in run_batch(self.admission.switch(), batch) {
-                self.obs.on_slice(
-                    outcome.net.injected + outcome.net.delivered + outcome.net.dropped_total(),
-                );
+                let net = &outcome.run.net;
+                self.obs.on_slice(net.injected + net.delivered + net.dropped_total());
                 self.obs.on_released();
                 for newly in self.admission.release(&outcome.name) {
                     // The drained spec was parked in submission order, so
@@ -201,7 +200,7 @@ mod tests {
         assert_eq!(report.rounds, 2, "queued tenant needs a second round");
         let names: Vec<&str> = report.outcomes.iter().map(|o| o.name.as_str()).collect();
         assert_eq!(names, ["alpha", "bravo", "charlie"]);
-        assert!(report.outcomes.iter().all(|o| o.net.injected > 0));
+        assert!(report.outcomes.iter().all(|o| o.run.net.injected > 0));
         // Service telemetry tells the same story.
         assert_eq!(report.obs.admitted(), 3);
         assert_eq!(report.obs.queued(), 1);

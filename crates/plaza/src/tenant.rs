@@ -19,21 +19,18 @@
 //! they may appear in outcomes without breaking the solo-vs-co-scheduled
 //! differential.
 
-use campuslab_control::{
-    FastLoopStatsSnapshot, Placement, PlazaObs, RolloutEvent, RolloutStage, SloPolicy,
-};
+use campuslab_control::{Placement, PlazaObs, SloPolicy};
 use campuslab_dataplane::{
     Action, PipelineProgram, SwitchModel, TableEntry, TenantDemand, TernaryMatch, FIELD_ORDER,
 };
 use campuslab_datastore::DataStore;
 use campuslab_ml::{Classifier, DecisionTree};
-use campuslab_netsim::{ChaosPlan, NetStats, SimDuration, SimTime};
+use campuslab_netsim::{ChaosPlan, SimDuration, SimTime};
 use campuslab_testbed::{
-    shard_by_second, timeline, GuardSpec, Members, PhoenixCheckpoint, RoadTestConfig, RunObs,
-    Scenario, Session, CANARY_FRACTION,
+    fingerprint, shard_by_second, Finished, GuardSpec, Members, PhoenixCheckpoint,
+    RoadTestConfig, Scenario, Session, CANARY_FRACTION,
 };
 pub use campuslab_testbed::SliceFreezeError;
-use std::net::Ipv4Addr;
 
 /// The scheduling grid: a slice pauses at every multiple of this.
 const WINDOW: SimDuration = SimDuration::from_millis(500);
@@ -267,44 +264,20 @@ impl TenantSlice {
             ds.ingest_dns(m.monitor.take_dns_records());
             ds
         });
-        let (mitigations, giveups) = fin
-            .stack
-            .controller
-            .as_ref()
-            .map_or((0, 0), |c| (c.events.len(), c.giveups.len()));
-        let (final_stage, registry_len, events) = match fin.stack.guard {
-            Some(g) => (Some(g.stage()), g.registry().len(), g.events),
-            None => (None, 0, Vec::new()),
-        };
 
         // The tenant-scoped plaza section carries only spec-derived
         // values: its own grant, its own slice, its own rounds — nothing
         // that depends on who else was in the plaza.
-        let stats = fin.net;
         let mut plaza = PlazaObs::new();
         plaza.on_admitted();
         plaza.set_budget(self.grant.stage_slots, self.grant.tcam_entries, 1);
         for _ in 0..self.rounds {
             plaza.on_round();
         }
-        plaza.on_slice(stats.injected + stats.delivered + stats.dropped_total());
+        plaza.on_slice(fin.net.injected + fin.net.delivered + fin.net.dropped_total());
         fin.obs.plaza = Some(plaza);
 
-        TenantOutcome {
-            name: self.name,
-            filter: fin.filter,
-            net: stats,
-            rounds: self.rounds,
-            events,
-            final_stage,
-            registry_len,
-            mitigations,
-            giveups,
-            victim: fin.victim,
-            attack_start: fin.attack_start,
-            store,
-            obs: fin.obs,
-        }
+        TenantOutcome { name: self.name, rounds: self.rounds, store, run: fin }
     }
 }
 
@@ -323,53 +296,39 @@ pub struct FrozenSlice {
 /// What one tenant's experiment measured, fully private to the tenant.
 pub struct TenantOutcome {
     pub name: String,
-    /// The tenant's own filter-bank truth accounting.
-    pub filter: FastLoopStatsSnapshot,
-    /// The tenant's own simulator counters.
-    pub net: NetStats,
     /// Scheduler windows this slice consumed (a function of the spec
     /// alone — the grid is fixed, finished slices stop counting).
     pub rounds: u64,
-    /// Guard decision log (Guarded job only).
-    pub events: Vec<RolloutEvent>,
-    /// Final rollout stage (Guarded job only).
-    pub final_stage: Option<RolloutStage>,
-    /// Known-good versions committed by run end (Guarded job only).
-    pub registry_len: usize,
-    /// Mitigations the controller landed (Defend/Guarded jobs).
-    pub mitigations: usize,
-    /// Install give-ups (Defend/Guarded jobs).
-    pub giveups: usize,
-    pub victim: Option<Ipv4Addr>,
-    pub attack_start: Option<SimTime>,
     /// Per-tenant datastore view (capture tenants only).
     pub store: Option<DataStore>,
-    /// Per-tenant Observatory bundle, plaza section included.
-    pub obs: RunObs,
+    /// The tenant's finished session: its own simulator counters,
+    /// filter-bank accounting, stack members (guard decisions, controller
+    /// episodes) and Observatory bundle, plaza section included.
+    pub run: Finished,
 }
 
 impl TenantOutcome {
-    /// The guard decision log as one line per event.
-    pub fn timeline(&self) -> String {
-        timeline(&self.events, &[], &[])
-    }
-
     /// Every observable byte of this tenant's run, canonically rendered:
     /// summary scalars, the guard timeline, the datastore view's storage
     /// accounting, the full Prometheus dump and the trace. The isolation
     /// suite diffs this string solo vs co-scheduled.
     pub fn fingerprint(&self) -> String {
+        let run = &self.run;
+        let (timeline, prom, trace) = fingerprint(run);
+        let (final_stage, registry_len) =
+            run.stack.guard.as_ref().map_or((None, 0), |g| (Some(g.stage()), g.registry().len()));
+        let (mitigations, giveups) =
+            run.stack.controller.as_ref().map_or((0, 0), |c| (c.events.len(), c.giveups.len()));
         let mut out = String::new();
         out.push_str(&format!("== tenant {} ==\n", self.name));
-        out.push_str(&format!("filter {:?}\n", self.filter));
-        out.push_str(&format!("net {:?}\n", self.net));
+        out.push_str(&format!("filter {:?}\n", run.filter));
+        out.push_str(&format!("net {:?}\n", run.net));
         out.push_str(&format!("rounds {}\n", self.rounds));
         out.push_str(&format!(
-            "stage {:?} registry {} mitigations {} giveups {}\n",
-            self.final_stage, self.registry_len, self.mitigations, self.giveups
+            "stage {final_stage:?} registry {registry_len} mitigations {mitigations} giveups {giveups}\n"
         ));
-        out.push_str(&format!("victim {:?} attack_start {:?}\n", self.victim, self.attack_start));
-        out.push_str(&self.timeline());
+        out.push_str(&format!("victim {:?} attack_start {:?}\n", run.victim, run.attack_start));
+        out.push_str(&timeline);
         if let Some(ds) = &self.store {
             out.push_str(&format!(
                 "store {:?} packets {} flows {} dns {}\n",
@@ -380,9 +339,9 @@ impl TenantOutcome {
             ));
         }
         out.push_str("== prom ==\n");
-        out.push_str(&self.obs.prom());
+        out.push_str(&prom);
         out.push_str("== trace ==\n");
-        out.push_str(&self.obs.trace_json());
+        out.push_str(&trace);
         out
     }
 }
@@ -411,13 +370,13 @@ mod tests {
         };
         let a = run();
         let b = run();
-        assert!(a.net.injected > 0, "probe injected nothing");
+        assert!(a.run.net.injected > 0, "probe injected nothing");
         assert!(a.rounds > 0);
         assert_eq!(a.fingerprint(), b.fingerprint());
         // The sentinel program never touches the probe's traffic.
-        assert_eq!(a.filter.dropped, 0, "sentinel dropped real packets");
+        assert_eq!(a.run.filter.dropped, 0, "sentinel dropped real packets");
         // The tenant's plaza section carries its own grant.
-        let p = a.obs.plaza.as_ref().expect("plaza section");
+        let p = a.run.obs.plaza.as_ref().expect("plaza section");
         assert_eq!(p.admitted(), 1);
         assert_eq!(p.slots_used(), 1);
         assert_eq!(p.slices(), 1);
@@ -438,8 +397,10 @@ mod tests {
             TenantSlice::build(spec, &SwitchModel::default())
         };
         let print = |mut o: TenantOutcome| {
-            o.obs.plaza = None; // carries the round count
-            (o.net, format!("{:?}", o.filter), o.mitigations, o.giveups, o.obs.prom(), o.obs.trace_json())
+            o.run.obs.plaza = None; // carries the round count
+            let ctl = o.run.stack.controller.as_ref().expect("Defend runs a controller");
+            let episodes = (ctl.events.len(), ctl.giveups.len());
+            (o.run.net, format!("{:?}", o.run.filter), episodes, fingerprint(&o.run))
         };
         let mut windowed = build();
         windowed.run_to_completion();
@@ -447,7 +408,7 @@ mod tests {
         one_shot.advance(SimTime(u64::MAX));
         assert!(one_shot.done);
         let windowed = windowed.finish();
-        let detector = windowed.obs.detector.as_ref().expect("Defend runs a detector");
+        let detector = windowed.run.obs.detector.as_ref().expect("Defend runs a detector");
         assert!(
             windowed.rounds > 1 && detector.windows_closed() > 0,
             "rounds {} windows {}",
@@ -466,8 +427,8 @@ mod tests {
         let outcome = slice.finish();
         let ds = outcome.store.as_ref().expect("capture tenant has a store view");
         assert!(ds.packet_count() > 0);
-        assert!(outcome.obs.capture.is_some(), "capture obs section missing");
-        assert!(outcome.obs.prom().contains("cap_observed_packets_total"));
+        assert!(outcome.run.obs.capture.is_some(), "capture obs section missing");
+        assert!(outcome.run.obs.prom().contains("cap_observed_packets_total"));
     }
 
     #[test]
@@ -533,7 +494,7 @@ mod tests {
         let got = restored.finish().fingerprint();
         assert_eq!(got, want);
         let n = neighbor.finish();
-        assert!(n.net.dropped_fault > 0, "the neighbor's chaos flap dropped nothing");
+        assert!(n.run.net.dropped_fault > 0, "the neighbor's chaos flap dropped nothing");
     }
 
     #[test]

@@ -35,7 +35,6 @@
 //! [`service::PROC_DELAY`] in the future (see
 //! DESIGN.md §12).
 
-#![deny(rust_2018_idioms)]
 #![deny(unreachable_pub)]
 
 pub mod actor;

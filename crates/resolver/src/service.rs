@@ -394,6 +394,17 @@ impl ResolverService {
         &self.windows
     }
 
+    /// Cache-hit rate per window second, in time order (windows that saw
+    /// no queries are skipped) — the collapse-and-recovery curve of a
+    /// flood.
+    pub fn hit_rate_series(&self) -> Vec<(u64, f64)> {
+        self.windows
+            .iter()
+            .filter(|(_, w)| w.queries > 0)
+            .map(|(sec, w)| (*sec, w.cache_hits as f64 / w.queries as f64))
+            .collect()
+    }
+
     /// The resolver's metric bundle.
     pub fn obs(&self) -> &RsvObs {
         &self.obs
@@ -626,5 +637,30 @@ mod tests {
         let w0 = svc.windows()[&0];
         assert_eq!(w0.queries, 2);
         assert_eq!(w0.cache_hits, 1);
+    }
+
+    #[test]
+    fn hit_rate_series_skips_windows_without_queries() {
+        let mut svc = ResolverService::campus_default();
+        let _ = resolve_once(&mut svc, at_ms(0), "svc0.example0.com");
+        let _ = svc.handle_packet(
+            at_ms(500),
+            client(),
+            5353,
+            &query_bytes(2, "svc0.example0.com", DnsType::A),
+            truth(),
+        );
+        // A second with a tally but no queries (no handler path makes one;
+        // the series must not divide by it), then a miss in second 2.
+        svc.windows.insert(1, WindowStat::default());
+        let _ = svc.handle_packet(
+            at_ms(2_000),
+            client(),
+            5353,
+            &query_bytes(3, "svc1.example0.com", DnsType::A),
+            truth(),
+        );
+        assert_eq!(svc.windows().len(), 3);
+        assert_eq!(svc.hit_rate_series(), vec![(0, 0.5), (2, 0.0)]);
     }
 }

@@ -157,21 +157,11 @@ fn point_from(intensity: f64, outcome: &RoadTestOutcome) -> ChaosPoint {
 }
 
 /// Run the sweep: one road test per intensity, fanned out over worker
-/// threads, points returned in intensity order. `mk_model` builds a fresh
-/// window model per point (each run consumes one).
+/// threads, points returned in intensity order beside each point's
+/// Observatory bundle, so the degradation curve can ship with the full
+/// metrics dump it was derived from. `mk_model` builds a fresh window
+/// model per point (each run consumes one).
 pub fn chaos_sweep(
-    scenario: &Scenario,
-    program: &PipelineProgram,
-    mk_model: impl Fn() -> Box<dyn Classifier + Send> + Sync,
-    sweep: &ChaosSweepConfig,
-) -> Vec<ChaosPoint> {
-    chaos_sweep_observed(scenario, program, mk_model, sweep).0
-}
-
-/// [`chaos_sweep`], also returning each point's Observatory bundle (in
-/// intensity order) so the degradation curve can ship with the full
-/// metrics dump it was derived from.
-pub fn chaos_sweep_observed(
     scenario: &Scenario,
     program: &PipelineProgram,
     mk_model: impl Fn() -> Box<dyn Classifier + Send> + Sync,
@@ -233,7 +223,7 @@ mod tests {
             intensities: vec![0.0, 1.0],
             ..ChaosSweepConfig::default()
         };
-        let points = chaos_sweep(
+        let (points, _) = chaos_sweep(
             &Scenario::small(),
             &program,
             || Box::new(model.clone()),
@@ -284,13 +274,13 @@ mod tests {
             intensities: vec![0.0, 0.5, 1.0],
             ..ChaosSweepConfig::default()
         };
-        let seq = chaos_sweep(
+        let (seq, _) = chaos_sweep(
             &Scenario::small(),
             &program,
             || Box::new(model.clone()),
             &ChaosSweepConfig { workers: 1, ..base.clone() },
         );
-        let par = chaos_sweep(
+        let (par, _) = chaos_sweep(
             &Scenario::small(),
             &program,
             || Box::new(model.clone()),

@@ -140,16 +140,12 @@ impl CrossCampusResult {
 
 /// Run the full protocol: collect per-campus data, run the (shared,
 /// "open-sourced") development loop at each campus, evaluate every
-/// deployable model on every campus's held-out data.
-pub fn cross_campus(sites: &[CampusSite], dev: &DevLoopConfig) -> CrossCampusResult {
-    cross_campus_observed(sites, dev).0
-}
-
-/// [`cross_campus`], also returning each site's collection-run Observatory
-/// bundle (in site order). Telemetry is deliberately outside
-/// [`CrossCampusResult`]: the matrix is the shareable artifact, the
-/// per-campus dumps stay local like the data they describe.
-pub fn cross_campus_observed(
+/// deployable model on every campus's held-out data. Each site's
+/// collection-run Observatory bundle comes back beside the result (in
+/// site order), deliberately outside [`CrossCampusResult`]: the matrix is
+/// the shareable artifact, the per-campus dumps stay local like the data
+/// they describe.
+pub fn cross_campus(
     sites: &[CampusSite],
     dev: &DevLoopConfig,
 ) -> (CrossCampusResult, Vec<RunObs>) {
@@ -202,7 +198,7 @@ mod tests {
     #[test]
     fn matrix_diagonal_beats_chance_and_models_transfer() {
         let trio = CampusSite::default_trio();
-        let result = cross_campus(&trio, &DevLoopConfig::default());
+        let (result, _) = cross_campus(&trio, &DevLoopConfig::default());
         assert_eq!(result.f1.len(), 3);
         for i in 0..3 {
             assert!(

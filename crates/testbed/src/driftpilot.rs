@@ -8,19 +8,19 @@
 //! whatever program is currently deployed. All three hooks share one
 //! simulation; every coupling between them happens inside hook callbacks
 //! on sim-time state only, so the whole pipeline replays byte-identically
-//! under the sequential and parallel executors.
+//! under the sequential and parallel executors. A run ends in the
+//! session's [`Finished`]: the pilot on its stack carries the episodes,
+//! the retrains and the deployed fingerprint, the guard the decision log.
 
-use crate::observe::RunObs;
 use crate::phoenix::PhoenixCheckpoint;
 use crate::roadtest::RoadTestConfig;
 use crate::rollout::CANARY_FRACTION;
 use crate::scenario::Scenario;
-use crate::session::{timeline, GuardSpec, Members, Session};
-use campuslab_control::{DriftEpisode, RetrainRecord, RolloutEvent, SloPolicy};
+use crate::session::{Finished, GuardSpec, Members, Session};
+use campuslab_control::SloPolicy;
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
 use campuslab_netsim::{SimDuration, SimTime};
-use std::net::Ipv4Addr;
 
 /// Parameters of a drift road test. The run takes the default road-test
 /// knobs, and its pilot is `DriftPilotConfig::new`'s.
@@ -38,36 +38,6 @@ impl Default for DriftRunConfig {
     }
 }
 
-/// What a drift road test measured.
-pub struct DriftRunOutcome {
-    /// Drift episodes the pilot opened, in onset order.
-    pub episodes: Vec<DriftEpisode>,
-    /// Every retraining run: trigger, window hash, fingerprints, fate.
-    pub retrains: Vec<RetrainRecord>,
-    /// The guard's decision log, in sim order.
-    pub events: Vec<RolloutEvent>,
-    /// Fingerprint the pilot believes is deployed at run end.
-    pub final_deployed: u64,
-    /// Known-good versions committed by the end of the run.
-    pub registry_len: usize,
-    pub filter: campuslab_control::FastLoopStatsSnapshot,
-    pub net: campuslab_netsim::NetStats,
-    /// The amplification victim's address, when the scenario has one.
-    pub victim: Option<Ipv4Addr>,
-    /// When the (first) attack campaign started.
-    pub attack_start: Option<SimTime>,
-    /// Observatory bundle, drift section included.
-    pub obs: RunObs,
-}
-
-impl DriftRunOutcome {
-    /// Retrains and guard decisions merged into one sim-ordered log — the
-    /// always-on pipeline's story an operator reads after an incident.
-    pub fn timeline(&self) -> String {
-        timeline(&self.events, &self.retrains, &self.episodes)
-    }
-}
-
 /// Run a drift road test: the scenario plays out while the controller
 /// defends the campus with the known-good program, the pilot retrains on
 /// fresh tap windows, and the guard walks each pilot candidate through
@@ -77,7 +47,7 @@ pub fn drift_road_test(
     known_good: PipelineProgram,
     window_model: Box<dyn Classifier + Send>,
     cfg: DriftRunConfig,
-) -> DriftRunOutcome {
+) -> Finished {
     // The uninterrupted special case of a resumable session: build, one
     // capped run straight to the deadline inside `finish`. E19's CrashCart
     // pins the other cases (stop at any barrier, checkpoint, resume) to
@@ -161,32 +131,23 @@ impl DriftSession {
     }
 
     /// Run any remaining events to the deadline, then tear the session
-    /// down into the [`DriftRunOutcome`] a drift road test produces.
-    pub fn finish(mut self) -> DriftRunOutcome {
+    /// down into the [`Finished`] a drift road test produces.
+    pub fn finish(mut self) -> Finished {
         self.0.run_to_end();
-        let done = self.0.finish();
-        let guard = done.stack.guard.expect("drift stack has a guard");
-        let pilot = done.stack.pilot.expect("drift stack has a pilot");
-        DriftRunOutcome {
-            final_deployed: pilot.deployed_fingerprint(),
-            episodes: pilot.episodes,
-            retrains: pilot.retrains,
-            registry_len: guard.registry().len(),
-            events: guard.events,
-            filter: done.filter,
-            net: done.net,
-            victim: done.victim,
-            attack_start: done.attack_start,
-            obs: done.obs,
-        }
+        self.0.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use campuslab_control::{RetrainOutcome, RolloutEventKind};
+    use campuslab_control::{DriftPilot, RetrainOutcome, RolloutEventKind, RolloutGuard};
     use campuslab_ml::DecisionTree;
+
+    fn members(run: &Finished) -> (&RolloutGuard, &DriftPilot) {
+        let guard = run.stack.guard.as_ref().expect("drift stack has a guard");
+        (guard, run.stack.pilot.as_ref().expect("drift stack has a pilot"))
+    }
 
     fn trained() -> (PipelineProgram, DecisionTree) {
         crate::fixtures::trained().clone()
@@ -202,6 +163,7 @@ mod tests {
             DriftRunConfig::default(),
         );
         let dobs = outcome.obs.drift.as_ref().expect("drift obs");
+        let (guard, pilot) = members(&outcome);
         // The pilot lived: windows sealed, records streamed, retrains ran.
         assert!(dobs.windows() >= 10, "windows {}", dobs.windows());
         assert!(dobs.records() > 1_000, "records {}", dobs.records());
@@ -209,17 +171,17 @@ mod tests {
         // At least one candidate was handed to the guard and at least one
         // pilot candidate was committed as the new known-good.
         assert!(dobs.submitted() >= 1, "timeline:\n{}", outcome.timeline());
-        let committed = outcome
+        let committed = guard
             .events
             .iter()
             .filter(|e| matches!(e.kind, RolloutEventKind::Committed))
             .count();
         assert!(committed >= 1, "timeline:\n{}", outcome.timeline());
-        assert!(outcome.registry_len >= 2, "registry {}", outcome.registry_len);
+        assert!(guard.registry().len() >= 2, "registry {}", guard.registry().len());
         // The pilot's deployed fingerprint moved off the stale program.
-        assert_ne!(outcome.final_deployed, known_good.fingerprint());
+        assert_ne!(pilot.deployed_fingerprint(), known_good.fingerprint());
         // Every retrain is on the record with a fate.
-        assert_eq!(outcome.retrains.len() as u64, dobs.retrains());
+        assert_eq!(pilot.retrains.len() as u64, dobs.retrains());
         // The prom dump carries the drift section.
         assert!(outcome.obs.prom().contains("dp_retrains_total"));
     }
@@ -235,7 +197,7 @@ mod tests {
         );
         // Single-class (all-benign) windows retrain safely: no panic, and
         // every retrain lands one of the sanctioned fates.
-        assert!(outcome.retrains.iter().all(|r| matches!(
+        assert!(members(&outcome).1.retrains.iter().all(|r| matches!(
             r.outcome,
             RetrainOutcome::Queued | RetrainOutcome::Unchanged | RetrainOutcome::Barred
         )));
@@ -266,15 +228,16 @@ mod tests {
             DriftRunConfig::default(),
         );
         let story = outcome.timeline();
-        assert!(!outcome.retrains.is_empty(), "the pilot never retrained:\n{story}");
-        assert!(outcome.events.is_empty(), "no Submitted, so no Committed either:\n{story}");
-        assert_eq!(outcome.registry_len, 1, "timeline:\n{story}");
-        assert_eq!(outcome.final_deployed, known_good.fingerprint());
+        let (guard, pilot) = members(&outcome);
+        assert!(!pilot.retrains.is_empty(), "the pilot never retrained:\n{story}");
+        assert!(guard.events.is_empty(), "no Submitted, so no Committed either:\n{story}");
+        assert_eq!(guard.registry().len(), 1, "timeline:\n{story}");
+        assert_eq!(pilot.deployed_fingerprint(), known_good.fingerprint());
         // The known-good stays in force all day, so what it drops is its
         // own false-positive rate (2 of 69,116 packets), not the pilot's.
         assert_eq!(outcome.filter.dropped_attack, 0);
         assert!(outcome.filter.dropped_benign * 1_000 < outcome.filter.packets, "{:?}", outcome.filter);
-        assert!(outcome.episodes.iter().all(|ep| ep.mitigated.is_some()), "timeline:\n{story}");
+        assert!(pilot.episodes.iter().all(|ep| ep.mitigated.is_some()), "timeline:\n{story}");
     }
 
     #[test]
@@ -290,16 +253,17 @@ mod tests {
         // The hard deadline with no settling margin: nothing — retrains,
         // guard decisions, episode onsets — may be stamped after it.
         let deadline = SimTime::ZERO + scenario.workload.duration;
-        assert!(outcome.retrains.iter().all(|r| r.at <= deadline));
-        assert!(outcome.events.iter().all(|e| e.at <= deadline));
-        assert!(outcome.episodes.iter().all(|ep| ep.onset <= deadline));
+        let (guard, pilot) = members(&outcome);
+        assert!(pilot.retrains.iter().all(|r| r.at <= deadline));
+        assert!(guard.events.iter().all(|e| e.at <= deadline));
+        assert!(pilot.episodes.iter().all(|ep| ep.onset <= deadline));
         // The pilot still lived through the workload itself...
         let dobs = outcome.obs.drift.as_ref().expect("drift obs");
         assert!(dobs.windows() >= 1, "no windows sealed before the deadline");
         assert!(dobs.retrains() >= 1, "timeline:\n{}", outcome.timeline());
         // ...and an episode the deadline caught mid-flight is simply left
         // open (typed as unmitigated), never a panic or a phantom close.
-        for ep in &outcome.episodes {
+        for ep in &pilot.episodes {
             if let Some(m) = ep.mitigated {
                 assert!(m <= deadline);
             }
@@ -314,13 +278,12 @@ mod tests {
     fn drift_run_is_deterministic() {
         let (known_good, model) = trained();
         let run = || {
-            let outcome = drift_road_test(
+            crate::phoenix::fingerprint(&drift_road_test(
                 &Scenario::drift_rotation(),
                 known_good.clone(),
                 Box::new(model.clone()),
                 DriftRunConfig::default(),
-            );
-            (outcome.timeline(), outcome.obs.prom(), outcome.obs.trace_json())
+            ))
         };
         assert_eq!(run(), run(), "drift run must be bit-identical across runs");
     }

@@ -30,7 +30,10 @@
 //!   kill-point harness over any [`Session`] (experiment E19).
 //! * [`session`] — the one way to compose a run: a [`Stack`] of optional
 //!   hook members and the [`Session`] lifecycle every driver above goes
-//!   through.
+//!   through. The guarded, resolver and drift runs return its
+//!   [`Finished`] as is; [`Finished::timeline`] is the run's one
+//!   decision log and [`fingerprint`] its one (timeline, prom, trace)
+//!   triple.
 //!
 //! ```no_run
 //! use campuslab_testbed::{collect, Scenario};
@@ -54,11 +57,9 @@ pub mod phoenix;
 #[doc(hidden)]
 pub mod fixtures;
 
-pub use chaos_sweep::{
-    chaos_road_test_config, chaos_sweep, chaos_sweep_observed, ChaosPoint, ChaosSweepConfig,
-};
-pub use crosscampus::{cross_campus, cross_campus_observed, CampusSite, CrossCampusResult};
-pub use driftpilot::{drift_road_test, DriftRunConfig, DriftRunOutcome, DriftSession};
+pub use chaos_sweep::{chaos_road_test_config, chaos_sweep, ChaosPoint, ChaosSweepConfig};
+pub use crosscampus::{cross_campus, CampusSite, CrossCampusResult};
+pub use driftpilot::{drift_road_test, DriftRunConfig, DriftSession};
 pub use phoenix::{
     decode_checkpoint, encode_checkpoint, fingerprint, CrashCart, Fingerprint, PhoenixCheckpoint,
     PhoenixError, PHOENIX_MAGIC, PHOENIX_VERSION,
@@ -68,14 +69,10 @@ pub use roadtest::{
     deployment_decision, road_test, DeploymentDecision, GateCriteria, RoadTestConfig,
     RoadTestOutcome,
 };
-pub use resolverlab::{resolver_run, ResolverRunConfig, ResolverRunOutcome};
-pub use rollout::{
-    canary_hosts, guarded_road_test, GuardedRunConfig, GuardedRunOutcome, CANARY_FRACTION,
-};
+pub use resolverlab::{resolver_run, ResolverRunConfig};
+pub use rollout::{canary_hosts, guarded_road_test, GuardedRunConfig, CANARY_FRACTION};
 pub use scenario::{
     build_schedule, build_store, collect, shard_by_second, AttackScenario, CollectedData, Scenario,
 };
-pub use session::{
-    timeline, Finished, FrozenStack, GuardSpec, Members, Session, SliceFreezeError, Stack,
-};
+pub use session::{Finished, FrozenStack, GuardSpec, Members, Session, SliceFreezeError, Stack};
 pub use trust::{expected_features, trust_report, AuditedDecision, TrustReport};

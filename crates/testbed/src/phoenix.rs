@@ -12,8 +12,7 @@
 //! (timeline, Prometheus dump, trace JSON) is byte-for-byte the
 //! uninterrupted run's.
 
-use crate::driftpilot::DriftRunOutcome;
-use crate::session::{FrozenStack, Session};
+use crate::session::{Finished, FrozenStack, Session};
 use campuslab_control::FrozenBank;
 use campuslab_netsim::{FrozenNetwork, SimDuration, SimTime};
 use campuslab_obs::crc32;
@@ -41,9 +40,9 @@ const HEADER_LEN: usize = 4 + 4 + 8 + 4;
 /// sim-ordered timeline, the Prometheus dump, and the trace JSON.
 pub type Fingerprint = (String, String, String);
 
-/// Fingerprint a finished run the way E17's determinism test does.
-pub fn fingerprint(outcome: &DriftRunOutcome) -> Fingerprint {
-    (outcome.timeline(), outcome.obs.prom(), outcome.obs.trace_json())
+/// Fingerprint a finished run: the one place the triple is built.
+pub fn fingerprint(run: &Finished) -> Fingerprint {
+    (run.timeline(), run.obs.prom(), run.obs.trace_json())
 }
 
 /// Everything a fresh process needs to resume a session, given the same
@@ -198,7 +197,7 @@ impl<S: Into<Session>, F: Fn() -> S> CrashCart<F> {
             session.run_until(t);
         }
         session.run_to_end();
-        session.finish().fingerprint()
+        fingerprint(&session.finish())
     }
 
     /// The baseline leg: one session driven over the full grid with no
@@ -373,7 +372,7 @@ mod tests {
 
         live.run_until(deadline);
         revived.run_until(deadline);
-        assert_eq!(revived.finish().fingerprint(), live.finish().fingerprint());
+        assert_eq!(fingerprint(&revived.finish()), fingerprint(&live.finish()));
     }
 
     /// Satellite: a checkpoint taken inside an open drift episode (onset
@@ -406,7 +405,7 @@ mod tests {
 
         live.run_until(deadline);
         revived.run_until(deadline);
-        assert_eq!(revived.finish().fingerprint(), live.finish().fingerprint());
+        assert_eq!(fingerprint(&revived.finish()), fingerprint(&live.finish()));
     }
 
     /// A sink as a build whose table for the layer was a single counter
@@ -453,7 +452,7 @@ mod tests {
         // if nothing had been offered to it.
         revived.restore(decode_checkpoint(&good).unwrap()).expect("the good image fits");
         revived.run_to_end();
-        assert_eq!(revived.finish().fingerprint(), cart.uninterrupted());
+        assert_eq!(fingerprint(&revived.finish()), cart.uninterrupted());
     }
 
     /// Nor does the CRC vouch for the scenario: an image taken on one
@@ -483,7 +482,7 @@ mod tests {
         own.run_until(SimTime::from_millis(1_500));
         revived.restore(own.checkpoint()).expect("its own image fits");
         revived.run_to_end();
-        assert_eq!(revived.finish().fingerprint(), cart.uninterrupted());
+        assert_eq!(fingerprint(&revived.finish()), cart.uninterrupted());
     }
 
     #[test]

@@ -8,17 +8,18 @@
 //! — the same rollback-evidence channel [`crate::guarded_road_test`] feeds
 //! with controller install give-ups. A rollout that starves the resolver
 //! is rollback-eligible evidence, not an invisible outage.
+//!
+//! [`resolver_run`] returns the session's [`Finished`]: the resolver's
+//! per-second windows ([`campuslab_resolver::ResolverService::hit_rate_series`]),
+//! the surfaced give-ups ([`crate::session::Stack::surfaced_giveups`]) and
+//! the controller's mitigations are read off its stack.
 
-use crate::observe::RunObs;
 use crate::roadtest::RoadTestConfig;
 use crate::scenario::Scenario;
 use crate::session::{Finished, GuardSpec, Members, Session};
-use campuslab_control::{MitigationEvent, SloPolicy};
+use campuslab_control::SloPolicy;
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
-use campuslab_netsim::{NetStats, SimTime};
-use campuslab_resolver::WindowStat;
-use std::net::Ipv4Addr;
 
 /// Parameters of a resolver scenario run.
 #[derive(Default)]
@@ -33,42 +34,14 @@ pub struct ResolverRunConfig {
     pub defense: Option<(PipelineProgram, Box<dyn Classifier + Send>)>,
 }
 
-/// What a resolver scenario run measured.
-pub struct ResolverRunOutcome {
-    pub net: NetStats,
-    /// Controller episodes that landed (defended runs).
-    pub mitigations: Vec<MitigationEvent>,
-    /// Resolver give-ups surfaced to the guard as rollback evidence.
-    pub giveups_surfaced: u64,
-    /// Per-sim-second resolver load windows, in time order.
-    pub windows: Vec<(u64, WindowStat)>,
-    /// The resolver's address (the flood's target).
-    pub victim: Option<Ipv4Addr>,
-    pub attack_start: Option<SimTime>,
-    /// Observatory bundle, resolver section included.
-    pub obs: RunObs,
-}
-
-impl ResolverRunOutcome {
-    /// Cache-hit rate per window second (windows that saw no queries are
-    /// skipped) — the collapse-and-recovery curve E16 plots.
-    pub fn hit_rate_series(&self) -> Vec<(u64, f64)> {
-        self.windows
-            .iter()
-            .filter(|(_, w)| w.queries > 0)
-            .map(|(sec, w)| (*sec, w.cache_hits as f64 / w.queries as f64))
-            .collect()
-    }
-}
-
 /// Run a resolver scenario: the campus resolver serves live port-53
 /// traffic while the rollout guard collects service-failure evidence and,
 /// when a defense is supplied, the mitigation controller watches the
 /// border tap and installs rules against the flood.
-pub fn resolver_run(scenario: &Scenario, cfg: ResolverRunConfig) -> ResolverRunOutcome {
+pub fn resolver_run(scenario: &Scenario, cfg: ResolverRunConfig) -> Finished {
     let mut session = session(scenario, cfg);
     session.run_to_end();
-    outcome(session.finish())
+    session.finish()
 }
 
 /// The guard + resolver (+ controller when defended) [`Session`] a
@@ -97,23 +70,11 @@ fn session(scenario: &Scenario, cfg: ResolverRunConfig) -> Session {
     )
 }
 
-fn outcome(done: Finished) -> ResolverRunOutcome {
-    let resolver = done.stack.resolver.as_ref().expect("resolver stack has a resolver");
-    ResolverRunOutcome {
-        net: done.net,
-        giveups_surfaced: done.stack.surfaced_giveups(),
-        windows: resolver.service().windows().iter().map(|(sec, w)| (*sec, *w)).collect(),
-        mitigations: done.stack.controller.map(|c| c.events).unwrap_or_default(),
-        victim: done.victim,
-        attack_start: done.attack_start,
-        obs: done.obs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::Stack;
+    use campuslab_netsim::SimTime;
     use campuslab_control::{BankFilter, RolloutConfig, RolloutGuard};
     use campuslab_dataplane::FieldExtractor;
     use campuslab_netsim::{Campus, CampusConfig, GroundTruth, PacketBuilder, Payload};
@@ -121,6 +82,10 @@ mod tests {
         ResolverActor, ResolverConfig, ResolverService, ResponseKind, ZoneDb,
     };
     use campuslab_wire::{DnsMessage, DnsType};
+
+    fn hit_rate_series(run: &Finished) -> Vec<(u64, f64)> {
+        run.stack.resolver.as_ref().expect("resolver stack has a resolver").service().hit_rate_series()
+    }
 
     /// The satellite interaction contract: a resolver that abandons
     /// clients feeds the same rollback-evidence channel install give-ups
@@ -211,13 +176,13 @@ mod tests {
             "flood never degraded service"
         );
         // Every abandoned client became guard evidence.
-        assert_eq!(outcome.giveups_surfaced, rsv.giveups());
+        assert_eq!(outcome.stack.surfaced_giveups(), rsv.giveups());
         assert_eq!(
             outcome.obs.rollout.as_ref().expect("rollout obs").giveups_observed(),
             rsv.giveups()
         );
         // The hit-rate curve collapses under the flood and recovers after.
-        let series = outcome.hit_rate_series();
+        let series = hit_rate_series(&outcome);
         let pre = series.iter().find(|(sec, _)| *sec == 2).map(|(_, r)| *r).unwrap_or(0.0);
         let during = series
             .iter()
@@ -238,8 +203,8 @@ mod tests {
     #[test]
     fn windowed_resolver_session_equals_the_one_shot_run() {
         use campuslab_netsim::SimDuration;
-        let print = |o: &ResolverRunOutcome| {
-            (o.obs.prom(), o.obs.trace_json(), o.giveups_surfaced, o.hit_rate_series())
+        let print = |o: &Finished| {
+            (crate::phoenix::fingerprint(o), o.stack.surfaced_giveups(), hit_rate_series(o))
         };
         let scenario = Scenario::resolver_lab();
         let one_shot = resolver_run(&scenario, ResolverRunConfig::default());
@@ -253,14 +218,14 @@ mod tests {
             windowed.checkpoint().err(),
             Some(crate::session::SliceFreezeError::ResolverActor)
         );
-        assert_eq!(print(&outcome(windowed.finish())), print(&one_shot));
+        assert_eq!(print(&windowed.finish()), print(&one_shot));
     }
 
     #[test]
     fn resolver_run_is_deterministic() {
         let run = || {
             let outcome = resolver_run(&Scenario::resolver_lab(), ResolverRunConfig::default());
-            (outcome.obs.prom(), outcome.obs.trace_json(), outcome.giveups_surfaced)
+            (crate::phoenix::fingerprint(&outcome), outcome.stack.surfaced_giveups())
         };
         assert_eq!(run(), run(), "resolver run must be bit-identical across runs");
     }

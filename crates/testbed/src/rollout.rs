@@ -3,16 +3,17 @@
 //! while the mitigation controller defends it, and the two hooks share
 //! one simulation. The guard reads the controller's latency samples and
 //! install give-ups each event, so a flaky control channel is
-//! rollback-eligible evidence, not an invisible failure.
+//! rollback-eligible evidence, not an invisible failure. A guarded run
+//! returns the session's [`Finished`]: the guard on its stack carries the
+//! decision log, the final stage, the registry and the recovery time.
 
-use crate::observe::RunObs;
 use crate::roadtest::RoadTestConfig;
 use crate::scenario::Scenario;
-use crate::session::{timeline, GuardSpec, Members, Session};
-use campuslab_control::{RolloutEvent, RolloutEventKind, RolloutStage, SloPolicy};
+use crate::session::{Finished, GuardSpec, Members, Session};
+use campuslab_control::SloPolicy;
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
-use campuslab_netsim::{Campus, SimDuration, SimTime};
+use campuslab_netsim::{Campus, SimTime};
 use std::net::IpAddr;
 
 /// Fraction of access switches whose hosts form a guard's canary cohort:
@@ -50,65 +51,20 @@ pub fn canary_hosts(campus: &Campus, fraction: f64) -> Vec<IpAddr> {
         .collect()
 }
 
-/// What a guarded road test measured.
-pub struct GuardedRunOutcome {
-    /// The guard's decision log, in sim order.
-    pub events: Vec<RolloutEvent>,
-    /// Stage when the run ended.
-    pub final_stage: RolloutStage,
-    /// Known-good versions committed by the end of the run.
-    pub registry_len: usize,
-    /// Rollback → first healthy window, when both happened.
-    pub recovery_time: Option<SimDuration>,
-    pub filter: campuslab_control::FastLoopStatsSnapshot,
-    pub net: campuslab_netsim::NetStats,
-    /// Observatory bundle, rollout section included.
-    pub obs: RunObs,
-}
-
-impl GuardedRunOutcome {
-    /// The decision log as one line per event (sim-time stamped) — the
-    /// deployment timeline an operator reads after an incident.
-    pub fn timeline(&self) -> String {
-        timeline(&self.events, &[], &[])
-    }
-}
-
 /// Run a guarded road test: the scenario plays out while the controller
 /// defends the campus and the guard walks each submitted candidate
 /// through shadow → canary → full, vetoing or rolling back on SLO
-/// violations.
+/// violations. The guard (decision log, final stage, registry, recovery
+/// time) is on the returned stack.
 pub fn guarded_road_test(
     scenario: &Scenario,
     known_good: PipelineProgram,
     window_model: Box<dyn Classifier + Send>,
     cfg: GuardedRunConfig,
-) -> GuardedRunOutcome {
+) -> Finished {
     let mut session = session(scenario, known_good, window_model, cfg);
     session.run_to_end();
-    let done = session.finish();
-    let guard = done.stack.guard.expect("guarded stack has a guard");
-
-    let rolled_back_at = guard.events.iter().find_map(|e| {
-        matches!(e.kind, RolloutEventKind::RolledBack(_)).then_some(e.at)
-    });
-    let recovered_at = guard.events.iter().find_map(|e| {
-        matches!(e.kind, RolloutEventKind::Recovered).then_some(e.at)
-    });
-    let recovery_time = match (rolled_back_at, recovered_at) {
-        (Some(r), Some(h)) if h >= r => Some(h - r),
-        _ => None,
-    };
-
-    GuardedRunOutcome {
-        final_stage: guard.stage(),
-        registry_len: guard.registry().len(),
-        events: guard.events,
-        recovery_time,
-        filter: done.filter,
-        net: done.net,
-        obs: done.obs,
-    }
+    session.finish()
 }
 
 /// The guard + controller [`Session`] a guarded road test runs.
@@ -139,9 +95,17 @@ fn session(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use campuslab_control::{CircuitBreakerPolicy, InstallPolicy, SloViolation};
+    use campuslab_control::{
+        CircuitBreakerPolicy, InstallPolicy, RolloutEventKind, RolloutGuard, RolloutStage,
+        SloViolation,
+    };
     use campuslab_dataplane::{Action, TableEntry, TernaryMatch, FIELD_ORDER};
     use campuslab_ml::DecisionTree;
+    use campuslab_netsim::SimDuration;
+
+    fn guard(run: &Finished) -> &RolloutGuard {
+        run.stack.guard.as_ref().expect("guarded stack has a guard")
+    }
 
     fn trained() -> (PipelineProgram, DecisionTree) {
         crate::fixtures::trained().clone()
@@ -185,8 +149,9 @@ mod tests {
                 ..GuardedRunConfig::default()
             },
         );
+        let g = guard(&outcome);
         assert!(
-            outcome.events.iter().any(|e| matches!(
+            g.events.iter().any(|e| matches!(
                 e.kind,
                 RolloutEventKind::Vetoed(SloViolation::FalsePositiveRate)
             )),
@@ -194,8 +159,8 @@ mod tests {
             outcome.timeline()
         );
         // Vetoed in shadow: only the known-good version was ever committed.
-        assert_eq!(outcome.registry_len, 1);
-        assert_eq!(outcome.final_stage, RolloutStage::Idle);
+        assert_eq!(g.registry().len(), 1);
+        assert_eq!(g.stage(), RolloutStage::Idle);
         let robs = outcome.obs.rollout.as_ref().expect("rollout obs");
         assert_eq!(robs.vetoes(), 1);
         assert!(outcome.obs.prom().contains("rollout_vetoes_total 1"));
@@ -223,13 +188,13 @@ mod tests {
         // Uncapped reference run: the clean candidate walks the full
         // ladder; note when it entered canary and when it left.
         let full = guarded_road_test(&Scenario::small(), known_good.clone(), Box::new(model.clone()), cfg());
-        let canary_at = full
+        let canary_at = guard(&full)
             .events
             .iter()
             .find(|e| e.kind == RolloutEventKind::EnteredCanary)
             .map(|e| e.at)
             .unwrap_or_else(|| panic!("no canary entry; timeline:\n{}", full.timeline()));
-        let left_at = full
+        let left_at = guard(&full)
             .events
             .iter()
             .find(|e| e.kind == RolloutEventKind::EnteredFull)
@@ -244,22 +209,23 @@ mod tests {
             Box::new(model),
             GuardedRunConfig { deadline: Some(deadline), ..cfg() },
         );
+        let g = guard(&capped);
         assert_eq!(
-            capped.final_stage,
+            g.stage(),
             RolloutStage::Canary,
             "deadline mid-canary must freeze the guard in canary; timeline:\n{}",
             capped.timeline()
         );
         assert!(
-            !capped.events.iter().any(|e| matches!(
+            !g.events.iter().any(|e| matches!(
                 e.kind,
                 RolloutEventKind::EnteredFull | RolloutEventKind::Committed
             )),
             "nothing past canary may have happened"
         );
-        assert_eq!(capped.registry_len, 1, "no commit under the deadline");
+        assert_eq!(g.registry().len(), 1, "no commit under the deadline");
         assert!(
-            capped.events.iter().all(|e| e.at <= deadline),
+            g.events.iter().all(|e| e.at <= deadline),
             "no guard decision may be stamped past the deadline"
         );
         // The frozen bundle still renders a coherent rollout section.
@@ -308,7 +274,7 @@ mod tests {
     fn guarded_run_is_deterministic() {
         let (known_good, model) = trained();
         let run = || {
-            let outcome = guarded_road_test(
+            crate::phoenix::fingerprint(&guarded_road_test(
                 &Scenario::small(),
                 known_good.clone(),
                 Box::new(model.clone()),
@@ -324,8 +290,7 @@ mod tests {
                     submissions: vec![(SimTime::from_secs(1), drop_everything())],
                     ..GuardedRunConfig::default()
                 },
-            );
-            (outcome.timeline(), outcome.obs.prom(), outcome.obs.trace_json())
+            ))
         };
         assert_eq!(run(), run(), "guarded run must be bit-identical across runs");
     }

@@ -7,20 +7,20 @@
 //! same lifecycle: [`Session::run_until`], [`Session::checkpoint`],
 //! [`Session::restore`], [`Session::finish`]. The road-test drivers
 //! (`road_test`, `guarded_road_test`, `drift_road_test`, `resolver_run`,
-//! plaza's `TenantSlice`) only choose members and pick their outcome
-//! extras out of [`Finished`].
+//! plaza's `TenantSlice`) only choose members; every one but `road_test`
+//! hands back the [`Finished`] itself, and callers read what they need
+//! off its stack members.
 
 use crate::observe::RunObs;
-use crate::phoenix::{Fingerprint, PhoenixCheckpoint};
+use crate::phoenix::PhoenixCheckpoint;
 use crate::roadtest::RoadTestConfig;
 use crate::rollout::canary_hosts;
 use crate::scenario::{build_schedule, Scenario};
 use campuslab_capture::BorderTapHooks;
 use campuslab_control::{
-    BankFilter, BankHandle, DriftEpisode, DriftPilot, DriftPilotConfig, FastLoopStatsSnapshot,
-    FrozenController, FrozenDriftPilot, FrozenGuard, GiveUpReason, MitigationController,
-    MitigationControllerConfig, Placement, RetrainRecord, RolloutConfig, RolloutEvent,
-    RolloutGuard, SloPolicy,
+    BankFilter, BankHandle, DriftPilot, DriftPilotConfig, FastLoopStatsSnapshot, FrozenController,
+    FrozenDriftPilot, FrozenGuard, GiveUpReason, MitigationController, MitigationControllerConfig,
+    Placement, RolloutConfig, RolloutGuard, SloPolicy,
 };
 use campuslab_dataplane::{FieldExtractor, PipelineProgram};
 use campuslab_ml::Classifier;
@@ -544,44 +544,36 @@ pub struct Finished {
 }
 
 impl Finished {
-    /// The outcome fingerprint the recovery contract is stated over.
-    pub fn fingerprint(&self) -> Fingerprint {
+    /// Guard decisions, pilot retrains and drift episodes merged into one
+    /// sim-ordered log, one line per entry — the story an operator reads
+    /// after an incident. Members the stack did not carry contribute
+    /// nothing.
+    pub fn timeline(&self) -> String {
         let events = self.stack.guard.as_ref().map_or(&[][..], |g| &g.events);
         let (retrains, episodes) =
             self.stack.pilot.as_ref().map_or((&[][..], &[][..]), |p| (&p.retrains, &p.episodes));
-        (timeline(events, retrains, episodes), self.obs.prom(), self.obs.trace_json())
-    }
-}
-
-/// Guard decisions, pilot retrains and drift episodes merged into one
-/// sim-ordered log, one line per entry — the story an operator reads
-/// after an incident.
-pub fn timeline(
-    events: &[RolloutEvent],
-    retrains: &[RetrainRecord],
-    episodes: &[DriftEpisode],
-) -> String {
-    let mut lines: Vec<(SimTime, String)> = Vec::new();
-    for r in retrains {
-        lines.push((
-            r.at,
-            format!(
-                "{} retrain[{:?}] records={} fp={:016x} -> {:?}\n",
-                r.at, r.trigger, r.records, r.program_fingerprint, r.outcome
-            ),
-        ));
-    }
-    for e in events {
-        lines.push((e.at, format!("{} {} {:?}\n", e.at, e.program, e.kind)));
-    }
-    for ep in episodes {
-        lines.push((ep.onset, format!("{} drift[#{}] onset\n", ep.onset, ep.ordinal)));
-        if let Some(m) = ep.mitigated {
-            lines.push((m, format!("{} drift[#{}] mitigated\n", m, ep.ordinal)));
+        let mut lines: Vec<(SimTime, String)> = Vec::new();
+        for r in retrains {
+            lines.push((
+                r.at,
+                format!(
+                    "{} retrain[{:?}] records={} fp={:016x} -> {:?}\n",
+                    r.at, r.trigger, r.records, r.program_fingerprint, r.outcome
+                ),
+            ));
         }
+        for e in events {
+            lines.push((e.at, format!("{} {} {:?}\n", e.at, e.program, e.kind)));
+        }
+        for ep in episodes {
+            lines.push((ep.onset, format!("{} drift[#{}] onset\n", ep.onset, ep.ordinal)));
+            if let Some(m) = ep.mitigated {
+                lines.push((m, format!("{} drift[#{}] mitigated\n", m, ep.ordinal)));
+            }
+        }
+        lines.sort_by_key(|(at, _)| *at);
+        lines.into_iter().map(|(_, l)| l).collect()
     }
-    lines.sort_by_key(|(at, _)| *at);
-    lines.into_iter().map(|(_, l)| l).collect()
 }
 
 #[cfg(test)]
@@ -591,7 +583,7 @@ mod tests {
     use crate::rollout::{guarded_road_test, GuardedRunConfig};
     use campuslab_capture::MonitorConfig;
     use campuslab_control::{
-        InstallGiveUp, MitigationEvent, RolloutEventKind, SloViolation,
+        InstallGiveUp, MitigationEvent, RolloutEvent, RolloutEventKind, SloViolation,
     };
     use campuslab_dataplane::ProgramVersion;
     use campuslab_ml::{Dataset, DecisionTree, TreeConfig};

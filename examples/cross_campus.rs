@@ -33,7 +33,7 @@ fn main() {
         );
     }
     println!("\nrunning the shared development loop privately at each campus...");
-    let result = cross_campus(&sites, &DevLoopConfig::default());
+    let (result, _) = cross_campus(&sites, &DevLoopConfig::default());
 
     println!("\nattack-class F1, model trained at row / evaluated at column:\n");
     print!("{:<12}", "");

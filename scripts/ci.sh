@@ -6,7 +6,7 @@ set -eu
 
 cargo build --release
 cargo test --workspace -q
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings -D rust_2018_idioms
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # `cargo test` compiles the examples but never runs them; this one's
 # asserts (a store reopened from its log answers the same query) do.
