@@ -9,35 +9,31 @@
 //! queues pops the union of events in exactly the order a single queue
 //! would, so sequential and sharded execution stay byte-identical.
 //!
-//! Three lanes back the queue:
+//! Two lanes back the queue, and `pop` takes the lesser of their fronts:
 //!
 //! * `staged` — a sorted FIFO that absorbs monotone schedules in O(1).
-//!   The entire pre-run injection schedule (tens of thousands of events,
-//!   arriving sorted by time) lands here and never touches a heap.
-//! * a timing wheel — fixed slots of 2^`GRAN_SHIFT` ns covering the
-//!   next `SLOTS` × 2^`GRAN_SHIFT` ns. Mid-run schedules are overwhelmingly
-//!   `now + (transmission + propagation)` with sub-millisecond deltas, so
-//!   they insert in O(1) here; a slot is sorted only when the clock
-//!   reaches it. A hierarchical occupancy bitmap finds the next busy slot
-//!   in a handful of word scans.
-//! * `far` — a 4-ary min-heap holding the overflow: events beyond the
-//!   wheel horizon (WAN propagation, coarse timers). It stays tiny, so
-//!   its log factor is irrelevant.
+//!   The entire pre-run injection schedule (hundreds of thousands of
+//!   events, arriving sorted by time) lands here and never touches a heap.
+//! * `far` — a 4-ary min-heap holding every other schedule: the
+//!   mid-run `now + (transmission + propagation)` events. Only the
+//!   packets in flight are pending at once, so it stays small (at most
+//!   464 events over the ledger's campus day).
+//!
+//! A timing wheel (1 µs slots × 4,096, an occupancy bitmap, slots sorted
+//! and merged as the clock reached them) used to sit between the two. It
+//! lost on this traffic: the campus day averages 0.22 events per µs, so
+//! nearly every slot drain — bitmap scan, sort, merge, two lane-minimum
+//! passes — moved about one event, and every drained slot gave its
+//! `Vec` capacity away, so almost every schedule re-allocated. Replaying
+//! `sim_forward`'s full queue trace (6,568,782 schedules and pops) cost
+//! 145–167 ns per event through the wheel against 69–72 ns through the
+//! two lanes alone (DESIGN.md §11).
 
 use crate::time::SimTime;
 
 /// Heap arity for the far lane. Four children per node trades one extra
 /// comparison per level for half the levels and fewer cache misses.
 const ARITY: usize = 4;
-
-/// Timing-wheel slot granularity: 2^10 ns ≈ 1 µs per slot.
-const GRAN_SHIFT: u32 = 10;
-
-/// Timing-wheel slot count (4096 slots ≈ 4.2 ms horizon).
-const SLOTS: usize = 4096;
-
-/// Words in the occupancy bitmap.
-const WORDS: usize = SLOTS / 64;
 
 /// Event class of root stimuli (injections, timers, chaos). Root events
 /// are numbered by one per-network counter in program order.
@@ -99,12 +95,9 @@ impl EventKey {
 
 /// A deterministic future-event list ordered by [`EventKey`].
 pub struct EventQueue<E> {
+    /// Sorted FIFO: each entry's key exceeds the one before it.
     staged: std::collections::VecDeque<(EventKey, E)>,
-    /// Sorted run drained from wheel slots the clock has reached.
-    ready: std::collections::VecDeque<(EventKey, E)>,
-    slots: Vec<Vec<(EventKey, E)>>,
-    occ: [u64; WORDS],
-    wheel_len: usize,
+    /// 4-ary min-heap of every schedule that arrived out of order.
     far: Vec<(EventKey, E)>,
     now: SimTime,
 }
@@ -118,15 +111,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
-        EventQueue {
-            staged: std::collections::VecDeque::new(),
-            ready: std::collections::VecDeque::new(),
-            slots: std::iter::repeat_with(Vec::new).take(SLOTS).collect(),
-            occ: [0; WORDS],
-            wheel_len: 0,
-            far: Vec::new(),
-            now: SimTime::ZERO,
-        }
+        EventQueue { staged: std::collections::VecDeque::new(), far: Vec::new(), now: SimTime::ZERO }
     }
 
     /// The time of the most recently popped event (the simulation clock).
@@ -145,20 +130,10 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, mut key: EventKey, event: E) {
         debug_assert!(key.time >= self.now, "event scheduled in the past");
         key.time = key.time.max(self.now);
-        // Monotone schedules ride the sorted FIFO lane.
+        // Monotone schedules ride the sorted FIFO lane; the rest sift
+        // into the heap.
         if self.staged.back().is_none_or(|(back, _)| *back < key) {
             self.staged.push_back((key, event));
-            return;
-        }
-        // Near-future events go to the wheel; the rest overflow to the
-        // far heap. All pending events sit in [now, now + horizon), so
-        // the circular slot mapping is unambiguous.
-        let delta_slots = (key.time.0 >> GRAN_SHIFT) - (self.now.0 >> GRAN_SHIFT);
-        if (delta_slots as usize) < SLOTS {
-            let pos = ((key.time.0 >> GRAN_SHIFT) % SLOTS as u64) as usize;
-            self.slots[pos].push((key, event));
-            self.occ[pos / 64] |= 1u64 << (pos % 64);
-            self.wheel_len += 1;
         } else {
             self.far.push((key, event));
             self.sift_up(self.far.len() - 1);
@@ -167,51 +142,34 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event, advancing the clock.
     pub fn pop(&mut self) -> Option<(EventKey, E)> {
-        self.settle();
-        let best = [
-            self.staged.front().map(|(k, _)| *k),
-            self.ready.front().map(|(k, _)| *k),
-            self.far.first().map(|(k, _)| *k),
-        ]
-        .into_iter()
-        .flatten()
-        .min()?;
-        let entry = if self.staged.front().is_some_and(|(k, _)| *k == best) {
-            self.staged.pop_front().expect("staged front vanished")
-        } else if self.ready.front().is_some_and(|(k, _)| *k == best) {
-            self.ready.pop_front().expect("ready front vanished")
-        } else {
-            let e = self.far.swap_remove(0);
-            if !self.far.is_empty() {
-                self.sift_down(0);
-            }
-            e
-        };
-        self.now = entry.0.time;
-        Some(entry)
+        self.pop_if(|_| true)
+    }
+
+    /// Pop the earliest event if `accept` takes its key, advancing the
+    /// clock; otherwise leave the queue untouched and return `None`.
+    pub fn pop_if(&mut self, accept: impl FnOnce(EventKey) -> bool) -> Option<(EventKey, E)> {
+        let (key, from_staged) = self.front()?;
+        if !accept(key) {
+            return None;
+        }
+        let entry = if from_staged { self.staged.pop_front() } else { self.pop_far() };
+        self.now = key.time;
+        entry
     }
 
     /// Key of the next event without popping it.
-    pub fn peek_key(&mut self) -> Option<EventKey> {
-        self.settle();
-        [
-            self.staged.front().map(|(k, _)| *k),
-            self.ready.front().map(|(k, _)| *k),
-            self.far.first().map(|(k, _)| *k),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+    pub fn peek_key(&self) -> Option<EventKey> {
+        self.front().map(|(key, _)| key)
     }
 
     /// Time of the next event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.peek_key().map(|k| k.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.staged.len() + self.ready.len() + self.wheel_len + self.far.len()
+        self.staged.len() + self.far.len()
     }
 
     /// True when no events are pending.
@@ -222,91 +180,28 @@ impl<E> EventQueue<E> {
     /// Remove and return every pending event, sorted by key.
     pub fn drain_sorted(&mut self) -> Vec<(EventKey, E)> {
         let mut all: Vec<(EventKey, E)> = self.staged.drain(..).collect();
-        all.extend(self.ready.drain(..));
-        for pos in 0..SLOTS {
-            all.append(&mut self.slots[pos]);
-        }
-        self.occ = [0; WORDS];
-        self.wheel_len = 0;
         all.append(&mut self.far);
         all.sort_unstable_by_key(|e| e.0);
         all
     }
 
-    /// Drain wheel slots until the earliest undrained slot starts after
-    /// the best candidate from the other lanes (or the wheel is empty).
-    /// Afterwards the true minimum is at one of the three lane fronts.
-    fn settle(&mut self) {
-        while self.wheel_len > 0 {
-            let cand = [
-                self.staged.front().map(|(k, _)| k.time.0),
-                self.ready.front().map(|(k, _)| k.time.0),
-                self.far.first().map(|(k, _)| k.time.0),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let now_blk = self.now.0 >> GRAN_SHIFT;
-            let cur = (now_blk % SLOTS as u64) as usize;
-            let pos = self.next_occupied(cur).expect("wheel_len > 0 but no occupied slot");
-            let dist = (pos + SLOTS - cur) % SLOTS;
-            let slot_start = (now_blk + dist as u64) << GRAN_SHIFT;
-            if cand.is_some_and(|c| c < slot_start) {
-                return;
-            }
-            let mut drained = std::mem::take(&mut self.slots[pos]);
-            self.occ[pos / 64] &= !(1u64 << (pos % 64));
-            self.wheel_len -= drained.len();
-            drained.sort_unstable_by_key(|e| e.0);
-            self.merge_ready(drained);
+    /// The least pending key, and whether it heads the staged lane.
+    fn front(&self) -> Option<(EventKey, bool)> {
+        match (self.staged.front(), self.far.first()) {
+            (Some((s, _)), Some((f, _))) => Some(if s < f { (*s, true) } else { (*f, false) }),
+            (Some((s, _)), None) => Some((*s, true)),
+            (None, Some((f, _))) => Some((*f, false)),
+            (None, None) => None,
         }
     }
 
-    /// Append a sorted run into `ready`, merging when runs interleave
-    /// (only possible when an event was scheduled into the slot currently
-    /// being drained — rare).
-    fn merge_ready(&mut self, drained: Vec<(EventKey, E)>) {
-        if drained.is_empty() {
-            return;
+    fn pop_far(&mut self) -> Option<(EventKey, E)> {
+        if self.far.is_empty() {
+            return None;
         }
-        if self.ready.back().is_none_or(|(k, _)| *k < drained[0].0) {
-            self.ready.extend(drained);
-            return;
-        }
-        let mut old: Vec<(EventKey, E)> = self.ready.drain(..).collect();
-        let mut new = drained.into_iter().peekable();
-        let mut oldi = old.drain(..).peekable();
-        while let (Some(a), Some(b)) = (oldi.peek(), new.peek()) {
-            if a.0 < b.0 {
-                let e = oldi.next().expect("peeked");
-                self.ready.push_back(e);
-            } else {
-                let e = new.next().expect("peeked");
-                self.ready.push_back(e);
-            }
-        }
-        self.ready.extend(oldi);
-        self.ready.extend(new);
-    }
-
-    /// Next occupied wheel slot at or circularly after `cur`.
-    fn next_occupied(&self, cur: usize) -> Option<usize> {
-        let (w0, b0) = (cur / 64, cur % 64);
-        let masked = self.occ[w0] & (!0u64 << b0);
-        if masked != 0 {
-            return Some(w0 * 64 + masked.trailing_zeros() as usize);
-        }
-        for step in 1..=WORDS {
-            let w = (w0 + step) % WORDS;
-            let mut bits = self.occ[w];
-            if w == w0 {
-                bits &= !(!0u64 << b0);
-            }
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-        }
-        None
+        let top = self.far.swap_remove(0);
+        self.sift_down(0);
+        Some(top)
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -409,31 +304,18 @@ mod tests {
     }
 
     #[test]
-    fn far_future_overflows_the_wheel_and_comes_back_in_order() {
+    fn pop_if_leaves_a_rejected_front_in_place() {
         let mut q = EventQueue::new();
-        // Anchor the staged lane far out, then schedule out of order so
-        // later entries exercise the heap (far) and the wheel (near).
-        q.schedule(rk(20_000_000_000, 0), "staged");
-        q.schedule(rk(10_000_000_000, 1), "far");
-        q.schedule(rk(1_000, 2), "wheel-near");
-        q.schedule(rk(4_000_000, 3), "wheel-mid");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, ["wheel-near", "wheel-mid", "far", "staged"]);
-    }
-
-    #[test]
-    fn insertion_into_the_current_slot_still_sorts() {
-        let mut q = EventQueue::new();
-        q.schedule(rk(10_000_000, 0), 0u64);
-        q.schedule(rk(500, 1), 1);
-        let (k, e) = q.pop().unwrap();
-        assert_eq!((k.time.0, e), (500, 1));
-        // Same wheel slot as the popped event, scheduled after the slot
-        // was already drained into `ready`.
-        q.schedule(rk(600, 2), 2);
-        q.schedule(rk(550, 3), 3);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, [3, 2, 0]);
+        q.schedule(rk(20, 0), "staged");
+        q.schedule(rk(10, 1), "far");
+        assert!(q.pop_if(|k| k.time.0 < 10).is_none());
+        assert_eq!((q.len(), q.now()), (2, SimTime::ZERO));
+        assert_eq!(q.pop_if(|k| k.time.0 <= 10).map(|(_, e)| e), Some("far"));
+        assert_eq!(q.now(), SimTime(10));
+        assert!(q.pop_if(|k| k.time.0 <= 10).is_none());
+        assert_eq!(q.peek_time(), Some(SimTime(20)));
+        assert_eq!(q.pop_if(|_| true).map(|(_, e)| e), Some("staged"));
+        assert!(q.pop_if(|_| true).is_none());
     }
 
     #[test]
@@ -483,27 +365,74 @@ mod proptests {
             prop_assert_eq!(seen, (0..times.len()).collect::<Vec<_>>());
         }
 
+        /// Pops follow the sorted order of every key pending, with pops
+        /// interleaved with schedules at `now` or later in three states:
+        /// the staged lane still holding the up-front batch, the staged
+        /// lane just emptied, and the queue refilled from `drain_sorted`
+        /// mid-run (what a checkpoint does).
         #[test]
         fn pops_follow_canonical_key_order(
-            specs in proptest::collection::vec(
-                (0u64..20_000_000, 0u8..3, 0u32..8), 1..300)
+            batch in proptest::collection::vec((0u64..20_000_000, 0u8..3, 0u32..8), 1..300),
+            ops in proptest::collection::vec((0u8..3, 0u64..50_000, 0u8..3, 0u32..8), 0..200)
         ) {
-            let mut q = EventQueue::new();
-            let mut keys = Vec::new();
-            for (i, &(t, class, lane)) in specs.iter().enumerate() {
-                let key = EventKey {
-                    time: SimTime(t),
-                    class,
-                    lane: if class == CLASS_ROOT { 0 } else { lane },
-                    seq: i as u64,
-                };
-                keys.push(key);
-                q.schedule(key, i);
+            let mut m = Model::default();
+            for &(t, class, lane) in &batch {
+                m.schedule(SimTime(t), class, lane);
             }
-            keys.sort_unstable();
-            let popped: Vec<EventKey> =
-                std::iter::from_fn(|| q.pop().map(|(k, _)| k)).collect();
-            prop_assert_eq!(popped, keys);
+            prop_assert!(!m.q.staged.is_empty());
+            m.interleave(&ops);
+            while !m.q.staged.is_empty() {
+                m.pop();
+            }
+            m.interleave(&ops);
+            let drained: Vec<EventKey> = m.q.drain_sorted().into_iter().map(|(k, _)| k).collect();
+            prop_assert!(m.q.is_empty());
+            prop_assert_eq!(&drained, &m.pending.iter().copied().collect::<Vec<_>>());
+            for key in drained {
+                m.q.schedule(key, key.seq);
+            }
+            m.interleave(&ops);
+            while m.pop().is_some() {}
+        }
+    }
+
+    /// An [`EventQueue`] beside a sorted reference of the keys it holds.
+    #[derive(Default)]
+    struct Model {
+        q: EventQueue<u64>,
+        pending: std::collections::BTreeSet<EventKey>,
+        next_seq: u64,
+    }
+
+    impl Model {
+        fn schedule(&mut self, time: SimTime, class: u8, lane: u32) {
+            let lane = if class == CLASS_ROOT { 0 } else { lane };
+            let key = EventKey { time, class, lane, seq: self.next_seq };
+            self.next_seq += 1;
+            self.pending.insert(key);
+            self.q.schedule(key, key.seq);
+        }
+
+        /// Pop one event and check it against the reference minimum.
+        fn pop(&mut self) -> Option<EventKey> {
+            let popped = self.q.pop().map(|(k, e)| {
+                assert_eq!(k.seq, e, "event separated from its key");
+                k
+            });
+            assert_eq!(popped, self.pending.pop_first());
+            assert_eq!(self.q.len(), self.pending.len());
+            popped
+        }
+
+        /// Op 0 pops; ops 1 and 2 schedule `delta` ns after the clock.
+        fn interleave(&mut self, ops: &[(u8, u64, u8, u32)]) {
+            for &(op, delta, class, lane) in ops {
+                if op == 0 {
+                    self.pop();
+                } else {
+                    self.schedule(SimTime(self.q.now().0 + delta), class, lane);
+                }
+            }
         }
     }
 }

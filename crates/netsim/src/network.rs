@@ -359,13 +359,7 @@ impl Network {
     /// name differentials against [`Network::run_sharded`] call it by.
     pub fn run_sequential(&mut self, hooks: &mut dyn SimHooks, until: Option<SimTime>) {
         let mut cmds = Commands::default();
-        while let Some(t) = self.queue.peek_time() {
-            if let Some(u) = until {
-                if t > u {
-                    break;
-                }
-            }
-            let (key, event) = self.queue.pop().expect("peeked event vanished");
+        while let Some((key, event)) = self.queue.pop_if(|k| until.is_none_or(|u| k.time <= u)) {
             self.dispatch(key.time, event, hooks, &mut cmds);
             self.apply(std::mem::take(&mut cmds.items));
         }
@@ -374,7 +368,7 @@ impl Network {
     /// Timestamp of the next pending event, or `None` when the queue is
     /// drained. Lets a windowed multiplexer (the plaza scheduler) decide
     /// whether a deadline-capped [`Network::run`] left work behind.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
+    pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 

@@ -238,8 +238,7 @@ impl ShardPlan {
 fn run_window(net: &mut Network, cap: u64) -> u64 {
     let mut cmds = Commands::default();
     let mut events = 0;
-    while net.queue.peek_time().is_some_and(|t| t.0 < cap) {
-        let (key, ev) = net.queue.pop().expect("peeked event vanished");
+    while let Some((key, ev)) = net.queue.pop_if(|k| k.time.0 < cap) {
         net.dispatch(key.time, ev, &mut NullHooks, &mut cmds);
         events += 1;
     }
@@ -451,7 +450,7 @@ impl Network {
         let lookahead = report.lookahead_ns;
         loop {
             let t_shard =
-                shards.iter_mut().filter_map(|s| s.queue.peek_time()).map(|t| t.0).min().unwrap_or(u64::MAX);
+                shards.iter().filter_map(|s| s.queue.peek_time()).map(|t| t.0).min().unwrap_or(u64::MAX);
             let t_master = self.queue.peek_time().map(|t| t.0).unwrap_or(u64::MAX);
             let t = t_shard.min(t_master);
             if t >= until_cap || t == u64::MAX {
@@ -487,7 +486,7 @@ impl Network {
         loop {
             let mut best: Option<(EventKey, usize)> =
                 self.queue.peek_key().filter(|k| k.time.0 == t).map(|k| (k, usize::MAX));
-            for (i, shard) in shards.iter_mut().enumerate() {
+            for (i, shard) in shards.iter().enumerate() {
                 if let Some(k) = shard.queue.peek_key() {
                     if k.time.0 == t && best.is_none_or(|(b, _)| k < b) {
                         best = Some((k, i));
@@ -495,9 +494,10 @@ impl Network {
                 }
             }
             let Some((_, src)) = best else { break };
+            let queue = if src == usize::MAX { &mut self.queue } else { &mut shards[src].queue };
+            let Some((key, ev)) = queue.pop() else { break };
             events += 1;
             if src == usize::MAX {
-                let (key, ev) = self.queue.pop().expect("peeked event vanished");
                 let chaos = if let Event::Chaos { action } = &ev { Some(*action) } else { None };
                 self.dispatch(key.time, ev, &mut NullHooks, &mut cmds);
                 if let Some(action) = chaos {
@@ -509,7 +509,6 @@ impl Network {
                     }
                 }
             } else {
-                let (key, ev) = shards[src].queue.pop().expect("peeked event vanished");
                 shards[src].dispatch(key.time, ev, &mut NullHooks, &mut cmds);
             }
         }

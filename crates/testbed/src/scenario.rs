@@ -358,6 +358,9 @@ pub fn collect(scenario: &Scenario) -> CollectedData {
     let scheduled = schedule.len();
     let mut net = campus.net;
     schedule.apply_to(&mut net);
+    // The queue now holds a copy of every packet; don't keep two through
+    // the run.
+    drop(schedule);
     let mut hooks = BorderTapHooks::new(campus.border_link, scenario.monitor.clone());
     net.run(&mut hooks, None);
     hooks.monitor.finish();

@@ -452,7 +452,7 @@ impl Session {
     }
 
     /// No event at or before the deadline remains.
-    pub fn is_done(&mut self) -> bool {
+    pub fn is_done(&self) -> bool {
         match (self.net.next_event_time(), self.deadline) {
             (None, _) => true,
             (Some(t), Some(deadline)) => t > deadline,
