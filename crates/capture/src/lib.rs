@@ -11,11 +11,8 @@
 //!   generator-provided.
 //! * [`flow`] — bidirectional flow assembly with idle/active timeouts and
 //!   FIN/RST fast paths.
-//! * [`meta`] — on-the-fly metadata extraction (DNS transactions, service
-//!   tags), the appliance's enrichment stage.
-//! * [`pcap`] — classic libpcap reading/writing of exact wire images.
-//! * [`sensors`] — auxiliary event sources (syslog, firewall, config)
-//!   time-synchronized with packet data.
+//! * [`meta`] — on-the-fly metadata extraction (DNS transactions, TCP
+//!   handshake RTTs), the appliance's enrichment stage.
 //! * [`sketch`] — count-min + heavy-hitter sketches: constant-memory
 //!   telemetry of the kind switches and appliances compute in-line.
 //! * [`monitor`] — the composed appliance plus the `SimHooks` adapter that
@@ -40,23 +37,19 @@
 pub mod records;
 pub mod ring;
 pub mod flow;
-pub mod pcap;
 pub mod meta;
-pub mod sensors;
 pub mod sketch;
 pub mod monitor;
 pub mod observe;
 
 pub use flow::{FlowTable, FlowTableConfig, FlowTableStats};
-pub use campuslab_netsim::fxhash::{self, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use meta::{service_tag, DnsExtractor, ServiceTag, TcpRttEstimator};
+pub use campuslab_netsim::fxhash::{self, FxBuildHasher, FxHashMap, FxHasher};
+pub use meta::{DnsExtractor, TcpRttEstimator};
 pub use monitor::{BorderTapHooks, Monitor, MonitorConfig, MonitorStats};
 pub use observe::CaptureObs;
-pub use pcap::{PcapPacket, PcapReader, PcapWriter};
 pub use records::{
     Direction, DnsMetaRecord, FlowKey, FlowRecord, PacketRecord, SensorRecord, TcpFlags,
     TcpRttRecord,
 };
 pub use ring::{CaptureArray, CaptureRing, RingConfig, RingStats};
-pub use sensors::{merge_sorted, SensorHub};
 pub use sketch::{CountMinSketch, FrozenHeavyHitters, HeavyHitters};

@@ -2,7 +2,7 @@
 //! not just store raw packets, it generates "an extensive set of
 //! 'on-the-fly' generated metadata" (§5). CampusLab extracts DNS
 //! transactions (the richest campus metadata source and the input to the
-//! amplification detector) and a light service classification.
+//! amplification detector) and TCP handshake round-trip times.
 
 use crate::records::{Direction, DnsMetaRecord};
 use campuslab_netsim::{Packet, SimTime, TransportHeader};
@@ -131,35 +131,6 @@ impl TcpRttEstimator {
     pub fn pending_len(&self) -> usize {
         self.pending.len()
     }
-}
-
-/// A coarse service tag inferred from ports — the kind of cheap enrichment
-/// an appliance attaches to every record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServiceTag {
-    Dns,
-    Https,
-    Http,
-    Ssh,
-    Smtp,
-    Ntp,
-    Other,
-}
-
-/// Classify by well-known port (either endpoint).
-pub fn service_tag(src_port: u16, dst_port: u16) -> ServiceTag {
-    for p in [dst_port, src_port] {
-        match p {
-            53 => return ServiceTag::Dns,
-            443 => return ServiceTag::Https,
-            80 => return ServiceTag::Http,
-            22 => return ServiceTag::Ssh,
-            25 => return ServiceTag::Smtp,
-            123 => return ServiceTag::Ntp,
-            _ => {}
-        }
-    }
-    ServiceTag::Other
 }
 
 #[cfg(test)]
@@ -325,16 +296,5 @@ mod tests {
         );
         assert!(x.extract(SimTime::ZERO, Direction::Outbound, &garbage).is_none());
         assert_eq!(x.stats.malformed, 1);
-    }
-
-    #[test]
-    fn service_tags() {
-        assert_eq!(service_tag(40000, 53), ServiceTag::Dns);
-        assert_eq!(service_tag(53, 40000), ServiceTag::Dns);
-        assert_eq!(service_tag(51111, 443), ServiceTag::Https);
-        assert_eq!(service_tag(22, 50000), ServiceTag::Ssh);
-        assert_eq!(service_tag(25, 50000), ServiceTag::Smtp);
-        assert_eq!(service_tag(123, 123), ServiceTag::Ntp);
-        assert_eq!(service_tag(9999, 8888), ServiceTag::Other);
     }
 }

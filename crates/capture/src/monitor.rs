@@ -1,11 +1,10 @@
-//! The border monitor: ties rings, flow assembly, metadata extraction and
-//! optional pcap dumping into one appliance, plus the [`SimHooks`] adapter
-//! that attaches it to a simulated campus border tap.
+//! The border monitor: ties rings, flow assembly and metadata extraction
+//! into one appliance, plus the [`SimHooks`] adapter that attaches it to a
+//! simulated campus border tap.
 
 use crate::flow::{FlowTable, FlowTableConfig};
 use crate::meta::{DnsExtractor, TcpRttEstimator};
 use crate::observe::CaptureObs;
-use crate::pcap::PcapWriter;
 use crate::records::{Direction, DnsMetaRecord, FlowRecord, PacketRecord, TcpRttRecord};
 use crate::ring::{CaptureArray, RingConfig, RingStats};
 use campuslab_netsim::{Commands, Dir, LinkId, Outage, Packet, SimHooks, SimTime};
@@ -19,9 +18,6 @@ const POLL_INTERVAL_NS: u64 = 1_000_000_000;
 pub struct MonitorConfig {
     pub ring: RingConfig,
     pub rings: usize,
-    /// Serialize full frames into an in-memory pcap (costly; for debugging
-    /// and the quickstart example).
-    pub write_pcap: bool,
     /// Tap blackout windows: the appliance is blind (reboot, optic pulled,
     /// span port reconfigured) and packets pass unobserved. Counted in
     /// `blackout_dropped` so the telemetry gap is explicit, not silent.
@@ -36,7 +32,6 @@ impl Default for MonitorConfig {
         MonitorConfig {
             ring: RingConfig::default(),
             rings: 8,
-            write_pcap: false,
             blackouts: Vec::new(),
             sample_keep_1_in: 0,
         }
@@ -74,7 +69,6 @@ pub struct Monitor {
     packets: Vec<PacketRecord>,
     dns_records: Vec<DnsMetaRecord>,
     rtt_records: Vec<TcpRttRecord>,
-    pcap: Option<PcapWriter<Vec<u8>>>,
     last_poll_ns: u64,
     sample_seq: u64,
     pub stats: MonitorStats,
@@ -85,11 +79,6 @@ pub struct Monitor {
 impl Monitor {
     /// Build a monitor.
     pub fn new(cfg: MonitorConfig) -> Self {
-        let pcap = if cfg.write_pcap {
-            Some(PcapWriter::new(Vec::new(), 65_535).expect("vec write cannot fail"))
-        } else {
-            None
-        };
         Monitor {
             rings: CaptureArray::new(cfg.rings, cfg.ring),
             flows: FlowTable::new(FlowTableConfig::default()),
@@ -98,7 +87,6 @@ impl Monitor {
             packets: Vec::new(),
             dns_records: Vec::new(),
             rtt_records: Vec::new(),
-            pcap,
             last_poll_ns: 0,
             sample_seq: 0,
             cfg,
@@ -141,10 +129,6 @@ impl Monitor {
         self.stats.captured += 1;
         self.stats.bytes_captured += u64::from(record.wire_len);
         self.obs.on_captured(u64::from(record.wire_len));
-        if let Some(w) = self.pcap.as_mut() {
-            w.write_packet(now.as_nanos(), &pkt.to_bytes())
-                .expect("vec write cannot fail");
-        }
         if let Some(meta) = self.dns.extract(now, direction, pkt) {
             self.dns_records.push(meta);
         }
@@ -195,11 +179,6 @@ impl Monitor {
     pub fn ring_stats(&self) -> RingStats {
         self.rings.stats()
     }
-
-    /// Finish and return the pcap bytes, when pcap writing was enabled.
-    pub fn take_pcap(&mut self) -> Option<Vec<u8>> {
-        self.pcap.take().map(|w| w.finish().expect("vec write cannot fail"))
-    }
 }
 
 /// Attaches a [`Monitor`] to one tapped link of a running simulation.
@@ -242,7 +221,7 @@ mod tests {
         })
     }
 
-    fn run_with_monitor(write_pcap: bool) -> (Monitor, u64) {
+    fn run_with_monitor() -> (Monitor, u64) {
         let campus = small_campus();
         let mut gen = TrafficGenerator::new(
             &campus,
@@ -256,10 +235,7 @@ mod tests {
         let injected = schedule.len() as u64;
         let mut net = campus.net;
         schedule.apply_to(&mut net);
-        let mut hooks = BorderTapHooks::new(
-            campus.border_link,
-            MonitorConfig { write_pcap, ..MonitorConfig::default() },
-        );
+        let mut hooks = BorderTapHooks::new(campus.border_link, MonitorConfig::default());
         net.run(&mut hooks, None);
         hooks.monitor.finish();
         (hooks.monitor, injected)
@@ -267,7 +243,7 @@ mod tests {
 
     #[test]
     fn monitor_sees_only_border_crossings() {
-        let (monitor, injected) = run_with_monitor(false);
+        let (monitor, injected) = run_with_monitor();
         // Much of the mix is internal (DNS to the campus resolver, internal
         // SSH); the monitor must see strictly less than everything, but a
         // substantial share.
@@ -279,7 +255,7 @@ mod tests {
 
     #[test]
     fn monitor_assembles_flows_and_dns() {
-        let (mut monitor, _) = run_with_monitor(false);
+        let (mut monitor, _) = run_with_monitor();
         let flows = monitor.take_flow_records();
         assert!(!flows.is_empty());
         // Flow sanity: every flow has packets and a coherent time range.
@@ -294,7 +270,7 @@ mod tests {
 
     #[test]
     fn handshake_rtts_are_measured_at_the_border() {
-        let (mut monitor, _) = run_with_monitor(false);
+        let (mut monitor, _) = run_with_monitor();
         let rtts = monitor.take_rtt_records();
         assert!(!rtts.is_empty(), "no handshakes measured");
         // External sessions are synthesized around a 15 ms RTT; the tap
@@ -303,21 +279,6 @@ mod tests {
         for r in &rtts {
             assert!(r.rtt_ns > 100_000, "implausibly small rtt {}", r.rtt_ns);
             assert!(r.rtt_ns < 100_000_000, "implausibly large rtt {}", r.rtt_ns);
-        }
-    }
-
-    #[test]
-    fn pcap_contains_real_parseable_frames() {
-        let (mut monitor, _) = run_with_monitor(true);
-        let captured = monitor.stats.captured;
-        let pcap = monitor.take_pcap().unwrap();
-        let mut reader = crate::pcap::PcapReader::new(&pcap[..]).unwrap();
-        let pkts = reader.read_all().unwrap();
-        assert_eq!(pkts.len() as u64, captured);
-        for p in pkts.iter().take(50) {
-            let (eth, l3) = campuslab_wire::EthernetRepr::parse(&p.data).unwrap();
-            assert_eq!(eth.ethertype, campuslab_wire::EtherType::Ipv4);
-            campuslab_wire::Ipv4Repr::parse(l3).unwrap();
         }
     }
 

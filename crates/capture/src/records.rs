@@ -3,7 +3,6 @@
 //! and stay independent of the simulator's clock type.
 
 use campuslab_netsim::{Dir, Packet, SimTime, TransportHeader};
-use campuslab_wire::IpProtocol;
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
@@ -91,11 +90,6 @@ impl PacketRecord {
             label_app: pkt.truth.app_class,
             label_attack: pkt.truth.attack.unwrap_or(0),
         }
-    }
-
-    /// The protocol as the wire enum.
-    pub fn ip_protocol(&self) -> IpProtocol {
-        IpProtocol::from(self.protocol)
     }
 
     /// True when the generator marked this packet malicious.
@@ -282,7 +276,6 @@ mod tests {
         assert_eq!(r.label_app, 1);
         assert_eq!(r.label_attack, 1);
         assert!(r.is_malicious());
-        assert_eq!(r.ip_protocol(), IpProtocol::Udp);
     }
 
     #[test]

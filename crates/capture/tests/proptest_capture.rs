@@ -102,7 +102,6 @@ proptest! {
             rings,
             blackouts,
             sample_keep_1_in,
-            ..MonitorConfig::default()
         });
         let mut builder = PacketBuilder::new();
         let mut stream = stream;

@@ -109,14 +109,6 @@ impl BankHandle {
             .push(BankEntry { scope, fingerprint, runtime: program.into_runtime() });
     }
 
-    /// Remove every rule scoped to `victim` (attack over).
-    pub fn remove_scope(&self, victim: IpAddr) {
-        self.shared
-            .lock()
-            .entries
-            .retain(|e| e.scope != ProgramScope::Victim(victim));
-    }
-
     /// Remove every entry carrying this program fingerprint (rollback).
     /// Returns how many entries left the bank.
     pub fn remove_fingerprint(&self, fingerprint: u64) -> usize {
@@ -700,13 +692,6 @@ mod tests {
         assert_eq!(s.dropped, 1);
         assert_eq!(s.dropped_attack, 1);
         assert_eq!(s.first_drop, Some(SimTime::from_millis(1)));
-        // Removal restores forwarding.
-        handle.remove_scope(IpAddr::V4(victim));
-        assert!(handle.is_empty());
-        assert_eq!(
-            filter.decide(SimTime::from_millis(3), &amp_packet(&mut b, victim)),
-            FilterAction::Forward
-        );
     }
 
     fn tcp_syn() -> campuslab_wire::TcpRepr {

@@ -92,11 +92,6 @@ impl StreamingWindowDetector {
         }
     }
 
-    /// Change the minimum-coverage policy (clamped to `[0, 1]`).
-    pub fn set_min_coverage(&mut self, min_coverage: f64) {
-        self.state.min_coverage = min_coverage.clamp(0.0, 1.0);
-    }
-
     /// Fraction of `window` the tap could actually see.
     fn window_coverage(&self, window: u64) -> f64 {
         if self.state.gaps.is_empty() {
@@ -334,15 +329,6 @@ mod tests {
         }
         assert!(d.flush().is_empty());
         assert_eq!(d.gap_windows_skipped, 1);
-        // A stricter policy can be relaxed.
-        let mut lax = detector(0.5);
-        lax.set_min_coverage(0.1);
-        lax.announce_gap(100_000_000, 900_000_000);
-        for i in 0..20u64 {
-            lax.observe(&rec(i * 1_000, (i % 8) as u8, [10, 1, 1, 10], 1));
-        }
-        assert_eq!(lax.flush().len(), 1);
-        assert_eq!(lax.gap_windows_skipped, 0);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use campuslab_capture::PacketRecord;
 use campuslab_dataplane::{compile_tree, CompileConfig, CompileReport, PipelineProgram};
 use campuslab_features::{packet_dataset, LabelMode};
 use campuslab_ml::{
-    fidelity, Classifier, ConfusionMatrix, Dataset, DecisionTree, ForestConfig, GbtConfig,
-    GradientBoostedTrees, Mlp, MlpConfig, Normalizer, RandomForest,
+    fidelity, Classifier, ConfusionMatrix, Dataset, DecisionTree, ForestConfig, Mlp, MlpConfig,
+    Normalizer, RandomForest,
 };
 use campuslab_xai::{distill, DistillConfig, DistillationReport};
 use rand::rngs::StdRng;
@@ -19,8 +19,6 @@ use rand::SeedableRng;
 pub enum TeacherKind {
     Forest(ForestConfig),
     Mlp(MlpConfig),
-    /// Gradient-boosted trees (binary label modes only).
-    Gbt(GbtConfig),
 }
 
 impl Default for TeacherKind {
@@ -139,13 +137,6 @@ pub fn run_development_loop(records: &[PacketRecord], cfg: &DevLoopConfig) -> De
                 let model = Mlp::fit(&norm.transform(&train), mcfg);
                 (Box::new(NormalizedMlp { norm: norm.clone(), model }), Some(norm))
             }
-            TeacherKind::Gbt(gcfg) => {
-                assert!(
-                    matches!(cfg.label_mode, LabelMode::BinaryAttack),
-                    "GBT teacher requires the binary label mode"
-                );
-                (Box::new(GradientBoostedTrees::fit(&train, gcfg)), None)
-            }
         };
 
     // Step (ii): model extraction into a shallow tree.
@@ -244,18 +235,6 @@ mod tests {
         assert!(result.compile.leaves_drop > 0);
         assert!(result.distillation.student_depth <= 6);
         assert!(result.train_rows > 0 && result.test_rows > 0);
-    }
-
-    #[test]
-    fn gbt_teacher_also_works() {
-        let cfg = DevLoopConfig {
-            teacher: TeacherKind::Gbt(GbtConfig { n_rounds: 30 }),
-            ..Default::default()
-        };
-        let result = run_development_loop(&records(250), &cfg);
-        assert!(result.teacher_eval.f1_attack > 0.9, "{:?}", result.teacher_eval);
-        assert!(result.fidelity > 0.85, "fidelity {}", result.fidelity);
-        assert!(result.program.n_entries() > 0);
     }
 
     #[test]

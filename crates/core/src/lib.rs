@@ -15,11 +15,11 @@
 //! | [`wire`] | packet wire formats (Ethernet/IP/UDP/TCP/ICMP/DNS) |
 //! | [`netsim`] | deterministic packet-level campus network simulator |
 //! | [`traffic`] | labeled workload + attack generation |
-//! | [`capture`] | border monitoring: rings, flows, metadata, pcap |
+//! | [`capture`] | border monitoring: rings, flows, metadata |
 //! | [`datastore`] | the indexed campus data store |
 //! | [`privacy`] | prefix-preserving anonymization + governance policy |
-//! | [`features`] | packet/flow/window feature engineering |
-//! | [`ml`] | from-scratch models: tree, forest, gradient boosting, MLP |
+//! | [`features`] | packet/window feature engineering |
+//! | [`ml`] | from-scratch models: tree, forest, MLP |
 //! | [`xai`] | model extraction (distillation) + evidence lists |
 //! | [`dataplane`] | P4-style pipeline, tree→TCAM compiler, Tofino-like resources |
 //! | [`control`] | Figure 2's fast control loop and slow development loop |

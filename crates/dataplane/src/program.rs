@@ -51,11 +51,6 @@ impl TableEntry {
             .zip(fields.iter())
             .all(|(cell, &value)| cell.matches(value))
     }
-
-    /// Number of non-wildcard cells (a proxy for key width used).
-    pub fn constrained_fields(&self) -> usize {
-        self.matches.iter().filter(|c| c.mask != 0).count()
-    }
 }
 
 /// A compiled pipeline program.
@@ -284,11 +279,6 @@ impl PipelineRuntime {
     pub fn program(&self) -> &PipelineProgram {
         &self.program
     }
-
-    /// Entries that never matched (dead rules — a pruning signal).
-    pub fn dead_entries(&self) -> usize {
-        self.hits.iter().filter(|&&h| h == 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -327,7 +317,6 @@ mod tests {
         assert_eq!(rt.packets, 2);
         assert_eq!(rt.hits[0], 1);
         assert_eq!(rt.hits[1], 1);
-        assert_eq!(rt.dead_entries(), 0);
     }
 
     #[test]
@@ -344,13 +333,6 @@ mod tests {
         let mut rt = program.into_runtime();
         assert_eq!(rt.process(&fields_with(HeaderField::DstPort, 443)), Action::Forward);
         assert_eq!(rt.misses, 1);
-    }
-
-    #[test]
-    fn constrained_field_count() {
-        let e = entry_on(HeaderField::WireLen, TernaryMatch::exact(1000, 16), Action::Drop, 0);
-        assert_eq!(e.constrained_fields(), 1);
-        assert_eq!(TableEntry::default_entry(Action::Forward).constrained_fields(), 0);
     }
 
     #[test]

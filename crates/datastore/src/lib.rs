@@ -42,5 +42,5 @@ pub use observe::StoreObs;
 pub use wal::{PersistError, RecoveryReport, SealedSegment, WalConfig, WalRecord, WalStore};
 pub use query::{FlowQuery, PacketQuery, QueryStats};
 pub use segment::{SegmentStats, SEGMENT_CAPACITY};
-pub use stats::{summarize, top_talkers, volume_per_second, StoreSummary};
+pub use stats::{summarize, top_talkers, StoreSummary};
 pub use store::{DataStore, StorageReport};

@@ -66,17 +66,6 @@ pub fn top_talkers(ds: &DataStore, n: usize) -> Vec<(IpAddr, u64)> {
     v
 }
 
-/// Per-second byte volume histogram over the captured span.
-pub fn volume_per_second(ds: &DataStore) -> Vec<(u64, u64)> {
-    let mut buckets: HashMap<u64, u64> = HashMap::new();
-    for r in ds.iter_packets() {
-        *buckets.entry(r.ts_ns / 1_000_000_000).or_insert(0) += u64::from(r.wire_len);
-    }
-    let mut v: Vec<(u64, u64)> = buckets.into_iter().collect();
-    v.sort_by_key(|&(sec, _)| sec);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,17 +131,5 @@ mod tests {
         assert_eq!(top[0].0, IpAddr::from([203, 0, 113, 1]));
         assert_eq!(top[1].0, IpAddr::from([10, 0, 0, 2]));
         assert_eq!(top[1].1, 10_000);
-    }
-
-    #[test]
-    fn volume_histogram_buckets_by_second() {
-        let mut ds = DataStore::new();
-        ds.ingest_packets(vec![
-            rec(100, 1, 10, 1, 0),
-            rec(999_999_999, 1, 10, 1, 0),
-            rec(1_000_000_000, 1, 7, 1, 0),
-        ]);
-        let v = volume_per_second(&ds);
-        assert_eq!(v, vec![(0, 20), (1, 7)]);
     }
 }

@@ -1,6 +1,6 @@
 //! Label extraction policies shared by the feature builders.
 
-use campuslab_capture::{FlowRecord, PacketRecord};
+use campuslab_capture::PacketRecord;
 
 /// How records map to class labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -20,15 +20,6 @@ impl LabelMode {
             LabelMode::BinaryAttack => usize::from(rec.label_attack != 0),
             LabelMode::AttackKind => usize::from(rec.label_attack),
             LabelMode::AppClass => usize::from(rec.label_app),
-        }
-    }
-
-    /// Label for a flow record.
-    pub fn label_flow(self, f: &FlowRecord) -> usize {
-        match self {
-            LabelMode::BinaryAttack => usize::from(f.label_attack != 0),
-            LabelMode::AttackKind => usize::from(f.label_attack),
-            LabelMode::AppClass => usize::from(f.label_app),
         }
     }
 

@@ -2,13 +2,11 @@
 //!
 //! Feature engineering over the data store — the activity the paper says
 //! access to an IMAGENET-like store finally makes "a first-class citizen"
-//! (§2). Three feature granularities, matched to where a model can run:
+//! (§2). Two feature granularities, matched to where a model can run:
 //!
 //! * [`packet`] — per-packet, header-only, integer-valued: evaluable by a
 //!   programmable data plane, and exactly what the tree→match-action
 //!   compiler consumes.
-//! * [`flowfeat`] — per-flow aggregates from the flow table: the control
-//!   plane's feature set.
 //! * [`window`] — per-destination time-window aggregates: the richest (and
 //!   slowest) view, natural for a controller or cloud tier.
 //!
@@ -27,10 +25,8 @@
 
 pub mod label;
 pub mod packet;
-pub mod flowfeat;
 pub mod window;
 
-pub use flowfeat::{flow_dataset, flow_feature_index, flow_features, FLOW_FEATURES};
 pub use label::LabelMode;
 pub use packet::{packet_dataset, packet_feature_index, packet_features, PACKET_FEATURES};
 pub use window::{

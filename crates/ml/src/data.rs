@@ -91,30 +91,6 @@ impl Dataset {
         }
     }
 
-    /// `k` folds for cross-validation: returns (train, test) pairs.
-    pub fn k_folds(&self, k: usize, rng: &mut StdRng) -> Vec<(Dataset, Dataset)> {
-        assert!(k >= 2, "need at least 2 folds");
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        let mut folds = Vec::with_capacity(k);
-        for f in 0..k {
-            let test: Vec<usize> = idx
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % k == f)
-                .map(|(_, &v)| v)
-                .collect();
-            let train: Vec<usize> = idx
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % k != f)
-                .map(|(_, &v)| v)
-                .collect();
-            folds.push((self.select(&train), self.select(&test)));
-        }
-        folds
-    }
-
     /// Downsample the majority class to at most `ratio` times the minority
     /// count (class imbalance is brutal in attack detection).
     pub fn balance(&self, ratio: f64, rng: &mut StdRng) -> Dataset {
@@ -240,20 +216,6 @@ mod tests {
         let mut all: Vec<f64> = train.x.iter().chain(&test.x).map(|r| r[0]).collect();
         all.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(all, (0..10).map(|i| i as f64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn k_folds_cover_everything_once() {
-        let d = toy();
-        let mut rng = StdRng::seed_from_u64(2);
-        let folds = d.k_folds(5, &mut rng);
-        assert_eq!(folds.len(), 5);
-        let mut test_rows: Vec<f64> = folds.iter().flat_map(|(_, t)| t.x.iter().map(|r| r[0])).collect();
-        test_rows.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(test_rows.len(), 10);
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), 10);
-        }
     }
 
     #[test]

@@ -26,14 +26,12 @@ pub mod data;
 pub mod model;
 pub mod tree;
 pub mod forest;
-pub mod gbt;
 pub mod mlp;
 pub mod metrics;
 
 pub use data::{Dataset, Normalizer};
 pub use forest::{ForestConfig, RandomForest};
-pub use gbt::{GbtConfig, GradientBoostedTrees};
-pub use metrics::{calibration, fidelity, roc_auc, CalibrationBin, ConfusionMatrix};
+pub use metrics::{fidelity, ConfusionMatrix};
 pub use mlp::{Mlp, MlpConfig};
 pub use model::Classifier;
 pub use tree::{DecisionTree, LeafRule, Node, PathStep, TreeConfig};

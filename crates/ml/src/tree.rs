@@ -263,23 +263,6 @@ impl DecisionTree {
             }
         }
     }
-
-    /// Impurity-decrease feature importances (normalized to sum 1).
-    pub fn importances(&self) -> Vec<f64> {
-        let mut imp = vec![0.0; self.n_features];
-        for node in &self.nodes {
-            if let Node::Split { feature, .. } = node {
-                imp[*feature] += 1.0;
-            }
-        }
-        let total: f64 = imp.iter().sum();
-        if total > 0.0 {
-            for v in &mut imp {
-                *v /= total;
-            }
-        }
-        imp
-    }
 }
 
 impl Classifier for DecisionTree {
@@ -407,15 +390,6 @@ mod tests {
             assert_eq!(hits.len(), 1, "row {row:?} hit {} rules", hits.len());
             assert_eq!(hits[0].class, t.predict(row));
         }
-    }
-
-    #[test]
-    fn importances_identify_the_informative_feature() {
-        let d = separable();
-        let t = DecisionTree::fit(&d, TreeConfig::default());
-        let imp = t.importances();
-        assert!(imp[0] > imp[1]);
-        assert!((imp.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]

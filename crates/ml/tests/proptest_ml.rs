@@ -1,10 +1,7 @@
 //! Property tests for the learning stack: structural invariants that must
 //! hold on arbitrary data, not just the curated fixtures.
 
-use campuslab_ml::{
-    Classifier, Dataset, DecisionTree, ForestConfig, GbtConfig, GradientBoostedTrees,
-    RandomForest, TreeConfig,
-};
+use campuslab_ml::{Classifier, Dataset, DecisionTree, ForestConfig, RandomForest, TreeConfig};
 use proptest::prelude::*;
 
 fn arb_dataset(max_rows: usize) -> impl Strategy<Value = Dataset> {
@@ -84,27 +81,6 @@ proptest! {
         );
         for row in data.x.iter().take(20) {
             prop_assert!(forest.predict(row) < data.n_classes.max(1));
-        }
-    }
-
-    /// GBT decision scores are finite and probabilities valid on binary
-    /// projections of arbitrary data.
-    #[test]
-    fn gbt_scores_are_finite(data in arb_dataset(80)) {
-        let mut binary = data.clone();
-        for y in &mut binary.y {
-            *y = usize::from(*y > 0);
-        }
-        binary.n_classes = 2;
-        let gbt = GradientBoostedTrees::fit(
-            &binary,
-            GbtConfig { n_rounds: 8 },
-        );
-        for row in binary.x.iter().take(20) {
-            let score = gbt.decision_function(row);
-            prop_assert!(score.is_finite());
-            let p = gbt.predict_proba(row);
-            prop_assert!((p[0] + p[1] - 1.0).abs() < 1e-9);
         }
     }
 

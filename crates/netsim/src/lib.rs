@@ -13,8 +13,8 @@
 //!   every run with the same seed is byte-for-byte reproducible.
 //! * **Real headers, optional payload bytes**: packets carry parsed
 //!   `campuslab-wire` header structs and serialize to exact wire images on
-//!   demand, so the capture plane and pcap dumps see real bytes while the
-//!   simulator core stays allocation-light.
+//!   demand, so the capture plane sees real bytes while the simulator core
+//!   stays allocation-light.
 //! * **Hooks + commands**: observers implement [`SimHooks`]
 //!   and steer the simulation by pushing [`Command`]s —
 //!   the pattern that lets a control loop watch a tap and install packet

@@ -20,14 +20,6 @@ pub enum Dir {
 }
 
 impl Dir {
-    /// The opposite direction.
-    pub fn flip(self) -> Dir {
-        match self {
-            Dir::AtoB => Dir::BtoA,
-            Dir::BtoA => Dir::AtoB,
-        }
-    }
-
     /// Index into two-element per-direction arrays.
     pub fn index(self) -> usize {
         match self {
@@ -340,14 +332,6 @@ impl DirStats {
             return 0.0;
         }
         self.busy.as_secs_f64() / window.as_secs_f64()
-    }
-
-    /// Mean queueing delay per transmitted packet.
-    pub fn mean_queue_delay(&self) -> SimDuration {
-        if self.tx_packets == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_nanos(self.queue_delay.as_nanos() / self.tx_packets)
     }
 }
 
@@ -715,7 +699,6 @@ mod tests {
         assert_eq!(s.tx_packets, 2);
         assert_eq!(s.tx_bytes, 2000);
         assert_eq!(s.queue_delay, SimDuration::from_micros(1000));
-        assert_eq!(s.mean_queue_delay(), SimDuration::from_micros(500));
         assert!((s.utilization(SimDuration::from_micros(2000)) - 1.0).abs() < 1e-9);
     }
 
@@ -810,6 +793,5 @@ mod tests {
         assert_eq!(l.dir_from(NodeId(1)), Dir::BtoA);
         assert_eq!(l.dst_node(Dir::AtoB), NodeId(1));
         assert_eq!(l.dst_node(Dir::BtoA), NodeId(0));
-        assert_eq!(Dir::AtoB.flip(), Dir::BtoA);
     }
 }

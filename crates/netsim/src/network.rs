@@ -71,14 +71,6 @@ impl NetStats {
         DropReason::ALL.iter().map(|&reason| *copy.dropped_mut(reason)).sum()
     }
 
-    /// Mean end-to-end latency of delivered packets.
-    pub fn mean_latency(&self) -> SimDuration {
-        if self.delivered == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_nanos(self.latency_sum.as_nanos() / self.delivered)
-    }
-
     /// Delivered fraction of injected packets.
     pub fn delivery_ratio(&self) -> f64 {
         if self.injected == 0 {
@@ -276,11 +268,6 @@ impl Network {
     /// Number of links.
     pub fn link_count(&self) -> usize {
         self.links.len()
-    }
-
-    /// Look up a node by name.
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.nodes.iter().find(|n| n.name == name).map(|n| n.id)
     }
 
     /// Mark a link as tapped: every packet completing a traversal of it is
@@ -609,7 +596,7 @@ mod tests {
         assert_eq!(stats.delivered, 1);
         assert_eq!(net.node(h2).stats.received, 1);
         // Two 8 us serializations + two 10 us propagations = 36 us.
-        assert_eq!(stats.mean_latency(), SimDuration::from_micros(36));
+        assert_eq!(stats.latency_sum, SimDuration::from_micros(36));
     }
 
     #[test]
@@ -820,13 +807,5 @@ mod tests {
         assert!(obs.event_seq() > stats.injected, "every injection is at least one event");
         // The dump renders and is stable.
         assert_eq!(net.obs.render(), net.obs.render());
-    }
-
-    #[test]
-    fn find_node_by_name() {
-        let (net, h1, s1, _, _, _) = tiny_net();
-        assert_eq!(net.find_node("h1"), Some(h1));
-        assert_eq!(net.find_node("s1"), Some(s1));
-        assert_eq!(net.find_node("nope"), None);
     }
 }

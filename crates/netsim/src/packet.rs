@@ -4,7 +4,7 @@
 //! payload that is either real bytes (DNS messages, HTTP request lines —
 //! anything the capture plane will want to inspect) or a synthetic length
 //! (bulk data whose content is irrelevant). `to_bytes` serializes the packet
-//! into an exact wire image for pcap dumps and byte-accurate capture.
+//! into the exact wire image a border tap would see.
 
 use crate::time::SimTime;
 use campuslab_wire::udp::PseudoHeader;
@@ -312,18 +312,6 @@ impl Packet {
         frame.extend_from_slice(&l4);
         frame
     }
-
-    /// The canonical 5-tuple (src ip, dst ip, protocol, src port, dst port),
-    /// with zero ports for portless transports.
-    pub fn five_tuple(&self) -> (IpAddr, IpAddr, IpProtocol, u16, u16) {
-        (
-            self.network.src(),
-            self.network.dst(),
-            self.network.protocol(),
-            self.transport.src_port().unwrap_or(0),
-            self.transport.dst_port().unwrap_or(0),
-        )
-    }
 }
 
 /// A builder for the common packet shapes the traffic generator emits.
@@ -415,41 +403,6 @@ impl PacketBuilder {
                 dont_fragment: true,
             }),
             transport: TransportHeader::Tcp(tcp),
-            payload,
-            truth,
-            injected_at: SimTime::ZERO,
-        }
-    }
-
-    /// A UDP/IPv6 packet. The campus fabric is dual-stack capable even
-    /// though the default workload is IPv4; this path exercises the v6
-    /// wire formats end to end.
-    #[allow(clippy::too_many_arguments)]
-    pub fn udp_v6(
-        &mut self,
-        src: std::net::Ipv6Addr,
-        dst: std::net::Ipv6Addr,
-        src_port: u16,
-        dst_port: u16,
-        payload: Payload,
-        hop_limit: u8,
-        truth: GroundTruth,
-    ) -> Packet {
-        let id = self.next_id();
-        Packet {
-            id,
-            src_mac: EthernetAddress::from_host_id(u128::from(src) as u32),
-            dst_mac: EthernetAddress::from_host_id(u128::from(dst) as u32),
-            network: NetworkHeader::V6(Ipv6Repr {
-                src,
-                dst,
-                protocol: IpProtocol::Udp,
-                hop_limit,
-                payload_len: campuslab_wire::UDP_HEADER_LEN + payload.len(),
-                traffic_class: 0,
-                flow_label: (id as u32) & 0xf_ffff,
-            }),
-            transport: TransportHeader::Udp(UdpRepr { src_port, dst_port }),
             payload,
             truth,
             injected_at: SimTime::ZERO,
@@ -575,7 +528,6 @@ mod tests {
         .unwrap();
         assert!(tcp.control.syn);
         assert_eq!(tcp.mss, Some(1460));
-        assert_eq!(pkt.five_tuple().4, 443);
     }
 
     #[test]
@@ -615,37 +567,6 @@ mod tests {
     fn ground_truth_classification() {
         assert!(!GroundTruth::default().is_malicious());
         assert!(GroundTruth { flow_id: 0, app_class: 0, attack: Some(3) }.is_malicious());
-    }
-
-    #[test]
-    fn udp_v6_packet_round_trips() {
-        let mut b = builder();
-        let pkt = b.udp_v6(
-            "2001:db8::10".parse().unwrap(),
-            "2001:db8:ffff::53".parse().unwrap(),
-            40_000,
-            53,
-            Payload::Synthetic(120),
-            64,
-            GroundTruth::default(),
-        );
-        let bytes = pkt.to_bytes();
-        assert_eq!(bytes.len(), pkt.wire_len());
-        let (eth, l3) = EthernetRepr::parse(&bytes).unwrap();
-        assert_eq!(eth.ethertype, EtherType::Ipv6);
-        let (ip, l4) = campuslab_wire::Ipv6Repr::parse(l3).unwrap();
-        assert_eq!(ip.hop_limit, 64);
-        let (udp, payload) = UdpRepr::parse(
-            l4,
-            &PseudoHeader::V6 { src: ip.src, dst: ip.dst },
-        )
-        .unwrap();
-        assert_eq!(udp.dst_port, 53);
-        assert_eq!(payload.len(), 120);
-        assert_eq!(
-            pkt.five_tuple().0,
-            "2001:db8::10".parse::<std::net::IpAddr>().unwrap()
-        );
     }
 
     #[test]

@@ -220,8 +220,8 @@ impl TenantSlice {
     /// (the session checkpoint plus grid bookkeeping); restoring it onto a
     /// fresh slice built from the *same spec* resumes byte-identically.
     /// Capture slices are refused with a typed error: the border
-    /// monitor's mid-run state (flow table, DNS extractor, RTT estimator,
-    /// pcap writer) is deliberately outside the checkpoint contract.
+    /// monitor's mid-run state (flow table, DNS extractor, RTT estimator)
+    /// is deliberately outside the checkpoint contract.
     pub fn freeze(&mut self) -> Result<FrozenSlice, SliceFreezeError> {
         Ok(FrozenSlice {
             session: self.session.checkpoint()?,

@@ -48,23 +48,6 @@ impl LaplaceMechanism {
         let noised = (true_count as f64 + self.laplace(nonce, 1.0)).max(0.0);
         NoisedValue { name: name.to_string(), value: noised, epsilon_spent: self.epsilon }
     }
-
-    /// Release a bounded sum with the given sensitivity (max per-record
-    /// contribution).
-    pub fn release_sum(
-        &self,
-        name: &str,
-        true_sum: f64,
-        sensitivity: f64,
-        nonce: u64,
-    ) -> NoisedValue {
-        assert!(sensitivity > 0.0);
-        NoisedValue {
-            name: name.to_string(),
-            value: true_sum + self.laplace(nonce, sensitivity),
-            epsilon_spent: self.epsilon,
-        }
-    }
 }
 
 /// A privacy-budget ledger: composition is additive, and releases stop when
@@ -175,16 +158,5 @@ mod tests {
         assert!(err.remaining < 1e-9);
         assert_eq!(ledger.releases().len(), 2);
         assert!(err.to_string().contains("exhausted"));
-    }
-
-    #[test]
-    fn sums_respect_sensitivity() {
-        let m = LaplaceMechanism::new(11, 1.0);
-        // Mean absolute noise ~ sensitivity / eps = 1500.
-        let mean_abs = (0..2_000u64)
-            .map(|n| (m.release_sum("bytes", 1e9, 1_500.0, n).value - 1e9).abs())
-            .sum::<f64>()
-            / 2_000.0;
-        assert!((mean_abs - 1_500.0).abs() < 300.0, "mean abs {mean_abs}");
     }
 }

@@ -10,8 +10,7 @@
 //! * [`cryptopan`] — Crypto-PAn-style prefix-preserving anonymization:
 //!   subnet structure survives, identities don't (the property experiment
 //!   E4 verifies and then measures the model-utility cost of).
-//! * [`scrub`] — record-level scrubbing policies (addresses, ports, DNS
-//!   names, labels).
+//! * [`scrub`] — record-level scrubbing policies (addresses, ports).
 //! * [`policy`] — the role/purpose/data-class decision matrix with an
 //!   audit log; encodes "internal use only".
 //! * [`dp`] — Laplace-mechanism aggregate release with a privacy-budget

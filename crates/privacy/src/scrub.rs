@@ -2,7 +2,7 @@
 //! before they are released beyond the IT organization's enclave.
 
 use crate::cryptopan::PrefixPreservingAnon;
-use campuslab_capture::{DnsMetaRecord, FlowRecord, PacketRecord};
+use campuslab_capture::PacketRecord;
 
 /// What survives scrubbing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -11,56 +11,26 @@ pub struct ScrubPolicy {
     pub anonymize_addresses: bool,
     /// Pseudonymize ephemeral ports (well-known ports always survive).
     pub pseudonymize_ports: bool,
-    /// Replace DNS query names with keyed pseudonyms, keeping the TLD.
-    pub pseudonymize_qnames: bool,
-    /// Strip ground-truth labels (for release outside the research group).
-    pub strip_labels: bool,
 }
 
 impl ScrubPolicy {
     /// The policy for researchers inside the university: anonymized
     /// identities, labels intact (labels are synthetic anyway).
     pub fn internal_research() -> Self {
-        ScrubPolicy {
-            anonymize_addresses: true,
-            pseudonymize_ports: true,
-            pseudonymize_qnames: true,
-            strip_labels: false,
-        }
-    }
-
-    /// The strictest policy: everything identifying removed or recoded.
-    pub fn maximal() -> Self {
-        ScrubPolicy {
-            anonymize_addresses: true,
-            pseudonymize_ports: true,
-            pseudonymize_qnames: true,
-            strip_labels: true,
-        }
+        ScrubPolicy { anonymize_addresses: true, pseudonymize_ports: true }
     }
 }
 
 /// A scrubber bound to a key and a policy.
 pub struct Scrubber {
     anon: PrefixPreservingAnon,
-    /// Domain-separated PRF for name pseudonyms.
-    name_prf: crate::speck::Speck64,
     policy: ScrubPolicy,
 }
 
 impl Scrubber {
     /// Create a scrubber.
     pub fn new(key: u128, policy: ScrubPolicy) -> Self {
-        Scrubber {
-            anon: PrefixPreservingAnon::new(key),
-            name_prf: crate::speck::Speck64::new(key ^ 0x5c5c_5c5c_5c5c_5c5c_5c5c_5c5c_5c5c_5c5c),
-            policy,
-        }
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> ScrubPolicy {
-        self.policy
+        Scrubber { anon: PrefixPreservingAnon::new(key), policy }
     }
 
     /// Scrub one packet record.
@@ -73,74 +43,14 @@ impl Scrubber {
             rec.src_port = self.anon.pseudonymize_port(rec.src_port);
             rec.dst_port = self.anon.pseudonymize_port(rec.dst_port);
         }
-        if self.policy.strip_labels {
-            rec.flow_id = 0;
-            rec.label_app = 0;
-            rec.label_attack = 0;
-        }
         rec
-    }
-
-    /// Scrub a flow record.
-    pub fn scrub_flow(&self, mut f: FlowRecord) -> FlowRecord {
-        if self.policy.anonymize_addresses {
-            f.key.src = self.anon.anonymize(f.key.src);
-            f.key.dst = self.anon.anonymize(f.key.dst);
-        }
-        if self.policy.pseudonymize_ports {
-            f.key.src_port = self.anon.pseudonymize_port(f.key.src_port);
-            f.key.dst_port = self.anon.pseudonymize_port(f.key.dst_port);
-        }
-        if self.policy.strip_labels {
-            f.label_app = 0;
-            f.label_attack = 0;
-        }
-        f
-    }
-
-    /// Scrub a DNS metadata record.
-    pub fn scrub_dns(&self, mut d: DnsMetaRecord) -> DnsMetaRecord {
-        if self.policy.anonymize_addresses {
-            d.client = self.anon.anonymize(d.client);
-            d.server = self.anon.anonymize(d.server);
-        }
-        if self.policy.pseudonymize_qnames {
-            d.qname = self.pseudonymize_qname(&d.qname);
-        }
-        if self.policy.strip_labels {
-            d.label_attack = 0;
-        }
-        d
-    }
-
-    /// Keyed pseudonym for a DNS name: each label is recoded to a stable
-    /// hex token; the TLD is preserved so coarse category statistics
-    /// survive.
-    pub fn pseudonymize_qname(&self, qname: &str) -> String {
-        if qname.is_empty() {
-            return String::new();
-        }
-        let labels: Vec<&str> = qname.split('.').collect();
-        let mut out = Vec::with_capacity(labels.len());
-        for (i, label) in labels.iter().enumerate() {
-            if i + 1 == labels.len() {
-                out.push((*label).to_string());
-            } else {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in label.bytes() {
-                    h = (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
-                }
-                out.push(format!("{:012x}", self.name_prf.encrypt(h) & 0xffff_ffff_ffff));
-            }
-        }
-        out.join(".")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use campuslab_capture::{Direction, FlowKey, TcpFlags};
+    use campuslab_capture::{Direction, TcpFlags};
 
     fn packet() -> PacketRecord {
         PacketRecord {
@@ -173,99 +83,11 @@ mod tests {
     }
 
     #[test]
-    fn maximal_policy_strips_labels() {
-        let s = Scrubber::new(42, ScrubPolicy::maximal());
-        let out = s.scrub_packet(packet());
-        assert_eq!(out.label_app, 0);
-        assert_eq!(out.label_attack, 0);
-        assert_eq!(out.flow_id, 0);
-    }
-
-    #[test]
     fn scrubbing_is_deterministic_per_key() {
         let s1 = Scrubber::new(42, ScrubPolicy::internal_research());
         let s2 = Scrubber::new(42, ScrubPolicy::internal_research());
         let s3 = Scrubber::new(43, ScrubPolicy::internal_research());
         assert_eq!(s1.scrub_packet(packet()), s2.scrub_packet(packet()));
         assert_ne!(s1.scrub_packet(packet()).src, s3.scrub_packet(packet()).src);
-    }
-
-    #[test]
-    fn flow_scrubbing_keeps_both_directions_joinable() {
-        let s = Scrubber::new(42, ScrubPolicy::internal_research());
-        let key = FlowKey {
-            src: "10.1.1.10".parse().unwrap(),
-            dst: "203.0.113.7".parse().unwrap(),
-            protocol: 6,
-            src_port: 50_000,
-            dst_port: 443,
-        };
-        let f = FlowRecord {
-            key,
-            first_ts_ns: 0,
-            last_ts_ns: 1,
-            fwd_packets: 1,
-            fwd_bytes: 1,
-            rev_packets: 0,
-            rev_bytes: 0,
-            syn_count: 0,
-            fin_count: 0,
-            rst_count: 0,
-            mean_iat_ns: 0,
-            min_len: 0,
-            max_len: 0,
-            label_app: 0,
-            label_attack: 0,
-        };
-        let scrubbed = s.scrub_flow(f.clone());
-        // Scrubbing the reversed key gives the reversed scrubbed key:
-        // conversations remain joinable after anonymization.
-        let mut rev = f;
-        rev.key = rev.key.reversed();
-        let scrubbed_rev = s.scrub_flow(rev);
-        assert_eq!(scrubbed.key.reversed(), scrubbed_rev.key);
-    }
-
-    #[test]
-    fn qname_pseudonym_keeps_tld_and_structure() {
-        let s = Scrubber::new(42, ScrubPolicy::internal_research());
-        let out = s.pseudonymize_qname("www.cs.example.edu");
-        assert!(out.ends_with(".edu"));
-        assert_eq!(out.split('.').count(), 4);
-        assert!(!out.contains("example"));
-        // Stability and distinctness.
-        assert_eq!(out, s.pseudonymize_qname("www.cs.example.edu"));
-        assert_ne!(out, s.pseudonymize_qname("www.ee.example.edu"));
-        // Shared labels map to shared pseudo-labels (joinability).
-        let a = s.pseudonymize_qname("a.example.edu");
-        let b = s.pseudonymize_qname("b.example.edu");
-        assert_eq!(
-            a.split('.').nth(1).unwrap(),
-            b.split('.').nth(1).unwrap()
-        );
-        assert_eq!(s.pseudonymize_qname(""), "");
-    }
-
-    #[test]
-    fn dns_record_scrub() {
-        let s = Scrubber::new(42, ScrubPolicy::maximal());
-        let d = DnsMetaRecord {
-            ts_ns: 5,
-            direction: Direction::Outbound,
-            client: "10.1.1.10".parse().unwrap(),
-            server: "10.1.255.53".parse().unwrap(),
-            qname: "secret-project.example.edu".into(),
-            qtype: 1,
-            is_response: false,
-            answer_count: 0,
-            wire_len: 80,
-            amplification_prone: false,
-            label_attack: 1,
-        };
-        let out = s.scrub_dns(d.clone());
-        assert_ne!(out.client, d.client);
-        assert!(!out.qname.contains("secret-project"));
-        assert_eq!(out.label_attack, 0);
-        assert!(out.amplification_prone == d.amplification_prone);
     }
 }

@@ -142,17 +142,6 @@ impl RsvObs {
     pub fn responses_total(&self) -> u64 {
         self.responses.iter().map(|&c| self.sink.counter(c)).sum()
     }
-
-    /// Cache-hit rate over queries that reached the cache (hits + negative
-    /// hits over hits + negative hits + misses).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.cache_hits() + self.cache_negative_hits();
-        let total = hits + self.cache_misses();
-        if total == 0 {
-            return 0.0;
-        }
-        hits as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -167,15 +156,5 @@ mod tests {
             [Answer, Negative, Stale, ServFail, FormErr].iter().map(|&k| response_index(k)).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn hit_rate_tracks_hits_and_misses() {
-        let mut obs = RsvObs::new();
-        obs.on_cache_hit();
-        obs.on_cache_hit();
-        obs.on_cache_negative_hit();
-        obs.on_cache_miss();
-        assert!((obs.cache_hit_rate() - 0.75).abs() < 1e-9);
     }
 }

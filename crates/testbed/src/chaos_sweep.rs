@@ -86,12 +86,7 @@ pub fn chaos_road_test_config(scenario: &Scenario, intensity: f64, seed: u64) ->
         .map(LinkId)
         .filter(|l| *l != campus.border_link)
         .collect();
-    let victim = match &scenario.attack {
-        crate::scenario::AttackScenario::DnsAmplification { victim_index, .. } => {
-            Some(campus.hosts[*victim_index])
-        }
-        _ => None,
-    };
+    let victim = scenario.attack.victim(&campus);
     let nodes: Vec<NodeId> = campus
         .hosts
         .iter()
@@ -211,6 +206,27 @@ mod tests {
         // Burst channels cover the interior, never the border.
         assert!(hi_plan.burst.iter().all(|(l, _)| *l != campus.border_link));
         assert_eq!(hi_plan.burst.len(), campus.net.link_count() - 1);
+    }
+
+    /// Chaos degrades the defense, never the attack's own target: whatever
+    /// host a campaign is aimed at stays up at any seed, for every attack
+    /// family with a victim among the hosts.
+    #[test]
+    fn chaos_never_crashes_the_victim() {
+        let mut mixed = Scenario::small();
+        mixed.attack = crate::scenario::AttackScenario::Mixed;
+        for scenario in [Scenario::drift_rotation(), mixed] {
+            let campus = Campus::build(scenario.campus.clone());
+            let victim = scenario.attack.victim(&campus).expect("the campaign has a victim");
+            for seed in 0..64 {
+                let plan = chaos_road_test_config(&scenario, 1.0, seed).chaos.unwrap();
+                assert!(
+                    plan.node_down_windows(victim).is_empty(),
+                    "seed {seed} crashes the victim of {:?}",
+                    scenario.attack
+                );
+            }
+        }
     }
 
     /// The acceptance-criteria sanity check: more chaos never *improves*

@@ -540,7 +540,7 @@ mod tests {
     }
 
     /// Never-panic fuzz over the envelope decoder, in the house style of
-    /// the wire/pcap fuzzers: `CAMPUSLAB_FUZZ_CASES` scales the sweep.
+    /// the wire fuzzers: `CAMPUSLAB_FUZZ_CASES` scales the sweep.
     /// Truncations at every prefix length (torn write), single-bit flips
     /// across header and payload (storage corruption), and random byte
     /// soup must all return a typed error or a valid checkpoint — never

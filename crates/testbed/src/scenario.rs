@@ -5,7 +5,7 @@
 use crate::observe::RunObs;
 use campuslab_capture::{BorderTapHooks, DnsMetaRecord, FlowRecord, MonitorConfig, MonitorStats, PacketRecord, RingStats, TcpRttRecord};
 use campuslab_datastore::DataStore;
-use campuslab_netsim::{Campus, CampusConfig, NetStats, SimDuration, SimTime};
+use campuslab_netsim::{Campus, CampusConfig, NetStats, NodeId, SimDuration, SimTime};
 use campuslab_traffic::{AppClass, Schedule, TrafficGenerator, WorkloadConfig};
 use std::net::Ipv4Addr;
 
@@ -16,8 +16,6 @@ pub enum AttackScenario {
     None,
     /// The paper's running example, aimed at `campus.hosts[victim_index]`.
     DnsAmplification { victim_index: usize, qps: f64, start_frac: f64, duration_frac: f64 },
-    /// A SYN flood at the campus web server.
-    SynFlood { pps: f64, start_frac: f64, duration_frac: f64 },
     /// One campaign of every kind (the multi-class climate).
     Mixed,
     /// Random-subdomain NXDOMAIN "water torture" flood at the campus
@@ -48,6 +46,22 @@ pub enum AttackScenario {
     /// in mid-run and shift the traffic mix with no attack labels at all
     /// — drift the pilot must absorb without a false mitigation.
     AppRollout { class: AppClass, sessions_per_sec: f64, start_frac: f64, duration_frac: f64 },
+}
+
+impl AttackScenario {
+    /// The node the campaign is aimed at, if it has one: the victim
+    /// [`build_schedule`] records and the node chaos never crashes.
+    pub fn victim(&self, campus: &Campus) -> Option<NodeId> {
+        match self {
+            AttackScenario::None | AttackScenario::AppRollout { .. } => None,
+            AttackScenario::DnsAmplification { victim_index, .. }
+            | AttackScenario::RotatingReflection { victim_index, .. } => {
+                Some(campus.hosts[*victim_index])
+            }
+            AttackScenario::Mixed => Some(campus.hosts[0]),
+            AttackScenario::ResolverWaterTorture { .. } => Some(campus.servers.dns),
+        }
+    }
 }
 
 /// A complete scenario description.
@@ -269,36 +283,21 @@ pub fn build_schedule(campus: &Campus, scenario: &Scenario) -> (Schedule, Option
     let mut schedule = gen.generate();
     let span = scenario.workload.duration.as_secs_f64();
     let at = |frac: f64| SimTime::ZERO + SimDuration::from_secs_f64(span * frac);
-    let mut victim = None;
+    let victim = scenario.attack.victim(campus).map(|v| campus.addr_of(v));
     let mut attack_start = None;
     match &scenario.attack {
         AttackScenario::None => {}
         AttackScenario::DnsAmplification { victim_index, qps, start_frac, duration_frac } => {
-            let v = campus.hosts[*victim_index];
-            victim = Some(campus.addr_of(v));
             attack_start = Some(at(*start_frac));
             gen.add_dns_amplification(
                 &mut schedule,
-                v,
+                campus.hosts[*victim_index],
                 *qps,
                 at(*start_frac),
                 SimDuration::from_secs_f64(span * duration_frac),
             );
         }
-        AttackScenario::SynFlood { pps, start_frac, duration_frac } => {
-            victim = Some(campus.addr_of(campus.servers.web));
-            attack_start = Some(at(*start_frac));
-            gen.add_syn_flood(
-                &mut schedule,
-                campus.servers.web,
-                443,
-                *pps,
-                at(*start_frac),
-                SimDuration::from_secs_f64(span * duration_frac),
-            );
-        }
         AttackScenario::Mixed => {
-            victim = Some(campus.addr_of(campus.hosts[0]));
             attack_start = Some(at(0.1));
             gen.add_mixed_attacks(&mut schedule);
         }
@@ -310,7 +309,6 @@ pub fn build_schedule(campus: &Campus, scenario: &Scenario) -> (Schedule, Option
             start_frac,
             duration_frac,
         } => {
-            victim = Some(campus.addr_of(campus.servers.dns));
             attack_start = Some(at(*start_frac));
             let dur = SimDuration::from_secs_f64(span * duration_frac);
             gen.add_resolver_clients(
@@ -326,8 +324,6 @@ pub fn build_schedule(campus: &Campus, scenario: &Scenario) -> (Schedule, Option
             }
         }
         AttackScenario::RotatingReflection { victim_index, qps, phases } => {
-            let v = campus.hosts[*victim_index];
-            victim = Some(campus.addr_of(v));
             if let Some(&(_, f, _)) = phases.first() {
                 attack_start = Some(at(f));
             }
@@ -335,7 +331,7 @@ pub fn build_schedule(campus: &Campus, scenario: &Scenario) -> (Schedule, Option
                 .iter()
                 .map(|&(port, f, d)| (port, at(f), SimDuration::from_secs_f64(span * d)))
                 .collect();
-            gen.add_rotating_reflection(&mut schedule, v, *qps, &plan);
+            gen.add_rotating_reflection(&mut schedule, campus.hosts[*victim_index], *qps, &plan);
         }
         AttackScenario::AppRollout { class, sessions_per_sec, start_frac, duration_frac } => {
             gen.add_app_rollout(

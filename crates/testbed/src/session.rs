@@ -35,9 +35,8 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SliceFreezeError {
     /// The stack captures at the border: the monitor's mid-run state
-    /// (flow table, DNS extractor, RTT estimator, pcap writer) is
-    /// deliberately not checkpointable, so capture runs restart instead
-    /// of resuming.
+    /// (flow table, DNS extractor, RTT estimator) is deliberately not
+    /// checkpointable, so capture runs restart instead of resuming.
     CaptureMonitor,
     /// The stack hosts the resolver actor, whose cache and in-flight
     /// lookups have no frozen mirror: a checkpoint would silently drop

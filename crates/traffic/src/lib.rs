@@ -27,7 +27,8 @@
 //! });
 //! let schedule = gen.generate();
 //! assert!(schedule.len() > 0);
-//! assert_eq!(schedule.malicious_split().0, 0); // benign until attacks added
+//! // Benign until attacks are added.
+//! assert!(schedule.iter().all(|i| !i.packet.truth.is_malicious()));
 //! ```
 
 pub mod distributions;

@@ -2,7 +2,6 @@
 //! the simulator consumes.
 
 use campuslab_netsim::{Network, NodeId, Packet, SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// One packet departure: at `at`, `packet` leaves `node`.
 #[derive(Debug, Clone)]
@@ -77,25 +76,6 @@ impl Schedule {
             - SimTime::ZERO
     }
 
-    /// Packets per ground-truth application class id.
-    pub fn count_by_app(&self) -> BTreeMap<u16, usize> {
-        let mut m = BTreeMap::new();
-        for i in &self.injections {
-            *m.entry(i.packet.truth.app_class).or_insert(0) += 1;
-        }
-        m
-    }
-
-    /// `(malicious, benign)` packet counts.
-    pub fn malicious_split(&self) -> (usize, usize) {
-        let malicious = self
-            .injections
-            .iter()
-            .filter(|i| i.packet.truth.is_malicious())
-            .count();
-        (malicious, self.injections.len() - malicious)
-    }
-
     /// Iterate the injections (sort first for time order).
     pub fn iter(&self) -> impl Iterator<Item = &Injection> {
         self.injections.iter()
@@ -154,11 +134,9 @@ mod tests {
         s2.push(SimTime::ZERO, NodeId(0), pkt(&mut b, 1, Some(1)));
         s2.push(SimTime::ZERO, NodeId(0), pkt(&mut b, 2, None));
         s1.merge(s2);
-        assert_eq!(s1.len(), 3);
-        assert_eq!(s1.malicious_split(), (1, 2));
-        let by_app = s1.count_by_app();
-        assert_eq!(by_app[&1], 2);
-        assert_eq!(by_app[&2], 1);
+        let merged: Vec<_> =
+            s1.iter().map(|i| (i.packet.truth.app_class, i.packet.truth.attack)).collect();
+        assert_eq!(merged, vec![(1, None), (1, Some(1)), (2, None)]);
     }
 
     #[test]

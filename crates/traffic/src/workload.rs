@@ -5,7 +5,7 @@
 use crate::apps::{self, Endpoint, SessionEnv};
 use crate::attacks;
 use crate::distributions::{diurnal_multiplier, Exponential, Zipf};
-use crate::labels::{AppClass, AttackKind};
+use crate::labels::AppClass;
 use crate::schedule::Schedule;
 use campuslab_netsim::{Campus, NodeId, PacketBuilder, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -410,8 +410,11 @@ impl<'c> TrafficGenerator<'c> {
         self.campaign(schedule, |env| attacks::exfiltration(env, &campaign));
     }
 
-    /// Layer one campaign of each [`AttackKind`] spread over the workload
-    /// window — the "attack climate" used by multi-class experiments.
+    /// Layer one campaign of each [`AttackKind`](crate::labels::AttackKind)
+    /// spread over the workload window — the "attack climate" used by
+    /// multi-class experiments. The resolver water torture (`NxdomainFlood`)
+    /// is left out: it only makes sense against a live resolver actor, and
+    /// the ResolverLab experiment layers it itself.
     pub fn add_mixed_attacks(&mut self, schedule: &mut Schedule) {
         let victim = self.campus.hosts[0];
         let web = self.campus.servers.web;
@@ -435,21 +438,6 @@ impl<'c> TrafficGenerator<'c> {
         self.add_port_scan(schedule, 16, (20..60).collect(), 500.0, at(0.6));
         self.add_ssh_brute_force(schedule, self.campus.hosts[1], 30, 4.0, at(0.7));
         self.add_exfiltration(schedule, self.campus.hosts[2], 3_000_000, 4_000_000, at(0.75));
-    }
-
-    /// Ids of every attack kind `add_mixed_attacks` injects. Deliberately
-    /// not [`AttackKind::ALL`]: the resolver water torture
-    /// ([`AttackKind::NxdomainFlood`]) only makes sense against a live
-    /// resolver actor and is layered by the ResolverLab experiment, not by
-    /// the generic attack climate.
-    pub fn mixed_attack_kinds() -> [AttackKind; 5] {
-        [
-            AttackKind::DnsAmplification,
-            AttackKind::SynFlood,
-            AttackKind::PortScan,
-            AttackKind::SshBruteForce,
-            AttackKind::Exfiltration,
-        ]
     }
 
     /// Benign resolver-client load for runs where a live resolver actor
@@ -556,6 +544,7 @@ impl<'c> TrafficGenerator<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::labels::AttackKind;
     use campuslab_netsim::CampusConfig;
 
     fn small_campus() -> Campus {
@@ -578,13 +567,13 @@ mod tests {
         });
         let s = g.generate();
         assert!(s.len() > 500, "too few packets: {}", s.len());
-        let by_app = s.count_by_app();
+        let apps: std::collections::BTreeSet<u16> =
+            s.iter().map(|i| i.packet.truth.app_class).collect();
         // The two dominant classes must be present; all packets labeled.
-        assert!(by_app.contains_key(&AppClass::Dns.id()));
-        assert!(by_app.contains_key(&AppClass::Web.id()));
-        assert!(!by_app.contains_key(&0), "unlabeled packets found");
-        let (mal, _) = s.malicious_split();
-        assert_eq!(mal, 0);
+        assert!(apps.contains(&AppClass::Dns.id()));
+        assert!(apps.contains(&AppClass::Web.id()));
+        assert!(!apps.contains(&0), "unlabeled packets found");
+        assert!(s.iter().all(|i| !i.packet.truth.is_malicious()));
     }
 
     #[test]
@@ -618,8 +607,8 @@ mod tests {
             SimTime::from_secs(1),
             SimDuration::from_secs(1),
         );
-        let (mal, ben) = s.malicious_split();
-        assert_eq!(ben, benign);
+        let mal = s.iter().filter(|i| i.packet.truth.is_malicious()).count();
+        assert_eq!(s.len() - mal, benign);
         assert_eq!(mal, 400);
     }
 
@@ -637,7 +626,14 @@ mod tests {
             .iter()
             .filter_map(|i| i.packet.truth.attack)
             .collect();
-        assert_eq!(kinds.len(), TrafficGenerator::mixed_attack_kinds().len());
+        let expected = [
+            AttackKind::DnsAmplification,
+            AttackKind::SynFlood,
+            AttackKind::PortScan,
+            AttackKind::SshBruteForce,
+            AttackKind::Exfiltration,
+        ];
+        assert_eq!(kinds, expected.iter().map(|k| k.id()).collect());
     }
 
     #[test]

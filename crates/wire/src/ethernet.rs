@@ -10,9 +10,6 @@ pub const ETHERNET_HEADER_LEN: usize = 14;
 pub struct EthernetAddress(pub [u8; 6]);
 
 impl EthernetAddress {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: EthernetAddress = EthernetAddress([0xff; 6]);
-
     /// Construct from six octets.
     pub const fn new(a: u8, b: u8, c: u8, d: u8, e: u8, f: u8) -> Self {
         EthernetAddress([a, b, c, d, e, f])
@@ -24,21 +21,6 @@ impl EthernetAddress {
         let b = id.to_be_bytes();
         // 0x02 sets the locally-administered bit and keeps unicast.
         EthernetAddress([0x02, 0x00, b[0], b[1], b[2], b[3]])
-    }
-
-    /// True for the all-ones broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True when the group bit (lsb of first octet) is set.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
-    /// True for unicast (neither broadcast nor multicast).
-    pub fn is_unicast(&self) -> bool {
-        !self.is_multicast()
     }
 }
 
@@ -148,17 +130,6 @@ mod tests {
             EthernetRepr::parse(&[0u8; 13]).unwrap_err(),
             Error::Truncated
         );
-    }
-
-    #[test]
-    fn address_classes() {
-        assert!(EthernetAddress::BROADCAST.is_broadcast());
-        assert!(EthernetAddress::BROADCAST.is_multicast());
-        let uni = EthernetAddress::from_host_id(1);
-        assert!(uni.is_unicast());
-        assert!(!uni.is_broadcast());
-        let multi = EthernetAddress::new(0x01, 0x00, 0x5e, 0, 0, 1);
-        assert!(multi.is_multicast());
     }
 
     #[test]

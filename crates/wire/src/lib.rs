@@ -1,7 +1,7 @@
 //! # campuslab-wire
 //!
 //! Wire-format parsing and emission for the protocols that cross a campus
-//! network's border: Ethernet II, ARP, IPv4, IPv6, UDP, TCP, ICMPv4 and DNS.
+//! network's border: Ethernet II, IPv4, IPv6, UDP, TCP, ICMPv4 and DNS.
 //!
 //! The design follows the smoltcp idiom: every protocol has a plain-old-data
 //! `*Repr` struct that can be `parse`d from a byte slice (with full
@@ -11,7 +11,7 @@
 //!
 //! `campuslab-netsim` moves owned `Repr` values around for speed, and
 //! serializes them through this crate whenever real bytes are needed — for
-//! the capture plane, pcap dumps, or payload inspection.
+//! the capture plane or payload inspection.
 //!
 //! ```
 //! use campuslab_wire::{Ipv4Repr, IpProtocol};
@@ -37,7 +37,6 @@
 
 pub mod checksum;
 pub mod ethernet;
-pub mod arp;
 pub mod ipv4;
 pub mod ipv6;
 pub mod udp;
@@ -46,7 +45,6 @@ pub mod icmp;
 pub mod dns;
 
 pub use ethernet::{EtherType, EthernetAddress, EthernetRepr, ETHERNET_HEADER_LEN};
-pub use arp::{ArpOperation, ArpRepr};
 pub use ipv4::{IpProtocol, Ipv4Repr, IPV4_HEADER_LEN};
 pub use ipv6::{Ipv6Repr, IPV6_HEADER_LEN};
 pub use udp::{UdpRepr, UDP_HEADER_LEN};

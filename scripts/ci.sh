@@ -29,14 +29,14 @@ else
     echo "notice: cargo-llvm-cov not installed; skipping coverage floor" >&2
 fi
 
-# Never-panic fuzz soak: every untrusted-input decoder (wire, pcap, WAL
-# tail scanner, PHNX envelope, datastore codec) reads CAMPUSLAB_FUZZ_CASES
-# and takes 10k seeded cases. By whole package, not by test name: a name
+# Never-panic fuzz soak: every untrusted-input decoder (wire, WAL tail
+# scanner, PHNX envelope, datastore codec) reads CAMPUSLAB_FUZZ_CASES and
+# takes 10k seeded cases. By whole package, not by test name: a name
 # filter that a rename turns into a silent no-op is not a gate. The rest
 # of each package rides along, which is also its release-mode run
 # (kill-at-every-boundary, phoenix_diff, WAL recovery).
 CAMPUSLAB_FUZZ_CASES=10000 cargo test -q --release \
-    -p campuslab-wire -p campuslab-capture -p campuslab-datastore -p campuslab-testbed
+    -p campuslab-wire -p campuslab-datastore -p campuslab-testbed
 
 # Executor matrix, release. The workspace run above was the unset row in
 # debug; this is it optimised. golden_replay itself sets CAMPUSLAB_JOBS
