@@ -7,8 +7,8 @@ use campuslab_capture::PacketRecord;
 use campuslab_dataplane::{compile_tree, CompileConfig, CompileReport, PipelineProgram};
 use campuslab_features::{packet_dataset, LabelMode};
 use campuslab_ml::{
-    fidelity, Classifier, ConfusionMatrix, Dataset, DecisionTree, ForestConfig, Mlp, MlpConfig,
-    Normalizer, RandomForest,
+    Classifier, ConfusionMatrix, Dataset, DecisionTree, ForestConfig, Mlp, MlpConfig, Normalizer,
+    RandomForest,
 };
 use campuslab_xai::{distill, DistillConfig, DistillationReport};
 use rand::rngs::StdRng;
@@ -152,14 +152,24 @@ pub fn run_development_loop(records: &[PacketRecord], cfg: &DevLoopConfig) -> De
         ),
     );
 
-    let teacher_cm = ConfusionMatrix::evaluate(teacher.as_ref(), &test);
-    let student_cm = ConfusionMatrix::evaluate(&student, &test);
-    let fid = fidelity(teacher.as_ref(), &student, &test);
+    // Each model answers each test row once; both matrices and the
+    // fidelity read those answers.
+    let teacher_pred = teacher.predict_batch(&test.x);
+    let student_pred = student.predict_batch(&test.x);
+    let cm = |n_classes: usize, pred: &[usize]| {
+        ConfusionMatrix::from_pairs(
+            test.n_classes.max(n_classes),
+            test.y.iter().copied().zip(pred.iter().copied()),
+        )
+    };
+    let teacher_cm = cm(teacher.n_classes(), &teacher_pred);
+    let student_cm = cm(student.n_classes(), &student_pred);
+    let agree = teacher_pred.iter().zip(&student_pred).filter(|(t, s)| t == s).count();
     let positive = 1.min(test.n_classes.saturating_sub(1));
     DevLoopResult {
         teacher_eval: ModelEval::from_cm(&teacher_cm, positive),
         student_eval: ModelEval::from_cm(&student_cm, positive),
-        fidelity: fid,
+        fidelity: agree as f64 / test.len() as f64,
         teacher,
         student,
         program,

@@ -4,7 +4,7 @@
 
 use crate::data::Dataset;
 use crate::model::Classifier;
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{DecisionTree, Grower, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -18,9 +18,8 @@ const SEED: u64 = 0xF0_4E57;
 #[derive(Debug, Clone, Copy)]
 pub struct ForestConfig {
     pub n_trees: usize,
-    /// Number of features considered per tree (0 = all). Feature bagging
-    /// happens per tree by masking columns, which keeps the tree code
-    /// simple.
+    /// Number of features considered per tree (0 = all). A tree never
+    /// splits on a feature outside its random subset.
     pub max_features: usize,
 }
 
@@ -34,52 +33,40 @@ impl Default for ForestConfig {
 #[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
-    /// Per-tree active-feature masks (empty = all features).
-    masks: Vec<Vec<usize>>,
     n_classes: usize,
 }
 
 impl RandomForest {
-    /// Train a forest.
+    /// Train a forest. The columns are sorted once for all trees; each
+    /// tree's bootstrap is a count per row (see the `tree` module doc).
     pub fn fit(data: &Dataset, cfg: ForestConfig) -> Self {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
         assert!(cfg.n_trees > 0);
         let mut rng = StdRng::seed_from_u64(SEED);
         let n = data.len();
         let sample = ((n as f64) * SAMPLE_FRAC).max(1.0) as usize;
-        let mut trees = Vec::with_capacity(cfg.n_trees);
-        let mut masks = Vec::with_capacity(cfg.n_trees);
-        for _ in 0..cfg.n_trees {
-            let idx: Vec<usize> = (0..sample).map(|_| rng.gen_range(0..n)).collect();
-            let mut boot = data.select(&idx);
-            let mask: Vec<usize> = if cfg.max_features == 0 || cfg.max_features >= data.n_features()
-            {
-                Vec::new()
-            } else {
+        let mut grower = Grower::new(data);
+        let mut copies = vec![0u32; n];
+        let trees = (0..cfg.n_trees)
+            .map(|_| {
+                copies.fill(0);
+                for _ in 0..sample {
+                    copies[rng.gen_range(0..n)] += 1;
+                }
                 let mut features: Vec<usize> = (0..data.n_features()).collect();
-                // Partial Fisher-Yates for a random subset.
-                for i in 0..cfg.max_features {
-                    let j = rng.gen_range(i..features.len());
-                    features.swap(i, j);
-                }
-                features.truncate(cfg.max_features);
-                features.sort_unstable();
-                features
-            };
-            if !mask.is_empty() {
-                // Zero out inactive columns so splits can't use them.
-                for row in &mut boot.x {
-                    for (f, v) in row.iter_mut().enumerate() {
-                        if !mask.contains(&f) {
-                            *v = 0.0;
-                        }
+                if cfg.max_features > 0 && cfg.max_features < features.len() {
+                    // Partial Fisher-Yates for a random subset.
+                    for i in 0..cfg.max_features {
+                        let j = rng.gen_range(i..features.len());
+                        features.swap(i, j);
                     }
+                    features.truncate(cfg.max_features);
+                    features.sort_unstable();
                 }
-            }
-            trees.push(DecisionTree::fit(&boot, TreeConfig::default()));
-            masks.push(mask);
-        }
-        RandomForest { trees, masks, n_classes: data.n_classes.max(1) }
+                grower.tree(&copies, features, TreeConfig::default())
+            })
+            .collect();
+        RandomForest { trees, n_classes: data.n_classes.max(1) }
     }
 
     /// Number of trees.
@@ -108,18 +95,8 @@ impl Classifier for RandomForest {
 
     fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
         let mut acc = vec![0.0; self.n_classes];
-        let mut masked = vec![0.0; row.len()];
-        for (tree, mask) in self.trees.iter().zip(&self.masks) {
-            let p = if mask.is_empty() {
-                tree.predict_proba(row)
-            } else {
-                masked.iter_mut().for_each(|v| *v = 0.0);
-                for &f in mask {
-                    masked[f] = row[f];
-                }
-                tree.predict_proba(&masked)
-            };
-            for (a, v) in acc.iter_mut().zip(p) {
+        for tree in &self.trees {
+            for (a, v) in acc.iter_mut().zip(tree.leaf_dist(row)) {
                 *a += v;
             }
         }
@@ -196,8 +173,15 @@ mod tests {
             ForestConfig { n_trees: 5, max_features: 1 },
         );
         assert_eq!(f.n_trees(), 5);
-        for mask in &f.masks {
-            assert_eq!(mask.len(), 1);
+        for tree in f.trees() {
+            let mut used: Vec<usize> = tree
+                .leaf_rules()
+                .iter()
+                .flat_map(|rule| rule.bounds.iter().map(|&(feature, _, _)| feature))
+                .collect();
+            used.sort_unstable();
+            used.dedup();
+            assert!(used.len() <= 1, "one-feature tree split on {used:?}");
         }
     }
 

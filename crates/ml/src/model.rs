@@ -10,29 +10,30 @@ pub trait Classifier {
 
     /// The argmax class.
     fn predict(&self, row: &[f64]) -> usize {
-        self.predict_proba(row)
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        argmax(&self.predict_proba(row))
     }
 
     /// The winning class and its probability — the "confidence" the
     /// paper's mitigation gate thresholds on.
     fn predict_with_confidence(&self, row: &[f64]) -> (usize, f64) {
         let p = self.predict_proba(row);
-        p.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, &v)| (i, v))
-            .unwrap_or((0, 0.0))
+        let class = argmax(&p);
+        (class, p.get(class).copied().unwrap_or(0.0))
     }
 
     /// Predictions for a batch of rows.
     fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<usize> {
         rows.iter().map(|r| self.predict(r)).collect()
     }
+}
+
+/// The index of the largest probability, the last of equal maxima (0 when
+/// empty).
+pub(crate) fn argmax(p: &[f64]) -> usize {
+    p.iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map_or(0, |(i, _)| i)
 }
 
 #[cfg(test)]

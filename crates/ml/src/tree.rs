@@ -1,9 +1,20 @@
 //! CART decision trees: the workhorse of both the black-box ensemble
 //! (bagged) and the *deployable* distilled model (shallow, compilable to
 //! match-action rules).
+//!
+//! **Sort once.** A split depends only on the multiset of a node's
+//! `(value, label)` rows: cuts fall only where the sorted value strictly
+//! increases, so candidates, midpoints and side counts ignore the order of
+//! ties. Columns are therefore sorted once per fit and split by stable
+//! partition; a forest shares that order, repeating each row by its
+//! bootstrap count. The sort is `f64::total_cmp`, so a NaN cannot make it
+//! panic (NaN sorts last and goes right); its −0.0 < 0.0 changes no tree,
+//! since `>` ties them and `x + 0.0 == x + -0.0` for every non-zero `x`.
+//! A tree grown under a feature mask never splits on a masked feature, so
+//! prediction reads the full row.
 
 use crate::data::Dataset;
-use crate::model::Classifier;
+use crate::model::{argmax, Classifier};
 use serde::{Deserialize, Serialize};
 
 /// Nodes with fewer rows than this become leaves.
@@ -70,94 +81,138 @@ pub struct DecisionTree {
     n_features: usize,
 }
 
-fn gini(counts: &[f64], total: f64) -> f64 {
+fn gini(counts: impl Iterator<Item = f64>, total: f64) -> f64 {
     if total <= 0.0 {
         return 0.0;
     }
-    1.0 - counts.iter().map(|c| (c / total) * (c / total)).sum::<f64>()
+    1.0 - counts.map(|c| (c / total) * (c / total)).sum::<f64>()
 }
 
-impl DecisionTree {
-    /// Grow a tree on `data`.
-    pub fn fit(data: &Dataset, cfg: TreeConfig) -> Self {
-        assert!(!data.is_empty(), "cannot fit on an empty dataset");
-        let idx: Vec<usize> = (0..data.len()).collect();
-        let mut tree = DecisionTree {
-            nodes: Vec::new(),
-            root: 0,
-            n_classes: data.n_classes.max(1),
-            n_features: data.n_features(),
+/// Grows trees from one dataset: a column-major copy whose columns are
+/// sorted once (see the module doc), plus the buffers each tree reuses.
+/// Segment `k` of `lists` (`m` rows) is sorted by `features[k]`, and a node
+/// owns the same range `lo..hi` of every segment. `go_left` marks each
+/// row's side of the split being applied, `scratch` takes a partition's
+/// right side and `left` counts classes left of the cut being scored.
+pub(crate) struct Grower<'a> {
+    data: &'a Dataset,
+    /// `cols[f][row]`.
+    cols: Vec<Vec<f64>>,
+    /// `order[f]`: rows ascending by `cols[f]` under `f64::total_cmp`.
+    order: Vec<Vec<u32>>,
+    features: Vec<usize>,
+    cfg: TreeConfig,
+    lists: Vec<u32>,
+    m: usize,
+    go_left: Vec<bool>,
+    scratch: Vec<u32>,
+    left: Vec<f64>,
+    nodes: Vec<Node>,
+}
+
+impl<'a> Grower<'a> {
+    pub(crate) fn new(data: &'a Dataset) -> Self {
+        assert!(u32::try_from(data.len()).is_ok(), "row index exceeds u32");
+        let cols: Vec<Vec<f64>> =
+            (0..data.n_features()).map(|f| data.x.iter().map(|row| row[f]).collect()).collect();
+        let sorted = |col: &Vec<f64>| {
+            let mut rows: Vec<u32> = (0..col.len() as u32).collect();
+            rows.sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            rows
         };
-        tree.root = tree.grow(data, &idx, 0, &cfg);
-        tree
+        Grower {
+            data, order: cols.iter().map(sorted).collect(), cols, features: Vec::new(),
+            cfg: TreeConfig::default(), lists: Vec::new(), m: 0, go_left: vec![false; data.len()],
+            scratch: Vec::new(), left: vec![0.0; data.n_classes.max(1)], nodes: Vec::new(),
+        }
     }
 
-    fn leaf(&mut self, data: &Dataset, idx: &[usize]) -> usize {
-        let mut counts = vec![0.0; self.n_classes];
-        for &i in idx {
-            counts[data.y[i]] += 1.0;
+    /// Grow a tree on the multiset holding row `i` `copies[i]` times,
+    /// splitting only on `features` (ascending).
+    pub(crate) fn tree(&mut self, copies: &[u32], features: Vec<usize>, cfg: TreeConfig) -> DecisionTree {
+        let m: usize = copies.iter().map(|&c| c as usize).sum();
+        (self.m, self.features, self.cfg) = (m, features, cfg);
+        self.lists.resize(self.features.len() * m, 0);
+        self.scratch.resize(m + 2, 0);
+        // Each segment repeats the shared order's rows `copies[row]` times;
+        // two slack slots make the common counts (0, 1, 2) branch-free.
+        for (segment, &f) in self.lists.chunks_exact_mut(m).zip(&self.features) {
+            let mut at = 0;
+            for &row in &self.order[f] {
+                let c = copies[row as usize] as usize;
+                self.scratch[at] = row;
+                self.scratch[at + 1] = row;
+                if c > 2 {
+                    self.scratch[at + 2..at + c].fill(row);
+                }
+                at += c;
+            }
+            segment.copy_from_slice(&self.scratch[..m]);
         }
+        let mut counts = vec![0.0; self.left.len()];
+        for (&label, &c) in self.data.y.iter().zip(copies) {
+            counts[label] += f64::from(c);
+        }
+        let root = self.grow(0, m, counts, 0);
+        let (nodes, n_classes) = (std::mem::take(&mut self.nodes), self.left.len());
+        DecisionTree { nodes, root, n_classes, n_features: self.data.n_features() }
+    }
+
+    fn leaf(&mut self, mut counts: Vec<f64>, n: usize) -> usize {
         let total: f64 = counts.iter().sum();
-        let dist: Vec<f64> = counts.iter().map(|c| c / total.max(1.0)).collect();
-        self.nodes.push(Node::Leaf { dist, n: idx.len() });
+        counts.iter_mut().for_each(|c| *c /= total.max(1.0));
+        self.nodes.push(Node::Leaf { dist: counts, n });
         self.nodes.len() - 1
     }
 
-    fn grow(&mut self, data: &Dataset, idx: &[usize], depth: usize, cfg: &TreeConfig) -> usize {
-        let mut counts = vec![0.0; self.n_classes];
-        for &i in idx {
-            counts[data.y[i]] += 1.0;
-        }
-        let total = idx.len() as f64;
+    /// Grow the node owning `lo..hi`, whose per-class row counts are `counts`.
+    fn grow(&mut self, lo: usize, hi: usize, counts: Vec<f64>, depth: usize) -> usize {
+        let (y, cfg) = (&self.data.y, self.cfg);
+        let total = (hi - lo) as f64;
         let pure = counts.contains(&total);
-        if depth >= cfg.max_depth || idx.len() < MIN_SAMPLES_SPLIT || pure {
-            return self.leaf(data, idx);
+        if depth >= cfg.max_depth || hi - lo < MIN_SAMPLES_SPLIT || pure {
+            return self.leaf(counts, hi - lo);
         }
-        let parent_gini = gini(&counts, total);
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, thr, impurity)
+        let parent_gini = gini(counts.iter().copied(), total);
+        let mut best: Option<(usize, f64, f64)> = None; // (segment, thr, impurity)
         // Fallback: the best zero-gain split. Symmetric data (XOR) has no
         // single split with positive gini decrease, yet splitting is still
         // the right move — the gain appears one level deeper.
         let mut best_any: Option<(usize, f64, f64)> = None;
-        for f in 0..self.n_features {
-            let mut values: Vec<(f64, usize)> = idx.iter().map(|&i| (data.x[i][f], data.y[i])).collect();
-            values.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        for (k, &f) in self.features.iter().enumerate() {
+            let col = &self.cols[f];
+            let rows = &self.lists[k * self.m + lo..k * self.m + hi];
             // Candidate thresholds: midpoints between distinct consecutive
-            // values, subsampled to the cap.
-            let mut candidates: Vec<(usize, f64)> = Vec::new();
-            for w in 1..values.len() {
-                if values[w].0 > values[w - 1].0 {
-                    candidates.push((w, (values[w].0 + values[w - 1].0) / 2.0));
-                }
-            }
-            if candidates.is_empty() {
-                continue;
-            }
-            let stride = (candidates.len() / MAX_THRESHOLDS).max(1);
-            let mut left = vec![0.0; self.n_classes];
-            let mut consumed = 0usize;
-            for (ci, &(pos, thr)) in candidates.iter().enumerate() {
-                while consumed < pos {
-                    left[values[consumed].1] += 1.0;
-                    consumed += 1;
-                }
-                if ci % stride != 0 {
+            // values, every `stride`-th kept so at most the cap are scored.
+            let cut = |w: usize| col[rows[w] as usize] > col[rows[w - 1] as usize];
+            let stride = ((1..rows.len()).filter(|&w| cut(w)).count() / MAX_THRESHOLDS).max(1);
+            self.left.fill(0.0);
+            let mut ci = 0;
+            for pos in 1..rows.len() {
+                self.left[y[rows[pos - 1] as usize]] += 1.0;
+                if !cut(pos) {
                     continue;
                 }
+                ci += 1;
+                if (ci - 1) % stride != 0 {
+                    continue;
+                }
+                let thr = (col[rows[pos] as usize] + col[rows[pos - 1] as usize]) / 2.0;
                 let nl = pos as f64;
                 let nr = total - nl;
                 if (nl as usize) < cfg.min_samples_leaf || (nr as usize) < cfg.min_samples_leaf {
                     continue;
                 }
-                let right: Vec<f64> = counts.iter().zip(&left).map(|(t, l)| t - l).collect();
-                let impurity = (nl / total) * gini(&left, nl) + (nr / total) * gini(&right, nr);
+                let right = counts.iter().zip(&self.left).map(|(t, l)| t - l);
+                let impurity = (nl / total) * gini(self.left.iter().copied(), nl)
+                    + (nr / total) * gini(right, nr);
                 if impurity < parent_gini - 1e-12
                     && best.is_none_or(|(_, _, b)| impurity < b)
                 {
-                    best = Some((f, thr, impurity));
+                    best = Some((k, thr, impurity));
                 }
                 if best_any.is_none_or(|(_, _, b)| impurity < b) {
-                    best_any = Some((f, thr, impurity));
+                    best_any = Some((k, thr, impurity));
                 }
             }
         }
@@ -165,18 +220,52 @@ impl DecisionTree {
         // split only when the node is impure and depth remains for the
         // children to realize the gain.
         let chosen = best.or(if depth + 2 <= cfg.max_depth { best_any } else { None });
-        let Some((feature, threshold, _)) = chosen else {
-            return self.leaf(data, idx);
+        let Some((k, threshold, _)) = chosen else {
+            return self.leaf(counts, hi - lo);
         };
-        let (li, ri): (Vec<usize>, Vec<usize>) =
-            idx.iter().partition(|&&i| data.x[i][feature] <= threshold);
-        if li.is_empty() || ri.is_empty() {
-            return self.leaf(data, idx);
+        let feature = self.features[k];
+        let col = &self.cols[feature];
+        let mut left_counts = vec![0.0; counts.len()];
+        let mut mid = lo;
+        for &row in &self.lists[k * self.m + lo..k * self.m + hi] {
+            let goes_left = col[row as usize] <= threshold;
+            self.go_left[row as usize] = goes_left;
+            if goes_left {
+                left_counts[y[row as usize]] += 1.0;
+                mid += 1;
+            }
         }
-        let left = self.grow(data, &li, depth + 1, cfg);
-        let right = self.grow(data, &ri, depth + 1, cfg);
+        if mid == lo || mid == hi {
+            return self.leaf(counts, hi - lo);
+        }
+        // Stable and branch-free: each row is written to both sides and
+        // only its own side's cursor advances.
+        for segment in self.lists.chunks_exact_mut(self.m) {
+            let segment = &mut segment[lo..hi];
+            let (mut l, mut r) = (0, 0);
+            for j in 0..segment.len() {
+                let row = segment[j];
+                let goes_left = self.go_left[row as usize];
+                segment[l] = row;
+                self.scratch[r] = row;
+                l += usize::from(goes_left);
+                r += usize::from(!goes_left);
+            }
+            segment[l..].copy_from_slice(&self.scratch[..r]);
+        }
+        let right_counts = counts.iter().zip(&left_counts).map(|(t, l)| t - l).collect();
+        let left = self.grow(lo, mid, left_counts, depth + 1);
+        let right = self.grow(mid, hi, right_counts, depth + 1);
         self.nodes.push(Node::Split { feature, threshold, left, right });
         self.nodes.len() - 1
+    }
+}
+
+impl DecisionTree {
+    /// Grow a tree on `data`.
+    pub fn fit(data: &Dataset, cfg: TreeConfig) -> Self {
+        assert!(!data.is_empty(), "cannot fit on an empty dataset");
+        Grower::new(data).tree(&vec![1; data.len()], (0..data.n_features()).collect(), cfg)
     }
 
     /// Number of nodes.
@@ -198,6 +287,19 @@ impl DecisionTree {
             }
         }
         d(&self.nodes, self.root)
+    }
+
+    /// The class distribution of the leaf `row` reaches, borrowed.
+    pub fn leaf_dist(&self, row: &[f64]) -> &[f64] {
+        let mut at = self.root;
+        loop {
+            match &self.nodes[at] {
+                Node::Leaf { dist, .. } => return dist,
+                Node::Split { feature, threshold, left, right } => {
+                    at = if row[*feature] <= *threshold { *left } else { *right };
+                }
+            }
+        }
     }
 
     /// The decision path for one sample — the "list of pieces of evidence"
@@ -233,11 +335,8 @@ impl DecisionTree {
     ) {
         match &self.nodes[at] {
             Node::Leaf { dist, n } => {
-                let (class, &frac) = dist
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .expect("non-empty distribution");
+                let class = argmax(dist);
+                let frac = dist[class];
                 // Laplace-smoothed confidence: a pure-but-thin leaf is NOT
                 // high confidence. This is what downstream confidence gates
                 // ("act only if >= 90% sure") threshold on, so it must
@@ -271,15 +370,11 @@ impl Classifier for DecisionTree {
     }
 
     fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        let mut at = self.root;
-        loop {
-            match &self.nodes[at] {
-                Node::Leaf { dist, .. } => return dist.clone(),
-                Node::Split { feature, threshold, left, right } => {
-                    at = if row[*feature] <= *threshold { *left } else { *right };
-                }
-            }
-        }
+        self.leaf_dist(row).to_vec()
+    }
+
+    fn predict(&self, row: &[f64]) -> usize {
+        argmax(self.leaf_dist(row))
     }
 }
 
@@ -411,6 +506,35 @@ mod tests {
         let back: DecisionTree = serde::bin::from_slice(&serde::bin::to_vec(&t)).unwrap();
         for row in &d.x {
             assert_eq!(t.predict(row), back.predict(row));
+        }
+    }
+
+    /// A column holding NaN, 0.0 and −0.0 (`src_entropy` can yield −0.0)
+    /// fits without panicking, as a tree and as a forest, and grows exactly
+    /// what the same data grows with every −0.0 written as 0.0.
+    #[test]
+    fn nan_and_negative_zero_fit_like_plain_zero() {
+        use crate::forest::{ForestConfig, RandomForest};
+        let col = [f64::NAN, 0.0, -0.0, 1.0, -0.0, 2.0, 0.0, -1.0, f64::NAN, 3.0, -0.0];
+        let x: Vec<Vec<f64>> = (0..66).map(|i| vec![col[i % col.len()], (i % 5) as f64]).collect();
+        let y: Vec<usize> = (0..66).map(|i| usize::from(col[i % col.len()] > 0.5 || i % 7 == 0)).collect();
+        let plain: Vec<Vec<f64>> = x
+            .iter()
+            .map(|row| row.iter().map(|&v| if v == 0.0 { 0.0 } else { v }).collect())
+            .collect();
+        assert!(x.iter().any(|row| row[0].is_sign_negative() && row[0] == 0.0));
+        let data = |x: Vec<Vec<f64>>| Dataset::new(x, y.clone(), vec!["v".into(), "w".into()]);
+        let (signed, plain) = (data(x), data(plain));
+        let tree = DecisionTree::fit(&signed, TreeConfig::default());
+        assert!(tree.n_leaves() > 1);
+        assert_eq!(
+            serde::bin::to_vec(&tree),
+            serde::bin::to_vec(&DecisionTree::fit(&plain, TreeConfig::default()))
+        );
+        let cfg = ForestConfig { n_trees: 6, max_features: 1 };
+        let (a, b) = (RandomForest::fit(&signed, cfg), RandomForest::fit(&plain, cfg));
+        for (ta, tb) in a.trees().iter().zip(b.trees()) {
+            assert_eq!(serde::bin::to_vec(ta), serde::bin::to_vec(tb));
         }
     }
 

@@ -54,17 +54,12 @@ pub fn distill(
     let mut queries = 0usize;
 
     // Round 0: relabel the real data with the teacher (pure distillation).
-    let mut agg_x: Vec<Vec<f64>> = data.x.clone();
-    let mut agg_y: Vec<usize> = data
-        .x
-        .iter()
-        .map(|row| {
-            queries += 1;
-            teacher.predict(row)
-        })
-        .collect();
-    let n_classes = teacher.n_classes().max(data.n_classes);
-    let mut student = fit_student(&agg_x, &agg_y, n_classes, data, cfg.tree);
+    // Later rounds push onto the same aggregate.
+    let labels = data.x.iter().map(|row| teacher.predict(row)).collect();
+    queries += data.len();
+    let mut agg = Dataset::new(data.x.clone(), labels, data.feature_names.clone());
+    agg.n_classes = agg.n_classes.max(teacher.n_classes()).max(data.n_classes);
+    let mut student = DecisionTree::fit(&agg, cfg.tree);
 
     // DAgger rounds: sample where the student is exercised, ask the
     // teacher, aggregate, refit.
@@ -72,17 +67,20 @@ pub fn distill(
         for _ in 0..SAMPLES_PER_ROUND {
             let row = synthesize(&mut rng, data);
             queries += 1;
-            agg_y.push(teacher.predict(&row));
-            agg_x.push(row);
+            let label = teacher.predict(&row);
+            agg.n_classes = agg.n_classes.max(label + 1);
+            agg.y.push(label);
+            agg.x.push(row);
         }
-        student = fit_student(&agg_x, &agg_y, n_classes, data, cfg.tree);
+        student = DecisionTree::fit(&agg, cfg.tree);
     }
 
-    // Fidelity on the original data.
+    // Fidelity on the original data, against the round-0 labels.
     let agree = data
         .x
         .iter()
-        .filter(|row| teacher.predict(row) == student.predict(row))
+        .zip(&agg.y)
+        .filter(|&(row, &label)| label == student.predict(row))
         .count();
     let fidelity = agree as f64 / data.len() as f64;
 
@@ -103,18 +101,6 @@ pub fn distill(
         teacher_queries: queries,
     };
     (student, report)
-}
-
-fn fit_student(
-    x: &[Vec<f64>],
-    y: &[usize],
-    n_classes: usize,
-    template: &Dataset,
-    cfg: TreeConfig,
-) -> DecisionTree {
-    let mut d = Dataset::new(x.to_vec(), y.to_vec(), template.feature_names.clone());
-    d.n_classes = d.n_classes.max(n_classes);
-    DecisionTree::fit(&d, cfg)
 }
 
 /// Synthesize an input near the data manifold: take a random real row and

@@ -44,6 +44,7 @@ CAMPUSLAB_FUZZ_CASES=10000 cargo test -q --release \
 cargo test -q --release -p campuslab-bench --test golden_replay --test e3_search
 cargo test -q --release -p campuslab-plaza --test isolation
 cargo test -q --release -p campuslab-netsim --test proptest_shard --test allocs
+cargo test -q --release -p campuslab-ml --test allocs --test presort_oracle
 
 # The one benchmark harness: its tests assert every workload's output
 # checks through the executable; the run after them puts this box's
