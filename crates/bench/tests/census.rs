@@ -1,0 +1,96 @@
+//! The census of public items nothing uses. An item is a `pub` `fn`,
+//! `struct`, `enum`, `trait`, `const`, `type` or `static` declared in the
+//! non-test code of `crates/*/src`. It is referenced when its name appears
+//! as a whole token in non-test code under `crates/*/src`, `src/`,
+//! `examples/` or `benchmark/src`, other than in its own declaration, a
+//! `pub use` re-export or a comment. Non-test code is each file's lines
+//! before its first `#[cfg(test)]`. Matching is by name, so an item that
+//! shares a common name (`new`) counts as referenced: the census is a
+//! lower bound.
+//!
+//! The count may only fall. A change that deletes an unreferenced item
+//! lowers [`CEILING`] in the same diff; one that adds an item with no
+//! caller fails here with the item's name.
+
+use std::collections::{BTreeSet, HashMap};
+use std::path::{Path, PathBuf};
+
+/// Unreferenced public items in this tree.
+const CEILING: usize = 32;
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for entry in entries {
+        let path = entry.expect("readable directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The name a line declares when it opens a counted `pub` item.
+fn declared(line: &str) -> Option<&str> {
+    let words: Vec<&str> = line.trim_start().strip_prefix("pub ")?.split_whitespace().take(4).collect();
+    let kind = words
+        .iter()
+        .position(|w| matches!(*w, "fn" | "struct" | "enum" | "trait" | "type" | "static"))
+        .or_else(|| (words.first() == Some(&"const")).then_some(0))?;
+    if !words[..kind].iter().all(|w| matches!(*w, "const" | "unsafe" | "async")) {
+        return None;
+    }
+    let word = words.get(kind + 1)?;
+    let end = word.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(word.len());
+    (end > 0).then(|| &word[..end])
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+#[test]
+fn public_items_without_a_caller_do_not_grow() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut crate_files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        rust_files(&krate.expect("readable directory entry").path().join("src"), &mut crate_files);
+    }
+    let mut files = crate_files.clone();
+    for dir in ["src", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    assert!(crate_files.len() > 50 && files.len() > crate_files.len(), "scanned the wrong tree");
+
+    let mut items: BTreeSet<String> = BTreeSet::new();
+    let mut declarations: HashMap<String, usize> = HashMap::new();
+    let mut tokens: HashMap<String, usize> = HashMap::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        let mut in_pub_use = false;
+        for line in text.lines().take_while(|l| !l.trim_start().starts_with("#[cfg(test)]")) {
+            let trimmed = line.trim_start();
+            in_pub_use |= trimmed.starts_with("pub use ");
+            let skip = in_pub_use || trimmed.starts_with("//");
+            in_pub_use &= !line.contains(';');
+            if skip {
+                continue;
+            }
+            if let Some(name) = declared(line).filter(|_| crate_files.contains(path)) {
+                items.insert(name.to_owned());
+                *declarations.entry(name.to_owned()).or_default() += 1;
+            }
+            for token in line.split(|c: char| !is_ident(c)).filter(|t| !t.is_empty()) {
+                *tokens.entry(token.to_owned()).or_default() += 1;
+            }
+        }
+    }
+
+    let unreferenced: Vec<&String> =
+        items.iter().filter(|name| tokens[*name] <= declarations[*name]).collect();
+    assert!(
+        unreferenced.len() <= CEILING,
+        "{} public items have no non-test reference (ceiling {CEILING}): {unreferenced:?}",
+        unreferenced.len()
+    );
+}

@@ -6,7 +6,7 @@
 //!
 //! * [`ring`] — multi-queue capture rings with explicit drop accounting,
 //!   so "lossless" is a measured property, not an assumption (experiment E2).
-//! * [`records`] — the packet/flow/DNS/sensor record vocabulary shared with
+//! * [`records`] — the packet/flow/DNS record vocabulary shared with
 //!   the data store; ground-truth labels ride along explicitly marked as
 //!   generator-provided.
 //! * [`flow`] — bidirectional flow assembly with idle/active timeouts and
@@ -48,8 +48,7 @@ pub use meta::{DnsExtractor, TcpRttEstimator};
 pub use monitor::{BorderTapHooks, Monitor, MonitorConfig, MonitorStats};
 pub use observe::CaptureObs;
 pub use records::{
-    Direction, DnsMetaRecord, FlowKey, FlowRecord, PacketRecord, SensorRecord, TcpFlags,
-    TcpRttRecord,
+    Direction, DnsMetaRecord, FlowKey, FlowRecord, PacketRecord, TcpFlags, TcpRttRecord,
 };
 pub use ring::{CaptureArray, CaptureRing, RingConfig, RingStats};
 pub use sketch::{CountMinSketch, FrozenHeavyHitters, HeavyHitters};

@@ -110,7 +110,7 @@ impl PacketRecord {
 }
 
 /// A 5-tuple identifying a unidirectional flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowKey {
     pub src: IpAddr,
     pub dst: IpAddr,
@@ -146,7 +146,7 @@ impl FlowKey {
 
 /// An aggregated bidirectional flow, emitted when the flow ends or times
 /// out. "Forward" is the direction of the first observed packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowRecord {
     pub key: FlowKey,
     pub first_ts_ns: u64,
@@ -192,7 +192,7 @@ impl FlowRecord {
 
 /// A DNS transaction extracted on the fly (the "metadata" the paper's
 /// monitoring appliance generates).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DnsMetaRecord {
     pub ts_ns: u64,
     pub direction: Direction,
@@ -221,29 +221,6 @@ pub struct TcpRttRecord {
     pub dst_port: u16,
     /// SYN -> SYN-ACK gap as seen at the tap.
     pub rtt_ns: u64,
-}
-
-/// Auxiliary sensor events (server logs, firewall, config changes) that the
-/// data store time-synchronizes with packet data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum SensorRecord {
-    /// A syslog line from a campus server.
-    Syslog { ts_ns: u64, host: IpAddr, severity: u8, message: String },
-    /// A firewall verdict.
-    Firewall { ts_ns: u64, src: IpAddr, dst: IpAddr, dst_port: u16, allowed: bool },
-    /// A device configuration change.
-    ConfigChange { ts_ns: u64, device: String, summary: String },
-}
-
-impl SensorRecord {
-    /// The event's timestamp.
-    pub fn ts_ns(&self) -> u64 {
-        match self {
-            SensorRecord::Syslog { ts_ns, .. }
-            | SensorRecord::Firewall { ts_ns, .. }
-            | SensorRecord::ConfigChange { ts_ns, .. } => *ts_ns,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -326,24 +303,5 @@ mod tests {
         assert_eq!(f.total_packets(), 5);
         assert_eq!(f.total_bytes(), 2300);
         assert!(!f.is_malicious());
-    }
-
-    #[test]
-    fn sensor_record_timestamps() {
-        let s = SensorRecord::Syslog {
-            ts_ns: 7,
-            host: "10.1.255.25".parse().unwrap(),
-            severity: 3,
-            message: "auth failure".into(),
-        };
-        assert_eq!(s.ts_ns(), 7);
-        let f = SensorRecord::Firewall {
-            ts_ns: 9,
-            src: "203.0.113.5".parse().unwrap(),
-            dst: "10.1.1.1".parse().unwrap(),
-            dst_port: 22,
-            allowed: false,
-        };
-        assert_eq!(f.ts_ns(), 9);
     }
 }

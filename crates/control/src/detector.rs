@@ -31,11 +31,8 @@ pub struct Detection {
 pub struct StreamingWindowDetector {
     model: Box<dyn Classifier + Send>,
     state: DetectorState,
-    /// Total records observed.
-    pub observed: u64,
-    /// Windows skipped because telemetry coverage fell below the policy.
-    pub gap_windows_skipped: u64,
-    /// Observatory sink: window/coverage/detection telemetry.
+    /// Observatory sink: window/coverage/detection telemetry, records
+    /// observed and windows skipped included.
     pub obs: DetectorObs,
 }
 
@@ -50,12 +47,14 @@ pub struct DetectorState {
     gate: f64,
     current_window: Option<u64>,
     buffer: Vec<PacketRecord>,
-    /// Announced telemetry gaps, `[from_ns, until_ns)`, assumed disjoint.
+    /// Announced telemetry gaps, `[from_ns, until_ns)`, sorted and
+    /// disjoint: [`StreamingWindowDetector::announce_gap`] coalesces.
     gaps: Vec<(u64, u64)>,
-    /// Below this observed fraction a window is skipped outright rather
-    /// than extrapolated from too little signal.
-    min_coverage: f64,
 }
+
+/// Below this observed fraction a window is skipped outright rather than
+/// extrapolated from too little signal.
+const MIN_COVERAGE: f64 = 0.5;
 
 /// Positions of the count-rate features in the window feature vector
 /// (`campuslab_features::WINDOW_FEATURES`): the ones skewed by partial
@@ -64,8 +63,8 @@ const PKT_COUNT_FEATURE: usize = 0;
 const BYTE_COUNT_FEATURE: usize = 1;
 
 impl StreamingWindowDetector {
-    /// Create a detector around a trained window-feature model. Gap policy
-    /// defaults to skipping windows with under 50% telemetry coverage.
+    /// Create a detector around a trained window-feature model. Windows
+    /// with under 50% telemetry coverage are skipped.
     pub fn new(model: Box<dyn Classifier + Send>, cfg: WindowConfig, gate: f64) -> Self {
         StreamingWindowDetector {
             model,
@@ -75,21 +74,28 @@ impl StreamingWindowDetector {
                 current_window: None,
                 buffer: Vec::new(),
                 gaps: Vec::new(),
-                min_coverage: 0.5,
             },
-            observed: 0,
-            gap_windows_skipped: 0,
             obs: DetectorObs::new(),
         }
     }
 
     /// Declare a telemetry gap `[from_ns, until_ns)`: the tap was blind and
     /// records from that span never arrived. Windows overlapping the gap
-    /// are judged on what was actually observable.
+    /// are judged on what was actually observable. Gaps that overlap or
+    /// touch an announced one merge with it, so blind time counts once.
     pub fn announce_gap(&mut self, from_ns: u64, until_ns: u64) {
-        if until_ns > from_ns {
-            self.state.gaps.push((from_ns, until_ns));
+        if until_ns <= from_ns {
+            return;
         }
+        let gaps = &mut self.state.gaps;
+        let lo = gaps.partition_point(|&(_, u)| u < from_ns);
+        let hi = gaps.partition_point(|&(f, _)| f <= until_ns);
+        let merged = if lo < hi {
+            (gaps[lo].0.min(from_ns), gaps[hi - 1].1.max(until_ns))
+        } else {
+            (from_ns, until_ns)
+        };
+        gaps.splice(lo..hi, [merged]);
     }
 
     /// Fraction of `window` the tap could actually see.
@@ -105,13 +111,12 @@ impl StreamingWindowDetector {
             .iter()
             .map(|&(f, u)| u.min(end).saturating_sub(f.max(start)))
             .sum();
-        1.0 - blind.min(self.state.cfg.window_ns) as f64 / self.state.cfg.window_ns as f64
+        1.0 - blind as f64 / self.state.cfg.window_ns as f64
     }
 
     /// Feed one record (records must arrive in time order, as a tap
     /// produces them). Returns detections for any window that just closed.
     pub fn observe(&mut self, rec: &PacketRecord) -> Vec<Detection> {
-        self.observed += 1;
         self.obs.on_observed();
         let w = rec.ts_ns / self.state.cfg.window_ns;
         let mut out = Vec::new();
@@ -138,11 +143,10 @@ impl StreamingWindowDetector {
     fn close_window(&mut self, window: u64) -> Vec<Detection> {
         let records = std::mem::take(&mut self.state.buffer);
         let coverage = self.window_coverage(window);
-        if coverage < self.state.min_coverage {
+        if coverage < MIN_COVERAGE {
             // Mostly blind: extrapolating a rate from a sliver of signal
             // produces confident nonsense, so the window is explicitly
             // skipped and counted, not classified.
-            self.gap_windows_skipped += 1;
             self.obs.on_window_closed(coverage, true, 0);
             return Vec::new();
         }
@@ -177,12 +181,7 @@ impl StreamingWindowDetector {
     /// by whoever constructs the detector (same seed, same training data),
     /// which keeps trait objects out of the checkpoint format.
     pub fn freeze(&self) -> FrozenDetector {
-        FrozenDetector {
-            state: self.state.clone(),
-            observed: self.observed,
-            gap_windows_skipped: self.gap_windows_skipped,
-            sink: self.obs.sink.clone(),
-        }
+        FrozenDetector { state: self.state.clone(), sink: self.obs.sink.clone() }
     }
 
     /// Apply a frozen image onto a freshly constructed detector (same
@@ -191,8 +190,6 @@ impl StreamingWindowDetector {
     pub fn thaw_state(&mut self, frozen: FrozenDetector) -> Result<(), SinkMisfit> {
         self.obs.thaw(frozen.sink)?;
         self.state = frozen.state;
-        self.observed = frozen.observed;
-        self.gap_windows_skipped = frozen.gap_windows_skipped;
         Ok(())
     }
 }
@@ -203,8 +200,6 @@ impl StreamingWindowDetector {
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenDetector {
     pub state: DetectorState,
-    pub observed: u64,
-    pub gap_windows_skipped: u64,
     pub sink: ObsSink,
 }
 
@@ -328,7 +323,42 @@ mod tests {
             d.observe(&rec(i * 1_000, (i % 8) as u8, [10, 1, 1, 10], 1));
         }
         assert!(d.flush().is_empty());
-        assert_eq!(d.gap_windows_skipped, 1);
+        assert_eq!(d.obs.windows_skipped(), 1);
+    }
+
+    /// Overlapping blackouts are blind time once, not twice: `[0, 300 ms)`
+    /// and `[200, 500 ms)` leave the window half seen, exactly like their
+    /// union — classified and de-skewed ×2, not skipped — in either
+    /// announcement order.
+    #[test]
+    fn overlapping_gaps_count_blind_time_once() {
+        let run = |gaps: &[(u64, u64)]| {
+            let mut d = detector(0.5);
+            for &(from, until) in gaps {
+                d.announce_gap(from, until);
+            }
+            for i in 0..8u64 {
+                d.observe(&rec(600_000_000 + i * 1_000, (i % 5) as u8, [10, 1, 1, 10], 1));
+            }
+            let detections = d.flush();
+            (d.obs.windows_skipped(), detections)
+        };
+        let union = run(&[(0, 500_000_000)]);
+        assert_eq!((union.0, union.1.len()), (0, 1), "half-seen flood flagged");
+        let (a, b) = ((0, 300_000_000), (200_000_000, 500_000_000));
+        assert_eq!(run(&[a, b]), union);
+        assert_eq!(run(&[b, a]), union);
+        // Touching and nested gaps coalesce the same way.
+        assert_eq!(run(&[(0, 250_000_000), (250_000_000, 500_000_000), (100_000_000, 200_000_000)]), union);
+    }
+
+    #[test]
+    fn announced_gaps_stay_sorted_and_disjoint() {
+        let mut d = detector(0.5);
+        for (from, until) in [(50, 60), (10, 20), (30, 40), (15, 35), (70, 70), (60, 65), (0, 5)] {
+            d.announce_gap(from, until);
+        }
+        assert_eq!(d.state.gaps, vec![(0, 5), (10, 40), (50, 65)]);
     }
 
     #[test]
@@ -341,7 +371,7 @@ mod tests {
         let out = d.flush();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].packets, 20);
-        assert_eq!(d.gap_windows_skipped, 0);
+        assert_eq!(d.obs.windows_skipped(), 0);
     }
 
     #[test]
@@ -352,7 +382,7 @@ mod tests {
         }
         let out = d.flush();
         assert_eq!(out.len(), 1);
-        assert_eq!(d.observed, 15);
+        assert_eq!(d.obs.observed(), 15);
         // After flush, the detector is reusable.
         assert!(d.flush().is_empty());
     }

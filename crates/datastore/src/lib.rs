@@ -1,8 +1,8 @@
 //! # campuslab-datastore
 //!
 //! The campus data store of the paper's Part-1 proposal: every record the
-//! monitoring plane produces — packets, flows, DNS metadata, sensor events
-//! — "cleaned, curated, time-synchronized and (where possible) labelled,
+//! monitoring plane produces — packets, flows and DNS metadata —
+//! "cleaned, curated, time-synchronized and (where possible) labelled,
 //! but also linked and indexed to provide fast and flexible search
 //! capabilities" (§5).
 //!
@@ -39,7 +39,7 @@ pub mod store;
 pub mod wal;
 
 pub use observe::StoreObs;
-pub use wal::{PersistError, RecoveryReport, SealedSegment, WalConfig, WalRecord, WalStore};
+pub use wal::{PersistError, RecoveryReport, SealedSegment, WalConfig, WalStore};
 pub use query::{FlowQuery, PacketQuery, QueryStats};
 pub use segment::{SegmentStats, SEGMENT_CAPACITY};
 pub use stats::{summarize, top_talkers, StoreSummary};

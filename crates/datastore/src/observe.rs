@@ -18,8 +18,6 @@ campuslab_obs::schema! {
         counter ingested_flows: "ds_ingested_records_total" {table = "flows"}, INGESTED_HELP;
         /// Records ingested into the DNS table.
         counter ingested_dns: "ds_ingested_records_total" {table = "dns"}, INGESTED_HELP;
-        /// Records ingested into the sensor table.
-        counter ingested_sensors: "ds_ingested_records_total" {table = "sensors"}, INGESTED_HELP;
         /// Non-empty ingest batches across all tables.
         counter ingest_batches: "ds_ingest_batches_total",
             "ingest calls that landed at least one record";
@@ -74,12 +72,6 @@ impl StoreObs {
         self.sink.inc(self.ingest_batches);
     }
 
-    #[inline]
-    pub(crate) fn on_ingest_sensors(&mut self, n: u64) {
-        self.sink.add(self.ingested_sensors, n);
-        self.sink.inc(self.ingest_batches);
-    }
-
     /// Record one served query: plan kind plus its [`QueryStats`].
     #[inline]
     pub(crate) fn on_query(&mut self, indexed: bool, stats: &QueryStats) {
@@ -96,7 +88,7 @@ impl StoreObs {
     }
 
     /// Record `n` corruption events found while recovering persisted
-    /// state (a torn WAL tail, a frame refused behind a valid checksum).
+    /// state (a torn WAL tail).
     /// Bumped by [`crate::wal::WalStore::open`] after a lossy
     /// recovery so the damage is visible on the metrics surface, not just
     /// in a return value somebody may have dropped.

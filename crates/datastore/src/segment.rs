@@ -4,8 +4,8 @@
 //! sorted by `(start_ns, seq)` — `seq` being the table's ingest sequence
 //! number, so records captured at the same nanosecond keep their capture
 //! order deterministically — caches the bounds of its records' end
-//! timestamps, and carries an index sidecar `I`. Flows, DNS metadata and
-//! sensor events have none (`()`); the packet table's is a
+//! timestamps, and carries an index sidecar `I`. Flows and DNS metadata
+//! have none (`()`); the packet table's is a
 //! `PacketIndex` of exact host/port/attack postings. A query plans as
 //! *prune segments by span → let the sidecar narrow or prune → filter*,
 //! and retention drops whole segments instead of compacting one flat
@@ -21,7 +21,7 @@
 //! `tests/par_ingest.rs`).
 
 use crate::query::{PacketQuery, QueryStats};
-use campuslab_capture::{DnsMetaRecord, FlowRecord, FxHashMap, PacketRecord, SensorRecord};
+use campuslab_capture::{DnsMetaRecord, FlowRecord, FxHashMap, PacketRecord};
 use campuslab_netsim::par;
 use std::iter::Peekable;
 use std::net::IpAddr;
@@ -63,12 +63,6 @@ impl TimeSpan for FlowRecord {
 impl TimeSpan for DnsMetaRecord {
     fn start_ns(&self) -> u64 {
         self.ts_ns
-    }
-}
-
-impl TimeSpan for SensorRecord {
-    fn start_ns(&self) -> u64 {
-        self.ts_ns()
     }
 }
 

@@ -20,14 +20,13 @@
 use crate::observe::StoreObs;
 use crate::query::{FlowQuery, PacketQuery, QueryStats};
 use crate::segment::{Chain, PacketIndex, SegmentStats};
-use campuslab_capture::{DnsMetaRecord, FlowRecord, PacketRecord, SensorRecord};
+use campuslab_capture::{DnsMetaRecord, FlowRecord, PacketRecord};
 use campuslab_netsim::par;
 
 /// Approximate serialized sizes for storage accounting.
 const PACKET_RECORD_BYTES: u64 = 96;
 const FLOW_RECORD_BYTES: u64 = 144;
 const DNS_RECORD_BYTES: u64 = 120;
-const SENSOR_RECORD_BYTES: u64 = 96;
 
 /// Storage accounting per table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,7 +34,6 @@ pub struct StorageReport {
     pub packet_records: u64,
     pub flow_records: u64,
     pub dns_records: u64,
-    pub sensor_records: u64,
     pub approx_bytes: u64,
 }
 
@@ -51,7 +49,6 @@ pub struct DataStore {
     packets: Chain<PacketRecord, PacketIndex>,
     flows: Chain<FlowRecord>,
     dns: Chain<DnsMetaRecord>,
-    sensors: Chain<SensorRecord>,
     /// Observatory surface; public so runs can merge or render it.
     pub obs: StoreObs,
 }
@@ -121,15 +118,6 @@ impl DataStore {
         self.dns.ingest(batch);
     }
 
-    /// Ingest sensor events.
-    pub fn ingest_sensors(&mut self, batch: Vec<SensorRecord>) {
-        if batch.is_empty() {
-            return;
-        }
-        self.obs.on_ingest_sensors(batch.len() as u64);
-        self.sensors.ingest(batch);
-    }
-
     /// Packet records in the store.
     pub fn packet_count(&self) -> usize {
         self.packets.count()
@@ -143,11 +131,6 @@ impl DataStore {
     /// DNS metadata records in the store.
     pub fn dns_count(&self) -> usize {
         self.dns.count()
-    }
-
-    /// Sensor events in the store.
-    pub fn sensor_count(&self) -> usize {
-        self.sensors.count()
     }
 
     /// Live segments in the packet chain.
@@ -215,7 +198,6 @@ impl DataStore {
         let mut dropped = self.packets.retain_since(cutoff_ns);
         dropped += self.flows.retain_since(cutoff_ns);
         dropped += self.dns.retain_since(cutoff_ns);
-        dropped += self.sensors.retain_since(cutoff_ns);
         self.obs.on_retired(dropped);
         self.publish_segment_gauges();
     }
@@ -225,16 +207,13 @@ impl DataStore {
         let packet_records = self.packet_count() as u64;
         let flow_records = self.flow_count() as u64;
         let dns_records = self.dns_count() as u64;
-        let sensor_records = self.sensor_count() as u64;
         StorageReport {
             packet_records,
             flow_records,
             dns_records,
-            sensor_records,
             approx_bytes: packet_records * PACKET_RECORD_BYTES
                 + flow_records * FLOW_RECORD_BYTES
-                + dns_records * DNS_RECORD_BYTES
-                + sensor_records * SENSOR_RECORD_BYTES,
+                + dns_records * DNS_RECORD_BYTES,
         }
     }
 }
@@ -336,15 +315,22 @@ mod tests {
     #[test]
     fn storage_report_accounts_all_tables() {
         let mut ds = populated();
-        ds.ingest_sensors(vec![SensorRecord::ConfigChange {
+        ds.ingest_dns(vec![DnsMetaRecord {
             ts_ns: 1,
-            device: "border".into(),
-            summary: "acl".into(),
+            direction: Direction::Outbound,
+            client: IpAddr::from([10, 1, 1, 10]),
+            server: IpAddr::from([10, 1, 255, 53]),
+            qname: "example.edu".into(),
+            qtype: 1,
+            is_response: false,
+            answer_count: 0,
+            wire_len: 80,
+            amplification_prone: false,
+            label_attack: 0,
         }]);
         let s = ds.storage();
-        assert_eq!(s.packet_records, 1000);
-        assert_eq!(s.sensor_records, 1);
-        assert!(s.approx_bytes > 96 * 1000);
+        assert_eq!((s.packet_records, s.flow_records, s.dns_records), (1000, 0, 1));
+        assert_eq!(s.approx_bytes, 96 * 1000 + 120);
     }
 
     #[test]

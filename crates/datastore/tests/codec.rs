@@ -1,18 +1,14 @@
-//! The WAL's frame payload is the derive's binary form of [`WalRecord`].
-//! Property: for batches of every record type, drawn over the whole value
+//! The WAL's frame payload is the derive's binary form of one packet batch,
+//! `Vec<PacketRecord>`. Property: for batches drawn over the whole value
 //! range of every field, `from_slice(to_vec(x))` re-serializes to the same
-//! bytes and prints the same `Debug` text as `x` (record batches hold no
-//! hash map, so that text is order-stable). A second property damages the
-//! bytes: the decoder
-//! answers with a value or a typed error, never a panic.
+//! bytes and prints the same `Debug` text as `x` (a batch holds no hash
+//! map, so that text is order-stable). A second property damages the
+//! bytes: the decoder answers with a value or a typed error, never a panic.
 //!
 //! Iteration count defaults to a quick smoke and is raised by CI through
 //! `CAMPUSLAB_FUZZ_CASES`.
 
-use campuslab_capture::{
-    Direction, DnsMetaRecord, FlowKey, FlowRecord, PacketRecord, SensorRecord, TcpFlags,
-};
-use campuslab_datastore::WalRecord;
+use campuslab_capture::{Direction, PacketRecord, TcpFlags};
 use proptest::prelude::*;
 use proptest::{proptest, ProptestConfig};
 use serde::bin::{from_slice, to_vec};
@@ -23,8 +19,8 @@ fn fuzz_cases() -> u32 {
 }
 
 /// A word stream (xorshift*) that builds records field by field, so every
-/// field sees its full range — both address families, `u64::MAX`-scale
-/// timestamps, empty and multi-byte strings.
+/// field sees its full range — both address families and `u64::MAX`-scale
+/// timestamps.
 struct Words(u64);
 
 impl Words {
@@ -53,23 +49,10 @@ impl Words {
         }
     }
 
-    fn direction(&mut self) -> Direction {
-        if self.flag() {
-            Direction::Inbound
-        } else {
-            Direction::Outbound
-        }
-    }
-
-    fn text(&mut self) -> String {
-        const ALPHABET: [&str; 6] = ["a", "Z", ".", "\"", "é", "\u{1F980}"];
-        (0..self.next() % 12).map(|_| ALPHABET[(self.next() % 6) as usize]).collect()
-    }
-
     fn packet(&mut self) -> PacketRecord {
         PacketRecord {
             ts_ns: self.word(),
-            direction: self.direction(),
+            direction: if self.flag() { Direction::Inbound } else { Direction::Outbound },
             src: self.ip(),
             dst: self.ip(),
             protocol: self.next() as u8,
@@ -90,79 +73,9 @@ impl Words {
         }
     }
 
-    fn flow(&mut self) -> FlowRecord {
-        FlowRecord {
-            key: FlowKey {
-                src: self.ip(),
-                dst: self.ip(),
-                protocol: self.next() as u8,
-                src_port: self.word() as u16,
-                dst_port: self.word() as u16,
-            },
-            first_ts_ns: self.word(),
-            last_ts_ns: self.word(),
-            fwd_packets: self.word(),
-            fwd_bytes: self.word(),
-            rev_packets: self.word(),
-            rev_bytes: self.word(),
-            syn_count: self.word() as u32,
-            fin_count: self.word() as u32,
-            rst_count: self.word() as u32,
-            mean_iat_ns: self.word(),
-            min_len: self.word() as u32,
-            max_len: self.word() as u32,
-            label_app: self.word() as u16,
-            label_attack: self.word() as u16,
-        }
-    }
-
-    fn dns(&mut self) -> DnsMetaRecord {
-        DnsMetaRecord {
-            ts_ns: self.word(),
-            direction: self.direction(),
-            client: self.ip(),
-            server: self.ip(),
-            qname: self.text(),
-            qtype: self.word() as u16,
-            is_response: self.flag(),
-            answer_count: self.word() as u16,
-            wire_len: self.word() as u32,
-            amplification_prone: self.flag(),
-            label_attack: self.word() as u16,
-        }
-    }
-
-    fn sensor(&mut self) -> SensorRecord {
-        match self.next() % 3 {
-            0 => SensorRecord::Syslog {
-                ts_ns: self.word(),
-                host: self.ip(),
-                severity: self.next() as u8,
-                message: self.text(),
-            },
-            1 => SensorRecord::Firewall {
-                ts_ns: self.word(),
-                src: self.ip(),
-                dst: self.ip(),
-                dst_port: self.word() as u16,
-                allowed: self.flag(),
-            },
-            _ => SensorRecord::ConfigChange {
-                ts_ns: self.word(),
-                device: self.text(),
-                summary: self.text(),
-            },
-        }
-    }
-
-    /// One batch of each table, `len` records long.
-    fn batches(&mut self, len: usize) -> [WalRecord; 4] {
-        [
-            WalRecord::Packets((0..len).map(|_| self.packet()).collect()),
-            WalRecord::Flows((0..len).map(|_| self.flow()).collect()),
-            WalRecord::Dns((0..len).map(|_| self.dns()).collect()),
-            WalRecord::Sensors((0..len).map(|_| self.sensor()).collect()),
-        ]
+    /// One batch, `len` records long.
+    fn batch(&mut self, len: usize) -> Vec<PacketRecord> {
+        (0..len).map(|_| self.packet()).collect()
     }
 }
 
@@ -170,13 +83,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: fuzz_cases(), ..ProptestConfig::default() })]
 
     #[test]
-    fn record_batches_round_trip(seed in any::<u64>(), len in 0usize..24) {
-        for rec in Words(seed | 1).batches(len) {
-            let bytes = to_vec(&rec);
-            let back: WalRecord = from_slice(&bytes).expect("own encoding decodes");
-            prop_assert_eq!(to_vec(&back), bytes);
-            prop_assert_eq!(format!("{back:?}"), format!("{rec:?}"));
-        }
+    fn packet_batches_round_trip(seed in any::<u64>(), len in 0usize..24) {
+        let batch = Words(seed | 1).batch(len);
+        let bytes = to_vec(&batch);
+        let back: Vec<PacketRecord> = from_slice(&bytes).expect("own encoding decodes");
+        prop_assert_eq!(to_vec(&back), bytes);
+        prop_assert_eq!(format!("{back:?}"), format!("{batch:?}"));
     }
 
     /// Damage behind a (notionally re-stamped) checksum: overwrite a byte
@@ -191,17 +103,15 @@ proptest! {
         byte in any::<u8>(),
         cut in any::<bool>(),
     ) {
-        for rec in Words(seed | 1).batches(len) {
-            let mut bytes = to_vec(&rec);
-            let at = pos as usize % bytes.len();
-            if cut {
-                bytes.truncate(at);
-                prop_assert!(from_slice::<WalRecord>(&bytes).is_err(), "a strict prefix decoded");
-            } else {
-                bytes[at] = byte;
-                if let Ok(back) = from_slice::<WalRecord>(&bytes) {
-                    prop_assert_eq!(to_vec(&back), bytes);
-                }
+        let mut bytes = to_vec(&Words(seed | 1).batch(len));
+        let at = pos as usize % bytes.len();
+        if cut {
+            bytes.truncate(at);
+            prop_assert!(from_slice::<Vec<PacketRecord>>(&bytes).is_err(), "a strict prefix decoded");
+        } else {
+            bytes[at] = byte;
+            if let Ok(back) = from_slice::<Vec<PacketRecord>>(&bytes) {
+                prop_assert_eq!(to_vec(&back), bytes);
             }
         }
     }

@@ -205,7 +205,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{Link, QueueDiscipline};
+    use crate::link::Link;
     use crate::lpm::Prefix;
     use crate::node::{Node, NodeKind};
     use crate::packet::{GroundTruth, PacketBuilder, Payload};
@@ -218,19 +218,8 @@ mod tests {
         let h1 = net.push_node(Node::host(NodeId(0), "h1", vec!["10.0.0.1".parse().unwrap()]));
         let s1 = net.push_node(Node::switch(NodeId(1), "s1"));
         let h2 = net.push_node(Node::host(NodeId(2), "h2", vec!["10.0.0.2".parse().unwrap()]));
-        let l1 = net.push_link(Link::new(
-            LinkId(0), h1, s1, 50_000_000, SimDuration::from_micros(10),
-            QueueDiscipline::Red {
-                capacity_bytes: 60_000,
-                min_thresh_bytes: 10_000,
-                max_thresh_bytes: 40_000,
-                max_p: 0.3,
-            },
-        ));
-        let l2 = net.push_link(Link::new(
-            LinkId(1), s1, h2, 50_000_000, SimDuration::from_micros(10),
-            QueueDiscipline::DropTail { capacity_bytes: 30_000 },
-        ));
+        let l1 = net.push_link(Link::new(LinkId(0), h1, s1, 50_000_000, SimDuration::from_micros(10), 60_000));
+        let l2 = net.push_link(Link::new(LinkId(1), s1, h2, 50_000_000, SimDuration::from_micros(10), 30_000));
         if let NodeKind::Host { gateway, .. } = &mut net.nodes[h1.0].kind {
             *gateway = Some(l1);
         }
@@ -303,7 +292,7 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 48, ..proptest::ProptestConfig::default() })]
 
-        /// Wherever the barrier falls — queues full, RED and burst-loss
+        /// Wherever the barrier falls — queues full, loss and burst-loss
         /// state mid-stream, chaos pending, real payload bytes in flight —
         /// the binary form decodes to an equal value that re-serializes to
         /// the same bytes.

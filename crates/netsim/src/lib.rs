@@ -61,9 +61,7 @@ pub mod checkpoint;
 pub mod prelude {
     pub use crate::chaos::{ChaosAction, ChaosConfig, ChaosPlan};
     pub use crate::checkpoint::{FrozenNetwork, FrozenNode, StreamRng, TopologyMismatch};
-    pub use crate::link::{
-        Dir, FaultModel, GilbertElliott, LinkId, Outage, QueueDiscipline, RateWindow,
-    };
+    pub use crate::link::{Dir, FaultModel, GilbertElliott, LinkId, Outage, RateWindow};
     pub use crate::lpm::{LpmTable, Prefix};
     pub use crate::network::{
         Command, Commands, DropReason, NetStats, Network, NullHooks, SimHooks,

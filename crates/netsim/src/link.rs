@@ -1,4 +1,4 @@
-//! Links: rate, propagation delay, a queue discipline per direction, and a
+//! Links: rate, propagation delay, a drop-tail queue per direction, and a
 //! fault-injection model (random loss, scheduled outages).
 
 use crate::checkpoint::StreamRng;
@@ -29,31 +29,12 @@ impl Dir {
     }
 }
 
-/// Queue discipline configuration for one link direction.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum QueueDiscipline {
-    /// Tail-drop once the queue holds `capacity_bytes`.
-    DropTail { capacity_bytes: usize },
-    /// Random Early Detection over an EWMA of queue occupancy.
-    Red {
-        capacity_bytes: usize,
-        min_thresh_bytes: usize,
-        max_thresh_bytes: usize,
-        /// Drop probability at `max_thresh` (0.0..=1.0).
-        max_p: f64,
-    },
+/// The capacity, in bytes, of a drop-tail queue holding `ms` milliseconds
+/// of buffering at `rate_bps` (at least two full-size frames).
+pub fn drop_tail_for(rate_bps: u64, ms: u64) -> usize {
+    let capacity_bytes = ((rate_bps as u128 * ms as u128) / 8000) as usize;
+    capacity_bytes.max(3000)
 }
-
-impl QueueDiscipline {
-    /// A drop-tail queue sized for `ms` milliseconds of buffering at `rate`.
-    pub fn drop_tail_for(rate_bps: u64, ms: u64) -> Self {
-        let capacity_bytes = ((rate_bps as u128 * ms as u128) / 8000) as usize;
-        QueueDiscipline::DropTail { capacity_bytes: capacity_bytes.max(3000) }
-    }
-}
-
-/// EWMA weight for RED's average queue estimate.
-const RED_WEIGHT: f64 = 0.05;
 
 /// One direction's queue plus all per-direction randomized state.
 ///
@@ -65,19 +46,19 @@ const RED_WEIGHT: f64 = 0.05;
 /// sequential run bit-for-bit.
 ///
 /// Every field is dynamic state and the declaration is its checkpoint
-/// image ([`FrozenLink::dirs`]): queued packets with their enqueue stamps,
-/// the RED average, the transmitter horizon, the exact RNG stream
-/// position, the live burst channel and the transmission counter, in this
-/// order on the wire.
+/// image ([`FrozenLink::dirs`]): the drop-tail capacity, queued packets
+/// with their enqueue stamps, the transmitter horizon, the exact RNG
+/// stream position, the live burst channel and the transmission counter,
+/// in this order on the wire.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DirQueue {
-    discipline: QueueDiscipline,
+    /// Tail-drop once the queue would hold more than this many bytes.
+    capacity_bytes: usize,
     packets: std::collections::VecDeque<(Box<Packet>, SimTime)>,
     bytes: usize,
-    avg_bytes: f64,
     /// Transmitter busy until this instant.
     busy_until: SimTime,
-    /// This direction's private random stream (loss, RED).
+    /// This direction's private random stream (loss).
     rng: StreamRng,
     /// Live Gilbert–Elliott channel state, synced from the installed
     /// `FaultModel::burst` template on first use / parameter change.
@@ -88,12 +69,11 @@ pub struct DirQueue {
 }
 
 impl DirQueue {
-    fn new(discipline: QueueDiscipline) -> Self {
+    fn new(capacity_bytes: usize) -> Self {
         DirQueue {
-            discipline,
+            capacity_bytes,
             packets: std::collections::VecDeque::new(),
             bytes: 0,
-            avg_bytes: 0.0,
             busy_until: SimTime::ZERO,
             rng: StreamRng(rand::SeedableRng::seed_from_u64(0)),
             burst: None,
@@ -106,30 +86,7 @@ impl DirQueue {
     /// copy-free.
     fn enqueue(&mut self, pkt: Box<Packet>, now: SimTime) -> Result<(), Box<Packet>> {
         let len = pkt.wire_len();
-        let admitted = match self.discipline {
-            QueueDiscipline::DropTail { capacity_bytes } => self.bytes + len <= capacity_bytes,
-            QueueDiscipline::Red {
-                capacity_bytes,
-                min_thresh_bytes,
-                max_thresh_bytes,
-                max_p,
-            } => {
-                self.avg_bytes =
-                    self.avg_bytes * (1.0 - RED_WEIGHT) + (self.bytes as f64) * RED_WEIGHT;
-                if self.bytes + len > capacity_bytes {
-                    false
-                } else if self.avg_bytes <= min_thresh_bytes as f64 {
-                    true
-                } else if self.avg_bytes >= max_thresh_bytes as f64 {
-                    false
-                } else {
-                    let frac = (self.avg_bytes - min_thresh_bytes as f64)
-                        / (max_thresh_bytes - min_thresh_bytes).max(1) as f64;
-                    self.rng.0.gen::<f64>() >= frac * max_p
-                }
-            }
-        };
-        if admitted {
+        if self.bytes + len <= self.capacity_bytes {
             self.bytes += len;
             self.packets.push_back((pkt, now));
             Ok(())
@@ -367,14 +324,15 @@ pub enum Offer {
 }
 
 impl Link {
-    /// Create a link with the same queue discipline in both directions.
+    /// Create a link with a `queue_bytes` drop-tail queue in both
+    /// directions.
     pub fn new(
         id: LinkId,
         a: crate::node::NodeId,
         b: crate::node::NodeId,
         rate_bps: u64,
         propagation: SimDuration,
-        discipline: QueueDiscipline,
+        queue_bytes: usize,
     ) -> Self {
         assert!(rate_bps > 0, "link rate must be positive");
         Link {
@@ -384,7 +342,7 @@ impl Link {
             rate_bps,
             propagation,
             fault: FaultModel::default(),
-            queues: [DirQueue::new(discipline), DirQueue::new(discipline)],
+            queues: [DirQueue::new(queue_bytes), DirQueue::new(queue_bytes)],
             stats: [DirStats::default(), DirStats::default()],
         }
     }
@@ -408,7 +366,7 @@ impl Link {
     }
 
     /// Offer a packet for transmission in `dir` at `now`, drawing any
-    /// randomness (loss, RED) from that direction's private stream.
+    /// randomness (loss) from that direction's private stream.
     ///
     /// Returns what happened; when `StartedTransmit` is returned the caller
     /// must schedule `tx_done` at `now + serialization` and delivery at
@@ -520,7 +478,7 @@ impl Link {
     pub(crate) fn adopt_dir(&mut self, dir: Dir, other: &mut Link) {
         debug_assert_eq!(self.id, other.id);
         let i = dir.index();
-        self.queues[i] = std::mem::replace(&mut other.queues[i], DirQueue::new(self.queues[i].discipline));
+        self.queues[i] = std::mem::replace(&mut other.queues[i], DirQueue::new(self.queues[i].capacity_bytes));
         self.stats[i] = other.stats[i];
     }
 
@@ -573,14 +531,7 @@ mod tests {
     }
 
     fn link(rate: u64, cap: usize) -> Link {
-        Link::new(
-            LinkId(0),
-            NodeId(0),
-            NodeId(1),
-            rate,
-            SimDuration::from_micros(10),
-            QueueDiscipline::DropTail { capacity_bytes: cap },
-        )
+        Link::new(LinkId(0), NodeId(0), NodeId(1), rate, SimDuration::from_micros(10), cap)
     }
 
     #[test]
@@ -654,38 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn red_drops_probabilistically_between_thresholds() {
-        let mut l = Link::new(
-            LinkId(0),
-            NodeId(0),
-            NodeId(1),
-            1_000_000,
-            SimDuration::ZERO,
-            QueueDiscipline::Red {
-                capacity_bytes: 1_000_000,
-                min_thresh_bytes: 2_000,
-                max_thresh_bytes: 20_000,
-                max_p: 1.0,
-            },
-        );
-        // Saturate the transmitter, then flood the queue.
-        l.offer(Dir::AtoB, Box::new(pkt(958)), SimTime::ZERO);
-        l.start_transmit(Dir::AtoB, SimTime::ZERO).unwrap();
-        let mut dropped = 0;
-        let mut queued = 0;
-        for i in 0..200 {
-            match l.offer(Dir::AtoB, Box::new(pkt(958)), SimTime(i)) {
-                Offer::Queued => queued += 1,
-                Offer::DroppedQueue(_) => dropped += 1,
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        // RED must drop some but not all packets once the average climbs.
-        assert!(dropped > 0, "RED never dropped");
-        assert!(queued > 0, "RED dropped everything");
-    }
-
-    #[test]
     fn utilization_and_queue_delay_accounting() {
         let mut l = link(8_000_000, 1_000_000); // 1 byte per microsecond
         l.offer(Dir::AtoB, Box::new(pkt(958)), SimTime::ZERO);
@@ -704,13 +623,9 @@ mod tests {
 
     #[test]
     fn drop_tail_sizing_helper() {
-        // 10 ms at 1 Gbps = 1.25 MB.
-        match QueueDiscipline::drop_tail_for(1_000_000_000, 10) {
-            QueueDiscipline::DropTail { capacity_bytes } => {
-                assert_eq!(capacity_bytes, 1_250_000)
-            }
-            _ => unreachable!(),
-        }
+        // 10 ms at 1 Gbps = 1.25 MB; never below two full-size frames.
+        assert_eq!(drop_tail_for(1_000_000_000, 10), 1_250_000);
+        assert_eq!(drop_tail_for(1_000, 1), 3_000);
     }
 
     #[test]

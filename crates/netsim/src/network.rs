@@ -203,8 +203,8 @@ pub struct Network {
 }
 
 impl Network {
-    /// Build an empty network with a deterministic RNG seed (used by RED
-    /// and the fault models).
+    /// Build an empty network with a deterministic RNG seed (used by the
+    /// fault models).
     pub fn new(seed: u64) -> Self {
         Network {
             nodes: Vec::new(),
@@ -535,7 +535,6 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::QueueDiscipline;
     use crate::lpm::Prefix;
     use crate::packet::{GroundTruth, PacketBuilder, Payload};
     use crate::time::SimDuration;
@@ -553,7 +552,7 @@ mod tests {
             s1,
             1_000_000_000,
             SimDuration::from_micros(10),
-            QueueDiscipline::DropTail { capacity_bytes: 1_000_000 },
+            1_000_000,
         ));
         let l2 = net.push_link(Link::new(
             LinkId(1),
@@ -561,7 +560,7 @@ mod tests {
             h2,
             1_000_000_000,
             SimDuration::from_micros(10),
-            QueueDiscipline::DropTail { capacity_bytes: 1_000_000 },
+            1_000_000,
         ));
         if let NodeKind::Host { gateway, .. } = &mut net.nodes[h1.0].kind {
             *gateway = Some(l1);

@@ -26,8 +26,8 @@
 //! 1. **Canonical event keys.** Every event's `(time, class, lane, seq)`
 //!    key (see [`crate::event::EventKey`]) depends only on causal
 //!    structure, so the union of N shard queues pops in exactly the order
-//!    one queue would. Per-(link, direction) RNG streams make loss and RED
-//!    draws a function of the lane, not of global interleaving.
+//!    one queue would. Per-(link, direction) RNG streams make loss draws
+//!    a function of the lane, not of global interleaving.
 //! 2. **Serial micro-phases for global events.** Timers and chaos
 //!    transitions live on the master queue; a chaos transition mutates
 //!    fault state every shard reads. The coordinator never lets one fire
@@ -42,7 +42,7 @@
 use std::cmp::Reverse;
 
 use crate::event::EventKey;
-use crate::link::{Dir, Link, LinkId, QueueDiscipline};
+use crate::link::{Dir, Link, LinkId};
 use crate::network::{Commands, DropReason, Event, NetStats, Network, NullHooks, SimHooks};
 use crate::node::{Node, NodeId};
 use crate::packet::Packet;
@@ -267,14 +267,7 @@ fn stub_node(i: usize) -> Node {
 
 /// A placeholder link preserving identity and endpoints only.
 fn stub_link(link: &Link) -> Link {
-    Link::new(
-        link.id,
-        link.a,
-        link.b,
-        1,
-        SimDuration::ZERO,
-        QueueDiscipline::DropTail { capacity_bytes: 0 },
-    )
+    Link::new(link.id, link.a, link.b, 1, SimDuration::ZERO, 0)
 }
 
 fn add_net_stats(into: &mut NetStats, mut from: NetStats) {

@@ -1,7 +1,7 @@
 //! Topology construction: a general builder plus the canonical three-tier
 //! campus network preset used throughout CampusLab.
 
-use crate::link::{Link, LinkId, QueueDiscipline};
+use crate::link::{drop_tail_for, Link, LinkId};
 use crate::lpm::Prefix;
 use crate::network::Network;
 use crate::node::{Node, NodeId, NodeKind};
@@ -14,7 +14,8 @@ use std::net::{IpAddr, Ipv4Addr};
 pub struct LinkSpec {
     pub rate_bps: u64,
     pub propagation: SimDuration,
-    pub queue: QueueDiscipline,
+    /// Drop-tail queue capacity per direction, in bytes.
+    pub queue_bytes: usize,
 }
 
 impl LinkSpec {
@@ -23,7 +24,7 @@ impl LinkSpec {
         LinkSpec {
             rate_bps,
             propagation,
-            queue: QueueDiscipline::drop_tail_for(rate_bps, 5),
+            queue_bytes: drop_tail_for(rate_bps, 5),
         }
     }
 
@@ -42,7 +43,7 @@ pub struct TopologyBuilder {
 }
 
 impl TopologyBuilder {
-    /// Start a topology with the RNG seed used for RED and fault models.
+    /// Start a topology with the RNG seed used for fault models.
     pub fn new(seed: u64) -> Self {
         TopologyBuilder { net: Network::new(seed), advertised: Vec::new() }
     }
@@ -65,7 +66,7 @@ impl TopologyBuilder {
     /// Connect two nodes.
     pub fn link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> LinkId {
         let id = LinkId(self.net.links.len());
-        self.net.push_link(Link::new(id, a, b, spec.rate_bps, spec.propagation, spec.queue))
+        self.net.push_link(Link::new(id, a, b, spec.rate_bps, spec.propagation, spec.queue_bytes))
     }
 
     /// Connect a host to its access switch and set the link as its gateway.
@@ -247,7 +248,7 @@ impl Campus {
             LinkSpec {
                 rate_bps: upstream_rate,
                 propagation: SimDuration::from_millis(5),
-                queue: QueueDiscipline::drop_tail_for(upstream_rate, 50),
+                queue_bytes: drop_tail_for(upstream_rate, 50),
             }
         } else {
             LinkSpec::new(upstream_rate, SimDuration::from_millis(5))

@@ -65,7 +65,7 @@ fn build(sc: &Scenario) -> Network {
     let mut spec = |rate_gbps: u64| LinkSpec {
         rate_bps: rate_gbps * 1_000_000_000,
         propagation: SimDuration::from_nanos(PROPS[*pick.next().unwrap()]),
-        queue: QueueDiscipline::DropTail { capacity_bytes: 40_000 },
+        queue_bytes: 40_000,
     };
     let mut switches = Vec::with_capacity(n);
     let mut trunk_links = Vec::new();

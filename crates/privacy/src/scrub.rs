@@ -4,45 +4,37 @@
 use crate::cryptopan::PrefixPreservingAnon;
 use campuslab_capture::PacketRecord;
 
-/// What survives scrubbing.
+/// What survives scrubbing. There is one policy: IP addresses are
+/// prefix-preservingly anonymized and ephemeral ports pseudonymized
+/// (well-known ports survive); labels and volume fields stay intact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScrubPolicy {
-    /// Prefix-preservingly anonymize IP addresses.
-    pub anonymize_addresses: bool,
-    /// Pseudonymize ephemeral ports (well-known ports always survive).
-    pub pseudonymize_ports: bool,
-}
+pub struct ScrubPolicy;
 
 impl ScrubPolicy {
     /// The policy for researchers inside the university: anonymized
     /// identities, labels intact (labels are synthetic anyway).
     pub fn internal_research() -> Self {
-        ScrubPolicy { anonymize_addresses: true, pseudonymize_ports: true }
+        ScrubPolicy
     }
 }
 
-/// A scrubber bound to a key and a policy.
+/// A scrubber bound to a key, applying [`ScrubPolicy`].
 pub struct Scrubber {
     anon: PrefixPreservingAnon,
-    policy: ScrubPolicy,
 }
 
 impl Scrubber {
     /// Create a scrubber.
-    pub fn new(key: u128, policy: ScrubPolicy) -> Self {
-        Scrubber { anon: PrefixPreservingAnon::new(key), policy }
+    pub fn new(key: u128, _policy: ScrubPolicy) -> Self {
+        Scrubber { anon: PrefixPreservingAnon::new(key) }
     }
 
     /// Scrub one packet record.
     pub fn scrub_packet(&self, mut rec: PacketRecord) -> PacketRecord {
-        if self.policy.anonymize_addresses {
-            rec.src = self.anon.anonymize(rec.src);
-            rec.dst = self.anon.anonymize(rec.dst);
-        }
-        if self.policy.pseudonymize_ports {
-            rec.src_port = self.anon.pseudonymize_port(rec.src_port);
-            rec.dst_port = self.anon.pseudonymize_port(rec.dst_port);
-        }
+        rec.src = self.anon.anonymize(rec.src);
+        rec.dst = self.anon.anonymize(rec.dst);
+        rec.src_port = self.anon.pseudonymize_port(rec.src_port);
+        rec.dst_port = self.anon.pseudonymize_port(rec.dst_port);
         rec
     }
 }

@@ -22,13 +22,16 @@ use campuslab_obs::crc32;
 /// variant added, removed or reordered — bumps it; a decoder seeing
 /// another version (v1 was a JSON payload) reports
 /// [`PhoenixError::VersionSkew`] instead of guessing.
-pub const PHOENIX_VERSION: u32 = 2;
+pub const PHOENIX_VERSION: u32 = 3;
 
 /// What [`PHOENIX_VERSION`] currently means, as bytes: `(crc32, length)` of
 /// the envelope the crash-test drift session (`tests::cheap_session`)
 /// leaves at 1.5 s. `image_layout_is_pinned_to_its_version` fails when a
-/// layout change moves either without a version bump and a re-pin.
-pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0xb6a8_2816, 9_034_532);
+/// layout change moves either without a version bump and a re-pin. v3
+/// removed the queue-discipline tag and RED average from every link
+/// direction, the constant coverage floor from the detector state, and
+/// the detector's two counters that duplicated its metric sink.
+pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0xd3c7_bc37, 9_033_818);
 
 /// Envelope magic: the first four bytes of every encoded checkpoint.
 pub const PHOENIX_MAGIC: [u8; 4] = *b"PHNX";
@@ -512,6 +515,15 @@ mod tests {
                 found: PHOENIX_VERSION + 1,
                 supported: PHOENIX_VERSION
             })
+        );
+
+        // A v2 header on this payload: the RED-era layout, refused by its
+        // version word whatever the bytes behind it would decode to.
+        let mut v2 = bytes.clone();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            decode_checkpoint(&v2).err(),
+            Some(PhoenixError::VersionSkew { found: 2, supported: PHOENIX_VERSION })
         );
 
         // A v1 image (JSON payload) is version skew, not a payload to try:
