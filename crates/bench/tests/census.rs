@@ -6,7 +6,8 @@
 //! `pub use` re-export or a comment. Non-test code is each file's lines
 //! before its first `#[cfg(test)]`. Matching is by name, so an item that
 //! shares a common name (`new`) counts as referenced: the census is a
-//! lower bound.
+//! lower bound. Dead methods with a common name (`parse`, `emit`) are
+//! invisible to it whenever a live method somewhere shares that name.
 //!
 //! The count may only fall. A change that deletes an unreferenced item
 //! lowers [`CEILING`] in the same diff; one that adds an item with no
@@ -16,7 +17,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
 /// Unreferenced public items in this tree.
-const CEILING: usize = 32;
+const CEILING: usize = 30;
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };

@@ -159,7 +159,6 @@ mod tests {
                 seq: 1,
                 ack: 0,
                 control,
-                window: 65535,
                 mss: None,
                 window_scale: None,
             },

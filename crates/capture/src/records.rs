@@ -80,7 +80,7 @@ impl PacketRecord {
             direction,
             src: pkt.network.src(),
             dst: pkt.network.dst(),
-            protocol: u8::from(pkt.network.protocol()),
+            protocol: pkt.transport.protocol(),
             src_port: pkt.transport.src_port().unwrap_or(0),
             dst_port: pkt.transport.dst_port().unwrap_or(0),
             wire_len: pkt.wire_len() as u32,

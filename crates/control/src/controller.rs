@@ -701,7 +701,6 @@ mod tests {
             seq: 1,
             ack: 0,
             control: campuslab_wire::TcpControl::SYN,
-            window: 65535,
             mss: None,
             window_scale: None,
         }

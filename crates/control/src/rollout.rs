@@ -946,7 +946,6 @@ mod tests {
                 seq: 1,
                 ack: 0,
                 control: campuslab_wire::TcpControl::ACK,
-                window: 65_535,
                 mss: None,
                 window_scale: None,
             },

@@ -184,7 +184,7 @@ proptest! {
                 };
                 let tcp = TcpRepr {
                     src_port: 0, dst_port: 0, seq: 1, ack: 0, control,
-                    window: 1_024, mss: None, window_scale: None,
+                    mss: None, window_scale: None,
                 };
                 packets.push(b.tcp_v4(src, dst, sport, dport, tcp, body.clone(), truth));
             }

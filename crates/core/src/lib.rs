@@ -12,7 +12,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`wire`] | packet wire formats (Ethernet/IP/UDP/TCP/ICMP/DNS) |
+//! | [`wire`] | UDP/TCP/ICMP header structs and the DNS codec |
 //! | [`netsim`] | deterministic packet-level campus network simulator |
 //! | [`traffic`] | labeled workload + attack generation |
 //! | [`capture`] | border monitoring: rings, flows, metadata |

@@ -115,7 +115,7 @@ impl FieldExtractor {
 
     /// Extract from a live simulator packet.
     pub fn from_packet(&self, pkt: &Packet) -> FieldValues {
-        let protocol = u32::from(u8::from(pkt.network.protocol()));
+        let protocol = u32::from(pkt.transport.protocol());
         let src_port = u32::from(pkt.transport.src_port().unwrap_or(0));
         let dst_port = u32::from(pkt.transport.dst_port().unwrap_or(0));
         let (syn, ack, fin, rst) = match &pkt.transport {

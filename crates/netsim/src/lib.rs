@@ -11,10 +11,10 @@
 //!   [`EventQueue`](event::EventQueue) orders all packet departures,
 //!   transmissions and timer callbacks; ties break by insertion order so
 //!   every run with the same seed is byte-for-byte reproducible.
-//! * **Real headers, optional payload bytes**: packets carry parsed
-//!   `campuslab-wire` header structs and serialize to exact wire images on
-//!   demand, so the capture plane sees real bytes while the simulator core
-//!   stays allocation-light.
+//! * **Real headers, optional payload bytes**: packets carry the
+//!   `campuslab-wire` header fields something reads and real payload bytes
+//!   only where content matters (DNS), so the capture plane parses real
+//!   messages while the simulator core stays allocation-light.
 //! * **Hooks + commands**: observers implement [`SimHooks`]
 //!   and steer the simulation by pushing [`Command`]s —
 //!   the pattern that lets a control loop watch a tap and install packet

@@ -1,8 +1,9 @@
-//! Longest-prefix-match routing tables for IPv4 and IPv6.
+//! Longest-prefix-match routing tables.
 
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::{IpAddr, Ipv4Addr};
 
-/// A CIDR prefix over either address family.
+/// A CIDR prefix. Only IPv4 prefixes are built, so no IPv6 address
+/// falls inside one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Prefix {
     /// Network address with host bits cleared.
@@ -23,17 +24,6 @@ impl Prefix {
         Prefix { addr: IpAddr::V4(Ipv4Addr::from(masked)), len }
     }
 
-    /// An IPv6 prefix; host bits are masked off.
-    pub fn v6(addr: Ipv6Addr, len: u8) -> Self {
-        assert!(len <= 128, "IPv6 prefix length out of range");
-        let masked = if len == 0 {
-            0
-        } else {
-            u128::from(addr) & (u128::MAX << (128 - len))
-        };
-        Prefix { addr: IpAddr::V6(Ipv6Addr::from(masked)), len }
-    }
-
     /// The default (match-everything) IPv4 route.
     pub fn v4_default() -> Self {
         Prefix::v4(Ipv4Addr::UNSPECIFIED, 0)
@@ -48,13 +38,6 @@ impl Prefix {
                 }
                 let mask = u32::MAX << (32 - self.len);
                 (u32::from(ip) & mask) == u32::from(net)
-            }
-            (IpAddr::V6(net), IpAddr::V6(ip)) => {
-                if self.len == 0 {
-                    return true;
-                }
-                let mask = u128::MAX << (128 - self.len);
-                (u128::from(ip) & mask) == u128::from(net)
             }
             _ => false,
         }
@@ -168,15 +151,6 @@ mod tests {
         t.insert(p, 2);
         assert_eq!(t.len(), 1);
         assert_eq!(t.lookup("10.0.0.1".parse().unwrap()), Some(&2));
-    }
-
-    #[test]
-    fn v6_lookup() {
-        let mut t = LpmTable::new();
-        t.insert(Prefix::v6("2001:db8::".parse().unwrap(), 32), "campus6");
-        t.insert(Prefix::v6(Ipv6Addr::UNSPECIFIED, 0), "default6");
-        assert_eq!(t.lookup("2001:db8::42".parse().unwrap()), Some(&"campus6"));
-        assert_eq!(t.lookup("2600::1".parse().unwrap()), Some(&"default6"));
     }
 
     #[test]

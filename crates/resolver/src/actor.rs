@@ -18,8 +18,7 @@
 
 use crate::service::{Action, Respond, ResolverService};
 use campuslab_netsim::{
-    Commands, NetworkHeader, NodeId, Packet, PacketBuilder, Payload, SimDuration, SimHooks,
-    SimTime,
+    Commands, NodeId, Packet, PacketBuilder, Payload, SimDuration, SimHooks, SimTime,
 };
 use std::net::Ipv4Addr;
 
@@ -49,14 +48,12 @@ impl ResolverActor {
         if node != self.node || packet.transport.dst_port() != Some(53) {
             return;
         }
-        let NetworkHeader::V4(ip) = &packet.network else {
-            return;
-        };
         let sport = packet.transport.src_port().unwrap_or(0);
         // Synthetic payloads carry no bytes; an empty slice walks the
         // service's too-short path and is counted as ignored.
         let data = packet.payload.bytes().unwrap_or(&[]);
-        let actions = self.service.handle_packet(now, ip.src, sport, data, packet.truth);
+        let src = packet.network.src;
+        let actions = self.service.handle_packet(now, src, sport, data, packet.truth);
         for action in actions {
             match action {
                 Action::Respond(r) => self.inject_response(r, cmds),

@@ -22,16 +22,16 @@ use campuslab_obs::crc32;
 /// variant added, removed or reordered — bumps it; a decoder seeing
 /// another version (v1 was a JSON payload) reports
 /// [`PhoenixError::VersionSkew`] instead of guessing.
-pub const PHOENIX_VERSION: u32 = 3;
+pub const PHOENIX_VERSION: u32 = 4;
 
 /// What [`PHOENIX_VERSION`] currently means, as bytes: `(crc32, length)` of
 /// the envelope the crash-test drift session (`tests::cheap_session`)
 /// leaves at 1.5 s. `image_layout_is_pinned_to_its_version` fails when a
-/// layout change moves either without a version bump and a re-pin. v3
-/// removed the queue-discipline tag and RED average from every link
-/// direction, the constant coverage floor from the detector state, and
-/// the detector's two counters that duplicated its metric sink.
-pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0xd3c7_bc37, 9_033_818);
+/// layout change moves either without a version bump and a re-pin. v4
+/// removed from every pending packet the two MAC addresses, the network
+/// header's variant tag, the IPv4 protocol, DSCP, identification, DF bit
+/// and payload length, and the TCP window.
+pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0x985e_8bc1, 8_470_570);
 
 /// Envelope magic: the first four bytes of every encoded checkpoint.
 pub const PHOENIX_MAGIC: [u8; 4] = *b"PHNX";
@@ -517,8 +517,17 @@ mod tests {
             })
         );
 
-        // A v2 header on this payload: the RED-era layout, refused by its
-        // version word whatever the bytes behind it would decode to.
+        // A v3 header on this payload: the frame-field layout (MACs, IPv4
+        // protocol/identification, TCP window), refused by its version
+        // word whatever the bytes behind it would decode to.
+        let mut v3 = bytes.clone();
+        v3[4..8].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(
+            decode_checkpoint(&v3).err(),
+            Some(PhoenixError::VersionSkew { found: 3, supported: 4 })
+        );
+
+        // A v2 header: the RED-era layout, refused the same way.
         let mut v2 = bytes.clone();
         v2[4..8].copy_from_slice(&2u32.to_le_bytes());
         assert_eq!(

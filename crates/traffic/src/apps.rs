@@ -95,7 +95,6 @@ pub fn tcp_exchange(
         seq,
         ack,
         control,
-        window: 65535,
         mss: None,
         window_scale: None,
     };
@@ -808,7 +807,6 @@ mod tests {
                 TransportHeader::Icmp(icmp) => match icmp.icmp_type {
                     campuslab_wire::IcmpType::EchoRequest => requests += 1,
                     campuslab_wire::IcmpType::EchoReply => replies += 1,
-                    other => panic!("unexpected {other:?}"),
                 },
                 other => panic!("not icmp: {other:?}"),
             }

@@ -353,7 +353,6 @@ pub fn syn_flood(env: &mut SessionEnv<'_>, a: &SynFlood) {
             seq: env.rng.gen(),
             ack: 0,
             control: TcpControl::SYN,
-            window: 65535,
             mss: Some(1460),
             window_scale: None,
         };
@@ -404,7 +403,6 @@ pub fn port_scan(env: &mut SessionEnv<'_>, a: &PortScan) {
                 seq: env.rng.gen(),
                 ack: 0,
                 control: TcpControl::SYN,
-                window: 1024,
                 mss: None,
                 window_scale: None,
             };
@@ -426,7 +424,6 @@ pub fn port_scan(env: &mut SessionEnv<'_>, a: &PortScan) {
                     seq: 0,
                     ack: syn.seq.wrapping_add(1),
                     control: TcpControl::RST,
-                    window: 0,
                     mss: None,
                     window_scale: None,
                 };

@@ -319,14 +319,19 @@ impl DnsMessage {
     }
 
     /// Append the message to `buf`. Names are emitted uncompressed, which is
-    /// always valid (and what many stub resolvers do).
+    /// always valid (and what many stub resolvers do). A section count or
+    /// RDATA length past `u16::MAX` is [`Error::BadLength`], never wrapped.
     pub fn emit(&self, buf: &mut Vec<u8>) -> Result<()> {
         buf.extend_from_slice(&self.id.to_be_bytes());
         buf.extend_from_slice(&self.flags.to_u16().to_be_bytes());
-        buf.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&(self.authorities.len() as u16).to_be_bytes());
-        buf.extend_from_slice(&(self.additionals.len() as u16).to_be_bytes());
+        for count in [
+            self.questions.len(),
+            self.answers.len(),
+            self.authorities.len(),
+            self.additionals.len(),
+        ] {
+            buf.extend_from_slice(&field_u16(count)?.to_be_bytes());
+        }
         for q in &self.questions {
             emit_name(&q.name, buf)?;
             buf.extend_from_slice(&u16::from(q.qtype).to_be_bytes());
@@ -500,9 +505,14 @@ fn emit_record(record: &DnsRecord, buf: &mut Vec<u8>) -> Result<()> {
         DnsRecordData::Txt(bytes) => rdata.extend_from_slice(bytes),
         DnsRecordData::Opaque(_, bytes) => rdata.extend_from_slice(bytes),
     }
-    buf.extend_from_slice(&(rdata.len() as u16).to_be_bytes());
+    buf.extend_from_slice(&field_u16(rdata.len())?.to_be_bytes());
     buf.extend_from_slice(&rdata);
     Ok(())
+}
+
+/// A count or length as its 16-bit wire field, refusing what does not fit.
+fn field_u16(n: usize) -> Result<u16> {
+    u16::try_from(n).map_err(|_| Error::BadLength)
 }
 
 #[cfg(test)]
@@ -607,6 +617,29 @@ mod tests {
         let q = DnsMessage::query(1, &long, DnsType::A);
         let mut buf = Vec::new();
         assert_eq!(q.emit(&mut buf).unwrap_err(), Error::BadName);
+    }
+
+    #[test]
+    fn lengths_past_u16_are_refused_not_wrapped() {
+        let q = DnsMessage::query(3, "big.example.org", DnsType::Txt);
+        let txt = |len| DnsRecord {
+            name: "big.example.org".into(),
+            ttl: 60,
+            data: DnsRecordData::Txt(vec![b't'; len]),
+        };
+        let mut buf = Vec::new();
+        let over = q.answer(vec![txt(65_536)], DnsRcode::NoError);
+        assert_eq!(over.emit(&mut buf).unwrap_err(), Error::BadLength);
+
+        let at = q.answer(vec![txt(65_535)], DnsRcode::NoError);
+        buf.clear();
+        at.emit(&mut buf).unwrap();
+        assert_eq!(DnsMessage::parse(&buf).unwrap(), at);
+
+        let answers = vec![a_record("big.example.org", [10, 0, 0, 1]); 65_536];
+        let many = q.answer(answers, DnsRcode::NoError);
+        buf.clear();
+        assert_eq!(many.emit(&mut buf).unwrap_err(), Error::BadLength);
     }
 
     #[test]

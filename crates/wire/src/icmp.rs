@@ -1,53 +1,18 @@
-//! ICMPv4 (RFC 792): echo, destination-unreachable and time-exceeded, the
-//! message types that matter for campus monitoring.
+//! ICMPv4 (RFC 792) echo messages, the ones the campus traffic carries.
 
-use crate::checksum;
-use crate::{be16, Error, Result};
-
-/// The ICMPv4 messages CampusLab distinguishes.
+/// The ICMPv4 messages CampusLab generates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum IcmpType {
     EchoReply,
     EchoRequest,
-    /// Destination unreachable with its code (0 = net, 1 = host, 3 = port...).
-    DestinationUnreachable(u8),
-    /// Time exceeded with its code (0 = TTL in transit).
-    TimeExceeded(u8),
-    /// Anything else, as (type, code).
-    Other(u8, u8),
 }
 
-impl IcmpType {
-    fn to_wire(self) -> (u8, u8) {
-        match self {
-            IcmpType::EchoReply => (0, 0),
-            IcmpType::EchoRequest => (8, 0),
-            IcmpType::DestinationUnreachable(code) => (3, code),
-            IcmpType::TimeExceeded(code) => (11, code),
-            IcmpType::Other(ty, code) => (ty, code),
-        }
-    }
-
-    fn from_wire(ty: u8, code: u8) -> Self {
-        match (ty, code) {
-            (0, 0) => IcmpType::EchoReply,
-            (8, 0) => IcmpType::EchoRequest,
-            (3, code) => IcmpType::DestinationUnreachable(code),
-            (11, code) => IcmpType::TimeExceeded(code),
-            (ty, code) => IcmpType::Other(ty, code),
-        }
-    }
-}
-
-/// A parsed/parseable ICMPv4 message.
-///
-/// For echo messages `rest` carries identifier/sequence in its first four
-/// bytes; for error messages it carries the offending datagram's prefix.
+/// An ICMPv4 echo message.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct IcmpRepr {
     pub icmp_type: IcmpType,
-    /// The "rest of header" word (identifier/sequence for echo, unused for
-    /// unreachable).
+    /// The "rest of header" word: identifier (high half) and sequence
+    /// number (low half).
     pub rest_of_header: u32,
     /// Message body following the 8-byte ICMP header.
     pub payload: Vec<u8>,
@@ -72,45 +37,6 @@ impl IcmpRepr {
         }
     }
 
-    /// Echo identifier (high half of the rest-of-header word).
-    pub fn ident(&self) -> u16 {
-        (self.rest_of_header >> 16) as u16
-    }
-
-    /// Echo sequence number (low half of the rest-of-header word).
-    pub fn seq(&self) -> u16 {
-        self.rest_of_header as u16
-    }
-
-    /// Parse a message, verifying the checksum over the whole buffer.
-    pub fn parse(data: &[u8]) -> Result<IcmpRepr> {
-        if data.len() < 8 {
-            return Err(Error::Truncated);
-        }
-        if !checksum::verify(data) {
-            return Err(Error::BadChecksum);
-        }
-        Ok(IcmpRepr {
-            icmp_type: IcmpType::from_wire(data[0], data[1]),
-            rest_of_header: ((u32::from(be16(data, 4))) << 16) | u32::from(be16(data, 6)),
-            payload: data[8..].to_vec(),
-        })
-    }
-
-    /// Append the message (with a correct checksum) to `buf`.
-    pub fn emit(&self, buf: &mut Vec<u8>) {
-        let start = buf.len();
-        let (ty, code) = self.icmp_type.to_wire();
-        buf.push(ty);
-        buf.push(code);
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
-        buf.extend_from_slice(&self.rest_of_header.to_be_bytes());
-        buf.extend_from_slice(&self.payload);
-        let cks = checksum::of(&buf[start..]);
-        buf[start + 2] = (cks >> 8) as u8;
-        buf[start + 3] = cks as u8;
-    }
-
     /// On-wire length.
     pub fn total_len(&self) -> usize {
         8 + self.payload.len()
@@ -122,60 +48,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn echo_round_trip() {
-        let repr = IcmpRepr::echo_request(0x1234, 7, b"ping payload");
-        let mut buf = Vec::new();
-        repr.emit(&mut buf);
-        let parsed = IcmpRepr::parse(&buf).unwrap();
-        assert_eq!(parsed, repr);
-        assert_eq!(parsed.ident(), 0x1234);
-        assert_eq!(parsed.seq(), 7);
-    }
-
-    #[test]
     fn reply_matches_request_fields() {
+        let request = IcmpRepr::echo_request(9, 1, b"abc");
         let reply = IcmpRepr::echo_reply(9, 1, b"abc");
+        assert_eq!(request.icmp_type, IcmpType::EchoRequest);
         assert_eq!(reply.icmp_type, IcmpType::EchoReply);
-        assert_eq!(reply.ident(), 9);
-        assert_eq!(reply.seq(), 1);
-    }
-
-    #[test]
-    fn unreachable_round_trip() {
-        let repr = IcmpRepr {
-            icmp_type: IcmpType::DestinationUnreachable(3),
-            rest_of_header: 0,
-            payload: vec![0x45, 0, 0, 20],
-        };
-        let mut buf = Vec::new();
-        repr.emit(&mut buf);
-        assert_eq!(IcmpRepr::parse(&buf).unwrap(), repr);
-    }
-
-    #[test]
-    fn corruption_is_rejected() {
-        let mut buf = Vec::new();
-        IcmpRepr::echo_request(1, 1, b"x").emit(&mut buf);
-        buf[0] = 0; // request -> reply without updating checksum
-        assert_eq!(IcmpRepr::parse(&buf).unwrap_err(), Error::BadChecksum);
-    }
-
-    #[test]
-    fn truncated_is_rejected() {
-        assert_eq!(IcmpRepr::parse(&[8, 0, 0]).unwrap_err(), Error::Truncated);
-    }
-
-    #[test]
-    fn type_mapping_round_trips() {
-        for ty in [
-            IcmpType::EchoReply,
-            IcmpType::EchoRequest,
-            IcmpType::DestinationUnreachable(1),
-            IcmpType::TimeExceeded(0),
-            IcmpType::Other(42, 3),
-        ] {
-            let (t, c) = ty.to_wire();
-            assert_eq!(IcmpType::from_wire(t, c), ty);
-        }
+        assert_eq!(reply.rest_of_header, request.rest_of_header);
+        assert_eq!(reply.rest_of_header, (9 << 16) | 1);
+        assert_eq!(reply.total_len(), 11);
     }
 }

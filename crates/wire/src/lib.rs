@@ -1,52 +1,29 @@
 //! # campuslab-wire
 //!
-//! Wire-format parsing and emission for the protocols that cross a campus
-//! network's border: Ethernet II, IPv4, IPv6, UDP, TCP, ICMPv4 and DNS.
+//! The header summaries a simulated packet carries (UDP, TCP, ICMPv4), the
+//! header sizes that set its serialization delay, and the one wire codec
+//! the tree uses: DNS.
 //!
-//! The design follows the smoltcp idiom: every protocol has a plain-old-data
-//! `*Repr` struct that can be `parse`d from a byte slice (with full
-//! validation, including checksums) and `emit`ted into a byte vector
-//! (generating correct checksums). There are no clever type tricks; the goal
-//! is simplicity and robustness.
-//!
-//! `campuslab-netsim` moves owned `Repr` values around for speed, and
-//! serializes them through this crate whenever real bytes are needed — for
-//! the capture plane or payload inspection.
+//! `campuslab-netsim` moves owned header values around; nothing serializes
+//! a frame. DNS is different: its messages travel as real payload bytes,
+//! which the traffic generator and resolver `emit` and the capture plane
+//! `parse`, with full validation, into metadata records.
 //!
 //! ```
-//! use campuslab_wire::{Ipv4Repr, IpProtocol};
-//! use std::net::Ipv4Addr;
+//! use campuslab_wire::{DnsMessage, DnsType};
 //!
-//! let repr = Ipv4Repr {
-//!     src: Ipv4Addr::new(10, 1, 2, 3),
-//!     dst: Ipv4Addr::new(192, 0, 2, 1),
-//!     protocol: IpProtocol::Udp,
-//!     ttl: 64,
-//!     payload_len: 8,
-//!     dscp: 0,
-//!     identification: 0x42,
-//!     dont_fragment: true,
-//! };
+//! let query = DnsMessage::query(0x42, "www.example.edu", DnsType::A);
 //! let mut buf = Vec::new();
-//! repr.emit(&mut buf);
-//! buf.extend_from_slice(&[0u8; 8]); // payload
-//! let (parsed, payload) = Ipv4Repr::parse(&buf).unwrap();
-//! assert_eq!(parsed, repr);
-//! assert_eq!(payload.len(), 8);
+//! query.emit(&mut buf).unwrap();
+//! assert_eq!(buf.len(), query.wire_len());
+//! assert_eq!(DnsMessage::parse(&buf).unwrap(), query);
 //! ```
 
-pub mod checksum;
-pub mod ethernet;
-pub mod ipv4;
-pub mod ipv6;
 pub mod udp;
 pub mod tcp;
 pub mod icmp;
 pub mod dns;
 
-pub use ethernet::{EtherType, EthernetAddress, EthernetRepr, ETHERNET_HEADER_LEN};
-pub use ipv4::{IpProtocol, Ipv4Repr, IPV4_HEADER_LEN};
-pub use ipv6::{Ipv6Repr, IPV6_HEADER_LEN};
 pub use udp::{UdpRepr, UDP_HEADER_LEN};
 pub use tcp::{TcpControl, TcpRepr, TCP_HEADER_LEN};
 pub use icmp::{IcmpRepr, IcmpType};
@@ -54,19 +31,20 @@ pub use dns::{
     DnsFlags, DnsMessage, DnsOpcode, DnsQuestion, DnsRcode, DnsRecord, DnsRecordData, DnsType,
 };
 
-/// Errors that can occur while parsing or emitting a wire format.
+/// Length of an Ethernet II header: destination, source, ethertype.
+pub const ETHERNET_HEADER_LEN: usize = 14;
+
+/// Length of an IPv4 header without options.
+pub const IPV4_HEADER_LEN: usize = 20;
+
+/// Errors that can occur while parsing or emitting a DNS message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Error {
-    /// The buffer is shorter than the protocol's minimum header.
+    /// The buffer is shorter than the message claims.
     Truncated,
-    /// A length field disagrees with the amount of data present.
+    /// A length or count disagrees with the data, or does not fit its
+    /// 16-bit field.
     BadLength,
-    /// A checksum did not verify.
-    BadChecksum,
-    /// A version field holds an unexpected value.
-    BadVersion,
-    /// A field holds a value this implementation does not support.
-    Unsupported,
     /// A DNS name is malformed (bad label length, compression loop, ...).
     BadName,
 }
@@ -76,9 +54,6 @@ impl std::fmt::Display for Error {
         let s = match self {
             Error::Truncated => "buffer truncated",
             Error::BadLength => "inconsistent length field",
-            Error::BadChecksum => "checksum mismatch",
-            Error::BadVersion => "unexpected version",
-            Error::Unsupported => "unsupported field value",
             Error::BadName => "malformed DNS name",
         };
         f.write_str(s)
@@ -114,7 +89,7 @@ mod tests {
     #[test]
     fn error_display_is_stable() {
         assert_eq!(Error::Truncated.to_string(), "buffer truncated");
-        assert_eq!(Error::BadChecksum.to_string(), "checksum mismatch");
+        assert_eq!(Error::BadLength.to_string(), "inconsistent length field");
         assert_eq!(Error::BadName.to_string(), "malformed DNS name");
     }
 

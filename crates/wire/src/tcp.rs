@@ -1,13 +1,10 @@
-//! TCP segments (RFC 793), with MSS and window-scale options.
-
-use crate::udp::PseudoHeader;
-use crate::{be16, be32, Error, Result};
+//! TCP segment headers (RFC 793), with MSS and window-scale options.
 
 /// Length of a TCP header without options.
 pub const TCP_HEADER_LEN: usize = 20;
 
-/// The control flags relevant to flow tracking, as a compact enum for the
-/// common shapes plus access to the raw bits.
+/// The control flags relevant to flow tracking, with constants for the
+/// common shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct TcpControl {
     pub syn: bool,
@@ -39,29 +36,10 @@ impl TcpControl {
     pub const RST: TcpControl = TcpControl {
         syn: false, ack: false, fin: false, rst: true, psh: false, urg: false,
     };
-
-    fn from_bits(bits: u8) -> Self {
-        TcpControl {
-            fin: bits & 0x01 != 0,
-            syn: bits & 0x02 != 0,
-            rst: bits & 0x04 != 0,
-            psh: bits & 0x08 != 0,
-            ack: bits & 0x10 != 0,
-            urg: bits & 0x20 != 0,
-        }
-    }
-
-    fn to_bits(self) -> u8 {
-        u8::from(self.fin)
-            | (u8::from(self.syn) << 1)
-            | (u8::from(self.rst) << 2)
-            | (u8::from(self.psh) << 3)
-            | (u8::from(self.ack) << 4)
-            | (u8::from(self.urg) << 5)
-    }
 }
 
-/// A parsed/parseable TCP header.
+/// A TCP header: the fields flow tracking reads, plus the options that
+/// set its length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TcpRepr {
     pub src_port: u16,
@@ -69,7 +47,6 @@ pub struct TcpRepr {
     pub seq: u32,
     pub ack: u32,
     pub control: TcpControl,
-    pub window: u16,
     /// MSS option, only meaningful on SYN segments.
     pub mss: Option<u16>,
     /// Window-scale option, only meaningful on SYN segments.
@@ -88,235 +65,28 @@ impl TcpRepr {
         }
         TCP_HEADER_LEN + opts.div_ceil(4) * 4
     }
-
-    /// Parse a segment, verifying the checksum against the pseudo-header.
-    /// Returns the header and payload slice.
-    pub fn parse<'a>(data: &'a [u8], pseudo: &PseudoHeader) -> Result<(TcpRepr, &'a [u8])> {
-        if data.len() < TCP_HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let data_offset = usize::from(data[12] >> 4) * 4;
-        if data_offset < TCP_HEADER_LEN || data_offset > data.len() {
-            return Err(Error::BadLength);
-        }
-        let mut c = match pseudo {
-            PseudoHeader::V4 { src, dst } => {
-                crate::checksum::pseudo_v4(*src, *dst, 6, data.len() as u16)
-            }
-            PseudoHeader::V6 { src, dst } => {
-                crate::checksum::pseudo_v6(*src, *dst, 6, data.len() as u32)
-            }
-        };
-        c.add_bytes(data);
-        if c.finish() != 0 {
-            return Err(Error::BadChecksum);
-        }
-        let mut mss = None;
-        let mut window_scale = None;
-        let mut opt = &data[TCP_HEADER_LEN..data_offset];
-        while !opt.is_empty() {
-            match opt[0] {
-                0 => break,                 // end of options
-                1 => opt = &opt[1..],       // nop
-                2 => {
-                    if opt.len() < 4 || opt[1] != 4 {
-                        return Err(Error::BadLength);
-                    }
-                    mss = Some(be16(opt, 2));
-                    opt = &opt[4..];
-                }
-                3 => {
-                    if opt.len() < 3 || opt[1] != 3 {
-                        return Err(Error::BadLength);
-                    }
-                    window_scale = Some(opt[2]);
-                    opt = &opt[3..];
-                }
-                _ => {
-                    // Unknown option: skip by its declared length.
-                    if opt.len() < 2 {
-                        return Err(Error::BadLength);
-                    }
-                    let len = usize::from(opt[1]);
-                    if len < 2 || len > opt.len() {
-                        return Err(Error::BadLength);
-                    }
-                    opt = &opt[len..];
-                }
-            }
-        }
-        let repr = TcpRepr {
-            src_port: be16(data, 0),
-            dst_port: be16(data, 2),
-            seq: be32(data, 4),
-            ack: be32(data, 8),
-            control: TcpControl::from_bits(data[13]),
-            window: be16(data, 14),
-            mss,
-            window_scale,
-        };
-        Ok((repr, &data[data_offset..]))
-    }
-
-    /// Append header, options and payload to `buf` with a correct checksum.
-    pub fn emit(&self, buf: &mut Vec<u8>, payload: &[u8], pseudo: &PseudoHeader) {
-        let start = buf.len();
-        let header_len = self.header_len();
-        buf.extend_from_slice(&self.src_port.to_be_bytes());
-        buf.extend_from_slice(&self.dst_port.to_be_bytes());
-        buf.extend_from_slice(&self.seq.to_be_bytes());
-        buf.extend_from_slice(&self.ack.to_be_bytes());
-        buf.push(((header_len / 4) as u8) << 4);
-        buf.push(self.control.to_bits());
-        buf.extend_from_slice(&self.window.to_be_bytes());
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
-        buf.extend_from_slice(&[0, 0]); // urgent pointer
-        if let Some(mss) = self.mss {
-            buf.push(2);
-            buf.push(4);
-            buf.extend_from_slice(&mss.to_be_bytes());
-        }
-        if let Some(ws) = self.window_scale {
-            buf.push(3);
-            buf.push(3);
-            buf.push(ws);
-        }
-        while (buf.len() - start) < header_len {
-            buf.push(0); // end-of-options padding
-        }
-        buf.extend_from_slice(payload);
-        let seg_len = header_len + payload.len();
-        let mut c = match pseudo {
-            PseudoHeader::V4 { src, dst } => {
-                crate::checksum::pseudo_v4(*src, *dst, 6, seg_len as u16)
-            }
-            PseudoHeader::V6 { src, dst } => {
-                crate::checksum::pseudo_v6(*src, *dst, 6, seg_len as u32)
-            }
-        };
-        c.add_bytes(&buf[start..start + seg_len]);
-        let cks = c.finish();
-        buf[start + 16] = (cks >> 8) as u8;
-        buf[start + 17] = cks as u8;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::Ipv4Addr;
 
-    fn pseudo() -> PseudoHeader {
-        PseudoHeader::V4 {
-            src: Ipv4Addr::new(10, 0, 0, 1),
-            dst: Ipv4Addr::new(192, 0, 2, 7),
-        }
-    }
-
-    fn syn() -> TcpRepr {
-        TcpRepr {
+    #[test]
+    fn header_len_is_padded() {
+        let syn = TcpRepr {
             src_port: 49152,
             dst_port: 443,
             seq: 0x1000_0000,
             ack: 0,
             control: TcpControl::SYN,
-            window: 65535,
             mss: Some(1460),
             window_scale: Some(7),
-        }
-    }
-
-    #[test]
-    fn round_trip_with_options() {
-        let repr = syn();
-        let mut buf = Vec::new();
-        repr.emit(&mut buf, &[], &pseudo());
-        assert_eq!(buf.len(), repr.header_len());
-        let (parsed, payload) = TcpRepr::parse(&buf, &pseudo()).unwrap();
-        assert_eq!(parsed, repr);
-        assert!(payload.is_empty());
-    }
-
-    #[test]
-    fn round_trip_data_segment() {
-        let repr = TcpRepr {
-            control: TcpControl { psh: true, ..TcpControl::ACK },
-            mss: None,
-            window_scale: None,
-            ..syn()
         };
-        let mut buf = Vec::new();
-        repr.emit(&mut buf, b"GET / HTTP/1.1\r\n", &pseudo());
-        let (parsed, payload) = TcpRepr::parse(&buf, &pseudo()).unwrap();
-        assert_eq!(parsed, repr);
-        assert_eq!(payload, b"GET / HTTP/1.1\r\n");
-    }
-
-    #[test]
-    fn control_bits_round_trip() {
-        for ctl in [
-            TcpControl::SYN,
-            TcpControl::SYN_ACK,
-            TcpControl::ACK,
-            TcpControl::FIN_ACK,
-            TcpControl::RST,
-        ] {
-            assert_eq!(TcpControl::from_bits(ctl.to_bits()), ctl);
-        }
-    }
-
-    #[test]
-    fn corrupt_segment_is_rejected() {
-        let mut buf = Vec::new();
-        syn().emit(&mut buf, &[], &pseudo());
-        buf[4] ^= 0x80; // flip a sequence-number bit
-        assert_eq!(TcpRepr::parse(&buf, &pseudo()).unwrap_err(), Error::BadChecksum);
-    }
-
-    #[test]
-    fn header_len_is_padded() {
         // window_scale alone occupies 3 bytes, padded to 4.
-        let repr = TcpRepr { mss: None, ..syn() };
-        assert_eq!(repr.header_len(), 24);
+        assert_eq!(TcpRepr { mss: None, ..syn }.header_len(), 24);
         // both options: 7 bytes, padded to 8.
-        assert_eq!(syn().header_len(), 28);
+        assert_eq!(syn.header_len(), 28);
         // no options.
-        let plain = TcpRepr { mss: None, window_scale: None, ..syn() };
-        assert_eq!(plain.header_len(), 20);
-    }
-
-    #[test]
-    fn unknown_options_are_skipped() {
-        let repr = TcpRepr { mss: Some(1400), window_scale: None, ..syn() };
-        let mut buf = Vec::new();
-        repr.emit(&mut buf, &[], &pseudo());
-        // Rewrite the MSS option (kind 2, len 4) as SACK-permitted (kind 4,
-        // len 2) followed by two NOPs, then fix the checksum.
-        buf[20] = 4;
-        buf[21] = 2;
-        buf[22] = 1;
-        buf[23] = 1;
-        buf[16] = 0;
-        buf[17] = 0;
-        let mut c = crate::checksum::pseudo_v4(
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(192, 0, 2, 7),
-            6,
-            buf.len() as u16,
-        );
-        c.add_bytes(&buf);
-        let cks = c.finish();
-        buf[16] = (cks >> 8) as u8;
-        buf[17] = cks as u8;
-        let (parsed, _) = TcpRepr::parse(&buf, &pseudo()).unwrap();
-        assert_eq!(parsed.mss, None);
-    }
-
-    #[test]
-    fn truncated_is_rejected() {
-        assert_eq!(
-            TcpRepr::parse(&[0u8; 19], &pseudo()).unwrap_err(),
-            Error::Truncated
-        );
+        assert_eq!(TcpRepr { mss: None, window_scale: None, ..syn }.header_len(), 20);
     }
 }

@@ -1,171 +1,12 @@
-//! UDP (RFC 768) over IPv4 or IPv6.
-
-use crate::checksum::{self, Checksum};
-use crate::{be16, Error, Result};
-use std::net::{Ipv4Addr, Ipv6Addr};
+//! UDP (RFC 768) headers.
 
 /// Length of a UDP header.
 pub const UDP_HEADER_LEN: usize = 8;
 
-/// The address material a UDP checksum binds to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PseudoHeader {
-    V4 { src: Ipv4Addr, dst: Ipv4Addr },
-    V6 { src: Ipv6Addr, dst: Ipv6Addr },
-}
-
-impl PseudoHeader {
-    fn start(&self, protocol: u8, length: usize) -> Checksum {
-        match *self {
-            PseudoHeader::V4 { src, dst } => checksum::pseudo_v4(src, dst, protocol, length as u16),
-            PseudoHeader::V6 { src, dst } => checksum::pseudo_v6(src, dst, protocol, length as u32),
-        }
-    }
-}
-
-/// A parsed/parseable UDP header.
+/// A UDP header: its ports. The length and checksum fields follow from
+/// the payload and are never stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct UdpRepr {
     pub src_port: u16,
     pub dst_port: u16,
-}
-
-impl UdpRepr {
-    /// Parse a datagram, verifying the length field and checksum against
-    /// the given pseudo-header. Returns the header and payload.
-    pub fn parse<'a>(data: &'a [u8], pseudo: &PseudoHeader) -> Result<(UdpRepr, &'a [u8])> {
-        if data.len() < UDP_HEADER_LEN {
-            return Err(Error::Truncated);
-        }
-        let length = usize::from(be16(data, 4));
-        if length < UDP_HEADER_LEN || length > data.len() {
-            return Err(Error::BadLength);
-        }
-        let stored = be16(data, 6);
-        // An all-zero checksum means "not computed" and is legal over IPv4.
-        let v4 = matches!(pseudo, PseudoHeader::V4 { .. });
-        if stored != 0 || !v4 {
-            let mut c = pseudo.start(17, length);
-            c.add_bytes(&data[..length]);
-            if c.finish() != 0 {
-                return Err(Error::BadChecksum);
-            }
-        }
-        let repr = UdpRepr {
-            src_port: be16(data, 0),
-            dst_port: be16(data, 2),
-        };
-        Ok((repr, &data[UDP_HEADER_LEN..length]))
-    }
-
-    /// Append header and payload to `buf` with a correct checksum.
-    pub fn emit(&self, buf: &mut Vec<u8>, payload: &[u8], pseudo: &PseudoHeader) {
-        let start = buf.len();
-        let length = UDP_HEADER_LEN + payload.len();
-        buf.extend_from_slice(&self.src_port.to_be_bytes());
-        buf.extend_from_slice(&self.dst_port.to_be_bytes());
-        buf.extend_from_slice(&(length as u16).to_be_bytes());
-        buf.extend_from_slice(&[0, 0]); // checksum placeholder
-        buf.extend_from_slice(payload);
-        let mut c = pseudo.start(17, length);
-        c.add_bytes(&buf[start..start + length]);
-        let mut cks = c.finish();
-        if cks == 0 {
-            // RFC 768: a computed zero is transmitted as all-ones.
-            cks = 0xffff;
-        }
-        buf[start + 6] = (cks >> 8) as u8;
-        buf[start + 7] = cks as u8;
-    }
-
-    /// On-wire length for a given payload.
-    pub fn total_len(payload_len: usize) -> usize {
-        UDP_HEADER_LEN + payload_len
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn v4() -> PseudoHeader {
-        PseudoHeader::V4 {
-            src: Ipv4Addr::new(10, 0, 0, 1),
-            dst: Ipv4Addr::new(10, 0, 0, 2),
-        }
-    }
-
-    fn v6() -> PseudoHeader {
-        PseudoHeader::V6 {
-            src: "2001:db8::1".parse().unwrap(),
-            dst: "2001:db8::2".parse().unwrap(),
-        }
-    }
-
-    #[test]
-    fn round_trip_v4() {
-        let repr = UdpRepr { src_port: 53, dst_port: 33333 };
-        let mut buf = Vec::new();
-        repr.emit(&mut buf, b"dns answer", &v4());
-        let (parsed, payload) = UdpRepr::parse(&buf, &v4()).unwrap();
-        assert_eq!(parsed, repr);
-        assert_eq!(payload, b"dns answer");
-    }
-
-    #[test]
-    fn round_trip_v6() {
-        let repr = UdpRepr { src_port: 123, dst_port: 123 };
-        let mut buf = Vec::new();
-        repr.emit(&mut buf, &[7; 48], &v6());
-        let (parsed, payload) = UdpRepr::parse(&buf, &v6()).unwrap();
-        assert_eq!(parsed, repr);
-        assert_eq!(payload.len(), 48);
-    }
-
-    #[test]
-    fn checksum_binds_addresses() {
-        let repr = UdpRepr { src_port: 1, dst_port: 2 };
-        let mut buf = Vec::new();
-        repr.emit(&mut buf, b"x", &v4());
-        let other = PseudoHeader::V4 {
-            src: Ipv4Addr::new(10, 0, 0, 9),
-            dst: Ipv4Addr::new(10, 0, 0, 2),
-        };
-        assert_eq!(UdpRepr::parse(&buf, &other).unwrap_err(), Error::BadChecksum);
-    }
-
-    #[test]
-    fn zero_checksum_allowed_only_on_v4() {
-        let repr = UdpRepr { src_port: 5, dst_port: 6 };
-        let mut buf = Vec::new();
-        repr.emit(&mut buf, b"ab", &v4());
-        buf[6] = 0;
-        buf[7] = 0;
-        assert!(UdpRepr::parse(&buf, &v4()).is_ok());
-        let mut buf6 = Vec::new();
-        repr.emit(&mut buf6, b"ab", &v6());
-        buf6[6] = 0;
-        buf6[7] = 0;
-        assert_eq!(UdpRepr::parse(&buf6, &v6()).unwrap_err(), Error::BadChecksum);
-    }
-
-    #[test]
-    fn corrupted_payload_is_rejected() {
-        let repr = UdpRepr { src_port: 1, dst_port: 2 };
-        let mut buf = Vec::new();
-        repr.emit(&mut buf, b"hello", &v4());
-        let last = buf.len() - 1;
-        buf[last] ^= 0xff;
-        assert_eq!(UdpRepr::parse(&buf, &v4()).unwrap_err(), Error::BadChecksum);
-    }
-
-    #[test]
-    fn bad_length_is_rejected() {
-        let repr = UdpRepr { src_port: 1, dst_port: 2 };
-        let mut buf = Vec::new();
-        repr.emit(&mut buf, b"hello", &v4());
-        buf[4] = 0xff; // length far beyond the buffer
-        assert_eq!(UdpRepr::parse(&buf, &v4()).unwrap_err(), Error::BadLength);
-        assert_eq!(UdpRepr::parse(&buf[..4], &v4()).unwrap_err(), Error::Truncated);
-    }
 }

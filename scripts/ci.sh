@@ -29,8 +29,8 @@ else
     echo "notice: cargo-llvm-cov not installed; skipping coverage floor" >&2
 fi
 
-# Never-panic fuzz soak: every untrusted-input decoder (wire, WAL tail
-# scanner, PHNX envelope, datastore codec) reads CAMPUSLAB_FUZZ_CASES and
+# Never-panic fuzz soak: every untrusted-input decoder (wire's DNS codec,
+# WAL tail scanner, PHNX envelope, datastore codec) reads CAMPUSLAB_FUZZ_CASES and
 # takes 10k seeded cases. By whole package, not by test name: a name
 # filter that a rename turns into a silent no-op is not a gate. The rest
 # of each package rides along, which is also its release-mode run
