@@ -112,13 +112,14 @@ pub fn run() -> ObsBundle {
     let bank = without(&|c| c.bank.entries.clear());
     out.push_str(&format!(
         "\nwhat the image is made of:\n\
-         \x20 pending events: {} B ({} events, {:.1} B/event)\n\
+         \x20 pending events: {} B ({} events copied, {:.1} B/event; {} build-time roots referenced)\n\
          \x20 hook stack (guard, controller, pilot): {hooks} B\n\
          \x20 bank: {bank} B\n\
          \x20 rest (nodes, links, obs, envelope): {} B\n",
         events,
         image.net.events.len(),
         events as f64 / image.net.events.len().max(1) as f64,
+        image.net.referenced,
         bytes.len() - events - hooks - bank,
     ));
 

@@ -3,30 +3,37 @@
 //! A checkpoint is taken *between* [`Network::run`] calls — no event is
 //! mid-dispatch, no shard splice is live — and captures every bit of
 //! dynamic state that distinguishes this engine from one freshly built
-//! from the same topology: the pending event set (with canonical keys),
-//! per-direction link queues and their private RNG streams, fault-model
-//! state (including live Gilbert–Elliott channel state), node and network
-//! counters, and the Observatory sink.
+//! from the same topology and schedule: the pending events a rebuild
+//! cannot reproduce (with canonical keys), per-direction link queues and
+//! their private RNG streams, fault-model state (including live
+//! Gilbert–Elliott channel state), node and network counters, and the
+//! Observatory sink.
 //!
 //! Restore deliberately does NOT rebuild static topology (nodes, links,
 //! routes, taps are cheap and deterministic to reconstruct from the
-//! scenario); the caller rebuilds the same network shape and then applies
-//! the frozen dynamic state on top. The determinism contract then gives
-//! the strong property the CrashCart harness pins: running the remainder
-//! of the schedule on a thawed engine reproduces the uninterrupted run's
-//! observable output byte-for-byte.
+//! scenario), nor the build-time schedule: the caller rebuilds the same
+//! network shape *and* schedules the same injections, timers and chaos
+//! transitions before the first run, then applies the frozen dynamic
+//! state on top. The build-time roots still pending at the freeze are
+//! referenced by count and digest rather than copied, and restore keeps
+//! exactly those of the rebuilt engine's. The determinism contract then
+//! gives the strong property the CrashCart harness pins: running the
+//! remainder of the schedule on a thawed engine reproduces the
+//! uninterrupted run's observable output byte-for-byte.
 //!
 //! What is deliberately not captured:
+//! * the build-time schedule (rebuilt by the caller, verified by digest),
 //! * memoized route caches (rebuilt lazily, behavior-identical),
 //! * trait-object ingress filters (the control plane re-installs its own
 //!   filters from its own frozen state),
 //! * the shard report of the previous windowed run (diagnostics only).
 
 use crate::chaos::ChaosAction;
-use crate::event::{EventKey, EventQueue};
+use crate::event::{EventKey, CLASS_ROOT};
 use crate::link::{FrozenLink, LinkId};
 use crate::network::{Event, Network, NetStats};
 use crate::node::{NodeId, NodeStats};
+use crate::observe::chaos_index;
 use crate::time::SimTime;
 use campuslab_obs::ObsSink;
 use rand::rngs::StdRng;
@@ -77,16 +84,29 @@ pub struct FrozenNetwork {
     pub stats: NetStats,
     /// The Observatory value sink (schema is rebuilt by `NetObs::new`).
     pub obs: ObsSink,
-    /// Pending events in canonical key order. Packets ride by value.
+    /// Pending events a rebuild cannot reproduce, in canonical key order:
+    /// everything but the build-time roots. Packets ride by value.
     pub events: Vec<(EventKey, Event)>,
+    /// The root counter when the engine first ran: roots numbered below
+    /// it are the build-time schedule.
+    pub built_roots: u64,
+    /// Build-time roots still pending, left out of `events`: the last
+    /// `referenced` of the schedule in key order, since dispatch always
+    /// takes a key-ordered prefix.
+    pub referenced: u64,
+    /// FNV-1a digest of those roots (key, and what identifies each
+    /// stimulus), checked against the rebuilt engine's before anything is
+    /// restored.
+    pub referenced_digest: u64,
     pub nodes: Vec<FrozenNode>,
     pub links: Vec<FrozenLink>,
     pub tapped: Vec<bool>,
 }
 
 /// A frozen engine was offered to a network it was not taken from: node
-/// count, link count, seed, tap set or metric schema disagree, or a
-/// pending event names a node or link this topology does not have.
+/// count, link count, seed, tap set, metric schema or build-time schedule
+/// disagree, the network has already run, or a pending event names a node
+/// or link this topology does not have.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopologyMismatch;
 
@@ -98,33 +118,70 @@ impl std::fmt::Display for TopologyMismatch {
 
 impl std::error::Error for TopologyMismatch {}
 
+/// FNV-1a, taken a 64-bit word at a time, over what identifies each root
+/// stimulus, in the order given: its key, and an injection's node, packet
+/// id, destination address and ground-truth flow id, a timer's token or a
+/// chaos transition's action. Each step is a bijection of the running
+/// hash, so two lists that differ in one word never collide.
+fn root_digest<'a>(roots: impl IntoIterator<Item = &'a (EventKey, Event)>) -> u64 {
+    fn mix(hash: u64, word: u64) -> u64 {
+        (hash ^ word).wrapping_mul(0x0100_0000_01b3)
+    }
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for (key, event) in roots {
+        let words: [u64; 4] = match *event {
+            Event::Inject { node, ref packet } => [
+                node.0 as u64,
+                packet.id,
+                u64::from(u32::from(packet.network.dst)),
+                packet.truth.flow_id,
+            ],
+            Event::Timer { token } => [token, 0, 0, 0],
+            Event::Chaos { action } => {
+                let (element, factor) = match action {
+                    ChaosAction::NodeDown(n) | ChaosAction::NodeUp(n) => (n.0, 0.0),
+                    ChaosAction::LinkDown(l) | ChaosAction::LinkUp(l) | ChaosAction::BrownoutEnd(l) => (l.0, 0.0),
+                    ChaosAction::BrownoutStart { link, factor } => (link.0, factor),
+                };
+                [chaos_index(&action) as u64, element as u64, factor.to_bits(), 0]
+            }
+            Event::TxDone { .. } | Event::Arrive { .. } => [0; 4],
+        };
+        let key_words = [key.time.0, u64::from(key.class) << 32 | u64::from(key.lane), key.seq];
+        hash = key_words.into_iter().chain(words).fold(hash, mix);
+    }
+    hash
+}
+
 impl Network {
-    /// Freeze the engine's dynamic state. Non-destructive: the pending
-    /// event set is drained, cloned, and re-scheduled — the canonical key
-    /// order depends only on the key set, so subsequent pops are
-    /// unchanged.
+    /// Freeze the engine's dynamic state, leaving it untouched. Pending
+    /// root events numbered below the root counter of the first run are
+    /// the build-time schedule: they are referenced (count and digest),
+    /// not copied; a checkpoint before any run references every root.
     ///
     /// Panics if called while a shard splice is live (mid-sharded-window);
     /// checkpoints belong at run-call boundaries.
-    pub fn checkpoint(&mut self) -> FrozenNetwork {
+    pub fn checkpoint(&self) -> FrozenNetwork {
         assert!(
             self.splice.is_none(),
             "checkpoint must be taken at a quiescent barrier, not mid-shard-window"
         );
-        let now = self.queue.now();
-        let events = self.queue.drain_sorted();
-        // Put the queue back exactly as it was: the drained run is sorted,
-        // so every re-schedule hits the staged-lane fast path.
-        for (key, event) in &events {
-            self.queue.schedule(*key, event.clone());
-        }
+        let built_roots = self.built_roots.unwrap_or(self.root_seq);
+        let (referenced, copied): (Vec<_>, Vec<_>) = self
+            .queue
+            .sorted()
+            .into_iter()
+            .partition(|(key, _)| key.class == CLASS_ROOT && key.seq < built_roots);
         FrozenNetwork {
-            now,
+            now: self.queue.now(),
             seed: self.seed,
             root_seq: self.root_seq,
             stats: self.stats,
             obs: self.obs.sink.clone(),
-            events,
+            events: copied.into_iter().cloned().collect(),
+            built_roots,
+            referenced: referenced.len() as u64,
+            referenced_digest: root_digest(referenced),
             nodes: self
                 .nodes
                 .iter()
@@ -139,11 +196,13 @@ impl Network {
         }
     }
 
-    /// Whether `frozen` was taken from an engine of this one's shape: same
-    /// node, link and tap counts, same seed, a metric sink that fits, and
-    /// no pending event naming a node or link out of range. A CRC-valid
-    /// image from another scenario fails here instead of indexing out of
-    /// bounds mid-run.
+    /// Whether `frozen` was taken from an engine of this one's shape and
+    /// schedule: same node, link and tap counts, same seed, a metric sink
+    /// that fits, no pending event naming a node or link out of range —
+    /// and this engine has never run, numbered exactly the image's
+    /// build-time roots, and holds the referenced ones (by count and
+    /// digest). A CRC-valid image from another scenario fails here instead
+    /// of indexing out of bounds or resuming someone else's traffic.
     pub fn accepts(&self, frozen: &FrozenNetwork) -> bool {
         let node = |n: NodeId| n.0 < self.nodes.len();
         let link = |l: LinkId| l.0 < self.links.len();
@@ -164,13 +223,23 @@ impl Network {
                     | ChaosAction::BrownoutEnd(l) => link(l),
                 },
             })
+            && self.built_roots.is_none()
+            && self.root_seq == frozen.built_roots
+            && frozen.built_roots <= frozen.root_seq
+            && frozen.referenced <= self.queue.len() as u64
+            && {
+                // Never run: everything pending is a build-time root.
+                let pending = self.queue.sorted();
+                let suffix = &pending[pending.len() - frozen.referenced as usize..];
+                root_digest(suffix.iter().copied()) == frozen.referenced_digest
+            }
     }
 
     /// Apply a frozen state onto this engine, which must have been rebuilt
-    /// with the same static topology; an image [`Network::accepts`] turns
-    /// down is refused with the engine untouched. Ingress filters are NOT
-    /// restored here; the owner of each filter re-installs it from its own
-    /// thawed state.
+    /// with the same static topology and build-time schedule and not run;
+    /// an image [`Network::accepts`] turns down is refused with the engine
+    /// untouched. Ingress filters are NOT restored here; the owner of each
+    /// filter re-installs it from its own thawed state.
     pub fn restore(&mut self, frozen: FrozenNetwork) -> Result<(), TopologyMismatch> {
         assert!(self.splice.is_none(), "cannot restore into a live shard splice");
         if !self.accepts(&frozen) {
@@ -178,6 +247,7 @@ impl Network {
         }
         self.obs.thaw(frozen.obs).map_err(|_| TopologyMismatch)?;
         self.root_seq = frozen.root_seq;
+        self.built_roots = Some(frozen.built_roots);
         self.stats = frozen.stats;
         self.tapped = frozen.tapped;
         for (node, f) in self.nodes.iter_mut().zip(frozen.nodes) {
@@ -188,15 +258,14 @@ impl Network {
         for (link, f) in self.links.iter_mut().zip(frozen.links) {
             link.thaw(f);
         }
-        // Rebuild the pending set into a fresh queue: events are frozen in
-        // canonical order, so each schedule is an O(1) staged append, and
-        // the clock is advanced only after everything is in.
-        let mut queue = EventQueue::new();
+        // The frozen run dispatched a key-ordered prefix of the build-time
+        // schedule: drop it and keep the referenced suffix where it sits,
+        // then add the copied events; the clock moves only after that.
+        self.queue.keep_last(frozen.referenced as usize);
         for (key, event) in frozen.events {
-            queue.schedule(key, event);
+            self.queue.schedule(key, event);
         }
-        queue.set_now(frozen.now);
-        self.queue = queue;
+        self.queue.set_now(frozen.now);
         self.shard_report = None;
         Ok(())
     }
@@ -263,22 +332,30 @@ mod tests {
         assert_eq!(run_with_freeze(false), run_with_freeze(true));
     }
 
-    /// Freeze mid-run, thaw into a freshly built topology, finish both;
-    /// the thawed engine must match the uninterrupted one byte-for-byte.
-    #[test]
-    fn restore_resumes_identically() {
+    /// The 400 + 100 packet schedule `restore_resumes_identically` runs.
+    fn scheduled_net() -> (Network, NodeId) {
         let (mut net, h1) = lossy_net();
         blast(&mut net, h1, 0, 400);
         // Leave future stimuli pending across the barrier too.
         blast(&mut net, h1, 3_000, 100);
+        (net, h1)
+    }
+
+    /// Freeze mid-run, thaw into a freshly built topology carrying the
+    /// same schedule, finish both; the thawed engine must match the
+    /// uninterrupted one byte-for-byte.
+    #[test]
+    fn restore_resumes_identically() {
+        let (mut net, _) = scheduled_net();
         net.run(&mut crate::network::NullHooks, Some(SimTime::from_millis(2)));
         let frozen = net.checkpoint();
+        assert!(frozen.referenced > 0, "the barrier leaves build-time roots pending");
 
         // The run resumes from the binary form, which is what a crash leaves.
         let thawed: FrozenNetwork = serde::bin::from_slice(&serde::bin::to_vec(&frozen)).unwrap();
         assert_eq!(frozen, thawed);
 
-        let (mut fresh, _) = lossy_net();
+        let (mut fresh, _) = scheduled_net();
         fresh.restore(thawed).unwrap();
         assert_eq!(fresh.now(), net.now());
 
@@ -322,17 +399,21 @@ mod tests {
         }
     }
 
-    /// A well-formed image from another topology — or one whose pending
-    /// events name a node or link this one lacks — is refused, and every
-    /// refusal leaves the engine as it was.
+    /// A well-formed image from another topology or schedule — or one
+    /// whose pending events name a node or link this one lacks — is
+    /// refused, and every refusal leaves the engine as it was.
     #[test]
     fn restore_refuses_an_image_that_does_not_fit() {
-        let (mut net, h1) = lossy_net();
-        blast(&mut net, h1, 0, 50);
+        let build = || {
+            let (mut net, h1) = lossy_net();
+            blast(&mut net, h1, 0, 50);
+            net
+        };
+        let mut net = build();
         net.run(&mut crate::network::NullHooks, Some(SimTime::from_millis(1)));
         let good = net.checkpoint();
         let late = EventKey::root(SimTime::from_secs(9), u64::MAX);
-        let doctors: [fn(&mut FrozenNetwork, EventKey); 7] = [
+        let doctors: [fn(&mut FrozenNetwork, EventKey); 10] = [
             |f, _| drop(f.nodes.pop()),
             |f, _| drop(f.links.pop()),
             |f, _| f.tapped.push(false),
@@ -340,8 +421,11 @@ mod tests {
             |f, _| f.obs = campuslab_obs::Registry::new().sink(),
             |f, k| f.events.push((k, Event::TxDone { link: LinkId(2), dir: crate::link::Dir::AtoB })),
             |f, k| f.events.push((k, Event::Chaos { action: ChaosAction::NodeUp(NodeId(3)) })),
+            |f, _| f.built_roots += 1,
+            |f, _| f.referenced += 1,
+            |f, _| f.referenced_digest ^= 1,
         ];
-        let (mut fresh, _) = lossy_net();
+        let mut fresh = build();
         let untouched = fresh.checkpoint();
         for (i, doctor) in doctors.iter().enumerate() {
             let mut image = good.clone();
@@ -350,6 +434,41 @@ mod tests {
         }
         assert_eq!(fresh.checkpoint(), untouched);
         assert_eq!(fresh.restore(good), Ok(()));
+    }
+
+    /// Before any run every pending root is build-time: the image copies
+    /// no event, and the rebuilt engine keeps its whole schedule.
+    #[test]
+    fn a_checkpoint_before_any_run_references_every_root() {
+        let (mut net, _) = scheduled_net();
+        let image = net.checkpoint();
+        assert_eq!((image.events.len(), image.referenced), (0, 500));
+        let (mut fresh, _) = scheduled_net();
+        fresh.restore(image).unwrap();
+        net.run(&mut crate::network::NullHooks, None);
+        fresh.run(&mut crate::network::NullHooks, None);
+        assert_eq!(net.stats, fresh.stats);
+        assert_eq!(net.obs.render(), fresh.obs.render());
+    }
+
+    /// An engine that has run — even one that only restored an image — is
+    /// no restore target: its pending set is no longer the build-time
+    /// schedule. The refusal leaves it exactly as it was.
+    #[test]
+    fn restore_refuses_an_engine_that_has_run() {
+        let (mut net, _) = scheduled_net();
+        net.run(&mut crate::network::NullHooks, Some(SimTime::from_millis(1)));
+        let image = net.checkpoint();
+
+        let (mut ran, _) = scheduled_net();
+        ran.run(&mut crate::network::NullHooks, Some(SimTime::from_micros(500)));
+        let before = ran.checkpoint();
+        assert_eq!(ran.restore(image.clone()), Err(TopologyMismatch));
+        assert_eq!(ran.checkpoint(), before);
+
+        let (mut restored, _) = scheduled_net();
+        assert_eq!(restored.restore(image.clone()), Ok(()));
+        assert_eq!(restored.restore(image), Err(TopologyMismatch));
     }
 
     /// Restoring with pending chaos transitions and node/link fault state.
@@ -369,8 +488,8 @@ mod tests {
         assert!(net.nodes[1].forced_down, "chaos transition must be live at the barrier");
 
         let (mut fresh, _) = build();
-        // Fresh copy has different pending events (chaos from build());
-        // restore overwrites the whole pending set.
+        // The fresh copy holds the whole build-time schedule; restore keeps
+        // the part still pending at the barrier.
         fresh.restore(frozen).unwrap();
         net.run(&mut crate::network::NullHooks, None);
         fresh.run(&mut crate::network::NullHooks, None);

@@ -15,9 +15,10 @@
 //!   The entire pre-run injection schedule (hundreds of thousands of
 //!   events, arriving sorted by time) lands here and never touches a heap.
 //! * `far` — a 4-ary min-heap holding every other schedule: the
-//!   mid-run `now + (transmission + propagation)` events. Only the
-//!   packets in flight are pending at once, so it stays small (at most
-//!   464 events over the ledger's campus day).
+//!   mid-run arrivals and transmit-completes. Only the packets in flight
+//!   and one transmit-complete per backlogged link direction are pending
+//!   at once, so it stays small (at most 461 events over the ledger's
+//!   campus day).
 //!
 //! A timing wheel (1 µs slots × 4,096, an occupancy bitmap, slots sorted
 //! and merged as the clock reached them) used to sit between the two. It
@@ -39,7 +40,8 @@ const ARITY: usize = 4;
 /// are numbered by one per-network counter in program order.
 pub const CLASS_ROOT: u8 = 0;
 
-/// Event class of transmit-complete events (one per transmission).
+/// Event class of transmit-complete events: one per transmission that a
+/// packet waits behind, none where the queue is empty when it starts.
 pub const CLASS_TX_DONE: u8 = 1;
 
 /// Event class of arrival events (one per transmission, after the wire).
@@ -183,6 +185,34 @@ impl<E> EventQueue<E> {
         all.append(&mut self.far);
         all.sort_unstable_by_key(|e| e.0);
         all
+    }
+
+    /// Every pending entry, in key order, left in place: the staged lane
+    /// is already sorted, so only the far lane is sorted before the merge.
+    pub(crate) fn sorted(&self) -> Vec<&(EventKey, E)> {
+        let mut far: Vec<&(EventKey, E)> = self.far.iter().collect();
+        far.sort_unstable_by_key(|e| e.0);
+        let mut all = Vec::with_capacity(self.len());
+        let mut far = far.into_iter().peekable();
+        for staged in &self.staged {
+            while let Some(f) = far.next_if(|f| f.0 < staged.0) {
+                all.push(f);
+            }
+            all.push(staged);
+        }
+        all.extend(far);
+        all
+    }
+
+    /// Drop every pending event but the `keep` greatest, leaving the
+    /// clock where it is.
+    pub(crate) fn keep_last(&mut self, keep: usize) {
+        while self.len() > keep {
+            match self.front() {
+                Some((_, true)) => drop(self.staged.pop_front()),
+                _ => drop(self.pop_far()),
+            }
+        }
     }
 
     /// The least pending key, and whether it heads the staged lane.
@@ -369,7 +399,9 @@ mod proptests {
         /// interleaved with schedules at `now` or later in three states:
         /// the staged lane still holding the up-front batch, the staged
         /// lane just emptied, and the queue refilled from `drain_sorted`
-        /// mid-run (what a checkpoint does).
+        /// mid-run (what the sharded engine's reassembly does). `sorted`
+        /// lists the same order in place, and `keep_last` leaves exactly
+        /// the greatest keys (what a restore does).
         #[test]
         fn pops_follow_canonical_key_order(
             batch in proptest::collection::vec((0u64..20_000_000, 0u8..3, 0u32..8), 1..300),
@@ -385,13 +417,20 @@ mod proptests {
                 m.pop();
             }
             m.interleave(&ops);
+            let listed: Vec<EventKey> = m.q.sorted().into_iter().map(|(k, _)| *k).collect();
             let drained: Vec<EventKey> = m.q.drain_sorted().into_iter().map(|(k, _)| k).collect();
             prop_assert!(m.q.is_empty());
             prop_assert_eq!(&drained, &m.pending.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(&listed, &drained);
             for key in drained {
                 m.q.schedule(key, key.seq);
             }
             m.interleave(&ops);
+            let keep = m.pending.len() / 2;
+            while m.pending.len() > keep {
+                m.pending.pop_first();
+            }
+            m.q.keep_last(keep);
             while m.pop().is_some() {}
         }
     }

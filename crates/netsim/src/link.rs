@@ -63,8 +63,9 @@ pub struct DirQueue {
     /// Live Gilbert–Elliott channel state, synced from the installed
     /// `FaultModel::burst` template on first use / parameter change.
     burst: Option<GilbertElliott>,
-    /// Transmissions started in this direction; numbers the canonical
-    /// (tx_done, arrive) event pair of each transmission.
+    /// Transmissions started in this direction; numbers each
+    /// transmission's canonical arrive event, and the transmit-complete
+    /// that ends it when a packet waits behind it.
     tx_seq: u64,
 }
 
@@ -369,8 +370,9 @@ impl Link {
     /// randomness (loss) from that direction's private stream.
     ///
     /// Returns what happened; when `StartedTransmit` is returned the caller
-    /// must schedule `tx_done` at `now + serialization` and delivery at
-    /// `now + serialization + propagation`.
+    /// starts the transmission ([`Link::start_transmit`]), and when `Queued`
+    /// leaves the packet alone in the queue ([`Link::lone_waiter`]) the
+    /// caller schedules the transmit-complete that will send it.
     pub fn offer(&mut self, dir: Dir, pkt: Box<Packet>, now: SimTime) -> Offer {
         let q = &mut self.queues[dir.index()];
         if self.fault.should_drop(now, q) {
@@ -396,8 +398,9 @@ impl Link {
     /// Begin transmitting the head-of-line packet at `now`, returning the
     /// packet, its serialization time, total one-way latency, and this
     /// transmission's per-direction ordinal (the canonical event `seq`).
-    /// The caller schedules the corresponding `tx_done` and delivery
-    /// events.
+    /// The caller schedules the delivery, and the transmit-complete at
+    /// `now + serialization` only when a packet still waits
+    /// ([`Link::has_backlog`]).
     pub fn start_transmit(
         &mut self,
         dir: Dir,
@@ -431,6 +434,14 @@ impl Link {
     /// True when packets are waiting in `dir`.
     pub fn has_backlog(&self, dir: Dir) -> bool {
         !self.queues[dir.index()].packets.is_empty()
+    }
+
+    /// When exactly one packet waits in `dir`: the instant the transmitter
+    /// frees up and the ordinal of the transmission occupying it — the
+    /// time and `seq` of the transmit-complete that will send the waiter.
+    pub fn lone_waiter(&self, dir: Dir) -> Option<(SimTime, u64)> {
+        let q = &self.queues[dir.index()];
+        (q.packets.len() == 1).then(|| (q.busy_until, q.tx_seq - 1))
     }
 
     /// Bytes currently queued in `dir`.

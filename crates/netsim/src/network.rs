@@ -190,6 +190,11 @@ pub struct Network {
     /// numbered in program order, which is the canonical tie-break for
     /// simultaneous stimuli.
     pub(crate) root_seq: u64,
+    /// `root_seq` when the engine first ran: the roots numbered below it
+    /// are the build-time schedule, which a rebuild reproduces and a
+    /// checkpoint therefore references instead of copying. `None` until
+    /// the first run (or restore).
+    pub(crate) built_roots: Option<u64>,
     /// Present only while this network runs as one shard of a sharded
     /// execution: cross-shard routing tables and the outbox (see
     /// `crate::shard`).
@@ -213,6 +218,7 @@ impl Network {
             tapped: Vec::new(),
             seed,
             root_seq: 0,
+            built_roots: None,
             splice: None,
             shard_report: None,
             stats: NetStats::default(),
@@ -345,11 +351,15 @@ impl Network {
     /// The single-queue event loop: what [`Network::run`] is, under the
     /// name differentials against [`Network::run_sharded`] call it by.
     pub fn run_sequential(&mut self, hooks: &mut dyn SimHooks, until: Option<SimTime>) {
+        self.built_roots.get_or_insert(self.root_seq);
         let mut cmds = Commands::default();
+        let mut events = 0;
         while let Some((key, event)) = self.queue.pop_if(|k| until.is_none_or(|u| k.time <= u)) {
             self.dispatch(key.time, event, hooks, &mut cmds);
+            events += 1;
             self.apply(std::mem::take(&mut cmds.items));
         }
+        self.obs.on_events(events);
     }
 
     /// Timestamp of the next pending event, or `None` when the queue is
@@ -376,8 +386,9 @@ impl Network {
         }
     }
 
+    /// Handle one popped event; the caller books it on `obs`
+    /// (`NetObs::on_events`).
     pub(crate) fn dispatch(&mut self, now: SimTime, event: Event, hooks: &mut dyn SimHooks, cmds: &mut Commands) {
-        self.obs.on_event();
         match event {
             Event::Inject { node, mut packet } => {
                 self.stats.injected += 1;
@@ -391,9 +402,8 @@ impl Network {
                 self.forward(now, node, packet, hooks, cmds);
             }
             Event::TxDone { link, dir } => {
-                if self.links[link.0].has_backlog(dir) {
-                    self.begin_transmission(now, link, dir);
-                }
+                debug_assert!(self.links[link.0].has_backlog(dir), "a transmit-complete with nothing waiting");
+                self.begin_transmission(now, link, dir);
             }
             Event::Arrive { link, dir, packet } => {
                 if self.tapped[link.0] {
@@ -498,7 +508,15 @@ impl Network {
                 self.begin_transmission(now, link_id, dir);
             }
             Offer::Queued => {
-                self.obs.on_enqueue_depth(self.links[link_id.0].queued_bytes(dir) as u64);
+                let link = &self.links[link_id.0];
+                self.obs.on_enqueue_depth(link.queued_bytes(dir) as u64);
+                // The first packet to wait behind a busy transmitter asks
+                // for its transmit-complete, under the key the transmission
+                // occupying the wire would have scheduled it with.
+                if let Some((free_at, seq)) = link.lone_waiter(dir) {
+                    let lane = (link_id.0 * 2 + dir.index()) as u32;
+                    self.queue.schedule(EventKey::tx_done(free_at, lane, seq), Event::TxDone { link: link_id, dir });
+                }
             }
             Offer::DroppedQueue(p) => self.drop_packet(now, node, DropReason::Queue, p, hooks, cmds),
             Offer::DroppedFault(p) => self.drop_packet(now, node, DropReason::Fault, p, hooks, cmds),
@@ -508,14 +526,18 @@ impl Network {
     fn begin_transmission(&mut self, now: SimTime, link: LinkId, dir: Dir) {
         if let Some((packet, tx, total, seq)) = self.links[link.0].start_transmit(dir, now) {
             let lane = (link.0 * 2 + dir.index()) as u32;
-            self.queue
-                .schedule(EventKey::tx_done(now + tx, lane, seq), Event::TxDone { link, dir });
+            // A transmit-complete exists only to send the next packet, so
+            // a direction has one pending exactly while packets wait in it.
+            if self.links[link.0].has_backlog(dir) {
+                self.queue
+                    .schedule(EventKey::tx_done(now + tx, lane, seq), Event::TxDone { link, dir });
+            }
             let key = EventKey::arrive(now + total, lane, seq);
             if let Some(sp) = self.splice.as_mut() {
                 // Cross-shard wire: the arrival belongs to the receiving
-                // shard and is exchanged at the window barrier. The
-                // transmit-complete above stays local (the transmitter is
-                // ours either way).
+                // shard and is exchanged at the window barrier. A
+                // transmit-complete stays local (the transmitter is ours
+                // either way).
                 if let Some(dst_shard) = sp.remote_shard(lane) {
                     sp.outbox.push(crate::shard::CrossPacket {
                         dst_shard,
@@ -596,6 +618,32 @@ mod tests {
         assert_eq!(net.node(h2).stats.received, 1);
         // Two 8 us serializations + two 10 us propagations = 36 us.
         assert_eq!(stats.latency_sum, SimDuration::from_micros(36));
+    }
+
+    /// An idle path costs one event per stimulus and per hop: the
+    /// injection and two arrivals, no transmit-complete.
+    #[test]
+    fn one_packet_over_two_idle_links_is_three_events() {
+        let (mut net, h1, _, _, _, _) = tiny_net();
+        net.inject(SimTime::ZERO, h1, test_packet(958));
+        assert_eq!(net.run_to_completion().delivered, 1);
+        assert_eq!(net.obs.event_seq(), 3);
+    }
+
+    /// A transmit-complete is scheduled exactly once per packet that waits
+    /// behind a busy transmitter. Here `k` packets queue at h1 (the switch
+    /// link drains at the rate they arrive, so none waits there): 3 events
+    /// per packet plus one per waiter.
+    #[test]
+    fn each_waiting_packet_costs_one_transmit_complete() {
+        for k in [1u64, 2, 5, 40] {
+            let (mut net, h1, _, _, _, _) = tiny_net();
+            for _ in 0..=k {
+                net.inject(SimTime::ZERO, h1, test_packet(958));
+            }
+            assert_eq!(net.run_to_completion().delivered, k + 1);
+            assert_eq!(net.obs.event_seq(), 3 * (k + 1) + k, "{k} waiters");
+        }
     }
 
     #[test]

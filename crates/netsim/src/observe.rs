@@ -76,10 +76,12 @@ pub fn chaos_index(action: &ChaosAction) -> usize {
 }
 
 impl NetObs {
-    /// One event popped off the simulator queue.
+    /// `n` events popped off the simulator queue. The loops count in a
+    /// local and book the total once per run call (or window), so the
+    /// per-event cost of the counter is a register increment.
     #[inline]
-    pub(crate) fn on_event(&mut self) {
-        self.sink.inc(self.event_seq);
+    pub(crate) fn on_events(&mut self, n: u64) {
+        self.sink.add(self.event_seq, n);
     }
 
     #[inline]

@@ -15,7 +15,8 @@
 //! [`ShardReport::fell_back`]). What it keeps is the count that decided
 //! that — [`ShardReport::work_events`] over [`ShardReport::span_events`]
 //! is the speed-up a perfect executor with free barriers could reach, and
-//! on the campus it is 1.18–1.38× at 8 shards (DESIGN.md §11).
+//! on the campus ledger day it is 1.41× at 8 shards (1.18× with hooks,
+//! when the engine still carried them; DESIGN.md §11).
 //!
 //! # The determinism contract
 //!
@@ -242,6 +243,7 @@ fn run_window(net: &mut Network, cap: u64) -> u64 {
         net.dispatch(key.time, ev, &mut NullHooks, &mut cmds);
         events += 1;
     }
+    net.obs.on_events(events);
     events
 }
 
@@ -294,6 +296,7 @@ impl Network {
     /// engine is hook-free) or when the simulation cannot be partitioned
     /// (packets already in flight).
     pub fn run_sharded(&mut self, hooks: &mut dyn SimHooks, until: Option<SimTime>, shards: usize) {
+        self.built_roots.get_or_insert(self.root_seq);
         // The engine calls no hooks, and splitting moves per-direction link
         // state between networks, which is only sound while no packet is
         // queued or on the wire.
@@ -493,6 +496,7 @@ impl Network {
             if src == usize::MAX {
                 let chaos = if let Event::Chaos { action } = &ev { Some(*action) } else { None };
                 self.dispatch(key.time, ev, &mut NullHooks, &mut cmds);
+                self.obs.on_events(1);
                 if let Some(action) = chaos {
                     // Fault state is replicated: every shard's copy of the
                     // affected element flips, but telemetry counts once
@@ -503,6 +507,7 @@ impl Network {
                 }
             } else {
                 shards[src].dispatch(key.time, ev, &mut NullHooks, &mut cmds);
+                shards[src].obs.on_events(1);
             }
         }
         events

@@ -1,8 +1,10 @@
-//! Allocation-count gate for the event loop. Injecting a campus day and
-//! running it with no observers allocates at most twice per packet: the
-//! packet's own `Box`, plus the amortised growth of the event queue and
-//! the link buffers. The counting allocator is process-wide, so this
-//! binary holds exactly one test.
+//! Allocation- and event-count gate for the event loop. Injecting a
+//! campus day and running it with no observers allocates at most twice per
+//! packet: the packet's own `Box`, plus the amortised growth of the event
+//! queue and the link buffers. The events it dispatches are pinned
+//! exactly: an injection and one arrival per hop, plus a transmit-complete
+//! only for a packet that waited behind a busy transmitter. The counting
+//! allocator is process-wide, so this binary holds exactly one test.
 
 use campuslab_netsim::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -94,4 +96,7 @@ fn inject_and_run_allocate_at_most_twice_per_packet() {
     let per_packet = allocations as f64 / PACKETS as f64;
     println!("inject + run: {allocations} allocations for {PACKETS} packets = {per_packet:.3} per packet");
     assert!(per_packet <= 2.0, "{per_packet:.3} allocations per packet (limit 2)");
+    let events = campus.net.obs.event_seq();
+    println!("{events} events for {} delivered = {:.2} per packet", stats.delivered, events as f64 / stats.delivered as f64);
+    assert_eq!(events, 273_643, "events dispatched over the day");
 }

@@ -157,7 +157,9 @@ impl Histogram {
     }
 
     /// Index of the bucket `value` lands in: the first bound `>= value`,
-    /// or the `+Inf` bucket.
+    /// or the `+Inf` bucket. Inlined across crates: every `observe` on the
+    /// event loop's histograms runs it.
+    #[inline]
     pub fn bucket_for(&self, value: u64) -> usize {
         // Bucket vectors here are short (<= ~16 bounds); a linear scan
         // beats binary search and keeps the fast path branch-predictable.

@@ -22,16 +22,17 @@ use campuslab_obs::crc32;
 /// variant added, removed or reordered — bumps it; a decoder seeing
 /// another version (v1 was a JSON payload) reports
 /// [`PhoenixError::VersionSkew`] instead of guessing.
-pub const PHOENIX_VERSION: u32 = 4;
+pub const PHOENIX_VERSION: u32 = 5;
 
 /// What [`PHOENIX_VERSION`] currently means, as bytes: `(crc32, length)` of
 /// the envelope the crash-test drift session (`tests::cheap_session`)
 /// leaves at 1.5 s. `image_layout_is_pinned_to_its_version` fails when a
-/// layout change moves either without a version bump and a re-pin. v4
-/// removed from every pending packet the two MAC addresses, the network
-/// header's variant tag, the IPv4 protocol, DSCP, identification, DF bit
-/// and payload length, and the TCP window.
-pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0x985e_8bc1, 8_470_570);
+/// layout change moves either without a version bump and a re-pin. v5
+/// stopped copying the build-time injections, timers and chaos
+/// transitions still pending (a rebuilt session holds them; the image
+/// names how many and their digest), and the transmit-complete of every
+/// transmission nothing waits behind is no longer an event at all.
+pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0xc9c0_f508, 1_236_583);
 
 /// Envelope magic: the first four bytes of every encoded checkpoint.
 pub const PHOENIX_MAGIC: [u8; 4] = *b"PHNX";
@@ -488,6 +489,36 @@ mod tests {
         assert_eq!(fingerprint(&revived.finish()), cart.uninterrupted());
     }
 
+    /// Nor does it vouch for the schedule: same campus, same network
+    /// seed, but another workload seed means other injections. The image
+    /// references its pending injections instead of carrying them, so a
+    /// session whose schedule differs must refuse it — and the refusal
+    /// leaves that session free to restore its own image exactly.
+    #[test]
+    fn restore_refuses_an_image_from_another_workload() {
+        use crate::session::SliceFreezeError;
+        let mut elsewhere = cheap_session();
+        elsewhere.run_until(SimTime::from_millis(1_500));
+        let foreign = encode_checkpoint(&elsewhere.checkpoint());
+
+        let other_traffic = || {
+            let mut scenario = cheap_scenario();
+            scenario.workload.seed += 1;
+            session_on(&scenario)
+        };
+        let cart = CrashCart::new(other_traffic, SimDuration::from_secs(1));
+        let mut revived: Session = other_traffic().into();
+        assert_eq!(
+            revived.restore(decode_checkpoint(&foreign).unwrap()).err(),
+            Some(SliceFreezeError::JobMismatch)
+        );
+        let mut own = other_traffic();
+        own.run_until(SimTime::from_millis(1_500));
+        revived.restore(own.checkpoint()).expect("its own image fits");
+        revived.run_to_end();
+        assert_eq!(fingerprint(&revived.finish()), cart.uninterrupted());
+    }
+
     #[test]
     fn decoder_rejects_bad_magic_version_skew_and_short_input() {
         let mut session = cheap_session();
@@ -517,14 +548,23 @@ mod tests {
             })
         );
 
-        // A v3 header on this payload: the frame-field layout (MACs, IPv4
-        // protocol/identification, TCP window), refused by its version
-        // word whatever the bytes behind it would decode to.
+        // A v4 header on this payload: the layout that copied every
+        // pending build-time injection, refused by its version word
+        // whatever the bytes behind it would decode to.
+        let mut v4 = bytes.clone();
+        v4[4..8].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(
+            decode_checkpoint(&v4).err(),
+            Some(PhoenixError::VersionSkew { found: 4, supported: 5 })
+        );
+
+        // A v3 header: the frame-field layout (MACs, IPv4
+        // protocol/identification, TCP window), refused the same way.
         let mut v3 = bytes.clone();
         v3[4..8].copy_from_slice(&3u32.to_le_bytes());
         assert_eq!(
             decode_checkpoint(&v3).err(),
-            Some(PhoenixError::VersionSkew { found: 3, supported: 4 })
+            Some(PhoenixError::VersionSkew { found: 3, supported: PHOENIX_VERSION })
         );
 
         // A v2 header: the RED-era layout, refused the same way.
