@@ -59,24 +59,32 @@ pub struct BudgetLedger {
     releases: Vec<NoisedValue>,
 }
 
-/// Why a release was refused.
+/// Why a release was refused. The ledger is left untouched either way.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BudgetExhausted {
-    pub requested: f64,
-    pub remaining: f64,
+pub enum ReleaseRefused {
+    /// The release's ε is not a finite positive number. A negative ε would
+    /// refund budget and a NaN would poison the ledger for good, and
+    /// `NoisedValue`'s fields are public, so the ledger checks.
+    InvalidEpsilon(f64),
+    /// The remaining budget cannot cover the release.
+    Exhausted { requested: f64, remaining: f64 },
 }
 
-impl std::fmt::Display for BudgetExhausted {
+impl std::fmt::Display for ReleaseRefused {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "privacy budget exhausted: requested eps={}, remaining eps={}",
-            self.requested, self.remaining
-        )
+        match self {
+            ReleaseRefused::InvalidEpsilon(eps) => {
+                write!(f, "invalid release: eps={eps} is not a finite positive number")
+            }
+            ReleaseRefused::Exhausted { requested, remaining } => write!(
+                f,
+                "privacy budget exhausted: requested eps={requested}, remaining eps={remaining}"
+            ),
+        }
     }
 }
 
-impl std::error::Error for BudgetExhausted {}
+impl std::error::Error for ReleaseRefused {}
 
 impl BudgetLedger {
     /// A ledger with a total ε budget.
@@ -90,15 +98,17 @@ impl BudgetLedger {
         (self.total_epsilon - self.spent).max(0.0)
     }
 
-    /// Record a release, debiting its ε; refuses when the budget is gone.
-    pub fn record(&mut self, release: NoisedValue) -> Result<&NoisedValue, BudgetExhausted> {
-        if release.epsilon_spent > self.remaining() + 1e-12 {
-            return Err(BudgetExhausted {
-                requested: release.epsilon_spent,
-                remaining: self.remaining(),
-            });
+    /// Record a release, debiting its ε; refuses an ε that is not finite
+    /// and positive, and any release once the budget is gone.
+    pub fn record(&mut self, release: NoisedValue) -> Result<&NoisedValue, ReleaseRefused> {
+        let eps = release.epsilon_spent;
+        if !(eps.is_finite() && eps > 0.0) {
+            return Err(ReleaseRefused::InvalidEpsilon(eps));
         }
-        self.spent += release.epsilon_spent;
+        if eps > self.remaining() + 1e-12 {
+            return Err(ReleaseRefused::Exhausted { requested: eps, remaining: self.remaining() });
+        }
+        self.spent += eps;
         self.releases.push(release);
         Ok(self.releases.last().expect("just pushed"))
     }
@@ -155,8 +165,33 @@ mod tests {
         assert!(ledger.record(m.release_count("a", 10, 1)).is_ok());
         assert!(ledger.record(m.release_count("b", 20, 2)).is_ok());
         let err = ledger.record(m.release_count("c", 30, 3)).unwrap_err();
-        assert!(err.remaining < 1e-9);
+        assert!(matches!(err, ReleaseRefused::Exhausted { remaining, .. } if remaining < 1e-9));
         assert_eq!(ledger.releases().len(), 2);
         assert!(err.to_string().contains("exhausted"));
+    }
+
+    /// A negative ε used to be debited (refunding budget: 1.0 became 1.5
+    /// remaining) and a NaN left `spent` NaN for good.
+    #[test]
+    fn ledger_refuses_an_epsilon_that_is_not_finite_and_positive() {
+        let m = LaplaceMechanism::new(9, 0.25);
+        let mut ledger = BudgetLedger::new(1.0);
+        ledger.record(m.release_count("a", 10, 1)).unwrap();
+        for eps in [-0.5, 0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let forged = NoisedValue { epsilon_spent: eps, ..m.release_count("forged", 10, 2) };
+            let err = ledger.record(forged).unwrap_err();
+            assert!(matches!(err, ReleaseRefused::InvalidEpsilon(e) if e.to_bits() == eps.to_bits()));
+            assert!(err.to_string().contains("not a finite positive"), "{err}");
+            assert_eq!(ledger.remaining(), 0.75, "eps={eps} moved the budget");
+            assert_eq!(ledger.releases().len(), 1);
+        }
+        // The ledger still works: three more 0.25 releases fit, a fourth does not.
+        for n in 3..6 {
+            ledger.record(m.release_count("b", 10, n)).unwrap();
+        }
+        assert!(matches!(
+            ledger.record(m.release_count("c", 10, 6)),
+            Err(ReleaseRefused::Exhausted { .. })
+        ));
     }
 }

@@ -34,7 +34,7 @@ pub mod scrub;
 pub mod policy;
 pub mod dp;
 
-pub use dp::{BudgetExhausted, BudgetLedger, LaplaceMechanism, NoisedValue};
+pub use dp::{BudgetLedger, LaplaceMechanism, NoisedValue, ReleaseRefused};
 pub use cryptopan::{common_prefix_len_v4, common_prefix_len_v6, PrefixPreservingAnon};
 pub use policy::{AuditEntry, DataClass, PolicyEngine, Purpose, Role, Verdict};
 pub use scrub::{ScrubPolicy, Scrubber};

@@ -30,13 +30,15 @@ else
 fi
 
 # Never-panic fuzz soak: every untrusted-input decoder (wire's DNS codec,
-# WAL tail scanner, PHNX envelope, datastore codec) reads CAMPUSLAB_FUZZ_CASES and
-# takes 10k seeded cases. By whole package, not by test name: a name
+# WAL tail scanner, PHNX envelope, datastore codec) and every structure
+# keyed by untrusted input (the scrubber's address memo, checked against
+# its unmemoized oracle) reads CAMPUSLAB_FUZZ_CASES and takes 10k seeded
+# cases. By whole package, not by test name: a name
 # filter that a rename turns into a silent no-op is not a gate. The rest
 # of each package rides along, which is also its release-mode run
 # (kill-at-every-boundary, phoenix_diff, WAL recovery).
 CAMPUSLAB_FUZZ_CASES=10000 cargo test -q --release \
-    -p campuslab-wire -p campuslab-datastore -p campuslab-testbed
+    -p campuslab-wire -p campuslab-datastore -p campuslab-testbed -p campuslab-privacy
 
 # Executor matrix, release. The workspace run above was the unset row in
 # debug; this is it optimised. golden_replay itself sets CAMPUSLAB_JOBS
