@@ -7,12 +7,12 @@
 
 use crate::obs_export::ObsBundle;
 use crate::table::{f, pct, Table};
+use campuslab::control::{DevLoopConfig, Teacher};
 use campuslab::dataplane::{compile_tree, CompileConfig, PipelineProgram, SwitchModel};
-use campuslab::features::{packet_dataset, LabelMode};
-use campuslab::ml::{ConfusionMatrix, ForestConfig, RandomForest, TreeConfig};
+use campuslab::features::LabelMode;
+use campuslab::ml::TreeConfig;
 use campuslab::testbed::{collect, AttackScenario, Scenario};
-use campuslab::xai::{distill, DistillConfig};
-use rand::SeedableRng;
+use campuslab::xai::DistillConfig;
 
 /// Run the experiment and render its report.
 pub fn run() -> ObsBundle {
@@ -22,17 +22,19 @@ pub fn run() -> ObsBundle {
     scenario.workload.duration = campuslab::netsim::SimDuration::from_secs(10);
     let data = collect(&scenario);
 
-    let dataset = packet_dataset(&data.packets, LabelMode::AttackKind);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xE12);
-    let (train, test) = dataset.split_shuffled(0.7, &mut rng);
-    let train = train.balance(4.0, &mut rng);
-    let teacher = RandomForest::fit(&train, ForestConfig::default());
-    let (student, report) = distill(
-        &teacher,
-        &train,
-        DistillConfig { tree: TreeConfig::shallow(8), ..Default::default() },
+    let teacher = Teacher::fit(
+        &data.packets,
+        &DevLoopConfig {
+            label_mode: LabelMode::AttackKind,
+            shuffle_split: true,
+            balance_ratio: Some(4.0),
+            seed: 0xE12,
+            ..Default::default()
+        },
     );
-    let cm = ConfusionMatrix::evaluate(&student, &test);
+    let student =
+        teacher.extract(DistillConfig { tree: TreeConfig::shallow(8), ..Default::default() });
+    let (test, cm, report) = (&teacher.test, &student.cm, &student.report);
 
     let mut t = Table::new(&["class", "test rows", "precision", "recall", "F1"]);
     for class in 0..6usize {
@@ -61,7 +63,7 @@ pub fn run() -> ObsBundle {
     let programs: Vec<PipelineProgram> = (1..=5usize)
         .map(|kind| {
             compile_tree(
-                &student,
+                &student.tree,
                 CompileConfig { drop_class: kind, confidence_gate: 0.8, min_support: 1 },
                 LabelMode::AttackKind.class_name(kind),
             )

@@ -7,29 +7,58 @@
 
 use crate::obs_export::ObsBundle;
 use crate::table::{f, pct, Table};
-use campuslab::control::Placement;
+use campuslab::control::{DevLoopConfig, Placement, Teacher};
+use campuslab::dataplane::{compile_tree, CompileConfig, CompileReport, PipelineProgram};
+use campuslab::features::{packet_dataset, LabelMode};
+use campuslab::ml::{DecisionTree, TreeConfig};
 use campuslab::obs::Tracer;
-use campuslab::control::{run_development_loop, DevLoopConfig};
-use campuslab::dataplane::CompileConfig;
-use campuslab::ml::TreeConfig;
-use campuslab::testbed::{road_test, RoadTestConfig, Scenario};
+use campuslab::testbed::{road_test, CollectedData, RoadTestConfig, Scenario};
 use campuslab::xai::DistillConfig;
 
 const GATES: [f64; 6] = [0.5, 0.7, 0.8, 0.9, 0.95, 0.99];
+
+/// Compile one model at every gate, road-test each program on the switch
+/// and tabulate the outcomes.
+fn gate_sweep(
+    scenario: &Scenario,
+    compile: impl Fn(CompileConfig) -> (PipelineProgram, CompileReport),
+) -> String {
+    let mut t = Table::new(&[
+        "gate",
+        "TCAM entries",
+        "leaves gated out",
+        "suppression",
+        "attack passed",
+        "benign dropped",
+        "drop precision",
+    ]);
+    for gate in GATES {
+        let (program, report) = compile(CompileConfig { confidence_gate: gate, ..Default::default() });
+        let outcome = road_test(
+            scenario,
+            program,
+            None,
+            RoadTestConfig { placement: Placement::Switch, ..Default::default() },
+        );
+        t.row(vec![
+            f(gate, 2),
+            report.tcam_entries.to_string(),
+            report.leaves_gated_out.to_string(),
+            pct(outcome.suppression()),
+            outcome.attack_packets_passed.to_string(),
+            outcome.benign_packets_dropped.to_string(),
+            pct(outcome.filter.drop_precision()),
+        ]);
+    }
+    t.render()
+}
 
 /// Sweep (b): a tree fit directly on ground-truth labels against a
 /// stealthy campaign, restricted to the three fields a minimal switch key
 /// can carry (`is_udp`, `src_port_is_dns`, `wire_len`). Benign DNSSEC/TXT
 /// recursion and the attack overlap in that projection, so leaves have
 /// graded confidence and the gate visibly trades recall for precision.
-fn sweep_direct_tree(
-    out: &mut String,
-    data: &campuslab::testbed::CollectedData,
-    scenario: &Scenario,
-) {
-    use campuslab::dataplane::compile_tree;
-    use campuslab::features::{packet_dataset, LabelMode};
-    use campuslab::ml::DecisionTree;
+fn sweep_direct_tree(out: &mut String, data: &CollectedData, scenario: &Scenario) {
     out.push_str(
         "\n(b) stealthy 30 qps campaign, minimal switch key {is_udp, src53, wire_len}:\n\n",
     );
@@ -57,81 +86,9 @@ fn sweep_direct_tree(
         .map(|r| format!("{:.3} (n={})", r.confidence, r.support))
         .collect();
     out.push_str(&format!("drop-leaf confidences: {}\n\n", confidences.join(", ")));
-    let mut t = Table::new(&[
-        "gate",
-        "TCAM entries",
-        "leaves gated out",
-        "suppression",
-        "attack passed",
-        "benign dropped",
-        "drop precision",
-    ]);
-    for gate in GATES {
-        let (program, report) = compile_tree(
-            &tree,
-            CompileConfig { confidence_gate: gate, ..Default::default() },
-            format!("raw-gate-{gate:.2}"),
-        );
-        let outcome = road_test(
-            scenario,
-            program,
-            None,
-            RoadTestConfig { placement: Placement::Switch, ..Default::default() },
-        );
-        t.row(vec![
-            f(gate, 2),
-            report.tcam_entries.to_string(),
-            report.leaves_gated_out.to_string(),
-            pct(outcome.suppression()),
-            outcome.attack_packets_passed.to_string(),
-            outcome.benign_packets_dropped.to_string(),
-            pct(outcome.filter.drop_precision()),
-        ]);
-    }
-    out.push_str(&t.render());
-}
-
-fn sweep(
-    out: &mut String,
-    data: &campuslab::testbed::CollectedData,
-    scenario: &Scenario,
-    label: &str,
-    tree: TreeConfig,
-) {
-    out.push_str(&format!("\n{label}:\n\n"));
-    let mut t = Table::new(&[
-        "gate",
-        "TCAM entries",
-        "leaves gated out",
-        "suppression",
-        "attack passed",
-        "benign dropped",
-        "drop precision",
-    ]);
-    for gate in GATES {
-        let cfg = DevLoopConfig {
-            distill: DistillConfig { tree, ..Default::default() },
-            compile: CompileConfig { confidence_gate: gate, ..Default::default() },
-            ..Default::default()
-        };
-        let dev = run_development_loop(&data.packets, &cfg);
-        let outcome = road_test(
-            scenario,
-            dev.program.clone(),
-            None,
-            RoadTestConfig { placement: Placement::Switch, ..Default::default() },
-        );
-        t.row(vec![
-            f(gate, 2),
-            dev.program.n_entries().to_string(),
-            dev.compile.leaves_gated_out.to_string(),
-            pct(outcome.suppression()),
-            outcome.attack_packets_passed.to_string(),
-            outcome.benign_packets_dropped.to_string(),
-            pct(outcome.filter.drop_precision()),
-        ]);
-    }
-    out.push_str(&t.render());
+    out.push_str(&gate_sweep(scenario, |cfg| {
+        compile_tree(&tree, cfg, format!("raw-gate-{:.2}", cfg.confidence_gate))
+    }));
 }
 
 /// Run the experiment and return the full Observatory bundle: the table
@@ -143,13 +100,11 @@ pub fn run() -> ObsBundle {
     let scenario = Scenario::small();
     let data = campuslab::testbed::collect(&scenario);
 
-    sweep(
-        &mut out,
-        &data,
-        &scenario,
-        "(a) production model (depth-6 distilled tree)",
-        TreeConfig::shallow(6),
-    );
+    // Sweep (a): the production model, fitted and distilled once.
+    let student = Teacher::fit(&data.packets, &DevLoopConfig::default())
+        .extract(DistillConfig { tree: TreeConfig::shallow(6), ..Default::default() });
+    out.push_str("\n(a) production model (depth-6 distilled tree):\n\n");
+    out.push_str(&gate_sweep(&scenario, |cfg| student.compile(cfg)));
     // A stealthy campaign: 30 qps hiding inside 4x the benign session rate,
     // so attack evidence is comparable in volume to benign DNS recursion.
     let mut stealth = Scenario::small();

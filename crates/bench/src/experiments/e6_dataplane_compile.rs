@@ -5,7 +5,7 @@
 
 use crate::obs_export::ObsBundle;
 use crate::table::{f, Table};
-use campuslab::control::{run_development_loop, DevLoopConfig};
+use campuslab::control::{DevLoopConfig, Teacher};
 use campuslab::dataplane::{compile_tree, CompileConfig, PipelineProgram, SwitchModel};
 use campuslab::ml::{Dataset, DecisionTree, TreeConfig};
 use campuslab::testbed::{collect, Scenario};
@@ -58,21 +58,18 @@ pub fn run() -> ObsBundle {
     // --- (a) the real task: distilled amplification detector ----------------
     let data = collect(&Scenario::small());
     let mut t = Table::new(&["distilled depth", "student F1", "TCAM entries", "stage slots", "concurrent tasks"]);
+    let teacher = Teacher::fit(&data.packets, &DevLoopConfig::default());
     for depth in [1usize, 2, 4, 6, 8] {
-        let dev = run_development_loop(
-            &data.packets,
-            &DevLoopConfig {
-                distill: DistillConfig { tree: TreeConfig::shallow(depth), ..Default::default() },
-                ..Default::default()
-            },
-        );
-        let fp = switch.footprint(&dev.program);
+        let student =
+            teacher.extract(DistillConfig { tree: TreeConfig::shallow(depth), ..Default::default() });
+        let (program, _) = student.compile(CompileConfig::default());
+        let fp = switch.footprint(&program);
         t.row(vec![
             depth.to_string(),
-            f(dev.student_eval.f1_attack, 3),
-            dev.program.n_entries().to_string(),
+            f(student.eval.f1_attack, 3),
+            program.n_entries().to_string(),
             fp.stage_slots.to_string(),
-            switch.max_concurrent(&dev.program).to_string(),
+            switch.max_concurrent(&program).to_string(),
         ]);
     }
     out.push_str(&t.render());

@@ -1,13 +1,18 @@
-//! The slow (offline) development loop of Figure 2: data store → black-box
-//! training → XAI model extraction → compilation to a target-specific
-//! program — producing a *deployable learning model* plus the evidence an
-//! operator needs to trust it.
+//! The slow (offline) development loop of Figure 2, in the paper's three
+//! stages, each handing a typed value to the next: [`Teacher::fit`]
+//! (records → one seeded split and balance → black-box training; the black
+//! box answers the test split once), [`Teacher::extract`] (XAI extraction
+//! into a [`Student`]: the distilled tree, its report, test-split confusion
+//! matrix and evaluation, and fidelity) and [`Student::compile`] (a named
+//! target-specific program). [`run_development_loop`] runs all three under
+//! one config. A sweep fits once and repeats only its knob's stage: E1
+//! compiles per confidence gate, E6 and `capacity_planning` extract per depth.
 
 use campuslab_capture::PacketRecord;
 use campuslab_dataplane::{compile_tree, CompileConfig, CompileReport, PipelineProgram};
 use campuslab_features::{packet_dataset, LabelMode};
 use campuslab_ml::{
-    Classifier, ConfusionMatrix, Dataset, DecisionTree, ForestConfig, Mlp, MlpConfig, Normalizer,
+    Classifier, ConfusionMatrix, Dataset, DecisionTree, ForestConfig, MlpConfig, NormalizedMlp,
     RandomForest,
 };
 use campuslab_xai::{distill, DistillConfig, DistillationReport};
@@ -72,21 +77,119 @@ pub struct ModelEval {
 }
 
 impl ModelEval {
-    fn from_cm(cm: &ConfusionMatrix, positive: usize) -> Self {
-        ModelEval {
+    /// Score one model's answers (`pred[i]` for `test` row `i`).
+    fn score(test: &Dataset, n_classes: usize, pred: &[usize]) -> (ConfusionMatrix, Self) {
+        let cm = ConfusionMatrix::from_pairs(
+            test.n_classes.max(n_classes),
+            test.y.iter().copied().zip(pred.iter().copied()),
+        );
+        let positive = 1.min(test.n_classes.saturating_sub(1));
+        let eval = ModelEval {
             accuracy: cm.accuracy(),
             precision_attack: cm.precision(positive),
             recall_attack: cm.recall(positive),
             f1_attack: cm.f1(positive),
             macro_f1: cm.macro_f1(),
+        };
+        (cm, eval)
+    }
+}
+
+/// The fitted black box of a [`Teacher`].
+pub enum TeacherModel {
+    Forest(RandomForest),
+    Mlp(NormalizedMlp),
+}
+
+impl TeacherModel {
+    fn classifier(&self) -> &dyn Classifier {
+        match self {
+            TeacherModel::Forest(forest) => forest,
+            TeacherModel::Mlp(mlp) => mlp,
         }
+    }
+}
+
+/// Stage 1's hand-off: a black box fitted on one record window, with the
+/// splits it was fitted and tested on.
+pub struct Teacher {
+    pub model: TeacherModel,
+    /// The (balanced) training split: extraction's sampling manifold.
+    pub train: Dataset,
+    /// The held-out test split.
+    pub test: Dataset,
+    /// The black box on the test split.
+    pub eval: ModelEval,
+    /// The black box's answer for each test row, computed once.
+    test_pred: Vec<usize>,
+}
+
+impl Teacher {
+    /// Build the packet dataset, split it and balance the training split
+    /// with the one `cfg.seed` RNG, fit `cfg.teacher` and answer the test
+    /// split. Reads neither `cfg.distill` nor `cfg.compile`.
+    pub fn fit(records: &[PacketRecord], cfg: &DevLoopConfig) -> Teacher {
+        assert!(records.len() >= 20, "development loop needs data");
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let (mut train, test) = {
+            let data = packet_dataset(records, cfg.label_mode);
+            if cfg.shuffle_split {
+                data.split_shuffled(cfg.train_frac, &mut rng)
+            } else {
+                data.split_by_order(cfg.train_frac)
+            }
+        };
+        if let Some(ratio) = cfg.balance_ratio {
+            train = train.balance(ratio, &mut rng);
+        }
+        assert!(!train.is_empty() && !test.is_empty(), "degenerate split");
+
+        // Step (i): heavyweight black-box training.
+        let model = match cfg.teacher {
+            TeacherKind::Forest(fcfg) => TeacherModel::Forest(RandomForest::fit(&train, fcfg)),
+            TeacherKind::Mlp(mcfg) => TeacherModel::Mlp(NormalizedMlp::fit(&train, mcfg)),
+        };
+        let model_ref = model.classifier();
+        let test_pred = model_ref.predict_batch(&test.x);
+        let (_, eval) = ModelEval::score(&test, model_ref.n_classes(), &test_pred);
+        Teacher { model, train, test, eval, test_pred }
+    }
+
+    /// Step (ii): extract a shallow tree from the teacher and evaluate it
+    /// on the test split.
+    pub fn extract(&self, cfg: DistillConfig) -> Student {
+        let (tree, report) = distill(self.model.classifier(), &self.train, cfg);
+        let pred = tree.predict_batch(&self.test.x);
+        let (cm, eval) = ModelEval::score(&self.test, tree.n_classes(), &pred);
+        let agree = self.test_pred.iter().zip(&pred).filter(|(t, s)| t == s).count();
+        Student { tree, report, cm, eval, fidelity: agree as f64 / self.test.len() as f64 }
+    }
+}
+
+/// Stage 2's hand-off: a distilled tree and its evidence.
+#[derive(Debug, Clone)]
+pub struct Student {
+    pub tree: DecisionTree,
+    pub report: DistillationReport,
+    /// The tree on the test split, per class.
+    pub cm: ConfusionMatrix,
+    pub eval: ModelEval,
+    /// Student/teacher agreement on the test split.
+    pub fidelity: f64,
+}
+
+impl Student {
+    /// Step (iii): compile to the switch target. The program is named
+    /// `distilled-depth{d}-gate{g:.2}`, and the name is part of its
+    /// fingerprint.
+    pub fn compile(&self, cfg: CompileConfig) -> (PipelineProgram, CompileReport) {
+        let (depth, gate) = (self.report.student_depth, cfg.confidence_gate);
+        compile_tree(&self.tree, cfg, format!("distilled-depth{depth}-gate{gate:.2}"))
     }
 }
 
 /// Everything one development-loop run produces.
 pub struct DevLoopResult {
-    /// The black-box teacher (kept for comparison experiments).
-    pub teacher: Box<dyn Classifier + Send>,
     /// The deployable distilled tree.
     pub student: DecisionTree,
     /// The compiled switch program.
@@ -107,96 +210,31 @@ pub struct DevLoopResult {
     pub wall: std::time::Duration,
     /// The held-out test split, for downstream experiments.
     pub test: Dataset,
-    /// The feature normalizer (identity mapping info for MLP teachers).
-    pub normalizer: Option<Normalizer>,
 }
 
-/// Run the development loop over captured (time-ordered) packet records.
+/// Run the development loop over captured (time-ordered) packet records:
+/// [`Teacher::fit`], [`Teacher::extract`] and [`Student::compile`] in a
+/// row, under one config.
 pub fn run_development_loop(records: &[PacketRecord], cfg: &DevLoopConfig) -> DevLoopResult {
-    assert!(records.len() >= 20, "development loop needs data");
     #[allow(clippy::disallowed_types)] // read by benchmark/ only; see `DevLoopResult::wall`
     let started = std::time::Instant::now();
-    let data = packet_dataset(records, cfg.label_mode);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let (mut train, test) = if cfg.shuffle_split {
-        data.split_shuffled(cfg.train_frac, &mut rng)
-    } else {
-        data.split_by_order(cfg.train_frac)
-    };
-    if let Some(ratio) = cfg.balance_ratio {
-        train = train.balance(ratio, &mut rng);
-    }
-    assert!(!train.is_empty() && !test.is_empty(), "degenerate split");
-
-    // Step (i): heavyweight black-box training.
-    let (teacher, normalizer): (Box<dyn Classifier + Send>, Option<Normalizer>) =
-        match cfg.teacher {
-            TeacherKind::Forest(fcfg) => (Box::new(RandomForest::fit(&train, fcfg)), None),
-            TeacherKind::Mlp(mcfg) => {
-                let norm = Normalizer::fit(&train);
-                let model = Mlp::fit(&norm.transform(&train), mcfg);
-                (Box::new(NormalizedMlp { norm: norm.clone(), model }), Some(norm))
-            }
-        };
-
-    // Step (ii): model extraction into a shallow tree.
-    let (student, distillation) = distill(teacher.as_ref(), &train, cfg.distill);
-
-    // Step (iii): compile to the switch target.
-    let (program, compile) = compile_tree(
-        &student,
-        cfg.compile,
-        format!(
-            "distilled-depth{}-gate{:.2}",
-            distillation.student_depth, cfg.compile.confidence_gate
-        ),
-    );
-
-    // Each model answers each test row once; both matrices and the
-    // fidelity read those answers.
-    let teacher_pred = teacher.predict_batch(&test.x);
-    let student_pred = student.predict_batch(&test.x);
-    let cm = |n_classes: usize, pred: &[usize]| {
-        ConfusionMatrix::from_pairs(
-            test.n_classes.max(n_classes),
-            test.y.iter().copied().zip(pred.iter().copied()),
-        )
-    };
-    let teacher_cm = cm(teacher.n_classes(), &teacher_pred);
-    let student_cm = cm(student.n_classes(), &student_pred);
-    let agree = teacher_pred.iter().zip(&student_pred).filter(|(t, s)| t == s).count();
-    let positive = 1.min(test.n_classes.saturating_sub(1));
+    let teacher = Teacher::fit(records, cfg);
+    let student = teacher.extract(cfg.distill);
+    let (program, compile) = student.compile(cfg.compile);
+    let Teacher { eval: teacher_eval, train, test, .. } = teacher;
     DevLoopResult {
-        teacher_eval: ModelEval::from_cm(&teacher_cm, positive),
-        student_eval: ModelEval::from_cm(&student_cm, positive),
-        fidelity: agree as f64 / test.len() as f64,
-        teacher,
-        student,
+        student: student.tree,
         program,
-        distillation,
+        teacher_eval,
+        student_eval: student.eval,
+        fidelity: student.fidelity,
+        distillation: student.report,
         compile,
-        feature_names: data.feature_names.clone(),
+        feature_names: test.feature_names.clone(),
         train_rows: train.len(),
         test_rows: test.len(),
         wall: started.elapsed(),
         test,
-        normalizer,
-    }
-}
-
-/// An MLP plus its input normalizer, presented as one classifier.
-struct NormalizedMlp {
-    norm: Normalizer,
-    model: Mlp,
-}
-
-impl Classifier for NormalizedMlp {
-    fn n_classes(&self) -> usize {
-        self.model.n_classes()
-    }
-
-    fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
-        self.model.predict_proba(&self.norm.transform_row(row))
     }
 }
 
@@ -253,10 +291,60 @@ mod tests {
             teacher: TeacherKind::Mlp(MlpConfig { epochs: 30, ..Default::default() }),
             ..Default::default()
         };
-        let result = run_development_loop(&records(250), &cfg);
-        assert!(result.teacher_eval.accuracy > 0.9, "{:?}", result.teacher_eval);
-        assert!(result.normalizer.is_some());
-        assert!(result.fidelity > 0.85);
+        let teacher = Teacher::fit(&records(250), &cfg);
+        assert!(matches!(teacher.model, TeacherModel::Mlp(_)));
+        assert!(teacher.eval.accuracy > 0.9, "{:?}", teacher.eval);
+        assert!(teacher.extract(cfg.distill).fidelity > 0.85);
+    }
+
+    /// Asserts, field by field, that the staged `teacher` and `student`
+    /// reproduce one `run_development_loop` call under `cfg`.
+    fn assert_same(cfg: &DevLoopConfig, teacher: &Teacher, student: &Student, knob: &str) {
+        let dev = run_development_loop(&records(400), cfg);
+        let (program, compile) = student.compile(cfg.compile);
+        let debug = |v: &dyn std::fmt::Debug| format!("{v:?}");
+        assert_eq!(dev.program.fingerprint(), program.fingerprint(), "{knob}: program");
+        assert_eq!(debug(&dev.compile), debug(&compile), "{knob}: compile report");
+        assert_eq!(debug(&dev.student), debug(&student.tree), "{knob}: student");
+        assert_eq!(debug(&dev.teacher_eval), debug(&teacher.eval), "{knob}: teacher eval");
+        assert_eq!(debug(&dev.student_eval), debug(&student.eval), "{knob}: student eval");
+        assert_eq!(dev.fidelity.to_bits(), student.fidelity.to_bits(), "{knob}: fidelity");
+        assert_eq!(debug(&dev.distillation), debug(&student.report), "{knob}: distillation");
+        assert_eq!(dev.train_rows, teacher.train.len(), "{knob}: train rows");
+        assert_eq!(dev.test_rows, teacher.test.len(), "{knob}: test rows");
+    }
+
+    #[test]
+    fn one_fit_swept_over_gates_and_depths_equals_one_loop_per_knob() {
+        let teacher = Teacher::fit(&records(400), &DevLoopConfig::default());
+        let student = teacher.extract(DistillConfig::default());
+        // E1's gates: one student, compiled per gate.
+        for gate in [0.5, 0.7, 0.8, 0.9, 0.95, 0.99] {
+            let cfg = DevLoopConfig {
+                compile: CompileConfig { confidence_gate: gate, ..Default::default() },
+                ..Default::default()
+            };
+            assert_same(&cfg, &teacher, &student, &format!("gate {gate}"));
+        }
+        // E6's depths: one teacher, extracted per depth.
+        for depth in [1usize, 2, 4, 6, 8] {
+            let distill = DistillConfig {
+                tree: campuslab_ml::TreeConfig::shallow(depth),
+                ..Default::default()
+            };
+            let cfg = DevLoopConfig { distill, ..Default::default() };
+            assert_same(&cfg, &teacher, &teacher.extract(distill), &format!("depth {depth}"));
+        }
+    }
+
+    #[test]
+    fn staged_mlp_teacher_equals_the_loop() {
+        let cfg = DevLoopConfig {
+            teacher: TeacherKind::Mlp(MlpConfig { epochs: 30, ..Default::default() }),
+            ..Default::default()
+        };
+        let teacher = Teacher::fit(&records(400), &cfg);
+        assert_same(&cfg, &teacher, &teacher.extract(cfg.distill), "mlp");
     }
 
     #[test]

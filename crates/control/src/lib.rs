@@ -37,7 +37,10 @@ pub use controller::{
     MitigationControllerConfig, MitigationEvent, PendingInstall, Placement, ProgramScope,
 };
 pub use detector::{Detection, DetectorState, FrozenDetector, StreamingWindowDetector};
-pub use devloop::{run_development_loop, DevLoopConfig, DevLoopResult, ModelEval, TeacherKind};
+pub use devloop::{
+    run_development_loop, DevLoopConfig, DevLoopResult, ModelEval, Student, Teacher, TeacherKind,
+    TeacherModel,
+};
 pub use driftpilot::{
     records_hash, retrain_window, DriftEpisode, DriftPilot, DriftPilotConfig, FrozenDriftPilot,
     PilotState, RetrainOutcome, RetrainRecord, RetrainTrigger,

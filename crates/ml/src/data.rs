@@ -56,7 +56,7 @@ impl Dataset {
     /// the rest test. Right for time-ordered network data (no leakage from
     /// the future).
     pub fn split_by_order(&self, train_frac: f64) -> (Dataset, Dataset) {
-        assert!((0.0..=1.0).contains(&train_frac));
+        assert!((0.0..=1.0).contains(&train_frac), "train_frac {train_frac} is not in [0, 1]");
         let cut = (self.len() as f64 * train_frac).round() as usize;
         let train = self.subset(0..cut);
         let test = self.subset(cut..self.len());
@@ -65,6 +65,7 @@ impl Dataset {
 
     /// Shuffled split for i.i.d. evaluation.
     pub fn split_shuffled(&self, train_frac: f64, rng: &mut StdRng) -> (Dataset, Dataset) {
+        assert!((0.0..=1.0).contains(&train_frac), "train_frac {train_frac} is not in [0, 1]");
         let mut idx: Vec<usize> = (0..self.len()).collect();
         idx.shuffle(rng);
         let cut = (self.len() as f64 * train_frac).round() as usize;
@@ -92,8 +93,10 @@ impl Dataset {
     }
 
     /// Downsample the majority class to at most `ratio` times the minority
-    /// count (class imbalance is brutal in attack detection).
+    /// count (class imbalance is brutal in attack detection). Panics unless
+    /// `ratio` is finite and at least 1.
     pub fn balance(&self, ratio: f64, rng: &mut StdRng) -> Dataset {
+        assert!((1.0..f64::INFINITY).contains(&ratio), "balance ratio {ratio} is not in [1, inf)");
         let counts = self.class_counts();
         let minority = counts.iter().copied().filter(|&c| c > 0).min().unwrap_or(0);
         let cap = ((minority as f64) * ratio).ceil() as usize;
@@ -236,6 +239,69 @@ mod tests {
         let counts = b.class_counts();
         assert_eq!(counts[1], 5);
         assert_eq!(counts[0], 10);
+    }
+
+    /// 100 rows, 75 of class 0 then 25 of class 1.
+    fn skewed() -> Dataset {
+        Dataset::new(
+            (0..100).map(|i| vec![i as f64]).collect(),
+            (0..100).map(|i| usize::from(i >= 75)).collect(),
+            vec!["f".into()],
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "train_frac 1.5 is not in [0, 1]")]
+    fn ordered_split_refuses_a_fraction_above_one() {
+        skewed().split_by_order(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "train_frac NaN is not in [0, 1]")]
+    fn ordered_split_refuses_nan() {
+        skewed().split_by_order(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "train_frac 1.5 is not in [0, 1]")]
+    fn shuffled_split_refuses_a_fraction_above_one() {
+        skewed().split_shuffled(1.5, &mut StdRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "train_frac NaN is not in [0, 1]")]
+    fn shuffled_split_refuses_nan() {
+        skewed().split_shuffled(f64::NAN, &mut StdRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "balance ratio NaN is not in [1, inf)")]
+    fn balance_refuses_nan() {
+        skewed().balance(f64::NAN, &mut StdRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "balance ratio -1 is not in [1, inf)")]
+    fn balance_refuses_a_negative_ratio() {
+        skewed().balance(-1.0, &mut StdRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "balance ratio 0.5 is not in [1, inf)")]
+    fn balance_refuses_a_ratio_below_one() {
+        skewed().balance(0.5, &mut StdRng::seed_from_u64(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "balance ratio inf is not in [1, inf)")]
+    fn balance_refuses_an_infinite_ratio() {
+        skewed().balance(f64::INFINITY, &mut StdRng::seed_from_u64(1));
+    }
+
+    #[test]
+    fn balance_at_ratio_one_keeps_the_minority_whole() {
+        let counts = skewed().balance(1.0, &mut StdRng::seed_from_u64(1)).class_counts();
+        assert_eq!(counts, vec![25, 25]);
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub mod metrics;
 pub use data::{Dataset, Normalizer};
 pub use forest::{ForestConfig, RandomForest};
 pub use metrics::{fidelity, ConfusionMatrix};
-pub use mlp::{Mlp, MlpConfig};
+pub use mlp::{Mlp, MlpConfig, NormalizedMlp};
 pub use model::Classifier;
 pub use tree::{DecisionTree, LeafRule, Node, PathStep, TreeConfig};

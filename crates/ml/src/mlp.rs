@@ -2,7 +2,7 @@
 //! — the second "complex and heavyweight black-box" model of the paper's
 //! development loop.
 
-use crate::data::Dataset;
+use crate::data::{Dataset, Normalizer};
 use crate::model::Classifier;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -165,10 +165,36 @@ impl Classifier for Mlp {
     }
 }
 
+/// An MLP plus the input normalizer it was trained behind, presented as
+/// one classifier over raw feature rows.
+#[derive(Debug, Clone)]
+pub struct NormalizedMlp {
+    pub norm: Normalizer,
+    pub model: Mlp,
+}
+
+impl NormalizedMlp {
+    /// Fit the normalizer on `data`, then the MLP on the normalized rows.
+    pub fn fit(data: &Dataset, cfg: MlpConfig) -> Self {
+        let norm = Normalizer::fit(data);
+        let model = Mlp::fit(&norm.transform(data), cfg);
+        NormalizedMlp { norm, model }
+    }
+}
+
+impl Classifier for NormalizedMlp {
+    fn n_classes(&self) -> usize {
+        self.model.n_classes()
+    }
+
+    fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
+        self.model.predict_proba(&self.norm.transform_row(row))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::Normalizer;
 
     /// XOR: not linearly separable, so the MLP must use its hidden layer.
     fn xor_data() -> Dataset {

@@ -13,8 +13,8 @@
 //! ```
 
 use campuslab::capture::{CaptureArray, FlowKey, RingConfig};
-use campuslab::control::{run_development_loop, DevLoopConfig};
-use campuslab::dataplane::SwitchModel;
+use campuslab::control::{DevLoopConfig, Teacher};
+use campuslab::dataplane::{CompileConfig, SwitchModel};
 use campuslab::ml::TreeConfig;
 use campuslab::netsim::SimTime;
 use campuslab::testbed::{collect, Scenario};
@@ -33,25 +33,21 @@ fn main() {
         "{:>6} {:>8} {:>8} {:>12} {:>12} {:>18}",
         "depth", "leaves", "F1", "entries", "stageslots", "concurrent tasks"
     );
+    let teacher = Teacher::fit(&data.packets, &DevLoopConfig::default());
     for depth in [1usize, 2, 3, 4, 5, 6, 8, 10] {
-        let cfg = DevLoopConfig {
-            distill: DistillConfig { tree: TreeConfig::shallow(depth), ..Default::default() },
-            compile: campuslab::dataplane::CompileConfig {
-                confidence_gate: 0.9,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let dev = run_development_loop(&data.packets, &cfg);
-        let fp = switch.footprint(&dev.program);
+        let student =
+            teacher.extract(DistillConfig { tree: TreeConfig::shallow(depth), ..Default::default() });
+        let (program, _) =
+            student.compile(CompileConfig { confidence_gate: 0.9, ..Default::default() });
+        let fp = switch.footprint(&program);
         println!(
             "{:>6} {:>8} {:>8.3} {:>12} {:>12} {:>18}",
             depth,
-            dev.distillation.student_leaves,
-            dev.student_eval.f1_attack,
-            dev.program.n_entries(),
+            student.report.student_leaves,
+            student.eval.f1_attack,
+            program.n_entries(),
             fp.stage_slots,
-            switch.max_concurrent(&dev.program)
+            switch.max_concurrent(&program)
         );
     }
 

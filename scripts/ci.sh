@@ -11,6 +11,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # `cargo test` compiles the examples but never runs them; this one's
 # asserts (a store reopened from its log answers the same query) do.
 cargo run --release -q --example data_store_tour
+# The third sweep over the staged development loop (one teacher, a
+# student per depth) beside E1 and E6, which the goldens already run.
+cargo run --release -q --example capacity_planning
 
 # A property failure writes its case index into a proptest-regressions/
 # file; that reproducer must be committed alongside the fix. An untracked
