@@ -64,7 +64,7 @@ pub fn run() -> ObsBundle {
         .map(|kind| {
             compile_tree(
                 &student.tree,
-                CompileConfig { drop_class: kind, confidence_gate: 0.8, min_support: 1 },
+                CompileConfig { drop_class: kind, confidence_gate: 0.8 },
                 LabelMode::AttackKind.class_name(kind),
             )
             .0

@@ -28,7 +28,7 @@ pub fn run() -> ObsBundle {
         "teacher ops/decision",
         "student ops/decision",
     ]);
-    let mlp = MlpConfig { epochs: 40, ..Default::default() };
+    let mlp = MlpConfig { epochs: 40 };
     for (name, kind) in [("forest", TeacherKind::default()), ("mlp", TeacherKind::Mlp(mlp))] {
         // Time-ordered split, no rebalancing.
         let cfg = DevLoopConfig { teacher: kind, balance_ratio: None, ..Default::default() };

@@ -24,7 +24,7 @@ pub fn run() -> ObsBundle {
     let mlp_dev = run_development_loop(
         &data.packets,
         &DevLoopConfig {
-            teacher: TeacherKind::Mlp(MlpConfig { epochs: 40, ..Default::default() }),
+            teacher: TeacherKind::Mlp(MlpConfig { epochs: 40 }),
             ..Default::default()
         },
     );

@@ -12,12 +12,22 @@
 //! The count may only fall. A change that deletes an unreferenced item
 //! lowers [`CEILING`] in the same diff; one that adds an item with no
 //! caller fails here with the item's name.
+//!
+//! The second census counts knobs: the `pub` fields of every `pub struct`
+//! whose name ends in `Config`, `Policy` or `Spec`, in the same non-test
+//! code of `crates/*/src`. A field stays settable only while two non-test
+//! callers (the benchmark counts; tests and examples do not) need
+//! different values; one with a single value in use becomes a constant
+//! beside the code that reads it. That count may only fall too:
+//! [`KNOB_CEILING`] drops with every knob a change removes.
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
 /// Unreferenced public items in this tree.
 const CEILING: usize = 30;
+/// Public fields of the tree's `*Config`, `*Policy` and `*Spec` structs.
+const KNOB_CEILING: usize = 105;
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
@@ -50,13 +60,28 @@ fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
+fn root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The `.rs` files under every `crates/*/src`.
+fn crate_sources(root: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        rust_files(&krate.expect("readable directory entry").path().join("src"), &mut files);
+    }
+    files
+}
+
+/// A file's lines before its first `#[cfg(test)]`.
+fn non_test_lines(text: &str) -> impl Iterator<Item = &str> {
+    text.lines().take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+}
+
 #[test]
 fn public_items_without_a_caller_do_not_grow() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut crate_files = Vec::new();
-    for krate in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
-        rust_files(&krate.expect("readable directory entry").path().join("src"), &mut crate_files);
-    }
+    let root = root();
+    let crate_files = crate_sources(&root);
     let mut files = crate_files.clone();
     for dir in ["src", "examples", "benchmark/src"] {
         rust_files(&root.join(dir), &mut files);
@@ -69,7 +94,7 @@ fn public_items_without_a_caller_do_not_grow() {
     for path in &files {
         let text = std::fs::read_to_string(path).expect("readable source");
         let mut in_pub_use = false;
-        for line in text.lines().take_while(|l| !l.trim_start().starts_with("#[cfg(test)]")) {
+        for line in non_test_lines(&text) {
             let trimmed = line.trim_start();
             in_pub_use |= trimmed.starts_with("pub use ");
             let skip = in_pub_use || trimmed.starts_with("//");
@@ -93,5 +118,43 @@ fn public_items_without_a_caller_do_not_grow() {
         unreferenced.len() <= CEILING,
         "{} public items have no non-test reference (ceiling {CEILING}): {unreferenced:?}",
         unreferenced.len()
+    );
+}
+
+#[test]
+fn config_fields_do_not_grow() {
+    let files = crate_sources(&root());
+    assert!(files.len() > 50, "scanned the wrong tree");
+    let mut knobs = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        let mut open: Option<&str> = None;
+        for line in non_test_lines(&text) {
+            let trimmed = line.trim_start();
+            match open {
+                None => {
+                    let Some(rest) = trimmed.strip_prefix("pub struct ") else { continue };
+                    let end = rest.find(|c: char| !is_ident(c)).unwrap_or(rest.len());
+                    let name = &rest[..end];
+                    let knobbed = ["Config", "Policy", "Spec"].iter().any(|s| name.ends_with(s));
+                    if knobbed && rest[end..].contains('{') && !rest.ends_with('}') {
+                        open = Some(name);
+                    }
+                }
+                Some(_) if trimmed.starts_with('}') => open = None,
+                Some(name) => {
+                    if let Some(field) = trimmed.strip_prefix("pub ") {
+                        let end = field.find(|c: char| !is_ident(c)).unwrap_or(field.len());
+                        knobs.push(format!("{name}::{}", &field[..end]));
+                    }
+                }
+            }
+        }
+    }
+    knobs.sort();
+    assert!(
+        knobs.len() <= KNOB_CEILING,
+        "{} config fields (ceiling {KNOB_CEILING}): {knobs:?}",
+        knobs.len()
     );
 }

@@ -299,9 +299,13 @@ pub struct InstallGiveUp {
     pub reason: GiveUpReason,
 }
 
+/// Give up on a detection once this much time passed since its first
+/// install attempt.
+const INSTALL_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
 /// Reliability model for the controller→switch install channel, with the
 /// retry discipline a production controller needs: bounded exponential
-/// backoff, a retry budget, and a wall-clock timeout per detection.
+/// backoff, a retry budget, and a 2 s timeout per detection.
 #[derive(Debug, Clone)]
 pub struct InstallPolicy {
     /// Probability one install attempt flakes (RPC lost, switch busy).
@@ -312,8 +316,6 @@ pub struct InstallPolicy {
     pub base_backoff: SimDuration,
     /// Backoff growth cap.
     pub max_backoff: SimDuration,
-    /// Give up once this much time passed since the first attempt.
-    pub timeout: SimDuration,
     /// Seed for the install-flake RNG — independent of the network RNG so
     /// chaos in the control channel never perturbs the data plane.
     pub seed: u64,
@@ -331,7 +333,6 @@ impl Default for InstallPolicy {
             max_attempts: 5,
             base_backoff: SimDuration::from_millis(2),
             max_backoff: SimDuration::from_millis(100),
-            timeout: SimDuration::from_secs(2),
             seed: 0x1257A11,
             breaker: None,
         }
@@ -480,10 +481,11 @@ impl MitigationController {
         }
     }
 
-    /// Whether both metric sinks in `frozen` (the controller's and the
-    /// detector's) fit the schemas they would be thawed into.
+    /// Whether the controller's metric sink in `frozen` fits the schema it
+    /// would be thawed into and the detector's image is one
+    /// [`StreamingWindowDetector::accepts`].
     pub fn accepts(&self, frozen: &FrozenController) -> bool {
-        self.obs.fits(&frozen.sink) && self.detector.obs.fits(&frozen.detector.sink)
+        self.obs.fits(&frozen.sink) && self.detector.accepts(&frozen.detector)
     }
 
     /// Apply a frozen image onto a freshly constructed controller (same
@@ -594,7 +596,7 @@ impl campuslab_netsim::SimHooks for MitigationController {
         // The attempt flaked. Retry with bounded exponential backoff while
         // budget and timeout allow; otherwise surface the give-up instead
         // of silently losing the mitigation.
-        let deadline = p.first_attempt + policy.timeout;
+        let deadline = p.first_attempt + INSTALL_TIMEOUT;
         let backoff = policy.backoff_after(p.attempts);
         let reason = if p.attempts >= policy.max_attempts {
             Some(GiveUpReason::Exhausted)
@@ -841,9 +843,8 @@ mod tests {
         let (mut ctrl, _handle) = controller_with(InstallPolicy {
             failure_probability: 1.0,
             max_attempts: 100,
-            base_backoff: SimDuration::from_millis(10),
-            max_backoff: SimDuration::from_millis(10),
-            timeout: SimDuration::from_millis(15),
+            base_backoff: SimDuration::from_millis(1_500),
+            max_backoff: SimDuration::from_millis(1_500),
             ..InstallPolicy::default()
         });
         let victim: IpAddr = "10.1.1.10".parse().unwrap();
@@ -852,15 +853,16 @@ mod tests {
         ctrl.handle_detections(t0, vec![detection(victim)], &mut cmds);
         use campuslab_netsim::SimHooks;
         let base = MitigationController::TOKEN_BASE;
-        // First attempt at t0+2ms flakes; retry would land at +12ms (ok,
-        // within the 15ms deadline), second flake at +12ms would retry at
-        // +22ms > deadline -> give up.
+        // The first attempt flakes; its retry lands 1.5s later (inside the
+        // 2s deadline), and a second flake there would retry at +3s, past
+        // the deadline -> give up.
         let first = t0 + Placement::Controller.install_delay();
         ctrl.on_timer(first, base, &mut cmds);
         assert!(ctrl.giveups.is_empty());
-        ctrl.on_timer(first + SimDuration::from_millis(10), base + 1, &mut cmds);
+        ctrl.on_timer(first + SimDuration::from_millis(1_500), base + 1, &mut cmds);
         assert_eq!(ctrl.giveups.len(), 1);
         assert_eq!(ctrl.giveups[0].attempts, 2);
+        assert_eq!(ctrl.giveups[0].reason, GiveUpReason::Timeout);
     }
 
     #[test]

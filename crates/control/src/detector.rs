@@ -64,8 +64,13 @@ const BYTE_COUNT_FEATURE: usize = 1;
 
 impl StreamingWindowDetector {
     /// Create a detector around a trained window-feature model. Windows
-    /// with under 50% telemetry coverage are skipped.
+    /// with under 50% telemetry coverage are skipped. Panics on a
+    /// zero-length window or a non-finite gate, either of which would
+    /// otherwise surface only once records arrive (a division by zero) or
+    /// never (a NaN gate passes nothing).
     pub fn new(model: Box<dyn Classifier + Send>, cfg: WindowConfig, gate: f64) -> Self {
+        assert!(cfg.window_ns > 0, "window_ns = {}: a window must be at least 1 ns long", cfg.window_ns);
+        assert!(gate.is_finite(), "confidence gate {gate} is not a finite number");
         StreamingWindowDetector {
             model,
             state: DetectorState {
@@ -184,10 +189,22 @@ impl StreamingWindowDetector {
         FrozenDetector { state: self.state.clone(), sink: self.obs.sink.clone() }
     }
 
+    /// Whether `frozen` was taken from a detector built like this one:
+    /// same windowing, same gate, and a metric sink that fits. An image
+    /// therefore cannot bring back a zero-length window or a non-finite
+    /// gate that [`new`](Self::new) refuses.
+    pub fn accepts(&self, frozen: &FrozenDetector) -> bool {
+        frozen.state.cfg == self.state.cfg && frozen.state.gate == self.state.gate && self.obs.fits(&frozen.sink)
+    }
+
     /// Apply a frozen image onto a freshly constructed detector (same
     /// model, same construction path). Overwrites every dynamic field; an
-    /// image whose metric sink does not fit is refused untouched.
+    /// image that [`accepts`](Self::accepts) turns down is refused
+    /// untouched.
     pub fn thaw_state(&mut self, frozen: FrozenDetector) -> Result<(), SinkMisfit> {
+        if !self.accepts(&frozen) {
+            return Err(SinkMisfit);
+        }
         self.obs.thaw(frozen.sink)?;
         self.state = frozen.state;
         Ok(())
@@ -249,6 +266,45 @@ mod tests {
             WindowConfig { window_ns: 1_000_000_000, min_packets: 3 },
             gate,
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "window_ns = 0")]
+    fn zero_length_window_is_refused_at_construction() {
+        StreamingWindowDetector::new(
+            Box::new(CountModel),
+            WindowConfig { window_ns: 0, min_packets: 3 },
+            0.9,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "confidence gate NaN")]
+    fn nan_gate_is_refused_at_construction() {
+        detector(f64::NAN);
+    }
+
+    #[test]
+    fn image_of_another_window_or_gate_is_refused_untouched() {
+        let mut d = detector(0.8);
+        d.observe(&rec(1_000, 1, [10, 1, 1, 10], 1));
+        let zero_window = {
+            let mut f = d.freeze();
+            f.state.cfg.window_ns = 0;
+            f
+        };
+        let nan_gate = {
+            let mut f = d.freeze();
+            f.state.gate = f64::NAN;
+            f
+        };
+        let mut fresh = detector(0.8);
+        assert!(fresh.thaw_state(zero_window).is_err());
+        assert!(fresh.thaw_state(nan_gate).is_err());
+        assert!(fresh.state.buffer.is_empty() && fresh.obs.observed() == 0);
+        assert!(detector(0.9).thaw_state(d.freeze()).is_err());
+        assert!(fresh.thaw_state(d.freeze()).is_ok());
+        assert_eq!(fresh.state.buffer.len(), 1);
     }
 
     #[test]

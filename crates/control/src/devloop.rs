@@ -288,7 +288,7 @@ mod tests {
     #[test]
     fn mlp_teacher_also_works() {
         let cfg = DevLoopConfig {
-            teacher: TeacherKind::Mlp(MlpConfig { epochs: 30, ..Default::default() }),
+            teacher: TeacherKind::Mlp(MlpConfig { epochs: 30 }),
             ..Default::default()
         };
         let teacher = Teacher::fit(&records(250), &cfg);
@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn staged_mlp_teacher_equals_the_loop() {
         let cfg = DevLoopConfig {
-            teacher: TeacherKind::Mlp(MlpConfig { epochs: 30, ..Default::default() }),
+            teacher: TeacherKind::Mlp(MlpConfig { epochs: 30 }),
             ..Default::default()
         };
         let teacher = Teacher::fit(&records(400), &cfg);

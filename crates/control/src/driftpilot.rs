@@ -51,6 +51,9 @@ const DRIFT_THRESHOLD: f64 = 0.5;
 const TRAINING_HORIZON: SimDuration = SimDuration::from_secs(4);
 /// Hard cap on the training buffer (oldest records leave first).
 const BUFFER_CAP: usize = 20_000;
+/// Retrains are skipped (and retried next window) below this many
+/// buffered records — the devloop needs data.
+const MIN_RECORDS: usize = 60;
 /// Heavy-hitter slots per drift sketch.
 const HEAVY_K: usize = 8;
 /// Count-min width and depth behind each sketch.
@@ -76,9 +79,6 @@ fn window_config() -> WindowConfig {
 pub struct DriftPilotConfig {
     /// The tapped border link the pilot learns from.
     pub tap: LinkId,
-    /// Retrains are skipped (and retried next window) below this many
-    /// buffered records — the devloop needs data.
-    pub min_records: usize,
     /// Pipeline configuration for each retrain. Its `seed` is ignored:
     /// the pilot derives the seed from the record window's content hash.
     pub devloop: DevLoopConfig,
@@ -96,9 +96,8 @@ impl DriftPilotConfig {
     pub fn new(tap: LinkId, deployed_fingerprint: u64) -> Self {
         DriftPilotConfig {
             tap,
-            min_records: 60,
             devloop: DevLoopConfig {
-                teacher: TeacherKind::Forest(ForestConfig { n_trees: 8, max_features: 0 }),
+                teacher: TeacherKind::Forest(ForestConfig { n_trees: 8 }),
                 ..DevLoopConfig::default()
             },
             deployed_fingerprint,
@@ -450,7 +449,7 @@ impl DriftPilot {
     }
 
     fn retrain(&mut self, now: SimTime, trigger: RetrainTrigger) {
-        if self.state.buffer.len() < self.cfg.min_records {
+        if self.state.buffer.len() < MIN_RECORDS {
             // Not enough fresh data; leave last_retrain untouched so the
             // periodic trigger retries next window.
             return;
@@ -688,9 +687,7 @@ mod tests {
 
     #[test]
     fn pilot_opens_an_episode_and_queues_a_candidate_on_drift() {
-        let mut cfg = DriftPilotConfig::new(LinkId(0), 0);
-        cfg.min_records = 60;
-        let mut pilot = DriftPilot::new(cfg);
+        let mut pilot = DriftPilot::new(DriftPilotConfig::new(LinkId(0), 0));
         let mut cmds = Commands::default();
         // Window 0: steady DNS-amplification signature.
         for r in window(0, 80, 53) {

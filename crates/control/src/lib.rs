@@ -50,5 +50,5 @@ pub use observe::{ControllerObs, DetectorObs, DriftObs, PlazaObs, RolloutObs};
 pub use rollout::{
     BreakerState, Candidate, CircuitBreaker, CircuitBreakerPolicy, FrozenGuard, GuardState,
     ProgramRegistry, RejectReason, RolloutConfig, RolloutEvent, RolloutEventKind, RolloutGuard,
-    RolloutStage, SloPolicy, SloViolation,
+    RolloutStage, SloViolation, PROMOTE_AFTER,
 };

@@ -106,35 +106,18 @@ const MAX_CAPTURE_LOSS_DELTA: f64 = 0.25;
 /// (controller install samples above it violate the window).
 const TTM_BUDGET_MS: u64 = 500;
 
-/// The SLO windows and hysteresis a candidate must clear. The gates
-/// themselves are fixed: [`SloViolation`] lists them.
-#[derive(Debug, Clone)]
-pub struct SloPolicy {
-    /// SLO evaluation window (sim time).
-    pub window: SimDuration,
-    /// Windows with fewer mirrored packets are inconclusive: they freeze
-    /// the promotion and rollback streaks instead of moving them.
-    pub min_packets: u64,
-    /// Consecutive healthy windows required to promote (and, after
-    /// reaching Full, to commit the candidate as known-good).
-    pub promote_after: u32,
-    /// Consecutive violated windows required to veto/roll back.
-    pub rollback_after: u32,
-    /// After any veto or rollback, refuse new candidates this long.
-    pub cooldown: SimDuration,
-}
-
-impl Default for SloPolicy {
-    fn default() -> Self {
-        SloPolicy {
-            window: SimDuration::from_secs(1),
-            min_packets: 20,
-            promote_after: 2,
-            rollback_after: 2,
-            cooldown: SimDuration::from_secs(2),
-        }
-    }
-}
+/// SLO evaluation window (sim time).
+const WINDOW: SimDuration = SimDuration::from_secs(1);
+/// Windows with fewer packets in their sample are inconclusive: they
+/// freeze the promotion and rollback streaks instead of moving them.
+const MIN_WINDOW_PACKETS: u64 = 20;
+/// Consecutive violated windows required to veto/roll back.
+const ROLLBACK_AFTER: u32 = 2;
+/// After any veto or rollback, refuse new candidates this long.
+const COOLDOWN: SimDuration = SimDuration::from_secs(2);
+/// Consecutive healthy windows to promote, for a guard with no reason to
+/// hurry ([`RolloutConfig::promote_after`]).
+pub const PROMOTE_AFTER: u32 = 2;
 
 /// One guard decision, sim-time stamped.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -317,8 +300,9 @@ pub struct RolloutConfig {
     pub tap: LinkId,
     /// Field extractor matching the campus prefix.
     pub extractor: FieldExtractor,
-    /// SLO windows, gates and hysteresis.
-    pub slo: SloPolicy,
+    /// Consecutive healthy windows required to promote (and, after
+    /// reaching Full, to commit the candidate as known-good).
+    pub promote_after: u32,
     /// Destinations behind the canary fraction of access switches.
     pub canary_hosts: Vec<IpAddr>,
     /// Known tap blackout windows: mirrored evaluation pauses inside
@@ -619,7 +603,7 @@ impl RolloutGuard {
         if self.state.ticking {
             return;
         }
-        let w = self.cfg.slo.window.as_nanos();
+        let w = WINDOW.as_nanos();
         let next = SimTime(((now.as_nanos() / w) + 1) * w);
         cmds.set_timer(next, Self::WINDOW_TOKEN);
         self.state.ticking = true;
@@ -710,7 +694,7 @@ impl RolloutGuard {
         // on: mirrored packets while a candidate is evaluated, enforced
         // bank traffic during post-rollback recovery watching.
         let sample = if self.state.candidate.is_some() { ev.mirrored } else { ev.bank_packets };
-        if sample < self.cfg.slo.min_packets && !capture_violated {
+        if sample < MIN_WINDOW_PACKETS && !capture_violated {
             self.obs.on_window(None);
             self.keep_ticking(now, cmds);
             return;
@@ -758,7 +742,7 @@ impl RolloutGuard {
             self.push_event(now, version, RolloutEventKind::Recovered);
             return;
         }
-        if self.state.healthy_streak < self.cfg.slo.promote_after {
+        if self.state.healthy_streak < self.cfg.promote_after {
             return;
         }
         match self.state.stage {
@@ -797,7 +781,7 @@ impl RolloutGuard {
     }
 
     fn on_violation_streak(&mut self, now: SimTime, worst: SloViolation) {
-        if self.state.violation_streak < self.cfg.slo.rollback_after {
+        if self.state.violation_streak < ROLLBACK_AFTER {
             return;
         }
         match self.state.stage {
@@ -805,7 +789,7 @@ impl RolloutGuard {
                 let Some(c) = self.state.candidate.take() else { return };
                 self.obs.on_veto();
                 self.push_event(now, c.version, RolloutEventKind::Vetoed(worst));
-                self.state.cooldown_until = now + self.cfg.slo.cooldown;
+                self.state.cooldown_until = now + COOLDOWN;
                 self.enter_stage(now, RolloutStage::Idle);
             }
             RolloutStage::Canary | RolloutStage::Full => {
@@ -815,7 +799,7 @@ impl RolloutGuard {
                 self.bank.remove_fingerprint(c.version.fingerprint);
                 self.obs.on_rollback();
                 self.push_event(now, c.version.clone(), RolloutEventKind::RolledBack(worst));
-                self.state.cooldown_until = now + self.cfg.slo.cooldown;
+                self.state.cooldown_until = now + COOLDOWN;
                 self.state.awaiting_recovery = true;
                 self.state.rolled_back_version = Some(c.version);
                 self.enter_stage(now, RolloutStage::Idle);
@@ -954,9 +938,8 @@ mod tests {
         )
     }
 
-    fn slo() -> SloPolicy {
-        SloPolicy { min_packets: 5, ..SloPolicy::default() }
-    }
+    /// Packets per window that make it conclusive.
+    const CONCLUSIVE: usize = MIN_WINDOW_PACKETS as usize;
 
     fn guard_with(
         submissions: Vec<(SimTime, PipelineProgram)>,
@@ -966,7 +949,7 @@ mod tests {
         let cfg = RolloutConfig {
             tap: LinkId(0),
             extractor: extractor(),
-            slo: slo(),
+            promote_after: PROMOTE_AFTER,
             canary_hosts,
             tap_blackouts: Vec::new(),
             submissions,
@@ -1070,7 +1053,7 @@ mod tests {
         // Two windows of benign UDP: the candidate would drop all of it.
         for w in 0..2 {
             let from = SimTime::from_secs(1 + w);
-            feed_window(&mut guard, &mut filter, &mut b, from, 10, benign_udp, dst, &mut cmds);
+            feed_window(&mut guard, &mut filter, &mut b, from, CONCLUSIVE, benign_udp, dst, &mut cmds);
             tick(&mut guard, SimTime::from_secs(2 + w), &mut cmds);
         }
         assert_eq!(guard.stage(), RolloutStage::Idle);
@@ -1107,7 +1090,7 @@ mod tests {
         // 2 shadow + 2 canary + 2 full windows walk it to a commit.
         for w in 0..6u64 {
             let from = SimTime::from_secs(1 + w);
-            feed_window(&mut guard, &mut filter, &mut b, from, 10, benign_udp, dst, &mut cmds);
+            feed_window(&mut guard, &mut filter, &mut b, from, CONCLUSIVE, benign_udp, dst, &mut cmds);
             tick(&mut guard, SimTime::from_secs(2 + w), &mut cmds);
         }
         let kinds: Vec<_> = guard.events.iter().map(|e| e.kind).collect();
@@ -1154,7 +1137,7 @@ mod tests {
         for w in 0..2u64 {
             let from = SimTime::from_secs(1 + w);
             feed_window(
-                &mut guard, &mut filter, &mut b, from, 10, benign_udp, canary_host, &mut cmds,
+                &mut guard, &mut filter, &mut b, from, CONCLUSIVE, benign_udp, canary_host, &mut cmds,
             );
             tick(&mut guard, SimTime::from_secs(2 + w), &mut cmds);
         }
@@ -1168,7 +1151,7 @@ mod tests {
         for w in 2..4u64 {
             let from = SimTime::from_secs(1 + w);
             feed_window(
-                &mut guard, &mut filter, &mut b, from, 10, benign_udp, canary_host, &mut cmds,
+                &mut guard, &mut filter, &mut b, from, CONCLUSIVE, benign_udp, canary_host, &mut cmds,
             );
             for i in 0..5 {
                 let at = from + SimDuration::from_millis(500 + i as u64);
@@ -1192,7 +1175,7 @@ mod tests {
         // on the next conclusive window.
         let from = SimTime::from_secs(5);
         feed_window(
-            &mut guard, &mut filter, &mut b, from, 10, benign_https, canary_host, &mut cmds,
+            &mut guard, &mut filter, &mut b, from, CONCLUSIVE, benign_https, canary_host, &mut cmds,
         );
         tick(&mut guard, SimTime::from_secs(6), &mut cmds);
         let last = guard.events.last().unwrap();
@@ -1227,7 +1210,7 @@ mod tests {
         for w in 0..2u64 {
             let from = SimTime::from_secs(1 + w);
             feed_window(
-                &mut guard, &mut filter, &mut b, from, 10, benign_udp, canary_host, &mut cmds,
+                &mut guard, &mut filter, &mut b, from, CONCLUSIVE, benign_udp, canary_host, &mut cmds,
             );
             tick(&mut guard, SimTime::from_secs(2 + w), &mut cmds);
         }
@@ -1236,7 +1219,7 @@ mod tests {
         for w in 2..4u64 {
             let from = SimTime::from_secs(1 + w);
             feed_window(
-                &mut guard, &mut filter, &mut b, from, 10, benign_udp, canary_host, &mut cmds,
+                &mut guard, &mut filter, &mut b, from, CONCLUSIVE, benign_udp, canary_host, &mut cmds,
             );
             guard.record_giveup(GiveUpReason::CircuitOpen);
             tick(&mut guard, SimTime::from_secs(2 + w), &mut cmds);
@@ -1281,7 +1264,7 @@ mod tests {
         let cfg = RolloutConfig {
             tap: LinkId(0),
             extractor: extractor(),
-            slo: slo(),
+            promote_after: PROMOTE_AFTER,
             canary_hosts: Vec::new(),
             tap_blackouts: vec![Outage {
                 from: SimTime::from_secs(2),
@@ -1298,19 +1281,25 @@ mod tests {
         guard.on_timer(SimTime::from_secs(1), SUBMIT0, &mut cmds);
 
         // First window violates (high FP) ...
-        feed_window(&mut guard, &mut filter, &mut b, SimTime::from_secs(1), 10, benign_udp, dst, &mut cmds);
+        feed_window(&mut guard, &mut filter, &mut b, SimTime::from_secs(1), CONCLUSIVE, benign_udp, dst, &mut cmds);
         tick(&mut guard, SimTime::from_secs(2), &mut cmds);
         assert_eq!(guard.stage(), RolloutStage::Shadow, "one bad window must not veto");
         // ... the blacked-out window is inconclusive and freezes the
         // streak instead of completing the veto ...
-        feed_window(&mut guard, &mut filter, &mut b, SimTime::from_secs(2), 10, benign_udp, dst, &mut cmds);
+        feed_window(&mut guard, &mut filter, &mut b, SimTime::from_secs(2), CONCLUSIVE, benign_udp, dst, &mut cmds);
         tick(&mut guard, SimTime::from_secs(3), &mut cmds);
         assert_eq!(guard.stage(), RolloutStage::Shadow);
         assert_eq!(guard.obs.windows_inconclusive(), 1);
+        // ... so is a window one packet short of conclusive ...
+        let thin = CONCLUSIVE - 1;
+        feed_window(&mut guard, &mut filter, &mut b, SimTime::from_secs(3), thin, benign_udp, dst, &mut cmds);
+        tick(&mut guard, SimTime::from_secs(4), &mut cmds);
+        assert_eq!(guard.stage(), RolloutStage::Shadow);
+        assert_eq!(guard.obs.windows_inconclusive(), 2);
         // ... and two more violating windows finish the job.
-        for w in 3..5u64 {
+        for w in 4..6u64 {
             let from = SimTime::from_secs(w);
-            feed_window(&mut guard, &mut filter, &mut b, from, 10, benign_udp, dst, &mut cmds);
+            feed_window(&mut guard, &mut filter, &mut b, from, CONCLUSIVE, benign_udp, dst, &mut cmds);
             tick(&mut guard, SimTime::from_secs(w + 1), &mut cmds);
         }
         assert!(matches!(
@@ -1336,7 +1325,7 @@ mod tests {
         // it and is vetoed at t=3s, arming the 2s cooldown.
         for w in 0..2u64 {
             let from = SimTime::from_secs(1 + w);
-            feed_window(&mut guard, &mut filter, &mut b, from, 10, benign_udp, dst, &mut cmds);
+            feed_window(&mut guard, &mut filter, &mut b, from, CONCLUSIVE, benign_udp, dst, &mut cmds);
             tick(&mut guard, SimTime::from_secs(2 + w), &mut cmds);
         }
         assert!(matches!(
@@ -1390,7 +1379,7 @@ mod tests {
         // it through Shadow exactly as if it had arrived alone.
         for w in 0..2u64 {
             let from = SimTime::from_secs(1 + w);
-            feed_window(&mut guard, &mut filter, &mut b, from, 10, benign_udp, dst, &mut cmds);
+            feed_window(&mut guard, &mut filter, &mut b, from, CONCLUSIVE, benign_udp, dst, &mut cmds);
             tick(&mut guard, SimTime::from_secs(2 + w), &mut cmds);
         }
         assert_eq!(guard.stage(), RolloutStage::Canary);

@@ -64,10 +64,10 @@ pub use campuslab_xai as xai;
 
 use campuslab_control::{run_development_loop, DevLoopConfig, DevLoopResult};
 use campuslab_datastore::DataStore;
-use campuslab_features::{window_dataset, LabelMode, WindowConfig};
-use campuslab_ml::{DecisionTree, TreeConfig};
+use campuslab_ml::DecisionTree;
 use campuslab_testbed::{
-    build_store, collect, road_test, CollectedData, RoadTestConfig, RoadTestOutcome, Scenario,
+    build_store, collect, road_test, train_window_model, CollectedData, RoadTestConfig,
+    RoadTestOutcome, Scenario,
 };
 
 /// The one-stop platform handle: a scenario plus the configuration of the
@@ -102,12 +102,7 @@ impl Platform {
     /// Train the control-plane window model on the collected data
     /// (used by the Controller/Cloud placements).
     pub fn train_window_model(&self, data: &CollectedData) -> DecisionTree {
-        let wd = window_dataset(
-            &data.packets,
-            WindowConfig { window_ns: 1_000_000_000, min_packets: 5 },
-            LabelMode::BinaryAttack,
-        );
-        DecisionTree::fit(&wd, TreeConfig::shallow(4))
+        train_window_model(&data.packets)
     }
 
     /// Part 2 (Figure 1, right): road-test the developed model with the

@@ -24,13 +24,11 @@ pub struct CompileConfig {
     /// Only compile drop rules whose leaf confidence reaches this gate —
     /// the paper's "if confidence in detection is at least 90%".
     pub confidence_gate: f64,
-    /// Skip leaves with less training support than this (noise rules).
-    pub min_support: usize,
 }
 
 impl Default for CompileConfig {
     fn default() -> Self {
-        CompileConfig { drop_class: 1, confidence_gate: 0.9, min_support: 1 }
+        CompileConfig { drop_class: 1, confidence_gate: 0.9 }
     }
 }
 
@@ -40,7 +38,6 @@ pub struct CompileReport {
     pub leaves_total: usize,
     pub leaves_drop: usize,
     pub leaves_gated_out: usize,
-    pub leaves_skipped_support: usize,
     /// Leaves whose bounds referenced a feature index outside the schema
     /// (a malformed or stale tree); skipped rather than panicking.
     pub leaves_malformed: usize,
@@ -62,17 +59,12 @@ pub fn compile_tree(
         leaves_total: rules.len(),
         leaves_drop: 0,
         leaves_gated_out: 0,
-        leaves_skipped_support: 0,
         leaves_malformed: 0,
         tcam_entries: 0,
         max_expansion: 0,
     };
     for rule in &rules {
         if rule.class != cfg.drop_class {
-            continue;
-        }
-        if rule.support < cfg.min_support {
-            report.leaves_skipped_support += 1;
             continue;
         }
         if rule.confidence < cfg.confidence_gate {

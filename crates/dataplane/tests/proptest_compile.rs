@@ -39,9 +39,12 @@ proptest! {
         let mut data = Dataset::new(x, y, names);
         data.n_classes = 2;
         let tree = DecisionTree::fit(&data, TreeConfig::shallow(5));
+        // The compiler skips no leaf for thin support: a fitted leaf holds
+        // at least one training row.
+        prop_assert!(tree.leaf_rules().iter().all(|rule| rule.support >= 1));
         let (program, _) = compile_tree(
             &tree,
-            CompileConfig { drop_class: 1, confidence_gate: 0.0, min_support: 0 },
+            CompileConfig { drop_class: 1, confidence_gate: 0.0 },
             "prop",
         );
         let mut rt = program.into_runtime();
@@ -84,7 +87,7 @@ proptest! {
         for gate in [0.0, 0.5, 0.9, 0.99, 0.999] {
             let (program, _) = compile_tree(
                 &tree,
-                CompileConfig { drop_class: 1, confidence_gate: gate, min_support: 0 },
+                CompileConfig { drop_class: 1, confidence_gate: gate },
                 "gate",
             );
             prop_assert!(program.n_entries() <= prev, "entries grew with the gate");

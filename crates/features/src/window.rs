@@ -26,7 +26,7 @@ pub const WINDOW_FEATURES: [&str; 11] = [
 ];
 
 /// Windowing parameters.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WindowConfig {
     /// Tumbling window length.
     pub window_ns: u64,
@@ -147,7 +147,9 @@ fn majority(labels: &BTreeMap<usize, u64>, keep: impl Fn(usize) -> bool) -> Opti
 }
 
 /// Aggregate time-ordered packet records into per-destination window cells.
+/// Panics on a zero-length window.
 pub fn aggregate(records: &[PacketRecord], cfg: WindowConfig, mode: LabelMode) -> Vec<WindowCell> {
+    assert!(cfg.window_ns > 0, "window_ns = {}: a window must be at least 1 ns long", cfg.window_ns);
     let mut cells: HashMap<(IpAddr, u64), Acc> = HashMap::new();
     for r in records {
         let w = r.ts_ns / cfg.window_ns;
@@ -184,8 +186,9 @@ pub struct WindowStream {
 }
 
 impl WindowStream {
-    /// New empty stream.
+    /// New empty stream. Panics on a zero-length window.
     pub fn new(cfg: WindowConfig, mode: LabelMode) -> Self {
+        assert!(cfg.window_ns > 0, "window_ns = {}: a window must be at least 1 ns long", cfg.window_ns);
         WindowStream { cfg, mode, open: BTreeMap::new(), floor: 0 }
     }
 
@@ -388,6 +391,19 @@ mod tests {
         assert_eq!(out[0].window_index, 0);
         assert_eq!(out[0].packets, 5);
         assert_eq!(stream.pending(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "window_ns = 0")]
+    fn aggregate_refuses_a_zero_length_window() {
+        let records = vec![rec(0, [1, 1, 1, 1], [10, 0, 0, 1], 17, 53, 0)];
+        aggregate(&records, WindowConfig { window_ns: 0, min_packets: 1 }, LabelMode::BinaryAttack);
+    }
+
+    #[test]
+    #[should_panic(expected = "window_ns = 0")]
+    fn stream_refuses_a_zero_length_window() {
+        WindowStream::new(WindowConfig { window_ns: 0, min_packets: 1 }, LabelMode::BinaryAttack);
     }
 
     #[test]

@@ -10,22 +10,19 @@ use rand::{Rng, SeedableRng};
 
 /// Fraction of rows bootstrapped per tree.
 const SAMPLE_FRAC: f64 = 0.8;
-/// Bootstrap and feature-bagging seed: a forest is a pure function of its
-/// data and config.
+/// Bootstrap seed: a forest is a pure function of its data and config.
 const SEED: u64 = 0xF0_4E57;
 
-/// Forest hyperparameters. Every tree grows under `TreeConfig::default()`.
+/// Forest hyperparameters. Every tree grows under `TreeConfig::default()`
+/// and may split on every feature.
 #[derive(Debug, Clone, Copy)]
 pub struct ForestConfig {
     pub n_trees: usize,
-    /// Number of features considered per tree (0 = all). A tree never
-    /// splits on a feature outside its random subset.
-    pub max_features: usize,
 }
 
 impl Default for ForestConfig {
     fn default() -> Self {
-        ForestConfig { n_trees: 40, max_features: 0 }
+        ForestConfig { n_trees: 40 }
     }
 }
 
@@ -53,17 +50,7 @@ impl RandomForest {
                 for _ in 0..sample {
                     copies[rng.gen_range(0..n)] += 1;
                 }
-                let mut features: Vec<usize> = (0..data.n_features()).collect();
-                if cfg.max_features > 0 && cfg.max_features < features.len() {
-                    // Partial Fisher-Yates for a random subset.
-                    for i in 0..cfg.max_features {
-                        let j = rng.gen_range(i..features.len());
-                        features.swap(i, j);
-                    }
-                    features.truncate(cfg.max_features);
-                    features.sort_unstable();
-                }
-                grower.tree(&copies, features, TreeConfig::default())
+                grower.tree(&copies, TreeConfig::default())
             })
             .collect();
         RandomForest { trees, n_classes: data.n_classes.max(1) }
@@ -134,7 +121,7 @@ mod tests {
     fn forest_beats_chance_substantially() {
         let d = noisy_data(1);
         let (train, test) = d.split_by_order(0.7);
-        let f = RandomForest::fit(&train, ForestConfig { n_trees: 15, ..Default::default() });
+        let f = RandomForest::fit(&train, ForestConfig { n_trees: 15 });
         let correct = test
             .x
             .iter()
@@ -148,7 +135,7 @@ mod tests {
     #[test]
     fn probabilities_are_normalized() {
         let d = noisy_data(2);
-        let f = RandomForest::fit(&d, ForestConfig { n_trees: 7, ..Default::default() });
+        let f = RandomForest::fit(&d, ForestConfig { n_trees: 7 });
         for row in d.x.iter().take(20) {
             let p = f.predict_proba(row);
             assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -162,26 +149,6 @@ mod tests {
         let f2 = RandomForest::fit(&d, ForestConfig::default());
         for row in d.x.iter().take(50) {
             assert_eq!(f1.predict(row), f2.predict(row));
-        }
-    }
-
-    #[test]
-    fn feature_bagging_limits_columns() {
-        let d = noisy_data(4);
-        let f = RandomForest::fit(
-            &d,
-            ForestConfig { n_trees: 5, max_features: 1 },
-        );
-        assert_eq!(f.n_trees(), 5);
-        for tree in f.trees() {
-            let mut used: Vec<usize> = tree
-                .leaf_rules()
-                .iter()
-                .flat_map(|rule| rule.bounds.iter().map(|&(feature, _, _)| feature))
-                .collect();
-            used.sort_unstable();
-            used.dedup();
-            assert!(used.len() <= 1, "one-feature tree split on {used:?}");
         }
     }
 

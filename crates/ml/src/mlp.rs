@@ -15,17 +15,18 @@ const BATCH_SIZE: usize = 32;
 /// Weight-init and shuffle seed: a model is a pure function of its data
 /// and config.
 const SEED: u64 = 0x3147;
+/// Hidden-layer width.
+const HIDDEN: usize = 32;
 
 /// MLP hyperparameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MlpConfig {
-    pub hidden: usize,
     pub epochs: usize,
 }
 
 impl Default for MlpConfig {
     fn default() -> Self {
-        MlpConfig { hidden: 32, epochs: 80 }
+        MlpConfig { epochs: 80 }
     }
 }
 
@@ -53,7 +54,7 @@ impl Mlp {
     pub fn fit(data: &Dataset, cfg: MlpConfig) -> Self {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
         let d = data.n_features();
-        let h = cfg.hidden;
+        let h = HIDDEN;
         let c = data.n_classes.max(2);
         let mut rng = StdRng::seed_from_u64(SEED);
         let scale1 = (2.0 / d.max(1) as f64).sqrt();
@@ -219,7 +220,7 @@ mod tests {
         let norm = Normalizer::fit(&d);
         let dn = norm.transform(&d);
         let (train, test) = dn.split_by_order(0.75);
-        let m = Mlp::fit(&train, MlpConfig { hidden: 16, epochs: 200 });
+        let m = Mlp::fit(&train, MlpConfig { epochs: 200 });
         let acc = test
             .x
             .iter()
@@ -233,8 +234,8 @@ mod tests {
     #[test]
     fn probabilities_normalized_and_deterministic() {
         let d = xor_data();
-        let m1 = Mlp::fit(&d, MlpConfig { epochs: 5, ..Default::default() });
-        let m2 = Mlp::fit(&d, MlpConfig { epochs: 5, ..Default::default() });
+        let m1 = Mlp::fit(&d, MlpConfig { epochs: 5 });
+        let m2 = Mlp::fit(&d, MlpConfig { epochs: 5 });
         for row in d.x.iter().take(10) {
             let p = m1.predict_proba(row);
             assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -245,8 +246,8 @@ mod tests {
     #[test]
     fn parameter_count() {
         let d = xor_data();
-        let m = Mlp::fit(&d, MlpConfig { hidden: 8, epochs: 1 });
-        // 2*8 + 8 + 8*2 + 2 = 42.
-        assert_eq!(m.n_parameters(), 42);
+        let m = Mlp::fit(&d, MlpConfig { epochs: 1 });
+        // 2*32 + 32 + 32*2 + 2 = 162.
+        assert_eq!(m.n_parameters(), 162);
     }
 }

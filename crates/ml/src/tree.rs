@@ -10,8 +10,6 @@
 //! bootstrap count. The sort is `f64::total_cmp`, so a NaN cannot make it
 //! panic (NaN sorts last and goes right); its −0.0 < 0.0 changes no tree,
 //! since `>` ties them and `x + 0.0 == x + -0.0` for every non-zero `x`.
-//! A tree grown under a feature mask never splits on a masked feature, so
-//! prediction reads the full row.
 
 use crate::data::Dataset;
 use crate::model::{argmax, Classifier};
@@ -90,7 +88,7 @@ fn gini(counts: impl Iterator<Item = f64>, total: f64) -> f64 {
 
 /// Grows trees from one dataset: a column-major copy whose columns are
 /// sorted once (see the module doc), plus the buffers each tree reuses.
-/// Segment `k` of `lists` (`m` rows) is sorted by `features[k]`, and a node
+/// Segment `f` of `lists` (`m` rows) is sorted by feature `f`, and a node
 /// owns the same range `lo..hi` of every segment. `go_left` marks each
 /// row's side of the split being applied, `scratch` takes a partition's
 /// right side and `left` counts classes left of the cut being scored.
@@ -100,7 +98,6 @@ pub(crate) struct Grower<'a> {
     cols: Vec<Vec<f64>>,
     /// `order[f]`: rows ascending by `cols[f]` under `f64::total_cmp`.
     order: Vec<Vec<u32>>,
-    features: Vec<usize>,
     cfg: TreeConfig,
     lists: Vec<u32>,
     m: usize,
@@ -121,24 +118,23 @@ impl<'a> Grower<'a> {
             rows
         };
         Grower {
-            data, order: cols.iter().map(sorted).collect(), cols, features: Vec::new(),
-            cfg: TreeConfig::default(), lists: Vec::new(), m: 0, go_left: vec![false; data.len()],
-            scratch: Vec::new(), left: vec![0.0; data.n_classes.max(1)], nodes: Vec::new(),
+            data, order: cols.iter().map(sorted).collect(), cols, cfg: TreeConfig::default(),
+            lists: Vec::new(), m: 0, go_left: vec![false; data.len()], scratch: Vec::new(),
+            left: vec![0.0; data.n_classes.max(1)], nodes: Vec::new(),
         }
     }
 
-    /// Grow a tree on the multiset holding row `i` `copies[i]` times,
-    /// splitting only on `features` (ascending).
-    pub(crate) fn tree(&mut self, copies: &[u32], features: Vec<usize>, cfg: TreeConfig) -> DecisionTree {
+    /// Grow a tree on the multiset holding row `i` `copies[i]` times.
+    pub(crate) fn tree(&mut self, copies: &[u32], cfg: TreeConfig) -> DecisionTree {
         let m: usize = copies.iter().map(|&c| c as usize).sum();
-        (self.m, self.features, self.cfg) = (m, features, cfg);
-        self.lists.resize(self.features.len() * m, 0);
+        (self.m, self.cfg) = (m, cfg);
+        self.lists.resize(self.cols.len() * m, 0);
         self.scratch.resize(m + 2, 0);
         // Each segment repeats the shared order's rows `copies[row]` times;
         // two slack slots make the common counts (0, 1, 2) branch-free.
-        for (segment, &f) in self.lists.chunks_exact_mut(m).zip(&self.features) {
+        for (segment, order) in self.lists.chunks_exact_mut(m).zip(&self.order) {
             let mut at = 0;
-            for &row in &self.order[f] {
+            for &row in order {
                 let c = copies[row as usize] as usize;
                 self.scratch[at] = row;
                 self.scratch[at + 1] = row;
@@ -174,14 +170,13 @@ impl<'a> Grower<'a> {
             return self.leaf(counts, hi - lo);
         }
         let parent_gini = gini(counts.iter().copied(), total);
-        let mut best: Option<(usize, f64, f64)> = None; // (segment, thr, impurity)
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, thr, impurity)
         // Fallback: the best zero-gain split. Symmetric data (XOR) has no
         // single split with positive gini decrease, yet splitting is still
         // the right move — the gain appears one level deeper.
         let mut best_any: Option<(usize, f64, f64)> = None;
-        for (k, &f) in self.features.iter().enumerate() {
-            let col = &self.cols[f];
-            let rows = &self.lists[k * self.m + lo..k * self.m + hi];
+        for (f, col) in self.cols.iter().enumerate() {
+            let rows = &self.lists[f * self.m + lo..f * self.m + hi];
             // Candidate thresholds: midpoints between distinct consecutive
             // values, every `stride`-th kept so at most the cap are scored.
             let cut = |w: usize| col[rows[w] as usize] > col[rows[w - 1] as usize];
@@ -209,10 +204,10 @@ impl<'a> Grower<'a> {
                 if impurity < parent_gini - 1e-12
                     && best.is_none_or(|(_, _, b)| impurity < b)
                 {
-                    best = Some((k, thr, impurity));
+                    best = Some((f, thr, impurity));
                 }
                 if best_any.is_none_or(|(_, _, b)| impurity < b) {
-                    best_any = Some((k, thr, impurity));
+                    best_any = Some((f, thr, impurity));
                 }
             }
         }
@@ -220,14 +215,13 @@ impl<'a> Grower<'a> {
         // split only when the node is impure and depth remains for the
         // children to realize the gain.
         let chosen = best.or(if depth + 2 <= cfg.max_depth { best_any } else { None });
-        let Some((k, threshold, _)) = chosen else {
+        let Some((feature, threshold, _)) = chosen else {
             return self.leaf(counts, hi - lo);
         };
-        let feature = self.features[k];
         let col = &self.cols[feature];
         let mut left_counts = vec![0.0; counts.len()];
         let mut mid = lo;
-        for &row in &self.lists[k * self.m + lo..k * self.m + hi] {
+        for &row in &self.lists[feature * self.m + lo..feature * self.m + hi] {
             let goes_left = col[row as usize] <= threshold;
             self.go_left[row as usize] = goes_left;
             if goes_left {
@@ -265,7 +259,7 @@ impl DecisionTree {
     /// Grow a tree on `data`.
     pub fn fit(data: &Dataset, cfg: TreeConfig) -> Self {
         assert!(!data.is_empty(), "cannot fit on an empty dataset");
-        Grower::new(data).tree(&vec![1; data.len()], (0..data.n_features()).collect(), cfg)
+        Grower::new(data).tree(&vec![1; data.len()], cfg)
     }
 
     /// Number of nodes.
@@ -531,7 +525,7 @@ mod tests {
             serde::bin::to_vec(&tree),
             serde::bin::to_vec(&DecisionTree::fit(&plain, TreeConfig::default()))
         );
-        let cfg = ForestConfig { n_trees: 6, max_features: 1 };
+        let cfg = ForestConfig { n_trees: 6 };
         let (a, b) = (RandomForest::fit(&signed, cfg), RandomForest::fit(&plain, cfg));
         for (ta, tb) in a.trees().iter().zip(b.trees()) {
             assert_eq!(serde::bin::to_vec(ta), serde::bin::to_vec(tb));

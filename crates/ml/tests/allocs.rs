@@ -76,7 +76,7 @@ fn allocations(rows: &[Vec<f64>], infer: impl Fn(&[f64])) -> u64 {
 fn inference_allocates_only_the_returned_vector() {
     let data = dataset();
     let tree = DecisionTree::fit(&data, TreeConfig::default());
-    let forest = RandomForest::fit(&data, ForestConfig { n_trees: 12, max_features: 2 });
+    let forest = RandomForest::fit(&data, ForestConfig { n_trees: 12 });
     let rows = data.x.len() as u64;
     let tree_predict = allocations(&data.x, |row| {
         black_box(tree.predict(black_box(row)));

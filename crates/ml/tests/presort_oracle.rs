@@ -1,9 +1,8 @@
 //! Differential oracle for the sort-once grower. This file keeps a copy of
-//! the per-node-sort CART grower and of the select-and-zero forest it
-//! replaced, as the reference only: every tree the crate grows must
+//! the per-node-sort CART grower and of the materialised-bootstrap forest
+//! it replaced, as the reference only: every tree the crate grows must
 //! serialize to the same bytes as the reference's, and the forest's
-//! probabilities (full rows) must equal the reference's (masked rows) to
-//! the bit. Inputs are tie-heavy on purpose — a small alphabet of values
+//! probabilities must equal the reference's to the bit. Inputs are tie-heavy on purpose — a small alphabet of values
 //! per column (including −0.0 beside 0.0), duplicated rows, one to four
 //! classes — because a tie-order bug shows only where values repeat.
 
@@ -139,10 +138,9 @@ impl RefTree {
     }
 }
 
-/// The forest as it was: each tree fits a materialised bootstrap whose
-/// masked columns are zeroed, and predicts on a row masked the same way.
+/// The forest as it was: each tree fits a materialised bootstrap.
 struct RefForest {
-    trees: Vec<(RefTree, Vec<usize>)>,
+    trees: Vec<RefTree>,
     n_classes: usize,
 }
 
@@ -154,48 +152,15 @@ impl RefForest {
         let mut trees = Vec::new();
         for _ in 0..cfg.n_trees {
             let idx: Vec<usize> = (0..sample).map(|_| rng.gen_range(0..n)).collect();
-            let mut boot = data.select(&idx);
-            let mask: Vec<usize> = if cfg.max_features == 0 || cfg.max_features >= data.n_features()
-            {
-                Vec::new()
-            } else {
-                let mut features: Vec<usize> = (0..data.n_features()).collect();
-                for i in 0..cfg.max_features {
-                    let j = rng.gen_range(i..features.len());
-                    features.swap(i, j);
-                }
-                features.truncate(cfg.max_features);
-                features.sort_unstable();
-                features
-            };
-            if !mask.is_empty() {
-                for row in &mut boot.x {
-                    for (f, v) in row.iter_mut().enumerate() {
-                        if !mask.contains(&f) {
-                            *v = 0.0;
-                        }
-                    }
-                }
-            }
-            trees.push((RefTree::fit(&boot, TreeConfig::default()), mask));
+            trees.push(RefTree::fit(&data.select(&idx), TreeConfig::default()));
         }
         RefForest { trees, n_classes: data.n_classes.max(1) }
     }
 
     fn predict_proba(&self, row: &[f64]) -> Vec<f64> {
         let mut acc = vec![0.0; self.n_classes];
-        let mut masked = vec![0.0; row.len()];
-        for (tree, mask) in &self.trees {
-            let p = if mask.is_empty() {
-                tree.leaf_dist(row)
-            } else {
-                masked.iter_mut().for_each(|v| *v = 0.0);
-                for &f in mask {
-                    masked[f] = row[f];
-                }
-                tree.leaf_dist(&masked)
-            };
-            for (a, v) in acc.iter_mut().zip(p) {
+        for tree in &self.trees {
+            for (a, v) in acc.iter_mut().zip(tree.leaf_dist(row)) {
                 *a += v;
             }
         }
@@ -268,19 +233,18 @@ proptest! {
         );
     }
 
-    /// Every tree of a forest, with and without feature bagging, equals the
-    /// select-and-zero reference's; so do the probabilities on every row.
+    /// Every tree of a forest equals the materialised-bootstrap
+    /// reference's; so do the probabilities on every row.
     #[test]
-    fn forest_matches_select_and_zero(
+    fn forest_matches_the_materialised_bootstrap(
         data in tie_heavy(),
         n_trees in 1usize..6,
-        max_features in prop_oneof![Just(0usize), 1usize..6],
     ) {
-        let cfg = ForestConfig { n_trees, max_features };
+        let cfg = ForestConfig { n_trees };
         let forest = RandomForest::fit(&data, cfg);
         let reference = RefForest::fit(&data, cfg);
         prop_assert_eq!(forest.n_trees(), reference.trees.len());
-        for (tree, (ref_tree, _)) in forest.trees().iter().zip(&reference.trees) {
+        for (tree, ref_tree) in forest.trees().iter().zip(&reference.trees) {
             prop_assert_eq!(serde::bin::to_vec(tree), serde::bin::to_vec(ref_tree));
         }
         for row in &data.x {

@@ -77,7 +77,7 @@ proptest! {
     fn forest_predictions_in_range(data in arb_dataset(80)) {
         let forest = RandomForest::fit(
             &data,
-            ForestConfig { n_trees: 5, ..Default::default() },
+            ForestConfig { n_trees: 5 },
         );
         for row in data.x.iter().take(20) {
             prop_assert!(forest.predict(row) < data.n_classes.max(1));

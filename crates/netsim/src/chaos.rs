@@ -154,10 +154,20 @@ impl ChaosPlan {
     }
 }
 
+/// Length of each generated link flap.
+const FLAP_LEN: SimDuration = SimDuration::from_millis(400);
+/// Length of each generated node outage.
+const CRASH_LEN: SimDuration = SimDuration::from_millis(600);
+/// Length of each generated brownout.
+const BROWNOUT_LEN: SimDuration = SimDuration::from_millis(700);
+/// Rate multiplier during a generated brownout.
+const BROWNOUT_FACTOR: f64 = 0.25;
+
 /// Knobs for deriving a seed-driven chaos campaign over a run of
 /// `duration`. Counts are exact; placements and targets are drawn from a
 /// `StdRng` seeded with `seed`, so the same config always yields the same
-/// plan.
+/// plan. Every flap lasts 400 ms, every crash 600 ms and every brownout
+/// 700 ms at 0.25 × nominal rate, each clipped to the run.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     pub seed: u64,
@@ -165,37 +175,12 @@ pub struct ChaosConfig {
     pub duration: SimDuration,
     /// Number of link flaps to scatter over the run.
     pub link_flaps: usize,
-    /// Length of each link flap.
-    pub flap_len: SimDuration,
     /// Number of node crash/recover cycles.
     pub node_crashes: usize,
-    /// Length of each node outage.
-    pub crash_len: SimDuration,
     /// Number of rate brownouts.
     pub brownouts: usize,
-    /// Length of each brownout.
-    pub brownout_len: SimDuration,
-    /// Rate multiplier during a brownout, in (0.0, 1.0].
-    pub brownout_factor: f64,
     /// Bursty loss channel installed on every candidate link, if any.
     pub burst: Option<GilbertElliott>,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            seed: 0xC4A05,
-            duration: SimDuration::from_secs(8),
-            link_flaps: 0,
-            flap_len: SimDuration::from_millis(500),
-            node_crashes: 0,
-            crash_len: SimDuration::from_millis(800),
-            brownouts: 0,
-            brownout_len: SimDuration::from_millis(700),
-            brownout_factor: 0.25,
-            burst: None,
-        }
-    }
 }
 
 impl ChaosConfig {
@@ -214,13 +199,13 @@ impl ChaosConfig {
         if !links.is_empty() {
             for _ in 0..self.link_flaps {
                 let link = links[rng.gen_range(0..links.len())];
-                let (from, until) = window(&mut rng, self.flap_len);
+                let (from, until) = window(&mut rng, FLAP_LEN);
                 plan.link_flap(link, from, until);
             }
             for _ in 0..self.brownouts {
                 let link = links[rng.gen_range(0..links.len())];
-                let (from, until) = window(&mut rng, self.brownout_len);
-                plan.brownout(link, from, until, self.brownout_factor);
+                let (from, until) = window(&mut rng, BROWNOUT_LEN);
+                plan.brownout(link, from, until, BROWNOUT_FACTOR);
             }
             if let Some(model) = &self.burst {
                 for link in links {
@@ -231,7 +216,7 @@ impl ChaosConfig {
         if !nodes.is_empty() {
             for _ in 0..self.node_crashes {
                 let node = nodes[rng.gen_range(0..nodes.len())];
-                let (from, until) = window(&mut rng, self.crash_len);
+                let (from, until) = window(&mut rng, CRASH_LEN);
                 plan.node_outage(node, from, until);
             }
         }
@@ -265,11 +250,12 @@ mod tests {
     #[test]
     fn generate_is_deterministic_for_a_seed() {
         let cfg = ChaosConfig {
+            seed: 0xC4A05,
+            duration: SimDuration::from_secs(8),
             link_flaps: 4,
             node_crashes: 2,
             brownouts: 3,
             burst: Some(GilbertElliott::new(0.01, 0.2, 0.0, 0.8)),
-            ..ChaosConfig::default()
         };
         let links: Vec<LinkId> = (0..10).map(LinkId).collect();
         let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
@@ -283,10 +269,12 @@ mod tests {
     #[test]
     fn generated_windows_stay_inside_the_run() {
         let cfg = ChaosConfig {
+            seed: 0xC4A05,
+            duration: SimDuration::from_secs(3),
             link_flaps: 20,
             node_crashes: 20,
-            duration: SimDuration::from_secs(3),
-            ..ChaosConfig::default()
+            brownouts: 0,
+            burst: None,
         };
         let links: Vec<LinkId> = (0..4).map(LinkId).collect();
         let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();

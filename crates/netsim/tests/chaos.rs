@@ -135,14 +135,10 @@ fn seeded_chaos_run() -> (NetStats, Vec<(u64, u64, usize)>, Vec<(u64, u8)>) {
         .collect();
     let cfg = ChaosConfig {
         seed: 0xD15EA5E,
-        duration: SimDuration::from_millis(2),
+        duration: SimDuration::from_secs(2),
         link_flaps: 3,
-        flap_len: SimDuration::from_micros(300),
         node_crashes: 2,
-        crash_len: SimDuration::from_micros(400),
         brownouts: 2,
-        brownout_len: SimDuration::from_micros(500),
-        brownout_factor: 0.2,
         burst: Some(GilbertElliott::new(0.05, 0.3, 0.0, 0.6)),
     };
     let mut plan = cfg.generate(&links, &campus.hosts);
@@ -185,7 +181,10 @@ fn seeded_chaos_run() -> (NetStats, Vec<(u64, u64, usize)>, Vec<(u64, u8)>) {
             64,
             GroundTruth::default(),
         );
-        net.inject(SimTime::from_micros(i * 3), src_node, pkt);
+        // Back-to-back bursts of ten, one every 50 ms: the 2 s campaign's
+        // fault windows open and close across the traffic, and each burst
+        // still queues behind itself.
+        net.inject(SimTime::from_millis(i / 10 * 50) + SimDuration::from_micros(i % 10 * 3), src_node, pkt);
     }
     let mut log = Log { taps: Vec::new(), drops: Vec::new() };
     net.run(&mut log, None);

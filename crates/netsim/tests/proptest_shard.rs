@@ -10,8 +10,11 @@ use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 /// Propagation palette: mixing slow and fast links gives the partitioner
-/// real cut thresholds (slow links become shard boundaries).
-const PROPS: [u64; 5] = [5_000, 20_000, 50_000, 2_000_000, 5_000_000];
+/// real cut thresholds (slow links become shard boundaries). Its scale
+/// matches the chaos constants (0.4–0.7 s fault windows): packets stay in
+/// flight for about a quarter of the 4 s campaign, so roughly one fault
+/// in four overlaps live traffic.
+const PROPS: [u64; 5] = [500_000, 2_000_000, 5_000_000, 200_000_000, 500_000_000];
 
 /// A generated scenario: tree shape, per-link latency picks, traffic and
 /// chaos knobs. Everything downstream derives deterministically from it.
@@ -88,17 +91,14 @@ fn build(sc: &Scenario) -> Network {
         net.set_tap(tap, true);
     }
 
+    // A 4 s campaign, its fault windows 0.4–0.7 s (the chaos constants).
     let chaos = ChaosConfig {
         seed: sc.chaos_seed,
-        duration: SimDuration::from_millis(40),
+        duration: SimDuration::from_secs(4),
         link_flaps: sc.flaps,
-        flap_len: SimDuration::from_millis(3),
         node_crashes: sc.crashes,
-        crash_len: SimDuration::from_millis(5),
         brownouts: sc.brownouts,
-        brownout_len: SimDuration::from_millis(4),
         burst: sc.burst.then(|| GilbertElliott::new(0.05, 0.3, 0.01, 0.4)),
-        ..ChaosConfig::default()
     };
     let links: Vec<LinkId> = (0..net.link_count()).map(LinkId).collect();
     let switch_nodes: Vec<NodeId> = switches.clone();
@@ -124,7 +124,7 @@ fn build(sc: &Scenario) -> Network {
             64,
             GroundTruth::default(),
         );
-        net.inject(SimTime::from_micros(k as u64 * 10), src_node, pkt);
+        net.inject(SimTime::from_millis(k as u64), src_node, pkt);
     }
     net
 }
@@ -151,7 +151,7 @@ impl SimHooks for Recorder {
         self.log.push(format!("tap {} {:?} {:?} #{}", now.as_nanos(), link, dir, packet.id));
         if !self.armed {
             self.armed = true;
-            cmds.set_timer(now + SimDuration::from_micros(1), 7);
+            cmds.set_timer(now + SimDuration::from_micros(100), 7);
         }
     }
 
@@ -180,7 +180,7 @@ impl SimHooks for Recorder {
         self.log.push(format!("timer {} {}", now.as_nanos(), token));
         let (src, dst) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
         let pkt = self.builder.udp_v4(src, dst, 40_000, 2000, Payload::Synthetic(64), 64, GroundTruth::default());
-        cmds.inject(now + SimDuration::from_micros(5), self.inject_at, pkt);
+        cmds.inject(now + SimDuration::from_micros(500), self.inject_at, pkt);
     }
 }
 

@@ -19,7 +19,7 @@
 //! they may appear in outcomes without breaking the solo-vs-co-scheduled
 //! differential.
 
-use campuslab_control::{Placement, PlazaObs, SloPolicy};
+use campuslab_control::{Placement, PlazaObs, PROMOTE_AFTER};
 use campuslab_dataplane::{
     Action, PipelineProgram, SwitchModel, TableEntry, TenantDemand, TernaryMatch, FIELD_ORDER,
 };
@@ -164,7 +164,7 @@ impl TenantSlice {
             TenantJob::Guarded { submissions, window_model } => (
                 Placement::Controller,
                 Some(GuardSpec {
-                    slo: SloPolicy::default(),
+                    promote_after: PROMOTE_AFTER,
                     canary_fraction: CANARY_FRACTION,
                     submissions,
                 }),

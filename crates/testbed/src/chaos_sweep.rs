@@ -97,12 +97,8 @@ pub fn chaos_road_test_config(scenario: &Scenario, intensity: f64, seed: u64) ->
         seed,
         duration,
         link_flaps: (t * 6.0).round() as usize,
-        flap_len: SimDuration::from_millis(400),
         node_crashes: (t * 3.0).round() as usize,
-        crash_len: SimDuration::from_millis(600),
         brownouts: (t * 4.0).round() as usize,
-        brownout_len: SimDuration::from_millis(700),
-        brownout_factor: 0.25,
         burst: Some(GilbertElliott::new(0.02 * t, 0.3, 0.0, 0.5 * t)),
     };
     cfg.chaos = Some(chaos_cfg.generate(&links, &nodes));
@@ -117,7 +113,6 @@ pub fn chaos_road_test_config(scenario: &Scenario, intensity: f64, seed: u64) ->
         max_attempts: 4,
         base_backoff: SimDuration::from_millis(20),
         max_backoff: SimDuration::from_millis(200),
-        timeout: SimDuration::from_secs(2),
         seed: seed ^ 0x1257A11,
         ..InstallPolicy::default()
     };

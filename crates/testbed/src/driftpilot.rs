@@ -17,7 +17,6 @@ use crate::roadtest::RoadTestConfig;
 use crate::rollout::CANARY_FRACTION;
 use crate::scenario::Scenario;
 use crate::session::{Finished, GuardSpec, Members, Session};
-use campuslab_control::SloPolicy;
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
 use campuslab_netsim::{SimDuration, SimTime};
@@ -90,11 +89,11 @@ impl DriftSession {
             &RoadTestConfig::default(),
             Members {
                 guard: Some(GuardSpec {
-                    // `promote_after: 1`: a healthy candidate climbs the
+                    // One healthy window per rung: a candidate climbs the
                     // full ladder in three SLO windows — drift mitigation
                     // is racing live damage, and the shadow/canary gates
                     // still veto a bad program before it spreads.
-                    slo: SloPolicy { promote_after: 1, ..SloPolicy::default() },
+                    promote_after: 1,
                     canary_fraction: CANARY_FRACTION,
                     submissions: Vec::new(),
                 }),

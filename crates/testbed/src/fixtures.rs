@@ -4,23 +4,18 @@
 //! integration suites of this crate and of `campuslab-plaza` link against
 //! the library, not against its `#[cfg(test)]` items.
 
+use crate::roadtest::train_window_model;
 use crate::scenario::{collect, Scenario};
 use campuslab_control::{run_development_loop, DevLoopConfig};
 use campuslab_dataplane::PipelineProgram;
-use campuslab_features::{window_dataset, LabelMode, WindowConfig};
-use campuslab_ml::{DecisionTree, TreeConfig};
+use campuslab_ml::DecisionTree;
 
 /// Collect `scenario`, run the development loop over the capture and fit
 /// the controller's window model on the same data.
 pub fn train(scenario: &Scenario) -> (PipelineProgram, DecisionTree) {
     let data = collect(scenario);
     let dev = run_development_loop(&data.packets, &DevLoopConfig::default());
-    let wd = window_dataset(
-        &data.packets,
-        WindowConfig { window_ns: 1_000_000_000, min_packets: 5 },
-        LabelMode::BinaryAttack,
-    );
-    (dev.program, DecisionTree::fit(&wd, TreeConfig::shallow(4)))
+    (dev.program, train_window_model(&data.packets))
 }
 
 /// [`train`] on [`Scenario::small`], once per process: the dev loop is

@@ -66,8 +66,8 @@ pub use phoenix::{
 };
 pub use observe::{metric_catalogue, FilterObs, RunObs};
 pub use roadtest::{
-    deployment_decision, road_test, DeploymentDecision, GateCriteria, RoadTestConfig,
-    RoadTestOutcome,
+    deployment_decision, road_test, train_window_model, DeploymentDecision, GateCriteria,
+    RoadTestConfig, RoadTestOutcome,
 };
 pub use resolverlab::{resolver_run, ResolverRunConfig};
 pub use rollout::{canary_hosts, guarded_road_test, GuardedRunConfig, CANARY_FRACTION};

@@ -17,7 +17,7 @@
 use crate::roadtest::RoadTestConfig;
 use crate::scenario::Scenario;
 use crate::session::{Finished, GuardSpec, Members, Session};
-use campuslab_control::SloPolicy;
+use campuslab_control::PROMOTE_AFTER;
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
 
@@ -58,7 +58,7 @@ fn session(scenario: &Scenario, cfg: ResolverRunConfig) -> Session {
         &cfg.road,
         Members {
             guard: Some(GuardSpec {
-                slo: SloPolicy::default(),
+                promote_after: PROMOTE_AFTER,
                 canary_fraction: 0.0,
                 submissions: Vec::new(),
             }),
@@ -133,7 +133,7 @@ mod tests {
             RolloutConfig {
                 tap: campus.border_link,
                 extractor,
-                slo: SloPolicy::default(),
+                promote_after: PROMOTE_AFTER,
                 canary_hosts: Vec::new(),
                 tap_blackouts: Vec::new(),
                 submissions: Vec::new(),

@@ -9,8 +9,10 @@ use crate::session::{Members, Session};
 use campuslab_control::{
     FastLoopStatsSnapshot, InstallGiveUp, InstallPolicy, MitigationEvent, Placement,
 };
+use campuslab_capture::PacketRecord;
 use campuslab_dataplane::PipelineProgram;
-use campuslab_ml::Classifier;
+use campuslab_features::{window_dataset, LabelMode, WindowConfig};
+use campuslab_ml::{Classifier, DecisionTree, TreeConfig};
 use campuslab_netsim::{ChaosPlan, NetStats, Outage, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
@@ -89,6 +91,14 @@ impl RoadTestOutcome {
         }
         self.net.delivered as f64 / self.net.injected as f64
     }
+}
+
+/// Fit the controller and cloud placements' window model on captured
+/// records: a depth-4 tree over 1 s per-destination windows of at least
+/// five packets, labelled attack or not.
+pub fn train_window_model(records: &[PacketRecord]) -> DecisionTree {
+    let cfg = WindowConfig { window_ns: 1_000_000_000, min_packets: 5 };
+    DecisionTree::fit(&window_dataset(records, cfg, LabelMode::BinaryAttack), TreeConfig::shallow(4))
 }
 
 /// Run a road test: the scenario plays out on a fresh campus while the

@@ -10,7 +10,7 @@
 use crate::roadtest::RoadTestConfig;
 use crate::scenario::Scenario;
 use crate::session::{Finished, GuardSpec, Members, Session};
-use campuslab_control::SloPolicy;
+use campuslab_control::PROMOTE_AFTER;
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
 use campuslab_netsim::{Campus, SimTime};
@@ -21,7 +21,8 @@ use std::net::IpAddr;
 pub const CANARY_FRACTION: f64 = 0.25;
 
 /// Parameters of a guarded road test, over and above the road-test ones.
-/// The guard runs `SloPolicy::default()` over a [`CANARY_FRACTION`] cohort.
+/// The guard promotes after [`PROMOTE_AFTER`] healthy windows and runs a
+/// [`CANARY_FRACTION`] cohort.
 #[derive(Default)]
 pub struct GuardedRunConfig {
     /// Base road-test knobs (placement, chaos, blackouts, install channel).
@@ -37,8 +38,10 @@ pub struct GuardedRunConfig {
 
 /// The hosts behind the first `ceil(fraction * n_access)` access switches,
 /// in topology order. `Campus::build` pushes hosts grouped by access
-/// switch, so the chunks below are exactly the per-switch cohorts.
+/// switch, so the chunks below are exactly the per-switch cohorts. Panics
+/// on a non-finite fraction, which would otherwise read as 0.
 pub fn canary_hosts(campus: &Campus, fraction: f64) -> Vec<IpAddr> {
+    assert!(fraction.is_finite(), "canary fraction {fraction} is not a finite number");
     let per_access = campus.config.hosts_per_access.max(1);
     let n_access = campus.config.dist_count * campus.config.access_per_dist;
     let take = ((fraction.clamp(0.0, 1.0) * n_access as f64).ceil() as usize).min(n_access);
@@ -81,7 +84,7 @@ fn session(
         &cfg.road,
         Members {
             guard: Some(GuardSpec {
-                slo: SloPolicy::default(),
+                promote_after: PROMOTE_AFTER,
                 canary_fraction: CANARY_FRACTION,
                 submissions: cfg.submissions,
             }),
@@ -135,6 +138,12 @@ mod tests {
         assert_eq!(all.len(), campus.hosts.len());
         // A sliver still canaries one full switch, never a partial one.
         assert_eq!(canary_hosts(&campus, 0.01).len(), campus.config.hosts_per_access);
+    }
+
+    #[test]
+    #[should_panic(expected = "canary fraction NaN")]
+    fn nan_canary_fraction_is_refused() {
+        canary_hosts(&Campus::build(Scenario::small().campus), f64::NAN);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use campuslab_capture::BorderTapHooks;
 use campuslab_control::{
     BankFilter, BankHandle, DriftPilot, DriftPilotConfig, FastLoopStatsSnapshot, FrozenController,
     FrozenDriftPilot, FrozenGuard, GiveUpReason, MitigationController, MitigationControllerConfig,
-    Placement, RolloutConfig, RolloutGuard, SloPolicy,
+    Placement, RolloutConfig, RolloutGuard,
 };
 use campuslab_dataplane::{FieldExtractor, PipelineProgram};
 use campuslab_ml::Classifier;
@@ -297,8 +297,8 @@ impl SimHooks for Stack {
 
 /// The guard member's knobs.
 pub struct GuardSpec {
-    /// SLO windows, gates and hysteresis.
-    pub slo: SloPolicy,
+    /// Consecutive healthy SLO windows that promote a candidate one stage.
+    pub promote_after: u32,
     /// Fraction of access switches whose hosts form the canary cohort.
     pub canary_fraction: f64,
     /// Candidates submitted to the guard at scheduled sim times.
@@ -386,7 +386,7 @@ impl Session {
                 RolloutConfig {
                     tap,
                     extractor,
-                    slo: spec.slo,
+                    promote_after: spec.promote_after,
                     canary_hosts: cohort.unwrap_or_default(),
                     tap_blackouts: road.tap_blackouts.clone(),
                     submissions: spec.submissions,
@@ -606,7 +606,7 @@ mod tests {
                     RolloutConfig {
                         tap,
                         extractor,
-                        slo: SloPolicy::default(),
+                        promote_after: campuslab_control::PROMOTE_AFTER,
                         canary_hosts: Vec::new(),
                         tap_blackouts: Vec::new(),
                         submissions: Vec::new(),
@@ -737,6 +737,21 @@ mod tests {
             assert_eq!(stack.is_null(), members == [false; 5], "{name}: is_null");
             assert_eq!(pilot, stack.pilot.is_some());
         }
+    }
+
+    /// A zero-length detector window fails when the session is built, not
+    /// at the first tapped record.
+    #[test]
+    #[should_panic(expected = "window_ns = 0")]
+    fn zero_length_window_fails_the_build() {
+        let data = Dataset::new(vec![vec![0.0], vec![1.0]], vec![0, 1], vec!["f".into()]);
+        let members = Members {
+            window_model: Some(Box::new(DecisionTree::fit(&data, TreeConfig::shallow(1)))),
+            ..Members::default()
+        };
+        let road = RoadTestConfig { window_ns: 0, ..RoadTestConfig::default() };
+        let program = PipelineProgram::new("known-good", vec![]);
+        Session::new("zero-window", &Scenario::small(), program, &road, members, None);
     }
 
     #[test]

@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn student_is_faithful_and_small() {
         let d = data(1, 1500);
-        let teacher = RandomForest::fit(&d, ForestConfig { n_trees: 25, ..Default::default() });
+        let teacher = RandomForest::fit(&d, ForestConfig { n_trees: 25 });
         let (student, report) = distill(&teacher, &d, DistillConfig::default());
         assert!(report.fidelity > 0.95, "fidelity {}", report.fidelity);
         assert!(
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn dagger_rounds_do_not_hurt_fidelity() {
         let d = data(2, 800);
-        let teacher = RandomForest::fit(&d, ForestConfig { n_trees: 10, ..Default::default() });
+        let teacher = RandomForest::fit(&d, ForestConfig { n_trees: 10 });
         let (_, no_dagger) = distill(
             &teacher,
             &d,
@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let d = data(3, 500);
-        let teacher = RandomForest::fit(&d, ForestConfig { n_trees: 5, ..Default::default() });
+        let teacher = RandomForest::fit(&d, ForestConfig { n_trees: 5 });
         let (s1, r1) = distill(&teacher, &d, DistillConfig::default());
         let (s2, r2) = distill(&teacher, &d, DistillConfig::default());
         assert_eq!(r1.fidelity, r2.fidelity);
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn depth_budget_trades_fidelity() {
         let d = data(4, 1000);
-        let teacher = RandomForest::fit(&d, ForestConfig { n_trees: 20, ..Default::default() });
+        let teacher = RandomForest::fit(&d, ForestConfig { n_trees: 20 });
         let (_, deep) = distill(
             &teacher,
             &d,
