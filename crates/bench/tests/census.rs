@@ -25,7 +25,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 
 /// Unreferenced public items in this tree.
-const CEILING: usize = 30;
+const CEILING: usize = 29;
 /// Public fields of the tree's `*Config`, `*Policy` and `*Spec` structs.
 const KNOB_CEILING: usize = 105;
 

@@ -42,9 +42,9 @@ pub mod sketch;
 pub mod monitor;
 pub mod observe;
 
-pub use flow::{FlowTable, FlowTableConfig, FlowTableStats};
+pub use flow::{FlowTable, FlowTableConfig};
 pub use campuslab_netsim::fxhash::{self, FxBuildHasher, FxHashMap, FxHasher};
-pub use meta::{DnsExtractor, TcpRttEstimator};
+pub use meta::{extract_dns, TcpRttEstimator};
 pub use monitor::{BorderTapHooks, Monitor, MonitorConfig, MonitorStats};
 pub use observe::CaptureObs;
 pub use records::{

@@ -8,67 +8,33 @@ use crate::records::{Direction, DnsMetaRecord};
 use campuslab_netsim::{Packet, SimTime, TransportHeader};
 use campuslab_wire::DnsMessage;
 
-/// Extraction counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DnsExtractorStats {
-    pub port53_packets: u64,
-    pub parsed: u64,
-    pub malformed: u64,
-}
-
-/// Parses DNS out of captured packets.
-#[derive(Debug, Default)]
-pub struct DnsExtractor {
-    pub stats: DnsExtractorStats,
-}
-
-impl DnsExtractor {
-    /// A fresh extractor.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Try to extract a DNS transaction record from a packet.
-    pub fn extract(
-        &mut self,
-        now: SimTime,
-        direction: Direction,
-        pkt: &Packet,
-    ) -> Option<DnsMetaRecord> {
-        let udp = match &pkt.transport {
-            TransportHeader::Udp(u) if u.src_port == 53 || u.dst_port == 53 => u,
-            _ => return None,
-        };
-        self.stats.port53_packets += 1;
-        let bytes = pkt.payload.bytes()?;
-        let msg = match DnsMessage::parse(bytes) {
-            Ok(m) => m,
-            Err(_) => {
-                self.stats.malformed += 1;
-                return None;
-            }
-        };
-        self.stats.parsed += 1;
-        let (client, server) = if udp.dst_port == 53 {
-            (pkt.network.src(), pkt.network.dst())
-        } else {
-            (pkt.network.dst(), pkt.network.src())
-        };
-        let question = msg.questions.first();
-        Some(DnsMetaRecord {
-            ts_ns: now.as_nanos(),
-            direction,
-            client,
-            server,
-            qname: question.map(|q| q.name.clone()).unwrap_or_default(),
-            qtype: question.map(|q| u16::from(q.qtype)).unwrap_or(0),
-            is_response: msg.flags.response,
-            answer_count: msg.answers.len() as u16,
-            wire_len: pkt.wire_len() as u32,
-            amplification_prone: msg.is_amplification_prone(),
-            label_attack: pkt.truth.attack.unwrap_or(0),
-        })
-    }
+/// Extract a DNS transaction record from a captured packet: `None` for
+/// anything but UDP to or from port 53 carrying a parseable message.
+pub fn extract_dns(now: SimTime, direction: Direction, pkt: &Packet) -> Option<DnsMetaRecord> {
+    let udp = match &pkt.transport {
+        TransportHeader::Udp(u) if u.src_port == 53 || u.dst_port == 53 => u,
+        _ => return None,
+    };
+    let msg = DnsMessage::parse(pkt.payload.bytes()?).ok()?;
+    let (client, server) = if udp.dst_port == 53 {
+        (pkt.network.src(), pkt.network.dst())
+    } else {
+        (pkt.network.dst(), pkt.network.src())
+    };
+    let question = msg.questions.first();
+    Some(DnsMetaRecord {
+        ts_ns: now.as_nanos(),
+        direction,
+        client,
+        server,
+        qname: question.map(|q| q.name.clone()).unwrap_or_default(),
+        qtype: question.map(|q| u16::from(q.qtype)).unwrap_or(0),
+        is_response: msg.flags.response,
+        answer_count: msg.answers.len() as u16,
+        wire_len: pkt.wire_len() as u32,
+        amplification_prone: msg.is_amplification_prone(),
+        label_attack: pkt.truth.attack.unwrap_or(0),
+    })
 }
 
 /// Estimates TCP round-trip times from handshakes observed at the tap:
@@ -78,8 +44,6 @@ impl DnsExtractor {
 pub struct TcpRttEstimator {
     /// Outstanding SYNs: (client, server, sport, dport) -> SYN timestamp.
     pending: std::collections::HashMap<(std::net::IpAddr, std::net::IpAddr, u16, u16), u64>,
-    /// Completed measurements count (for stats).
-    pub measured: u64,
 }
 
 impl TcpRttEstimator {
@@ -114,7 +78,6 @@ impl TcpRttEstimator {
             let key = (dst, src, tcp.dst_port, tcp.src_port);
             let syn_ts = self.pending.remove(&key)?;
             let rtt_ns = now.as_nanos().saturating_sub(syn_ts);
-            self.measured += 1;
             Some(crate::records::TcpRttRecord {
                 ts_ns: now.as_nanos(),
                 client: dst,
@@ -181,7 +144,6 @@ mod tests {
         assert_eq!(rec.server, "203.0.113.1".parse::<std::net::IpAddr>().unwrap());
         assert_eq!(rec.dst_port, 443);
         assert_eq!(est.pending_len(), 0);
-        assert_eq!(est.measured, 1);
     }
 
     #[test]
@@ -213,24 +175,19 @@ mod tests {
 
     #[test]
     fn extracts_queries() {
-        let mut x = DnsExtractor::new();
-        let rec = x
-            .extract(SimTime::from_millis(3), Direction::Outbound, &dns_query_packet(DnsType::A))
-            .unwrap();
+        let query = dns_query_packet(DnsType::A);
+        let rec = extract_dns(SimTime::from_millis(3), Direction::Outbound, &query).unwrap();
         assert_eq!(rec.qname, "www.example.edu");
         assert_eq!(rec.qtype, 1);
         assert!(!rec.is_response);
         assert!(!rec.amplification_prone);
         assert_eq!(rec.client, "10.1.1.10".parse::<std::net::IpAddr>().unwrap());
-        assert_eq!(x.stats.parsed, 1);
     }
 
     #[test]
     fn flags_any_queries_as_amplification_prone() {
-        let mut x = DnsExtractor::new();
-        let rec = x
-            .extract(SimTime::ZERO, Direction::Outbound, &dns_query_packet(DnsType::Any))
-            .unwrap();
+        let query = dns_query_packet(DnsType::Any);
+        let rec = extract_dns(SimTime::ZERO, Direction::Outbound, &query).unwrap();
         assert!(rec.amplification_prone);
     }
 
@@ -257,8 +214,7 @@ mod tests {
             64,
             GroundTruth { flow_id: 0, app_class: 1, attack: Some(1) },
         );
-        let mut x = DnsExtractor::new();
-        let rec = x.extract(SimTime::ZERO, Direction::Inbound, &pkt).unwrap();
+        let rec = extract_dns(SimTime::ZERO, Direction::Inbound, &pkt).unwrap();
         assert!(rec.is_response);
         assert_eq!(rec.answer_count, 12);
         assert!(rec.amplification_prone);
@@ -280,9 +236,7 @@ mod tests {
             64,
             GroundTruth::default(),
         );
-        let mut x = DnsExtractor::new();
-        assert!(x.extract(SimTime::ZERO, Direction::Outbound, &not_dns).is_none());
-        assert_eq!(x.stats.port53_packets, 0);
+        assert!(extract_dns(SimTime::ZERO, Direction::Outbound, &not_dns).is_none());
 
         let garbage = b.udp_v4(
             Ipv4Addr::new(10, 1, 1, 10),
@@ -293,7 +247,6 @@ mod tests {
             64,
             GroundTruth::default(),
         );
-        assert!(x.extract(SimTime::ZERO, Direction::Outbound, &garbage).is_none());
-        assert_eq!(x.stats.malformed, 1);
+        assert!(extract_dns(SimTime::ZERO, Direction::Outbound, &garbage).is_none());
     }
 }

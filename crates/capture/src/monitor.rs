@@ -3,7 +3,7 @@
 //! simulated campus border tap.
 
 use crate::flow::{FlowTable, FlowTableConfig};
-use crate::meta::{DnsExtractor, TcpRttEstimator};
+use crate::meta::{extract_dns, TcpRttEstimator};
 use crate::observe::CaptureObs;
 use crate::records::{Direction, DnsMetaRecord, FlowRecord, PacketRecord, TcpRttRecord};
 use crate::ring::{CaptureArray, RingConfig, RingStats};
@@ -64,7 +64,6 @@ pub struct Monitor {
     cfg: MonitorConfig,
     rings: CaptureArray,
     flows: FlowTable,
-    dns: DnsExtractor,
     rtt: TcpRttEstimator,
     packets: Vec<PacketRecord>,
     dns_records: Vec<DnsMetaRecord>,
@@ -82,7 +81,6 @@ impl Monitor {
         Monitor {
             rings: CaptureArray::new(cfg.rings, cfg.ring),
             flows: FlowTable::new(FlowTableConfig::default()),
-            dns: DnsExtractor::new(),
             rtt: TcpRttEstimator::new(),
             packets: Vec::new(),
             dns_records: Vec::new(),
@@ -129,7 +127,7 @@ impl Monitor {
         self.stats.captured += 1;
         self.stats.bytes_captured += u64::from(record.wire_len);
         self.obs.on_captured(u64::from(record.wire_len));
-        if let Some(meta) = self.dns.extract(now, direction, pkt) {
+        if let Some(meta) = extract_dns(now, direction, pkt) {
             self.dns_records.push(meta);
         }
         if let Some(rtt) = self.rtt.observe(now, pkt) {

@@ -32,7 +32,6 @@ use crate::rollout::{RolloutEvent, RolloutEventKind};
 use campuslab_capture::sketch::HeavyHitters;
 use campuslab_capture::{Direction, PacketRecord};
 use campuslab_dataplane::{PipelineProgram, ProgramVersion, SwitchModel};
-use campuslab_features::{WindowCell, WindowConfig, WindowStream};
 use campuslab_ml::ForestConfig;
 use campuslab_netsim::fxhash::FxHasher;
 use campuslab_netsim::{Commands, Dir, LinkId, Packet, SimDuration, SimHooks, SimTime};
@@ -59,18 +58,12 @@ const HEAVY_K: usize = 8;
 /// Count-min width and depth behind each sketch.
 const SKETCH_WIDTH: usize = 512;
 const SKETCH_DEPTH: usize = 4;
-/// Sketch and feature window length. It is the features crate's default
-/// window, which the streaming == batch tests aggregate under.
+/// Drift-sketch window length.
 const WINDOW: SimDuration = SimDuration::from_secs(1);
 
 /// A fresh, empty drift sketch.
 fn drift_sketch() -> HeavyHitters {
     HeavyHitters::new(HEAVY_K, SKETCH_WIDTH, SKETCH_DEPTH)
-}
-
-/// The feature stream's windowing: [`WINDOW`]-long windows.
-fn window_config() -> WindowConfig {
-    WindowConfig { window_ns: WINDOW.as_nanos(), ..WindowConfig::default() }
 }
 
 /// DriftPilot configuration. Every candidate must fit
@@ -169,17 +162,12 @@ pub struct DriftPilot {
     pub obs: DriftObs,
 }
 
-/// Everything a [`DriftPilot`] keeps privately besides its config — stream
-/// accumulators, sealed cells, training buffer, drift sketches and
-/// references, episode machinery, submission bookkeeping: the one
-/// declaration of those fields, and (in this order) the head of its
-/// checkpoint image.
+/// Everything a [`DriftPilot`] keeps privately besides its config —
+/// training buffer, drift sketches and references, episode machinery,
+/// submission bookkeeping: the one declaration of those fields, and (in
+/// this order) the head of its checkpoint image.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct PilotState {
-    stream: WindowStream,
-    /// Sealed feature cells, in (window, dst) order — the incremental
-    /// equivalent of `features::aggregate` over the tapped range.
-    cells: Vec<WindowCell>,
     buffer: VecDeque<PacketRecord>,
     hh_ports: HeavyHitters,
     hh_prefixes: HeavyHitters,
@@ -212,10 +200,7 @@ impl DriftPilot {
 
     /// Build a pilot.
     pub fn new(cfg: DriftPilotConfig) -> Self {
-        let stream = WindowStream::new(window_config(), cfg.devloop.label_mode);
         let state = PilotState {
-            stream,
-            cells: Vec::new(),
             buffer: VecDeque::new(),
             hh_ports: drift_sketch(),
             hh_prefixes: drift_sketch(),
@@ -244,26 +229,10 @@ impl DriftPilot {
         }
     }
 
-    /// Sealed incremental feature cells so far.
-    pub fn features(&self) -> &[WindowCell] {
-        &self.state.cells
-    }
-
-    /// Seal every open window and return all feature cells produced over
-    /// the run — byte-identical to a one-shot `features::aggregate` over
-    /// the same record range.
-    pub fn flush_features(&mut self) -> Vec<WindowCell> {
-        let fresh = WindowStream::new(window_config(), self.cfg.devloop.label_mode);
-        let stream = std::mem::replace(&mut self.state.stream, fresh);
-        stream.finish(&mut self.state.cells);
-        std::mem::take(&mut self.state.cells)
-    }
-
-    /// Feed one already-parsed record. The tap path calls this; the
-    /// streaming==batch differential test feeds records directly.
+    /// Feed one already-parsed record. The tap path calls this; tests
+    /// feed records directly.
     pub fn ingest_record(&mut self, rec: PacketRecord) {
         self.obs.on_record();
-        self.state.stream.push(&rec, &mut self.state.cells);
         let sport_key =
             IpAddr::V4(Ipv4Addr::new(rec.protocol, (rec.src_port >> 8) as u8, rec.src_port as u8, 0));
         self.state.hh_ports.add(sport_key, u64::from(rec.wire_len));
@@ -341,10 +310,9 @@ impl DriftPilot {
         std::mem::take(&mut self.obs)
     }
 
-    /// Freeze the pilot's dynamic state for a checkpoint: stream
-    /// accumulators, sealed cells, training buffer, drift sketches and
-    /// references, episode machinery, submission bookkeeping, and
-    /// telemetry values. Config (and the devloop inside it) is
+    /// Freeze the pilot's dynamic state for a checkpoint: training
+    /// buffer, drift sketches and references, episode machinery,
+    /// submission bookkeeping, and telemetry values. Config (and the devloop inside it) is
     /// scenario-derived and reconstructed by the driver.
     pub fn freeze(&self) -> FrozenDriftPilot {
         FrozenDriftPilot {
@@ -628,7 +596,6 @@ mod tests {
     use super::*;
     use campuslab_capture::TcpFlags;
     use campuslab_dataplane::ProgramVersion;
-    use campuslab_features::LabelMode;
 
     fn rec(ts: u64, src: [u8; 4], proto: u8, sport: u16, len: u32, attack: u16) -> PacketRecord {
         PacketRecord {
@@ -788,24 +755,5 @@ mod tests {
         });
         assert_eq!(pilot.obs.committed(), 0);
         assert_eq!(pilot.deployed_fingerprint(), 0);
-    }
-
-    #[test]
-    fn incremental_features_match_batch_aggregate() {
-        let mut pilot = DriftPilot::new(DriftPilotConfig::new(LinkId(0), 0));
-        let mut records = window(0, 50, 53);
-        records.extend(window(1_000_000_000, 50, 123));
-        records.sort_by_key(|r| r.ts_ns);
-        for r in &records {
-            pilot.ingest_record(r.clone());
-        }
-        let streamed = pilot.flush_features();
-        let batch = campuslab_features::aggregate(
-            &records,
-            WindowConfig::default(),
-            LabelMode::BinaryAttack,
-        );
-        assert_eq!(streamed, batch);
-        assert!(!streamed.is_empty());
     }
 }

@@ -5,7 +5,7 @@
 use campuslab_dataplane::{Action, FieldExtractor, PipelineProgram, PipelineRuntime};
 use campuslab_netsim::{Packet, SimTime};
 
-/// Shadow-verdict accounting for one SLO window (or the run total).
+/// Shadow-verdict accounting for one SLO window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ShadowWindow {
     /// Mirrored packets evaluated.
@@ -40,7 +40,6 @@ pub struct ShadowMirror {
     extractor: FieldExtractor,
     runtime: PipelineRuntime,
     window: ShadowWindow,
-    totals: ShadowWindow,
 }
 
 impl ShadowMirror {
@@ -50,7 +49,6 @@ impl ShadowMirror {
             extractor,
             runtime: program.into_runtime(),
             window: ShadowWindow::default(),
-            totals: ShadowWindow::default(),
         }
     }
 
@@ -61,17 +59,16 @@ impl ShadowMirror {
             .runtime
             .process_at(now.as_nanos(), &fields, packet.wire_len() as u32);
         let is_attack = packet.truth.is_malicious();
-        for w in [&mut self.window, &mut self.totals] {
-            w.mirrored += 1;
-            if !is_attack {
-                w.benign += 1;
-            }
-            if action == Action::Drop {
-                if is_attack {
-                    w.would_drop_attack += 1;
-                } else {
-                    w.would_drop_benign += 1;
-                }
+        let w = &mut self.window;
+        w.mirrored += 1;
+        if !is_attack {
+            w.benign += 1;
+        }
+        if action == Action::Drop {
+            if is_attack {
+                w.would_drop_attack += 1;
+            } else {
+                w.would_drop_benign += 1;
             }
         }
         action
@@ -80,10 +77,5 @@ impl ShadowMirror {
     /// Take and reset the current window's accounting.
     pub fn take_window(&mut self) -> ShadowWindow {
         std::mem::take(&mut self.window)
-    }
-
-    /// Whole-run accounting (never reset).
-    pub fn totals(&self) -> ShadowWindow {
-        self.totals
     }
 }

@@ -230,8 +230,6 @@ pub struct CircuitBreaker {
     state: BreakerState,
     consecutive_failures: u32,
     open_until: SimTime,
-    /// Times the breaker tripped open.
-    pub opens: u64,
 }
 
 impl CircuitBreaker {
@@ -242,7 +240,6 @@ impl CircuitBreaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             open_until: SimTime::ZERO,
-            opens: 0,
         }
     }
 
@@ -290,7 +287,6 @@ impl CircuitBreaker {
         self.state = BreakerState::Open;
         self.open_until = now + self.policy.cooldown;
         self.consecutive_failures = 0;
-        self.opens += 1;
     }
 }
 
@@ -998,7 +994,6 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed, "one failure keeps it closed");
         b.on_failure(t0);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.opens, 1);
         // Blocked until the cooldown elapses.
         assert!(!b.allows(t0 + SimDuration::from_millis(50)));
         // Then exactly one probe is allowed.
@@ -1008,7 +1003,6 @@ mod tests {
         // A failed probe re-opens immediately (no streak needed).
         b.on_failure(probe_at);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.opens, 2);
         // A successful probe closes it for good.
         let probe2 = probe_at + SimDuration::from_millis(100);
         assert!(b.allows(probe2));

@@ -9,8 +9,8 @@
 //!   schema, with extractors for live packets and stored records.
 //! * [`ternary`] — minimal range→ternary prefix expansion (exhaustively
 //!   tested over all 8-bit ranges).
-//! * [`program`] — prioritized ternary tables with an executor and hit
-//!   counters.
+//! * [`program`] — prioritized ternary tables with an executor that
+//!   polices rate-limit entries.
 //! * [`compiler`] — leaf rules → cross-products of ternary blocks, with a
 //!   confidence gate ("drop ... if confidence ... is at least 90%").
 //! * [`resources`] — stages/TCAM/table-slot envelope; answers "how many

@@ -1,6 +1,6 @@
 //! The pipeline program: a prioritized ternary match-action table plus the
-//! software executor that evaluates it per packet, with per-entry hit
-//! counters (as real switch ASICs provide).
+//! software executor that evaluates it per packet, policing rate-limit
+//! entries with per-entry token buckets.
 
 use crate::fields::{FieldValues, FIELD_ORDER};
 use crate::ternary::TernaryMatch;
@@ -113,18 +113,12 @@ impl TokenBucket {
     }
 }
 
-/// Runtime state: the program plus hit counters.
+/// Runtime state: the program plus one token bucket per policing entry.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct PipelineRuntime {
     program: PipelineProgram,
     /// Token-bucket state per entry (None for non-policing entries).
     meters: Vec<Option<TokenBucket>>,
-    pub hits: Vec<u64>,
-    pub misses: u64,
-    pub packets: u64,
-    pub drops: u64,
-    /// Packets dropped specifically by policers.
-    pub policed: u64,
 }
 
 impl PipelineProgram {
@@ -199,9 +193,8 @@ impl PipelineProgram {
         PipelineProgram::new(format!("{}-policed", self.name), entries)
     }
 
-    /// Wrap into a runtime with counters.
+    /// Wrap into a runtime with a token bucket per policing entry.
     pub fn into_runtime(self) -> PipelineRuntime {
-        let hits = vec![0; self.entries.len()];
         let meters = self
             .entries
             .iter()
@@ -210,7 +203,7 @@ impl PipelineProgram {
                 _ => None,
             })
             .collect();
-        PipelineRuntime { program: self, meters, hits, misses: 0, packets: 0, drops: 0, policed: 0 }
+        PipelineRuntime { program: self, meters }
     }
 }
 
@@ -220,58 +213,32 @@ impl PipelineRuntime {
     /// entries act as plain Forward here because no clock is supplied;
     /// use [`PipelineRuntime::process_at`] to enforce policing.
     pub fn process(&mut self, fields: &FieldValues) -> Action {
-        self.packets += 1;
-        match self.program.lookup(fields) {
-            Some((idx, action)) => {
-                self.hits[idx] += 1;
-                if action == Action::Drop {
-                    self.drops += 1;
-                }
-                action
-            }
-            None => {
-                self.misses += 1;
-                Action::Forward
-            }
-        }
+        self.program.lookup(fields).map_or(Action::Forward, |(_, action)| action)
     }
 
     /// Process with a clock and packet size: rate-limit entries police via
     /// their token buckets; the returned action is the *effective* verdict
     /// (a policed-out packet returns Drop).
     pub fn process_at(&mut self, now_ns: u64, fields: &FieldValues, wire_len: u32) -> Action {
-        self.packets += 1;
         match self.program.lookup(fields) {
             Some((idx, Action::RateLimit { .. })) => {
-                self.hits[idx] += 1;
                 // Meters are built per-entry in `into_runtime`, so a
                 // policing entry always has one; treat a missing meter as
                 // an unpoliced forward rather than panicking the per-packet
                 // path on a malformed runtime.
-                match self.meters.get_mut(idx).and_then(Option::as_mut) {
-                    Some(meter) => {
-                        if meter.conform(now_ns, f64::from(wire_len) * 8.0) {
-                            Action::Forward
-                        } else {
-                            self.drops += 1;
-                            self.policed += 1;
-                            Action::Drop
-                        }
-                    }
-                    None => Action::Forward,
+                let conforms = self
+                    .meters
+                    .get_mut(idx)
+                    .and_then(Option::as_mut)
+                    .is_none_or(|meter| meter.conform(now_ns, f64::from(wire_len) * 8.0));
+                if conforms {
+                    Action::Forward
+                } else {
+                    Action::Drop
                 }
             }
-            Some((idx, action)) => {
-                self.hits[idx] += 1;
-                if action == Action::Drop {
-                    self.drops += 1;
-                }
-                action
-            }
-            None => {
-                self.misses += 1;
-                Action::Forward
-            }
+            Some((_, action)) => action,
+            None => Action::Forward,
         }
     }
 
@@ -310,13 +277,11 @@ mod tests {
         let program = PipelineProgram::new("test", vec![allow_all, drop_dns]);
         // Sorting put the drop first.
         assert_eq!(program.entries[0].action, Action::Drop);
+        assert_eq!(program.lookup(&fields_with(HeaderField::SrcPort, 53)), Some((0, Action::Drop)));
+        assert_eq!(program.lookup(&fields_with(HeaderField::SrcPort, 80)), Some((1, Action::Forward)));
         let mut rt = program.into_runtime();
         assert_eq!(rt.process(&fields_with(HeaderField::SrcPort, 53)), Action::Drop);
         assert_eq!(rt.process(&fields_with(HeaderField::SrcPort, 80)), Action::Forward);
-        assert_eq!(rt.drops, 1);
-        assert_eq!(rt.packets, 2);
-        assert_eq!(rt.hits[0], 1);
-        assert_eq!(rt.hits[1], 1);
     }
 
     #[test]
@@ -330,9 +295,9 @@ mod tests {
                 0,
             )],
         );
+        assert_eq!(program.lookup(&fields_with(HeaderField::DstPort, 443)), None);
         let mut rt = program.into_runtime();
         assert_eq!(rt.process(&fields_with(HeaderField::DstPort, 443)), Action::Forward);
-        assert_eq!(rt.misses, 1);
     }
 
     #[test]
@@ -360,16 +325,18 @@ mod tests {
         );
         let mut rt = program.into_runtime();
         let fields = [0u32; FIELD_ORDER.len()];
-        let mut forwarded = 0;
         let n = 2_000u64;
+        let (mut forwarded, mut policed) = (0, 0);
         for i in 0..n {
-            if rt.process_at(i * 1_000_000, &fields, 1_250) == Action::Forward {
-                forwarded += 1;
+            match rt.process_at(i * 1_000_000, &fields, 1_250) {
+                Action::Forward => forwarded += 1,
+                Action::Drop => policed += 1,
+                other => panic!("a policer answered {other:?}"),
             }
         }
         let rate = forwarded as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.03, "conform rate {rate}");
-        assert_eq!(rt.policed + forwarded, n);
+        assert_eq!(policed + forwarded, n);
     }
 
     #[test]
@@ -403,7 +370,6 @@ mod tests {
         let mut rt = program.into_runtime();
         let fields = [0u32; FIELD_ORDER.len()];
         assert_eq!(rt.process(&fields), Action::RateLimit { bits_per_sec: 8 });
-        assert_eq!(rt.drops, 0);
     }
 
     #[test]
@@ -467,7 +433,6 @@ mod tests {
         rt.meters.clear();
         let fields = [0u32; FIELD_ORDER.len()];
         assert_eq!(rt.process_at(0, &fields, 1_500), Action::Forward);
-        assert_eq!(rt.drops, 0);
     }
 
     #[test]

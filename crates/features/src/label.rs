@@ -3,7 +3,7 @@
 use campuslab_capture::PacketRecord;
 
 /// How records map to class labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LabelMode {
     /// 0 = benign, 1 = any attack.
     BinaryAttack,

@@ -29,7 +29,4 @@ pub mod window;
 
 pub use label::LabelMode;
 pub use packet::{packet_dataset, packet_feature_index, packet_features, PACKET_FEATURES};
-pub use window::{
-    aggregate, window_dataset, WindowCell, WindowConfig, WindowStream,
-    WINDOW_FEATURES,
-};
+pub use window::{aggregate, window_dataset, WindowCell, WindowConfig, WINDOW_FEATURES};

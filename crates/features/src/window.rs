@@ -42,7 +42,7 @@ impl Default for WindowConfig {
 }
 
 /// One aggregated cell: traffic toward `dst` during window `index`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowCell {
     pub dst: IpAddr,
     pub window_index: u64,
@@ -52,12 +52,9 @@ pub struct WindowCell {
     pub packets: usize,
 }
 
-/// Per-cell accumulator shared by the batch [`aggregate`] and the
-/// incremental [`WindowStream`]: both absorb records and finish cells
-/// through this one implementation, so streaming == batch holds by
-/// construction, not by parallel maintenance of two formulas. Declaration
-/// order is the accumulator's checkpoint wire order.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+/// One (destination, window) cell's running totals while [`aggregate`]
+/// absorbs its records.
+#[derive(Default)]
 struct Acc {
     pkts: u64,
     bytes: u64,
@@ -162,79 +159,6 @@ pub fn aggregate(records: &[PacketRecord], cfg: WindowConfig, mode: LabelMode) -
         .collect();
     out.sort_by_key(|c| (c.window_index, c.dst));
     out
-}
-
-/// Incremental window aggregator: absorbs records one at a time (in
-/// nondecreasing timestamp order) and seals a window's cells as soon as a
-/// later window opens. Over any time-ordered record range the concatenated
-/// output is byte-identical to a one-shot [`aggregate`] over the same
-/// range — the differential test in `tests/streaming_differential.rs` pins
-/// that law; DriftPilot relies on it to learn from live taps.
-///
-/// The stream is its own checkpoint image: a clone (open accumulators
-/// included) serializes byte-deterministically — the maps are ordered —
-/// and a deserialized stream continues byte-identically to one that
-/// never stopped.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct WindowStream {
-    cfg: WindowConfig,
-    mode: LabelMode,
-    /// Accumulators for windows not yet sealed, in emit order.
-    open: BTreeMap<(u64, IpAddr), Acc>,
-    /// Windows below this index have been sealed and emitted.
-    floor: u64,
-}
-
-impl WindowStream {
-    /// New empty stream. Panics on a zero-length window.
-    pub fn new(cfg: WindowConfig, mode: LabelMode) -> Self {
-        assert!(cfg.window_ns > 0, "window_ns = {}: a window must be at least 1 ns long", cfg.window_ns);
-        WindowStream { cfg, mode, open: BTreeMap::new(), floor: 0 }
-    }
-
-    /// Absorb one record, appending any cells its arrival seals onto `out`.
-    ///
-    /// Records must arrive in nondecreasing window order (time order is
-    /// sufficient) — a record for an already-sealed window is a caller bug.
-    pub fn push(&mut self, r: &PacketRecord, out: &mut Vec<WindowCell>) {
-        let w = r.ts_ns / self.cfg.window_ns;
-        assert!(
-            w >= self.floor,
-            "record for sealed window {w} (floor {}): feed records in time order",
-            self.floor
-        );
-        if w > self.floor {
-            self.seal_below(w, out);
-        }
-        self.open.entry((w, r.dst)).or_default().absorb(r, self.mode);
-    }
-
-    /// Seal every still-open window and append its cells onto `out`.
-    pub fn finish(mut self, out: &mut Vec<WindowCell>) {
-        self.seal_below(u64::MAX, out);
-    }
-
-    /// Number of records currently held in open (unsealed) windows.
-    pub fn pending(&self) -> usize {
-        self.open.values().map(|a| a.pkts as usize).sum()
-    }
-
-    fn seal_below(&mut self, w: u64, out: &mut Vec<WindowCell>) {
-        // BTreeMap iteration is (window_index, dst)-ordered — the same
-        // order `aggregate` sorts into.
-        let rest = self.open.split_off(&(w, ip_min()));
-        for ((wi, dst), acc) in std::mem::replace(&mut self.open, rest) {
-            if acc.pkts as usize >= self.cfg.min_packets {
-                out.push(acc.finish(dst, wi));
-            }
-        }
-        self.floor = w;
-    }
-}
-
-/// The smallest `IpAddr` under its `Ord` (v4 sorts before v6).
-fn ip_min() -> IpAddr {
-    IpAddr::from([0u8, 0, 0, 0])
 }
 
 /// Build a window-level dataset.
@@ -342,115 +266,10 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_batch_on_time_ordered_records() {
-        let mut records = Vec::new();
-        for i in 0..20u8 {
-            records.push(rec(
-                40_000_000 * u64::from(i),
-                [203, 0, 113, i % 5 + 1],
-                [10, 1, 1, 10],
-                17,
-                53,
-                1,
-            ));
-        }
-        for i in 0..9u8 {
-            records.push(rec(
-                900_000_000 + 30_000_000 * u64::from(i),
-                [198, 51, 100, i + 1],
-                [10, 1, 2, 20],
-                6,
-                443,
-                0,
-            ));
-        }
-        records.sort_by_key(|r| r.ts_ns);
-        let batch = aggregate(&records, WindowConfig::default(), LabelMode::BinaryAttack);
-        let mut streamed = Vec::new();
-        let mut stream = WindowStream::new(WindowConfig::default(), LabelMode::BinaryAttack);
-        for r in &records {
-            stream.push(r, &mut streamed);
-        }
-        stream.finish(&mut streamed);
-        assert_eq!(streamed, batch);
-    }
-
-    #[test]
-    fn stream_seals_windows_as_later_ones_open() {
-        let cfg = WindowConfig::default();
-        let mut stream = WindowStream::new(cfg, LabelMode::BinaryAttack);
-        let mut out = Vec::new();
-        for i in 0..5u64 {
-            stream.push(&rec(i * 1_000, [1, 1, 1, i as u8], [10, 0, 0, 1], 17, 53, 0), &mut out);
-        }
-        assert!(out.is_empty(), "window 0 still open");
-        assert_eq!(stream.pending(), 5);
-        // First record of window 2 seals windows 0 and 1 (1 is empty).
-        stream.push(&rec(2_000_000_100, [1, 1, 1, 1], [10, 0, 0, 1], 17, 53, 0), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].window_index, 0);
-        assert_eq!(out[0].packets, 5);
-        assert_eq!(stream.pending(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "window_ns = 0")]
     fn aggregate_refuses_a_zero_length_window() {
         let records = vec![rec(0, [1, 1, 1, 1], [10, 0, 0, 1], 17, 53, 0)];
         aggregate(&records, WindowConfig { window_ns: 0, min_packets: 1 }, LabelMode::BinaryAttack);
-    }
-
-    #[test]
-    #[should_panic(expected = "window_ns = 0")]
-    fn stream_refuses_a_zero_length_window() {
-        WindowStream::new(WindowConfig { window_ns: 0, min_packets: 1 }, LabelMode::BinaryAttack);
-    }
-
-    #[test]
-    #[should_panic(expected = "sealed window")]
-    fn stream_rejects_records_for_sealed_windows() {
-        let mut stream = WindowStream::new(WindowConfig::default(), LabelMode::BinaryAttack);
-        let mut out = Vec::new();
-        stream.push(&rec(3_000_000_000, [1, 1, 1, 1], [10, 0, 0, 1], 17, 53, 0), &mut out);
-        stream.push(&rec(100, [1, 1, 1, 1], [10, 0, 0, 1], 17, 53, 0), &mut out);
-    }
-
-    #[test]
-    fn frozen_stream_resumes_byte_identically() {
-        // Stop mid-window, round-trip through JSON, and finish: the cells
-        // must match a stream that never stopped.
-        let cfg = WindowConfig::default();
-        let mut records = Vec::new();
-        for i in 0..30u64 {
-            records.push(rec(
-                i * 90_000_000,
-                [1, 1, 1, (i % 7) as u8],
-                [10, 0, 0, (i % 2) as u8],
-                if i % 3 == 0 { 6 } else { 17 },
-                53,
-                (i % 2) as u16,
-            ));
-        }
-        let cut = 17;
-        let mut uninterrupted = Vec::new();
-        let mut s1 = WindowStream::new(cfg, LabelMode::BinaryAttack);
-        for r in &records {
-            s1.push(r, &mut uninterrupted);
-        }
-        s1.finish(&mut uninterrupted);
-
-        let mut resumed = Vec::new();
-        let mut s2 = WindowStream::new(cfg, LabelMode::BinaryAttack);
-        for r in &records[..cut] {
-            s2.push(r, &mut resumed);
-        }
-        let mut s3: WindowStream = serde::bin::from_slice(&serde::bin::to_vec(&s2)).unwrap();
-        assert_eq!(s3.pending(), s2.pending());
-        for r in &records[cut..] {
-            s3.push(r, &mut resumed);
-        }
-        s3.finish(&mut resumed);
-        assert_eq!(resumed, uninterrupted);
     }
 
     #[test]

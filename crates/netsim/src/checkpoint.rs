@@ -6,8 +6,8 @@
 //! from the same topology and schedule: the pending events a rebuild
 //! cannot reproduce (with canonical keys), per-direction link queues and
 //! their private RNG streams, fault-model state (including live
-//! Gilbert–Elliott channel state), node and network counters, and the
-//! Observatory sink.
+//! Gilbert–Elliott channel state), node fault state, the network
+//! counters, and the Observatory sink.
 //!
 //! Restore deliberately does NOT rebuild static topology (nodes, links,
 //! routes, taps are cheap and deterministic to reconstruct from the
@@ -32,7 +32,7 @@ use crate::chaos::ChaosAction;
 use crate::event::{EventKey, CLASS_ROOT};
 use crate::link::{FrozenLink, LinkId};
 use crate::network::{Event, Network, NetStats};
-use crate::node::{NodeId, NodeStats};
+use crate::node::NodeId;
 use crate::observe::chaos_index;
 use crate::time::SimTime;
 use campuslab_obs::ObsSink;
@@ -66,7 +66,6 @@ impl serde::Deserialize for StreamRng {
 /// A node's dynamic (non-topology) state.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FrozenNode {
-    pub stats: NodeStats,
     pub down_windows: Vec<crate::link::Outage>,
     pub forced_down: bool,
 }
@@ -104,9 +103,10 @@ pub struct FrozenNetwork {
 }
 
 /// A frozen engine was offered to a network it was not taken from: node
-/// count, link count, seed, tap set, metric schema or build-time schedule
-/// disagree, the network has already run, or a pending event names a node
-/// or link this topology does not have.
+/// count, link count, seed, tap set, metric schema, queue capacity or
+/// build-time schedule disagree, the network has already run, a queue's
+/// byte count is not what its packets weigh, or a pending event names a
+/// node or link this topology does not have.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopologyMismatch;
 
@@ -186,7 +186,6 @@ impl Network {
                 .nodes
                 .iter()
                 .map(|n| FrozenNode {
-                    stats: n.stats,
                     down_windows: n.down_windows.clone(),
                     forced_down: n.forced_down,
                 })
@@ -198,8 +197,9 @@ impl Network {
 
     /// Whether `frozen` was taken from an engine of this one's shape and
     /// schedule: same node, link and tap counts, same seed, a metric sink
-    /// that fits, no pending event naming a node or link out of range —
-    /// and this engine has never run, numbered exactly the image's
+    /// that fits, link queues of this engine's capacities whose byte counts
+    /// match their packets, no pending event naming a node or link out of
+    /// range — and this engine has never run, numbered exactly the image's
     /// build-time roots, and holds the referenced ones (by count and
     /// digest). A CRC-valid image from another scenario fails here instead
     /// of indexing out of bounds or resuming someone else's traffic.
@@ -211,6 +211,7 @@ impl Network {
             && self.tapped.len() == frozen.tapped.len()
             && self.seed == frozen.seed
             && self.obs.fits(&frozen.obs)
+            && self.links.iter().zip(&frozen.links).all(|(l, f)| l.fits(f))
             && frozen.events.iter().all(|(_, event)| match *event {
                 Event::Inject { node: n, .. } => node(n),
                 Event::TxDone { link: l, .. } | Event::Arrive { link: l, .. } => link(l),
@@ -251,7 +252,6 @@ impl Network {
         self.stats = frozen.stats;
         self.tapped = frozen.tapped;
         for (node, f) in self.nodes.iter_mut().zip(frozen.nodes) {
-            node.stats = f.stats;
             node.down_windows = f.down_windows;
             node.forced_down = f.forced_down;
         }
@@ -400,7 +400,8 @@ mod tests {
     }
 
     /// A well-formed image from another topology or schedule — or one
-    /// whose pending events name a node or link this one lacks — is
+    /// whose pending events name a node or link this one lacks, or whose
+    /// queues disagree with this topology or with their own packets — is
     /// refused, and every refusal leaves the engine as it was.
     #[test]
     fn restore_refuses_an_image_that_does_not_fit() {
@@ -413,7 +414,7 @@ mod tests {
         net.run(&mut crate::network::NullHooks, Some(SimTime::from_millis(1)));
         let good = net.checkpoint();
         let late = EventKey::root(SimTime::from_secs(9), u64::MAX);
-        let doctors: [fn(&mut FrozenNetwork, EventKey); 10] = [
+        let doctors: [fn(&mut FrozenNetwork, EventKey); 12] = [
             |f, _| drop(f.nodes.pop()),
             |f, _| drop(f.links.pop()),
             |f, _| f.tapped.push(false),
@@ -424,6 +425,8 @@ mod tests {
             |f, _| f.built_roots += 1,
             |f, _| f.referenced += 1,
             |f, _| f.referenced_digest ^= 1,
+            |f, _| f.links[0] = Link::new(LinkId(0), NodeId(0), NodeId(1), 1, SimDuration::ZERO, 1).freeze(),
+            |f, _| assert!(f.links.iter_mut().any(FrozenLink::understate_queue), "no queue holds a packet"),
         ];
         let mut fresh = build();
         let untouched = fresh.checkpoint();

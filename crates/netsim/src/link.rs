@@ -46,15 +46,16 @@ pub fn drop_tail_for(rate_bps: u64, ms: u64) -> usize {
 /// sequential run bit-for-bit.
 ///
 /// Every field is dynamic state and the declaration is its checkpoint
-/// image ([`FrozenLink::dirs`]): the drop-tail capacity, queued packets
-/// with their enqueue stamps, the transmitter horizon, the exact RNG
+/// image ([`FrozenLink::dirs`]): the drop-tail capacity, the queued
+/// packets and their wire bytes, the transmitter horizon, the exact RNG
 /// stream position, the live burst channel and the transmission counter,
 /// in this order on the wire.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DirQueue {
     /// Tail-drop once the queue would hold more than this many bytes.
     capacity_bytes: usize,
-    packets: std::collections::VecDeque<(Box<Packet>, SimTime)>,
+    packets: std::collections::VecDeque<Box<Packet>>,
+    /// Wire bytes of `packets`.
     bytes: usize,
     /// Transmitter busy until this instant.
     busy_until: SimTime,
@@ -85,21 +86,21 @@ impl DirQueue {
     /// Decide admission and enqueue; a rejected packet is handed back to
     /// the caller rather than cloned up front, which keeps the admit path
     /// copy-free.
-    fn enqueue(&mut self, pkt: Box<Packet>, now: SimTime) -> Result<(), Box<Packet>> {
+    fn enqueue(&mut self, pkt: Box<Packet>) -> Result<(), Box<Packet>> {
         let len = pkt.wire_len();
         if self.bytes + len <= self.capacity_bytes {
             self.bytes += len;
-            self.packets.push_back((pkt, now));
+            self.packets.push_back(pkt);
             Ok(())
         } else {
             Err(pkt)
         }
     }
 
-    fn dequeue(&mut self) -> Option<(Box<Packet>, SimTime)> {
-        let (pkt, t) = self.packets.pop_front()?;
+    fn dequeue(&mut self) -> Option<Box<Packet>> {
+        let pkt = self.packets.pop_front()?;
         self.bytes -= pkt.wire_len();
-        Some((pkt, t))
+        Some(pkt)
     }
 }
 
@@ -270,29 +271,6 @@ impl FaultModel {
     }
 }
 
-/// Per-direction transmit statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct DirStats {
-    pub tx_packets: u64,
-    pub tx_bytes: u64,
-    pub dropped_queue: u64,
-    pub dropped_fault: u64,
-    /// Cumulative time the transmitter spent sending, for utilization.
-    pub busy: SimDuration,
-    /// Cumulative queueing delay experienced by transmitted packets.
-    pub queue_delay: SimDuration,
-}
-
-impl DirStats {
-    /// Transmitter utilization over an observation window.
-    pub fn utilization(&self, window: SimDuration) -> f64 {
-        if window.as_nanos() == 0 {
-            return 0.0;
-        }
-        self.busy.as_secs_f64() / window.as_secs_f64()
-    }
-}
-
 /// A full-duplex point-to-point link.
 #[derive(Debug)]
 pub struct Link {
@@ -303,7 +281,6 @@ pub struct Link {
     pub propagation: SimDuration,
     pub fault: FaultModel,
     queues: [DirQueue; 2],
-    pub stats: [DirStats; 2],
 }
 
 /// What happened when a packet was offered to a link.
@@ -344,7 +321,6 @@ impl Link {
             propagation,
             fault: FaultModel::default(),
             queues: [DirQueue::new(queue_bytes), DirQueue::new(queue_bytes)],
-            stats: [DirStats::default(), DirStats::default()],
         }
     }
 
@@ -376,21 +352,17 @@ impl Link {
     pub fn offer(&mut self, dir: Dir, pkt: Box<Packet>, now: SimTime) -> Offer {
         let q = &mut self.queues[dir.index()];
         if self.fault.should_drop(now, q) {
-            self.stats[dir.index()].dropped_fault += 1;
             return Offer::DroppedFault(pkt);
         }
         if q.busy_until <= now && q.packets.is_empty() {
             // Idle transmitter: the packet goes straight to the wire.
             q.bytes += pkt.wire_len();
-            q.packets.push_back((pkt, now));
+            q.packets.push_back(pkt);
             Offer::StartedTransmit
         } else {
-            match q.enqueue(pkt, now) {
+            match q.enqueue(pkt) {
                 Ok(()) => Offer::Queued,
-                Err(pkt) => {
-                    self.stats[dir.index()].dropped_queue += 1;
-                    Offer::DroppedQueue(pkt)
-                }
+                Err(pkt) => Offer::DroppedQueue(pkt),
             }
         }
     }
@@ -408,16 +380,11 @@ impl Link {
     ) -> Option<(Box<Packet>, SimDuration, SimDuration, u64)> {
         let rate = self.effective_rate_bps(now);
         let q = &mut self.queues[dir.index()];
-        let (pkt, enqueued_at) = q.dequeue()?;
+        let pkt = q.dequeue()?;
         let tx = SimDuration::transmission(pkt.wire_len(), rate);
         q.busy_until = now + tx;
         let seq = q.tx_seq;
         q.tx_seq += 1;
-        let s = &mut self.stats[dir.index()];
-        s.tx_packets += 1;
-        s.tx_bytes += pkt.wire_len() as u64;
-        s.busy += tx;
-        s.queue_delay += now - enqueued_at;
         Some((pkt, tx, tx + self.propagation, seq))
     }
 
@@ -467,9 +434,9 @@ impl Link {
         self.queues.iter().all(|q| q.packets.is_empty())
     }
 
-    /// A structural copy for a shard: same configuration, fault model,
-    /// per-direction RNG/burst/tx state and stats. Only valid on a
-    /// quiescent link (asserted), whose packet queues are empty.
+    /// A structural copy for a shard: same configuration, fault model and
+    /// per-direction RNG/burst/tx state. Only valid on a quiescent link
+    /// (asserted), whose packet queues are empty.
     pub(crate) fn shard_clone(&self) -> Link {
         assert!(self.is_quiescent(), "cannot split a link with packets in flight");
         Link {
@@ -480,35 +447,38 @@ impl Link {
             propagation: self.propagation,
             fault: self.fault.clone(),
             queues: self.queues.clone(),
-            stats: self.stats,
         }
     }
 
-    /// Take direction `dir`'s live state (queue, RNG, burst, tx counter,
-    /// stats) from `other`, the shard copy that owned that direction.
+    /// Take direction `dir`'s live state (queue, RNG, burst, tx counter)
+    /// from `other`, the shard copy that owned that direction.
     pub(crate) fn adopt_dir(&mut self, dir: Dir, other: &mut Link) {
         debug_assert_eq!(self.id, other.id);
         let i = dir.index();
         self.queues[i] = std::mem::replace(&mut other.queues[i], DirQueue::new(self.queues[i].capacity_bytes));
-        self.stats[i] = other.stats[i];
     }
 
     /// Capture every bit of this link's dynamic state (fault model, both
-    /// direction queues with their private RNG streams, stats) for a
-    /// checkpoint. Queued packets are cloned; the link is unchanged.
+    /// direction queues with their private RNG streams) for a checkpoint.
+    /// Queued packets are cloned; the link is unchanged.
     pub fn freeze(&self) -> FrozenLink {
-        FrozenLink {
-            fault: self.fault.clone(),
-            stats: self.stats,
-            dirs: self.queues.clone(),
-        }
+        FrozenLink { fault: self.fault.clone(), dirs: self.queues.clone() }
+    }
+
+    /// Whether `frozen` can be thawed onto this link: each direction keeps
+    /// this link's drop-tail capacity, and its byte count is what its
+    /// queued packets weigh on the wire, so no later dequeue underflows.
+    pub(crate) fn fits(&self, frozen: &FrozenLink) -> bool {
+        self.queues.iter().zip(&frozen.dirs).all(|(live, f)| {
+            f.capacity_bytes == live.capacity_bytes
+                && f.packets.iter().map(|p| p.wire_len()).sum::<usize>() == f.bytes
+        })
     }
 
     /// Restore dynamic state captured by [`Link::freeze`] onto this link,
     /// which must have been rebuilt with the same static topology.
     pub fn thaw(&mut self, frozen: FrozenLink) {
         self.fault = frozen.fault;
-        self.stats = frozen.stats;
         self.queues = frozen.dirs;
     }
 }
@@ -517,8 +487,20 @@ impl Link {
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FrozenLink {
     pub fault: FaultModel,
-    pub stats: [DirStats; 2],
     pub dirs: [DirQueue; 2],
+}
+
+#[cfg(test)]
+impl FrozenLink {
+    /// Understate the byte count of the first direction holding packets,
+    /// as a corrupt image could; false when both directions are empty.
+    pub(crate) fn understate_queue(&mut self) -> bool {
+        let Some(q) = self.dirs.iter_mut().find(|q| !q.packets.is_empty()) else {
+            return false;
+        };
+        q.bytes -= 1;
+        true
+    }
 }
 
 #[cfg(test)]
@@ -577,7 +559,6 @@ mod tests {
             Offer::DroppedQueue(p) => assert_eq!(p.id, rejected_id),
             other => panic!("expected queue drop, got {other:?}"),
         }
-        assert_eq!(l.stats[0].dropped_queue, 1);
         assert!(l.has_backlog(Dir::AtoB));
     }
 
@@ -612,24 +593,21 @@ mod tests {
             Offer::DroppedFault(_)
         ));
         assert!(!l.fault.is_down(SimTime::from_secs(20)));
-        assert_eq!(l.stats[0].dropped_fault, 2);
     }
 
     #[test]
-    fn utilization_and_queue_delay_accounting() {
+    fn transmissions_are_numbered_and_queued_bytes_drain() {
         let mut l = link(8_000_000, 1_000_000); // 1 byte per microsecond
         l.offer(Dir::AtoB, Box::new(pkt(958)), SimTime::ZERO);
-        l.start_transmit(Dir::AtoB, SimTime::ZERO).unwrap();
-        l.offer(Dir::AtoB, Box::new(pkt(958)), SimTime::ZERO);
-        // Second packet waits 1000 us for the first to serialize.
-        let busy_until = SimTime::from_micros(1000);
-        let (_, _, _, seq) = l.start_transmit(Dir::AtoB, busy_until).unwrap();
+        let (first, tx, _, _) = l.start_transmit(Dir::AtoB, SimTime::ZERO).unwrap();
+        assert_eq!(tx, SimDuration::from_micros(1000));
+        // The second packet waits 1000 us for the first to serialize.
+        assert_eq!(l.offer(Dir::AtoB, Box::new(pkt(958)), SimTime::ZERO), Offer::Queued);
+        assert_eq!(l.queued_bytes(Dir::AtoB), 1000);
+        let (second, _, _, seq) = l.start_transmit(Dir::AtoB, SimTime::from_micros(1000)).unwrap();
         assert_eq!(seq, 1);
-        let s = &l.stats[0];
-        assert_eq!(s.tx_packets, 2);
-        assert_eq!(s.tx_bytes, 2000);
-        assert_eq!(s.queue_delay, SimDuration::from_micros(1000));
-        assert!((s.utilization(SimDuration::from_micros(2000)) - 1.0).abs() < 1e-9);
+        assert_eq!(first.wire_len() + second.wire_len(), 2000);
+        assert_eq!(l.queued_bytes(Dir::AtoB), 0);
     }
 
     #[test]

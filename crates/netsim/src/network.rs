@@ -397,7 +397,7 @@ impl Network {
                 // needs no side lookup table keyed by packet id.
                 packet.injected_at = now;
                 if self.nodes[node.0].is_down(now) {
-                    return self.drop_packet(now, node, DropReason::NodeDown, packet, hooks, cmds);
+                    return self.drop_packet(now, DropReason::NodeDown, packet, hooks, cmds);
                 }
                 self.forward(now, node, packet, hooks, cmds);
             }
@@ -417,24 +417,19 @@ impl Network {
         }
     }
 
-    /// The one way a packet leaves the network undelivered: booked on the
-    /// node `at` which it was judged (unless the verdict was its egress
-    /// link's — queue, fault — which no node books), on [`NetStats`] and
-    /// the Observatory, reported to the hooks, and its box freed.
+    /// The one way a packet leaves the network undelivered: booked on
+    /// [`NetStats`] and the Observatory, reported to the hooks, and its box
+    /// freed.
     /// Conservation (*injected = delivered + Σ drops-by-reason + in flight*)
     /// holds because nothing else drops.
     fn drop_packet(
         &mut self,
         now: SimTime,
-        at: NodeId,
         reason: DropReason,
         packet: Box<Packet>,
         hooks: &mut dyn SimHooks,
         cmds: &mut Commands,
     ) {
-        if let Some(booked) = self.nodes[at.0].stats.dropped_mut(reason) {
-            *booked += 1;
-        }
         *self.stats.dropped_mut(reason) += 1;
         self.obs.on_drop(reason);
         hooks.on_drop(now, reason, &packet, cmds);
@@ -451,12 +446,12 @@ impl Network {
     ) {
         // A down node swallows everything before its pipeline runs.
         if self.nodes[node.0].is_down(now) {
-            return self.drop_packet(now, node, DropReason::NodeDown, packet, hooks, cmds);
+            return self.drop_packet(now, DropReason::NodeDown, packet, hooks, cmds);
         }
         // Ingress program first, exactly like a programmable ASIC.
         if let Some(filter) = self.nodes[node.0].filter.as_mut() {
             if filter.decide(now, &packet) == FilterAction::Drop {
-                return self.drop_packet(now, node, DropReason::Filter, packet, hooks, cmds);
+                return self.drop_packet(now, DropReason::Filter, packet, hooks, cmds);
             }
         }
         match &self.nodes[node.0].kind {
@@ -464,11 +459,8 @@ impl Network {
                 // Hosts sink everything addressed to them; anything else is
                 // a routing error.
                 if !self.nodes[node.0].owns_address(packet.network.dst()) {
-                    return self.drop_packet(now, node, DropReason::NoRoute, packet, hooks, cmds);
+                    return self.drop_packet(now, DropReason::NoRoute, packet, hooks, cmds);
                 }
-                let n = &mut self.nodes[node.0];
-                n.stats.received += 1;
-                n.stats.received_bytes += packet.wire_len() as u64;
                 self.stats.delivered += 1;
                 self.stats.delivered_bytes += packet.wire_len() as u64;
                 let latency = now - packet.injected_at;
@@ -478,9 +470,8 @@ impl Network {
             }
             NodeKind::Switch { .. } => {
                 if !packet.network.decrement_ttl() {
-                    return self.drop_packet(now, node, DropReason::Ttl, packet, hooks, cmds);
+                    return self.drop_packet(now, DropReason::Ttl, packet, hooks, cmds);
                 }
-                self.nodes[node.0].stats.forwarded += 1;
                 self.forward(now, node, packet, hooks, cmds);
             }
         }
@@ -496,7 +487,7 @@ impl Network {
         cmds: &mut Commands,
     ) {
         let Some(link_id) = self.nodes[node.0].route_cached(packet.network.dst()) else {
-            return self.drop_packet(now, node, DropReason::NoRoute, packet, hooks, cmds);
+            return self.drop_packet(now, DropReason::NoRoute, packet, hooks, cmds);
         };
         let link = &mut self.links[link_id.0];
         let dir = link.dir_from(node);
@@ -518,8 +509,8 @@ impl Network {
                     self.queue.schedule(EventKey::tx_done(free_at, lane, seq), Event::TxDone { link: link_id, dir });
                 }
             }
-            Offer::DroppedQueue(p) => self.drop_packet(now, node, DropReason::Queue, p, hooks, cmds),
-            Offer::DroppedFault(p) => self.drop_packet(now, node, DropReason::Fault, p, hooks, cmds),
+            Offer::DroppedQueue(p) => self.drop_packet(now, DropReason::Queue, p, hooks, cmds),
+            Offer::DroppedFault(p) => self.drop_packet(now, DropReason::Fault, p, hooks, cmds),
         }
     }
 
@@ -610,12 +601,11 @@ mod tests {
 
     #[test]
     fn packet_crosses_two_links() {
-        let (mut net, h1, _, h2, _, _) = tiny_net();
+        let (mut net, h1, _, _, _, _) = tiny_net();
         net.inject(SimTime::ZERO, h1, test_packet(958));
         let stats = net.run_to_completion();
         assert_eq!(stats.injected, 1);
         assert_eq!(stats.delivered, 1);
-        assert_eq!(net.node(h2).stats.received, 1);
         // Two 8 us serializations + two 10 us propagations = 36 us.
         assert_eq!(stats.latency_sum, SimDuration::from_micros(36));
     }
@@ -690,14 +680,12 @@ mod tests {
                 }
             }
         }
-        let (mut net, h1, s1, h2, _, _) = tiny_net();
+        let (mut net, h1, s1, _, _, _) = tiny_net();
         net.install_filter(s1, Box::new(DropUdp));
         net.inject(SimTime::ZERO, h1, test_packet(100));
         let stats = net.run_to_completion();
         assert_eq!(stats.dropped_filter, 1);
         assert_eq!(stats.delivered, 0);
-        assert_eq!(net.node(h2).stats.received, 0);
-        assert_eq!(net.node(s1).stats.dropped_filter, 1);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::link::{LinkId, Outage};
 use crate::fxhash::FxHashMap;
 use crate::lpm::LpmTable;
-use crate::network::DropReason;
 use crate::packet::Packet;
 use crate::time::SimTime;
 use std::net::IpAddr;
@@ -46,39 +45,6 @@ pub enum NodeKind {
     Switch { routes: LpmTable<LinkId> },
 }
 
-/// Per-node counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct NodeStats {
-    /// Packets delivered to this node as final destination.
-    pub received: u64,
-    /// Bytes delivered to this node as final destination.
-    pub received_bytes: u64,
-    /// Packets this node forwarded.
-    pub forwarded: u64,
-    /// Packets dropped because no route matched.
-    pub dropped_no_route: u64,
-    /// Packets dropped because the TTL expired.
-    pub dropped_ttl: u64,
-    /// Packets dropped by the ingress filter.
-    pub dropped_filter: u64,
-    /// Packets swallowed because this node was down.
-    pub dropped_node_down: u64,
-}
-
-impl NodeStats {
-    /// This node's drop counter for one cause; `None` for a link's verdict
-    /// (queue, fault), which no node books.
-    pub(crate) fn dropped_mut(&mut self, reason: DropReason) -> Option<&mut u64> {
-        match reason {
-            DropReason::Filter => Some(&mut self.dropped_filter),
-            DropReason::Ttl => Some(&mut self.dropped_ttl),
-            DropReason::NoRoute => Some(&mut self.dropped_no_route),
-            DropReason::NodeDown => Some(&mut self.dropped_node_down),
-            DropReason::Queue | DropReason::Fault => None,
-        }
-    }
-}
-
 /// A node in the simulated network.
 pub struct Node {
     pub id: NodeId,
@@ -88,7 +54,6 @@ pub struct Node {
     pub ports: Vec<LinkId>,
     /// Optional ingress program (switches only, but harmless on hosts).
     pub filter: Option<Box<dyn PacketFilter>>,
-    pub stats: NodeStats,
     /// Scheduled failure windows: while one covers `now`, the node drops
     /// every packet it would otherwise receive or originate.
     pub down_windows: Vec<Outage>,
@@ -108,7 +73,6 @@ impl std::fmt::Debug for Node {
             .field("kind", &self.kind)
             .field("ports", &self.ports)
             .field("filter", &self.filter.as_ref().map(|x| x.name().to_string()))
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -122,7 +86,6 @@ impl Node {
             kind: NodeKind::Host { addrs, gateway: None },
             ports: Vec::new(),
             filter: None,
-            stats: NodeStats::default(),
             down_windows: Vec::new(),
             forced_down: false,
             route_cache: FxHashMap::default(),
@@ -137,7 +100,6 @@ impl Node {
             kind: NodeKind::Switch { routes: LpmTable::new() },
             ports: Vec::new(),
             filter: None,
-            stats: NodeStats::default(),
             down_windows: Vec::new(),
             forced_down: false,
             route_cache: FxHashMap::default(),

@@ -22,17 +22,18 @@ use campuslab_obs::crc32;
 /// variant added, removed or reordered — bumps it; a decoder seeing
 /// another version (v1 was a JSON payload) reports
 /// [`PhoenixError::VersionSkew`] instead of guessing.
-pub const PHOENIX_VERSION: u32 = 5;
+pub const PHOENIX_VERSION: u32 = 6;
 
 /// What [`PHOENIX_VERSION`] currently means, as bytes: `(crc32, length)` of
 /// the envelope the crash-test drift session (`tests::cheap_session`)
 /// leaves at 1.5 s. `image_layout_is_pinned_to_its_version` fails when a
-/// layout change moves either without a version bump and a re-pin. v5
-/// stopped copying the build-time injections, timers and chaos
-/// transitions still pending (a rebuilt session holds them; the image
-/// names how many and their digest), and the transmit-complete of every
-/// transmission nothing waits behind is no longer an event at all.
-pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0xc9c0_f508, 1_236_583);
+/// layout change moves either without a version bump and a re-pin. v6
+/// dropped the state no reader used: per-node and per-link counters, the
+/// enqueue stamp of every queued packet, the filter bank's and shadow
+/// mirror's per-program hit, miss and drop counters, the mirror's
+/// whole-run totals, the breaker's trip count, and the drift pilot's
+/// feature stream and sealed cells.
+pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0x6000_df14, 1_233_642);
 
 /// Envelope magic: the first four bytes of every encoded checkpoint.
 pub const PHOENIX_MAGIC: [u8; 4] = *b"PHNX";
@@ -548,14 +549,24 @@ mod tests {
             })
         );
 
-        // A v4 header on this payload: the layout that copied every
-        // pending build-time injection, refused by its version word
-        // whatever the bytes behind it would decode to.
+        // A v5 header on this payload: the layout that carried per-node
+        // and per-link counters, enqueue stamps and the pilot's feature
+        // stream, refused by its version word whatever the bytes behind
+        // it would decode to.
+        let mut v5 = bytes.clone();
+        v5[4..8].copy_from_slice(&5u32.to_le_bytes());
+        assert_eq!(
+            decode_checkpoint(&v5).err(),
+            Some(PhoenixError::VersionSkew { found: 5, supported: 6 })
+        );
+
+        // A v4 header: the layout that copied every pending build-time
+        // injection, refused the same way.
         let mut v4 = bytes.clone();
         v4[4..8].copy_from_slice(&4u32.to_le_bytes());
         assert_eq!(
             decode_checkpoint(&v4).err(),
-            Some(PhoenixError::VersionSkew { found: 4, supported: 5 })
+            Some(PhoenixError::VersionSkew { found: 4, supported: PHOENIX_VERSION })
         );
 
         // A v3 header: the frame-field layout (MACs, IPv4
