@@ -7,61 +7,38 @@ use crate::meta::{extract_dns, TcpRttEstimator};
 use crate::observe::CaptureObs;
 use crate::records::{Direction, DnsMetaRecord, FlowRecord, PacketRecord, TcpRttRecord};
 use crate::ring::{CaptureArray, RingConfig, RingStats};
-use campuslab_netsim::{Commands, Dir, LinkId, Outage, Packet, SimHooks, SimTime};
+use campuslab_netsim::{Commands, Dir, LinkId, Packet, SimHooks, SimTime};
 
 /// How often the monitor polls flow timeouts.
 const POLL_INTERVAL_NS: u64 = 1_000_000_000;
 
-/// Monitor sizing and feature switches. The flow table is sized by
-/// `FlowTableConfig::default()`.
+/// Monitor sizing. The flow table is sized by `FlowTableConfig::default()`.
+/// The appliance sees every packet that crosses the wire; a blind tap is
+/// the road test's `tap_blackouts`, which the controller and guard read.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
     pub ring: RingConfig,
     pub rings: usize,
-    /// Tap blackout windows: the appliance is blind (reboot, optic pulled,
-    /// span port reconfigured) and packets pass unobserved. Counted in
-    /// `blackout_dropped` so the telemetry gap is explicit, not silent.
-    pub blackouts: Vec<Outage>,
-    /// Sampled telemetry: keep 1 of every N observed packets (0 or 1 keeps
-    /// everything). Deterministic counter-based sampling, so runs replay.
-    pub sample_keep_1_in: u64,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
-        MonitorConfig {
-            ring: RingConfig::default(),
-            rings: 8,
-            blackouts: Vec::new(),
-            sample_keep_1_in: 0,
-        }
+        MonitorConfig { ring: RingConfig::default(), rings: 8 }
     }
 }
 
 /// Aggregate monitor counters. Conservation law:
-/// `observed == captured + ring_dropped + blackout_dropped + sampled_out`.
+/// `observed == captured + ring_dropped`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MonitorStats {
     pub observed: u64,
     pub captured: u64,
     pub ring_dropped: u64,
-    /// Packets that crossed the wire during a tap blackout window.
-    pub blackout_dropped: u64,
-    /// Packets discarded by the sampling stage.
-    pub sampled_out: u64,
     pub bytes_captured: u64,
-}
-
-impl MonitorStats {
-    /// Packets lost to monitoring for any reason.
-    pub fn telemetry_lost(&self) -> u64 {
-        self.ring_dropped + self.blackout_dropped + self.sampled_out
-    }
 }
 
 /// The capture appliance at the campus border.
 pub struct Monitor {
-    cfg: MonitorConfig,
     rings: CaptureArray,
     flows: FlowTable,
     rtt: TcpRttEstimator,
@@ -69,7 +46,6 @@ pub struct Monitor {
     dns_records: Vec<DnsMetaRecord>,
     rtt_records: Vec<TcpRttRecord>,
     last_poll_ns: u64,
-    sample_seq: u64,
     pub stats: MonitorStats,
     /// Observatory sink mirroring `stats`, renderable as a metrics dump.
     pub obs: CaptureObs,
@@ -86,36 +62,15 @@ impl Monitor {
             dns_records: Vec::new(),
             rtt_records: Vec::new(),
             last_poll_ns: 0,
-            sample_seq: 0,
-            cfg,
             stats: MonitorStats::default(),
             obs: CaptureObs::new(),
         }
-    }
-
-    /// True when the tap is blind at `now`.
-    pub fn in_blackout(&self, now: SimTime) -> bool {
-        !self.cfg.blackouts.is_empty() && self.cfg.blackouts.iter().any(|w| w.contains(now))
     }
 
     /// Observe one packet on the tapped wire.
     pub fn observe(&mut self, now: SimTime, direction: Direction, pkt: &Packet) {
         self.stats.observed += 1;
         self.obs.on_observed();
-        if self.in_blackout(now) {
-            self.stats.blackout_dropped += 1;
-            self.obs.on_blackout_dropped();
-            return;
-        }
-        if self.cfg.sample_keep_1_in > 1 {
-            let seq = self.sample_seq;
-            self.sample_seq += 1;
-            if !seq.is_multiple_of(self.cfg.sample_keep_1_in) {
-                self.stats.sampled_out += 1;
-                self.obs.on_sampled_out();
-                return;
-            }
-        }
         let record = PacketRecord::from_packet(now, direction, pkt);
         // Ring admission first: a packet the appliance cannot keep up with
         // is lost to monitoring entirely.
@@ -318,68 +273,6 @@ mod tests {
         assert!(attack * 2 > amp.len(), "{attack} of {}", amp.len());
     }
 
-    #[test]
-    fn blackout_windows_blind_the_tap_and_are_accounted() {
-        use campuslab_netsim::SimTime;
-        let campus = small_campus();
-        let mut gen = TrafficGenerator::new(
-            &campus,
-            WorkloadConfig {
-                duration: SimDuration::from_secs(2),
-                sessions_per_sec: 10.0,
-                ..WorkloadConfig::default()
-            },
-        );
-        let mut schedule = gen.generate();
-        let mut net = campus.net;
-        schedule.apply_to(&mut net);
-        let mut hooks = BorderTapHooks::new(
-            campus.border_link,
-            MonitorConfig {
-                blackouts: vec![Outage {
-                    from: SimTime::from_millis(500),
-                    until: SimTime::from_millis(1500),
-                }],
-                ..MonitorConfig::default()
-            },
-        );
-        net.run(&mut hooks, None);
-        let s = hooks.monitor.stats;
-        assert!(s.blackout_dropped > 0, "blackout saw no traffic: {s:?}");
-        assert!(s.captured > 0, "tap captured nothing outside the blackout");
-        assert_eq!(s.observed, s.captured + s.telemetry_lost());
-        // Nothing captured inside the window.
-        for r in hooks.monitor.packet_records() {
-            assert!(r.ts_ns < 500_000_000 || r.ts_ns >= 1_500_000_000);
-        }
-    }
-
-    #[test]
-    fn sampling_keeps_one_in_n_deterministically() {
-        let campus = small_campus();
-        let mut gen = TrafficGenerator::new(
-            &campus,
-            WorkloadConfig {
-                duration: SimDuration::from_secs(2),
-                sessions_per_sec: 10.0,
-                ..WorkloadConfig::default()
-            },
-        );
-        let mut schedule = gen.generate();
-        let mut net = campus.net;
-        schedule.apply_to(&mut net);
-        let mut hooks = BorderTapHooks::new(
-            campus.border_link,
-            MonitorConfig { sample_keep_1_in: 4, ..MonitorConfig::default() },
-        );
-        net.run(&mut hooks, None);
-        let s = hooks.monitor.stats;
-        assert!(s.sampled_out > 0);
-        assert_eq!(s.observed, s.captured + s.telemetry_lost());
-        // Counter sampling keeps exactly ceil(observed / 4).
-        assert_eq!(s.captured, s.observed.div_ceil(4));
-    }
-
     /// The Observatory mirrors MonitorStats bump-for-bump.
     #[test]
     fn obs_counters_agree_with_monitor_stats() {
@@ -395,16 +288,10 @@ mod tests {
         let mut schedule = gen.generate();
         let mut net = campus.net;
         schedule.apply_to(&mut net);
+        // Starved rings, so the one loss path is exercised.
         let mut hooks = BorderTapHooks::new(
             campus.border_link,
-            MonitorConfig {
-                sample_keep_1_in: 3,
-                blackouts: vec![Outage {
-                    from: SimTime::from_millis(400),
-                    until: SimTime::from_millis(900),
-                }],
-                ..MonitorConfig::default()
-            },
+            MonitorConfig { rings: 1, ring: RingConfig { capacity: 4, drain_pps: 2_000.0 } },
         );
         net.run(&mut hooks, None);
         let s = hooks.monitor.stats;
@@ -412,11 +299,9 @@ mod tests {
         assert_eq!(obs.observed(), s.observed);
         assert_eq!(obs.captured(), s.captured);
         assert_eq!(obs.ring_dropped(), s.ring_dropped);
-        assert_eq!(obs.blackout_dropped(), s.blackout_dropped);
-        assert_eq!(obs.sampled_out(), s.sampled_out);
         assert_eq!(obs.bytes_captured(), s.bytes_captured);
         assert!(obs.conserved(), "conservation law broken: {s:?}");
-        assert!(s.blackout_dropped > 0 && s.sampled_out > 0, "test exercised no loss paths");
+        assert!(s.ring_dropped > 0 && s.captured > 0, "test exercised no loss path: {s:?}");
     }
 
     #[test]
@@ -442,11 +327,7 @@ mod tests {
         schedule.apply_to(&mut net);
         let mut hooks = BorderTapHooks::new(
             campus.border_link,
-            MonitorConfig {
-                rings: 1,
-                ring: RingConfig { capacity: 16, drain_pps: 5_000.0 },
-                ..MonitorConfig::default()
-            },
+            MonitorConfig { rings: 1, ring: RingConfig { capacity: 16, drain_pps: 5_000.0 } },
         );
         net.run(&mut hooks, None);
         assert!(

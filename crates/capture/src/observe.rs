@@ -4,7 +4,7 @@
 //! the programmatic one can never disagree.
 //!
 //! The counters encode the tap conservation law
-//! `observed == captured + ring_dropped + blackout_dropped + sampled_out`,
+//! `observed == captured + ring_dropped`,
 //! which [`CaptureObs::conserved`] checks straight off the sink.
 
 campuslab_obs::schema! {
@@ -16,10 +16,6 @@ campuslab_obs::schema! {
         counter captured: "cap_captured_packets_total", "packets admitted into capture rings";
         /// Packets the rings could not keep up with.
         counter ring_dropped: "cap_lost_packets_total" {cause = "ring"}, LOST_HELP;
-        /// Packets that passed during a tap blackout.
-        counter blackout_dropped: "cap_lost_packets_total" {cause = "blackout"}, LOST_HELP;
-        /// Packets discarded by the sampling stage.
-        counter sampled_out: "cap_lost_packets_total" {cause = "sampled"}, LOST_HELP;
         /// Wire bytes of captured packets.
         counter bytes_captured: "cap_captured_bytes_total", "wire bytes of captured packets";
     }
@@ -44,20 +40,9 @@ impl CaptureObs {
         self.sink.inc(self.ring_dropped);
     }
 
-    #[inline]
-    pub(crate) fn on_blackout_dropped(&mut self) {
-        self.sink.inc(self.blackout_dropped);
-    }
-
-    #[inline]
-    pub(crate) fn on_sampled_out(&mut self) {
-        self.sink.inc(self.sampled_out);
-    }
-
     /// The tap conservation law, checked straight off the sink.
     pub fn conserved(&self) -> bool {
-        self.observed()
-            == self.captured() + self.ring_dropped() + self.blackout_dropped() + self.sampled_out()
+        self.observed() == self.captured() + self.ring_dropped()
     }
 }
 
@@ -73,15 +58,13 @@ mod tests {
         }
         obs.on_captured(100);
         obs.on_captured(200);
-        obs.on_ring_dropped();
-        obs.on_blackout_dropped();
-        for _ in 0..6 {
-            obs.on_sampled_out();
+        for _ in 0..8 {
+            obs.on_ring_dropped();
         }
         assert!(obs.conserved());
         assert_eq!(obs.bytes_captured(), 300);
         let text = obs.render();
         assert!(text.contains("cap_observed_packets_total 10"));
-        assert!(text.contains("cap_lost_packets_total{cause=\"sampled\"} 6"));
+        assert!(text.contains("cap_lost_packets_total{cause=\"ring\"} 8"));
     }
 }

@@ -799,6 +799,23 @@ mod tests {
         }
     }
 
+    /// A blind tap is the config's `tap_blackouts`: what crosses the wire
+    /// inside one never reaches the detector, what crosses after does.
+    #[test]
+    fn a_tap_blackout_blinds_the_detector_for_its_window() {
+        use campuslab_netsim::SimHooks;
+        let (mut ctrl, _) = controller_with(InstallPolicy::default());
+        ctrl.cfg.tap_blackouts =
+            vec![campuslab_netsim::Outage { from: SimTime::ZERO, until: SimTime::from_millis(500) }];
+        let mut b = PacketBuilder::new();
+        let pkt = amp_packet(&mut b, Ipv4Addr::new(10, 1, 1, 10));
+        let mut cmds = Commands::default();
+        for at in [SimTime::from_millis(100), SimTime::from_millis(499), SimTime::from_millis(500)] {
+            ctrl.on_tap(at, LinkId(0), Dir::BtoA, &pkt, &mut cmds);
+        }
+        assert_eq!(ctrl.detector_obs().observed(), 1);
+    }
+
     #[test]
     fn reliable_install_lands_on_first_attempt() {
         let (mut ctrl, handle) = controller_with(InstallPolicy::default());

@@ -2,11 +2,13 @@
 //!
 //! A [`ChaosPlan`] is a schedule of timed fault transitions — link flaps,
 //! node crashes/recoveries, rate brownouts — plus static bursty-loss
-//! assignments. [`ChaosPlan::apply_to`] compiles the schedule into the
-//! network's ordinary event queue, so a chaos run replays byte-for-byte
-//! under [`crate::par::parallel_map`] exactly like a fault-free one: every
-//! transition occupies one deterministic `(time, seq)` slot and all
-//! randomness flows through seeded generators.
+//! assignments. It is the only way a link or node fails: every outage,
+//! crash and brownout is a transition on the event queue, counted in
+//! `sim_chaos_transitions_total`. [`ChaosPlan::apply_to`] compiles the
+//! schedule into the network's ordinary event queue, so a chaos run
+//! replays byte-for-byte under [`crate::par::parallel_map`] exactly like a
+//! fault-free one: every transition occupies one deterministic
+//! `(time, seq)` slot and all randomness flows through seeded generators.
 //!
 //! Determinism contract: two networks built identically, given the same
 //! plan and the same injection schedule, produce identical statistics and
@@ -91,13 +93,14 @@ impl ChaosPlan {
         self
     }
 
-    /// Compile the plan into `net`'s event queue and install static
-    /// channels. Events are sorted by time (stable, so same-instant events
-    /// keep their plan order) before scheduling, which pins each
-    /// transition to a deterministic queue slot.
+    /// Compile the plan into `net`'s event queue and install each loss
+    /// channel into both directions of its link. Events are sorted by time
+    /// (stable, so same-instant events keep their plan order) before
+    /// scheduling, which pins each transition to a deterministic queue
+    /// slot.
     pub fn apply_to(&self, net: &mut Network) {
         for (link, model) in &self.burst {
-            net.link_mut(*link).fault.burst = Some(model.clone());
+            net.link_mut(*link).install_burst(model);
         }
         let mut events = self.events.clone();
         events.sort_by_key(|(t, _)| *t);
@@ -107,10 +110,12 @@ impl ChaosPlan {
     }
 
     /// The down windows this plan schedules for `link`, reconstructed by
-    /// pairing `LinkDown`/`LinkUp` transitions. Used by tests to assert
-    /// drops never happen outside scheduled windows.
-    pub fn link_down_windows(&self, link: LinkId) -> Vec<Outage> {
-        Self::paired_windows(&self.events, |a| match a {
+    /// counting `LinkDown`/`LinkUp` transitions the way the network does:
+    /// a window opens when the count leaves zero and closes when it
+    /// returns, so overlapping flaps read back as their union. Used by
+    /// tests to assert drops never happen outside scheduled windows.
+    pub fn link_outages(&self, link: LinkId) -> Vec<Outage> {
+        Self::counted_windows(&self.events, |a| match a {
             ChaosAction::LinkDown(l) if *l == link => Some(true),
             ChaosAction::LinkUp(l) if *l == link => Some(false),
             _ => None,
@@ -118,15 +123,15 @@ impl ChaosPlan {
     }
 
     /// The down windows this plan schedules for `node`.
-    pub fn node_down_windows(&self, node: NodeId) -> Vec<Outage> {
-        Self::paired_windows(&self.events, |a| match a {
+    pub fn node_outages(&self, node: NodeId) -> Vec<Outage> {
+        Self::counted_windows(&self.events, |a| match a {
             ChaosAction::NodeDown(n) if *n == node => Some(true),
             ChaosAction::NodeUp(n) if *n == node => Some(false),
             _ => None,
         })
     }
 
-    fn paired_windows(
+    fn counted_windows(
         events: &[(SimTime, ChaosAction)],
         classify: impl Fn(&ChaosAction) -> Option<bool>,
     ) -> Vec<Outage> {
@@ -136,18 +141,21 @@ impl ChaosPlan {
             .collect();
         sorted.sort_by_key(|(t, _)| *t);
         let mut windows = Vec::new();
-        let mut open: Option<SimTime> = None;
+        let (mut depth, mut from) = (0u32, SimTime::ZERO);
         for (t, down) in sorted {
-            match (down, open) {
-                (true, None) => open = Some(t),
-                (false, Some(from)) => {
-                    windows.push(Outage { from, until: t });
-                    open = None;
+            if down {
+                if depth == 0 {
+                    from = t;
                 }
-                _ => {}
+                depth += 1;
+            } else if depth > 0 {
+                depth -= 1;
+                if depth == 0 {
+                    windows.push(Outage { from, until: t });
+                }
             }
         }
-        if let Some(from) = open {
+        if depth > 0 {
             windows.push(Outage { from, until: SimTime(u64::MAX) });
         }
         windows
@@ -235,14 +243,14 @@ mod tests {
             .node_outage(NodeId(7), SimTime::from_secs(4), SimTime::from_secs(5))
             .brownout(LinkId(3), SimTime::from_secs(6), SimTime::from_secs(7), 0.5);
         assert_eq!(
-            plan.link_down_windows(LinkId(3)),
+            plan.link_outages(LinkId(3)),
             vec![Outage { from: SimTime::from_secs(1), until: SimTime::from_secs(2) }]
         );
         assert_eq!(
-            plan.node_down_windows(NodeId(7)),
+            plan.node_outages(NodeId(7)),
             vec![Outage { from: SimTime::from_secs(4), until: SimTime::from_secs(5) }]
         );
-        assert!(plan.link_down_windows(LinkId(0)).is_empty());
+        assert!(plan.link_outages(LinkId(0)).is_empty());
         assert!(!plan.is_empty());
         assert!(ChaosPlan::new().is_empty());
     }
@@ -286,10 +294,27 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_windows_read_back_as_their_union() {
+        let mut plan = ChaosPlan::new();
+        plan.link_flap(LinkId(1), SimTime::from_secs(1), SimTime::from_secs(3))
+            .link_flap(LinkId(1), SimTime::from_secs(2), SimTime::from_secs(4))
+            .link_flap(LinkId(1), SimTime::from_secs(6), SimTime::from_secs(7));
+        // A stray recovery with nothing open closes nothing.
+        plan.events.push((SimTime::from_secs(5), ChaosAction::LinkUp(LinkId(1))));
+        assert_eq!(
+            plan.link_outages(LinkId(1)),
+            vec![
+                Outage { from: SimTime::from_secs(1), until: SimTime::from_secs(4) },
+                Outage { from: SimTime::from_secs(6), until: SimTime::from_secs(7) },
+            ]
+        );
+    }
+
+    #[test]
     fn unpaired_down_extends_to_infinity() {
         let mut plan = ChaosPlan::new();
         plan.events.push((SimTime::from_secs(2), ChaosAction::NodeDown(NodeId(1))));
-        let w = plan.node_down_windows(NodeId(1));
+        let w = plan.node_outages(NodeId(1));
         assert_eq!(w.len(), 1);
         assert_eq!(w[0].from, SimTime::from_secs(2));
         assert_eq!(w[0].until, SimTime(u64::MAX));

@@ -5,9 +5,9 @@
 //! dynamic state that distinguishes this engine from one freshly built
 //! from the same topology and schedule: the pending events a rebuild
 //! cannot reproduce (with canonical keys), per-direction link queues and
-//! their private RNG streams, fault-model state (including live
-//! Gilbert–Elliott channel state), node fault state, the network
-//! counters, and the Observatory sink.
+//! their private RNG streams and live Gilbert–Elliott channels, link and
+//! node down counts, link brownout factors, the network counters, and the
+//! Observatory sink.
 //!
 //! Restore deliberately does NOT rebuild static topology (nodes, links,
 //! routes, taps are cheap and deterministic to reconstruct from the
@@ -63,13 +63,6 @@ impl serde::Deserialize for StreamRng {
     }
 }
 
-/// A node's dynamic (non-topology) state.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct FrozenNode {
-    pub down_windows: Vec<crate::link::Outage>,
-    pub forced_down: bool,
-}
-
 /// The engine's full dynamic state at a quiescent instant.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FrozenNetwork {
@@ -97,7 +90,9 @@ pub struct FrozenNetwork {
     /// stimulus), checked against the rebuilt engine's before anything is
     /// restored.
     pub referenced_digest: u64,
-    pub nodes: Vec<FrozenNode>,
+    /// Each node's open chaos crashes ([`crate::node::Node::down`]), the
+    /// only dynamic state a node has.
+    pub nodes: Vec<u32>,
     pub links: Vec<FrozenLink>,
     pub tapped: Vec<bool>,
 }
@@ -182,14 +177,7 @@ impl Network {
             built_roots,
             referenced: referenced.len() as u64,
             referenced_digest: root_digest(referenced),
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| FrozenNode {
-                    down_windows: n.down_windows.clone(),
-                    forced_down: n.forced_down,
-                })
-                .collect(),
+            nodes: self.nodes.iter().map(|n| n.down).collect(),
             links: self.links.iter().map(|l| l.freeze()).collect(),
             tapped: self.tapped.clone(),
         }
@@ -251,9 +239,8 @@ impl Network {
         self.built_roots = Some(frozen.built_roots);
         self.stats = frozen.stats;
         self.tapped = frozen.tapped;
-        for (node, f) in self.nodes.iter_mut().zip(frozen.nodes) {
-            node.down_windows = f.down_windows;
-            node.forced_down = f.forced_down;
+        for (node, down) in self.nodes.iter_mut().zip(frozen.nodes) {
+            node.down = down;
         }
         for (link, f) in self.links.iter_mut().zip(frozen.links) {
             link.thaw(f);
@@ -297,9 +284,8 @@ mod tests {
         }
         net.nodes[s1.0].install_route(Prefix::v4(Ipv4Addr::new(10, 0, 0, 2), 32), l2);
         net.nodes[s1.0].install_route(Prefix::v4(Ipv4Addr::new(10, 0, 0, 1), 32), l1);
-        net.link_mut(l1).fault.drop_probability = 0.05;
-        net.link_mut(l1).fault.burst =
-            Some(crate::link::GilbertElliott::new(0.02, 0.2, 0.0, 0.6));
+        // Bursty loss over a 5 % i.i.d. floor.
+        net.link_mut(l1).install_burst(&crate::link::GilbertElliott::new(0.02, 0.2, 0.05, 0.6));
         (net, h1)
     }
 
@@ -415,7 +401,7 @@ mod tests {
         let good = net.checkpoint();
         let late = EventKey::root(SimTime::from_secs(9), u64::MAX);
         let doctors: [fn(&mut FrozenNetwork, EventKey); 12] = [
-            |f, _| drop(f.nodes.pop()),
+            |f, _| f.nodes.truncate(f.nodes.len() - 1),
             |f, _| drop(f.links.pop()),
             |f, _| f.tapped.push(false),
             |f, _| f.seed += 1,
@@ -488,7 +474,7 @@ mod tests {
         let (mut net, _) = build();
         net.run(&mut crate::network::NullHooks, Some(SimTime::from_millis(1)));
         let frozen = net.checkpoint();
-        assert!(net.nodes[1].forced_down, "chaos transition must be live at the barrier");
+        assert!(net.nodes[1].is_down(), "chaos transition must be live at the barrier");
 
         let (mut fresh, _) = build();
         // The fresh copy holds the whole build-time schedule; restore keeps

@@ -60,8 +60,8 @@ pub mod checkpoint;
 /// The types most users need, in one import.
 pub mod prelude {
     pub use crate::chaos::{ChaosAction, ChaosConfig, ChaosPlan};
-    pub use crate::checkpoint::{FrozenNetwork, FrozenNode, StreamRng, TopologyMismatch};
-    pub use crate::link::{Dir, FaultModel, GilbertElliott, LinkId, Outage, RateWindow};
+    pub use crate::checkpoint::{FrozenNetwork, StreamRng, TopologyMismatch};
+    pub use crate::link::{Dir, FaultModel, GilbertElliott, LinkId, Outage};
     pub use crate::lpm::{LpmTable, Prefix};
     pub use crate::network::{
         Command, Commands, DropReason, NetStats, Network, NullHooks, SimHooks,

@@ -1,5 +1,6 @@
-//! Links: rate, propagation delay, a drop-tail queue per direction, and a
-//! fault-injection model (random loss, scheduled outages).
+//! Links: rate, propagation delay, a drop-tail queue per direction, and
+//! the fault state chaos transitions drive (down count, brownout factor),
+//! beside each direction's optional Gilbert–Elliott loss channel.
 
 use crate::checkpoint::StreamRng;
 use crate::packet::Packet;
@@ -61,8 +62,7 @@ pub struct DirQueue {
     busy_until: SimTime,
     /// This direction's private random stream (loss).
     rng: StreamRng,
-    /// Live Gilbert–Elliott channel state, synced from the installed
-    /// `FaultModel::burst` template on first use / parameter change.
+    /// Live Gilbert–Elliott channel, installed by [`Link::install_burst`].
     burst: Option<GilbertElliott>,
     /// Transmissions started in this direction; numbers each
     /// transmission's canonical arrive event, and the transmit-complete
@@ -104,7 +104,8 @@ impl DirQueue {
     }
 }
 
-/// Scheduled outage window during which a link drops everything.
+/// A half-open `[from, until)` window of simulated time: a blind tap, or
+/// a down window read back from a chaos plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct Outage {
     pub from: SimTime,
@@ -116,17 +117,6 @@ impl Outage {
     pub fn contains(&self, now: SimTime) -> bool {
         now >= self.from && now < self.until
     }
-}
-
-/// A window during which a link's effective rate is degraded — a
-/// "brownout" (failing optics, a duplex mismatch, an overloaded
-/// middlebox). Packets still flow, just slower.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct RateWindow {
-    pub from: SimTime,
-    pub until: SimTime,
-    /// Multiplier on the nominal link rate, in (0.0, 1.0].
-    pub factor: f64,
 }
 
 /// Two-state Gilbert–Elliott bursty loss: the link alternates between a
@@ -180,32 +170,16 @@ impl GilbertElliott {
         let p = if self.in_bad { self.loss_bad } else { self.loss_good };
         p > 0.0 && rng.gen::<f64>() < p
     }
-
-    /// True when `other` has identical transition/loss parameters (state
-    /// excluded) — the check a live per-direction channel uses to decide
-    /// whether its installed template changed underneath it.
-    fn same_params(&self, other: &GilbertElliott) -> bool {
-        self.p_enter_bad == other.p_enter_bad
-            && self.p_exit_bad == other.p_exit_bad
-            && self.loss_good == other.loss_good
-            && self.loss_bad == other.loss_bad
-    }
 }
 
-/// Random fault behaviour of a link.
+/// The chaos-driven fault state of a link. Every change to it is a
+/// [`crate::chaos::ChaosAction`] riding the event queue.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FaultModel {
-    /// Independent per-packet loss probability.
-    pub drop_probability: f64,
-    /// Scheduled hard outages.
-    pub outages: Vec<Outage>,
-    /// Optional bursty (Gilbert–Elliott) loss channel, evaluated per offer.
-    pub burst: Option<GilbertElliott>,
-    /// Scheduled degraded-rate windows.
-    pub slowdowns: Vec<RateWindow>,
-    /// Chaos-driven hard-down toggle (flipped by `ChaosAction::LinkDown`
-    /// / `LinkUp` events riding the simulation event queue).
-    pub forced_down: bool,
+    /// Open `LinkDown` transitions not yet matched by a `LinkUp`: the link
+    /// drops every offer while this is above zero, so overlapping flaps
+    /// keep it down for their union.
+    pub down: u32,
     /// Chaos-driven rate multiplier (`BrownoutStart`/`BrownoutEnd`); 1.0
     /// means healthy.
     pub rate_factor: f64,
@@ -213,61 +187,27 @@ pub struct FaultModel {
 
 impl Default for FaultModel {
     fn default() -> Self {
-        FaultModel {
-            drop_probability: 0.0,
-            outages: Vec::new(),
-            burst: None,
-            slowdowns: Vec::new(),
-            forced_down: false,
-            rate_factor: 1.0,
-        }
+        FaultModel { down: 0, rate_factor: 1.0 }
     }
 }
 
 impl FaultModel {
-    /// True when the link is hard-down at `now` (scheduled outage or a
-    /// chaos `LinkDown` in effect).
-    pub fn is_down(&self, now: SimTime) -> bool {
-        self.forced_down || self.outages.iter().any(|o| o.contains(now))
+    /// True while a chaos `LinkDown` is in effect.
+    pub fn is_down(&self) -> bool {
+        self.down > 0
     }
 
     /// Combined drop decision for one offered packet, drawing randomness
     /// from the offering direction's private stream. The drop-free fast
-    /// path pays only a handful of flag compares here.
-    fn should_drop(&self, now: SimTime, q: &mut DirQueue) -> bool {
-        if self.forced_down || (!self.outages.is_empty() && self.is_down(now)) {
+    /// path pays one compare and one `Option` check here.
+    fn should_drop(&self, q: &mut DirQueue) -> bool {
+        if self.is_down() {
             return true;
         }
-        // Sync the direction's live burst channel with the installed
-        // template: install / removal / parameter change each reset the
-        // live state to the template's.
-        match (&self.burst, &mut q.burst) {
-            (None, live) => {
-                if live.is_some() {
-                    *live = None;
-                }
-            }
-            (Some(t), Some(live)) if live.same_params(t) => {}
-            (Some(t), live) => *live = Some(t.clone()),
+        match q.burst.as_mut() {
+            Some(burst) => burst.should_drop(&mut q.rng.0),
+            None => false,
         }
-        if let Some(burst) = q.burst.as_mut() {
-            if burst.should_drop(&mut q.rng.0) {
-                return true;
-            }
-        }
-        self.drop_probability > 0.0 && q.rng.0.gen::<f64>() < self.drop_probability
-    }
-
-    /// Effective rate multiplier at `now`: the chaos factor combined with
-    /// any scheduled slowdown windows covering this instant.
-    pub fn rate_factor_at(&self, now: SimTime) -> f64 {
-        let mut f = self.rate_factor;
-        for w in &self.slowdowns {
-            if now >= w.from && now < w.until {
-                f *= w.factor;
-            }
-        }
-        f
     }
 }
 
@@ -296,8 +236,8 @@ pub enum Offer {
     Queued,
     /// Dropped by the queue discipline; the packet is returned.
     DroppedQueue(Box<Packet>),
-    /// Dropped by the fault model (random loss or outage); the packet is
-    /// returned.
+    /// Dropped by the fault model (bursty loss or a down link); the
+    /// packet is returned.
     DroppedFault(Box<Packet>),
 }
 
@@ -351,7 +291,7 @@ impl Link {
     /// caller schedules the transmit-complete that will send it.
     pub fn offer(&mut self, dir: Dir, pkt: Box<Packet>, now: SimTime) -> Offer {
         let q = &mut self.queues[dir.index()];
-        if self.fault.should_drop(now, q) {
+        if self.fault.should_drop(q) {
             return Offer::DroppedFault(pkt);
         }
         if q.busy_until <= now && q.packets.is_empty() {
@@ -378,7 +318,7 @@ impl Link {
         dir: Dir,
         now: SimTime,
     ) -> Option<(Box<Packet>, SimDuration, SimDuration, u64)> {
-        let rate = self.effective_rate_bps(now);
+        let rate = self.effective_rate_bps();
         let q = &mut self.queues[dir.index()];
         let pkt = q.dequeue()?;
         let tx = SimDuration::transmission(pkt.wire_len(), rate);
@@ -390,12 +330,11 @@ impl Link {
 
     /// The rate the transmitter runs at right now, after brownouts. The
     /// healthy path is a single float compare.
-    pub fn effective_rate_bps(&self, now: SimTime) -> u64 {
-        if self.fault.rate_factor >= 1.0 && self.fault.slowdowns.is_empty() {
+    pub fn effective_rate_bps(&self) -> u64 {
+        if self.fault.rate_factor >= 1.0 {
             return self.rate_bps;
         }
-        let f = self.fault.rate_factor_at(now).clamp(0.0, 1.0);
-        ((self.rate_bps as f64 * f) as u64).max(1)
+        ((self.rate_bps as f64 * self.fault.rate_factor) as u64).max(1)
     }
 
     /// True when packets are waiting in `dir`.
@@ -409,6 +348,14 @@ impl Link {
     pub fn lone_waiter(&self, dir: Dir) -> Option<(SimTime, u64)> {
         let q = &self.queues[dir.index()];
         (q.packets.len() == 1).then(|| (q.busy_until, q.tx_seq - 1))
+    }
+
+    /// Install `model` as both directions' live loss channel, each
+    /// starting in the good state.
+    pub fn install_burst(&mut self, model: &GilbertElliott) {
+        for q in &mut self.queues {
+            q.burst = Some(model.clone());
+        }
     }
 
     /// Bytes currently queued in `dir`.
@@ -575,24 +522,15 @@ mod tests {
     }
 
     #[test]
-    fn fault_drops_and_outages() {
+    fn certain_loss_channel_drops_every_offer() {
         let mut l = link(1_000_000_000, 100_000);
-        l.fault.drop_probability = 1.0;
-        assert!(matches!(
-            l.offer(Dir::AtoB, Box::new(pkt(10)), SimTime::ZERO),
-            Offer::DroppedFault(_)
-        ));
-        l.fault.drop_probability = 0.0;
-        l.fault.outages.push(Outage {
-            from: SimTime::from_secs(10),
-            until: SimTime::from_secs(20),
-        });
-        assert!(l.fault.is_down(SimTime::from_secs(15)));
-        assert!(matches!(
-            l.offer(Dir::AtoB, Box::new(pkt(10)), SimTime::from_secs(15)),
-            Offer::DroppedFault(_)
-        ));
-        assert!(!l.fault.is_down(SimTime::from_secs(20)));
+        l.install_burst(&GilbertElliott::new(0.0, 0.0, 1.0, 1.0));
+        for dir in [Dir::AtoB, Dir::BtoA] {
+            assert!(matches!(
+                l.offer(dir, Box::new(pkt(10)), SimTime::ZERO),
+                Offer::DroppedFault(_)
+            ));
+        }
     }
 
     #[test]
@@ -621,7 +559,8 @@ mod tests {
     fn gilbert_elliott_losses_come_in_bursts() {
         let mut l = link(1_000_000_000, 1_000_000);
         // Sticky bad state with certain loss; near-lossless good state.
-        l.fault.burst = Some(GilbertElliott::new(0.02, 0.2, 0.0, 1.0));
+        let model = GilbertElliott::new(0.02, 0.2, 0.0, 1.0);
+        l.install_burst(&model);
         let mut outcomes = Vec::new();
         for i in 0..2000u64 {
             match l.offer(Dir::AtoB, Box::new(pkt(10)), SimTime(i)) {
@@ -633,7 +572,7 @@ mod tests {
             }
         }
         let losses = outcomes.iter().filter(|&&d| d).count();
-        let expected = l.fault.burst.as_ref().unwrap().mean_loss();
+        let expected = model.mean_loss();
         let observed = losses as f64 / outcomes.len() as f64;
         assert!((observed - expected).abs() < 0.05, "loss rate {observed} vs {expected}");
         // Burstiness: consecutive losses are far likelier than independent
@@ -650,40 +589,30 @@ mod tests {
     #[test]
     fn brownout_slows_transmission() {
         let mut l = link(1_000_000_000, 1_000_000);
+        assert_eq!(l.effective_rate_bps(), 1_000_000_000);
         l.fault.rate_factor = 0.1;
+        assert_eq!(l.effective_rate_bps(), 100_000_000);
         l.offer(Dir::AtoB, Box::new(pkt(958)), SimTime::ZERO);
         let (_, tx, _, _) = l.start_transmit(Dir::AtoB, SimTime::ZERO).unwrap();
         // 1000 bytes at 100 Mbps (10% of 1 Gbps) = 80 us.
         assert_eq!(tx, SimDuration::from_micros(80));
         l.fault.rate_factor = 1.0;
+        assert_eq!(l.effective_rate_bps(), 1_000_000_000);
         l.offer(Dir::AtoB, Box::new(pkt(958)), SimTime::from_secs(1));
         let (_, tx, _, _) = l.start_transmit(Dir::AtoB, SimTime::from_secs(1)).unwrap();
         assert_eq!(tx, SimDuration::from_micros(8));
     }
 
     #[test]
-    fn scheduled_slowdown_window_only_applies_inside() {
+    fn a_down_link_drops_everything_until_its_count_clears() {
         let mut l = link(1_000_000_000, 1_000_000);
-        l.fault.slowdowns.push(RateWindow {
-            from: SimTime::from_secs(1),
-            until: SimTime::from_secs(2),
-            factor: 0.5,
-        });
-        assert_eq!(l.effective_rate_bps(SimTime::ZERO), 1_000_000_000);
-        assert_eq!(l.effective_rate_bps(SimTime::from_secs(1)), 500_000_000);
-        assert_eq!(l.effective_rate_bps(SimTime::from_secs(2)), 1_000_000_000);
-    }
-
-    #[test]
-    fn forced_down_drops_everything_until_cleared() {
-        let mut l = link(1_000_000_000, 1_000_000);
-        l.fault.forced_down = true;
-        assert!(l.fault.is_down(SimTime::ZERO));
+        l.fault.down = 1;
+        assert!(l.fault.is_down());
         assert!(matches!(
             l.offer(Dir::AtoB, Box::new(pkt(10)), SimTime::ZERO),
             Offer::DroppedFault(_)
         ));
-        l.fault.forced_down = false;
+        l.fault.down = 0;
         assert_eq!(
             l.offer(Dir::AtoB, Box::new(pkt(10)), SimTime(1)),
             Offer::StartedTransmit

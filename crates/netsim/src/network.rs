@@ -312,14 +312,23 @@ impl Network {
     }
 
     /// Mutate fault state for a chaos transition, without telemetry.
-    /// The sharded coordinator applies one transition to every shard's
-    /// copy of the affected element but counts it only once.
+    /// A down transition opens one more window on its element and an up
+    /// transition closes one (never below zero), so overlapping windows
+    /// compose into their union; a brownout is last-writer. The sharded
+    /// coordinator applies one transition to every shard's copy of the
+    /// affected element but counts it only once.
     pub(crate) fn apply_chaos_quiet(&mut self, action: ChaosAction) {
         match action {
-            ChaosAction::LinkDown(l) => self.links[l.0].fault.forced_down = true,
-            ChaosAction::LinkUp(l) => self.links[l.0].fault.forced_down = false,
-            ChaosAction::NodeDown(n) => self.nodes[n.0].forced_down = true,
-            ChaosAction::NodeUp(n) => self.nodes[n.0].forced_down = false,
+            ChaosAction::LinkDown(l) => self.links[l.0].fault.down += 1,
+            ChaosAction::LinkUp(l) => {
+                let down = &mut self.links[l.0].fault.down;
+                *down = down.saturating_sub(1);
+            }
+            ChaosAction::NodeDown(n) => self.nodes[n.0].down += 1,
+            ChaosAction::NodeUp(n) => {
+                let down = &mut self.nodes[n.0].down;
+                *down = down.saturating_sub(1);
+            }
             ChaosAction::BrownoutStart { link, factor } => {
                 self.links[link.0].fault.rate_factor = factor.clamp(0.0, 1.0);
             }
@@ -396,7 +405,7 @@ impl Network {
                 // Injection time rides in the packet: end-to-end latency
                 // needs no side lookup table keyed by packet id.
                 packet.injected_at = now;
-                if self.nodes[node.0].is_down(now) {
+                if self.nodes[node.0].is_down() {
                     return self.drop_packet(now, DropReason::NodeDown, packet, hooks, cmds);
                 }
                 self.forward(now, node, packet, hooks, cmds);
@@ -445,7 +454,7 @@ impl Network {
         cmds: &mut Commands,
     ) {
         // A down node swallows everything before its pipeline runs.
-        if self.nodes[node.0].is_down(now) {
+        if self.nodes[node.0].is_down() {
             return self.drop_packet(now, DropReason::NodeDown, packet, hooks, cmds);
         }
         // Ingress program first, exactly like a programmable ASIC.
@@ -548,6 +557,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::GilbertElliott;
     use crate::lpm::Prefix;
     use crate::packet::{GroundTruth, PacketBuilder, Payload};
     use crate::time::SimDuration;
@@ -775,7 +785,8 @@ mod tests {
     fn deterministic_given_same_seed() {
         let run = || {
             let (mut net, h1, _, _, l1, _) = tiny_net();
-            net.link_mut(l1).fault.drop_probability = 0.3;
+            // i.i.d. loss: a channel that never leaves its good state.
+            net.link_mut(l1).install_burst(&GilbertElliott::new(0.0, 0.0, 0.3, 0.0));
             let mut b = PacketBuilder::new();
             for i in 0..500u64 {
                 let pkt = b.udp_v4(
@@ -795,7 +806,7 @@ mod tests {
     #[test]
     fn obs_counters_agree_with_netstats() {
         let (mut net, h1, s1, _, l1, _) = tiny_net();
-        net.link_mut(l1).fault.drop_probability = 0.2;
+        net.link_mut(l1).install_burst(&GilbertElliott::new(0.0, 0.0, 0.2, 0.0));
         struct DropOdd;
         impl PacketFilter for DropOdd {
             fn decide(&mut self, _: SimTime, p: &Packet) -> FilterAction {

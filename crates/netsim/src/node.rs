@@ -1,6 +1,6 @@
 //! Nodes: hosts, switches and the upstream "internet" aggregation point.
 
-use crate::link::{LinkId, Outage};
+use crate::link::LinkId;
 use crate::fxhash::FxHashMap;
 use crate::lpm::LpmTable;
 use crate::packet::Packet;
@@ -54,11 +54,10 @@ pub struct Node {
     pub ports: Vec<LinkId>,
     /// Optional ingress program (switches only, but harmless on hosts).
     pub filter: Option<Box<dyn PacketFilter>>,
-    /// Scheduled failure windows: while one covers `now`, the node drops
-    /// every packet it would otherwise receive or originate.
-    pub down_windows: Vec<Outage>,
-    /// Chaos-driven hard-down toggle (`ChaosAction::NodeDown`/`NodeUp`).
-    pub forced_down: bool,
+    /// Open `ChaosAction::NodeDown` transitions not yet matched by a
+    /// `NodeUp`: while above zero the node drops every packet it would
+    /// otherwise receive or originate.
+    pub down: u32,
     /// Memoized `route()` results. The LPM table is a linear scan, and a
     /// forwarding node sees the same handful of destinations over and over;
     /// cleared whenever a route is installed.
@@ -86,8 +85,7 @@ impl Node {
             kind: NodeKind::Host { addrs, gateway: None },
             ports: Vec::new(),
             filter: None,
-            down_windows: Vec::new(),
-            forced_down: false,
+            down: 0,
             route_cache: FxHashMap::default(),
         }
     }
@@ -100,17 +98,14 @@ impl Node {
             kind: NodeKind::Switch { routes: LpmTable::new() },
             ports: Vec::new(),
             filter: None,
-            down_windows: Vec::new(),
-            forced_down: false,
+            down: 0,
             route_cache: FxHashMap::default(),
         }
     }
 
-    /// True when this node is failed at `now` (scheduled window or chaos
-    /// toggle). The healthy path costs one bool and one `is_empty`.
-    pub fn is_down(&self, now: SimTime) -> bool {
-        self.forced_down
-            || (!self.down_windows.is_empty() && self.down_windows.iter().any(|w| w.contains(now)))
+    /// True while a chaos crash is in effect.
+    pub fn is_down(&self) -> bool {
+        self.down > 0
     }
 
     /// True when `ip` is one of this host's addresses.

@@ -45,6 +45,54 @@ fn inside_any(windows: &[Outage], t_ns: u64) -> bool {
     windows.iter().any(|w| w.contains(SimTime(t_ns)))
 }
 
+/// Send one h1 → h2 packet at 3.5 s and one at 4.5 s under `plan`, and
+/// assert that only the first is lost, to `reason`, within the
+/// millisecond it takes to cross the line.
+fn assert_only_the_3_5_s_probe_drops(plan: &ChaosPlan, reason: DropReason) {
+    let (mut net, h1, _, _) = line_net();
+    plan.apply_to(&mut net);
+    let mut b = PacketBuilder::new();
+    for t in [SimTime::from_millis(3_500), SimTime::from_millis(4_500)] {
+        let pkt = b.udp_v4(
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+            1000,
+            2000,
+            Payload::Synthetic(64),
+            64,
+            GroundTruth::default(),
+        );
+        net.inject(t, h1, pkt);
+    }
+    let mut log = DropLog::default();
+    net.run(&mut log, None);
+    assert_eq!(net.stats.delivered, 1, "{:?}", log.drops);
+    let [(t, got)] = log.drops[..] else { panic!("expected one drop: {:?}", log.drops) };
+    assert_eq!(got, reason);
+    assert!((3_500_000_000..3_501_000_000).contains(&t), "dropped at {t} ns");
+}
+
+/// Two flaps of one link, `[1 s, 3 s)` and `[2 s, 4 s)`: the first
+/// recovery must not end the second flap early.
+#[test]
+fn overlapping_link_flaps_stay_down_for_their_union() {
+    let (_, _, _, mid) = line_net();
+    let mut plan = ChaosPlan::new();
+    plan.link_flap(mid, SimTime::from_secs(1), SimTime::from_secs(3))
+        .link_flap(mid, SimTime::from_secs(2), SimTime::from_secs(4));
+    assert_only_the_3_5_s_probe_drops(&plan, DropReason::Fault);
+}
+
+/// The same for two crashes of one node.
+#[test]
+fn overlapping_node_outages_stay_down_for_their_union() {
+    let (_, _, h2, _) = line_net();
+    let mut plan = ChaosPlan::new();
+    plan.node_outage(h2, SimTime::from_secs(1), SimTime::from_secs(3))
+        .node_outage(h2, SimTime::from_secs(2), SimTime::from_secs(4));
+    assert_only_the_3_5_s_probe_drops(&plan, DropReason::NodeDown);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
@@ -86,8 +134,8 @@ proptest! {
         let mut log = DropLog::default();
         net.run(&mut log, None);
 
-        let link_down = plan.link_down_windows(mid);
-        let node_down = plan.node_down_windows(h2);
+        let link_down = plan.link_outages(mid);
+        let node_down = plan.node_outages(h2);
         for &(t, reason) in &log.drops {
             match reason {
                 DropReason::Fault => prop_assert!(

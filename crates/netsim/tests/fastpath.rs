@@ -58,17 +58,15 @@ fn drop_free_run_never_clones_a_packet() {
 #[test]
 fn fault_and_chaos_drops_never_clone_a_packet() {
     // The drop path must stay zero-copy too: a packet rejected by the
-    // fault model (outage, forced-down link, bursty loss) is handed back
-    // and freed, never snapshotted.
+    // fault model (a down link, bursty loss) is handed back and freed,
+    // never snapshotted.
     let (mut net, h1) = line_net();
-    // Every flavor of chaos loss at once on h1's uplink: hard down for
-    // the first half, certain loss after.
+    // Both flavors of chaos loss on h1's uplink: hard down for the first
+    // half, certain loss after.
     let uplink = LinkId(0);
-    net.link_mut(uplink).fault.drop_probability = 1.0;
-    net.link_mut(uplink).fault.burst =
-        Some(GilbertElliott::new(1.0, 0.0, 1.0, 1.0));
     let mut plan = ChaosPlan::new();
-    plan.link_flap(uplink, SimTime::ZERO, SimTime::from_millis(5));
+    plan.link_flap(uplink, SimTime::ZERO, SimTime::from_millis(5))
+        .burst_loss(uplink, GilbertElliott::new(1.0, 0.0, 1.0, 1.0));
     plan.apply_to(&mut net);
 
     let mut b = PacketBuilder::new();

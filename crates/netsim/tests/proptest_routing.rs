@@ -85,8 +85,9 @@ proptest! {
     #[test]
     fn conservation_under_random_loss(drop_p in 0.0f64..0.9, n_packets in 1usize..200) {
         let (mut net, hosts) = build_tree(&[0, 0, 1]);
-        // Lossy first switch-to-switch link.
-        net.link_mut(LinkId(0)).fault.drop_probability = drop_p;
+        // Lossy first switch-to-switch link: i.i.d. loss from a channel
+        // that never leaves its good state.
+        net.link_mut(LinkId(0)).install_burst(&GilbertElliott::new(0.0, 0.0, drop_p, 0.0));
         let mut builder = PacketBuilder::new();
         let (src_node, src_ip) = hosts[0];
         let (_, dst_ip) = hosts[3];

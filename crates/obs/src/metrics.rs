@@ -60,9 +60,9 @@ pub struct Metric<'a> {
     pub bounds: &'a [u64],
 }
 
-/// A frozen sink does not have the shape of the schema it was offered to
-/// (see [`Registry::fits`]): it was minted from another table, or from
-/// another version of this one.
+/// A frozen sink does not fit the schema it was offered to (see
+/// [`Registry::fits`]): it was minted from another table, or from another
+/// version of this one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SinkMisfit;
 
@@ -286,6 +286,7 @@ impl Registry {
     /// Mint a zeroed sink sized for this registry's schema.
     pub fn sink(&self) -> ObsSink {
         ObsSink {
+            schema: self.digest(),
             counters: vec![0; self.counters as usize],
             gauges: vec![0; self.gauges as usize],
             hists: self.hist_bounds.iter().map(|b| Histogram::new(b)).collect(),
@@ -317,13 +318,28 @@ impl Registry {
         })
     }
 
-    /// Whether `sink` could have been minted by [`Registry::sink`]: same
-    /// counter and gauge counts, same histograms with the same bounds. A
-    /// sink thawed from a checkpoint must pass this before any typed id
-    /// indexes it — ids are positional, so a misfit reads the wrong slot
-    /// or panics out of bounds.
+    /// FNV-1a over every metric's kind, family and label, in registration
+    /// order: two tables of one shape still tell their sinks apart.
+    fn digest(&self) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for d in &self.descs {
+            for part in [d.kind.as_str(), d.name, d.label.unwrap_or("")] {
+                for b in part.bytes().chain([0]) {
+                    hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    /// Whether `sink` could have been minted by [`Registry::sink`]: minted
+    /// from this schema, with its counter and gauge counts and its
+    /// histograms' bounds. A sink thawed from a checkpoint must pass this
+    /// before any typed id indexes it — ids are positional, so a misfit
+    /// reads the wrong slot or panics out of bounds.
     pub fn fits(&self, sink: &ObsSink) -> bool {
-        sink.counters.len() == self.counters as usize
+        sink.schema == self.digest()
+            && sink.counters.len() == self.counters as usize
             && sink.gauges.len() == self.gauges as usize
             && sink.hists.len() == self.hist_bounds.len()
             && sink.hists.iter().zip(&self.hist_bounds).all(|(h, b)| h.bounds == *b)
@@ -393,6 +409,8 @@ impl Registry {
 /// and fold them back with [`ObsSink::merge_from`].
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ObsSink {
+    /// The digest of the schema that minted it.
+    schema: u64,
     counters: Vec<u64>,
     gauges: Vec<i64>,
     hists: Vec<Histogram>,
@@ -463,9 +481,7 @@ impl ObsSink {
     /// so the fold is associative — the parallel runner's reduction order
     /// cannot change the result.
     pub fn merge_from(&mut self, other: &ObsSink) {
-        assert_eq!(self.counters.len(), other.counters.len(), "sink merge across schemas");
-        assert_eq!(self.gauges.len(), other.gauges.len(), "sink merge across schemas");
-        assert_eq!(self.hists.len(), other.hists.len(), "sink merge across schemas");
+        assert_eq!(self.schema, other.schema, "sink merge across schemas");
         for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
             *a += b;
         }
@@ -570,6 +586,21 @@ lat_us_count 3
         assert_eq!(s1.gauge(g), 7);
         assert_eq!(s1.histogram(h).count(), 2);
         assert_eq!(s1.histogram(h).sum(), 707);
+    }
+
+    /// Two tables of one shape (two labelled counters) differ only in
+    /// their names: each sink fits the table that minted it and no other.
+    #[test]
+    fn equal_shapes_still_tell_their_sinks_apart() {
+        let table = |family: &'static str| {
+            let mut reg = Registry::new();
+            reg.counter_with_label(family, Some("cause=\"a\""), "by cause");
+            reg.counter_with_label(family, Some("cause=\"b\""), "by cause");
+            reg
+        };
+        let (lost, dropped) = (table("lost_total"), table("dropped_total"));
+        assert!(lost.fits(&lost.sink()) && dropped.fits(&dropped.sink()));
+        assert!(!lost.fits(&dropped.sink()) && !dropped.fits(&lost.sink()));
     }
 
     #[test]

@@ -195,7 +195,7 @@ mod tests {
         assert!(hi.install.failure_probability > lo.install.failure_probability);
         let campus = Campus::build(s.campus.clone());
         assert!(
-            hi_plan.link_down_windows(campus.border_link).is_empty(),
+            hi_plan.link_outages(campus.border_link).is_empty(),
             "chaos must not flap the tapped border link"
         );
         // Burst channels cover the interior, never the border.
@@ -216,7 +216,7 @@ mod tests {
             for seed in 0..64 {
                 let plan = chaos_road_test_config(&scenario, 1.0, seed).chaos.unwrap();
                 assert!(
-                    plan.node_down_windows(victim).is_empty(),
+                    plan.node_outages(victim).is_empty(),
                     "seed {seed} crashes the victim of {:?}",
                     scenario.attack
                 );

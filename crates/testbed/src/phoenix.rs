@@ -22,18 +22,18 @@ use campuslab_obs::crc32;
 /// variant added, removed or reordered — bumps it; a decoder seeing
 /// another version (v1 was a JSON payload) reports
 /// [`PhoenixError::VersionSkew`] instead of guessing.
-pub const PHOENIX_VERSION: u32 = 6;
+pub const PHOENIX_VERSION: u32 = 7;
 
 /// What [`PHOENIX_VERSION`] currently means, as bytes: `(crc32, length)` of
 /// the envelope the crash-test drift session (`tests::cheap_session`)
 /// leaves at 1.5 s. `image_layout_is_pinned_to_its_version` fails when a
-/// layout change moves either without a version bump and a re-pin. v6
-/// dropped the state no reader used: per-node and per-link counters, the
-/// enqueue stamp of every queued packet, the filter bank's and shadow
-/// mirror's per-program hit, miss and drop counters, the mirror's
-/// whole-run totals, the breaker's trip count, and the drift pilot's
-/// feature stream and sealed cells.
-pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0x6000_df14, 1_233_642);
+/// layout change moves either without a version bump and a re-pin. v7
+/// keeps a link's and a node's fault state as chaos down counts: the
+/// static loss probability, outage and slowdown windows, the loss-channel
+/// template and a node's down windows are gone, a link's loss channel
+/// lives only in its two directions, and every metric sink carries the
+/// digest of the schema that minted it.
+pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0x693b_f46b, 1_233_220);
 
 /// Envelope magic: the first four bytes of every encoded checkpoint.
 pub const PHOENIX_MAGIC: [u8; 4] = *b"PHNX";
@@ -549,15 +549,25 @@ mod tests {
             })
         );
 
-        // A v5 header on this payload: the layout that carried per-node
-        // and per-link counters, enqueue stamps and the pilot's feature
-        // stream, refused by its version word whatever the bytes behind
-        // it would decode to.
+        // A v6 header on this payload: the layout that carried static
+        // fault windows, i.i.d. loss and a loss-channel template beside the
+        // chaos flags, refused by its version word whatever the bytes
+        // behind it would decode to.
+        let mut v6 = bytes.clone();
+        v6[4..8].copy_from_slice(&6u32.to_le_bytes());
+        assert_eq!(
+            decode_checkpoint(&v6).err(),
+            Some(PhoenixError::VersionSkew { found: 6, supported: 7 })
+        );
+
+        // A v5 header: the layout that carried per-node and per-link
+        // counters, enqueue stamps and the pilot's feature stream, refused
+        // the same way.
         let mut v5 = bytes.clone();
         v5[4..8].copy_from_slice(&5u32.to_le_bytes());
         assert_eq!(
             decode_checkpoint(&v5).err(),
-            Some(PhoenixError::VersionSkew { found: 5, supported: 6 })
+            Some(PhoenixError::VersionSkew { found: 5, supported: PHOENIX_VERSION })
         );
 
         // A v4 header: the layout that copied every pending build-time

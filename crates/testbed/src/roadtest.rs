@@ -24,7 +24,8 @@ pub struct RoadTestConfig {
     pub window_ns: u64,
     pub min_packets: usize,
     /// Optional border-link outage, as (start, end) fractions of the
-    /// workload duration — failure injection for resilience road tests.
+    /// workload duration with `0 <= start < end <= 1` — failure injection
+    /// for resilience road tests, run as one more flap in the chaos plan.
     pub border_outage: Option<(f64, f64)>,
     /// Optional chaos campaign (link flaps, node crashes, brownouts,
     /// bursty loss) applied to the network before the run.

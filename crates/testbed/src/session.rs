@@ -25,7 +25,7 @@ use campuslab_control::{
 use campuslab_dataplane::{FieldExtractor, PipelineProgram};
 use campuslab_ml::Classifier;
 use campuslab_netsim::{
-    Campus, Commands, Dir, DropReason, LinkId, NetStats, Network, NodeId, Outage, Packet,
+    Campus, Commands, Dir, DropReason, LinkId, NetStats, Network, NodeId, Packet,
     SimDuration, SimHooks, SimTime,
 };
 use campuslab_resolver::{ResolverActor, ResolverService};
@@ -342,11 +342,15 @@ pub struct Session {
 }
 
 impl Session {
-    /// Build the campus, schedule, border outage, chaos plan, filter bank
-    /// and the chosen stack members. `label` names the run-level trace
-    /// span; `program` is the deployed lineage (known-good for the guard,
+    /// Build the campus, schedule, chaos plan, filter bank and the chosen
+    /// stack members. A border outage is one more flap of the border link
+    /// in the chaos plan. `label` names the run-level trace span;
+    /// `program` is the deployed lineage (known-good for the guard,
     /// mitigation program for the controller); `deadline` is the hard
     /// stop, `None` running until the event queue drains.
+    ///
+    /// Panics unless a border outage is two finite fractions with
+    /// `0 <= from < until <= 1`.
     pub fn new(
         label: impl Into<String>,
         scenario: &Scenario,
@@ -355,6 +359,14 @@ impl Session {
         members: Members,
         deadline: Option<SimTime>,
     ) -> Self {
+        if let Some((from, until)) = road.border_outage {
+            // False for a NaN or an infinity too: every comparison with
+            // NaN is false, and the bounds are finite.
+            assert!(
+                0.0 <= from && from < until && until <= 1.0,
+                "border_outage ({from}, {until}) is not two finite fractions with 0 <= from < until <= 1"
+            );
+        }
         let campus = Campus::build(scenario.campus.clone());
         let (mut schedule, victim, attack_start) = build_schedule(&campus, scenario);
         let tap = campus.border_link;
@@ -365,16 +377,13 @@ impl Session {
         });
         let mut net = campus.net;
         schedule.apply_to(&mut net);
-        if let Some((from_frac, until_frac)) = road.border_outage {
+        let mut chaos = road.chaos.clone().unwrap_or_default();
+        if let Some((from, until)) = road.border_outage {
             let span = scenario.workload.duration.as_secs_f64();
-            net.link_mut(tap).fault.outages.push(Outage {
-                from: SimTime::ZERO + SimDuration::from_secs_f64(span * from_frac),
-                until: SimTime::ZERO + SimDuration::from_secs_f64(span * until_frac),
-            });
+            let at = |frac: f64| SimTime::ZERO + SimDuration::from_secs_f64(span * frac);
+            chaos.link_flap(tap, at(from), at(until));
         }
-        if let Some(plan) = &road.chaos {
-            plan.apply_to(&mut net);
-        }
+        chaos.apply_to(&mut net);
 
         let extractor = FieldExtractor::new(scenario.campus.campus_prefix());
         let (bank, handle) = BankFilter::new(extractor.clone());
@@ -822,5 +831,35 @@ mod tests {
             ResolverRunConfig { road: road(), ..ResolverRunConfig::default() },
         );
         assert!(resolver.net.dropped_fault > 0, "resolver run ignored the outage");
+    }
+
+    fn build_with_border_outage(outage: (f64, f64)) {
+        let road = RoadTestConfig { border_outage: Some(outage), ..RoadTestConfig::default() };
+        let program = PipelineProgram::new("known-good", vec![]);
+        Session::new("bad-outage", &Scenario::small(), program, &road, Members::default(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "border_outage (0.6, 0.3)")]
+    fn a_reversed_border_outage_fails_the_build() {
+        build_with_border_outage((0.6, 0.3));
+    }
+
+    #[test]
+    #[should_panic(expected = "border_outage (NaN, 0.5)")]
+    fn a_nan_border_outage_fails_the_build() {
+        build_with_border_outage((f64::NAN, 0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "border_outage (-0.1, 0.5)")]
+    fn a_negative_border_outage_fails_the_build() {
+        build_with_border_outage((-0.1, 0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "border_outage (0.2, 1.5)")]
+    fn a_border_outage_past_the_run_fails_the_build() {
+        build_with_border_outage((0.2, 1.5));
     }
 }

@@ -48,7 +48,7 @@ CAMPUSLAB_FUZZ_CASES=10000 cargo test -q --release \
 # to 1 and then 4 for every id, and isolation pins its own widths.
 cargo test -q --release -p campuslab-bench --test golden_replay --test e3_search
 cargo test -q --release -p campuslab-plaza --test isolation
-cargo test -q --release -p campuslab-netsim --test proptest_shard --test allocs
+cargo test -q --release -p campuslab-netsim --test proptest_shard --test chaos --test allocs
 cargo test -q --release -p campuslab-ml --test allocs --test presort_oracle
 
 # The one benchmark harness: its tests assert every workload's output
