@@ -16,7 +16,7 @@
 use crate::obs_export::ObsBundle;
 use crate::table::Table;
 use campuslab::control::{CircuitBreakerPolicy, InstallPolicy, RolloutEventKind, RolloutGuard};
-use campuslab::dataplane::{Action, PipelineProgram, TableEntry, TernaryMatch, FIELD_ORDER};
+use campuslab::dataplane::{Action, HeaderField, PipelineProgram, TableEntry};
 use campuslab::netsim::par::parallel_map;
 use campuslab::netsim::{SimDuration, SimTime};
 use campuslab::obs::Tracer;
@@ -29,23 +29,17 @@ use campuslab::Platform;
 /// live campus is mostly TCP, so anything narrower (a drop-all-UDP rule,
 /// say) can sneak under the shadow FP gate — this one cannot.
 fn grossly_degraded() -> PipelineProgram {
-    let matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-    PipelineProgram::new(
-        "degraded-wildcard",
-        vec![TableEntry { matches, action: Action::Drop, priority: 9, confidence: 0.5 }],
-    )
+    PipelineProgram::new("degraded-wildcard", vec![TableEntry::exact(&[], Action::Drop, 9, 0.5)])
 }
 
 /// Subtly degraded: collateral damage confined to DNS responses
 /// (UDP, source port 53) — a slice small enough to pass the shadow FP
 /// gate on mirrored traffic, so only the canary stage can judge it.
 fn subtly_degraded() -> PipelineProgram {
-    let mut matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-    matches[1] = TernaryMatch::exact(53, 0xffff);
-    matches[10] = TernaryMatch::exact(1, 1);
+    let dns_responses = [(HeaderField::SrcPort, 53), (HeaderField::IsUdp, 1)];
     PipelineProgram::new(
         "degraded-dns-collateral",
-        vec![TableEntry { matches, action: Action::Drop, priority: 9, confidence: 0.5 }],
+        vec![TableEntry::exact(&dns_responses, Action::Drop, 9, 0.5)],
     )
 }
 

@@ -20,9 +20,7 @@
 use crate::obs_export::ObsBundle;
 use crate::table::Table;
 use campuslab::control::RolloutEventKind;
-use campuslab::dataplane::{
-    Action, AdmissionDecision, PipelineProgram, TableEntry, TernaryMatch, FIELD_ORDER,
-};
+use campuslab::dataplane::{Action, AdmissionDecision, PipelineProgram, TableEntry};
 use campuslab::netsim::{Campus, ChaosPlan, SimTime};
 use campuslab::obs::Tracer;
 use campuslab::plaza::{Plaza, TenantJob, TenantOutcome, TenantSpec};
@@ -34,11 +32,7 @@ use campuslab::Platform;
 /// stage must veto — proving each tenant gets a full private guard
 /// ladder, not a shared one.
 fn wildcard_drop() -> PipelineProgram {
-    let matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-    PipelineProgram::new(
-        "warden-wildcard",
-        vec![TableEntry { matches, action: Action::Drop, priority: 9, confidence: 0.5 }],
-    )
+    PipelineProgram::new("warden-wildcard", vec![TableEntry::exact(&[], Action::Drop, 9, 0.5)])
 }
 
 /// A probe tenant whose own campus suffers a border-link flap mid-run:
@@ -117,12 +111,6 @@ fn solo_fingerprint(spec: TenantSpec) -> String {
         .fingerprint()
 }
 
-/// The table's events column: everything one slice's network did.
-pub fn events_of(o: &TenantOutcome) -> u64 {
-    let net = &o.run.net;
-    net.injected + net.delivered + net.dropped_total()
-}
-
 /// Run the experiment and return the full Observatory bundle.
 pub fn run() -> ObsBundle {
     let mut out =
@@ -187,7 +175,7 @@ pub fn run() -> ObsBundle {
             o.name.clone(),
             decision,
             o.rounds.to_string(),
-            events_of(o).to_string(),
+            o.sim_events().to_string(),
             format!("{mitigations}/{giveups}"),
             verdict,
             o.store.as_ref().map(|s| s.packet_count().to_string()).unwrap_or_else(|| "-".into()),
@@ -255,7 +243,7 @@ pub fn run() -> ObsBundle {
         let p0_stable = rep
             .outcome("p0")
             .is_some_and(|o| o.fingerprint() == p0_reference);
-        let events: u64 = rep.outcomes.iter().map(events_of).sum();
+        let events: u64 = rep.outcomes.iter().map(TenantOutcome::sim_events).sum();
         sweep.row(vec![
             n.to_string(),
             rep.obs.admitted().to_string(),

@@ -53,7 +53,7 @@ pub const EXPERIMENTS: [(&str, &str, fn() -> ObsBundle); 21] = [
 mod tests {
     #[test]
     fn ids_are_unique() {
-        let ids: std::collections::HashSet<&str> =
+        let ids: std::collections::BTreeSet<&str> =
             super::EXPERIMENTS.iter().map(|(id, _, _)| *id).collect();
         assert_eq!(ids.len(), super::EXPERIMENTS.len());
     }

@@ -21,7 +21,7 @@
 //! beside the code that reads it. That count may only fall too:
 //! [`KNOB_CEILING`] drops with every knob a change removes.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Unreferenced public items in this tree.
@@ -89,8 +89,8 @@ fn public_items_without_a_caller_do_not_grow() {
     assert!(crate_files.len() > 50 && files.len() > crate_files.len(), "scanned the wrong tree");
 
     let mut items: BTreeSet<String> = BTreeSet::new();
-    let mut declarations: HashMap<String, usize> = HashMap::new();
-    let mut tokens: HashMap<String, usize> = HashMap::new();
+    let mut declarations: BTreeMap<String, usize> = BTreeMap::new();
+    let mut tokens: BTreeMap<String, usize> = BTreeMap::new();
     for path in &files {
         let text = std::fs::read_to_string(path).expect("readable source");
         let mut in_pub_use = false;

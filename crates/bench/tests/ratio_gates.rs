@@ -19,7 +19,7 @@ use campuslab::testbed::{
     DriftSession, Scenario,
 };
 use campuslab::traffic::{Injection, TrafficGenerator, WorkloadConfig};
-use campuslab_bench::experiments::e18_tenant_plaza::{events_of, story_cast};
+use campuslab_bench::experiments::e18_tenant_plaza::story_cast;
 use std::{hint::black_box, sync::Mutex, time::Instant};
 
 /// Tests in one binary run on parallel threads; timed runs take turns.
@@ -231,8 +231,9 @@ fn plaza_work_over_span_is_at_least_two() {
     let report = plaza.run();
     assert_eq!(report.rounds, 2, "queued tenants all drain into the second round");
     let (one, two) = report.outcomes.split_at(first_round);
-    let largest = |round: &[TenantOutcome]| round.iter().map(events_of).max().unwrap_or(0);
-    let work: u64 = report.outcomes.iter().map(events_of).sum();
+    let largest =
+        |round: &[TenantOutcome]| round.iter().map(TenantOutcome::sim_events).max().unwrap_or(0);
+    let work: u64 = report.outcomes.iter().map(TenantOutcome::sim_events).sum();
     let span = largest(one) + largest(two);
     println!(
         "story cast: {} + {} tenants, work {work}, span {span}, work/span {:.2}",

@@ -3,7 +3,6 @@
 
 use crate::fxhash::FxHashMap;
 use crate::records::{FlowKey, FlowRecord, PacketRecord};
-use std::collections::HashMap;
 
 /// Flow table sizing and timeout policy.
 #[derive(Debug, Clone, Copy)]
@@ -43,12 +42,12 @@ struct FlowState {
     min_len: u32,
     max_len: u32,
     /// Label votes: (app, attack) -> count. Majority wins at emission.
-    label_votes: HashMap<(u16, u16), u64>,
+    label_votes: FxHashMap<(u16, u16), u64>,
 }
 
 impl FlowState {
     fn new(rec: &PacketRecord) -> Self {
-        let mut votes = HashMap::new();
+        let mut votes = FxHashMap::default();
         votes.insert((rec.label_app, rec.label_attack), 1);
         FlowState {
             forward: rec.flow_key(),

@@ -8,7 +8,9 @@
 //!   so "lossless" is a measured property, not an assumption (experiment E2).
 //! * [`records`] — the packet/flow/DNS record vocabulary shared with
 //!   the data store; ground-truth labels ride along explicitly marked as
-//!   generator-provided.
+//!   generator-provided. Beside it, the packet schema: the 13 header
+//!   fields and the one function that computes them, which the feature
+//!   row and the switch's match key both are.
 //! * [`flow`] — bidirectional flow assembly with idle/active timeouts and
 //!   FIN/RST fast paths.
 //! * [`meta`] — on-the-fly metadata extraction (DNS transactions, TCP
@@ -48,7 +50,8 @@ pub use meta::{extract_dns, TcpRttEstimator};
 pub use monitor::{BorderTapHooks, Monitor, MonitorConfig, MonitorStats};
 pub use observe::CaptureObs;
 pub use records::{
-    Direction, DnsMetaRecord, FlowKey, FlowRecord, PacketRecord, TcpFlags, TcpRttRecord,
+    fields_from_record, Direction, DnsMetaRecord, FieldValues, FlowKey, FlowRecord, HeaderField,
+    PacketRecord, TcpFlags, TcpRttRecord, FIELD_NAMES, FIELD_ORDER,
 };
 pub use ring::{CaptureArray, CaptureRing, RingConfig, RingStats};
-pub use sketch::{CountMinSketch, FrozenHeavyHitters, HeavyHitters};
+pub use sketch::{CountMinSketch, HeavyHitters};

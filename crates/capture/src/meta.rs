@@ -43,7 +43,7 @@ pub fn extract_dns(now: SimTime, direction: Direction, pkt: &Packet) -> Option<D
 #[derive(Debug, Default)]
 pub struct TcpRttEstimator {
     /// Outstanding SYNs: (client, server, sport, dport) -> SYN timestamp.
-    pending: std::collections::HashMap<(std::net::IpAddr, std::net::IpAddr, u16, u16), u64>,
+    pending: crate::fxhash::FxHashMap<(std::net::IpAddr, std::net::IpAddr, u16, u16), u64>,
 }
 
 impl TcpRttEstimator {

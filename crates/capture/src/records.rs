@@ -1,6 +1,14 @@
 //! The record types the monitoring plane produces and the data store
 //! ingests. Timestamps are plain nanoseconds so records serialize cleanly
 //! and stay independent of the simulator's clock type.
+//!
+//! Beside [`PacketRecord`] sits the packet schema: the 13 header fields
+//! ([`HeaderField`], in [`FIELD_ORDER`]) and [`fields_from_record`], the
+//! one function that computes their values. The feature row a tree trains
+//! on (`campuslab_features::packet_features`), the switch key a compiled
+//! tree matches and the key the live extractor reads off a packet
+//! (`campuslab_dataplane`) are all this function's output, so they agree
+//! by construction.
 
 use campuslab_netsim::{Dir, Packet, SimTime, TransportHeader};
 use serde::{Deserialize, Serialize};
@@ -107,6 +115,117 @@ impl PacketRecord {
             dst_port: self.dst_port,
         }
     }
+}
+
+/// A matchable header field: one column of the packet feature row and one
+/// cell of the switch's match key. Discriminants index [`FIELD_ORDER`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum HeaderField {
+    Protocol,
+    SrcPort,
+    DstPort,
+    WireLen,
+    Ttl,
+    DirectionInbound,
+    TcpSyn,
+    TcpAck,
+    TcpFin,
+    TcpRst,
+    IsUdp,
+    IsTcp,
+    SrcPortIsDns,
+}
+
+/// Fields in canonical (feature-schema) order.
+pub const FIELD_ORDER: [HeaderField; 13] = [
+    HeaderField::Protocol,
+    HeaderField::SrcPort,
+    HeaderField::DstPort,
+    HeaderField::WireLen,
+    HeaderField::Ttl,
+    HeaderField::DirectionInbound,
+    HeaderField::TcpSyn,
+    HeaderField::TcpAck,
+    HeaderField::TcpFin,
+    HeaderField::TcpRst,
+    HeaderField::IsUdp,
+    HeaderField::IsTcp,
+    HeaderField::SrcPortIsDns,
+];
+
+/// Field names in canonical order: the feature row's column names.
+pub const FIELD_NAMES: [&str; FIELD_ORDER.len()] = [
+    "protocol",
+    "src_port",
+    "dst_port",
+    "wire_len",
+    "ttl",
+    "direction_inbound",
+    "tcp_syn",
+    "tcp_ack",
+    "tcp_fin",
+    "tcp_rst",
+    "is_udp",
+    "is_tcp",
+    "src_port_is_dns",
+];
+
+impl HeaderField {
+    /// The field's bit width on the match key.
+    pub fn bits(self) -> u32 {
+        match self {
+            HeaderField::Protocol | HeaderField::Ttl => 8,
+            HeaderField::SrcPort | HeaderField::DstPort | HeaderField::WireLen => 16,
+            _ => 1,
+        }
+    }
+
+    /// Maximum representable value.
+    pub fn max_value(self) -> u32 {
+        (1u32 << self.bits()) - 1
+    }
+
+    /// The field for a canonical feature index, or `None` when the index
+    /// falls outside the schema (a malformed program must surface as a
+    /// typed condition, never a panic in the compiler path).
+    pub fn try_from_feature_index(idx: usize) -> Option<HeaderField> {
+        FIELD_ORDER.get(idx).copied()
+    }
+
+    /// The field's canonical index, infallibly: every `HeaderField` is in
+    /// `FIELD_ORDER` by construction, so no lookup can fail.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The field's column name.
+    pub fn name(self) -> &'static str {
+        FIELD_NAMES[self.index()]
+    }
+}
+
+/// One packet's field values, in canonical order.
+pub type FieldValues = [u32; FIELD_ORDER.len()];
+
+/// The packet schema's one extraction: every field's value for a record,
+/// each within its width (`wire_len` saturates at 16 bits).
+pub fn fields_from_record(rec: &PacketRecord) -> FieldValues {
+    let flags = rec.tcp_flags;
+    FIELD_ORDER.map(|field| match field {
+        HeaderField::Protocol => u32::from(rec.protocol),
+        HeaderField::SrcPort => u32::from(rec.src_port),
+        HeaderField::DstPort => u32::from(rec.dst_port),
+        HeaderField::WireLen => rec.wire_len.min(field.max_value()),
+        HeaderField::Ttl => u32::from(rec.ttl),
+        HeaderField::DirectionInbound => u32::from(rec.direction == Direction::Inbound),
+        HeaderField::TcpSyn => u32::from(flags.syn),
+        HeaderField::TcpAck => u32::from(flags.ack),
+        HeaderField::TcpFin => u32::from(flags.fin),
+        HeaderField::TcpRst => u32::from(flags.rst),
+        HeaderField::IsUdp => u32::from(rec.protocol == 17),
+        HeaderField::IsTcp => u32::from(rec.protocol == 6),
+        HeaderField::SrcPortIsDns => u32::from(rec.src_port == 53),
+    })
 }
 
 /// A 5-tuple identifying a unidirectional flow.
@@ -253,6 +372,20 @@ mod tests {
         assert_eq!(r.label_app, 1);
         assert_eq!(r.label_attack, 1);
         assert!(r.is_malicious());
+    }
+
+    #[test]
+    fn field_widths_and_order() {
+        assert_eq!(HeaderField::SrcPort.bits(), 16);
+        assert_eq!(HeaderField::Protocol.bits(), 8);
+        assert_eq!(HeaderField::TcpSyn.bits(), 1);
+        assert_eq!(HeaderField::DstPort.max_value(), 65_535);
+        assert_eq!(HeaderField::IsUdp.max_value(), 1);
+        for (i, f) in FIELD_ORDER.iter().enumerate() {
+            assert_eq!(f.index(), i, "{} is out of canonical order", f.name());
+            assert_eq!(HeaderField::try_from_feature_index(i), Some(*f));
+        }
+        assert_eq!(HeaderField::try_from_feature_index(FIELD_ORDER.len()), None);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! appliance (or a programmable switch) answers "who is moving the bytes
 //! right now?" without storing per-host state.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 
@@ -56,96 +55,51 @@ impl CountMinSketch {
 }
 
 /// Tracks the `k` heaviest keys exactly, fed by sketch estimates — the
-/// classic sketch + heap heavy-hitter construction.
-#[derive(Debug, Clone)]
+/// classic sketch + heap heavy-hitter construction. Its checkpoint image is
+/// the tracker itself: the candidates are a list in [`HeavyHitters::top`]'s
+/// order, so a restored tracker evicts exactly as the live one would.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct HeavyHitters {
     sketch: CountMinSketch,
     k: usize,
-    /// Current candidates: key -> estimated weight.
-    top: HashMap<IpAddr, u64>,
+    /// Candidates with their estimated weight, heaviest first, ties by
+    /// address: the last entry is the one a newcomer evicts.
+    top: Vec<(IpAddr, u64)>,
 }
 
 impl HeavyHitters {
     /// Track the top `k` addresses with a `width x depth` sketch.
     pub fn new(k: usize, width: usize, depth: usize) -> Self {
         assert!(k > 0);
-        HeavyHitters { sketch: CountMinSketch::new(width, depth), k, top: HashMap::new() }
+        HeavyHitters { sketch: CountMinSketch::new(width, depth), k, top: Vec::new() }
     }
 
     /// Account `weight` bytes to `addr`.
     pub fn add(&mut self, addr: IpAddr, weight: u64) {
         self.sketch.add(&addr, weight);
         let est = self.sketch.estimate(&addr);
-        if self.top.len() < self.k || self.top.contains_key(&addr) {
-            self.top.insert(addr, est);
+        if let Some(entry) = self.top.iter_mut().find(|(a, _)| *a == addr) {
+            entry.1 = est;
+        } else if self.top.len() < self.k {
+            self.top.push((addr, est));
+        } else if let Some(lightest) = self.top.last_mut().filter(|(_, w)| est > *w) {
+            // Replace the lightest candidate: it now outweighs it.
+            *lightest = (addr, est);
+        } else {
             return;
         }
-        // Replace the lightest candidate if this key now outweighs it.
-        if let Some((&lightest, &w)) = self.top.iter().min_by_key(|(_, &w)| w) {
-            if est > w {
-                self.top.remove(&lightest);
-                self.top.insert(addr, est);
-            }
-        }
-        // Trim (k can shrink only through construction, but keep safe).
-        while self.top.len() > self.k {
-            if let Some((&lightest, _)) = self.top.iter().min_by_key(|(_, &w)| w) {
-                self.top.remove(&lightest);
-            }
-        }
+        self.top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     }
 
-    /// The current top talkers, heaviest first.
+    /// The current top talkers, heaviest first (ties by address).
     pub fn top(&self) -> Vec<(IpAddr, u64)> {
-        let mut v: Vec<(IpAddr, u64)> = self.top.iter().map(|(&a, &w)| (a, w)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
+        self.top.clone()
     }
 
     /// Total bytes observed.
     pub fn total(&self) -> u64 {
         self.sketch.total
     }
-
-    /// Freeze the tracker for a checkpoint: the candidate map flattens to
-    /// its deterministic heaviest-first order.
-    pub fn freeze(&self) -> FrozenHeavyHitters {
-        FrozenHeavyHitters { sketch: self.sketch.clone(), k: self.k, top: self.top() }
-    }
-
-    /// Rebuild a tracker from a frozen image.
-    pub fn thaw(frozen: FrozenHeavyHitters) -> Self {
-        HeavyHitters {
-            sketch: frozen.sketch,
-            k: frozen.k,
-            top: frozen.top.into_iter().collect(),
-        }
-    }
-}
-
-// Hand-rolled through the freeze/thaw pair (the image lists candidates
-// heaviest first, which is no map's order), so a layer holding live
-// trackers can derive its own state.
-impl serde::Serialize for HeavyHitters {
-    fn serialize_bin(&self, out: &mut Vec<u8>) {
-        self.freeze().serialize_bin(out);
-    }
-}
-
-impl serde::Deserialize for HeavyHitters {
-    fn deserialize_bin(r: &mut serde::bin::Reader<'_>) -> Result<Self, serde::bin::Error> {
-        FrozenHeavyHitters::deserialize_bin(r).map(HeavyHitters::thaw)
-    }
-}
-
-/// A [`HeavyHitters`]'s checkpointable image.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct FrozenHeavyHitters {
-    pub sketch: CountMinSketch,
-    pub k: usize,
-    /// Candidates, heaviest first (ties by address) — the same order
-    /// [`HeavyHitters::top`] reports.
-    pub top: Vec<(IpAddr, u64)>,
 }
 
 #[cfg(test)]
@@ -159,7 +113,7 @@ mod tests {
     #[test]
     fn estimates_never_underestimate() {
         let mut s = CountMinSketch::new(256, 4);
-        let mut truth: HashMap<u32, u64> = HashMap::new();
+        let mut truth: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
         for i in 0..5_000u32 {
             let key = i % 300;
             let w = u64::from(key % 7 + 1);
@@ -214,6 +168,47 @@ mod tests {
         // The heaviest two inserted last dominate.
         assert_eq!(top[0].0, ip(49));
         assert_eq!(top[1].0, ip(48));
+    }
+
+    /// Three equal keys then a heavier one: the newcomer evicts the
+    /// lightest candidate, and among tied ones always the same, here the
+    /// highest address.
+    fn fed_a_tie(hh: &mut HeavyHitters) {
+        for last in [3, 1, 2] {
+            hh.add(ip(last), 100);
+        }
+        hh.add(ip(4), 150);
+    }
+
+    #[test]
+    fn ties_evict_the_same_candidate_in_every_tracker() {
+        let tops: std::collections::BTreeSet<Vec<(IpAddr, u64)>> = (0..50)
+            .map(|_| {
+                let mut hh = HeavyHitters::new(2, 1024, 4);
+                fed_a_tie(&mut hh);
+                hh.top()
+            })
+            .collect();
+        let want = vec![(ip(4), 150), (ip(1), 100)];
+        assert_eq!(tops.into_iter().collect::<Vec<_>>(), vec![want]);
+    }
+
+    #[test]
+    fn a_restored_tracker_evicts_as_the_live_one() {
+        for _ in 0..20 {
+            let mut live = HeavyHitters::new(2, 1024, 4);
+            for last in [3, 1] {
+                live.add(ip(last), 100);
+            }
+            let image = serde::bin::to_vec(&live);
+            let mut restored: HeavyHitters = serde::bin::from_slice(&image).unwrap();
+            for hh in [&mut live, &mut restored] {
+                hh.add(ip(2), 100);
+                hh.add(ip(4), 150);
+            }
+            assert_eq!(live.top(), vec![(ip(4), 150), (ip(1), 100)]);
+            assert_eq!(serde::bin::to_vec(&restored), serde::bin::to_vec(&live));
+        }
     }
 
     #[test]

@@ -127,7 +127,7 @@ proptest! {
     #[test]
     fn heavy_hitters_never_undercount(records in proptest::collection::vec(arb_record(), 1..400)) {
         let mut hh = HeavyHitters::new(4, 256, 4);
-        let mut truth: std::collections::HashMap<IpAddr, u64> = std::collections::HashMap::new();
+        let mut truth: std::collections::BTreeMap<IpAddr, u64> = std::collections::BTreeMap::new();
         for r in &records {
             hh.add(r.dst, u64::from(r.wire_len));
             *truth.entry(r.dst).or_insert(0) += u64::from(r.wire_len);

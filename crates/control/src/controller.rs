@@ -626,7 +626,7 @@ impl campuslab_netsim::SimHooks for MitigationController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use campuslab_dataplane::{TableEntry, TernaryMatch, FIELD_ORDER};
+    use campuslab_dataplane::{HeaderField, TableEntry};
     use campuslab_netsim::Prefix;
     use campuslab_netsim::{GroundTruth, PacketBuilder, Payload};
     use std::net::Ipv4Addr;
@@ -636,13 +636,8 @@ mod tests {
     }
 
     fn drop_udp53_program() -> PipelineProgram {
-        let mut matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-        matches[1] = TernaryMatch::exact(53, 16);
-        matches[10] = TernaryMatch::exact(1, 1);
-        PipelineProgram::new(
-            "sig",
-            vec![TableEntry { matches, action: Action::Drop, priority: 1, confidence: 0.95 }],
-        )
+        let udp53 = [(HeaderField::SrcPort, 53), (HeaderField::IsUdp, 1)];
+        PipelineProgram::new("sig", vec![TableEntry::exact(&udp53, Action::Drop, 1, 0.95)])
     }
 
     fn amp_packet(b: &mut PacketBuilder, dst: Ipv4Addr) -> Packet {

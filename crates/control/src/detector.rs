@@ -4,7 +4,7 @@
 
 use crate::observe::DetectorObs;
 use campuslab_capture::PacketRecord;
-use campuslab_features::{aggregate, LabelMode, WindowConfig};
+use campuslab_features::{aggregate, LabelMode, WindowConfig, WINDOW_BYTE_COUNT, WINDOW_PKT_COUNT};
 use campuslab_ml::Classifier;
 use campuslab_obs::{ObsSink, SinkMisfit};
 use std::net::IpAddr;
@@ -55,12 +55,6 @@ pub struct DetectorState {
 /// Below this observed fraction a window is skipped outright rather than
 /// extrapolated from too little signal.
 const MIN_COVERAGE: f64 = 0.5;
-
-/// Positions of the count-rate features in the window feature vector
-/// (`campuslab_features::WINDOW_FEATURES`): the ones skewed by partial
-/// coverage and de-skewed by `1/coverage`.
-const PKT_COUNT_FEATURE: usize = 0;
-const BYTE_COUNT_FEATURE: usize = 1;
 
 impl StreamingWindowDetector {
     /// Create a detector around a trained window-feature model. Windows
@@ -164,8 +158,8 @@ impl StreamingWindowDetector {
                 if coverage < 1.0 {
                     // De-skew count features to full-window equivalents so
                     // a half-seen flood still looks like a flood.
-                    features[PKT_COUNT_FEATURE] /= coverage;
-                    features[BYTE_COUNT_FEATURE] /= coverage;
+                    features[WINDOW_PKT_COUNT] /= coverage;
+                    features[WINDOW_BYTE_COUNT] /= coverage;
                 }
                 let (class, confidence) = self.model.predict_with_confidence(&features);
                 (class != 0 && confidence >= self.state.gate).then_some(Detection {

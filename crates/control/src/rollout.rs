@@ -861,7 +861,7 @@ impl SimHooks for RolloutGuard {
 mod tests {
     use super::*;
     use crate::controller::BankFilter;
-    use campuslab_dataplane::{Action, TableEntry, TernaryMatch, FIELD_ORDER};
+    use campuslab_dataplane::{Action, HeaderField, TableEntry};
     use campuslab_netsim::{GroundTruth, PacketBuilder, PacketFilter, Payload, Prefix};
     use std::net::Ipv4Addr;
 
@@ -871,35 +871,21 @@ mod tests {
 
     /// Drops UDP traffic sourced from port 53 (the known-good signature).
     fn drop_dns_amp(name: &str) -> PipelineProgram {
-        let mut matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-        matches[1] = TernaryMatch::exact(53, 16);
-        matches[10] = TernaryMatch::exact(1, 1);
-        PipelineProgram::new(
-            name,
-            vec![TableEntry { matches, action: Action::Drop, priority: 1, confidence: 0.95 }],
-        )
+        let udp53 = [(HeaderField::SrcPort, 53), (HeaderField::IsUdp, 1)];
+        PipelineProgram::new(name, vec![TableEntry::exact(&udp53, Action::Drop, 1, 0.95)])
     }
 
     /// Drops *all* UDP — grossly over-broad, the shadow stage must veto it.
     fn drop_all_udp(name: &str) -> PipelineProgram {
-        let mut matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-        matches[10] = TernaryMatch::exact(1, 1);
-        PipelineProgram::new(
-            name,
-            vec![TableEntry { matches, action: Action::Drop, priority: 1, confidence: 0.95 }],
-        )
+        let udp = [(HeaderField::IsUdp, 1)];
+        PipelineProgram::new(name, vec![TableEntry::exact(&udp, Action::Drop, 1, 0.95)])
     }
 
     /// Drops TCP port-443 traffic — quiet on a UDP-only feed, harmful once
     /// web traffic appears (the subtle-degradation case).
     fn drop_https(name: &str) -> PipelineProgram {
-        let mut matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-        matches[2] = TernaryMatch::exact(443, 16);
-        matches[11] = TernaryMatch::exact(1, 1);
-        PipelineProgram::new(
-            name,
-            vec![TableEntry { matches, action: Action::Drop, priority: 1, confidence: 0.95 }],
-        )
+        let https = [(HeaderField::DstPort, 443), (HeaderField::IsTcp, 1)];
+        PipelineProgram::new(name, vec![TableEntry::exact(&https, Action::Drop, 1, 0.95)])
     }
 
     fn benign_udp(b: &mut PacketBuilder, dst: Ipv4Addr) -> campuslab_netsim::Packet {

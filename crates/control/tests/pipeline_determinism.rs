@@ -5,17 +5,16 @@
 //!   windows yields the same model fingerprint and the same compiled
 //!   program fingerprint, at any wall/sim time. The retrain seed is a
 //!   pure function of window content (`records_hash`), nothing else.
-//! * **Schema agreement**: the feature row a tree is trained on, the
-//!   switch key a compiled tree matches on, and the key the live extractor
-//!   reads off a packet agree name by name and value by value. Control is
-//!   the one crate that sees both `features` and `dataplane`, so the
-//!   contract is checked here against the real thing on both sides.
+//! * **Live direction**: the feature row, the switch key and the live key
+//!   are one extraction (`fields_from_record`) by construction; the one
+//!   input the live extractor derives for itself is direction, from the
+//!   campus prefix. For border-crossing packets that must equal the tap's
+//!   direction, or the live key is not the key the tree was trained on.
 
 use campuslab_capture::{Direction, PacketRecord, TcpFlags};
 use campuslab_control::{records_hash, retrain_window, DevLoopConfig};
-use campuslab_dataplane::{fields_from_record, FieldExtractor, FIELD_ORDER};
-use campuslab_features::{packet_features, PACKET_FEATURES};
-use campuslab_netsim::{GroundTruth, Packet, PacketBuilder, Payload, Prefix, SimTime};
+use campuslab_dataplane::{fields_from_record, FieldExtractor};
+use campuslab_netsim::{GroundTruth, PacketBuilder, Payload, Prefix, SimTime};
 use campuslab_wire::{IcmpRepr, TcpControl, TcpRepr};
 use proptest::prelude::*;
 use proptest::{collection, proptest, ProptestConfig};
@@ -112,58 +111,39 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Schema agreement: a distilled tree splits on `PACKET_FEATURES`
-    /// columns and compiles field-for-field onto `FIELD_ORDER` matches, and
-    /// the switch evaluates those matches on what `FieldExtractor` reads
-    /// off the live packet. A disagreement anywhere in that triangle
-    /// mis-compiles every tree silently, so for every transport (UDP, ICMP,
-    /// TCP under all 64 control-bit combinations), both directions and
-    /// payloads up to the MTU: feature row == switch key == live key.
+    /// For every transport, both border directions and payloads up to the
+    /// MTU, inbound derived from the campus prefix is the tap direction:
+    /// the live key equals the stored record's key.
     #[test]
-    fn feature_row_switch_key_and_live_key_agree(
+    fn live_direction_from_the_prefix_is_the_tap_direction(
         host in 1u8..250,
-        from_dns in any::<bool>(),
-        sport in 1024u16..=65_535,
+        sport in any::<u16>(),
         dport in any::<u16>(),
         payload in 0usize..=1_460,
     ) {
-        let names: Vec<&str> = FIELD_ORDER.iter().map(|f| f.name()).collect();
-        prop_assert_eq!(&names[..], &PACKET_FEATURES[..]);
-
         let inside = Ipv4Addr::new(10, 1, 1, host);
         let outside = Ipv4Addr::new(203, 0, 113, host);
         let live = FieldExtractor::new(Prefix::v4(Ipv4Addr::new(10, 1, 0, 0), 16));
-        let sport = if from_dns { 53 } else { sport };
         let mut b = PacketBuilder::new();
         for (direction, src, dst) in
             [(Direction::Inbound, outside, inside), (Direction::Outbound, inside, outside)]
         {
             let body = Payload::Synthetic(payload);
             let truth = GroundTruth::default();
-            let mut packets: Vec<Packet> = vec![
+            let control =
+                TcpControl { syn: true, ack: false, fin: false, rst: false, psh: false, urg: false };
+            let tcp = TcpRepr {
+                src_port: 0, dst_port: 0, seq: 1, ack: 0, control,
+                mss: None, window_scale: None,
+            };
+            let packets = [
                 b.udp_v4(src, dst, sport, dport, body.clone(), 64, truth),
                 b.icmp_v4(src, dst, IcmpRepr::echo_request(7, 1, &vec![0; payload]), truth),
+                b.tcp_v4(src, dst, sport, dport, tcp, body, truth),
             ];
-            for bits in 0u8..64 {
-                let bit = |k: u8| bits >> k & 1 == 1;
-                let control = TcpControl {
-                    syn: bit(0), ack: bit(1), fin: bit(2), rst: bit(3), psh: bit(4), urg: bit(5),
-                };
-                let tcp = TcpRepr {
-                    src_port: 0, dst_port: 0, seq: 1, ack: 0, control,
-                    mss: None, window_scale: None,
-                };
-                packets.push(b.tcp_v4(src, dst, sport, dport, tcp, body.clone(), truth));
-            }
             for pkt in &packets {
                 let rec = PacketRecord::from_packet(SimTime::ZERO, direction, pkt);
-                let key = fields_from_record(&rec);
-                prop_assert_eq!(live.from_packet(pkt), key, "live vs stored key for {:?}", rec);
-                let row = packet_features(&rec);
-                prop_assert_eq!(row.len(), key.len());
-                for (i, name) in PACKET_FEATURES.iter().enumerate() {
-                    prop_assert_eq!(row[i], f64::from(key[i]), "{} disagrees for {:?}", name, rec);
-                }
+                prop_assert_eq!(live.from_packet(pkt), fields_from_record(&rec), "{:?}", rec);
             }
         }
     }

@@ -5,8 +5,8 @@
 //! (iii)), and a Tofino-like resource model that turns the paper's §2
 //! scale claim into a measurable number.
 //!
-//! * [`fields`] — matchable header fields, 1:1 with the packet feature
-//!   schema, with extractors for live packets and stored records.
+//! * [`fields`] — the match key: the packet schema declared beside
+//!   `campuslab_capture::PacketRecord`, plus the live extractor.
 //! * [`ternary`] — minimal range→ternary prefix expansion (exhaustively
 //!   tested over all 8-bit ranges).
 //! * [`program`] — prioritized ternary tables with an executor that

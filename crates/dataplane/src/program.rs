@@ -2,7 +2,7 @@
 //! software executor that evaluates it per packet, policing rate-limit
 //! entries with per-entry token buckets.
 
-use crate::fields::{FieldValues, FIELD_ORDER};
+use crate::fields::{FieldValues, HeaderField, FIELD_ORDER};
 use crate::ternary::TernaryMatch;
 use campuslab_netsim::fxhash::FxHasher;
 use serde::{Deserialize, Serialize};
@@ -34,14 +34,20 @@ pub struct TableEntry {
 }
 
 impl TableEntry {
+    /// An entry that matches each listed field exactly, at that field's
+    /// width, and every other field by wildcard.
+    pub fn exact(fields: &[(HeaderField, u32)], action: Action, priority: i32, confidence: f64) -> Self {
+        let mut matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
+        for &(field, value) in fields {
+            let mask = field.max_value();
+            matches[field.index()] = TernaryMatch { value: value & mask, mask };
+        }
+        TableEntry { matches, action, priority, confidence }
+    }
+
     /// A catch-all entry with the given action at the lowest priority.
     pub fn default_entry(action: Action) -> Self {
-        TableEntry {
-            matches: [TernaryMatch::ANY; FIELD_ORDER.len()],
-            action,
-            priority: i32::MIN,
-            confidence: 1.0,
-        }
+        TableEntry::exact(&[], action, i32::MIN, 1.0)
     }
 
     /// Whether the entry matches a parsed packet.
@@ -251,12 +257,9 @@ impl PipelineRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fields::HeaderField;
 
-    fn entry_on(field: HeaderField, cell: TernaryMatch, action: Action, priority: i32) -> TableEntry {
-        let mut matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-        matches[field.index()] = cell;
-        TableEntry { matches, action, priority, confidence: 1.0 }
+    fn entry_on(field: HeaderField, value: u32, action: Action, priority: i32) -> TableEntry {
+        TableEntry::exact(&[(field, value)], action, priority, 1.0)
     }
 
     fn fields_with(field: HeaderField, value: u32) -> FieldValues {
@@ -267,12 +270,7 @@ mod tests {
 
     #[test]
     fn first_match_by_priority() {
-        let drop_dns = entry_on(
-            HeaderField::SrcPort,
-            TernaryMatch::exact(53, 16),
-            Action::Drop,
-            10,
-        );
+        let drop_dns = entry_on(HeaderField::SrcPort, 53, Action::Drop, 10);
         let allow_all = TableEntry::default_entry(Action::Forward);
         let program = PipelineProgram::new("test", vec![allow_all, drop_dns]);
         // Sorting put the drop first.
@@ -288,12 +286,7 @@ mod tests {
     fn miss_defaults_to_forward() {
         let program = PipelineProgram::new(
             "only-drop",
-            vec![entry_on(
-                HeaderField::DstPort,
-                TernaryMatch::exact(22, 16),
-                Action::Drop,
-                0,
-            )],
+            vec![entry_on(HeaderField::DstPort, 22, Action::Drop, 0)],
         );
         assert_eq!(program.lookup(&fields_with(HeaderField::DstPort, 443)), None);
         let mut rt = program.into_runtime();
@@ -302,16 +295,15 @@ mod tests {
 
     #[test]
     fn multi_field_entries_require_all_cells() {
-        let mut matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-        matches[0] = TernaryMatch::exact(17, 8); // protocol = udp
-        matches[1] = TernaryMatch::exact(53, 16); // src_port = 53
-        let e = TableEntry { matches, action: Action::Drop, priority: 0, confidence: 0.95 };
+        let udp_dns = [(HeaderField::Protocol, 17), (HeaderField::SrcPort, 53)];
+        let e = TableEntry::exact(&udp_dns, Action::Drop, 0, 0.95);
         let mut yes = [0u32; FIELD_ORDER.len()];
-        yes[0] = 17;
-        yes[1] = 53;
+        for (field, value) in udp_dns {
+            yes[field.index()] = value;
+        }
         assert!(e.matches(&yes));
         let mut no = yes;
-        no[0] = 6;
+        no[HeaderField::Protocol.index()] = 6;
         assert!(!e.matches(&no));
     }
 
@@ -378,7 +370,7 @@ mod tests {
             "p",
             vec![
                 TableEntry::default_entry(Action::Drop),
-                entry_on(HeaderField::DstPort, TernaryMatch::exact(22, 16), Action::Forward, 5),
+                entry_on(HeaderField::DstPort, 22, Action::Forward, 5),
             ],
         );
         let policed = program.with_drops_as_policers(2_000_000);
@@ -393,12 +385,12 @@ mod tests {
     fn fingerprint_is_content_identity() {
         let a = PipelineProgram::new(
             "p",
-            vec![entry_on(HeaderField::SrcPort, TernaryMatch::exact(53, 16), Action::Drop, 1)],
+            vec![entry_on(HeaderField::SrcPort, 53, Action::Drop, 1)],
         );
         // Same content, same fingerprint — across clones and rebuilds.
         let b = PipelineProgram::new(
             "p",
-            vec![entry_on(HeaderField::SrcPort, TernaryMatch::exact(53, 16), Action::Drop, 1)],
+            vec![entry_on(HeaderField::SrcPort, 53, Action::Drop, 1)],
         );
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.version(), b.version());
@@ -408,7 +400,7 @@ mod tests {
         assert_ne!(a.fingerprint(), renamed.fingerprint());
         let other_match = PipelineProgram::new(
             "p",
-            vec![entry_on(HeaderField::SrcPort, TernaryMatch::exact(54, 16), Action::Drop, 1)],
+            vec![entry_on(HeaderField::SrcPort, 54, Action::Drop, 1)],
         );
         assert_ne!(a.fingerprint(), other_match.fingerprint());
         let policed = a.with_drops_as_policers(1_000_000);

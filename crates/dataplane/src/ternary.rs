@@ -16,12 +16,6 @@ impl TernaryMatch {
     /// The wildcard: matches anything.
     pub const ANY: TernaryMatch = TernaryMatch { value: 0, mask: 0 };
 
-    /// Exact match on `v`.
-    pub fn exact(v: u32, width: u32) -> Self {
-        let mask = width_mask(width);
-        TernaryMatch { value: v & mask, mask }
-    }
-
     /// Whether `x` matches this cell.
     pub fn matches(&self, x: u32) -> bool {
         x & self.mask == self.value

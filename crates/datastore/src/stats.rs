@@ -2,7 +2,8 @@
 //! experiment report) pulls from the store.
 
 use crate::store::DataStore;
-use std::collections::HashMap;
+use campuslab_netsim::fxhash::FxHashMap;
+use std::collections::BTreeMap;
 use std::net::IpAddr;
 
 /// Aggregate traffic summary.
@@ -12,9 +13,9 @@ pub struct StoreSummary {
     pub bytes: u64,
     pub malicious_packets: u64,
     /// Packet counts per application label.
-    pub by_app: HashMap<u16, u64>,
+    pub by_app: BTreeMap<u16, u64>,
     /// Packet counts per attack label (0 excluded).
-    pub by_attack: HashMap<u16, u64>,
+    pub by_attack: BTreeMap<u16, u64>,
     pub first_ts_ns: u64,
     pub last_ts_ns: u64,
 }
@@ -55,7 +56,7 @@ pub fn summarize(ds: &DataStore) -> StoreSummary {
 
 /// The `n` hosts moving the most bytes (either direction), descending.
 pub fn top_talkers(ds: &DataStore, n: usize) -> Vec<(IpAddr, u64)> {
-    let mut bytes: HashMap<IpAddr, u64> = HashMap::new();
+    let mut bytes: FxHashMap<IpAddr, u64> = FxHashMap::default();
     for r in ds.iter_packets() {
         *bytes.entry(r.src).or_insert(0) += u64::from(r.wire_len);
         *bytes.entry(r.dst).or_insert(0) += u64::from(r.wire_len);

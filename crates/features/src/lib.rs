@@ -6,7 +6,8 @@
 //!
 //! * [`packet`] — per-packet, header-only, integer-valued: evaluable by a
 //!   programmable data plane, and exactly what the tree→match-action
-//!   compiler consumes.
+//!   compiler consumes. The columns and their values are the packet
+//!   schema declared beside `campuslab_capture::PacketRecord`.
 //! * [`window`] — per-destination time-window aggregates: the richest (and
 //!   slowest) view, natural for a controller or cloud tier.
 //!
@@ -15,12 +16,14 @@
 
 //!
 //! ```
-//! use campuslab_features::{PACKET_FEATURES, packet_feature_index};
+//! use campuslab_capture::{HeaderField, FIELD_ORDER};
+//! use campuslab_features::PACKET_FEATURES;
 //!
-//! // The packet schema is the switch's match key, by construction.
-//! assert_eq!(PACKET_FEATURES.len(), 13);
-//! assert_eq!(PACKET_FEATURES[packet_feature_index("src_port_is_dns")],
-//!            "src_port_is_dns");
+//! // The packet schema is the switch's match key, by construction: one
+//! // declaration of the fields, one extraction of their values.
+//! assert_eq!(PACKET_FEATURES.len(), FIELD_ORDER.len());
+//! assert_eq!(PACKET_FEATURES[HeaderField::SrcPortIsDns.index()],
+//!            HeaderField::SrcPortIsDns.name());
 //! ```
 
 pub mod label;
@@ -28,5 +31,8 @@ pub mod packet;
 pub mod window;
 
 pub use label::LabelMode;
-pub use packet::{packet_dataset, packet_feature_index, packet_features, PACKET_FEATURES};
-pub use window::{aggregate, window_dataset, WindowCell, WindowConfig, WINDOW_FEATURES};
+pub use packet::{packet_dataset, packet_features, PACKET_FEATURES};
+pub use window::{
+    aggregate, window_dataset, WindowCell, WindowConfig, WINDOW_BYTE_COUNT, WINDOW_FEATURES,
+    WINDOW_PKT_COUNT,
+};

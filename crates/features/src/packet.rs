@@ -1,56 +1,21 @@
 //! Per-packet features — the feature set a programmable data plane can
 //! evaluate at line rate, because every column is a header field or a
-//! trivial function of one. This is the schema the tree→match-action
-//! compiler understands.
+//! trivial function of one. The columns are the packet schema declared
+//! beside `PacketRecord` (`campuslab_capture::HeaderField`), and a row is
+//! that schema's one extraction as `f64`: the switch key a compiled tree
+//! matches on, value for value.
 
 use crate::label::LabelMode;
-use campuslab_capture::{Direction, PacketRecord};
+use campuslab_capture::{fields_from_record, PacketRecord, FIELD_NAMES};
 use campuslab_ml::Dataset;
 
 /// Column names, in order. Every feature is integer-valued on purpose:
 /// tree thresholds over integers compile exactly to range matches.
-pub const PACKET_FEATURES: [&str; 13] = [
-    "protocol",
-    "src_port",
-    "dst_port",
-    "wire_len",
-    "ttl",
-    "direction_inbound",
-    "tcp_syn",
-    "tcp_ack",
-    "tcp_fin",
-    "tcp_rst",
-    "is_udp",
-    "is_tcp",
-    "src_port_is_dns",
-];
-
-/// Index of a packet feature by name; panics on unknown names (they are
-/// compile-time constants everywhere they are used).
-pub fn packet_feature_index(name: &str) -> usize {
-    PACKET_FEATURES
-        .iter()
-        .position(|&n| n == name)
-        .unwrap_or_else(|| panic!("unknown packet feature {name}"))
-}
+pub const PACKET_FEATURES: [&str; 13] = FIELD_NAMES;
 
 /// Extract the feature row for one captured packet.
 pub fn packet_features(rec: &PacketRecord) -> Vec<f64> {
-    vec![
-        f64::from(rec.protocol),
-        f64::from(rec.src_port),
-        f64::from(rec.dst_port),
-        f64::from(rec.wire_len),
-        f64::from(rec.ttl),
-        f64::from(u8::from(rec.direction == Direction::Inbound)),
-        f64::from(u8::from(rec.tcp_flags.syn)),
-        f64::from(u8::from(rec.tcp_flags.ack)),
-        f64::from(u8::from(rec.tcp_flags.fin)),
-        f64::from(u8::from(rec.tcp_flags.rst)),
-        f64::from(u8::from(rec.protocol == 17)),
-        f64::from(u8::from(rec.protocol == 6)),
-        f64::from(u8::from(rec.src_port == 53)),
-    ]
+    fields_from_record(rec).iter().map(|&v| f64::from(v)).collect()
 }
 
 /// Build a per-packet dataset from captured records, labeled per `mode`.
@@ -71,7 +36,7 @@ pub fn packet_dataset(records: &[PacketRecord], mode: LabelMode) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use campuslab_capture::TcpFlags;
+    use campuslab_capture::{Direction, HeaderField, TcpFlags};
     use std::net::IpAddr;
 
     fn rec(protocol: u8, sport: u16, dport: u16, attack: u16) -> PacketRecord {
@@ -95,23 +60,37 @@ mod tests {
     #[test]
     fn schema_and_row_agree() {
         let row = packet_features(&rec(17, 53, 40_000, 1));
+        let at = |f: HeaderField| row[f.index()];
         assert_eq!(row.len(), PACKET_FEATURES.len());
-        assert_eq!(row[packet_feature_index("protocol")], 17.0);
-        assert_eq!(row[packet_feature_index("src_port")], 53.0);
-        assert_eq!(row[packet_feature_index("dst_port")], 40_000.0);
-        assert_eq!(row[packet_feature_index("wire_len")], 1200.0);
-        assert_eq!(row[packet_feature_index("direction_inbound")], 1.0);
-        assert_eq!(row[packet_feature_index("is_udp")], 1.0);
-        assert_eq!(row[packet_feature_index("is_tcp")], 0.0);
-        assert_eq!(row[packet_feature_index("src_port_is_dns")], 1.0);
+        assert_eq!(at(HeaderField::Protocol), 17.0);
+        assert_eq!(at(HeaderField::SrcPort), 53.0);
+        assert_eq!(at(HeaderField::DstPort), 40_000.0);
+        assert_eq!(at(HeaderField::WireLen), 1200.0);
+        assert_eq!(at(HeaderField::DirectionInbound), 1.0);
+        assert_eq!(at(HeaderField::IsUdp), 1.0);
+        assert_eq!(at(HeaderField::IsTcp), 0.0);
+        assert_eq!(at(HeaderField::SrcPortIsDns), 1.0);
     }
 
     #[test]
     fn tcp_flags_are_featurized() {
         let row = packet_features(&rec(6, 50_000, 443, 0));
-        assert_eq!(row[packet_feature_index("tcp_syn")], 1.0);
-        assert_eq!(row[packet_feature_index("is_tcp")], 1.0);
-        assert_eq!(row[packet_feature_index("src_port_is_dns")], 0.0);
+        assert_eq!(row[HeaderField::TcpSyn.index()], 1.0);
+        assert_eq!(row[HeaderField::IsTcp.index()], 1.0);
+        assert_eq!(row[HeaderField::SrcPortIsDns.index()], 0.0);
+    }
+
+    /// The feature row and the switch key are one extraction, so a length
+    /// past the key's 16 bits reads the same in both.
+    #[test]
+    fn oversized_wire_len_reads_the_same_in_row_and_key() {
+        let mut r = rec(17, 53, 40_000, 1);
+        r.wire_len = 70_000;
+        let key = fields_from_record(&r);
+        let row = packet_features(&r);
+        let wire_len = HeaderField::WireLen.index();
+        assert_eq!(row[wire_len], f64::from(key[wire_len]));
+        assert_eq!(row[wire_len], 65_535.0);
     }
 
     #[test]
@@ -122,11 +101,5 @@ mod tests {
         assert_eq!(d.y, vec![1, 0]);
         assert_eq!(d.n_classes, 2);
         assert_eq!(d.feature_names.len(), PACKET_FEATURES.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown packet feature")]
-    fn unknown_feature_name_panics() {
-        packet_feature_index("nope");
     }
 }

@@ -4,9 +4,9 @@
 //! experiment E8).
 
 use crate::label::LabelMode;
-use campuslab_capture::{Direction, PacketRecord};
+use campuslab_capture::{Direction, FxHashMap, PacketRecord};
 use campuslab_ml::Dataset;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::IpAddr;
 
 
@@ -24,6 +24,11 @@ pub const WINDOW_FEATURES: [&str; 11] = [
     "max_pkt_len",
     "rst_frac",
 ];
+
+/// Position of `pkt_count` in [`WINDOW_FEATURES`].
+pub const WINDOW_PKT_COUNT: usize = 0;
+/// Position of `byte_count` in [`WINDOW_FEATURES`].
+pub const WINDOW_BYTE_COUNT: usize = 1;
 
 /// Windowing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -147,7 +152,7 @@ fn majority(labels: &BTreeMap<usize, u64>, keep: impl Fn(usize) -> bool) -> Opti
 /// Panics on a zero-length window.
 pub fn aggregate(records: &[PacketRecord], cfg: WindowConfig, mode: LabelMode) -> Vec<WindowCell> {
     assert!(cfg.window_ns > 0, "window_ns = {}: a window must be at least 1 ns long", cfg.window_ns);
-    let mut cells: HashMap<(IpAddr, u64), Acc> = HashMap::new();
+    let mut cells: FxHashMap<(IpAddr, u64), Acc> = FxHashMap::default();
     for r in records {
         let w = r.ts_ns / cfg.window_ns;
         cells.entry((r.dst, w)).or_default().absorb(r, mode);
@@ -301,5 +306,8 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d.n_features(), WINDOW_FEATURES.len());
         assert_eq!(d.n_classes, 2);
+        assert_eq!(WINDOW_FEATURES[WINDOW_PKT_COUNT], "pkt_count");
+        assert_eq!(WINDOW_FEATURES[WINDOW_BYTE_COUNT], "byte_count");
+        assert_eq!(d.x[0][WINDOW_PKT_COUNT], 10.0);
     }
 }

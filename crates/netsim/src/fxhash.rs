@@ -76,7 +76,9 @@ impl Hasher for FxHasher {
 /// `BuildHasher` producing [`FxHasher`]s.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// A `HashMap` keyed with [`FxHasher`].
+/// A `HashMap` keyed with [`FxHasher`]: the workspace's one use of the
+/// standard map, whose default random seeding its lint bans.
+#[allow(clippy::disallowed_types)] // fixed keys: the same order in every process
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 #[cfg(test)]
@@ -96,7 +98,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_spread() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for port in 0u16..4096 {
             seen.insert(hash_of(&port) % 64);
         }

@@ -129,8 +129,7 @@ impl Plaza {
             self.obs.on_round();
             let batch = std::mem::take(&mut self.ready);
             for outcome in run_batch(self.admission.switch(), batch) {
-                let net = &outcome.run.net;
-                self.obs.on_slice(net.injected + net.delivered + net.dropped_total());
+                self.obs.on_slice(outcome.sim_events());
                 self.obs.on_released();
                 for newly in self.admission.release(&outcome.name) {
                     // The drained spec was parked in submission order, so

@@ -21,7 +21,7 @@
 
 use campuslab_control::{Placement, PlazaObs, PROMOTE_AFTER};
 use campuslab_dataplane::{
-    Action, PipelineProgram, SwitchModel, TableEntry, TenantDemand, TernaryMatch, FIELD_ORDER,
+    Action, HeaderField, PipelineProgram, SwitchModel, TableEntry, TenantDemand,
 };
 use campuslab_datastore::DataStore;
 use campuslab_ml::{Classifier, DecisionTree};
@@ -126,11 +126,9 @@ impl TenantSpec {
 /// deliberate no-op against every scenario this crate ships, costing one
 /// stage slot and one TCAM entry.
 fn discard_sentinel(name: &str) -> PipelineProgram {
-    let mut matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-    matches[2] = TernaryMatch::exact(9, 16); // FIELD_ORDER[2] = DstPort
     PipelineProgram::new(
         format!("{name}-sentinel"),
-        vec![TableEntry { matches, action: Action::Drop, priority: 9, confidence: 0.99 }],
+        vec![TableEntry::exact(&[(HeaderField::DstPort, 9)], Action::Drop, 9, 0.99)],
     )
 }
 
@@ -266,15 +264,14 @@ impl TenantSlice {
         });
 
         // The tenant-scoped plaza section carries only spec-derived
-        // values: its own grant, its own slice, its own rounds — nothing
-        // that depends on who else was in the plaza.
+        // values: its own grant, the one admission round it ran in, its
+        // own slice's simulator events — nothing that depends on who else
+        // was in the plaza.
         let mut plaza = PlazaObs::new();
         plaza.on_admitted();
         plaza.set_budget(self.grant.stage_slots, self.grant.tcam_entries, 1);
-        for _ in 0..self.rounds {
-            plaza.on_round();
-        }
-        plaza.on_slice(fin.net.injected + fin.net.delivered + fin.net.dropped_total());
+        plaza.on_round();
+        plaza.on_slice(fin.obs.net.event_seq());
         fin.obs.plaza = Some(plaza);
 
         TenantOutcome { name: self.name, rounds: self.rounds, store, run: fin }
@@ -308,6 +305,12 @@ pub struct TenantOutcome {
 }
 
 impl TenantOutcome {
+    /// The simulator events this tenant's slice dispatched
+    /// (`sim_events_total`): the slice's share of the plaza's work.
+    pub fn sim_events(&self) -> u64 {
+        self.run.obs.net.event_seq()
+    }
+
     /// Every observable byte of this tenant's run, canonically rendered:
     /// summary scalars, the guard timeline, the datastore view's storage
     /// accounting, the full Prometheus dump and the trace. The isolation
@@ -380,7 +383,22 @@ mod tests {
         assert_eq!(p.admitted(), 1);
         assert_eq!(p.slots_used(), 1);
         assert_eq!(p.slices(), 1);
-        assert_eq!(p.rounds(), a.rounds);
+    }
+
+    /// The tenant section books what its HELP strings say: the slice's
+    /// simulator events (`sim_events_total`) and the one admission round
+    /// the slice ran in, however many grid windows it took.
+    #[test]
+    fn tenant_section_books_its_slice_events_and_one_round() {
+        let mut slice = TenantSlice::build(TenantSpec::probe("books"), &SwitchModel::default());
+        slice.run_to_completion();
+        let out = slice.finish();
+        assert!(out.rounds > 1, "the probe spans several grid windows");
+        let p = out.run.obs.plaza.as_ref().expect("plaza section");
+        assert_eq!(p.rounds(), 1);
+        assert_eq!(p.slice_events_histogram().count(), 1);
+        assert_eq!(p.slice_events_histogram().sum(), u128::from(out.run.obs.net.event_seq()));
+        assert_eq!(out.sim_events(), out.run.obs.net.event_seq());
     }
 
     /// The Defend job through the shared `Session` lifecycle: the window

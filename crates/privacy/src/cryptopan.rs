@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn injective_over_a_subnet() {
         let a = anon();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..=255u8 {
             assert!(seen.insert(a.anonymize_v4(Ipv4Addr::new(10, 9, 9, i))));
         }
@@ -217,9 +217,9 @@ mod proptests {
         }
 
         #[test]
-        fn anonymization_is_injective_on_random_sets(addrs in proptest::collection::hash_set(any::<u32>(), 1..200)) {
+        fn anonymization_is_injective_on_random_sets(addrs in proptest::collection::btree_set(any::<u32>(), 1..200)) {
             let a = PrefixPreservingAnon::new(0xabcd);
-            let out: std::collections::HashSet<Ipv4Addr> = addrs
+            let out: std::collections::BTreeSet<Ipv4Addr> = addrs
                 .iter()
                 .map(|&x| a.anonymize_v4(Ipv4Addr::from(x)))
                 .collect();

@@ -188,7 +188,7 @@ mod tests {
     fn trio_has_distinct_environments() {
         let trio = CampusSite::default_trio();
         assert_eq!(trio.len(), 3);
-        let prefixes: std::collections::HashSet<_> = trio
+        let prefixes: std::collections::BTreeSet<_> = trio
             .iter()
             .map(|s| s.scenario.campus.campus_prefix().to_string())
             .collect();

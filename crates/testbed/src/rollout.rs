@@ -102,7 +102,7 @@ mod tests {
         CircuitBreakerPolicy, InstallPolicy, RolloutEventKind, RolloutGuard, RolloutStage,
         SloViolation,
     };
-    use campuslab_dataplane::{Action, TableEntry, TernaryMatch, FIELD_ORDER};
+    use campuslab_dataplane::{Action, HeaderField, TableEntry};
     use campuslab_ml::DecisionTree;
     use campuslab_netsim::SimDuration;
 
@@ -118,11 +118,7 @@ mod tests {
     /// not, matches it. The live campus is mostly TCP, so anything less
     /// (e.g. a drop-all-UDP rule) can sneak under the FP gate.
     fn drop_everything() -> PipelineProgram {
-        let matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-        PipelineProgram::new(
-            "overbroad-wildcard",
-            vec![TableEntry { matches, action: Action::Drop, priority: 9, confidence: 0.5 }],
-        )
+        PipelineProgram::new("overbroad-wildcard", vec![TableEntry::exact(&[], Action::Drop, 9, 0.5)])
     }
 
     #[test]
@@ -179,11 +175,9 @@ mod tests {
     /// protocol): zero FP, zero benign drops — a candidate that promotes
     /// cleanly through the ladder.
     fn drop_discard_port() -> PipelineProgram {
-        let mut matches = [TernaryMatch::ANY; FIELD_ORDER.len()];
-        matches[2] = TernaryMatch::exact(9, 16); // FIELD_ORDER[2] = DstPort
         PipelineProgram::new(
             "noop-discard-port",
-            vec![TableEntry { matches, action: Action::Drop, priority: 9, confidence: 0.99 }],
+            vec![TableEntry::exact(&[(HeaderField::DstPort, 9)], Action::Drop, 9, 0.99)],
         )
     }
 

@@ -4,28 +4,29 @@
 //! the attack — "if ... they would have made the same decision, their
 //! level of trust in the learning model would increase".
 
-use campuslab_capture::PacketRecord;
-use campuslab_features::{packet_feature_index, packet_features};
+use campuslab_capture::{HeaderField, PacketRecord};
+use campuslab_features::packet_features;
 use campuslab_ml::DecisionTree;
 use campuslab_xai::{evidence_matches_expectation, explain, Explanation};
 
 /// The packet features an analyst expects to see cited for each attack
 /// kind (by attack id).
 pub fn expected_features(attack_id: u16) -> Vec<usize> {
-    let f = packet_feature_index;
-    match attack_id {
+    use HeaderField::*;
+    let fields: &[HeaderField] = match attack_id {
         // DNS amplification: big UDP datagrams sourced from port 53.
-        1 => vec![f("src_port_is_dns"), f("src_port"), f("is_udp"), f("wire_len"), f("protocol")],
+        1 => &[SrcPortIsDns, SrcPort, IsUdp, WireLen, Protocol],
         // SYN flood: bare SYNs at a TCP service.
-        2 => vec![f("tcp_syn"), f("is_tcp"), f("dst_port"), f("protocol"), f("wire_len")],
+        2 => &[TcpSyn, IsTcp, DstPort, Protocol, WireLen],
         // Port scan: small TCP SYN/RST probes across ports.
-        3 => vec![f("tcp_syn"), f("tcp_rst"), f("dst_port"), f("wire_len"), f("is_tcp")],
+        3 => &[TcpSyn, TcpRst, DstPort, WireLen, IsTcp],
         // SSH brute force: repeated short exchanges on port 22.
-        4 => vec![f("dst_port"), f("src_port"), f("is_tcp"), f("wire_len")],
+        4 => &[DstPort, SrcPort, IsTcp, WireLen],
         // Exfiltration: sustained outbound bulk on 443.
-        5 => vec![f("dst_port"), f("wire_len"), f("direction_inbound"), f("is_tcp")],
-        _ => Vec::new(),
-    }
+        5 => &[DstPort, WireLen, DirectionInbound, IsTcp],
+        _ => &[],
+    };
+    fields.iter().map(|f| f.index()).collect()
 }
 
 /// One audited decision.

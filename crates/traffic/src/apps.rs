@@ -775,7 +775,7 @@ mod tests {
         mail_session(&mut env, SimTime::ZERO, c, srv, SimDuration::from_millis(1));
         ntp_session(&mut env, SimTime::ZERO, c, srv, SimDuration::from_millis(1));
         assert_eq!(f, 2);
-        let flows: std::collections::HashSet<u64> =
+        let flows: std::collections::BTreeSet<u64> =
             s.iter().map(|i| i.packet.truth.flow_id).collect();
         assert_eq!(flows.len(), 2);
     }

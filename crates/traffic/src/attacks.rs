@@ -679,7 +679,7 @@ mod tests {
         syn_flood(&mut ctx.env(), &campaign);
         let s = &ctx.schedule;
         assert_eq!(s.len(), 1000);
-        let sources: std::collections::HashSet<std::net::IpAddr> =
+        let sources: std::collections::BTreeSet<std::net::IpAddr> =
             s.iter().map(|i| i.packet.network.src()).collect();
         assert!(sources.len() > 900, "sources not spoofed: {}", sources.len());
         for inj in s.iter() {
@@ -759,7 +759,7 @@ mod tests {
         nxdomain_flood(&mut ctx.env(), &campaign);
         let s = &ctx.schedule;
         assert_eq!(s.len(), 200); // 2 sources x 50 qps x 2 s, queries only
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         let mut corrupted = 0;
         for inj in s.iter() {
             assert_eq!(inj.packet.transport.dst_port(), Some(53));

@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn names_are_distinct() {
-        let names: std::collections::HashSet<&str> =
+        let names: std::collections::BTreeSet<&str> =
             AppClass::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), AppClass::ALL.len());
     }

@@ -622,7 +622,7 @@ mod tests {
         });
         let mut s = g.generate();
         g.add_mixed_attacks(&mut s);
-        let kinds: std::collections::HashSet<u16> = s
+        let kinds: std::collections::BTreeSet<u16> = s
             .iter()
             .filter_map(|i| i.packet.truth.attack)
             .collect();

@@ -3,7 +3,7 @@
 //! decisions" (paper §5, step (iv)).
 
 use campuslab_ml::{Classifier, DecisionTree};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// One piece of evidence: a satisfied comparison on a named feature.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,7 +27,7 @@ pub struct Explanation {
 
 impl Explanation {
     /// The set of feature indexes the decision rested on.
-    pub fn features_used(&self) -> HashSet<usize> {
+    pub fn features_used(&self) -> BTreeSet<usize> {
         self.evidence.iter().map(|e| e.feature_index).collect()
     }
 

@@ -80,12 +80,10 @@ proptest! {
     }
 }
 
-/// The training schema and the switch's match key are two hand-kept
-/// 13-entry lists: a tree trained on `packet_features` columns compiles
-/// field-for-field onto `fields_from_record` values, so the names must
-/// agree index by index and every captured record must read the same
-/// through both extractors (the switch side alone clamps `wire_len` to 16
-/// bits — this is where it would show).
+/// A tree trained on `packet_features` columns compiles field-for-field
+/// onto `fields_from_record` values. Both are the one packet schema
+/// declared beside `PacketRecord`, so the names agree index by index and
+/// every record of a collected campus capture reads the same through both.
 #[test]
 fn feature_schema_matches_the_switch_schema() {
     use campuslab::dataplane::{fields_from_record, FIELD_ORDER};

@@ -94,13 +94,13 @@ fn privacy_pipeline_composes_with_learning() {
             }
         }
     }
-    let raw_hosts: std::collections::HashSet<_> = data
+    let raw_hosts: std::collections::BTreeSet<_> = data
         .packets
         .iter()
         .filter(|r| campus.contains(r.dst))
         .map(|r| r.dst)
         .collect();
-    let scrubbed_hosts: std::collections::HashSet<_> =
+    let scrubbed_hosts: std::collections::BTreeSet<_> =
         scrubbed.iter().map(|r| r.dst).collect();
     assert!(raw_hosts.iter().all(|h| !scrubbed_hosts.contains(h)));
     // And the anonymized view still trains a working detector.
