@@ -132,7 +132,7 @@ pub fn run() -> ObsBundle {
     let mut t = Table::new(&[
         "tenant",
         "decision",
-        "rounds",
+        "windows",
         "events",
         "mitig/giveups",
         "guard verdict",
@@ -174,7 +174,7 @@ pub fn run() -> ObsBundle {
         t.row(vec![
             o.name.clone(),
             decision,
-            o.rounds.to_string(),
+            o.windows.to_string(),
             o.sim_events().to_string(),
             format!("{mitigations}/{giveups}"),
             verdict,

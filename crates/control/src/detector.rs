@@ -4,7 +4,7 @@
 
 use crate::observe::DetectorObs;
 use campuslab_capture::PacketRecord;
-use campuslab_features::{aggregate, LabelMode, WindowConfig, WINDOW_BYTE_COUNT, WINDOW_PKT_COUNT};
+use campuslab_features::{aggregate, LabelMode, WindowConfig, WINDOW_ORDER};
 use campuslab_ml::Classifier;
 use campuslab_obs::{ObsSink, SinkMisfit};
 use std::net::IpAddr;
@@ -158,8 +158,9 @@ impl StreamingWindowDetector {
                 if coverage < 1.0 {
                     // De-skew count features to full-window equivalents so
                     // a half-seen flood still looks like a flood.
-                    features[WINDOW_PKT_COUNT] /= coverage;
-                    features[WINDOW_BYTE_COUNT] /= coverage;
+                    for feature in WINDOW_ORDER.iter().filter(|f| f.scales_with_coverage()) {
+                        features[feature.index()] /= coverage;
+                    }
                 }
                 let (class, confidence) = self.model.predict_with_confidence(&features);
                 (class != 0 && confidence >= self.state.gate).then_some(Detection {

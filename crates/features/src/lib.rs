@@ -33,6 +33,6 @@ pub mod window;
 pub use label::LabelMode;
 pub use packet::{packet_dataset, packet_features, PACKET_FEATURES};
 pub use window::{
-    aggregate, window_dataset, WindowCell, WindowConfig, WINDOW_BYTE_COUNT, WINDOW_FEATURES,
-    WINDOW_PKT_COUNT,
+    aggregate, window_dataset, WindowCell, WindowConfig, WindowFeature, WINDOW_FEATURES,
+    WINDOW_ORDER,
 };

@@ -10,8 +10,40 @@ use std::collections::BTreeMap;
 use std::net::IpAddr;
 
 
-/// Column names, in order.
-pub const WINDOW_FEATURES: [&str; 11] = [
+/// One column of the window feature row. Discriminants index
+/// [`WINDOW_ORDER`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowFeature {
+    PktCount,
+    ByteCount,
+    DistinctSrcs,
+    SrcEntropy,
+    UdpFrac,
+    DnsSrcFrac,
+    SynFrac,
+    InboundFrac,
+    MeanPktLen,
+    MaxPktLen,
+    RstFrac,
+}
+
+/// Features in canonical (row) order.
+pub const WINDOW_ORDER: [WindowFeature; 11] = [
+    WindowFeature::PktCount,
+    WindowFeature::ByteCount,
+    WindowFeature::DistinctSrcs,
+    WindowFeature::SrcEntropy,
+    WindowFeature::UdpFrac,
+    WindowFeature::DnsSrcFrac,
+    WindowFeature::SynFrac,
+    WindowFeature::InboundFrac,
+    WindowFeature::MeanPktLen,
+    WindowFeature::MaxPktLen,
+    WindowFeature::RstFrac,
+];
+
+/// Feature names in canonical order: the window row's column names.
+pub const WINDOW_FEATURES: [&str; WINDOW_ORDER.len()] = [
     "pkt_count",
     "byte_count",
     "distinct_srcs",
@@ -25,10 +57,24 @@ pub const WINDOW_FEATURES: [&str; 11] = [
     "rst_frac",
 ];
 
-/// Position of `pkt_count` in [`WINDOW_FEATURES`].
-pub const WINDOW_PKT_COUNT: usize = 0;
-/// Position of `byte_count` in [`WINDOW_FEATURES`].
-pub const WINDOW_BYTE_COUNT: usize = 1;
+impl WindowFeature {
+    /// The feature's column in the row.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The feature's column name.
+    pub fn name(self) -> &'static str {
+        WINDOW_FEATURES[self.index()]
+    }
+
+    /// True for a total that grows with the share of the window seen
+    /// (the rest are ratios, maxima and counts of distinct values): a
+    /// partly observed window scales these by its coverage.
+    pub fn scales_with_coverage(self) -> bool {
+        matches!(self, WindowFeature::PktCount | WindowFeature::ByteCount)
+    }
+}
 
 /// Windowing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -114,22 +160,26 @@ impl Acc {
                 -p * p.log2()
             })
             .sum();
+        let fraction = |count: u64| count as f64 / n;
         WindowCell {
             dst,
             window_index,
-            features: vec![
-                n,
-                self.bytes as f64,
-                self.srcs.len() as f64,
-                src_entropy,
-                self.udp as f64 / n,
-                self.dns_src as f64 / n,
-                self.syn as f64 / n,
-                self.inbound as f64 / n,
-                self.bytes as f64 / n,
-                f64::from(self.max_len),
-                self.rst as f64 / n,
-            ],
+            features: WINDOW_ORDER
+                .iter()
+                .map(|feature| match feature {
+                    WindowFeature::PktCount => n,
+                    WindowFeature::ByteCount => self.bytes as f64,
+                    WindowFeature::DistinctSrcs => self.srcs.len() as f64,
+                    WindowFeature::SrcEntropy => src_entropy,
+                    WindowFeature::UdpFrac => fraction(self.udp),
+                    WindowFeature::DnsSrcFrac => fraction(self.dns_src),
+                    WindowFeature::SynFrac => fraction(self.syn),
+                    WindowFeature::InboundFrac => fraction(self.inbound),
+                    WindowFeature::MeanPktLen => fraction(self.bytes),
+                    WindowFeature::MaxPktLen => f64::from(self.max_len),
+                    WindowFeature::RstFrac => fraction(self.rst),
+                })
+                .collect(),
             label,
             packets: self.pkts as usize,
         }
@@ -231,6 +281,16 @@ mod tests {
     }
 
     #[test]
+    fn window_features_are_in_canonical_order() {
+        for (i, f) in WINDOW_ORDER.iter().enumerate() {
+            assert_eq!(f.index(), i, "{} is out of canonical order", f.name());
+        }
+        let scaled: Vec<&str> =
+            WINDOW_ORDER.iter().filter(|f| f.scales_with_coverage()).map(|f| f.name()).collect();
+        assert_eq!(scaled, ["pkt_count", "byte_count"]);
+    }
+
+    #[test]
     fn windows_are_tumbling() {
         let records = vec![
             rec(100, [1, 1, 1, 1], [10, 0, 0, 1], 17, 53, 0),
@@ -306,8 +366,9 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d.n_features(), WINDOW_FEATURES.len());
         assert_eq!(d.n_classes, 2);
-        assert_eq!(WINDOW_FEATURES[WINDOW_PKT_COUNT], "pkt_count");
-        assert_eq!(WINDOW_FEATURES[WINDOW_BYTE_COUNT], "byte_count");
-        assert_eq!(d.x[0][WINDOW_PKT_COUNT], 10.0);
+        assert_eq!(WindowFeature::PktCount.name(), "pkt_count");
+        assert_eq!(WindowFeature::ByteCount.name(), "byte_count");
+        assert_eq!(d.x[0][WindowFeature::PktCount.index()], 10.0);
+        assert_eq!(d.x[0][WindowFeature::ByteCount.index()], 10_000.0);
     }
 }

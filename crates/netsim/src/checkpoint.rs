@@ -29,8 +29,8 @@
 //! * the shard report of the previous windowed run (diagnostics only).
 
 use crate::chaos::ChaosAction;
-use crate::event::{EventKey, CLASS_ROOT};
-use crate::link::{FrozenLink, LinkId};
+use crate::event::{EventKey, CLASS_ARRIVE, CLASS_ROOT, CLASS_TX_DONE};
+use crate::link::{Dir, FrozenLink, LinkId};
 use crate::network::{Event, Network, NetStats};
 use crate::node::NodeId;
 use crate::observe::chaos_index;
@@ -187,9 +187,10 @@ impl Network {
     /// schedule: same node, link and tap counts, same seed, a metric sink
     /// that fits, link queues of this engine's capacities whose byte counts
     /// match their packets, no pending event naming a node or link out of
-    /// range — and this engine has never run, numbered exactly the image's
-    /// build-time roots, and holds the referenced ones (by count and
-    /// digest). A CRC-valid image from another scenario fails here instead
+    /// range or keyed to another event class or link direction (the queue
+    /// files a packet event under its key's lane) — and this engine has
+    /// never run, numbered exactly the image's build-time roots, and holds
+    /// the referenced ones (by count and digest). A CRC-valid image from another scenario fails here instead
     /// of indexing out of bounds or resuming someone else's traffic.
     pub fn accepts(&self, frozen: &FrozenNetwork) -> bool {
         let node = |n: NodeId| n.0 < self.nodes.len();
@@ -200,17 +201,26 @@ impl Network {
             && self.seed == frozen.seed
             && self.obs.fits(&frozen.obs)
             && self.links.iter().zip(&frozen.links).all(|(l, f)| l.fits(f))
-            && frozen.events.iter().all(|(_, event)| match *event {
-                Event::Inject { node: n, .. } => node(n),
-                Event::TxDone { link: l, .. } | Event::Arrive { link: l, .. } => link(l),
-                Event::Timer { .. } => true,
-                Event::Chaos { action } => match action {
-                    ChaosAction::NodeDown(n) | ChaosAction::NodeUp(n) => node(n),
-                    ChaosAction::LinkDown(l)
-                    | ChaosAction::LinkUp(l)
-                    | ChaosAction::BrownoutStart { link: l, .. }
-                    | ChaosAction::BrownoutEnd(l) => link(l),
-                },
+            && frozen.events.iter().all(|(key, event)| {
+                let packet = |class: u8, l: LinkId, dir: Dir| {
+                    link(l) && key.class == class && key.lane as usize == l.0 * 2 + dir.index()
+                };
+                match *event {
+                    Event::Inject { node: n, .. } => key.class == CLASS_ROOT && node(n),
+                    Event::TxDone { link: l, dir } => packet(CLASS_TX_DONE, l, dir),
+                    Event::Arrive { link: l, dir, .. } => packet(CLASS_ARRIVE, l, dir),
+                    Event::Timer { .. } => key.class == CLASS_ROOT,
+                    Event::Chaos { action } => {
+                        key.class == CLASS_ROOT
+                            && match action {
+                                ChaosAction::NodeDown(n) | ChaosAction::NodeUp(n) => node(n),
+                                ChaosAction::LinkDown(l)
+                                | ChaosAction::LinkUp(l)
+                                | ChaosAction::BrownoutStart { link: l, .. }
+                                | ChaosAction::BrownoutEnd(l) => link(l),
+                            }
+                    }
+                }
             })
             && self.built_roots.is_none()
             && self.root_seq == frozen.built_roots
@@ -386,8 +396,9 @@ mod tests {
     }
 
     /// A well-formed image from another topology or schedule — or one
-    /// whose pending events name a node or link this one lacks, or whose
-    /// queues disagree with this topology or with their own packets — is
+    /// whose pending events name a node or link this one lacks or carry
+    /// the key of another event class or link direction, or whose queues
+    /// disagree with this topology or with their own packets — is
     /// refused, and every refusal leaves the engine as it was.
     #[test]
     fn restore_refuses_an_image_that_does_not_fit() {
@@ -400,7 +411,7 @@ mod tests {
         net.run(&mut crate::network::NullHooks, Some(SimTime::from_millis(1)));
         let good = net.checkpoint();
         let late = EventKey::root(SimTime::from_secs(9), u64::MAX);
-        let doctors: [fn(&mut FrozenNetwork, EventKey); 12] = [
+        let doctors: [fn(&mut FrozenNetwork, EventKey); 14] = [
             |f, _| f.nodes.truncate(f.nodes.len() - 1),
             |f, _| drop(f.links.pop()),
             |f, _| f.tapped.push(false),
@@ -408,6 +419,11 @@ mod tests {
             |f, _| f.obs = campuslab_obs::Registry::new().sink(),
             |f, k| f.events.push((k, Event::TxDone { link: LinkId(2), dir: crate::link::Dir::AtoB })),
             |f, k| f.events.push((k, Event::Chaos { action: ChaosAction::NodeUp(NodeId(3)) })),
+            |f, k| f.events.push((k, Event::TxDone { link: LinkId(0), dir: crate::link::Dir::AtoB })),
+            |f, k| {
+                let key = EventKey::tx_done(k.time, u32::MAX, 0);
+                f.events.push((key, Event::TxDone { link: LinkId(0), dir: crate::link::Dir::AtoB }));
+            },
             |f, _| f.built_roots += 1,
             |f, _| f.referenced += 1,
             |f, _| f.referenced_digest ^= 1,

@@ -9,32 +9,43 @@
 //! queues pops the union of events in exactly the order a single queue
 //! would, so sequential and sharded execution stay byte-identical.
 //!
-//! Two lanes back the queue, and `pop` takes the lesser of their fronts:
+//! Three parts back the queue, and `pop` takes the least of their fronts:
 //!
-//! * `staged` — a sorted FIFO that absorbs monotone schedules in O(1).
-//!   The entire pre-run injection schedule (hundreds of thousands of
-//!   events, arriving sorted by time) lands here and never touches a heap.
-//! * `far` — a 4-ary min-heap holding every other schedule: the
-//!   mid-run arrivals and transmit-completes. Only the packets in flight
-//!   and one transmit-complete per backlogged link direction are pending
-//!   at once, so it stays small (at most 461 events over the ledger's
-//!   campus day).
+//! * `staged` — a sorted FIFO of root events that absorbs monotone
+//!   schedules in O(1). The entire pre-run injection schedule (hundreds
+//!   of thousands of events, arriving sorted by time) lands here and
+//!   never touches a heap.
+//! * `lanes` — one sorted FIFO per packet lane, indexed
+//!   `lane * 2 + class - 1` for [`CLASS_TX_DONE`] and [`CLASS_ARRIVE`].
+//!   A link direction's events are already in key order: transmission
+//!   k+1 starts no earlier than transmission k leaves the wire, so its
+//!   transmit-complete and (under the same propagation delay) its arrival
+//!   come later, and `seq` grows per lane. A 4-ary min-heap, `heads`,
+//!   holds only each non-empty FIFO's front key; popping from a lane
+//!   rewrites the top of `heads` and sifts it down once. The heap is as
+//!   large as the number of busy lanes, not the number of packets in
+//!   flight.
+//! * `far` — a 4-ary min-heap of every schedule that is not above the
+//!   tail of its FIFO: timers and injections scheduled mid-run behind the
+//!   staged schedule, and a packet event that lands before its lane's
+//!   tail (a propagation delay shortened mid-run).
 //!
-//! A timing wheel (1 µs slots × 4,096, an occupancy bitmap, slots sorted
-//! and merged as the clock reached them) used to sit between the two. It
-//! lost on this traffic: the campus day averages 0.22 events per µs, so
-//! nearly every slot drain — bitmap scan, sort, merge, two lane-minimum
-//! passes — moved about one event, and every drained slot gave its
-//! `Vec` capacity away, so almost every schedule re-allocated. Replaying
-//! `sim_forward`'s full queue trace (6,568,782 schedules and pops) cost
-//! 145–167 ns per event through the wheel against 69–72 ns through the
-//! two lanes alone (DESIGN.md §11).
+//! Neither a timing wheel nor one heap of every packet event does better
+//! on this traffic: the campus day averages 0.22 events per µs, so a 1 µs
+//! wheel drains about one event per slot, and one heap sifts over every
+//! packet in flight (150 on average) where the heap of lane fronts holds
+//! 11 (DESIGN.md §11 has the replay figures).
 
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
-/// Heap arity for the far lane. Four children per node trades one extra
-/// comparison per level for half the levels and fewer cache misses.
+/// Arity of the `heads` and `far` heaps. Four children per node trades
+/// one extra comparison per level for half the levels and fewer cache
+/// misses.
 const ARITY: usize = 4;
+
+/// Slots a lane FIFO holds from its first event on.
+const LANE_SLOTS: usize = 32;
 
 /// Event class of root stimuli (injections, timers, chaos). Root events
 /// are numbered by one per-network counter in program order.
@@ -97,11 +108,32 @@ impl EventKey {
 
 /// A deterministic future-event list ordered by [`EventKey`].
 pub struct EventQueue<E> {
-    /// Sorted FIFO: each entry's key exceeds the one before it.
-    staged: std::collections::VecDeque<(EventKey, E)>,
-    /// 4-ary min-heap of every schedule that arrived out of order.
+    /// Sorted FIFO of root events: each entry's key exceeds the one
+    /// before it.
+    staged: VecDeque<(EventKey, E)>,
+    /// One sorted FIFO per packet lane, indexed by [`fifo_index`].
+    lanes: Vec<VecDeque<(EventKey, E)>>,
+    /// 4-ary min-heap of the front key of every non-empty lane FIFO.
+    heads: Vec<EventKey>,
+    /// Entries across all lane FIFOs.
+    in_lanes: usize,
+    /// 4-ary min-heap of every schedule not above its FIFO's tail.
     far: Vec<(EventKey, E)>,
     now: SimTime,
+}
+
+/// The part of the queue an entry sits in.
+#[derive(Clone, Copy)]
+enum Part {
+    Staged,
+    Lanes,
+    Far,
+}
+
+/// The lane FIFO a packet-event key belongs to.
+#[inline]
+fn fifo_index(key: &EventKey) -> usize {
+    key.lane as usize * 2 + usize::from(key.class) - 1
 }
 
 impl<E> Default for EventQueue<E> {
@@ -113,7 +145,14 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// An empty queue at time zero.
     pub fn new() -> Self {
-        EventQueue { staged: std::collections::VecDeque::new(), far: Vec::new(), now: SimTime::ZERO }
+        EventQueue {
+            staged: VecDeque::new(),
+            lanes: Vec::new(),
+            heads: Vec::new(),
+            in_lanes: 0,
+            far: Vec::new(),
+            now: SimTime::ZERO,
+        }
     }
 
     /// The time of the most recently popped event (the simulation clock).
@@ -132,14 +171,34 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, mut key: EventKey, event: E) {
         debug_assert!(key.time >= self.now, "event scheduled in the past");
         key.time = key.time.max(self.now);
-        // Monotone schedules ride the sorted FIFO lane; the rest sift
-        // into the heap.
-        if self.staged.back().is_none_or(|(back, _)| *back < key) {
-            self.staged.push_back((key, event));
+        // A schedule above its FIFO's tail joins that FIFO; the rest sift
+        // into the far heap.
+        if key.class == CLASS_ROOT {
+            if self.staged.back().is_none_or(|(back, _)| *back < key) {
+                return self.staged.push_back((key, event));
+            }
         } else {
-            self.far.push((key, event));
-            self.sift_up(self.far.len() - 1);
+            let i = fifo_index(&key);
+            if i >= self.lanes.len() {
+                self.lanes.resize_with(i + 1, VecDeque::new);
+            }
+            let fifo = &mut self.lanes[i];
+            if fifo.back().is_none_or(|(back, _)| *back < key) {
+                if fifo.is_empty() {
+                    heap_push(&mut self.heads, key);
+                    // One allocation sized for a busy lane, instead of
+                    // regrowing through 4, 8 and 16 slots: with glibc's
+                    // malloc, those small blocks freed mid-run among the
+                    // packets left the heap fragmented enough to raise a
+                    // later learning phase's peak RSS by 11 MB.
+                    fifo.reserve(LANE_SLOTS);
+                }
+                fifo.push_back((key, event));
+                self.in_lanes += 1;
+                return;
+            }
         }
+        heap_push(&mut self.far, (key, event));
     }
 
     /// Pop the earliest event, advancing the clock.
@@ -150,13 +209,12 @@ impl<E> EventQueue<E> {
     /// Pop the earliest event if `accept` takes its key, advancing the
     /// clock; otherwise leave the queue untouched and return `None`.
     pub fn pop_if(&mut self, accept: impl FnOnce(EventKey) -> bool) -> Option<(EventKey, E)> {
-        let (key, from_staged) = self.front()?;
+        let (key, part) = self.front()?;
         if !accept(key) {
             return None;
         }
-        let entry = if from_staged { self.staged.pop_front() } else { self.pop_far() };
         self.now = key.time;
-        entry
+        self.take(part)
     }
 
     /// Key of the next event without popping it.
@@ -171,7 +229,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.staged.len() + self.far.len()
+        self.staged.len() + self.in_lanes + self.far.len()
     }
 
     /// True when no events are pending.
@@ -181,26 +239,33 @@ impl<E> EventQueue<E> {
 
     /// Remove and return every pending event, sorted by key.
     pub fn drain_sorted(&mut self) -> Vec<(EventKey, E)> {
-        let mut all: Vec<(EventKey, E)> = self.staged.drain(..).collect();
+        let mut all: Vec<(EventKey, E)> = Vec::with_capacity(self.len());
+        all.extend(self.staged.drain(..));
+        for fifo in &mut self.lanes {
+            all.extend(fifo.drain(..));
+        }
         all.append(&mut self.far);
+        self.heads.clear();
+        self.in_lanes = 0;
         all.sort_unstable_by_key(|e| e.0);
         all
     }
 
-    /// Every pending entry, in key order, left in place: the staged lane
-    /// is already sorted, so only the far lane is sorted before the merge.
+    /// Every pending entry, in key order, left in place: the staged FIFO
+    /// is already sorted, so only the lane FIFOs and the far heap, which
+    /// hold the events in flight, are sorted before the merge.
     pub(crate) fn sorted(&self) -> Vec<&(EventKey, E)> {
-        let mut far: Vec<&(EventKey, E)> = self.far.iter().collect();
-        far.sort_unstable_by_key(|e| e.0);
+        let mut rest: Vec<&(EventKey, E)> = self.lanes.iter().flatten().chain(&self.far).collect();
+        rest.sort_unstable_by_key(|e| e.0);
         let mut all = Vec::with_capacity(self.len());
-        let mut far = far.into_iter().peekable();
+        let mut rest = rest.into_iter().peekable();
         for staged in &self.staged {
-            while let Some(f) = far.next_if(|f| f.0 < staged.0) {
-                all.push(f);
+            while let Some(r) = rest.next_if(|r| r.0 < staged.0) {
+                all.push(r);
             }
             all.push(staged);
         }
-        all.extend(far);
+        all.extend(rest);
         all
     }
 
@@ -208,64 +273,106 @@ impl<E> EventQueue<E> {
     /// clock where it is.
     pub(crate) fn keep_last(&mut self, keep: usize) {
         while self.len() > keep {
-            match self.front() {
-                Some((_, true)) => drop(self.staged.pop_front()),
-                _ => drop(self.pop_far()),
-            }
+            let Some((_, part)) = self.front() else { break };
+            drop(self.take(part));
         }
     }
 
-    /// The least pending key, and whether it heads the staged lane.
-    fn front(&self) -> Option<(EventKey, bool)> {
-        match (self.staged.front(), self.far.first()) {
-            (Some((s, _)), Some((f, _))) => Some(if s < f { (*s, true) } else { (*f, false) }),
-            (Some((s, _)), None) => Some((*s, true)),
-            (None, Some((f, _))) => Some((*f, false)),
-            (None, None) => None,
-        }
-    }
-
-    fn pop_far(&mut self) -> Option<(EventKey, E)> {
-        if self.far.is_empty() {
-            return None;
-        }
-        let top = self.far.swap_remove(0);
-        self.sift_down(0);
-        Some(top)
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if self.far[i].0 < self.far[parent].0 {
-                self.far.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.far.len();
-        loop {
-            let first = i * ARITY + 1;
-            if first >= len {
-                break;
-            }
-            let mut min = first;
-            let end = (first + ARITY).min(len);
-            for c in first + 1..end {
-                if self.far[c].0 < self.far[min].0 {
-                    min = c;
+    /// The least pending key, and the part it heads.
+    #[inline]
+    fn front(&self) -> Option<(EventKey, Part)> {
+        let mut best = self.staged.front().map(|e| (e.0, Part::Staged));
+        for (key, part) in [(self.heads.first(), Part::Lanes), (self.far.first().map(|e| &e.0), Part::Far)] {
+            if let Some(&key) = key {
+                if best.is_none_or(|(b, _)| key < b) {
+                    best = Some((key, part));
                 }
             }
-            if self.far[min].0 < self.far[i].0 {
-                self.far.swap(i, min);
-                i = min;
-            } else {
-                break;
+        }
+        best
+    }
+
+    /// Remove the entry heading `part`.
+    #[inline]
+    fn take(&mut self, part: Part) -> Option<(EventKey, E)> {
+        match part {
+            Part::Staged => self.staged.pop_front(),
+            Part::Lanes => {
+                let head = *self.heads.first()?;
+                let fifo = &mut self.lanes[fifo_index(&head)];
+                let entry = fifo.pop_front();
+                match fifo.front() {
+                    Some((next, _)) => self.heads[0] = *next,
+                    None => drop(self.heads.swap_remove(0)),
+                }
+                sift_down(&mut self.heads, 0);
+                self.in_lanes -= 1;
+                entry
             }
+            Part::Far => {
+                if self.far.is_empty() {
+                    return None;
+                }
+                let top = self.far.swap_remove(0);
+                sift_down(&mut self.far, 0);
+                Some(top)
+            }
+        }
+    }
+}
+
+/// An element of a 4-ary heap ordered by its [`EventKey`].
+trait Keyed {
+    fn key(&self) -> &EventKey;
+}
+
+impl Keyed for EventKey {
+    #[inline]
+    fn key(&self) -> &EventKey {
+        self
+    }
+}
+
+impl<E> Keyed for (EventKey, E) {
+    #[inline]
+    fn key(&self) -> &EventKey {
+        &self.0
+    }
+}
+
+fn heap_push<T: Keyed>(heap: &mut Vec<T>, item: T) {
+    heap.push(item);
+    let mut i = heap.len() - 1;
+    while i > 0 {
+        let parent = (i - 1) / ARITY;
+        if heap[i].key() < heap[parent].key() {
+            heap.swap(i, parent);
+            i = parent;
+        } else {
+            break;
+        }
+    }
+}
+
+fn sift_down<T: Keyed>(heap: &mut [T], mut i: usize) {
+    let len = heap.len();
+    loop {
+        let first = i * ARITY + 1;
+        if first >= len {
+            break;
+        }
+        let mut min = first;
+        let end = (first + ARITY).min(len);
+        for c in first + 1..end {
+            if heap[c].key() < heap[min].key() {
+                min = c;
+            }
+        }
+        if heap[min].key() < heap[i].key() {
+            heap.swap(i, min);
+            i = min;
+        } else {
+            break;
         }
     }
 }
@@ -397,26 +504,33 @@ mod proptests {
 
         /// Pops follow the sorted order of every key pending, with pops
         /// interleaved with schedules at `now` or later in three states:
-        /// the staged lane still holding the up-front batch, the staged
-        /// lane just emptied, and the queue refilled from `drain_sorted`
-        /// mid-run (what the sharded engine's reassembly does). `sorted`
-        /// lists the same order in place, and `keep_last` leaves exactly
-        /// the greatest keys (what a restore does).
+        /// the up-front batch still pending, the batch just popped, and
+        /// the queue refilled from `drain_sorted` mid-run (what the
+        /// sharded engine's reassembly does). The schedules mix arbitrary
+        /// keys, packet keys above their lane's tail (a lane FIFO) and
+        /// packet keys below it (the far heap). `sorted` lists the same
+        /// order in place, and `keep_last` leaves exactly the greatest
+        /// keys (what a restore does); both run, and `drain_sorted` with
+        /// them, while the staged FIFO, a lane FIFO and the far heap all
+        /// hold entries.
         #[test]
         fn pops_follow_canonical_key_order(
             batch in proptest::collection::vec((0u64..20_000_000, 0u8..3, 0u32..8), 1..300),
-            ops in proptest::collection::vec((0u8..3, 0u64..50_000, 0u8..3, 0u32..8), 0..200)
+            ops in proptest::collection::vec((0u8..5, 0u64..50_000, 0u8..3, 0u32..8), 0..200)
         ) {
             let mut m = Model::default();
             for &(t, class, lane) in &batch {
                 m.schedule(SimTime(t), class, lane);
             }
-            prop_assert!(!m.q.staged.is_empty());
+            prop_assert_eq!(m.q.len(), batch.len());
+            prop_assert_eq!(m.q.peek_key(), m.pending.first().copied());
+            let batch_last = m.pending.last().copied();
             m.interleave(&ops);
-            while !m.q.staged.is_empty() {
+            while m.q.peek_key().is_some_and(|k| Some(k) <= batch_last) {
                 m.pop();
             }
             m.interleave(&ops);
+            m.fill_every_part();
             let listed: Vec<EventKey> = m.q.sorted().into_iter().map(|(k, _)| *k).collect();
             let drained: Vec<EventKey> = m.q.drain_sorted().into_iter().map(|(k, _)| k).collect();
             prop_assert!(m.q.is_empty());
@@ -426,12 +540,29 @@ mod proptests {
                 m.q.schedule(key, key.seq);
             }
             m.interleave(&ops);
+            m.fill_every_part();
             let keep = m.pending.len() / 2;
             while m.pending.len() > keep {
                 m.pending.pop_first();
             }
             m.q.keep_last(keep);
+            prop_assert_eq!(m.q.peek_key(), m.pending.first().copied());
             while m.pop().is_some() {}
+        }
+    }
+
+    impl<E> EventQueue<E> {
+        /// Entries in the staged FIFO, the lane FIFOs and the far heap,
+        /// after checking that `in_lanes` counts the lane FIFOs and
+        /// `heads` holds exactly their fronts.
+        fn parts(&self) -> [usize; 3] {
+            let mut fronts: Vec<EventKey> = self.lanes.iter().filter_map(|f| f.front().map(|e| e.0)).collect();
+            let mut heads = self.heads.clone();
+            fronts.sort_unstable();
+            heads.sort_unstable();
+            assert_eq!(fronts, heads);
+            assert_eq!(self.in_lanes, self.lanes.iter().map(VecDeque::len).sum::<usize>());
+            [self.staged.len(), self.in_lanes, self.far.len()]
         }
     }
 
@@ -452,6 +583,11 @@ mod proptests {
             self.q.schedule(key, key.seq);
         }
 
+        /// The greatest pending key of `(class, lane)`.
+        fn tail(&self, class: u8, lane: u32) -> Option<EventKey> {
+            self.pending.iter().rev().find(|k| k.class == class && k.lane == lane).copied()
+        }
+
         /// Pop one event and check it against the reference minimum.
         fn pop(&mut self) -> Option<EventKey> {
             let popped = self.q.pop().map(|(k, e)| {
@@ -463,15 +599,37 @@ mod proptests {
             popped
         }
 
-        /// Op 0 pops; ops 1 and 2 schedule `delta` ns after the clock.
+        /// Op 0 pops; ops 1 and 2 schedule `delta` ns after the clock;
+        /// op 3 schedules a packet key `delta` ns after its lane's tail
+        /// and op 4 one between the clock and that tail.
         fn interleave(&mut self, ops: &[(u8, u64, u8, u32)]) {
             for &(op, delta, class, lane) in ops {
-                if op == 0 {
-                    self.pop();
-                } else {
-                    self.schedule(SimTime(self.q.now().0 + delta), class, lane);
-                }
+                let now = self.q.now().0;
+                let class = if op >= 3 { class.max(CLASS_TX_DONE) } else { class };
+                let tail = self.tail(class, lane).map_or(now, |k| k.time.0);
+                let time = match op {
+                    0 => {
+                        self.pop();
+                        continue;
+                    }
+                    3 => tail.max(now) + delta,
+                    4 if tail > now => now + delta % (tail - now),
+                    _ => now + delta,
+                };
+                self.schedule(SimTime(time), class, lane);
             }
+        }
+
+        /// Schedule one key into each part: a root key above every key
+        /// pending (staged), and on a lane no op uses, a key above the
+        /// clock (its FIFO) and one at the clock, below it (far).
+        fn fill_every_part(&mut self) {
+            let now = self.q.now().0;
+            let last = self.pending.last().map_or(now, |k| k.time.0);
+            self.schedule(SimTime(last + 1), CLASS_ROOT, 0);
+            self.schedule(SimTime(now + 1), CLASS_ARRIVE, 8);
+            self.schedule(SimTime(now), CLASS_ARRIVE, 8);
+            assert!(self.q.parts().iter().all(|&n| n > 0), "parts {:?}", self.q.parts());
         }
     }
 }

@@ -5,7 +5,7 @@ use crate::fxhash::FxHashMap;
 use crate::lpm::LpmTable;
 use crate::packet::Packet;
 use crate::time::SimTime;
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 
 /// Identifies a node in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
@@ -58,10 +58,11 @@ pub struct Node {
     /// `NodeUp`: while above zero the node drops every packet it would
     /// otherwise receive or originate.
     pub down: u32,
-    /// Memoized `route()` results. The LPM table is a linear scan, and a
-    /// forwarding node sees the same handful of destinations over and over;
-    /// cleared whenever a route is installed.
-    route_cache: FxHashMap<IpAddr, Option<LinkId>>,
+    /// Memoized `route()` results, keyed by the IPv4 destination's bits
+    /// (a packet's network header is IPv4 only). The LPM table is a
+    /// linear scan, and a forwarding node sees the same handful of
+    /// destinations over and over; cleared whenever a route is installed.
+    route_cache: FxHashMap<u32, Option<LinkId>>,
 }
 
 impl std::fmt::Debug for Node {
@@ -134,13 +135,13 @@ impl Node {
 
     /// `route()`, memoized. Switches pay the linear LPM scan once per
     /// destination; hosts just read their gateway.
-    pub(crate) fn route_cached(&mut self, dst: IpAddr) -> Option<LinkId> {
+    pub(crate) fn route_cached(&mut self, dst: Ipv4Addr) -> Option<LinkId> {
         match &self.kind {
             NodeKind::Host { gateway, .. } => *gateway,
             NodeKind::Switch { routes } => *self
                 .route_cache
-                .entry(dst)
-                .or_insert_with(|| routes.lookup(dst).copied()),
+                .entry(u32::from(dst))
+                .or_insert_with(|| routes.lookup(IpAddr::V4(dst)).copied()),
         }
     }
 

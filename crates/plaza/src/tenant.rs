@@ -15,7 +15,7 @@
 //! Determinism across worker counts is a scheduling-grid argument: a slice
 //! always advances along the same window grid (`WINDOW`, `2*WINDOW`, ...)
 //! to its own deadline, whichever worker runs it and whoever its neighbors
-//! are. Window/round counts are a per-slice function of the spec alone, so
+//! are. Window counts are a per-slice function of the spec alone, so
 //! they may appear in outcomes without breaking the solo-vs-co-scheduled
 //! differential.
 
@@ -142,7 +142,8 @@ pub struct TenantSlice {
     deadline: SimTime,
     /// The furthest cap this slice has been advanced to.
     horizon: SimTime,
-    rounds: u64,
+    /// Grid windows advanced through so far.
+    windows: u64,
     done: bool,
 }
 
@@ -188,7 +189,7 @@ impl TenantSlice {
             grant,
             deadline,
             horizon: SimTime::ZERO,
-            rounds: 0,
+            windows: 0,
             done: false,
         }
     }
@@ -206,7 +207,7 @@ impl TenantSlice {
         if self.done || cap <= self.horizon {
             return;
         }
-        self.rounds += 1;
+        self.windows += 1;
         self.horizon = cap;
         self.session.run_until(cap);
         self.done = self.session.is_done();
@@ -224,7 +225,7 @@ impl TenantSlice {
         Ok(FrozenSlice {
             session: self.session.checkpoint()?,
             horizon: self.horizon,
-            rounds: self.rounds,
+            windows: self.windows,
             done: self.done,
         })
     }
@@ -236,7 +237,7 @@ impl TenantSlice {
     pub fn thaw_state(&mut self, frozen: FrozenSlice) -> Result<(), SliceFreezeError> {
         self.session.restore(frozen.session)?;
         self.horizon = frozen.horizon;
-        self.rounds = frozen.rounds;
+        self.windows = frozen.windows;
         self.done = frozen.done;
         Ok(())
     }
@@ -245,7 +246,7 @@ impl TenantSlice {
     pub fn run_to_completion(&mut self) {
         let step = WINDOW.as_nanos();
         while !self.done {
-            let next = SimTime(step.saturating_mul(self.rounds + 1));
+            let next = SimTime(step.saturating_mul(self.windows + 1));
             self.advance(next);
         }
     }
@@ -274,7 +275,7 @@ impl TenantSlice {
         plaza.on_slice(fin.obs.net.event_seq());
         fin.obs.plaza = Some(plaza);
 
-        TenantOutcome { name: self.name, rounds: self.rounds, store, run: fin }
+        TenantOutcome { name: self.name, windows: self.windows, store, run: fin }
     }
 }
 
@@ -286,7 +287,7 @@ impl TenantSlice {
 pub struct FrozenSlice {
     pub session: PhoenixCheckpoint,
     pub horizon: SimTime,
-    pub rounds: u64,
+    pub windows: u64,
     pub done: bool,
 }
 
@@ -295,7 +296,7 @@ pub struct TenantOutcome {
     pub name: String,
     /// Scheduler windows this slice consumed (a function of the spec
     /// alone — the grid is fixed, finished slices stop counting).
-    pub rounds: u64,
+    pub windows: u64,
     /// Per-tenant datastore view (capture tenants only).
     pub store: Option<DataStore>,
     /// The tenant's finished session: its own simulator counters,
@@ -326,7 +327,7 @@ impl TenantOutcome {
         out.push_str(&format!("== tenant {} ==\n", self.name));
         out.push_str(&format!("filter {:?}\n", run.filter));
         out.push_str(&format!("net {:?}\n", run.net));
-        out.push_str(&format!("rounds {}\n", self.rounds));
+        out.push_str(&format!("windows {}\n", self.windows));
         out.push_str(&format!(
             "stage {final_stage:?} registry {registry_len} mitigations {mitigations} giveups {giveups}\n"
         ));
@@ -374,7 +375,7 @@ mod tests {
         let a = run();
         let b = run();
         assert!(a.run.net.injected > 0, "probe injected nothing");
-        assert!(a.rounds > 0);
+        assert!(a.windows > 0);
         assert_eq!(a.fingerprint(), b.fingerprint());
         // The sentinel program never touches the probe's traffic.
         assert_eq!(a.run.filter.dropped, 0, "sentinel dropped real packets");
@@ -393,7 +394,7 @@ mod tests {
         let mut slice = TenantSlice::build(TenantSpec::probe("books"), &SwitchModel::default());
         slice.run_to_completion();
         let out = slice.finish();
-        assert!(out.rounds > 1, "the probe spans several grid windows");
+        assert!(out.windows > 1, "the probe spans several grid windows");
         let p = out.run.obs.plaza.as_ref().expect("plaza section");
         assert_eq!(p.rounds(), 1);
         assert_eq!(p.slice_events_histogram().count(), 1);
@@ -403,7 +404,7 @@ mod tests {
 
     /// The Defend job through the shared `Session` lifecycle: the window
     /// grid only decides when the simulator pauses, so every byte but the
-    /// round count equals a single advance straight to the deadline.
+    /// window count equals a single advance straight to the deadline.
     #[test]
     fn windowed_defend_slice_equals_one_shot() {
         let (program, model) =
@@ -428,9 +429,9 @@ mod tests {
         let windowed = windowed.finish();
         let detector = windowed.run.obs.detector.as_ref().expect("Defend runs a detector");
         assert!(
-            windowed.rounds > 1 && detector.windows_closed() > 0,
-            "rounds {} windows {}",
-            windowed.rounds,
+            windowed.windows > 1 && detector.windows_closed() > 0,
+            "slice windows {} detector windows {}",
+            windowed.windows,
             detector.windows_closed()
         );
         assert_eq!(print(windowed), print(one_shot.finish()));

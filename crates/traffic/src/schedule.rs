@@ -43,10 +43,13 @@ impl Schedule {
         self.injections.extend(other.injections);
     }
 
-    /// Sort by time (stable, so equal-time packets keep generation order).
+    /// Sort by time; equal-time packets keep generation order. The sort
+    /// runs over 8-byte time keys (each paired with its index, which
+    /// breaks ties) and then swaps each injection into place once,
+    /// instead of merging whole injections as a stable sort would.
     pub fn sort(&mut self) {
         if !self.sorted {
-            self.injections.sort_by_key(|i| i.at);
+            self.injections.sort_by_cached_key(|i| i.at);
             self.sorted = true;
         }
     }
@@ -123,6 +126,18 @@ mod tests {
         s.sort();
         let times: Vec<_> = s.iter().map(|i| i.at).collect();
         assert_eq!(times, vec![SimTime::from_millis(1), SimTime::from_millis(5)]);
+    }
+
+    #[test]
+    fn sort_keeps_generation_order_among_equal_times() {
+        let mut b = PacketBuilder::new();
+        let mut s = Schedule::new();
+        for (ms, app) in [(5, 1), (1, 2), (5, 3), (1, 4), (3, 5), (1, 6)] {
+            s.push(SimTime::from_millis(ms), NodeId(0), pkt(&mut b, app, None));
+        }
+        s.sort();
+        let apps: Vec<u16> = s.iter().map(|i| i.packet.truth.app_class).collect();
+        assert_eq!(apps, [2, 4, 6, 5, 1, 3]);
     }
 
     #[test]
