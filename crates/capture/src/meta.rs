@@ -6,31 +6,32 @@
 
 use crate::records::{Direction, DnsMetaRecord};
 use campuslab_netsim::{Packet, SimTime, TransportHeader};
-use campuslab_wire::DnsMessage;
+use campuslab_wire::{DnsSection, DnsView};
 
 /// Extract a DNS transaction record from a captured packet: `None` for
-/// anything but UDP to or from port 53 carrying a parseable message.
+/// anything but UDP to or from port 53 carrying a parseable message. The
+/// message is read in place; the one allocation is the record's `qname`.
 pub fn extract_dns(now: SimTime, direction: Direction, pkt: &Packet) -> Option<DnsMetaRecord> {
     let udp = match &pkt.transport {
         TransportHeader::Udp(u) if u.src_port == 53 || u.dst_port == 53 => u,
         _ => return None,
     };
-    let msg = DnsMessage::parse(pkt.payload.bytes()?).ok()?;
+    let msg = DnsView::parse(pkt.payload.bytes()?).ok()?;
     let (client, server) = if udp.dst_port == 53 {
         (pkt.network.src(), pkt.network.dst())
     } else {
         (pkt.network.dst(), pkt.network.src())
     };
-    let question = msg.questions.first();
+    let question = msg.questions().next();
     Some(DnsMetaRecord {
         ts_ns: now.as_nanos(),
         direction,
         client,
         server,
-        qname: question.map(|q| q.name.clone()).unwrap_or_default(),
+        qname: question.map(|q| q.name.to_owned()).unwrap_or_default(),
         qtype: question.map(|q| u16::from(q.qtype)).unwrap_or(0),
-        is_response: msg.flags.response,
-        answer_count: msg.answers.len() as u16,
+        is_response: msg.flags().response,
+        answer_count: msg.count(DnsSection::Answer),
         wire_len: pkt.wire_len() as u32,
         amplification_prone: msg.is_amplification_prone(),
         label_attack: pkt.truth.attack.unwrap_or(0),
@@ -100,7 +101,7 @@ impl TcpRttEstimator {
 mod tests {
     use super::*;
     use campuslab_netsim::{GroundTruth, PacketBuilder, Payload};
-    use campuslab_wire::{DnsRcode, DnsRecord, DnsRecordData, DnsType, TcpControl, TcpRepr};
+    use campuslab_wire::{DnsMessage, DnsRcode, DnsRecord, DnsRecordData, DnsType, TcpControl, TcpRepr};
     use std::net::Ipv4Addr;
 
     fn tcp_pkt(

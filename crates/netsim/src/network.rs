@@ -9,7 +9,7 @@ use crate::chaos::ChaosAction;
 use crate::event::{EventKey, EventQueue};
 use crate::link::{Dir, Link, LinkId, Offer};
 use crate::node::{FilterAction, Node, NodeId, NodeKind, PacketFilter};
-use crate::observe::NetObs;
+use crate::observe::{HopTally, NetObs};
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 
@@ -205,6 +205,9 @@ pub struct Network {
     /// Observatory sink: the same counters as `stats` plus histograms and
     /// chaos/event telemetry, renderable as a deterministic metrics dump.
     pub obs: NetObs,
+    /// Per-packet observations not yet booked on `obs`
+    /// ([`Network::book`]); empty between run calls.
+    pub(crate) tally: HopTally,
 }
 
 impl Network {
@@ -223,6 +226,7 @@ impl Network {
             shard_report: None,
             stats: NetStats::default(),
             obs: NetObs::new(),
+            tally: HopTally::default(),
         }
     }
 
@@ -368,7 +372,16 @@ impl Network {
             events += 1;
             self.apply(std::mem::take(&mut cmds.items));
         }
+        self.book(events);
+    }
+
+    /// Book `events` dispatched events, and the per-packet observations
+    /// tallied since the last booking, on `obs`. Every loop that
+    /// dispatches calls it before it returns, so a checkpoint or a metrics
+    /// dump taken between run calls sees everything.
+    pub(crate) fn book(&mut self, events: u64) {
         self.obs.on_events(events);
+        self.obs.book_tally(&mut self.tally);
     }
 
     /// Timestamp of the next pending event, or `None` when the queue is
@@ -401,7 +414,7 @@ impl Network {
         match event {
             Event::Inject { node, mut packet } => {
                 self.stats.injected += 1;
-                self.obs.on_inject();
+                self.obs.on_inject(&mut self.tally);
                 // Injection time rides in the packet: end-to-end latency
                 // needs no side lookup table keyed by packet id.
                 packet.injected_at = now;
@@ -474,7 +487,7 @@ impl Network {
                 self.stats.delivered_bytes += packet.wire_len() as u64;
                 let latency = now - packet.injected_at;
                 self.stats.latency_sum += latency;
-                self.obs.on_deliver(packet.wire_len() as u64, latency.as_nanos());
+                self.obs.on_deliver(&mut self.tally, packet.wire_len() as u64, latency.as_nanos());
                 hooks.on_deliver(now, node, &packet, latency, cmds);
             }
             NodeKind::Switch { .. } => {
@@ -504,12 +517,12 @@ impl Network {
         // the packet by value with no speculative clone.
         match link.offer(dir, packet, now) {
             Offer::StartedTransmit => {
-                self.obs.on_enqueue_depth(self.links[link_id.0].queued_bytes(dir) as u64);
+                self.obs.on_enqueue(&mut self.tally, self.links[link_id.0].queued_bytes(dir) as u64);
                 self.begin_transmission(now, link_id, dir);
             }
             Offer::Queued => {
                 let link = &self.links[link_id.0];
-                self.obs.on_enqueue_depth(link.queued_bytes(dir) as u64);
+                self.obs.on_enqueue(&mut self.tally, link.queued_bytes(dir) as u64);
                 // The first packet to wait behind a busy transmitter asks
                 // for its transmit-complete, under the key the transmission
                 // occupying the wire would have scheduled it with.

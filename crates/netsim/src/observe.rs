@@ -51,6 +51,30 @@ campuslab_obs::schema! {
     }
 }
 
+/// The event loop's per-packet bookings (injections, deliveries and
+/// their bytes, queue depth at each enqueue, latency at each delivery),
+/// counted and bucketed in fields the loop owns and booked on the sink
+/// once per run call, the way `NetObs::on_events` books events: a hop
+/// costs a short compare chain and a few adds, not a walk to the sink's
+/// counters and histograms. Sums are `u64`: one run call's depths or
+/// latencies stay far below its range.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HopTally {
+    injected: u64,
+    delivered: u64,
+    delivered_bytes: u64,
+    depth: [u64; QUEUE_DEPTH_BOUNDS.len() + 1],
+    depth_sum: u64,
+    latency: [u64; LATENCY_BOUNDS.len() + 1],
+    latency_sum: u64,
+}
+
+/// The bucket `value` lands in: the first bound `>= value`, or `+Inf`.
+#[inline]
+fn bucket(bounds: &[u64], value: u64) -> usize {
+    bounds.iter().position(|&b| value <= b).unwrap_or(bounds.len())
+}
+
 /// Stable index of a [`DropReason`] into `NetObs::drops`.
 pub fn drop_index(reason: DropReason) -> usize {
     match reason {
@@ -85,15 +109,21 @@ impl NetObs {
     }
 
     #[inline]
-    pub(crate) fn on_inject(&mut self) {
-        self.sink.inc(self.injected);
+    pub(crate) fn on_inject(&self, tally: &mut HopTally) {
+        if self.sink.enabled() {
+            tally.injected += 1;
+        }
     }
 
     #[inline]
-    pub(crate) fn on_deliver(&mut self, wire_bytes: u64, latency_ns: u64) {
-        self.sink.inc(self.delivered);
-        self.sink.add(self.delivered_bytes, wire_bytes);
-        self.sink.observe(self.latency_histogram, latency_ns / 1_000);
+    pub(crate) fn on_deliver(&self, tally: &mut HopTally, wire_bytes: u64, latency_ns: u64) {
+        if self.sink.enabled() {
+            tally.delivered += 1;
+            tally.delivered_bytes += wire_bytes;
+            let us = latency_ns / 1_000;
+            tally.latency[bucket(&LATENCY_BOUNDS, us)] += 1;
+            tally.latency_sum += us;
+        }
     }
 
     #[inline]
@@ -106,9 +136,24 @@ impl NetObs {
         self.sink.inc(self.chaos[chaos_index(action)]);
     }
 
+    /// A packet was offered to a link whose queue now holds `bytes`.
     #[inline]
-    pub(crate) fn on_enqueue_depth(&mut self, bytes: u64) {
-        self.sink.observe(self.queue_depth_histogram, bytes);
+    pub(crate) fn on_enqueue(&self, tally: &mut HopTally, bytes: u64) {
+        if self.sink.enabled() {
+            tally.depth[bucket(&QUEUE_DEPTH_BOUNDS, bytes)] += 1;
+            tally.depth_sum += bytes;
+        }
+    }
+
+    /// Book what `tally` holds and start it afresh.
+    pub(crate) fn book_tally(&mut self, tally: &mut HopTally) {
+        let HopTally { injected, delivered, delivered_bytes, depth, depth_sum, latency, latency_sum } =
+            std::mem::take(tally);
+        self.sink.add(self.injected, injected);
+        self.sink.add(self.delivered, delivered);
+        self.sink.add(self.delivered_bytes, delivered_bytes);
+        self.sink.observe_buckets(self.queue_depth_histogram, &depth, depth_sum.into());
+        self.sink.observe_buckets(self.latency_histogram, &latency, latency_sum.into());
     }
 
     /// Drop counter for one cause.

@@ -243,7 +243,7 @@ fn run_window(net: &mut Network, cap: u64) -> u64 {
         net.dispatch(key.time, ev, &mut NullHooks, &mut cmds);
         events += 1;
     }
-    net.obs.on_events(events);
+    net.book(events);
     events
 }
 
@@ -405,8 +405,10 @@ impl Network {
         // Reassemble the master network from the shard slices.
         let mut final_now = self.queue.now();
         let mut leftovers: Vec<(EventKey, Event)> = Vec::new();
-        for (s, slice) in slices.into_iter().enumerate() {
+        for (s, mut slice) in slices.into_iter().enumerate() {
             let s = s as u32;
+            // Serial phases dispatch on a slice without booking its tally.
+            slice.obs.book_tally(&mut slice.tally);
             let Network { nodes, links, mut queue, stats, obs, .. } = slice;
             final_now = final_now.max(queue.now());
             leftovers.extend(queue.drain_sorted());
@@ -430,6 +432,7 @@ impl Network {
                 }
             }
         }
+        self.obs.book_tally(&mut self.tally);
         self.queue.set_now(final_now);
         leftovers.sort_unstable_by_key(|e| e.0);
         for (k, e) in leftovers {

@@ -178,6 +178,17 @@ impl Histogram {
         self.sum += value as u128;
     }
 
+    /// Book observations already bucketed against these bounds: `counts`
+    /// per bucket (the `+Inf` bucket last) and the sum of their values.
+    pub fn add_buckets(&mut self, counts: &[u64], sum: u128) {
+        assert_eq!(counts.len(), self.counts.len(), "bucket counts against a different layout");
+        for (a, b) in self.counts.iter_mut().zip(counts) {
+            *a += b;
+            self.count += b;
+        }
+        self.sum += sum;
+    }
+
     /// Fold another histogram with identical bounds into this one.
     /// Element-wise addition, so merging is associative and commutative.
     pub fn merge_from(&mut self, other: &Histogram) {
@@ -447,6 +458,15 @@ impl ObsSink {
     pub fn observe(&mut self, id: HistogramId, v: u64) {
         if self.enabled {
             self.hists[id.0 as usize].record(v);
+        }
+    }
+
+    /// Book a batch of observations an owner bucketed itself (see
+    /// [`Histogram::add_buckets`]).
+    #[inline]
+    pub fn observe_buckets(&mut self, id: HistogramId, counts: &[u64], sum: u128) {
+        if self.enabled {
+            self.hists[id.0 as usize].add_buckets(counts, sum);
         }
     }
 

@@ -277,7 +277,8 @@ pub struct CollectedData {
     pub obs: RunObs,
 }
 
-/// Build the schedule for a scenario on a freshly built campus.
+/// Build the schedule for a scenario on a freshly built campus, in time
+/// order.
 pub fn build_schedule(campus: &Campus, scenario: &Scenario) -> (Schedule, Option<Ipv4Addr>, Option<SimTime>) {
     let mut gen = TrafficGenerator::new(campus, scenario.workload.clone());
     let mut schedule = gen.generate();
@@ -343,6 +344,9 @@ pub fn build_schedule(campus: &Campus, scenario: &Scenario) -> (Schedule, Option
             );
         }
     }
+    // One stable sort by time for the whole day: benign packets keep
+    // generation order on ties and campaign packets follow them.
+    schedule.sort();
     (schedule, victim, attack_start)
 }
 
@@ -415,6 +419,37 @@ pub fn shard_by_second(packets: &[PacketRecord]) -> Vec<Vec<PacketRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(crc32, injections)` over every injection of a generated day in
+    /// time order: time, node, headers, truth and payload bytes. The
+    /// generators must keep every byte and every RNG draw, so a change
+    /// that moves either moves this pin.
+    fn day_pin(scenario: &Scenario) -> (u32, usize) {
+        let campus = Campus::build(scenario.campus.clone());
+        let injections = build_schedule(&campus, scenario).0.into_injections();
+        let mut crc = campuslab_obs::Crc32::new();
+        for i in &injections {
+            let p = &i.packet;
+            let (at, node) = (i.at.as_nanos(), i.node.0);
+            let head = format!("{at} {node} {:?} {:?} {:?}|", p.network, p.transport, p.truth);
+            crc.update(head.as_bytes());
+            match p.payload.bytes() {
+                Some(bytes) => crc.update(bytes),
+                None => crc.update(&(p.payload.len() as u64).to_le_bytes()),
+            }
+        }
+        (crc.finish(), injections.len())
+    }
+
+    /// The small scenario's day (benign mix with its scripted lookups and
+    /// upstream answers, plus the reflected amplification campaign) and
+    /// the resolver lab's (live-client queries, water torture and the
+    /// ANY/TXT burst): every DNS generator writes into one of them.
+    #[test]
+    fn generated_days_are_pinned() {
+        assert_eq!(day_pin(&Scenario::small()), (0x53f9_e86d, 92_900), "small");
+        assert_eq!(day_pin(&Scenario::resolver_lab()), (0x39a7_ca6d, 29_245), "resolver lab");
+    }
 
     #[test]
     fn small_scenario_collects_labeled_data() {

@@ -11,7 +11,7 @@
 use crate::labels::AppClass;
 use crate::schedule::Schedule;
 use campuslab_netsim::{GroundTruth, NodeId, PacketBuilder, Payload, SimDuration, SimTime};
-use campuslab_wire::{DnsMessage, DnsRcode, DnsRecord, DnsRecordData, DnsType, TcpControl, TcpRepr};
+use campuslab_wire::{DnsFlags, DnsRcode, DnsSection, DnsType, DnsWriter, TcpControl, TcpRepr};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::net::Ipv4Addr;
@@ -34,6 +34,9 @@ pub struct SessionEnv<'a> {
     pub rng: &'a mut StdRng,
     pub schedule: &'a mut Schedule,
     pub next_flow: &'a mut u64,
+    /// Scratch buffer each generated DNS message is written into before
+    /// [`dns_payload`] copies it out.
+    pub dns: &'a mut Vec<u8>,
 }
 
 impl SessionEnv<'_> {
@@ -43,6 +46,21 @@ impl SessionEnv<'_> {
         *self.next_flow += 1;
         id
     }
+}
+
+/// Write one DNS message into `scratch` (dropping the last one) and copy
+/// it out as a packet payload: the one allocation a generated message
+/// costs. `write` adds the questions and records; generated names are
+/// always valid.
+pub fn dns_payload(
+    scratch: &mut Vec<u8>,
+    id: u16,
+    flags: DnsFlags,
+    write: impl FnOnce(&mut DnsWriter<'_>) -> campuslab_wire::Result<()>,
+) -> Payload {
+    scratch.clear();
+    write(&mut DnsWriter::new(scratch, id, flags)).expect("generated DNS names are valid");
+    Payload::Bytes(scratch.as_slice().into())
 }
 
 /// Parameters of one synthesized TCP exchange.
@@ -242,40 +260,18 @@ pub fn dns_lookup(
     let id: u16 = env.rng.gen();
     let sport: u16 = env.rng.gen_range(32768..61000);
 
-    let query = DnsMessage::query(id, domain, qtype);
-    let mut qbytes = Vec::new();
-    query.emit(&mut qbytes).expect("generated name is valid");
-    let qpkt = env.builder.udp_v4(
-        client.addr,
-        resolver.addr,
-        sport,
-        53,
-        Payload::Bytes(qbytes.into()),
-        64,
-        truth,
-    );
+    let query = dns_payload(env.dns, id, DnsFlags::query(), |w| w.question(domain, qtype));
+    let qpkt = env.builder.udp_v4(client.addr, resolver.addr, sport, 53, query, 64, truth);
     env.schedule.push(t0, client.node, qpkt);
 
-    let response = query.answer(
-        vec![DnsRecord {
-            name: domain.to_string(),
-            ttl: 300,
-            data: DnsRecordData::A(answer_addr),
-        }],
-        DnsRcode::NoError,
-    );
-    let mut rbytes = Vec::new();
-    response.emit(&mut rbytes).expect("generated name is valid");
+    let response = dns_payload(env.dns, id, DnsFlags::response(DnsRcode::NoError), |w| {
+        w.question(domain, qtype)?;
+        w.record_with(DnsSection::Answer, domain, DnsType::A, 300, |rdata| {
+            rdata.extend_from_slice(&answer_addr.octets())
+        })
+    });
     let t_resp = t0 + SimDuration::from_nanos(rtt.as_nanos() / 2) + SimDuration::from_micros(200);
-    let rpkt = env.builder.udp_v4(
-        resolver.addr,
-        client.addr,
-        53,
-        sport,
-        Payload::Bytes(rbytes.into()),
-        64,
-        truth,
-    );
+    let rpkt = env.builder.udp_v4(resolver.addr, client.addr, 53, sport, response, 64, truth);
     env.schedule.push(t_resp, resolver.node, rpkt);
     t_resp + SimDuration::from_nanos(rtt.as_nanos() / 2)
 }
@@ -301,57 +297,39 @@ pub fn dns_upstream_lookup(
     let id: u16 = env.rng.gen();
     let sport: u16 = env.rng.gen_range(32768..61000);
     let qtype = if fat { DnsType::Txt } else { DnsType::A };
-    let query = DnsMessage::query(id, domain, qtype);
-    let mut qbytes = Vec::new();
-    query.emit(&mut qbytes).expect("generated name is valid");
-    let qpkt = env.builder.udp_v4(
-        resolver.addr,
-        upstream.addr,
-        sport,
-        53,
-        Payload::Bytes(qbytes.into()),
-        64,
-        truth,
-    );
+    let query = dns_payload(env.dns, id, DnsFlags::query(), |w| w.question(domain, qtype));
+    let qpkt = env.builder.udp_v4(resolver.addr, upstream.addr, sport, 53, query, 64, truth);
     env.schedule.push(t0, resolver.node, qpkt);
 
-    let answers: Vec<DnsRecord> = if fat {
-        // DNSSEC-signed zones and verbose TXT records: legitimately large,
-        // spanning the same size range as reflected amplification answers.
-        let n = env.rng.gen_range(8..26);
-        (0..n)
-            .map(|_| DnsRecord {
-                name: domain.to_string(),
-                ttl: 3600,
-                data: DnsRecordData::Txt(vec![b'k'; env.rng.gen_range(80..210)]),
-            })
-            .collect()
-    } else {
-        (0..env.rng.gen_range(1..4))
-            .map(|k| DnsRecord {
-                name: domain.to_string(),
-                ttl: 300,
-                data: DnsRecordData::A(Ipv4Addr::from(u32::from(answer_addr) + k)),
-            })
-            .collect()
-    };
-    let response = query.answer(answers, DnsRcode::NoError);
-    let mut rbytes = Vec::new();
-    response.emit(&mut rbytes).expect("generated name is valid");
+    let response = dns_payload(env.dns, id, DnsFlags::response(DnsRcode::NoError), |w| {
+        w.question(domain, qtype)?;
+        if fat {
+            // DNSSEC-signed zones and verbose TXT records: legitimately
+            // large, spanning the same size range as reflected
+            // amplification answers.
+            let n = env.rng.gen_range(8..26);
+            for _ in 0..n {
+                let len = env.rng.gen_range(80..210);
+                w.record_with(DnsSection::Answer, domain, DnsType::Txt, 3600, |rdata| {
+                    rdata.resize(rdata.len() + len, b'k')
+                })?;
+            }
+        } else {
+            for k in 0..env.rng.gen_range(1..4) {
+                let addr = Ipv4Addr::from(u32::from(answer_addr) + k);
+                w.record_with(DnsSection::Answer, domain, DnsType::A, 300, |rdata| {
+                    rdata.extend_from_slice(&addr.octets())
+                })?;
+            }
+        }
+        Ok(())
+    });
     let t_resp = t0 + SimDuration::from_nanos(external_rtt.as_nanos() / 2)
         + SimDuration::from_micros(500);
     // Authoritative servers run many OSes and sit behind many path
     // lengths; arriving TTLs are diverse, just like the attack's.
     let ttl = [64u8, 128, 255][env.rng.gen_range(0..3)] - env.rng.gen_range(6..20);
-    let rpkt = env.builder.udp_v4(
-        upstream.addr,
-        resolver.addr,
-        53,
-        sport,
-        Payload::Bytes(rbytes.into()),
-        ttl,
-        truth,
-    );
+    let rpkt = env.builder.udp_v4(upstream.addr, resolver.addr, 53, sport, response, ttl, truth);
     env.schedule.push(t_resp, upstream.node, rpkt);
     t_resp + SimDuration::from_nanos(external_rtt.as_nanos() / 2)
 }
@@ -645,6 +623,7 @@ mod tests {
             rng: &mut r,
             schedule: &mut s,
             next_flow: &mut f,
+            dns: &mut Vec::new(),
         };
         let client = ep(0, [10, 1, 1, 10]);
         let server = ep(1, [203, 0, 113, 1]);
@@ -706,6 +685,7 @@ mod tests {
             rng: &mut r,
             schedule: &mut s,
             next_flow: &mut f,
+            dns: &mut Vec::new(),
         };
         dns_lookup(
             &mut env,
@@ -720,11 +700,11 @@ mod tests {
         assert_eq!(s.len(), 2);
         s.sort();
         let q = s.iter().next().unwrap();
-        let msg = DnsMessage::parse(q.packet.payload.bytes().unwrap()).unwrap();
+        let msg = campuslab_wire::DnsMessage::parse(q.packet.payload.bytes().unwrap()).unwrap();
         assert!(!msg.flags.response);
         assert_eq!(msg.questions[0].name, "www.example.edu");
         let a = s.iter().nth(1).unwrap();
-        let msg = DnsMessage::parse(a.packet.payload.bytes().unwrap()).unwrap();
+        let msg = campuslab_wire::DnsMessage::parse(a.packet.payload.bytes().unwrap()).unwrap();
         assert!(msg.flags.response);
         assert_eq!(msg.answers.len(), 1);
         // Query and response share the same flow id.
@@ -740,6 +720,7 @@ mod tests {
             rng: &mut r,
             schedule: &mut s,
             next_flow: &mut f,
+            dns: &mut Vec::new(),
         };
         web_session(
             &mut env,
@@ -769,6 +750,7 @@ mod tests {
             rng: &mut r,
             schedule: &mut s,
             next_flow: &mut f,
+            dns: &mut Vec::new(),
         };
         let c = ep(0, [10, 1, 1, 10]);
         let srv = ep(1, [10, 1, 255, 25]);
@@ -789,6 +771,7 @@ mod tests {
             rng: &mut r,
             schedule: &mut s,
             next_flow: &mut f,
+            dns: &mut Vec::new(),
         };
         ping_session(
             &mut env,
@@ -823,6 +806,7 @@ mod tests {
             rng: &mut r,
             schedule: &mut s,
             next_flow: &mut f,
+            dns: &mut Vec::new(),
         };
         let end = video_session(
             &mut env,
@@ -844,6 +828,7 @@ mod tests {
             rng: &mut r,
             schedule: &mut s,
             next_flow: &mut f,
+            dns: &mut Vec::new(),
         };
         ssh_session(
             &mut env,

@@ -4,10 +4,10 @@
 //! event an automated pipeline should detect and mitigate ("drop attack
 //! traffic on ingress if confidence in detection is at least 90%").
 
-use crate::apps::{tcp_exchange, Endpoint, SessionEnv, TcpExchange};
+use crate::apps::{dns_payload, tcp_exchange, Endpoint, SessionEnv, TcpExchange};
 use crate::labels::{AppClass, AttackKind};
 use campuslab_netsim::{GroundTruth, Payload, SimDuration, SimTime};
-use campuslab_wire::{DnsMessage, DnsRcode, DnsRecord, DnsRecordData, DnsType, TcpControl, TcpRepr};
+use campuslab_wire::{DnsFlags, DnsRcode, DnsSection, DnsType, DnsWriter, TcpControl, TcpRepr};
 use rand::Rng;
 use std::net::Ipv4Addr;
 
@@ -52,51 +52,30 @@ pub fn dns_amplification(env: &mut SessionEnv<'_>, a: &DnsAmplification) {
         // Evasive attackers spoof typical resolver client ports.
         let sport: u16 = env.rng.gen_range(32768..61000);
 
-        let query = DnsMessage::query(id, zone, DnsType::Any);
-        let mut qbytes = Vec::new();
-        query.emit(&mut qbytes).expect("valid zone name");
+        let query = dns_payload(env.dns, id, DnsFlags::query(), |w| w.question(zone, DnsType::Any));
         // Source address forged to the victim; the packet physically leaves
         // the attacker's uplink.
-        let qpkt = env.builder.udp_v4(
-            a.victim.addr,
-            reflector.addr,
-            sport,
-            53,
-            Payload::Bytes(qbytes.into()),
-            64,
-            truth,
-        );
+        let qpkt = env.builder.udp_v4(a.victim.addr, reflector.addr, sport, 53, query, 64, truth);
         env.schedule.push(t, a.attacker.node, qpkt);
 
         // Response sizes vary per query (records and lengths differ), so
         // the flood overlaps the size range of legitimate fat answers
         // (DNSSEC, big TXT) rather than presenting one magic constant.
         let n_records = env.rng.gen_range(14..24);
-        let answers: Vec<DnsRecord> = (0..n_records)
-            .map(|k| DnsRecord {
-                name: zone.to_string(),
-                ttl: 3600,
-                data: DnsRecordData::Txt(vec![
-                    b'A' + (k % 26) as u8;
-                    env.rng.gen_range(90..180)
-                ]),
-            })
-            .collect();
-        let response = query.answer(answers, DnsRcode::NoError);
-        let mut rbytes = Vec::new();
-        response.emit(&mut rbytes).expect("valid zone name");
+        let response = dns_payload(env.dns, id, DnsFlags::response(DnsRcode::NoError), |w| {
+            w.question(zone, DnsType::Any)?;
+            for k in 0..n_records {
+                let len = env.rng.gen_range(90..180);
+                w.record_with(DnsSection::Answer, zone, DnsType::Txt, 3600, |rdata| {
+                    rdata.resize(rdata.len() + len, b'A' + (k % 26) as u8)
+                })?;
+            }
+            Ok(())
+        });
         // Arriving TTLs reflect diverse reflector OSes (64/128/255 initial)
         // minus 6-20 Internet hops, just like real border traffic.
         let ttl = initial_ttl(env) - env.rng.gen_range(6..20);
-        let rpkt = env.builder.udp_v4(
-            reflector.addr,
-            a.victim.addr,
-            53,
-            sport,
-            Payload::Bytes(rbytes.into()),
-            ttl,
-            truth,
-        );
+        let rpkt = env.builder.udp_v4(reflector.addr, a.victim.addr, 53, sport, response, ttl, truth);
         env.schedule
             .push(t + SimDuration::from_millis(4), reflector.node, rpkt);
     }
@@ -220,6 +199,7 @@ pub fn nxdomain_flood(env: &mut SessionEnv<'_>, a: &NxdomainFlood) {
     assert!(!a.sources.is_empty(), "water torture needs sources");
     let per_source = (a.qps_per_source * a.duration.as_secs_f64()).round() as usize;
     let gap = SimDuration::from_secs_f64(1.0 / a.qps_per_source.max(1e-9));
+    let mut name = String::new();
     for (s, source) in a.sources.iter().enumerate() {
         // Stagger sources so the aggregate does not arrive in phase.
         let phase = SimDuration::from_nanos(gap.as_nanos() * s as u64 / a.sources.len().max(1) as u64);
@@ -233,32 +213,25 @@ pub fn nxdomain_flood(env: &mut SessionEnv<'_>, a: &NxdomainFlood) {
             let t = a.start + phase + SimDuration::from_nanos(gap.as_nanos() * i as u64);
             // A unique junk label per query is what defeats the cache.
             let label_len = env.rng.gen_range(7..13);
-            let label: String = (0..label_len)
-                .map(|_| (b'a' + env.rng.gen_range(0..26)) as char)
-                .collect();
-            let name = format!("{label}.{}", a.base_domain);
+            name.clear();
+            name.extend((0..label_len).map(|_| (b'a' + env.rng.gen_range(0..26)) as char));
+            name.push('.');
+            name.push_str(&a.base_domain);
             let id: u16 = env.rng.gen();
             let sport: u16 = env.rng.gen_range(1024..65535);
-            let mut qbytes = Vec::new();
-            DnsMessage::query(id, &name, DnsType::A)
-                .emit(&mut qbytes)
+            env.dns.clear();
+            DnsWriter::new(env.dns, id, DnsFlags::query())
+                .question(&name, DnsType::A)
                 .expect("generated labels are valid");
             // A slice of the flood is botched in flight: header survives,
             // body does not — the resolver must absorb it without panicking.
-            if env.rng.gen_range(0..1000) < a.corrupt_permille && qbytes.len() > 12 {
-                let pos = env.rng.gen_range(12..qbytes.len());
-                qbytes[pos] ^= 0xff;
+            if env.rng.gen_range(0..1000) < a.corrupt_permille && env.dns.len() > 12 {
+                let pos = env.rng.gen_range(12..env.dns.len());
+                env.dns[pos] ^= 0xff;
             }
             let ttl = initial_ttl(env) - env.rng.gen_range(6..20);
-            let pkt = env.builder.udp_v4(
-                source.addr,
-                a.resolver.addr,
-                sport,
-                53,
-                Payload::Bytes(qbytes.into()),
-                ttl,
-                truth,
-            );
+            let query = Payload::Bytes(env.dns.as_slice().into());
+            let pkt = env.builder.udp_v4(source.addr, a.resolver.addr, sport, 53, query, ttl, truth);
             env.schedule.push(t, source.node, pkt);
         }
     }
@@ -300,17 +273,8 @@ pub fn resolver_amp_burst(env: &mut SessionEnv<'_>, a: &ResolverAmpBurst) {
         let id: u16 = env.rng.gen();
         let sport: u16 = env.rng.gen_range(32768..61000);
         let qtype = if env.rng.gen::<f64>() < 0.7 { DnsType::Any } else { DnsType::Txt };
-        let mut qbytes = Vec::new();
-        DnsMessage::query(id, &a.zone, qtype).emit(&mut qbytes).expect("valid zone name");
-        let pkt = env.builder.udp_v4(
-            a.victim.addr,
-            a.resolver.addr,
-            sport,
-            53,
-            Payload::Bytes(qbytes.into()),
-            64,
-            truth,
-        );
+        let query = dns_payload(env.dns, id, DnsFlags::query(), |w| w.question(&a.zone, qtype));
+        let pkt = env.builder.udp_v4(a.victim.addr, a.resolver.addr, sport, 53, query, 64, truth);
         env.schedule.push(t, a.attacker.node, pkt);
     }
 }
@@ -520,6 +484,7 @@ mod tests {
     use super::*;
     use crate::schedule::Schedule;
     use campuslab_netsim::{NodeId, PacketBuilder};
+    use campuslab_wire::{DnsMessage, DnsView};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -532,6 +497,7 @@ mod tests {
         rng: StdRng,
         schedule: Schedule,
         next_flow: u64,
+        dns: Vec<u8>,
     }
 
     impl Ctx {
@@ -541,6 +507,7 @@ mod tests {
                 rng: StdRng::seed_from_u64(5),
                 schedule: Schedule::new(),
                 next_flow: 0,
+                dns: Vec::new(),
             }
         }
         fn env(&mut self) -> SessionEnv<'_> {
@@ -549,6 +516,7 @@ mod tests {
                 rng: &mut self.rng,
                 schedule: &mut self.schedule,
                 next_flow: &mut self.next_flow,
+                dns: &mut self.dns,
             }
         }
     }
@@ -601,9 +569,10 @@ mod tests {
         };
         dns_amplification(&mut ctx.env(), &campaign);
         for inj in ctx.schedule.iter() {
-            let msg = DnsMessage::parse(inj.packet.payload.bytes().unwrap()).unwrap();
-            if msg.flags.response {
-                assert!((14..24).contains(&msg.answers.len()), "{}", msg.answers.len());
+            let msg = DnsView::parse(inj.packet.payload.bytes().unwrap()).unwrap();
+            let answers = msg.count(DnsSection::Answer);
+            if msg.flags().response {
+                assert!((14..24).contains(&answers), "{answers}");
             } else {
                 assert!(msg.is_amplification_prone());
             }
@@ -796,7 +765,7 @@ mod tests {
         for inj in ctx.schedule.iter() {
             let victim_ip: std::net::IpAddr = "10.1.1.10".parse().unwrap();
             assert_eq!(inj.packet.network.src(), victim_ip, "source must be spoofed");
-            let msg = DnsMessage::parse(inj.packet.payload.bytes().unwrap()).unwrap();
+            let msg = DnsView::parse(inj.packet.payload.bytes().unwrap()).unwrap();
             assert!(msg.is_amplification_prone());
         }
     }

@@ -8,6 +8,7 @@ use crate::distributions::{diurnal_multiplier, Exponential, Zipf};
 use crate::labels::AppClass;
 use crate::schedule::Schedule;
 use campuslab_netsim::{Campus, NodeId, PacketBuilder, SimDuration, SimTime};
+use campuslab_wire::{DnsFlags, DnsType};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,6 +73,8 @@ pub struct TrafficGenerator<'c> {
     host_pop: Zipf,
     ext_pop: Zipf,
     domains: Vec<String>,
+    /// Scratch buffer every generated DNS message is written into.
+    dns: Vec<u8>,
 }
 
 impl<'c> TrafficGenerator<'c> {
@@ -95,6 +98,7 @@ impl<'c> TrafficGenerator<'c> {
             builder: PacketBuilder::new(),
             next_flow: 0,
             domains,
+            dns: Vec::new(),
         }
     }
 
@@ -128,6 +132,7 @@ impl<'c> TrafficGenerator<'c> {
             rng: &mut self.rng,
             schedule,
             next_flow: &mut self.next_flow,
+            dns: &mut self.dns,
         });
     }
 
@@ -143,7 +148,10 @@ impl<'c> TrafficGenerator<'c> {
         self.cfg.mix.last().map(|&(c, _)| c).unwrap_or(AppClass::Web)
     }
 
-    /// Generate the benign workload schedule.
+    /// Generate the benign workload schedule, in generation order: the
+    /// schedule's `sorted` flag records that it is not yet in time order,
+    /// and [`Schedule::apply_to`] or [`Schedule::into_injections`] sort it
+    /// once, after every campaign is layered on.
     pub fn generate(&mut self) -> Schedule {
         let mut schedule = Schedule::new();
         let base_gap = Exponential::new(self.cfg.sessions_per_sec.max(1e-9));
@@ -161,7 +169,6 @@ impl<'c> TrafficGenerator<'c> {
             let class = self.pick_class();
             self.emit_session(&mut schedule, t, class);
         }
-        schedule.sort();
         schedule
     }
 
@@ -189,7 +196,7 @@ impl<'c> TrafficGenerator<'c> {
                     client,
                     resolver,
                     &domain,
-                    campuslab_wire::DnsType::A,
+                    DnsType::A,
                     server.addr,
                     int_rtt,
                 );
@@ -322,7 +329,6 @@ impl<'c> TrafficGenerator<'c> {
             }
             self.emit_session(schedule, t, class);
         }
-        schedule.sort();
     }
 
     /// Layer a SYN flood at a campus server onto `schedule`.
@@ -460,7 +466,6 @@ impl<'c> TrafficGenerator<'c> {
         for i in 0..n {
             let client = self.random_host();
             let domain_idx = self.host_pop.sample(&mut self.rng) % self.domains.len();
-            let domain = self.domains[domain_idx].clone();
             let t = start + SimDuration::from_nanos(gap.as_nanos() * i as u64);
             let flow_id = self.next_flow;
             self.next_flow += 1;
@@ -471,19 +476,11 @@ impl<'c> TrafficGenerator<'c> {
             };
             let id: u16 = self.rng.gen();
             let sport: u16 = self.rng.gen_range(1024..61000);
-            let mut qbytes = Vec::new();
-            campuslab_wire::DnsMessage::query(id, &domain, campuslab_wire::DnsType::A)
-                .emit(&mut qbytes)
-                .expect("workload domains are valid");
-            let pkt = self.builder.udp_v4(
-                client.addr,
-                resolver.addr,
-                sport,
-                53,
-                campuslab_netsim::Payload::Bytes(qbytes.into()),
-                64,
-                truth,
-            );
+            let domain = &self.domains[domain_idx];
+            let query = apps::dns_payload(&mut self.dns, id, DnsFlags::query(), |w| {
+                w.question(domain, DnsType::A)
+            });
+            let pkt = self.builder.udp_v4(client.addr, resolver.addr, sport, 53, query, 64, truth);
             schedule.push(t, client.node, pkt);
         }
     }

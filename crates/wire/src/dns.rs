@@ -6,8 +6,25 @@
 //! network-automation example is detecting a **DNS amplification attack**,
 //! so the capture plane parses these messages into metadata records and the
 //! traffic generator synthesizes both legitimate lookups and attack floods.
+//!
+//! One codec, three faces, costed per message rather than per record:
+//!
+//! - [`DnsWriter`] appends a message straight into a caller's `Vec<u8>`:
+//!   header, questions, then records section by section, RDATA written in
+//!   place with its length patched afterwards. Generators keep one scratch
+//!   buffer and copy each message out once.
+//! - [`DnsView`] reads a message in place. Its `parse` walks and validates
+//!   every name and record by offset without allocating; names are lazy
+//!   label iterators ([`DnsName`]) that follow compression pointers, and
+//!   RDATA is a borrowed slice. The capture plane reads the few fields it
+//!   needs from it.
+//! - [`DnsMessage`] is the owned form the resolver caches and answers
+//!   from. Its `emit` is a loop over the writer, its `parse` is the view's
+//!   `parse` followed by [`DnsView::to_owned`], and its `wire_len` adds up
+//!   sizes instead of emitting.
 
 use crate::{be16, be32, Error, Result};
+use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Maximum label chain hops while decompressing, to defeat pointer loops.
@@ -228,6 +245,29 @@ impl DnsRecordData {
             DnsRecordData::Opaque(ty, _) => *ty,
         }
     }
+
+    /// Append the RDATA bytes (without their length field).
+    fn emit(&self, buf: &mut Vec<u8>) -> Result<()> {
+        match self {
+            DnsRecordData::A(addr) => buf.extend_from_slice(&addr.octets()),
+            DnsRecordData::Aaaa(addr) => buf.extend_from_slice(&addr.octets()),
+            DnsRecordData::Cname(target) | DnsRecordData::Ns(target) => emit_name(target, buf)?,
+            DnsRecordData::Txt(bytes) | DnsRecordData::Opaque(_, bytes) => {
+                buf.extend_from_slice(bytes)
+            }
+        }
+        Ok(())
+    }
+
+    /// The number of RDATA bytes [`DnsRecordData::emit`] appends.
+    fn wire_len(&self) -> Result<usize> {
+        match self {
+            DnsRecordData::A(_) => Ok(4),
+            DnsRecordData::Aaaa(_) => Ok(16),
+            DnsRecordData::Cname(target) | DnsRecordData::Ns(target) => name_wire_len(target),
+            DnsRecordData::Txt(bytes) | DnsRecordData::Opaque(_, bytes) => Ok(bytes.len()),
+        }
+    }
 }
 
 /// A resource record.
@@ -238,7 +278,9 @@ pub struct DnsRecord {
     pub data: DnsRecordData,
 }
 
-/// A complete DNS message.
+/// A complete DNS message, owned: what the resolver caches and answers
+/// from. Generators that only emit write through [`DnsWriter`] instead,
+/// and readers that only inspect borrow a [`DnsView`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DnsMessage {
     pub id: u16,
@@ -274,113 +316,450 @@ impl DnsMessage {
         }
     }
 
-    /// Parse a message from a UDP payload. Compression pointers are followed
-    /// with loop protection.
+    /// Parse a message from a UDP payload: [`DnsView::parse`], then
+    /// [`DnsView::to_owned`]. Compression pointers are followed with loop
+    /// protection.
     pub fn parse(data: &[u8]) -> Result<DnsMessage> {
-        if data.len() < 12 {
-            return Err(Error::Truncated);
-        }
-        let id = be16(data, 0);
-        let flags = DnsFlags::from_u16(be16(data, 2));
-        let qd = usize::from(be16(data, 4));
-        let an = usize::from(be16(data, 6));
-        let ns = usize::from(be16(data, 8));
-        let ar = usize::from(be16(data, 10));
-        let mut pos = 12;
-        let mut questions = Vec::with_capacity(qd.min(32));
-        for _ in 0..qd {
-            let (name, next) = parse_name(data, pos)?;
-            if next + 4 > data.len() {
-                return Err(Error::Truncated);
-            }
-            questions.push(DnsQuestion {
-                name,
-                qtype: DnsType::from(be16(data, next)),
-            });
-            pos = next + 4;
-        }
-        let mut sections = [Vec::new(), Vec::new(), Vec::new()];
-        for (idx, count) in [an, ns, ar].into_iter().enumerate() {
-            for _ in 0..count {
-                let (record, next) = parse_record(data, pos)?;
-                sections[idx].push(record);
-                pos = next;
-            }
-        }
-        let [answers, authorities, additionals] = sections;
-        Ok(DnsMessage {
-            id,
-            flags,
-            questions,
-            answers,
-            authorities,
-            additionals,
-        })
+        DnsView::parse(data).map(DnsView::to_owned)
     }
 
-    /// Append the message to `buf`. Names are emitted uncompressed, which is
-    /// always valid (and what many stub resolvers do). A section count or
-    /// RDATA length past `u16::MAX` is [`Error::BadLength`], never wrapped.
+    /// Append the message to `buf` through a [`DnsWriter`]. Names are
+    /// emitted uncompressed, which is always valid (and what many stub
+    /// resolvers do). A section count or RDATA length past `u16::MAX` is
+    /// [`Error::BadLength`], never wrapped.
     pub fn emit(&self, buf: &mut Vec<u8>) -> Result<()> {
-        buf.extend_from_slice(&self.id.to_be_bytes());
-        buf.extend_from_slice(&self.flags.to_u16().to_be_bytes());
-        for count in [
-            self.questions.len(),
-            self.answers.len(),
-            self.authorities.len(),
-            self.additionals.len(),
-        ] {
-            buf.extend_from_slice(&field_u16(count)?.to_be_bytes());
-        }
+        self.check_counts()?;
+        let mut w = DnsWriter::new(buf, self.id, self.flags);
         for q in &self.questions {
-            emit_name(&q.name, buf)?;
-            buf.extend_from_slice(&u16::from(q.qtype).to_be_bytes());
-            buf.extend_from_slice(&1u16.to_be_bytes()); // class IN
+            w.question(&q.name, q.qtype)?;
         }
-        for section in [&self.answers, &self.authorities, &self.additionals] {
-            for r in section {
-                emit_record(r, buf)?;
+        for (section, records) in self.sections() {
+            for r in records {
+                w.record(section, r)?;
             }
         }
         Ok(())
     }
 
-    /// The emitted size of this message, in bytes.
+    /// The emitted size of this message, in bytes, added up from its
+    /// parts. A message [`DnsMessage::emit`] refuses has no size, and
+    /// reads 0.
     pub fn wire_len(&self) -> usize {
-        let mut buf = Vec::new();
-        // Emission only fails on malformed names, in which case a zero
-        // length is the honest answer for sizing purposes.
-        if self.emit(&mut buf).is_err() {
-            return 0;
+        self.checked_wire_len().unwrap_or(0)
+    }
+
+    fn checked_wire_len(&self) -> Result<usize> {
+        self.check_counts()?;
+        let mut len = HEADER_LEN;
+        for q in &self.questions {
+            len += name_wire_len(&q.name)? + 4;
         }
-        buf.len()
+        for (_, records) in self.sections() {
+            for r in records {
+                len += name_wire_len(&r.name)? + 10 + usize::from(field_u16(r.data.wire_len()?)?);
+            }
+        }
+        Ok(len)
+    }
+
+    /// Every section count must fit its 16-bit header field.
+    fn check_counts(&self) -> Result<()> {
+        let [an, ns, ar] = self.sections().map(|(_, records)| records.len());
+        for count in [self.questions.len(), an, ns, ar] {
+            field_u16(count)?;
+        }
+        Ok(())
+    }
+
+    fn sections(&self) -> [(DnsSection, &[DnsRecord]); 3] {
+        [
+            (DnsSection::Answer, &self.answers),
+            (DnsSection::Authority, &self.authorities),
+            (DnsSection::Additional, &self.additionals),
+        ]
+    }
+}
+
+/// Length of the fixed message header.
+const HEADER_LEN: usize = 12;
+
+/// The three record sections, in wire order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum DnsSection {
+    Answer = 1,
+    Authority = 2,
+    Additional = 3,
+}
+
+/// Writes one DNS message straight into a caller's buffer: the header,
+/// then the questions, then the records section by section, each entry
+/// appended in place. RDATA is written where it lands and its length
+/// field patched afterwards, and every entry patches its section's count
+/// in the header, so no part of the message is built on the side. A
+/// generator keeps one buffer, clears it per message, and copies the bytes
+/// out once.
+///
+/// An entry the wire cannot carry (a malformed name, RDATA or a section
+/// past `u16::MAX`) is refused with the same error [`DnsMessage::emit`]
+/// gives, and leaves the buffer as it was before the call.
+///
+/// ```
+/// use campuslab_wire::{DnsFlags, DnsRcode, DnsSection, DnsType, DnsView, DnsWriter};
+///
+/// let mut buf = Vec::new();
+/// let mut w = DnsWriter::new(&mut buf, 7, DnsFlags::response(DnsRcode::NoError));
+/// w.question("amp.example.org", DnsType::Txt).unwrap();
+/// w.record_with(DnsSection::Answer, "amp.example.org", DnsType::Txt, 60, |rdata| {
+///     rdata.extend_from_slice(b"hello")
+/// })
+/// .unwrap();
+/// let view = DnsView::parse(&buf).unwrap();
+/// assert_eq!(view.records(DnsSection::Answer).next().unwrap().rdata, b"hello");
+/// ```
+#[derive(Debug)]
+pub struct DnsWriter<'b> {
+    buf: &'b mut Vec<u8>,
+    /// Where this message's header starts in `buf`.
+    header: usize,
+    /// Entries written per section: questions, answers, authorities,
+    /// additionals.
+    counts: [u16; 4],
+    /// The section now being written, as an index into `counts`.
+    section: usize,
+}
+
+impl<'b> DnsWriter<'b> {
+    /// Append a header with all four counts zero; each entry written
+    /// after it bumps its own.
+    pub fn new(buf: &'b mut Vec<u8>, id: u16, flags: DnsFlags) -> Self {
+        let header = buf.len();
+        buf.extend_from_slice(&id.to_be_bytes());
+        buf.extend_from_slice(&flags.to_u16().to_be_bytes());
+        buf.extend_from_slice(&[0; 8]);
+        DnsWriter { buf, header, counts: [0; 4], section: 0 }
+    }
+
+    /// Append a question (class IN).
+    pub fn question(&mut self, name: &str, qtype: DnsType) -> Result<()> {
+        self.entry(0, |buf| {
+            emit_name(name, buf)?;
+            buf.extend_from_slice(&u16::from(qtype).to_be_bytes());
+            buf.extend_from_slice(&1u16.to_be_bytes()); // class IN
+            Ok(())
+        })
+    }
+
+    /// Append an owned record to `section`.
+    pub fn record(&mut self, section: DnsSection, record: &DnsRecord) -> Result<()> {
+        self.checked_record(section, &record.name, record.data.rtype(), record.ttl, |rdata| {
+            record.data.emit(rdata)
+        })
+    }
+
+    /// Append a record (class IN) whose RDATA `rdata` appends to the
+    /// buffer it is handed; the length field is patched afterwards.
+    pub fn record_with(
+        &mut self,
+        section: DnsSection,
+        name: &str,
+        rtype: DnsType,
+        ttl: u32,
+        rdata: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<()> {
+        self.checked_record(section, name, rtype, ttl, |buf| {
+            rdata(buf);
+            Ok(())
+        })
+    }
+
+    fn checked_record(
+        &mut self,
+        section: DnsSection,
+        name: &str,
+        rtype: DnsType,
+        ttl: u32,
+        rdata: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+    ) -> Result<()> {
+        self.entry(section as usize, |buf| {
+            emit_name(name, buf)?;
+            buf.extend_from_slice(&u16::from(rtype).to_be_bytes());
+            buf.extend_from_slice(&1u16.to_be_bytes()); // class IN
+            buf.extend_from_slice(&ttl.to_be_bytes());
+            buf.extend_from_slice(&[0; 2]);
+            let start = buf.len();
+            rdata(buf)?;
+            let len = field_u16(buf.len() - start)?;
+            buf[start - 2..start].copy_from_slice(&len.to_be_bytes());
+            Ok(())
+        })
+    }
+
+    /// Write one entry of `section` and bump its count; on refusal the
+    /// buffer is cut back to where the entry began.
+    fn entry(&mut self, section: usize, write: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
+        assert!(section >= self.section, "DNS sections are written in wire order");
+        self.section = section;
+        let count = self.counts[section].checked_add(1).ok_or(Error::BadLength)?;
+        let start = self.buf.len();
+        if let Err(e) = write(self.buf) {
+            self.buf.truncate(start);
+            return Err(e);
+        }
+        self.counts[section] = count;
+        let at = self.header + 4 + 2 * section;
+        self.buf[at..at + 2].copy_from_slice(&count.to_be_bytes());
+        Ok(())
+    }
+}
+
+/// A DNS message read in place: [`DnsView::parse`] walks and validates the
+/// whole message by offset and allocates nothing, and the accessors hand
+/// out borrowed questions, records, names and RDATA. It accepts exactly the
+/// messages [`DnsMessage::parse`] accepts, with the same [`Error`] for the
+/// rest, because that parse is this one followed by [`DnsView::to_owned`].
+#[derive(Debug, Clone, Copy)]
+pub struct DnsView<'a> {
+    data: &'a [u8],
+    /// Entries per section: questions, answers, authorities, additionals.
+    counts: [u16; 4],
+    /// Where each section begins: questions, answers, authorities,
+    /// additionals.
+    starts: [usize; 4],
+}
+
+impl<'a> DnsView<'a> {
+    /// Validate `data` as one DNS message. Bytes after the last record
+    /// are ignored.
+    pub fn parse(data: &'a [u8]) -> Result<Self> {
+        if data.len() < HEADER_LEN {
+            return Err(Error::Truncated);
+        }
+        let counts = [4, 6, 8, 10].map(|at| be16(data, at));
+        let mut starts = [HEADER_LEN; 4];
+        let mut pos = HEADER_LEN;
+        for _ in 0..counts[0] {
+            pos = check_name(data, pos)?;
+            if pos + 4 > data.len() {
+                return Err(Error::Truncated);
+            }
+            pos += 4;
+        }
+        for section in 1..4 {
+            starts[section] = pos;
+            for _ in 0..counts[section] {
+                pos = check_record(data, pos)?;
+            }
+        }
+        Ok(DnsView { data, counts, starts })
+    }
+
+    /// The message id.
+    pub fn id(&self) -> u16 {
+        be16(self.data, 0)
+    }
+
+    /// The header flags.
+    pub fn flags(&self) -> DnsFlags {
+        DnsFlags::from_u16(be16(self.data, 2))
+    }
+
+    /// The questions, in wire order.
+    pub fn questions(&self) -> impl Iterator<Item = DnsQuestionView<'a>> + 'a {
+        let data = self.data;
+        let mut pos = self.starts[0];
+        (0..self.counts[0]).map(move |_| {
+            let name = DnsName { data, at: pos };
+            pos = skip_name(data, pos);
+            let qtype = DnsType::from(be16(data, pos));
+            pos += 4;
+            DnsQuestionView { name, qtype }
+        })
+    }
+
+    /// The records of one section, in wire order.
+    pub fn records(&self, section: DnsSection) -> impl Iterator<Item = DnsRecordView<'a>> + 'a {
+        let data = self.data;
+        let mut pos = self.starts[section as usize];
+        (0..self.counts[section as usize]).map(move |_| {
+            let name = DnsName { data, at: pos };
+            pos = skip_name(data, pos);
+            let rtype = DnsType::from(be16(data, pos));
+            let ttl = be32(data, pos + 4);
+            let rdlen = usize::from(be16(data, pos + 8));
+            let rdata_at = pos + 10;
+            pos = rdata_at + rdlen;
+            DnsRecordView { name, rtype, ttl, rdata: &data[rdata_at..pos], rdata_at }
+        })
+    }
+
+    /// Entries in `section` according to the header (all of them present:
+    /// parse checked).
+    pub fn count(&self, section: DnsSection) -> u16 {
+        self.counts[section as usize]
     }
 
     /// True if this message looks like an amplification vector: an ANY/TXT
     /// query or a response much larger than its implied query.
     pub fn is_amplification_prone(&self) -> bool {
-        if !self.flags.response {
+        if !self.flags().response {
             return self
-                .questions
-                .iter()
+                .questions()
                 .any(|q| matches!(q.qtype, DnsType::Any | DnsType::Txt));
         }
-        self.answers.len() >= 8
+        self.count(DnsSection::Answer) >= 8
+    }
+
+    /// Copy the message out into its owned form.
+    pub fn to_owned(self) -> DnsMessage {
+        let records = |section| self.records(section).map(DnsRecordView::to_owned).collect();
+        DnsMessage {
+            id: self.id(),
+            flags: self.flags(),
+            questions: self
+                .questions()
+                .map(|q| DnsQuestion { name: q.name.to_owned(), qtype: q.qtype })
+                .collect(),
+            answers: records(DnsSection::Answer),
+            authorities: records(DnsSection::Authority),
+            additionals: records(DnsSection::Additional),
+        }
     }
 }
 
-fn parse_name(data: &[u8], start: usize) -> Result<(String, usize)> {
-    let mut name = String::new();
+/// A question borrowed from a [`DnsView`].
+#[derive(Debug, Clone, Copy)]
+pub struct DnsQuestionView<'a> {
+    pub name: DnsName<'a>,
+    pub qtype: DnsType,
+}
+
+/// A resource record borrowed from a [`DnsView`].
+#[derive(Debug, Clone, Copy)]
+pub struct DnsRecordView<'a> {
+    pub name: DnsName<'a>,
+    pub rtype: DnsType,
+    pub ttl: u32,
+    /// The record's RDATA, as on the wire.
+    pub rdata: &'a [u8],
+    /// Offset of `rdata` in the message, where a CNAME or NS target
+    /// name starts.
+    rdata_at: usize,
+}
+
+impl<'a> DnsRecordView<'a> {
+    /// The target name of a CNAME or NS record. It is read from the
+    /// message at RDATA's offset, so compression pointers resolve.
+    pub fn target(&self) -> Option<DnsName<'a>> {
+        matches!(self.rtype, DnsType::Cname | DnsType::Ns)
+            .then_some(DnsName { data: self.name.data, at: self.rdata_at })
+    }
+
+    /// Copy the record out into its owned form.
+    pub fn to_owned(self) -> DnsRecord {
+        let rdata = self.rdata;
+        let data = match self.rtype {
+            DnsType::A => DnsRecordData::A(Ipv4Addr::new(rdata[0], rdata[1], rdata[2], rdata[3])),
+            DnsType::Aaaa => {
+                let mut o = [0u8; 16];
+                o.copy_from_slice(rdata);
+                DnsRecordData::Aaaa(Ipv6Addr::from(o))
+            }
+            DnsType::Cname => DnsRecordData::Cname(self.target_string()),
+            DnsType::Ns => DnsRecordData::Ns(self.target_string()),
+            DnsType::Txt => DnsRecordData::Txt(rdata.to_vec()),
+            other => DnsRecordData::Opaque(other, rdata.to_vec()),
+        };
+        DnsRecord { name: self.name.to_owned(), ttl: self.ttl, data }
+    }
+
+    fn target_string(&self) -> String {
+        self.target().map(DnsName::to_owned).unwrap_or_default()
+    }
+}
+
+/// A name inside a validated message, read lazily: [`DnsName::labels`]
+/// follows compression pointers as it goes (at most 32 of them, so even a
+/// hand-made cycle ends), and [`DnsName::to_owned`] folds the labels to
+/// lower case.
+#[derive(Clone, Copy)]
+pub struct DnsName<'a> {
+    data: &'a [u8],
+    at: usize,
+}
+
+impl<'a> DnsName<'a> {
+    /// The labels, as on the wire (printable ASCII without dots: parse
+    /// checked), root excluded.
+    pub fn labels(&self) -> impl Iterator<Item = &'a [u8]> + 'a {
+        let data = self.data;
+        let mut pos = self.at;
+        let mut jumps = 0;
+        std::iter::from_fn(move || loop {
+            let len = *data.get(pos)?;
+            if len & 0xc0 == 0xc0 {
+                if jumps == MAX_NAME_JUMPS || pos + 1 >= data.len() {
+                    return None;
+                }
+                jumps += 1;
+                pos = usize::from(be16(data, pos) & 0x3fff);
+                continue;
+            }
+            if len == 0 || len & 0xc0 != 0 {
+                return None;
+            }
+            let label = data.get(pos + 1..pos + 1 + usize::from(len))?;
+            pos += 1 + label.len();
+            return Some(label);
+        })
+    }
+
+    /// Length of the presentation form: the labels joined by dots.
+    pub fn len(&self) -> usize {
+        self.labels().map(|l| l.len() + 1).sum::<usize>().saturating_sub(1)
+    }
+
+    /// True for the root name.
+    pub fn is_empty(&self) -> bool {
+        self.labels().next().is_none()
+    }
+
+    /// The presentation form folded to lower case, `www.example.edu`, in
+    /// one allocation.
+    pub fn to_owned(self) -> String {
+        let mut name = String::with_capacity(self.len());
+        for label in self.labels() {
+            if !name.is_empty() {
+                name.push('.');
+            }
+            name.extend(label.iter().map(|&b| char::from(b.to_ascii_lowercase())));
+        }
+        name
+    }
+}
+
+impl fmt::Debug for DnsName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}", self.to_owned())
+    }
+}
+
+/// Validate the name at `start` the way a decoder must: labels inside the
+/// buffer, printable ASCII without dots, at most [`MAX_NAME_LEN`]
+/// presentation bytes, at most [`MAX_NAME_JUMPS`] pointers. Returns where
+/// the bytes after the name begin.
+fn check_name(data: &[u8], start: usize) -> Result<usize> {
     let mut pos = start;
     let mut jumps = 0usize;
+    // Presentation length so far: labels plus the dots between them.
+    let mut len = 0usize;
     // Where parsing resumes after the name: set at the first pointer.
     let mut resume = None;
     loop {
         if pos >= data.len() {
             return Err(Error::Truncated);
         }
-        let len = data[pos];
-        if len & 0xc0 == 0xc0 {
+        let label_len = data[pos];
+        if label_len & 0xc0 == 0xc0 {
             if pos + 1 >= data.len() {
                 return Err(Error::Truncated);
             }
@@ -394,119 +773,94 @@ fn parse_name(data: &[u8], start: usize) -> Result<(String, usize)> {
             pos = usize::from(be16(data, pos) & 0x3fff);
             continue;
         }
-        if len & 0xc0 != 0 {
+        if label_len & 0xc0 != 0 {
             return Err(Error::BadName);
         }
-        if len == 0 {
+        if label_len == 0 {
             pos += 1;
             break;
         }
-        let len = usize::from(len);
-        if pos + 1 + len > data.len() {
+        let label_len = usize::from(label_len);
+        let Some(label) = data.get(pos + 1..pos + 1 + label_len) else {
             return Err(Error::Truncated);
-        }
-        if !name.is_empty() {
-            name.push('.');
-        }
-        for &b in &data[pos + 1..pos + 1 + len] {
-            // Labels are case-insensitive ASCII in practice; normalize. The
-            // presentation form must survive `emit_name` byte-for-byte, so
-            // reject anything outside printable ASCII as well as the label
-            // separator itself: a 0x2e inside a label would re-split on
-            // emission and a byte >= 0x80 would re-encode as two UTF-8
-            // bytes, silently changing the wire form.
-            if !(0x21..=0x7e).contains(&b) || b == b'.' {
-                return Err(Error::BadName);
-            }
-            name.push(b.to_ascii_lowercase() as char);
-        }
-        if name.len() > MAX_NAME_LEN {
+        };
+        // Labels are case-insensitive ASCII in practice. The presentation
+        // form must survive `emit_name` byte-for-byte, so reject anything
+        // outside printable ASCII as well as the label separator itself: a
+        // 0x2e inside a label would re-split on emission and a byte >= 0x80
+        // would re-encode as two UTF-8 bytes, silently changing the wire
+        // form.
+        if label.iter().any(|&b| !(0x21..=0x7e).contains(&b) || b == b'.') {
             return Err(Error::BadName);
         }
-        pos += 1 + len;
-    }
-    Ok((name, resume.unwrap_or(pos)))
-}
-
-fn emit_name(name: &str, buf: &mut Vec<u8>) -> Result<()> {
-    if name.len() > MAX_NAME_LEN {
-        return Err(Error::BadName);
-    }
-    if !name.is_empty() {
-        for label in name.split('.') {
-            if label.is_empty() || label.len() > 63 {
-                return Err(Error::BadName);
-            }
-            buf.push(label.len() as u8);
-            buf.extend_from_slice(label.as_bytes());
+        len += usize::from(len > 0) + label_len;
+        if len > MAX_NAME_LEN {
+            return Err(Error::BadName);
         }
+        pos += 1 + label_len;
     }
-    buf.push(0);
-    Ok(())
+    Ok(resume.unwrap_or(pos))
 }
 
-fn parse_record(data: &[u8], start: usize) -> Result<(DnsRecord, usize)> {
-    let (name, pos) = parse_name(data, start)?;
+/// Validate the record at `start`; returns where the next one begins.
+fn check_record(data: &[u8], start: usize) -> Result<usize> {
+    let pos = check_name(data, start)?;
     if pos + 10 > data.len() {
         return Err(Error::Truncated);
     }
-    let rtype = DnsType::from(be16(data, pos));
-    let ttl = be32(data, pos + 4);
     let rdlen = usize::from(be16(data, pos + 8));
     let rdata_start = pos + 10;
     if rdata_start + rdlen > data.len() {
         return Err(Error::Truncated);
     }
-    let rdata = &data[rdata_start..rdata_start + rdlen];
-    let record_data = match rtype {
-        DnsType::A => {
-            if rdlen != 4 {
-                return Err(Error::BadLength);
-            }
-            DnsRecordData::A(Ipv4Addr::new(rdata[0], rdata[1], rdata[2], rdata[3]))
+    match DnsType::from(be16(data, pos)) {
+        DnsType::A if rdlen != 4 => return Err(Error::BadLength),
+        DnsType::Aaaa if rdlen != 16 => return Err(Error::BadLength),
+        DnsType::Cname | DnsType::Ns => {
+            check_name(data, rdata_start)?;
         }
-        DnsType::Aaaa => {
-            if rdlen != 16 {
-                return Err(Error::BadLength);
-            }
-            let mut o = [0u8; 16];
-            o.copy_from_slice(rdata);
-            DnsRecordData::Aaaa(Ipv6Addr::from(o))
-        }
-        DnsType::Cname => {
-            let (target, _) = parse_name(data, rdata_start)?;
-            DnsRecordData::Cname(target)
-        }
-        DnsType::Ns => {
-            let (target, _) = parse_name(data, rdata_start)?;
-            DnsRecordData::Ns(target)
-        }
-        DnsType::Txt => DnsRecordData::Txt(rdata.to_vec()),
-        other => DnsRecordData::Opaque(other, rdata.to_vec()),
-    };
-    Ok((
-        DnsRecord { name, ttl, data: record_data },
-        rdata_start + rdlen,
-    ))
+        _ => {}
+    }
+    Ok(rdata_start + rdlen)
 }
 
-fn emit_record(record: &DnsRecord, buf: &mut Vec<u8>) -> Result<()> {
-    emit_name(&record.name, buf)?;
-    buf.extend_from_slice(&u16::from(record.data.rtype()).to_be_bytes());
-    buf.extend_from_slice(&1u16.to_be_bytes()); // class IN
-    buf.extend_from_slice(&record.ttl.to_be_bytes());
-    let mut rdata = Vec::new();
-    match &record.data {
-        DnsRecordData::A(addr) => rdata.extend_from_slice(&addr.octets()),
-        DnsRecordData::Aaaa(addr) => rdata.extend_from_slice(&addr.octets()),
-        DnsRecordData::Cname(target) | DnsRecordData::Ns(target) => {
-            emit_name(target, &mut rdata)?
+/// Where the bytes after an already validated name begin.
+fn skip_name(data: &[u8], mut pos: usize) -> usize {
+    loop {
+        match data[pos] {
+            0 => return pos + 1,
+            len if len & 0xc0 == 0xc0 => return pos + 2,
+            len => pos += 1 + usize::from(len),
         }
-        DnsRecordData::Txt(bytes) => rdata.extend_from_slice(bytes),
-        DnsRecordData::Opaque(_, bytes) => rdata.extend_from_slice(bytes),
     }
-    buf.extend_from_slice(&field_u16(rdata.len())?.to_be_bytes());
-    buf.extend_from_slice(&rdata);
+}
+
+/// The wire length of `name` uncompressed, refusing what [`emit_name`]
+/// refuses.
+fn name_wire_len(name: &str) -> Result<usize> {
+    if name.len() > MAX_NAME_LEN {
+        return Err(Error::BadName);
+    }
+    if name.is_empty() {
+        return Ok(1);
+    }
+    if name.split('.').any(|label| label.is_empty() || label.len() > 63) {
+        return Err(Error::BadName);
+    }
+    // One length byte per label stands in for each dot, plus the first
+    // length byte and the root label.
+    Ok(name.len() + 2)
+}
+
+fn emit_name(name: &str, buf: &mut Vec<u8>) -> Result<()> {
+    name_wire_len(name)?;
+    if !name.is_empty() {
+        for label in name.split('.') {
+            buf.push(label.len() as u8);
+            buf.extend_from_slice(label.as_bytes());
+        }
+    }
+    buf.push(0);
     Ok(())
 }
 
@@ -642,27 +996,125 @@ mod tests {
         assert_eq!(many.emit(&mut buf).unwrap_err(), Error::BadLength);
     }
 
+    /// Emit `msg` and read it back as a view over `buf`.
+    fn view_of<'b>(msg: &DnsMessage, buf: &'b mut Vec<u8>) -> DnsView<'b> {
+        buf.clear();
+        msg.emit(buf).unwrap();
+        DnsView::parse(buf).unwrap()
+    }
+
     #[test]
     fn amplification_heuristics() {
+        let mut buf = Vec::new();
         let any = DnsMessage::query(1, "isc.org", DnsType::Any);
-        assert!(any.is_amplification_prone());
+        assert!(view_of(&any, &mut buf).is_amplification_prone());
         let a = DnsMessage::query(1, "isc.org", DnsType::A);
-        assert!(!a.is_amplification_prone());
+        assert!(!view_of(&a, &mut buf).is_amplification_prone());
         let big = a.answer(
             (0..10)
                 .map(|i| a_record("isc.org", [10, 0, 0, i as u8]))
                 .collect(),
             DnsRcode::NoError,
         );
-        assert!(big.is_amplification_prone());
+        assert!(view_of(&big, &mut buf).is_amplification_prone());
     }
 
     #[test]
     fn wire_len_matches_emit() {
         let q = DnsMessage::query(1, "www.example.edu", DnsType::Aaaa);
+        let mut msg = q.answer(
+            vec![DnsRecord {
+                name: "www.example.edu".into(),
+                ttl: 60,
+                data: DnsRecordData::Cname("edge.example.net".into()),
+            }],
+            DnsRcode::NoError,
+        );
+        msg.additionals.push(a_record("", [10, 0, 0, 1]));
+        for m in [&q, &msg] {
+            let mut buf = Vec::new();
+            m.emit(&mut buf).unwrap();
+            assert_eq!(m.wire_len(), buf.len());
+        }
+        // A message emit refuses has no size.
+        let bad = DnsMessage::query(1, "a..b", DnsType::A);
+        assert_eq!(bad.emit(&mut Vec::new()).unwrap_err(), Error::BadName);
+        assert_eq!(bad.wire_len(), 0);
+    }
+
+    #[test]
+    fn writer_appends_after_existing_bytes_and_refuses_cleanly() {
+        let mut buf = b"prefix".to_vec();
+        let mut w = DnsWriter::new(&mut buf, 9, DnsFlags::response(DnsRcode::NoError));
+        w.question("example.edu", DnsType::Txt).unwrap();
+        // A refused entry leaves the buffer and the counts as they were.
+        let before = w.buf.len();
+        assert_eq!(w.question("bad..name", DnsType::A).unwrap_err(), Error::BadName);
+        let over = w.record_with(DnsSection::Answer, "example.edu", DnsType::Txt, 60, |rdata| {
+            rdata.resize(rdata.len() + 65_536, b'x')
+        });
+        assert_eq!(over.unwrap_err(), Error::BadLength);
+        assert_eq!(w.buf.len(), before);
+        w.record_with(DnsSection::Answer, "example.edu", DnsType::Txt, 60, |rdata| {
+            rdata.extend_from_slice(b"ok")
+        })
+        .unwrap();
+        w.record(DnsSection::Additional, &a_record("ns.example.edu", [10, 0, 0, 53])).unwrap();
+        let msg = DnsMessage::parse(&buf[6..]).unwrap();
+        assert_eq!(&buf[..6], b"prefix");
+        assert_eq!(msg.questions.len(), 1);
+        assert_eq!(msg.answers[0].data, DnsRecordData::Txt(b"ok".to_vec()));
+        assert!(msg.authorities.is_empty());
+        assert_eq!(msg.additionals.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "wire order")]
+    fn writer_refuses_sections_out_of_order() {
         let mut buf = Vec::new();
-        q.emit(&mut buf).unwrap();
-        assert_eq!(q.wire_len(), buf.len());
+        let mut w = DnsWriter::new(&mut buf, 1, DnsFlags::query());
+        w.record(DnsSection::Authority, &a_record("a.example", [1, 2, 3, 4])).unwrap();
+        let _ = w.record(DnsSection::Answer, &a_record("a.example", [1, 2, 3, 4]));
+    }
+
+    #[test]
+    fn view_reads_in_place() {
+        let q = DnsMessage::query(0x5151, "WWW.Example.EDU", DnsType::A);
+        let mut msg = q.answer(vec![a_record("www.example.edu", [192, 0, 2, 1])], DnsRcode::NoError);
+        msg.authorities.push(DnsRecord {
+            name: "example.edu".into(),
+            ttl: 3600,
+            data: DnsRecordData::Ns("ns1.example.edu".into()),
+        });
+        let mut buf = Vec::new();
+        let view = view_of(&msg, &mut buf);
+        assert_eq!(view.id(), 0x5151);
+        assert!(view.flags().response);
+        let question = view.questions().next().unwrap();
+        assert_eq!(question.name.to_owned(), "www.example.edu");
+        assert_eq!(question.name.len(), "www.example.edu".len());
+        let labels: Vec<&[u8]> = question.name.labels().collect();
+        assert_eq!(labels, [&b"WWW"[..], b"Example", b"EDU"]);
+        assert_eq!(view.count(DnsSection::Answer), 1);
+        let answer = view.records(DnsSection::Answer).next().unwrap();
+        assert_eq!(answer.rdata, [192, 0, 2, 1]);
+        assert!(answer.target().is_none());
+        let ns = view.records(DnsSection::Authority).next().unwrap();
+        assert_eq!(ns.target().unwrap().to_owned(), "ns1.example.edu");
+        assert_eq!(view.records(DnsSection::Additional).count(), 0);
+        let mut folded = msg.clone();
+        folded.questions[0].name = "www.example.edu".into();
+        assert_eq!(view.to_owned(), folded);
+    }
+
+    #[test]
+    fn root_name_is_empty() {
+        let mut buf = Vec::new();
+        let view = view_of(&DnsMessage::query(1, "", DnsType::Ns), &mut buf);
+        let name = view.questions().next().unwrap().name;
+        assert!(name.is_empty());
+        assert_eq!(name.len(), 0);
+        assert_eq!(name.to_owned(), "");
     }
 
     #[test]

@@ -6,17 +6,20 @@
 //!
 //! `campuslab-netsim` moves owned header values around; nothing serializes
 //! a frame. DNS is different: its messages travel as real payload bytes,
-//! which the traffic generator and resolver `emit` and the capture plane
-//! `parse`, with full validation, into metadata records.
+//! which the traffic generator writes in place ([`DnsWriter`]), the
+//! resolver `emit`s, and the capture plane reads, with full validation,
+//! through a borrowed [`DnsView`] into metadata records.
 //!
 //! ```
-//! use campuslab_wire::{DnsMessage, DnsType};
+//! use campuslab_wire::{DnsMessage, DnsType, DnsView};
 //!
 //! let query = DnsMessage::query(0x42, "www.example.edu", DnsType::A);
 //! let mut buf = Vec::new();
 //! query.emit(&mut buf).unwrap();
 //! assert_eq!(buf.len(), query.wire_len());
 //! assert_eq!(DnsMessage::parse(&buf).unwrap(), query);
+//! let view = DnsView::parse(&buf).unwrap();
+//! assert_eq!(view.questions().next().unwrap().name.to_owned(), "www.example.edu");
 //! ```
 
 pub mod udp;
@@ -28,7 +31,8 @@ pub use udp::{UdpRepr, UDP_HEADER_LEN};
 pub use tcp::{TcpControl, TcpRepr, TCP_HEADER_LEN};
 pub use icmp::{IcmpRepr, IcmpType};
 pub use dns::{
-    DnsFlags, DnsMessage, DnsOpcode, DnsQuestion, DnsRcode, DnsRecord, DnsRecordData, DnsType,
+    DnsFlags, DnsMessage, DnsName, DnsOpcode, DnsQuestion, DnsQuestionView, DnsRcode, DnsRecord,
+    DnsRecordData, DnsRecordView, DnsSection, DnsType, DnsView, DnsWriter,
 };
 
 /// Length of an Ethernet II header: destination, source, ethertype.

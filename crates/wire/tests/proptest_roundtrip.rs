@@ -1,6 +1,7 @@
 //! Property-based DNS tests: `parse(emit(x)) == x` over randomized
-//! messages, compression pointers decode to names the encoder can re-emit,
-//! and random bytes never panic the parser.
+//! messages, the `DnsWriter` path a generator takes writes the bytes
+//! `emit` does, compression pointers decode to names the encoder can
+//! re-emit, and random bytes never panic the parser.
 
 use campuslab_wire::*;
 use proptest::prelude::*;
@@ -10,7 +11,92 @@ fn arb_dns_name() -> impl Strategy<Value = String> {
     proptest::collection::vec("[a-z0-9]{1,16}", 1..5).prop_map(|labels| labels.join("."))
 }
 
+/// Record data of every kind the codec types, plus an opaque code.
+fn arb_record_data() -> impl Strategy<Value = DnsRecordData> {
+    prop_oneof![
+        any::<u32>().prop_map(|a| DnsRecordData::A(Ipv4Addr::from(a))),
+        any::<u128>().prop_map(|a| DnsRecordData::Aaaa(a.into())),
+        arb_dns_name().prop_map(DnsRecordData::Cname),
+        arb_dns_name().prop_map(DnsRecordData::Ns),
+        proptest::collection::vec(any::<u8>(), 0..300).prop_map(DnsRecordData::Txt),
+        (100u16..=250, proptest::collection::vec(any::<u8>(), 0..40))
+            .prop_map(|(code, bytes)| DnsRecordData::Opaque(DnsType::Other(code), bytes)),
+    ]
+}
+
+/// Header flags from their 16 wire bits, read through a bare header.
+fn flags_from_bits(bits: u16) -> DnsFlags {
+    let [hi, lo] = bits.to_be_bytes();
+    DnsView::parse(&[0, 0, hi, lo, 0, 0, 0, 0, 0, 0, 0, 0]).unwrap().flags()
+}
+
+fn arb_records() -> impl Strategy<Value = Vec<DnsRecord>> {
+    proptest::collection::vec(
+        (arb_dns_name(), any::<u32>(), arb_record_data())
+            .prop_map(|(name, ttl, data)| DnsRecord { name, ttl, data }),
+        0..6,
+    )
+}
+
 proptest! {
+    #[test]
+    fn writer_path_matches_emit(
+        id in any::<u16>(),
+        flags in any::<u16>(),
+        questions in proptest::collection::vec((arb_dns_name(), any::<u16>()), 0..3),
+        answers in arb_records(),
+        authorities in arb_records(),
+        additionals in arb_records(),
+    ) {
+        let msg = DnsMessage {
+            id,
+            flags: flags_from_bits(flags),
+            questions: questions
+                .into_iter()
+                .map(|(name, qtype)| DnsQuestion { name, qtype: DnsType::from(qtype) })
+                .collect(),
+            answers,
+            authorities,
+            additionals,
+        };
+        let mut emitted = Vec::new();
+        msg.emit(&mut emitted).unwrap();
+        prop_assert_eq!(msg.wire_len(), emitted.len());
+
+        // The way a generator writes: every RDATA appended in place by a
+        // closure, into a scratch buffer that still holds the last message.
+        let mut scratch = b"the previous message".to_vec();
+        scratch.clear();
+        let mut w = DnsWriter::new(&mut scratch, msg.id, msg.flags);
+        for q in &msg.questions {
+            w.question(&q.name, q.qtype).unwrap();
+        }
+        let sections = [
+            (DnsSection::Answer, &msg.answers),
+            (DnsSection::Authority, &msg.authorities),
+            (DnsSection::Additional, &msg.additionals),
+        ];
+        for (section, records) in sections {
+            for r in records {
+                w.record_with(section, &r.name, r.data.rtype(), r.ttl, |rdata| match &r.data {
+                    DnsRecordData::A(a) => rdata.extend_from_slice(&a.octets()),
+                    DnsRecordData::Aaaa(a) => rdata.extend_from_slice(&a.octets()),
+                    DnsRecordData::Cname(n) | DnsRecordData::Ns(n) => {
+                        for label in n.split('.') {
+                            rdata.push(label.len() as u8);
+                            rdata.extend_from_slice(label.as_bytes());
+                        }
+                        rdata.push(0);
+                    }
+                    DnsRecordData::Txt(b) | DnsRecordData::Opaque(_, b) => rdata.extend_from_slice(b),
+                })
+                .unwrap();
+            }
+        }
+        prop_assert_eq!(&scratch, &emitted);
+        prop_assert_eq!(DnsMessage::parse(&scratch).unwrap(), msg);
+    }
+
     #[test]
     fn dns_query_round_trip(id in any::<u16>(), name in arb_dns_name(), qt in prop_oneof![Just(DnsType::A), Just(DnsType::Aaaa), Just(DnsType::Txt), Just(DnsType::Any)]) {
         let q = DnsMessage::query(id, &name, qt);
