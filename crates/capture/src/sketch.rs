@@ -31,21 +31,19 @@ impl CountMinSketch {
         (h.finish() % self.width as u64) as usize
     }
 
-    /// Add `weight` to `key`.
-    pub fn add<K: Hash>(&mut self, key: &K, weight: u64) {
+    /// Add `weight` to `key` and return its new estimate: the least of the
+    /// counters just bumped, one hash per row. The estimate never
+    /// underestimates; adding 0 reads it.
+    pub fn add<K: Hash>(&mut self, key: &K, weight: u64) -> u64 {
+        let mut est = u64::MAX;
         for row in 0..self.depth {
             let i = self.index(key, row);
-            self.rows[row][i] += weight;
+            let counter = &mut self.rows[row][i];
+            *counter += weight;
+            est = est.min(*counter);
         }
         self.total += weight;
-    }
-
-    /// Point estimate for `key` (never underestimates).
-    pub fn estimate<K: Hash>(&self, key: &K) -> u64 {
-        (0..self.depth)
-            .map(|row| self.rows[row][self.index(key, row)])
-            .min()
-            .unwrap_or(0)
+        est
     }
 
     /// Worst-case overestimate bound at this fill level.
@@ -76,19 +74,24 @@ impl HeavyHitters {
 
     /// Account `weight` bytes to `addr`.
     pub fn add(&mut self, addr: IpAddr, weight: u64) {
-        self.sketch.add(&addr, weight);
-        let est = self.sketch.estimate(&addr);
-        if let Some(entry) = self.top.iter_mut().find(|(a, _)| *a == addr) {
-            entry.1 = est;
-        } else if self.top.len() < self.k {
-            self.top.push((addr, est));
-        } else if let Some(lightest) = self.top.last_mut().filter(|(_, w)| est > *w) {
+        let est = self.sketch.add(&addr, weight);
+        let mut at = match self.top.iter().position(|(a, _)| *a == addr) {
+            Some(at) => at,
+            None if self.top.len() < self.k => {
+                self.top.push((addr, est));
+                self.top.len() - 1
+            }
             // Replace the lightest candidate: it now outweighs it.
-            *lightest = (addr, est);
-        } else {
-            return;
+            None if self.top.last().is_some_and(|&(_, w)| est > w) => self.top.len() - 1,
+            None => return,
+        };
+        self.top[at] = (addr, est);
+        // The rest of the list is in order and a count-min estimate never
+        // falls, so the updated entry can only move up.
+        while at > 0 && ranks_before(self.top[at], self.top[at - 1]) {
+            self.top.swap(at, at - 1);
+            at -= 1;
         }
-        self.top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     }
 
     /// The current top talkers, heaviest first (ties by address).
@@ -100,6 +103,11 @@ impl HeavyHitters {
     pub fn total(&self) -> u64 {
         self.sketch.total
     }
+}
+
+/// `top()`'s order: heavier first, ties by address.
+fn ranks_before(a: (IpAddr, u64), b: (IpAddr, u64)) -> bool {
+    a.1 > b.1 || (a.1 == b.1 && a.0 < b.0)
 }
 
 #[cfg(test)]
@@ -121,7 +129,7 @@ mod tests {
             *truth.entry(key).or_insert(0) += w;
         }
         for (key, &count) in &truth {
-            assert!(s.estimate(key) >= count, "underestimate for {key}");
+            assert!(s.add(key, 0) >= count, "underestimate for {key}");
         }
     }
 
@@ -134,7 +142,7 @@ mod tests {
         let bound = s.error_bound();
         let mut violations = 0;
         for key in 0..1_000u32 {
-            let err = s.estimate(&key).saturating_sub(20);
+            let err = s.add(&key, 0).saturating_sub(20);
             if err as f64 > bound {
                 violations += 1;
             }

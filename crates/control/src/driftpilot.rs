@@ -424,9 +424,11 @@ impl DriftPilot {
         }
         self.state.last_retrain = now;
         self.state.retrained_since_onset = true;
-        let records: Vec<PacketRecord> = self.state.buffer.iter().cloned().collect();
+        // Lend the buffer in place: a deque serializes as its sequence, so
+        // straightening its ring changes no image byte.
+        let records: &[PacketRecord] = self.state.buffer.make_contiguous();
         self.obs.on_retrain(trigger == RetrainTrigger::Drift);
-        let (model_fp, program) = retrain_window(&records, &self.cfg.devloop);
+        let (model_fp, program) = retrain_window(records, &self.cfg.devloop);
         let prog_fp = program.fingerprint();
         let outcome = if SwitchModel::default().max_concurrent(&program) == 0 {
             self.obs.on_budget_rejected();
@@ -650,6 +652,19 @@ mod tests {
         assert!(s > 0.8, "rotation score {s}");
         assert_eq!(drift_score(&[], &steady), 0.0);
         assert_eq!(drift_score(&steady, &[]), 0.0);
+    }
+
+    /// The whole retrain — features, forest, distill, compile — on the
+    /// amplification window: a change on that path that moves a model or
+    /// a program fails here, by name, before it moves a golden.
+    #[test]
+    fn retrain_is_pinned() {
+        let (model_fp, program) = retrain_window(&window(0, 80, 53), &DevLoopConfig::default());
+        assert_eq!(
+            (model_fp, program.fingerprint()),
+            (0xc6c0_9ebc_3f09_63c3, 0x78b0_21e1_7d1a_52b4),
+            "window(0, 80, 53)"
+        );
     }
 
     #[test]

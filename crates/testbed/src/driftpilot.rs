@@ -273,6 +273,35 @@ mod tests {
         assert!(prom.contains("rollout_submissions_total"));
     }
 
+    /// The rotation day's first retrain as the pilot ran it on its live
+    /// buffer, which is full and has shed its oldest records by then:
+    /// when, how many records, and both fingerprints.
+    #[test]
+    fn first_rotation_retrain_is_pinned() {
+        let (known_good, model) = trained();
+        let mut session = DriftSession::new(
+            &Scenario::drift_rotation(),
+            known_good,
+            Box::new(model),
+            DriftRunConfig::default(),
+        );
+        let mut until = SimTime::ZERO;
+        let first = loop {
+            until += SimDuration::from_millis(250);
+            assert!(until <= session.deadline(), "the pilot never retrained");
+            session.run_until(until);
+            let pilot = session.0.stack.pilot.as_ref().expect("drift stack has a pilot");
+            if let Some(first) = pilot.retrains.first() {
+                break first.clone();
+            }
+        };
+        assert_eq!(
+            (first.at.as_nanos(), first.records, first.model_fingerprint, first.program_fingerprint),
+            (2_000_000_000, 20_000, 0x43b9_4024_699f_a2bb, 0xf4c5_94b0_165d_b983),
+            "drift rotation"
+        );
+    }
+
     #[test]
     fn drift_run_is_deterministic() {
         let (known_good, model) = trained();

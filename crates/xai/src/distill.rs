@@ -1,13 +1,18 @@
 //! Model extraction: replace a heavyweight black box with an explainable,
 //! lightweight surrogate "that closely approximates the original model" —
-//! step (ii) of the paper's road to deployment (§5), in the style of
-//! Bastani et al.'s DAgger-based extraction [8–10].
+//! step (ii) of the paper's road to deployment (§5), after Bastani et
+//! al.'s model extraction [8–10]. The teacher labels the real data and
+//! rounds of synthetic rows drawn near it, and one shallow tree is fitted
+//! to the lot. The sampler reads the data alone: unlike DAgger/VIPER it
+//! never asks where the current student goes, so a round is a batch of
+//! teacher queries, not a refit. A student-guided sampler would change
+//! every student, and with them every pinned fingerprint and golden.
 
 use campuslab_ml::{Classifier, Dataset, DecisionTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Synthetic teacher queries per DAgger round.
+/// Teacher-labelled synthetic queries per round.
 const SAMPLES_PER_ROUND: usize = 2_000;
 /// Synthesis seed: a student is a pure function of teacher, data and
 /// config.
@@ -18,8 +23,9 @@ const SEED: u64 = 0x00D1_5711;
 pub struct DistillConfig {
     /// Shape of the student tree (shallow = deployable).
     pub tree: TreeConfig,
-    /// DAgger rounds: each round queries the teacher on fresh synthetic
-    /// inputs near the data manifold and refits the student.
+    /// Query rounds: each round is one batch of 2,000 synthetic inputs
+    /// near the data manifold, labelled by the teacher and added to the
+    /// training aggregate. The student is fitted once, after the last.
     pub rounds: usize,
 }
 
@@ -53,29 +59,26 @@ pub fn distill(
     let mut rng = StdRng::seed_from_u64(SEED);
     let mut queries = 0usize;
 
-    // Round 0: relabel the real data with the teacher (pure distillation).
-    // Later rounds push onto the same aggregate.
+    // Relabel the real data with the teacher (pure distillation).
     let labels = data.x.iter().map(|row| teacher.predict(row)).collect();
     queries += data.len();
     let mut agg = Dataset::new(data.x.clone(), labels, data.feature_names.clone());
     agg.n_classes = agg.n_classes.max(teacher.n_classes()).max(data.n_classes);
-    let mut student = DecisionTree::fit(&agg, cfg.tree);
 
-    // DAgger rounds: sample where the student is exercised, ask the
-    // teacher, aggregate, refit.
-    for _ in 0..cfg.rounds {
-        for _ in 0..SAMPLES_PER_ROUND {
-            let row = synthesize(&mut rng, data);
-            queries += 1;
-            let label = teacher.predict(&row);
-            agg.n_classes = agg.n_classes.max(label + 1);
-            agg.y.push(label);
-            agg.x.push(row);
-        }
-        student = DecisionTree::fit(&agg, cfg.tree);
+    // Each round adds one batch of synthetic rows, labelled by the
+    // teacher. Sampling never reads a student, so the one fit comes after
+    // the last round.
+    for _ in 0..cfg.rounds * SAMPLES_PER_ROUND {
+        let row = synthesize(&mut rng, data);
+        queries += 1;
+        let label = teacher.predict(&row);
+        agg.n_classes = agg.n_classes.max(label + 1);
+        agg.y.push(label);
+        agg.x.push(row);
     }
+    let student = DecisionTree::fit(&agg, cfg.tree);
 
-    // Fidelity on the original data, against the round-0 labels.
+    // Fidelity on the original data, against the teacher's labels.
     let agree = data
         .x
         .iter()

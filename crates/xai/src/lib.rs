@@ -2,8 +2,8 @@
 //!
 //! Explainable-AI tooling for the paper's road to deployment (§5):
 //!
-//! * [`mod@distill`] — model extraction: a DAgger loop that queries a
-//!   heavyweight black box (forest, MLP) and fits a shallow decision tree
+//! * [`mod@distill`] — model extraction: labels real and synthetic rows
+//!   with a heavyweight black box (forest, MLP) and fits a shallow decision tree
 //!   "that is explainable or interpretable, lightweight and closely
 //!   approximates the original model" (step (ii)), with fidelity reports.
 //! * [`mod@explain`] — per-decision evidence lists (step (iv)): the exact

@@ -50,6 +50,8 @@ cargo test -q --release -p campuslab-bench --test golden_replay --test e3_search
 cargo test -q --release -p campuslab-plaza --test isolation
 cargo test -q --release -p campuslab-netsim --test proptest_shard --test chaos --test allocs
 cargo test -q --release -p campuslab-ml --test allocs --test presort_oracle
+cargo test -q --release -p campuslab-xai --test distill_oracle
+cargo test -q --release -p campuslab-capture --test sketch_oracle
 
 # The one benchmark harness: its tests assert every workload's output
 # checks through the executable; the run after them puts this box's
