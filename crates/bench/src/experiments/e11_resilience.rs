@@ -8,6 +8,7 @@ use crate::obs_export::ObsBundle;
 use crate::table::{pct, Table};
 use campuslab::control::Placement;
 use campuslab::control::{run_development_loop, DevLoopConfig};
+use campuslab::netsim::{Campus, ChaosPlan, SimDuration, SimTime};
 use campuslab::testbed::{road_test, RoadTestConfig, Scenario};
 
 /// Run the experiment and render its report.
@@ -17,10 +18,21 @@ pub fn run() -> ObsBundle {
     let data = campuslab::testbed::collect(&scenario);
     let dev = run_development_loop(&data.packets, &DevLoopConfig::default());
 
-    let cases: Vec<(&str, Option<(f64, f64)>)> = vec![
+    // An outage is a flap of the border link in the chaos plan, its ends
+    // given as fractions of the workload. Campus::build is deterministic,
+    // so this throwaway build sees the same link id as the road test's.
+    let border = Campus::build(scenario.campus.clone()).border_link;
+    let span = scenario.workload.duration.as_secs_f64();
+    let at = |frac: f64| SimTime::ZERO + SimDuration::from_secs_f64(span * frac);
+    let outage = |from: f64, until: f64| {
+        let mut plan = ChaosPlan::new();
+        plan.link_flap(border, at(from), at(until));
+        Some(plan)
+    };
+    let cases: Vec<(&str, Option<ChaosPlan>)> = vec![
         ("no outage", None),
-        ("outage 30-40% of run", Some((0.3, 0.4))),
-        ("outage 30-60% of run", Some((0.3, 0.6))),
+        ("outage 30-40% of run", outage(0.3, 0.4)),
+        ("outage 30-60% of run", outage(0.3, 0.6)),
     ];
     let mut t = Table::new(&[
         "condition",
@@ -30,14 +42,14 @@ pub fn run() -> ObsBundle {
         "suppression",
         "conservation",
     ]);
-    for (name, border_outage) in cases {
+    for (name, chaos) in cases {
         let outcome = road_test(
             &scenario,
             dev.program.clone(),
             None,
             RoadTestConfig {
                 placement: Placement::Switch,
-                border_outage,
+                chaos,
                 ..Default::default()
             },
         );

@@ -29,16 +29,15 @@ pub fn run() -> ObsBundle {
         "queue drops",
         "delivery",
     ]);
-    for (label, gbps, mbps) in [
-        ("10 Gbps (healthy)", 10u64, None),
-        ("200 Mbps", 10, Some(200u64)),
-        ("100 Mbps", 10, Some(100)),
-        ("60 Mbps (degraded)", 10, Some(60)),
-        ("40 Mbps (saturated)", 10, Some(40)),
+    for (label, mbps) in [
+        ("10 Gbps (healthy)", 10_000u64),
+        ("200 Mbps", 200),
+        ("100 Mbps", 100),
+        ("60 Mbps (degraded)", 60),
+        ("40 Mbps (saturated)", 40),
     ] {
         let mut scenario = Scenario::small();
         scenario.attack = AttackScenario::None; // performance, not security
-        scenario.campus.upstream_gbps = gbps;
         scenario.campus.upstream_mbps = mbps;
         let data = collect(&scenario);
         let mut rtts: Vec<u64> = data.rtts.iter().map(|r| r.rtt_ns).collect();

@@ -132,7 +132,6 @@ pub fn run() -> ObsBundle {
     let mut t = Table::new(&[
         "tenant",
         "decision",
-        "windows",
         "events",
         "mitig/giveups",
         "guard verdict",
@@ -148,7 +147,6 @@ pub fn run() -> ObsBundle {
             t.row(vec![
                 rec.tenant.clone(),
                 decision,
-                "-".into(),
                 "-".into(),
                 "-".into(),
                 "-".into(),
@@ -174,7 +172,6 @@ pub fn run() -> ObsBundle {
         t.row(vec![
             o.name.clone(),
             decision,
-            o.windows.to_string(),
             o.sim_events().to_string(),
             format!("{mitigations}/{giveups}"),
             verdict,

@@ -142,22 +142,6 @@ impl GilbertElliott {
         GilbertElliott { p_enter_bad, p_exit_bad, loss_good, loss_bad, in_bad: false }
     }
 
-    /// Long-run fraction of time spent in the bad state.
-    pub fn bad_state_fraction(&self) -> f64 {
-        let denom = self.p_enter_bad + self.p_exit_bad;
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.p_enter_bad / denom
-        }
-    }
-
-    /// Expected long-run loss rate.
-    pub fn mean_loss(&self) -> f64 {
-        let bad = self.bad_state_fraction();
-        bad * self.loss_bad + (1.0 - bad) * self.loss_good
-    }
-
     /// Advance the channel state one packet and decide whether it is lost.
     pub fn should_drop(&mut self, rng: &mut StdRng) -> bool {
         if self.in_bad {
@@ -572,7 +556,9 @@ mod tests {
             }
         }
         let losses = outcomes.iter().filter(|&&d| d).count();
-        let expected = model.mean_loss();
+        // The long-run loss rate: the bad state's share times its loss.
+        let bad = model.p_enter_bad / (model.p_enter_bad + model.p_exit_bad);
+        let expected = bad * model.loss_bad + (1.0 - bad) * model.loss_good;
         let observed = losses as f64 / outcomes.len() as f64;
         assert!((observed - expected).abs() < 0.05, "loss rate {observed} vs {expected}");
         // Burstiness: consecutive losses are far likelier than independent

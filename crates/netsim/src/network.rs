@@ -384,13 +384,6 @@ impl Network {
         self.obs.book_tally(&mut self.tally);
     }
 
-    /// Timestamp of the next pending event, or `None` when the queue is
-    /// drained. Lets a windowed multiplexer (the plaza scheduler) decide
-    /// whether a deadline-capped [`Network::run`] left work behind.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// Run to completion with no observers; returns final statistics.
     pub fn run_to_completion(&mut self) -> NetStats {
         self.run(&mut NullHooks, None);

@@ -144,10 +144,10 @@ pub struct CampusConfig {
     pub access_per_dist: usize,
     pub hosts_per_access: usize,
     pub external_hosts: usize,
-    pub upstream_gbps: u64,
-    /// Overrides `upstream_gbps` with a sub-gigabit rate when set —
-    /// the knob for congestion/performance experiments.
-    pub upstream_mbps: Option<u64>,
+    /// Upstream (border) link rate. Below 1 Gbps the link models an
+    /// under-provisioned or degraded uplink — the knob for
+    /// congestion/performance experiments — and gets a 50 ms buffer.
+    pub upstream_mbps: u64,
     pub seed: u64,
 }
 
@@ -160,8 +160,7 @@ impl Default for CampusConfig {
             access_per_dist: 4,
             hosts_per_access: 12,
             external_hosts: 24,
-            upstream_gbps: 10,
-            upstream_mbps: None,
+            upstream_mbps: 10_000,
             seed: 0xCA_1AB,
         }
     }
@@ -192,6 +191,18 @@ impl CampusConfig {
             Ipv4Addr::new(198, 51, 100, ((n - 200) % 254 + 1) as u8)
         }
     }
+}
+
+/// The upstream link at `mbps`, 5 ms to "the Internet" (the paper's range
+/// is 10-20 Gbps). Degraded sub-gigabit uplinks get the deep
+/// (bufferbloated) 50 ms queue real provider edges carry; gigabit and
+/// faster links keep [`LinkSpec::new`]'s shallow 5 ms buffer.
+fn upstream_link(mbps: u64) -> LinkSpec {
+    let mut spec = LinkSpec::new(mbps * 1_000_000, SimDuration::from_millis(5));
+    if mbps < 1_000 {
+        spec.queue_bytes = drop_tail_for(spec.rate_bps, 50);
+    }
+    spec
 }
 
 /// The server enclave of a campus.
@@ -234,26 +245,7 @@ impl Campus {
         let core = b.switch(format!("{}-core", config.name));
 
         let us = SimDuration::from_micros;
-        // Upstream: the paper's 10-20 Gbps range, 5 ms to "the Internet".
-        // A sub-gigabit override models an under-provisioned or degraded
-        // uplink for performance experiments.
-        let upstream_rate = config
-            .upstream_mbps
-            .map(|m| m * 1_000_000)
-            .unwrap_or(config.upstream_gbps * 1_000_000_000);
-        // Degraded sub-gigabit uplinks get the deep (bufferbloated) queue
-        // real provider edges carry; healthy high-rate links keep a shallow
-        // 5 ms buffer.
-        let upstream_spec = if config.upstream_mbps.is_some() {
-            LinkSpec {
-                rate_bps: upstream_rate,
-                propagation: SimDuration::from_millis(5),
-                queue_bytes: drop_tail_for(upstream_rate, 50),
-            }
-        } else {
-            LinkSpec::new(upstream_rate, SimDuration::from_millis(5))
-        };
-        let border_link = b.link(internet, border, upstream_spec);
+        let border_link = b.link(internet, border, upstream_link(config.upstream_mbps));
         b.link(border, core, LinkSpec::gbps(40, us(50)));
 
         // Server enclave on the core.
@@ -445,10 +437,16 @@ mod tests {
         assert_eq!(net.stats.delivered, 1);
     }
 
+    /// The upstream buffer follows the rate: 50 ms of line rate below
+    /// 1 Gbps, `LinkSpec::new`'s 5 ms from 1 Gbps up.
     #[test]
-    fn sub_gigabit_upstream_override() {
+    fn upstream_buffer_deepens_below_one_gigabit() {
+        for (mbps, buffer_ms) in [(50, 50), (999, 50), (1_000, 5), (10_000, 5)] {
+            let rate = mbps * 1_000_000;
+            assert_eq!(upstream_link(mbps).queue_bytes, drop_tail_for(rate, buffer_ms), "{mbps} Mbps");
+        }
         let campus = Campus::build(CampusConfig {
-            upstream_mbps: Some(50),
+            upstream_mbps: 50,
             dist_count: 1,
             access_per_dist: 1,
             hosts_per_access: 2,

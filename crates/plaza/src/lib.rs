@@ -9,14 +9,17 @@
 //!   controller accounting every tenant's dataplane demand (stage slots +
 //!   TCAM) against the shared Tofino-like budget, admitting, queueing
 //!   (strict FIFO) or rejecting with typed decisions; plus the scheduler
-//!   that runs each admission round's slices across `CAMPUSLAB_JOBS`
+//!   that runs each admission round's tenants across `CAMPUSLAB_JOBS`
 //!   workers, with byte-identical tenant outcomes at any worker count.
 //! * [`tenant`] — per-tenant namespacing through the existing layers:
-//!   each [`TenantSpec`] builds a private campus slice (own simulator,
-//!   traffic, chaos, filter bank), its guard telemetry prefixed with the
-//!   tenant name, its capture landed in a per-tenant datastore view, and
-//!   its whole run rendered into a [`TenantOutcome::fingerprint`] the
-//!   isolation suite can diff solo vs co-scheduled.
+//!   each [`TenantSpec`] builds one private campus
+//!   [`campuslab_testbed::Session`] (own simulator, traffic, chaos,
+//!   filter bank) and runs it once to its deadline, its guard telemetry
+//!   prefixed with the tenant name, its capture landed in a per-tenant
+//!   datastore view, and its whole run rendered into a
+//!   [`TenantOutcome::fingerprint`] the isolation suite can diff solo vs
+//!   co-scheduled. A tenant freezes the way every run does: through its
+//!   session's checkpoint and the PHNX envelope.
 //!
 //! ```
 //! use campuslab_plaza::{Plaza, TenantSpec};
@@ -33,6 +36,4 @@ pub mod service;
 pub mod tenant;
 
 pub use service::{Plaza, PlazaReport, TenantRecord};
-pub use tenant::{
-    FrozenSlice, SliceFreezeError, TenantJob, TenantOutcome, TenantSlice, TenantSpec,
-};
+pub use tenant::{TenantJob, TenantOutcome, TenantSpec};

@@ -1,15 +1,15 @@
 //! The plaza service: admit tenants against the shared switch budget,
-//! schedule admitted slices, drain the FIFO queue as grants free up.
+//! run admitted tenants, drain the FIFO queue as grants free up.
 //!
-//! The scheduler has one executor: each admission round's slices run to
+//! The scheduler has one executor: each admission round's tenants run to
 //! completion through [`campuslab_netsim::par::parallel_map_vec`] under
 //! `CAMPUSLAB_JOBS` — on worker threads, or inline in batch order with one
-//! worker. A tenant's bytes never depend on the worker count, because a
-//! slice's advance schedule is a pure function of its own spec (see
-//! [`TenantSlice`]); the differential suite in `tests/isolation.rs` and
+//! worker. A tenant's bytes never depend on the worker count, because each
+//! tenant is one private session run once to its own deadline (see
+//! [`crate::tenant`]); the differential suite in `tests/isolation.rs` and
 //! experiment E18's golden replay pin that at 1 and 4 workers.
 
-use crate::tenant::{TenantOutcome, TenantSlice, TenantSpec};
+use crate::tenant::{TenantOutcome, TenantSpec};
 use campuslab_control::PlazaObs;
 use campuslab_dataplane::{AdmissionController, AdmissionDecision, SwitchModel};
 use campuslab_netsim::par::{parallel_map_vec, worker_count};
@@ -119,7 +119,7 @@ impl Plaza {
     }
 
     /// Run every admitted tenant to completion, releasing each grant as
-    /// its slice finishes and admitting queued tenants into the freed
+    /// its tenant finishes and admitting queued tenants into the freed
     /// budget (strict FIFO) until nothing is left to run.
     pub fn run(mut self) -> PlazaReport {
         let mut outcomes = Vec::new();
@@ -158,15 +158,11 @@ impl Plaza {
     }
 }
 
-/// Run one admission round's slices to completion, whole slices per
+/// Run one admission round's tenants to completion, whole tenants per
 /// worker. Outcomes come back in batch order.
 fn run_batch(switch: &SwitchModel, specs: Vec<TenantSpec>) -> Vec<TenantOutcome> {
     let workers = worker_count(specs.len());
-    parallel_map_vec(specs, workers, |_, spec| {
-        let mut slice = TenantSlice::build(spec, switch);
-        slice.run_to_completion();
-        slice.finish()
-    })
+    parallel_map_vec(specs, workers, |_, spec| spec.run(switch))
 }
 
 #[cfg(test)]

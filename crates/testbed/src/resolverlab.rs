@@ -202,18 +202,16 @@ mod tests {
     /// refused a checkpoint with a typed error instead of a lossy one.
     #[test]
     fn windowed_resolver_session_equals_the_one_shot_run() {
-        use campuslab_netsim::SimDuration;
         let print = |o: &Finished| {
             (crate::phoenix::fingerprint(o), o.stack.surfaced_giveups(), hit_rate_series(o))
         };
         let scenario = Scenario::resolver_lab();
         let one_shot = resolver_run(&scenario, ResolverRunConfig::default());
         let mut windowed = session(&scenario, ResolverRunConfig::default());
-        let mut t = SimTime::ZERO;
-        while !windowed.is_done() {
-            t += SimDuration::from_secs(1);
-            windowed.run_until(t);
+        for s in 1..=6 {
+            windowed.run_until(SimTime::from_secs(s));
         }
+        windowed.run_to_end();
         assert_eq!(
             windowed.checkpoint().err(),
             Some(crate::session::SliceFreezeError::ResolverActor)

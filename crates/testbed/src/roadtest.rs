@@ -23,10 +23,6 @@ pub struct RoadTestConfig {
     pub gate: f64,
     pub window_ns: u64,
     pub min_packets: usize,
-    /// Optional border-link outage, as (start, end) fractions of the
-    /// workload duration with `0 <= start < end <= 1` — failure injection
-    /// for resilience road tests, run as one more flap in the chaos plan.
-    pub border_outage: Option<(f64, f64)>,
     /// Optional chaos campaign (link flaps, node crashes, brownouts,
     /// bursty loss) applied to the network before the run.
     pub chaos: Option<ChaosPlan>,
@@ -43,7 +39,6 @@ impl Default for RoadTestConfig {
             gate: 0.9,
             window_ns: 1_000_000_000,
             min_packets: 5,
-            border_outage: None,
             chaos: None,
             tap_blackouts: Vec::new(),
             install: InstallPolicy::default(),
@@ -287,15 +282,17 @@ mod tests {
         // The system must keep functioning (no panic, sane accounting) and
         // the switch-resident mitigation must still suppress what arrives.
         let (program, _) = trained();
+        let scenario = Scenario::small();
+        let campus = campuslab_netsim::Campus::build(scenario.campus.clone());
+        let span = scenario.workload.duration.as_secs_f64();
+        let at = |frac: f64| SimTime::ZERO + SimDuration::from_secs_f64(span * frac);
+        let mut chaos = ChaosPlan::new();
+        chaos.link_flap(campus.border_link, at(0.3), at(0.5));
         let outcome = road_test(
-            &Scenario::small(),
+            &scenario,
             program,
             None,
-            RoadTestConfig {
-                placement: Placement::Switch,
-                border_outage: Some((0.3, 0.5)),
-                ..Default::default()
-            },
+            RoadTestConfig { placement: Placement::Switch, chaos: Some(chaos), ..Default::default() },
         );
         assert!(outcome.net.dropped_fault > 0, "outage dropped nothing");
         // Everything that did arrive was still filtered correctly.

@@ -3,11 +3,11 @@
 //! fixed order, one [`SimHooks`] fan-out, one evidence pass between the
 //! members, one freeze/thaw pair. A [`Session`] is the only place that
 //! turns a [`Scenario`] plus a [`RoadTestConfig`] into campus + schedule +
-//! outage/chaos + filter bank + stack, and it gives every composition the
+//! chaos + filter bank + stack, and it gives every composition the
 //! same lifecycle: [`Session::run_until`], [`Session::checkpoint`],
 //! [`Session::restore`], [`Session::finish`]. The road-test drivers
 //! (`road_test`, `guarded_road_test`, `drift_road_test`, `resolver_run`,
-//! plaza's `TenantSlice`) only choose members; every one but `road_test`
+//! a plaza tenant) only choose members; every one but `road_test`
 //! hands back the [`Finished`] itself, and callers read what they need
 //! off its stack members.
 
@@ -31,7 +31,7 @@ use campuslab_netsim::{
 use campuslab_resolver::{ResolverActor, ResolverService};
 use std::net::Ipv4Addr;
 
-/// Why a stack (a session, a plaza slice) could not be frozen or thawed.
+/// Why a stack (a session, a plaza tenant) could not be frozen or thawed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SliceFreezeError {
     /// The stack captures at the border: the monitor's mid-run state
@@ -343,14 +343,10 @@ pub struct Session {
 
 impl Session {
     /// Build the campus, schedule, chaos plan, filter bank and the chosen
-    /// stack members. A border outage is one more flap of the border link
-    /// in the chaos plan. `label` names the run-level trace span;
-    /// `program` is the deployed lineage (known-good for the guard,
-    /// mitigation program for the controller); `deadline` is the hard
-    /// stop, `None` running until the event queue drains.
-    ///
-    /// Panics unless a border outage is two finite fractions with
-    /// `0 <= from < until <= 1`.
+    /// stack members. `label` names the run-level trace span; `program` is
+    /// the deployed lineage (known-good for the guard, mitigation program
+    /// for the controller); `deadline` is the hard stop, `None` running
+    /// until the event queue drains.
     pub fn new(
         label: impl Into<String>,
         scenario: &Scenario,
@@ -359,14 +355,6 @@ impl Session {
         members: Members,
         deadline: Option<SimTime>,
     ) -> Self {
-        if let Some((from, until)) = road.border_outage {
-            // False for a NaN or an infinity too: every comparison with
-            // NaN is false, and the bounds are finite.
-            assert!(
-                0.0 <= from && from < until && until <= 1.0,
-                "border_outage ({from}, {until}) is not two finite fractions with 0 <= from < until <= 1"
-            );
-        }
         let campus = Campus::build(scenario.campus.clone());
         let (mut schedule, victim, attack_start) = build_schedule(&campus, scenario);
         let tap = campus.border_link;
@@ -377,13 +365,9 @@ impl Session {
         });
         let mut net = campus.net;
         schedule.apply_to(&mut net);
-        let mut chaos = road.chaos.clone().unwrap_or_default();
-        if let Some((from, until)) = road.border_outage {
-            let span = scenario.workload.duration.as_secs_f64();
-            let at = |frac: f64| SimTime::ZERO + SimDuration::from_secs_f64(span * frac);
-            chaos.link_flap(tap, at(from), at(until));
+        if let Some(chaos) = &road.chaos {
+            chaos.apply_to(&mut net);
         }
-        chaos.apply_to(&mut net);
 
         let extractor = FieldExtractor::new(scenario.campus.campus_prefix());
         let (bank, handle) = BankFilter::new(extractor.clone());
@@ -457,15 +441,6 @@ impl Session {
     /// this single call: the event queue carries over between caps.
     pub fn run_to_end(&mut self) {
         self.net.run(&mut self.stack, self.deadline);
-    }
-
-    /// No event at or before the deadline remains.
-    pub fn is_done(&self) -> bool {
-        match (self.net.next_event_time(), self.deadline) {
-            (None, _) => true,
-            (Some(t), Some(deadline)) => t > deadline,
-            (Some(_), None) => false,
-        }
     }
 
     /// Snapshot the full dynamic state at a quiescent barrier: simulator,
@@ -812,54 +787,31 @@ mod tests {
         assert!(pilot.obs.windows() >= 1, "the pilot's window timer never fired");
     }
 
-    /// The knobs `Session` applies by construction: a border outage reaches
-    /// the guarded and resolver compositions (both dropped it silently
-    /// before), not just the plain road test.
+    /// The knobs `Session` applies by construction: a chaos flap of the
+    /// border link reaches the guarded and resolver compositions, not just
+    /// the plain road test.
     #[test]
     fn border_outage_reaches_guarded_and_resolver_runs() {
         let (known_good, model) = crate::fixtures::trained().clone();
-        let road = || RoadTestConfig { border_outage: Some((0.3, 0.5)), ..RoadTestConfig::default() };
+        let road = |scenario: &Scenario| {
+            let campus = Campus::build(scenario.campus.clone());
+            let mut chaos = campuslab_netsim::ChaosPlan::new();
+            let span = scenario.workload.duration.as_secs_f64();
+            let at = |frac: f64| SimTime::ZERO + SimDuration::from_secs_f64(span * frac);
+            chaos.link_flap(campus.border_link, at(0.3), at(0.5));
+            RoadTestConfig { chaos: Some(chaos), ..RoadTestConfig::default() }
+        };
+        let small = Scenario::small();
         let guarded = guarded_road_test(
-            &Scenario::small(),
+            &small,
             known_good,
             Box::new(model),
-            GuardedRunConfig { road: road(), ..GuardedRunConfig::default() },
+            GuardedRunConfig { road: road(&small), ..GuardedRunConfig::default() },
         );
-        assert!(guarded.net.dropped_fault > 0, "guarded run ignored the outage");
-        let resolver = resolver_run(
-            &Scenario::resolver_lab(),
-            ResolverRunConfig { road: road(), ..ResolverRunConfig::default() },
-        );
-        assert!(resolver.net.dropped_fault > 0, "resolver run ignored the outage");
-    }
-
-    fn build_with_border_outage(outage: (f64, f64)) {
-        let road = RoadTestConfig { border_outage: Some(outage), ..RoadTestConfig::default() };
-        let program = PipelineProgram::new("known-good", vec![]);
-        Session::new("bad-outage", &Scenario::small(), program, &road, Members::default(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "border_outage (0.6, 0.3)")]
-    fn a_reversed_border_outage_fails_the_build() {
-        build_with_border_outage((0.6, 0.3));
-    }
-
-    #[test]
-    #[should_panic(expected = "border_outage (NaN, 0.5)")]
-    fn a_nan_border_outage_fails_the_build() {
-        build_with_border_outage((f64::NAN, 0.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "border_outage (-0.1, 0.5)")]
-    fn a_negative_border_outage_fails_the_build() {
-        build_with_border_outage((-0.1, 0.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "border_outage (0.2, 1.5)")]
-    fn a_border_outage_past_the_run_fails_the_build() {
-        build_with_border_outage((0.2, 1.5));
+        assert!(guarded.net.dropped_fault > 0, "guarded run ignored the flap");
+        let lab = Scenario::resolver_lab();
+        let resolver =
+            resolver_run(&lab, ResolverRunConfig { road: road(&lab), ..ResolverRunConfig::default() });
+        assert!(resolver.net.dropped_fault > 0, "resolver run ignored the flap");
     }
 }

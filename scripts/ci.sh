@@ -8,12 +8,13 @@ cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings -D rust_2018_idioms
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
-# `cargo test` compiles the examples but never runs them; this one's
-# asserts (a store reopened from its log answers the same query) do.
-cargo run --release -q --example data_store_tour
-# The third sweep over the staged development loop (one teacher, a
-# student per depth) beside E1 and E6, which the goldens already run.
-cargo run --release -q --example capacity_planning
+# `cargo test` compiles the examples but never runs them: run every one,
+# so a panic or a failed assert in any of them (data_store_tour reopens a
+# store from its log; capacity_planning sweeps the staged development
+# loop) fails here.
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)"
+done
 
 # A property failure writes its case index into a proptest-regressions/
 # file; that reproducer must be committed alongside the fix. An untracked
