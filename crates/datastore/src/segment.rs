@@ -13,8 +13,9 @@
 //!
 //! Batch ingest shards segment construction across worker threads with
 //! [`campuslab_netsim::par::parallel_map_vec`]: each worker *owns* its
-//! batch, sorts it in place and moves the records into segments, so the
-//! parallel path allocates no more than the sequential one. Construction
+//! batch, stably sorts it in place by start time and moves the records
+//! into segments, numbering them in sorted order, so the parallel path
+//! allocates no more than the sequential one. Construction
 //! of one batch's segments depends only on the batch and its pre-assigned
 //! sequence range, so the resulting store is byte-identical at any worker
 //! count (the same contract the experiment runner keeps, pinned by
@@ -223,24 +224,24 @@ impl<T, I> Default for Chain<T, I> {
     }
 }
 
-/// Pair a batch with its sequence numbers (capture order), then sort by
-/// `(start_ns, seq)`. The sort is stable in effect: equal timestamps keep
-/// ingest-arrival order because their seqs are already ascending.
-fn sort_pairs<T: TimeSpan>(batch: Vec<T>, start_seq: u64) -> Vec<(T, u64)> {
-    let mut pairs: Vec<(T, u64)> = batch.into_iter().zip(start_seq..).collect();
-    pairs.sort_by_key(|(r, s)| (r.start_ns(), *s));
-    pairs
+/// Sort a batch by start time in place. The sort is stable, so equal
+/// timestamps keep arrival order, and each record's seq is then its rank
+/// in the sorted batch: `(start_ns, seq)` order is the sorted order.
+fn sort_batch<T: TimeSpan>(mut batch: Vec<T>) -> Vec<T> {
+    batch.sort_by_key(|r| r.start_ns());
+    batch
 }
 
-/// Move one sorted batch into fresh segments, chunked at capacity.
-fn seal<T: TimeSpan, I: Sidecar<T>>(pairs: Vec<(T, u64)>) -> Vec<Segment<T, I>> {
-    let mut left = pairs.len();
-    let mut pairs = pairs.into_iter();
+/// Move one sorted batch into fresh segments, chunked at capacity,
+/// numbering the records `start..` in order.
+fn seal<T: TimeSpan, I: Sidecar<T>>(batch: Vec<T>, start: u64) -> Vec<Segment<T, I>> {
+    let mut left = batch.len();
+    let mut recs = batch.into_iter().zip(start..);
     let mut segs = Vec::with_capacity(left.div_ceil(SEGMENT_CAPACITY));
     while left > 0 {
         let n = left.min(SEGMENT_CAPACITY);
         let mut seg = Segment::with_capacity(n);
-        for (rec, seq) in pairs.by_ref().take(n) {
+        for (rec, seq) in recs.by_ref().take(n) {
             seg.push(rec, seq);
         }
         segs.push(seg);
@@ -256,8 +257,8 @@ impl<T: TimeSpan, I: Sidecar<T>> Chain<T, I> {
         start
     }
 
-    /// Ingest one batch. Batches may arrive unsorted; the batch is sorted
-    /// by `(start_ns, seq)` and either appended to the trailing segment
+    /// Ingest one batch. Batches may arrive unsorted; the batch is stably
+    /// sorted by start time and either appended to the trailing segment
     /// (when it fits and does not travel back in time) or landed as fresh
     /// segments — never by re-sorting the whole table.
     pub fn ingest(&mut self, batch: Vec<T>) {
@@ -265,17 +266,17 @@ impl<T: TimeSpan, I: Sidecar<T>> Chain<T, I> {
             return;
         }
         let start = self.claim_seqs(batch.len());
-        let pairs = sort_pairs(batch, start);
+        let batch = sort_batch(batch);
         match self.segs.last_mut() {
             Some(last)
-                if last.recs.len() + pairs.len() <= SEGMENT_CAPACITY
-                    && pairs[0].0.start_ns() >= last.max_start() =>
+                if last.recs.len() + batch.len() <= SEGMENT_CAPACITY
+                    && batch[0].start_ns() >= last.max_start() =>
             {
-                for (rec, seq) in pairs {
+                for (rec, seq) in batch.into_iter().zip(start..) {
                     last.push(rec, seq);
                 }
             }
-            _ => self.segs.extend(seal(pairs)),
+            _ => self.segs.extend(seal(batch, start)),
         }
     }
 
@@ -297,7 +298,7 @@ impl<T: TimeSpan, I: Sidecar<T>> Chain<T, I> {
                 (b, start)
             })
             .collect();
-        let built = par::parallel_map_vec(items, workers, |_, (b, start)| seal(sort_pairs(b, start)));
+        let built = par::parallel_map_vec(items, workers, |_, (b, start)| seal(sort_batch(b), start));
         self.segs.extend(built.into_iter().flatten());
     }
 
@@ -331,7 +332,7 @@ impl<T: TimeSpan, I: Sidecar<T>> Chain<T, I> {
 
     /// Indexed query: skip every segment whose span misses `time`, let
     /// `plan` narrow (or prune) each survivor, run `matches` over the
-    /// candidates, and merge the hits into global order.
+    /// candidates, and sort the hits into global order.
     ///
     /// No inverted-window special case here: overlap matching is
     /// `end >= start && start < end`, which a long-lived span can satisfy
@@ -345,7 +346,7 @@ impl<T: TimeSpan, I: Sidecar<T>> Chain<T, I> {
         matches: impl Fn(&T) -> bool,
     ) -> (Vec<&'a T>, QueryStats) {
         let mut stats = QueryStats { segments_total: self.segs.len(), ..QueryStats::default() };
-        let mut lists: Vec<Vec<(Key, &T)>> = Vec::new();
+        let mut hits: Vec<(Key, &T)> = Vec::new();
         for seg in &self.segs {
             let outside =
                 time.is_some_and(|r| seg.max_end_ns < r.start || seg.min_start() >= r.end);
@@ -353,15 +354,15 @@ impl<T: TimeSpan, I: Sidecar<T>> Chain<T, I> {
                 stats.segments_pruned += 1;
                 continue;
             };
-            let mut hits: Vec<(Key, &T)> = Vec::new();
-            // Positions and ranges walk the same examine-filter loop; the
-            // iterator erases which plan fed it.
-            let positions: Box<dyn Iterator<Item = usize>> = match candidates {
-                Candidates::Positions(ps) => Box::new(ps.iter().map(|&p| p as usize)),
-                Candidates::Range(range) => Box::new(range),
+            // Positions and ranges walk the same examine-filter loop: one
+            // of the two parts is empty.
+            let (positions, range) = match candidates {
+                Candidates::Positions(ps) => (ps, 0..0),
+                Candidates::Range(range) => (&[][..], range),
             };
-            for i in positions {
-                if hits.len() >= limit {
+            let first = hits.len();
+            for i in positions.iter().map(|&p| p as usize).chain(range) {
+                if hits.len() - first >= limit {
                     break;
                 }
                 stats.records_examined += 1;
@@ -370,12 +371,14 @@ impl<T: TimeSpan, I: Sidecar<T>> Chain<T, I> {
                     hits.push(((r.start_ns(), seg.seqs[i]), r));
                 }
             }
-            lists.push(hits);
         }
-        let runs = lists.iter().map(|hits| hits.iter().copied());
-        let merged: Vec<&T> = ordered_iter(runs).take(limit).map(|(_, r)| r).collect();
-        stats.hits = merged.len();
-        (merged, stats)
+        // Keys are unique, and segments usually lie in time order, so the
+        // hits are a few sorted runs, which the stable sort detects and
+        // merges.
+        hits.sort_by_key(|&(key, _)| key);
+        let out: Vec<&T> = hits.into_iter().take(limit).map(|(_, r)| r).collect();
+        stats.hits = out.len();
+        (out, stats)
     }
 
     /// Full linear scan in global order — the honest baseline every
@@ -461,10 +464,13 @@ impl Chain<PacketRecord, PacketIndex> {
 // Ordered merge machinery
 // ---------------------------------------------------------------------------
 
-/// Key-sorted runs merged into one key-ordered stream. Disjoint runs — the
-/// overwhelmingly common case, since the chain seals segments in time
-/// order — stream one after another; overlapping runs (out-of-order
-/// ingest) fall back to a per-item minimum scan over the run heads.
+/// Key-sorted runs merged into one key-ordered stream, lazily: the walk of
+/// a whole table ([`Chain::iter_seq`], and with it `scan` and the store's
+/// packet iterator). A query collects its hits and sorts them instead.
+/// Disjoint runs — the overwhelmingly common case, since the chain seals
+/// segments in time order — stream one after another; overlapping runs
+/// (out-of-order ingest) fall back to a per-item minimum scan over the run
+/// heads.
 pub(crate) struct OrderedIter<R: Iterator> {
     /// Non-empty runs, ascending by first key.
     runs: Vec<Peekable<R>>,

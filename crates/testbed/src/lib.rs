@@ -74,5 +74,5 @@ pub use rollout::{canary_hosts, guarded_road_test, GuardedRunConfig, CANARY_FRAC
 pub use scenario::{
     build_schedule, build_store, collect, shard_by_second, AttackScenario, CollectedData, Scenario,
 };
-pub use session::{Finished, FrozenStack, GuardSpec, Members, Session, SliceFreezeError, Stack};
+pub use session::{Finished, FreezeError, FrozenStack, GuardSpec, Members, Session, Stack};
 pub use trust::{expected_features, trust_report, AuditedDecision, TrustReport};

@@ -428,7 +428,7 @@ mod tests {
     /// positional, so thawing it would index out of bounds mid-run.
     #[test]
     fn restore_refuses_a_sink_that_does_not_fit() {
-        use crate::session::SliceFreezeError;
+        use crate::session::FreezeError;
         let cart = CrashCart::new(cheap_session, SimDuration::from_secs(1));
         let mut session = cheap_session();
         session.run_until(SimTime::from_millis(1_500));
@@ -449,7 +449,7 @@ mod tests {
             let doctored = decode_checkpoint(&encode_checkpoint(&cp)).expect("well-formed image");
             assert_eq!(
                 revived.restore(doctored).err(),
-                Some(SliceFreezeError::JobMismatch),
+                Some(FreezeError::JobMismatch),
                 "{layer}"
             );
         }
@@ -465,7 +465,7 @@ mod tests {
     /// shape must refuse it before anything — stack included — is touched.
     #[test]
     fn restore_refuses_an_image_from_another_campus() {
-        use crate::session::SliceFreezeError;
+        use crate::session::FreezeError;
         let mut elsewhere = cheap_session();
         elsewhere.run_until(SimTime::from_millis(1_500));
         let foreign = encode_checkpoint(&elsewhere.checkpoint());
@@ -479,7 +479,7 @@ mod tests {
         let mut revived: Session = smaller_campus().into();
         assert_eq!(
             revived.restore(decode_checkpoint(&foreign).unwrap()).err(),
-            Some(SliceFreezeError::JobMismatch)
+            Some(FreezeError::JobMismatch)
         );
         // The refusal cost nothing: the session's own image still fits and
         // finishes where the uninterrupted run does.
@@ -497,7 +497,7 @@ mod tests {
     /// leaves that session free to restore its own image exactly.
     #[test]
     fn restore_refuses_an_image_from_another_workload() {
-        use crate::session::SliceFreezeError;
+        use crate::session::FreezeError;
         let mut elsewhere = cheap_session();
         elsewhere.run_until(SimTime::from_millis(1_500));
         let foreign = encode_checkpoint(&elsewhere.checkpoint());
@@ -511,7 +511,7 @@ mod tests {
         let mut revived: Session = other_traffic().into();
         assert_eq!(
             revived.restore(decode_checkpoint(&foreign).unwrap()).err(),
-            Some(SliceFreezeError::JobMismatch)
+            Some(FreezeError::JobMismatch)
         );
         let mut own = other_traffic();
         own.run_until(SimTime::from_millis(1_500));

@@ -214,7 +214,7 @@ mod tests {
         windowed.run_to_end();
         assert_eq!(
             windowed.checkpoint().err(),
-            Some(crate::session::SliceFreezeError::ResolverActor)
+            Some(crate::session::FreezeError::ResolverActor)
         );
         assert_eq!(print(&windowed.finish()), print(&one_shot));
     }

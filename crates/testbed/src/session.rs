@@ -33,7 +33,7 @@ use std::net::Ipv4Addr;
 
 /// Why a stack (a session, a plaza tenant) could not be frozen or thawed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SliceFreezeError {
+pub enum FreezeError {
     /// The stack captures at the border: the monitor's mid-run state
     /// (flow table, DNS extractor, RTT estimator) is deliberately not
     /// checkpointable, so capture runs restart instead of resuming.
@@ -50,21 +50,21 @@ pub enum SliceFreezeError {
     JobMismatch,
 }
 
-impl std::fmt::Display for SliceFreezeError {
+impl std::fmt::Display for FreezeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            SliceFreezeError::CaptureMonitor => {
-                "capture slices are not checkpointable (border monitor state)"
+            FreezeError::CaptureMonitor => {
+                "capture runs are not checkpointable (border monitor state)"
             }
-            SliceFreezeError::ResolverActor => {
+            FreezeError::ResolverActor => {
                 "resolver runs are not checkpointable (resolver cache and lookups)"
             }
-            SliceFreezeError::JobMismatch => "frozen job shape does not match the slice's spec",
+            FreezeError::JobMismatch => "checkpoint image does not match this session's build",
         })
     }
 }
 
-impl std::error::Error for SliceFreezeError {}
+impl std::error::Error for FreezeError {}
 
 /// The hook stack of one run. Members are optional and always fire in
 /// this order: border monitor (capture must observe traffic before any
@@ -195,12 +195,12 @@ impl Stack {
         self.forward_guard_events();
     }
 
-    fn checkpointable(&self) -> Result<(), SliceFreezeError> {
+    fn checkpointable(&self) -> Result<(), FreezeError> {
         if self.monitor.is_some() {
-            return Err(SliceFreezeError::CaptureMonitor);
+            return Err(FreezeError::CaptureMonitor);
         }
         if self.resolver.is_some() {
-            return Err(SliceFreezeError::ResolverActor);
+            return Err(FreezeError::ResolverActor);
         }
         Ok(())
     }
@@ -208,7 +208,7 @@ impl Stack {
     /// Snapshot the control layers' dynamic state plus the evidence-sync
     /// cursors. Stacks holding a border monitor or a resolver actor are
     /// refused with a typed error: those members have no frozen mirror.
-    pub fn freeze(&self) -> Result<FrozenStack, SliceFreezeError> {
+    pub fn freeze(&self) -> Result<FrozenStack, FreezeError> {
         self.checkpointable()?;
         Ok(FrozenStack {
             guard: self.guard.as_ref().map(RolloutGuard::freeze),
@@ -241,12 +241,12 @@ impl Stack {
     /// same bank handle). An image whose member shape disagrees with this
     /// stack, or that carries a metric sink of the wrong shape, is refused
     /// before anything is applied.
-    pub fn thaw_state(&mut self, frozen: FrozenStack) -> Result<(), SliceFreezeError> {
+    pub fn thaw_state(&mut self, frozen: FrozenStack) -> Result<(), FreezeError> {
         self.checkpointable()?;
         if !self.accepts(&frozen) {
-            return Err(SliceFreezeError::JobMismatch);
+            return Err(FreezeError::JobMismatch);
         }
-        let misfit = |_| SliceFreezeError::JobMismatch;
+        let misfit = |_| FreezeError::JobMismatch;
         if let (Some(guard), Some(f)) = (&mut self.guard, frozen.guard) {
             guard.thaw_state(f).map_err(misfit)?;
         }
@@ -445,7 +445,7 @@ impl Session {
 
     /// Snapshot the full dynamic state at a quiescent barrier: simulator,
     /// stack, and the shared filter bank.
-    pub fn checkpoint(&mut self) -> Result<PhoenixCheckpoint, SliceFreezeError> {
+    pub fn checkpoint(&mut self) -> Result<PhoenixCheckpoint, FreezeError> {
         let hooks = self.stack.freeze()?;
         Ok(PhoenixCheckpoint { net: self.net.checkpoint(), hooks, bank: self.handle.freeze() })
     }
@@ -456,12 +456,12 @@ impl Session {
     /// sink that does not fit its schema, or a simulator image from
     /// another topology or seed ([`Network::accepts`]) is refused with the
     /// session left as it was; hook configs are the caller's contract.
-    pub fn restore(&mut self, cp: PhoenixCheckpoint) -> Result<(), SliceFreezeError> {
+    pub fn restore(&mut self, cp: PhoenixCheckpoint) -> Result<(), FreezeError> {
         if !self.net.accepts(&cp.net) {
-            return Err(SliceFreezeError::JobMismatch);
+            return Err(FreezeError::JobMismatch);
         }
         self.stack.thaw_state(cp.hooks)?;
-        self.net.restore(cp.net).map_err(|_| SliceFreezeError::JobMismatch)?;
+        self.net.restore(cp.net).map_err(|_| FreezeError::JobMismatch)?;
         self.handle.thaw(cp.bank);
         Ok(())
     }
@@ -699,9 +699,9 @@ mod tests {
                 }
                 Err(e) => {
                     let want = if monitor {
-                        SliceFreezeError::CaptureMonitor
+                        FreezeError::CaptureMonitor
                     } else {
-                        SliceFreezeError::ResolverActor
+                        FreezeError::ResolverActor
                     };
                     assert_eq!(e, want, "{name}");
                     stack
@@ -748,7 +748,7 @@ mod tests {
             [false, false, false, false, false],
         ] {
             let err = stack_of(other).thaw_state(image.clone()).err();
-            assert_eq!(err, Some(SliceFreezeError::JobMismatch), "{other:?}");
+            assert_eq!(err, Some(FreezeError::JobMismatch), "{other:?}");
         }
         assert!(stack_of(guarded).thaw_state(image).is_ok());
     }

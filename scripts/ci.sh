@@ -40,9 +40,10 @@ fi
 # cases. By whole package, not by test name: a name
 # filter that a rename turns into a silent no-op is not a gate. The rest
 # of each package rides along, which is also its release-mode run
-# (kill-at-every-boundary, phoenix_diff, WAL recovery).
+# (kill-at-every-boundary, phoenix_diff, WAL recovery, and obs's CRC-32
+# tests, which reach the one `unsafe` call in an optimised build).
 CAMPUSLAB_FUZZ_CASES=10000 cargo test -q --release \
-    -p campuslab-wire -p campuslab-datastore -p campuslab-testbed -p campuslab-privacy
+    -p campuslab-wire -p campuslab-datastore -p campuslab-testbed -p campuslab-privacy -p campuslab-obs
 
 # Executor matrix, release. The workspace run above was the unset row in
 # debug; this is it optimised. golden_replay itself sets CAMPUSLAB_JOBS
