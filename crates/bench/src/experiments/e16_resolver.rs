@@ -65,10 +65,7 @@ pub fn run() -> ObsBundle {
     let specs: [&str; 2] = ["undefended", "defended"];
     let results: Vec<(&str, Finished)> = parallel_map(&specs, |_, &name| {
         let cfg = if name == "defended" {
-            ResolverRunConfig {
-                defense: Some((dev.program.clone(), Box::new(model.clone()))),
-                ..ResolverRunConfig::default()
-            }
+            ResolverRunConfig { defense: Some((dev.program.clone(), Box::new(model.clone()))) }
         } else {
             ResolverRunConfig::default()
         };

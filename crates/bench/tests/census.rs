@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 /// Unreferenced public items in this tree.
 const CEILING: usize = 28;
 /// Public fields of the tree's `*Config`, `*Policy` and `*Spec` structs.
-const KNOB_CEILING: usize = 101;
+const KNOB_CEILING: usize = 98;
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };

@@ -6,7 +6,7 @@
 //! matrix and evaluation, and fidelity) and [`Student::compile`] (a named
 //! target-specific program). [`run_development_loop`] runs all three under
 //! one config. A sweep fits once and repeats only its knob's stage: E1
-//! compiles per confidence gate, E6 and `capacity_planning` extract per depth.
+//! compiles per confidence gate, E6 extracts per depth.
 
 use campuslab_capture::PacketRecord;
 use campuslab_dataplane::{compile_tree, CompileConfig, CompileReport, PipelineProgram};

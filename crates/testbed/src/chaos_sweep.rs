@@ -14,7 +14,7 @@ use crate::scenario::Scenario;
 use campuslab_control::InstallPolicy;
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
-use campuslab_netsim::par::parallel_map_with;
+use campuslab_netsim::par::parallel_map;
 use campuslab_netsim::{
     Campus, ChaosConfig, DropReason, GilbertElliott, LinkId, NodeId, Outage, SimDuration, SimTime,
 };
@@ -27,8 +27,6 @@ pub struct ChaosSweepConfig {
     pub intensities: Vec<f64>,
     /// Base seed; each point derives its campaign from `seed ^ point`.
     pub seed: u64,
-    /// Worker threads for the sweep (capped at the point count).
-    pub workers: usize,
 }
 
 impl Default for ChaosSweepConfig {
@@ -36,7 +34,6 @@ impl Default for ChaosSweepConfig {
         ChaosSweepConfig {
             intensities: vec![0.0, 0.25, 0.5, 0.75, 1.0],
             seed: 0xE14C4A05,
-            workers: 4,
         }
     }
 }
@@ -157,7 +154,7 @@ pub fn chaos_sweep(
     mk_model: impl Fn() -> Box<dyn Classifier + Send> + Sync,
     sweep: &ChaosSweepConfig,
 ) -> (Vec<ChaosPoint>, Vec<crate::observe::RunObs>) {
-    parallel_map_with(&sweep.intensities, sweep.workers, |i, &intensity| {
+    parallel_map(&sweep.intensities, |i, &intensity| {
         let cfg = chaos_road_test_config(scenario, intensity, sweep.seed ^ i as u64);
         let outcome = road_test(scenario, program.clone(), Some(mk_model()), cfg);
         let point = point_from(intensity, &outcome);
@@ -276,27 +273,5 @@ mod tests {
         // The registry also counts attempts of episodes still in flight at
         // end-of-run, so it can only run ahead of the resolved total.
         assert!(point.install_attempts >= outcome.install_attempts());
-    }
-
-    #[test]
-    fn sweep_is_deterministic_sequential_vs_parallel() {
-        let (program, model) = trained();
-        let base = ChaosSweepConfig {
-            intensities: vec![0.0, 0.5, 1.0],
-            ..ChaosSweepConfig::default()
-        };
-        let (seq, _) = chaos_sweep(
-            &Scenario::small(),
-            &program,
-            || Box::new(model.clone()),
-            &ChaosSweepConfig { workers: 1, ..base.clone() },
-        );
-        let (par, _) = chaos_sweep(
-            &Scenario::small(),
-            &program,
-            || Box::new(model.clone()),
-            &ChaosSweepConfig { workers: 3, ..base },
-        );
-        assert_eq!(format!("{seq:?}"), format!("{par:?}"), "parallel sweep diverged");
     }
 }

@@ -27,7 +27,7 @@ pub struct DriftRunConfig {
     /// Settling margin past the workload's end before the run's hard
     /// deadline. The default (4 s) gives in-flight candidates time to
     /// finish the ladder; `SimDuration::ZERO` cuts the run at the last
-    /// workload packet — the early-termination edge a plaza slice hits.
+    /// workload packet, which keeps a kill-point sweep over it short.
     pub settle: SimDuration,
 }
 

@@ -21,12 +21,11 @@ use campuslab_control::PROMOTE_AFTER;
 use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
 
-/// Parameters of a resolver scenario run.
+/// Parameters of a resolver scenario run. The defended path takes the
+/// default road-test knobs; a run under chaos is a [`Session`] built
+/// with one.
 #[derive(Default)]
 pub struct ResolverRunConfig {
-    /// Road-test knobs (placement, gate, window, install channel) for the
-    /// defended path.
-    pub road: RoadTestConfig,
     /// Defend the campus with the mitigation controller: the developed
     /// pipeline program plus a window model. `None` runs undefended — the
     /// resolver rides out the flood on rate limiting and stale answers
@@ -55,7 +54,7 @@ fn session(scenario: &Scenario, cfg: ResolverRunConfig) -> Session {
         "resolverlab",
         scenario,
         known_good,
-        &cfg.road,
+        &RoadTestConfig::default(),
         Members {
             guard: Some(GuardSpec {
                 promote_after: PROMOTE_AFTER,

@@ -29,11 +29,6 @@ pub struct GuardedRunConfig {
     pub road: RoadTestConfig,
     /// Candidates submitted to the guard at scheduled sim times.
     pub submissions: Vec<(SimTime, PipelineProgram)>,
-    /// Hard stop for the simulation. `None` (the default) runs until the
-    /// event queue drains; a plaza slice or an operator-imposed budget
-    /// caps the run, possibly mid-ladder — the guard simply freezes in
-    /// whatever stage the deadline caught it.
-    pub deadline: Option<SimTime>,
 }
 
 /// The hosts behind the first `ceil(fraction * n_access)` access switches,
@@ -58,41 +53,35 @@ pub fn canary_hosts(campus: &Campus, fraction: f64) -> Vec<IpAddr> {
 /// defends the campus and the guard walks each submitted candidate
 /// through shadow → canary → full, vetoing or rolling back on SLO
 /// violations. The guard (decision log, final stage, registry, recovery
-/// time) is on the returned stack.
+/// time) is on the returned stack. The run goes until the event queue
+/// drains; a capped run is a [`Session`] built with a deadline.
 pub fn guarded_road_test(
     scenario: &Scenario,
     known_good: PipelineProgram,
     window_model: Box<dyn Classifier + Send>,
     cfg: GuardedRunConfig,
 ) -> Finished {
-    let mut session = session(scenario, known_good, window_model, cfg);
+    let members = guarded_members(window_model, cfg.submissions);
+    let mut session =
+        Session::new("guarded-roadtest", scenario, known_good, &cfg.road, members, None);
     session.run_to_end();
     session.finish()
 }
 
-/// The guard + controller [`Session`] a guarded road test runs.
-fn session(
-    scenario: &Scenario,
-    known_good: PipelineProgram,
+/// The guard + controller members a guarded road test runs.
+fn guarded_members(
     window_model: Box<dyn Classifier + Send>,
-    cfg: GuardedRunConfig,
-) -> Session {
-    Session::new(
-        "guarded-roadtest",
-        scenario,
-        known_good,
-        &cfg.road,
-        Members {
-            guard: Some(GuardSpec {
-                promote_after: PROMOTE_AFTER,
-                canary_fraction: CANARY_FRACTION,
-                submissions: cfg.submissions,
-            }),
-            window_model: Some(window_model),
-            ..Members::default()
-        },
-        cfg.deadline,
-    )
+    submissions: Vec<(SimTime, PipelineProgram)>,
+) -> Members {
+    Members {
+        guard: Some(GuardSpec {
+            promote_after: PROMOTE_AFTER,
+            canary_fraction: CANARY_FRACTION,
+            submissions,
+        }),
+        window_model: Some(window_model),
+        ..Members::default()
+    }
 }
 
 #[cfg(test)]
@@ -112,6 +101,20 @@ mod tests {
 
     fn trained() -> (PipelineProgram, DecisionTree) {
         crate::fixtures::trained().clone()
+    }
+
+    /// A guarded road test that stops at `deadline`, possibly mid-ladder:
+    /// the guard freezes in whatever stage the deadline caught it.
+    fn capped(
+        scenario: &Scenario,
+        known_good: PipelineProgram,
+        model: DecisionTree,
+        submissions: Vec<(SimTime, PipelineProgram)>,
+        deadline: SimTime,
+    ) -> Session {
+        let members = guarded_members(Box::new(model), submissions);
+        let road = RoadTestConfig::default();
+        Session::new("guarded-roadtest", scenario, known_good, &road, members, Some(deadline))
     }
 
     /// Grossly over-broad: a wildcard drop rule — every packet, benign or
@@ -206,12 +209,9 @@ mod tests {
         assert!(left_at > canary_at, "canary must span a nonzero interval");
         // Capped run: stop the sim strictly inside the canary interval.
         let deadline = SimTime(canary_at.as_nanos() + (left_at.as_nanos() - canary_at.as_nanos()) / 2);
-        let capped = guarded_road_test(
-            &Scenario::small(),
-            known_good,
-            Box::new(model),
-            GuardedRunConfig { deadline: Some(deadline), ..cfg() },
-        );
+        let mut capped = capped(&Scenario::small(), known_good, model, cfg().submissions, deadline);
+        capped.run_to_end();
+        let capped = capped.finish();
         let g = guard(&capped);
         assert_eq!(
             g.stage(),
@@ -251,16 +251,8 @@ mod tests {
         let deadline = SimTime::ZERO + scenario.workload.duration;
         let cart = CrashCart::new(
             || {
-                session(
-                    &scenario,
-                    known_good.clone(),
-                    Box::new(model.clone()),
-                    GuardedRunConfig {
-                        submissions: vec![(SimTime::from_secs(1), drop_discard_port())],
-                        deadline: Some(deadline),
-                        ..GuardedRunConfig::default()
-                    },
-                )
+                let submissions = vec![(SimTime::from_secs(1), drop_discard_port())];
+                capped(&scenario, known_good.clone(), model.clone(), submissions, deadline)
             },
             SimDuration::from_secs(1),
         );
@@ -291,7 +283,6 @@ mod tests {
                         ..RoadTestConfig::default()
                     },
                     submissions: vec![(SimTime::from_secs(1), drop_everything())],
-                    ..GuardedRunConfig::default()
                 },
             ))
         };

@@ -562,7 +562,6 @@ impl Finished {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resolverlab::{resolver_run, ResolverRunConfig};
     use crate::rollout::{guarded_road_test, GuardedRunConfig};
     use campuslab_capture::MonitorConfig;
     use campuslab_control::{
@@ -810,8 +809,10 @@ mod tests {
         );
         assert!(guarded.net.dropped_fault > 0, "guarded run ignored the flap");
         let lab = Scenario::resolver_lab();
-        let resolver =
-            resolver_run(&lab, ResolverRunConfig { road: road(&lab), ..ResolverRunConfig::default() });
-        assert!(resolver.net.dropped_fault > 0, "resolver run ignored the flap");
+        let undefended = PipelineProgram::new("resolver-undefended", vec![]);
+        let members = Members { resolver: true, ..Members::default() };
+        let mut resolver = Session::new("resolverlab", &lab, undefended, &road(&lab), members, None);
+        resolver.run_to_end();
+        assert!(resolver.finish().net.dropped_fault > 0, "resolver run ignored the flap");
     }
 }

@@ -1,7 +1,8 @@
 //! A tour of the data store's operational features: indexed search,
 //! mining, persistence across restarts, heavy-hitter telemetry,
 //! governance, differentially-private aggregate release, and
-//! counterfactual queries against the deployed model.
+//! counterfactual queries against the deployed model. Every claim it
+//! prints is also asserted, so a run that exits 0 checked them all.
 //!
 //! ```sh
 //! cargo run --release --example data_store_tour
@@ -10,8 +11,9 @@
 use campuslab::capture::HeavyHitters;
 use campuslab::datastore::{summarize, top_talkers, PacketQuery, WalConfig, WalStore};
 use campuslab::features::packet_features;
+use campuslab::ml::Classifier;
 use campuslab::privacy::{
-    BudgetLedger, DataClass, LaplaceMechanism, PolicyEngine, Purpose, Role,
+    BudgetLedger, DataClass, LaplaceMechanism, PolicyEngine, Purpose, Role, Verdict,
 };
 use campuslab::testbed::{shard_by_second, Scenario};
 use campuslab::xai::counterfactual;
@@ -31,13 +33,20 @@ fn main() {
         store.flow_count(),
         store.dns_count()
     );
+    assert_eq!(summary.packets as usize, store.packet_count());
     let victim = std::net::IpAddr::V4(data.victim.expect("victim"));
-    let hits = store.query_packets(&PacketQuery::for_host(victim).malicious());
+    let query = PacketQuery::for_host(victim).malicious();
+    let hits = store.query_packets(&query);
     println!("[search] indexed malicious-to-victim query: {} hits", hits.len());
+    // The index answers exactly what a full scan with the same filter does.
+    assert!(!hits.is_empty());
+    assert_eq!(hits.len(), store.iter_packets().filter(|r| query.matches(r)).count());
     println!("[mining] top talkers:");
-    for (addr, bytes) in top_talkers(&store, 3) {
+    let talkers = top_talkers(&store, 3);
+    for (addr, bytes) in &talkers {
         println!("         {addr:<16} {bytes} bytes");
     }
+    assert!(talkers.windows(2).all(|w| w[0].1 >= w[1].1), "top talkers out of order");
 
     // --- 2. Streaming heavy hitters (constant memory) ----------------------
     let mut hh = HeavyHitters::new(5, 1024, 4);
@@ -45,10 +54,12 @@ fn main() {
         hh.add(rec.dst, u64::from(rec.wire_len));
     }
     println!("\n[sketch] heavy hitters from a 1024x4 count-min sketch:");
-    for (addr, est) in hh.top().into_iter().take(3) {
+    let heavy = hh.top();
+    for (addr, est) in heavy.iter().take(3) {
         println!("         {addr:<16} ~{est} bytes");
     }
     println!("         (the flood victim surfaces without per-host state)");
+    assert_eq!(heavy[0].0, victim, "the flood victim is not the heaviest hitter");
 
     // --- 3. Persistence ------------------------------------------------------
     // A write-ahead-log directory is how a store outlives its process:
@@ -56,12 +67,13 @@ fn main() {
     // reopening the directory replays the log.
     let dir = std::env::temp_dir().join(format!("campuslab-tour-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let batches = shard_by_second(&data.packets);
     {
         // Seal every MiB (the default is 4) so this small capture leaves
         // sealed segments as well as a tail.
         let (mut wal, _) = WalStore::open(&dir, WalConfig { seal_bytes: 1 << 20 }).expect("create the log");
-        for batch in shard_by_second(&data.packets) {
-            wal.append_packets(batch).expect("append a batch");
+        for batch in &batches {
+            wal.append_packets(batch.clone()).expect("append a batch");
         }
     } // the process "dies" here, tail unsealed
     let (reopened, report) = WalStore::open(&dir, WalConfig::default()).expect("recover the log");
@@ -70,7 +82,10 @@ fn main() {
         report.frames_replayed,
         reopened.store().packet_count()
     );
+    // One frame per appended batch comes back, and every record with it.
     assert!(!report.was_lossy());
+    assert_eq!(report.frames_replayed, batches.len() as u64);
+    assert_eq!(reopened.store().packet_count(), data.packets.len());
     // MANIFEST is one checksummed binary frame; this is how to read it.
     let sealed = reopened.sealed_segments();
     println!(
@@ -81,6 +96,9 @@ fn main() {
         sealed.iter().map(|s| s.bytes).sum::<u64>(),
         reopened.tail_segment()
     );
+    assert_eq!(report.sealed_segments, sealed.len() as u64);
+    assert!(!sealed.is_empty(), "a 1 MiB seal size left no sealed segment");
+    assert!(sealed.iter().map(|s| s.frames).sum::<u64>() < report.frames_replayed);
     assert_eq!(
         reopened.store().query_packets(&PacketQuery::for_host(victim)).len(),
         store.query_packets(&PacketQuery::for_host(victim)).len()
@@ -92,13 +110,15 @@ fn main() {
     let mut engine = PolicyEngine::new();
     let verdict = engine.check(1, Role::External, Purpose::Research, DataClass::AggregateStats);
     println!("\n[policy] external researcher asks for aggregates: {verdict:?}");
+    assert_eq!(verdict, Verdict::Deny);
     println!("[policy] even aggregates leave only through the DP mechanism:");
     let mechanism = LaplaceMechanism::new(0x70AC_C0DE, 0.5);
     let mut ledger = BudgetLedger::new(1.0);
+    let mut refused = Vec::new();
     for (i, (name, value)) in [
         ("total_packets", summary.packets),
         ("malicious_packets", summary.malicious_packets),
-        ("distinct_seconds", 10),
+        ("distinct_seconds", batches.len() as u64),
     ]
     .iter()
     .enumerate()
@@ -108,18 +128,30 @@ fn main() {
                 "         {:<18} true {:>6} -> released {:>9.1} (eps {:.1})",
                 release.name, value, release.value, release.epsilon_spent
             ),
-            Err(e) => println!("         {name:<18} REFUSED: {e}"),
+            Err(e) => {
+                println!("         {name:<18} REFUSED: {e}");
+                refused.push(*name);
+            }
         }
     }
     println!("         remaining budget: eps {:.2}", ledger.remaining());
+    // Two releases at eps 0.5 spend the budget of 1; the third is refused.
+    assert_eq!(refused, ["distinct_seconds"]);
+    assert_eq!(ledger.remaining(), 0.0);
 
     // --- 5. Counterfactual queries against the deployed model ---------------
     let dev = platform.develop(&data);
     let attack = data.packets.iter().find(|p| p.is_malicious()).expect("attack");
     let row = packet_features(attack);
     println!("\n[what-if] the operator asks: what would make this flood packet pass?");
-    if let Some(cf) = counterfactual(&dev.student, &dev.feature_names, &row, 0) {
-        print!("{}", cf.to_text("benign"));
+    assert_eq!(dev.student.predict(&row), 1, "the deployed model passes the flood packet");
+    let cf = counterfactual(&dev.student, &dev.feature_names, &row, 0).expect("a counterfactual");
+    print!("{}", cf.to_text("benign"));
+    // Making exactly the listed changes flips the verdict to benign.
+    let mut changed = row.clone();
+    for c in &cf.changes {
+        changed[c.feature_index] = c.to;
     }
+    assert_eq!(dev.student.predict(&changed), 0);
     println!("\ndone.");
 }

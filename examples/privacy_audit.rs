@@ -1,6 +1,7 @@
 //! Privacy-preserving data collection (Figure 1's gate, §3 and §5):
 //! prefix-preserving anonymization of the data store, the governance
-//! policy matrix, and the cost of privacy in model utility.
+//! policy matrix, and the cost of privacy in model utility. Every claim
+//! it prints is also asserted, so a run that exits 0 checked them all.
 //!
 //! ```sh
 //! cargo run --release --example privacy_audit
@@ -9,7 +10,7 @@
 use campuslab::control::{run_development_loop, DevLoopConfig};
 use campuslab::privacy::{
     common_prefix_len_v4, DataClass, PolicyEngine, PrefixPreservingAnon, Purpose, Role,
-    ScrubPolicy, Scrubber,
+    ScrubPolicy, Scrubber, Verdict,
 };
 use campuslab::testbed::{collect, Scenario};
 use std::net::Ipv4Addr;
@@ -24,15 +25,10 @@ fn main() {
     let b = Ipv4Addr::new(10, 1, 7, 99);
     let c = Ipv4Addr::new(10, 1, 200, 5);
     for (x, y) in [(a, b), (a, c)] {
-        println!(
-            "  {} vs {}: shared /{} -> anonymized {} vs {}: shared /{}",
-            x,
-            y,
-            common_prefix_len_v4(x, y),
-            anon.anonymize_v4(x),
-            anon.anonymize_v4(y),
-            common_prefix_len_v4(anon.anonymize_v4(x), anon.anonymize_v4(y)),
-        );
+        let (ax, ay) = (anon.anonymize_v4(x), anon.anonymize_v4(y));
+        let (before, after) = (common_prefix_len_v4(x, y), common_prefix_len_v4(ax, ay));
+        println!("  {x} vs {y}: shared /{before} -> anonymized {ax} vs {ay}: shared /{after}");
+        assert_eq!(before, after, "anonymization changed the shared prefix of {x} and {y}");
     }
 
     // --- 2. The governance matrix -----------------------------------------
@@ -45,13 +41,21 @@ fn main() {
         (Role::Auditor, Purpose::Audit, DataClass::IdentifiedRecords),
         (Role::External, Purpose::Research, DataClass::AggregateStats),
     ];
+    let mut refused = 0;
     for (i, &(role, purpose, class)) in attempts.iter().enumerate() {
         let verdict = engine.check(i as u64, role, purpose, class);
         println!("  {role:?} / {purpose:?} / {class:?} -> {verdict:?}");
+        refused += usize::from(verdict == Verdict::Deny);
     }
-    println!("  audit log holds {} entries, {} denials",
+    println!(
+        "  audit log holds {} entries, {} denials",
         engine.audit_log().len(),
-        engine.denials().count());
+        engine.denials().count()
+    );
+    // Every attempt is logged, allowed or not, and the denials are the
+    // refused rows.
+    assert_eq!(engine.audit_log().len(), attempts.len());
+    assert_eq!(engine.denials().count(), refused);
 
     // --- 3. The utility cost of privacy (experiment E4) -------------------
     println!("\nmodel utility on raw vs anonymized records:");
@@ -75,6 +79,12 @@ fn main() {
         "  anonymized: student F1 {:.3}, fidelity {:.1}%",
         anon_dev.student_eval.f1_attack,
         anon_dev.fidelity * 100.0
+    );
+    // "Small" here: at most one point of student F1 or of fidelity.
+    assert!(
+        anon_dev.student_eval.f1_attack >= raw_dev.student_eval.f1_attack - 0.01
+            && anon_dev.fidelity >= raw_dev.fidelity - 0.01,
+        "anonymization cost more than one point of utility"
     );
     println!("\nthe shape to notice: prefix-preserving anonymization keeps the feature");
     println!("structure the detector relies on (ports, sizes, protocol mix), so the");

@@ -9,9 +9,9 @@ cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings -D rust_2018_idioms
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # `cargo test` compiles the examples but never runs them: run every one,
-# so a panic or a failed assert in any of them (data_store_tour reopens a
-# store from its log; capacity_planning sweeps the staged development
-# loop) fails here.
+# so a panic or a failed assert in any of them fails here. Each asserts
+# what it prints (data_store_tour reopens a store from its log and checks
+# it; privacy_audit checks prefix preservation and the audit log).
 for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)"
 done

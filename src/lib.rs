@@ -1,4 +1,5 @@
-//! `campuslab-suite` is the workspace-root package hosting the runnable
-//! examples (`examples/`) and the cross-crate integration tests (`tests/`).
+//! `campuslab-suite` is the workspace-root package hosting two runnable
+//! examples that assert what they print (`examples/`) and the cross-crate
+//! integration tests (`tests/`). Experiments run through `exp <id>`.
 //! The library surface lives in the [`campuslab`] facade crate.
 pub use campuslab;
