@@ -13,7 +13,7 @@
 //!    equal the uninterrupted run's byte for byte.
 //! 2. **Envelope honesty.** The checkpoint decoder is a total function:
 //!    truncation, bit flips and version skew each come back as a typed
-//!    [`PhoenixError`], never a panic, never a silently wrong document.
+//!    [`FrameError`], never a panic, never a silently wrong document.
 //! 3. **WAL recovery.** A [`WalStore`] ingests the collected capture,
 //!    seals segments, then has its tail torn mid-frame. Reopening must
 //!    replay every sealed frame, cut the tail back to the last good
@@ -30,9 +30,10 @@ use crate::obs_export::ObsBundle;
 use crate::table::Table;
 use campuslab::datastore::{PersistError, WalConfig, WalStore};
 use campuslab::netsim::SimDuration;
+use campuslab::obs::FrameError;
 use campuslab::testbed::{
     decode_checkpoint, encode_checkpoint, shard_by_second, CrashCart, DriftRunConfig,
-    DriftSession, PhoenixCheckpoint, PhoenixError, Scenario, PHOENIX_VERSION,
+    DriftSession, PhoenixCheckpoint, Scenario, PHOENIX_VERSION,
 };
 use campuslab::Platform;
 
@@ -62,20 +63,12 @@ pub fn run() -> ObsBundle {
         )
     };
 
-    // Leg 1: the kill-point sweep on a 3 s checkpoint grid. The baseline
-    // is computed once and every kill is diffed against it (the same
-    // comparison `CrashCart::sweep` makes, without re-running the
-    // baseline for the bundle below).
+    // Leg 1: the kill-point sweep on a 3 s checkpoint grid. Every kill is
+    // diffed against the uninterrupted baseline, which the bundle below
+    // reuses.
     let cart = CrashCart::new(make, SimDuration::from_secs(3));
     let boundaries = cart.boundaries();
-    let baseline = cart.uninterrupted();
-    let mut mismatches = Vec::new();
-    for k in 0..boundaries.len() {
-        match cart.killed_at(k) {
-            Ok(fp) if fp == baseline => {}
-            _ => mismatches.push(k),
-        }
-    }
+    let (baseline, mismatches) = cart.sweep();
 
     // A representative checkpoint for the size row and the decoder leg:
     // taken mid-campaign, at the second boundary.
@@ -150,9 +143,9 @@ pub fn run() -> ObsBundle {
     out.push_str(&wal_rows);
 
     let sweep_clean = mismatches.is_empty();
-    let typed = matches!(truncated, Some(PhoenixError::Truncated { .. }))
-        && matches!(bitflip, Some(PhoenixError::Checksum { .. }))
-        && matches!(version, Some(PhoenixError::VersionSkew { .. }));
+    let typed = matches!(truncated, Some(FrameError::Truncated { .. }))
+        && matches!(bitflip, Some(FrameError::Checksum { .. }))
+        && matches!(version, Some(FrameError::VersionSkew { .. }));
     out.push_str(&format!(
         "\nevery kill point resumed byte-identically: {}\n\
          corrupt checkpoints all map to typed errors: {}\n\

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Unreferenced public items in this tree.
-const CEILING: usize = 28;
+const CEILING: usize = 27;
 /// Public fields of the tree's `*Config`, `*Policy` and `*Spec` structs.
 const KNOB_CEILING: usize = 98;
 

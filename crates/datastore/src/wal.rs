@@ -9,14 +9,16 @@
 //! wal-000000.seg   sealed: immutable, length + crc32 pinned by MANIFEST
 //! wal-000001.seg   sealed
 //! wal-000002.seg   tail: append-only, recovered frame by frame
-//! MANIFEST         "CLWM", version u32 LE, one frame; via MANIFEST.tmp + rename
+//! MANIFEST         one envelope: "CLWM", version u32 LE, one frame; via MANIFEST.tmp + rename
 //! ```
 //!
-//! A frame is `[len u32 LE][crc32 u32 LE][payload]`, the payload in the
-//! positional binary encoding (`serde::bin`; DESIGN.md §15). Each segment
-//! is a run of frames carrying one packet batch apiece; the
-//! manifest's single frame carries the sealed-segment table and the tail's
-//! id. The manifest is written when the directory is created, so segments
+//! Segments and manifest are written in the durable frame shared with
+//! PHNX checkpoints ([`campuslab_obs::frame`]): a frame is
+//! `[len u64 LE][crc32 u32 LE][payload]`, the payload in the positional
+//! binary encoding (`serde::bin`; DESIGN.md §15). Each segment is a run of
+//! frames carrying one packet batch apiece; the manifest is one envelope
+//! whose frame carries the sealed-segment table and the tail's id. The
+//! manifest is written when the directory is created, so segments
 //! without one predate it. Appends go to the tail segment only; when the
 //! tail outgrows the seal threshold it is sealed — whole-file checksum
 //! recorded in the manifest, new empty tail opened — so durability
@@ -30,24 +32,25 @@
 //!   never a panic, and never a silent skip.
 //! * The tail is expected to be torn after a crash mid-append. Recovery
 //!   replays frames until the first bad one (short header, short body,
-//!   checksum mismatch, undecodable payload), physically truncates the
-//!   file back to the last good prefix, and reports what it cut in the
-//!   [`RecoveryReport`] and on the store's `ds_persist_corrupt_total`
-//!   counter.
+//!   checksum mismatch, undecodable payload: a typed [`FrameError`]),
+//!   physically truncates the file back to the last good prefix, and
+//!   reports what it cut in the [`RecoveryReport`] and on the store's
+//!   `ds_persist_corrupt_total` counter.
 //! * The manifest is verified whole — magic, version, frame length,
 //!   checksum, nothing trailing — before any segment is read. Damage to it
 //!   is [`PersistError::Corrupt`] with no segment ([`PersistError::Version`]
 //!   when it lands in the version word), so it can neither name the wrong
-//!   tail nor blame a healthy segment. Older directories (v3: tagged
-//!   frames; v2: a JSON manifest; v1: segments and none) are refused by
-//!   version, untouched.
+//!   tail nor blame a healthy segment. Older directories (v4: u32 frame
+//!   lengths; v3: tagged frames; v2: a JSON manifest; v1: segments and
+//!   none) are refused by version, untouched.
 //! * An interrupted manifest commit leaves a stray `MANIFEST.tmp` next to
 //!   a valid old `MANIFEST`; the stray is removed and the old manifest
 //!   wins — the rename either happened or it didn't.
 
 use crate::store::DataStore;
 use campuslab_capture::PacketRecord;
-use campuslab_obs::{crc32, Crc32};
+use campuslab_obs::frame::{decode_envelope, encode_envelope, scan_frames, write_frame};
+use campuslab_obs::{crc32, Crc32, FrameError};
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -56,14 +59,12 @@ use std::path::{Path, PathBuf};
 /// Current WAL format version (frames and manifest). Frame payloads are
 /// positional, so any change to [`PacketRecord`]'s fields bumps it (the
 /// tests' `WAL_LAYOUT_PIN` is what it means as bytes); v1 frames and the
-/// v2 manifest carried JSON, and v3 frames led with a table tag byte.
-const WAL_VERSION: u32 = 4;
+/// v2 manifest carried JSON, v3 frames led with a table tag byte, and v4
+/// frames had a u32 length.
+const WAL_VERSION: u32 = 5;
 
-/// `MANIFEST` opens with this, then [`WAL_VERSION`] (u32 LE), then its frame.
+/// The magic of the `MANIFEST` envelope.
 const MANIFEST_MAGIC: [u8; 4] = *b"CLWM";
-
-/// Frame header size: payload length + payload crc32.
-const FRAME_HEADER: usize = 8;
 
 /// Errors while persisting or recovering a store.
 #[derive(Debug)]
@@ -74,8 +75,10 @@ pub enum PersistError {
     /// The bytes violate the format. Corruption must come back as `Err`,
     /// never abort the process. `segment`/`offset` locate the damage — the segment file id
     /// and the byte offset of the first bad frame — and are `None` when
-    /// it is the manifest itself that is damaged.
-    Corrupt { what: String, segment: Option<u64>, offset: Option<u64> },
+    /// it is the manifest itself that is damaged. A sealed segment whose
+    /// length or checksum disagrees with its manifest pin is `Truncated`,
+    /// `TrailingBytes` or `Checksum` against that pin.
+    Corrupt { what: FrameError, segment: Option<u64>, offset: Option<u64> },
 }
 
 impl std::fmt::Display for PersistError {
@@ -127,8 +130,8 @@ pub struct RecoveryReport {
     /// Frames replayed across sealed segments and the tail.
     pub frames_replayed: u64,
     /// A torn tail, when one was cut: `(segment id, byte offset of the
-    /// first bad frame, reason)`. Everything before the offset was kept.
-    pub torn_tail: Option<(u64, u64, String)>,
+    /// first bad frame, why it is bad)`. Everything before the offset was kept.
+    pub torn_tail: Option<(u64, u64, FrameError)>,
 }
 
 impl RecoveryReport {
@@ -178,60 +181,16 @@ fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("MANIFEST")
 }
 
-fn corrupt(what: impl Into<String>, segment: u64, offset: u64) -> PersistError {
-    PersistError::Corrupt { what: what.into(), segment: Some(segment), offset: Some(offset) }
+fn corrupt(what: FrameError, segment: u64, offset: u64) -> PersistError {
+    PersistError::Corrupt { what, segment: Some(segment), offset: Some(offset) }
 }
 
-/// The frame that durably carries `value`: the payload is encoded in place
-/// after a reserved header, which is then patched with length and checksum.
-fn encode_frame<T: Serialize>(value: &T) -> Result<Vec<u8>, PersistError> {
-    let mut frame = vec![0u8; FRAME_HEADER];
-    value.serialize_bin(&mut frame);
-    let (header, payload) = frame.split_at_mut(FRAME_HEADER);
-    let len = u32::try_from(payload.len()).map_err(|_| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "payload exceeds the 4 GiB frame limit")
-    })?;
-    header[0..4].copy_from_slice(&len.to_le_bytes());
-    header[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
-    Ok(frame)
-}
-
-/// Decode the frame at the head of `rest`: its payload and its length in
-/// bytes, or why it is not a whole, honest frame.
-fn decode_frame<T: Deserialize>(rest: &[u8]) -> Result<(T, usize), String> {
-    let Some((header, body)) = rest.split_first_chunk::<FRAME_HEADER>() else {
-        return Err(format!("torn frame header ({} bytes)", rest.len()));
-    };
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("fixed slice")) as usize;
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("fixed slice"));
-    let Some(payload) = body.get(..len) else {
-        return Err(format!("torn frame body (header promises {len} bytes, {} present)", body.len()));
-    };
-    let actual = crc32(payload);
-    if actual != crc {
-        return Err(format!("frame checksum mismatch (header {crc:08x}, payload {actual:08x})"));
+/// A file's bytes, empty when it does not exist.
+fn read_or_empty(path: &Path) -> Result<Vec<u8>, PersistError> {
+    match std::fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => Ok(read?),
     }
-    let value = serde::bin::from_slice(payload).map_err(|e| format!("frame payload undecodable: {e}"))?;
-    Ok((value, FRAME_HEADER + len))
-}
-
-/// Split one segment's bytes into decoded packet batches. Returns the
-/// batches decoded from the longest valid prefix, the byte length of that
-/// prefix, and the reason the first bad frame was rejected (`None` when
-/// the whole buffer parsed). Total: arbitrary bytes in, never a panic out.
-fn scan_frames(bytes: &[u8]) -> (Vec<Vec<PacketRecord>>, u64, Option<String>) {
-    let mut batches = Vec::new();
-    let mut off = 0;
-    while off < bytes.len() {
-        match decode_frame(&bytes[off..]) {
-            Ok((batch, len)) => {
-                batches.push(batch);
-                off += len;
-            }
-            Err(why) => return (batches, off as u64, Some(why)),
-        }
-    }
-    (batches, off as u64, None)
 }
 
 /// Write the manifest to `MANIFEST.tmp`, sync, atomically rename over
@@ -239,7 +198,7 @@ fn scan_frames(bytes: &[u8]) -> (Vec<Vec<PacketRecord>>, u64, Option<String>) {
 /// manifest — old or new, never a hybrid.
 fn commit_manifest(dir: &Path, manifest: &Manifest) -> Result<(), PersistError> {
     let tmp = dir.join("MANIFEST.tmp");
-    let bytes = [&MANIFEST_MAGIC[..], &WAL_VERSION.to_le_bytes(), &encode_frame(manifest)?].concat();
+    let bytes = encode_envelope(MANIFEST_MAGIC, WAL_VERSION, manifest);
     {
         let mut f = File::create(&tmp)?;
         f.write_all(&bytes)?;
@@ -265,7 +224,6 @@ impl WalStore {
             std::fs::remove_file(&tmp)?;
         }
 
-        let bad_manifest = |what: String| PersistError::Corrupt { what, segment: None, offset: None };
         let manifest = match std::fs::read(manifest_path(&dir)) {
             // Other versions are refused before a segment is read: their
             // frames could scan as garbage — sealed segments as corruption,
@@ -274,21 +232,10 @@ impl WalStore {
             Ok(bytes) if bytes.first() == Some(&b'{') => {
                 return Err(PersistError::Version { found: 2, supported: WAL_VERSION });
             }
-            Ok(bytes) => {
-                let rest = bytes.strip_prefix(&MANIFEST_MAGIC);
-                let Some((version, frame)) = rest.and_then(|rest| rest.split_first_chunk::<4>()) else {
-                    return Err(bad_manifest("manifest does not open with its magic and version".into()));
-                };
-                let found = u32::from_le_bytes(*version);
-                if found != WAL_VERSION {
-                    return Err(PersistError::Version { found, supported: WAL_VERSION });
-                }
-                let (m, used) = decode_frame::<Manifest>(frame).map_err(bad_manifest)?;
-                if used != frame.len() {
-                    return Err(bad_manifest(format!("{} bytes trail the manifest frame", frame.len() - used)));
-                }
-                m
-            }
+            Ok(bytes) => decode_envelope(&bytes, MANIFEST_MAGIC, WAL_VERSION).map_err(|e| match e {
+                FrameError::VersionSkew { found, supported } => PersistError::Version { found, supported },
+                what => PersistError::Corrupt { what, segment: None, offset: None },
+            })?,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 // This build commits a manifest before the first append;
                 // v1 wrote none until its first seal.
@@ -308,25 +255,22 @@ impl WalStore {
         // Sealed segments: immutable, so any disagreement with the
         // manifest is real data loss — a typed error, not a repair.
         for seg in &manifest.sealed {
-            let bytes = std::fs::read(segment_path(&dir, seg.id)).map_err(|e| {
-                corrupt(format!("sealed segment unreadable: {e}"), seg.id, 0)
-            })?;
-            if bytes.len() as u64 != seg.bytes {
-                return Err(corrupt(
-                    format!("sealed segment is {} bytes, manifest pins {}", bytes.len(), seg.bytes),
-                    seg.id,
-                    (bytes.len() as u64).min(seg.bytes),
-                ));
+            let bytes = read_or_empty(&segment_path(&dir, seg.id))?;
+            let got = bytes.len() as u64;
+            if got != seg.bytes {
+                let (expected, offset) = (seg.bytes, got.min(seg.bytes));
+                let what = if got < expected {
+                    FrameError::Truncated { expected, got }
+                } else {
+                    FrameError::TrailingBytes { expected, got }
+                };
+                return Err(corrupt(what, seg.id, offset));
             }
-            let actual = crc32(&bytes);
-            if actual != seg.crc {
-                return Err(corrupt(
-                    format!("sealed segment crc {actual:08x}, manifest pins {:08x}", seg.crc),
-                    seg.id,
-                    0,
-                ));
+            let found = crc32(&bytes);
+            if found != seg.crc {
+                return Err(corrupt(FrameError::Checksum { expected: seg.crc, found }, seg.id, 0));
             }
-            let (batches, good, bad) = scan_frames(&bytes);
+            let (batches, good, bad) = scan_frames::<Vec<PacketRecord>>(&bytes);
             if let Some(reason) = bad {
                 // Checksum matched but frames do not parse: the manifest
                 // itself pinned garbage — an encoder bug, surfaced loudly.
@@ -342,20 +286,14 @@ impl WalStore {
         // The tail: torn frames are routine after a crash. Keep the good
         // prefix, truncate the rest, say so.
         let tail_path = segment_path(&dir, manifest.tail);
-        let tail_bytes_on_disk = match std::fs::read(&tail_path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e.into()),
-        };
-        let (batches, good, bad) = scan_frames(&tail_bytes_on_disk);
+        let tail_bytes_on_disk = read_or_empty(&tail_path)?;
+        let (batches, good, bad) = scan_frames::<Vec<PacketRecord>>(&tail_bytes_on_disk);
         let tail_frames = batches.len() as u64;
         report.frames_replayed += tail_frames;
         for batch in batches {
             store.ingest_packets(batch);
         }
-        if let Some(reason) = bad {
-            report.torn_tail = Some((manifest.tail, good, reason));
-        }
+        report.torn_tail = bad.map(|why| (manifest.tail, good, why));
 
         let mut tail_file = OpenOptions::new()
             .create(true)
@@ -391,12 +329,6 @@ impl WalStore {
         &self.store
     }
 
-    /// The store's Observatory surface (mutable: rendering and query
-    /// observation need it).
-    pub fn obs_mut(&mut self) -> &mut crate::observe::StoreObs {
-        &mut self.store.obs
-    }
-
     /// Sealed segments currently pinned by the manifest.
     pub fn sealed_segments(&self) -> &[SealedSegment] {
         &self.manifest.sealed
@@ -415,7 +347,8 @@ impl WalStore {
         if batch.is_empty() {
             return Ok(());
         }
-        let frame = encode_frame(&batch)?;
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &batch);
         self.tail_file.write_all(&frame)?;
         self.tail_file.flush()?;
         self.tail_crc.update(&frame);
@@ -469,6 +402,7 @@ impl WalStore {
 mod tests {
     use super::*;
     use campuslab_capture::{Direction, TcpFlags};
+    use campuslab_obs::frame::FRAME_HEADER;
     use std::net::IpAddr;
 
     fn scratch(name: &str) -> PathBuf {
@@ -500,12 +434,20 @@ mod tests {
         (0..n).map(|i| packet(base + u64::from(i) * 1_000, i)).collect()
     }
 
+    /// A frame as WAL v1–v4 wrote it: `[len u32 LE][crc32 u32 LE][payload]`.
+    fn u32_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
     /// What [`WAL_VERSION`] currently means, as bytes: `(crc32, length)` of
     /// every file name and file body `wal_layout_is_pinned_to_its_version`
-    /// leaves in its directory, in name order. v4 dropped the table tag
-    /// byte that led every v3 frame, with the flow, DNS and sensor kinds
-    /// it chose between: a frame's payload is the packet batch alone.
-    const WAL_LAYOUT_PIN: (u32, usize) = (0xdb8d_83d0, 385);
+    /// leaves in its directory, in name order. v5 writes the durable frame
+    /// PHNX images share, whose length is a u64: 4 B more per frame than
+    /// v4, here three segment frames and the manifest's.
+    const WAL_LAYOUT_PIN: (u32, usize) = (0x55ba_2c18, 401);
 
     /// Frames and manifest are positional, so any field added, removed,
     /// reordered or re-typed in a packet record, the segment table or the
@@ -688,10 +630,28 @@ mod tests {
         bytes[mid] ^= 0x40;
         std::fs::write(&seg, &bytes).unwrap();
         match WalStore::open(&dir, WalConfig::default()).map(|_| ()) {
-            Err(PersistError::Corrupt { segment: Some(0), offset: Some(_), what }) => {
-                assert!(what.contains("crc"), "{what}");
-            }
+            Err(PersistError::Corrupt { segment: Some(0), offset: Some(0), what: FrameError::Checksum { .. } }) => {}
             other => panic!("expected located corruption, got {other:?}"),
+        }
+        // A cut, a padded and a missing segment, each refused against its
+        // pin at the first byte that disagrees with it.
+        let (pinned, cut) = (bytes.len() as u64, mid as u64);
+        let padded = [&bytes[..], b"x"].concat();
+        for (image, what, offset) in [
+            (Some(&bytes[..mid]), FrameError::Truncated { expected: pinned, got: cut }, cut),
+            (Some(&padded[..]), FrameError::TrailingBytes { expected: pinned, got: pinned + 1 }, pinned),
+            (None, FrameError::Truncated { expected: pinned, got: 0 }, 0),
+        ] {
+            match image {
+                Some(image) => std::fs::write(&seg, image).unwrap(),
+                None => std::fs::remove_file(&seg).unwrap(),
+            }
+            match WalStore::open(&dir, WalConfig::default()).map(|_| ()) {
+                Err(PersistError::Corrupt { segment: Some(0), offset: Some(at), what: found }) => {
+                    assert_eq!((found, at), (what, offset));
+                }
+                other => panic!("expected located corruption, got {other:?}"),
+            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -775,8 +735,9 @@ mod tests {
     /// zero. A v2 directory (these frames under a JSON manifest) is refused
     /// the same way; nothing in this build reads a JSON manifest, so any one
     /// is reported as version 2, the last to write it. A v3 directory
-    /// (tagged frames under a binary manifest) is refused by its version
-    /// word: its tag bytes would otherwise misread as batch lengths.
+    /// (tagged frames under a binary manifest) and a v4 one (u32 frame
+    /// lengths) are refused by their version word: scanned as v5 frames,
+    /// their length fields would swallow the checksum that follows.
     #[test]
     fn v1_directories_are_a_typed_version_error_and_left_untouched() {
         let files = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
@@ -804,10 +765,7 @@ mod tests {
             )
         };
 
-        let json = br#"{"Packets":[]}"#;
-        let mut v1_frame = (json.len() as u32).to_le_bytes().to_vec();
-        v1_frame.extend_from_slice(&crc32(json).to_le_bytes());
-        v1_frame.extend_from_slice(json);
+        let v1_frame = u32_frame(br#"{"Packets":[]}"#);
 
         // v1, sealed at least once: a JSON manifest.
         let dir = scratch("v1sealed");
@@ -838,27 +796,27 @@ mod tests {
         refused(&dir, 2);
         std::fs::remove_dir_all(&dir).unwrap();
 
-        // v3: frames led by the `Packets` tag byte (0), a sealed segment
-        // and a tail, under the `CLWM` v3 manifest that pins them.
-        let v3_frame = |records: Vec<PacketRecord>| {
-            let mut payload = vec![0u8];
-            records.serialize_bin(&mut payload);
-            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            frame
-        };
-        let dir = scratch("v3");
-        std::fs::create_dir_all(&dir).unwrap();
-        let sealed = v3_frame(batch(0, 3));
-        std::fs::write(segment_path(&dir, 0), &sealed).unwrap();
-        std::fs::write(segment_path(&dir, 1), v3_frame(batch(1_000_000, 5))).unwrap();
-        let pinned = SealedSegment { id: 0, frames: 1, bytes: sealed.len() as u64, crc: crc32(&sealed) };
-        let manifest = Manifest { sealed: vec![pinned], tail: 1 };
-        let v3 = [&MANIFEST_MAGIC[..], &3u32.to_le_bytes(), &encode_frame(&manifest).unwrap()].concat();
-        std::fs::write(manifest_path(&dir), v3).unwrap();
-        refused(&dir, 3);
-        std::fs::remove_dir_all(&dir).unwrap();
+        // v3: frames led by the `Packets` tag byte (0); v4: the bare batch.
+        // Each a sealed segment and a tail of u32-length frames, under the
+        // `CLWM` manifest of its version that pins them.
+        for (version, tag) in [(3u32, &[0u8][..]), (4, &[][..])] {
+            let frame = |records: Vec<PacketRecord>| {
+                let mut payload = tag.to_vec();
+                records.serialize_bin(&mut payload);
+                u32_frame(&payload)
+            };
+            let dir = scratch(&format!("v{version}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let sealed = frame(batch(0, 3));
+            std::fs::write(segment_path(&dir, 0), &sealed).unwrap();
+            std::fs::write(segment_path(&dir, 1), frame(batch(1_000_000, 5))).unwrap();
+            let pinned = SealedSegment { id: 0, frames: 1, bytes: sealed.len() as u64, crc: crc32(&sealed) };
+            let manifest = serde::bin::to_vec(&Manifest { sealed: vec![pinned], tail: 1 });
+            let bytes = [&MANIFEST_MAGIC[..], &version.to_le_bytes(), &u32_frame(&manifest)].concat();
+            std::fs::write(manifest_path(&dir), bytes).unwrap();
+            refused(&dir, version);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// `seal` pins the running checksum, not a re-read of the file: it must
@@ -913,7 +871,7 @@ mod tests {
         // number of frames no longer than the cut.
         let stride = (image.len() as u64 / cases.max(1)).max(1);
         for cut in (0..image.len() as u64).step_by(stride as usize) {
-            let (_, good, _) = scan_frames(&image[..cut as usize]);
+            let (_, good, _) = scan_frames::<Vec<PacketRecord>>(&image[..cut as usize]);
             assert!(good <= cut);
         }
 
@@ -928,7 +886,7 @@ mod tests {
             let bit = (r >> 40) as u8 & 7;
             let mut flipped = image.clone();
             flipped[pos] ^= 1 << bit;
-            let (records, good, bad) = scan_frames(&flipped);
+            let (records, good, bad) = scan_frames::<Vec<PacketRecord>>(&flipped);
             assert!(good <= image.len() as u64);
             // A flip anywhere must cut the scan at or before that byte's
             // frame — records past the flip would mean a checksum lied.
@@ -940,9 +898,9 @@ mod tests {
         // Re-stamped CRC: mutate or cut the first frame's payload, fix the
         // header up to match, and scan. The first frame then decodes to
         // some value or cuts the scan at 0; the later frames are intact.
-        let first_len = u32::from_le_bytes(image[0..4].try_into().unwrap()) as usize;
+        let first_len = u64::from_le_bytes(image[0..8].try_into().unwrap()) as usize;
         let restamp = |payload: &[u8]| {
-            let mut img = (payload.len() as u32).to_le_bytes().to_vec();
+            let mut img = (payload.len() as u64).to_le_bytes().to_vec();
             img.extend_from_slice(&crc32(payload).to_le_bytes());
             img.extend_from_slice(payload);
             img.extend_from_slice(&image[FRAME_HEADER + first_len..]);
@@ -961,16 +919,16 @@ mod tests {
             } else {
                 damaged.truncate(pos);
             }
-            let (records, good, bad) = scan_frames(&restamp(&damaged));
+            let (records, good, bad) = scan_frames::<Vec<PacketRecord>>(&restamp(&damaged));
             assert!(bad.is_none() && records.len() == 6 || good == 0 && records.is_empty());
         }
         // A forged 2^60 element count behind a valid checksum is refused
         // from the length alone, before anything is allocated for it.
         let mut forged = Vec::new();
         serde::bin::write_varint(&mut forged, 1 << 60);
-        let (records, good, bad) = scan_frames(&restamp(&forged));
+        let (records, good, bad) = scan_frames::<Vec<PacketRecord>>(&restamp(&forged));
         assert!(records.is_empty() && good == 0);
-        assert!(bad.unwrap().contains("LengthOverrun"));
+        assert!(matches!(bad, Some(FrameError::Payload(e)) if matches!(e.kind, serde::bin::ErrorKind::LengthOverrun { .. })));
     }
 
     /// A failed manifest commit (ENOSPC, a transient I/O error) must leave

@@ -16,9 +16,11 @@
 //!   and an add. No globals, no locks, no atomics — parallel runners give
 //!   each worker its own sink and [`ObsSink::merge_from`] folds them.
 //!
-//! The crate also owns [`crc32`], the checksum every durable image and log
-//! frame carries: carry-less multiply where the CPU has it, slice-by-8
-//! tables everywhere else, bit-identical either way.
+//! The crate also owns the durable frame ([`mod@frame`]): the one on-disk
+//! codec under checkpoint images, WAL segments and the WAL manifest, with
+//! one typed error, [`FrameError`]. Its checksum is [`crc32`]: carry-less
+//! multiply where the CPU has it, slice-by-8 tables everywhere else,
+//! bit-identical either way.
 //!
 //! Layers do not call the registry by hand: each `*Obs` struct is one
 //! [`schema!`] table (see [`mod@schema`]), which generates the struct, its
@@ -40,10 +42,12 @@
 
 #![deny(unreachable_pub)]
 
+pub mod frame;
 pub mod metrics;
 pub mod schema;
 pub mod trace;
 
+pub use frame::FrameError;
 pub use metrics::{
     CounterId, GaugeId, Histogram, HistogramId, Kind, Metric, ObsSink, Registry, SinkMisfit,
 };

@@ -2,8 +2,11 @@
 //! governance matrix could ever justify releasing beyond the university is
 //! aggregate statistics — and even those leak without noise. The Laplace
 //! mechanism here makes `AggregateStats` releases (ε, 0)-DP, with a privacy
-//! budget ledger the IT organization can audit.
+//! budget ledger the IT organization can audit. The ledger is also the
+//! release's gate: it records a release only for a requester the
+//! governance matrix ([`PolicyEngine::decide`]) allows aggregate statistics.
 
+use crate::policy::{DataClass, PolicyEngine, Purpose, Role, Verdict};
 use crate::speck::Speck64;
 
 /// A seeded Laplace sampler over the SPECK PRF (no floating-point RNG state
@@ -62,6 +65,8 @@ pub struct BudgetLedger {
 /// Why a release was refused. The ledger is left untouched either way.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReleaseRefused {
+    /// The governance matrix denies this requester aggregate statistics.
+    Denied { role: Role, purpose: Purpose },
     /// The release's ε is not a finite positive number. A negative ε would
     /// refund budget and a NaN would poison the ledger for good, and
     /// `NoisedValue`'s fields are public, so the ledger checks.
@@ -73,6 +78,9 @@ pub enum ReleaseRefused {
 impl std::fmt::Display for ReleaseRefused {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ReleaseRefused::Denied { role, purpose } => {
+                write!(f, "release denied: {role:?} for {purpose:?} may not receive aggregate statistics")
+            }
             ReleaseRefused::InvalidEpsilon(eps) => {
                 write!(f, "invalid release: eps={eps} is not a finite positive number")
             }
@@ -98,9 +106,14 @@ impl BudgetLedger {
         (self.total_epsilon - self.spent).max(0.0)
     }
 
-    /// Record a release, debiting its ε; refuses an ε that is not finite
-    /// and positive, and any release once the budget is gone.
-    pub fn record(&mut self, release: NoisedValue) -> Result<&NoisedValue, ReleaseRefused> {
+    /// Record a release to `role` asking for `purpose`, debiting its ε.
+    /// Refuses, in this order: a requester the governance matrix denies
+    /// aggregate statistics, an ε that is not finite and positive, and any
+    /// release once the budget is gone.
+    pub fn record(&mut self, role: Role, purpose: Purpose, release: NoisedValue) -> Result<&NoisedValue, ReleaseRefused> {
+        if PolicyEngine::decide(role, purpose, DataClass::AggregateStats) == Verdict::Deny {
+            return Err(ReleaseRefused::Denied { role, purpose });
+        }
         let eps = release.epsilon_spent;
         if !(eps.is_finite() && eps > 0.0) {
             return Err(ReleaseRefused::InvalidEpsilon(eps));
@@ -122,6 +135,13 @@ impl BudgetLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A requester the matrix allows aggregate statistics.
+    const RESEARCH: (Role, Purpose) = (Role::Researcher, Purpose::Research);
+
+    fn record(ledger: &mut BudgetLedger, release: NoisedValue) -> Result<&NoisedValue, ReleaseRefused> {
+        ledger.record(RESEARCH.0, RESEARCH.1, release)
+    }
 
     #[test]
     fn noise_is_deterministic_per_key_and_nonce() {
@@ -162,9 +182,9 @@ mod tests {
     fn ledger_enforces_composition() {
         let m = LaplaceMechanism::new(9, 0.5);
         let mut ledger = BudgetLedger::new(1.0);
-        assert!(ledger.record(m.release_count("a", 10, 1)).is_ok());
-        assert!(ledger.record(m.release_count("b", 20, 2)).is_ok());
-        let err = ledger.record(m.release_count("c", 30, 3)).unwrap_err();
+        assert!(record(&mut ledger, m.release_count("a", 10, 1)).is_ok());
+        assert!(record(&mut ledger, m.release_count("b", 20, 2)).is_ok());
+        let err = record(&mut ledger, m.release_count("c", 30, 3)).unwrap_err();
         assert!(matches!(err, ReleaseRefused::Exhausted { remaining, .. } if remaining < 1e-9));
         assert_eq!(ledger.releases().len(), 2);
         assert!(err.to_string().contains("exhausted"));
@@ -176,10 +196,10 @@ mod tests {
     fn ledger_refuses_an_epsilon_that_is_not_finite_and_positive() {
         let m = LaplaceMechanism::new(9, 0.25);
         let mut ledger = BudgetLedger::new(1.0);
-        ledger.record(m.release_count("a", 10, 1)).unwrap();
+        record(&mut ledger, m.release_count("a", 10, 1)).unwrap();
         for eps in [-0.5, 0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let forged = NoisedValue { epsilon_spent: eps, ..m.release_count("forged", 10, 2) };
-            let err = ledger.record(forged).unwrap_err();
+            let err = record(&mut ledger, forged).unwrap_err();
             assert!(matches!(err, ReleaseRefused::InvalidEpsilon(e) if e.to_bits() == eps.to_bits()));
             assert!(err.to_string().contains("not a finite positive"), "{err}");
             assert_eq!(ledger.remaining(), 0.75, "eps={eps} moved the budget");
@@ -187,11 +207,50 @@ mod tests {
         }
         // The ledger still works: three more 0.25 releases fit, a fourth does not.
         for n in 3..6 {
-            ledger.record(m.release_count("b", 10, n)).unwrap();
+            record(&mut ledger, m.release_count("b", 10, n)).unwrap();
         }
         assert!(matches!(
-            ledger.record(m.release_count("c", 10, 6)),
+            record(&mut ledger, m.release_count("c", 10, 6)),
             Err(ReleaseRefused::Exhausted { .. })
+        ));
+    }
+
+    /// A denied requester gets nothing and costs nothing: the refusal
+    /// comes before any other check, the budget and the release list stay
+    /// as they were, and every pair the matrix allows still records.
+    #[test]
+    fn ledger_refuses_a_requester_the_matrix_denies() {
+        use Purpose::*;
+        use Role::*;
+        let m = LaplaceMechanism::new(9, 0.1);
+        let mut ledger = BudgetLedger::new(1.0);
+        let mut nonce = 0;
+        for role in [ItOperator, Researcher, Auditor, External] {
+            for purpose in [SecurityOperations, Research, Audit] {
+                nonce += 1;
+                let (spent, released) = (ledger.remaining(), ledger.releases().len());
+                let verdict = PolicyEngine::decide(role, purpose, DataClass::AggregateStats);
+                match ledger.record(role, purpose, m.release_count("c", 10, nonce)) {
+                    Ok(_) => assert_eq!(verdict, Verdict::Allow, "{role:?}/{purpose:?}"),
+                    Err(err) => {
+                        assert_eq!(verdict, Verdict::Deny, "{role:?}/{purpose:?}");
+                        assert_eq!(err, ReleaseRefused::Denied { role, purpose });
+                        assert!(err.to_string().contains("denied"), "{err}");
+                        assert_eq!((ledger.remaining(), ledger.releases().len()), (spent, released));
+                    }
+                }
+            }
+        }
+        // IT operators under every purpose, researchers for research and
+        // auditors for audit: five releases at 0.1 each.
+        assert_eq!(ledger.releases().len(), 5);
+        assert!((ledger.remaining() - 0.5).abs() < 1e-9);
+        // Denial outranks the other refusals: a forged ε from an external
+        // requester is refused as denied, not as invalid.
+        let forged = NoisedValue { epsilon_spent: f64::NAN, ..m.release_count("forged", 10, 99) };
+        assert!(matches!(
+            ledger.record(External, Research, forged),
+            Err(ReleaseRefused::Denied { role: External, purpose: Research })
         ));
     }
 }

@@ -166,6 +166,57 @@ mod tests {
         assert_eq!(s1.scrub_packet(packet()), s2.scrub_packet(packet()));
         assert_ne!(s1.scrub_packet(packet()).src, s3.scrub_packet(packet()).src);
     }
+
+    /// What scrubbing does to a model's input: the packet feature row
+    /// (`fields_from_record`) carries no address, but it carries both
+    /// ports, so a record's row changes exactly in its ephemeral
+    /// (≥ 1024) `SrcPort`/`DstPort` values. Well-known ports (so
+    /// `SrcPortIsDns`), protocol, size, TTL, direction and flags come
+    /// through equal. A model trained on scrubbed records therefore sees
+    /// other rows than one trained on raw records, which is the cost E4
+    /// measures with its second development loop.
+    #[test]
+    fn scrubbing_changes_a_feature_row_only_in_ephemeral_ports() {
+        use campuslab_capture::{fields_from_record, HeaderField, FIELD_ORDER};
+        let s = Scrubber::new(42, ScrubPolicy::internal_research());
+        let ports = [0, 22, 53, 80, 443, 1023, 1024, 5353, 40_000, 49_152, u16::MAX];
+        let mut ephemeral_changes = 0;
+        for (i, (&src_port, &dst_port)) in ports.iter().flat_map(|a| ports.iter().map(move |b| (a, b))).enumerate() {
+            let i = i as u32;
+            let rec = PacketRecord {
+                direction: if i.is_multiple_of(2) { Direction::Inbound } else { Direction::Outbound },
+                protocol: [6, 17, 1][i as usize % 3],
+                src_port,
+                dst_port,
+                wire_len: 60 + i * 37,
+                ttl: (i % 255) as u8,
+                tcp_flags: TcpFlags {
+                    syn: i.is_multiple_of(2),
+                    ack: i.is_multiple_of(3),
+                    fin: i.is_multiple_of(5),
+                    rst: i.is_multiple_of(7),
+                    psh: true,
+                },
+                ..packet()
+            };
+            let (raw, scrubbed) = (fields_from_record(&rec), fields_from_record(&s.scrub_packet(rec.clone())));
+            for ((field, before), after) in FIELD_ORDER.iter().zip(raw).zip(scrubbed) {
+                let ephemeral = match field {
+                    HeaderField::SrcPort => src_port >= 1024,
+                    HeaderField::DstPort => dst_port >= 1024,
+                    _ => false,
+                };
+                if ephemeral {
+                    ephemeral_changes += usize::from(before != after);
+                } else {
+                    assert_eq!(before, after, "{field:?} of {rec:?}");
+                }
+            }
+        }
+        // Five of the eleven ports are ephemeral, so the 11 × 11 records
+        // hold 2 × 11 × 5 ephemeral values; the pseudonym moves every one.
+        assert_eq!(ephemeral_changes, 2 * 11 * 5);
+    }
 }
 
 /// The memoized scrubber against its oracle, [`PrefixPreservingAnon`].

@@ -410,19 +410,9 @@ impl ResolverService {
         &self.obs
     }
 
-    /// Mutable access to the metric bundle (for merging sinks).
-    pub fn obs_mut(&mut self) -> &mut RsvObs {
-        &mut self.obs
-    }
-
     /// The configuration this resolver runs with.
     pub fn config(&self) -> &ResolverConfig {
         &self.cfg
-    }
-
-    /// Lookups currently awaiting their upstream deadline.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 }
 

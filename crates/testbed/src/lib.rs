@@ -62,7 +62,7 @@ pub use crosscampus::{cross_campus, CampusSite, CrossCampusResult};
 pub use driftpilot::{drift_road_test, DriftRunConfig, DriftSession};
 pub use phoenix::{
     decode_checkpoint, encode_checkpoint, fingerprint, CrashCart, Fingerprint, PhoenixCheckpoint,
-    PhoenixError, PHOENIX_MAGIC, PHOENIX_VERSION,
+    PHOENIX_MAGIC, PHOENIX_VERSION,
 };
 pub use observe::{metric_catalogue, FilterObs, RunObs};
 pub use roadtest::{

@@ -2,8 +2,10 @@
 //! [`Session`]. A session advances window by window, and a
 //! [`PhoenixCheckpoint`] can be taken at any quiescent barrier (what it
 //! captures and what it deliberately leaves to the rebuild is DESIGN.md
-//! §16); this module owns the checkpoint's durable envelope and the
-//! kill-point harness.
+//! §16); this module owns the kill-point harness and names the
+//! checkpoint's durable form: one `PHNX` envelope of the shared durable
+//! frame ([`campuslab_obs::frame`], the WAL's codec too), whose typed
+//! [`FrameError`] is what a damaged image decodes to.
 //!
 //! The recovery contract, pinned by the CrashCart harness below and by
 //! `tests/phoenix_diff.rs`: kill the process at *any* checkpoint
@@ -15,13 +17,14 @@
 use crate::session::{Finished, FrozenStack, Session};
 use campuslab_control::FrozenBank;
 use campuslab_netsim::{FrozenNetwork, SimDuration, SimTime};
-use campuslab_obs::crc32;
+use campuslab_obs::frame::{decode_envelope, encode_envelope};
+use campuslab_obs::FrameError;
 
 /// Checkpoint format version. The payload is positional binary
 /// (`serde::bin`), so *any* change to the frozen-state layout — a field or
 /// variant added, removed or reordered — bumps it; a decoder seeing
 /// another version (v1 was a JSON payload) reports
-/// [`PhoenixError::VersionSkew`] instead of guessing.
+/// [`FrameError::VersionSkew`] instead of guessing.
 pub const PHOENIX_VERSION: u32 = 7;
 
 /// What [`PHOENIX_VERSION`] currently means, as bytes: `(crc32, length)` of
@@ -37,9 +40,6 @@ pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0x693b_f46b, 1_233_220);
 
 /// Envelope magic: the first four bytes of every encoded checkpoint.
 pub const PHOENIX_MAGIC: [u8; 4] = *b"PHNX";
-
-/// Fixed envelope header size: magic + version + payload length + crc32.
-const HEADER_LEN: usize = 4 + 4 + 8 + 4;
 
 /// The outcome fingerprint the recovery contract is stated over: the
 /// sim-ordered timeline, the Prometheus dump, and the trace JSON.
@@ -60,95 +60,18 @@ pub struct PhoenixCheckpoint {
     pub bank: FrozenBank,
 }
 
-/// Typed decode failures. Every malformed input maps to one of these —
-/// the decoder never panics, whatever the bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PhoenixError {
-    /// Fewer bytes than the fixed header, or than the header promised.
-    Truncated { expected: u64, got: u64 },
-    /// More bytes than the header's payload length accounts for.
-    TrailingBytes { expected: u64, got: u64 },
-    /// The first four bytes are not `PHNX`.
-    BadMagic { found: [u8; 4] },
-    /// A version this decoder does not speak.
-    VersionSkew { found: u32, supported: u32 },
-    /// Payload bytes do not hash to the header's checksum: torn write or
-    /// bit flip. Recovery: discard and fall back to an older checkpoint.
-    Checksum { expected: u32, found: u32 },
-    /// Checksum held but the payload is not a valid checkpoint document
-    /// (an encoder bug, not storage corruption).
-    Payload { detail: String },
-}
-
-impl std::fmt::Display for PhoenixError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PhoenixError::Truncated { expected, got } => {
-                write!(f, "checkpoint truncated: expected {expected} bytes, got {got}")
-            }
-            PhoenixError::TrailingBytes { expected, got } => {
-                write!(f, "checkpoint has trailing bytes: envelope is {expected} bytes, got {got}")
-            }
-            PhoenixError::BadMagic { found } => write!(f, "bad checkpoint magic {found:02x?}"),
-            PhoenixError::VersionSkew { found, supported } => {
-                write!(f, "checkpoint version {found} (this build supports {supported})")
-            }
-            PhoenixError::Checksum { expected, found } => {
-                write!(f, "checkpoint checksum mismatch: header {expected:08x}, payload {found:08x}")
-            }
-            PhoenixError::Payload { detail } => write!(f, "checkpoint payload invalid: {detail}"),
-        }
-    }
-}
-
-impl std::error::Error for PhoenixError {}
-
 /// Serialize a checkpoint into its durable envelope:
 /// `PHNX | version u32 LE | payload_len u64 LE | crc32 u32 LE | payload`.
-/// The payload is written in place after a reserved header, which is then
-/// back-patched with its length and checksum.
 pub fn encode_checkpoint(cp: &PhoenixCheckpoint) -> Vec<u8> {
-    let mut out = vec![0u8; HEADER_LEN];
-    serde::Serialize::serialize_bin(cp, &mut out);
-    let (header, payload) = out.split_at_mut(HEADER_LEN);
-    header[0..4].copy_from_slice(&PHOENIX_MAGIC);
-    header[4..8].copy_from_slice(&PHOENIX_VERSION.to_le_bytes());
-    header[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    header[16..20].copy_from_slice(&crc32(payload).to_le_bytes());
-    out
+    encode_envelope(PHOENIX_MAGIC, PHOENIX_VERSION, cp)
 }
 
 /// Decode an envelope produced by [`encode_checkpoint`]. Total function:
-/// every byte string returns `Ok` or a typed [`PhoenixError`], never a
+/// every byte string returns `Ok` or a typed [`FrameError`], never a
 /// panic — truncation, bit flips and version skew are all routine inputs
 /// after a crash.
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<PhoenixCheckpoint, PhoenixError> {
-    let got = bytes.len() as u64;
-    if bytes.len() < HEADER_LEN {
-        return Err(PhoenixError::Truncated { expected: HEADER_LEN as u64, got });
-    }
-    let (header, payload) = bytes.split_at(HEADER_LEN);
-    let magic: [u8; 4] = header[0..4].try_into().expect("fixed slice");
-    if magic != PHOENIX_MAGIC {
-        return Err(PhoenixError::BadMagic { found: magic });
-    }
-    let version = u32::from_le_bytes(header[4..8].try_into().expect("fixed slice"));
-    if version != PHOENIX_VERSION {
-        return Err(PhoenixError::VersionSkew { found: version, supported: PHOENIX_VERSION });
-    }
-    let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("fixed slice"));
-    let expected = (HEADER_LEN as u64).saturating_add(payload_len);
-    match got.cmp(&expected) {
-        std::cmp::Ordering::Less => return Err(PhoenixError::Truncated { expected, got }),
-        std::cmp::Ordering::Greater => return Err(PhoenixError::TrailingBytes { expected, got }),
-        std::cmp::Ordering::Equal => {}
-    }
-    let stored_crc = u32::from_le_bytes(header[16..20].try_into().expect("fixed slice"));
-    let actual_crc = crc32(payload);
-    if stored_crc != actual_crc {
-        return Err(PhoenixError::Checksum { expected: stored_crc, found: actual_crc });
-    }
-    serde::bin::from_slice(payload).map_err(|e| PhoenixError::Payload { detail: e.to_string() })
+pub fn decode_checkpoint(bytes: &[u8]) -> Result<PhoenixCheckpoint, FrameError> {
+    decode_envelope(bytes, PHOENIX_MAGIC, PHOENIX_VERSION)
 }
 
 /// The kill-point harness: a factory for identical deadline-bounded
@@ -218,7 +141,7 @@ impl<S: Into<Session>, F: Fn() -> S> CrashCart<F> {
     /// the full encode → decode envelope (the bytes are all a dead
     /// process leaves behind), drop the session, restore into a freshly
     /// built one, and resume over the remaining grid.
-    pub fn killed_at(&self, kill: usize) -> Result<Fingerprint, PhoenixError> {
+    pub fn killed_at(&self, kill: usize) -> Result<Fingerprint, FrameError> {
         let grid = &self.grid;
         assert!(kill < grid.len(), "kill index {kill} outside grid of {}", grid.len());
         let mut session = self.session();
@@ -234,18 +157,14 @@ impl<S: Into<Session>, F: Fn() -> S> CrashCart<F> {
     }
 
     /// Kill at every boundary and diff each resumed fingerprint against
-    /// the uninterrupted baseline. Returns the mismatching boundary
-    /// indices — empty means the recovery contract holds everywhere.
-    pub fn sweep(&self) -> Vec<usize> {
+    /// the uninterrupted baseline. Returns the baseline and the
+    /// mismatching boundary indices — none means the recovery contract
+    /// holds everywhere.
+    pub fn sweep(&self) -> (Fingerprint, Vec<usize>) {
         let baseline = self.uninterrupted();
-        let mut mismatches = Vec::new();
-        for k in 0..self.grid.len() {
-            match self.killed_at(k) {
-                Ok(fp) if fp == baseline => {}
-                _ => mismatches.push(k),
-            }
-        }
-        mismatches
+        let mismatches =
+            (0..self.grid.len()).filter(|&k| !matches!(self.killed_at(k), Ok(fp) if fp == baseline)).collect();
+        (baseline, mismatches)
     }
 }
 
@@ -256,6 +175,10 @@ mod tests {
     use crate::fixtures::trained;
     use crate::scenario::Scenario;
     use campuslab_control::RolloutStage;
+    use campuslab_obs::crc32;
+
+    /// Magic, version, payload length and checksum.
+    const HEADER_LEN: usize = 4 + 4 + 8 + 4;
 
     /// A deliberately small crash-test scenario: the amplification campus
     /// cut to a 5 s workload. Checkpoints stay small (the event queue
@@ -343,7 +266,7 @@ mod tests {
     #[test]
     fn kill_at_every_boundary_resumes_byte_identically() {
         let cart = CrashCart::new(cheap_session, SimDuration::from_secs(1));
-        assert_eq!(cart.sweep(), Vec::<usize>::new());
+        assert_eq!(cart.sweep().1, Vec::<usize>::new());
     }
 
     /// Satellite: a checkpoint taken while the guard is mid-canary (the
@@ -528,22 +451,22 @@ mod tests {
 
         assert!(matches!(
             decode_checkpoint(&[]),
-            Err(PhoenixError::Truncated { got: 0, .. })
+            Err(FrameError::Truncated { got: 0, .. })
         ));
         assert!(matches!(
             decode_checkpoint(&bytes[..HEADER_LEN - 1]),
-            Err(PhoenixError::Truncated { .. })
+            Err(FrameError::Truncated { .. })
         ));
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'Q';
-        assert!(matches!(decode_checkpoint(&bad_magic), Err(PhoenixError::BadMagic { .. })));
+        assert!(matches!(decode_checkpoint(&bad_magic), Err(FrameError::BadMagic { .. })));
 
         let mut skew = bytes.clone();
         skew[4..8].copy_from_slice(&(PHOENIX_VERSION + 1).to_le_bytes());
         assert_eq!(
             decode_checkpoint(&skew).err(),
-            Some(PhoenixError::VersionSkew {
+            Some(FrameError::VersionSkew {
                 found: PHOENIX_VERSION + 1,
                 supported: PHOENIX_VERSION
             })
@@ -557,7 +480,7 @@ mod tests {
         v6[4..8].copy_from_slice(&6u32.to_le_bytes());
         assert_eq!(
             decode_checkpoint(&v6).err(),
-            Some(PhoenixError::VersionSkew { found: 6, supported: 7 })
+            Some(FrameError::VersionSkew { found: 6, supported: 7 })
         );
 
         // A v5 header: the layout that carried per-node and per-link
@@ -567,7 +490,7 @@ mod tests {
         v5[4..8].copy_from_slice(&5u32.to_le_bytes());
         assert_eq!(
             decode_checkpoint(&v5).err(),
-            Some(PhoenixError::VersionSkew { found: 5, supported: PHOENIX_VERSION })
+            Some(FrameError::VersionSkew { found: 5, supported: PHOENIX_VERSION })
         );
 
         // A v4 header: the layout that copied every pending build-time
@@ -576,7 +499,7 @@ mod tests {
         v4[4..8].copy_from_slice(&4u32.to_le_bytes());
         assert_eq!(
             decode_checkpoint(&v4).err(),
-            Some(PhoenixError::VersionSkew { found: 4, supported: PHOENIX_VERSION })
+            Some(FrameError::VersionSkew { found: 4, supported: PHOENIX_VERSION })
         );
 
         // A v3 header: the frame-field layout (MACs, IPv4
@@ -585,7 +508,7 @@ mod tests {
         v3[4..8].copy_from_slice(&3u32.to_le_bytes());
         assert_eq!(
             decode_checkpoint(&v3).err(),
-            Some(PhoenixError::VersionSkew { found: 3, supported: PHOENIX_VERSION })
+            Some(FrameError::VersionSkew { found: 3, supported: PHOENIX_VERSION })
         );
 
         // A v2 header: the RED-era layout, refused the same way.
@@ -593,7 +516,7 @@ mod tests {
         v2[4..8].copy_from_slice(&2u32.to_le_bytes());
         assert_eq!(
             decode_checkpoint(&v2).err(),
-            Some(PhoenixError::VersionSkew { found: 2, supported: PHOENIX_VERSION })
+            Some(FrameError::VersionSkew { found: 2, supported: PHOENIX_VERSION })
         );
 
         // A v1 image (JSON payload) is version skew, not a payload to try:
@@ -606,7 +529,7 @@ mod tests {
         v1.extend_from_slice(json);
         assert_eq!(
             decode_checkpoint(&v1).err(),
-            Some(PhoenixError::VersionSkew { found: 1, supported: PHOENIX_VERSION })
+            Some(FrameError::VersionSkew { found: 1, supported: PHOENIX_VERSION })
         );
 
         // Bytes past the header's payload length are refused, not ignored.
@@ -614,21 +537,19 @@ mod tests {
         padded.push(0);
         assert_eq!(
             decode_checkpoint(&padded).err(),
-            Some(PhoenixError::TrailingBytes {
+            Some(FrameError::TrailingBytes {
                 expected: bytes.len() as u64,
                 got: bytes.len() as u64 + 1
             })
         );
     }
 
-    /// Never-panic fuzz over the envelope decoder, in the house style of
-    /// the wire fuzzers: `CAMPUSLAB_FUZZ_CASES` scales the sweep.
-    /// Truncations at every prefix length (torn write), single-bit flips
-    /// across header and payload (storage corruption), and random byte
-    /// soup must all return a typed error or a valid checkpoint — never
-    /// panic, never a wrong-checksum accept. The re-stamped arm damages
-    /// the *payload* and recomputes the header, so the binary decoder
-    /// behind the checksum has to survive the damage on its own.
+    /// Never-panic fuzz over a real checkpoint's payload decoder,
+    /// `CAMPUSLAB_FUZZ_CASES` scaled (the envelope itself is fuzzed where
+    /// it lives, `campuslab_obs::frame`). Each case damages the payload and
+    /// re-stamps the header's length and checksum, so the binary decoder of
+    /// every frozen layer has to survive the damage on its own: `Err` or a
+    /// value, never a panic.
     #[test]
     fn envelope_decoder_never_panics_on_corrupt_input() {
         let mut session = cheap_session();
@@ -640,50 +561,6 @@ mod tests {
             .and_then(|v| v.parse().ok())
             .unwrap_or(64);
 
-        // Torn writes: every prefix of the header and an env-scaled
-        // sample of payload prefixes must decode to a typed error.
-        for len in 0..HEADER_LEN.min(bytes.len()) {
-            assert!(decode_checkpoint(&bytes[..len]).is_err());
-        }
-        let stride = (bytes.len() / cases.max(1) as usize).max(1);
-        for len in (HEADER_LEN..bytes.len()).step_by(stride) {
-            assert!(
-                decode_checkpoint(&bytes[..len]).is_err(),
-                "prefix of {len} bytes decoded clean"
-            );
-        }
-
-        // Bit flips: one flipped bit anywhere must surface as a typed
-        // error (magic/version/length/checksum), or — only when the flip
-        // lands in the crc field's own representation — still checksum.
-        let mut x = 0x9E3779B97F4A7C15u64; // splitmix stream, deterministic
-        for _ in 0..cases {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            let r = x.wrapping_mul(0x2545F4914F6CDD1D);
-            let pos = (r as usize) % bytes.len();
-            let bit = (r >> 48) as u8 & 7;
-            let mut flipped = bytes.clone();
-            flipped[pos] ^= 1 << bit;
-            assert!(
-                decode_checkpoint(&flipped).is_err(),
-                "single-bit flip at byte {pos} bit {bit} decoded clean"
-            );
-        }
-
-        // Byte soup: random garbage of assorted lengths.
-        for i in 0..cases {
-            x = x.wrapping_add(0x9E3779B97F4A7C15).wrapping_mul(i | 1);
-            let len = (x % 256) as usize;
-            let soup: Vec<u8> = (0..len)
-                .map(|j| (x.rotate_left(j as u32 % 63) >> 13) as u8)
-                .collect();
-            let _ = decode_checkpoint(&soup); // must not panic
-        }
-
-        // Re-stamped CRC: overwrite or cut the payload, patch length and
-        // checksum to match, decode. `Err` or a value, never a panic.
         let restamp = |payload: &[u8]| {
             let mut image = bytes[..8].to_vec();
             image.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -692,6 +569,7 @@ mod tests {
             image
         };
         let payload = &bytes[HEADER_LEN..];
+        let mut x = 0x9E3779B97F4A7C15u64; // xorshift stream, deterministic
         for _ in 0..cases {
             x ^= x >> 12;
             x ^= x << 25;
@@ -701,14 +579,11 @@ mod tests {
             let mut damaged = payload.to_vec();
             if r >> 63 == 0 {
                 damaged[pos] = (r >> 40) as u8;
+                let _ = decode_checkpoint(&restamp(&damaged));
             } else {
                 damaged.truncate(pos);
-                assert!(matches!(
-                    decode_checkpoint(&restamp(&damaged)),
-                    Err(PhoenixError::Payload { .. })
-                ));
+                assert!(matches!(decode_checkpoint(&restamp(&damaged)), Err(FrameError::Payload(_))));
             }
-            let _ = decode_checkpoint(&restamp(&damaged));
         }
         // A forged 2^60 count where the pending-event vector starts (the
         // fields before it are positional, so their encodings concatenate)
@@ -719,7 +594,9 @@ mod tests {
         serde::Serialize::serialize_bin(&net.obs, &mut forged);
         serde::bin::write_varint(&mut forged, 1 << 60);
         match decode_checkpoint(&restamp(&forged)) {
-            Err(PhoenixError::Payload { detail }) => assert!(detail.contains("LengthOverrun"), "{detail}"),
+            Err(FrameError::Payload(e)) => {
+                assert!(matches!(e.kind, serde::bin::ErrorKind::LengthOverrun { .. }), "{e}")
+            }
             other => panic!("forged length accepted: {:?}", other.err()),
         }
     }

@@ -262,7 +262,7 @@ mod tests {
             probe.stack.guard.as_ref().unwrap().stage() == RolloutStage::Canary
         });
         assert!(mid_canary, "no boundary caught the guard mid-canary");
-        assert_eq!(cart.sweep(), Vec::<usize>::new());
+        assert_eq!(cart.sweep().1, Vec::<usize>::new());
     }
 
     #[test]

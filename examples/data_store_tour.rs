@@ -13,7 +13,8 @@ use campuslab::datastore::{summarize, top_talkers, PacketQuery, WalConfig, WalSt
 use campuslab::features::packet_features;
 use campuslab::ml::Classifier;
 use campuslab::privacy::{
-    BudgetLedger, DataClass, LaplaceMechanism, PolicyEngine, Purpose, Role, Verdict,
+    BudgetLedger, DataClass, LaplaceMechanism, PolicyEngine, Purpose, ReleaseRefused, Role,
+    Verdict,
 };
 use campuslab::testbed::{shard_by_second, Scenario};
 use campuslab::xai::counterfactual;
@@ -111,9 +112,20 @@ fn main() {
     let verdict = engine.check(1, Role::External, Purpose::Research, DataClass::AggregateStats);
     println!("\n[policy] external researcher asks for aggregates: {verdict:?}");
     assert_eq!(verdict, Verdict::Deny);
-    println!("[policy] even aggregates leave only through the DP mechanism:");
     let mechanism = LaplaceMechanism::new(0x70AC_C0DE, 0.5);
     let mut ledger = BudgetLedger::new(1.0);
+    // The ledger asks the same matrix: the external request gets no noised
+    // count and costs no budget.
+    let denied = ledger
+        .record(Role::External, Purpose::Research, mechanism.release_count("total_packets", summary.packets, 0))
+        .expect_err("the matrix denies external aggregates");
+    println!("[policy] its DP release: REFUSED: {denied}");
+    assert_eq!(denied, ReleaseRefused::Denied { role: Role::External, purpose: Purpose::Research });
+    assert_eq!(ledger.remaining(), 1.0);
+    let verdict = engine.check(2, Role::Researcher, Purpose::Research, DataClass::AggregateStats);
+    println!("[policy] campus researcher asks for aggregates: {verdict:?}");
+    assert_eq!(verdict, Verdict::Allow);
+    println!("[policy] even allowed aggregates leave only through the DP mechanism:");
     let mut refused = Vec::new();
     for (i, (name, value)) in [
         ("total_packets", summary.packets),
@@ -123,7 +135,8 @@ fn main() {
     .iter()
     .enumerate()
     {
-        match ledger.record(mechanism.release_count(name, *value, i as u64)) {
+        let release = mechanism.release_count(name, *value, i as u64);
+        match ledger.record(Role::Researcher, Purpose::Research, release) {
             Ok(release) => println!(
                 "         {:<18} true {:>6} -> released {:>9.1} (eps {:.1})",
                 release.name, value, release.value, release.epsilon_spent

@@ -34,10 +34,12 @@ else
 fi
 
 # Never-panic fuzz soak: every untrusted-input decoder (wire's DNS codec,
-# WAL tail scanner, PHNX envelope, datastore codec) and every structure
-# keyed by untrusted input (the scrubber's address memo, checked against
-# its unmemoized oracle) reads CAMPUSLAB_FUZZ_CASES and takes 10k seeded
-# cases. By whole package, not by test name: a name
+# the durable frame in obs that PHNX images, WAL segments and the WAL
+# manifest share, the WAL tail scanner and a checkpoint's payload behind
+# it, datastore codec) and every structure keyed by untrusted input (the
+# scrubber's address memo, checked against its unmemoized oracle) reads
+# CAMPUSLAB_FUZZ_CASES and takes 10k seeded cases. By whole package, not
+# by test name: a name
 # filter that a rename turns into a silent no-op is not a gate. The rest
 # of each package rides along, which is also its release-mode run
 # (kill-at-every-boundary, phoenix_diff, WAL recovery, and obs's CRC-32
