@@ -25,9 +25,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Unreferenced public items in this tree.
-const CEILING: usize = 27;
+const CEILING: usize = 16;
 /// Public fields of the tree's `*Config`, `*Policy` and `*Spec` structs.
-const KNOB_CEILING: usize = 98;
+const KNOB_CEILING: usize = 95;
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };

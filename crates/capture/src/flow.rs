@@ -197,11 +197,6 @@ impl FlowTable {
     pub fn drain(&mut self) -> Vec<FlowRecord> {
         std::mem::take(&mut self.emitted)
     }
-
-    /// Number of currently tracked flows.
-    pub fn active_len(&self) -> usize {
-        self.active.len()
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +239,7 @@ mod tests {
         t.observe(&tcp_rec(0, true, TcpFlags { syn: true, ..Default::default() }));
         t.observe(&tcp_rec(1_000, false, TcpFlags { syn: true, ack: true, ..Default::default() }));
         t.observe(&tcp_rec(2_000, true, TcpFlags { ack: true, ..Default::default() }));
-        assert_eq!(t.active_len(), 1);
+        assert_eq!(t.active.len(), 1);
         t.flush();
         let flows = t.drain();
         assert_eq!(flows.len(), 1);
@@ -262,7 +257,7 @@ mod tests {
         t.observe(&tcp_rec(0, true, TcpFlags { syn: true, ..Default::default() }));
         t.observe(&tcp_rec(10, true, TcpFlags { fin: true, ack: true, ..Default::default() }));
         t.observe(&tcp_rec(20, false, TcpFlags { fin: true, ack: true, ..Default::default() }));
-        assert_eq!(t.active_len(), 0);
+        assert_eq!(t.active.len(), 0);
         assert_eq!(t.drain().len(), 1);
     }
 
@@ -271,7 +266,7 @@ mod tests {
         let mut t = FlowTable::new(FlowTableConfig::default());
         t.observe(&tcp_rec(0, true, TcpFlags { syn: true, ..Default::default() }));
         t.observe(&tcp_rec(10, false, TcpFlags { rst: true, ..Default::default() }));
-        assert_eq!(t.active_len(), 0);
+        assert_eq!(t.active.len(), 0);
         let flows = t.drain();
         assert_eq!(flows[0].rst_count, 1);
     }
@@ -284,9 +279,9 @@ mod tests {
         });
         t.observe(&rec(0, [10, 1, 1, 1], [10, 1, 1, 2], 1, 2, 60));
         t.poll(500_000);
-        assert_eq!(t.active_len(), 1);
+        assert_eq!(t.active.len(), 1);
         t.poll(1_500_000);
-        assert_eq!(t.active_len(), 0);
+        assert_eq!(t.active.len(), 0);
         assert_eq!(t.drain().len(), 1);
     }
 
@@ -302,7 +297,7 @@ mod tests {
         // The flow is emitted when it crosses 1 ms of age and restarts.
         let emitted = t.drain();
         assert!(!emitted.is_empty());
-        assert_eq!(t.active_len(), 1, "the flow restarted");
+        assert_eq!(t.active.len(), 1, "the flow restarted");
     }
 
     #[test]
@@ -311,7 +306,7 @@ mod tests {
         t.observe(&rec(100, [10, 1, 1, 1], [10, 2, 2, 2], 5, 6, 60));
         t.observe(&rec(200, [10, 1, 1, 3], [10, 2, 2, 2], 5, 6, 60));
         t.observe(&rec(300, [10, 1, 1, 4], [10, 2, 2, 2], 5, 6, 60));
-        assert_eq!(t.active_len(), 2);
+        assert_eq!(t.active.len(), 2);
         let flows = t.drain();
         assert_eq!(flows.len(), 1);
         assert_eq!(flows[0].first_ts_ns, 100); // oldest went first
@@ -338,7 +333,7 @@ mod tests {
         r.protocol = 17;
         t.observe(&r);
         t.observe(&r);
-        assert_eq!(t.active_len(), 1);
+        assert_eq!(t.active.len(), 1);
         t.flush();
         assert_eq!(t.drain().len(), 1);
     }

@@ -90,11 +90,6 @@ impl TcpRttEstimator {
             None
         }
     }
-
-    /// Half-open handshakes currently tracked.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -137,14 +132,14 @@ mod tests {
         let mut b = PacketBuilder::new();
         let syn = tcp_pkt(&mut b, [10, 1, 1, 10], [203, 0, 113, 1], 40_000, 443, TcpControl::SYN);
         assert!(est.observe(SimTime::from_millis(100), &syn).is_none());
-        assert_eq!(est.pending_len(), 1);
+        assert_eq!(est.pending.len(), 1);
         let synack = tcp_pkt(&mut b, [203, 0, 113, 1], [10, 1, 1, 10], 443, 40_000, TcpControl::SYN_ACK);
         let rec = est.observe(SimTime::from_millis(118), &synack).expect("measured");
         assert_eq!(rec.rtt_ns, 18_000_000);
         assert_eq!(rec.client, "10.1.1.10".parse::<std::net::IpAddr>().unwrap());
         assert_eq!(rec.server, "203.0.113.1".parse::<std::net::IpAddr>().unwrap());
         assert_eq!(rec.dst_port, 443);
-        assert_eq!(est.pending_len(), 0);
+        assert_eq!(est.pending.len(), 0);
     }
 
     #[test]

@@ -47,7 +47,8 @@ pub struct Monitor {
     rtt_records: Vec<TcpRttRecord>,
     last_poll_ns: u64,
     pub stats: MonitorStats,
-    /// Observatory sink mirroring `stats`, renderable as a metrics dump.
+    /// Observatory sink: `stats` as a renderable metrics dump, filled by
+    /// [`Monitor::finish`] (empty before it).
     pub obs: CaptureObs,
 }
 
@@ -70,18 +71,15 @@ impl Monitor {
     /// Observe one packet on the tapped wire.
     pub fn observe(&mut self, now: SimTime, direction: Direction, pkt: &Packet) {
         self.stats.observed += 1;
-        self.obs.on_observed();
         let record = PacketRecord::from_packet(now, direction, pkt);
         // Ring admission first: a packet the appliance cannot keep up with
         // is lost to monitoring entirely.
         if !self.rings.offer(now, &record.flow_key()) {
             self.stats.ring_dropped += 1;
-            self.obs.on_ring_dropped();
             return;
         }
         self.stats.captured += 1;
         self.stats.bytes_captured += u64::from(record.wire_len);
-        self.obs.on_captured(u64::from(record.wire_len));
         if let Some(meta) = extract_dns(now, direction, pkt) {
             self.dns_records.push(meta);
         }
@@ -98,9 +96,10 @@ impl Monitor {
         }
     }
 
-    /// End of capture: flush all active flows.
+    /// End of capture: flush all active flows and book `stats` on `obs`.
     pub fn finish(&mut self) {
         self.flows.flush();
+        self.obs = CaptureObs::of(&self.stats);
     }
 
     /// Captured packet records so far.
@@ -273,7 +272,7 @@ mod tests {
         assert!(attack * 2 > amp.len(), "{attack} of {}", amp.len());
     }
 
-    /// The Observatory mirrors MonitorStats bump-for-bump.
+    /// After `finish`, the Observatory holds MonitorStats' counts.
     #[test]
     fn obs_counters_agree_with_monitor_stats() {
         let campus = small_campus();
@@ -294,6 +293,7 @@ mod tests {
             MonitorConfig { rings: 1, ring: RingConfig { capacity: 4, drain_pps: 2_000.0 } },
         );
         net.run(&mut hooks, None);
+        hooks.monitor.finish();
         let s = hooks.monitor.stats;
         let obs = &hooks.monitor.obs;
         assert_eq!(obs.observed(), s.observed);

@@ -1,11 +1,14 @@
 //! Observatory schema for the capture plane: one [`CaptureObs`] per
-//! [`crate::monitor::Monitor`], bumped at the same sites as
-//! [`crate::monitor::MonitorStats`] so the renderable export surface and
-//! the programmatic one can never disagree.
+//! [`crate::monitor::Monitor`], filled from its owner,
+//! [`crate::monitor::MonitorStats`], when the monitor finishes
+//! ([`CaptureObs::of`]), so the renderable export surface and the
+//! programmatic one can never disagree.
 //!
 //! The counters encode the tap conservation law
 //! `observed == captured + ring_dropped`,
 //! which [`CaptureObs::conserved`] checks straight off the sink.
+
+use crate::monitor::MonitorStats;
 
 campuslab_obs::schema! {
     /// Metrics registry + sink for one capture monitor.
@@ -24,20 +27,14 @@ campuslab_obs::schema! {
 const LOST_HELP: &str = "packets lost to monitoring, by cause";
 
 impl CaptureObs {
-    #[inline]
-    pub(crate) fn on_observed(&mut self) {
-        self.sink.inc(self.observed);
-    }
-
-    #[inline]
-    pub(crate) fn on_captured(&mut self, wire_bytes: u64) {
-        self.sink.inc(self.captured);
-        self.sink.add(self.bytes_captured, wire_bytes);
-    }
-
-    #[inline]
-    pub(crate) fn on_ring_dropped(&mut self) {
-        self.sink.inc(self.ring_dropped);
+    /// The monitor's counts as a filled sink.
+    pub fn of(stats: &MonitorStats) -> Self {
+        let mut obs = CaptureObs::new();
+        obs.sink.add(obs.observed, stats.observed);
+        obs.sink.add(obs.captured, stats.captured);
+        obs.sink.add(obs.ring_dropped, stats.ring_dropped);
+        obs.sink.add(obs.bytes_captured, stats.bytes_captured);
+        obs
     }
 
     /// The tap conservation law, checked straight off the sink.
@@ -52,15 +49,8 @@ mod tests {
 
     #[test]
     fn conservation_holds_by_construction() {
-        let mut obs = CaptureObs::new();
-        for _ in 0..10 {
-            obs.on_observed();
-        }
-        obs.on_captured(100);
-        obs.on_captured(200);
-        for _ in 0..8 {
-            obs.on_ring_dropped();
-        }
+        let stats = MonitorStats { observed: 10, captured: 2, ring_dropped: 8, bytes_captured: 300 };
+        let obs = CaptureObs::of(&stats);
         assert!(obs.conserved());
         assert_eq!(obs.bytes_captured(), 300);
         let text = obs.render();

@@ -136,11 +136,6 @@ impl CaptureArray {
         total
     }
 
-    /// Per-ring statistics.
-    pub fn per_ring(&self) -> Vec<RingStats> {
-        self.rings.iter().map(|r| r.stats).collect()
-    }
-
     /// Number of rings.
     pub fn len(&self) -> usize {
         self.rings.len()
@@ -217,7 +212,7 @@ mod tests {
             arr.offer(SimTime(i), &k.reversed());
         }
         // All 200 packets (both directions) land on exactly one ring.
-        let busy: Vec<_> = arr.per_ring().iter().filter(|s| s.offered > 0).cloned().collect();
+        let busy: Vec<_> = arr.rings.iter().map(|r| &r.stats).filter(|s| s.offered > 0).cloned().collect();
         assert_eq!(busy.len(), 1);
         assert_eq!(busy[0].offered, 200);
     }
@@ -228,7 +223,7 @@ mod tests {
         for i in 0..2000u16 {
             arr.offer(SimTime(u64::from(i)), &key((i % 250) as u8, 1024 + i));
         }
-        let active = arr.per_ring().iter().filter(|s| s.offered > 0).count();
+        let active = arr.rings.iter().map(|r| &r.stats).filter(|s| s.offered > 0).count();
         assert!(active >= 6, "poor spread: {active} of 8 rings active");
     }
 

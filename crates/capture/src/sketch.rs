@@ -45,11 +45,6 @@ impl CountMinSketch {
         self.total += weight;
         est
     }
-
-    /// Worst-case overestimate bound at this fill level.
-    pub fn error_bound(&self) -> f64 {
-        std::f64::consts::E * self.total as f64 / self.width as f64
-    }
 }
 
 /// Tracks the `k` heaviest keys exactly, fed by sketch estimates — the
@@ -139,7 +134,8 @@ mod tests {
         for i in 0..20_000u32 {
             s.add(&(i % 1_000), 1);
         }
-        let bound = s.error_bound();
+        // Worst-case overestimate bound at this fill level.
+        let bound = std::f64::consts::E * s.total as f64 / s.width as f64;
         let mut violations = 0;
         for key in 0..1_000u32 {
             let err = s.add(&key, 0).saturating_sub(20);

@@ -70,7 +70,7 @@ pub struct BankEntry {
     scope: ProgramScope,
     /// Content identity of the installed program, so a rollback can
     /// remove exactly the candidate's entries.
-    fingerprint: u64,
+    pub(crate) fingerprint: u64,
     runtime: PipelineRuntime,
 }
 
@@ -116,11 +116,6 @@ impl BankHandle {
         let before = state.entries.len();
         state.entries.retain(|e| e.fingerprint != fingerprint);
         before - state.entries.len()
-    }
-
-    /// True when an entry with this program fingerprint is installed.
-    pub fn has_fingerprint(&self, fingerprint: u64) -> bool {
-        self.shared.lock().entries.iter().any(|e| e.fingerprint == fingerprint)
     }
 
     /// Number of installed programs.
@@ -447,11 +442,6 @@ impl MitigationController {
             giveups: Vec::new(),
             obs: ControllerObs::new(),
         }
-    }
-
-    /// The wrapped detector's Observatory sink.
-    pub fn detector_obs(&self) -> &DetectorObs {
-        &self.detector.obs
     }
 
     /// The install-channel circuit breaker, when the policy carries one.
@@ -808,7 +798,7 @@ mod tests {
         for at in [SimTime::from_millis(100), SimTime::from_millis(499), SimTime::from_millis(500)] {
             ctrl.on_tap(at, LinkId(0), Dir::BtoA, &pkt, &mut cmds);
         }
-        assert_eq!(ctrl.detector_obs().observed(), 1);
+        assert_eq!(ctrl.detector.obs.observed(), 1);
     }
 
     #[test]

@@ -66,36 +66,15 @@ fn drift_sketch() -> HeavyHitters {
     HeavyHitters::new(HEAVY_K, SKETCH_WIDTH, SKETCH_DEPTH)
 }
 
-/// DriftPilot configuration. Every candidate must fit
-/// `SwitchModel::default()` before submission.
-#[derive(Debug, Clone)]
-pub struct DriftPilotConfig {
-    /// The tapped border link the pilot learns from.
-    pub tap: LinkId,
-    /// Pipeline configuration for each retrain. Its `seed` is ignored:
-    /// the pilot derives the seed from the record window's content hash.
-    pub devloop: DevLoopConfig,
-    /// Fingerprint of the program in force at start (the guard's initial
-    /// known-good): retrains reproducing it are not resubmitted.
-    pub deployed_fingerprint: u64,
-}
-
-impl DriftPilotConfig {
-    /// Defaults tuned for the testbed's compressed campus runs. The
-    /// always-on pilot retrains every couple of sim seconds, so its
-    /// teacher is a deliberately small forest: the distilled student is
-    /// what deploys anyway, and an 8-tree teacher keeps a full drift road
-    /// test fast enough to replay in CI on every executor row.
-    pub fn new(tap: LinkId, deployed_fingerprint: u64) -> Self {
-        DriftPilotConfig {
-            tap,
-            devloop: DevLoopConfig {
-                teacher: TeacherKind::Forest(ForestConfig { n_trees: 8 }),
-                ..DevLoopConfig::default()
-            },
-            deployed_fingerprint,
-        }
-    }
+/// The pipeline every retrain runs (its `seed` is replaced by the record
+/// window's content hash). Tuned for the testbed's compressed campus runs:
+/// the always-on pilot retrains every couple of sim seconds, so its
+/// teacher is a deliberately small forest. The distilled student is what
+/// deploys anyway, and an 8-tree teacher keeps a full drift road test
+/// fast enough to replay in CI on every executor row. Every candidate
+/// must fit `SwitchModel::default()` before submission.
+fn pilot_devloop() -> DevLoopConfig {
+    DevLoopConfig { teacher: TeacherKind::Forest(ForestConfig { n_trees: 8 }), ..DevLoopConfig::default() }
 }
 
 /// What fired a retrain.
@@ -152,7 +131,11 @@ pub struct DriftEpisode {
 /// [`crate::rollout::RolloutGuard::submit_candidate`] and feeding guard
 /// events back through [`DriftPilot::on_guard_event`]).
 pub struct DriftPilot {
-    cfg: DriftPilotConfig,
+    /// The tapped border link the pilot learns from.
+    tap: LinkId,
+    /// Fingerprint of the program in force at start (the guard's initial
+    /// known-good): retrains reproducing it are not resubmitted.
+    deployed_fingerprint: u64,
     state: PilotState,
     /// Drift episodes, in onset order.
     pub episodes: Vec<DriftEpisode>,
@@ -198,8 +181,9 @@ impl DriftPilot {
     pub const TOKEN_BASE: u64 = 0x4452_4654_0000_0000;
     const WINDOW_TOKEN: u64 = Self::TOKEN_BASE;
 
-    /// Build a pilot.
-    pub fn new(cfg: DriftPilotConfig) -> Self {
+    /// A pilot learning from `tap`, started with the program of
+    /// fingerprint `deployed_fingerprint` in force.
+    pub fn new(tap: LinkId, deployed_fingerprint: u64) -> Self {
         let state = PilotState {
             buffer: VecDeque::new(),
             hh_ports: drift_sketch(),
@@ -214,14 +198,15 @@ impl DriftPilot {
             drift_onset: SimTime::ZERO,
             ordinal: 0,
             retrained_since_onset: false,
-            deployed_fp: cfg.deployed_fingerprint,
+            deployed_fp: deployed_fingerprint,
             inflight: None,
             barred: BTreeSet::new(),
             mine: BTreeSet::new(),
             outbox: Vec::new(),
         };
         DriftPilot {
-            cfg,
+            tap,
+            deployed_fingerprint,
             state,
             episodes: Vec::new(),
             retrains: Vec::new(),
@@ -312,8 +297,9 @@ impl DriftPilot {
 
     /// Freeze the pilot's dynamic state for a checkpoint: training
     /// buffer, drift sketches and references, episode machinery,
-    /// submission bookkeeping, and telemetry values. Config (and the devloop inside it) is
-    /// scenario-derived and reconstructed by the driver.
+    /// submission bookkeeping, and telemetry values. The tap and the
+    /// starting fingerprint are scenario-derived: the session that
+    /// restores the pilot builds it with the same two values.
     pub fn freeze(&self) -> FrozenDriftPilot {
         FrozenDriftPilot {
             state: self.state.clone(),
@@ -324,8 +310,8 @@ impl DriftPilot {
         }
     }
 
-    /// Apply a frozen image onto a freshly constructed pilot (same
-    /// config). Every dynamic field is overwritten; the metric prefix is
+    /// Apply a frozen image onto a freshly constructed pilot (same tap
+    /// and fingerprint). Every dynamic field is overwritten; the metric prefix is
     /// preserved so plaza tenants thaw under their own names. An image
     /// whose metric sink does not fit is refused untouched.
     pub fn thaw_state(&mut self, frozen: FrozenDriftPilot) -> Result<(), SinkMisfit> {
@@ -428,14 +414,14 @@ impl DriftPilot {
         // straightening its ring changes no image byte.
         let records: &[PacketRecord] = self.state.buffer.make_contiguous();
         self.obs.on_retrain(trigger == RetrainTrigger::Drift);
-        let (model_fp, program) = retrain_window(records, &self.cfg.devloop);
+        let (model_fp, program) = retrain_window(records, &pilot_devloop());
         let prog_fp = program.fingerprint();
         let outcome = if SwitchModel::default().max_concurrent(&program) == 0 {
             self.obs.on_budget_rejected();
             RetrainOutcome::BudgetRejected
         } else if prog_fp == self.state.deployed_fp
             || self.state.inflight == Some(prog_fp)
-            || (self.state.deployed_fp == self.cfg.deployed_fingerprint
+            || (self.state.deployed_fp == self.deployed_fingerprint
                 && records.iter().all(|r| r.label_attack == 0))
         {
             // Already in force or on its way there — or a window with no
@@ -481,7 +467,7 @@ pub struct FrozenDriftPilot {
 
 impl SimHooks for DriftPilot {
     fn on_tap(&mut self, now: SimTime, link: LinkId, dir: Dir, packet: &Packet, cmds: &mut Commands) {
-        if link != self.cfg.tap {
+        if link != self.tap {
             return;
         }
         if !self.state.bootstrapped {
@@ -669,7 +655,7 @@ mod tests {
 
     #[test]
     fn pilot_opens_an_episode_and_queues_a_candidate_on_drift() {
-        let mut pilot = DriftPilot::new(DriftPilotConfig::new(LinkId(0), 0));
+        let mut pilot = DriftPilot::new(LinkId(0), 0);
         let mut cmds = Commands::default();
         // Window 0: steady DNS-amplification signature.
         for r in window(0, 80, 53) {
@@ -722,7 +708,7 @@ mod tests {
 
     #[test]
     fn refused_candidates_are_retried_and_barred_ones_are_not_resubmitted() {
-        let mut pilot = DriftPilot::new(DriftPilotConfig::new(LinkId(0), 0));
+        let mut pilot = DriftPilot::new(LinkId(0), 0);
         let mut cmds = Commands::default();
         for r in window(0, 80, 53) {
             pilot.ingest_record(r);
@@ -762,7 +748,7 @@ mod tests {
 
     #[test]
     fn events_about_foreign_programs_are_ignored() {
-        let mut pilot = DriftPilot::new(DriftPilotConfig::new(LinkId(0), 0));
+        let mut pilot = DriftPilot::new(LinkId(0), 0);
         pilot.on_guard_event(&RolloutEvent {
             at: SimTime(1),
             program: ProgramVersion { name: "not-ours".into(), fingerprint: 99 },

@@ -42,7 +42,7 @@ pub use devloop::{
     TeacherModel,
 };
 pub use driftpilot::{
-    records_hash, retrain_window, DriftEpisode, DriftPilot, DriftPilotConfig, FrozenDriftPilot,
+    records_hash, retrain_window, DriftEpisode, DriftPilot, FrozenDriftPilot,
     PilotState, RetrainOutcome, RetrainRecord, RetrainTrigger,
 };
 pub use fastloop::{ShadowMirror, ShadowWindow};

@@ -168,11 +168,6 @@ impl ProgramRegistry {
         version
     }
 
-    /// The current known-good program, if any was ever committed.
-    pub fn last_known_good(&self) -> Option<&(ProgramVersion, PipelineProgram)> {
-        self.versions.last()
-    }
-
     /// Full lineage, oldest first.
     pub fn lineage(&self) -> impl Iterator<Item = &ProgramVersion> {
         self.versions.iter().map(|(v, _)| v)
@@ -865,6 +860,11 @@ mod tests {
     use campuslab_netsim::{GroundTruth, PacketBuilder, PacketFilter, Payload, Prefix};
     use std::net::Ipv4Addr;
 
+    /// True when an entry with this program fingerprint is installed.
+    fn has_fingerprint(handle: &BankHandle, fingerprint: u64) -> bool {
+        handle.freeze().entries.iter().any(|e| e.fingerprint == fingerprint)
+    }
+
     fn extractor() -> FieldExtractor {
         FieldExtractor::new(Prefix::v4(Ipv4Addr::new(10, 1, 0, 0), 16))
     }
@@ -1007,7 +1007,7 @@ mod tests {
         assert!(reg.contains(v1.fingerprint));
         assert!(reg.contains(v2.fingerprint));
         assert!(!reg.contains(0xDEAD_BEEF));
-        let (head, program) = reg.last_known_good().expect("head");
+        let (head, program) = reg.versions.last().expect("head");
         assert_eq!(*head, v2);
         assert_eq!(program.version(), v2);
         let lineage: Vec<_> = reg.lineage().cloned().collect();
@@ -1043,7 +1043,7 @@ mod tests {
         ));
         // Never enforced: the bank still holds only the known-good entry.
         assert_eq!(handle.len(), 1);
-        assert!(!handle.has_fingerprint(v2_fp));
+        assert!(!has_fingerprint(&handle, v2_fp));
         assert_eq!(guard.obs.vetoes(), 1);
         assert_eq!(guard.obs.windows_violated(), 2);
         // Nothing was actually dropped while shadowing.
@@ -1087,9 +1087,9 @@ mod tests {
         // Committed: the candidate is the registry head and the old
         // known-good entry has retired from the bank.
         assert_eq!(guard.registry().len(), 2);
-        assert_eq!(guard.registry().last_known_good().unwrap().0, v2_version);
-        assert!(handle.has_fingerprint(v2_version.fingerprint));
-        assert!(!handle.has_fingerprint(kg_fp));
+        assert_eq!(guard.registry().versions.last().unwrap().0, v2_version);
+        assert!(has_fingerprint(&handle, v2_version.fingerprint));
+        assert!(!has_fingerprint(&handle, kg_fp));
         assert_eq!(guard.obs.promotions(), 2);
         assert_eq!(guard.obs.commits(), 1);
         // Two stages were exited with recorded durations by commit time
@@ -1122,7 +1122,7 @@ mod tests {
             tick(&mut guard, SimTime::from_secs(2 + w), &mut cmds);
         }
         assert_eq!(guard.stage(), RolloutStage::Canary);
-        assert!(handle.has_fingerprint(v3_fp));
+        assert!(has_fingerprint(&handle, v3_fp));
 
         // Canary: benign HTTPS to the canary host is now enforced-dropped
         // — a benign-drop delta the baseline never saw. It reaches the
@@ -1146,7 +1146,7 @@ mod tests {
         ));
         assert_eq!(guard.stage(), RolloutStage::Idle);
         // The candidate's entries left the bank; known-good remains.
-        assert!(!handle.has_fingerprint(v3_fp));
+        assert!(!has_fingerprint(&handle, v3_fp));
         assert_eq!(handle.len(), 1);
         assert_eq!(guard.obs.rollbacks(), 1);
         let rollback_at = guard.events.last().unwrap().at;

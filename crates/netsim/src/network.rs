@@ -65,10 +65,14 @@ impl NetStats {
         }
     }
 
+    /// The drop count for one cause.
+    pub(crate) fn dropped(mut self, reason: DropReason) -> u64 {
+        *self.dropped_mut(reason)
+    }
+
     /// Total drops across all causes.
     pub fn dropped_total(&self) -> u64 {
-        let mut copy = *self;
-        DropReason::ALL.iter().map(|&reason| *copy.dropped_mut(reason)).sum()
+        DropReason::ALL.iter().map(|&reason| self.dropped(reason)).sum()
     }
 
     /// Delivered fraction of injected packets.
@@ -202,10 +206,11 @@ pub struct Network {
     /// Counters from the most recent sharded run (see `crate::shard`).
     pub(crate) shard_report: Option<crate::shard::ShardReport>,
     pub stats: NetStats,
-    /// Observatory sink: the same counters as `stats` plus histograms and
-    /// chaos/event telemetry, renderable as a deterministic metrics dump.
+    /// Observatory sink: copies of the `stats` counts, booked from them
+    /// once per run call, plus histograms and chaos/event telemetry,
+    /// renderable as a deterministic metrics dump.
     pub obs: NetObs,
-    /// Per-packet observations not yet booked on `obs`
+    /// Histogram observations not yet booked on `obs`
     /// ([`Network::book`]); empty between run calls.
     pub(crate) tally: HopTally,
 }
@@ -375,13 +380,14 @@ impl Network {
         self.book(events);
     }
 
-    /// Book `events` dispatched events, and the per-packet observations
-    /// tallied since the last booking, on `obs`. Every loop that
-    /// dispatches calls it before it returns, so a checkpoint or a metrics
-    /// dump taken between run calls sees everything.
+    /// Book `events` dispatched events, the `stats` counts and the
+    /// histogram observations tallied since the last booking on `obs`.
+    /// Every loop that dispatches calls it before it returns, so a
+    /// checkpoint or a metrics dump taken between run calls sees
+    /// everything.
     pub(crate) fn book(&mut self, events: u64) {
         self.obs.on_events(events);
-        self.obs.book_tally(&mut self.tally);
+        self.obs.book(&self.stats, &mut self.tally);
     }
 
     /// Run to completion with no observers; returns final statistics.
@@ -407,7 +413,6 @@ impl Network {
         match event {
             Event::Inject { node, mut packet } => {
                 self.stats.injected += 1;
-                self.obs.on_inject(&mut self.tally);
                 // Injection time rides in the packet: end-to-end latency
                 // needs no side lookup table keyed by packet id.
                 packet.injected_at = now;
@@ -432,9 +437,8 @@ impl Network {
         }
     }
 
-    /// The one way a packet leaves the network undelivered: booked on
-    /// [`NetStats`] and the Observatory, reported to the hooks, and its box
-    /// freed.
+    /// The one way a packet leaves the network undelivered: counted in
+    /// [`NetStats`], reported to the hooks, and its box freed.
     /// Conservation (*injected = delivered + Σ drops-by-reason + in flight*)
     /// holds because nothing else drops.
     fn drop_packet(
@@ -446,7 +450,6 @@ impl Network {
         cmds: &mut Commands,
     ) {
         *self.stats.dropped_mut(reason) += 1;
-        self.obs.on_drop(reason);
         hooks.on_drop(now, reason, &packet, cmds);
     }
 
@@ -480,7 +483,7 @@ impl Network {
                 self.stats.delivered_bytes += packet.wire_len() as u64;
                 let latency = now - packet.injected_at;
                 self.stats.latency_sum += latency;
-                self.obs.on_deliver(&mut self.tally, packet.wire_len() as u64, latency.as_nanos());
+                self.obs.on_deliver(&mut self.tally, latency.as_nanos());
                 hooks.on_deliver(now, node, &packet, latency, cmds);
             }
             NodeKind::Switch { .. } => {
@@ -852,57 +855,89 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// The Observatory mirrors NetStats: the two accounting surfaces are
-    /// bumped at the same sites and must never disagree.
-    #[test]
-    fn obs_counters_agree_with_netstats() {
-        let (mut net, h1, s1, _, l1, _) = tiny_net();
-        net.link_mut(l1).install_burst(&GilbertElliott::new(0.0, 0.0, 0.2, 0.0));
-        struct DropOdd;
-        impl PacketFilter for DropOdd {
-            fn decide(&mut self, _: SimTime, p: &Packet) -> FilterAction {
-                if p.transport.src_port() == Some(1001) {
-                    FilterAction::Drop
-                } else {
-                    FilterAction::Forward
-                }
+    /// Drops every packet from port 1001.
+    struct DropOdd;
+
+    impl PacketFilter for DropOdd {
+        fn decide(&mut self, _: SimTime, p: &Packet) -> FilterAction {
+            if p.transport.src_port() == Some(1001) {
+                FilterAction::Drop
+            } else {
+                FilterAction::Forward
             }
         }
+    }
+
+    /// `tiny_net` carrying a schedule that reaches every drop reason: a
+    /// lossy, slow first link (fault and queue), a filter on the switch,
+    /// TTL-1 and unroutable packets, and a switch crash mid-stream.
+    fn every_drop_net() -> Network {
+        let (mut net, h1, s1, _, l1, _) = tiny_net();
+        net.link_mut(l1).install_burst(&GilbertElliott::new(0.0, 0.0, 0.2, 0.0));
+        net.link_mut(l1).rate_bps = 10_000_000;
         net.install_filter(s1, Box::new(DropOdd));
         let mut b = PacketBuilder::new();
+        let mut udp = |dst: Ipv4Addr, src_port: u16, bytes: usize, ttl: u8| {
+            let truth = GroundTruth::default();
+            b.udp_v4(Ipv4Addr::new(10, 0, 0, 1), dst, src_port, 2000, Payload::Synthetic(bytes), ttl, truth)
+        };
+        let h2 = Ipv4Addr::new(10, 0, 0, 2);
         for i in 0..300u64 {
-            let pkt = b.udp_v4(
-                Ipv4Addr::new(10, 0, 0, 1),
-                Ipv4Addr::new(10, 0, 0, 2),
-                1000 + (i % 2) as u16, 2000,
-                Payload::Synthetic(120), 64, GroundTruth::default(),
-            );
+            let pkt = udp(h2, 1000 + (i % 2) as u16, 120, 64);
             net.inject(SimTime::from_micros(i * 13), h1, pkt);
         }
-        let stats = net.run_to_completion();
-        let obs = &net.obs;
-        assert_eq!(obs.injected(), stats.injected);
-        assert_eq!(obs.delivered(), stats.delivered);
-        assert_eq!(obs.delivered_bytes(), stats.delivered_bytes);
-        assert_eq!(obs.dropped(DropReason::Queue), stats.dropped_queue);
-        assert_eq!(obs.dropped(DropReason::Fault), stats.dropped_fault);
-        assert_eq!(obs.dropped(DropReason::Filter), stats.dropped_filter);
-        assert_eq!(obs.dropped(DropReason::Ttl), stats.dropped_ttl);
-        assert_eq!(obs.dropped(DropReason::NoRoute), stats.dropped_no_route);
-        assert_eq!(obs.dropped(DropReason::NodeDown), stats.dropped_node_down);
-        assert_eq!(obs.dropped_total(), stats.dropped_total());
-        assert!(stats.dropped_fault > 0 && stats.dropped_filter > 0, "test exercised no drops");
-        // Latency histogram covers exactly the delivered packets, and its
-        // sum matches the stats' latency accumulator (ns truncated to us).
-        let lat = obs.latency_histogram();
-        assert_eq!(lat.count(), stats.delivered);
-        // Each observation truncates ns -> us, so the histogram sum brackets
-        // the exact accumulator to within one us per delivered packet.
-        let exact_ns = stats.latency_sum.as_nanos() as u128;
-        assert!(lat.sum() * 1_000 <= exact_ns);
-        assert!((lat.sum() + lat.count() as u128) * 1_000 > exact_ns);
-        assert!(obs.event_seq() > stats.injected, "every injection is at least one event");
-        // The dump renders and is stable.
-        assert_eq!(net.obs.render(), net.obs.render());
+        // 1,000 × 1,500 B at one instant overflow the 1 MB queue.
+        for _ in 0..1000 {
+            net.inject(SimTime::from_millis(5), h1, udp(h2, 1000, 1458, 64));
+        }
+        for i in 0..10u64 {
+            net.inject(SimTime::from_micros(i * 101), h1, udp(h2, 1000, 80, 1));
+            net.inject(SimTime::from_micros(i * 103), h1, udp(Ipv4Addr::new(192, 0, 2, 99), 1000, 80, 64));
+        }
+        net.schedule_chaos(SimTime::from_micros(1_000), ChaosAction::NodeDown(s1));
+        net.schedule_chaos(SimTime::from_micros(1_500), ChaosAction::NodeUp(s1));
+        net
+    }
+
+    /// Every count has one owner, `NetStats`, and the sink's copies are
+    /// booked from it once per run call. One run call and three (with a
+    /// checkpoint restored into a fresh network between two of them)
+    /// render the same dump, and both sinks equal their stats.
+    #[test]
+    fn obs_counters_agree_with_netstats() {
+        let mut whole = every_drop_net();
+        whole.run_to_completion();
+
+        let mut first = every_drop_net();
+        first.run(&mut NullHooks, Some(SimTime::from_micros(1_200)));
+        let mut pieces = every_drop_net();
+        pieces.restore(first.checkpoint()).unwrap();
+        pieces.install_filter(NodeId(1), Box::new(DropOdd));
+        pieces.run(&mut NullHooks, Some(SimTime::from_millis(6)));
+        pieces.run(&mut NullHooks, None);
+
+        assert_eq!(whole.stats, pieces.stats);
+        assert_eq!(whole.obs.render(), pieces.obs.render());
+        for net in [&whole, &pieces] {
+            let (obs, stats) = (&net.obs, net.stats);
+            assert_eq!(obs.injected(), stats.injected);
+            assert_eq!(obs.delivered(), stats.delivered);
+            assert_eq!(obs.delivered_bytes(), stats.delivered_bytes);
+            for reason in DropReason::ALL {
+                assert!(stats.dropped(reason) > 0, "no {reason:?} drop: {stats:?}");
+                assert_eq!(obs.dropped(reason), stats.dropped(reason), "{reason:?}");
+            }
+            assert_eq!(obs.dropped_total(), stats.dropped_total());
+            assert_eq!(stats.injected, stats.delivered + stats.dropped_total(), "nothing left in flight");
+            // Latency histogram covers exactly the delivered packets, and
+            // each observation truncates ns -> us, so its sum brackets the
+            // stats' exact accumulator to within one us per packet.
+            let lat = obs.latency_histogram();
+            assert_eq!(lat.count(), stats.delivered);
+            let exact_ns = stats.latency_sum.as_nanos() as u128;
+            assert!(lat.sum() * 1_000 <= exact_ns);
+            assert!((lat.sum() + lat.count() as u128) * 1_000 > exact_ns);
+            assert!(obs.event_seq() > stats.injected, "every injection is at least one event");
+        }
     }
 }

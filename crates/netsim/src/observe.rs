@@ -1,17 +1,18 @@
 //! The simulator's Observatory schema: a [`NetObs`] is one
 //! [`campuslab_obs::schema!`] table — the registry describing every netsim
-//! metric plus the sink the event loop bumps. One `NetObs` per
+//! metric plus the sink it is booked on. One `NetObs` per
 //! [`crate::network::Network`] — no
-//! globals, no locks, and parallel runs each own their sink, so the fast
-//! path stays a plain `u64` add.
+//! globals, no locks, and parallel runs each own their sink.
 //!
-//! The counters deliberately mirror [`crate::network::NetStats`]: the
-//! aggregate struct stays the cheap programmatic surface, while the
-//! registry is the renderable, mergeable export surface. A coherence test
-//! in `network.rs` pins the two to agree.
+//! Every count has one owner. Injections, deliveries, delivered bytes
+//! and drops by reason are decided in [`crate::network::NetStats`], the
+//! struct callers read; the event loop books the sink's copies from it
+//! once per run call (`Network::book`), so the two can never
+//! disagree. The sink alone owns what `NetStats` does not hold: events,
+//! chaos transitions and the two histograms.
 
 use crate::chaos::ChaosAction;
-use crate::network::DropReason;
+use crate::network::{DropReason, NetStats};
 
 /// Queue-depth histogram bounds, bytes (≤1 KB .. ≤10 MB, then +Inf).
 pub const QUEUE_DEPTH_BOUNDS: [u64; 5] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000];
@@ -51,18 +52,14 @@ campuslab_obs::schema! {
     }
 }
 
-/// The event loop's per-packet bookings (injections, deliveries and
-/// their bytes, queue depth at each enqueue, latency at each delivery),
-/// counted and bucketed in fields the loop owns and booked on the sink
-/// once per run call, the way `NetObs::on_events` books events: a hop
-/// costs a short compare chain and a few adds, not a walk to the sink's
-/// counters and histograms. Sums are `u64`: one run call's depths or
-/// latencies stay far below its range.
+/// The event loop's histogram observations (queue depth at each
+/// enqueue, latency at each delivery), bucketed in fields the loop owns
+/// and booked on the sink once per run call, the way `NetObs::on_events`
+/// books events: a hop costs a short compare chain and a few adds, not a
+/// walk to the sink's histograms. Sums are `u64`: one run call's depths
+/// or latencies stay far below its range.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct HopTally {
-    injected: u64,
-    delivered: u64,
-    delivered_bytes: u64,
     depth: [u64; QUEUE_DEPTH_BOUNDS.len() + 1],
     depth_sum: u64,
     latency: [u64; LATENCY_BOUNDS.len() + 1],
@@ -108,27 +105,14 @@ impl NetObs {
         self.sink.add(self.event_seq, n);
     }
 
+    /// A packet was delivered `latency_ns` after its injection.
     #[inline]
-    pub(crate) fn on_inject(&self, tally: &mut HopTally) {
+    pub(crate) fn on_deliver(&self, tally: &mut HopTally, latency_ns: u64) {
         if self.sink.enabled() {
-            tally.injected += 1;
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_deliver(&self, tally: &mut HopTally, wire_bytes: u64, latency_ns: u64) {
-        if self.sink.enabled() {
-            tally.delivered += 1;
-            tally.delivered_bytes += wire_bytes;
             let us = latency_ns / 1_000;
             tally.latency[bucket(&LATENCY_BOUNDS, us)] += 1;
             tally.latency_sum += us;
         }
-    }
-
-    #[inline]
-    pub(crate) fn on_drop(&mut self, reason: DropReason) {
-        self.sink.inc(self.drops[drop_index(reason)]);
     }
 
     #[inline]
@@ -145,13 +129,22 @@ impl NetObs {
         }
     }
 
-    /// Book what `tally` holds and start it afresh.
-    pub(crate) fn book_tally(&mut self, tally: &mut HopTally) {
-        let HopTally { injected, delivered, delivered_bytes, depth, depth_sum, latency, latency_sum } =
-            std::mem::take(tally);
-        self.sink.add(self.injected, injected);
-        self.sink.add(self.delivered, delivered);
-        self.sink.add(self.delivered_bytes, delivered_bytes);
+    /// Bring the sink's copies of the [`NetStats`] counts up to `stats`,
+    /// their owner, and book what `tally` holds, starting it afresh. A
+    /// disabled sink books nothing. The subtraction saturates: a sink
+    /// ahead of its owner, which only a forged checkpoint holds, stays
+    /// where it is instead of panicking.
+    pub(crate) fn book(&mut self, stats: &NetStats, tally: &mut HopTally) {
+        let counts = [
+            (self.injected, stats.injected),
+            (self.delivered, stats.delivered),
+            (self.delivered_bytes, stats.delivered_bytes),
+        ];
+        let drops = DropReason::ALL.map(|reason| (self.drops[drop_index(reason)], stats.dropped(reason)));
+        for (id, owner) in counts.into_iter().chain(drops) {
+            self.sink.add(id, owner.saturating_sub(self.sink.counter(id)));
+        }
+        let HopTally { depth, depth_sum, latency, latency_sum } = std::mem::take(tally);
         self.sink.observe_buckets(self.queue_depth_histogram, &depth, depth_sum.into());
         self.sink.observe_buckets(self.latency_histogram, &latency, latency_sum.into());
     }
@@ -166,18 +159,10 @@ impl NetObs {
         self.drops.iter().map(|&c| self.sink.counter(c)).sum()
     }
 
-    /// Injected → delivered ratio, straight from the registry counters.
-    pub fn delivery_ratio(&self) -> f64 {
-        let inj = self.injected();
-        if inj == 0 {
-            return 0.0;
-        }
-        self.delivered() as f64 / inj as f64
-    }
-
-    /// Fold another network's sink (same schema by construction) into this
-    /// one — used when a sweep aggregates per-point runs.
-    pub fn merge_from(&mut self, other: &NetObs) {
+    /// Fold a shard slice's sink (same schema by construction) into this
+    /// one. The slice's `NetStats` fold into this network's at the same
+    /// time, so the counts stay equal to their owner's.
+    pub(crate) fn merge_from(&mut self, other: &NetObs) {
         self.sink.merge_from(&other.sink);
     }
 }

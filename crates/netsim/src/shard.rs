@@ -339,6 +339,9 @@ impl Network {
                 let s = s as u32;
                 let mut net = Network::new(self.seed);
                 net.queue.set_now(now0);
+                // A slice's sink merges into ours: a disabled sink stays
+                // disabled on every slice, so it books nothing here either.
+                net.obs.sink.set_enabled(self.obs.sink.enabled());
                 net.nodes = self
                     .nodes
                     .iter_mut()
@@ -407,8 +410,8 @@ impl Network {
         let mut leftovers: Vec<(EventKey, Event)> = Vec::new();
         for (s, mut slice) in slices.into_iter().enumerate() {
             let s = s as u32;
-            // Serial phases dispatch on a slice without booking its tally.
-            slice.obs.book_tally(&mut slice.tally);
+            // Serial phases dispatch on a slice without booking it.
+            slice.book(0);
             let Network { nodes, links, mut queue, stats, obs, .. } = slice;
             final_now = final_now.max(queue.now());
             leftovers.extend(queue.drain_sorted());
@@ -432,7 +435,7 @@ impl Network {
                 }
             }
         }
-        self.obs.book_tally(&mut self.tally);
+        self.book(0);
         self.queue.set_now(final_now);
         leftovers.sort_unstable_by_key(|e| e.0);
         for (k, e) in leftovers {

@@ -192,8 +192,9 @@ fn outcome(net: &Network) -> (NetStats, String, u64) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
 
-    /// Sharded == sequential at every shard count, and the work/span
-    /// census accounts for every event exactly once.
+    /// Sharded == sequential at every shard count, the work/span census
+    /// accounts for every event exactly once, and a disabled sink stays
+    /// empty.
     #[test]
     fn sharded_matches_sequential(sc in scenario()) {
         let mut seq = build(&sc);
@@ -207,6 +208,12 @@ proptest! {
             prop_assert_eq!(report.work_events, net.obs.event_seq());
             prop_assert!(report.span_events <= report.work_events);
         }
+        // A disabled sink books nothing under the sharded engine either.
+        let mut quiet = build(&sc);
+        quiet.obs.sink.set_enabled(false);
+        quiet.run_sharded(&mut NullHooks, None, 4);
+        prop_assert_eq!(quiet.stats, seq.stats);
+        prop_assert_eq!(quiet.obs.render(), NetObs::new().render());
     }
 
     /// The engine is hook-free: with observers attached it runs the

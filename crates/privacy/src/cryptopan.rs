@@ -91,14 +91,14 @@ pub fn common_prefix_len_v4(a: Ipv4Addr, b: Ipv4Addr) -> u32 {
     (u32::from(a) ^ u32::from(b)).leading_zeros()
 }
 
-/// The length of the longest common prefix of two IPv6 addresses.
-pub fn common_prefix_len_v6(a: Ipv6Addr, b: Ipv6Addr) -> u32 {
-    (u128::from(a) ^ u128::from(b)).leading_zeros()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The length of the longest common prefix of two IPv6 addresses.
+    fn common_prefix_len_v6(a: Ipv6Addr, b: Ipv6Addr) -> u32 {
+        (u128::from(a) ^ u128::from(b)).leading_zeros()
+    }
 
     fn anon() -> PrefixPreservingAnon {
         PrefixPreservingAnon::new(0x0123_4567_89ab_cdef_0f0f_0f0f_0f0f_0f0f)

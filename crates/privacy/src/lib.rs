@@ -34,8 +34,8 @@ pub mod scrub;
 pub mod policy;
 pub mod dp;
 
-pub use dp::{BudgetLedger, LaplaceMechanism, NoisedValue, ReleaseRefused};
-pub use cryptopan::{common_prefix_len_v4, common_prefix_len_v6, PrefixPreservingAnon};
+pub use dp::{BudgetLedger, NoisedValue, ReleaseRefused};
+pub use cryptopan::{common_prefix_len_v4, PrefixPreservingAnon};
 pub use policy::{AuditEntry, DataClass, PolicyEngine, Purpose, Role, Verdict};
 pub use scrub::{ScrubPolicy, Scrubber};
 pub use speck::Speck64;

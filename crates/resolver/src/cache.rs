@@ -141,11 +141,6 @@ impl DnsCache {
     pub fn is_empty(&self) -> bool {
         self.pos.is_empty()
     }
-
-    /// Negative entries currently held.
-    pub fn negative_len(&self) -> usize {
-        self.neg.len()
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +190,7 @@ mod tests {
         assert_eq!(c.lookup(t0, "nope.example.com", DnsType::A), CacheLookup::Negative);
         let t1 = t0 + SimDuration::from_secs(2);
         assert_eq!(c.lookup(t1, "nope.example.com", DnsType::A), CacheLookup::Miss);
-        assert_eq!(c.negative_len(), 0);
+        assert_eq!(c.neg.len(), 0);
     }
 
     #[test]
@@ -220,6 +215,6 @@ mod tests {
         for i in 0..100 {
             c.insert_negative(t0, &format!("x{i}.torture.example.net"), 1);
         }
-        assert_eq!(c.negative_len(), 4);
+        assert_eq!(c.neg.len(), 4);
     }
 }

@@ -68,11 +68,6 @@ impl RateLimiter {
         }
     }
 
-    /// Distinct sources currently tracked.
-    pub fn tracked_clients(&self) -> usize {
-        self.buckets.len()
-    }
-
     fn prune(&mut self, now: SimTime) {
         self.buckets.retain(|_, b| b.last + idle_prune() >= now);
     }
@@ -134,11 +129,11 @@ mod tests {
         for i in 0..8u8 {
             rrl.allow(at(0), Ipv4Addr::new(10, 0, 0, i));
         }
-        assert_eq!(rrl.tracked_clients(), 8);
+        assert_eq!(rrl.buckets.len(), 8);
         for i in 0..100u8 {
             rrl.allow(at(20), Ipv4Addr::new(192, 0, 2, i));
         }
-        assert!(rrl.tracked_clients() <= 101);
+        assert!(rrl.buckets.len() <= 101);
         assert!(!rrl.buckets.contains_key(&Ipv4Addr::new(10, 0, 0, 0)));
     }
 }

@@ -16,7 +16,7 @@ use campuslab_dataplane::PipelineProgram;
 use campuslab_ml::Classifier;
 use campuslab_netsim::par::parallel_map;
 use campuslab_netsim::{
-    Campus, ChaosConfig, DropReason, GilbertElliott, LinkId, NodeId, Outage, SimDuration, SimTime,
+    Campus, ChaosConfig, GilbertElliott, LinkId, NodeId, Outage, SimDuration, SimTime,
 };
 
 /// A chaos sweep: which intensities to visit and how to seed the
@@ -116,30 +116,26 @@ pub fn chaos_road_test_config(scenario: &Scenario, intensity: f64, seed: u64) ->
     cfg
 }
 
-/// Derive one curve point from a finished road test — reading every stat
-/// the Observatory also exports from the *registry itself* (not from the
-/// legacy stat structs), so the degradation curve and the metrics dump are
-/// one source and cannot disagree.
+/// Derive one curve point from a finished road test: network counts from
+/// `NetStats`, their owner, and controller counts from the controller's
+/// Observatory sink, which owns them. The metrics dump books the network
+/// counts from the same `NetStats`, so the curve and the dump cannot
+/// disagree.
 fn point_from(intensity: f64, outcome: &RoadTestOutcome) -> ChaosPoint {
-    let net = &outcome.obs.net;
+    let net = &outcome.net;
     let ctl = outcome.obs.controller.as_ref();
-    let injected = net.injected();
     ChaosPoint {
         intensity,
         suppression: outcome.suppression(),
-        delivery_ratio: if injected == 0 {
-            1.0
-        } else {
-            net.delivered() as f64 / injected as f64
-        },
+        delivery_ratio: if net.injected == 0 { 1.0 } else { net.delivery_ratio() },
         time_to_mitigation_ms: outcome
             .time_to_mitigation
             .map(|d| d.as_nanos() as f64 / 1e6),
         install_attempts: ctl.map_or(0, |c| c.attempts()) as u32,
         giveups: ctl.map_or(0, |c| c.giveups()) as usize,
         mitigated: ctl.is_some_and(|c| c.installs() > 0),
-        dropped_fault: net.dropped(DropReason::Fault),
-        dropped_node_down: net.dropped(DropReason::NodeDown),
+        dropped_fault: net.dropped_fault,
+        dropped_node_down: net.dropped_node_down,
     }
 }
 
@@ -168,6 +164,7 @@ pub fn chaos_sweep(
 mod tests {
     use super::*;
     use campuslab_ml::DecisionTree;
+    use campuslab_netsim::DropReason;
 
     fn trained() -> (PipelineProgram, DecisionTree) {
         crate::fixtures::trained().clone()
@@ -252,10 +249,9 @@ mod tests {
         assert_eq!(calm.dropped_node_down, 0);
     }
 
-    /// The satellite fix this module carries: curve points are derived from
-    /// the Observatory registry, so every point field must agree with the
-    /// legacy stat structs the registry mirrors. If these ever diverge, the
-    /// degradation curve and the metrics dump are lying to someone.
+    /// Every curve point field agrees with the outcome's own records and
+    /// with the metrics dump: if these ever diverge, the degradation curve
+    /// and the dump are lying to someone.
     #[test]
     fn curve_points_agree_with_legacy_stats() {
         let (program, model) = trained();
@@ -266,6 +262,9 @@ mod tests {
         assert_eq!(point.dropped_fault, outcome.net.dropped_fault);
         assert_eq!(point.dropped_node_down, outcome.net.dropped_node_down);
         assert!((point.delivery_ratio - outcome.delivery_ratio()).abs() < 1e-12);
+        let dump = &outcome.obs.net;
+        assert_eq!(dump.dropped(DropReason::Fault), point.dropped_fault);
+        assert_eq!(dump.dropped(DropReason::NodeDown), point.dropped_node_down);
         assert_eq!(point.mitigated, !outcome.mitigations.is_empty());
         let ctl = outcome.obs.controller.as_ref().unwrap();
         assert_eq!(ctl.installs() as usize, outcome.mitigations.len());

@@ -22,7 +22,7 @@ use campuslab_ml::Classifier;
 use campuslab_netsim::{SimDuration, SimTime};
 
 /// Parameters of a drift road test. The run takes the default road-test
-/// knobs, and its pilot is `DriftPilotConfig::new`'s.
+/// knobs, and its pilot is `DriftPilot::new`'s.
 pub struct DriftRunConfig {
     /// Settling margin past the workload's end before the run's hard
     /// deadline. The default (4 s) gives in-flight candidates time to

@@ -9,7 +9,10 @@
 //! (`road_test`, `guarded_road_test`, `drift_road_test`, `resolver_run`,
 //! a plaza tenant) only choose members; every one but `road_test`
 //! hands back the [`Finished`] itself, and callers read what they need
-//! off its stack members.
+//! off its stack members. One run is composed elsewhere:
+//! [`crate::scenario::collect`], the data-source half, runs a scenario
+//! with the border monitor alone, with no road-test knobs, chaos or
+//! filter bank, so it builds its campus, schedule and tap hooks itself.
 
 use crate::observe::RunObs;
 use crate::phoenix::PhoenixCheckpoint;
@@ -18,7 +21,7 @@ use crate::rollout::canary_hosts;
 use crate::scenario::{build_schedule, Scenario};
 use campuslab_capture::BorderTapHooks;
 use campuslab_control::{
-    BankFilter, BankHandle, DriftPilot, DriftPilotConfig, FastLoopStatsSnapshot, FrozenController,
+    BankFilter, BankHandle, DriftPilot, FastLoopStatsSnapshot, FrozenController,
     FrozenDriftPilot, FrozenGuard, GiveUpReason, MitigationController, MitigationControllerConfig,
     Placement, RolloutConfig, RolloutGuard,
 };
@@ -321,7 +324,7 @@ pub struct Members {
     /// session's program is then in the switch before the run starts.
     pub window_model: Option<Box<dyn Classifier + Send>>,
     /// Retrain on fresh tap windows: a pilot built by
-    /// [`DriftPilotConfig::new`] on the border link, started from the
+    /// [`DriftPilot::new`] on the border link, started from the
     /// session program's fingerprint.
     pub pilot: bool,
 }
@@ -406,7 +409,7 @@ impl Session {
         });
         let pilot = members
             .pilot
-            .then(|| DriftPilot::new(DriftPilotConfig::new(tap, program.fingerprint())));
+            .then(|| DriftPilot::new(tap, program.fingerprint()));
         if controller.is_none() && road.placement == Placement::Switch {
             // Compiled rules are in the switch before the attack exists.
             handle.add_program(None, program);
@@ -618,7 +621,7 @@ mod tests {
                     handle.clone(),
                 )
             }),
-            pilot: pilot.then(|| DriftPilot::new(DriftPilotConfig::new(tap, program.fingerprint()))),
+            pilot: pilot.then(|| DriftPilot::new(tap, program.fingerprint())),
             ..Stack::default()
         }
     }
@@ -780,7 +783,7 @@ mod tests {
         assert_eq!(tap, LinkId(0), "stack_of taps link 0");
         net.run(&mut stack, Some(SimTime::from_secs(2)));
         assert_eq!(stack.monitor.as_ref().unwrap().monitor.stats.observed, 1);
-        assert_eq!(stack.controller.as_ref().unwrap().detector_obs().observed(), 1);
+        assert_eq!(stack.controller.as_mut().unwrap().take_obs().1.observed(), 1);
         let pilot = stack.pilot.as_ref().unwrap();
         assert_eq!(pilot.obs.records(), 1);
         assert!(pilot.obs.windows() >= 1, "the pilot's window timer never fired");

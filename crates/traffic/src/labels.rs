@@ -54,11 +54,6 @@ impl AppClass {
         }
     }
 
-    /// Inverse of [`AppClass::id`].
-    pub fn from_id(id: u16) -> Option<AppClass> {
-        AppClass::ALL.into_iter().find(|c| c.id() == id)
-    }
-
     /// Short lowercase name for reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -117,11 +112,6 @@ impl AttackKind {
         }
     }
 
-    /// Inverse of [`AttackKind::id`].
-    pub fn from_id(id: u16) -> Option<AttackKind> {
-        AttackKind::ALL.into_iter().find(|k| k.id() == id)
-    }
-
     /// Short lowercase name for reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -139,21 +129,31 @@ impl AttackKind {
 mod tests {
     use super::*;
 
+    /// Inverse of [`AppClass::id`].
+    fn app_from_id(id: u16) -> Option<AppClass> {
+        AppClass::ALL.into_iter().find(|c| c.id() == id)
+    }
+
+    /// Inverse of [`AttackKind::id`].
+    fn attack_from_id(id: u16) -> Option<AttackKind> {
+        AttackKind::ALL.into_iter().find(|k| k.id() == id)
+    }
+
     #[test]
     fn app_ids_round_trip() {
         for c in AppClass::ALL {
-            assert_eq!(AppClass::from_id(c.id()), Some(c));
+            assert_eq!(app_from_id(c.id()), Some(c));
         }
-        assert_eq!(AppClass::from_id(0), None);
-        assert_eq!(AppClass::from_id(99), None);
+        assert_eq!(app_from_id(0), None);
+        assert_eq!(app_from_id(99), None);
     }
 
     #[test]
     fn attack_ids_round_trip() {
         for k in AttackKind::ALL {
-            assert_eq!(AttackKind::from_id(k.id()), Some(k));
+            assert_eq!(attack_from_id(k.id()), Some(k));
         }
-        assert_eq!(AttackKind::from_id(0), None);
+        assert_eq!(attack_from_id(0), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use campuslab::datastore::{summarize, top_talkers, PacketQuery, WalConfig, WalSt
 use campuslab::features::packet_features;
 use campuslab::ml::Classifier;
 use campuslab::privacy::{
-    BudgetLedger, DataClass, LaplaceMechanism, PolicyEngine, Purpose, ReleaseRefused, Role,
+    BudgetLedger, DataClass, PolicyEngine, Purpose, ReleaseRefused, Role,
     Verdict,
 };
 use campuslab::testbed::{shard_by_second, Scenario};
@@ -112,12 +112,11 @@ fn main() {
     let verdict = engine.check(1, Role::External, Purpose::Research, DataClass::AggregateStats);
     println!("\n[policy] external researcher asks for aggregates: {verdict:?}");
     assert_eq!(verdict, Verdict::Deny);
-    let mechanism = LaplaceMechanism::new(0x70AC_C0DE, 0.5);
-    let mut ledger = BudgetLedger::new(1.0);
+    let mut ledger = BudgetLedger::new(0x70AC_C0DE, 0.5, 1.0).expect("finite positive epsilons");
     // The ledger asks the same matrix: the external request gets no noised
     // count and costs no budget.
     let denied = ledger
-        .record(Role::External, Purpose::Research, mechanism.release_count("total_packets", summary.packets, 0))
+        .release(Role::External, Purpose::Research, "total_packets", summary.packets, 0)
         .expect_err("the matrix denies external aggregates");
     println!("[policy] its DP release: REFUSED: {denied}");
     assert_eq!(denied, ReleaseRefused::Denied { role: Role::External, purpose: Purpose::Research });
@@ -135,8 +134,7 @@ fn main() {
     .iter()
     .enumerate()
     {
-        let release = mechanism.release_count(name, *value, i as u64);
-        match ledger.record(Role::Researcher, Purpose::Research, release) {
+        match ledger.release(Role::Researcher, Purpose::Research, name, *value, i as u64) {
             Ok(release) => println!(
                 "         {:<18} true {:>6} -> released {:>9.1} (eps {:.1})",
                 release.name, value, release.value, release.epsilon_spent

@@ -8,6 +8,9 @@ cargo build --release
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings -D rust_2018_idioms
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+# Size: the non-test lines under crates/*/src, counted by the census
+# rule, into the log, so a change reports its size from one script.
+echo "non-test lines under crates/*/src: $(sh scripts/size.sh)"
 # `cargo test` compiles the examples but never runs them: run every one,
 # so a panic or a failed assert in any of them fails here. Each asserts
 # what it prints (data_store_tour reopens a store from its log and checks
