@@ -383,8 +383,8 @@ pub struct MitigationController {
     pub events: Vec<MitigationEvent>,
     /// Detections abandoned after the retry budget/timeout ran out.
     pub giveups: Vec<InstallGiveUp>,
-    /// Observatory sink + episode spans (attempts, flakes, installs,
-    /// give-ups, time-to-mitigation).
+    /// Observatory sink + episode spans; the episode counts are booked
+    /// from the logs above by `freeze` and `take_obs`.
     pub obs: ControllerObs,
 }
 
@@ -449,18 +449,26 @@ impl MitigationController {
         self.state.breaker.as_ref()
     }
 
-    /// Move both Observatory bundles (controller + wrapped detector) out of
-    /// a finished controller, leaving zeroed replacements behind. Used by
-    /// the testbed to carry run telemetry past the controller's lifetime.
+    /// Book the episode counts from the logs and the installs in flight.
+    fn book_obs(&mut self) {
+        let pending = self.state.pending.values().map(|p| p.attempts);
+        self.obs.book(&self.events, &self.giveups, pending);
+    }
+
+    /// Book, then move both Observatory bundles (controller + wrapped
+    /// detector) out of a finished controller, leaving zeroed replacements
+    /// behind: how the testbed carries run telemetry past the controller.
     pub fn take_obs(&mut self) -> (ControllerObs, DetectorObs) {
+        self.book_obs();
         (std::mem::take(&mut self.obs), std::mem::take(&mut self.detector.obs))
     }
 
     /// Freeze the controller's dynamic state for a checkpoint: detector
     /// image, in-flight installs, install-RNG position, breaker, episode
-    /// history, and telemetry values. Config, model, and bank handle are
-    /// reconstructed by the driver.
-    pub fn freeze(&self) -> FrozenController {
+    /// history, and telemetry values, booked first. Config, model, and
+    /// bank handle are rebuilt by the session that restores it.
+    pub fn freeze(&mut self) -> FrozenController {
+        self.book_obs();
         FrozenController {
             detector: self.detector.freeze(),
             state: self.state.clone(),
@@ -505,11 +513,23 @@ impl MitigationController {
             let token = Self::TOKEN_BASE + self.state.next_token;
             self.state.next_token += 1;
             let at = now + self.cfg.placement.install_delay();
-            let span = self.obs.on_episode_start(&det.dst.to_string(), now.as_nanos());
+            let span = self.obs.tracer.open(format!("mitigate[{}]", det.dst), now.as_nanos());
             self.state.pending
                 .insert(token, PendingInstall { det, attempts: 0, first_attempt: at, span });
             cmds.set_timer(at, token);
         }
+    }
+
+    /// Abandon an episode: close its span and log the typed give-up.
+    fn give_up(&mut self, p: PendingInstall, now: SimTime, reason: GiveUpReason) {
+        self.obs.tracer.close(p.span, now.as_nanos());
+        self.giveups.push(InstallGiveUp {
+            victim: p.det.dst,
+            detected_at: SimTime(p.det.window_end_ns),
+            gave_up_at: now,
+            attempts: p.attempts,
+            reason,
+        });
     }
 }
 
@@ -549,22 +569,13 @@ impl campuslab_netsim::SimHooks for MitigationController {
         // sent (or any RNG is drawn): a typed give-up, never a silent drop.
         if let Some(b) = self.state.breaker.as_mut() {
             if !b.allows(now) {
-                self.obs.on_giveup(p.span, now.as_nanos());
-                self.giveups.push(InstallGiveUp {
-                    victim: p.det.dst,
-                    detected_at: SimTime(p.det.window_end_ns),
-                    gave_up_at: now,
-                    attempts: p.attempts,
-                    reason: GiveUpReason::CircuitOpen,
-                });
-                return;
+                return self.give_up(p, now, GiveUpReason::CircuitOpen);
             }
         }
         p.attempts += 1;
         let policy = &self.cfg.install;
         let flaked = policy.failure_probability > 0.0
             && rand::Rng::gen::<f64>(&mut self.state.install_rng.0) < policy.failure_probability;
-        self.obs.on_attempt(flaked);
         if !flaked {
             if let Some(b) = self.state.breaker.as_mut() {
                 b.on_success();
@@ -596,15 +607,7 @@ impl campuslab_netsim::SimHooks for MitigationController {
             None
         };
         if let Some(reason) = reason {
-            self.obs.on_giveup(p.span, now.as_nanos());
-            self.giveups.push(InstallGiveUp {
-                victim: p.det.dst,
-                detected_at: SimTime(p.det.window_end_ns),
-                gave_up_at: now,
-                attempts: p.attempts,
-                reason,
-            });
-            return;
+            return self.give_up(p, now, reason);
         }
         let token = Self::TOKEN_BASE + self.state.next_token;
         self.state.next_token += 1;
@@ -891,6 +894,13 @@ mod tests {
         ctrl.on_timer(t0 + SimDuration::from_millis(2), base + 1, &mut cmds);
         assert_eq!(ctrl.breaker().unwrap().state(), BreakerState::Open);
         assert!(ctrl.giveups.is_empty(), "retry budget not yet exhausted");
+        // (episodes, attempts, flakes, installs, give-ups) as booked.
+        let booked = |ctrl: &mut MitigationController| {
+            ctrl.book_obs();
+            let o = &ctrl.obs;
+            (o.episodes(), o.attempts(), o.flakes(), o.installs(), o.giveups())
+        };
+        assert_eq!(booked(&mut ctrl), (1, 2, 2, 0, 0), "two attempts in flight");
         // ...so the already-scheduled third retry fires into an open
         // circuit and is shed as a *recorded* give-up, not a lost episode.
         ctrl.on_timer(t0 + SimDuration::from_millis(6), base + 2, &mut cmds);
@@ -899,6 +909,7 @@ mod tests {
         assert_eq!(ctrl.giveups[0].attempts, 2, "no attempt is made against an open circuit");
         assert!(ctrl.events.is_empty());
         assert!(handle.is_empty());
+        assert_eq!(booked(&mut ctrl), (1, 2, 2, 0, 1), "the shed adds a give-up, no attempt");
 
         // After the cooldown a new episode gets exactly one half-open
         // probe; the probe flaking re-opens immediately.
@@ -911,6 +922,8 @@ mod tests {
         ctrl.on_timer(t1 + SimDuration::from_millis(4), base + 4, &mut cmds);
         assert_eq!(ctrl.giveups.len(), 2);
         assert_eq!(ctrl.giveups[1].reason, GiveUpReason::CircuitOpen);
+        // One probe more, every attempt flaked: flakes = attempts - installs.
+        assert_eq!(booked(&mut ctrl), (2, 3, 3, 0, 2));
     }
 
     #[test]

@@ -141,7 +141,8 @@ pub struct DriftPilot {
     pub episodes: Vec<DriftEpisode>,
     /// Every retrain, in sim order.
     pub retrains: Vec<RetrainRecord>,
-    /// Observatory sink + drift spans.
+    /// Observatory sink + drift spans; the retrain and drift counts are
+    /// booked from the two logs above by `freeze` and `take_obs`.
     pub obs: DriftObs,
 }
 
@@ -258,9 +259,9 @@ impl DriftPilot {
         if !self.state.mine.contains(&fp) {
             return;
         }
+        self.obs.on_verdict(event.kind);
         match event.kind {
             RolloutEventKind::Committed => {
-                self.obs.on_committed();
                 self.state.deployed_fp = fp;
                 if self.state.inflight == Some(fp) {
                     self.state.inflight = None;
@@ -268,14 +269,12 @@ impl DriftPilot {
                 self.close_episode(event.at);
             }
             RolloutEventKind::Vetoed(_) => {
-                self.obs.on_vetoed();
                 self.state.barred.insert(fp);
                 if self.state.inflight == Some(fp) {
                     self.state.inflight = None;
                 }
             }
             RolloutEventKind::RolledBack(_) => {
-                self.obs.on_rolled_back();
                 self.state.barred.insert(fp);
                 if self.state.inflight == Some(fp) {
                     self.state.inflight = None;
@@ -290,17 +289,24 @@ impl DriftPilot {
         self.state.deployed_fp
     }
 
-    /// Move the Observatory bundle out of a finished pilot.
+    /// Book the retrain and drift counts from their two logs.
+    fn book_obs(&mut self) {
+        self.obs.book(&self.retrains, &self.episodes);
+    }
+
+    /// Book, then move the Observatory bundle out of a finished pilot.
     pub fn take_obs(&mut self) -> DriftObs {
+        self.book_obs();
         std::mem::take(&mut self.obs)
     }
 
     /// Freeze the pilot's dynamic state for a checkpoint: training
     /// buffer, drift sketches and references, episode machinery,
-    /// submission bookkeeping, and telemetry values. The tap and the
-    /// starting fingerprint are scenario-derived: the session that
-    /// restores the pilot builds it with the same two values.
-    pub fn freeze(&self) -> FrozenDriftPilot {
+    /// submission bookkeeping, and telemetry values, booked first. The
+    /// tap and the starting fingerprint are scenario-derived: the session
+    /// that restores the pilot builds it with the same two values.
+    pub fn freeze(&mut self) -> FrozenDriftPilot {
+        self.book_obs();
         FrozenDriftPilot {
             state: self.state.clone(),
             episodes: self.episodes.clone(),
@@ -311,8 +317,7 @@ impl DriftPilot {
     }
 
     /// Apply a frozen image onto a freshly constructed pilot (same tap
-    /// and fingerprint). Every dynamic field is overwritten; the metric prefix is
-    /// preserved so plaza tenants thaw under their own names. An image
+    /// and fingerprint). Every dynamic field is overwritten. An image
     /// whose metric sink does not fit is refused untouched.
     pub fn thaw_state(&mut self, frozen: FrozenDriftPilot) -> Result<(), SinkMisfit> {
         self.obs.thaw(frozen.sink, frozen.tracer)?;
@@ -367,7 +372,7 @@ impl DriftPilot {
             self.state.ordinal += 1;
             self.state.retrained_since_onset = false;
             self.state.drift_onset = now;
-            let span = self.obs.on_drift_onset(self.state.ordinal, now.as_nanos());
+            let span = self.obs.tracer.open(format!("drift[#{}]", self.state.ordinal), now.as_nanos());
             self.state.drift_span = Some(span);
             let ordinal = self.state.ordinal;
             self.episodes.push(DriftEpisode { ordinal, onset: now, mitigated: None });
@@ -413,11 +418,9 @@ impl DriftPilot {
         // Lend the buffer in place: a deque serializes as its sequence, so
         // straightening its ring changes no image byte.
         let records: &[PacketRecord] = self.state.buffer.make_contiguous();
-        self.obs.on_retrain(trigger == RetrainTrigger::Drift);
         let (model_fp, program) = retrain_window(records, &pilot_devloop());
         let prog_fp = program.fingerprint();
         let outcome = if SwitchModel::default().max_concurrent(&program) == 0 {
-            self.obs.on_budget_rejected();
             RetrainOutcome::BudgetRejected
         } else if prog_fp == self.state.deployed_fp
             || self.state.inflight == Some(prog_fp)
@@ -431,10 +434,8 @@ impl DriftPilot {
             // rules the pilot learned have gone stale, never that the
             // operator's defences, trained on attacks outside this
             // horizon, can be stripped because the day happened to be calm.
-            self.obs.on_unchanged();
             RetrainOutcome::Unchanged
         } else if self.state.barred.contains(&prog_fp) {
-            self.obs.on_unchanged();
             RetrainOutcome::Barred
         } else {
             // Newest candidate wins: an undelivered older one is stale.
@@ -670,6 +671,7 @@ mod tests {
         }
         pilot.window_tick(SimTime(2_000_000_000), &mut cmds);
         assert!(pilot.episodes.is_empty());
+        pilot.book_obs();
         assert_eq!(pilot.obs.retrains_periodic(), 1);
         let queued = pilot.take_candidates();
         assert_eq!(queued.len(), 1, "fresh program differs from fp 0");
@@ -680,6 +682,7 @@ mod tests {
         }
         pilot.window_tick(SimTime(3_000_000_000), &mut cmds);
         assert_eq!(pilot.episodes.len(), 1);
+        pilot.book_obs();
         assert_eq!(pilot.obs.drift_onsets(), 1);
         assert_eq!(pilot.obs.retrains_drift(), 1);
         assert!(pilot.episodes[0].mitigated.is_none());
@@ -701,6 +704,7 @@ mod tests {
             kind: RolloutEventKind::Committed,
         });
         assert_eq!(pilot.episodes[0].mitigated, Some(SimTime(6_000_000_000)));
+        pilot.book_obs();
         assert_eq!(pilot.obs.drift_mitigated(), 1);
         assert_eq!(pilot.obs.drift_ttm_histogram().count(), 1);
         assert_eq!(pilot.deployed_fingerprint(), committed.fingerprint);

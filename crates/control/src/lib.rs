@@ -46,7 +46,7 @@ pub use driftpilot::{
     PilotState, RetrainOutcome, RetrainRecord, RetrainTrigger,
 };
 pub use fastloop::{ShadowMirror, ShadowWindow};
-pub use observe::{ControllerObs, DetectorObs, DriftObs, PlazaObs, RolloutObs};
+pub use observe::{ControllerObs, DetectorObs, DriftObs, PlazaObs, PlazaTally, RolloutObs};
 pub use rollout::{
     BreakerState, Candidate, CircuitBreaker, CircuitBreakerPolicy, FrozenGuard, GuardState,
     ProgramRegistry, RejectReason, RolloutConfig, RolloutEvent, RolloutEventKind, RolloutGuard,

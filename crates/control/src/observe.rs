@@ -1,11 +1,20 @@
 //! Observatory schemas for the control plane, each one
-//! [`campuslab_obs::schema!`] table with its logic-carrying bump methods
-//! beside it: window-detector telemetry ([`DetectorObs`]),
-//! mitigation-controller telemetry ([`ControllerObs`], including
-//! per-episode spans traced in sim-time), rollout-guard telemetry
-//! ([`RolloutObs`], including per-stage spans), drift-pilot telemetry
-//! ([`DriftObs`]) and plaza admission telemetry ([`PlazaObs`]).
+//! [`campuslab_obs::schema!`] table: window-detector telemetry
+//! ([`DetectorObs`]), mitigation-controller telemetry ([`ControllerObs`],
+//! including per-episode spans traced in sim-time), rollout-guard
+//! telemetry ([`RolloutObs`], including per-stage spans), drift-pilot
+//! telemetry ([`DriftObs`]) and plaza admission telemetry ([`PlazaObs`]).
+//!
+//! A count that restates a decision log (the controller's episodes, the
+//! guard's events, the pilot's retrains and drift episodes, the plaza's
+//! admission records) is copied from it by its table's `book`, which adds
+//! `log − sink`, so booking twice books once; members book when they
+//! freeze and when their telemetry is taken. The bump methods carry only
+//! what no log holds.
 
+use crate::controller::{InstallGiveUp, MitigationEvent};
+use crate::driftpilot::{DriftEpisode, RetrainOutcome, RetrainRecord, RetrainTrigger};
+use crate::rollout::{RolloutEvent, RolloutEventKind, RolloutStage};
 use campuslab_obs::{OpenSpan, Tracer};
 
 /// Window-coverage histogram bounds, percent observed (≤10% .. ≤99%, +Inf
@@ -76,34 +85,38 @@ campuslab_obs::schema! {
 }
 
 impl ControllerObs {
-    /// A detection was accepted; opens the episode span.
-    #[inline]
-    pub(crate) fn on_episode_start(&mut self, victim: &str, now_ns: u64) -> OpenSpan {
-        self.sink.inc(self.episodes);
-        self.tracer.open(format!("mitigate[{victim}]"), now_ns)
-    }
-
-    #[inline]
-    pub(crate) fn on_attempt(&mut self, flaked: bool) {
-        self.sink.inc(self.attempts);
-        if flaked {
-            self.sink.inc(self.flakes);
-        }
-    }
-
     /// The rule landed; closes the episode span and records TTM.
     #[inline]
     pub(crate) fn on_installed(&mut self, span: OpenSpan, detected_ns: u64, installed_ns: u64) {
-        self.sink.inc(self.installs);
         self.sink.observe(self.ttm_histogram, installed_ns.saturating_sub(detected_ns) / 1_000_000);
         self.tracer.close(span, installed_ns);
     }
 
-    /// The episode was abandoned; closes the span without a TTM sample.
-    #[inline]
-    pub(crate) fn on_giveup(&mut self, span: OpenSpan, gave_up_ns: u64) {
-        self.sink.inc(self.giveups);
-        self.tracer.close(span, gave_up_ns);
+    /// Book the episode counts from the controller's logs: every episode
+    /// is a landed install (`events`), a give-up, or still in flight
+    /// (`pending`, the attempts each has spent so far). Every attempt
+    /// flaked but the one that landed each install; an episode shed by
+    /// an open circuit breaker made no attempt, so none is counted.
+    pub(crate) fn book(
+        &mut self,
+        events: &[MitigationEvent],
+        giveups: &[InstallGiveUp],
+        pending: impl IntoIterator<Item = u32>,
+    ) {
+        let landed = events.iter().map(|e| e.attempts);
+        let (mut episodes, mut attempts) = (0u64, 0u64);
+        for a in landed.chain(giveups.iter().map(|g| g.attempts)).chain(pending) {
+            episodes += 1;
+            attempts += u64::from(a);
+        }
+        let installs = events.len() as u64;
+        self.sink.book([
+            (self.episodes, episodes),
+            (self.attempts, attempts),
+            (self.flakes, attempts.saturating_sub(installs)),
+            (self.installs, installs),
+            (self.giveups, giveups.len() as u64),
+        ]);
     }
 }
 
@@ -175,18 +188,9 @@ campuslab_obs::schema! {
 }
 
 impl RolloutObs {
+    /// A stage was entered; opens its span.
     #[inline]
-    pub(crate) fn on_submission(&mut self, accepted: bool) {
-        self.sink.inc(self.submissions);
-        if !accepted {
-            self.sink.inc(self.rejected);
-        }
-    }
-
-    /// A stage was entered; opens its span and moves the stage gauge.
-    #[inline]
-    pub(crate) fn on_stage_enter(&mut self, label: &str, code: i64, now_ns: u64) -> OpenSpan {
-        self.sink.set(self.stage, code);
+    pub(crate) fn on_stage_enter(&mut self, label: &str, now_ns: u64) -> OpenSpan {
         let prefix = &self.prefix;
         self.tracer.open(format!("{prefix}rollout[{label}]"), now_ns)
     }
@@ -196,11 +200,6 @@ impl RolloutObs {
     pub(crate) fn on_stage_exit(&mut self, span: OpenSpan, entered_ns: u64, now_ns: u64) {
         self.sink.observe(self.stage_histogram, now_ns.saturating_sub(entered_ns) / 1_000_000);
         self.tracer.close(span, now_ns);
-    }
-
-    #[inline]
-    pub(crate) fn set_stage(&mut self, code: i64) {
-        self.sink.set(self.stage, code);
     }
 
     #[inline]
@@ -227,39 +226,26 @@ impl RolloutObs {
     }
 
     #[inline]
-    pub(crate) fn on_promotion(&mut self) {
-        self.sink.inc(self.promotions);
-    }
-
-    #[inline]
-    pub(crate) fn on_veto(&mut self) {
-        self.sink.inc(self.vetoes);
-    }
-
-    #[inline]
-    pub(crate) fn on_rollback(&mut self) {
-        self.sink.inc(self.rollbacks);
-    }
-
-    #[inline]
-    pub(crate) fn on_commit(&mut self, registry_len: usize) {
-        self.sink.inc(self.commits);
-        self.sink.set(self.registry_versions, registry_len as i64);
-    }
-
-    #[inline]
-    pub(crate) fn on_recovery(&mut self) {
-        self.sink.inc(self.recoveries);
-    }
-
-    #[inline]
     pub(crate) fn on_giveup_observed(&mut self) {
         self.sink.inc(self.giveups_observed);
     }
 
-    #[inline]
-    pub(crate) fn set_registry_versions(&mut self, n: usize) {
-        self.sink.set(self.registry_versions, n as i64);
+    /// Book the decision counts from the guard's event log, and the two
+    /// gauges from its stage and its known-good registry depth.
+    pub(crate) fn book(&mut self, events: &[RolloutEvent], stage: RolloutStage, registry_len: usize) {
+        use RolloutEventKind as K;
+        let count = |want: fn(&K) -> bool| events.iter().filter(|e| want(&e.kind)).count() as u64;
+        self.sink.book([
+            (self.submissions, count(|k| matches!(k, K::Submitted | K::Rejected(_)))),
+            (self.rejected, count(|k| matches!(k, K::Rejected(_)))),
+            (self.promotions, count(|k| matches!(k, K::EnteredCanary | K::EnteredFull))),
+            (self.vetoes, count(|k| matches!(k, K::Vetoed(_)))),
+            (self.rollbacks, count(|k| matches!(k, K::RolledBack(_)))),
+            (self.commits, count(|k| matches!(k, K::Committed))),
+            (self.recoveries, count(|k| matches!(k, K::Recovered))),
+        ]);
+        self.sink.set(self.stage, stage.code());
+        self.sink.set(self.registry_versions, registry_len as i64);
     }
 }
 
@@ -270,10 +256,9 @@ pub const DRIFT_TTM_BOUNDS: [u64; 7] = [250, 500, 1_000, 2_000, 5_000, 10_000, 3
 
 campuslab_obs::schema! {
     /// Metrics + per-campaign spans for one [`crate::driftpilot::DriftPilot`].
-    /// The prefix (`"<tenant>_"`) keeps per-tenant pilots disjoint in one
-    /// dump. The tracer holds per-drift spans (`drift[#k]`, onset to SLOs
-    /// green) and per-retrain spans (`retrain[#k]`).
-    pub struct DriftObs [prefix: String] [tracer: Tracer] {
+    /// The tracer holds one `drift[#k]` span per drift episode, onset to
+    /// SLOs green.
+    pub struct DriftObs [tracer: Tracer] {
         /// Feature windows sealed and scored.
         counter windows: "dp_windows_total", "feature windows sealed and scored";
         /// Records streamed in.
@@ -339,27 +324,6 @@ impl DriftObs {
         self.sink.set(self.pending, n as i64);
     }
 
-    /// A retrain ran; `drift_triggered` says which schedule fired it.
-    #[inline]
-    pub(crate) fn on_retrain(&mut self, drift_triggered: bool) {
-        self.sink.inc(self.retrains);
-        if drift_triggered {
-            self.sink.inc(self.retrains_drift);
-        } else {
-            self.sink.inc(self.retrains_periodic);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn on_budget_rejected(&mut self) {
-        self.sink.inc(self.budget_rejected);
-    }
-
-    #[inline]
-    pub(crate) fn on_unchanged(&mut self) {
-        self.sink.inc(self.unchanged);
-    }
-
     #[inline]
     pub(crate) fn on_submitted(&mut self) {
         self.sink.inc(self.submitted);
@@ -370,35 +334,42 @@ impl DriftObs {
         self.sink.inc(self.guard_refused);
     }
 
+    /// The guard judged one of the pilot's candidates: committed, vetoed
+    /// and rolled back are counted; any other event is not a verdict.
     #[inline]
-    pub(crate) fn on_committed(&mut self) {
-        self.sink.inc(self.committed);
-    }
-
-    #[inline]
-    pub(crate) fn on_vetoed(&mut self) {
-        self.sink.inc(self.vetoed);
-    }
-
-    #[inline]
-    pub(crate) fn on_rolled_back(&mut self) {
-        self.sink.inc(self.rolled_back);
-    }
-
-    /// A drift episode opened; returns its span.
-    #[inline]
-    pub(crate) fn on_drift_onset(&mut self, ordinal: u64, now_ns: u64) -> OpenSpan {
-        self.sink.inc(self.drift_onsets);
-        let prefix = &self.prefix;
-        self.tracer.open(format!("{prefix}drift[#{ordinal}]"), now_ns)
+    pub(crate) fn on_verdict(&mut self, kind: RolloutEventKind) {
+        let id = match kind {
+            RolloutEventKind::Committed => self.committed,
+            RolloutEventKind::Vetoed(_) => self.vetoed,
+            RolloutEventKind::RolledBack(_) => self.rolled_back,
+            _ => return,
+        };
+        self.sink.inc(id);
     }
 
     /// A drift episode closed green; records the end-to-end TTM.
     #[inline]
     pub(crate) fn on_drift_mitigated(&mut self, span: OpenSpan, onset_ns: u64, green_ns: u64) {
-        self.sink.inc(self.drift_mitigated);
         self.sink.observe(self.drift_ttm_histogram, green_ns.saturating_sub(onset_ns) / 1_000_000);
         self.tracer.close(span, green_ns);
+    }
+
+    /// Book the retrain counts from the pilot's retrain log (a barred
+    /// fingerprint counts as unchanged) and the drift counts from its
+    /// episodes.
+    pub(crate) fn book(&mut self, retrains: &[RetrainRecord], episodes: &[DriftEpisode]) {
+        let count = |want: fn(&RetrainRecord) -> bool| retrains.iter().filter(|r| want(r)).count() as u64;
+        let unchanged = count(|r| matches!(r.outcome, RetrainOutcome::Unchanged | RetrainOutcome::Barred));
+        let mitigated = episodes.iter().filter(|e| e.mitigated.is_some()).count() as u64;
+        self.sink.book([
+            (self.retrains, retrains.len() as u64),
+            (self.retrains_periodic, count(|r| r.trigger == RetrainTrigger::Periodic)),
+            (self.retrains_drift, count(|r| r.trigger == RetrainTrigger::Drift)),
+            (self.budget_rejected, count(|r| r.outcome == RetrainOutcome::BudgetRejected)),
+            (self.unchanged, unchanged),
+            (self.drift_onsets, episodes.len() as u64),
+            (self.drift_mitigated, mitigated),
+        ]);
     }
 }
 
@@ -438,68 +409,78 @@ campuslab_obs::schema! {
     }
 }
 
+/// What a plaza decided, counted from its admission records, tenant
+/// outcomes and rounds, with the grants held at the end: the owner
+/// [`PlazaObs::book`] copies.
+#[derive(Debug, Clone, Default)]
+pub struct PlazaTally {
+    pub admitted: u64,
+    pub queued: u64,
+    pub rejected: u64,
+    pub released: u64,
+    pub rounds: u64,
+    /// Simulator events of each completed slice, one entry per slice.
+    pub slice_events: Vec<u64>,
+    pub slots_used: usize,
+    pub tcam_used: usize,
+    pub tenants_active: usize,
+}
+
 impl PlazaObs {
-    /// A tenant was granted budget.
-    #[inline]
-    pub fn on_admitted(&mut self) {
-        self.sink.inc(self.admitted);
-    }
-
-    /// A tenant was parked in the admission queue.
-    #[inline]
-    pub fn on_queued(&mut self) {
-        self.sink.inc(self.queued);
-    }
-
-    /// A tenant was refused outright.
-    #[inline]
-    pub fn on_rejected(&mut self) {
-        self.sink.inc(self.rejected);
-    }
-
-    /// A completed tenant's budget was freed.
-    #[inline]
-    pub fn on_released(&mut self) {
-        self.sink.inc(self.released);
-    }
-
-    /// The scheduler started an admission round.
-    #[inline]
-    pub fn on_round(&mut self) {
-        self.sink.inc(self.rounds);
-    }
-
-    /// A tenant slice ran to completion, having processed `events`
-    /// simulator events.
-    #[inline]
-    pub fn on_slice(&mut self, events: u64) {
-        self.sink.inc(self.slices);
-        self.sink.observe(self.slice_events_histogram, events);
-    }
-
-    /// Snapshot the budget gauges.
-    #[inline]
-    pub fn set_budget(&mut self, slots_used: usize, tcam_used: usize, tenants_active: usize) {
-        self.sink.set(self.slots_used, slots_used as i64);
-        self.sink.set(self.tcam_used, tcam_used as i64);
-        self.sink.set(self.tenants_active, tenants_active as i64);
+    /// Book every row from `tally`: counters and slice observations as
+    /// far as the sink lacks them, gauges as they stand.
+    pub fn book(&mut self, tally: &PlazaTally) {
+        self.sink.book([
+            (self.admitted, tally.admitted),
+            (self.queued, tally.queued),
+            (self.rejected, tally.rejected),
+            (self.released, tally.released),
+            (self.rounds, tally.rounds),
+            (self.slices, tally.slice_events.len() as u64),
+        ]);
+        let observed = self.slice_events_histogram().count() as usize;
+        for &events in tally.slice_events.iter().skip(observed) {
+            self.sink.observe(self.slice_events_histogram, events);
+        }
+        self.sink.set(self.slots_used, tally.slots_used as i64);
+        self.sink.set(self.tcam_used, tally.tcam_used as i64);
+        self.sink.set(self.tenants_active, tally.tenants_active as i64);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::GiveUpReason;
+    use crate::rollout::SloViolation;
+    use campuslab_dataplane::ProgramVersion;
+    use campuslab_netsim::SimTime;
 
     #[test]
     fn episode_lifecycle_is_traced_and_counted() {
         let mut obs = ControllerObs::new();
-        let span = obs.on_episode_start("10.1.1.10", 1_000_000_000);
-        obs.on_attempt(true);
-        obs.on_attempt(false);
+        let span = obs.tracer.open("mitigate[10.1.1.10]", 1_000_000_000);
         obs.on_installed(span, 1_000_000_000, 1_010_000_000);
-        let span2 = obs.on_episode_start("10.1.2.2", 2_000_000_000);
-        obs.on_attempt(true);
-        obs.on_giveup(span2, 2_500_000_000);
+        let span2 = obs.tracer.open("mitigate[10.1.2.2]", 2_000_000_000);
+        obs.tracer.close(span2, 2_500_000_000);
+        // The controller's logs: one install on its second attempt, one
+        // give-up after one flaked attempt.
+        let events = [MitigationEvent {
+            victim: "10.1.1.10".parse().unwrap(),
+            detected_at: SimTime::from_secs(1),
+            installed_at: SimTime::from_millis(1_010),
+            confidence: 0.95,
+            attempts: 2,
+        }];
+        let giveups = [InstallGiveUp {
+            victim: "10.1.2.2".parse().unwrap(),
+            detected_at: SimTime::from_secs(2),
+            gave_up_at: SimTime::from_millis(2_500),
+            attempts: 1,
+            reason: GiveUpReason::Exhausted,
+        }];
+        obs.book(&events, &giveups, []);
+        obs.book(&events, &giveups, []); // the same logs book once
         assert_eq!(obs.episodes(), 2);
         assert_eq!(obs.attempts(), 3);
         assert_eq!(obs.flakes(), 2);
@@ -512,6 +493,9 @@ mod tests {
         assert_eq!(spans[0].name, "mitigate[10.1.1.10]");
         assert_eq!(spans[0].end_ns, 1_010_000_000);
         assert_eq!(spans[1].end_ns, 2_500_000_000);
+        // An episode in flight with one flaked attempt so far.
+        obs.book(&events, &giveups, [1]);
+        assert_eq!((obs.episodes(), obs.attempts(), obs.flakes()), (3, 4, 3));
     }
 
     #[test]
@@ -529,24 +513,34 @@ mod tests {
         assert!(obs.render().contains("det_window_coverage_pct_bucket{le=\"50\"} 1"));
     }
 
+    /// A guard decision about `v2`, the way `RolloutGuard` logs it.
+    fn event(kind: RolloutEventKind) -> RolloutEvent {
+        let program = ProgramVersion { name: "v2".into(), fingerprint: 1 };
+        RolloutEvent { at: SimTime::ZERO, program, kind }
+    }
+
     #[test]
     fn rollout_lifecycle_accounting_and_render() {
         let mut obs = RolloutObs::new();
-        obs.on_submission(true);
-        obs.on_submission(false);
-        let span = obs.on_stage_enter("shadow v2@00000001", 1, 1_000_000_000);
+        let span = obs.on_stage_enter("shadow v2@00000001", 1_000_000_000);
         obs.on_window(Some(true));
         obs.on_window(Some(false));
         obs.on_window(None);
-        obs.on_violation(crate::rollout::SloViolation::FalsePositiveRate);
-        obs.on_violation(crate::rollout::SloViolation::BenignDropDelta);
+        obs.on_violation(SloViolation::FalsePositiveRate);
+        obs.on_violation(SloViolation::BenignDropDelta);
         obs.on_giveup_observed();
         obs.on_stage_exit(span, 1_000_000_000, 3_000_000_000);
-        obs.on_promotion();
-        obs.on_veto();
-        obs.on_rollback();
-        obs.on_recovery();
-        obs.on_commit(2);
+        let events = [
+            event(RolloutEventKind::Submitted),
+            event(RolloutEventKind::Rejected(crate::rollout::RejectReason::Busy)),
+            event(RolloutEventKind::EnteredCanary),
+            event(RolloutEventKind::Vetoed(SloViolation::FalsePositiveRate)),
+            event(RolloutEventKind::RolledBack(SloViolation::BenignDropDelta)),
+            event(RolloutEventKind::Recovered),
+            event(RolloutEventKind::Committed),
+        ];
+        obs.book(&events, RolloutStage::Shadow, 2);
+        obs.book(&events, RolloutStage::Shadow, 2);
         assert_eq!(obs.submissions(), 2);
         assert_eq!(obs.rejected(), 1);
         assert_eq!(obs.windows(), 3);
@@ -573,17 +567,17 @@ mod tests {
 
     #[test]
     fn two_prefixed_instances_stay_disjoint_and_coherent() {
-        // The per-tenant fix: two live guard/pilot obs instances in one
-        // dump must not collide on family or span names, and each must
-        // keep exactly its own instance's counts.
+        // The per-tenant fix: two live guard obs instances in one dump
+        // must not collide on family or span names, and each must keep
+        // exactly its own instance's counts.
         let mut a = RolloutObs::with_prefix("alpha_");
         let mut b = RolloutObs::with_prefix("bravo_");
-        a.on_submission(true);
-        a.on_veto();
-        b.on_submission(true);
-        b.on_submission(false);
-        b.on_commit(1);
-        let span = a.on_stage_enter("shadow v1@00000001", 1, 1_000_000_000);
+        let vetoed = event(RolloutEventKind::Vetoed(SloViolation::FalsePositiveRate));
+        a.book(&[event(RolloutEventKind::Submitted), vetoed], RolloutStage::Idle, 1);
+        let refused = event(RolloutEventKind::Rejected(crate::rollout::RejectReason::Cooldown));
+        let committed = event(RolloutEventKind::Committed);
+        b.book(&[event(RolloutEventKind::Submitted), refused, committed], RolloutStage::Idle, 1);
+        let span = a.on_stage_enter("shadow v1@00000001", 1_000_000_000);
         a.on_stage_exit(span, 1_000_000_000, 2_000_000_000);
         assert_eq!(a.submissions(), 1);
         assert_eq!(b.submissions(), 2);
@@ -605,32 +599,24 @@ mod tests {
         let (na, nb) = (names(&ra), names(&rb));
         assert!(na.is_disjoint(&nb), "sample names shared across instances");
         assert_eq!(a.tracer.spans()[0].name, "alpha_rollout[shadow v1@00000001]");
-
-        let mut pa = DriftObs::with_prefix("alpha_");
-        let mut pb = DriftObs::with_prefix("bravo_");
-        pa.on_retrain(true);
-        pb.on_retrain(false);
-        let span = pa.on_drift_onset(1, 3_000_000_000);
-        pa.on_drift_mitigated(span, 3_000_000_000, 4_000_000_000);
-        assert_eq!(pa.retrains_drift(), 1);
-        assert_eq!(pb.retrains_periodic(), 1);
-        assert!(pa.render().contains("alpha_dp_retrains_total 1"));
-        assert!(pb.render().contains("bravo_dp_retrains_total 1"));
-        assert_eq!(pa.tracer.spans()[0].name, "alpha_drift[#1]");
     }
 
     #[test]
     fn plaza_admission_accounting_and_render() {
         let mut obs = PlazaObs::new();
-        obs.on_admitted();
-        obs.on_admitted();
-        obs.on_queued();
-        obs.on_rejected();
-        obs.on_round();
-        obs.on_slice(12_000);
-        obs.on_slice(800);
-        obs.on_released();
-        obs.set_budget(10, 4_096, 2);
+        let tally = PlazaTally {
+            admitted: 2,
+            queued: 1,
+            rejected: 1,
+            released: 1,
+            rounds: 1,
+            slice_events: vec![12_000, 800],
+            slots_used: 10,
+            tcam_used: 4_096,
+            tenants_active: 2,
+        };
+        obs.book(&tally);
+        obs.book(&tally);
         assert_eq!(obs.admitted(), 2);
         assert_eq!(obs.queued(), 1);
         assert_eq!(obs.rejected(), 1);
@@ -654,30 +640,47 @@ mod tests {
         obs.on_record();
         obs.on_window(420);
         obs.set_pending(2);
-        obs.on_retrain(false);
-        obs.on_retrain(true);
-        obs.on_budget_rejected();
-        obs.on_unchanged();
         obs.on_submitted();
         obs.on_guard_refused();
-        obs.on_vetoed();
-        obs.on_rolled_back();
-        obs.on_committed();
-        let span = obs.on_drift_onset(1, 2_000_000_000);
+        obs.on_verdict(RolloutEventKind::Vetoed(SloViolation::FalsePositiveRate));
+        obs.on_verdict(RolloutEventKind::RolledBack(SloViolation::BenignDropDelta));
+        obs.on_verdict(RolloutEventKind::Committed);
+        obs.on_verdict(RolloutEventKind::EnteredCanary);
+        let span = obs.tracer.open("drift[#1]", 2_000_000_000);
         obs.on_drift_mitigated(span, 2_000_000_000, 5_500_000_000);
+        let retrain = |trigger, outcome| RetrainRecord {
+            at: SimTime::ZERO,
+            trigger,
+            records: 60,
+            model_fingerprint: 0,
+            program_fingerprint: 0,
+            outcome,
+        };
+        let retrains = [
+            retrain(RetrainTrigger::Periodic, RetrainOutcome::BudgetRejected),
+            retrain(RetrainTrigger::Drift, RetrainOutcome::Unchanged),
+            retrain(RetrainTrigger::Periodic, RetrainOutcome::Barred),
+            retrain(RetrainTrigger::Periodic, RetrainOutcome::Queued),
+        ];
+        let episodes = [
+            DriftEpisode { ordinal: 1, onset: SimTime::from_secs(2), mitigated: Some(SimTime::from_millis(5_500)) },
+            DriftEpisode { ordinal: 2, onset: SimTime::from_secs(7), mitigated: None },
+        ];
+        obs.book(&retrains, &episodes);
+        obs.book(&retrains, &episodes);
         assert_eq!(obs.records(), 2);
         assert_eq!(obs.windows(), 1);
-        assert_eq!(obs.retrains(), 2);
-        assert_eq!(obs.retrains_periodic(), 1);
+        assert_eq!(obs.retrains(), 4);
+        assert_eq!(obs.retrains_periodic(), 3);
         assert_eq!(obs.retrains_drift(), 1);
         assert_eq!(obs.budget_rejected(), 1);
-        assert_eq!(obs.unchanged(), 1);
+        assert_eq!(obs.unchanged(), 2);
         assert_eq!(obs.submitted(), 1);
         assert_eq!(obs.guard_refused(), 1);
         assert_eq!(obs.vetoed(), 1);
         assert_eq!(obs.rolled_back(), 1);
         assert_eq!(obs.committed(), 1);
-        assert_eq!(obs.drift_onsets(), 1);
+        assert_eq!(obs.drift_onsets(), 2);
         assert_eq!(obs.drift_mitigated(), 1);
         assert_eq!(obs.drift_score_milli(), 420);
         assert_eq!(obs.drift_ttm_histogram().count(), 1);
@@ -687,7 +690,7 @@ mod tests {
         assert_eq!(spans[0].name, "drift[#1]");
         assert_eq!(spans[0].end_ns, 5_500_000_000);
         let text = obs.render();
-        assert!(text.contains("dp_retrains_total 2"));
+        assert!(text.contains("dp_retrains_total 4"));
         assert!(text.contains("dp_drift_ttm_ms_bucket{le=\"5000\"} 1"));
         assert!(text.contains("dp_drift_score_milli 420"));
     }

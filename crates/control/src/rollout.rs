@@ -322,7 +322,8 @@ pub struct RolloutGuard {
     state: GuardState,
     /// Guard decisions, in sim order.
     pub events: Vec<RolloutEvent>,
-    /// Observatory sink + per-stage spans.
+    /// Observatory sink + per-stage spans; the decision counts and the
+    /// stage and registry gauges are booked by `freeze` and `take_obs`.
     pub obs: RolloutObs,
 }
 
@@ -408,8 +409,6 @@ impl RolloutGuard {
         let mut registry = ProgramRegistry::new();
         let known_good_version = registry.commit(known_good.clone());
         bank.install(ProgramScope::Global, known_good);
-        let mut obs = RolloutObs::new();
-        obs.set_registry_versions(registry.len());
         let state = GuardState {
             registry,
             known_good: known_good_version,
@@ -431,7 +430,7 @@ impl RolloutGuard {
             ticking: false,
             next_submission: 0,
         };
-        RolloutGuard { cfg, bank, state, events: Vec::new(), obs }
+        RolloutGuard { cfg, bank, state, events: Vec::new(), obs: RolloutObs::new() }
     }
 
     /// Current stage.
@@ -472,28 +471,33 @@ impl RolloutGuard {
         self.obs.on_giveup_observed();
     }
 
-    /// Move the Observatory bundle out of a finished guard.
+    /// Book the decision counts from `events`, the gauges from `state`.
+    fn book_obs(&mut self) {
+        self.obs.book(&self.events, self.state.stage, self.state.registry.len());
+    }
+
+    /// Book, then move the Observatory bundle out of a finished guard.
     pub fn take_obs(&mut self) -> RolloutObs {
+        self.book_obs();
         std::mem::take(&mut self.obs)
     }
 
     /// Re-home the guard's telemetry under a metric-name prefix (the
     /// plaza gives each tenant's guard `"<tenant>_"` so co-scheduled
     /// guards never collide in a merged dump). Call before the
-    /// simulation runs: the fresh sink re-seeds only the registry gauge,
-    /// so any samples already recorded would be lost.
+    /// simulation runs: the fresh sink and tracer start empty, so any
+    /// samples or spans already recorded would be lost.
     pub fn set_obs_prefix(&mut self, prefix: impl Into<String>) {
-        let mut obs = RolloutObs::with_prefix(prefix);
-        obs.set_registry_versions(self.state.registry.len());
-        self.obs = obs;
+        self.obs = RolloutObs::with_prefix(prefix);
     }
 
     /// Freeze the guard's dynamic state for a checkpoint: lineage, stage
     /// machine, candidate (with its live shadow mirror), baselines,
-    /// streaks, cooldowns, and telemetry values. Config and bank handle
-    /// are reconstructed by the driver; the bank's contents freeze
-    /// separately as [`crate::controller::FrozenBank`].
-    pub fn freeze(&self) -> FrozenGuard {
+    /// streaks, cooldowns, and telemetry values, booked first. Config and
+    /// bank handle are rebuilt by the session that restores it; the
+    /// bank's contents freeze separately as [`crate::controller::FrozenBank`].
+    pub fn freeze(&mut self) -> FrozenGuard {
+        self.book_obs();
         FrozenGuard {
             state: self.state.clone(),
             events: self.events.clone(),
@@ -522,16 +526,12 @@ impl RolloutGuard {
         self.state.stage_entered = now;
         self.state.healthy_streak = 0;
         self.state.violation_streak = 0;
-        match stage {
-            RolloutStage::Idle => self.obs.set_stage(stage.code()),
-            _ => {
-                let label = match &self.state.candidate {
-                    Some(c) => format!("{} {}", stage.label(), c.version),
-                    None => stage.label().to_string(),
-                };
-                self.state.stage_span =
-                    Some(self.obs.on_stage_enter(&label, stage.code(), now.as_nanos()));
-            }
+        if stage != RolloutStage::Idle {
+            let label = match &self.state.candidate {
+                Some(c) => format!("{} {}", stage.label(), c.version),
+                None => stage.label().to_string(),
+            };
+            self.state.stage_span = Some(self.obs.on_stage_enter(&label, now.as_nanos()));
         }
     }
 
@@ -573,11 +573,9 @@ impl RolloutGuard {
             None
         };
         if let Some(reason) = reject {
-            self.obs.on_submission(false);
             self.push_event(now, version, RolloutEventKind::Rejected(reason));
             return Some(reason);
         }
-        self.obs.on_submission(true);
         let mirror = ShadowMirror::new(program.clone(), self.cfg.extractor.clone());
         self.state.candidate = Some(Candidate { program, version: version.clone(), mirror });
         // Recovery watching (if any) yields to the new candidate.
@@ -729,7 +727,6 @@ impl RolloutGuard {
             self.state.awaiting_recovery = false;
             let st = &mut self.state;
             let version = st.rolled_back_version.take().unwrap_or_else(|| st.known_good.clone());
-            self.obs.on_recovery();
             self.push_event(now, version, RolloutEventKind::Recovered);
             return;
         }
@@ -742,7 +739,6 @@ impl RolloutGuard {
                 let version = c.version.clone();
                 self.bank
                     .install(ProgramScope::AnyOf(self.cfg.canary_hosts.clone()), c.program.clone());
-                self.obs.on_promotion();
                 self.push_event(now, version, RolloutEventKind::EnteredCanary);
                 self.enter_stage(now, RolloutStage::Canary);
             }
@@ -752,7 +748,6 @@ impl RolloutGuard {
                 // Re-scope: the canary entry leaves, a global one lands.
                 self.bank.remove_fingerprint(version.fingerprint);
                 self.bank.install(ProgramScope::Global, c.program.clone());
-                self.obs.on_promotion();
                 self.push_event(now, version, RolloutEventKind::EnteredFull);
                 self.enter_stage(now, RolloutStage::Full);
             }
@@ -763,7 +758,6 @@ impl RolloutGuard {
                 // known-good entry retires from the bank.
                 self.bank.remove_fingerprint(self.state.known_good.fingerprint);
                 self.state.known_good = self.state.registry.commit(c.program);
-                self.obs.on_commit(self.state.registry.len());
                 self.push_event(now, version, RolloutEventKind::Committed);
                 self.enter_stage(now, RolloutStage::Idle);
             }
@@ -778,7 +772,6 @@ impl RolloutGuard {
         match self.state.stage {
             RolloutStage::Shadow => {
                 let Some(c) = self.state.candidate.take() else { return };
-                self.obs.on_veto();
                 self.push_event(now, c.version, RolloutEventKind::Vetoed(worst));
                 self.state.cooldown_until = now + COOLDOWN;
                 self.enter_stage(now, RolloutStage::Idle);
@@ -788,7 +781,6 @@ impl RolloutGuard {
                 // Remove every candidate entry; the known-good program
                 // never left the bank, so it is back in sole force now.
                 self.bank.remove_fingerprint(c.version.fingerprint);
-                self.obs.on_rollback();
                 self.push_event(now, c.version.clone(), RolloutEventKind::RolledBack(worst));
                 self.state.cooldown_until = now + COOLDOWN;
                 self.state.awaiting_recovery = true;
@@ -1044,6 +1036,7 @@ mod tests {
         // Never enforced: the bank still holds only the known-good entry.
         assert_eq!(handle.len(), 1);
         assert!(!has_fingerprint(&handle, v2_fp));
+        guard.book_obs();
         assert_eq!(guard.obs.vetoes(), 1);
         assert_eq!(guard.obs.windows_violated(), 2);
         // Nothing was actually dropped while shadowing.
@@ -1090,8 +1083,10 @@ mod tests {
         assert_eq!(guard.registry().versions.last().unwrap().0, v2_version);
         assert!(has_fingerprint(&handle, v2_version.fingerprint));
         assert!(!has_fingerprint(&handle, kg_fp));
+        guard.book_obs();
         assert_eq!(guard.obs.promotions(), 2);
         assert_eq!(guard.obs.commits(), 1);
+        assert_eq!((guard.obs.stage(), guard.obs.registry_versions()), (0, 2));
         // Two stages were exited with recorded durations by commit time
         // (shadow and canary), plus full on the final transition.
         assert_eq!(guard.obs.stage_histogram().count(), 3);
@@ -1148,6 +1143,7 @@ mod tests {
         // The candidate's entries left the bank; known-good remains.
         assert!(!has_fingerprint(&handle, v3_fp));
         assert_eq!(handle.len(), 1);
+        guard.book_obs();
         assert_eq!(guard.obs.rollbacks(), 1);
         let rollback_at = guard.events.last().unwrap().at;
 
@@ -1158,6 +1154,7 @@ mod tests {
             &mut guard, &mut filter, &mut b, from, CONCLUSIVE, benign_https, canary_host, &mut cmds,
         );
         tick(&mut guard, SimTime::from_secs(6), &mut cmds);
+        guard.book_obs();
         let last = guard.events.last().unwrap();
         assert_eq!(last.kind, RolloutEventKind::Recovered);
         assert!(last.at > rollback_at);
@@ -1170,6 +1167,7 @@ mod tests {
             guard.events.last().map(|e| e.kind),
             Some(RolloutEventKind::Rejected(RejectReason::Cooldown))
         ));
+        guard.book_obs();
         assert_eq!(guard.obs.rejected(), 1);
     }
 
@@ -1230,6 +1228,7 @@ mod tests {
             guard.events.last().map(|e| e.kind),
             Some(RolloutEventKind::Rejected(RejectReason::Busy))
         ));
+        guard.book_obs();
         assert_eq!(guard.obs.submissions(), 2);
         assert_eq!(guard.obs.rejected(), 1);
     }
@@ -1324,6 +1323,7 @@ mod tests {
             guard.events.last().map(|e| e.kind),
             Some(RolloutEventKind::Rejected(RejectReason::Cooldown))
         ));
+        guard.book_obs();
         assert_eq!(guard.obs.rejected(), 1);
 
         // At exactly t=5s the cooldown has elapsed: accepted into Shadow.
@@ -1374,6 +1374,7 @@ mod tests {
         // Mid-canary the loser still cannot slip in.
         let retry = guard.submit_candidate(SimTime::from_millis(3_100), second, &mut cmds);
         assert_eq!(retry.unwrap_err(), RejectReason::Busy);
+        guard.book_obs();
         assert_eq!(guard.obs.rejected(), 2);
     }
 }

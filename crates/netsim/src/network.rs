@@ -923,11 +923,20 @@ mod tests {
             assert_eq!(obs.injected(), stats.injected);
             assert_eq!(obs.delivered(), stats.delivered);
             assert_eq!(obs.delivered_bytes(), stats.delivered_bytes);
+            // The dump's drop sample for one cause.
+            let dump = obs.render();
+            let dumped = |reason: DropReason| -> u64 {
+                let labels = ["queue", "fault", "filter", "ttl", "no_route", "node_down"];
+                let label = labels[crate::observe::drop_index(reason)];
+                let head = format!("sim_dropped_packets_total{{reason=\"{label}\"}} ");
+                let value = dump.lines().find_map(|l| l.strip_prefix(head.as_str()));
+                value.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no {head}sample"))
+            };
             for reason in DropReason::ALL {
                 assert!(stats.dropped(reason) > 0, "no {reason:?} drop: {stats:?}");
-                assert_eq!(obs.dropped(reason), stats.dropped(reason), "{reason:?}");
+                assert_eq!(dumped(reason), stats.dropped(reason), "{reason:?}");
             }
-            assert_eq!(obs.dropped_total(), stats.dropped_total());
+            assert_eq!(DropReason::ALL.map(dumped).iter().sum::<u64>(), stats.dropped_total());
             assert_eq!(stats.injected, stats.delivered + stats.dropped_total(), "nothing left in flight");
             // Latency histogram covers exactly the delivered packets, and
             // each observation truncates ns -> us, so its sum brackets the

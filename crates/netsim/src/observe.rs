@@ -130,10 +130,8 @@ impl NetObs {
     }
 
     /// Bring the sink's copies of the [`NetStats`] counts up to `stats`,
-    /// their owner, and book what `tally` holds, starting it afresh. A
-    /// disabled sink books nothing. The subtraction saturates: a sink
-    /// ahead of its owner, which only a forged checkpoint holds, stays
-    /// where it is instead of panicking.
+    /// their owner ([`campuslab_obs::ObsSink::book`]), and book what
+    /// `tally` holds, starting it afresh. A disabled sink books nothing.
     pub(crate) fn book(&mut self, stats: &NetStats, tally: &mut HopTally) {
         let counts = [
             (self.injected, stats.injected),
@@ -141,22 +139,10 @@ impl NetObs {
             (self.delivered_bytes, stats.delivered_bytes),
         ];
         let drops = DropReason::ALL.map(|reason| (self.drops[drop_index(reason)], stats.dropped(reason)));
-        for (id, owner) in counts.into_iter().chain(drops) {
-            self.sink.add(id, owner.saturating_sub(self.sink.counter(id)));
-        }
+        self.sink.book(counts.into_iter().chain(drops));
         let HopTally { depth, depth_sum, latency, latency_sum } = std::mem::take(tally);
         self.sink.observe_buckets(self.queue_depth_histogram, &depth, depth_sum.into());
         self.sink.observe_buckets(self.latency_histogram, &latency, latency_sum.into());
-    }
-
-    /// Drop counter for one cause.
-    pub fn dropped(&self, reason: DropReason) -> u64 {
-        self.sink.counter(self.drops[drop_index(reason)])
-    }
-
-    /// Drops summed over every cause.
-    pub fn dropped_total(&self) -> u64 {
-        self.drops.iter().map(|&c| self.sink.counter(c)).sum()
     }
 
     /// Fold a shard slice's sink (same schema by construction) into this

@@ -445,6 +445,15 @@ impl ObsSink {
         }
     }
 
+    /// Bring each counter up to its owner's count by adding the
+    /// difference, so booking the same owners twice books them once. A
+    /// counter ahead of its owner (a forged checkpoint) stays put.
+    pub fn book(&mut self, rows: impl IntoIterator<Item = (CounterId, u64)>) {
+        for (id, owner) in rows {
+            self.add(id, owner.saturating_sub(self.counter(id)));
+        }
+    }
+
     /// Set a gauge.
     #[inline]
     pub fn set(&mut self, id: GaugeId, v: i64) {

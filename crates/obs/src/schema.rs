@@ -44,8 +44,10 @@
 //!   `fits(&sink)` and a checked `thaw(sink[, tracer])`; with a prefix
 //!   also `with_prefix(..)` and `prefix()`.
 //!
-//! Bump methods that carry logic stay hand-written in a plain `impl`
-//! beside the table; they index `self.sink` through the id fields.
+//! Bump methods, and a `book` that copies counts from the log or stats
+//! struct deciding them ([`ObsSink::book`](crate::ObsSink::book)), stay
+//! hand-written in a plain `impl` beside the table; they index
+//! `self.sink` through the id fields.
 
 /// Declare an Observatory struct as a table; see the [module docs](mod@crate::schema).
 #[macro_export]

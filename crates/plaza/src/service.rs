@@ -10,7 +10,7 @@
 //! experiment E18's golden replay pin that at 1 and 4 workers.
 
 use crate::tenant::{TenantOutcome, TenantSpec};
-use campuslab_control::PlazaObs;
+use campuslab_control::{PlazaObs, PlazaTally};
 use campuslab_dataplane::{AdmissionController, AdmissionDecision, SwitchModel};
 use campuslab_netsim::par::{parallel_map_vec, worker_count};
 
@@ -31,7 +31,8 @@ pub struct PlazaReport {
     /// Admission rounds the scheduler executed.
     pub rounds: u64,
     /// Service-level telemetry (admission counters, budget gauges, slice
-    /// histogram).
+    /// histogram), booked from the fields above and the grants held at
+    /// the end.
     pub obs: PlazaObs,
 }
 
@@ -64,7 +65,6 @@ impl PlazaReport {
 /// tenant's demand is accounted against `SwitchModel::default()`.
 pub struct Plaza {
     admission: AdmissionController,
-    obs: PlazaObs,
     records: Vec<TenantRecord>,
     /// Admitted specs not yet run, in admission order.
     ready: Vec<TenantSpec>,
@@ -83,7 +83,6 @@ impl Plaza {
     pub fn new() -> Self {
         Plaza {
             admission: AdmissionController::new(SwitchModel::default()),
-            obs: PlazaObs::new(),
             records: Vec::new(),
             ready: Vec::new(),
             waiting: Vec::new(),
@@ -99,17 +98,10 @@ impl Plaza {
         let decision = self.admission.submit(demand);
         self.records.push(TenantRecord { tenant: spec.name.clone(), decision: decision.clone() });
         match &decision {
-            AdmissionDecision::Admitted { .. } => {
-                self.obs.on_admitted();
-                self.ready.push(spec);
-            }
-            AdmissionDecision::Queued { .. } => {
-                self.obs.on_queued();
-                self.waiting.push(spec);
-            }
-            AdmissionDecision::Rejected(_) => self.obs.on_rejected(),
+            AdmissionDecision::Admitted { .. } => self.ready.push(spec),
+            AdmissionDecision::Queued { .. } => self.waiting.push(spec),
+            AdmissionDecision::Rejected(_) => {}
         }
-        self.set_budget_gauges();
         decision
     }
 
@@ -126,11 +118,8 @@ impl Plaza {
         let mut rounds = 0u64;
         while !self.ready.is_empty() {
             rounds += 1;
-            self.obs.on_round();
             let batch = std::mem::take(&mut self.ready);
             for outcome in run_batch(self.admission.switch(), batch) {
-                self.obs.on_slice(outcome.sim_events());
-                self.obs.on_released();
                 for newly in self.admission.release(&outcome.name) {
                     // The drained spec was parked in submission order, so
                     // the first waiting entry with the drained name is it.
@@ -139,22 +128,36 @@ impl Plaza {
                         .iter()
                         .position(|s| s.name == newly.tenant)
                         .expect("queued demand always has a waiting spec");
-                    self.obs.on_admitted();
                     self.ready.push(self.waiting.remove(i));
                 }
                 outcomes.push(outcome);
             }
-            self.set_budget_gauges();
         }
-        PlazaReport { outcomes, records: self.records, rounds, obs: self.obs }
+        let mut obs = PlazaObs::new();
+        obs.book(&self.tally(&outcomes, rounds));
+        PlazaReport { outcomes, records: self.records, rounds, obs }
     }
 
-    fn set_budget_gauges(&mut self) {
-        self.obs.set_budget(
-            self.admission.slots_used(),
-            self.admission.tcam_used(),
-            self.admission.admitted().len(),
-        );
+    /// The counts the admission records, the outcomes and `rounds`
+    /// decide, and the grants held now. A queued tenant was admitted
+    /// unless it is still waiting; every outcome released its grant.
+    fn tally(&self, outcomes: &[TenantOutcome], rounds: u64) -> PlazaTally {
+        let decided = |want: fn(&AdmissionDecision) -> bool| {
+            self.records.iter().filter(|r| want(&r.decision)).count() as u64
+        };
+        let queued = decided(|d| matches!(d, AdmissionDecision::Queued { .. }));
+        let admitted = decided(|d| matches!(d, AdmissionDecision::Admitted { .. }));
+        PlazaTally {
+            admitted: admitted + queued - self.admission.queue_len() as u64,
+            queued,
+            rejected: decided(|d| matches!(d, AdmissionDecision::Rejected(_))),
+            released: outcomes.len() as u64,
+            rounds,
+            slice_events: outcomes.iter().map(TenantOutcome::sim_events).collect(),
+            slots_used: self.admission.slots_used(),
+            tcam_used: self.admission.tcam_used(),
+            tenants_active: self.admission.admitted().len(),
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //! property suite in `tests/isolation.rs` pins exactly that: solo and
 //! co-scheduled runs of the same spec are byte-identical.
 
-use campuslab_control::{Placement, PlazaObs, PROMOTE_AFTER};
+use campuslab_control::{Placement, PlazaObs, PlazaTally, PROMOTE_AFTER};
 use campuslab_dataplane::{
     Action, HeaderField, PipelineProgram, SwitchModel, TableEntry, TenantDemand,
 };
@@ -200,10 +200,15 @@ impl TenantOutcome {
         // own session's simulator events — nothing that depends on who
         // else was in the plaza.
         let mut plaza = PlazaObs::new();
-        plaza.on_admitted();
-        plaza.set_budget(grant.stage_slots, grant.tcam_entries, 1);
-        plaza.on_round();
-        plaza.on_slice(fin.obs.net.event_seq());
+        plaza.book(&PlazaTally {
+            admitted: 1,
+            rounds: 1,
+            slice_events: vec![fin.obs.net.event_seq()],
+            slots_used: grant.stage_slots,
+            tcam_used: grant.tcam_entries,
+            tenants_active: 1,
+            ..PlazaTally::default()
+        });
         fin.obs.plaza = Some(plaza);
 
         TenantOutcome { name, store, run: fin }

@@ -118,9 +118,10 @@ pub fn chaos_road_test_config(scenario: &Scenario, intensity: f64, seed: u64) ->
 
 /// Derive one curve point from a finished road test: network counts from
 /// `NetStats`, their owner, and controller counts from the controller's
-/// Observatory sink, which owns them. The metrics dump books the network
-/// counts from the same `NetStats`, so the curve and the dump cannot
-/// disagree.
+/// Observatory sink, booked from the controller's logs when the session
+/// finished (in-flight attempts included). The metrics dump books the
+/// network counts from the same `NetStats`, so the curve and the dump
+/// cannot disagree.
 fn point_from(intensity: f64, outcome: &RoadTestOutcome) -> ChaosPoint {
     let net = &outcome.net;
     let ctl = outcome.obs.controller.as_ref();
@@ -164,7 +165,6 @@ pub fn chaos_sweep(
 mod tests {
     use super::*;
     use campuslab_ml::DecisionTree;
-    use campuslab_netsim::DropReason;
 
     fn trained() -> (PipelineProgram, DecisionTree) {
         crate::fixtures::trained().clone()
@@ -262,9 +262,10 @@ mod tests {
         assert_eq!(point.dropped_fault, outcome.net.dropped_fault);
         assert_eq!(point.dropped_node_down, outcome.net.dropped_node_down);
         assert!((point.delivery_ratio - outcome.delivery_ratio()).abs() < 1e-12);
-        let dump = &outcome.obs.net;
-        assert_eq!(dump.dropped(DropReason::Fault), point.dropped_fault);
-        assert_eq!(dump.dropped(DropReason::NodeDown), point.dropped_node_down);
+        let dump = outcome.obs.net.render();
+        let sample = |reason: &str, n: u64| format!("sim_dropped_packets_total{{reason=\"{reason}\"}} {n}\n");
+        assert!(dump.contains(&sample("fault", point.dropped_fault)), "{dump}");
+        assert!(dump.contains(&sample("node_down", point.dropped_node_down)), "{dump}");
         assert_eq!(point.mitigated, !outcome.mitigations.is_empty());
         let ctl = outcome.obs.controller.as_ref().unwrap();
         assert_eq!(ctl.installs() as usize, outcome.mitigations.len());

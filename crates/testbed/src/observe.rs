@@ -265,7 +265,6 @@ mod tests {
         }
         // The empty instance prefix is byte-identical to no prefix.
         assert_eq!(RolloutObs::new().render(), RolloutObs::with_prefix("").render());
-        assert_eq!(DriftObs::new().render(), DriftObs::with_prefix("").render());
     }
 
     #[test]

@@ -342,7 +342,10 @@ mod tests {
         let net = &outcome.obs.net;
         assert_eq!(net.injected(), outcome.net.injected);
         assert_eq!(net.delivered(), outcome.net.delivered);
-        assert_eq!(net.dropped_total(), outcome.net.dropped_total());
+        let dump = net.render();
+        let drops = dump.lines().filter_map(|l| l.strip_prefix("sim_dropped_packets_total{"));
+        let dropped: u64 = drops.filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok()).sum();
+        assert_eq!(dropped, outcome.net.dropped_total());
         // Controller counters mirror the event log.
         let ctl = outcome.obs.controller.as_ref().expect("controller obs");
         assert_eq!(ctl.installs() as usize, outcome.mitigations.len());

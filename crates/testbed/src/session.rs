@@ -208,22 +208,25 @@ impl Stack {
         Ok(())
     }
 
-    /// Snapshot the control layers' dynamic state plus the evidence-sync
-    /// cursors. Stacks holding a border monitor or a resolver actor are
-    /// refused with a typed error: those members have no frozen mirror.
-    pub fn freeze(&self) -> Result<FrozenStack, FreezeError> {
+    /// Snapshot the control layers' dynamic state, each member's counts
+    /// booked from its logs first, plus the evidence-sync cursors. Stacks
+    /// holding a border monitor or a resolver actor are refused with a
+    /// typed error: those members have no frozen mirror.
+    pub fn freeze(&mut self) -> Result<FrozenStack, FreezeError> {
         self.checkpointable()?;
         Ok(FrozenStack {
-            guard: self.guard.as_ref().map(RolloutGuard::freeze),
-            controller: self.controller.as_ref().map(MitigationController::freeze),
-            pilot: self.pilot.as_ref().map(DriftPilot::freeze),
+            guard: self.guard.as_mut().map(RolloutGuard::freeze),
+            controller: self.controller.as_mut().map(MitigationController::freeze),
+            pilot: self.pilot.as_mut().map(DriftPilot::freeze),
             seen: self.seen,
         })
     }
 
-    /// Whether `frozen` has this stack's member shape and every metric
+    /// Whether `frozen` can be thawed into this stack: the stack is
+    /// checkpointable, `frozen` has its member shape, and every metric
     /// sink in it fits the schema it would be thawed into.
-    fn accepts(&self, frozen: &FrozenStack) -> bool {
+    fn accepts(&self, frozen: &FrozenStack) -> Result<(), FreezeError> {
+        self.checkpointable()?;
         fn both<M, F>(
             member: &Option<M>,
             image: &Option<F>,
@@ -235,9 +238,10 @@ impl Stack {
                 _ => false,
             }
         }
-        both(&self.guard, &frozen.guard, |g, f| g.obs.fits(&f.sink))
+        let fits = both(&self.guard, &frozen.guard, |g, f| g.obs.fits(&f.sink))
             && both(&self.controller, &frozen.controller, MitigationController::accepts)
-            && both(&self.pilot, &frozen.pilot, |p, f| p.obs.fits(&f.sink))
+            && both(&self.pilot, &frozen.pilot, |p, f| p.obs.fits(&f.sink));
+        fits.then_some(()).ok_or(FreezeError::JobMismatch)
     }
 
     /// Apply a frozen snapshot onto a freshly built stack (same configs,
@@ -245,10 +249,7 @@ impl Stack {
     /// stack, or that carries a metric sink of the wrong shape, is refused
     /// before anything is applied.
     pub fn thaw_state(&mut self, frozen: FrozenStack) -> Result<(), FreezeError> {
-        self.checkpointable()?;
-        if !self.accepts(&frozen) {
-            return Err(FreezeError::JobMismatch);
-        }
+        self.accepts(&frozen)?;
         let misfit = |_| FreezeError::JobMismatch;
         if let (Some(guard), Some(f)) = (&mut self.guard, frozen.guard) {
             guard.thaw_state(f).map_err(misfit)?;
@@ -459,12 +460,12 @@ impl Session {
     /// sink that does not fit its schema, or a simulator image from
     /// another topology or seed ([`Network::accepts`]) is refused with the
     /// session left as it was; hook configs are the caller's contract.
+    /// The stack image is checked, the network restored (it checks its
+    /// own image, once), and only then is the stack applied.
     pub fn restore(&mut self, cp: PhoenixCheckpoint) -> Result<(), FreezeError> {
-        if !self.net.accepts(&cp.net) {
-            return Err(FreezeError::JobMismatch);
-        }
-        self.stack.thaw_state(cp.hooks)?;
+        self.stack.accepts(&cp.hooks)?;
         self.net.restore(cp.net).map_err(|_| FreezeError::JobMismatch)?;
+        self.stack.thaw_state(cp.hooks)?;
         self.handle.thaw(cp.bank);
         Ok(())
     }
@@ -712,7 +713,7 @@ mod tests {
             feed(&mut stack, &candidate, 1, 2, 1);
             stack.sync();
 
-            if let Some(g) = &stack.guard {
+            if let Some(g) = &mut stack.guard {
                 let (samples, giveups) = if controller { (3, 3) } else { (0, 0) };
                 assert_eq!(g.freeze().state.window_ttm_ms, vec![40; samples], "{name}: ttm samples");
                 assert_eq!(g.obs.giveups_observed(), giveups, "{name}: give-ups");
