@@ -12,7 +12,7 @@
 use crate::obs_export::ObsBundle;
 use crate::table::{pct, Table};
 use campuslab::obs::Tracer;
-use campuslab::testbed::{chaos_sweep, ChaosSweepConfig, Scenario};
+use campuslab::testbed::{chaos_sweep, Scenario};
 use campuslab::Platform;
 
 /// Run the experiment and return the full Observatory bundle: the
@@ -26,12 +26,7 @@ pub fn run() -> ObsBundle {
     let dev = platform.develop(&data);
     let model = platform.train_window_model(&data);
 
-    let (points, point_obs) = chaos_sweep(
-        &platform.scenario,
-        &dev.program,
-        || Box::new(model.clone()),
-        &ChaosSweepConfig::default(),
-    );
+    let (points, point_obs) = chaos_sweep(&platform.scenario, &dev.program, || Box::new(model.clone()));
 
     let mut t = Table::new(&[
         "intensity",

@@ -15,7 +15,7 @@
 
 use crate::obs_export::ObsBundle;
 use crate::table::Table;
-use campuslab::control::{CircuitBreakerPolicy, InstallPolicy, RolloutEventKind, RolloutGuard};
+use campuslab::control::{InstallPolicy, RolloutEventKind, RolloutGuard};
 use campuslab::dataplane::{Action, HeaderField, PipelineProgram, TableEntry};
 use campuslab::netsim::par::parallel_map;
 use campuslab::netsim::{SimDuration, SimTime};
@@ -73,7 +73,7 @@ pub fn run() -> ObsBundle {
             let mut road = chaos_road_test_config(&platform.scenario, intensity, 0xE15);
             road.install = InstallPolicy {
                 failure_probability: 1.0,
-                breaker: Some(CircuitBreakerPolicy::default()),
+                breaker: true,
                 ..road.install
             };
             cfg.road = road;

@@ -7,7 +7,7 @@
 
 use crate::detector::{Detection, FrozenDetector, StreamingWindowDetector};
 use crate::observe::{ControllerObs, DetectorObs};
-use crate::rollout::{CircuitBreaker, CircuitBreakerPolicy};
+use crate::rollout::CircuitBreaker;
 use campuslab_obs::{ObsSink, OpenSpan, SinkMisfit, Tracer};
 use campuslab_capture::{Direction, PacketRecord};
 use campuslab_dataplane::{Action, FieldExtractor, PipelineProgram, PipelineRuntime};
@@ -314,11 +314,11 @@ pub struct InstallPolicy {
     /// Seed for the install-flake RNG — independent of the network RNG so
     /// chaos in the control channel never perturbs the data plane.
     pub seed: u64,
-    /// Optional circuit breaker over the install channel: after a streak
-    /// of consecutive failures the controller stops hammering the switch
-    /// and sheds episodes with a typed give-up instead. `None` (the
-    /// default) preserves the plain retry discipline exactly.
-    pub breaker: Option<CircuitBreakerPolicy>,
+    /// Whether a [`CircuitBreaker`] guards the install channel: after a
+    /// streak of consecutive failures the controller stops hammering the
+    /// switch and sheds episodes with a typed give-up instead. `false`
+    /// (the default) preserves the plain retry discipline exactly.
+    pub breaker: bool,
 }
 
 impl Default for InstallPolicy {
@@ -329,7 +329,7 @@ impl Default for InstallPolicy {
             base_backoff: SimDuration::from_millis(2),
             max_backoff: SimDuration::from_millis(100),
             seed: 0x1257A11,
-            breaker: None,
+            breaker: false,
         }
     }
 }
@@ -384,7 +384,7 @@ pub struct MitigationController {
     /// Detections abandoned after the retry budget/timeout ran out.
     pub giveups: Vec<InstallGiveUp>,
     /// Observatory sink + episode spans; the episode counts are booked
-    /// from the logs above by `freeze` and `take_obs`.
+    /// from the logs above by `take_obs`.
     pub obs: ControllerObs,
 }
 
@@ -431,7 +431,7 @@ impl MitigationController {
             pending: BTreeMap::new(),
             next_token: 0,
             install_rng: StreamRng(rand::SeedableRng::seed_from_u64(cfg.install.seed)),
-            breaker: cfg.install.breaker.map(CircuitBreaker::new),
+            breaker: cfg.install.breaker.then(CircuitBreaker::default),
         };
         MitigationController {
             cfg,
@@ -465,10 +465,11 @@ impl MitigationController {
 
     /// Freeze the controller's dynamic state for a checkpoint: detector
     /// image, in-flight installs, install-RNG position, breaker, episode
-    /// history, and telemetry values, booked first. Config, model, and
-    /// bank handle are rebuilt by the session that restores it.
-    pub fn freeze(&mut self) -> FrozenController {
-        self.book_obs();
+    /// history, and telemetry values. Config, model, and bank handle are
+    /// rebuilt by the session that restores it; the booked episode counts
+    /// are not booked here, since `take_obs` books them from the thawed
+    /// logs.
+    pub fn freeze(&self) -> FrozenController {
         FrozenController {
             detector: self.detector.freeze(),
             state: self.state.clone(),
@@ -479,11 +480,10 @@ impl MitigationController {
         }
     }
 
-    /// Whether the controller's metric sink in `frozen` fits the schema it
-    /// would be thawed into and the detector's image is one
-    /// [`StreamingWindowDetector::accepts`].
+    /// Whether the controller's and its detector's metric sinks in
+    /// `frozen` fit the schemas they would be thawed into.
     pub fn accepts(&self, frozen: &FrozenController) -> bool {
-        self.obs.fits(&frozen.sink) && self.detector.accepts(&frozen.detector)
+        self.obs.fits(&frozen.sink) && self.detector.obs.fits(&frozen.detector.sink)
     }
 
     /// Apply a frozen image onto a freshly constructed controller (same
@@ -872,14 +872,11 @@ mod tests {
 
     #[test]
     fn open_breaker_sheds_with_typed_giveup_not_silent_drop() {
-        use crate::rollout::{BreakerState, CircuitBreakerPolicy};
+        use crate::rollout::BreakerState;
         let (mut ctrl, handle) = controller_with(InstallPolicy {
             failure_probability: 1.0,
             max_attempts: 5,
-            breaker: Some(CircuitBreakerPolicy {
-                open_after: 2,
-                cooldown: SimDuration::from_millis(250),
-            }),
+            breaker: true,
             ..InstallPolicy::default()
         });
         let victim: IpAddr = "10.1.1.10".parse().unwrap();
@@ -888,10 +885,11 @@ mod tests {
         ctrl.handle_detections(t0, vec![detection(victim)], &mut cmds);
         use campuslab_netsim::SimHooks;
         let base = MitigationController::TOKEN_BASE;
-        // Two flaked attempts trip the breaker...
+        // Three flaked attempts (2 ms, then 4 ms apart) trip the breaker...
         ctrl.on_timer(t0, base, &mut cmds);
-        assert_eq!(ctrl.breaker().unwrap().state(), BreakerState::Closed);
         ctrl.on_timer(t0 + SimDuration::from_millis(2), base + 1, &mut cmds);
+        assert_eq!(ctrl.breaker().unwrap().state(), BreakerState::Closed);
+        ctrl.on_timer(t0 + SimDuration::from_millis(6), base + 2, &mut cmds);
         assert_eq!(ctrl.breaker().unwrap().state(), BreakerState::Open);
         assert!(ctrl.giveups.is_empty(), "retry budget not yet exhausted");
         // (episodes, attempts, flakes, installs, give-ups) as booked.
@@ -900,37 +898,37 @@ mod tests {
             let o = &ctrl.obs;
             (o.episodes(), o.attempts(), o.flakes(), o.installs(), o.giveups())
         };
-        assert_eq!(booked(&mut ctrl), (1, 2, 2, 0, 0), "two attempts in flight");
-        // ...so the already-scheduled third retry fires into an open
+        assert_eq!(booked(&mut ctrl), (1, 3, 3, 0, 0), "three attempts in flight");
+        // ...so the already-scheduled fourth retry fires into an open
         // circuit and is shed as a *recorded* give-up, not a lost episode.
-        ctrl.on_timer(t0 + SimDuration::from_millis(6), base + 2, &mut cmds);
+        ctrl.on_timer(t0 + SimDuration::from_millis(14), base + 3, &mut cmds);
         assert_eq!(ctrl.giveups.len(), 1);
         assert_eq!(ctrl.giveups[0].reason, GiveUpReason::CircuitOpen);
-        assert_eq!(ctrl.giveups[0].attempts, 2, "no attempt is made against an open circuit");
+        assert_eq!(ctrl.giveups[0].attempts, 3, "no attempt is made against an open circuit");
         assert!(ctrl.events.is_empty());
         assert!(handle.is_empty());
-        assert_eq!(booked(&mut ctrl), (1, 2, 2, 0, 1), "the shed adds a give-up, no attempt");
+        assert_eq!(booked(&mut ctrl), (1, 3, 3, 0, 1), "the shed adds a give-up, no attempt");
 
-        // After the cooldown a new episode gets exactly one half-open
-        // probe; the probe flaking re-opens immediately.
+        // After the 250 ms cooldown a new episode gets exactly one
+        // half-open probe; the probe flaking re-opens immediately.
         let t1 = t0 + SimDuration::from_millis(400);
         ctrl.handle_detections(t1, vec![detection("10.1.2.20".parse().unwrap())], &mut cmds);
-        ctrl.on_timer(t1 + SimDuration::from_millis(2), base + 3, &mut cmds);
+        ctrl.on_timer(t1 + SimDuration::from_millis(2), base + 4, &mut cmds);
         assert_eq!(ctrl.giveups.len(), 1, "the probe went out rather than being shed");
         assert_eq!(ctrl.breaker().unwrap().state(), BreakerState::Open);
         // Its pending retry is shed on arrival, again with the typed reason.
-        ctrl.on_timer(t1 + SimDuration::from_millis(4), base + 4, &mut cmds);
+        ctrl.on_timer(t1 + SimDuration::from_millis(4), base + 5, &mut cmds);
         assert_eq!(ctrl.giveups.len(), 2);
         assert_eq!(ctrl.giveups[1].reason, GiveUpReason::CircuitOpen);
         // One probe more, every attempt flaked: flakes = attempts - installs.
-        assert_eq!(booked(&mut ctrl), (2, 3, 3, 0, 2));
+        assert_eq!(booked(&mut ctrl), (2, 4, 4, 0, 2));
     }
 
     #[test]
     fn breaker_free_policy_retries_exactly_as_before() {
-        // InstallPolicy::default() must keep `breaker: None` so existing
+        // InstallPolicy::default() must keep `breaker: false` so existing
         // runs (and their goldens) draw the identical RNG sequence.
-        assert!(InstallPolicy::default().breaker.is_none());
+        assert!(!InstallPolicy::default().breaker);
         let (ctrl, _handle) = controller_with(InstallPolicy::default());
         assert!(ctrl.breaker().is_none());
     }

@@ -30,21 +30,22 @@ pub struct Detection {
 /// feeding the model rates computed over a window it only half saw.
 pub struct StreamingWindowDetector {
     model: Box<dyn Classifier + Send>,
+    cfg: WindowConfig,
+    /// Minimum confidence to emit a detection.
+    gate: f64,
     state: DetectorState,
     /// Observatory sink: window/coverage/detection telemetry, records
     /// observed and windows skipped included.
     pub obs: DetectorObs,
 }
 
-/// Everything a [`StreamingWindowDetector`] keeps privately besides its
-/// model: the one declaration of those fields, and (in this order) the
-/// head of its checkpoint image. The windowing parameters and gate ride
-/// along so an image says what it was detecting with.
+/// Everything a [`StreamingWindowDetector`] changes as it runs: the one
+/// declaration of those fields, and (in this order) the head of its
+/// checkpoint image. Its configuration (model, windowing, gate) is set at
+/// construction and stays on the detector, so an image cannot bring back
+/// a window length or gate [`StreamingWindowDetector::new`] refuses.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct DetectorState {
-    cfg: WindowConfig,
-    /// Minimum confidence to emit a detection.
-    gate: f64,
     current_window: Option<u64>,
     buffer: Vec<PacketRecord>,
     /// Announced telemetry gaps, `[from_ns, until_ns)`, sorted and
@@ -67,9 +68,9 @@ impl StreamingWindowDetector {
         assert!(gate.is_finite(), "confidence gate {gate} is not a finite number");
         StreamingWindowDetector {
             model,
+            cfg,
+            gate,
             state: DetectorState {
-                cfg,
-                gate,
                 current_window: None,
                 buffer: Vec::new(),
                 gaps: Vec::new(),
@@ -102,22 +103,22 @@ impl StreamingWindowDetector {
         if self.state.gaps.is_empty() {
             return 1.0;
         }
-        let start = window * self.state.cfg.window_ns;
-        let end = start + self.state.cfg.window_ns;
+        let start = window * self.cfg.window_ns;
+        let end = start + self.cfg.window_ns;
         let blind: u64 = self
             .state
             .gaps
             .iter()
             .map(|&(f, u)| u.min(end).saturating_sub(f.max(start)))
             .sum();
-        1.0 - blind as f64 / self.state.cfg.window_ns as f64
+        1.0 - blind as f64 / self.cfg.window_ns as f64
     }
 
     /// Feed one record (records must arrive in time order, as a tap
     /// produces them). Returns detections for any window that just closed.
     pub fn observe(&mut self, rec: &PacketRecord) -> Vec<Detection> {
         self.obs.on_observed();
-        let w = rec.ts_ns / self.state.cfg.window_ns;
+        let w = rec.ts_ns / self.cfg.window_ns;
         let mut out = Vec::new();
         match self.state.current_window {
             Some(cur) if w != cur => {
@@ -149,8 +150,8 @@ impl StreamingWindowDetector {
             self.obs.on_window_closed(coverage, true, 0);
             return Vec::new();
         }
-        let cells = aggregate(&records, self.state.cfg, LabelMode::BinaryAttack);
-        let window_end_ns = (window + 1) * self.state.cfg.window_ns;
+        let cells = aggregate(&records, self.cfg, LabelMode::BinaryAttack);
+        let window_end_ns = (window + 1) * self.cfg.window_ns;
         let out: Vec<Detection> = cells
             .into_iter()
             .filter_map(|cell| {
@@ -163,7 +164,7 @@ impl StreamingWindowDetector {
                     }
                 }
                 let (class, confidence) = self.model.predict_with_confidence(&features);
-                (class != 0 && confidence >= self.state.gate).then_some(Detection {
+                (class != 0 && confidence >= self.gate).then_some(Detection {
                     dst: cell.dst,
                     window_end_ns,
                     class,
@@ -184,22 +185,10 @@ impl StreamingWindowDetector {
         FrozenDetector { state: self.state.clone(), sink: self.obs.sink.clone() }
     }
 
-    /// Whether `frozen` was taken from a detector built like this one:
-    /// same windowing, same gate, and a metric sink that fits. An image
-    /// therefore cannot bring back a zero-length window or a non-finite
-    /// gate that [`new`](Self::new) refuses.
-    pub fn accepts(&self, frozen: &FrozenDetector) -> bool {
-        frozen.state.cfg == self.state.cfg && frozen.state.gate == self.state.gate && self.obs.fits(&frozen.sink)
-    }
-
     /// Apply a frozen image onto a freshly constructed detector (same
     /// model, same construction path). Overwrites every dynamic field; an
-    /// image that [`accepts`](Self::accepts) turns down is refused
-    /// untouched.
+    /// image whose metric sink does not fit is refused untouched.
     pub fn thaw_state(&mut self, frozen: FrozenDetector) -> Result<(), SinkMisfit> {
-        if !self.accepts(&frozen) {
-            return Err(SinkMisfit);
-        }
         self.obs.thaw(frozen.sink)?;
         self.state = frozen.state;
         Ok(())
@@ -207,8 +196,8 @@ impl StreamingWindowDetector {
 }
 
 /// A [`StreamingWindowDetector`]'s checkpointable image: everything but
-/// the model (rebuilt by the constructor) and the metric schema (rebuilt
-/// by [`DetectorObs::new`]).
+/// the model, windowing and gate (set by the constructor) and the metric
+/// schema (rebuilt by [`DetectorObs::new`]).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenDetector {
     pub state: DetectorState,
@@ -279,25 +268,17 @@ mod tests {
         detector(f64::NAN);
     }
 
+    /// An image holds only what the detector changes as it runs: one whose
+    /// sink is of another schema is refused untouched, and the windowing
+    /// and gate are the restoring detector's own.
     #[test]
-    fn image_of_another_window_or_gate_is_refused_untouched() {
+    fn image_with_a_misfit_sink_is_refused_untouched() {
         let mut d = detector(0.8);
         d.observe(&rec(1_000, 1, [10, 1, 1, 10], 1));
-        let zero_window = {
-            let mut f = d.freeze();
-            f.state.cfg.window_ns = 0;
-            f
-        };
-        let nan_gate = {
-            let mut f = d.freeze();
-            f.state.gate = f64::NAN;
-            f
-        };
+        let misfit = FrozenDetector { sink: campuslab_obs::Registry::new().sink(), ..d.freeze() };
         let mut fresh = detector(0.8);
-        assert!(fresh.thaw_state(zero_window).is_err());
-        assert!(fresh.thaw_state(nan_gate).is_err());
+        assert!(fresh.thaw_state(misfit).is_err());
         assert!(fresh.state.buffer.is_empty() && fresh.obs.observed() == 0);
-        assert!(detector(0.9).thaw_state(d.freeze()).is_err());
         assert!(fresh.thaw_state(d.freeze()).is_ok());
         assert_eq!(fresh.state.buffer.len(), 1);
     }

@@ -142,14 +142,16 @@ pub struct DriftPilot {
     /// Every retrain, in sim order.
     pub retrains: Vec<RetrainRecord>,
     /// Observatory sink + drift spans; the retrain and drift counts are
-    /// booked from the two logs above by `freeze` and `take_obs`.
+    /// booked from the two logs above by `take_obs`.
     pub obs: DriftObs,
 }
 
 /// Everything a [`DriftPilot`] keeps privately besides its config —
 /// training buffer, drift sketches and references, episode machinery,
 /// submission bookkeeping: the one declaration of those fields, and (in
-/// this order) the head of its checkpoint image.
+/// this order) the head of its checkpoint image. No field copies a
+/// telemetry value: the window timer's keep-alive reads the buffer, so a
+/// disabled sink cannot change the run.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct PilotState {
     buffer: VecDeque<PacketRecord>,
@@ -159,8 +161,6 @@ pub struct PilotState {
     ref_prefixes: Vec<(IpAddr, u64)>,
     last_retrain: SimTime,
     bootstrapped: bool,
-    /// Cumulative records at the previous window tick, for quiescence.
-    records_at_tick: u64,
     in_drift: bool,
     drift_span: Option<OpenSpan>,
     drift_onset: SimTime,
@@ -193,7 +193,6 @@ impl DriftPilot {
             ref_prefixes: Vec::new(),
             last_retrain: SimTime::ZERO,
             bootstrapped: false,
-            records_at_tick: 0,
             in_drift: false,
             drift_span: None,
             drift_onset: SimTime::ZERO,
@@ -302,11 +301,12 @@ impl DriftPilot {
 
     /// Freeze the pilot's dynamic state for a checkpoint: training
     /// buffer, drift sketches and references, episode machinery,
-    /// submission bookkeeping, and telemetry values, booked first. The
-    /// tap and the starting fingerprint are scenario-derived: the session
-    /// that restores the pilot builds it with the same two values.
-    pub fn freeze(&mut self) -> FrozenDriftPilot {
-        self.book_obs();
+    /// submission bookkeeping, and telemetry values. The tap and the
+    /// starting fingerprint are scenario-derived: the session that
+    /// restores the pilot builds it with the same two values. The retrain
+    /// and drift counts are not booked here: `take_obs` books them from
+    /// the thawed logs.
+    pub fn freeze(&self) -> FrozenDriftPilot {
         FrozenDriftPilot {
             state: self.state.clone(),
             episodes: self.episodes.clone(),
@@ -394,13 +394,14 @@ impl DriftPilot {
         }
 
         // Always-on must still let a drained simulation terminate: keep
-        // ticking only while there is work — fresh records this window, a
-        // non-empty training buffer, or a candidate awaiting a verdict.
-        // Once quiet, disarm; the next tap packet re-bootstraps the timer.
-        let fresh = self.obs.records() != self.state.records_at_tick;
-        self.state.records_at_tick = self.obs.records();
+        // ticking only while there is work — a non-empty training buffer
+        // (it holds every record tapped since the last tick: each is
+        // stamped with its tap time, ticks are a window apart, and
+        // retention keeps the whole training horizon), or a candidate
+        // awaiting a verdict. Once quiet, disarm; the next tap packet
+        // re-bootstraps the timer.
         let st = &self.state;
-        if fresh || !st.buffer.is_empty() || st.inflight.is_some() || !st.outbox.is_empty() {
+        if !st.buffer.is_empty() || st.inflight.is_some() || !st.outbox.is_empty() {
             self.arm_window(now, cmds);
         } else {
             self.state.bootstrapped = false;

@@ -48,7 +48,7 @@ pub use driftpilot::{
 pub use fastloop::{ShadowMirror, ShadowWindow};
 pub use observe::{ControllerObs, DetectorObs, DriftObs, PlazaObs, PlazaTally, RolloutObs};
 pub use rollout::{
-    BreakerState, Candidate, CircuitBreaker, CircuitBreakerPolicy, FrozenGuard, GuardState,
+    BreakerState, Candidate, CircuitBreaker, FrozenGuard, GuardState,
     ProgramRegistry, RejectReason, RolloutConfig, RolloutEvent, RolloutEventKind, RolloutGuard,
     RolloutStage, SloViolation, PROMOTE_AFTER,
 };

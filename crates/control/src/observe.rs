@@ -8,9 +8,10 @@
 //! A count that restates a decision log (the controller's episodes, the
 //! guard's events, the pilot's retrains and drift episodes, the plaza's
 //! admission records) is copied from it by its table's `book`, which adds
-//! `log − sink`, so booking twice books once; members book when they
-//! freeze and when their telemetry is taken. The bump methods carry only
-//! what no log holds.
+//! `log − sink`, so booking twice books once; members book when their
+//! telemetry is taken (`take_obs`), not when they freeze, so a checkpoint
+//! image holds each decision once, in its log. The bump methods carry
+//! only what no log holds.
 
 use crate::controller::{InstallGiveUp, MitigationEvent};
 use crate::driftpilot::{DriftEpisode, RetrainOutcome, RetrainRecord, RetrainTrigger};

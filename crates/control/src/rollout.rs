@@ -189,25 +189,17 @@ impl ProgramRegistry {
     }
 }
 
-/// When to stop hammering a failing install channel.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
-pub struct CircuitBreakerPolicy {
-    /// Consecutive failures that trip the breaker open.
-    pub open_after: u32,
-    /// How long an open breaker blocks before allowing one probe.
-    pub cooldown: SimDuration,
-}
+/// Consecutive failures that trip a [`CircuitBreaker`] open.
+const BREAKER_OPEN_AFTER: u32 = 3;
 
-impl Default for CircuitBreakerPolicy {
-    fn default() -> Self {
-        CircuitBreakerPolicy { open_after: 3, cooldown: SimDuration::from_millis(250) }
-    }
-}
+/// How long an open [`CircuitBreaker`] blocks before allowing one probe.
+const BREAKER_COOLDOWN: SimDuration = SimDuration::from_millis(250);
 
 /// Breaker position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
 pub enum BreakerState {
     /// Requests flow; failures are counted.
+    #[default]
     Closed,
     /// Requests are refused until the cooldown elapses.
     Open,
@@ -216,28 +208,18 @@ pub enum BreakerState {
 }
 
 /// A deterministic circuit breaker over the install channel: `Closed`
-/// until `open_after` consecutive failures, then `Open` for the
-/// cooldown, then `HalfOpen` letting a single probe through — probe
-/// success closes it, probe failure re-opens it.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// until `BREAKER_OPEN_AFTER` (3) consecutive failures, then `Open` for
+/// `BREAKER_COOLDOWN` (250 ms), then `HalfOpen` letting a single probe
+/// through — probe success closes it, probe failure re-opens it. A new
+/// breaker (`default()`) is closed.
+#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct CircuitBreaker {
-    policy: CircuitBreakerPolicy,
     state: BreakerState,
     consecutive_failures: u32,
     open_until: SimTime,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker under `policy`.
-    pub fn new(policy: CircuitBreakerPolicy) -> Self {
-        CircuitBreaker {
-            policy,
-            state: BreakerState::Closed,
-            consecutive_failures: 0,
-            open_until: SimTime::ZERO,
-        }
-    }
-
     /// Current position (advancing Open→HalfOpen if the cooldown passed).
     pub fn state(&self) -> BreakerState {
         self.state
@@ -271,7 +253,7 @@ impl CircuitBreaker {
             BreakerState::HalfOpen => self.trip(now),
             _ => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.policy.open_after {
+                if self.consecutive_failures >= BREAKER_OPEN_AFTER {
                     self.trip(now);
                 }
             }
@@ -280,7 +262,7 @@ impl CircuitBreaker {
 
     fn trip(&mut self, now: SimTime) {
         self.state = BreakerState::Open;
-        self.open_until = now + self.policy.cooldown;
+        self.open_until = now + BREAKER_COOLDOWN;
         self.consecutive_failures = 0;
     }
 }
@@ -323,7 +305,7 @@ pub struct RolloutGuard {
     /// Guard decisions, in sim order.
     pub events: Vec<RolloutEvent>,
     /// Observatory sink + per-stage spans; the decision counts and the
-    /// stage and registry gauges are booked by `freeze` and `take_obs`.
+    /// stage and registry gauges are booked by `take_obs`.
     pub obs: RolloutObs,
 }
 
@@ -493,11 +475,12 @@ impl RolloutGuard {
 
     /// Freeze the guard's dynamic state for a checkpoint: lineage, stage
     /// machine, candidate (with its live shadow mirror), baselines,
-    /// streaks, cooldowns, and telemetry values, booked first. Config and
-    /// bank handle are rebuilt by the session that restores it; the
-    /// bank's contents freeze separately as [`crate::controller::FrozenBank`].
-    pub fn freeze(&mut self) -> FrozenGuard {
-        self.book_obs();
+    /// streaks, cooldowns, and telemetry values. Config and bank handle
+    /// are rebuilt by the session that restores it; the bank's contents
+    /// freeze separately as [`crate::controller::FrozenBank`]. The decision
+    /// counts and gauges are not booked here: `take_obs` books them from
+    /// the thawed log and state.
+    pub fn freeze(&self) -> FrozenGuard {
         FrozenGuard {
             state: self.state.clone(),
             events: self.events.clone(),
@@ -961,28 +944,26 @@ mod tests {
 
     #[test]
     fn breaker_opens_blocks_probes_and_recloses() {
-        let mut b = CircuitBreaker::new(CircuitBreakerPolicy {
-            open_after: 2,
-            cooldown: SimDuration::from_millis(100),
-        });
+        let mut b = CircuitBreaker::default();
         let t0 = SimTime::ZERO;
         assert_eq!(b.state(), BreakerState::Closed);
         assert!(b.allows(t0));
         b.on_failure(t0);
-        assert_eq!(b.state(), BreakerState::Closed, "one failure keeps it closed");
+        b.on_failure(t0);
+        assert_eq!(b.state(), BreakerState::Closed, "two failures keep it closed");
         b.on_failure(t0);
         assert_eq!(b.state(), BreakerState::Open);
-        // Blocked until the cooldown elapses.
-        assert!(!b.allows(t0 + SimDuration::from_millis(50)));
+        // Blocked until the 250 ms cooldown elapses.
+        assert!(!b.allows(t0 + SimDuration::from_millis(249)));
         // Then exactly one probe is allowed.
-        let probe_at = t0 + SimDuration::from_millis(100);
+        let probe_at = t0 + BREAKER_COOLDOWN;
         assert!(b.allows(probe_at));
         assert_eq!(b.state(), BreakerState::HalfOpen);
         // A failed probe re-opens immediately (no streak needed).
         b.on_failure(probe_at);
         assert_eq!(b.state(), BreakerState::Open);
         // A successful probe closes it for good.
-        let probe2 = probe_at + SimDuration::from_millis(100);
+        let probe2 = probe_at + BREAKER_COOLDOWN;
         assert!(b.allows(probe2));
         b.on_success();
         assert_eq!(b.state(), BreakerState::Closed);

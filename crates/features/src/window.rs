@@ -77,7 +77,7 @@ impl WindowFeature {
 }
 
 /// Windowing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowConfig {
     /// Tumbling window length.
     pub window_ns: u64,

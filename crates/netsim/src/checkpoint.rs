@@ -9,9 +9,15 @@
 //! node down counts, link brownout factors, the network counters, and the
 //! Observatory sink.
 //!
+//! The image holds dynamic state only. Two static facts ride along as
+//! identity checks, never applied: the RNG seed and each link queue's
+//! capacity, which [`Network::accepts`] compares with the rebuilt engine's
+//! so an image from another scenario is refused.
+//!
 //! Restore deliberately does NOT rebuild static topology (nodes, links,
-//! routes, taps are cheap and deterministic to reconstruct from the
-//! scenario), nor the build-time schedule: the caller rebuilds the same
+//! routes and the tap set are cheap and deterministic to reconstruct from
+//! the scenario, and restore keeps the rebuilt engine's), nor the
+//! build-time schedule: the caller rebuilds the same
 //! network shape *and* schedules the same injections, timers and chaos
 //! transitions before the first run, then applies the frozen dynamic
 //! state on top. The build-time roots still pending at the freeze are
@@ -23,6 +29,7 @@
 //!
 //! What is deliberately not captured:
 //! * the build-time schedule (rebuilt by the caller, verified by digest),
+//! * the tap set (set when the topology is built, kept as rebuilt),
 //! * memoized route caches (rebuilt lazily, behavior-identical),
 //! * trait-object ingress filters (the control plane re-installs its own
 //!   filters from its own frozen state),
@@ -94,11 +101,10 @@ pub struct FrozenNetwork {
     /// only dynamic state a node has.
     pub nodes: Vec<u32>,
     pub links: Vec<FrozenLink>,
-    pub tapped: Vec<bool>,
 }
 
 /// A frozen engine was offered to a network it was not taken from: node
-/// count, link count, seed, tap set, metric schema, queue capacity or
+/// count, link count, seed, metric schema, queue capacity or
 /// build-time schedule disagree, the network has already run, a queue's
 /// byte count is not what its packets weigh, or a pending event names a
 /// node or link this topology does not have.
@@ -179,12 +185,11 @@ impl Network {
             referenced_digest: root_digest(referenced),
             nodes: self.nodes.iter().map(|n| n.down).collect(),
             links: self.links.iter().map(|l| l.freeze()).collect(),
-            tapped: self.tapped.clone(),
         }
     }
 
     /// Whether `frozen` was taken from an engine of this one's shape and
-    /// schedule: same node, link and tap counts, same seed, a metric sink
+    /// schedule: same node and link counts, same seed, a metric sink
     /// that fits, link queues of this engine's capacities whose byte counts
     /// match their packets, no pending event naming a node or link out of
     /// range or keyed to another event class or link direction (the queue
@@ -197,7 +202,6 @@ impl Network {
         let link = |l: LinkId| l.0 < self.links.len();
         self.nodes.len() == frozen.nodes.len()
             && self.links.len() == frozen.links.len()
-            && self.tapped.len() == frozen.tapped.len()
             && self.seed == frozen.seed
             && self.obs.fits(&frozen.obs)
             && self.links.iter().zip(&frozen.links).all(|(l, f)| l.fits(f))
@@ -248,7 +252,6 @@ impl Network {
         self.root_seq = frozen.root_seq;
         self.built_roots = Some(frozen.built_roots);
         self.stats = frozen.stats;
-        self.tapped = frozen.tapped;
         for (node, down) in self.nodes.iter_mut().zip(frozen.nodes) {
             node.down = down;
         }
@@ -411,10 +414,9 @@ mod tests {
         net.run(&mut crate::network::NullHooks, Some(SimTime::from_millis(1)));
         let good = net.checkpoint();
         let late = EventKey::root(SimTime::from_secs(9), u64::MAX);
-        let doctors: [fn(&mut FrozenNetwork, EventKey); 14] = [
+        let doctors: [fn(&mut FrozenNetwork, EventKey); 13] = [
             |f, _| f.nodes.truncate(f.nodes.len() - 1),
             |f, _| drop(f.links.pop()),
-            |f, _| f.tapped.push(false),
             |f, _| f.seed += 1,
             |f, _| f.obs = campuslab_obs::Registry::new().sink(),
             |f, k| f.events.push((k, Event::TxDone { link: LinkId(2), dir: crate::link::Dir::AtoB })),

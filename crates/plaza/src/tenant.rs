@@ -20,7 +20,7 @@ use campuslab_datastore::DataStore;
 use campuslab_ml::{Classifier, DecisionTree};
 use campuslab_netsim::{ChaosPlan, SimDuration, SimTime};
 use campuslab_testbed::{
-    fingerprint, shard_by_second, Finished, GuardSpec, Members, RoadTestConfig, Scenario,
+    fingerprint, ingest_capture, Finished, GuardSpec, Members, RoadTestConfig, Scenario,
     Session, CANARY_FRACTION,
 };
 
@@ -188,11 +188,8 @@ impl TenantOutcome {
     fn finish(name: String, grant: &TenantDemand, session: Session) -> Self {
         let mut fin = session.finish();
         let store = fin.stack.monitor.as_mut().map(|m| {
-            let mut ds = DataStore::new();
-            ds.ingest_packet_batches(shard_by_second(&m.monitor.take_packet_records()));
-            ds.ingest_flows(m.monitor.take_flow_records());
-            ds.ingest_dns(m.monitor.take_dns_records());
-            ds
+            let m = &mut m.monitor;
+            ingest_capture(&m.take_packet_records(), m.take_flow_records(), m.take_dns_records())
         });
 
         // The tenant-scoped plaza section carries only spec-derived

@@ -19,24 +19,11 @@ use campuslab_netsim::{
     Campus, ChaosConfig, GilbertElliott, LinkId, NodeId, Outage, SimDuration, SimTime,
 };
 
-/// A chaos sweep: which intensities to visit and how to seed the
-/// campaigns derived from them.
-#[derive(Debug, Clone)]
-pub struct ChaosSweepConfig {
-    /// Fault intensities in `[0, 1]`, each one road-tested independently.
-    pub intensities: Vec<f64>,
-    /// Base seed; each point derives its campaign from `seed ^ point`.
-    pub seed: u64,
-}
+/// The sweep's fault intensities, each one road-tested independently.
+const INTENSITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
-impl Default for ChaosSweepConfig {
-    fn default() -> Self {
-        ChaosSweepConfig {
-            intensities: vec![0.0, 0.25, 0.5, 0.75, 1.0],
-            seed: 0xE14C4A05,
-        }
-    }
-}
+/// Base seed; each point derives its campaign from `SWEEP_SEED ^ point`.
+const SWEEP_SEED: u64 = 0xE14C4A05;
 
 /// One point on the degradation curve.
 #[derive(Debug, Clone)]
@@ -140,8 +127,8 @@ fn point_from(intensity: f64, outcome: &RoadTestOutcome) -> ChaosPoint {
     }
 }
 
-/// Run the sweep: one road test per intensity, fanned out over worker
-/// threads, points returned in intensity order beside each point's
+/// Run the sweep: one road test per intensity in `INTENSITIES`, fanned
+/// out over worker threads, points returned in intensity order beside each point's
 /// Observatory bundle, so the degradation curve can ship with the full
 /// metrics dump it was derived from. `mk_model` builds a fresh window
 /// model per point (each run consumes one).
@@ -149,10 +136,9 @@ pub fn chaos_sweep(
     scenario: &Scenario,
     program: &PipelineProgram,
     mk_model: impl Fn() -> Box<dyn Classifier + Send> + Sync,
-    sweep: &ChaosSweepConfig,
 ) -> (Vec<ChaosPoint>, Vec<crate::observe::RunObs>) {
-    parallel_map(&sweep.intensities, |i, &intensity| {
-        let cfg = chaos_road_test_config(scenario, intensity, sweep.seed ^ i as u64);
+    parallel_map(&INTENSITIES, |i, &intensity| {
+        let cfg = chaos_road_test_config(scenario, intensity, SWEEP_SEED ^ i as u64);
         let outcome = road_test(scenario, program.clone(), Some(mk_model()), cfg);
         let point = point_from(intensity, &outcome);
         (point, outcome.obs)
@@ -224,19 +210,12 @@ mod tests {
     #[test]
     fn degradation_is_monotone_from_calm_to_mayhem() {
         let (program, model) = trained();
-        let sweep = ChaosSweepConfig {
-            intensities: vec![0.0, 1.0],
-            ..ChaosSweepConfig::default()
+        let s = Scenario::small();
+        let point = |i: u64, intensity: f64| {
+            let cfg = chaos_road_test_config(&s, intensity, SWEEP_SEED ^ i);
+            point_from(intensity, &road_test(&s, program.clone(), Some(Box::new(model.clone())), cfg))
         };
-        let (points, _) = chaos_sweep(
-            &Scenario::small(),
-            &program,
-            || Box::new(model.clone()),
-            &sweep,
-        );
-        assert_eq!(points.len(), 2);
-        let calm = &points[0];
-        let mayhem = &points[1];
+        let (calm, mayhem) = (&point(0, 0.0), &point(1, 1.0));
         assert!(calm.mitigated, "calm run must mitigate");
         assert!(
             calm.suppression >= mayhem.suppression,

@@ -57,7 +57,7 @@ pub mod phoenix;
 #[doc(hidden)]
 pub mod fixtures;
 
-pub use chaos_sweep::{chaos_road_test_config, chaos_sweep, ChaosPoint, ChaosSweepConfig};
+pub use chaos_sweep::{chaos_road_test_config, chaos_sweep, ChaosPoint};
 pub use crosscampus::{cross_campus, CampusSite, CrossCampusResult};
 pub use driftpilot::{drift_road_test, DriftRunConfig, DriftSession};
 pub use phoenix::{
@@ -72,7 +72,8 @@ pub use roadtest::{
 pub use resolverlab::{resolver_run, ResolverRunConfig};
 pub use rollout::{canary_hosts, guarded_road_test, GuardedRunConfig, CANARY_FRACTION};
 pub use scenario::{
-    build_schedule, build_store, collect, shard_by_second, AttackScenario, CollectedData, Scenario,
+    build_schedule, build_store, collect, ingest_capture, shard_by_second, AttackScenario,
+    CollectedData, Scenario,
 };
 pub use session::{Finished, FreezeError, FrozenStack, GuardSpec, Members, Session, Stack};
 pub use trust::{expected_features, trust_report, AuditedDecision, TrustReport};

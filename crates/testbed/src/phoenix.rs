@@ -25,18 +25,19 @@ use campuslab_obs::FrameError;
 /// variant added, removed or reordered — bumps it; a decoder seeing
 /// another version (v1 was a JSON payload) reports
 /// [`FrameError::VersionSkew`] instead of guessing.
-pub const PHOENIX_VERSION: u32 = 7;
+pub const PHOENIX_VERSION: u32 = 8;
 
 /// What [`PHOENIX_VERSION`] currently means, as bytes: `(crc32, length)` of
 /// the envelope the crash-test drift session (`tests::cheap_session`)
 /// leaves at 1.5 s. `image_layout_is_pinned_to_its_version` fails when a
-/// layout change moves either without a version bump and a re-pin. v7
-/// keeps a link's and a node's fault state as chaos down counts: the
-/// static loss probability, outage and slowdown windows, the loss-channel
-/// template and a node's down windows are gone, a link's loss channel
-/// lives only in its two directions, and every metric sink carries the
-/// digest of the schema that minted it.
-pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0x693b_f46b, 1_233_220);
+/// layout change moves either without a version bump and a re-pin. v8
+/// holds dynamic state only: the evidence-sync cursors, the network's tap
+/// set, the detector's window and gate, the breaker's policy and the
+/// pilot's record count at its last tick are gone (each is rebuilt by the
+/// restoring session or derived from what the image does hold), and the
+/// frozen control-plane sinks no longer carry counts booked at the
+/// freeze.
+pub const PHOENIX_LAYOUT_PIN: (u32, usize) = (0xf09f_fda8, 1_233_161);
 
 /// Envelope magic: the first four bytes of every encoded checkpoint.
 pub const PHOENIX_MAGIC: [u8; 4] = *b"PHNX";
@@ -269,6 +270,25 @@ mod tests {
         assert_eq!(cart.sweep().1, Vec::<usize>::new());
     }
 
+    /// The evidence-sync cursors are not in the image: at every kill point
+    /// the restored stack derives the cursors the uninterrupted stack
+    /// holds at that barrier.
+    #[test]
+    fn restore_derives_the_sync_cursors() {
+        let cart = CrashCart::new(cheap_session, SimDuration::from_secs(1));
+        let mut live: Session = cheap_session().into();
+        let mut moved = false;
+        for t in cart.boundaries() {
+            live.run_until(t);
+            let bytes = encode_checkpoint(&live.checkpoint().unwrap());
+            let mut revived: Session = cheap_session().into();
+            revived.restore(decode_checkpoint(&bytes).unwrap()).unwrap();
+            assert_eq!(revived.stack.seen, live.stack.seen, "at {t}");
+            moved |= live.stack.seen != Default::default();
+        }
+        assert!(moved, "no barrier had evidence to forward");
+    }
+
     /// Satellite: a checkpoint taken while the guard is mid-canary (the
     /// ladder's most state-laden stage: candidate mirror, cohort verdicts,
     /// baselines, cooldowns) restores and converges identically.
@@ -472,15 +492,25 @@ mod tests {
             })
         );
 
-        // A v6 header on this payload: the layout that carried static
-        // fault windows, i.i.d. loss and a loss-channel template beside the
-        // chaos flags, refused by its version word whatever the bytes
-        // behind it would decode to.
+        // A v7 header on this payload: the layout that carried the sync
+        // cursors, the tap set, the detector's window and gate, the
+        // breaker's policy and the pilot's record count, refused by its
+        // version word whatever the bytes behind it would decode to.
+        let mut v7 = bytes.clone();
+        v7[4..8].copy_from_slice(&7u32.to_le_bytes());
+        assert_eq!(
+            decode_checkpoint(&v7).err(),
+            Some(FrameError::VersionSkew { found: 7, supported: 8 })
+        );
+
+        // A v6 header: the layout that carried static fault windows,
+        // i.i.d. loss and a loss-channel template beside the chaos flags,
+        // refused the same way.
         let mut v6 = bytes.clone();
         v6[4..8].copy_from_slice(&6u32.to_le_bytes());
         assert_eq!(
             decode_checkpoint(&v6).err(),
-            Some(FrameError::VersionSkew { found: 6, supported: 7 })
+            Some(FrameError::VersionSkew { found: 6, supported: PHOENIX_VERSION })
         );
 
         // A v5 header: the layout that carried per-node and per-link

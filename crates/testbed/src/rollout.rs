@@ -87,10 +87,7 @@ fn guarded_members(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use campuslab_control::{
-        CircuitBreakerPolicy, InstallPolicy, RolloutEventKind, RolloutGuard, RolloutStage,
-        SloViolation,
-    };
+    use campuslab_control::{InstallPolicy, RolloutEventKind, RolloutGuard, RolloutStage, SloViolation};
     use campuslab_dataplane::{Action, HeaderField, TableEntry};
     use campuslab_ml::DecisionTree;
     use campuslab_netsim::SimDuration;
@@ -277,7 +274,7 @@ mod tests {
                     road: RoadTestConfig {
                         install: InstallPolicy {
                             failure_probability: 0.5,
-                            breaker: Some(CircuitBreakerPolicy::default()),
+                            breaker: true,
                             ..InstallPolicy::default()
                         },
                         ..RoadTestConfig::default()

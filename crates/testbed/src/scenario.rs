@@ -390,14 +390,19 @@ pub fn collect(scenario: &Scenario) -> CollectedData {
 }
 
 /// Land collected data in a fresh data store (the Figure-1 ingest path).
-/// Packets go through the sharded batch-ingest path — one batch per
-/// capture second — which builds segments on parallel workers yet yields
-/// a byte-identical store at any worker count.
 pub fn build_store(data: &CollectedData) -> DataStore {
+    ingest_capture(&data.packets, data.flows.clone(), data.dns.clone())
+}
+
+/// The one ingest path for a capture: packets, then flows, then DNS, into
+/// a fresh data store. Packets go through the sharded batch-ingest path —
+/// one batch per capture second — which builds segments on parallel
+/// workers yet yields a byte-identical store at any worker count.
+pub fn ingest_capture(packets: &[PacketRecord], flows: Vec<FlowRecord>, dns: Vec<DnsMetaRecord>) -> DataStore {
     let mut ds = DataStore::new();
-    ds.ingest_packet_batches(shard_by_second(&data.packets));
-    ds.ingest_flows(data.flows.clone());
-    ds.ingest_dns(data.dns.clone());
+    ds.ingest_packet_batches(shard_by_second(packets));
+    ds.ingest_flows(flows);
+    ds.ingest_dns(dns);
     ds
 }
 

@@ -90,25 +90,29 @@ pub struct Stack {
 
 /// The evidence-sync cursors: how much of the controller's episode and
 /// give-up logs the guard has been fed, and how much of the guard's
-/// decision log the pilot has. They ride in the checkpoint so a restored
-/// stack neither replays controller episodes the guard already counted
-/// nor re-delivers guard verdicts the pilot already acted on.
-#[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
+/// decision log the pilot has. They are not in the checkpoint: an
+/// evidence pass follows every hook, so at a barrier each cursor sits at
+/// the end of the log it reads (`Stack::synced`), and a thaw derives
+/// them from the thawed logs. A restored stack therefore neither replays
+/// controller episodes the guard already counted nor re-delivers guard
+/// verdicts the pilot already acted on, and no image can point a cursor
+/// past its log.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncCursors {
     pub ctl_events: usize,
     pub ctl_giveups: usize,
     pub guard_events: usize,
 }
 
-/// Checkpoint image of a [`Stack`]: each control layer's frozen state plus
-/// the evidence-sync cursors between them. Field order is the
-/// checkpoint's wire order (PHNX payloads are positional).
+/// Checkpoint image of a [`Stack`]: each control layer's frozen state.
+/// The evidence-sync cursors between them are derived at thaw
+/// ([`SyncCursors`]). Field order is the checkpoint's wire order (PHNX
+/// payloads are positional).
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 pub struct FrozenStack {
     pub guard: Option<FrozenGuard>,
     pub controller: Option<FrozenController>,
     pub pilot: Option<FrozenDriftPilot>,
-    pub seen: SyncCursors,
 }
 
 /// Fire one hook on every present member in stack order, then sync.
@@ -169,6 +173,18 @@ impl Stack {
         self.forward_guard_events();
     }
 
+    /// The cursors an evidence pass leaves behind: each at the end of the
+    /// log it reads when the member it feeds is present, else 0.
+    fn synced(&self) -> SyncCursors {
+        let ctl = self.controller.as_ref().filter(|_| self.guard.is_some());
+        let guard = self.guard.as_ref().filter(|_| self.pilot.is_some());
+        SyncCursors {
+            ctl_events: ctl.map_or(0, |c| c.events.len()),
+            ctl_giveups: ctl.map_or(0, |c| c.giveups.len()),
+            guard_events: guard.map_or(0, |g| g.events.len()),
+        }
+    }
+
     fn forward_guard_events(&mut self) {
         if let (Some(guard), Some(pilot)) = (&self.guard, &mut self.pilot) {
             for e in &guard.events[self.seen.guard_events..] {
@@ -208,17 +224,16 @@ impl Stack {
         Ok(())
     }
 
-    /// Snapshot the control layers' dynamic state, each member's counts
-    /// booked from its logs first, plus the evidence-sync cursors. Stacks
-    /// holding a border monitor or a resolver actor are refused with a
-    /// typed error: those members have no frozen mirror.
-    pub fn freeze(&mut self) -> Result<FrozenStack, FreezeError> {
+    /// Snapshot the control layers' dynamic state. Stacks holding a
+    /// border monitor or a resolver actor are refused with a typed error:
+    /// those members have no frozen mirror.
+    pub fn freeze(&self) -> Result<FrozenStack, FreezeError> {
         self.checkpointable()?;
+        debug_assert_eq!(self.seen, self.synced(), "a freeze follows an evidence pass");
         Ok(FrozenStack {
-            guard: self.guard.as_mut().map(RolloutGuard::freeze),
-            controller: self.controller.as_mut().map(MitigationController::freeze),
-            pilot: self.pilot.as_mut().map(DriftPilot::freeze),
-            seen: self.seen,
+            guard: self.guard.as_ref().map(RolloutGuard::freeze),
+            controller: self.controller.as_ref().map(MitigationController::freeze),
+            pilot: self.pilot.as_ref().map(DriftPilot::freeze),
         })
     }
 
@@ -245,7 +260,8 @@ impl Stack {
     }
 
     /// Apply a frozen snapshot onto a freshly built stack (same configs,
-    /// same bank handle). An image whose member shape disagrees with this
+    /// same bank handle), then derive the evidence-sync cursors from the
+    /// thawed logs. An image whose member shape disagrees with this
     /// stack, or that carries a metric sink of the wrong shape, is refused
     /// before anything is applied.
     pub fn thaw_state(&mut self, frozen: FrozenStack) -> Result<(), FreezeError> {
@@ -260,7 +276,7 @@ impl Stack {
         if let (Some(pilot), Some(f)) = (&mut self.pilot, frozen.pilot) {
             pilot.thaw_state(f).map_err(misfit)?;
         }
-        self.seen = frozen.seen;
+        self.seen = self.synced();
         Ok(())
     }
 }
@@ -449,7 +465,7 @@ impl Session {
 
     /// Snapshot the full dynamic state at a quiescent barrier: simulator,
     /// stack, and the shared filter bank.
-    pub fn checkpoint(&mut self) -> Result<PhoenixCheckpoint, FreezeError> {
+    pub fn checkpoint(&self) -> Result<PhoenixCheckpoint, FreezeError> {
         let hooks = self.stack.freeze()?;
         Ok(PhoenixCheckpoint { net: self.net.checkpoint(), hooks, bank: self.handle.freeze() })
     }
@@ -724,6 +740,41 @@ mod tests {
             assert_eq!(stack.is_null(), members == [false; 5], "{name}: is_null");
             assert_eq!(pilot, stack.pilot.is_some());
         }
+    }
+
+    /// Telemetry is write-only: a drift session whose network, guard,
+    /// controller and pilot sinks are all disabled makes the
+    /// same decisions, moves the same packets and filters the same
+    /// traffic as one that records everything.
+    #[test]
+    fn telemetry_is_write_only() {
+        let run = |sinks: bool| {
+            let mut scenario = Scenario::small();
+            scenario.workload.duration = SimDuration::from_secs(5);
+            let (known_good, model) = crate::fixtures::trained();
+            let drift = crate::driftpilot::DriftSession::new(
+                &scenario,
+                known_good.clone(),
+                Box::new(model.clone()),
+                crate::driftpilot::DriftRunConfig { settle: SimDuration::ZERO },
+            );
+            let mut session: Session = drift.into();
+            session.net.obs.sink.set_enabled(sinks);
+            let stack = &mut session.stack;
+            stack.guard.as_mut().unwrap().obs.sink.set_enabled(sinks);
+            stack.controller.as_mut().unwrap().obs.sink.set_enabled(sinks);
+            stack.pilot.as_mut().unwrap().obs.sink.set_enabled(sinks);
+            session.run_to_end();
+            let done = session.finish();
+            let pilot_records = done.obs.drift.as_ref().unwrap().records();
+            (done.timeline(), done.net, serde::bin::to_vec(&done.filter), pilot_records)
+        };
+        let (on, off) = (run(true), run(false));
+        assert!(on.3 > 0 && off.3 == 0, "the sinks were not switched: {} / {}", on.3, off.3);
+        assert!(!on.0.is_empty(), "the run decided nothing");
+        assert_eq!(off.0, on.0, "timeline");
+        assert_eq!(off.1, on.1, "NetStats");
+        assert_eq!(off.2, on.2, "filter snapshot");
     }
 
     /// A zero-length detector window fails when the session is built, not
